@@ -13,8 +13,7 @@ let cost word =
 (* Dijkstra-style closure over the (tiny) Clifford group. *)
 let elements : element array =
   let table : (Ctgate.t list * Exact_u.t) Exact_u.Table.t = Exact_u.Table.create 64 in
-  let canonical_key u = Exact_u.key (Exact_u.canonicalize u) in
-  Exact_u.Table.replace table (canonical_key Exact_u.identity) ([], Exact_u.identity);
+  Exact_u.Table.replace table (Exact_u.canonical_key Exact_u.identity) ([], Exact_u.identity);
   let changed = ref true in
   while !changed do
     changed := false;
@@ -23,9 +22,9 @@ let elements : element array =
       (fun (word, u) ->
         List.iter
           (fun g ->
-            let u' = Exact_u.mul u (Exact_u.of_gate g) in
+            let u' = Exact_u.mul_gate u g in
             let word' = word @ [ g ] in
-            let k = canonical_key u' in
+            let k = Exact_u.canonical_key u' in
             match Exact_u.Table.find_opt table k with
             | Some (existing, _) when cost existing <= cost word' -> ()
             | _ ->
@@ -41,10 +40,10 @@ let elements : element array =
 
 let count = Array.length elements
 let find_up_to_phase u =
-  let k = Exact_u.key (Exact_u.canonicalize u) in
+  let k = Exact_u.canonical_key u in
   let rec go i =
     if i >= count then None
-    else if Exact_u.key (Exact_u.canonicalize elements.(i).u) = k then Some elements.(i)
+    else if Exact_u.canonical_key elements.(i).u = k then Some elements.(i)
     else go (i + 1)
   in
   go 0

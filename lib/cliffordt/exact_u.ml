@@ -11,15 +11,27 @@ module O = Zomega.Native
 
 type t = { a : O.t; b : O.t; c : O.t; d : O.t; k : int }
 
-let map2 f u = { u with a = f u.a; b = f u.b; c = f u.c; d = f u.d }
+(* The hot paths below work on the native coefficients directly rather
+   than through [Zomega.Make]'s closures; the values are the same.
+
+   √2 divides x exactly when x0 ≡ x2 and x1 ≡ x3 (mod 2), and then
+   x/√2 = x·√2/2 with x·√2 = (x1 − x3, x0 + x2, x1 + x3, x2 − x0). *)
+let sqrt2_divides (x : O.t) = (x.x0 - x.x2) land 1 = 0 && (x.x1 - x.x3) land 1 = 0
+
+let div_sqrt2 (x : O.t) : O.t =
+  {
+    x0 = (x.x1 - x.x3) asr 1;
+    x1 = (x.x0 + x.x2) asr 1;
+    x2 = (x.x1 + x.x3) asr 1;
+    x3 = (x.x2 - x.x0) asr 1;
+  }
 
 (* Reduce so that k is minimal (entries not all divisible by √2). *)
 let rec reduce u =
-  if u.k = 0 then u
-  else
-    match (O.div_sqrt2_opt u.a, O.div_sqrt2_opt u.b, O.div_sqrt2_opt u.c, O.div_sqrt2_opt u.d) with
-    | Some a, Some b, Some c, Some d -> reduce { a; b; c; d; k = u.k - 1 }
-    | _ -> u
+  if u.k > 0 && sqrt2_divides u.a && sqrt2_divides u.b && sqrt2_divides u.c && sqrt2_divides u.d then
+    reduce
+      { a = div_sqrt2 u.a; b = div_sqrt2 u.b; c = div_sqrt2 u.c; d = div_sqrt2 u.d; k = u.k - 1 }
+  else u
 
 let make ~a ~b ~c ~d ~k = reduce { a; b; c; d; k }
 let identity = { a = O.one; b = O.zero; c = O.zero; d = O.one; k = 0 }
@@ -34,7 +46,22 @@ let mul u v =
 let adjoint u =
   reduce { a = O.conj u.a; b = O.conj u.c; c = O.conj u.b; d = O.conj u.d; k = u.k }
 
-let mul_phase u j = map2 (fun x -> O.mul_omega_pow x j) u
+let is_zero (x : O.t) = x.x0 = 0 && x.x1 = 0 && x.x2 = 0 && x.x3 = 0
+
+(* ω^j·x: ω moves each coefficient up one place and wraps x3 round to
+   x0 negated (ω⁴ = −1). *)
+let rot j (x : O.t) : O.t =
+  match j land 7 with
+  | 0 -> x
+  | 1 -> { x0 = -x.x3; x1 = x.x0; x2 = x.x1; x3 = x.x2 }
+  | 2 -> { x0 = -x.x2; x1 = -x.x3; x2 = x.x0; x3 = x.x1 }
+  | 3 -> { x0 = -x.x1; x1 = -x.x2; x2 = -x.x3; x3 = x.x0 }
+  | 4 -> { x0 = -x.x0; x1 = -x.x1; x2 = -x.x2; x3 = -x.x3 }
+  | 5 -> { x0 = x.x3; x1 = -x.x0; x2 = -x.x1; x3 = -x.x2 }
+  | 6 -> { x0 = x.x2; x1 = x.x3; x2 = -x.x0; x3 = -x.x1 }
+  | _ -> { x0 = x.x1; x1 = x.x2; x2 = x.x3; x3 = -x.x0 }
+
+let mul_phase u j = { u with a = rot j u.a; b = rot j u.b; c = rot j u.c; d = rot j u.d }
 
 (* Gate constants. *)
 let gate_h = { a = O.one; b = O.one; c = O.one; d = O.neg O.one; k = 1 }
@@ -56,7 +83,31 @@ let of_gate = function
   | Ctgate.Y -> gate_y
   | Ctgate.Z -> gate_z
 
-let of_seq seq = List.fold_left (fun acc g -> mul acc (of_gate g)) identity seq
+let zadd (x : O.t) (y : O.t) : O.t =
+  { x0 = x.x0 + y.x0; x1 = x.x1 + y.x1; x2 = x.x2 + y.x2; x3 = x.x3 + y.x3 }
+
+let zsub (x : O.t) (y : O.t) : O.t =
+  { x0 = x.x0 - y.x0; x1 = x.x1 - y.x1; x2 = x.x2 - y.x2; x3 = x.x3 - y.x3 }
+
+(* [mul u (of_gate g)] without the general product: the diagonal gates
+   turn the second column by a power of ω, X and Y swap the columns (Y
+   with a factor ±i), and only H adds, subtracts and raises k. *)
+let mul_gate u g =
+  let u =
+    match g with
+    | Ctgate.T -> { u with b = rot 1 u.b; d = rot 1 u.d }
+    | Ctgate.S -> { u with b = rot 2 u.b; d = rot 2 u.d }
+    | Ctgate.Z -> { u with b = rot 4 u.b; d = rot 4 u.d }
+    | Ctgate.Sdg -> { u with b = rot 6 u.b; d = rot 6 u.d }
+    | Ctgate.Tdg -> { u with b = rot 7 u.b; d = rot 7 u.d }
+    | Ctgate.X -> { u with a = u.b; b = u.a; c = u.d; d = u.c }
+    | Ctgate.Y -> { u with a = rot 2 u.b; b = rot 6 u.a; c = rot 2 u.d; d = rot 6 u.c }
+    | Ctgate.H ->
+        { a = zadd u.a u.b; b = zsub u.a u.b; c = zadd u.c u.d; d = zsub u.c u.d; k = u.k + 1 }
+  in
+  reduce u
+
+let of_seq seq = List.fold_left mul_gate identity seq
 
 let to_mat2 u =
   let s = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k)) in
@@ -78,22 +129,46 @@ let key u =
     u.d.x0; u.d.x1; u.d.x2; u.d.x3;
   |]
 
+(* Is (a0, a1, a2, a3) lexicographically below (b0, b1, b2, b3)? *)
+let lex_less (a0 : int) (a1 : int) (a2 : int) (a3 : int) b0 b1 b2 b3 =
+  a0 < b0 || (a0 = b0 && (a1 < b1 || (a1 = b1 && (a2 < b2 || (a2 = b2 && a3 < b3)))))
+
 (* Canonical representative of { ω^j·U : j = 0..7 }: the phase multiple
-   with the lexicographically smallest key. *)
-let canonicalize u =
-  let best = ref u and best_key = ref (key u) in
+   with the lexicographically smallest key.  k is shared by all eight, so
+   the first nonzero entry in key order decides: its eight rotations are
+   distinct (ω^j·x = x forces x = 0), so the minimum is unique and the
+   later entries never break a tie.  Only that entry is rotated, one
+   place per step. *)
+let canonical_phase u =
+  let x =
+    if not (is_zero u.a) then u.a
+    else if not (is_zero u.b) then u.b
+    else if not (is_zero u.c) then u.c
+    else u.d
+  in
+  let r0 = ref x.x0 and r1 = ref x.x1 and r2 = ref x.x2 and r3 = ref x.x3 in
+  let b0 = ref x.x0 and b1 = ref x.x1 and b2 = ref x.x2 and b3 = ref x.x3 in
+  let best = ref 0 in
   for j = 1 to 7 do
-    let v = mul_phase u j in
-    let kv = key v in
-    if compare kv !best_key < 0 then begin
-      best := v;
-      best_key := kv
+    let top = !r3 in
+    r3 := !r2;
+    r2 := !r1;
+    r1 := !r0;
+    r0 := -top;
+    if lex_less !r0 !r1 !r2 !r3 !b0 !b1 !b2 !b3 then begin
+      best := j;
+      b0 := !r0;
+      b1 := !r1;
+      b2 := !r2;
+      b3 := !r3
     end
   done;
   !best
 
+let canonicalize u = mul_phase u (canonical_phase u)
+let canonical_key u = key (canonicalize u)
 let equal u v = key u = key v
-let equal_up_to_phase u v = key (canonicalize u) = key (canonicalize v)
+let equal_up_to_phase u v = canonical_key u = canonical_key v
 let hash u = Hashtbl.hash (key u)
 
 (* T-count parity invariant: the smallest denominator exponent grows with
@@ -107,7 +182,17 @@ let to_string u =
 module Key = struct
   type nonrec t = int array
 
-  let equal = ( = )
+  (* [( = )] on int arrays, without the generic structural walk. *)
+  let equal (x : t) (y : t) =
+    let n = Array.length x in
+    n = Array.length y
+    &&
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get x !i = Array.unsafe_get y !i do
+      incr i
+    done;
+    !i = n
+
   let hash = Hashtbl.hash
 end
 

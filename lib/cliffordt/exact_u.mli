@@ -29,8 +29,13 @@ val gate_y : t
 val gate_z : t
 val of_gate : Ctgate.t -> t
 
+val mul_gate : t -> Ctgate.t -> t
+(** [mul_gate u g] = [mul u (of_gate g)], on native ints: T, T†, S, S†
+    and Z turn the second column by a power of ω, X and Y swap the
+    columns, and only H adds, subtracts and divides by √2. *)
+
 val of_seq : Ctgate.t list -> t
-(** Exact product of a word (matrix order). *)
+(** Exact product of a word (matrix order), one {!mul_gate} per gate. *)
 
 val to_mat2 : t -> Mat2.t
 
@@ -39,6 +44,12 @@ val key : t -> int array
 
 val canonicalize : t -> t
 (** The phase multiple with the lexicographically smallest {!key}. *)
+
+val canonical_key : t -> int array
+(** [key (canonicalize u)], building one key: the phase is the one that
+    minimizes the first nonzero entry of [a], [b], [c], [d], whose eight
+    rotations are distinct.  Equal exactly when the operators are equal
+    up to global phase; the key of every table and step-3 lookup. *)
 
 val equal : t -> t -> bool
 val equal_up_to_phase : t -> t -> bool

@@ -33,7 +33,7 @@ let theoretical_count m = 24 * ((3 * (1 lsl m)) - 2)
    appends a syllable HT or SHT to every level-k prefix. *)
 let prefixes_by_level max_t =
   let syllables = Ctgate.[ [ H; T ]; [ S; H; T ] ] in
-  let apply (word, u) syl = (word @ syl, Exact_u.mul u (Exact_u.of_seq syl)) in
+  let apply (word, u) syl = (word @ syl, List.fold_left Exact_u.mul_gate u syl) in
   let levels = Array.make (max_t + 1) [] in
   levels.(0) <- [ ([], Exact_u.identity) ];
   if max_t >= 1 then
@@ -60,7 +60,7 @@ let of_entries ~max_t entries =
   let lookup = Exact_u.Table.create (Array.length entries * 2) in
   Array.iteri
     (fun i e ->
-      let key = Exact_u.key (Exact_u.canonicalize e.u) in
+      let key = Exact_u.canonical_key e.u in
       match Exact_u.Table.find_opt lookup key with
       | Some j ->
           let better =
@@ -211,7 +211,7 @@ let get_for ~gate_set max_t =
              gate_set known)
 
 let lookup_best table u =
-  match Exact_u.Table.find_opt table.lookup (Exact_u.key (Exact_u.canonicalize u)) with
+  match Exact_u.Table.find_opt table.lookup (Exact_u.canonical_key u) with
   | Some i -> Some table.entries.(i)
   | None -> None
 

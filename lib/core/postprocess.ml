@@ -6,56 +6,72 @@
     replace it whenever the step-0 table knows a cheaper equivalent
     (fewer T, then fewer Cliffords, then shorter), iterating to a
     fixpoint.  Replacements are exact up to global phase, which is the
-    equivalence the synthesis works under. *)
+    equivalence the synthesis works under.
 
-let better_cost (t1, c1, l1) (t2, c2, l2) =
-  t1 < t2 || (t1 = t2 && (c1 < c2 || (c1 = c2 && l1 < l2)))
+    One left-to-right scan applies the rule (leftmost start, longest
+    window).  Each start grows its window one gate at a time, carrying
+    the exact product and the window's T and Clifford counts forward.
+    After a rewrite at position p the scan resumes at
+    max(0, p − max_window) rather than at 0, and stays exact: every
+    earlier start was already found not to improve, and its windows end
+    before p, in the unchanged prefix. *)
 
-let cost_of seq = (Ctgate.t_count seq, Ctgate.clifford_count seq, List.length seq)
+let c_windows = Obs.counter "trasyn.postprocess.windows"
+let c_rewrites = Obs.counter "trasyn.postprocess.rewrites"
 
-(* One pass: find the leftmost window with a strictly cheaper table
-   equivalent and rewrite it.  Returns None at fixpoint. *)
-let improve_pass table max_window gates =
-  let arr = Array.of_list gates in
-  let len = Array.length arr in
-  let rec scan start =
-    if start >= len then None
-    else begin
-      (* Grow the window while its T-count stays within the table. *)
-      let rec try_windows stop u best =
-        if stop > len then best
-        else begin
-          let u = Exact_u.mul u (Exact_u.of_gate arr.(stop - 1)) in
-          let window_t = Ctgate.t_count (Array.to_list (Array.sub arr start (stop - start))) in
-          if window_t > table.Ma_table.max_t || stop - start > max_window then best
-          else begin
-            let window = Array.to_list (Array.sub arr start (stop - start)) in
-            let best =
-              match Ma_table.lookup_best table u with
-              | Some e when better_cost (cost_of e.Ma_table.seq) (cost_of window) ->
-                  Some (stop, e.Ma_table.seq)
-              | _ -> best
-            in
-            try_windows (stop + 1) u best
-          end
-        end
-      in
-      match try_windows (start + 1) Exact_u.identity None with
-      | Some (stop, replacement) ->
-          let prefix = Array.to_list (Array.sub arr 0 start) in
-          let suffix = Array.to_list (Array.sub arr stop (len - stop)) in
-          Some (prefix @ replacement @ suffix)
-      | None -> scan (start + 1)
-    end
-  in
-  scan 0
+(* Does the table entry beat a window of [t] T gates, [c] Cliffords and
+   [len] gates?  An entry's [tcount] and [ccount] are its word's counts
+   (every table constructor sets them so, and the loader checks them);
+   the word itself is measured only on a tie. *)
+let beats (e : Ma_table.entry) ~t ~c ~len =
+  e.tcount < t
+  || (e.tcount = t && (e.ccount < c || (e.ccount = c && List.length e.Ma_table.seq < len)))
 
 let run ?(max_window = 24) ?(max_iters = 200) table gates =
-  let rec loop gates iters =
-    if iters = 0 then gates
-    else
-      match improve_pass table max_window gates with
-      | Some gates' -> loop gates' (iters - 1)
-      | None -> gates
+  let max_t = table.Ma_table.max_t in
+  let windows = ref 0 and rewrites = ref 0 in
+  (* The longest window at [start] with a strictly cheaper table
+     equivalent, as (stop, replacement).  The window grows while its
+     T count stays within the table and its length within
+     [max_window]. *)
+  let best_at arr start =
+    let len = Array.length arr in
+    let rec grow stop u t c best =
+      if stop > len then best
+      else begin
+        let g = arr.(stop - 1) in
+        let t = if Ctgate.is_t g then t + 1 else t in
+        let c = if Ctgate.is_t g || Ctgate.is_pauli g then c else c + 1 in
+        if t > max_t || stop - start > max_window then best
+        else begin
+          let u = Exact_u.mul_gate u g in
+          incr windows;
+          let best =
+            match Ma_table.lookup_best table u with
+            | Some e when beats e ~t ~c ~len:(stop - start) -> Some (stop, e.Ma_table.seq)
+            | _ -> best
+          in
+          grow (stop + 1) u t c best
+        end
+      end
+    in
+    grow (start + 1) Exact_u.identity 0 0 None
   in
-  loop gates max_iters
+  let rec scan arr start =
+    if !rewrites = max_iters || start >= Array.length arr then arr
+    else
+      match best_at arr start with
+      | None -> scan arr (start + 1)
+      | Some (stop, replacement) ->
+          incr rewrites;
+          let len = Array.length arr in
+          let arr =
+            Array.concat
+              [ Array.sub arr 0 start; Array.of_list replacement; Array.sub arr stop (len - stop) ]
+          in
+          scan arr (max 0 (start - max_window))
+  in
+  let out = scan (Array.of_list gates) 0 in
+  Obs.incr ~by:!windows c_windows;
+  Obs.incr ~by:!rewrites c_rewrites;
+  if !rewrites = 0 then gates else Array.to_list out

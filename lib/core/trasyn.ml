@@ -32,6 +32,7 @@ let c_attempts = Obs.counter "trasyn.attempts"
 let c_restarts = Obs.counter "trasyn.restarts"
 let c_escalations = Obs.counter "trasyn.budget_escalations"
 let h_tcount = Obs.histogram ~buckets:(Array.init 33 (fun i -> float_of_int (4 * i))) "trasyn.t_count"
+let c_memo_hits = Obs.counter "trasyn.postprocess.memo_hits"
 
 (* ------------------------------------------------------------------ *)
 (* Chain cache                                                         *)
@@ -227,26 +228,46 @@ let synthesize_ranges ?(config = default_config) ?epsilon ?(t_slack = 0) ~target
           if dist <= eps then (0, float_of_int t_est, dist) else (1, dist, float_of_int t_est)
   in
   (* Decorate-sort-undecorate: each sample's stats are a fold over every
-     site, so compute them once per sample, not once per comparison. *)
+     site, so compute them once per sample, not once per comparison.
+     The comparison is typed because it runs ≈ 10^4 times per call, and
+     polymorphic [compare] on the tuples cost over twice as much. *)
+  let by_key ((ta, xa, ya), _) ((tb, xb, yb), _) =
+    let c = Int.compare ta tb in
+    if c <> 0 then c
+    else
+      let c = Float.compare xa xb in
+      if c <> 0 then c else Float.compare ya yb
+  in
   let scored =
     List.map (fun s -> (free_key (free_stats s), s)) (sampled @ beamed)
-    |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
-    |> List.map snd
+    |> List.stable_sort by_key |> List.map snd
   in
   let top = List.filteri (fun i _ -> i < 16) scored in
   let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
   let l = Array.length mps.Mps.sites in
+  (* The beam re-finds sampled tuples, so candidate words repeat: each
+     distinct word is post-processed and scored once. *)
+  let seen = Hashtbl.create 16 and memo_hits = ref 0 in
   let candidates =
     List.map
       (fun s ->
         let seq = seq_of_sample mps s in
-        let seq =
-          if config.post_process then Obs.span "trasyn.postprocess" (fun () -> Postprocess.run table seq)
-          else seq
-        in
-        result_of_seq ~target ~sites:l ~samples:config.samples seq)
+        match Hashtbl.find_opt seen seq with
+        | Some r ->
+            incr memo_hits;
+            r
+        | None ->
+            let out =
+              if config.post_process then
+                Obs.span "trasyn.postprocess" (fun () -> Postprocess.run table seq)
+              else seq
+            in
+            let r = result_of_seq ~target ~sites:l ~samples:config.samples out in
+            Hashtbl.add seen seq r;
+            r)
       top
   in
+  Obs.incr ~by:!memo_hits c_memo_hits;
   let order =
     match epsilon with
     | None ->

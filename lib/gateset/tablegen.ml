@@ -46,7 +46,7 @@ let bfs_generate (gs : Gateset.t) ~max_t =
     let q = Queue.create () in
     let out = ref [] in
     let admit (seq, u) =
-      let key = Exact_u.key (Exact_u.canonicalize u) in
+      let key = Exact_u.canonical_key u in
       if not (Exact_u.Table.mem visited key) then begin
         Exact_u.Table.add visited key ();
         out := (seq, u) :: !out;
@@ -56,7 +56,7 @@ let bfs_generate (gs : Gateset.t) ~max_t =
     List.iter admit frontier;
     while not (Queue.is_empty q) do
       let seq, u = Queue.pop q in
-      List.iter (fun g -> admit (seq @ [ g ], Exact_u.mul u (Exact_u.of_gate g))) cliffords
+      List.iter (fun g -> admit (seq @ [ g ], Exact_u.mul_gate u g)) cliffords
     done;
     levels.(k) <- List.rev !out
   in
@@ -66,7 +66,7 @@ let bfs_generate (gs : Gateset.t) ~max_t =
       List.concat_map
         (fun (seq, u) ->
           List.map
-            (fun g -> (seq @ [ g ], Exact_u.mul u (Exact_u.of_gate g)))
+            (fun g -> (seq @ [ g ], Exact_u.mul_gate u g))
             non_cliffords)
         levels.(k - 1)
     in

@@ -750,6 +750,21 @@ let report oc =
             | Some _ | None -> None))
       counters
   in
+  (* Derived per-call rates: a counter <span>.<what> named under a span
+     is divided by that span's call count (e.g. step-3 windows per
+     post-processing run). *)
+  let per_call =
+    List.filter_map
+      (fun (n, v) ->
+        match String.rindex_opt n '.' with
+        | None -> None
+        | Some i -> (
+            let prefix = String.sub n 0 i in
+            match List.find_opt (fun h -> h.hname = prefix) spans with
+            | Some h when h.hcount > 0 -> Some (n ^ "/call", v, h.hcount)
+            | Some _ | None -> None))
+      counters
+  in
   Printf.fprintf oc "== observability report ==========================================\n";
   if counters <> [] then begin
     Printf.fprintf oc "counters:\n";
@@ -763,6 +778,15 @@ let report oc =
           (100.0 *. float_of_int hits /. float_of_int (hits + misses))
           hits (hits + misses))
       hit_rates
+  end;
+  if per_call <> [] then begin
+    Printf.fprintf oc "per call:\n";
+    List.iter
+      (fun (n, v, calls) ->
+        Printf.fprintf oc "  %-44s %12.2f  (%d/%d)\n" n
+          (float_of_int v /. float_of_int calls)
+          v calls)
+      per_call
   end;
   if gauges <> [] then begin
     Printf.fprintf oc "gauges:\n";

@@ -259,7 +259,9 @@ val report : out_channel -> unit
 (** Human-readable end-of-run report of every registered metric.  Every
     counter pair [<p>.hit] / [<p>.miss] with at least one event also
     gets a derived [<p>.hit_rate] line (hits/(hits+misses)) — the
-    pipeline memo caches read directly as percentages. *)
+    pipeline memo caches read directly as percentages.  Every counter
+    [<s>.<what>] named under a span [<s>] with at least one call gets a
+    derived [<s>.<what>/call] line (count/calls). *)
 
 val reset : unit -> unit
 (** Zero every registered metric (handles stay valid) — for tests and

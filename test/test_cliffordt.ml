@@ -123,4 +123,72 @@ let ma_tests =
         done);
   ]
 
-let suite = exact_vs_float_tests @ clifford_tests @ ma_tests
+(* The native gate product and the one-phase canonical key, each against
+   code written independently of it. *)
+
+let all_gates = Ctgate.[ H; S; Sdg; T; Tdg; X; Y; Z ]
+let gen_word max_len = QCheck2.Gen.(list_size (int_range 0 max_len) (oneofl all_gates))
+
+(* ω^j·U through the ring's own [mul_omega_pow]. *)
+let phase_multiple (u : Exact_u.t) j =
+  let r x = Zomega.Native.mul_omega_pow x j in
+  { u with Exact_u.a = r u.Exact_u.a; b = r u.Exact_u.b; c = r u.Exact_u.c; d = r u.Exact_u.d }
+
+(* The canonical key spelled out: the lexicographically smallest key
+   among the eight phase multiples. *)
+let phase_min_key u =
+  List.fold_left
+    (fun best j ->
+      let k = Exact_u.key (phase_multiple u j) in
+      if compare k best < 0 then k else best)
+    (Exact_u.key u) [ 1; 2; 3; 4; 5; 6; 7 ]
+
+(* A word's product as a fold of general matrix products. *)
+let product_by_mul seq =
+  List.fold_left (fun acc g -> Exact_u.mul acc (Exact_u.of_gate g)) Exact_u.identity seq
+
+(* Arbitrary records, not only unitaries: a zero in every entry position
+   and an unreduced k, so each branch of the leading-entry rule and of
+   the reduction is reached. *)
+let gen_record =
+  let open QCheck2.Gen in
+  let coeff = int_range (-3) 3 in
+  let entry =
+    frequency
+      [
+        (1, pure Zomega.Native.zero);
+        (3, map (fun (a, b, c, d) -> Zomega.Native.of_ints a b c d) (quad coeff coeff coeff coeff));
+      ]
+  in
+  map
+    (fun ((a, b), (c, d), k) -> { Exact_u.a; b; c; d; k })
+    (triple (pair entry entry) (pair entry entry) (int_range 0 3))
+
+let gen_operator =
+  QCheck2.Gen.(
+    frequency [ (3, map Exact_u.of_seq (gen_word 40)); (1, gen_record) ])
+
+let native_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"gate product equals the general product"
+         QCheck2.Gen.(pair gen_operator (oneofl all_gates))
+         (fun (u, g) ->
+           Exact_u.key (Exact_u.mul_gate u g) = Exact_u.key (Exact_u.mul u (Exact_u.of_gate g))));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"word product equals a fold of general products"
+         ~print:Ctgate.seq_to_string
+         (gen_word 48)
+         (fun seq -> Exact_u.key (Exact_u.of_seq seq) = Exact_u.key (product_by_mul seq)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"canonical key is the 8-phase minimum" gen_operator
+         (fun u ->
+           let k = Exact_u.canonical_key u in
+           k = phase_min_key u && k = Exact_u.key (Exact_u.canonicalize u)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"canonical key ignores global phase"
+         QCheck2.Gen.(pair gen_operator (int_range 0 7))
+         (fun (u, j) -> Exact_u.canonical_key (phase_multiple u j) = Exact_u.canonical_key u));
+  ]
+
+let suite = exact_vs_float_tests @ clifford_tests @ ma_tests @ native_tests

@@ -342,28 +342,46 @@ let trace_tests =
         | _ -> Alcotest.fail "span events missing");
   ]
 
+(* The end-of-run report as a string, and a substring test on it. *)
+let report_text () =
+  let path = Filename.temp_file "tgates_report" ".txt" in
+  let oc = open_out path in
+  Obs.report oc;
+  close_out oc;
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  contents
+
+let contains contents sub =
+  let n = String.length contents and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub contents i m = sub || go (i + 1)) in
+  go 0
+
 let report_tests =
   [
     Alcotest.test_case "report derives cache hit-rate lines" `Quick (fun () ->
         Obs.reset ();
         Obs.incr ~by:3 (Obs.counter "test.report_cache.hit");
         Obs.incr ~by:1 (Obs.counter "test.report_cache.miss");
-        let path = Filename.temp_file "tgates_report" ".txt" in
-        let oc = open_out path in
-        Obs.report oc;
-        close_out oc;
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Sys.remove path;
-        let contains sub =
-          let n = String.length contents and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub contents i m = sub || go (i + 1)) in
-          go 0
-        in
+        let contains = contains (report_text ()) in
         Alcotest.(check bool) "hit_rate line present" true (contains "test.report_cache.hit_rate");
         Alcotest.(check bool) "75% rate" true (contains "75.0%");
         Alcotest.(check bool) "ratio shown" true (contains "(3/4)"));
+    Alcotest.test_case "report divides span counters by the span's calls" `Quick (fun () ->
+        Obs.reset ();
+        Obs.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled false)
+          (fun () ->
+            for _ = 1 to 4 do
+              Obs.span "test.report_step" (fun () ->
+                  Obs.incr ~by:5 (Obs.counter "test.report_step.windows"))
+            done);
+        let contains = contains (report_text ()) in
+        Alcotest.(check bool) "per-call line present" true
+          (contains "test.report_step.windows/call");
+        Alcotest.(check bool) "5 per call" true (contains "5.00");
+        Alcotest.(check bool) "ratio shown" true (contains "(20/4)"));
   ]
 
 let suite =

@@ -443,3 +443,124 @@ let chain_reuse_tests =
   ]
 
 let suite = suite @ chain_reuse_tests
+
+(* Step 3 against its original formulation: rescan from position 0 after
+   every rewrite, rebuild every window from scratch, evaluate it with the
+   general product and look it up under the spelled-out 8-phase key.
+   Returns the word and the number of rewrites. *)
+let reference_postprocess ?(max_window = 24) ?(max_iters = 200) (table : Ma_table.t) gates =
+  let better_cost (t1, c1, l1) (t2, c2, l2) =
+    t1 < t2 || (t1 = t2 && (c1 < c2 || (c1 = c2 && l1 < l2)))
+  in
+  let cost_of seq = (Ctgate.t_count seq, Ctgate.clifford_count seq, List.length seq) in
+  let lookup u =
+    Option.map
+      (fun i -> table.Ma_table.entries.(i))
+      (Exact_u.Table.find_opt table.Ma_table.lookup (Test_cliffordt.phase_min_key u))
+  in
+  let improve_pass gates =
+    let arr = Array.of_list gates in
+    let len = Array.length arr in
+    let rec scan start =
+      if start >= len then None
+      else begin
+        let rec try_windows stop u best =
+          if stop > len then best
+          else begin
+            let u = Exact_u.mul u (Exact_u.of_gate arr.(stop - 1)) in
+            let window = Array.to_list (Array.sub arr start (stop - start)) in
+            if Ctgate.t_count window > table.Ma_table.max_t || stop - start > max_window then best
+            else
+              let best =
+                match lookup u with
+                | Some e when better_cost (cost_of e.Ma_table.seq) (cost_of window) ->
+                    Some (stop, e.Ma_table.seq)
+                | _ -> best
+              in
+              try_windows (stop + 1) u best
+          end
+        in
+        match try_windows (start + 1) Exact_u.identity None with
+        | Some (stop, replacement) ->
+            let prefix = Array.to_list (Array.sub arr 0 start) in
+            let suffix = Array.to_list (Array.sub arr stop (len - stop)) in
+            Some (prefix @ replacement @ suffix)
+        | None -> scan (start + 1)
+      end
+    in
+    scan 0
+  in
+  let rec loop gates iters rewrites =
+    if iters = 0 then (gates, rewrites)
+    else
+      match improve_pass gates with
+      | Some gates' -> loop gates' (iters - 1) (rewrites + 1)
+      | None -> (gates, rewrites)
+  in
+  loop gates max_iters 0
+
+(* Words as the sampler produces them: fixed-seed draws from 1- and
+   2-site depth-8 chains, each draw's per-site words concatenated, and
+   consecutive draws joined so rewrites also straddle draw boundaries. *)
+let sampled_words () =
+  let table = Ma_table.get 8 in
+  List.concat_map
+    (fun (l, seed) ->
+      let banks = Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:8) in
+      let target = Mat2.random_unitary (Random.State.make [| seed |]) in
+      let mps = Mps.build ~target banks in
+      Mps.canonicalize mps;
+      let draws =
+        Mps.sample ~rng:(Random.State.make [| seed + 1 |]) ~k:48 mps
+        |> List.map (fun (s : Mps.sample) ->
+               List.concat
+                 (List.mapi
+                    (fun i idx -> Sitebank.sequence mps.Mps.sites.(i).Mps.bank idx)
+                    (Array.to_list s.Mps.indices)))
+      in
+      let rec joined = function a :: (b :: _ as rest) -> (a @ b) :: joined rest | _ -> [] in
+      draws @ joined draws)
+    [ (1, 11); (1, 12); (2, 13); (2, 14) ]
+
+let print_case (w, depth, max_window, max_iters) =
+  Printf.sprintf "%S depth=%d max_window=%d max_iters=%d" (Ctgate.seq_to_string w) depth max_window
+    max_iters
+
+let oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"one-scan step 3 equals the restarting reference"
+         ~print:print_case
+         QCheck2.Gen.(
+           quad (Test_cliffordt.gen_word 48) (oneofl [ 3; 8 ]) (oneofl [ 1; 3; 24 ])
+             (oneofl [ 0; 1; 2; 200 ]))
+         (fun (w, depth, max_window, max_iters) ->
+           let table = Ma_table.get depth in
+           Postprocess.run ~max_window ~max_iters table w
+           = fst (reference_postprocess ~max_window ~max_iters table w)));
+    Alcotest.test_case "one-scan step 3 equals the reference on sampled words" `Quick (fun () ->
+        let table = Ma_table.get 8 in
+        let words = sampled_words () in
+        Alcotest.(check bool) "enough words" true (List.length words >= 100);
+        List.iter
+          (fun w ->
+            Alcotest.(check string)
+              (Ctgate.seq_to_string w)
+              (Ctgate.seq_to_string (fst (reference_postprocess table w)))
+              (Ctgate.seq_to_string (Postprocess.run table w)))
+          words);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"step 3 is idempotent below its rewrite cap"
+         ~print:print_case
+         QCheck2.Gen.(
+           quad (Test_cliffordt.gen_word 48) (oneofl [ 3; 8 ]) (oneofl [ 1; 3; 24 ]) (oneofl [ 2; 200 ]))
+         (fun (w, depth, max_window, max_iters) ->
+           let table = Ma_table.get depth in
+           let _, rewrites = reference_postprocess ~max_window ~max_iters table w in
+           rewrites >= max_iters
+           ||
+           let once = Postprocess.run ~max_window ~max_iters table w in
+           Postprocess.run ~max_window ~max_iters table once = once));
+  ]
+
+let suite = suite @ oracle_tests
