@@ -6,18 +6,25 @@ type instr = { gate : Qgate.t; qubits : int array }
 
 type t = { n_qubits : int; instrs : instr list }
 
+(* Operands in order: a negative one, or one repeating an earlier one,
+   fails at its own position.  Arity is at most 3, so the quadratic
+   scan beats any set (and allocates nothing). *)
+let rec check_operands qubits k =
+  if k < Array.length qubits then begin
+    let q = qubits.(k) in
+    if q < 0 then invalid_arg "Circuit.instr: negative qubit";
+    for j = 0 to k - 1 do
+      if qubits.(j) = q then invalid_arg "Circuit.instr: duplicate qubit"
+    done;
+    check_operands qubits (k + 1)
+  end
+
 let instr gate qubits =
   if Array.length qubits <> Qgate.arity gate then
     invalid_arg
       (Printf.sprintf "Circuit.instr: %s expects %d qubits, got %d" (Qgate.to_string gate)
          (Qgate.arity gate) (Array.length qubits));
-  let seen = Hashtbl.create 4 in
-  Array.iter
-    (fun q ->
-      if q < 0 then invalid_arg "Circuit.instr: negative qubit";
-      if Hashtbl.mem seen q then invalid_arg "Circuit.instr: duplicate qubit";
-      Hashtbl.add seen q ())
-    qubits;
+  check_operands qubits 0;
   { gate; qubits }
 
 let make n_qubits instrs =

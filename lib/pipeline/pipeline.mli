@@ -71,6 +71,15 @@ val exact_word_of_trivial : ?gate_set:string -> Qgate.t -> Ctgate.t list option
 val word_to_gates : Ctgate.t list -> Qgate.t list
 (** A Clifford+T word (matrix order) as circuit gates (time order). *)
 
+val replay_record :
+  chain:string -> gate_set:string -> requested:float -> Synth.target -> Robust.attempt ->
+  Ledger.record
+(** The [cached] ledger record of a rotation occurrence served by dedup
+    or a memo cache rather than by its own chain execution ([wall_s] 0,
+    [source] ["replay"]).  Both the planned workflows and the streaming
+    engine write one per such occurrence, so a run's ledger holds
+    exactly one record per rotation. *)
+
 val run_gridsynth :
   ?epsilon:float ->
   ?gate_set:Gateset.t ->

@@ -76,20 +76,18 @@ type stats = {
 (* Memo cache (bounded, flush-all — same policy as Pipeline's)        *)
 (* ------------------------------------------------------------------ *)
 
-let memo : (string, Robust.attempt) Hashtbl.t = Hashtbl.create 256
+(* A memoized synthesis keeps its word already spliced into gates (time
+   order), so a hit costs no conversion. *)
+type memo_entry = { attempt : Robust.attempt; gates : Qgate.t list }
+
+let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 256
 let memo_capacity = ref 65_536
 
 let set_cache_capacity n =
   if n < 1 then invalid_arg "Stream_compile.set_cache_capacity: capacity must be positive";
   memo_capacity := n
 
-(* Trivial rotations repeat massively in QAOA-like streams; cache the
-   step-0 table scan per distinct gate ([None] = genuinely nontrivial). *)
-let trivial_cache : (string, Qgate.t list option) Hashtbl.t = Hashtbl.create 256
-
-let clear_cache () =
-  Hashtbl.reset memo;
-  Hashtbl.reset trivial_cache
+let clear_cache () = Hashtbl.reset memo
 
 let cache_put tbl key v =
   if Hashtbl.length tbl >= !memo_capacity then begin
@@ -98,16 +96,33 @@ let cache_put tbl key v =
   end;
   Hashtbl.add tbl key v
 
-let trivial_word ~gs g =
-  let key = gs ^ "|" ^ Qgate.to_string g in
-  match Hashtbl.find_opt trivial_cache key with
-  | Some w -> w
-  | None ->
-      let w =
-        Option.map Pipeline.word_to_gates (Pipeline.exact_word_of_trivial ~gate_set:gs g)
-      in
-      cache_put trivial_cache key w;
-      w
+(* ------------------------------------------------------------------ *)
+(* Per-run resolution table                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* What a rotation the window gives up resolves to: the exact word of a
+   trivial rotation, or a synthesis key and target. *)
+type pending = { key : string; target : Synth.target }
+type resolution = Exact of Qgate.t list | Synthesize of pending
+
+(* Rotations repeat massively in QAOA-like streams, so each run caches
+   its resolutions per distinct gate value.  Floats compare by their
+   bits: two gates share an entry only when every angle is the same
+   double, so the cached resolution is exactly what recomputing it
+   would give. *)
+module Gate_table = Hashtbl.Make (struct
+  type t = Qgate.t
+
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let equal g h =
+    match (g, h) with
+    | Qgate.Rx a, Qgate.Rx b | Qgate.Ry a, Qgate.Ry b | Qgate.Rz a, Qgate.Rz b -> same a b
+    | Qgate.U3 (a, b, c), Qgate.U3 (a', b', c') -> same a a' && same b b' && same c c'
+    | _ -> g = h
+
+  let hash = Hashtbl.hash
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded blocking job queue (the backpressure point)                *)
@@ -188,12 +203,14 @@ let enlarge_minor_heap () =
 (* The engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* In-order output slots: a Direct gate, a precomputed word, or a
-   rotation awaiting its (possibly still running) synthesis. *)
+(* In-order output slots: a Direct gate, an exact word, a word the memo
+   already held when the rotation was classified, or a rotation awaiting
+   its (possibly still running) synthesis. *)
 type out_item =
   | Direct of Circuit.instr
   | Word of Qgate.t list * int array
-  | Rotation of { key : string; qubits : int array }
+  | Cached of memo_entry * pending * int array
+  | Rotation of pending * int array
 
 exception Abort_run
 
@@ -201,13 +218,16 @@ let classify ~epsilon ~tag ~gs g =
   match g with
   | Qgate.Rz theta ->
       let theta = Pipeline.canonical_angle theta in
-      (Pipeline.rz_key ~epsilon ~tag ~gate_set:gs theta, Synth.Rz theta)
+      { key = Pipeline.rz_key ~epsilon ~tag ~gate_set:gs theta; target = Synth.Rz theta }
   | _ ->
       let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
       let t = Pipeline.canonical_angle t
       and p = Pipeline.canonical_angle p
       and l = Pipeline.canonical_angle l in
-      (Pipeline.u3_key ~epsilon ~tag ~gate_set:gs (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+      {
+        key = Pipeline.u3_key ~epsilon ~tag ~gate_set:gs (t, p, l);
+        target = Synth.Unitary (Mat2.u3 t p l);
+      }
 
 let heap_sample () =
   let s = Gc.quick_stat () in
@@ -285,26 +305,48 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
   let waits = ref 0 in
   let failure = ref None in
   let out : out_item Queue.t = Queue.create () in
+  (* Keys with a job posted whose first occurrence has not been emitted
+     yet: that occurrence is covered by the fresh ledger record
+     [Synth.run_chain] writes, every other one gets a cached replay. *)
   let inflight : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let resolved = Gate_table.create 256 in
+  (* The gate counters are added in batches (every 1024 input gates and
+     at exit) rather than by one atomic add per gate. *)
+  let flushed_in = ref 0 and flushed_out = ref 0 in
+  let flush_counters () =
+    Obs.incr ~by:(!gates_in - !flushed_in) c_in;
+    Obs.incr ~by:(!gates_out - !flushed_out) c_out;
+    flushed_in := !gates_in;
+    flushed_out := !gates_out
+  in
   let emit_instr (i : Circuit.instr) =
     incr gates_out;
-    Obs.incr c_out;
     if Qgate.is_t i.Circuit.gate then incr t_count
     else if Qgate.is_counted_clifford i.Circuit.gate then incr cliffords;
     emit i
   in
-  let emit_word gates qubits =
-    List.iter (fun g -> emit_instr (Circuit.instr g qubits)) gates
+  let rec emit_word gates qubits =
+    match gates with
+    | [] -> ()
+    | g :: rest ->
+        emit_instr (Circuit.instr g qubits);
+        emit_word rest qubits
   in
-  let account (a : Robust.attempt) =
+  let ledger_chain = Synth.chain_id chain in
+  (* One occurrence served: its accounting, and its replay record when
+     no fresh record covers it. *)
+  let served ~replay (p : pending) (a : Robust.attempt) =
     incr nsynth;
     total_err := !total_err +. a.Robust.distance;
-    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then incr degraded
+    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then incr degraded;
+    if replay && Ledger.enabled () then
+      Ledger.record
+        (Pipeline.replay_record ~chain:ledger_chain ~gate_set:gs ~requested:cfg.epsilon p.target a)
   in
   (* Emit the FIFO head if its result is available.  The memo is only
-     ever touched on this domain, in emission order, so cache contents
-     and evictions are independent of the worker count — part of the
-     byte-identity guarantee. *)
+     ever touched on this domain, in input and emission order, so cache
+     contents and evictions are independent of the worker count — part
+     of the byte-identity guarantee. *)
   let try_resolve_head () =
     match Queue.peek_opt out with
     | None -> false
@@ -316,24 +358,32 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
         ignore (Queue.pop out);
         emit_word gates qubits;
         true
-    | Some (Rotation { key; qubits }) -> (
-        match Hashtbl.find_opt memo key with
-        | Some a ->
+    | Some (Cached (e, p, qubits)) ->
+        ignore (Queue.pop out);
+        served ~replay:true p e.attempt;
+        emit_word e.gates qubits;
+        true
+    | Some (Rotation (p, qubits)) -> (
+        match Hashtbl.find_opt memo p.key with
+        | Some e ->
+            (* An earlier occurrence of this job was emitted first. *)
             ignore (Queue.pop out);
-            account a;
-            emit_word (Pipeline.word_to_gates a.Robust.word) qubits;
+            served ~replay:true p e.attempt;
+            emit_word e.gates qubits;
             true
         | None -> (
             Mutex.lock results_lock;
-            let r = Hashtbl.find_opt results key in
+            let r = Hashtbl.find_opt results p.key in
             Mutex.unlock results_lock;
             match r with
             | Some (Ok a) ->
-                cache_put memo key a;
-                Hashtbl.remove inflight key;
+                let e = { attempt = a; gates = Pipeline.word_to_gates a.Robust.word } in
+                cache_put memo p.key e;
+                let fresh = Hashtbl.mem inflight p.key in
+                Hashtbl.remove inflight p.key;
                 ignore (Queue.pop out);
-                account a;
-                emit_word (Pipeline.word_to_gates a.Robust.word) qubits;
+                served ~replay:(not fresh) p a;
+                emit_word e.gates qubits;
                 true
             | Some (Error f) ->
                 failure := Some f;
@@ -341,10 +391,10 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
             | None -> false))
   in
   let drain_ready () =
-    while !failure = None && try_resolve_head () do
+    while Option.is_none !failure && try_resolve_head () do
       ()
     done;
-    if !failure <> None then raise Abort_run
+    if Option.is_some !failure then raise Abort_run
   in
   (* Block until the head's result lands (checked under the results
      lock so a completion between drain and wait cannot be missed). *)
@@ -353,32 +403,51 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
     if Queue.length out > 0 then begin
       Mutex.lock results_lock;
       (match Queue.peek_opt out with
-      | Some (Rotation { key; _ })
-        when (not (Hashtbl.mem results key)) && not (Hashtbl.mem memo key) ->
+      | Some (Rotation (p, _))
+        when (not (Hashtbl.mem results p.key)) && not (Hashtbl.mem memo p.key) ->
           Condition.wait result_ready results_lock
       | _ -> ());
       Mutex.unlock results_lock
     end
   in
+  let resolve g =
+    match Gate_table.find resolved g with
+    | r -> r
+    | exception Not_found ->
+        let r =
+          match Pipeline.exact_word_of_trivial ~gate_set:gs g with
+          | Some word -> Exact (Pipeline.word_to_gates word)
+          | None -> Synthesize (classify ~epsilon:cfg.epsilon ~tag ~gs g)
+        in
+        if Gate_table.length resolved >= !memo_capacity then begin
+          Obs.incr c_evictions;
+          Gate_table.reset resolved
+        end;
+        Gate_table.add resolved g r;
+        r
+  in
   (* Classify one gate the window gave up and append its output slot. *)
   let handle (g : Circuit.instr) =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else
-      match trivial_word ~gs g.Circuit.gate with
-      | Some gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
-      | None ->
-          let key, target = classify ~epsilon:cfg.epsilon ~tag ~gs g.Circuit.gate in
-          if Hashtbl.mem memo key then Obs.incr c_memo_hit
-          else if Hashtbl.mem inflight key then Obs.incr c_dedup
-          else begin
-            Obs.incr c_memo_miss;
-            Obs.incr c_jobs;
-            incr unique;
-            Hashtbl.add inflight key ();
-            if cfg.jobs <= 1 then post key (exec_target target)
-            else bq_push queue (key, target) waits
-          end;
-          Queue.push (Rotation { key; qubits = g.Circuit.qubits }) out
+      match resolve g.Circuit.gate with
+      | Exact gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
+      | Synthesize p -> (
+          match Hashtbl.find_opt memo p.key with
+          | Some e ->
+              Obs.incr c_memo_hit;
+              Queue.push (Cached (e, p, g.Circuit.qubits)) out
+          | None ->
+              if Hashtbl.mem inflight p.key then Obs.incr c_dedup
+              else begin
+                Obs.incr c_memo_miss;
+                Obs.incr c_jobs;
+                incr unique;
+                Hashtbl.add inflight p.key ();
+                if cfg.jobs <= 1 then post p.key (exec_target p.target)
+                else bq_push queue (p.key, p.target) waits
+              end;
+              Queue.push (Rotation (p, g.Circuit.qubits)) out)
   in
   Obs.span "pipeline.stream_compile" @@ fun () ->
   let parent = Obs.current_span_id () in
@@ -391,6 +460,7 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
   let shutdown () =
     if not !joined then begin
       joined := true;
+      flush_counters ();
       bq_close queue;
       List.iter Domain.join workers;
       match saved_gc with Some g -> Gc.set g | None -> ()
@@ -404,16 +474,18 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
       | None -> ()
       | Some instr ->
           incr gates_in;
-          Obs.incr c_in;
           Stream_opt.push window instr ~emit:handle;
           drain_ready ();
           (* Reorder-FIFO bound: past [depth] pending slots, stall the
              producer until the head result lands. *)
-          while Queue.length out > cfg.depth && !failure = None do
+          while Queue.length out > cfg.depth && Option.is_none !failure do
             wait_for_head ();
             drain_ready ()
           done;
-          if !gates_in land 1023 = 0 then heap_sample ();
+          if !gates_in land 1023 = 0 then begin
+            heap_sample ();
+            flush_counters ()
+          end;
           pump ()
     in
     pump ();

@@ -91,10 +91,13 @@ val run_circuit : config -> Circuit.t -> (Circuit.t * stats, Robust.failure) res
     as one batch.  Streamed output must be bit-identical to this. *)
 
 val set_cache_capacity : int -> unit
-(** Bound the streaming memo cache (default 65536, flush-all like
+(** Bound the streaming memo cache and each run's resolution table
+    (default 65536 entries each, flush-all like
     [Pipeline.set_cache_capacity]).
     @raise Invalid_argument when < 1. *)
 
 val clear_cache : unit -> unit
-(** Empty the streaming memo and trivial-word caches (for cache-cold
-    measurements and order-independent tests). *)
+(** Empty the streaming memo (for cache-cold measurements and
+    order-independent tests).  Trivial-rotation words and synthesis
+    keys are resolved in a table private to each run, bounded by the
+    same capacity, so nothing else outlives a run. *)

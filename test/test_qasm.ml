@@ -112,3 +112,96 @@ let suite =
         expect_error ~what:"duplicate qubit" ~line:2 "qreg q[2];\ncx q[1],q[1];\n";
         expect_error ~what:"zero-size qreg" ~line:1 "qreg q[0];\nh q[0];\n");
   ]
+
+(* The writer against a copy of the Printf renderer it replaced: every
+   gate kind, awkward floats, and operand arrays of any length and index
+   (records built directly, so nothing is validated on the way in). *)
+let reference_gate = function
+  | Qgate.H -> "h"
+  | Qgate.X -> "x"
+  | Qgate.Y -> "y"
+  | Qgate.Z -> "z"
+  | Qgate.S -> "s"
+  | Qgate.Sdg -> "sdg"
+  | Qgate.T -> "t"
+  | Qgate.Tdg -> "tdg"
+  | Qgate.Rx a -> Printf.sprintf "rx(%.17g)" a
+  | Qgate.Ry a -> Printf.sprintf "ry(%.17g)" a
+  | Qgate.Rz a -> Printf.sprintf "rz(%.17g)" a
+  | Qgate.U3 (a, b, c) -> Printf.sprintf "u3(%.17g,%.17g,%.17g)" a b c
+  | Qgate.CX -> "cx"
+  | Qgate.CZ -> "cz"
+  | Qgate.Swap -> "swap"
+  | Qgate.Ccx -> "ccx"
+
+let reference_instr (i : Circuit.instr) =
+  let qs = String.concat "," (Array.to_list (Array.map (Printf.sprintf "q[%d]") i.Circuit.qubits)) in
+  Printf.sprintf "%s %s;" (reference_gate i.Circuit.gate) qs
+
+let reference_to_string n instrs =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" n);
+  List.iter
+    (fun i ->
+      Buffer.add_string buf (reference_instr i);
+      Buffer.add_char buf '\n')
+    instrs;
+  Buffer.contents buf
+
+let float_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        float;
+        oneofl
+          [ 0.0; -0.0; 1e300; -1e300; 5e-324; -5e-324; 2.2250738585072009e-308 /. 3.0;
+            Float.pi; 0.1; 1e-17; 123456789.125; infinity; neg_infinity; nan ];
+        map (fun k -> float_of_int k *. Float.pi /. 16.0) (int_range (-40) 40);
+      ])
+
+let gate_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl Qgate.[ H; X; Y; Z; S; Sdg; T; Tdg; CX; CZ; Swap; Ccx ];
+        map (fun a -> Qgate.Rx a) float_gen;
+        map (fun a -> Qgate.Ry a) float_gen;
+        map (fun a -> Qgate.Rz a) float_gen;
+        map3 (fun a b c -> Qgate.U3 (a, b, c)) float_gen float_gen float_gen;
+      ])
+
+(* Indices inside and just past the writer's prebuilt operands, far
+   beyond them, and negative. *)
+let qubit_gen =
+  QCheck2.Gen.(
+    oneof [ int_range 0 20; int_range 1000 1050; int_range 0 5_000_000; int_range (-3) (-1) ])
+
+let instr_gen =
+  QCheck2.Gen.(
+    map2
+      (fun gate qubits -> { Circuit.gate; qubits = Array.of_list qubits })
+      gate_gen
+      (oneof [ map (fun q -> [ q ]) qubit_gen; list_size (int_range 0 3) qubit_gen ]))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let writer_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"writer matches the Printf renderer byte for byte"
+         QCheck2.Gen.(pair (int_range 1 3000) (list_size (int_range 0 40) instr_gen))
+         (fun (n, instrs) ->
+           let want = reference_to_string n instrs in
+           let c = { Circuit.n_qubits = n; instrs } in
+           let path = Filename.temp_file "tgates_writer" ".qasm" in
+           Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+           Out_channel.with_open_bin path (fun oc ->
+               Qasm.write_header oc n;
+               List.iter (Qasm.write_instr oc) instrs);
+           List.for_all (fun i -> Qasm.instr_to_string i = reference_instr i) instrs
+           && Qasm.to_string c = want
+           && read_file path = want));
+  ]
+
+let suite = suite @ writer_tests

@@ -30,18 +30,24 @@ let random_circuit n gates =
 
 let circuits_equal a b = Unitary.distance a b < 1e-7
 
+(* Every error case holds whether each byte is its own refill (chunk 1)
+   or the whole input is one. *)
 let check_error name text eline ecol emsg_prefix =
   Alcotest.test_case name `Quick (fun () ->
-      match Qasm_reader.of_string text with
-      | _ -> Alcotest.failf "%s: expected Parse_error" name
-      | exception Qasm_reader.Parse_error (_, l, c, m) ->
-          Alcotest.(check int) (name ^ " line") eline l;
-          Alcotest.(check int) (name ^ " col") ecol c;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s message %S starts with %S" name m emsg_prefix)
-            true
-            (String.length m >= String.length emsg_prefix
-            && String.sub m 0 (String.length emsg_prefix) = emsg_prefix))
+      List.iter
+        (fun chunk ->
+          let name = Printf.sprintf "%s (chunk %d)" name chunk in
+          match Qasm_reader.of_stream (Qasm_reader.stream_of_string ~chunk text) with
+          | _ -> Alcotest.failf "%s: expected Parse_error" name
+          | exception Qasm_reader.Parse_error (_, l, c, m) ->
+              Alcotest.(check int) (name ^ " line") eline l;
+              Alcotest.(check int) (name ^ " col") ecol c;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s message %S starts with %S" name m emsg_prefix)
+                true
+                (String.length m >= String.length emsg_prefix
+                && String.sub m 0 (String.length emsg_prefix) = emsg_prefix))
+        [ 1; 65536 ])
 
 let reader_tests =
   [
@@ -101,6 +107,135 @@ let reader_tests =
       "qreg q[2];\nrz(0.5) q[5];\n" 2 9 "qubit 5 out of range";
     check_error "gate before qreg" "h q[0];\n" 1 1 "gate before qreg";
     check_error "unsupported gate" "qreg q[1];\nfoo q[0];\n" 2 1 "unsupported gate foo/0";
+    check_error "numeral with a bare exponent" "qreg q[1];\nrz(1e) q[0];\n" 2 4
+      "malformed number 1e";
+    check_error "numeral with two points" "qreg q[1];\nrz(1.2.3) q[0];\n" 2 4
+      "malformed number 1.2.3";
+    check_error "lone point" "qreg q[1];\nrz(.) q[0];\n" 2 4 "malformed number .";
+    check_error "malformed numeral inside an expression" "qreg q[1];\nrz(pi/ 2e+) q[0];\n" 2 8
+      "malformed number 2e+";
+  ]
+
+(* A parse outcome as something comparable: the circuit's canonical
+   text, or the error's position and message. *)
+let outcome parse =
+  match parse () with
+  | c -> Ok (Qasm.to_string c)
+  | exception Qasm_reader.Parse_error (_, l, c, m) -> Error (Printf.sprintf "%d:%d: %s" l c m)
+  | exception Invalid_argument m -> Error ("invalid argument: " ^ m)
+
+let parse_at chunk text () = Qasm_reader.of_stream (Qasm_reader.stream_of_string ~chunk text)
+
+(* Lines of random fragments, valid and not, so that every error path
+   (and the order in which a line's errors are raised) is exercised. *)
+let fragment_gen =
+  QCheck2.Gen.oneofl
+    [ "h"; "H"; "rz"; "Rx"; "ry"; "u3"; "U"; "u1"; "cx"; "CZ"; "ccx"; "toffoli"; "swap";
+      "sdg"; "Tdg"; "foo"; "qreg"; "qreg q[2]"; "creg c[1]"; "OPENQASM 2.0"; "measure";
+      "barrier"; "include"; "("; ")"; ","; ", "; " "; "  "; "\t"; "\r"; "\012"; "q[0]";
+      "q[1]"; "q[2]"; "q[7]"; "q[-1]"; "q[x]"; "q[ 1]"; "q[0x1]"; "q[1_0]"; "q["; "["; "]";
+      "r[1]"; "pi"; "PI"; "0.5"; "-0.25"; "1e"; "1.2.3"; "."; "2e-3"; "1E+2"; "-"; "+"; "*";
+      "/"; "//"; ";"; "//c"; "é" ]
+
+let line_gen = QCheck2.Gen.(map (String.concat "") (list_size (int_range 0 10) fragment_gen))
+
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~name:"in-place lexer matches the substring parser"
+         QCheck2.Gen.(pair bool (list_size (int_range 1 4) line_gen))
+         (fun (declare, lines) ->
+           let text = String.concat "\n" ((if declare then [ "qreg q[3];" ] else []) @ lines) in
+           let want = outcome (fun () -> Qasm_reference.of_string text) in
+           List.for_all (fun chunk -> outcome (parse_at chunk text) = want) [ 1; 7; 65536 ]));
+  ]
+
+(* Random circuits rendered with random formatting must parse to what
+   their canonical text parses to.  Angles are written as numerals in
+   several notations or as pi expressions; the expected value is what
+   that text denotes ([float_of_string] of the numeral, or the
+   expression evaluated left to right as the parser does). *)
+let formatting_tests =
+  let open QCheck2.Gen in
+  let space = oneofl [ ""; " "; "\t"; "  "; " \t " ] in
+  let some_space = oneofl [ " "; "\t"; "  "; "\t " ] in
+  let angle =
+    oneof
+      [
+        map (fun x -> (Printf.sprintf "%.17g" x, x)) (float_range (-7.0) 7.0);
+        map (fun x -> let s = Printf.sprintf "%.6e" x in (s, float_of_string s)) (float_range (-7.0) 7.0);
+        map (fun x -> let s = Printf.sprintf "%.4f" x in (s, float_of_string s)) (float_range (-7.0) 7.0);
+        map2
+          (fun k m -> (Printf.sprintf "%d*pi/%d" k m, float_of_int k *. Float.pi /. float_of_int m))
+          (int_range 1 15) (int_range 1 16);
+        map (fun m -> (Printf.sprintf "-pi/%d" m, -.Float.pi /. float_of_int m)) (int_range 1 16);
+        map (fun m -> (Printf.sprintf "pi / %d" m, Float.pi /. float_of_int m)) (int_range 1 16);
+      ]
+  in
+  let case = oneofl [ String.lowercase_ascii; String.uppercase_ascii; String.capitalize_ascii ] in
+  let n = 4 in
+  let distinct k =
+    map (fun l -> List.filteri (fun i _ -> i < k) l) (shuffle_l [ 0; 1; 2; 3 ])
+  in
+  (* (spellings, gate, arity, angle texts) *)
+  let gate =
+    oneof
+      [
+        map (fun g -> ([ Qgate.to_string g ], (fun _ -> g), 1, 0))
+          (oneofl Qgate.[ H; X; Y; Z; S; Sdg; T; Tdg ]);
+        return ([ "cx" ], (fun _ -> Qgate.CX), 2, 0);
+        return ([ "cz" ], (fun _ -> Qgate.CZ), 2, 0);
+        return ([ "swap" ], (fun _ -> Qgate.Swap), 2, 0);
+        return ([ "ccx"; "toffoli" ], (fun _ -> Qgate.Ccx), 3, 0);
+        return ([ "rx" ], (fun a -> Qgate.Rx a.(0)), 1, 1);
+        return ([ "ry" ], (fun a -> Qgate.Ry a.(0)), 1, 1);
+        return ([ "rz"; "u1" ], (fun a -> Qgate.Rz a.(0)), 1, 1);
+        return ([ "u3"; "u" ], (fun a -> Qgate.U3 (a.(0), a.(1), a.(2))), 1, 3);
+      ]
+  in
+  (* One statement: its formatted text and its instruction. *)
+  let statement =
+    gate >>= fun (names, make, arity, nargs) ->
+    oneofl names >>= fun name ->
+    case >>= fun case ->
+    list_repeat nargs (triple space angle space) >>= fun args ->
+    distinct arity >>= fun qubits ->
+    list_repeat arity (pair space space) >>= fun pads ->
+    triple space some_space space >>= fun (lead, gap, tail) ->
+    oneofl [ ""; " // note"; "\t//q[9] rz(" ] >|= fun comment ->
+    let arg_text =
+      if nargs = 0 then ""
+      else
+        "(" ^ String.concat "," (List.map (fun (l, (t, _), r) -> l ^ t ^ r) args) ^ ")"
+    in
+    let operands =
+      String.concat ","
+        (List.map2 (fun q (l, r) -> l ^ Printf.sprintf "q[%d]" q ^ r) qubits pads)
+    in
+    let text = lead ^ case name ^ arg_text ^ gap ^ operands ^ tail ^ ";" ^ tail ^ comment in
+    let values = Array.of_list (List.map (fun (_, (_, v), _) -> v) args) in
+    (text, Circuit.instr (make values) (Array.of_list qubits))
+  in
+  let program =
+    pair (list_size (int_range 0 25) (pair statement (oneofl [ None; Some ""; Some "// comment" ])))
+      (pair bool (oneofl [ "\n"; "\r\n" ]))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"random formatting parses like the canonical text"
+         program (fun (stmts, (final_newline, eol)) ->
+           let instrs = List.map (fun ((_, i), _) -> i) stmts in
+           let canonical = Qasm.to_string (Circuit.make n instrs) in
+           let lines =
+             [ "OPENQASM 2.0;"; "include \"qelib1.inc\";"; Printf.sprintf "qreg q[%d];" n ]
+             @ List.concat_map
+                 (fun ((text, _), extra) -> text :: Option.to_list extra)
+                 stmts
+           in
+           let text = String.concat eol lines ^ if final_newline then eol else "" in
+           let want = outcome (parse_at 65536 canonical) in
+           want = Ok canonical
+           && List.for_all (fun chunk -> outcome (parse_at chunk text) = want) [ 1; 7; 65536 ]));
   ]
 
 let window_tests =
@@ -217,6 +352,92 @@ let engine_tests =
                its instantaneous value is timing-dependent. *)
             Alcotest.(check bool) "queue gauge registered" true
               (Obs.gauge_value (Obs.gauge "obs.planner.queue_depth") >= 0.0));
+    Alcotest.test_case "ledger holds one record per rotation occurrence" `Quick (fun () ->
+        (* The h between the rotations keeps the window from merging
+           them: five occurrences of one key, synthesized once. *)
+        let c =
+          Circuit.make 1
+            (List.concat
+               (List.init 5 (fun _ ->
+                    [ Circuit.instr (Qgate.Rz 0.3) [| 0 |]; Circuit.instr Qgate.H [| 0 |] ])))
+        in
+        let was = Ledger.enabled () in
+        Ledger.set_enabled true;
+        Fun.protect ~finally:(fun () ->
+            Ledger.set_enabled was;
+            Ledger.reset ())
+        @@ fun () ->
+        List.iter
+          (fun (jobs, cold) ->
+            let label = Printf.sprintf "jobs=%d %s memo" jobs (if cold then "cold" else "warm") in
+            if cold then Stream_compile.clear_cache ();
+            Ledger.reset ();
+            match Stream_compile.run_circuit (Stream_compile.config ~epsilon:0.1 ~jobs ()) c with
+            | Error f -> Alcotest.failf "%s: %s" label (Robust.failure_to_string f)
+            | Ok (_, st) ->
+                Alcotest.(check int) (label ^ " rotations") 5 st.Stream_compile.rotations_synthesized;
+                Alcotest.(check int) (label ^ " records") st.Stream_compile.rotations_synthesized
+                  (Ledger.size ());
+                let fresh = List.filter (fun r -> not r.Ledger.cached) (Ledger.records ()) in
+                Alcotest.(check int) (label ^ " fresh records") (if cold then 1 else 0)
+                  (List.length fresh))
+          [ (1, true); (1, false); (2, true); (2, false) ]);
+    Alcotest.test_case "gate counters match the run, clean or aborted" `Quick (fun () ->
+        let c_in = Obs.counter "obs.stream.gates_in" and c_out = Obs.counter "obs.stream.gates_out" in
+        (* Past 1024 gates, so counters are added mid-run as well as at exit. *)
+        let c =
+          Circuit.make 2
+            (List.init 2500 (fun k ->
+                 match k mod 5 with
+                 | 0 -> Circuit.instr Qgate.H [| 0 |]
+                 | 1 -> Circuit.instr Qgate.CX [| 0; 1 |]
+                 | 2 -> Circuit.instr (Qgate.Rz (if k mod 2 = 0 then 0.3 else 0.7)) [| 1 |]
+                 | 3 -> Circuit.instr Qgate.T [| 0 |]
+                 | _ -> Circuit.instr Qgate.H [| 1 |]))
+        in
+        let run (c : Circuit.t) =
+          let rem = ref c.Circuit.instrs and pulled = ref 0 and emitted = ref 0 in
+          let next () =
+            match !rem with
+            | [] -> None
+            | i :: tl ->
+                rem := tl;
+                incr pulled;
+                Some i
+          in
+          let in0 = Obs.counter_value c_in and out0 = Obs.counter_value c_out in
+          let r =
+            Stream_compile.run (Stream_compile.config ~epsilon:0.1 ()) ~next ~emit:(fun _ ->
+                incr emitted)
+          in
+          Alcotest.(check int) "gates_in counter" !pulled (Obs.counter_value c_in - in0);
+          Alcotest.(check int) "gates_out counter" !emitted (Obs.counter_value c_out - out0);
+          (r, !pulled, !emitted)
+        in
+        Stream_compile.clear_cache ();
+        (match run c with
+        | Error f, _, _ -> Alcotest.failf "clean run failed: %s" (Robust.failure_to_string f)
+        | Ok st, pulled, emitted ->
+            Alcotest.(check int) "stats gates_in" pulled st.Stream_compile.gates_in;
+            Alcotest.(check int) "stats gates_out" emitted st.Stream_compile.gates_out);
+        let specs =
+          match Robust.Fault.parse "*=fail" with Ok (_, s) -> s | Error e -> Alcotest.fail e
+        in
+        (* 1500 Clifford gates, then a rotation whose synthesis fails. *)
+        let aborted =
+          Circuit.make 2
+            (List.init 1500 (fun k ->
+                 if k mod 2 = 0 then Circuit.instr Qgate.H [| 0 |] else Circuit.instr Qgate.CX [| 0; 1 |])
+            @ List.init 50 (fun _ -> Circuit.instr (Qgate.Rz 0.41) [| 1 |]))
+        in
+        Stream_compile.clear_cache ();
+        Robust.Fault.with_faults specs (fun () ->
+            match run aborted with
+            | Ok _, _, _ -> Alcotest.fail "expected a failure under *=fail"
+            | Error _, pulled, emitted ->
+                Alcotest.(check bool) "consumed past one batch" true (pulled > 1024);
+                Alcotest.(check bool) "emitted some" true (emitted > 0));
+        Stream_compile.clear_cache ());
     Alcotest.test_case "synthesis failure aborts cleanly with jobs > 1" `Quick (fun () ->
         let specs =
           match Robust.Fault.parse "*=fail" with
@@ -235,4 +456,4 @@ let engine_tests =
         Stream_compile.clear_cache ());
   ]
 
-let suite = reader_tests @ window_tests @ engine_tests
+let suite = reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests
