@@ -4,8 +4,11 @@
     environment), sized for the number theory needed by the Ross–Selinger
     synthesizer: a few hundred bits at most.  Values are immutable.
 
-    Representation: sign and little-endian magnitude in base 2^31, with a
-    fast path for results that fit in a native [int]. *)
+    Representation: sign and little-endian magnitude in base 2^31, for
+    every value: there is no native-[int] fast path, and even [of_int]
+    builds and normalizes a limb array.  Loops whose values are provably
+    small run on native ints instead ([Zomega.Native], as exact
+    synthesis does). *)
 
 type t
 

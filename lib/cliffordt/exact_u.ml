@@ -109,6 +109,12 @@ let mul_gate u g =
 
 let of_seq seq = List.fold_left mul_gate identity seq
 
+(* The row version of [mul_gate u H] after a T^(−j): the second row
+   turns by ω^(−j), then the rows are added and subtracted. *)
+let h_tinv u j =
+  let c = rot (-j) u.c and d = rot (-j) u.d in
+  reduce { a = zadd u.a c; b = zadd u.b d; c = zsub u.a c; d = zsub u.b d; k = u.k + 1 }
+
 let to_mat2 u =
   let s = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k)) in
   let conv z =

@@ -37,6 +37,21 @@ val mul_gate : t -> Ctgate.t -> t
 val of_seq : Ctgate.t list -> t
 (** Exact product of a word (matrix order), one {!mul_gate} per gate. *)
 
+val h_tinv : t -> int -> t
+(** [h_tinv u j] = H·T^(−j)·u, reduced: the second row turns by ω^(−j),
+    the rows are added and subtracted and k rises by one.  The step of
+    exact synthesis. *)
+
+(** Entry arithmetic on native coefficients. *)
+
+val rot : int -> O.t -> O.t
+(** [rot j x] = ω^j·x for any integer [j]. *)
+
+val zsub : O.t -> O.t -> O.t
+
+val sqrt2_divides : O.t -> bool
+(** Whether x/√2 lies in Z[ω]: x0 ≡ x2 and x1 ≡ x3 (mod 2). *)
+
 val to_mat2 : t -> Mat2.t
 
 val key : t -> int array

@@ -1,38 +1,20 @@
 (** Exact synthesis of Clifford+T unitaries over D[ω]
-    (Kliuchnikov–Maslov–Mosca column reduction).
+    (Kliuchnikov–Maslov–Mosca column reduction), on {!Exact_u.t}.
 
     Input: an exact unitary (1/√2^k)·[[a,b],[c,d]] with entries in Z[ω]
-    (arbitrary-precision coefficients — denominator exponents reach ~60
-    at gridsynth's smallest thresholds).  While k > 0 there is a row
-    operation H·T^(−j), j ∈ {0,1,2,3}, that lowers k; we find it by
-    trying all four and keeping the best, then emit T^j·H on the output
-    word.  At k = 0 the matrix is a permutation-phase matrix handled
-    directly.  The resulting word reproduces the input up to a global
-    phase (a power of ω). *)
+    on native ints.  While k > 0 there is a row operation H·T^(−j),
+    j ∈ {0,1,2,3}, that lowers k; we search for it and emit T^j·H on
+    the output word.  At k = 0 the matrix is a permutation-phase matrix
+    handled directly.  The resulting word reproduces the input up to a
+    global phase (a power of ω). *)
 
-module O = Zomega.Big
-module B = Bigint
+module O = Zomega.Native
 
-type exact_mat = { a : O.t; b : O.t; c : O.t; d : O.t; k : int }
-
-let rec reduce m =
-  if m.k = 0 then m
-  else
-    match (O.div_sqrt2_opt m.a, O.div_sqrt2_opt m.b, O.div_sqrt2_opt m.c, O.div_sqrt2_opt m.d) with
-    | Some a, Some b, Some c, Some d -> reduce { a; b; c; d; k = m.k - 1 }
-    | _ -> m
-
-let make ~a ~b ~c ~d ~k = reduce { a; b; c; d; k }
-
-(* Left-multiply by H·T^(−j): row2 ← ω^(−j)·row2, then Hadamard-mix rows
-   (and one more √2 in the denominator). *)
-let apply_h_tinv m j =
-  let c' = O.mul_omega_pow m.c (-j) and d' = O.mul_omega_pow m.d (-j) in
-  reduce { a = O.add m.a c'; b = O.add m.b d'; c = O.sub m.a c'; d = O.sub m.b d'; k = m.k + 1 }
+exception Not_unitary of string
 
 (* ω^e as a single complex phase: is this entry ω^e? *)
 let omega_exponent z =
-  let rec go e = if e > 7 then None else if O.equal z (O.mul_omega_pow O.one e) then Some e else go (e + 1) in
+  let rec go e = if e > 7 then None else if O.equal z (Exact_u.rot e O.one) then Some e else go (e + 1) in
   go 0
 
 (* Word for T^e (e mod 8) using free Pauli Z and counted S/T. *)
@@ -47,11 +29,9 @@ let t_power_word e =
       (if t = 1 then [ Ctgate.T ] else []);
     ]
 
-exception Not_unitary of string
-
 (* Base case k = 0: the matrix is either diagonal or antidiagonal with
    ω-power entries.  Returns the word (up to global phase). *)
-let base_case m =
+let base_case (m : Exact_u.t) =
   if O.is_zero m.b && O.is_zero m.c then begin
     match (omega_exponent m.a, omega_exponent m.d) with
     | Some ea, Some ed -> t_power_word (ed - ea)
@@ -70,26 +50,23 @@ let base_case m =
    deadlocks.  We instead search over residue-matched j choices with a
    bounded lookahead until the exponent strictly drops. *)
 
-let matrix_key m =
-  String.concat ","
-    (List.map O.to_string [ m.a; m.b; m.c; m.d ])
-  ^ ";" ^ string_of_int m.k
-
-(* j values for which √2 divides u ± ω^(−j)·t, i.e. u ≡ ω^(−j) t (mod √2);
+(* j values for which √2 divides a − ω^(−j)·c, i.e. a ≡ ω^(−j) c (mod √2);
    only these can avoid increasing the exponent. *)
-let matched_js m =
+let matched_js (m : Exact_u.t) =
   List.filter
-    (fun j -> O.div_sqrt2_opt (O.sub m.a (O.mul_omega_pow m.c (-j))) <> None)
+    (fun j -> Exact_u.sqrt2_divides (Exact_u.zsub m.a (Exact_u.rot (-j) m.c)))
     [ 0; 1; 2; 3 ]
 
-(* Find a short word of H·T^(−j) steps that strictly lowers m.k.
-   Returns (j list, resulting matrix). *)
-let reduce_once m =
+(* Find a short word of H·T^(−j) steps that strictly lowers m.k,
+   breadth first, j in the order 0..3.  Every node kept has k = m.k and
+   is reduced, so its {!Exact_u.key} is equal exactly when the matrices
+   are.  Returns (j list, resulting matrix). *)
+let reduce_once (m : Exact_u.t) =
   let start_k = m.k in
-  let visited = Hashtbl.create 64 in
+  let visited = Exact_u.Table.create 64 in
   let queue = Queue.create () in
   Queue.add (m, []) queue;
-  Hashtbl.replace visited (matrix_key m) ();
+  Exact_u.Table.replace visited (Exact_u.key m) ();
   let result = ref None in
   let max_depth = 12 in
   while !result = None && not (Queue.is_empty queue) do
@@ -98,12 +75,12 @@ let reduce_once m =
       List.iter
         (fun j ->
           if !result = None then begin
-            let child = apply_h_tinv node j in
+            let child = Exact_u.h_tinv node j in
             if child.k < start_k then result := Some (List.rev (j :: path), child)
             else if child.k = start_k then begin
-              let key = matrix_key child in
-              if not (Hashtbl.mem visited key) then begin
-                Hashtbl.replace visited key ();
+              let key = Exact_u.key child in
+              if not (Exact_u.Table.mem visited key) then begin
+                Exact_u.Table.replace visited key ();
                 Queue.add (child, j :: path) queue
               end
             end
@@ -114,7 +91,7 @@ let reduce_once m =
 
 (* Synthesize the word for [m]; the word's product equals [m] up to ω^g. *)
 let synthesize m =
-  let rec go m acc =
+  let rec go (m : Exact_u.t) acc =
     if m.k = 0 then List.rev_append acc (base_case m)
     else
       match reduce_once m with
@@ -130,16 +107,34 @@ let synthesize m =
   in
   go m []
 
-(* Convenience: build the unitary [[w, −t†], [t, w†]]/√2^n used by
-   gridsynth (orthonormal by w†w + t†t = 2^n) and synthesize it. *)
-let synthesize_column ~w ~t ~n =
-  let m = make ~a:w ~b:(O.neg (O.conj t)) ~c:t ~d:(O.conj w) ~k:n in
-  synthesize m
+(* Why native ints suffice.  For x = x0 + x1·ω + x2·ω² + x3·ω³ ∈ Z[ω],
+   x0² + x1² + x2² + x3² = (|x|² + |x•|²)/2, where x• is the
+   √2-conjugate.  An exactly unitary (1/√2^k)·[[a,b],[c,d]] has a unitary
+   √2-conjugate too, so every entry and its conjugate have modulus at
+   most √2^k, and every coefficient satisfies |x_i| ≤ 2^(k/2).  The
+   search keeps only unitaries with k ≤ n, and builds each from one of
+   them by a turn (which permutes and negates coefficients), one
+   addition or subtraction (≤ 2^(n/2+1)) and halvings whose numerators
+   add two such coefficients (≤ 2^(n/2+2)).  So no intermediate exceeds
+   2^(n/2+2), which stays below max_int = 2^62 − 1 while n/2 + 2 ≤ 61. *)
+let max_n = 118
 
-let to_mat2 m =
-  let s = Float.pow (Float.sqrt 2.0) (float_of_int (-m.k)) in
-  let conv z =
-    let re, im = O.to_complex z in
-    { Cplx.re = s *. re; im = s *. im }
-  in
-  Mat2.make (conv m.a) (conv m.b) (conv m.c) (conv m.d)
+(* [x] as a native int, given |x| ≤ 2^(n/2), i.e. x² ≤ 2^n. *)
+let native ~n x =
+  if Bigint.compare (Bigint.mul x x) (Bigint.shift_left Bigint.one n) > 0 then
+    raise
+      (Not_unitary
+         (Printf.sprintf "coefficient %s exceeds 2^(n/2) at n = %d" (Bigint.to_string x) n));
+  Bigint.to_int_exn x
+
+(* Build the unitary [[w, −t†], [t, w†]]/√2^n used by gridsynth
+   (orthonormal by w†w + t†t = 2^n) and synthesize it. *)
+let synthesize_column ~w ~t ~n =
+  if n > max_n then
+    raise
+      (Not_unitary
+         (Printf.sprintf "n = %d exceeds %d: coefficients up to 2^(n/2+2) overflow a native int" n
+            max_n));
+  let conv (z : Zomega.Big.t) = O.make (native ~n z.x0) (native ~n z.x1) (native ~n z.x2) (native ~n z.x3) in
+  let w = conv w and t = conv t in
+  synthesize (Exact_u.make ~a:w ~b:(O.neg (O.conj t)) ~c:t ~d:(O.conj w) ~k:n)

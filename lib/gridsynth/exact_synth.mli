@@ -1,26 +1,22 @@
-(** Exact synthesis of Clifford+T unitaries over D[ω] with
-    arbitrary-precision coefficients (Kliuchnikov–Maslov–Mosca column
-    reduction).  Denominator exponents drop roughly once per two
+(** Exact synthesis of Clifford+T unitaries over D[ω]
+    (Kliuchnikov–Maslov–Mosca column reduction) on the native
+    {!Exact_u.t}.  Denominator exponents drop roughly once per two
     Matsumoto–Amano syllables, so the reduction runs a small lookahead
     over residue-matched H·T^(−j) steps rather than a greedy descent. *)
 
-type exact_mat = { a : Zomega.Big.t; b : Zomega.Big.t; c : Zomega.Big.t; d : Zomega.Big.t; k : int }
-
-val make :
-  a:Zomega.Big.t -> b:Zomega.Big.t -> c:Zomega.Big.t -> d:Zomega.Big.t -> k:int -> exact_mat
-(** Reduced representation (minimal k). *)
-
-val apply_h_tinv : exact_mat -> int -> exact_mat
-(** Left-multiply by H·T^(−j), exposed for tests. *)
-
 exception Not_unitary of string
 
-val synthesize : exact_mat -> Ctgate.t list
+val synthesize : Exact_u.t -> Ctgate.t list
 (** Word whose product equals the input up to a global phase ω^g.
     @raise Not_unitary when the input is not a Clifford+T operator. *)
 
+val max_n : int
+(** Largest denominator exponent {!synthesize_column} accepts: every
+    coefficient the search builds from an exact unitary at exponent n is
+    at most 2^(n/2+2), a native int while n ≤ [max_n] = 118. *)
+
 val synthesize_column : w:Zomega.Big.t -> t:Zomega.Big.t -> n:int -> Ctgate.t list
 (** Build the unitary [[w, −t†], [t, w†]]/√2^n (orthonormal whenever
-    w†w + t†t = 2^n) and synthesize it. *)
-
-val to_mat2 : exact_mat -> Mat2.t
+    w†w + t†t = 2^n) on native ints and synthesize it.
+    @raise Not_unitary when n > {!max_n} or a coefficient of [w] or [t]
+    exceeds 2^(n/2), the bound every exactly unitary column meets. *)

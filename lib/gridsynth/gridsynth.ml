@@ -22,10 +22,13 @@ type result = {
 }
 
 (* Smallest denominator exponent where the sliver is expected to contain
-   lattice points: solutions ≈ S⁴·ε³·(π/16), S = √2^(n+1). *)
+   lattice points: solutions ≈ S⁴·ε³·(π/16), S = √2^(n+1).  Past
+   Exact_synth.max_n (ε below ≈ 1e-16 for the default max_extra_n, or
+   ε³ underflowing to 0) no level can yield a word. *)
 let initial_n epsilon =
   let need = Float.log ((16.0 /. (Float.pi *. (epsilon ** 3.0))) ** 0.25) /. Float.log (Float.sqrt 2.0) in
-  max 0 (int_of_float (Float.ceil need) - 1)
+  if need > float_of_int Exact_synth.max_n then Exact_synth.max_n + 1
+  else max 0 (int_of_float (Float.ceil need) - 1)
 
 let verify_rz theta seq =
   let target = Mat2.rz theta in
@@ -37,13 +40,14 @@ let c_candidates = Obs.counter "gridsynth.candidates"
 let c_levels = Obs.counter "gridsynth.levels"
 let c_solutions = Obs.counter "gridsynth.solutions"
 let c_deadline = Obs.counter "gridsynth.deadline_expired"
+let c_too_large = Obs.counter "gridsynth.grid_too_large"
 let h_n_used = Obs.histogram ~buckets:(Array.init 80 float_of_int) "gridsynth.n_used"
 
-let rz ?(max_extra_n = 40) ?(candidates_per_n = 64) ?(deadline = Obs.Deadline.none) ~theta ~epsilon
-    () =
-  Obs.span "gridsynth.rz" @@ fun () ->
+(* The level search, for 0 < ε < 1. *)
+let search ~max_extra_n ~candidates_per_n ~deadline ~theta ~epsilon =
   let n0 = initial_n epsilon in
-  let tried = ref 0 in
+  let n_last = min (n0 + max_extra_n) Exact_synth.max_n in
+  let tried = ref 0 and too_large = ref 0 in
   let rec at_level n =
     (* The deadline is checked once per level: a level is the unit of
        work between which abandoning the search is safe and cheap. *)
@@ -53,11 +57,26 @@ let rz ?(max_extra_n = 40) ?(candidates_per_n = 64) ?(deadline = Obs.Deadline.no
         (Synthesis_failed
            (Printf.sprintf "gridsynth: deadline expired at n=%d for eps=%g" n epsilon))
     end;
-    if n > n0 + max_extra_n then
-      raise (Synthesis_failed (Printf.sprintf "gridsynth: no solution up to n=%d for eps=%g" n epsilon))
+    if n > n_last then
+      raise
+        (Synthesis_failed
+           (Printf.sprintf "gridsynth: no solution up to n=%d for eps=%g%s" n epsilon
+              (if !too_large = 0 then ""
+               else
+                 Printf.sprintf " (%d levels had a grid problem over %d points)" !too_large
+                   Grid1d.max_points)))
     else begin
       Obs.incr c_levels;
-      let cands = Obs.span "gridsynth.grid_problem" (fun () -> Region.candidates ~theta ~epsilon ~n) in
+      (* An oversized grid problem fails its level: below the working
+         range the float slack makes the windows far wider than the
+         sliver. *)
+      let cands =
+        try Obs.span "gridsynth.grid_problem" (fun () -> Region.candidates ~theta ~epsilon ~n)
+        with Grid1d.Too_large ->
+          Obs.incr c_too_large;
+          incr too_large;
+          []
+      in
       let rec try_cands cands budget =
         match cands with
         | [] -> at_level (n + 1)
@@ -94,6 +113,16 @@ let rz ?(max_extra_n = 40) ?(candidates_per_n = 64) ?(deadline = Obs.Deadline.no
     end
   in
   at_level n0
+
+let rz ?(max_extra_n = 40) ?(candidates_per_n = 64) ?(deadline = Obs.Deadline.none) ~theta ~epsilon
+    () =
+  Obs.span "gridsynth.rz" @@ fun () ->
+  if not (epsilon > 0.0) then
+    raise (Synthesis_failed (Printf.sprintf "gridsynth: epsilon must be positive, got %g" epsilon))
+  else if epsilon >= 1.0 then
+    (* Mat2.distance never exceeds 1: the empty word meets any ε ≥ 1. *)
+    { seq = []; distance = verify_rz theta []; t_count = 0; clifford_count = 0; n_used = 0; candidates_tried = 0 }
+  else search ~max_extra_n ~candidates_per_n ~deadline ~theta ~epsilon
 
 (* Equation (1): U3(θ,φ,λ) = Rz(φ + 5π/2)·H·Rz(θ)·H·Rz(λ − π/2), each
    rotation synthesized at ε/3.  (The Hadamard-sandwich identity

@@ -15,4 +15,7 @@ type candidate = {
 }
 
 val candidates : theta:float -> epsilon:float -> n:int -> candidate list
-(** Candidates at level [n], most accurate first. *)
+(** Candidates at level [n], most accurate first.
+    @raise Grid1d.Too_large when one of the level's grid problems would
+    enumerate more than {!Grid1d.max_points} points; the Y problems are
+    all counted before any is enumerated. *)

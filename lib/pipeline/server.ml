@@ -433,7 +433,7 @@ let jid j = Option.value (Obs.Json.member "id" j) ~default:Obs.Json.Null
 let parse_rotation t ~rid ~batch_index j =
   let open Obs.Json in
   let num k = match member k j with Some (Num f) when Float.is_finite f -> Some f | _ -> None in
-  let epsilon = Option.value (num "epsilon") ~default:t.cfg.epsilon in
+  let epsilon = match member "epsilon" j with Some (Num f) -> f | _ -> t.cfg.epsilon in
   let deadline_s = num "deadline_s" in
   (* Optional per-request alphabet: a registered gate-set name.  An
      unknown name is a request error, not a server fault — reject it
@@ -453,7 +453,7 @@ let parse_rotation t ~rid ~batch_index j =
   match gate_set with
   | Error e -> Error e
   | Ok gate_set -> (
-      if epsilon <= 0.0 then Error "epsilon must be positive"
+      if not (epsilon > 0.0 && Float.is_finite epsilon) then Error "epsilon must be positive and finite"
       else
         match member "op" j with
         | Some (Str "rz") -> (

@@ -10,13 +10,19 @@
    1. per input gate in Qasm_reader.next_event (the in-place lexer);
    2. per output gate in Qasm.write_instr to /dev/null (prebuilt lines);
    3. per input gate in a warm-memo Stream_compile.run fed from memory
-      (window, resolution table, memo hits, instruction records).
+      (window, resolution table, memo hits, instruction records);
+
+   and, over the 200 angles θ_i = −3 + 6i/200 at ε 0.07, minor words
+
+   4. per Gridsynth.rz call (grid problems, Diophantine, exact
+      synthesis on native Exact_u, verification).
 
    Bounds are for the dev profile that runtest builds. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
 let engine_bound = 351.0
+let gridsynth_bound = 15321.0
 
 let gates = 10_000
 
@@ -81,4 +87,9 @@ let () =
   let (), words = measure (fun () -> compile ignore) in
   check "warm Stream_compile.run per input gate" (words /. float_of_int (Array.length input))
     engine_bound;
+  let angles = List.init 200 (fun i -> -3.0 +. (6.0 *. float_of_int i /. 200.0)) in
+  let (), words =
+    measure (fun () -> List.iter (fun theta -> ignore (Gridsynth.rz ~theta ~epsilon:0.07 ())) angles)
+  in
+  check "Gridsynth.rz per call at eps 0.07" (words /. 200.0) gridsynth_bound;
   if !failed then exit 1

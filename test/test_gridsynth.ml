@@ -144,38 +144,54 @@ let diophantine_tests =
            | None -> false));
   ]
 
+(* A random Clifford+T word of up to 80 H·T^(±1) syllables, each
+   followed by a Clifford gate half the time: k reaches about 40. *)
+let syllable_word_gen =
+  QCheck2.Gen.(
+    int_range 0 80 >>= fun syllables ->
+    list_repeat syllables
+      (pair bool (option (oneofl Ctgate.[ S; Sdg; X; Y; Z; H ])))
+    >|= fun syl ->
+    List.concat_map
+      (fun (plus, cliff) ->
+        Ctgate.H :: (if plus then Ctgate.T else Ctgate.Tdg) :: Option.to_list cliff)
+      syl)
+
+(* The columns [Gridsynth.rz] hands to exact synthesis: the first
+   Diophantine-accepted candidates of the levels from the information-
+   theoretic start, at most [limit] of them. *)
+let accepted_columns ~theta ~epsilon ~limit =
+  let need =
+    Float.log ((16.0 /. (Float.pi *. (epsilon ** 3.0))) ** 0.25) /. Float.log (Float.sqrt 2.0)
+  in
+  let n0 = max 0 (int_of_float (Float.ceil need) - 1) in
+  let out = ref [] in
+  let n = ref n0 in
+  while List.length !out < limit && !n <= n0 + 6 do
+    List.iteri
+      (fun i (c : Region.candidate) ->
+        if i < 64 && List.length !out < limit then
+          let xi = R2.sub (R2.make (B.shift_left B.one !n) B.zero) (O.abs_sq c.Region.w) in
+          match Diophantine.solve xi with
+          | Some t -> out := (c.Region.w, t, !n) :: !out
+          | None -> ())
+      (Region.candidates ~theta ~epsilon ~n:!n);
+    incr n
+  done;
+  List.rev !out
+
+let raises_not_unitary f =
+  match f () with
+  | _ -> false
+  | exception Exact_synth.Not_unitary _ -> true
+
 let exact_synth_tests =
   [
     Alcotest.test_case "reconstructs simple gates" `Quick (fun () ->
         List.iter
           (fun (name, seq) ->
             let target = Ctgate.seq_to_mat2 seq in
-            let m =
-              (* Build the exact matrix of the word over Big coefficients. *)
-              List.fold_left
-                (fun acc g ->
-                  let e = Exact_u.of_gate g in
-                  let conv (z : Zomega.Native.t) =
-                    O.make (B.of_int z.Zomega.Native.x0) (B.of_int z.Zomega.Native.x1)
-                      (B.of_int z.Zomega.Native.x2) (B.of_int z.Zomega.Native.x3)
-                  in
-                  let gm =
-                    Exact_synth.make ~a:(conv e.Exact_u.a) ~b:(conv e.Exact_u.b)
-                      ~c:(conv e.Exact_u.c) ~d:(conv e.Exact_u.d) ~k:e.Exact_u.k
-                  in
-                  let mul_mat (x : Exact_synth.exact_mat) (y : Exact_synth.exact_mat) =
-                    Exact_synth.make
-                      ~a:(O.add (O.mul x.Exact_synth.a y.Exact_synth.a) (O.mul x.Exact_synth.b y.Exact_synth.c))
-                      ~b:(O.add (O.mul x.Exact_synth.a y.Exact_synth.b) (O.mul x.Exact_synth.b y.Exact_synth.d))
-                      ~c:(O.add (O.mul x.Exact_synth.c y.Exact_synth.a) (O.mul x.Exact_synth.d y.Exact_synth.c))
-                      ~d:(O.add (O.mul x.Exact_synth.c y.Exact_synth.b) (O.mul x.Exact_synth.d y.Exact_synth.d))
-                      ~k:(x.Exact_synth.k + y.Exact_synth.k)
-                  in
-                  mul_mat acc gm)
-                (Exact_synth.make ~a:O.one ~b:O.zero ~c:O.zero ~d:O.one ~k:0)
-                seq
-            in
-            let word = Exact_synth.synthesize m in
+            let word = Exact_synth.synthesize (Exact_u.of_seq seq) in
             let d = Mat2.distance target (Ctgate.seq_to_mat2 word) in
             Alcotest.(check bool) (name ^ " reconstructed") true (d < 1e-6))
           [
@@ -185,6 +201,67 @@ let exact_synth_tests =
             ("THTSH", Ctgate.[ T; H; T; S; H ]);
             ("long", Ctgate.[ H; T; H; T; T; H; S; T; H; T; S; H; T; T; T; H ]);
           ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"words match the Bigint reference on random words"
+         ~print:(fun w -> String.concat " " (List.map Ctgate.to_string w))
+         syllable_word_gen
+         (fun seq ->
+           let u = Exact_u.of_seq seq in
+           let word = Exact_synth.synthesize u in
+           word = Exact_synth_reference.synthesize (Exact_synth_reference.of_exact_u u)
+           && Exact_u.equal_up_to_phase (Exact_u.of_seq word) u));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:40 ~name:"words match the Bigint reference on gridsynth columns"
+         ~print:(fun (theta, epsilon) -> Printf.sprintf "theta=%.17g eps=%g" theta epsilon)
+         QCheck2.Gen.(pair (float_range (-3.2) 3.2) (oneofl [ 0.1; 0.07; 1e-2; 1e-3; 1e-4 ]))
+         (fun (theta, epsilon) ->
+           let cols = accepted_columns ~theta ~epsilon ~limit:3 in
+           cols <> []
+           && List.for_all
+                (fun (w, t, n) ->
+                  Exact_synth.synthesize_column ~w ~t ~n
+                  = Exact_synth_reference.synthesize_column ~w ~t ~n)
+                cols));
+    Alcotest.test_case "column conversion holds every coefficient to 2^(n/2)" `Quick (fun () ->
+        let col x ~n = Exact_synth.synthesize_column ~w:(O.make x B.zero B.zero B.zero) ~t:O.zero ~n in
+        (* x/√2^n·I with x = 2^(n/2) is the identity: at the bound, accepted. *)
+        List.iter
+          (fun n ->
+            let top = B.shift_left B.one (n / 2) in
+            Alcotest.(check int) (Printf.sprintf "n=%d at the bound" n) 0 (List.length (col top ~n));
+            Alcotest.(check bool) (Printf.sprintf "n=%d just above" n) true
+              (raises_not_unitary (fun () -> col (B.add_int top 1) ~n));
+            Alcotest.(check bool) (Printf.sprintf "n=%d just above, negated" n) true
+              (raises_not_unitary (fun () -> col (B.neg (B.add_int top 1)) ~n)))
+          [ 2; 10; 40; Exact_synth.max_n ];
+        (* Odd n: 2^(n/2) = 45.25… at n = 11, so 45 passes the bound (and
+           fails later, not being unitary) while 46 fails at conversion. *)
+        let message f = match f () with _ -> "" | exception Exact_synth.Not_unitary m -> m in
+        let mentions s sub =
+          let n = String.length s and m = String.length sub in
+          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) "46 at n=11 names the bound" true
+          (mentions (message (fun () -> col (B.of_int 46) ~n:11)) "2^(n/2)");
+        Alcotest.(check bool) "45 at n=11 passes the bound" false
+          (mentions (message (fun () -> col (B.of_int 45) ~n:11)) "2^(n/2)");
+        Alcotest.(check bool) "n above max_n" true
+          (raises_not_unitary (fun () -> col B.one ~n:(Exact_synth.max_n + 1))));
+    Alcotest.test_case "a non-unitary input exhausts a search bounded by its distinct nodes"
+      `Quick (fun () ->
+        (* No H·T^(−j) path of length ≤ 12 lowers k here.  The visited
+           set keeps the search to 768 distinct matrices; walking every
+           path instead would take over a million. *)
+        let z = On.of_ints in
+        let m =
+          Exact_u.make ~a:(z 1 (-2) (-1) 2) ~b:(z 1 (-2) (-2) (-1)) ~c:(z 0 (-1) 2 (-1))
+            ~d:(z 0 (-1) (-1) 0) ~k:2
+        in
+        let w0 = Gc.minor_words () in
+        Alcotest.(check bool) "not unitary" true (raises_not_unitary (fun () -> Exact_synth.synthesize m));
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool) (Printf.sprintf "bounded search (%.0f words)" words) true (words < 2e6));
   ]
 
 let end_to_end_tests =
@@ -286,6 +363,35 @@ let frontier_tests =
         with
         | exception Gridsynth.Synthesis_failed _ -> ()
         | _ -> Alcotest.fail "should not have synthesized");
+    Alcotest.test_case "out-of-range epsilons return or fail promptly" `Quick (fun () ->
+        (* ε ≤ 0 and NaN are rejected; ε ≥ 1 is met by the empty word;
+           below the working range every level's grid problem is
+           oversized, so each level fails at the cost of counting it. *)
+        List.iter
+          (fun epsilon ->
+            let t0 = Unix.gettimeofday () in
+            let outcome =
+              match Gridsynth.rz ~theta:0.61 ~epsilon () with
+              | r -> if r.Gridsynth.distance <= epsilon then `Met else `Missed
+              | exception Gridsynth.Synthesis_failed _ -> `Failed
+            in
+            let dt = Unix.gettimeofday () -. t0 in
+            let name = Printf.sprintf "eps=%g" epsilon in
+            Alcotest.(check bool) (name ^ " outcome") true
+              (if epsilon > 0.0 then outcome <> `Missed else outcome = `Failed);
+            Alcotest.(check bool) (Printf.sprintf "%s finished in %.2fs" name dt) true (dt < 10.0))
+          [ 0.0; -1.0; Float.nan; Float.infinity; 2.0; 5.0; 1e-7; 1e-9; 1e-300 ]);
+    Alcotest.test_case "grid1d counts a window before building it" `Quick (fun () ->
+        Alcotest.(check bool) "≈ 3.5·10^13 points are refused" true
+          (match Grid1d.solve ~x0:0.0 ~x1:1e7 ~y0:0.0 ~y1:1e7 with
+          | _ -> false
+          | exception Grid1d.Too_large -> true);
+        Alcotest.(check bool) "a non-finite bound counts as infinite" true
+          (Grid1d.count (Grid1d.window ~x0:0.0 ~x1:Float.infinity ~y0:0.0 ~y1:1.0) = Float.infinity);
+        (* A zero-width interval rebalances by λ^200, where no b fits a
+           native int. *)
+        Alcotest.(check int) "zero width far from 0 is empty" 0
+          (List.length (Grid1d.solve ~x0:1e4 ~x1:1e4 ~y0:(-1e4) ~y1:1e4)));
   ]
 
 let suite = suite @ frontier_tests

@@ -133,4 +133,33 @@ let suite =
             Alcotest.(check bool) "retries reported" true (contains r {|"retries":2|})
         | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
         Alcotest.(check int) "retry counter" (retries0 + 2) (cval "server.retries"));
+    Alcotest.test_case "out-of-range epsilons get structured replies and the server lives" `Quick
+      (fun () ->
+        (* ε 1e-9 is below GRIDSYNTH's floor: its oversized grid problems
+           fail their levels instead of exhausting memory.  NaN is not
+           JSON and infinity is not a tolerance: both are bad requests. *)
+        let t, out = make_server () in
+        ignore
+          (Server.submit_line t
+             {|{"op":"rz","id":1,"theta":0.61,"epsilon":1e-9,"deadline_s":2.0}|});
+        ignore (Server.submit_line t {|{"op":"rz","id":2,"theta":0.61,"epsilon":NaN}|});
+        ignore (Server.submit_line t {|{"op":"rz","id":3,"theta":0.61,"epsilon":1e999}|});
+        ignore (Server.submit_line t {|{"op":"ping","id":4}|});
+        Server.drain t;
+        let rs = out () in
+        let find id = List.find_opt (fun r -> contains r (Printf.sprintf {|"id":%d|} id)) rs in
+        Alcotest.(check int) "one reply each" 4 (List.length rs);
+        (match find 1 with
+        | Some r ->
+            Alcotest.(check bool) "1e-9 answered" true
+              (contains r {|"ok":true|} || contains r {|"ok":false,"error"|})
+        | None -> Alcotest.fail "no reply to the 1e-9 request");
+        Alcotest.(check bool) "NaN is a bad request" true
+          (List.exists (fun r -> contains r {|"id":null|} && contains r "bad_request") rs);
+        (match find 3 with
+        | Some r -> Alcotest.(check bool) "infinite epsilon is a bad request" true (contains r "bad_request")
+        | None -> Alcotest.fail "no reply to the infinite-epsilon request");
+        match find 4 with
+        | Some r -> Alcotest.(check bool) "ping" true (contains r {|"op":"ping"|})
+        | None -> Alcotest.fail "no reply to ping");
   ]
