@@ -54,9 +54,9 @@ type study_entry = {
 }
 
 let run_study ~benches ~epsilon ~samples ?bench_deadline () =
-  (* Mirror the pipeline defaults (deep table, small k — one-site
-     lookups dominate at circuit thresholds); --samples only caps k. *)
-  let config = { Trasyn.default_config with table_t = 10; samples = min samples 48; beam = 4 } in
+  (* The pipelines' own TRASYN settings; --samples only caps k. *)
+  let d = Stream_compile.default_trasyn in
+  let config = { d with samples = min samples d.samples } in
   let n = List.length benches in
   List.mapi
     (fun i (b : Suite.benchmark) ->

@@ -43,7 +43,7 @@ let report_degraded (ds : Pipeline.degradation list) =
       Printf.printf "  ... and %d more\n" (List.length ds - max_degraded_lines)
   end
 
-(* Streaming mode: incremental parse → windowed optimization → planned
+(* Streaming mode: incremental parse → windowed optimization → engine
    synthesis with backpressure → in-order QASM emission, never holding
    the circuit in memory.  Prints machine-parseable [gates/sec :] and
    [peak heap:] lines that the perf suite and the heap smoke test parse. *)
@@ -365,8 +365,8 @@ let queue =
   Arg.(
     value & opt int 32
     & info [ "queue" ] ~docv:"N"
-        ~doc:"planner job-queue capacity in streaming mode — a full queue blocks the parser \
-              (backpressure; default 32)")
+        ~doc:"job-queue capacity in streaming mode — on a full queue the parser runs a queued \
+              job instead of reading on (backpressure; default 32)")
 
 let cmd =
   Cmd.v

@@ -9,11 +9,10 @@
     comparable circuit-level error.  Trivial rotations (π/4 multiples)
     are synthesized exactly in both workflows.
 
-    Synthesis is planned, not inlined: a workflow scans the IR circuit,
-    canonicalizes every rotation angle, serves repeats from the memo
-    cache, and hands the rest to {!Planner} — which dedupes occurrences
-    into unique jobs and executes them across N domains — before an
-    emission pass splices the words back in circuit order.
+    Synthesis runs on {!Stream_compile}'s engine, fed the transpiled IR
+    with no window: it keys and dedupes every rotation, serves repeats
+    from its memo, synthesizes the rest across N domains and splices
+    the words back in circuit order.
 
     Every per-rotation synthesis goes through a {!Synth} chain on top
     of {!Robust}: the word is re-verified against its target before it
@@ -41,418 +40,83 @@ type synthesized = {
       (** rotations that fell back or overshot their threshold *)
 }
 
-(* [Basis.norm_angle] already wraps into (−π, π] and snaps π/4
-   multiples, but leaves −0.0 alone — whose "%.10f" key ("-0.0000…")
-   differs from 0.0's, a spurious cache/dedup miss.  Synthesis uses the
-   same canonical angle as the key, so one job's word serves every
-   occurrence that shares the key. *)
-let canonical_angle a =
-  let a = Basis.norm_angle a in
-  if a = 0.0 then 0.0 else a
-
-let angle_key a = Printf.sprintf "%.10f" (canonical_angle a)
-
-(* Clifford+T words are written in matrix order (leftmost factor applied
-   last); circuit instruction lists run in time order, so splicing a
-   word into a circuit reverses it. *)
-let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
-
-(* Exact Clifford+T word for a trivial rotation gate, via the step-0
-   table (every ≤1-T operator is in there).  Tolerant matching: a gate
-   can pass the angle-space triviality test while its matrix sits a few
-   ulps away from the exact operator (wrapped angles), which is a
-   harmless substitution at circuit thresholds. *)
-let exact_word_of_trivial ?(gate_set = "cliffordt") g =
-  let table = Ma_table.get_for ~gate_set 1 in
-  let m = Qgate.to_mat2 g in
-  let best = ref None in
-  Array.iter
-    (fun (e : Ma_table.entry) ->
-      if Mat2.distance m e.Ma_table.mat < 1e-6 then
-        match !best with
-        | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
-        | _ -> best := Some e)
-    table.Ma_table.entries;
-  Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
-
-(* ------------------------------------------------------------------ *)
-(* Synthesis memo caches                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Both memo tables are bounded: past [cache_capacity] entries a table
-   is flushed wholesale (counted as one eviction) rather than grown
-   without limit — long benchmark sweeps over many epsilons would
-   otherwise retain every word ever synthesized.  Flush-all beats LRU
-   here because hits are dominated by repeats *within* one circuit.
-   Only verified successes are cached: failures are deadline-relative
-   (a timeout now says nothing about the next run's budget).  The
-   caches are touched only on the workflow's calling domain — planner
-   workers never see them. *)
-let cache_capacity = ref 65_536
-
-let set_cache_capacity n =
-  if n < 1 then invalid_arg "Pipeline.set_cache_capacity: capacity must be positive";
-  cache_capacity := n
-
-let c_evictions = Obs.counter "pipeline.cache.evictions"
-let c_gs_hit = Obs.counter "pipeline.gridsynth_cache.hit"
-let c_gs_miss = Obs.counter "pipeline.gridsynth_cache.miss"
-let c_tr_hit = Obs.counter "pipeline.trasyn_cache.hit"
-let c_tr_miss = Obs.counter "pipeline.trasyn_cache.miss"
-let c_degraded = Obs.counter "pipeline.rotation.degraded"
-let h_rot_tcount = Obs.histogram ~buckets:(Array.init 41 (fun i -> float_of_int (4 * i))) "pipeline.rotation.t_count"
-
-let cache_put tbl key v =
-  if Hashtbl.length tbl >= !cache_capacity then begin
-    Obs.incr c_evictions;
-    Hashtbl.reset tbl
-  end;
-  Hashtbl.add tbl key v
-
-(* Per-rotation deadline: the circuit deadline capped by the rotation
-   budget, both on the monotonic clock. *)
-let rotation_deadline deadline rotation_budget =
-  match rotation_budget with
-  | None -> deadline
-  | Some s -> Obs.Deadline.earliest deadline (Obs.Deadline.after s)
-
-(* Escape hatch for a structured failure inside a [Circuit.map_rotations]
-   closure; caught at the workflow boundary and returned as [Error]. *)
-exception Abort of Robust.failure
-
-(* Default synthesis chains (built once from the registry) and their
-   cache-key fingerprints.  A memo key carries the chain id so words
-   from a custom --backend-chain never serve a default-chain run. *)
-let rz_default_chain = Synth.rz_chain ()
-let u3_default_chain = Synth.u3_chain
-let rz_default_tag = "rz-default"
-let u3_default_tag = "u3-default"
-
-(* Memo keys carry the gate set as well as the chain tag: two alphabets
-   can synthesize the same angle at the same ε to different words, so
-   they must never share a cache cell. *)
-let rz_key ~epsilon ~tag ~gate_set theta =
-  Printf.sprintf "%s@%.6g|%s|%s" (angle_key theta) epsilon tag gate_set
-
-let u3_key ~epsilon ~tag ~gate_set (theta, phi, lam) =
-  Printf.sprintf "%s/%s/%s@%.6g|%s|%s" (angle_key theta) (angle_key phi) (angle_key lam)
-    epsilon tag gate_set
-
-(* ------------------------------------------------------------------ *)
-(* Memo caches and the word-level entry points                         *)
-(* ------------------------------------------------------------------ *)
-
-let gridsynth_cache : (string, Robust.attempt) Hashtbl.t = Hashtbl.create 256
-let trasyn_cache : (string, Robust.attempt) Hashtbl.t = Hashtbl.create 256
+let canonical_angle = Stream_compile.canonical_angle
+let angle_key = Stream_compile.angle_key
+let rz_key = Stream_compile.rz_key
+let u3_key = Stream_compile.u3_key
 
 let clear_caches () =
-  Hashtbl.reset gridsynth_cache;
-  Hashtbl.reset trasyn_cache;
+  Stream_compile.clear_cache ();
   Trasyn.clear_chain_cache ()
 
-let default_budgets = Synth.default_budgets
-let default_config = { Trasyn.default_config with table_t = 10; samples = 48; beam = 4 }
+let get = function Ok s -> s | Error f -> Robust.fail f
 
-let gridsynth_rz_attempt ?(deadline = Obs.Deadline.none) ?rotation_budget ~epsilon theta :
-    (Robust.attempt, Robust.failure) result =
-  let theta = canonical_angle theta in
-  let key = rz_key ~epsilon ~tag:rz_default_tag ~gate_set:"cliffordt" theta in
-  match Hashtbl.find_opt gridsynth_cache key with
-  | Some a ->
-      Obs.incr c_gs_hit;
-      Ok a
-  | None ->
-      Obs.incr c_gs_miss;
-      let deadline = rotation_deadline deadline rotation_budget in
-      let r =
-        Obs.span "pipeline.synthesize_rotation" (fun () ->
-            Synth.run_chain ~deadline ~config:(Synth.config ~epsilon ()) rz_default_chain
-              (Synth.Rz theta))
-      in
-      Result.iter
-        (fun (a : Robust.attempt) ->
-          Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
-          cache_put gridsynth_cache key a)
-        r;
-      r
+let gridsynth_rz_attempt ?deadline ?rotation_budget ~epsilon theta =
+  Stream_compile.synthesize
+    (Stream_compile.config ~epsilon ?deadline ?rotation_budget ())
+    (Qgate.Rz theta)
 
 let gridsynth_rz_word ~epsilon theta =
-  match gridsynth_rz_attempt ~epsilon theta with
-  | Ok a -> (a.Robust.word, a.Robust.distance)
-  | Error f -> Robust.fail f
+  let a = get (gridsynth_rz_attempt ~epsilon theta) in
+  (a.Robust.word, a.Robust.distance)
 
-let trasyn_u3_attempt ?(deadline = Obs.Deadline.none) ?rotation_budget ~config ~budgets ~epsilon
-    (theta, phi, lam) : (Robust.attempt, Robust.failure) result =
-  let theta = canonical_angle theta
-  and phi = canonical_angle phi
-  and lam = canonical_angle lam in
-  let key = u3_key ~epsilon ~tag:u3_default_tag ~gate_set:"cliffordt" (theta, phi, lam) in
-  match Hashtbl.find_opt trasyn_cache key with
-  | Some a ->
-      Obs.incr c_tr_hit;
-      Ok a
-  | None ->
-      Obs.incr c_tr_miss;
-      let deadline = rotation_deadline deadline rotation_budget in
-      let r =
-        Obs.span "pipeline.synthesize_rotation" (fun () ->
-            Synth.run_chain ~deadline
-              ~config:(Synth.config ~trasyn:config ~budgets ~epsilon ())
-              u3_default_chain
-              (Synth.Unitary (Mat2.u3 theta phi lam)))
-      in
-      Result.iter
-        (fun (a : Robust.attempt) ->
-          Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
-          cache_put trasyn_cache key a)
-        r;
-      r
-
-(* ------------------------------------------------------------------ *)
-(* The planned workflow skeleton                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Scan → memo-consult → plan → execute → emit.
-
-   [classify] maps a nontrivial IR rotation to its canonical cache key
-   and synthesis target; [run_target] synthesizes one unique target
-   (called on planner worker domains).  Occurrences whose key is
-   already memoized are served on the calling domain (counted as cache
-   hits); the rest — repeats included — go to the planner, which
-   dedupes them into unique jobs.  The emission pass then rebuilds the
-   circuit in order with the same per-occurrence degradation
-   bookkeeping the sequential pipeline used to do, so outputs are
-   bit-identical whatever the domain count. *)
-(* Cached-replay provenance: [Synth.run_chain] writes one fresh ledger
-   record per chain execution, but planner dedup and the memo caches
-   mean most rotation occurrences never reach it.  The emission pass
-   fills the gap — every occurrence served by a cache or by another
-   occurrence's execution gets a [cached] record — so a workflow run's
-   ledger holds exactly [rotations_synthesized] records. *)
-let replay_record ~chain ~gate_set ~requested target (a : Robust.attempt) =
-  {
-    Ledger.target = Synth.target_id target;
-    gate_set;
-    chain;
-    eps_req = requested;
-    rung_eps = a.Robust.rung_epsilon;
-    distance = a.Robust.distance;
-    backend = a.Robust.backend;
-    fallbacks = a.Robust.fallbacks;
-    attempts = a.Robust.fallbacks + 1;
-    t_count = Ctgate.t_count a.Robust.word;
-    word_len = List.length a.Robust.word;
-    wall_s = 0.0;
-    degraded = a.Robust.fallbacks > 0 || a.Robust.distance > requested;
-    cached = true;
-    source = "replay";
-    ok = true;
-    failure = None;
-    request_id = "";
-  }
-
-let run_workflow ~span ~ir ~transpile ~requested ~jobs ~deadline ~rotation_budget ~cache ~c_hit
-    ~c_miss ~ledger_chain ~gate_set ~classify ~run_target (c : Circuit.t) :
-    (synthesized, Robust.failure) result =
+(* Transpile with the IR's best setting (or take the input as IR), then
+   run the engine over the IR with no window: its own passes are a
+   transpiler's job here, done by [Settings.best_for]. *)
+let run_on_engine ~span ~ir ?(transpile = true) ?jobs ?epsilon ?gate_set ?deadline
+    ?rotation_budget ?chain ?trasyn ?budgets (c : Circuit.t) =
   Obs.span span @@ fun () ->
   let setting, transpiled =
     if transpile then Settings.best_for ir c
     else ({ Settings.ir; level = 0; commutation = false }, c)
   in
-  let occs = ref [] in
-  let scan g =
-    (match exact_word_of_trivial ~gate_set g with
-    | Some _ -> ()
-    | None -> occs := classify g :: !occs);
-    [ g ]
+  let jobs = Int.max 1 (Option.value jobs ~default:(Domain.recommended_domain_count ())) in
+  let cfg =
+    Stream_compile.config ~ir ~jobs ?epsilon ?gate_set ?deadline ?rotation_budget ?chain ?trasyn
+      ?budgets ()
   in
-  ignore (Circuit.map_rotations scan transpiled : Circuit.t);
-  let occs = List.rev !occs in
-  match List.find_map (function Error f -> Some f | Ok _ -> None) occs with
-  | Some f -> Error f
-  | None ->
-      let occs = List.filter_map Result.to_option occs in
-      let local : (string, (Robust.attempt, Robust.failure) result) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let missed = Hashtbl.create 64 in
-      let planned = ref [] in
-      List.iter
-        (fun (key, target) ->
-          match Hashtbl.find_opt cache key with
-          | Some a ->
-              Obs.incr c_hit;
-              if not (Hashtbl.mem local key) then Hashtbl.add local key (Ok a)
-          | None ->
-              if not (Hashtbl.mem missed key) then begin
-                Hashtbl.add missed key ();
-                Obs.incr c_miss
-              end;
-              planned := (key, target) :: !planned)
-        occs;
-      let plan = Planner.plan (List.rev !planned) in
-      let results =
-        Planner.execute ?jobs ~deadline ?job_budget:rotation_budget ~run:run_target plan
-      in
-      (* Keys whose chain actually ran in this workflow: their first
-         emission occurrence is already covered by the fresh record
-         [Synth.run_chain] wrote on the worker domain. *)
-      let fresh = Hashtbl.create 64 in
-      Array.iter
-        (fun (j : _ Planner.job) ->
-          match Hashtbl.find_opt results j.Planner.key with
-          | Some (Ok a as r) ->
-              Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
-              cache_put cache j.Planner.key a;
-              Hashtbl.replace local j.Planner.key r;
-              Hashtbl.replace fresh j.Planner.key ()
-          | Some (Error _ as r) -> Hashtbl.replace local j.Planner.key r
-          | None -> ())
-        plan.Planner.jobs;
-      let total_err = ref 0.0 and nsynth = ref 0 in
-      let degraded = ref [] in
-      let emit g =
-        match exact_word_of_trivial ~gate_set g with
-        | Some word -> word_to_gates word
-        | None -> (
-            incr nsynth;
-            let key, target =
-              match classify g with Ok kt -> kt | Error f -> raise (Abort f)
-            in
-            match Hashtbl.find_opt local key with
-            | Some (Ok (a : Robust.attempt)) ->
-                (if Ledger.enabled () then
-                   match Hashtbl.find_opt fresh key with
-                   | Some () -> Hashtbl.remove fresh key
-                   | None ->
-                       Ledger.record
-                         (replay_record ~chain:ledger_chain ~gate_set ~requested target a));
-                total_err := !total_err +. a.Robust.distance;
-                if a.Robust.fallbacks > 0 || a.Robust.distance > requested then begin
-                  Obs.incr c_degraded;
-                  degraded :=
-                    {
-                      gate = Qgate.to_string g;
-                      backend = a.Robust.backend;
-                      fallbacks = a.Robust.fallbacks;
-                      achieved = a.Robust.distance;
-                      requested;
-                    }
-                    :: !degraded
-                end;
-                word_to_gates a.Robust.word
-            | Some (Error f) -> raise (Abort f)
-            | None ->
-                raise (Abort (Robust.Backend_error ("pipeline: no planner result for " ^ key))))
-      in
-      (match Circuit.map_rotations emit transpiled with
-      | circuit ->
-          Ok
-            {
-              circuit;
-              transpiled;
-              setting;
-              rotations_synthesized = !nsynth;
-              total_synth_error = !total_err;
-              degraded = List.rev !degraded;
-            }
-      | exception Abort f -> Error f)
-
-(* Wrap one unique target's synthesis for the planner: the timing span
-   closes before the attribute is set, so the ["backend"] tag lands on
-   the enclosing [planner.job] span (what hotspots groups by). *)
-let make_run_target ~config ~chain () ~deadline target =
-  let r =
-    Obs.span "pipeline.synthesize_rotation" (fun () ->
-        Synth.run_chain ~deadline ~config chain target)
+  let degraded = ref [] in
+  let on_degraded g (a : Robust.attempt) =
+    degraded :=
+      {
+        gate = Qgate.to_string g;
+        backend = a.Robust.backend;
+        fallbacks = a.Robust.fallbacks;
+        achieved = a.Robust.distance;
+        requested = cfg.Stream_compile.epsilon;
+      }
+      :: !degraded
   in
-  (match r with
-  | Ok (a : Robust.attempt) -> Obs.set_span_attr "backend" a.Robust.backend
-  | Error _ -> ());
-  r
+  Stream_compile.run_ir ~on_degraded cfg transpiled
+  |> Result.map (fun (circuit, (st : Stream_compile.stats)) ->
+         {
+           circuit;
+           transpiled;
+           setting;
+           rotations_synthesized = st.rotations_synthesized;
+           total_synth_error = st.total_synth_error;
+           degraded = List.rev !degraded;
+         })
 
-(* ------------------------------------------------------------------ *)
-(* GRIDSYNTH (Rz) workflow                                             *)
-(* ------------------------------------------------------------------ *)
+(* A TRASYN rung in a custom Rz chain runs with TRASYN's own defaults:
+   the Rz workflow takes no TRASYN configuration. *)
+let run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c =
+  run_on_engine ~span:"pipeline.run_gridsynth" ~ir:Settings.Rz_ir ~trasyn:Trasyn.default_config
+    ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c
 
-let run_gridsynth_result ?(epsilon = 0.07) ?(gate_set = Gateset.default)
-    ?(deadline = Obs.Deadline.none) ?rotation_budget ?(transpile = true) ?jobs ?chain
-    (c : Circuit.t) : (synthesized, Robust.failure) result =
-  let chain_rungs, tag =
-    match chain with
-    | None -> (rz_default_chain, rz_default_tag)
-    | Some ch -> (ch, Synth.chain_id ch)
-  in
-  let gs_name = gate_set.Gateset.name in
-  let classify g =
-    match g with
-    | Qgate.Rz theta ->
-        let theta = canonical_angle theta in
-        Ok (rz_key ~epsilon ~tag ~gate_set:gs_name theta, Synth.Rz theta)
-    | _ ->
-        (* The Rz IR only leaves Rz rotations; anything else is a
-           transpiler bug (or a hand-fed IR), surfaced structurally
-           rather than as Invalid_argument. *)
-        Error
-          (Robust.Backend_error
-             (Printf.sprintf "Pipeline.run_gridsynth: non-Rz rotation %s in Rz IR"
-                (Qgate.to_string g)))
-  in
-  run_workflow ~span:"pipeline.run_gridsynth" ~ir:Settings.Rz_ir ~transpile ~requested:epsilon
-    ~jobs ~deadline ~rotation_budget ~cache:gridsynth_cache ~c_hit:c_gs_hit ~c_miss:c_gs_miss
-    ~ledger_chain:(Synth.chain_id chain_rungs) ~gate_set:gs_name ~classify
-    ~run_target:
-      (make_run_target ~config:(Synth.config ~gate_set ~epsilon ()) ~chain:chain_rungs ())
-    c
+let run_gridsynth ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c =
+  get (run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c)
 
-let run_gridsynth ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain
-    (c : Circuit.t) : synthesized =
-  match
-    run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c
-  with
-  | Ok s -> s
-  | Error f -> Robust.fail f
-
-(* ------------------------------------------------------------------ *)
-(* TRASYN (U3) workflow                                                *)
-(* ------------------------------------------------------------------ *)
-
-let run_trasyn_result ?(epsilon = 0.07) ?(gate_set = Gateset.default)
-    ?(config = default_config) ?(budgets = default_budgets) ?(deadline = Obs.Deadline.none)
-    ?rotation_budget ?(transpile = true) ?jobs ?chain (c : Circuit.t) :
-    (synthesized, Robust.failure) result =
-  let chain_rungs, tag =
-    match chain with
-    | None -> (u3_default_chain, u3_default_tag)
-    | Some ch -> (ch, Synth.chain_id ch)
-  in
-  let gs_name = gate_set.Gateset.name in
-  let classify g =
-    let theta, phi, lam = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-    let theta = canonical_angle theta
-    and phi = canonical_angle phi
-    and lam = canonical_angle lam in
-    Ok
-      ( u3_key ~epsilon ~tag ~gate_set:gs_name (theta, phi, lam),
-        Synth.Unitary (Mat2.u3 theta phi lam) )
-  in
-  run_workflow ~span:"pipeline.run_trasyn" ~ir:Settings.U3_ir ~transpile ~requested:epsilon
-    ~jobs ~deadline ~rotation_budget ~cache:trasyn_cache ~c_hit:c_tr_hit ~c_miss:c_tr_miss
-    ~ledger_chain:(Synth.chain_id chain_rungs) ~gate_set:gs_name ~classify
-    ~run_target:
-      (make_run_target
-         ~config:(Synth.config ~gate_set ~trasyn:config ~budgets ~epsilon ())
-         ~chain:chain_rungs ())
-    c
+let run_trasyn_result ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile
+    ?jobs ?chain c =
+  run_on_engine ~span:"pipeline.run_trasyn" ~ir:Settings.U3_ir ?epsilon ?gate_set ?trasyn:config
+    ?budgets ?deadline ?rotation_budget ?transpile ?jobs ?chain c
 
 let run_trasyn ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile ?jobs
-    ?chain (c : Circuit.t) : synthesized =
-  match
-    run_trasyn_result ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile
-      ?jobs ?chain c
-  with
-  | Ok s -> s
-  | Error f -> Robust.fail f
+    ?chain c =
+  get
+    (run_trasyn_result ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile
+       ?jobs ?chain c)
 
 (* GRIDSYNTH threshold scaled by the rotation ratio (§4.2): with more
    rotations it must synthesize each one tighter. *)

@@ -1,13 +1,19 @@
-(** Streaming compilation: parse → windowed optimize → synthesize →
-    emit, all interleaved, with bounded memory end to end.
+(** The compilation engine: classify → key → dedup → synthesize on
+    domains → splice back in order, with bounded memory end to end.
 
-    The producer (calling domain) pulls instructions from [next], runs
-    them through a {!Stream_opt} window, classifies what the window
-    gives up, and feeds unique synthesis targets to a pool of worker
-    domains over a *bounded* job queue — when the queue is full the
-    producer blocks (backpressure), so parsing never outruns synthesis
-    by more than the queue.  Results are emitted strictly in input
-    order from a depth-bounded reorder FIFO, interleaved with parsing.
+    The producer (calling domain) pulls IR gates from a source,
+    classifies each rotation, and feeds unique synthesis targets to a
+    pool of worker domains over a *bounded* job queue.  Whenever the
+    producer would otherwise block — on a full queue, on a head result
+    that has not landed, during the final drain — it runs a queued job
+    itself, so a run at [jobs] n synthesizes on up to n domains.
+    Results are emitted strictly in input order from a depth-bounded
+    reorder FIFO, interleaved with reading the source.
+
+    Two sources feed it: {!run} passes the input through a
+    {!Stream_opt} window first (the streaming CLI), {!run_ir} takes an
+    already transpiled IR circuit as it stands (the whole-circuit
+    workflows of [Pipeline]).
 
     Determinism: per-key synthesis is deterministic and occurrences are
     emitted in input order, so the output is byte-identical whatever
@@ -18,13 +24,96 @@
 let g_queue_depth = Obs.gauge "obs.planner.queue_depth"
 let c_jobs = Obs.counter "obs.planner.jobs"
 let c_dedup = Obs.counter "obs.planner.dedup_hits"
+let c_domains = Obs.counter "obs.planner.domains"
 let c_bp_waits = Obs.counter "obs.stream.backpressure_waits"
 let c_in = Obs.counter "obs.stream.gates_in"
 let c_out = Obs.counter "obs.stream.gates_out"
-let c_memo_hit = Obs.counter "pipeline.stream_cache.hit"
-let c_memo_miss = Obs.counter "pipeline.stream_cache.miss"
-let c_evictions = Obs.counter "pipeline.stream_cache.evictions"
+let c_evictions = Obs.counter "pipeline.cache.evictions"
+let c_degraded = Obs.counter "pipeline.rotation.degraded"
+let h_rot_tcount = Obs.histogram ~buckets:(Array.init 41 (fun i -> float_of_int (4 * i))) "pipeline.rotation.t_count"
 let g_heap_peak = Obs.gauge "obs.heap.peak_words"
+
+(* Memo hits and misses are counted under the workflow's name, chosen
+   by IR, whichever entry point ran. *)
+let gridsynth_memo = (Obs.counter "pipeline.gridsynth_cache.hit", Obs.counter "pipeline.gridsynth_cache.miss")
+let trasyn_memo = (Obs.counter "pipeline.trasyn_cache.hit", Obs.counter "pipeline.trasyn_cache.miss")
+let memo_counters = function Settings.Rz_ir -> gridsynth_memo | Settings.U3_ir -> trasyn_memo
+
+(* ------------------------------------------------------------------ *)
+(* Keys and words                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Basis.norm_angle] already wraps into (−π, π] and snaps π/4
+   multiples, but leaves −0.0 alone — whose "%.10f" key ("-0.0000…")
+   differs from 0.0's, a spurious cache/dedup miss.  Synthesis uses the
+   same canonical angle as the key, so one job's word serves every
+   occurrence that shares the key. *)
+let canonical_angle a =
+  let a = Basis.norm_angle a in
+  if a = 0.0 then 0.0 else a
+
+let angle_key a = Printf.sprintf "%.10f" (canonical_angle a)
+
+(* ε is printed exactly ("%h"): two thresholds that differ in the last
+   bit must not share a word, or a hit could exceed the requested ε.
+   The gate set is in the key as well as the chain tag: two alphabets
+   can synthesize the same angle at the same ε to different words. *)
+let rz_key ~epsilon ~tag ~gate_set theta =
+  Printf.sprintf "%s@%h|%s|%s" (angle_key theta) epsilon tag gate_set
+
+let u3_key ~epsilon ~tag ~gate_set (theta, phi, lam) =
+  Printf.sprintf "%s/%s/%s@%h|%s|%s" (angle_key theta) (angle_key phi) (angle_key lam) epsilon
+    tag gate_set
+
+(* Clifford+T words are written in matrix order (leftmost factor applied
+   last); circuit instruction lists run in time order, so splicing a
+   word into a circuit reverses it. *)
+let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
+
+(* Exact Clifford+T word for a trivial rotation gate, via the step-0
+   table (every ≤1-T operator is in there).  Tolerant matching: a gate
+   can pass the angle-space triviality test while its matrix sits a few
+   ulps away from the exact operator (wrapped angles), which is a
+   harmless substitution at circuit thresholds. *)
+let exact_word_of_trivial ?(gate_set = "cliffordt") g =
+  let table = Ma_table.get_for ~gate_set 1 in
+  let m = Qgate.to_mat2 g in
+  let best = ref None in
+  Array.iter
+    (fun (e : Ma_table.entry) ->
+      if Mat2.distance m e.Ma_table.mat < 1e-6 then
+        match !best with
+        | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
+        | _ -> best := Some e)
+    table.Ma_table.entries;
+  Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
+
+(* Cached-replay provenance: [Synth.run_chain] writes one fresh ledger
+   record per chain execution, but dedup and the memo mean most
+   rotation occurrences never reach it.  Every occurrence served by the
+   memo or by another occurrence's execution gets a [cached] record, so
+   a run's ledger holds exactly one record per rotation. *)
+let replay_record ~chain ~gate_set ~requested target (a : Robust.attempt) =
+  {
+    Ledger.target = Synth.target_id target;
+    gate_set;
+    chain;
+    eps_req = requested;
+    rung_eps = a.Robust.rung_epsilon;
+    distance = a.Robust.distance;
+    backend = a.Robust.backend;
+    fallbacks = a.Robust.fallbacks;
+    attempts = a.Robust.fallbacks + 1;
+    t_count = Ctgate.t_count a.Robust.word;
+    word_len = List.length a.Robust.word;
+    wall_s = 0.0;
+    degraded = a.Robust.fallbacks > 0 || a.Robust.distance > requested;
+    cached = true;
+    source = "replay";
+    ok = true;
+    failure = None;
+    request_id = "";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                      *)
@@ -37,7 +126,7 @@ type config = {
   window : int;  (** W: max gates held by the sliding optimizer *)
   queue : int;  (** job-queue capacity — the backpressure bound *)
   depth : int;  (** max out-of-order results awaiting emission *)
-  jobs : int;  (** total domains (1 = synthesize on the producer) *)
+  jobs : int;  (** max domains (1 = synthesize on the producer) *)
   deadline : Obs.Deadline.t;
   rotation_budget : float option;
   chain : Synth.rung_spec list option;
@@ -72,12 +161,42 @@ type stats = {
   peak_heap_words : int;
 }
 
+(* The default chains are built once: [Synth.rz_chain] makes a fresh
+   rung list per call. *)
+let rz_default_chain = Synth.rz_chain ()
+
+let chain_of cfg =
+  match (cfg.chain, cfg.ir) with
+  | Some c, _ -> c
+  | None, Settings.Rz_ir -> rz_default_chain
+  | None, Settings.U3_ir -> Synth.u3_chain
+
+(* One chain execution on this domain.  Its deadline is the run's,
+   capped by the per-rotation budget from now, both on the monotonic
+   clock. *)
+let run_chain cfg chain target =
+  let deadline =
+    match cfg.rotation_budget with
+    | None -> cfg.deadline
+    | Some b -> Obs.Deadline.earliest cfg.deadline (Obs.Deadline.after b)
+  in
+  let config =
+    Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
+      ~epsilon:cfg.epsilon ()
+  in
+  Obs.span "pipeline.synthesize_rotation" (fun () -> Synth.run_chain ~deadline ~config chain target)
+
 (* ------------------------------------------------------------------ *)
-(* Memo cache (bounded, flush-all — same policy as Pipeline's)        *)
+(* The memo (bounded, flush-all)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A memoized synthesis keeps its word already spliced into gates (time
-   order), so a hit costs no conversion. *)
+(* The one in-memory cache of synthesized words, keyed by {!rz_key} /
+   {!u3_key}.  Past its capacity it is flushed wholesale (one eviction)
+   rather than grown without limit: hits are dominated by repeats
+   within one circuit.  Only verified successes enter it; failures are
+   deadline-relative.  It is touched only on the producer, in emission
+   order, and keeps each word already spliced into gates (time order),
+   so a hit costs no conversion. *)
 type memo_entry = { attempt : Robust.attempt; gates : Qgate.t list }
 
 let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 256
@@ -89,21 +208,65 @@ let set_cache_capacity n =
 
 let clear_cache () = Hashtbl.reset memo
 
-let cache_put tbl key v =
-  if Hashtbl.length tbl >= !memo_capacity then begin
+let memo_add key (a : Robust.attempt) =
+  Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
+  if Hashtbl.length memo >= !memo_capacity then begin
     Obs.incr c_evictions;
-    Hashtbl.reset tbl
+    Hashtbl.reset memo
   end;
-  Hashtbl.add tbl key v
+  let e = { attempt = a; gates = word_to_gates a.Robust.word } in
+  Hashtbl.add memo key e;
+  e
 
 (* ------------------------------------------------------------------ *)
-(* Per-run resolution table                                           *)
+(* Classification and the per-run resolution table                    *)
 (* ------------------------------------------------------------------ *)
 
-(* What a rotation the window gives up resolves to: the exact word of a
-   trivial rotation, or a synthesis key and target. *)
-type pending = { key : string; target : Synth.target }
-type resolution = Exact of Qgate.t list | Synthesize of pending
+(* What a rotation resolves to: the exact word of a trivial rotation, a
+   synthesis key and target (with the gate, for the degradation
+   report), or a structured failure for a rotation its IR cannot
+   carry. *)
+type pending = { key : string; target : Synth.target; gate : Qgate.t }
+type resolution = Exact of Qgate.t list | Synthesize of pending | Reject of Robust.failure
+
+let classify cfg ~tag g =
+  let epsilon = cfg.epsilon and gate_set = cfg.gate_set.Gateset.name in
+  match (g, cfg.ir) with
+  | Qgate.Rz theta, _ ->
+      let theta = canonical_angle theta in
+      Ok { key = rz_key ~epsilon ~tag ~gate_set theta; target = Synth.Rz theta; gate = g }
+  | _, Settings.Rz_ir ->
+      (* The Rz window rewrites every rotation to Rz; anything else is
+         a transpiler bug (or a hand-fed IR), surfaced structurally
+         rather than as Invalid_argument. *)
+      Error
+        (Robust.Backend_error
+           (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
+  | _, Settings.U3_ir ->
+      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+      let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
+      Ok
+        {
+          key = u3_key ~epsilon ~tag ~gate_set (t, p, l);
+          target = Synth.Unitary (Mat2.u3 t p l);
+          gate = g;
+        }
+
+let synthesize cfg g =
+  let chain = chain_of cfg in
+  match classify cfg ~tag:(Synth.chain_id chain) g with
+  | Error _ as e -> e
+  | Ok p -> (
+      let c_hit, c_miss = memo_counters cfg.ir in
+      match Hashtbl.find_opt memo p.key with
+      | Some e ->
+          Obs.incr c_hit;
+          Ok e.attempt
+      | None ->
+          Obs.incr c_miss;
+          let r = run_chain cfg chain p.target in
+          Result.iter (fun a -> ignore (memo_add p.key a : memo_entry)) r;
+          r)
 
 (* Rotations repeat massively in QAOA-like streams, so each run caches
    its resolutions per distinct gate value.  Floats compare by their
@@ -125,59 +288,49 @@ module Gate_table = Hashtbl.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded blocking job queue (the backpressure point)                *)
+(* Bounded job queue (the backpressure point)                         *)
 (* ------------------------------------------------------------------ *)
 
 type 'a bq = {
-  buf : 'a option array;
-  mutable head : int;
-  mutable count : int;
+  jobs : 'a Queue.t;
+  capacity : int;
   lock : Mutex.t;
-  not_full : Condition.t;
   not_empty : Condition.t;
   mutable closed : bool;
 }
 
-let bq_create n =
-  { buf = Array.make n None; head = 0; count = 0; lock = Mutex.create ();
-    not_full = Condition.create (); not_empty = Condition.create (); closed = false }
+let bq_create capacity =
+  { jobs = Queue.create (); capacity; lock = Mutex.create (); not_empty = Condition.create ();
+    closed = false }
 
-let bq_push q v waits =
-  Mutex.lock q.lock;
-  let waited = ref false in
-  while q.count >= Array.length q.buf && not q.closed do
-    if not !waited then begin
-      waited := true;
-      incr waits;
-      Obs.incr c_bp_waits
-    end;
-    Condition.wait q.not_full q.lock
-  done;
-  if not q.closed then begin
-    q.buf.((q.head + q.count) mod Array.length q.buf) <- Some v;
-    q.count <- q.count + 1;
-    Obs.set_gauge g_queue_depth (float_of_int q.count);
-    Condition.signal q.not_empty
-  end;
-  Mutex.unlock q.lock
+(* Take the oldest job, if any; the caller holds the lock. *)
+let bq_take q =
+  let v = Queue.take_opt q.jobs in
+  Obs.set_gauge g_queue_depth (float_of_int (Queue.length q.jobs));
+  v
 
-let bq_pop q =
+(* Add [v] when there is room; otherwise hand back the oldest job for
+   the caller to run, leaving [v] to be offered again. *)
+let bq_offer q v =
   Mutex.lock q.lock;
-  while q.count = 0 && not q.closed do
-    Condition.wait q.not_empty q.lock
-  done;
   let r =
-    if q.count = 0 then None
+    if Queue.length q.jobs >= q.capacity then bq_take q
     else begin
-      let v = q.buf.(q.head) in
-      q.buf.(q.head) <- None;
-      q.head <- (q.head + 1) mod Array.length q.buf;
-      q.count <- q.count - 1;
-      Obs.set_gauge g_queue_depth (float_of_int q.count);
-      Condition.signal q.not_full;
-      v
+      Queue.push v q.jobs;
+      Obs.set_gauge g_queue_depth (float_of_int (Queue.length q.jobs));
+      Condition.signal q.not_empty;
+      None
     end
   in
+  Mutex.unlock q.lock;
+  r
+
+let bq_pop ~wait q =
+  Mutex.lock q.lock;
+  while wait && Queue.is_empty q.jobs && not q.closed do
+    Condition.wait q.not_empty q.lock
+  done;
+  let r = bq_take q in
   Mutex.unlock q.lock;
   r
 
@@ -185,19 +338,7 @@ let bq_close q =
   Mutex.lock q.lock;
   q.closed <- true;
   Condition.broadcast q.not_empty;
-  Condition.broadcast q.not_full;
   Mutex.unlock q.lock
-
-(* Same rationale as Planner: synthesis allocates heavily and minor GCs
-   are stop-all-domains barriers, so multi-domain runs get a roomier
-   minor heap (restored afterwards). *)
-let worker_minor_heap_words = 4 * 1024 * 1024
-
-let enlarge_minor_heap () =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < worker_minor_heap_words then
-    Gc.set { g with Gc.minor_heap_size = worker_minor_heap_words };
-  g
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                         *)
@@ -214,85 +355,65 @@ type out_item =
 
 exception Abort_run
 
-let classify ~epsilon ~tag ~gs g =
-  match g with
-  | Qgate.Rz theta ->
-      let theta = Pipeline.canonical_angle theta in
-      { key = Pipeline.rz_key ~epsilon ~tag ~gate_set:gs theta; target = Synth.Rz theta }
-  | _ ->
-      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-      let t = Pipeline.canonical_angle t
-      and p = Pipeline.canonical_angle p
-      and l = Pipeline.canonical_angle l in
-      {
-        key = Pipeline.u3_key ~epsilon ~tag ~gate_set:gs (t, p, l);
-        target = Synth.Unitary (Mat2.u3 t p l);
-      }
-
 let heap_sample () =
   let s = Gc.quick_stat () in
   Obs.max_gauge g_heap_peak (float_of_int s.Gc.heap_words)
 
-let run cfg ~next ~emit : (stats, Robust.failure) result =
-  let chain =
-    match cfg.chain with
-    | Some c -> c
-    | None -> (
-        match cfg.ir with
-        | Settings.Rz_ir -> Synth.rz_chain ()
-        | Settings.U3_ir -> Synth.u3_chain)
-  in
+(* Busy-seconds and job count of one domain of the run (0 = the
+   producer), the series the live [Metrics] sampler differentiates into
+   per-domain utilization. *)
+let domain_meters i =
+  ( Obs.gauge (Printf.sprintf "obs.planner.domain.%d.busy_s" i),
+    Obs.counter (Printf.sprintf "obs.planner.domain.%d.jobs" i) )
+
+(* [source handle] consumes one input instruction, handing [handle]
+   every IR gate it releases, and returns [false] at the end of the
+   input (after releasing whatever it still held). *)
+let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
+  let chain = chain_of cfg in
   let tag = Synth.chain_id chain in
   let gs = cfg.gate_set.Gateset.name in
-  let scfg =
-    Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
-      ~epsilon:cfg.epsilon ()
-  in
+  let c_memo_hit, c_memo_miss = memo_counters cfg.ir in
   let queue = bq_create cfg.queue in
   let results : (string, (Robust.attempt, Robust.failure) result) Hashtbl.t =
     Hashtbl.create 256
   in
   let results_lock = Mutex.create () in
   let result_ready = Condition.create () in
-  let job_deadline () =
-    match cfg.rotation_budget with
-    | None -> cfg.deadline
-    | Some b -> Obs.Deadline.earliest cfg.deadline (Obs.Deadline.after b)
-  in
   let exec_target target =
     Obs.span "planner.job" (fun () ->
-        match
-          Obs.span "pipeline.synthesize_rotation" (fun () ->
-              Synth.run_chain ~deadline:(job_deadline ()) ~config:scfg chain target)
-        with
-        | Ok a ->
-            Obs.set_span_attr "backend" a.Robust.backend;
-            Ok a
-        | Error _ as e ->
-            Obs.set_span_attr "backend" "failed";
-            e
-        | exception Robust.Failure_exn f ->
-            Obs.set_span_attr "backend" "failed";
-            Error f
-        | exception e ->
-            (* A worker domain must never die mid-stream. *)
-            Obs.set_span_attr "backend" "failed";
-            Error (Robust.Backend_error (Printexc.to_string e)))
+        let r =
+          match run_chain cfg chain target with
+          | r -> r
+          | exception Robust.Failure_exn f -> Error f
+          | exception e ->
+              (* A worker domain must never die mid-stream. *)
+              Error (Robust.Backend_error (Printexc.to_string e))
+        in
+        Obs.set_span_attr "backend" (match r with Ok a -> a.Robust.backend | Error _ -> "failed");
+        r)
   in
-  let post key r =
+  (* Run one job on this domain and post its result. *)
+  let run_job (g_busy, c_done) (key, target) =
+    let t0 = Obs.Clock.elapsed_s () in
+    let r = exec_target target in
+    Obs.add_gauge g_busy (Obs.Clock.elapsed_s () -. t0);
+    Obs.incr c_done;
     Mutex.lock results_lock;
     Hashtbl.replace results key r;
     Condition.broadcast result_ready;
     Mutex.unlock results_lock
   in
-  let worker parent () =
-    ignore (enlarge_minor_heap ());
+  let producer = domain_meters 0 in
+  let worker i parent () =
+    ignore (Planner.enlarge_minor_heap ());
+    let meters = domain_meters i in
     Obs.with_span_parent parent (fun () ->
         let rec loop () =
-          match bq_pop queue with
+          match bq_pop ~wait:true queue with
           | None -> ()
-          | Some (key, target) ->
-              post key (exec_target target);
+          | Some job ->
+              run_job meters job;
               loop ()
         in
         loop ())
@@ -332,16 +453,21 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
         emit_instr (Circuit.instr g qubits);
         emit_word rest qubits
   in
-  let ledger_chain = Synth.chain_id chain in
-  (* One occurrence served: its accounting, and its replay record when
-     no fresh record covers it. *)
-  let served ~replay (p : pending) (a : Robust.attempt) =
+  (* Serve the head occurrence: its accounting, its replay record when
+     no fresh record covers it, and its word. *)
+  let serve ~replay (p : pending) { attempt = a; gates } qubits =
+    ignore (Queue.pop out);
     incr nsynth;
     total_err := !total_err +. a.Robust.distance;
-    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then incr degraded;
+    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then begin
+      incr degraded;
+      Obs.incr c_degraded;
+      Option.iter (fun f -> f p.gate a) on_degraded
+    end;
     if replay && Ledger.enabled () then
-      Ledger.record
-        (Pipeline.replay_record ~chain:ledger_chain ~gate_set:gs ~requested:cfg.epsilon p.target a)
+      Ledger.record (replay_record ~chain:tag ~gate_set:gs ~requested:cfg.epsilon p.target a);
+    emit_word gates qubits;
+    true
   in
   (* Emit the FIFO head if its result is available.  The memo is only
      ever touched on this domain, in input and emission order, so cache
@@ -358,33 +484,21 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
         ignore (Queue.pop out);
         emit_word gates qubits;
         true
-    | Some (Cached (e, p, qubits)) ->
-        ignore (Queue.pop out);
-        served ~replay:true p e.attempt;
-        emit_word e.gates qubits;
-        true
+    | Some (Cached (e, p, qubits)) -> serve ~replay:true p e qubits
     | Some (Rotation (p, qubits)) -> (
         match Hashtbl.find_opt memo p.key with
         | Some e ->
             (* An earlier occurrence of this job was emitted first. *)
-            ignore (Queue.pop out);
-            served ~replay:true p e.attempt;
-            emit_word e.gates qubits;
-            true
+            serve ~replay:true p e qubits
         | None -> (
             Mutex.lock results_lock;
             let r = Hashtbl.find_opt results p.key in
             Mutex.unlock results_lock;
             match r with
             | Some (Ok a) ->
-                let e = { attempt = a; gates = Pipeline.word_to_gates a.Robust.word } in
-                cache_put memo p.key e;
                 let fresh = Hashtbl.mem inflight p.key in
                 Hashtbl.remove inflight p.key;
-                ignore (Queue.pop out);
-                served ~replay:(not fresh) p a;
-                emit_word e.gates qubits;
-                true
+                serve ~replay:(not fresh) p (memo_add p.key a) qubits
             | Some (Error f) ->
                 failure := Some f;
                 false
@@ -396,28 +510,58 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
     done;
     if Option.is_some !failure then raise Abort_run
   in
-  (* Block until the head's result lands (checked under the results
+  (* The head's result has not landed: run a queued job here, or, with
+     none queued, block until a worker posts (checked under the results
      lock so a completion between drain and wait cannot be missed). *)
   let wait_for_head () =
     drain_ready ();
-    if Queue.length out > 0 then begin
-      Mutex.lock results_lock;
-      (match Queue.peek_opt out with
-      | Some (Rotation (p, _))
-        when (not (Hashtbl.mem results p.key)) && not (Hashtbl.mem memo p.key) ->
-          Condition.wait result_ready results_lock
-      | _ -> ());
-      Mutex.unlock results_lock
-    end
+    match Queue.peek_opt out with
+    | Some (Rotation (p, _)) -> (
+        match bq_pop ~wait:false queue with
+        | Some job -> run_job producer job
+        | None ->
+            Mutex.lock results_lock;
+            if (not (Hashtbl.mem results p.key)) && not (Hashtbl.mem memo p.key) then
+              Condition.wait result_ready results_lock;
+            Mutex.unlock results_lock)
+    | _ -> ()
+  in
+  (* Workers start as jobs arrive, one per job beyond the first, up to
+     [jobs − 1]: a run with at most one job to do, such as a warm-memo
+     rerun, spawns none and keeps the caller's minor heap. *)
+  let parent = Obs.current_span_id () in
+  let workers = ref [] and saved_gc = ref None in
+  let add_worker () =
+    if Option.is_none !saved_gc then saved_gc := Some (Planner.enlarge_minor_heap ());
+    Obs.incr c_domains;
+    workers := Domain.spawn (worker (List.length !workers + 1) parent) :: !workers
+  in
+  (* Queue a job; while the queue is full, run its oldest job here
+     instead of waiting for a worker to take one. *)
+  let push_job job =
+    if List.length !workers < Int.min (cfg.jobs - 1) (!unique - 1) then add_worker ();
+    let rec go waited =
+      match bq_offer queue job with
+      | None -> ()
+      | Some oldest ->
+          if not waited then begin
+            incr waits;
+            Obs.incr c_bp_waits
+          end;
+          run_job producer oldest;
+          go true
+    in
+    go false
   in
   let resolve g =
     match Gate_table.find resolved g with
     | r -> r
     | exception Not_found ->
         let r =
-          match Pipeline.exact_word_of_trivial ~gate_set:gs g with
-          | Some word -> Exact (Pipeline.word_to_gates word)
-          | None -> Synthesize (classify ~epsilon:cfg.epsilon ~tag ~gs g)
+          match exact_word_of_trivial ~gate_set:gs g with
+          | Some word -> Exact (word_to_gates word)
+          | None -> (
+              match classify cfg ~tag g with Ok p -> Synthesize p | Error f -> Reject f)
         in
         if Gate_table.length resolved >= !memo_capacity then begin
           Obs.incr c_evictions;
@@ -426,12 +570,15 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
         Gate_table.add resolved g r;
         r
   in
-  (* Classify one gate the window gave up and append its output slot. *)
+  (* Classify one IR gate and append its output slot. *)
   let handle (g : Circuit.instr) =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else
       match resolve g.Circuit.gate with
       | Exact gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
+      | Reject f ->
+          failure := Some f;
+          raise Abort_run
       | Synthesize p -> (
           match Hashtbl.find_opt memo p.key with
           | Some e ->
@@ -444,52 +591,38 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
                 Obs.incr c_jobs;
                 incr unique;
                 Hashtbl.add inflight p.key ();
-                if cfg.jobs <= 1 then post p.key (exec_target p.target)
-                else bq_push queue (p.key, p.target) waits
+                if cfg.jobs <= 1 then run_job producer (p.key, p.target)
+                else push_job (p.key, p.target)
               end;
               Queue.push (Rotation (p, g.Circuit.qubits)) out)
   in
-  Obs.span "pipeline.stream_compile" @@ fun () ->
-  let parent = Obs.current_span_id () in
-  let saved_gc = if cfg.jobs > 1 then Some (enlarge_minor_heap ()) else None in
-  let workers =
-    if cfg.jobs > 1 then List.init (cfg.jobs - 1) (fun _ -> Domain.spawn (worker parent))
-    else []
-  in
+  Obs.incr c_domains;
   let joined = ref false in
   let shutdown () =
     if not !joined then begin
       joined := true;
       flush_counters ();
       bq_close queue;
-      List.iter Domain.join workers;
-      match saved_gc with Some g -> Gc.set g | None -> ()
+      List.iter Domain.join !workers;
+      Option.iter Gc.set !saved_gc
     end
   in
   Fun.protect ~finally:shutdown @@ fun () ->
-  let window = Stream_opt.create ~window:cfg.window cfg.ir in
   let body () =
-    let rec pump () =
-      match next () with
-      | None -> ()
-      | Some instr ->
-          incr gates_in;
-          Stream_opt.push window instr ~emit:handle;
-          drain_ready ();
-          (* Reorder-FIFO bound: past [depth] pending slots, stall the
-             producer until the head result lands. *)
-          while Queue.length out > cfg.depth && Option.is_none !failure do
-            wait_for_head ();
-            drain_ready ()
-          done;
-          if !gates_in land 1023 = 0 then begin
-            heap_sample ();
-            flush_counters ()
-          end;
-          pump ()
-    in
-    pump ();
-    Stream_opt.flush window ~emit:handle;
+    while source handle do
+      incr gates_in;
+      drain_ready ();
+      (* Reorder-FIFO bound: past [depth] pending slots, stall the
+         producer until the head result lands. *)
+      while Queue.length out > cfg.depth && Option.is_none !failure do
+        wait_for_head ();
+        drain_ready ()
+      done;
+      if !gates_in land 1023 = 0 then begin
+        heap_sample ();
+        flush_counters ()
+      end
+    done;
     while Queue.length out > 0 do
       wait_for_head ();
       drain_ready ()
@@ -521,7 +654,22 @@ let run cfg ~next ~emit : (stats, Robust.failure) result =
 (* Entry points                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_circuit cfg (c : Circuit.t) : (Circuit.t * stats, Robust.failure) result =
+let run cfg ~next ~emit =
+  Obs.span "pipeline.stream_compile" @@ fun () ->
+  let window = Stream_opt.create ~window:cfg.window cfg.ir in
+  let source handle =
+    match next () with
+    | Some instr ->
+        Stream_opt.push window instr ~emit:handle;
+        true
+    | None ->
+        Stream_opt.flush window ~emit:handle;
+        false
+  in
+  engine cfg ~source ~emit
+
+(* Feed a circuit's instructions to [drive] and collect what it emits. *)
+let collect (c : Circuit.t) drive =
   let rem = ref c.Circuit.instrs in
   let next () =
     match !rem with
@@ -531,9 +679,22 @@ let run_circuit cfg (c : Circuit.t) : (Circuit.t * stats, Robust.failure) result
         Some i
   in
   let out = ref [] in
-  match run cfg ~next ~emit:(fun i -> out := i :: !out) with
+  match drive ~next ~emit:(fun i -> out := i :: !out) with
   | Ok st -> Ok (Circuit.make c.Circuit.n_qubits (List.rev !out), st)
   | Error f -> Error f
+
+let run_circuit cfg c = collect c (run cfg)
+
+let run_ir ?on_degraded cfg c =
+  collect c (fun ~next ~emit ->
+      let source handle =
+        match next () with
+        | Some instr ->
+            handle instr;
+            true
+        | None -> false
+      in
+      engine ?on_degraded cfg ~source ~emit)
 
 let run_qasm cfg reader ~on_qreg ~emit : (stats, Robust.failure) result =
   let next () =

@@ -1,36 +1,85 @@
-(** Streaming compilation: incremental parse → windowed optimization →
-    planned synthesis → in-order emission, all interleaved, with
-    bounded memory end to end.
+(** The compilation engine, the one place circuits are synthesized:
+    classify → key → dedup → synthesize on domains → splice back in
+    order, interleaved with reading the input, with bounded memory end
+    to end.  {!run}, {!run_qasm} and {!run_circuit} fold the input
+    through a {!Stream_opt} window (never more than W gates) first — the
+    streaming CLI; {!run_ir} takes an IR circuit as it stands — the
+    whole-circuit workflows of [Pipeline], after [Settings.best_for].
 
-    The producer pulls instructions from a source, folds them through a
-    {!Stream_opt} window (never more than W gates), and feeds unique
-    rotation targets to worker domains over a bounded job queue — a
-    full queue blocks the producer, so parsing never outruns synthesis
-    (backpressure, visible as the [obs.planner.queue_depth] gauge and
-    the [obs.stream.backpressure_waits] counter).  Synthesized words
-    are spliced back strictly in input order from a depth-bounded
-    reorder FIFO, interleaved with parsing, so output flows before the
-    input is fully read.
+    The producer (calling domain) feeds unique rotation targets to
+    worker domains over a bounded job queue.  Whenever it would
+    otherwise block — a full queue (counted in
+    [obs.stream.backpressure_waits]), a head result not yet landed, the
+    final drain — it runs a queued job itself, so [jobs] n synthesizes
+    on up to n domains, each feeding [obs.planner.domain.<i>.busy_s]
+    and [.jobs] (0 = the producer); workers start one per job beyond
+    the first, so a warm-memo rerun spawns none.  Words are spliced
+    back strictly in input order from a depth-bounded reorder FIFO, so
+    output flows before the input is fully read.
 
     Output is byte-identical whatever [jobs] is, and identical to
     {!run_circuit} on the same input: per-key synthesis is
-    deterministic, occurrences emit in input order, and the memo cache
-    is touched only on the producer in emission order. *)
+    deterministic, occurrences emit in input order, and the memo is
+    touched only on the producer in emission order.  The ledger gets one
+    record per rotation occurrence: a fresh one per chain execution, a
+    [cached] replay for every other occurrence. *)
+
+(** {1 Keys and words} *)
+
+val canonical_angle : float -> float
+(** The angle identity under which rotations are memoized and deduped:
+    [Basis.norm_angle] (wrap into (−π, π], snap π/4 multiples) with
+    −0.0 mapped to 0.0.  Synthesis targets are built from the canonical
+    angle too, so rz(θ) and rz(θ+2π) share one synthesis and one memo
+    cell. *)
+
+val angle_key : float -> string
+(** ["%.10f"] of {!canonical_angle} — the key's angle component. *)
+
+val rz_key : epsilon:float -> tag:string -> gate_set:string -> float -> string
+(** The memo/dedup key of an Rz target: canonical angle, ε (printed
+    exactly, ["%h"]), chain tag, gate set.
+
+    How far a served word may sit from its target: angles share a cell
+    when they print equal under ["%.10f"], so they differ by less than
+    10⁻¹⁰.  The word was verified against the target of the cell's
+    first occurrence; against any other occurrence's canonical target
+    its distance ([Mat2.distance], a metric) exceeds the reported one by
+    at most half the angle difference, < 5·10⁻¹¹.  ε values share a
+    cell only when they are the same double. *)
+
+val u3_key :
+  epsilon:float -> tag:string -> gate_set:string -> float * float * float -> string
+(** As {!rz_key} for a U3 target (canonical angle triple).  A served
+    word exceeds its reported distance by at most half the summed angle
+    differences, < 1.5·10⁻¹⁰. *)
+
+val exact_word_of_trivial : ?gate_set:string -> Qgate.t -> Ctgate.t list option
+(** The exact Clifford+T word of a trivial rotation (≤1-T operator),
+    from the step-0 table; [None] when the gate genuinely needs
+    synthesis. *)
+
+(** {1 Runs} *)
 
 type config = {
   epsilon : float;  (** per-rotation threshold *)
   gate_set : Gateset.t;
-  ir : Settings.ir;  (** window IR: Rz phase-folding or U3 fusion *)
+  ir : Settings.ir;  (** Rz (phase-folding window) or U3 (fusion window) *)
   window : int;  (** W — max gates held by the sliding optimizer *)
   queue : int;  (** job-queue capacity, the backpressure bound *)
   depth : int;  (** max out-of-order results awaiting emission *)
-  jobs : int;  (** total domains; 1 = synthesize on the producer *)
+  jobs : int;  (** max domains; 1 = synthesize on the producer *)
   deadline : Obs.Deadline.t;
   rotation_budget : float option;  (** per-job seconds *)
   chain : Synth.rung_spec list option;  (** default: by [ir] *)
   trasyn : Trasyn.config;
   budgets : int list;
 }
+
+val default_trasyn : Trasyn.config
+(** The circuit workflows' TRASYN settings: depth-10 step-0 table,
+    k = 48 samples, beam 4 (one-site lookups dominate at circuit
+    thresholds). *)
 
 val config :
   ?epsilon:float ->
@@ -49,7 +98,8 @@ val config :
   config
 (** Defaults: ε 0.07, default gate set, Rz IR, window 64, queue 32,
     depth 4096, 1 job, no deadline, chain picked by IR
-    ([Synth.rz_chain] / [Synth.u3_chain]).
+    ([Synth.rz_chain] / [Synth.u3_chain]), {!default_trasyn} and
+    [Synth.default_budgets].
     @raise Invalid_argument on a non-positive window/queue/depth/jobs. *)
 
 type stats = {
@@ -62,7 +112,7 @@ type stats = {
   dedup_hits : int;  (** occurrences served by memo/in-flight dedup *)
   total_synth_error : float;
   degraded : int;  (** occurrences that fell back or overshot ε *)
-  backpressure_waits : int;  (** times the producer blocked on the queue *)
+  backpressure_waits : int;  (** times the producer found the queue full *)
   peak_heap_words : int;  (** process peak heap (obs.heap.peak_words) *)
 }
 
@@ -71,10 +121,11 @@ val run :
   next:(unit -> Circuit.instr option) ->
   emit:(Circuit.instr -> unit) ->
   (stats, Robust.failure) result
-(** Drive the engine: pull from [next] until [None], push every output
-    instruction to [emit] (in order, incrementally).  On a synthesis
-    failure the run aborts with the structured failure; [emit]ed
-    prefixes are valid output of the prefix consumed. *)
+(** Drive the engine through the window: pull from [next] until
+    [None], push every output instruction to [emit] (in order,
+    incrementally).  On a synthesis failure the run aborts with the
+    structured failure; [emit]ed prefixes are valid output of the
+    prefix consumed. *)
 
 val run_qasm :
   config ->
@@ -87,17 +138,37 @@ val run_qasm :
     @raise Qasm_reader.Parse_error as the underlying reader does. *)
 
 val run_circuit : config -> Circuit.t -> (Circuit.t * stats, Robust.failure) result
-(** The in-memory reference path: the same engine fed the whole circuit
-    as one batch.  Streamed output must be bit-identical to this. *)
+(** The in-memory reference path: {!run} fed the whole circuit as one
+    batch.  Streamed output must be bit-identical to this. *)
+
+val run_ir :
+  ?on_degraded:(Qgate.t -> Robust.attempt -> unit) ->
+  config ->
+  Circuit.t ->
+  (Circuit.t * stats, Robust.failure) result
+(** The engine over an IR circuit with no window: every rotation is
+    synthesized as it stands ([window] is unused).  [on_degraded] sees
+    each degraded occurrence (its IR gate and attempt) in emission
+    order.  A non-Rz rotation in the Rz IR is a [Backend_error] naming
+    "non-Rz". *)
+
+val synthesize : config -> Qgate.t -> (Robust.attempt, Robust.failure) result
+(** One rotation through the memo outside any run: keyed and targeted
+    as a run would classify it (triviality aside), served from the memo
+    or synthesized on this domain and memoized.  Failures are never
+    memoized, since a timeout is relative to the caller's deadline. *)
+
+(** {1 The memo} *)
 
 val set_cache_capacity : int -> unit
-(** Bound the streaming memo cache and each run's resolution table
-    (default 65536 entries each, flush-all like
-    [Pipeline.set_cache_capacity]).
+(** Bound the memo and each run's resolution table (default 65536
+    entries each); a full table is flushed wholesale on the next insert
+    (counted in [pipeline.cache.evictions]).
     @raise Invalid_argument when < 1. *)
 
 val clear_cache : unit -> unit
-(** Empty the streaming memo (for cache-cold measurements and
-    order-independent tests).  Trivial-rotation words and synthesis
-    keys are resolved in a table private to each run, bounded by the
-    same capacity, so nothing else outlives a run. *)
+(** Empty the memo (for cache-cold measurements and order-independent
+    tests).  Hits and misses are counted as
+    [pipeline.gridsynth_cache.hit]/[.miss] in the Rz IR and
+    [pipeline.trasyn_cache.hit]/[.miss] in the U3 IR: a hit once per
+    occurrence the memo already held, a miss once per job. *)

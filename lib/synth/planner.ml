@@ -1,6 +1,6 @@
 (* See planner.mli.  The planner is deliberately generic over the job
-   payload and result: the pipeline hands it canonicalized rotation
-   keys and a Synth chain runner, but tests drive it with stubs. *)
+   payload and result: the server hands it canonicalized rotation keys
+   and a Synth chain runner, but tests drive it with stubs. *)
 
 let c_jobs = Obs.counter "obs.planner.jobs"
 let c_dedup = Obs.counter "obs.planner.dedup_hits"

@@ -1,12 +1,13 @@
-(** Deduplicating multicore rotation planner.
+(** Deduplicating multicore rotation planner for the server's batch
+    path.  (Circuits, whole or streamed, run on [Stream_compile]'s
+    engine instead, which borrows only {!enlarge_minor_heap}.)
 
-    Pipeline workflows scan the IR circuit, canonicalize every rotation
-    angle, and hand the resulting (key, target) occurrence list to
-    {!plan}, which collapses repeats into unique jobs (first-appearance
-    order).  {!execute} runs the jobs across N domains with per-job
-    deadlines and collects the results into a key-indexed table the
-    emission pass reads back — so a circuit with 120 rotations but 12
-    distinct canonical angles pays for 12 syntheses.
+    A batch's (key, target) occurrence list goes to {!plan}, which
+    collapses repeats into unique jobs (first-appearance order).
+    {!execute} runs the jobs across N domains with per-job deadlines
+    and collects the results into a key-indexed table the caller reads
+    back — so a batch of 16 angles with 4 distinct canonical angles
+    pays for 4 syntheses.
 
     Observability: [obs.planner.jobs] (unique jobs executed),
     [obs.planner.dedup_hits] (occurrences folded away),
@@ -14,7 +15,7 @@
     per-domain [obs.planner.domain.<i>.busy_s] /
     [obs.planner.domain.<i>.jobs] (domain 0 is the calling domain) —
     busy-seconds that the live [Metrics] sampler differentiates into
-    per-domain utilization series;
+    per-domain utilization series (the engine feeds the same names);
     each job runs in a ["planner.job"] span carrying a ["backend"]
     attribute (the winning rung's name, or ["failed"]) that
     [tgates-trace hotspots] groups by, all grafted under the caller's
@@ -63,3 +64,9 @@ val execute :
     default size makes the stop-all-domains minor-GC barrier the
     bottleneck); the calling domain's GC settings are restored on
     return. *)
+
+val enlarge_minor_heap : unit -> Gc.control
+(** Raise this domain's minor heap to 4M words if it is smaller, as
+    every domain of a multi-domain run does (synthesis allocates
+    heavily, and each minor collection is a stop-all-domains barrier);
+    returns the settings before the call, for restoring. *)

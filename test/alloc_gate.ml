@@ -15,7 +15,13 @@
    and, over the 200 angles θ_i = −3 + 6i/200 at ε 0.07, minor words
 
    4. per Gridsynth.rz call (grid problems, Diophantine, exact
-      synthesis on native Exact_u, verification).
+      synthesis on native Exact_u, verification);
+
+   and, over every 8th circuit of the 187-circuit suite, minor words
+
+   5. per IR gate of a warm-memo Pipeline.run_gridsynth ~jobs:1, minus
+      its own Settings.best_for: the whole-circuit path (the engine
+      run over the IR, output circuit and result record).
 
    Bounds are for the dev profile that runtest builds. *)
 
@@ -23,6 +29,7 @@ let parse_bound = 40.0
 let write_bound = 8.0
 let engine_bound = 351.0
 let gridsynth_bound = 15321.0
+let whole_bound = 1851.0
 
 let gates = 10_000
 
@@ -92,4 +99,19 @@ let () =
     measure (fun () -> List.iter (fun theta -> ignore (Gridsynth.rz ~theta ~epsilon:0.07 ())) angles)
   in
   check "Gridsynth.rz per call at eps 0.07" (words /. 200.0) gridsynth_bound;
+  let circuits =
+    List.filteri (fun i _ -> i mod 8 = 0) (Suite.all ())
+    |> List.map (fun (b : Suite.benchmark) -> b.Suite.circuit)
+  in
+  let whole_words = ref 0.0 and ir_gates = ref 0 in
+  List.iter
+    (fun c ->
+      (* The first run warms the memo. *)
+      ignore (Pipeline.run_gridsynth ~jobs:1 c : Pipeline.synthesized);
+      let (_, ir), best_for = measure (fun () -> Settings.best_for Settings.Rz_ir c) in
+      let _, whole = measure (fun () -> Pipeline.run_gridsynth ~jobs:1 c) in
+      whole_words := !whole_words +. whole -. best_for;
+      ir_gates := !ir_gates + Circuit.length ir)
+    circuits;
+  check "warm whole-circuit path per IR gate" (!whole_words /. float_of_int !ir_gates) whole_bound;
   if !failed then exit 1

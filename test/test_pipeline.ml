@@ -97,9 +97,9 @@ let pipeline_tests =
         Pipeline.clear_caches ();
         let evictions = Obs.counter "pipeline.cache.evictions" in
         let e0 = Obs.counter_value evictions in
-        Pipeline.set_cache_capacity 2;
+        Stream_compile.set_cache_capacity 2;
         Fun.protect ~finally:(fun () ->
-            Pipeline.set_cache_capacity 65_536;
+            Stream_compile.set_cache_capacity 65_536;
             Pipeline.clear_caches ())
         @@ fun () ->
         (* Distinct angles at a loose epsilon: each is a fresh entry, so

@@ -454,6 +454,150 @@ let engine_tests =
             | Ok _ -> Alcotest.fail "expected a failure under *=fail"
             | Error _ -> ());
         Stream_compile.clear_cache ());
+    Alcotest.test_case "every domain of a run reports busy seconds" `Quick (fun () ->
+        (* Each job stalls 10 ms, so the worker (domain 1) takes some of
+           the sixteen, and the producer (domain 0) runs queued ones in
+           the final drain instead of blocking. *)
+        let busy i =
+          Obs.gauge_value (Obs.gauge (Printf.sprintf "obs.planner.domain.%d.busy_s" i))
+        in
+        let b0 = busy 0 and b1 = busy 1 in
+        let specs =
+          match Robust.Fault.parse "trasyn=stall:0.01" with
+          | Ok (_, s) -> s
+          | Error e -> Alcotest.fail e
+        in
+        let cfg =
+          Stream_compile.config ~epsilon:0.2 ~ir:Settings.U3_ir ~jobs:2
+            ~trasyn:{ Trasyn.default_config with table_t = 6; samples = 16 } ~budgets:[ 6 ] ()
+        in
+        let c =
+          Circuit.make 16
+            (List.init 16 (fun i ->
+                 Circuit.instr (Qgate.U3 (0.3 +. (0.1 *. float_of_int i), 0.7, -0.4)) [| i |]))
+        in
+        Stream_compile.clear_cache ();
+        (match Robust.Fault.with_faults specs (fun () -> Stream_compile.run_circuit cfg c) with
+        | Error f -> Alcotest.failf "failed: %s" (Robust.failure_to_string f)
+        | Ok (_, st) -> Alcotest.(check int) "sixteen jobs" 16 st.Stream_compile.unique_syntheses);
+        Alcotest.(check bool) "worker busy" true (busy 1 > b1);
+        Alcotest.(check bool) "producer busy" true (busy 0 > b0));
+    Alcotest.test_case "a run with one job or none starts no worker" `Quick (fun () ->
+        (* Cold: one job (two occurrences of one angle); warm: none. *)
+        let domains = Obs.counter "obs.planner.domains" in
+        let cfg = Stream_compile.config ~epsilon:0.1 ~jobs:4 () in
+        let c =
+          Circuit.make 2
+            [ Circuit.instr (Qgate.Rz 0.3) [| 0 |]; Circuit.instr Qgate.H [| 1 |];
+              Circuit.instr (Qgate.Rz 0.3) [| 1 |] ]
+        in
+        Stream_compile.clear_cache ();
+        List.iter
+          (fun label ->
+            let d0 = Obs.counter_value domains in
+            (match Stream_compile.run_ir cfg c with
+            | Error f -> Alcotest.failf "%s: %s" label (Robust.failure_to_string f)
+            | Ok _ -> ());
+            Alcotest.(check int) (label ^ ": the producer only") 1 (Obs.counter_value domains - d0))
+          [ "cold"; "warm" ]);
   ]
 
-let suite = reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests
+(* The whole-circuit workflows run on the engine with no window; the
+   code they replaced (Workflow_reference: scan, plan, execute on
+   Planner, emit, no memo) is the oracle.  QASM, summed error, rotation
+   count and degradation list must match field for field at jobs 1 and
+   2, clean and with TRASYN failing, and the ledger must hold one record
+   per rotation. *)
+let workflow_tests =
+  let show (s : Pipeline.synthesized) =
+    ( Qasm.to_string s.Pipeline.circuit,
+      Printf.sprintf "%h/%d" s.Pipeline.total_synth_error s.Pipeline.rotations_synthesized,
+      List.map
+        (fun (d : Pipeline.degradation) ->
+          Printf.sprintf "%s %s %d %h %h" d.Pipeline.gate d.Pipeline.backend d.Pipeline.fallbacks
+            d.Pipeline.achieved d.Pipeline.requested)
+        s.Pipeline.degraded )
+  in
+  let ok label = function
+    | Ok s -> s
+    | Error f -> Alcotest.failf "%s: %s" label (Robust.failure_to_string f)
+  in
+  (* Returns whether any run reported a degradation. *)
+  let agree label circuits =
+    let was = Ledger.enabled () in
+    Fun.protect ~finally:(fun () ->
+        Ledger.set_enabled was;
+        Ledger.reset ())
+    @@ fun () ->
+    let degraded = ref false in
+    List.iter
+      (fun (name, c) ->
+        List.iter
+          (fun (ir, jobs) ->
+            let label =
+              Printf.sprintf "%s %s %s jobs=%d" label name
+                (match ir with Settings.Rz_ir -> "gridsynth" | Settings.U3_ir -> "trasyn")
+                jobs
+            in
+            Ledger.set_enabled false;
+            let want = ok (label ^ " reference") (Workflow_reference.run ~ir ~jobs c) in
+            Pipeline.clear_caches ();
+            Ledger.set_enabled true;
+            Ledger.reset ();
+            let got =
+              ok label
+                (match ir with
+                | Settings.Rz_ir -> Pipeline.run_gridsynth_result ~jobs c
+                | Settings.U3_ir -> Pipeline.run_trasyn_result ~jobs c)
+            in
+            let wq, we, wd = show want and gq, ge, gd = show got in
+            Alcotest.(check string) (label ^ " qasm") wq gq;
+            Alcotest.(check string) (label ^ " error/rotations") we ge;
+            Alcotest.(check (list string)) (label ^ " degraded") wd gd;
+            Alcotest.(check int) (label ^ " ledger records") got.Pipeline.rotations_synthesized
+              (Ledger.size ());
+            if gd <> [] then degraded := true)
+          [ (Settings.Rz_ir, 1); (Settings.Rz_ir, 2); (Settings.U3_ir, 1); (Settings.U3_ir, 2) ])
+      circuits;
+    !degraded
+  in
+  let circuits ~random names =
+    List.init random (fun i -> (Printf.sprintf "random-%d" i, random_circuit 3 40))
+    @ List.filter_map
+        (fun (b : Suite.benchmark) ->
+          if List.mem b.Suite.name names then Some (b.Suite.name, b.Suite.circuit) else None)
+        (Suite.all ())
+  in
+  [
+    Alcotest.test_case "workflows = planner reference (clean)" `Slow (fun () ->
+        ignore
+          (agree "clean"
+             (circuits ~random:3 [ "qpe-3"; "adder-3"; "qft-3"; "vqe-4-2"; "qaoa-4-p1-1" ])
+            : bool));
+    Alcotest.test_case "whole-circuit runs take the IR as it stands" `Quick (fun () ->
+        (* Adjacent rotations that any window, even W=1, would merge:
+           with no window each one is synthesized. *)
+        let pair a b = Circuit.make 1 [ Circuit.instr a [| 0 |]; Circuit.instr b [| 0 |] ] in
+        let gs =
+          ok "gridsynth"
+            (Pipeline.run_gridsynth_result ~transpile:false ~jobs:1
+               (pair (Qgate.Rz 0.3) (Qgate.Rz 0.4)))
+        in
+        Alcotest.(check int) "Rz rotations" 2 gs.Pipeline.rotations_synthesized;
+        let tr =
+          ok "trasyn"
+            (Pipeline.run_trasyn_result ~transpile:false ~jobs:1
+               (pair (Qgate.U3 (0.3, 0.2, 0.1)) (Qgate.U3 (0.5, -0.4, 0.7))))
+        in
+        Alcotest.(check int) "U3 rotations" 2 tr.Pipeline.rotations_synthesized);
+    Alcotest.test_case "workflows = planner reference (trasyn=fail)" `Slow (fun () ->
+        let specs =
+          match Robust.Fault.parse "trasyn=fail" with Ok (_, s) -> s | Error e -> Alcotest.fail e
+        in
+        let c = circuits ~random:1 [ "qpe-3"; "adder-3" ] in
+        Alcotest.(check bool) "some rotation degraded" true
+          (Robust.Fault.with_faults specs (fun () -> agree "trasyn=fail" c)));
+  ]
+
+let suite =
+  reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests @ workflow_tests

@@ -232,6 +232,28 @@ let determinism_tests =
           (Qasm.to_string s4.Pipeline.circuit));
   ]
 
+(* Last in the suite, so the tests above keep their indices. *)
+let epsilon_key_tests =
+  [
+    Alcotest.test_case "an epsilon one ulp away is a memo miss" `Quick (fun () ->
+        (* Keys print ε exactly: a word synthesized at 0.07 must not be
+           served at the next double below or above it. *)
+        with_obs @@ fun () ->
+        Pipeline.clear_caches ();
+        ignore (Pipeline.gridsynth_rz_word ~epsilon:0.07 0.61 : Ctgate.t list * float);
+        List.iter
+          (fun epsilon ->
+            let (word, d), misses =
+              counter_delta "pipeline.gridsynth_cache.miss" (fun () ->
+                  Pipeline.gridsynth_rz_word ~epsilon 0.61)
+            in
+            Alcotest.(check int) (Printf.sprintf "%h misses" epsilon) 1 misses;
+            Alcotest.(check bool) (Printf.sprintf "%h met" epsilon) true (d <= epsilon);
+            Alcotest.(check bool) "verified" true
+              (Mat2.distance (Ctgate.seq_to_mat2 word) (Mat2.rz 0.61) <= epsilon))
+          [ Float.succ 0.07; Float.pred 0.07 ]);
+  ]
+
 let suite =
   registry_tests @ adapter_tests @ chain_tests @ planner_tests @ canonical_tests
-  @ determinism_tests
+  @ determinism_tests @ epsilon_key_tests
