@@ -23,9 +23,11 @@
 
     The interior of the chain (every site but the first) never sees the
     target: {!canonical_chain} canonicalizes it once per operator-bank
-    configuration, and {!instantiate} grafts a fresh target-folded first
-    site onto the shared interior.  Sampling only reads site tensors, so
-    one canonicalized interior can serve any number of targets — and any
+    configuration, indexes each interior site with two trees (a sum
+    tree for draws, a cone tree for maxima on the last site), and
+    {!instantiate} grafts a fresh target-folded first site onto the
+    shared interior.  Sampling only reads site tensors and trees, so one
+    canonicalized interior can serve any number of targets — and any
     number of domains — concurrently. *)
 
 type site = {
@@ -37,7 +39,35 @@ type site = {
   bank : Sitebank.t;
 }
 
-type t = { sites : site array; target : Mat2.t }
+(* Sum tree over contiguous blocks of [sum_leaf] physical indices, nodes
+   in preorder (a node's left child is the node after it).  A node's
+   Gram G_B = Σ_{s∈B} A[s]A[s]† is Hermitian 4×4, stored as 16 reals:
+   the diagonal, then (re, im) of G_01, G_02, G_03, G_12, G_13, G_23. *)
+type sum_tree = {
+  gram : float array;
+  lo : int array;  (** first physical index below the node *)
+  hi : int array;  (** one past the last *)
+  right : int array;  (** right child; −1 at a leaf *)
+}
+
+(* Cone tree over the last site's operators a_s ∈ C⁴, clustered by
+   their SU(2) quaternions (median splits, ≤ [cone_leaf] per leaf), in
+   preorder.  Per node: a unit axis c (8 reals), and [cons] = cos ρ
+   (rounded down), sin ρ (rounded up) and R (rounded up), where ρ is
+   the largest Fubini–Study angle from c to an operator below the node
+   and R the largest operator norm. *)
+type cone_tree = {
+  perm : int array;  (** physical indices; each node's are contiguous *)
+  clo : int array;
+  chi : int array;
+  cright : int array;  (** right child; −1 at a leaf *)
+  axis : float array;
+  cons : float array;
+}
+
+type trees = { sum : sum_tree; cone : cone_tree option }
+
+type t = { sites : site array; target : Mat2.t; trees : trees option array }
 
 type sample = {
   indices : int array;  (** one physical index per site *)
@@ -59,25 +89,29 @@ let make_site bank dl dr =
 
 let c_sweeps = Obs.counter "mps.sweeps"
 let c_samples = Obs.counter "mps.samples_drawn"
+let c_tree_nodes = Obs.counter "mps.sample.tree_nodes"
+let c_tree_leaves = Obs.counter "mps.sample.tree_leaves"
+let c_boundary = Obs.counter "mps.sample.boundary_draws"
 
 (* Bank entry (phys, row, col) lives at bank.re/im.(phys·4 + row·2 + col). *)
 
 (* Single site (l = 1): the tensor is directly the trace values
-   Σ_ab conj(U_ab)·M[s]_ab. *)
+   Σ_ab conj(U_ab)·M[s]_ab, accumulated entry by entry as
+   acc + z.re·m.re + z.im·m.im (re) and acc + z.re·m.im − z.im·m.re (im). *)
 let fill_single_site (u : Mat2.t) bank =
   let s = make_site bank 1 1 in
   let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
-  let dot acc_re acc_im (z : Cplx.t) mre mim =
-    (* conj(z)·m accumulated into (acc_re, acc_im) *)
-    (acc_re +. (z.Cplx.re *. mre) +. (z.Cplx.im *. mim),
-     acc_im +. (z.Cplx.re *. mim) -. (z.Cplx.im *. mre))
-  in
+  let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
   for phys = 0 to s.n - 1 do
     let b = phys * 4 in
-    let re, im = dot 0.0 0.0 u.Mat2.m00 bre.(b) bim.(b) in
-    let re, im = dot re im u.Mat2.m01 bre.(b + 1) bim.(b + 1) in
-    let re, im = dot re im u.Mat2.m10 bre.(b + 2) bim.(b + 2) in
-    let re, im = dot re im u.Mat2.m11 bre.(b + 3) bim.(b + 3) in
+    let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
+    let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
+    let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
+    let im = im +. (u01.Cplx.re *. bim.(b + 1)) -. (u01.Cplx.im *. bre.(b + 1)) in
+    let re = re +. (u10.Cplx.re *. bre.(b + 2)) +. (u10.Cplx.im *. bim.(b + 2)) in
+    let im = im +. (u10.Cplx.re *. bim.(b + 2)) -. (u10.Cplx.im *. bre.(b + 2)) in
+    let re = re +. (u11.Cplx.re *. bre.(b + 3)) +. (u11.Cplx.im *. bim.(b + 3)) in
+    let im = im +. (u11.Cplx.re *. bim.(b + 3)) -. (u11.Cplx.im *. bre.(b + 3)) in
     s.re.(phys) <- re;
     s.im.(phys) <- im
   done;
@@ -88,14 +122,15 @@ let fill_single_site (u : Mat2.t) bank =
 let fill_first_site (u : Mat2.t) bank =
   let s = make_site bank 1 4 in
   let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
-  let urow b = if b = 0 then (u.Mat2.m00, u.Mat2.m10) else (u.Mat2.m01, u.Mat2.m11) in
   for phys = 0 to s.n - 1 do
     let base = phys * 4 in
     for c = 0 to 1 do
       let m0re = bre.(base + c) and m0im = bim.(base + c) in
       let m1re = bre.(base + 2 + c) and m1im = bim.(base + 2 + c) in
       for b = 0 to 1 do
-        let u0, u1 = urow b in
+        (* column b of U: (U_0b, U_1b) *)
+        let u0 = if b = 0 then u.Mat2.m00 else u.Mat2.m01 in
+        let u1 = if b = 0 then u.Mat2.m10 else u.Mat2.m11 in
         (* conj(u0)·m0 + conj(u1)·m1 *)
         let re =
           (u0.Cplx.re *. m0re) +. (u0.Cplx.im *. m0im)
@@ -153,7 +188,7 @@ let build ~(target : Mat2.t) (banks : Sitebank.t array) =
         else fill_middle_site bank)
       banks
   in
-  { sites; target }
+  { sites; target; trees = Array.make l None }
 
 (* Exact trace value for a full index assignment (direct evaluation,
    used by tests and to double-check samples). *)
@@ -254,18 +289,6 @@ let absorb_right s ~ld l_re l_im =
     done
   done
 
-(* Bring sites 1..l−1 to right-canonical form; site 0 absorbs the norm. *)
-let canonicalize t =
-  Obs.span "mps.canonicalize" @@ fun () ->
-  let l = Array.length t.sites in
-  Obs.incr ~by:(max 0 (l - 1)) c_sweeps;
-  let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
-  for i = l - 1 downto 1 do
-    let s = t.sites.(i) in
-    lq_site s l_re l_im;
-    absorb_right t.sites.(i - 1) ~ld:s.dl l_re l_im
-  done
-
 (* Canonical-form check: Σ_s A[s]·A[s]† = identity on the left bond. *)
 let right_canonical_error s =
   let acc = Cmatrix.create s.dl s.dl in
@@ -283,6 +306,459 @@ let right_canonical_error s =
   Cmatrix.frobenius_norm (Cmatrix.sub acc (Cmatrix.identity s.dl))
 
 (* ------------------------------------------------------------------ *)
+(* Tree indices of interior sites                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* An interior site's conditional weight after prefix vector w is
+   weight(s) = Σ_b |Σ_a w[a]·A[s]_(a,b)|², so a block B of physical
+   indices weighs w·G_B·w† with G_B = Σ_{s∈B} A[s]A[s]†: a sum tree of
+   those Grams routes a prefix's sorted uniforms to their blocks in
+   O(m·log n) node visits.  On the last site (dr = 1) weight(s) =
+   |w·a_s|², and the Fubini–Study angle between complex lines is a
+   metric: for a node with unit axis c, angular radius ρ and largest
+   norm R, |w·a_s| ≤ ‖w‖·R·cos(max(0, φ − ρ)) with cos φ = |w·c|/‖w‖,
+   which bounds every operator below the node and drives an exact
+   branch-and-bound for maxima.  Both trees depend on the site alone,
+   so they are built once per chain and shared read-only. *)
+
+let sum_leaf = 16
+let cone_leaf = 8
+
+(* Conditional weight of one physical index, written to [out.(oi)]:
+   the same operations in the same order as [frontier_weights]' scan,
+   so tree leaves reproduce its values bit for bit. *)
+let weight_into site w_re w_im woff phys out oi =
+  let dl = site.dl and dr = site.dr in
+  let sre = site.re and sim = site.im in
+  let base = phys * dl * dr in
+  let acc = ref 0.0 in
+  for b = 0 to dr - 1 do
+    let vre = ref 0.0 and vim = ref 0.0 in
+    for a = 0 to dl - 1 do
+      let are = sre.(base + (a * dr) + b) and aim = sim.(base + (a * dr) + b) in
+      let wre = w_re.(woff + a) and wim = w_im.(woff + a) in
+      vre := !vre +. (wre *. are) -. (wim *. aim);
+      vim := !vim +. (wre *. aim) +. (wim *. are)
+    done;
+    acc := !acc +. (!vre *. !vre) +. (!vim *. !vim)
+  done;
+  out.(oi) <- !acc
+
+(* G += Σ_b A[s]_(·,b)·A[s]_(·,b)† for one physical index. *)
+let gram_add site phys g o =
+  let dr = site.dr and re = site.re and im = site.im in
+  let base = phys * 4 * dr in
+  for b = 0 to dr - 1 do
+    let x0r = re.(base + b) and x0i = im.(base + b) in
+    let x1r = re.(base + dr + b) and x1i = im.(base + dr + b) in
+    let x2r = re.(base + (2 * dr) + b) and x2i = im.(base + (2 * dr) + b) in
+    let x3r = re.(base + (3 * dr) + b) and x3i = im.(base + (3 * dr) + b) in
+    g.(o) <- g.(o) +. (x0r *. x0r) +. (x0i *. x0i);
+    g.(o + 1) <- g.(o + 1) +. (x1r *. x1r) +. (x1i *. x1i);
+    g.(o + 2) <- g.(o + 2) +. (x2r *. x2r) +. (x2i *. x2i);
+    g.(o + 3) <- g.(o + 3) +. (x3r *. x3r) +. (x3i *. x3i);
+    (* x_a·conj(x_b) = (ar·br + ai·bi) + i(ai·br − ar·bi) *)
+    g.(o + 4) <- g.(o + 4) +. (x0r *. x1r) +. (x0i *. x1i);
+    g.(o + 5) <- g.(o + 5) +. (x0i *. x1r) -. (x0r *. x1i);
+    g.(o + 6) <- g.(o + 6) +. (x0r *. x2r) +. (x0i *. x2i);
+    g.(o + 7) <- g.(o + 7) +. (x0i *. x2r) -. (x0r *. x2i);
+    g.(o + 8) <- g.(o + 8) +. (x0r *. x3r) +. (x0i *. x3i);
+    g.(o + 9) <- g.(o + 9) +. (x0i *. x3r) -. (x0r *. x3i);
+    g.(o + 10) <- g.(o + 10) +. (x1r *. x2r) +. (x1i *. x2i);
+    g.(o + 11) <- g.(o + 11) +. (x1i *. x2r) -. (x1r *. x2i);
+    g.(o + 12) <- g.(o + 12) +. (x1r *. x3r) +. (x1i *. x3i);
+    g.(o + 13) <- g.(o + 13) +. (x1i *. x3r) -. (x1r *. x3i);
+    g.(o + 14) <- g.(o + 14) +. (x2r *. x3r) +. (x2i *. x3i);
+    g.(o + 15) <- g.(o + 15) +. (x2i *. x3r) -. (x2r *. x3i)
+  done
+
+(* out.(0) ← w·G_node·w† = Σ_a G_aa|w_a|² + 2·Σ_{a<b} Re(w_a·conj(w_b)·G_ab). *)
+let gram_form g node w_re w_im woff out =
+  let o = node * 16 in
+  let w0r = w_re.(woff) and w0i = w_im.(woff) in
+  let w1r = w_re.(woff + 1) and w1i = w_im.(woff + 1) in
+  let w2r = w_re.(woff + 2) and w2i = w_im.(woff + 2) in
+  let w3r = w_re.(woff + 3) and w3i = w_im.(woff + 3) in
+  let diag =
+    (g.(o) *. ((w0r *. w0r) +. (w0i *. w0i)))
+    +. (g.(o + 1) *. ((w1r *. w1r) +. (w1i *. w1i)))
+    +. (g.(o + 2) *. ((w2r *. w2r) +. (w2i *. w2i)))
+    +. (g.(o + 3) *. ((w3r *. w3r) +. (w3i *. w3i)))
+  in
+  (* Re((xr + i·xi)(gr + i·gi)) with x = w_a·conj(w_b) *)
+  let off =
+    ((((w0r *. w1r) +. (w0i *. w1i)) *. g.(o + 4)) -. (((w0i *. w1r) -. (w0r *. w1i)) *. g.(o + 5)))
+    +. ((((w0r *. w2r) +. (w0i *. w2i)) *. g.(o + 6)) -. (((w0i *. w2r) -. (w0r *. w2i)) *. g.(o + 7)))
+    +. ((((w0r *. w3r) +. (w0i *. w3i)) *. g.(o + 8)) -. (((w0i *. w3r) -. (w0r *. w3i)) *. g.(o + 9)))
+    +. ((((w1r *. w2r) +. (w1i *. w2i)) *. g.(o + 10)) -. (((w1i *. w2r) -. (w1r *. w2i)) *. g.(o + 11)))
+    +. ((((w1r *. w3r) +. (w1i *. w3i)) *. g.(o + 12)) -. (((w1i *. w3r) -. (w1r *. w3i)) *. g.(o + 13)))
+    +. ((((w2r *. w3r) +. (w2i *. w3i)) *. g.(o + 14)) -. (((w2i *. w3r) -. (w2r *. w3i)) *. g.(o + 15)))
+  in
+  out.(0) <- diag +. (2.0 *. off)
+
+let check_tree_site site =
+  if site.dl <> 4 then invalid_arg "Mps: tree index needs an interior site (left bond 4)"
+
+let build_sum_tree site =
+  check_tree_site site;
+  let n = site.n in
+  let blocks = Int.max 1 ((n + sum_leaf - 1) / sum_leaf) in
+  let nodes = (2 * blocks) - 1 in
+  let gram = Array.make (nodes * 16) 0.0 in
+  let lo = Array.make nodes 0 and hi = Array.make nodes 0 and right = Array.make nodes (-1) in
+  let next = ref 0 in
+  let rec go blo bhi =
+    let i = !next in
+    incr next;
+    lo.(i) <- blo * sum_leaf;
+    hi.(i) <- Int.min n (bhi * sum_leaf);
+    if bhi - blo = 1 then
+      for phys = lo.(i) to hi.(i) - 1 do
+        gram_add site phys gram (i * 16)
+      done
+    else begin
+      let mid = (blo + bhi) / 2 in
+      let l = go blo mid in
+      let r = go mid bhi in
+      right.(i) <- r;
+      for c = 0 to 15 do
+        gram.((i * 16) + c) <- gram.((l * 16) + c) +. gram.((r * 16) + c)
+      done
+    end;
+    i
+  in
+  ignore (go 0 blocks);
+  { gram; lo; hi; right }
+
+(* Cone-tree construction: median splits permute an index array in
+   place.  Above [cone_exact] operators the split keys are the 4-float
+   quaternion keys, read through [perm]; a subtree of at most
+   [cone_exact] operators is gathered once into a cache-resident
+   [stride]-float record per operator — key (4), a_s (8, re/im
+   interleaved), ‖a_s‖, 1/‖a_s‖ and the physical index — on which its
+   remaining splits and its node constants run. *)
+let stride = 16
+
+(* Nodes above this size keep the trivial ρ = π/2: on depth-8 tables
+   their exact cos ρ measured ≤ 0.14, against ≥ 0.5 one level down. *)
+let cone_exact = 4096
+
+(* SU(2) quaternion of a_s read as the 2×2 matrix [[a0, a1], [a2, a3]]
+   (= M[s] up to the boundary factor): for A = e^{iα}·U with
+   U = q0·I − i(q1·X + q2·Y + q3·Z), (A00 + A11)/2 = e^{iα}q0,
+   i(A01 + A10)/2 = e^{iα}q1, (A10 − A01)/2 = e^{iα}q2 and
+   −i(A11 − A00)/2 = e^{iα}q3.  The phase is read off the largest of
+   the four and the sign fixed to the q0 ≥ 0 hemisphere.  The key only
+   steers clustering, so any key is sound: the node constants are
+   exact. *)
+let quaternion_keys site =
+  let n = site.n and re = site.re and im = site.im in
+  let keys = Array.make (4 * Int.max 1 n) 0.0 in
+  let v = Array.make 8 0.0 in
+  for s = 0 to n - 1 do
+    let o = 4 * s in
+    let z1r = re.(o) and z1i = im.(o) and z2r = re.(o + 1) and z2i = im.(o + 1) in
+    let z3r = re.(o + 2) and z3i = im.(o + 2) and z4r = re.(o + 3) and z4i = im.(o + 3) in
+    v.(0) <- 0.5 *. (z1r +. z4r);
+    v.(1) <- 0.5 *. (z1i +. z4i);
+    v.(2) <- -0.5 *. (z2i +. z3i);
+    v.(3) <- 0.5 *. (z2r +. z3r);
+    v.(4) <- 0.5 *. (z3r -. z2r);
+    v.(5) <- 0.5 *. (z3i -. z2i);
+    v.(6) <- 0.5 *. (z4i -. z1i);
+    v.(7) <- -0.5 *. (z4r -. z1r);
+    let best = ref 0 and best_m = ref (-1.0) in
+    for j = 0 to 3 do
+      let m = (v.(2 * j) *. v.(2 * j)) +. (v.((2 * j) + 1) *. v.((2 * j) + 1)) in
+      if m > !best_m then begin
+        best := j;
+        best_m := m
+      end
+    done;
+    if !best_m > 0.0 then begin
+      let mag = Float.sqrt !best_m in
+      let er = v.(2 * !best) /. mag and ei = v.((2 * !best) + 1) /. mag in
+      let nq = ref 0.0 in
+      for j = 0 to 3 do
+        let x = (v.(2 * j) *. er) +. (v.((2 * j) + 1) *. ei) in
+        keys.(o + j) <- x;
+        nq := !nq +. (x *. x)
+      done;
+      let inv = 1.0 /. Float.sqrt !nq in
+      let inv = if keys.(o) < 0.0 then -.inv else inv in
+      for j = 0 to 3 do
+        keys.(o + j) <- keys.(o + j) *. inv
+      done
+    end
+  done;
+  keys
+
+(* The coordinate (of the 4 key floats leading the [width]-float
+   records ix.(lo..hi−1) of [buf]) with the widest spread. *)
+let widest buf width ix lo hi =
+  let mn0 = ref infinity and mx0 = ref neg_infinity and mn1 = ref infinity and mx1 = ref neg_infinity in
+  let mn2 = ref infinity and mx2 = ref neg_infinity and mn3 = ref infinity and mx3 = ref neg_infinity in
+  for p = lo to hi - 1 do
+    let b = width * ix.(p) in
+    let x0 = buf.(b) and x1 = buf.(b + 1) and x2 = buf.(b + 2) and x3 = buf.(b + 3) in
+    if x0 < !mn0 then mn0 := x0;
+    if x0 > !mx0 then mx0 := x0;
+    if x1 < !mn1 then mn1 := x1;
+    if x1 > !mx1 then mx1 := x1;
+    if x2 < !mn2 then mn2 := x2;
+    if x2 > !mx2 then mx2 := x2;
+    if x3 < !mn3 then mn3 := x3;
+    if x3 > !mx3 then mx3 := x3
+  done;
+  let dim = ref 0 and width = ref (!mx0 -. !mn0) in
+  if !mx1 -. !mn1 > !width then begin
+    dim := 1;
+    width := !mx1 -. !mn1
+  end;
+  if !mx2 -. !mn2 > !width then begin
+    dim := 2;
+    width := !mx2 -. !mn2
+  end;
+  if !mx3 -. !mn3 > !width then dim := 3;
+  !dim
+
+(* Wirth's in-place selection of the index array [ix] over records of
+   [buf]: afterwards ix.(lo..k−1) have key [dim] ≤ ix.(k)'s ≤ those of
+   ix.(k+1..hi−1). *)
+let select_kth buf width ix dim lo hi k =
+  let l = ref lo and r = ref (hi - 1) in
+  while !l < !r do
+    let x = buf.((width * ix.(k)) + dim) in
+    let i = ref !l and j = ref !r in
+    while !i <= !j do
+      while buf.((width * ix.(!i)) + dim) < x do
+        incr i
+      done;
+      while x < buf.((width * ix.(!j)) + dim) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let tmp = ix.(!i) in
+        ix.(!i) <- ix.(!j);
+        ix.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then l := !i;
+    if k < !i then r := !j
+  done
+
+let rec cone_node_count size =
+  if size <= cone_leaf then 1 else 1 + cone_node_count (size / 2) + cone_node_count (size - (size / 2))
+
+(* g.(go..go+31) += â·â† (full 4×4, re/im) for the unit vector of record p. *)
+let add_record_gram buf p g go =
+  let r = stride * p in
+  let f = buf.(r + 13) *. buf.(r + 13) in
+  for a = 0 to 3 do
+    let ar = buf.(r + 4 + (2 * a)) and ai = buf.(r + 5 + (2 * a)) in
+    for b = 0 to 3 do
+      let br = buf.(r + 4 + (2 * b)) and bi = buf.(r + 5 + (2 * b)) in
+      let k = go + (2 * ((a * 4) + b)) in
+      g.(k) <- g.(k) +. (f *. ((ar *. br) +. (ai *. bi)));
+      g.(k + 1) <- g.(k + 1) +. (f *. ((ai *. br) -. (ar *. bi)))
+    done
+  done
+
+(* Unit axis of node [i]: a few power iterations on the Gram at [go],
+   from its heaviest column (e₀ when the node holds only zero
+   operators). *)
+let set_axis axis i g go v gv =
+  let start = ref 0 in
+  for a = 1 to 3 do
+    if g.(go + (10 * a)) > g.(go + (10 * !start)) then start := a
+  done;
+  Array.fill v 0 8 0.0;
+  v.(2 * !start) <- 1.0;
+  for _ = 1 to 4 do
+    let nrm = ref 0.0 in
+    for a = 0 to 3 do
+      let sr = ref 0.0 and si = ref 0.0 in
+      for b = 0 to 3 do
+        let k = go + (2 * ((a * 4) + b)) in
+        sr := !sr +. (g.(k) *. v.(2 * b)) -. (g.(k + 1) *. v.((2 * b) + 1));
+        si := !si +. (g.(k) *. v.((2 * b) + 1)) +. (g.(k + 1) *. v.(2 * b))
+      done;
+      gv.(2 * a) <- !sr;
+      gv.((2 * a) + 1) <- !si;
+      nrm := !nrm +. (!sr *. !sr) +. (!si *. !si)
+    done;
+    if !nrm > 0.0 then begin
+      let inv = 1.0 /. Float.sqrt !nrm in
+      for c = 0 to 7 do
+        v.(c) <- gv.(c) *. inv
+      done
+    end
+  done;
+  Array.blit v 0 axis (i * 8) 8
+
+(* cos ρ = min over records ix.(lo..hi−1) of |⟨c, â_s⟩| and
+   R = max ‖a_s‖, rounded outward (cos ρ down, sin ρ and R up). *)
+let set_constants cone i buf ix lo hi =
+  let o = i * 8 and axis = cone.axis in
+  let c0r = axis.(o) and c0i = axis.(o + 1) and c1r = axis.(o + 2) and c1i = axis.(o + 3) in
+  let c2r = axis.(o + 4) and c2i = axis.(o + 5) and c3r = axis.(o + 6) and c3i = axis.(o + 7) in
+  let cos_rho = ref 1.0 and r = ref 0.0 in
+  for p = lo to hi - 1 do
+    let b = stride * ix.(p) in
+    let nrm = buf.(b + 12) in
+    if nrm > 0.0 then begin
+      (* ⟨c, a⟩ = Σ conj(c_a)·a_a *)
+      let pr =
+        (c0r *. buf.(b + 4)) +. (c0i *. buf.(b + 5)) +. (c1r *. buf.(b + 6)) +. (c1i *. buf.(b + 7))
+        +. (c2r *. buf.(b + 8)) +. (c2i *. buf.(b + 9)) +. (c3r *. buf.(b + 10)) +. (c3i *. buf.(b + 11))
+      in
+      let pi =
+        (c0r *. buf.(b + 5)) -. (c0i *. buf.(b + 4)) +. (c1r *. buf.(b + 7)) -. (c1i *. buf.(b + 6))
+        +. (c2r *. buf.(b + 9)) -. (c2i *. buf.(b + 8)) +. (c3r *. buf.(b + 11)) -. (c3i *. buf.(b + 10))
+      in
+      let c = Float.sqrt ((pr *. pr) +. (pi *. pi)) *. buf.(b + 13) in
+      if c < !cos_rho then cos_rho := c;
+      if nrm > !r then r := nrm
+    end
+  done;
+  let cos_rho = (!cos_rho *. (1.0 -. 1e-15)) -. 1e-300 in
+  let cos_rho = if cos_rho > 0.0 then cos_rho else 0.0 in
+  let sin_rho = Float.sqrt (1.0 -. (cos_rho *. cos_rho)) *. (1.0 +. 1e-15) in
+  cone.cons.(i * 3) <- cos_rho;
+  cone.cons.((i * 3) + 1) <- (if sin_rho < 1.0 then sin_rho else 1.0);
+  cone.cons.((i * 3) + 2) <- !r *. (1.0 +. 1e-12)
+
+let build_cone_tree site =
+  check_tree_site site;
+  if site.dr <> 1 then invalid_arg "Mps: cone tree needs the last site (right bond 1)";
+  let n = site.n and re = site.re and im = site.im in
+  let keys = quaternion_keys site in
+  let nodes = cone_node_count n in
+  let cone =
+    {
+      perm = Array.init n Fun.id;
+      clo = Array.make nodes 0;
+      chi = Array.make nodes 0;
+      cright = Array.make nodes (-1);
+      axis = Array.make (nodes * 8) 0.0;
+      cons = Array.make (nodes * 3) 0.0;
+    }
+  in
+  let perm = cone.perm in
+  let cap = Int.max 1 (Int.min n cone_exact) in
+  let fat = Array.make (stride * cap) 0.0 and fix = Array.make cap 0 in
+  (* One Gram Σ â_s·â_s† (full 4×4, re/im) per recursion depth: a node
+     sums its children's on the way back up. *)
+  let depth_max = 64 in
+  let g = Array.make (depth_max * 32) 0.0 in
+  let v = Array.make 8 0.0 and gv = Array.make 8 0.0 in
+  let next = ref 0 in
+  let new_node lo hi depth =
+    if depth >= depth_max then invalid_arg "Mps: cone tree too deep";
+    let i = !next in
+    incr next;
+    cone.clo.(i) <- lo;
+    cone.chi.(i) <- hi;
+    i
+  in
+  (* A subtree inside [fat], whose record p is operator slot base + p. *)
+  let rec go_fat base lo hi depth =
+    let i = new_node (base + lo) (base + hi) depth in
+    let gd = depth * 32 in
+    Array.fill g gd 32 0.0;
+    if hi - lo <= cone_leaf then
+      for p = lo to hi - 1 do
+        add_record_gram fat fix.(p) g gd
+      done
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      select_kth fat stride fix (widest fat stride fix lo hi) lo hi mid;
+      ignore (go_fat base lo mid (depth + 1));
+      for c = 0 to 31 do
+        g.(gd + c) <- g.(gd + c) +. g.(gd + 32 + c)
+      done;
+      cone.cright.(i) <- go_fat base mid hi (depth + 1);
+      for c = 0 to 31 do
+        g.(gd + c) <- g.(gd + c) +. g.(gd + 32 + c)
+      done
+    end;
+    set_axis cone.axis i g gd v gv;
+    set_constants cone i fat fix lo hi;
+    i
+  in
+  let rec go lo hi depth =
+    if hi - lo <= cone_exact then begin
+      for p = lo to hi - 1 do
+        let s = perm.(p) and r = stride * (p - lo) in
+        fix.(p - lo) <- p - lo;
+        Array.blit keys (4 * s) fat r 4;
+        let acc = ref 0.0 in
+        for a = 0 to 3 do
+          let ar = re.((4 * s) + a) and ai = im.((4 * s) + a) in
+          fat.(r + 4 + (2 * a)) <- ar;
+          fat.(r + 5 + (2 * a)) <- ai;
+          acc := !acc +. (ar *. ar) +. (ai *. ai)
+        done;
+        let nrm = Float.sqrt !acc in
+        fat.(r + 12) <- nrm;
+        fat.(r + 13) <- (if nrm > 0.0 then 1.0 /. nrm else 0.0);
+        fat.(r + 14) <- float_of_int s
+      done;
+      let i = go_fat lo 0 (hi - lo) depth in
+      for p = lo to hi - 1 do
+        perm.(p) <- int_of_float fat.((stride * fix.(p - lo)) + 14)
+      done;
+      i
+    end
+    else begin
+      (* Too wide to prune: ρ = π/2, and R is the larger of the
+         children's. *)
+      let i = new_node lo hi depth in
+      let mid = lo + ((hi - lo) / 2) in
+      select_kth keys 4 perm (widest keys 4 perm lo hi) lo hi mid;
+      let l = go lo mid (depth + 1) in
+      let r = go mid hi (depth + 1) in
+      cone.cright.(i) <- r;
+      cone.cons.((i * 3) + 1) <- 1.0;
+      cone.cons.((i * 3) + 2) <- Float.max cone.cons.((l * 3) + 2) cone.cons.((r * 3) + 2);
+      i
+    end
+  in
+  ignore (go 0 n 0);
+  cone
+
+let build_trees ~last site =
+  { sum = build_sum_tree site; cone = (if last then Some (build_cone_tree site) else None) }
+
+(* Trees for sites 1..l−1 of a freshly canonicalized chain. *)
+let interior_trees (sites : site array) ~first =
+  let l = Array.length sites in
+  Array.init l (fun i -> if i < first then None else Some (build_trees ~last:(i = l - 1) sites.(i)))
+
+(* The trees of an interior site; an MPS that never went through
+   {!canonicalize} gets them built for this call only. *)
+let site_trees t level =
+  match t.trees.(level) with
+  | Some tr -> tr
+  | None -> build_trees ~last:(level = Array.length t.sites - 1) t.sites.(level)
+
+(* Bring sites 1..l−1 to right-canonical form; site 0 absorbs the norm. *)
+let canonicalize t =
+  Obs.span "mps.canonicalize" @@ fun () ->
+  let l = Array.length t.sites in
+  Obs.incr ~by:(max 0 (l - 1)) c_sweeps;
+  let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
+  for i = l - 1 downto 1 do
+    let s = t.sites.(i) in
+    lq_site s l_re l_im;
+    absorb_right t.sites.(i - 1) ~ld:s.dl l_re l_im
+  done;
+  Obs.span "mps.chain_build" @@ fun () ->
+  Array.blit (interior_trees t.sites ~first:1) 0 t.trees 0 l
+
+(* ------------------------------------------------------------------ *)
 (* Reusable canonicalized chains                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -292,13 +768,14 @@ type chain = {
   bl_re : float array;  (** boundary L from site 1's LQ, row-major bl_d×bl_d *)
   bl_im : float array;
   bl_d : int;  (** 0 when l = 1 (nothing to absorb) *)
+  chain_trees : trees option array;  (** per site; [None] at site 0 *)
 }
 
 let canonical_chain (banks : Sitebank.t array) =
   let l = Array.length banks in
   if l = 0 then invalid_arg "Mps.canonical_chain: need at least one site";
   Obs.span "mps.chain_build" @@ fun () ->
-  if l = 1 then { banks; interior = [||]; bl_re = [||]; bl_im = [||]; bl_d = 0 }
+  if l = 1 then { banks; interior = [||]; bl_re = [||]; bl_im = [||]; bl_d = 0; chain_trees = [| None |] }
   else begin
     let interior =
       Array.init (l - 1) (fun j ->
@@ -324,6 +801,7 @@ let canonical_chain (banks : Sitebank.t array) =
       bl_re = Array.sub l_re 0 (d * d);
       bl_im = Array.sub l_im 0 (d * d);
       bl_d = d;
+      chain_trees = Array.append [| None |] (interior_trees interior ~first:0);
     }
   end
 
@@ -335,7 +813,7 @@ let instantiate ~(target : Mat2.t) chain =
     else fill_first_site target chain.banks.(0)
   in
   if chain.bl_d > 0 then absorb_right s0 ~ld:chain.bl_d chain.bl_re chain.bl_im;
-  { sites = Array.append [| s0 |] chain.interior; target }
+  { sites = Array.append [| s0 |] chain.interior; target; trees = chain.chain_trees }
 
 (* ------------------------------------------------------------------ *)
 (* Sampling (step 2, batched)                                          *)
@@ -348,7 +826,9 @@ let default_rng_seed = 0x5eed
 
 (* Conditional weights of one frontier entry over the physical index:
    weights.(s) = Σ_b |Σ_a w[a]·A[s]_(a,b)|², returning the total.
-   [woff] locates the entry's bond vector inside the frontier planes. *)
+   [woff] locates the entry's bond vector inside the frontier planes.
+   Only sites without a tree index scan: the first site (one prefix)
+   and the middle sites of [beam_search]. *)
 let frontier_weights site w_re w_im woff weights =
   let dl = site.dl and dr = site.dr and n = site.n in
   let sre = site.re and sim = site.im in
@@ -388,40 +868,389 @@ let advance_into site w_re w_im woff phys dst_re dst_im doff =
     dst_im.(doff + b) <- !vim
   done
 
+(* Max-heap sift-down of a.(root) within a.(0 .. len−1). *)
+let rec sift (a : float array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child = if child + 1 < len && a.(child) < a.(child + 1) then child + 1 else child in
+    if a.(root) < a.(child) then begin
+      let tmp = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- tmp;
+      sift a child len
+    end
+  end
+
 (* In-place ascending heapsort of a.(0 .. m−1): allocation-free and
    deterministic, so the sorted-uniforms draw can reuse one scratch
-   buffer wider than the live prefix. *)
-let sort_range a m =
-  let swap i j =
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  in
-  let rec sift root len =
-    let child = (2 * root) + 1 in
-    if child < len then begin
-      let child = if child + 1 < len && a.(child) < a.(child + 1) then child + 1 else child in
-      if a.(root) < a.(child) then begin
-        swap root child;
-        sift child len
-      end
-    end
-  in
+   buffer wider than the live prefix.  Typed [float array], so element
+   reads stay unboxed and comparisons are float comparisons. *)
+let sort_range (a : float array) m =
   for i = (m / 2) - 1 downto 0 do
-    sift i m
+    sift a i m
   done;
   for i = m - 1 downto 1 do
-    swap 0 i;
-    sift 0 i
+    let tmp = a.(0) in
+    a.(0) <- a.(i);
+    a.(i) <- tmp;
+    sift a 0 i
   done
 
 (* The frontier: all distinct sampled prefixes at the current level,
-   stored flat — bond vectors in two float planes (padded to the max
-   bond of 4), index prefixes row-major, one multiplicity each.  All k
-   draws advance through the chain together, so the per-level work and
-   allocation scale with the number of distinct prefixes (≤ k), not
-   with k·l. *)
+   stored flat in two alternating planes — bond vectors in two float
+   planes (padded to the max bond of 4), index prefixes row-major, one
+   multiplicity each.  All k draws advance through the chain together,
+   so the per-level work and allocation scale with the number of
+   distinct prefixes (≤ k), not with k·l. *)
 let max_bond = 4
+
+type frontier = {
+  len : int;  (** sites in the chain *)
+  w_re : float array array;
+  w_im : float array array;
+  idx : int array array;
+  mlt : int array array;
+  mutable cur : int;  (** plane holding the current level's prefixes *)
+  mutable count : int;  (** prefixes in the current plane *)
+  mutable next : int;  (** children written into the other plane *)
+  mutable first_child : int;  (** the current prefix's first child *)
+}
+
+let make_frontier l cap =
+  {
+    len = l;
+    w_re = [| Array.make (cap * max_bond) 0.0; Array.make (cap * max_bond) 0.0 |];
+    w_im = [| Array.make (cap * max_bond) 0.0; Array.make (cap * max_bond) 0.0 |];
+    idx = [| Array.make (cap * l) 0; Array.make (cap * l) 0 |];
+    mlt = [| Array.make cap 0; Array.make cap 0 |];
+    cur = 0;
+    count = 1;
+    next = 0;
+    first_child = 0;
+  }
+
+(* Append child (parent·phys) with multiplicity [m] to the next level. *)
+let emit fr site level parent phys m =
+  let c = fr.cur and ci = fr.next in
+  let nx = 1 - c in
+  advance_into site fr.w_re.(c) fr.w_im.(c) (parent * max_bond) phys fr.w_re.(nx) fr.w_im.(nx)
+    (ci * max_bond);
+  Array.blit fr.idx.(c) (parent * fr.len) fr.idx.(nx) (ci * fr.len) level;
+  fr.idx.(nx).((ci * fr.len) + level) <- phys;
+  fr.mlt.(nx).(ci) <- m;
+  fr.next <- ci + 1
+
+(* Add [m] draws to child [phys] of the current prefix, merging with
+   its latest child when that is the same index. *)
+let emit_or_merge fr site level parent phys m =
+  let nx = 1 - fr.cur and ci = fr.next - 1 in
+  if ci >= fr.first_child && fr.idx.(nx).((ci * fr.len) + level) = phys then
+    fr.mlt.(nx).(ci) <- fr.mlt.(nx).(ci) + m
+  else emit fr site level parent phys m
+
+(* Per-call traversal scratch: the sorted uniforms, an explicit stack
+   (node, range, a float per entry: the block's base for draws, the
+   node's bound for maxima), float registers, the query vector scaled
+   to unit max component, and work counts flushed once per call. *)
+type scratch = {
+  points : float array;
+  stk_node : int array;
+  stk_lo : int array;
+  stk_hi : int array;
+  stk_f : float array;
+  f : float array;  (** f.(0) result, f.(1) ‖ŵ‖, f.(2) ‖w‖ *)
+  qw : float array;
+  mutable nodes : int;
+  mutable leaves : int;
+  mutable boundary : int;
+}
+
+let stack_cap = 256
+
+let make_scratch k =
+  {
+    points = Array.make (Int.max 1 k) 0.0;
+    stk_node = Array.make stack_cap 0;
+    stk_lo = Array.make stack_cap 0;
+    stk_hi = Array.make stack_cap 0;
+    stk_f = Array.make stack_cap 0.0;
+    f = Array.make 4 0.0;
+    qw = Array.make 8 0.0;
+    nodes = 0;
+    leaves = 0;
+    boundary = 0;
+  }
+
+let flush_counts st =
+  Obs.incr ~by:st.nodes c_tree_nodes;
+  Obs.incr ~by:st.leaves c_tree_leaves;
+  if st.boundary > 0 then Obs.incr ~by:st.boundary c_boundary
+
+(* Route the sorted uniforms points.(0..m−1) of prefix [parent] down the
+   sum tree.  At a node the left child takes the uniforms ≤ base +
+   w·G_left·w†; a leaf runs the scan's running sum from its base over
+   its block, so every draw lands where the scan puts it unless it
+   falls within rounding of a block boundary.  Uniforms left over at a
+   block's end go to the block's last nonzero-weight index; with none
+   there, to the site's last nonzero weight (the scan's rule).  Both
+   count as boundary draws. *)
+let tree_draws fr st tree site level parent m =
+  let c = fr.cur in
+  let w_re = fr.w_re.(c) and w_im = fr.w_im.(c) and woff = parent * max_bond in
+  let points = st.points and f = st.f in
+  let deferred = ref 0 in
+  let sp = ref 1 in
+  st.stk_node.(0) <- 0;
+  st.stk_lo.(0) <- 0;
+  st.stk_hi.(0) <- m;
+  st.stk_f.(0) <- 0.0;
+  while !sp > 0 do
+    decr sp;
+    let node = st.stk_node.(!sp) and lo = st.stk_lo.(!sp) and hi = st.stk_hi.(!sp) in
+    let base = st.stk_f.(!sp) in
+    if tree.right.(node) < 0 then begin
+      st.leaves <- st.leaves + 1;
+      let cum = ref base and j = ref lo and last_nz = ref (-1) in
+      let phys = ref tree.lo.(node) and stop = tree.hi.(node) in
+      while !j < hi && !phys < stop do
+        weight_into site w_re w_im woff !phys f 0;
+        let w = f.(0) in
+        cum := !cum +. w;
+        if w > 0.0 then last_nz := !phys;
+        let j0 = !j in
+        while !j < hi && points.(!j) <= !cum do
+          incr j
+        done;
+        if !j > j0 then emit fr site level parent !phys (!j - j0);
+        incr phys
+      done;
+      if !j < hi then begin
+        st.boundary <- st.boundary + (hi - !j);
+        if !last_nz >= 0 then emit_or_merge fr site level parent !last_nz (hi - !j)
+        else deferred := !deferred + (hi - !j)
+      end
+    end
+    else begin
+      st.nodes <- st.nodes + 1;
+      let left = node + 1 in
+      gram_form tree.gram left w_re w_im woff f;
+      let split = base +. f.(0) in
+      let j = ref lo in
+      while !j < hi && points.(!j) <= split do
+        incr j
+      done;
+      (* Right pushed first: the left subtree finishes first, so
+         children come out in ascending physical index. *)
+      if hi > !j then begin
+        st.stk_node.(!sp) <- tree.right.(node);
+        st.stk_lo.(!sp) <- !j;
+        st.stk_hi.(!sp) <- hi;
+        st.stk_f.(!sp) <- split;
+        incr sp
+      end;
+      if !j > lo then begin
+        st.stk_node.(!sp) <- left;
+        st.stk_lo.(!sp) <- lo;
+        st.stk_hi.(!sp) <- !j;
+        st.stk_f.(!sp) <- base;
+        incr sp
+      end
+    end
+  done;
+  if !deferred > 0 then begin
+    let phys = ref site.n and found = ref false in
+    while (not !found) && !phys > 0 do
+      decr phys;
+      weight_into site w_re w_im woff !phys f 0;
+      found := f.(0) > 0.0
+    done;
+    if !found then emit_or_merge fr site level parent !phys !deferred
+  end
+
+(* Load the query w for cone bounds: qw = w / max_a |w_a|_∞ (so tiny
+   and huge norms stay exact), f.(1) = ‖qw‖, f.(2) = ‖w‖. *)
+let cone_query st w_re w_im woff =
+  let m = ref 0.0 in
+  for a = 0 to 3 do
+    let x = Float.abs w_re.(woff + a) and y = Float.abs w_im.(woff + a) in
+    if x > !m then m := x;
+    if y > !m then m := y
+  done;
+  let m = !m in
+  let s = ref 0.0 in
+  for a = 0 to 3 do
+    let x = if m > 0.0 then w_re.(woff + a) /. m else 0.0 in
+    let y = if m > 0.0 then w_im.(woff + a) /. m else 0.0 in
+    st.qw.(2 * a) <- x;
+    st.qw.((2 * a) + 1) <- y;
+    s := !s +. (x *. x) +. (y *. y)
+  done;
+  let nq = Float.sqrt !s in
+  st.f.(1) <- nq;
+  st.f.(2) <- m *. nq
+
+(* f.(0) ← bound on |w·a_s|² over every operator below [node]:
+   (‖w‖·R·cos(max(0, φ − ρ)))², with cos(φ − ρ) expanded as
+   cos φ·cos ρ + sin φ·sin ρ plus an absolute 1e-7 (sin φ from
+   √(1 − cos²φ) can be off by ≈ 1e-8 near φ = 0), clamped at 1; the
+   last term absorbs rounding of subnormal weights. *)
+let cone_bound cone node st =
+  let o = node * 8 and ax = cone.axis and q = st.qw in
+  let pr = ref 0.0 and pi = ref 0.0 in
+  for a = 0 to 3 do
+    let wr = q.(2 * a) and wi = q.((2 * a) + 1) in
+    let cr = ax.(o + (2 * a)) and ci = ax.(o + (2 * a) + 1) in
+    pr := !pr +. (wr *. cr) -. (wi *. ci);
+    pi := !pi +. (wr *. ci) +. (wi *. cr)
+  done;
+  let nq = st.f.(1) in
+  let cos_rho = cone.cons.(node * 3) and sin_rho = cone.cons.((node * 3) + 1) in
+  let r = cone.cons.((node * 3) + 2) in
+  let factor =
+    if nq > 0.0 then begin
+      let cphi = Float.sqrt ((!pr *. !pr) +. (!pi *. !pi)) /. nq in
+      let cphi = if cphi > 1.0 then 1.0 else cphi in
+      if cphi >= cos_rho then 1.0
+      else begin
+        let sphi = Float.sqrt (1.0 -. (cphi *. cphi)) in
+        let c = (cphi *. cos_rho) +. (sphi *. sin_rho) +. 1e-7 in
+        if c > 1.0 then 1.0 else c
+      end
+    end
+    else 1.0
+  in
+  let amp = st.f.(2) *. r *. factor in
+  st.f.(0) <- (amp *. amp) +. 1e-321
+
+(* Expand an internal node: bound both children and push them so the
+   one with the larger bound is visited first. *)
+let expand cone st node sp =
+  let left = node + 1 and right = cone.cright.(node) in
+  cone_bound cone left st;
+  let bl = st.f.(0) in
+  cone_bound cone right st;
+  let br = st.f.(0) in
+  st.nodes <- st.nodes + 2;
+  if bl >= br then begin
+    st.stk_node.(sp) <- right;
+    st.stk_f.(sp) <- br;
+    st.stk_node.(sp + 1) <- left;
+    st.stk_f.(sp + 1) <- bl
+  end
+  else begin
+    st.stk_node.(sp) <- left;
+    st.stk_f.(sp) <- bl;
+    st.stk_node.(sp + 1) <- right;
+    st.stk_f.(sp + 1) <- br
+  end;
+  sp + 2
+
+(* Exact argmax of the last site's weights for prefix w by
+   branch-and-bound: the incumbent starts at index 0, a node is pruned
+   only when its bound is strictly below the incumbent's weight, and
+   equal weights go to the lower index — the scan's answer. *)
+let cone_argmax cone site w_re w_im woff st =
+  let f = st.f in
+  weight_into site w_re w_im woff 0 f 0;
+  let best = ref 0 and best_w = ref f.(0) in
+  cone_query st w_re w_im woff;
+  let sp = ref 1 in
+  st.stk_node.(0) <- 0;
+  st.stk_f.(0) <- infinity;
+  while !sp > 0 do
+    decr sp;
+    let node = st.stk_node.(!sp) in
+    if not (st.stk_f.(!sp) < !best_w) then
+      if cone.cright.(node) < 0 then begin
+        st.leaves <- st.leaves + 1;
+        for p = cone.clo.(node) to cone.chi.(node) - 1 do
+          let s = cone.perm.(p) in
+          weight_into site w_re w_im woff s f 0;
+          let w = f.(0) in
+          if w > !best_w || (w = !best_w && s < !best) then begin
+            best := s;
+            best_w := w
+          end
+        done
+      end
+      else sp := expand cone st node !sp
+  done;
+  !best
+
+(* Beam selection buffers: sel_w/sel_parent/sel_phys.(0..count−1) hold
+   the best candidates so far in the order (weight descending, then
+   parent, then physical index) — the order the scan's stable insertion
+   over (parent, phys) produces. *)
+type beam_sel = { sel_w : float array; sel_parent : int array; sel_phys : int array; mutable sel_count : int }
+
+(* Offer candidate (ws.(wi), e, s): it enters when the beam has room or
+   it precedes the last entry, at the first position it precedes. *)
+let beam_insert sel beam ws wi e s =
+  let w = ws.(wi) in
+  let precedes p =
+    let wp = sel.sel_w.(p) in
+    w > wp || (w = wp && (e < sel.sel_parent.(p) || (e = sel.sel_parent.(p) && s < sel.sel_phys.(p))))
+  in
+  let kept = sel.sel_count in
+  if kept < beam || precedes (beam - 1) then begin
+    let p = ref 0 in
+    while !p < kept && not (precedes !p) do
+      incr p
+    done;
+    for q = Int.min (kept - 1) (beam - 2) downto !p do
+      sel.sel_w.(q + 1) <- sel.sel_w.(q);
+      sel.sel_parent.(q + 1) <- sel.sel_parent.(q);
+      sel.sel_phys.(q + 1) <- sel.sel_phys.(q)
+    done;
+    sel.sel_w.(!p) <- w;
+    sel.sel_parent.(!p) <- e;
+    sel.sel_phys.(!p) <- s;
+    if kept < beam then sel.sel_count <- kept + 1
+  end
+
+(* Offer every last-site child of prefix [e] that can enter the beam,
+   pruning nodes whose bound is strictly below a full beam's last
+   weight. *)
+let cone_beam cone site w_re w_im woff st sel beam e =
+  let f = st.f in
+  cone_query st w_re w_im woff;
+  let sp = ref 1 in
+  st.stk_node.(0) <- 0;
+  st.stk_f.(0) <- infinity;
+  while !sp > 0 do
+    decr sp;
+    let node = st.stk_node.(!sp) in
+    if not (sel.sel_count = beam && st.stk_f.(!sp) < sel.sel_w.(beam - 1)) then
+      if cone.cright.(node) < 0 then begin
+        st.leaves <- st.leaves + 1;
+        for p = cone.clo.(node) to cone.chi.(node) - 1 do
+          let s = cone.perm.(p) in
+          weight_into site w_re w_im woff s f 0;
+          beam_insert sel beam f 0 e s
+        done
+      end
+      else sp := expand cone st node !sp
+  done
+
+let cone_of_trees tr =
+  match tr.cone with Some c -> c | None -> invalid_arg "Mps: only the last site has a cone tree"
+
+let cone_of t level = cone_of_trees (site_trees t level)
+
+let samples_of fr l ~multiplicity =
+  let c = fr.cur in
+  let fw_re = fr.w_re.(c) and fw_im = fr.w_im.(c) and fidx = fr.idx.(c) and fmlt = fr.mlt.(c) in
+  let out = ref [] in
+  for e = fr.count - 1 downto 0 do
+    out :=
+      {
+        indices = Array.init l (fun i -> fidx.((e * l) + i));
+        amplitude = { Cplx.re = fw_re.(e * max_bond); im = fw_im.(e * max_bond) };
+        multiplicity = (if multiplicity then fmlt.(e) else 1);
+      }
+      :: !out
+  done;
+  !out
 
 let sample ?rng ?(argmax_last = true) t ~k =
   let rng = match rng with Some r -> r | None -> Random.State.make [| default_rng_seed |] in
@@ -431,36 +1260,24 @@ let sample ?rng ?(argmax_last = true) t ~k =
   (* Every level emits at most one child per draw (≤ k in total) plus,
      at the last level, one argmax completion per surviving prefix. *)
   let cap = (2 * Int.max 1 k) + 2 in
-  let maxn = Array.fold_left (fun m s -> Int.max m s.n) 1 t.sites in
-  let w_re = [| Array.make (cap * max_bond) 0.0; Array.make (cap * max_bond) 0.0 |] in
-  let w_im = [| Array.make (cap * max_bond) 0.0; Array.make (cap * max_bond) 0.0 |] in
-  let idx = [| Array.make (cap * l) 0; Array.make (cap * l) 0 |] in
-  let mlt = [| Array.make cap 0; Array.make cap 0 |] in
-  let weights = Array.make maxn 0.0 in
-  let points = Array.make (Int.max 1 k) 0.0 in
-  let cur = ref 0 and count = ref 1 in
-  w_re.(0).(0) <- 1.0;
-  mlt.(0).(0) <- k;
+  let fr = make_frontier l cap in
+  let st = make_scratch k in
+  let points = st.points in
+  fr.w_re.(0).(0) <- 1.0;
+  fr.mlt.(0).(0) <- k;
   for level = 0 to l - 1 do
     let site = t.sites.(level) in
-    let c = !cur in
-    let nx = 1 - c in
-    let cw_re = w_re.(c) and cw_im = w_im.(c) and cidx = idx.(c) and cmlt = mlt.(c) in
-    let nw_re = w_re.(nx) and nw_im = w_im.(nx) and nidx = idx.(nx) and nmlt = mlt.(nx) in
+    let c = fr.cur in
+    let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) and cmlt = fr.mlt.(c) in
+    let nidx = fr.idx.(1 - c) in
     let last = level = l - 1 in
-    let next_count = ref 0 in
-    let emit parent phys m =
-      let ci = !next_count in
-      advance_into site cw_re cw_im (parent * max_bond) phys nw_re nw_im (ci * max_bond);
-      Array.blit cidx (parent * l) nidx (ci * l) level;
-      nidx.((ci * l) + level) <- phys;
-      nmlt.(ci) <- m;
-      incr next_count
-    in
-    for e = 0 to !count - 1 do
-      let total = frontier_weights site cw_re cw_im (e * max_bond) weights in
-      let first_child = !next_count in
-      let mult = cmlt.(e) in
+    fr.next <- 0;
+    if level = 0 then begin
+      (* The target-dependent first site has a single prefix: scan it. *)
+      let weights = Array.make site.n 0.0 in
+      let total = frontier_weights site cw_re cw_im 0 weights in
+      fr.first_child <- 0;
+      let mult = cmlt.(0) in
       if total > 0.0 then begin
         (* Draw [mult] categorical samples in one pass over sorted
            uniforms; counts come out grouped by physical index. *)
@@ -478,123 +1295,124 @@ let sample ?rng ?(argmax_last = true) t ~k =
             incr drawn;
             incr j
           done;
-          if !drawn > 0 then emit e phys !drawn
+          if !drawn > 0 then emit fr site level 0 phys !drawn
         done;
         (* Numerical tail: assign any stragglers to the last nonzero
            weight (merging with its child when one was just drawn). *)
-        if !j < mult then begin
-          let leftover = mult - !j in
-          if !next_count > first_child && nidx.(((!next_count - 1) * l) + level) = !last_nz
-          then nmlt.(!next_count - 1) <- nmlt.(!next_count - 1) + leftover
-          else emit e !last_nz leftover
-        end
+        if !j < mult then emit_or_merge fr site level 0 !last_nz (mult - !j)
       end;
-      (* With [argmax_last], each distinct prefix also contributes the
-         best completion of the final site: the conditional weights
-         there are exactly the per-sequence trace values and have
-         already been computed, so taking their maximum costs nothing
-         extra and is what makes best-of-k reach deep error targets. *)
       if last && argmax_last then begin
         let best = ref 0 in
         for phys = 1 to site.n - 1 do
           if weights.(phys) > weights.(!best) then best := phys
         done;
         let found = ref false in
-        for ci = first_child to !next_count - 1 do
+        for ci = 0 to fr.next - 1 do
           if nidx.((ci * l) + level) = !best then found := true
         done;
-        if not !found then emit e !best 1
+        if not !found then emit fr site level 0 !best 1
       end
-    done;
-    cur := nx;
-    count := !next_count
+    end
+    else begin
+      let tr = site_trees t level in
+      for e = 0 to fr.count - 1 do
+        fr.first_child <- fr.next;
+        let mult = cmlt.(e) in
+        gram_form tr.sum.gram 0 cw_re cw_im (e * max_bond) st.f;
+        let total = st.f.(0) in
+        if total > 0.0 then begin
+          for m = 0 to mult - 1 do
+            points.(m) <- Random.State.float rng total
+          done;
+          sort_range points mult;
+          tree_draws fr st tr.sum site level e mult
+        end;
+        (* With [argmax_last], each distinct prefix also contributes the
+           best completion of the final site — the conditional weights
+           there are exactly the per-sequence trace values, and
+           best-of-k reaches deep error targets through them. *)
+        if last && argmax_last then begin
+          let best = cone_argmax (cone_of_trees tr) site cw_re cw_im (e * max_bond) st in
+          let found = ref false in
+          for ci = fr.first_child to fr.next - 1 do
+            if nidx.((ci * l) + level) = best then found := true
+          done;
+          if not !found then emit fr site level e best 1
+        end
+      done
+    end;
+    fr.cur <- 1 - c;
+    fr.count <- fr.next
   done;
-  let c = !cur in
-  let fw_re = w_re.(c) and fw_im = w_im.(c) and fidx = idx.(c) and fmlt = mlt.(c) in
-  let out = ref [] in
-  for e = !count - 1 downto 0 do
-    out :=
-      {
-        indices = Array.init l (fun i -> fidx.((e * l) + i));
-        amplitude = { Cplx.re = fw_re.(e * max_bond); im = fw_im.(e * max_bond) };
-        multiplicity = fmlt.(e);
-      }
-      :: !out
-  done;
-  !out
+  flush_counts st;
+  samples_of fr l ~multiplicity:true
 
 (* Deterministic beam search over the same distribution: keep the [beam]
    highest-weight partials at each level.  Used by the greedy ablation.
-   Selection happens in a fixed-size sorted scratch (stable descending
-   insertion), never materializing the partials × physical-index score
-   list the previous implementation sorted. *)
+   Selection happens in a fixed-size sorted scratch, never
+   materializing the partials × physical-index score list; the last
+   site offers each partial's children through its cone tree. *)
 let beam_search t ~beam =
   Obs.span "mps.beam_search" @@ fun () ->
   if beam <= 0 then []
   else begin
     let l = Array.length t.sites in
     let maxn = Array.fold_left (fun m s -> Int.max m s.n) 1 t.sites in
-    let w_re = [| Array.make (beam * max_bond) 0.0; Array.make (beam * max_bond) 0.0 |] in
-    let w_im = [| Array.make (beam * max_bond) 0.0; Array.make (beam * max_bond) 0.0 |] in
-    let idx = [| Array.make (beam * l) 0; Array.make (beam * l) 0 |] in
+    let fr = make_frontier l beam in
+    let st = make_scratch 1 in
     let weights = Array.make maxn 0.0 in
-    let sel_w = Array.make beam 0.0 in
-    let sel_parent = Array.make beam 0 and sel_phys = Array.make beam 0 in
-    let cur = ref 0 and count = ref 1 in
-    w_re.(0).(0) <- 1.0;
+    let sel =
+      { sel_w = Array.make beam 0.0; sel_parent = Array.make beam 0; sel_phys = Array.make beam 0; sel_count = 0 }
+    in
+    fr.w_re.(0).(0) <- 1.0;
     for level = 0 to l - 1 do
       let site = t.sites.(level) in
-      let c = !cur in
-      let nx = 1 - c in
-      let cw_re = w_re.(c) and cw_im = w_im.(c) and cidx = idx.(c) in
-      let nw_re = w_re.(nx) and nw_im = w_im.(nx) and nidx = idx.(nx) in
-      let sel_count = ref 0 in
-      for e = 0 to !count - 1 do
-        ignore (frontier_weights site cw_re cw_im (e * max_bond) weights);
-        for phys = 0 to site.n - 1 do
-          let w = weights.(phys) in
-          if !sel_count < beam || w > sel_w.(beam - 1) then begin
-            (* Stable descending insert: among equal weights the
-               earlier-generated candidate keeps the better rank. *)
-            let kept = !sel_count in
-            let p = ref 0 in
-            while !p < kept && sel_w.(!p) >= w do
-              incr p
-            done;
-            if !p < beam then begin
-              for q = Int.min (kept - 1) (beam - 2) downto !p do
-                sel_w.(q + 1) <- sel_w.(q);
-                sel_parent.(q + 1) <- sel_parent.(q);
-                sel_phys.(q + 1) <- sel_phys.(q)
-              done;
-              sel_w.(!p) <- w;
-              sel_parent.(!p) <- e;
-              sel_phys.(!p) <- phys;
-              if kept < beam then sel_count := kept + 1
-            end
-          end
+      let c = fr.cur in
+      let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) in
+      sel.sel_count <- 0;
+      if level > 0 && level = l - 1 then begin
+        let cone = cone_of t level in
+        for e = 0 to fr.count - 1 do
+          cone_beam cone site cw_re cw_im (e * max_bond) st sel beam e
         done
+      end
+      else
+        for e = 0 to fr.count - 1 do
+          ignore (frontier_weights site cw_re cw_im (e * max_bond) weights);
+          for phys = 0 to site.n - 1 do
+            (* The scan offers (e, phys) in ascending order, so only a
+               strictly heavier candidate can displace a full beam. *)
+            if sel.sel_count < beam || weights.(phys) > sel.sel_w.(beam - 1) then
+              beam_insert sel beam weights phys e phys
+          done
+        done;
+      fr.next <- 0;
+      for s = 0 to sel.sel_count - 1 do
+        emit fr site level sel.sel_parent.(s) sel.sel_phys.(s) 1
       done;
-      for s = 0 to !sel_count - 1 do
-        let parent = sel_parent.(s) and phys = sel_phys.(s) in
-        advance_into site cw_re cw_im (parent * max_bond) phys nw_re nw_im (s * max_bond);
-        Array.blit cidx (parent * l) nidx (s * l) level;
-        nidx.((s * l) + level) <- phys
-      done;
-      cur := nx;
-      count := !sel_count
+      fr.cur <- 1 - c;
+      fr.count <- fr.next
     done;
-    let c = !cur in
-    let fw_re = w_re.(c) and fw_im = w_im.(c) and fidx = idx.(c) in
-    let out = ref [] in
-    for e = !count - 1 downto 0 do
-      out :=
-        {
-          indices = Array.init l (fun i -> fidx.((e * l) + i));
-          amplitude = { Cplx.re = fw_re.(e * max_bond); im = fw_im.(e * max_bond) };
-          multiplicity = 1;
-        }
-        :: !out
-    done;
-    !out
+    samples_of fr l ~multiplicity:false
   end
+
+(* ------------------------------------------------------------------ *)
+(* Tree internals, for tests                                           *)
+(* ------------------------------------------------------------------ *)
+
+let last_cone t =
+  let l = Array.length t.sites in
+  if l < 2 then invalid_arg "Mps: a one-site chain has no cone tree";
+  (cone_of t (l - 1), t.sites.(l - 1))
+
+let cone_node_bounds t ~w_re ~w_im =
+  let cone, _ = last_cone t in
+  let st = make_scratch 1 in
+  cone_query st w_re w_im 0;
+  Array.init (Array.length cone.clo) (fun node ->
+      cone_bound cone node st;
+      (st.f.(0), Array.sub cone.perm cone.clo.(node) (cone.chi.(node) - cone.clo.(node))))
+
+let cone_argmax_of t ~w_re ~w_im =
+  let cone, site = last_cone t in
+  cone_argmax cone site w_re w_im 0 (make_scratch 1)

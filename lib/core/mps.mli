@@ -11,7 +11,11 @@
     All hot-path kernels (construction fills, the LQ sweep, the batched
     sampler) operate directly on the flat float planes with small
     preallocated scratch: no per-element boxing, per-sample allocation
-    is O(k) words total. *)
+    is O(k) words total.  Every interior site (2..l) carries two
+    target-independent trees, built once when it is canonicalized:
+    a sum tree of block Grams that routes draws to their operators in
+    O(m·log n), and, on the last site, a cone tree that finds maxima by
+    exact branch-and-bound (see {!sample}). *)
 
 type site = {
   dl : int;  (** left bond dimension *)
@@ -22,7 +26,17 @@ type site = {
   bank : Sitebank.t;
 }
 
-type t = { sites : site array; target : Mat2.t }
+type trees
+(** The tree indices of one interior site: a sum tree over contiguous
+    blocks of 16 physical indices, plus a cone tree on the last site.
+    Immutable once built. *)
+
+type t = {
+  sites : site array;
+  target : Mat2.t;
+  trees : trees option array;
+      (** per site; [None] at site 0 and until {!canonicalize} *)
+}
 
 type sample = {
   indices : int array;  (** one physical index per site *)
@@ -43,9 +57,10 @@ val trace_of_indices : t -> int array -> Cplx.t
 (** Direct exact evaluation of one index tuple (tests, verification). *)
 
 val canonicalize : t -> unit
-(** Right-to-left LQ sweep; sites 1..l−1 become right-isometric.
-    Mutates the site tensors in place — never call this on an MPS
-    obtained from {!instantiate}, whose interior sites are shared. *)
+(** Right-to-left LQ sweep; sites 1..l−1 become right-isometric and get
+    their trees (under the [mps.chain_build] span).  Mutates the site
+    tensors in place — never call this on an MPS obtained from
+    {!instantiate}, whose interior sites and trees are shared. *)
 
 val right_canonical_error : site -> float
 (** ‖Σ_s A[s]A[s]† − I‖_F — zero (to float precision) after
@@ -62,10 +77,11 @@ val right_canonical_error : site -> float
     and absorbs the saved boundary, instead of rebuilding and
     re-canonicalizing the whole chain.
 
-    The interior sites are {e shared} between the chain and every MPS
-    it instantiates: they are read-only after {!canonical_chain}
-    returns (sampling and beam search only read site tensors), which is
-    what makes one chain safe to reuse concurrently from many domains. *)
+    The interior sites and their trees are {e shared} between the chain
+    and every MPS it instantiates: they are read-only after
+    {!canonical_chain} returns (sampling and beam search only read site
+    tensors and trees, with per-call scratch), which is what makes one
+    chain safe to reuse concurrently from many domains. *)
 
 type chain = {
   banks : Sitebank.t array;
@@ -73,10 +89,12 @@ type chain = {
   bl_re : float array;  (** boundary L from site 1's LQ (row-major, bl_d×bl_d) *)
   bl_im : float array;
   bl_d : int;  (** boundary dimension; 0 when l = 1 *)
+  chain_trees : trees option array;  (** per site; [None] at site 0 *)
 }
 
 val canonical_chain : Sitebank.t array -> chain
-(** Build and canonicalize the target-independent part of the MPS once.
+(** Build and canonicalize the target-independent part of the MPS once,
+    and build the interior sites' trees (all under [mps.chain_build]).
     @raise Invalid_argument on zero sites. *)
 
 val instantiate : target:Mat2.t -> chain -> t
@@ -95,13 +113,46 @@ val default_rng_seed : int
 val sample : ?rng:Random.State.t -> ?argmax_last:bool -> t -> k:int -> sample list
 (** Draw [k] sequences from the Born distribution of the canonicalized
     MPS in one batched pass: all draws advance through the chain
-    together, so per-level work scales with the number of distinct
-    prefixes (≤ k), not with k·l.  With [argmax_last] (default), each
-    distinct sampled prefix also contributes the best completion of the
-    final site — the conditional weights there are exactly the
-    per-sequence trace values and have already been computed.  Without
-    [~rng], draws come from a fixed-seed state ({!default_rng_seed}). *)
+    together as distinct prefixes with multiplicities.  With
+    [argmax_last] (default), each distinct sampled prefix also
+    contributes the best completion of the final site — the
+    conditional weights there are exactly the per-sequence trace
+    values.  Without [~rng], draws come from a fixed-seed state
+    ({!default_rng_seed}).
+
+    {b Cost.}  The first site (one prefix) is scanned: O(n).  At an
+    interior site a prefix of multiplicity m descends the sum tree with
+    its sorted uniforms, O(min(m·log n, n)) node and leaf visits, and
+    its [argmax_last] completion is a branch-and-bound over the cone
+    tree (tens of nodes per query on depth-8 tables, O(n) only in
+    degenerate cases such as w = 0).  The [mps.sample.tree_nodes] and
+    [mps.sample.tree_leaves] counters record the visits, once per call.
+
+    {b Exactness.}  Leaves evaluate weights with the scan's arithmetic,
+    and the cone bound is rigorous with outward rounding, so maxima
+    (lowest index on ties) and children (grouped by ascending physical
+    index) are those of the linear scan.  Draws equal the scan's
+    except for a uniform within float rounding of a block's cumulative
+    weight: one left over at a block's end goes to the block's last
+    nonzero-weight index (with none there, to the site's last), and is
+    counted in [mps.sample.boundary_draws]. *)
 
 val beam_search : t -> beam:int -> sample list
 (** Deterministic alternative: keep the [beam] highest-weight partial
-    sequences at every site (the greedy ablation). *)
+    sequences at every site (the greedy ablation), selected under the
+    total order weight descending, then parent, then physical index.
+    The first and middle sites are scanned, O(n) per partial; the last
+    site offers each partial's children by branch-and-bound over its
+    cone tree against the beam's current last weight.  The result is
+    the scan's. *)
+
+(** {1 Tree internals (tests)} *)
+
+val cone_node_bounds : t -> w_re:float array -> w_im:float array -> (float * int array) array
+(** For the last site of a chain with l ≥ 2 and prefix vector w (4
+    entries), every cone-tree node's bound on |w·a_s|² with the
+    physical indices below it. *)
+
+val cone_argmax_of : t -> w_re:float array -> w_im:float array -> int
+(** The last site's [argmax_last] completion for prefix vector w, by
+    the cone-tree search. *)

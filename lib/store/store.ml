@@ -235,6 +235,7 @@ type t = {
   index : (string, slot list ref) Hashtbl.t;
   (* segment name → record frames we believe the file holds. *)
   seg_records : (string, int) Hashtbl.t;
+  mutable live : int;  (* slots in [index]: kept in step with it, so a put costs O(1) *)
   mutable recovery : recovery;
   mutable degraded : bool;
   mutable closed : bool;
@@ -256,10 +257,8 @@ let locked t f =
 
 let cell_key gate_set target = gate_set ^ "\x00" ^ target_id target
 
-let store_size t = Hashtbl.fold (fun _ cell acc -> acc + List.length !cell) t.index 0
-
 let update_gauges t =
-  Obs.set_gauge g_records (float_of_int (store_size t));
+  Obs.set_gauge g_records (float_of_int t.live);
   Obs.set_gauge g_segments (float_of_int (Hashtbl.length t.seg_records));
   Obs.set_gauge g_degraded (if t.degraded then 1.0 else 0.0)
 
@@ -287,6 +286,7 @@ let index_insert t ~seg entry =
         end)
       !cell
   in
+  if not !replaced then t.live <- t.live + 1;
   let slots = if !replaced then kept else { entry; seg } :: kept in
   cell :=
     List.sort (fun a b -> compare (a.entry.distance, entry_rank a.entry) (b.entry.distance, entry_rank b.entry)) slots
@@ -552,6 +552,7 @@ let open_store ?(readonly = false) ?(verify_on_read = true) ?(rescan = false)
             lock_fd;
             index = Hashtbl.create 64;
             seg_records = Hashtbl.create 8;
+            live = 0;
             recovery = zero_recovery;
             degraded = false;
             closed = false;
@@ -639,7 +640,7 @@ let recovery t = t.recovery
 let dir t = t.dir
 let readonly t = t.readonly
 let degraded t = t.degraded
-let size t = locked t (fun () -> store_size t)
+let size t = locked t (fun () -> t.live)
 let segment_count t = locked t (fun () -> Hashtbl.length t.seg_records)
 let entries t = locked t (fun () -> Hashtbl.fold (fun _ cell acc -> List.map (fun s -> s.entry) !cell @ acc) t.index [])
 
@@ -848,6 +849,7 @@ let lookup t ?(gate_set = default_gate_set) ~epsilon target =
                   (* The stored word does not reproduce its claimed
                      distance: drop it, record it, try the next. *)
                   cell := List.filter (fun s' -> s' != s) !cell;
+                  t.live <- t.live - 1;
                   Obs.incr c_reject;
                   t.n_rejected <- t.n_rejected + 1;
                   log_rejection t s.entry "read-path re-verification failed";
@@ -869,7 +871,7 @@ let stats_json t =
     [
       ("schema", Str "tgates-store-stats/v1");
       ("dir", Str t.dir);
-      ("records", Num (float_of_int (store_size t)));
+      ("records", Num (float_of_int t.live));
       ("segments", Num (float_of_int (Hashtbl.length t.seg_records)));
       ("readonly", Bool t.readonly);
       ("degraded", Bool t.degraded);

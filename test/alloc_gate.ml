@@ -21,15 +21,34 @@
 
    5. per IR gate of a warm-memo Pipeline.run_gridsynth ~jobs:1, minus
       its own Settings.best_for: the whole-circuit path (the engine
-      run over the IR, output circuit and result record).
+      run over the IR, output circuit and result record);
 
-   Bounds are for the dev profile that runtest builds. *)
+   and, on depth-8 chains (18,384 operators per site) and 16 fixed
+   Haar targets,
+
+   6. minor words per Mps.instantiate call, one- and two-site chains
+      (the first-site fills);
+   7. minor words per Mps.sample call at k = 1024 on the two-site
+      chain.
+
+   The same sample calls gate the tree-indexed sampler's work, which
+   is counted, not timed, so it repeats exactly too:
+
+   8. tree nodes + leaves visited per interior prefix ≤ n / 50 (a
+      linear scan reads n);
+   9. no boundary draws.
+
+   Bounds are for the dev profile that runtest builds: each is its dev
+   count at the time it was set (1,480 / 25.7 / 47,735 for 5 / 6 / 7)
+   plus a quarter. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
 let engine_bound = 351.0
 let gridsynth_bound = 15321.0
 let whole_bound = 1851.0
+let instantiate_bound = 32.0
+let sample_bound = 59_700.0
 
 let gates = 10_000
 
@@ -114,4 +133,46 @@ let () =
       ir_gates := !ir_gates + Circuit.length ir)
     circuits;
   check "warm whole-circuit path per IR gate" (!whole_words /. float_of_int !ir_gates) whole_bound;
+  let table = Ma_table.get 8 in
+  let chain l = Mps.canonical_chain (Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:8)) in
+  let one = chain 1 and two = chain 2 in
+  let haar = Random.State.make [| 2026 |] in
+  let targets = List.init 16 (fun _ -> Mat2.random_unitary haar) in
+  let (), words =
+    measure (fun () ->
+        List.iter
+          (fun target ->
+            ignore (Mps.instantiate ~target one);
+            ignore (Mps.instantiate ~target two))
+          targets)
+  in
+  check "Mps.instantiate per call (depth 8)" (words /. 32.0) instantiate_bound;
+  let mpss = List.map (fun target -> Mps.instantiate ~target two) targets in
+  let cval name = Obs.counter_value (Obs.counter name) in
+  let visits () = cval "mps.sample.tree_nodes" + cval "mps.sample.tree_leaves" in
+  let v0 = visits () and b0 = cval "mps.sample.boundary_draws" in
+  let prefixes = ref 0 in
+  let (), words =
+    measure (fun () ->
+        List.iter
+          (fun mps ->
+            (* Every interior prefix yields at least its argmax
+               completion, so distinct first indices count them. *)
+            let firsts = Hashtbl.create 1024 in
+            List.iter
+              (fun (s : Mps.sample) -> Hashtbl.replace firsts s.Mps.indices.(0) ())
+              (Mps.sample ~rng:(Random.State.make [| 7 |]) mps ~k:1024);
+            prefixes := !prefixes + Hashtbl.length firsts)
+          mpss)
+  in
+  check "Mps.sample per call (k 1024, 2 sites)" (words /. 16.0) sample_bound;
+  let n = (List.hd mpss).Mps.sites.(1).Mps.n in
+  let per_prefix = float_of_int (visits () - v0) /. float_of_int !prefixes in
+  let ok = per_prefix <= float_of_int n /. 50.0 in
+  Printf.printf "alloc_gate: %-40s %7.2f visits (bound n/50 = %d)%s\n" "tree nodes+leaves per interior prefix"
+    per_prefix (n / 50) (if ok then "" else "  FAIL");
+  if not ok then failed := true;
+  let boundary = cval "mps.sample.boundary_draws" - b0 in
+  Printf.printf "alloc_gate: %-40s %7d (bound 0)%s\n" "boundary draws" boundary (if boundary = 0 then "" else "  FAIL");
+  if boundary <> 0 then failed := true;
   if !failed then exit 1

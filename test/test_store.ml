@@ -276,3 +276,101 @@ let suite =
         Alcotest.(check int) "size" 1 (Store.size st);
         Store.close st);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The live entry count                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Entries whose claimed distance their word does not achieve: any
+   lookup that reaches one rejects it on the read path.  Distances
+   0.010 and 0.0095 share a bucket, and the two words differ in
+   T count, so puts exercise same-bucket replacement both ways. *)
+let fake_entry ~target ~dist ~word =
+  let word = if word = 0 then [ Ctgate.T ] else [ Ctgate.T; Ctgate.H; Ctgate.T ] in
+  {
+    Store.gate_set = Store.default_gate_set;
+    target = Store.Rz (0.37 +. (0.5 *. float_of_int target));
+    eps_req = 0.05;
+    distance = [| 0.010; 0.0095; 0.004; 0.3 |].(dist);
+    word;
+    t_count = Ctgate.t_count word;
+    backend = "test";
+    chain = "test";
+  }
+
+type store_op = Put of int * int * int | Lookup of int | Reopen
+
+let print_store_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Put (t, d, w) -> Printf.sprintf "put %d %d %d" t d w
+         | Lookup t -> Printf.sprintf "lookup %d" t
+         | Reopen -> "reopen")
+       ops)
+
+let gen_store_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 30)
+      (frequency
+         [
+           (6, map3 (fun t d w -> Put (t, d, w)) (int_bound 3) (int_bound 3) (int_bound 1));
+           (2, map (fun t -> Lookup t) (int_bound 3));
+           (1, return Reopen);
+         ]))
+
+(* Mean seconds per put over [puts] distinct new targets. *)
+let put_cost st ~from ~puts =
+  let t0 = Unix.gettimeofday () in
+  for i = from to from + puts - 1 do
+    Store.put st
+      { (fake_entry ~target:0 ~dist:3 ~word:0) with Store.target = Store.Rz (1e-6 *. float_of_int i) }
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int puts
+
+let count_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60 ~name:"size equals a fold over the index after puts, rejections, reopens"
+         ~print:print_store_ops gen_store_ops (fun ops ->
+           with_dir @@ fun dir ->
+           let st = ref (open_exn dir) in
+           let consistent () = Store.size !st = List.length (Store.entries !st) in
+           let ok =
+             List.for_all
+               (fun op ->
+                 (match op with
+                 | Put (target, dist, word) -> Store.put !st (fake_entry ~target ~dist ~word)
+                 | Lookup target ->
+                     ignore (Store.lookup !st ~epsilon:0.05 (fake_entry ~target ~dist:0 ~word:0).Store.target)
+                 | Reopen ->
+                     Store.close !st;
+                     st := open_exn dir);
+                 consistent ())
+               ops
+           in
+           Store.close !st;
+           ok));
+    Alcotest.test_case "a put into a 3e4-entry store costs at most 2x one into an empty store" `Slow
+      (fun () ->
+        (* Put cost is dominated by the append's write and flush; the
+           gate catches any per-put work that grows with the store.
+           Wall-clock, so a noisy attempt is retried. *)
+        with_dir @@ fun dir ->
+        let full = open_exn (Filename.concat dir "full") in
+        ignore (put_cost full ~from:0 ~puts:30_000);
+        let rec attempt n =
+          with_dir @@ fun edir ->
+          let empty = open_exn edir in
+          let base = put_cost empty ~from:0 ~puts:500 in
+          Store.close empty;
+          let loaded = put_cost full ~from:(30_000 + (n * 500)) ~puts:500 in
+          let ratio = loaded /. base in
+          if ratio <= 2.0 || n >= 2 then ratio else attempt (n + 1)
+        in
+        let ratio = attempt 0 in
+        Store.close full;
+        Alcotest.(check bool) (Printf.sprintf "put cost ratio %.2f <= 2" ratio) true (ratio <= 2.0));
+  ]
+
+let suite = suite @ count_tests

@@ -564,3 +564,150 @@ let oracle_tests =
   ]
 
 let suite = suite @ oracle_tests
+
+(* ------------------------------------------------------------------ *)
+(* Tree-indexed sampling against the linear oracle                     *)
+(* ------------------------------------------------------------------ *)
+
+let cval name = Obs.counter_value (Obs.counter name)
+
+let tree_targets =
+  let haar = Random.State.make [| 1717 |] in
+  [
+    ("haar", Mat2.random_unitary haar);
+    ("I", Mat2.identity);
+    ("T", Mat2.t);
+    ("H", Mat2.h);
+    ("Rz(pi/8)", Mat2.rz (Float.pi /. 8.0));
+  ]
+
+let chain_banks ~depth ~l =
+  let table = Ma_table.get depth in
+  Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:depth)
+
+(* Indices, multiplicities and amplitude bits, in order. *)
+let samples_identical (a : Mps.sample list) (b : Mps.sample list) =
+  let bits (z : Cplx.t) = (Int64.bits_of_float z.Cplx.re, Int64.bits_of_float z.Cplx.im) in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Mps.sample) (y : Mps.sample) ->
+         x.Mps.indices = y.Mps.indices
+         && x.Mps.multiplicity = y.Mps.multiplicity
+         && bits x.Mps.amplitude = bits y.Mps.amplitude)
+       a b
+
+let check_against_oracle ?(argmax = [ true; false ]) ~what ~ks ~beams mps =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun argmax_last ->
+          let seed = 1000 + k in
+          let got = Mps.sample ~rng:(Random.State.make [| seed |]) ~argmax_last mps ~k in
+          let want = Mps_reference.sample ~rng:(Random.State.make [| seed |]) ~argmax_last mps ~k in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d argmax_last=%b: samples identical" what k argmax_last)
+            true (samples_identical got want))
+        argmax)
+    ks;
+  List.iter
+    (fun beam ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s beam=%d: beam identical" what beam)
+        true
+        (samples_identical (Mps.beam_search mps ~beam) (Mps_reference.beam_search mps ~beam)))
+    beams
+
+(* The scan's argmax: the lowest index of the largest weight. *)
+let scan_argmax weights =
+  let best = ref 0 in
+  for s = 1 to Array.length weights - 1 do
+    if weights.(s) > weights.(!best) then best := s
+  done;
+  !best
+
+type query = Gaussian | Prefix | Conj | Tiny | Zero
+
+let print_query (q, seed) =
+  Printf.sprintf "%s seed %d"
+    (match q with Gaussian -> "gaussian" | Prefix -> "prefix" | Conj -> "conj(a_s)" | Tiny -> "tiny" | Zero -> "zero")
+    seed
+
+let bound_mps =
+  lazy (Mps.instantiate ~target:(Mat2.random_unitary (Random.State.make [| 5 |])) (Mps.canonical_chain (chain_banks ~depth:5 ~l:2)))
+
+let tree_tests =
+  [
+    Alcotest.test_case "tree sampling equals the linear oracle (depth 4-5, l = 2, 3)" `Quick (fun () ->
+        let boundary0 = cval "mps.sample.boundary_draws" in
+        List.iter
+          (fun (name, target) ->
+            List.iter
+              (fun (depth, l) ->
+                let chain = Mps.canonical_chain (chain_banks ~depth ~l) in
+                check_against_oracle
+                  ~what:(Printf.sprintf "%s depth %d l=%d" name depth l)
+                  ~ks:[ 1; 48; 1024 ] ~beams:[ 1; 4; 32 ]
+                  (Mps.instantiate ~target chain))
+              [ (5, 2); (4, 3) ])
+          tree_targets;
+        (* The cold path builds its trees in [canonicalize]. *)
+        let target = snd (List.hd tree_targets) in
+        let cold = Mps.build ~target (chain_banks ~depth:4 ~l:3) in
+        Mps.canonicalize cold;
+        check_against_oracle ~what:"cold depth 4 l=3" ~ks:[ 48 ] ~beams:[ 4 ] cold;
+        Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
+    Alcotest.test_case "tree sampling equals the linear oracle (depth 8)" `Quick (fun () ->
+        let boundary0 = cval "mps.sample.boundary_draws" in
+        let haar = Random.State.make [| 88 |] in
+        let two = Mps.canonical_chain (chain_banks ~depth:8 ~l:2) in
+        check_against_oracle ~what:"haar depth 8 l=2" ~ks:[ 1024 ] ~beams:[ 32 ]
+          (Mps.instantiate ~target:(Mat2.random_unitary haar) two);
+        check_against_oracle ~argmax:[ true ] ~what:"T depth 8 l=2" ~ks:[ 1024 ] ~beams:[ 4 ]
+          (Mps.instantiate ~target:Mat2.t two);
+        let three = Mps.canonical_chain (chain_banks ~depth:8 ~l:3) in
+        check_against_oracle ~what:"haar depth 8 l=3" ~ks:[ 48 ] ~beams:[ 4 ]
+          (Mps.instantiate ~target:(Mat2.random_unitary haar) three);
+        Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
+    Alcotest.test_case "a one-site chain has no tree and samples as before" `Quick (fun () ->
+        let mps = Mps.instantiate ~target:Mat2.h (Mps.canonical_chain (chain_banks ~depth:5 ~l:1)) in
+        check_against_oracle ~what:"l=1" ~ks:[ 1; 48 ] ~beams:[ 4 ] mps);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"cone bounds cover every operator below each node" ~print:print_query
+         QCheck2.Gen.(pair (oneofl [ Gaussian; Prefix; Conj; Tiny; Zero ]) (int_bound 1_000_000))
+         (fun (kind, seed) ->
+           let mps = Lazy.force bound_mps in
+           let first = mps.Mps.sites.(0) and last = mps.Mps.sites.(1) in
+           let rng = Random.State.make [| seed |] in
+           let gauss () = Random.State.float rng 2.0 -. 1.0 in
+           let w_re = Array.make 4 0.0 and w_im = Array.make 4 0.0 in
+           (match kind with
+           | Gaussian | Tiny ->
+               let scale = if kind = Tiny then 1e-150 else 1.0 in
+               for a = 0 to 3 do
+                 w_re.(a) <- scale *. gauss ();
+                 w_im.(a) <- scale *. gauss ()
+               done
+           | Prefix ->
+               (* A real level-1 prefix: the first site's row for some s. *)
+               let s = Random.State.int rng first.Mps.n in
+               for a = 0 to 3 do
+                 w_re.(a) <- first.Mps.re.((s * 4) + a);
+                 w_im.(a) <- first.Mps.im.((s * 4) + a)
+               done
+           | Conj ->
+               let s = Random.State.int rng last.Mps.n in
+               for a = 0 to 3 do
+                 w_re.(a) <- last.Mps.re.((s * 4) + a);
+                 w_im.(a) <- -.last.Mps.im.((s * 4) + a)
+               done
+           | Zero -> ());
+           let weights = Array.make last.Mps.n 0.0 in
+           ignore (Mps_reference.frontier_weights last w_re w_im 0 weights);
+           Array.for_all
+             (fun (bound, below) -> Array.for_all (fun s -> weights.(s) <= bound) below)
+             (Mps.cone_node_bounds mps ~w_re ~w_im)
+           && Mps.cone_argmax_of mps ~w_re ~w_im = scan_argmax weights
+           && (kind <> Zero || Mps.cone_argmax_of mps ~w_re ~w_im = 0)));
+  ]
+
+let suite = suite @ tree_tests
