@@ -347,7 +347,8 @@ let planner_jobs =
   Arg.(
     value
     & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc:"planner worker domains for batch requests")
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:"planner worker domains per request (a single rotation runs on one)")
 
 let seed =
   Arg.(value & opt int 0 & info [ "seed" ] ~doc:"jitter RNG seed (deterministic backoff)")

@@ -12,7 +12,6 @@ type config = {
   beam : int;  (** extra deterministic beam width, 0 to disable *)
   post_process : bool;  (** run step 3 *)
   seed : int;
-  reuse_chains : bool;  (** reuse canonicalized interiors across calls *)
   gate_set : string;  (** which step-0 table ([Ma_table.get_for]) to sample *)
 }
 
@@ -23,7 +22,6 @@ let default_config =
     beam = 32;
     post_process = true;
     seed = 0x7a51;
-    reuse_chains = true;
     gate_set = "cliffordt";
   }
 
@@ -97,62 +95,56 @@ let banks_of config clamped =
   let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
   Array.of_list (List.map (fun (lo, hi) -> Sitebank.of_table table ~lo ~hi) clamped)
 
-(* A ready-to-sample MPS for the target.  The cached path and the cold
-   path run the same fill/LQ/absorb kernels on the same values in the
+(* A ready-to-sample MPS for the target, from the cached chain.
+   [Mps.canonical_chain] + [Mps.instantiate] run the same fill/LQ/absorb
+   kernels as [Mps.build] + [Mps.canonicalize] on the same values in the
    same order, so their outputs are bit-identical (gated in runtest). *)
 let mps_for config ~target clamped =
-  if not config.reuse_chains then begin
-    let mps = Mps.build ~target (banks_of config clamped) in
-    Mps.canonicalize mps;
-    mps
-  end
-  else begin
-    let key = (config.gate_set, config.table_t, clamped) in
-    let with_lock f =
-      Mutex.lock chain_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock chain_lock) f
-    in
-    let entry =
-      match with_lock (fun () -> Hashtbl.find_opt chain_cache key) with
-      | Some e ->
-          Obs.incr c_chain_hit;
-          e
-      | None ->
-          (* Build the chain outside the lock: the LQ sweep in
-             [canonical_chain] is the expensive part, and holding the
-             mutex across it would serialize every concurrent miss.
-             Double-check before inserting — another domain may have
-             built the same chain meanwhile; its entry wins so the
-             reseed memo stays unique per key. *)
-          Obs.incr c_chain_miss;
-          let fresh =
-            { chain = Mps.canonical_chain (banks_of config clamped); last_target = None; last_mps = None }
-          in
-          with_lock (fun () ->
-              match Hashtbl.find_opt chain_cache key with
-              | Some winner -> winner
-              | None ->
-                  if Hashtbl.length chain_cache >= chain_capacity then begin
-                    let oldest = Queue.pop chain_order in
-                    Hashtbl.remove chain_cache oldest;
-                    Obs.incr c_chain_evict
-                  end;
-                  Hashtbl.replace chain_cache key fresh;
-                  Queue.push key chain_order;
-                  fresh)
-    in
-    (* The reseed memo mutates the shared entry; keep it under the
-       lock so concurrent instantiations of different targets on the
-       same chain never tear the (target, mps) pair. *)
-    with_lock (fun () ->
-        match (entry.last_mps, entry.last_target) with
-        | Some m, Some t when mat2_bits_equal t target -> m
-        | _ ->
-            let m = Mps.instantiate ~target entry.chain in
-            entry.last_target <- Some target;
-            entry.last_mps <- Some m;
-            m)
-  end
+  let key = (config.gate_set, config.table_t, clamped) in
+  let with_lock f =
+    Mutex.lock chain_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock chain_lock) f
+  in
+  let entry =
+    match with_lock (fun () -> Hashtbl.find_opt chain_cache key) with
+    | Some e ->
+        Obs.incr c_chain_hit;
+        e
+    | None ->
+        (* Build the chain outside the lock: the LQ sweep in
+           [canonical_chain] is the expensive part, and holding the
+           mutex across it would serialize every concurrent miss.
+           Double-check before inserting — another domain may have
+           built the same chain meanwhile; its entry wins so the
+           reseed memo stays unique per key. *)
+        Obs.incr c_chain_miss;
+        let fresh =
+          { chain = Mps.canonical_chain (banks_of config clamped); last_target = None; last_mps = None }
+        in
+        with_lock (fun () ->
+            match Hashtbl.find_opt chain_cache key with
+            | Some winner -> winner
+            | None ->
+                if Hashtbl.length chain_cache >= chain_capacity then begin
+                  let oldest = Queue.pop chain_order in
+                  Hashtbl.remove chain_cache oldest;
+                  Obs.incr c_chain_evict
+                end;
+                Hashtbl.replace chain_cache key fresh;
+                Queue.push key chain_order;
+                fresh)
+  in
+  (* The reseed memo mutates the shared entry; keep it under the
+     lock so concurrent instantiations of different targets on the
+     same chain never tear the (target, mps) pair. *)
+  with_lock (fun () ->
+      match (entry.last_mps, entry.last_target) with
+      | Some m, Some t when mat2_bits_equal t target -> m
+      | _ ->
+          let m = Mps.instantiate ~target entry.chain in
+          entry.last_target <- Some target;
+          entry.last_mps <- Some m;
+          m)
 
 type result = {
   seq : Ctgate.t list;

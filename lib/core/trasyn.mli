@@ -12,12 +12,6 @@ type config = {
   beam : int;  (** width of the extra deterministic beam pass; 0 disables *)
   post_process : bool;  (** run step 3 peephole resynthesis *)
   seed : int;  (** RNG seed — synthesis is deterministic given a config *)
-  reuse_chains : bool;
-      (** Cache canonicalized target-independent chain interiors keyed
-          by [(gate_set, table_t, ranges)] and reuse them across calls
-          (budget escalation, timed reseeds, repeated targets).
-          Results are bit-identical either way; disable only to
-          benchmark the cold path.  Default: [true]. *)
   gate_set : string;
       (** Which step-0 table the MPS sites range over, resolved through
           [Ma_table.get_for] — ["cliffordt"] builds in-process, any
@@ -28,13 +22,17 @@ type config = {
 
 val default_config : config
 (** CPU-friendly defaults: table_t = 8, samples = 1024, beam = 32,
-    reuse_chains = true, gate_set = "cliffordt". *)
+    gate_set = "cliffordt". *)
 
 val clear_chain_cache : unit -> unit
-(** Drop every cached canonicalized chain (the process-wide cache
-    behind [reuse_chains]; observable as [mps.chain_cache.hit] /
-    [.miss] / [.evictions]).  Safe to call concurrently with synthesis;
-    in-flight calls keep their already-acquired chains. *)
+(** Drop every cached canonicalized chain.  Every call samples from a
+    process-wide cache of canonicalized target-independent chain
+    interiors keyed by [(gate_set, table_t, ranges)], reused across
+    calls (budget escalation, timed reseeds, repeated targets) and
+    observable as [mps.chain_cache.hit] / [.miss] / [.evictions];
+    results are bit-identical to a build from scratch.  Safe to call
+    concurrently with synthesis; in-flight calls keep their
+    already-acquired chains. *)
 
 type result = {
   seq : Ctgate.t list;  (** the Clifford+T word, in matrix order *)

@@ -1,14 +1,17 @@
 (* See server.mli.  One bounded queue, N worker threads, responses
-   serialized through the emit callback.  Synthesis itself is
-   Synth.run_chain_sourced, so the persistent store, the guard, the
-   fault layer, and the provenance ledger all apply unchanged.
+   serialized through the emit callback.  Every work item — a batch, or
+   a single rotation as a one-element batch — runs through
+   Planner.execute, and each job is Synth.run_chain_sourced, so the
+   persistent store, the guard, the fault layer, and the provenance
+   ledger all apply unchanged.
 
    Request-scoped tracing: every parsed wire line gets a server-unique
    request id ("r<seq>"), echoed in its response; work items establish
    an [Obs.request_ctx] (the server's boot trace id + the request id)
-   around processing, and the batch path re-establishes per-element
-   contexts ("r<seq>.<i>") on the planner's worker domains — so spans
-   and ledger records emitted anywhere name the wire request. *)
+   around processing, and each job re-establishes its element's context
+   ("r<seq>", or "r<seq>.<i>" in a batch) on whichever pool domain runs
+   it — so spans and ledger records emitted anywhere name the wire
+   request. *)
 
 let c_requests = Obs.counter "server.requests"
 let c_served = Obs.counter "server.served"
@@ -63,11 +66,9 @@ let default_config =
     seed = 0;
   }
 
-(* One admitted unit of work: a single rotation, or a whole batch (a
-   batch occupies queue slots proportional to its size, so a giant
-   batch cannot sneak past the admission bound).  [rid] is the tracing
-   request id; batch elements carry derived ids "r<seq>.<i>" with their
-   element index. *)
+(* One rotation to synthesize.  [rid] is the tracing request id;
+   batch elements carry derived ids "r<seq>.<i>" with their element
+   index. *)
 type rotation = {
   id : Obs.Json.t;
   rid : string;
@@ -78,9 +79,11 @@ type rotation = {
   deadline_s : float option;
 }
 
-type work =
-  | Rotation of rotation
-  | Batch of { id : Obs.Json.t; rid : string; rotations : rotation list }
+(* One admitted unit of work: a batch ([op] "batch"), or a single
+   rotation as a one-element list ([op] "rz"/"u3").  A batch occupies
+   queue slots proportional to its size, so a giant batch cannot sneak
+   past the admission bound. *)
+type work = { id : Obs.Json.t; rid : string; op : string; rotations : rotation list }
 
 type item = { work : work; admitted_at : float }
 
@@ -199,101 +202,85 @@ let transient = function
   | Robust.Backend_error _ | Robust.Timeout -> true
   | Robust.Budget_exhausted | Robust.Verification_failed -> false
 
-let synthesize_with_retries t (r : rotation) =
+(* One job: the chain, retried while the failure is transient and the
+   deadline allows; [tries] counts the retries.  A success tags the
+   job's span with the backend that produced the word (the stored
+   word's, on a store hit). *)
+let synthesize_with_retries t (r : rotation) tries =
   let deadline = deadline_of t r in
   let cfg = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon () in
-  let rec attempt k =
+  let rec attempt () =
     match Synth.run_chain_sourced ~deadline ~config:cfg t.cfg.chain r.target with
-    | Ok (a, source) -> Ok (a, source, k)
+    | Ok (a, _) as ok ->
+        Obs.set_span_attr "backend" a.Robust.backend;
+        ok
     | Error f
-      when transient f && k < t.cfg.max_retries && not (Obs.Deadline.expired deadline) ->
+      when transient f && !tries < t.cfg.max_retries && not (Obs.Deadline.expired deadline) ->
         let back =
-          Float.min t.cfg.backoff_cap_s (t.cfg.backoff_base_s *. Float.pow 2.0 (float_of_int k))
+          Float.min t.cfg.backoff_cap_s
+            (t.cfg.backoff_base_s *. Float.pow 2.0 (float_of_int !tries))
         in
         (* Deterministic jitter in [0.5, 1.0] × backoff. *)
         let jitter = locked t (fun () -> Random.State.float t.rng 1.0) in
         Unix.sleepf (back *. (0.5 +. (0.5 *. jitter)));
         Obs.incr c_retries;
         locked t (fun () -> t.n_retries <- t.n_retries + 1);
-        attempt (k + 1)
-    | Error f -> Error (f, k)
+        incr tries;
+        attempt ()
+    | Error _ as e -> e
   in
-  attempt 0
+  attempt ()
 
-let rotation_response t (r : rotation) =
-  match synthesize_with_retries t r with
-  | Ok (a, source, retries) ->
-      Obs.incr c_served;
-      locked t (fun () -> t.n_served <- t.n_served + 1);
-      success_response r a source retries
-  | Error (f, retries) ->
-      Obs.incr c_failed;
-      count_error t (op_of_target r.target);
-      locked t (fun () -> t.n_failed <- t.n_failed + 1);
-      error_response
-        ~extra:[ ("retries", Obs.Json.Num (float_of_int retries)) ]
-        ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
-
-(* The request context a rotation's synthesis should run under — the
-   planner re-establishes it on whatever domain picks the job up. *)
-let ctx_of t (r : rotation) =
-  Some { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index }
-
-(* A batch routes through the deduplicating multicore planner: repeated
-   angles synthesize once, distinct angles run across domains.  Each
-   job carries the context of the first element with its key (dedup
-   folds the rest away — their responses replay the job's result). *)
-let batch_response t id rid rotations =
+(* A work item runs on the deduplicating planner: repeated angles
+   synthesize once, distinct angles run across domains.  Each job runs
+   under the context of the first element with its key (dedup folds the
+   rest away — their responses replay the job's result and retries).
+   The key carries the gate set: the same angle at the same ε under two
+   alphabets is two jobs.  A single has nothing to dedupe. *)
+let work_response t w =
   let open Obs.Json in
-  (* The dedup key carries the gate set: the same angle at the same ε
-     under two alphabets is two distinct jobs. *)
-  let keyed =
-    List.map
-      (fun r ->
-        ( Printf.sprintf "%s@%.17g|%s" (Synth.target_id r.target) r.epsilon
-            r.gate_set.Gateset.name,
-          r ))
-      rotations
+  let key (r : rotation) =
+    if w.op <> "batch" then r.rid
+    else Printf.sprintf "%s@%.17g|%s" (Synth.target_id r.target) r.epsilon r.gate_set.Gateset.name
   in
+  let keyed = List.map (fun r -> (key r, (r, ref 0))) w.rotations in
   let plan = Planner.plan keyed in
   let results =
     Planner.execute ?jobs:t.cfg.planner_jobs
-      ~ctx:(fun r -> ctx_of t r)
-      ~run:(fun ~deadline:_ r ->
-        match synthesize_with_retries t r with
-        | Ok (a, source, retries) -> Ok (a, source, retries)
-        | Error (f, _) -> Error f)
+      ~ctx:(fun ((r : rotation), _) ->
+        Some { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index })
+      ~run:(fun ~deadline:_ (r, tries) -> synthesize_with_retries t r tries)
       plan
   in
-  let sub =
-    List.map
-      (fun (key, r) ->
-        match Hashtbl.find_opt results key with
-        | Some (Ok (a, source, retries)) ->
-            Obs.incr c_served;
-            locked t (fun () -> t.n_served <- t.n_served + 1);
-            success_response r a source retries
-        | Some (Error f) ->
-            Obs.incr c_failed;
-            count_error t (op_of_target r.target);
-            locked t (fun () -> t.n_failed <- t.n_failed + 1);
-            error_response ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
-        | None ->
-            Obs.incr c_failed;
-            count_error t (op_of_target r.target);
-            locked t (fun () -> t.n_failed <- t.n_failed + 1);
-            error_response ~rid:r.rid r.id "internal" "planner returned no result for this job")
-      keyed
+  let tries = Hashtbl.create 8 in
+  Array.iter (fun (j : _ Planner.job) -> Hashtbl.replace tries j.key !(snd j.target)) plan.jobs;
+  let element (key, ((r : rotation), _)) =
+    let retries = Hashtbl.find tries key in
+    match Hashtbl.find results key with
+    | Ok (a, source) ->
+        Obs.incr c_served;
+        locked t (fun () -> t.n_served <- t.n_served + 1);
+        success_response r a source retries
+    | Error f ->
+        Obs.incr c_failed;
+        count_error t (op_of_target r.target);
+        locked t (fun () -> t.n_failed <- t.n_failed + 1);
+        error_response
+          ~extra:[ ("retries", Num (float_of_int retries)) ]
+          ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
   in
-  Obj [ ("id", id); ("request_id", Str rid); ("ok", Bool true); ("op", Str "batch"); ("results", Arr sub) ]
+  let subs = List.map element keyed in
+  if w.op = "batch" then
+    Obj
+      [ ("id", w.id); ("request_id", Str w.rid); ("ok", Bool true); ("op", Str "batch");
+        ("results", Arr subs) ]
+  else List.hd subs
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let slots_of = function Rotation _ -> 1 | Batch b -> max 1 (List.length b.rotations)
-let work_rid = function Rotation r -> r.rid | Batch b -> b.rid
-let work_op = function Rotation r -> op_of_target r.target | Batch _ -> "batch"
+let slots_of w = max 1 (List.length w.rotations)
 
 (* Record a finished work item: latency histograms (global + this
    server's private stats copy) and the slowest-requests ring. *)
@@ -343,36 +330,27 @@ let worker_loop t =
     | Some { work = w; admitted_at } ->
         Obs.add_gauge g_in_flight 1.0;
         let wait_s = Obs.Clock.elapsed_s () -. admitted_at in
-        let rid = work_rid w and op = work_op w in
         (* Context + span around the whole processing step: every span
-           opened below (chain runs, store lookups, planner jobs via
-           [ctx_of]) carries this request's identity.  NB the context
-           is domain-local, so with [workers > 1] two worker *threads*
-           sharing this domain can bleed contexts; worker domains
-           spawned by the planner are always exact. *)
+           opened below (chain runs, store lookups, planner jobs) carries
+           this request's identity.  NB the context is domain-local, so
+           with [workers > 1] two worker *threads* sharing this domain
+           can bleed contexts; planner jobs re-establish their own, so
+           their spans are always exact. *)
         let ctx =
-          Some { Obs.trace_id = t.trace_id; request_id = rid; batch_index = -1 }
+          Some { Obs.trace_id = t.trace_id; request_id = w.rid; batch_index = -1 }
         in
         let response =
           Obs.with_request ctx (fun () ->
               Obs.span "server.request" (fun () ->
-                  Obs.set_span_attr "op" op;
-                  match w with
-                  | Rotation r -> (
-                      try rotation_response t r
-                      with e ->
-                        Obs.incr c_failed;
-                        count_error t op;
-                        error_response ~rid:r.rid r.id "internal" (Printexc.to_string e))
-                  | Batch b -> (
-                      try batch_response t b.id b.rid b.rotations
-                      with e ->
-                        Obs.incr c_failed;
-                        count_error t op;
-                        error_response ~rid:b.rid b.id "internal" (Printexc.to_string e))))
+                  Obs.set_span_attr "op" w.op;
+                  try work_response t w
+                  with e ->
+                    Obs.incr c_failed;
+                    count_error t w.op;
+                    error_response ~rid:w.rid w.id "internal" (Printexc.to_string e)))
         in
         respond t response;
-        note_done t ~rid ~op ~wait_s ~latency_s:(Obs.Clock.elapsed_s () -. admitted_at);
+        note_done t ~rid:w.rid ~op:w.op ~wait_s ~latency_s:(Obs.Clock.elapsed_s () -. admitted_at);
         Obs.add_gauge g_in_flight (-1.0);
         locked t (fun () ->
             t.in_flight <- t.in_flight - 1;
@@ -455,34 +433,15 @@ let parse_rotation t ~rid ~batch_index j =
   | Ok gate_set -> (
       if not (epsilon > 0.0 && Float.is_finite epsilon) then Error "epsilon must be positive and finite"
       else
+        let rotation target = Ok { id = jid j; rid; batch_index; target; epsilon; gate_set; deadline_s } in
         match member "op" j with
         | Some (Str "rz") -> (
             match num "theta" with
-            | Some theta ->
-                Ok
-                  {
-                    id = jid j;
-                    rid;
-                    batch_index;
-                    target = Synth.Rz theta;
-                    epsilon;
-                    gate_set;
-                    deadline_s;
-                  }
+            | Some theta -> rotation (Synth.Rz theta)
             | None -> Error "rz needs a numeric theta")
         | Some (Str "u3") -> (
             match (num "theta", num "phi", num "lam") with
-            | Some th, Some ph, Some lm ->
-                Ok
-                  {
-                    id = jid j;
-                    rid;
-                    batch_index;
-                    target = Synth.Unitary (Mat2.u3 th ph lm);
-                    epsilon;
-                    gate_set;
-                    deadline_s;
-                  }
+            | Some th, Some ph, Some lm -> rotation (Synth.Unitary (Mat2.u3 th ph lm))
             | _ -> Error "u3 needs numeric theta, phi, lam")
         | _ -> Error "expected op rz or u3")
 
@@ -498,7 +457,6 @@ let shed t ~rid ~op id slots =
 (* Admission: shed when the queue (in slots) is full or the server is
    draining; otherwise enqueue and wake a worker. *)
 let admit t work =
-  let id = match work with Rotation r -> r.id | Batch b -> b.id in
   let slots = slots_of work in
   let admitted =
     locked t (fun () ->
@@ -511,11 +469,8 @@ let admit t work =
           true
         end)
   in
-  if not admitted then shed t ~rid:(work_rid work) ~op:(work_op work) id slots
-  else
-    match work with
-    | Rotation r -> count_gate_set t r
-    | Batch b -> List.iter (count_gate_set t) b.rotations
+  if not admitted then shed t ~rid:work.rid ~op:work.op work.id slots
+  else List.iter (count_gate_set t) work.rotations
 
 let quantiles_json h =
   let open Obs.Json in
@@ -652,25 +607,25 @@ let submit_line t line =
                     `Continue
                 | _ ->
                     admit t
-                      (Batch
-                         {
-                           id = jid j;
-                           rid;
-                           rotations = List.filter_map Result.to_option parsed;
-                         });
+                      {
+                        id = jid j;
+                        rid;
+                        op = "batch";
+                        rotations = List.filter_map Result.to_option parsed;
+                      };
                     `Continue)
             | _ ->
                 count_error t "batch";
                 respond t (error_response ~rid (jid j) "bad_request" "batch needs a requests array");
                 `Continue)
-        | Some (Str ("rz" | "u3")) -> (
-            count_command t (match member "op" j with Some (Str op) -> op | _ -> "invalid");
+        | Some (Str (("rz" | "u3") as op)) -> (
+            count_command t op;
             match parse_rotation t ~rid ~batch_index:(-1) j with
             | Ok r ->
-                admit t (Rotation r);
+                admit t { id = r.id; rid; op; rotations = [ r ] };
                 `Continue
             | Error e ->
-                count_error t (match member "op" j with Some (Str op) -> op | _ -> "invalid");
+                count_error t op;
                 respond t (error_response ~rid (jid j) "bad_request" e);
                 `Continue)
         | Some (Str op) ->

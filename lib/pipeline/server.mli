@@ -30,21 +30,33 @@
     [{"id":…,"ok":false,"error":TAG,"message":…}] on failure, where
     [TAG] is ["overloaded"] (admission queue full — backpressure),
     ["bad_request"], or a synthesis failure tag ([timeout],
-    [budget_exhausted], …).  A [batch] response carries its
-    sub-responses in-order under ["results"].
+    [budget_exhausted], …); a synthesis failure also carries
+    ["retries"].  A [batch] response carries its sub-responses in-order
+    under ["results"].
+
+    {b One synthesis path}: every work item is a batch — a single
+    [rz]/[u3] is a one-element one — run by [Planner.execute] on the
+    worker thread that dequeued it, on up to [planner_jobs] domains
+    (repeats of a target, ε and gate set synthesize once; one element
+    starts no domain).  So a single's trace holds ["planner.execute"]
+    and ["planner.job"] spans and counts in [obs.planner.jobs] /
+    [.domains], and an exception inside its synthesis is answered
+    [backend_error], not [internal].  Each ["planner.job"] span carries
+    the ["backend"] of its word (the stored word's on a store hit) or
+    ["failed"].
 
     {b Request-scoped tracing}: every parsed wire line gets a
     server-unique [request_id] ("r<seq>", echoed in its response; batch
     elements get "r<seq>.<i>").  Work items run under
     [Obs.with_request { trace_id; request_id; _ }] — [trace_id] is one
-    id per server instance — inside a ["server.request"] span, and the
-    batch path re-establishes per-element contexts on the planner's
-    worker domains, so every span and fresh ledger record emitted
+    id per server instance — inside a ["server.request"] span, and each
+    planner job re-establishes its element's context on whichever
+    domain runs it, so every span and fresh ledger record emitted
     during processing names the wire request ([tgates-trace requests]
     reassembles the per-request waterfall).  Caveat: the context is
     domain-local, so with [workers > 1] two worker {e threads} sharing
-    the initial domain can bleed contexts between interleaved requests;
-    planner worker domains are always exact.
+    the initial domain can bleed contexts between interleaved requests
+    outside the planner's jobs.
 
     {b Durability & degradation}: misses run through [Synth.run_chain]
     (store consultation included when [Synth.set_store] armed one);
@@ -79,7 +91,7 @@ type config = {
   backoff_base_s : float;  (** first backoff; doubles per retry *)
   backoff_cap_s : float;  (** backoff ceiling *)
   request_deadline_s : float option;  (** default per-request deadline *)
-  planner_jobs : int option;  (** planner domains for [batch] ops *)
+  planner_jobs : int option;  (** planner domains per work item *)
   seed : int;  (** jitter RNG seed (deterministic backoff) *)
 }
 

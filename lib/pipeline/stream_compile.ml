@@ -1,11 +1,12 @@
 (** The compilation engine: classify → key → dedup → synthesize on
-    domains → splice back in order, with bounded memory end to end.
+    the [Planner] pool → splice back in order, with bounded memory end
+    to end.
 
     The producer (calling domain) pulls IR gates from a source,
-    classifies each rotation, and feeds unique synthesis targets to a
-    pool of worker domains over a *bounded* job queue.  Whenever the
-    producer would otherwise block — on a full queue, on a head result
-    that has not landed, during the final drain — it runs a queued job
+    classifies each rotation, and submits unique synthesis targets to a
+    pool whose job queue is *bounded*.  Whenever the producer would
+    otherwise block — on a full queue, on a head result that has not
+    landed, during the final drain — the pool has it run a queued job
     itself, so a run at [jobs] n synthesizes on up to n domains.
     Results are emitted strictly in input order from a depth-bounded
     reorder FIFO, interleaved with reading the source.
@@ -21,10 +22,7 @@
     {!run_circuit} in one batch, which is how the runtest bit-identity
     gate checks the streaming machinery. *)
 
-let g_queue_depth = Obs.gauge "obs.planner.queue_depth"
-let c_jobs = Obs.counter "obs.planner.jobs"
 let c_dedup = Obs.counter "obs.planner.dedup_hits"
-let c_domains = Obs.counter "obs.planner.domains"
 let c_bp_waits = Obs.counter "obs.stream.backpressure_waits"
 let c_in = Obs.counter "obs.stream.gates_in"
 let c_out = Obs.counter "obs.stream.gates_out"
@@ -288,61 +286,17 @@ module Gate_table = Hashtbl.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded job queue (the backpressure point)                         *)
-(* ------------------------------------------------------------------ *)
-
-type 'a bq = {
-  jobs : 'a Queue.t;
-  capacity : int;
-  lock : Mutex.t;
-  not_empty : Condition.t;
-  mutable closed : bool;
-}
-
-let bq_create capacity =
-  { jobs = Queue.create (); capacity; lock = Mutex.create (); not_empty = Condition.create ();
-    closed = false }
-
-(* Take the oldest job, if any; the caller holds the lock. *)
-let bq_take q =
-  let v = Queue.take_opt q.jobs in
-  Obs.set_gauge g_queue_depth (float_of_int (Queue.length q.jobs));
-  v
-
-(* Add [v] when there is room; otherwise hand back the oldest job for
-   the caller to run, leaving [v] to be offered again. *)
-let bq_offer q v =
-  Mutex.lock q.lock;
-  let r =
-    if Queue.length q.jobs >= q.capacity then bq_take q
-    else begin
-      Queue.push v q.jobs;
-      Obs.set_gauge g_queue_depth (float_of_int (Queue.length q.jobs));
-      Condition.signal q.not_empty;
-      None
-    end
-  in
-  Mutex.unlock q.lock;
-  r
-
-let bq_pop ~wait q =
-  Mutex.lock q.lock;
-  while wait && Queue.is_empty q.jobs && not q.closed do
-    Condition.wait q.not_empty q.lock
-  done;
-  let r = bq_take q in
-  Mutex.unlock q.lock;
-  r
-
-let bq_close q =
-  Mutex.lock q.lock;
-  q.closed <- true;
-  Condition.broadcast q.not_empty;
-  Mutex.unlock q.lock
-
-(* ------------------------------------------------------------------ *)
 (* The engine                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Rotation slots of one key waiting in the reorder FIFO, and whether
+   the first of them — the occurrence that the fresh ledger record
+   [Synth.run_chain] writes covers — is still to be emitted; every
+   other occurrence gets a cached replay.  The job's result stays in
+   the pool until the key's last slot is served: an occurrence queued
+   while the job ran falls back to it when the memo was flushed in
+   between. *)
+type waiting = { mutable slots : int; mutable fresh : bool }
 
 (* In-order output slots: a Direct gate, an exact word, a word the memo
    already held when the rotation was classified, or a rotation awaiting
@@ -351,20 +305,13 @@ type out_item =
   | Direct of Circuit.instr
   | Word of Qgate.t list * int array
   | Cached of memo_entry * pending * int array
-  | Rotation of pending * int array
+  | Rotation of pending * int array * waiting
 
 exception Abort_run
 
 let heap_sample () =
   let s = Gc.quick_stat () in
   Obs.max_gauge g_heap_peak (float_of_int s.Gc.heap_words)
-
-(* Busy-seconds and job count of one domain of the run (0 = the
-   producer), the series the live [Metrics] sampler differentiates into
-   per-domain utilization. *)
-let domain_meters i =
-  ( Obs.gauge (Printf.sprintf "obs.planner.domain.%d.busy_s" i),
-    Obs.counter (Printf.sprintf "obs.planner.domain.%d.jobs" i) )
 
 (* [source handle] consumes one input instruction, handing [handle]
    every IR gate it releases, and returns [false] at the end of the
@@ -374,49 +321,11 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let tag = Synth.chain_id chain in
   let gs = cfg.gate_set.Gateset.name in
   let c_memo_hit, c_memo_miss = memo_counters cfg.ir in
-  let queue = bq_create cfg.queue in
-  let results : (string, (Robust.attempt, Robust.failure) result) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let results_lock = Mutex.create () in
-  let result_ready = Condition.create () in
-  let exec_target target =
-    Obs.span "planner.job" (fun () ->
-        let r =
-          match run_chain cfg chain target with
-          | r -> r
-          | exception Robust.Failure_exn f -> Error f
-          | exception e ->
-              (* A worker domain must never die mid-stream. *)
-              Error (Robust.Backend_error (Printexc.to_string e))
-        in
-        Obs.set_span_attr "backend" (match r with Ok a -> a.Robust.backend | Error _ -> "failed");
-        r)
-  in
-  (* Run one job on this domain and post its result. *)
-  let run_job (g_busy, c_done) (key, target) =
-    let t0 = Obs.Clock.elapsed_s () in
-    let r = exec_target target in
-    Obs.add_gauge g_busy (Obs.Clock.elapsed_s () -. t0);
-    Obs.incr c_done;
-    Mutex.lock results_lock;
-    Hashtbl.replace results key r;
-    Condition.broadcast result_ready;
-    Mutex.unlock results_lock
-  in
-  let producer = domain_meters 0 in
-  let worker i parent () =
-    ignore (Planner.enlarge_minor_heap ());
-    let meters = domain_meters i in
-    Obs.with_span_parent parent (fun () ->
-        let rec loop () =
-          match bq_pop ~wait:true queue with
-          | None -> ()
-          | Some job ->
-              run_job meters job;
-              loop ()
-        in
-        loop ())
+  let pool = Planner.create ~jobs:cfg.jobs ~queue:cfg.queue () in
+  let job target () =
+    let r = run_chain cfg chain target in
+    Result.iter (fun a -> Obs.set_span_attr "backend" a.Robust.backend) r;
+    r
   in
   (* Producer-side accounting (all refs touched only on this domain). *)
   let gates_in = ref 0 and gates_out = ref 0 in
@@ -426,10 +335,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let waits = ref 0 in
   let failure = ref None in
   let out : out_item Queue.t = Queue.create () in
-  (* Keys with a job posted whose first occurrence has not been emitted
-     yet: that occurrence is covered by the fresh ledger record
-     [Synth.run_chain] writes, every other one gets a cached replay. *)
-  let inflight : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let waiting : (string, waiting) Hashtbl.t = Hashtbl.create 64 in
   let resolved = Gate_table.create 256 in
   (* The gate counters are added in batches (every 1024 input gates and
      at exit) rather than by one atomic add per gate. *)
@@ -469,6 +375,15 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     emit_word gates qubits;
     true
   in
+  (* One occurrence of [key] is being served; after its last, the job's
+     result is dropped. *)
+  let release key w =
+    w.slots <- w.slots - 1;
+    if w.slots = 0 then begin
+      Hashtbl.remove waiting key;
+      Planner.forget pool key
+    end
+  in
   (* Emit the FIFO head if its result is available.  The memo is only
      ever touched on this domain, in input and emission order, so cache
      contents and evictions are independent of the worker count — part
@@ -485,20 +400,19 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
         emit_word gates qubits;
         true
     | Some (Cached (e, p, qubits)) -> serve ~replay:true p e qubits
-    | Some (Rotation (p, qubits)) -> (
+    | Some (Rotation (p, qubits, w)) -> (
         match Hashtbl.find_opt memo p.key with
         | Some e ->
             (* An earlier occurrence of this job was emitted first. *)
+            release p.key w;
             serve ~replay:true p e qubits
         | None -> (
-            Mutex.lock results_lock;
-            let r = Hashtbl.find_opt results p.key in
-            Mutex.unlock results_lock;
-            match r with
+            match Planner.find pool p.key with
             | Some (Ok a) ->
-                let fresh = Hashtbl.mem inflight p.key in
-                Hashtbl.remove inflight p.key;
-                serve ~replay:(not fresh) p (memo_add p.key a) qubits
+                let replay = not w.fresh in
+                w.fresh <- false;
+                release p.key w;
+                serve ~replay p (memo_add p.key a) qubits
             | Some (Error f) ->
                 failure := Some f;
                 false
@@ -511,47 +425,10 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     if Option.is_some !failure then raise Abort_run
   in
   (* The head's result has not landed: run a queued job here, or, with
-     none queued, block until a worker posts (checked under the results
-     lock so a completion between drain and wait cannot be missed). *)
+     none queued, block until it lands. *)
   let wait_for_head () =
     drain_ready ();
-    match Queue.peek_opt out with
-    | Some (Rotation (p, _)) -> (
-        match bq_pop ~wait:false queue with
-        | Some job -> run_job producer job
-        | None ->
-            Mutex.lock results_lock;
-            if (not (Hashtbl.mem results p.key)) && not (Hashtbl.mem memo p.key) then
-              Condition.wait result_ready results_lock;
-            Mutex.unlock results_lock)
-    | _ -> ()
-  in
-  (* Workers start as jobs arrive, one per job beyond the first, up to
-     [jobs − 1]: a run with at most one job to do, such as a warm-memo
-     rerun, spawns none and keeps the caller's minor heap. *)
-  let parent = Obs.current_span_id () in
-  let workers = ref [] and saved_gc = ref None in
-  let add_worker () =
-    if Option.is_none !saved_gc then saved_gc := Some (Planner.enlarge_minor_heap ());
-    Obs.incr c_domains;
-    workers := Domain.spawn (worker (List.length !workers + 1) parent) :: !workers
-  in
-  (* Queue a job; while the queue is full, run its oldest job here
-     instead of waiting for a worker to take one. *)
-  let push_job job =
-    if List.length !workers < Int.min (cfg.jobs - 1) (!unique - 1) then add_worker ();
-    let rec go waited =
-      match bq_offer queue job with
-      | None -> ()
-      | Some oldest ->
-          if not waited then begin
-            incr waits;
-            Obs.incr c_bp_waits
-          end;
-          run_job producer oldest;
-          go true
-    in
-    go false
+    match Queue.peek_opt out with Some (Rotation (p, _, _)) -> Planner.help pool p.key | _ -> ()
   in
   let resolve g =
     match Gate_table.find resolved g with
@@ -585,29 +462,29 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
               Obs.incr c_memo_hit;
               Queue.push (Cached (e, p, g.Circuit.qubits)) out
           | None ->
-              if Hashtbl.mem inflight p.key then Obs.incr c_dedup
-              else begin
-                Obs.incr c_memo_miss;
-                Obs.incr c_jobs;
-                incr unique;
-                Hashtbl.add inflight p.key ();
-                if cfg.jobs <= 1 then run_job producer (p.key, p.target)
-                else push_job (p.key, p.target)
-              end;
-              Queue.push (Rotation (p, g.Circuit.qubits)) out)
+              let w =
+                match Hashtbl.find_opt waiting p.key with
+                | Some w ->
+                    Obs.incr c_dedup;
+                    w.slots <- w.slots + 1;
+                    w
+                | None ->
+                    Obs.incr c_memo_miss;
+                    incr unique;
+                    let w = { slots = 1; fresh = true } in
+                    Hashtbl.add waiting p.key w;
+                    if Planner.submit pool p.key (job p.target) then begin
+                      incr waits;
+                      Obs.incr c_bp_waits
+                    end;
+                    w
+              in
+              Queue.push (Rotation (p, g.Circuit.qubits, w)) out)
   in
-  Obs.incr c_domains;
-  let joined = ref false in
-  let shutdown () =
-    if not !joined then begin
-      joined := true;
+  Fun.protect ~finally:(fun () ->
       flush_counters ();
-      bq_close queue;
-      List.iter Domain.join !workers;
-      Option.iter Gc.set !saved_gc
-    end
-  in
-  Fun.protect ~finally:shutdown @@ fun () ->
+      Planner.finish pool)
+  @@ fun () ->
   let body () =
     while source handle do
       incr gates_in;

@@ -6,16 +6,17 @@
     streaming CLI; {!run_ir} takes an IR circuit as it stands — the
     whole-circuit workflows of [Pipeline], after [Settings.best_for].
 
-    The producer (calling domain) feeds unique rotation targets to
-    worker domains over a bounded job queue.  Whenever it would
-    otherwise block — a full queue (counted in
+    The producer (calling domain) submits unique rotation targets to a
+    [Planner] pool of up to [jobs] domains over a bounded job queue, and
+    works instead of blocking: on a full queue (counted in
     [obs.stream.backpressure_waits]), a head result not yet landed, the
-    final drain — it runs a queued job itself, so [jobs] n synthesizes
-    on up to n domains, each feeding [obs.planner.domain.<i>.busy_s]
-    and [.jobs] (0 = the producer); workers start one per job beyond
-    the first, so a warm-memo rerun spawns none.  Words are spliced
-    back strictly in input order from a depth-bounded reorder FIFO, so
-    output flows before the input is fully read.
+    final drain.  A warm-memo rerun submits no job and starts no
+    worker.  Words are spliced back strictly in input order from a
+    depth-bounded reorder FIFO, so output flows before the input is
+    fully read.  A job's result is dropped when the last occurrence
+    waiting for it is emitted, so a run holds
+    O(window + queue + depth) results, whatever the number of distinct
+    rotations.
 
     Output is byte-identical whatever [jobs] is, and identical to
     {!run_circuit} on the same input: per-key synthesis is

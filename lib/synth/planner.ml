@@ -1,10 +1,210 @@
-(* See planner.mli.  The planner is deliberately generic over the job
-   payload and result: the server hands it canonicalized rotation keys
-   and a Synth chain runner, but tests drive it with stubs. *)
+(* See planner.mli.  The pool and the planner are generic over the job
+   result: the engine hands the pool chain runs, the server hands
+   [execute] canonicalized rotations and a retrying chain runner, and
+   tests drive both with stubs. *)
 
 let c_jobs = Obs.counter "obs.planner.jobs"
 let c_dedup = Obs.counter "obs.planner.dedup_hits"
 let c_domains = Obs.counter "obs.planner.domains"
+let g_queue_depth = Obs.gauge "obs.planner.queue_depth"
+
+type 'r task = {
+  key : string;
+  ctx : Obs.request_ctx option;
+  work : unit -> ('r, Robust.failure) result;
+}
+
+type 'r pool = {
+  max_domains : int;
+  capacity : int;
+  queue : 'r task Queue.t;
+  results : (string, ('r, Robust.failure) result) Hashtbl.t;
+  lock : Mutex.t;  (* guards [queue], [results] and [closed] *)
+  queued : Condition.t;  (* a task was queued, or the pool closed *)
+  landed : Condition.t;  (* a result was posted *)
+  mutable closed : bool;
+  mutable submitted : int;
+  mutable workers : unit Domain.t list;
+  mutable saved_gc : Gc.control option;  (* the caller's, while workers exist *)
+  parent : int;  (* the span current at [create] *)
+}
+
+(* Busy-seconds and job count of domain [i] of a pool (0 = the caller),
+   the series the live [Metrics] sampler differentiates into
+   per-domain utilization. *)
+let domain_meters i =
+  ( Obs.gauge (Printf.sprintf "obs.planner.domain.%d.busy_s" i),
+    Obs.counter (Printf.sprintf "obs.planner.domain.%d.jobs" i) )
+
+(* Every pool's caller is its domain 0: interned once, not per pool. *)
+let caller_meters = domain_meters 0
+
+(* Synthesis jobs allocate heavily, and every minor collection is a
+   stop-all-domains barrier; at the default minor-heap size the barrier
+   fires so often that worker domains spend most of their time
+   synchronizing (measured ~4x slowdown with 4 domains on one core).
+   Once a pool has a worker, every domain gets a roomier minor heap —
+   the caller until [finish], each worker for itself on startup. *)
+let worker_minor_heap_words = 4 * 1024 * 1024
+
+let enlarge_minor_heap () =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size < worker_minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = worker_minor_heap_words };
+  g
+
+let create ~jobs ~queue () =
+  Obs.incr c_domains;
+  {
+    max_domains = jobs;
+    capacity = Int.max 1 queue;
+    queue = Queue.create ();
+    results = Hashtbl.create (Int.max 16 queue);
+    lock = Mutex.create ();
+    queued = Condition.create ();
+    landed = Condition.create ();
+    closed = false;
+    submitted = 0;
+    workers = [];
+    saved_gc = None;
+    parent = Obs.current_span_id ();
+  }
+
+(* Run one job on this domain: the one place a job's span opens, a
+   raising job becomes its own failure, and the per-domain meters
+   advance.  The request context is re-established only when the job
+   has one — [Obs.with_request None] would clear the ambient context of
+   an inline run. *)
+let run_job (g_busy, c_done) ctx work =
+  let t0 = Obs.Clock.elapsed_s () in
+  let body () =
+    Obs.span "planner.job" (fun () ->
+        let r =
+          match work () with
+          | r -> r
+          | exception Robust.Failure_exn f -> Error f
+          | exception e -> Error (Robust.Backend_error (Printexc.to_string e))
+        in
+        if Result.is_error r then Obs.set_span_attr "backend" "failed";
+        r)
+  in
+  let r = match ctx with None -> body () | Some _ -> Obs.with_request ctx body in
+  Obs.add_gauge g_busy (Obs.Clock.elapsed_s () -. t0);
+  Obs.incr c_done;
+  r
+
+(* Run a queued task on this domain and post its result. *)
+let run_task p meters t =
+  let r = run_job meters t.ctx t.work in
+  Mutex.lock p.lock;
+  Hashtbl.replace p.results t.key r;
+  Condition.broadcast p.landed;
+  Mutex.unlock p.lock
+
+(* The oldest queued task, if any; the caller holds the lock. *)
+let take p =
+  let t = Queue.take_opt p.queue in
+  Obs.set_gauge g_queue_depth (float_of_int (Queue.length p.queue));
+  t
+
+let worker p i () =
+  ignore (enlarge_minor_heap ());
+  let meters = domain_meters i in
+  Obs.with_span_parent p.parent (fun () ->
+      let rec loop () =
+        Mutex.lock p.lock;
+        while Queue.is_empty p.queue && not p.closed do
+          Condition.wait p.queued p.lock
+        done;
+        let t = take p in
+        Mutex.unlock p.lock;
+        match t with
+        | None -> ()
+        | Some t ->
+            run_task p meters t;
+            loop ()
+      in
+      loop ())
+
+let submit p ?ctx key work =
+  Obs.incr c_jobs;
+  if p.max_domains <= 1 then begin
+    (* No other domain ever touches this pool. *)
+    Hashtbl.replace p.results key (run_job caller_meters ctx work);
+    false
+  end
+  else begin
+    let t = { key; ctx; work } in
+    p.submitted <- p.submitted + 1;
+    (* Workers start as jobs arrive, one per job beyond the first, up
+       to [jobs − 1]: a pool that gets at most one job spawns none and
+       keeps the caller's minor heap. *)
+    let n = List.length p.workers in
+    if n < Int.min (p.max_domains - 1) (p.submitted - 1) then begin
+      if Option.is_none p.saved_gc then p.saved_gc <- Some (enlarge_minor_heap ());
+      Obs.incr c_domains;
+      p.workers <- Domain.spawn (worker p (n + 1)) :: p.workers
+    end;
+    (* While the queue is full, run its oldest task here instead of
+       waiting for a worker to take one. *)
+    let rec offer ran =
+      Mutex.lock p.lock;
+      if Queue.length p.queue < p.capacity then begin
+        Queue.push t p.queue;
+        Obs.set_gauge g_queue_depth (float_of_int (Queue.length p.queue));
+        Condition.signal p.queued;
+        Mutex.unlock p.lock;
+        ran
+      end
+      else begin
+        let oldest = take p in
+        Mutex.unlock p.lock;
+        Option.iter (run_task p caller_meters) oldest;
+        offer true
+      end
+    in
+    offer false
+  end
+
+(* At one domain nothing else touches the pool, so no lock is taken. *)
+let find p key =
+  if p.max_domains > 1 then Mutex.lock p.lock;
+  let r = Hashtbl.find_opt p.results key in
+  if p.max_domains > 1 then Mutex.unlock p.lock;
+  r
+
+let forget p key =
+  Mutex.lock p.lock;
+  Hashtbl.remove p.results key;
+  Mutex.unlock p.lock
+
+let help p key =
+  Mutex.lock p.lock;
+  if Hashtbl.mem p.results key then Mutex.unlock p.lock
+  else
+    match take p with
+    | Some t ->
+        Mutex.unlock p.lock;
+        run_task p caller_meters t
+    | None when p.workers = [] ->
+        (* Nothing queued and nothing running: [key] can never land. *)
+        Mutex.unlock p.lock;
+        invalid_arg ("Planner.help: no job pending under " ^ key)
+    | None ->
+        while not (Hashtbl.mem p.results key) do
+          Condition.wait p.landed p.lock
+        done;
+        Mutex.unlock p.lock
+
+let finish p =
+  Mutex.lock p.lock;
+  p.closed <- true;
+  Condition.broadcast p.queued;
+  Mutex.unlock p.lock;
+  List.iter Domain.join p.workers;
+  p.workers <- [];
+  Option.iter Gc.set p.saved_gc;
+  p.saved_gc <- None
 
 type 'a job = { key : string; target : 'a }
 
@@ -26,101 +226,25 @@ let plan occs =
   let occurrences = List.length occs in
   { jobs; occurrences; dedup_hits = occurrences - Array.length jobs }
 
-(* Synthesis jobs allocate heavily, and every minor collection is a
-   stop-all-domains barrier; at the default minor-heap size the barrier
-   fires so often that worker domains spend most of their time
-   synchronizing (measured ~4x slowdown with 4 domains on one core).
-   While a multi-domain plan runs, give every domain a roomier minor
-   heap — the parent around the whole execution, each worker for
-   itself on startup — and restore the caller's setting afterwards. *)
-let worker_minor_heap_words = 4 * 1024 * 1024
-
-let enlarge_minor_heap () =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < worker_minor_heap_words then
-    Gc.set { g with Gc.minor_heap_size = worker_minor_heap_words };
-  g
-
-let with_parent_heap domains f =
-  if domains <= 1 then f ()
-  else begin
-    let g = enlarge_minor_heap () in
-    Fun.protect ~finally:(fun () -> Gc.set g) f
-  end
-
-let execute ?jobs:requested ?(deadline = Obs.Deadline.none) ?job_budget ?ctx ~run plan =
-  let requested =
-    match requested with Some n -> n | None -> Domain.recommended_domain_count ()
-  in
+let execute ?jobs ?(deadline = Obs.Deadline.none) ?job_budget ?ctx ~run plan =
+  let requested = Option.value jobs ~default:(Domain.recommended_domain_count ()) in
   let n_jobs = Array.length plan.jobs in
-  let domains = Int.max 1 (Int.min requested n_jobs) in
-  Obs.incr ~by:n_jobs c_jobs;
   Obs.incr ~by:plan.dedup_hits c_dedup;
-  Obs.incr ~by:domains c_domains;
-  let results : (string, _ ) Hashtbl.t = Hashtbl.create (Int.max 16 n_jobs) in
-  let results_lock = Mutex.create () in
-  let next = Atomic.make 0 in
-  (* Work-stealing over a shared index: results land keyed by job key,
-     so the merged table is identical whatever the domain count or
-     scheduling order — the determinism the --jobs gate tests. *)
-  (* [idx] numbers the domains of this execution (0 = calling domain).
-     Each accumulates busy-seconds and a jobs counter under
-     obs.planner.domain.<idx>.*, the series the live Metrics sampler
-     differentiates into per-domain utilization. *)
-  let worker idx parent () =
-    if domains > 1 then ignore (enlarge_minor_heap ());
-    let g_busy = Obs.gauge (Printf.sprintf "obs.planner.domain.%d.busy_s" idx) in
-    let c_done = Obs.counter (Printf.sprintf "obs.planner.domain.%d.jobs" idx) in
-    Obs.with_span_parent parent (fun () ->
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n_jobs then begin
-            let job = plan.jobs.(i) in
-            let jt0 = Obs.Clock.elapsed_s () in
-            let jd =
-              match job_budget with
-              | None -> deadline
-              | Some b -> Obs.Deadline.earliest deadline (Obs.Deadline.after b)
-            in
-            (* Re-establish the submitting request's context on this
-               domain before the job span opens, so cross-domain spans
-               (and fresh ledger records) carry the request id. *)
-            let with_ctx k =
-              match ctx with None -> k () | Some f -> Obs.with_request (f job.target) k
-            in
-            let res =
-              with_ctx (fun () ->
-                  Obs.span "planner.job" (fun () ->
-                      match run ~deadline:jd job.target with
-                      | Error _ as e ->
-                          Obs.set_span_attr "backend" "failed";
-                          e
-                      | Ok _ as ok -> ok
-                      | exception Robust.Failure_exn f ->
-                          Obs.set_span_attr "backend" "failed";
-                          Error f
-                      | exception e ->
-                          (* A worker domain must never die mid-plan: any
-                             stray exception becomes a per-job failure. *)
-                          Obs.set_span_attr "backend" "failed";
-                          Error (Robust.Backend_error (Printexc.to_string e))))
-            in
-            Obs.add_gauge g_busy (Obs.Clock.elapsed_s () -. jt0);
-            Obs.incr c_done;
-            Mutex.lock results_lock;
-            Hashtbl.replace results job.key res;
-            Mutex.unlock results_lock;
-            loop ()
-          end
-        in
-        loop ())
-  in
   Obs.span "planner.execute" (fun () ->
-      let parent = Obs.current_span_id () in
-      with_parent_heap domains (fun () ->
-          let helpers =
-            List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1) parent))
-          in
-          worker 0 parent ();
-          List.iter Domain.join helpers));
-  results
+      let p = create ~jobs:(Int.max 1 (Int.min requested n_jobs)) ~queue:(Int.max 1 n_jobs) () in
+      Fun.protect ~finally:(fun () -> finish p) @@ fun () ->
+      (* Each job's deadline is taken when it starts. *)
+      let job_deadline () =
+        match job_budget with
+        | None -> deadline
+        | Some b -> Obs.Deadline.earliest deadline (Obs.Deadline.after b)
+      in
+      Array.iter
+        (fun (j : _ job) ->
+          let ctx = Option.bind ctx (fun f -> f j.target) in
+          ignore (submit p ?ctx j.key (fun () -> run ~deadline:(job_deadline ()) j.target) : bool))
+        plan.jobs;
+      Array.iter
+        (fun (j : _ job) -> while Option.is_none (find p j.key) do help p j.key done)
+        plan.jobs;
+      p.results)

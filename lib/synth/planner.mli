@@ -1,25 +1,66 @@
-(** Deduplicating multicore rotation planner for the server's batch
-    path.  (Circuits, whole or streamed, run on [Stream_compile]'s
-    engine instead, which borrows only {!enlarge_minor_heap}.)
+(** The one worker pool, and the deduplicating planner that runs
+    batches on it.
 
-    A batch's (key, target) occurrence list goes to {!plan}, which
-    collapses repeats into unique jobs (first-appearance order).
-    {!execute} runs the jobs across N domains with per-job deadlines
-    and collects the results into a key-indexed table the caller reads
-    back — so a batch of 16 angles with 4 distinct canonical angles
-    pays for 4 syntheses.
+    Every synthesis job runs on a {!pool}: the compilation engine
+    ([Stream_compile]) submits each distinct rotation of a compile, and
+    {!execute} each distinct job of a server work item.  A pool is a
+    bounded job queue, worker domains started on demand (one per job
+    beyond the first, up to [jobs − 1]; none at [jobs] 1, where a job
+    runs inline as it is submitted), and a caller that runs queued jobs
+    instead of blocking.  Results are keyed by job, so they do not
+    depend on domain count or scheduling.  A raising job fails alone:
+    [Robust.Failure_exn f] lands as [Error f], any other exception as a
+    [Backend_error] carrying its text.  Once a worker exists every
+    domain of the pool gets a 4M-word minor heap (each minor collection
+    is a stop-all-domains barrier), until {!finish}.
 
-    Observability: [obs.planner.jobs] (unique jobs executed),
-    [obs.planner.dedup_hits] (occurrences folded away),
-    [obs.planner.domains] (worker domains started, accumulated), and
-    per-domain [obs.planner.domain.<i>.busy_s] /
-    [obs.planner.domain.<i>.jobs] (domain 0 is the calling domain) —
-    busy-seconds that the live [Metrics] sampler differentiates into
-    per-domain utilization series (the engine feeds the same names);
-    each job runs in a ["planner.job"] span carrying a ["backend"]
-    attribute (the winning rung's name, or ["failed"]) that
-    [tgates-trace hotspots] groups by, all grafted under the caller's
-    ["planner.execute"] span via [Obs.with_span_parent]. *)
+    Observability: [obs.planner.jobs] (jobs submitted),
+    [obs.planner.dedup_hits] (occurrences folded away, by {!execute} and
+    by the engine), [obs.planner.domains] (the caller plus each worker
+    started), [obs.planner.queue_depth], and per-domain
+    [obs.planner.domain.<i>.busy_s] / [.jobs] (0 = the caller), which
+    the live [Metrics] sampler turns into utilization.  Each job runs in
+    a ["planner.job"] span grafted under the span current at {!create};
+    a job submitted with a request context runs inside it on whichever
+    domain takes it, so the span carries the [req.*] attributes, and a
+    job without one keeps the ambient context.  A failed job's span gets
+    [backend = "failed"]; jobs set the winning rung's name themselves,
+    which [tgates-trace hotspots] groups by. *)
+
+(** {1 The pool} *)
+
+type 'r pool
+(** A pool whose jobs return [('r, Robust.failure) result]. *)
+
+val create : jobs:int -> queue:int -> unit -> 'r pool
+(** A pool of at most [jobs] domains (the caller included) whose queue
+    holds at most [queue] jobs (both at least 1).  Counts the caller in
+    [obs.planner.domains]. *)
+
+val submit :
+  'r pool -> ?ctx:Obs.request_ctx -> string -> (unit -> ('r, Robust.failure) result) -> bool
+(** [submit p ?ctx key job] queues [job] under [key] — or at [jobs] 1
+    runs it here — and returns [true] when the queue was full, so the
+    caller ran queued jobs itself before this one fit.  Keys of jobs
+    whose results have not been {!forget}ed must be distinct. *)
+
+val find : 'r pool -> string -> ('r, Robust.failure) result option
+(** The result of the job submitted under [key], once it has landed. *)
+
+val forget : 'r pool -> string -> unit
+(** Drop [key]'s result. *)
+
+val help : 'r pool -> string -> unit
+(** Run one queued job on the caller; with none queued, block until
+    [key]'s result lands.
+    @raise Invalid_argument when nothing is queued, no worker exists and
+    [key] has no result — it was never submitted, or was forgotten. *)
+
+val finish : 'r pool -> unit
+(** Close the pool, let the workers drain the queue, join them, and
+    restore the caller's GC settings.  Idempotent. *)
+
+(** {1 Batches} *)
 
 type 'a job = { key : string; target : 'a }
 
@@ -41,32 +82,16 @@ val execute :
   run:(deadline:Obs.Deadline.t -> 'a -> ('b, Robust.failure) result) ->
   'a plan ->
   (string, ('b, Robust.failure) result) Hashtbl.t
-(** Run every job and return results keyed by job key.
-
-    [ctx] maps a job's target to the request context to establish (via
-    [Obs.with_request]) on the worker domain around that job — the
-    server's batch path uses it so spans and ledger records emitted on
-    {e any} domain carry the originating wire request's id.  When
-    omitted, the ambient context (if any) is left untouched.
+(** Run every job of the plan on a pool inside a ["planner.execute"]
+    span and return the results keyed by job key: submit every job,
+    help until every key has landed, finish.
 
     [jobs] is the requested domain count (default
-    [Domain.recommended_domain_count ()]), clamped to \[1, #jobs\];
-    the calling domain is one of the workers, so [jobs:1] spawns no
-    domain at all.  Each job's deadline is the tighter of [deadline]
-    and [job_budget] seconds from the job's start.  [run] failures
-    (returned or raised, including [Robust.Failure_exn]) are stored as
-    that job's [Error] — a worker domain never dies mid-plan.  The
-    result table is independent of domain count and scheduling order,
-    so [--jobs N] output is bit-identical to [--jobs 1].
-
-    While a multi-domain plan runs, every participating domain is
-    given a roomier minor heap (allocation-heavy synthesis at the
-    default size makes the stop-all-domains minor-GC barrier the
-    bottleneck); the calling domain's GC settings are restored on
-    return. *)
-
-val enlarge_minor_heap : unit -> Gc.control
-(** Raise this domain's minor heap to 4M words if it is smaller, as
-    every domain of a multi-domain run does (synthesis allocates
-    heavily, and each minor collection is a stop-all-domains barrier);
-    returns the settings before the call, for restoring. *)
+    [Domain.recommended_domain_count ()]), clamped to \[1, #jobs\], so
+    [jobs:1] and a one-job plan start no domain.  [ctx] maps a job's
+    target to the request context it runs under (the server gives
+    each element its own, so spans and ledger records on any domain
+    name the wire request).  Each job's deadline is the tighter of
+    [deadline] and [job_budget] seconds from the job's start.  The
+    table is independent of domain count and scheduling, so [--jobs N]
+    output is bit-identical to [--jobs 1]. *)

@@ -38,9 +38,17 @@
       linear scan reads n);
    9. no boundary draws.
 
+   Last, it bounds what a streamed run keeps:
+
+   10. live words at the end of the input (after a full major GC,
+       above the live words before the run) of a Stream_compile.run at
+       ε 0.1 and jobs 1, with the memo capped at 64 entries, over
+       8,000 distinct Rz rotations alternating with H on one qubit.
+       Its memory must not grow with the number of distinct rotations.
+
    Bounds are for the dev profile that runtest builds: each is its dev
-   count at the time it was set (1,480 / 25.7 / 47,735 for 5 / 6 / 7)
-   plus a quarter. *)
+   count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 for
+   5 / 6 / 7 / 10) plus a quarter. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
@@ -49,6 +57,7 @@ let gridsynth_bound = 15321.0
 let whole_bound = 1851.0
 let instantiate_bound = 32.0
 let sample_bound = 59_700.0
+let live_bound = 4_411.0
 
 let gates = 10_000
 
@@ -175,4 +184,32 @@ let () =
   let boundary = cval "mps.sample.boundary_draws" - b0 in
   Printf.printf "alloc_gate: %-40s %7d (bound 0)%s\n" "boundary draws" boundary (if boundary = 0 then "" else "  FAIL");
   if boundary <> 0 then failed := true;
+  let live_words () =
+    Gc.full_major ();
+    float_of_int (Gc.stat ()).Gc.live_words
+  in
+  let distinct = 8_000 in
+  let k = ref 0 and at_end = ref 0.0 in
+  let next () =
+    if !k = 2 * distinct then begin
+      at_end := live_words ();
+      None
+    end
+    else begin
+      let i = !k in
+      incr k;
+      Some
+        (if i land 1 = 1 then Circuit.instr Qgate.H [| 0 |]
+         else Circuit.instr (Qgate.Rz (0.05 +. (3.0 *. float_of_int (i / 2) /. float_of_int distinct))) [| 0 |])
+    end
+  in
+  Stream_compile.clear_cache ();
+  Stream_compile.set_cache_capacity 64;
+  let before = live_words () in
+  (match Stream_compile.run (Stream_compile.config ~epsilon:0.1 ()) ~next ~emit:ignore with
+  | Ok _ -> ()
+  | Error f -> failwith ("alloc_gate: distinct stream failed: " ^ Robust.failure_to_string f));
+  Stream_compile.set_cache_capacity 65_536;
+  Stream_compile.clear_cache ();
+  check "live words after 8k distinct rotations" (!at_end -. before) live_bound;
   if !failed then exit 1

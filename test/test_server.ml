@@ -126,13 +126,16 @@ let suite =
         let retries0 = cval "server.retries" in
         let t, out = make_server ~cfg () in
         ignore (Server.submit_line t {|{"op":"rz","id":4,"theta":0.37}|});
+        ignore (Server.submit_line t {|{"op":"batch","id":5,"requests":[{"op":"rz","theta":0.41}]}|});
         Server.drain t;
         (match out () with
-        | [ r ] ->
+        | [ r; b ] ->
             Alcotest.(check bool) "failed" true (contains r {|"ok":false|});
-            Alcotest.(check bool) "retries reported" true (contains r {|"retries":2|})
-        | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
-        Alcotest.(check int) "retry counter" (retries0 + 2) (cval "server.retries"));
+            Alcotest.(check bool) "retries reported" true (contains r {|"retries":2|});
+            Alcotest.(check bool) "batch element retries reported" true
+              (contains b {|"error":"backend_error"|} && contains b {|"retries":2|})
+        | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+        Alcotest.(check int) "retry counter" (retries0 + 4) (cval "server.retries"));
     Alcotest.test_case "out-of-range epsilons get structured replies and the server lives" `Quick
       (fun () ->
         (* ε 1e-9 is below GRIDSYNTH's floor: its oversized grid problems
@@ -162,4 +165,29 @@ let suite =
         match find 4 with
         | Some r -> Alcotest.(check bool) "ping" true (contains r {|"op":"ping"|})
         | None -> Alcotest.fail "no reply to ping");
+    Alcotest.test_case "every server job's span names its backend" `Quick (fun () ->
+        let path = Filename.temp_file "tgates_server_trace" ".jsonl" in
+        Obs.trace_to_file path;
+        let t, _ = make_server ~cfg:{ Server.default_config with Server.planner_jobs = Some 2 } () in
+        ignore (Server.submit_line t {|{"op":"rz","id":1,"theta":0.23}|});
+        ignore
+          (Server.submit_line t
+             {|{"op":"batch","id":2,"requests":[{"op":"rz","theta":0.5},{"op":"rz","theta":0.9},{"op":"rz","theta":0.5}]}|});
+        Server.drain t;
+        Obs.finish ();
+        Obs.set_enabled false;
+        let tr =
+          match Trace_analysis.load path with Ok tr -> tr | Error e -> Alcotest.failf "load: %s" e
+        in
+        Sys.remove path;
+        let rows =
+          List.filter_map
+            (fun (h : Trace_analysis.hotspot) ->
+              if String.starts_with ~prefix:"planner.job" h.Trace_analysis.hot_name then
+                Some (h.Trace_analysis.hot_name, h.Trace_analysis.calls)
+              else None)
+            (Trace_analysis.hotspots tr)
+        in
+        Alcotest.(check (list (pair string int))) "one job per distinct rotation, each named"
+          [ ("planner.job[gridsynth]", 3) ] rows);
   ]

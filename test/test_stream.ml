@@ -599,5 +599,39 @@ let workflow_tests =
           (Robust.Fault.with_faults specs (fun () -> agree "trasyn=fail" c)));
   ]
 
+let memo_flush_tests =
+  [
+    Alcotest.test_case "an occurrence served after a memo flush reuses its job's result" `Quick
+      (fun () ->
+        (* The window releases all three rotations at the end of input,
+           so the second rz(0.3) waits behind its job's first
+           occurrence.  With a one-entry memo, serving rz(0.7) flushes
+           rz(0.3)'s word, and the follower must fall back to the job's
+           result, kept until its key's last occurrence is served. *)
+        let c =
+          Circuit.make 3
+            [ Circuit.instr (Qgate.Rz 0.3) [| 0 |]; Circuit.instr (Qgate.Rz 0.7) [| 1 |];
+              Circuit.instr (Qgate.Rz 0.3) [| 2 |] ]
+        in
+        let cfg = Stream_compile.config ~epsilon:0.1 () in
+        let run () =
+          match Stream_compile.run_circuit cfg c with
+          | Ok (out, st) -> (Qasm.to_string out, st.Stream_compile.unique_syntheses)
+          | Error f -> Alcotest.fail (Robust.failure_to_string f)
+        in
+        Stream_compile.clear_cache ();
+        let reference, _ = run () in
+        Stream_compile.clear_cache ();
+        Stream_compile.set_cache_capacity 1;
+        Fun.protect ~finally:(fun () ->
+            Stream_compile.set_cache_capacity 65_536;
+            Stream_compile.clear_cache ())
+        @@ fun () ->
+        let flushed, unique = run () in
+        Alcotest.(check string) "same output" reference flushed;
+        Alcotest.(check int) "two jobs" 2 unique);
+  ]
+
 let suite =
   reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests @ workflow_tests
+  @ memo_flush_tests

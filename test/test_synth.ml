@@ -183,6 +183,182 @@ let planner_tests =
         Alcotest.(check int) "dedup hits" 6 hits);
   ]
 
+(* A pool at jobs 2 whose one worker is stuck in a job: every other job
+   stays queued until the caller runs it or [release] lets the worker
+   go (the worker also gives up after 2 s, so a caller that never runs
+   queued jobs fails the test instead of hanging it).  [run_here k] is
+   true when job [k] ran on the calling domain. *)
+let with_stuck_worker f =
+  let caller = Domain.self () in
+  let ran_on = Hashtbl.create 8 and ran_lock = Mutex.create () in
+  let record k =
+    Mutex.lock ran_lock;
+    Hashtbl.replace ran_on k (Domain.self ());
+    Mutex.unlock ran_lock
+  in
+  let run_here k =
+    Mutex.lock ran_lock;
+    let d = Hashtbl.find_opt ran_on k in
+    Mutex.unlock ran_lock;
+    d = Some caller
+  in
+  let gate = Atomic.make false and started = Atomic.make false in
+  let pool = Planner.create ~jobs:2 ~queue:2 () in
+  let job k () =
+    record k;
+    Ok k
+  in
+  let t0 = Unix.gettimeofday () in
+  let stuck () =
+    Atomic.set started true;
+    while (not (Atomic.get gate)) && Unix.gettimeofday () -. t0 < 2.0 do
+      Unix.sleepf 0.001
+    done;
+    Ok "stuck"
+  in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set gate true;
+      Planner.finish pool)
+  @@ fun () ->
+  ignore (Planner.submit pool "stuck" stuck : bool);
+  (* The second job starts the worker, which takes the stuck job first. *)
+  ignore (Planner.submit pool "b" (job "b") : bool);
+  while not (Atomic.get started) do
+    Unix.sleepf 0.001
+  done;
+  f pool ~job ~run_here
+
+let await pool key =
+  while Option.is_none (Planner.find pool key) do
+    Planner.help pool key
+  done
+
+let pool_tests =
+  [
+    Alcotest.test_case "pool at jobs 1 runs jobs inline and starts no domain" `Quick (fun () ->
+        let caller = Domain.self () in
+        let (), domains =
+          counter_delta "obs.planner.domains" (fun () ->
+              let pool = Planner.create ~jobs:1 ~queue:1 () in
+              List.iter
+                (fun k ->
+                  Alcotest.(check bool) "never full" false
+                    (Planner.submit pool k (fun () -> Ok (Domain.self ()))))
+                [ "a"; "b"; "c" ];
+              List.iter
+                (fun k ->
+                  match Planner.find pool k with
+                  | Some (Ok d) -> Alcotest.(check bool) (k ^ " ran on the caller") true (d = caller)
+                  | _ -> Alcotest.failf "%s has no result" k)
+                [ "a"; "b"; "c" ];
+              Planner.finish pool)
+        in
+        Alcotest.(check int) "the caller only" 1 domains);
+    Alcotest.test_case "pool at jobs 3 with 5 jobs runs on 3 domains" `Quick (fun () ->
+        let (), domains =
+          counter_delta "obs.planner.domains" (fun () ->
+              let pool = Planner.create ~jobs:3 ~queue:8 () in
+              let keys = List.init 5 string_of_int in
+              List.iter (fun k -> ignore (Planner.submit pool k (fun () -> Ok k) : bool)) keys;
+              List.iter (await pool) keys;
+              Planner.finish pool)
+        in
+        Alcotest.(check int) "the caller and 2 workers" 3 domains);
+    Alcotest.test_case "submitting into a full queue runs a job on the caller" `Quick (fun () ->
+        with_stuck_worker (fun pool ~job ~run_here ->
+            (* Queue [b; c] is full, so d's submission runs b here. *)
+            Alcotest.(check bool) "c fits" false (Planner.submit pool "c" (job "c"));
+            Alcotest.(check bool) "d found the queue full" true (Planner.submit pool "d" (job "d"));
+            Alcotest.(check bool) "b ran on the caller" true (run_here "b");
+            Alcotest.(check bool) "b landed" true (Planner.find pool "b" = Some (Ok "b"))));
+    Alcotest.test_case "help runs a queued job on the caller" `Quick (fun () ->
+        with_stuck_worker (fun pool ~job:_ ~run_here ->
+            Planner.help pool "b";
+            Alcotest.(check bool) "b ran on the caller" true (run_here "b");
+            Alcotest.(check bool) "b landed" true (Planner.find pool "b" = Some (Ok "b"))));
+    Alcotest.test_case "a job runs under its request context on a worker" `Quick (fun () ->
+        let ctx i = { Obs.trace_id = "t"; request_id = "r" ^ string_of_int i; batch_index = i } in
+        let caller = Domain.self () in
+        let pool = Planner.create ~jobs:2 ~queue:4 () in
+        Fun.protect ~finally:(fun () -> Planner.finish pool) @@ fun () ->
+        Obs.with_request None (fun () ->
+            List.iter
+              (fun i ->
+                ignore
+                  (Planner.submit pool ~ctx:(ctx i) (string_of_int i) (fun () ->
+                       Ok (Obs.current_request (), Domain.self ()))
+                    : bool))
+              [ 0; 1 ];
+            (* Wait without helping, so the worker runs both jobs. *)
+            List.iter
+              (fun i ->
+                let rec wait () =
+                  match Planner.find pool (string_of_int i) with
+                  | Some (Ok (c, d)) ->
+                      Alcotest.(check bool) "on the worker" true (d <> caller);
+                      Alcotest.(check bool) "its own context" true (c = Some (ctx i))
+                  | Some (Error f) -> Alcotest.fail (Robust.failure_to_string f)
+                  | None ->
+                      Unix.sleepf 0.001;
+                      wait ()
+                in
+                wait ())
+              [ 0; 1 ];
+            Alcotest.(check bool) "caller's context untouched" true (Obs.current_request () = None)));
+    Alcotest.test_case "a job without a context keeps the caller's, inline" `Quick (fun () ->
+        let ambient = { Obs.trace_id = "t"; request_id = "r9"; batch_index = -1 } in
+        let pool = Planner.create ~jobs:1 ~queue:1 () in
+        Obs.with_request (Some ambient) (fun () ->
+            ignore (Planner.submit pool "k" (fun () -> Ok (Obs.current_request ())) : bool));
+        Planner.finish pool;
+        Alcotest.(check bool) "saw the ambient context" true
+          (Planner.find pool "k" = Some (Ok (Some ambient))));
+    Alcotest.test_case "forget drops a result" `Quick (fun () ->
+        let pool = Planner.create ~jobs:1 ~queue:1 () in
+        ignore (Planner.submit pool "k" (fun () -> Ok 1) : bool);
+        Alcotest.(check bool) "landed" true (Planner.find pool "k" = Some (Ok 1));
+        Planner.forget pool "k";
+        Alcotest.(check bool) "gone" true (Planner.find pool "k" = None);
+        Alcotest.check_raises "help on a forgotten key"
+          (Invalid_argument "Planner.help: no job pending under k") (fun () -> Planner.help pool "k");
+        Planner.finish pool);
+    Alcotest.test_case "finish restores the caller's minor heap" `Quick (fun () ->
+        let g0 = Gc.get () in
+        Gc.set { g0 with Gc.minor_heap_size = 262_144 };
+        Fun.protect ~finally:(fun () -> Gc.set g0) @@ fun () ->
+        let pool = Planner.create ~jobs:2 ~queue:4 () in
+        List.iter (fun k -> ignore (Planner.submit pool k (fun () -> Ok k) : bool)) [ "a"; "b" ];
+        Alcotest.(check bool) "enlarged while a worker exists" true
+          ((Gc.get ()).Gc.minor_heap_size > 262_144);
+        List.iter (await pool) [ "a"; "b" ];
+        Planner.finish pool;
+        Alcotest.(check int) "restored" 262_144 (Gc.get ()).Gc.minor_heap_size);
+    Alcotest.test_case "pool results are identical at jobs 1, 2 and 4" `Quick (fun () ->
+        let keys = List.init 24 string_of_int in
+        let job k () =
+          match int_of_string k mod 4 with
+          | 0 -> Error Robust.Timeout
+          | 1 -> failwith ("boom " ^ k)
+          | 2 -> raise (Robust.Failure_exn Robust.Budget_exhausted)
+          | _ -> Ok (String.length k * 31)
+        in
+        let table jobs =
+          let pool = Planner.create ~jobs ~queue:2 () in
+          List.iter (fun k -> ignore (Planner.submit pool k (job k) : bool)) keys;
+          List.iter (await pool) keys;
+          let r = List.map (fun k -> Planner.find pool k) keys in
+          Planner.finish pool;
+          r
+        in
+        let one = table 1 in
+        (match List.nth one 1 with
+        | Some (Error (Robust.Backend_error m)) ->
+            Alcotest.(check bool) "exception text kept" true (contains m "boom 1")
+        | _ -> Alcotest.fail "a raising job must land as a Backend_error");
+        Alcotest.(check bool) "jobs 2" true (table 2 = one);
+        Alcotest.(check bool) "jobs 4" true (table 4 = one));
+  ]
+
 let canonical_tests =
   [
     Alcotest.test_case "angle keys identify equivalent rotations" `Quick (fun () ->
@@ -256,4 +432,4 @@ let epsilon_key_tests =
 
 let suite =
   registry_tests @ adapter_tests @ chain_tests @ planner_tests @ canonical_tests
-  @ determinism_tests @ epsilon_key_tests
+  @ determinism_tests @ epsilon_key_tests @ pool_tests

@@ -358,7 +358,6 @@ let check_bits_identical what (a : Trasyn.result) (b : Trasyn.result) =
 let chain_reuse_tests =
   [
     Alcotest.test_case "cached chains are bit-identical to cold rebuilds" `Quick (fun () ->
-        Trasyn.clear_chain_cache ();
         let c_hit = Obs.counter "mps.chain_cache.hit" in
         let c_miss = Obs.counter "mps.chain_cache.miss" in
         let h0 = Obs.counter_value c_hit and m0 = Obs.counter_value c_miss in
@@ -371,18 +370,12 @@ let chain_reuse_tests =
             let target = Mat2.random_unitary trng in
             List.iter
               (fun seed ->
-                let cfg reuse =
-                  {
-                    Trasyn.default_config with
-                    table_t = 4;
-                    samples = 128;
-                    beam = 8;
-                    seed;
-                    reuse_chains = reuse;
-                  }
+                let config =
+                  { Trasyn.default_config with table_t = 4; samples = 128; beam = 8; seed }
                 in
-                let cold = Trasyn.synthesize ~config:(cfg false) ~target ~budgets () in
-                let warm = Trasyn.synthesize ~config:(cfg true) ~target ~budgets () in
+                Trasyn.clear_chain_cache ();
+                let cold = Trasyn.synthesize ~config ~target ~budgets () in
+                let warm = Trasyn.synthesize ~config ~target ~budgets () in
                 check_bits_identical
                   (Printf.sprintf "budgets=%s seed=%d"
                      (String.concat "," (List.map string_of_int budgets))
@@ -390,25 +383,30 @@ let chain_reuse_tests =
                   cold warm)
               [ 11; 12; 13 ])
           [ [ 5 ]; [ 5; 5 ]; [ 4; 4; 4 ] ];
-        (* 3 distinct (table_t, ranges) keys, 3 warm calls each: first
-           is a miss, the rest hit.  Cold calls never touch the cache. *)
-        Alcotest.(check int) "misses" 3 (Obs.counter_value c_miss - m0);
-        Alcotest.(check int) "hits" 6 (Obs.counter_value c_hit - h0));
+        (* 9 pairs: each call after a clear misses, each warm call hits. *)
+        Alcotest.(check int) "misses" 9 (Obs.counter_value c_miss - m0);
+        Alcotest.(check int) "hits" 9 (Obs.counter_value c_hit - h0));
     Alcotest.test_case "to_error escalation is bit-identical with chain reuse" `Quick (fun () ->
-        Trasyn.clear_chain_cache ();
+        let c_hit = Obs.counter "mps.chain_cache.hit" in
+        let c_miss = Obs.counter "mps.chain_cache.miss" in
         let target = Mat2.random_unitary (Random.State.make [| 71 |]) in
-        let cfg reuse =
-          { Trasyn.default_config with samples = 96; beam = 4; reuse_chains = reuse }
-        in
+        let config = { Trasyn.default_config with samples = 96; beam = 4 } in
         (* A tight epsilon forces the outer loop through every budget
            prefix — the cache's bread-and-butter access pattern. *)
-        let cold =
-          Trasyn.to_error ~config:(cfg false) ~target ~budgets:[ 4; 4; 4 ] ~epsilon:1e-9 ()
+        let run () =
+          let h0 = Obs.counter_value c_hit and m0 = Obs.counter_value c_miss in
+          let r = Trasyn.to_error ~config ~target ~budgets:[ 4; 4; 4 ] ~epsilon:1e-9 () in
+          (r, Obs.counter_value c_hit - h0, Obs.counter_value c_miss - m0)
         in
-        let warm =
-          Trasyn.to_error ~config:(cfg true) ~target ~budgets:[ 4; 4; 4 ] ~epsilon:1e-9 ()
-        in
-        check_bits_identical "to_error" cold warm);
+        Trasyn.clear_chain_cache ();
+        let cold, cold_hits, cold_misses = run () in
+        let warm, warm_hits, warm_misses = run () in
+        check_bits_identical "to_error" cold warm;
+        (* At ε 1e-9 both attempts at each of the 3 prefixes run: after
+           a clear, each prefix's first attempt misses and its second
+           hits; a warm rerun hits all 6. *)
+        Alcotest.(check (pair int int)) "cold hits, misses" (3, 3) (cold_hits, cold_misses);
+        Alcotest.(check (pair int int)) "warm hits, misses" (6, 0) (warm_hits, warm_misses));
     Alcotest.test_case "chain cache evicts FIFO beyond capacity" `Quick (fun () ->
         Trasyn.clear_chain_cache ();
         let c_miss = Obs.counter "mps.chain_cache.miss" in
