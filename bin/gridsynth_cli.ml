@@ -1,48 +1,9 @@
-(* Command-line GRIDSYNTH: approximate Rz(θ) over Clifford+T, routed
-   through the synthesis-backend registry.
+(* Command-line GRIDSYNTH: approximate Rz(θ) over Clifford+T through
+   the gridsynth backend of [Synth].
 
    dune exec bin/gridsynth_cli.exe -- --theta 0.61 --epsilon 1e-4 *)
 
 open Cmdliner
-
-(* One provenance record for the direct (chainless) backend call. *)
-let record_direct ~target ~eps_req ~wall_s result =
-  if Ledger.enabled () then
-    let base =
-      {
-        Ledger.target = Synth.target_id target;
-        gate_set = "cliffordt";
-        chain = "gridsynth";
-        eps_req;
-        rung_eps = eps_req;
-        distance = nan;
-        backend = "failed";
-        fallbacks = 0;
-        attempts = 1;
-        t_count = 0;
-        word_len = 0;
-        wall_s;
-        degraded = true;
-        cached = false;
-        source = "fresh";
-        ok = false;
-        failure = None;
-        request_id = "";
-      }
-    in
-    Ledger.record
-      (match result with
-      | Ok (seq, distance) ->
-          {
-            base with
-            Ledger.distance;
-            backend = "gridsynth";
-            t_count = Ctgate.t_count seq;
-            word_len = List.length seq;
-            degraded = distance > eps_req;
-            ok = true;
-          }
-      | Error f -> { base with Ledger.failure = Some (Synth.failure_tag f) })
 
 let run theta epsilon trace ledger_out =
   match
@@ -50,11 +11,21 @@ let run theta epsilon trace ledger_out =
     (match ledger_out with Some p -> Ledger.to_file p | None -> ());
     Obs.with_trace ?file:trace @@ fun () ->
     Obs.span "cli.gridsynth" @@ fun () ->
-    let module B = (val Synth.find_exn "gridsynth") in
+    let b = Synth.find_exn "gridsynth" in
+    let module B = (val b) in
     let target = Synth.Rz theta in
+    let config = Synth.config ~epsilon () in
     let t0 = Obs.Clock.elapsed_s () in
-    let result = B.synthesize target (Synth.config ~epsilon ()) in
-    record_direct ~target ~eps_req:epsilon ~wall_s:(Obs.Clock.elapsed_s () -. t0) result;
+    let result = B.synthesize target config in
+    (* The direct backend call is recorded as a one-rung chain. *)
+    if Ledger.enabled () then
+      Ledger.record
+        (Synth.ledger_record ~config [ Synth.rung b ] target ~source:`Fresh
+           ~wall_s:(Obs.Clock.elapsed_s () -. t0)
+           (Result.map
+              (fun (word, distance) ->
+                { Robust.word; distance; backend = B.name; fallbacks = 0; rung_epsilon = epsilon })
+              result));
     match result with
     | Error f -> Robust.fail f
     | Ok (seq, distance) ->

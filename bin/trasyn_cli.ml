@@ -1,53 +1,17 @@
-(* Command-line TRASYN: synthesize U3(θ,φ,λ) into a Clifford+T word,
-   routed through the synthesis-backend registry.
+(* Command-line TRASYN: synthesize U3(θ,φ,λ) into a Clifford+T word
+   through the trasyn backend of [Synth].
 
    dune exec bin/trasyn_cli.exe -- --theta 0.4 --phi 1.1 --lam -0.7 --epsilon 0.01 *)
 
 open Cmdliner
 
-(* One provenance record for a direct (chainless) backend call; the
-   rotation still "exits Synth", it just never went through a ladder. *)
-let record_direct ~backend ~target ~eps_req ~wall_s outcome =
-  if Ledger.enabled () then
-    let base =
-      {
-        Ledger.target = Synth.target_id target;
-        gate_set = "cliffordt";
-        chain = backend;
-        eps_req;
-        rung_eps = eps_req;
-        distance = nan;
-        backend = "failed";
-        fallbacks = 0;
-        attempts = 1;
-        t_count = 0;
-        word_len = 0;
-        wall_s;
-        degraded = true;
-        cached = false;
-        source = "fresh";
-        ok = false;
-        failure = None;
-        request_id = "";
-      }
-    in
-    Ledger.record
-      (match outcome with
-      | Ok (seq, distance, degraded) ->
-          {
-            base with
-            Ledger.distance;
-            backend;
-            t_count = Ctgate.t_count seq;
-            word_len = List.length seq;
-            degraded;
-            ok = true;
-          }
-      | Error f -> { base with Ledger.failure = Some (Synth.failure_tag f) })
-
 let run theta phi lam epsilon budget sites samples trace ledger_out =
   match
     Robust.guarded @@ fun () ->
+    (match epsilon with
+    | Some e when not (e > 0.0 && Float.is_finite e) ->
+        invalid_arg "--epsilon must be positive and finite"
+    | _ -> ());
     (match ledger_out with Some p -> Ledger.to_file p | None -> ());
     Obs.with_trace ?file:trace @@ fun () ->
     Obs.span "cli.trasyn" @@ fun () ->
@@ -57,16 +21,20 @@ let run theta phi lam epsilon budget sites samples trace ledger_out =
     (* No --epsilon means best effort: ε = 0 is never met, so the
        backend burns the full budget and reports the best word seen. *)
     let eps = Option.value epsilon ~default:0.0 in
-    let cfg = Synth.config ~trasyn ~budgets ~epsilon:eps () in
-    let module B = (val Synth.find_exn "trasyn") in
+    let config = Synth.config ~trasyn ~budgets ~epsilon:eps () in
+    let b = Synth.find_exn "trasyn" in
+    let module B = (val b) in
     let t0 = Obs.Clock.elapsed_s () in
-    let result = B.synthesize target cfg in
-    let wall_s = Obs.Clock.elapsed_s () -. t0 in
-    record_direct ~backend:"trasyn" ~target ~eps_req:eps ~wall_s
-      (Result.map
-         (fun (seq, d) ->
-           (seq, d, match epsilon with Some e -> d > e | None -> false))
-         result);
+    let result = B.synthesize target config in
+    (* The direct backend call is recorded as a one-rung chain. *)
+    if Ledger.enabled () then
+      Ledger.record
+        (Synth.ledger_record ~config [ Synth.rung b ] target ~source:`Fresh
+           ~wall_s:(Obs.Clock.elapsed_s () -. t0)
+           (Result.map
+              (fun (word, distance) ->
+                { Robust.word; distance; backend = B.name; fallbacks = 0; rung_epsilon = eps })
+              result));
     match result with
     | Error f -> Robust.fail f
     | Ok (seq, distance) -> (

@@ -9,11 +9,18 @@
     post-mortem traces say where time went; the ledger says what quality
     each rotation actually achieved.
 
-    Writers: [Synth.run_chain] appends one {e fresh} record per chain
-    execution (success or failure), and the pipelines append {e cached}
-    replay records for rotation occurrences served by the planner dedup
-    or the memo caches — so a workflow run's ledger has exactly one
-    record per rotation occurrence, including degraded and failed ones.
+    Writers: every record is built by [Synth.ledger_record], so its
+    field rules live in one place.  [Synth.run_chain] appends one
+    {e fresh} record per chain execution (success or failure) or one
+    [store] record per store hit; the compilation engine appends a
+    {e cached} replay record for every rotation occurrence served by
+    dedup or the memo, and the server one for every batch element folded
+    into another element's job (under the element's own request id),
+    success or failure; the TRASYN and GRIDSYNTH CLIs record their
+    direct backend call as a one-rung chain.  So a compile's or a
+    server's ledger has exactly one record per rotation served,
+    including degraded and failed ones (a server rotation retried after
+    a transient failure adds one record per retry).
 
     Armed by {!to_file} (the CLIs' [--ledger FILE] flag) or the
     [TGATES_LEDGER] env var.  When disarmed, {!record} costs one atomic
@@ -38,7 +45,9 @@ type record = {
   t_count : int;
   word_len : int;
   wall_s : float;  (** synthesis wall time; [0.] for cached replays *)
-  degraded : bool;  (** fallback taken or distance above requested ε *)
+  degraded : bool;
+      (** fallback taken or distance above requested ε (a best-effort
+          request, ε = 0, is never above it) *)
   cached : bool;  (** replay of a deduplicated / memoized execution *)
   source : string;
       (** where the word came from: ["fresh"] (a chain execution),

@@ -206,9 +206,11 @@ let transient = function
    deadline allows; [tries] counts the retries.  A success tags the
    job's span with the backend that produced the word (the stored
    word's, on a store hit). *)
+let synth_config (r : rotation) = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon ()
+
 let synthesize_with_retries t (r : rotation) tries =
   let deadline = deadline_of t r in
-  let cfg = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon () in
+  let cfg = synth_config r in
   let rec attempt () =
     match Synth.run_chain_sourced ~deadline ~config:cfg t.cfg.chain r.target with
     | Ok (a, _) as ok ->
@@ -234,9 +236,11 @@ let synthesize_with_retries t (r : rotation) tries =
 (* A work item runs on the deduplicating planner: repeated angles
    synthesize once, distinct angles run across domains.  Each job runs
    under the context of the first element with its key (dedup folds the
-   rest away — their responses replay the job's result and retries).
-   The key carries the gate set: the same angle at the same ε under two
-   alphabets is two jobs.  A single has nothing to dedupe. *)
+   rest away — their responses replay the job's result and retries, and
+   each gets a replay ledger record under its own request id, so the
+   ledger holds one record per rotation served).  The key carries the
+   gate set: the same angle at the same ε under two alphabets is two
+   jobs.  A single has nothing to dedupe. *)
 let work_response t w =
   let open Obs.Json in
   let key (r : rotation) =
@@ -252,11 +256,17 @@ let work_response t w =
       ~run:(fun ~deadline:_ (r, tries) -> synthesize_with_retries t r tries)
       plan
   in
-  let tries = Hashtbl.create 8 in
-  Array.iter (fun (j : _ Planner.job) -> Hashtbl.replace tries j.key !(snd j.target)) plan.jobs;
-  let element (key, ((r : rotation), _)) =
-    let retries = Hashtbl.find tries key in
-    match Hashtbl.find results key with
+  let job_tries = Hashtbl.create 8 in
+  Array.iter (fun (j : _ Planner.job) -> Hashtbl.replace job_tries j.key (snd j.target)) plan.jobs;
+  let element (key, ((r : rotation), own)) =
+    let tries = Hashtbl.find job_tries key in
+    let retries = !tries in
+    let result = Hashtbl.find results key in
+    if own != tries && Ledger.enabled () then
+      Ledger.record
+        (Synth.ledger_record ~request_id:r.rid ~config:(synth_config r) t.cfg.chain r.target
+           ~source:`Replay ~wall_s:0.0 (Result.map fst result));
+    match result with
     | Ok (a, source) ->
         Obs.incr c_served;
         locked t (fun () -> t.n_served <- t.n_served + 1);

@@ -53,10 +53,12 @@
     planner job re-establishes its element's context on whichever
     domain runs it, so every span and fresh ledger record emitted
     during processing names the wire request ([tgates-trace requests]
-    reassembles the per-request waterfall).  Caveat: the context is
-    domain-local, so with [workers > 1] two worker {e threads} sharing
-    the initial domain can bleed contexts between interleaved requests
-    outside the planner's jobs.
+    reassembles the per-request waterfall).  A batch element folded
+    into another element's job gets a [replay] ledger record under its
+    own request id, so every served rotation has one.  Caveat: the
+    context is domain-local, so with [workers > 1] two worker
+    {e threads} sharing the initial domain can bleed contexts between
+    interleaved requests outside the planner's jobs.
 
     {b Durability & degradation}: misses run through [Synth.run_chain]
     (store consultation included when [Synth.set_store] armed one);

@@ -86,33 +86,6 @@ let exact_word_of_trivial ?(gate_set = "cliffordt") g =
     table.Ma_table.entries;
   Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
 
-(* Cached-replay provenance: [Synth.run_chain] writes one fresh ledger
-   record per chain execution, but dedup and the memo mean most
-   rotation occurrences never reach it.  Every occurrence served by the
-   memo or by another occurrence's execution gets a [cached] record, so
-   a run's ledger holds exactly one record per rotation. *)
-let replay_record ~chain ~gate_set ~requested target (a : Robust.attempt) =
-  {
-    Ledger.target = Synth.target_id target;
-    gate_set;
-    chain;
-    eps_req = requested;
-    rung_eps = a.Robust.rung_epsilon;
-    distance = a.Robust.distance;
-    backend = a.Robust.backend;
-    fallbacks = a.Robust.fallbacks;
-    attempts = a.Robust.fallbacks + 1;
-    t_count = Ctgate.t_count a.Robust.word;
-    word_len = List.length a.Robust.word;
-    wall_s = 0.0;
-    degraded = a.Robust.fallbacks > 0 || a.Robust.distance > requested;
-    cached = true;
-    source = "replay";
-    ok = true;
-    failure = None;
-    request_id = "";
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -138,6 +111,8 @@ let config ?(epsilon = 0.07) ?(gate_set = Gateset.default) ?(ir = Settings.Rz_ir
     ?(window = 64) ?(queue = 32) ?(depth = 4096) ?(jobs = 1)
     ?(deadline = Obs.Deadline.none) ?rotation_budget ?chain ?(trasyn = default_trasyn)
     ?(budgets = Synth.default_budgets) () =
+  if not (epsilon > 0.0 && Float.is_finite epsilon) then
+    invalid_arg "Stream_compile.config: epsilon must be positive and finite";
   if window < 1 then invalid_arg "Stream_compile.config: window must be >= 1";
   if queue < 1 then invalid_arg "Stream_compile.config: queue must be >= 1";
   if depth < 1 then invalid_arg "Stream_compile.config: depth must be >= 1";
@@ -169,18 +144,18 @@ let chain_of cfg =
   | None, Settings.Rz_ir -> rz_default_chain
   | None, Settings.U3_ir -> Synth.u3_chain
 
+let synth_config cfg =
+  Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
+    ~epsilon:cfg.epsilon ()
+
 (* One chain execution on this domain.  Its deadline is the run's,
    capped by the per-rotation budget from now, both on the monotonic
    clock. *)
-let run_chain cfg chain target =
+let run_chain cfg ~config chain target =
   let deadline =
     match cfg.rotation_budget with
     | None -> cfg.deadline
     | Some b -> Obs.Deadline.earliest cfg.deadline (Obs.Deadline.after b)
-  in
-  let config =
-    Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
-      ~epsilon:cfg.epsilon ()
   in
   Obs.span "pipeline.synthesize_rotation" (fun () -> Synth.run_chain ~deadline ~config chain target)
 
@@ -262,7 +237,7 @@ let synthesize cfg g =
           Ok e.attempt
       | None ->
           Obs.incr c_miss;
-          let r = run_chain cfg chain p.target in
+          let r = run_chain cfg ~config:(synth_config cfg) chain p.target in
           Result.iter (fun a -> ignore (memo_add p.key a : memo_entry)) r;
           r)
 
@@ -320,10 +295,11 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let chain = chain_of cfg in
   let tag = Synth.chain_id chain in
   let gs = cfg.gate_set.Gateset.name in
+  let config = synth_config cfg in
   let c_memo_hit, c_memo_miss = memo_counters cfg.ir in
   let pool = Planner.create ~jobs:cfg.jobs ~queue:cfg.queue () in
   let job target () =
-    let r = run_chain cfg chain target in
+    let r = run_chain cfg ~config chain target in
     Result.iter (fun a -> Obs.set_span_attr "backend" a.Robust.backend) r;
     r
   in
@@ -371,7 +347,8 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
       Option.iter (fun f -> f p.gate a) on_degraded
     end;
     if replay && Ledger.enabled () then
-      Ledger.record (replay_record ~chain:tag ~gate_set:gs ~requested:cfg.epsilon p.target a);
+      Ledger.record
+        (Synth.ledger_record ~config chain p.target ~source:`Replay ~wall_s:0.0 (Ok a));
     emit_word gates qubits;
     true
   in

@@ -101,7 +101,8 @@ val config :
     depth 4096, 1 job, no deadline, chain picked by IR
     ([Synth.rz_chain] / [Synth.u3_chain]), {!default_trasyn} and
     [Synth.default_budgets].
-    @raise Invalid_argument on a non-positive window/queue/depth/jobs. *)
+    @raise Invalid_argument on a non-positive or non-finite ε, or a
+    non-positive window/queue/depth/jobs. *)
 
 type stats = {
   gates_in : int;  (** instructions consumed from the source *)

@@ -1,6 +1,6 @@
-(* See robust.mli for the contract.  The chain runner is the one place
-   where backend exceptions, deadlines, fault injection, and the guard
-   meet; everything else here is small and pure. *)
+(* See robust.mli for the contract.  The chain runner that puts the
+   guard and the fault layer to work lives in [Synth]; everything here
+   is small and pure. *)
 
 type failure =
   | Timeout
@@ -18,13 +18,17 @@ let failure_to_string = function
   | Verification_failed -> "verification failed: a synthesized word does not match its target"
   | Backend_error msg -> "backend error: " ^ msg
 
+type attempt = {
+  word : Ctgate.t list;
+  distance : float;
+  backend : string;
+  fallbacks : int;
+  rung_epsilon : float;
+}
+
 (* Observability handles (interned once). *)
 let c_guard_checked = Obs.counter "robust.guard.checked"
 let c_guard_rejected = Obs.counter "robust.guard.rejected"
-let c_retries = Obs.counter "robust.retries"
-let c_faults = Obs.counter "robust.faults.injected"
-let c_deadline = Obs.counter "robust.deadline.expired"
-let c_chain_failed = Obs.counter "robust.chain.failed"
 
 (* ------------------------------------------------------------------ *)
 (* The guard                                                           *)
@@ -33,13 +37,15 @@ let c_chain_failed = Obs.counter "robust.chain.failed"
 let verify ?(tol = 1e-6) ~target ~epsilon ~claimed word =
   Obs.incr c_guard_checked;
   let d = Mat2.distance target (Ctgate.seq_to_mat2 word) in
-  if Float.abs (d -. claimed) > tol then begin
+  (* Both tests are written to fail closed: a NaN claim or threshold
+     compares false, so it is rejected rather than waved through. *)
+  if not (Float.abs (d -. claimed) <= tol) then begin
     Obs.incr c_guard_rejected;
     Error Verification_failed
   end
   (* The small slack mirrors gridsynth's own acceptance test: the
      distance formula has a ~sqrt(ulp) floor near zero. *)
-  else if d > epsilon +. 1e-12 then Error Budget_exhausted
+  else if not (d <= epsilon +. 1e-12) then Error Budget_exhausted
   else Ok d
 
 (* ------------------------------------------------------------------ *)
@@ -183,91 +189,6 @@ module Fault = struct
     configure ?seed specs;
     Fun.protect ~finally:(fun () -> locked (fun () -> state := saved)) f
 end
-
-(* ------------------------------------------------------------------ *)
-(* Fallback chains                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type rung = {
-  name : string;
-  rung_epsilon : float;
-  run : Obs.Deadline.t -> Ctgate.t list * float;
-}
-
-type attempt = {
-  word : Ctgate.t list;
-  distance : float;
-  backend : string;
-  fallbacks : int;
-  rung_epsilon : float;
-}
-
-(* Prepending an X changes the word's unitary by a full Pauli while
-   leaving the claimed distance untouched — exactly the kind of wrong
-   output only the guard can catch. *)
-let corrupt_word word = Ctgate.X :: word
-
-let run_chain ?(deadline = Obs.Deadline.none) ~target rungs =
-  let timeout () =
-    Obs.incr c_deadline;
-    Obs.incr c_chain_failed;
-    Error Timeout
-  in
-  let rec go idx last_failure = function
-    | [] ->
-        Obs.incr c_chain_failed;
-        Error (match last_failure with Some f -> f | None -> Backend_error "empty fallback chain")
-    | (rung : rung) :: rest ->
-        if Obs.Deadline.expired deadline then timeout ()
-        else begin
-          if idx > 0 then Obs.incr c_retries;
-          let injected = Fault.draw rung.name in
-          (match injected with
-          | Some (Fault.Stall s) ->
-              Obs.incr c_faults;
-              Unix.sleepf s
-          | _ -> ());
-          if Obs.Deadline.expired deadline then timeout ()
-          else begin
-            let outcome =
-              match injected with
-              (* Torn/Enospc are store-I/O modes; on a synthesis rung
-                 they degrade to a plain injected failure. *)
-              | Some (Fault.Fail | Fault.Torn | Fault.Enospc) ->
-                  Obs.incr c_faults;
-                  Error (Backend_error (rung.name ^ ": injected failure"))
-              | _ -> (
-                  match rung.run deadline with
-                  | word, claimed ->
-                      let word =
-                        match injected with
-                        | Some Fault.Corrupt ->
-                            Obs.incr c_faults;
-                            corrupt_word word
-                        | _ -> word
-                      in
-                      verify ~target ~epsilon:rung.rung_epsilon ~claimed word
-                      |> Result.map (fun d -> (word, d))
-                  | exception Failure_exn f -> Error f
-                  | exception Gridsynth.Synthesis_failed msg -> Error (Backend_error msg)
-                  | exception Invalid_argument msg ->
-                      Error (Backend_error (rung.name ^ ": " ^ msg))
-                  | exception Failure msg -> Error (Backend_error (rung.name ^ ": " ^ msg)))
-            in
-            match outcome with
-            | Ok (word, d) ->
-                if idx > 0 then Obs.incr (Obs.counter ("robust.fallback." ^ rung.name));
-                Ok { word; distance = d; backend = rung.name; fallbacks = idx;
-                     rung_epsilon = rung.rung_epsilon }
-            | Error _ when Obs.Deadline.expired deadline ->
-                (* Whatever the rung reported, the budget is gone: stop
-                   burning rungs and report the deadline. *)
-                timeout ()
-            | Error f -> go (idx + 1) (Some f) rest
-          end
-        end
-  in
-  go 0 None rungs
 
 (* ------------------------------------------------------------------ *)
 (* CLI boundary                                                        *)

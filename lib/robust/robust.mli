@@ -1,35 +1,36 @@
-(** Hardening layer for the synthesis pipeline: structured failures, a
-    verification guard on every synthesized word, per-rotation fallback
-    ladders with deadline propagation, and deterministic seeded fault
+(** Hardening vocabulary for the synthesis pipeline: structured
+    failures, a verification guard on every synthesized word, the
+    result record of a fallback chain, and deterministic seeded fault
     injection.
 
     Design:
 
     - {b Structured errors, not exceptions.}  Every per-rotation
-      synthesis goes through {!run_chain}, which returns
-      [('a, failure) result]; raw backend exceptions
-      ([Gridsynth.Synthesis_failed], [Invalid_argument], [Failure]) are
-      converted to {!Backend_error} at the rung boundary.  The only
-      exception crossing module boundaries is {!Failure_exn}, used by
-      direct-style wrappers and caught by {!guarded} in the CLIs.
+      synthesis returns [(attempt, failure) result].  A backend's own
+      exceptions ([Gridsynth.Synthesis_failed], [Invalid_argument],
+      [Failure]) become {!Backend_error} in [Synth.wrap], at the adapter
+      boundary.  The only exception crossing module boundaries is
+      {!Failure_exn}, used by direct-style wrappers and caught by
+      {!guarded} in the CLIs.
     - {b Trust nothing.}  A rung's output is never accepted on its own
       claim: the guard recomputes the word's unitary and checks both
       that the claimed distance is honest and that the rung's threshold
-      is met before the word enters a circuit.
-    - {b Guaranteed landing.}  The standard ladders (built in [Synth]
-      from the backend registry) end in Solovay–Kitaev depth
-      escalation, which always terminates (Dawson–Nielsen), so a chain
-      only fails outright when every rung misbehaves or the deadline
-      expires.
+      is met before the word enters a circuit.  It fails closed: a NaN
+      claim or threshold is rejected.
+    - {b Guaranteed landing.}  The standard ladders ([Synth.u3_chain],
+      [Synth.rz_chain]) end in Solovay–Kitaev depth escalation, which
+      always terminates (Dawson–Nielsen), so a chain only fails outright
+      when every rung misbehaves or the deadline expires.
     - {b Testable end to end.}  The fault layer ({!Fault}) can force
       any rung to fail, stall, or emit a corrupted word — seeded and
       deterministic — via the [TGATES_FAULTS] environment variable or
       the programmatic API.
 
-    Observability (through {!Obs}): [robust.guard.checked] /
-    [robust.guard.rejected], [robust.retries],
+    The chain runner that applies all of this lives in [Synth]
+    ([Synth.run_chain]); it counts [robust.retries],
     [robust.fallback.<rung>], [robust.faults.injected],
-    [robust.deadline.expired], [robust.chain.failed]. *)
+    [robust.deadline.expired] and [robust.chain.failed].  This module
+    counts [robust.guard.checked] / [robust.guard.rejected]. *)
 
 (** {1 Failure taxonomy} *)
 
@@ -53,6 +54,18 @@ val failure_to_string : failure -> string
 (** One-line, human-readable, stable across releases — what the CLIs
     print to stderr. *)
 
+(** {1 Chain results} *)
+
+type attempt = {
+  word : Ctgate.t list;
+  distance : float;  (** guard-verified distance, not the rung's claim *)
+  backend : string;  (** name of the rung that produced the word *)
+  fallbacks : int;  (** rungs that failed before this one *)
+  rung_epsilon : float;  (** the threshold the word was accepted under *)
+}
+(** What [Synth.run_chain] returns for a rotation it synthesized or
+    served from the store. *)
+
 (** {1 The guard} *)
 
 val verify :
@@ -65,10 +78,10 @@ val verify :
 (** Recompute the word's unitary and its distance [d] to [target].
     [Error Verification_failed] when [d] disagrees with [claimed] by
     more than [tol] (default 1e-6) — the backend lied or the word was
-    corrupted; [Error Budget_exhausted] when the word is honest but
-    [d > epsilon]; [Ok d] otherwise.  Every call bumps
-    [robust.guard.checked], every [Verification_failed] bumps
-    [robust.guard.rejected]. *)
+    corrupted — or the claim is NaN; [Error Budget_exhausted] when the
+    word is honest but [d > epsilon], or [epsilon] is NaN; [Ok d]
+    otherwise.  Every call bumps [robust.guard.checked], every
+    [Verification_failed] bumps [robust.guard.rejected]. *)
 
 (** {1 Deterministic fault injection} *)
 
@@ -124,45 +137,12 @@ module Fault : sig
   (** Consult the fault table for one call of the named rung.  On first
       use, if {!configure} was never called, [TGATES_FAULTS] is parsed
       and armed ([Invalid_argument] on a malformed value).  Exposed for
-      tests; the chain calls it once per rung attempt. *)
+      tests; [Synth.run_chain] calls it once per rung attempt. *)
 
   val with_faults : ?seed:int -> spec list -> (unit -> 'a) -> 'a
   (** Scoped {!configure}/{!clear} pair restoring the previous state —
       what tests should use. *)
 end
-
-(** {1 Fallback chains} *)
-
-type rung = {
-  name : string;  (** counter suffix and fault-injection key *)
-  rung_epsilon : float;  (** guard acceptance threshold for this rung *)
-  run : Obs.Deadline.t -> Ctgate.t list * float;
-      (** produce (word, claimed distance); may raise — converted to
-          {!Backend_error} by the chain *)
-}
-
-type attempt = {
-  word : Ctgate.t list;
-  distance : float;  (** guard-verified distance, not the rung's claim *)
-  backend : string;  (** name of the rung that produced the word *)
-  fallbacks : int;  (** rungs that failed before this one *)
-  rung_epsilon : float;  (** the threshold the word was accepted under *)
-}
-
-val run_chain :
-  ?deadline:Obs.Deadline.t -> target:Mat2.t -> rung list -> (attempt, failure) result
-(** Try each rung in order; the first whose output passes the guard
-    wins.  The deadline is checked before each rung and after each
-    failure: on expiry the chain stops with [Error Timeout] rather than
-    burning further rungs.  When every rung fails, the last rung's
-    failure is returned.  A rung raising {!Failure_exn} fails with that
-    failure verbatim (how [Synth] adapters report structured errors).
-    Rung attempts after the first count as [robust.retries]; a rung
-    succeeding at position > 0 counts as [robust.fallback.<name>].
-
-    The standard ladders (and convenience wrappers over them) live in
-    [Synth], the backend registry — this module only provides the
-    generic chain machinery. *)
 
 (** {1 CLI boundary} *)
 

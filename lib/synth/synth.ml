@@ -1,8 +1,7 @@
 (* See synth.mli for the contract.  This module is the one place that
-   names the concrete backends; everything above it (pipeline, CLIs,
-   bench) speaks only registry entries and chains. *)
-
-type capability = Rz_only | Full_u3
+   names the concrete backends and the one place a chain's rungs run;
+   everything above it (pipeline, CLIs, bench) speaks only backend
+   names and chains. *)
 
 type target = Rz of float | Unitary of Mat2.t
 
@@ -25,7 +24,6 @@ type config = {
   gs_candidates_per_n : int option;
   synthetiq_seconds : float;
   synthetiq_seed : int;
-  sk_base_t : int option;
   sk_max_depth : int option;
 }
 
@@ -42,7 +40,6 @@ let config ?(deadline = Obs.Deadline.none) ?(gate_set = Gateset.default)
     gs_candidates_per_n = None;
     synthetiq_seconds = 10.0;
     synthetiq_seed = 0;
-    sk_base_t = None;
     sk_max_depth = None;
   }
 
@@ -54,7 +51,6 @@ let gate_set_name cfg = cfg.gate_set.Gateset.name
 
 module type BACKEND = sig
   val name : string
-  val capability : capability
 
   val supports_gate_set : string -> bool
   (* Which alphabets the backend can emit words over.  Exact-arithmetic
@@ -70,17 +66,13 @@ let backend_name (b : backend) =
   let module B = (val b) in
   B.name
 
-let backend_capability (b : backend) =
-  let module B = (val b) in
-  B.capability
-
 let backend_supports (b : backend) gate_set =
   let module B = (val b) in
   B.supports_gate_set gate_set
 
 (* Convert the backends' native exception vocabulary to the structured
-   taxonomy right at the adapter boundary, mirroring what run_chain
-   catches for raw rungs. *)
+   taxonomy right at the adapter boundary: the one place a backend
+   exception becomes a [Backend_error]. *)
 let wrap name f =
   match f () with
   | word, distance -> Ok (word, distance)
@@ -91,8 +83,6 @@ let wrap name f =
 
 module Trasyn_backend : BACKEND = struct
   let name = "trasyn"
-
-  let capability = Full_u3
 
   (* Any alphabet with a step-0 table: [Ma_table.get_for] raises its
      structured error (converted by [wrap]) when none was provided. *)
@@ -115,8 +105,6 @@ module Gridsynth_backend : BACKEND = struct
   (* Native domain is a single Rz word; [Unitary] targets still work,
      routed through the Eq. (1) Euler-angle decomposition (three Rz
      syntheses at ε/3) inside [Gridsynth.u3]. *)
-  let capability = Rz_only
-
   let supports_gate_set = String.equal "cliffordt"
 
   let synthesize target cfg =
@@ -141,8 +129,6 @@ end
 module Synthetiq_backend : BACKEND = struct
   let name = "synthetiq"
 
-  let capability = Full_u3
-
   let supports_gate_set = String.equal "cliffordt"
 
   let synthesize target cfg =
@@ -163,60 +149,34 @@ end
 module Sk_backend : BACKEND = struct
   let name = "sk"
 
-  let capability = Full_u3
-
   let supports_gate_set = String.equal "cliffordt"
 
   let synthesize target cfg =
     let m = target_mat2 target in
     wrap name (fun () ->
         let r =
-          Solovay_kitaev.synthesize_to ?base_t:cfg.sk_base_t ?max_depth:cfg.sk_max_depth
-            ~epsilon:cfg.epsilon m
+          Solovay_kitaev.synthesize_to ?max_depth:cfg.sk_max_depth ~epsilon:cfg.epsilon m
         in
         (r.Solovay_kitaev.seq, r.Solovay_kitaev.distance))
 end
 
 (* ------------------------------------------------------------------ *)
-(* The registry                                                        *)
+(* The backends                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let reg_lock = Mutex.create ()
-
-let reg : (string * backend) list ref = ref []
-
-let locked f =
-  Mutex.lock reg_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_lock) f
-
-let register (b : backend) =
-  let name = backend_name b in
-  locked (fun () ->
-      if List.mem_assoc name !reg then
-        invalid_arg ("Synth.register: duplicate backend " ^ name)
-      else reg := !reg @ [ (name, b) ])
-
-let find name = locked (fun () -> List.assoc_opt name !reg)
+let trasyn_backend : backend = (module Trasyn_backend)
+let gridsynth_backend : backend = (module Gridsynth_backend)
+let sk_backend : backend = (module Sk_backend)
+let backends = [ trasyn_backend; gridsynth_backend; (module Synthetiq_backend); sk_backend ]
+let all () = backends
+let find name = List.find_opt (fun b -> backend_name b = name) backends
+let known () = String.concat ", " (List.map backend_name backends)
 
 let find_exn name =
   match find name with
   | Some b -> b
   | None ->
-      let known = locked (fun () -> String.concat ", " (List.map fst !reg)) in
-      invalid_arg (Printf.sprintf "Synth.find_exn: unknown backend %S (known: %s)" name known)
-
-let all () = locked (fun () -> List.map snd !reg)
-
-let backends_for gate_set = List.filter (fun b -> backend_supports b gate_set) (all ())
-
-let () =
-  List.iter register
-    [
-      (module Trasyn_backend : BACKEND);
-      (module Gridsynth_backend : BACKEND);
-      (module Synthetiq_backend : BACKEND);
-      (module Sk_backend : BACKEND);
-    ]
+      invalid_arg (Printf.sprintf "Synth.find_exn: unknown backend %S (known: %s)" name (known ()))
 
 (* ------------------------------------------------------------------ *)
 (* Chains: fallback ladders as data                                    *)
@@ -245,11 +205,7 @@ let sk_floor = 0.45
    asking it for less just burns its budget before SK runs. *)
 let trasyn_floor = 0.01
 
-let trasyn_backend = find_exn "trasyn"
-
-let gridsynth_backend = find_exn "gridsynth"
-
-let sk_rung = rung ~eps_floor:sk_floor (find_exn "sk")
+let sk_rung = rung ~eps_floor:sk_floor sk_backend
 
 let u3_chain =
   [
@@ -306,32 +262,13 @@ let parse_chain s =
                  hand-built chains still land like the standard ones. *)
               let spec = if n = "sk" then rung ~eps_floor:sk_floor b else rung b in
               go (spec :: acc) rest
-          | None ->
-              Error
-                (Printf.sprintf "unknown backend %S (known: %s)" n
-                   (String.concat ", " (List.map backend_name (all ())))))
+          | None -> Error (Printf.sprintf "unknown backend %S (known: %s)" n (known ())))
     in
     go [] names
 
 (* ------------------------------------------------------------------ *)
 (* Running a chain                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let rung_of_spec ~config:base ~target spec : Robust.rung =
-  let eps = Float.max (base.epsilon *. spec.eps_scale) spec.eps_floor in
-  {
-    Robust.name = spec.rung_name;
-    rung_epsilon = eps;
-    run =
-      (fun deadline ->
-        (* The chain runner owns deadline composition; the adapter just
-           honours whatever it is handed. *)
-        let cfg = spec.tweak { base with epsilon = eps; deadline } in
-        let module B = (val spec.backend) in
-        match B.synthesize target cfg with
-        | Ok (word, distance) -> (word, distance)
-        | Error f -> Robust.fail f);
-  }
 
 (* Canonical target id for provenance: enough digits that two angles
    the pipeline considers distinct never collide in a ledger. *)
@@ -350,6 +287,10 @@ let failure_tag : Robust.failure -> string = function
 let c_rotations = Obs.counter "synth.rotations"
 let c_store_hit = Obs.counter "synth.store.hit"
 let c_store_miss = Obs.counter "synth.store.miss"
+let c_retries = Obs.counter "robust.retries"
+let c_faults = Obs.counter "robust.faults.injected"
+let c_deadline = Obs.counter "robust.deadline.expired"
+let c_chain_failed = Obs.counter "robust.chain.failed"
 
 (* The process-wide persistent store, when a CLI armed one.  Guarded by
    a mutex: [run_chain] runs on planner worker domains.  (The store's
@@ -375,6 +316,136 @@ let store_target = function
       let theta, phi, lam = Mat2.to_u3_angles m in
       Store.U3 (theta, phi, lam)
 
+(* Rungs whose backend cannot emit the requested alphabet are skipped,
+   so a non-Clifford+T request falls through gridsynth/sk straight to
+   the table-driven backends instead of getting a wrong-alphabet word. *)
+let usable cfg chain =
+  List.filter (fun spec -> backend_supports spec.backend (gate_set_name cfg)) chain
+
+let ledger_record ?(request_id = "") ~config:cfg chain target ~source ~wall_s result =
+  let base =
+    {
+      Ledger.target = target_id target;
+      gate_set = gate_set_name cfg;
+      chain = chain_id chain;
+      eps_req = cfg.epsilon;
+      rung_eps = nan;
+      distance = nan;
+      backend = "failed";
+      fallbacks = 0;
+      attempts = 0;
+      t_count = 0;
+      word_len = 0;
+      wall_s;
+      degraded = true;
+      cached = source <> `Fresh;
+      source = (match source with `Fresh -> "fresh" | `Replay -> "replay" | `Store -> "store");
+      ok = false;
+      failure = None;
+      request_id;
+    }
+  in
+  match result with
+  | Ok (a : Robust.attempt) ->
+      {
+        base with
+        rung_eps = a.rung_epsilon;
+        distance = a.distance;
+        backend = a.backend;
+        fallbacks = a.fallbacks;
+        (* A store hit ran no rung. *)
+        attempts = (if source = `Store then 0 else a.fallbacks + 1);
+        t_count = Ctgate.t_count a.word;
+        word_len = List.length a.word;
+        (* ε = 0 asks for the best word the budget finds, which no
+           distance overshoots. *)
+        degraded = a.fallbacks > 0 || (cfg.epsilon > 0.0 && a.distance > cfg.epsilon);
+        ok = true;
+      }
+  | Error f ->
+      let rungs = List.length (usable cfg chain) in
+      { base with fallbacks = max 0 (rungs - 1); attempts = rungs; failure = Some (failure_tag f) }
+
+(* Try each usable rung in order until one's word passes the guard.
+   This is the one place where deadlines, fault injection, the adapters
+   and the guard meet.  The deadline is checked before each rung and
+   after each failure; on expiry the chain stops with [Timeout] rather
+   than burning further rungs.  When every rung fails, the last one's
+   failure is the chain's. *)
+let run_rungs ~deadline ~config:base chain target =
+  let m = target_mat2 target in
+  let timeout () =
+    Obs.incr c_deadline;
+    Obs.incr c_chain_failed;
+    Error Robust.Timeout
+  in
+  let rec go idx spec rest =
+    if Obs.Deadline.expired deadline then timeout ()
+    else begin
+      if idx > 0 then Obs.incr c_retries;
+      let injected = Robust.Fault.draw spec.rung_name in
+      (match injected with
+      | Some (Robust.Fault.Stall s) ->
+          Obs.incr c_faults;
+          Unix.sleepf s
+      | _ -> ());
+      if Obs.Deadline.expired deadline then timeout ()
+      else
+        let eps = Float.max (base.epsilon *. spec.eps_scale) spec.eps_floor in
+        let outcome =
+          match injected with
+          (* Torn/Enospc are store-I/O modes; on a synthesis rung they
+             degrade to a plain injected failure. *)
+          | Some (Robust.Fault.Fail | Robust.Fault.Torn | Robust.Fault.Enospc) ->
+              Obs.incr c_faults;
+              Error (Robust.Backend_error (spec.rung_name ^ ": injected failure"))
+          | _ -> (
+              let module B = (val spec.backend) in
+              match B.synthesize target (spec.tweak { base with epsilon = eps; deadline }) with
+              | Error _ as e -> e
+              | Ok (word, claimed) ->
+                  (* Prepending an X changes the word's unitary by a full
+                     Pauli while leaving the claim untouched — exactly the
+                     kind of wrong output only the guard can catch. *)
+                  let word =
+                    if injected = Some Robust.Fault.Corrupt then begin
+                      Obs.incr c_faults;
+                      Ctgate.X :: word
+                    end
+                    else word
+                  in
+                  Robust.verify ~target:m ~epsilon:eps ~claimed word
+                  |> Result.map (fun d -> (word, d)))
+        in
+        match (outcome, rest) with
+        | Ok (word, distance), _ ->
+            if idx > 0 then Obs.incr (Obs.counter ("robust.fallback." ^ spec.rung_name));
+            Ok
+              {
+                Robust.word;
+                distance;
+                backend = spec.rung_name;
+                fallbacks = idx;
+                rung_epsilon = eps;
+              }
+        | Error _, _ when Obs.Deadline.expired deadline ->
+            (* Whatever the rung reported, the budget is gone: stop
+               burning rungs and report the deadline. *)
+            timeout ()
+        | Error f, [] ->
+            Obs.incr c_chain_failed;
+            Error f
+        | Error _, next :: rest -> go (idx + 1) next rest
+    end
+  in
+  match usable base chain with
+  | [] ->
+      Error
+        (Robust.Backend_error
+           (Printf.sprintf "no backend in chain %S supports gate set %S" (chain_id chain)
+              (gate_set_name base)))
+  | spec :: rest -> go 0 spec rest
+
 let run_chain_sourced ?deadline ~config:cfg chain target =
   let deadline =
     match deadline with
@@ -384,6 +455,15 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
   Obs.incr c_rotations;
   let t0 = Obs.Clock.elapsed_s () in
   let gs_name = gate_set_name cfg in
+  (* One provenance record per chain execution, success or failure; the
+     engine and the server add replay records for occurrences served by
+     dedup or the memo. *)
+  let record source result =
+    if Ledger.enabled () then
+      Ledger.record
+        (ledger_record ~config:cfg chain target ~source ~wall_s:(Obs.Clock.elapsed_s () -. t0)
+           result)
+  in
   (* Consult the persistent store first: a stored word whose verified
      distance is ≤ ε is a valid answer for this request (ε-monotonic
      reuse), already re-verified by the store's read path.  The lookup
@@ -405,137 +485,38 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
   in
   match store_hit with
   | Some (e : Store.entry) ->
-      if Ledger.enabled () then
-        Ledger.record
-          {
-            Ledger.target = target_id target;
-            gate_set = gs_name;
-            chain = chain_id chain;
-            eps_req = cfg.epsilon;
-            rung_eps = cfg.epsilon;
-            distance = e.Store.distance;
-            backend = e.Store.backend;
-            fallbacks = 0;
-            attempts = 0;
-            t_count = e.Store.t_count;
-            word_len = List.length e.Store.word;
-            wall_s = Obs.Clock.elapsed_s () -. t0;
-            degraded = false;
-            cached = true;
-            source = "store";
-            ok = true;
-            failure = None;
-            request_id = "";
-          };
-      Ok
-        ( {
-            Robust.word = e.Store.word;
-            distance = e.Store.distance;
-            backend = e.Store.backend;
-            fallbacks = 0;
-            rung_epsilon = cfg.epsilon;
-          },
-          `Store )
-  | None ->
-  (* Rungs whose backend cannot emit this alphabet are skipped, so a
-     non-Clifford+T request falls through gridsynth/sk straight to the
-     table-driven backends instead of getting a wrong-alphabet word. *)
-  let usable = List.filter (fun spec -> backend_supports spec.backend gs_name) chain in
-  let result =
-    if usable = [] then
-      Error
-        (Robust.Backend_error
-           (Printf.sprintf "no backend in chain %S supports gate set %S" (chain_id chain)
-              gs_name))
-    else
-      Robust.run_chain ~deadline ~target:(target_mat2 target)
-        (List.map (rung_of_spec ~config:cfg ~target) usable)
-  in
-  (* One fresh provenance record per chain execution, success or
-     failure; the pipelines add cached-replay records for occurrences
-     served by dedup or the memo caches. *)
-  if Ledger.enabled () then begin
-    let wall_s = Obs.Clock.elapsed_s () -. t0 in
-    let base =
-      {
-        Ledger.target = target_id target;
-        gate_set = gs_name;
-        chain = chain_id chain;
-        eps_req = cfg.epsilon;
-        rung_eps = nan;
-        distance = nan;
-        backend = "failed";
-        fallbacks = max 0 (List.length usable - 1);
-        attempts = List.length usable;
-        t_count = 0;
-        word_len = 0;
-        wall_s;
-        degraded = true;
-        cached = false;
-        source = "fresh";
-        ok = false;
-        failure = None;
-        request_id = "";
-      }
-    in
-    Ledger.record
-      (match result with
-      | Ok (a : Robust.attempt) ->
-          {
-            base with
-            Ledger.rung_eps = a.Robust.rung_epsilon;
-            distance = a.Robust.distance;
-            backend = a.Robust.backend;
-            fallbacks = a.Robust.fallbacks;
-            attempts = a.Robust.fallbacks + 1;
-            t_count = Ctgate.t_count a.Robust.word;
-            word_len = List.length a.Robust.word;
-            degraded = a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon;
-            ok = true;
-          }
-      | Error f -> { base with Ledger.failure = Some (failure_tag f) })
-  end;
-  (* A freshly synthesized, guard-verified word is worth keeping — under
-     the alphabet that produced it, so cross-alphabet hits are
-     impossible. *)
-  (match (result, store ()) with
-  | Ok (a : Robust.attempt), Some st when not (Store.readonly st) ->
-      Store.put st
+      let a =
         {
-          Store.gate_set = gs_name;
-          target = store_target target;
-          eps_req = cfg.epsilon;
-          distance = a.Robust.distance;
-          word = a.Robust.word;
-          t_count = Ctgate.t_count a.Robust.word;
-          backend = a.Robust.backend;
-          chain = chain_id chain;
+          Robust.word = e.Store.word;
+          distance = e.Store.distance;
+          backend = e.Store.backend;
+          fallbacks = 0;
+          rung_epsilon = cfg.epsilon;
         }
-  | _ -> ());
-  Result.map (fun a -> (a, `Fresh)) result
+      in
+      record `Store (Ok a);
+      Ok (a, `Store)
+  | None ->
+      let result = run_rungs ~deadline ~config:cfg chain target in
+      record `Fresh result;
+      (* A freshly synthesized, guard-verified word is worth keeping —
+         under the alphabet that produced it, so cross-alphabet hits are
+         impossible. *)
+      (match (result, store ()) with
+      | Ok a, Some st when not (Store.readonly st) ->
+          Store.put st
+            {
+              Store.gate_set = gs_name;
+              target = store_target target;
+              eps_req = cfg.epsilon;
+              distance = a.Robust.distance;
+              word = a.Robust.word;
+              t_count = Ctgate.t_count a.Robust.word;
+              backend = a.Robust.backend;
+              chain = chain_id chain;
+            }
+      | _ -> ());
+      Result.map (fun a -> (a, `Fresh)) result
 
 let run_chain ?deadline ~config chain target =
   Result.map fst (run_chain_sourced ?deadline ~config chain target)
-
-let synthesize_u3 ?deadline ?(config = Trasyn.default_config) ?(budgets = default_budgets)
-    ~epsilon target =
-  let cfg =
-    {
-      epsilon;
-      deadline = Obs.Deadline.none;
-      gate_set = Gateset.default;
-      trasyn = config;
-      trasyn_budgets = budgets;
-      trasyn_attempts = 1;
-      gs_max_extra_n = None;
-      gs_candidates_per_n = None;
-      synthetiq_seconds = 10.0;
-      synthetiq_seed = 0;
-      sk_base_t = None;
-      sk_max_depth = None;
-    }
-  in
-  run_chain ?deadline ~config:cfg u3_chain (Unitary target)
-
-let synthesize_rz ?deadline ?gs_scale ~epsilon theta =
-  run_chain ?deadline ~config:(config ~epsilon ()) (rz_chain ?gs_scale ()) (Rz theta)

@@ -1,30 +1,20 @@
-(** Unified synthesis-backend registry: every per-rotation synthesis in
-    the compiler goes through here.
+(** The synthesis backends and the chains that run them: every
+    per-rotation synthesis in the compiler goes through here.
 
     The four concrete engines (TRASYN, GRIDSYNTH, SYNTHETIQ,
     Solovay–Kitaev) are wrapped as first-class modules of one
-    {!BACKEND} signature and interned in a string-keyed registry
-    ({!find} / {!all}), so the pipeline, the CLIs, and the benches
-    never name a backend module — they name registry entries, and a
-    [--backend-chain trasyn,gridsynth,sk] flag can rebuild any ladder
-    at run time ({!parse_chain}).
+    {!BACKEND} signature in a constant list ({!find} / {!all}), so the
+    pipeline, the CLIs, and the benches never name a backend module —
+    they name backends, and a [--backend-chain trasyn,gridsynth,sk]
+    flag can rebuild any ladder at run time ({!parse_chain}).
 
     Fallback ladders are plain data: a chain is a [rung_spec list]
-    (registry entry + per-rung ε policy + config tweak), executed by
-    {!run_chain} on top of [Robust.run_chain], so guard verification,
-    deadline propagation, retry/fallback counters, and fault injection
-    all apply unchanged.  {!u3_chain} and {!rz_chain} reproduce the
-    ladders the robust layer used to hard-wire, constant for
-    constant. *)
+    (backend + per-rung ε policy + config tweak) that {!run_chain} runs
+    itself; {!u3_chain} and {!rz_chain} are the standard ladders.
+    {!ledger_record} is the one constructor of [Ledger] records,
+    whoever writes them. *)
 
-(** {1 Targets and capability} *)
-
-type capability =
-  | Rz_only
-      (** the engine natively synthesizes a single Rz word; [Unitary]
-          targets are still accepted, routed through the Eq. (1)
-          Euler-angle decomposition (three Rz syntheses at ε/3) *)
-  | Full_u3  (** the engine hits an arbitrary SU(2) target directly *)
+(** {1 Targets} *)
 
 type target = Rz of float | Unitary of Mat2.t
 
@@ -46,7 +36,6 @@ type config = {
   gs_candidates_per_n : int option;
   synthetiq_seconds : float;  (** anneal wall budget (tightened by [deadline]) *)
   synthetiq_seed : int;
-  sk_base_t : int option;
   sk_max_depth : int option;
 }
 
@@ -73,9 +62,7 @@ val gate_set_name : config -> string
 
 module type BACKEND = sig
   val name : string
-  (** registry key, counter suffix, fault-injection key *)
-
-  val capability : capability
+  (** lookup key, counter suffix, fault-injection key *)
 
   val supports_gate_set : string -> bool
   (** Which alphabets the engine can emit words over.  The exact
@@ -84,38 +71,32 @@ module type BACKEND = sig
       resolves to ([Ma_table.get_for]). *)
 
   val synthesize : target -> config -> (Ctgate.t list * float, Robust.failure) result
-  (** Produce (word, claimed distance) or a structured failure.  The
-      claim is {e not} trusted: {!run_chain} re-verifies every word
-      through [Robust.verify] before accepting it. *)
+  (** Produce (word, claimed distance) or a structured failure, never
+      an exception: the built-in adapters turn their engine's
+      exceptions into [Backend_error].  The claim is {e not} trusted:
+      {!run_chain} re-verifies every word through [Robust.verify]
+      before accepting it.  GRIDSYNTH serves a [Unitary] target through
+      the Eq. (1) Euler-angle decomposition (three Rz syntheses at
+      ε/3). *)
 end
 
 type backend = (module BACKEND)
 
 val backend_name : backend -> string
 
-val backend_capability : backend -> capability
-
 val backend_supports : backend -> string -> bool
 (** [backend_supports b gs] = [B.supports_gate_set gs]. *)
 
-(** {1 Registry} *)
-
-val register : backend -> unit
-(** Add a backend under its [name].
-    @raise Invalid_argument on a duplicate name. *)
+(** {1 The backends} *)
 
 val find : string -> backend option
 
 val find_exn : string -> backend
-(** @raise Invalid_argument on an unknown name. *)
+(** @raise Invalid_argument on an unknown name, listing the known ones. *)
 
 val all : unit -> backend list
-(** In registration order; the four built-ins ([trasyn], [gridsynth],
-    [synthetiq], [sk]) are registered at module initialization. *)
-
-val backends_for : string -> backend list
-(** The registered backends that support the named gate set, in
-    registration order. *)
+(** The four built-ins, in order: [trasyn], [gridsynth], [synthetiq],
+    [sk]. *)
 
 (** {1 Chains as data} *)
 
@@ -147,7 +128,7 @@ val rz_chain : ?gs_scale:float -> unit -> rung_spec list
     resort. *)
 
 val parse_chain : string -> (rung_spec list, string) result
-(** Parse a [--backend-chain] value: comma-separated registry names,
+(** Parse a [--backend-chain] value: comma-separated backend names,
     e.g. ["trasyn,gridsynth,sk"].  Each name becomes a plain rung at
     the chain ε (an [sk] entry keeps its 0.45 floor so hand-built
     chains still land).  [Error] names the unknown backend and lists
@@ -184,18 +165,27 @@ val run_chain :
   rung_spec list ->
   target ->
   (Robust.attempt, Robust.failure) result
-(** Execute the chain through [Robust.run_chain]: first rung whose
-    guard-verified word meets its threshold wins.  Rungs whose backend
-    does not support [config.gate_set] are skipped; a chain with no
-    usable rung fails with a structured [Backend_error].  The effective
+(** Run the chain: the first rung whose guard-verified
+    ([Robust.verify]) word meets its threshold max(ε·scale, floor)
+    wins.  Rungs whose backend does not support [config.gate_set] are
+    skipped; an empty chain, or one with no usable rung, fails with a
+    [Backend_error] naming "no backend in chain".  The effective
     deadline is the tighter of [deadline] and [config.deadline]; each
     rung sees it in its [config].
 
+    The deadline is checked before each rung, after a stall and after
+    each failure: on expiry the chain stops with [Timeout]
+    ([robust.deadline.expired]).  Each rung draws [Robust.Fault] under
+    its name, which may stall it, fail it or corrupt its word
+    ([robust.faults.injected]).  Rungs after the first count as
+    [robust.retries], a winner after the first as
+    [robust.fallback.<rung>]; when every rung fails the chain reports
+    the last rung's failure ([robust.chain.failed]).
+
     Every call bumps ["synth.rotations"], and when the provenance
-    ledger is armed ([Ledger.enabled]) appends one fresh record —
-    success or failure — carrying the canonical target, requested and
-    rung ε, guard-verified distance, winning backend, fallback depth,
-    T-count, word length, wall time, and degraded flag. *)
+    ledger is armed ([Ledger.enabled]) appends one {!ledger_record} —
+    success or failure — with source ["fresh"] (["store"] on a store
+    hit). *)
 
 val run_chain_sourced :
   ?deadline:Obs.Deadline.t ->
@@ -207,20 +197,24 @@ val run_chain_sourced :
     from the persistent store or freshly synthesized — what the batch
     server stamps into its responses. *)
 
-val synthesize_u3 :
-  ?deadline:Obs.Deadline.t ->
-  ?config:Trasyn.config ->
-  ?budgets:int list ->
-  epsilon:float ->
-  Mat2.t ->
-  (Robust.attempt, Robust.failure) result
-(** {!run_chain} over {!u3_chain} (same contract the robust layer's
-    [synthesize_u3] used to offer). *)
-
-val synthesize_rz :
-  ?deadline:Obs.Deadline.t ->
-  ?gs_scale:float ->
-  epsilon:float ->
-  float ->
-  (Robust.attempt, Robust.failure) result
-(** {!run_chain} over {!rz_chain} on Rz(θ). *)
+val ledger_record :
+  ?request_id:string ->
+  config:config ->
+  rung_spec list ->
+  target ->
+  source:[ `Fresh | `Replay | `Store ] ->
+  wall_s:float ->
+  (Robust.attempt, Robust.failure) result ->
+  Ledger.record
+(** The ledger record of one rotation served under [config] by the
+    chain, from a chain execution ([`Fresh]), another occurrence's
+    execution or the memo ([`Replay], [cached]) or the store
+    ([`Store], [cached], no rung run: [attempts] 0).  On success it
+    carries the attempt's rung ε, verified distance, backend, fallback
+    depth, T-count and word length; [degraded] when a fallback was
+    taken or the distance is above a positive requested ε (ε = 0 asks
+    for the best word within budget).  On failure [rung_eps] and
+    [distance] are [nan], the backend is ["failed"], and the chain's
+    usable rungs count as tried.  [request_id] defaults to [""], which
+    [Ledger.record] stamps from the ambient request context.  A direct
+    backend call records itself as a one-rung chain. *)

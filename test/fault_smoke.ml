@@ -7,7 +7,10 @@
       reports which backend rescued each rotation (also visible as
       robust.* counters in the trace).
    2. With every backend forced to fail, the process exits nonzero with
-      a one-line structured error on stderr — never a backtrace. *)
+      a one-line structured error on stderr — never a backtrace.
+   3. A non-positive or NaN --epsilon is rejected up front with the
+      same kind of error, whole-circuit and --stream alike, instead of
+      sliding every rotation down the ladder. *)
 
 let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("fault_smoke: FAIL: " ^ s); exit 1) fmt
 
@@ -74,4 +77,17 @@ let () =
     failf "stderr contains a backtrace: %s" err;
 
   Unix.putenv "TGATES_FAULTS" "";
+  (* Gate 3: out-of-range ε exits nonzero before any synthesis. *)
+  List.iter
+    (fun extra ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s --input %s --workflow trasyn %s > %s 2> %s" (Filename.quote cli)
+             (Filename.quote qasm) extra (Filename.quote stdout_f) (Filename.quote stderr_f))
+      in
+      if code = 0 then failf "%s exited 0" extra;
+      let err = read_file stderr_f in
+      if not (contains err "epsilon must be positive and finite") then
+        failf "%s: stderr does not name the bad epsilon: %s" extra err)
+    [ "--epsilon=-0.1"; "--epsilon=0"; "--epsilon=nan"; "--stream --epsilon=nan" ];
   print_endline "fault_smoke: OK"

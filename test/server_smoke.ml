@@ -3,7 +3,8 @@
 
    1. start serve_cli on a Unix-domain socket with --store, --ledger
       and --trace, and drive it with live traffic (ping, two singles, a
-      batch with a repeated angle, stats, shutdown);
+      batch repeating an angle of a single and one of its own, stats,
+      shutdown);
    2. the stats response must be a tgates-server-stats/v1 snapshot with
       a trace_id, positive uptime_s, reconciling per-command counters,
       populated latency/queue-wait quantiles (p50 through p999) and a
@@ -67,7 +68,8 @@ let () =
     Printf.ksprintf
       (fun msg ->
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
+        (* The child is already reaped when a check after its exit fails. *)
+        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
         let log = try read_file log_path with _ -> "" in
         prerr_endline ("server_smoke: FAIL: " ^ msg);
         prerr_endline ("server log:\n" ^ log);
@@ -137,7 +139,7 @@ let () =
   send "{\"op\":\"rz\",\"id\":1,\"theta\":0.37}";
   send "{\"op\":\"rz\",\"id\":2,\"theta\":1.1}";
   send
-    "{\"op\":\"batch\",\"id\":3,\"requests\":[{\"op\":\"rz\",\"theta\":0.5},{\"op\":\"rz\",\"theta\":0.37}]}";
+    "{\"op\":\"batch\",\"id\":3,\"requests\":[{\"op\":\"rz\",\"theta\":0.5},{\"op\":\"rz\",\"theta\":0.37},{\"op\":\"rz\",\"theta\":0.5}]}";
   (* Collect the four responses by echoed id (ping answers out of band,
      ahead of the queued synthesis work). *)
   let responses = Hashtbl.create 8 in
@@ -159,7 +161,7 @@ let () =
   let rotation_rids = ref [ req_id (resp 1); req_id (resp 2) ] in
   (match J.member "results" (resp 3) with
   | Some (J.Arr rs) ->
-      if List.length rs <> 2 then die "batch returned %d results" (List.length rs);
+      if List.length rs <> 3 then die "batch returned %d results" (List.length rs);
       List.iter
         (fun r ->
           (match J.member "ok" r with

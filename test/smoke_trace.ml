@@ -96,4 +96,15 @@ let () =
   in
   if not has_metrics then failf "cmdliner error exit: final metrics missing from trace";
   Sys.remove t3;
+  (* Gate 4: trasyn_cli rejects an --epsilon that is not positive and
+     finite instead of reporting NaN as met. *)
+  List.iter
+    (fun eps ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s --theta 0.4 --epsilon=%s >/dev/null 2>/dev/null"
+             (Filename.quote trasyn) eps)
+      in
+      if code = 0 then failf "trasyn_cli accepted --epsilon=%s" eps)
+    [ "nan"; "0"; "-0.1" ];
   print_endline "smoke_trace: OK"

@@ -1,6 +1,7 @@
 (* Tests for the robustness layer: the verification guard, the
    TGATES_FAULTS grammar and deterministic fault draws, fallback chains
-   with deadline propagation, and the CLI error boundary. *)
+   (run by [Synth.run_chain]) with deadline propagation, and the CLI
+   error boundary. *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -24,18 +25,17 @@ let good_rz () =
   let r = Gridsynth.rz ~theta:0.61 ~epsilon:1e-2 () in
   (r.Gridsynth.seq, r.Gridsynth.distance)
 
-let ok_rung ?(name = "good") () =
-  {
-    Robust.name;
-    rung_epsilon = 1e-2;
-    run =
-      (fun _deadline ->
-        let r = Gridsynth.rz ~theta:0.61 ~epsilon:1e-2 () in
-        (r.Gridsynth.seq, r.Gridsynth.distance));
-  }
+(* Chains of gridsynth rungs on Rz(0.61) at 1e-2.  A raising rung is
+   handed an invalid ε, so GRIDSYNTH raises and its adapter reports the
+   exception as a [Backend_error]. *)
+let gridsynth = Synth.find_exn "gridsynth"
+let ok_rung ?(name = "good") () = Synth.rung ~name gridsynth
 
 let raising_rung name =
-  { Robust.name; rung_epsilon = 1.0; run = (fun _ -> failwith "boom") }
+  Synth.rung ~name ~tweak:(fun c -> { c with Synth.epsilon = -1.0 }) gridsynth
+
+let run_chain ?deadline rungs =
+  Synth.run_chain ?deadline ~config:(Synth.config ~epsilon:1e-2 ()) rungs (Synth.Rz 0.61)
 
 let fault ?(prob = 1.0) backend mode = { Robust.Fault.backend; mode; prob }
 
@@ -64,6 +64,15 @@ let guard_tests =
         with
         | Error Robust.Verification_failed -> ()
         | _ -> Alcotest.fail "corruption should be Verification_failed");
+    Alcotest.test_case "guard fails closed on a NaN claim or threshold" `Quick (fun () ->
+        let word, claimed = good_rz () in
+        let target = Mat2.rz 0.61 in
+        (match Robust.verify ~target ~epsilon:1e-2 ~claimed:nan word with
+        | Error Robust.Verification_failed -> ()
+        | _ -> Alcotest.fail "a NaN claim should be Verification_failed");
+        match Robust.verify ~target ~epsilon:nan ~claimed word with
+        | Error Robust.Budget_exhausted -> ()
+        | _ -> Alcotest.fail "a NaN threshold should be Budget_exhausted");
     Alcotest.test_case "honest overshoot is Budget_exhausted" `Quick (fun () ->
         let word, _ = good_rz () in
         let target = Mat2.rz 2.0 in
@@ -162,8 +171,7 @@ let chain_tests =
         let (r, retries), fell_back =
           counter_delta "robust.fallback.good" (fun () ->
               counter_delta "robust.retries" (fun () ->
-                  Robust.run_chain ~target:(Mat2.rz 0.61)
-                    [ raising_rung "broken"; ok_rung () ]))
+                  run_chain [ raising_rung "broken"; ok_rung () ]))
         in
         (match r with
         | Ok a ->
@@ -177,24 +185,24 @@ let chain_tests =
         with_obs @@ fun () ->
         let r, failed =
           counter_delta "robust.chain.failed" (fun () ->
-              Robust.run_chain ~target:(Mat2.rz 0.61) [ raising_rung "broken" ])
+              run_chain [ raising_rung "broken" ])
         in
         (match r with
         | Error (Robust.Backend_error msg) ->
-            Alcotest.(check bool) "carries rung name" true (contains msg "broken")
+            Alcotest.(check bool) "carries the cause" true
+              (contains msg "epsilon must be positive")
         | _ -> Alcotest.fail "expected Backend_error");
         Alcotest.(check int) "chain.failed counted" 1 failed);
     Alcotest.test_case "empty chain fails structurally" `Quick (fun () ->
-        match Robust.run_chain ~target:(Mat2.rz 0.61) [] with
+        match run_chain [] with
         | Error (Robust.Backend_error msg) ->
-            Alcotest.(check bool) "says empty" true (contains msg "empty")
+            Alcotest.(check bool) "says no backend" true (contains msg "no backend in chain")
         | _ -> Alcotest.fail "expected Backend_error");
     Alcotest.test_case "expired deadline short-circuits the chain" `Quick (fun () ->
         with_obs @@ fun () ->
         let r, expired =
           counter_delta "robust.deadline.expired" (fun () ->
-              Robust.run_chain ~deadline:(Obs.Deadline.at 0.0) ~target:(Mat2.rz 0.61)
-                [ ok_rung () ])
+              run_chain ~deadline:(Obs.Deadline.at 0.0) [ ok_rung () ])
         in
         (match r with
         | Error Robust.Timeout -> ()
@@ -203,10 +211,7 @@ let chain_tests =
     Alcotest.test_case "an injected stall burns the deadline into Timeout" `Quick (fun () ->
         Robust.Fault.with_faults [ fault "slow" (Robust.Fault.Stall 0.05) ] (fun () ->
             match
-              Robust.run_chain
-                ~deadline:(Obs.Deadline.after 0.01)
-                ~target:(Mat2.rz 0.61)
-                [ ok_rung ~name:"slow" (); ok_rung () ]
+              run_chain ~deadline:(Obs.Deadline.after 0.01) [ ok_rung ~name:"slow" (); ok_rung () ]
             with
             | Error Robust.Timeout -> ()
             | Ok _ -> Alcotest.fail "stall should have burned the budget"
@@ -216,8 +221,7 @@ let chain_tests =
         Robust.Fault.with_faults [ fault "flaky" Robust.Fault.Fail ] (fun () ->
             let r, injected =
               counter_delta "robust.faults.injected" (fun () ->
-                  Robust.run_chain ~target:(Mat2.rz 0.61)
-                    [ ok_rung ~name:"flaky" (); ok_rung () ])
+                  run_chain [ ok_rung ~name:"flaky" (); ok_rung () ])
             in
             (match r with
             | Ok a -> Alcotest.(check string) "winner" "good" a.Robust.backend
@@ -228,7 +232,7 @@ let chain_tests =
         Robust.Fault.with_faults [ fault "good" Robust.Fault.Corrupt ] (fun () ->
             let r, rejected =
               counter_delta "robust.guard.rejected" (fun () ->
-                  Robust.run_chain ~target:(Mat2.rz 0.61) [ ok_rung () ])
+                  run_chain [ ok_rung () ])
             in
             (match r with
             | Error Robust.Verification_failed -> ()
@@ -237,13 +241,19 @@ let chain_tests =
             Alcotest.(check int) "guard rejected it" 1 rejected));
   ]
 
-(* The standard ladders now live in Synth as data-built chains; these
-   tests pin down that the registry-built chains keep the exact
-   fallback semantics the robust layer used to hard-wire. *)
+(* The standard ladders are data in Synth; these tests pin down their
+   fallback semantics. *)
+let rz_ladder () =
+  Synth.run_chain ~config:(Synth.config ~epsilon:1e-2 ()) (Synth.rz_chain ()) (Synth.Rz 0.61)
+
+let u3_ladder () =
+  Synth.run_chain ~config:(Synth.config ~epsilon:0.05 ()) Synth.u3_chain
+    (Synth.Unitary (Mat2.u3 0.4 1.1 (-0.7)))
+
 let ladder_tests =
   [
     Alcotest.test_case "rz happy path takes the first rung" `Quick (fun () ->
-        match Synth.synthesize_rz ~epsilon:1e-2 0.61 with
+        match rz_ladder () with
         | Ok a ->
             Alcotest.(check string) "backend" "gridsynth" a.Robust.backend;
             Alcotest.(check int) "no fallbacks" 0 a.Robust.fallbacks;
@@ -251,7 +261,7 @@ let ladder_tests =
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "u3 ladder survives a dead TRASYN" `Quick (fun () ->
         Robust.Fault.with_faults [ fault "trasyn" Robust.Fault.Fail ] (fun () ->
-            match Synth.synthesize_u3 ~epsilon:0.05 (Mat2.u3 0.4 1.1 (-0.7)) with
+            match u3_ladder () with
             | Ok a ->
                 Alcotest.(check string) "rescued by gridsynth" "gridsynth" a.Robust.backend;
                 Alcotest.(check int) "two dead rungs" 2 a.Robust.fallbacks;
@@ -261,7 +271,7 @@ let ladder_tests =
         Robust.Fault.with_faults
           [ fault "trasyn" Robust.Fault.Fail; fault "gridsynth" Robust.Fault.Fail ]
           (fun () ->
-            match Synth.synthesize_u3 ~epsilon:0.05 (Mat2.u3 0.4 1.1 (-0.7)) with
+            match u3_ladder () with
             | Ok a ->
                 Alcotest.(check string) "backend" "sk" a.Robust.backend;
                 (* SK lands under its relaxed floor; the degradation is
@@ -270,7 +280,7 @@ let ladder_tests =
             | Error f -> Alcotest.fail (Robust.failure_to_string f)));
     Alcotest.test_case "all backends dead means a structured failure" `Quick (fun () ->
         Robust.Fault.with_faults [ fault "*" Robust.Fault.Fail ] (fun () ->
-            match Synth.synthesize_rz ~epsilon:1e-2 0.61 with
+            match rz_ladder () with
             | Error (Robust.Backend_error msg) ->
                 Alcotest.(check bool) "last rung named" true (contains msg "sk")
             | Ok _ -> Alcotest.fail "nothing should succeed"

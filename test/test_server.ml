@@ -190,4 +190,44 @@ let suite =
         in
         Alcotest.(check (list (pair string int))) "one job per distinct rotation, each named"
           [ ("planner.job[gridsynth]", 3) ] rows);
+    Alcotest.test_case "every rotation of a batch gets a ledger record, repeats included" `Quick
+      (fun () ->
+        let was = Ledger.enabled () in
+        Ledger.set_enabled true;
+        Fun.protect ~finally:(fun () ->
+            Ledger.set_enabled was;
+            Ledger.reset ())
+        @@ fun () ->
+        let records () =
+          List.sort compare
+            (List.map
+               (fun r -> (r.Ledger.request_id, r.Ledger.source, r.Ledger.ok))
+               (Ledger.records ()))
+        in
+        Ledger.reset ();
+        let t, out = make_server () in
+        ignore
+          (Server.submit_line t
+             {|{"op":"batch","id":1,"requests":[{"op":"rz","theta":0.3},{"op":"rz","theta":0.3},{"op":"rz","theta":0.7},{"op":"rz","theta":0.3}]}|});
+        ignore (Server.submit_line t {|{"op":"rz","id":2,"theta":0.3}|});
+        Server.drain t;
+        Alcotest.(check int) "two responses" 2 (List.length (out ()));
+        Alcotest.(check (list (triple string string bool)))
+          "one record per rotation served"
+          [ ("r1.0", "fresh", true); ("r1.1", "replay", true); ("r1.2", "fresh", true);
+            ("r1.3", "replay", true); ("r2", "fresh", true) ]
+          (records ());
+        (* A failed job's repeats are recorded as failures too. *)
+        Ledger.reset ();
+        let dead = { Robust.Fault.backend = "*"; mode = Robust.Fault.Fail; prob = 1.0 } in
+        Robust.Fault.with_faults [ dead ] (fun () ->
+            let t, _ = make_server ~cfg:{ Server.default_config with Server.max_retries = 0 } () in
+            ignore
+              (Server.submit_line t
+                 {|{"op":"batch","id":3,"requests":[{"op":"rz","theta":0.41},{"op":"rz","theta":0.41}]}|});
+            Server.drain t);
+        Alcotest.(check (list (triple string string bool)))
+          "failures replayed"
+          [ ("r1.0", "fresh", false); ("r1.1", "replay", false) ]
+          (records ()));
   ]

@@ -630,6 +630,17 @@ let memo_flush_tests =
         let flushed, unique = run () in
         Alcotest.(check string) "same output" reference flushed;
         Alcotest.(check int) "two jobs" 2 unique);
+    Alcotest.test_case "config rejects a non-positive or non-finite epsilon" `Quick (fun () ->
+        let rejected =
+          Invalid_argument "Stream_compile.config: epsilon must be positive and finite"
+        in
+        List.iter
+          (fun epsilon ->
+            Alcotest.check_raises (Printf.sprintf "epsilon %g" epsilon) rejected (fun () ->
+                ignore (Stream_compile.config ~epsilon () : Stream_compile.config)))
+          [ 0.0; -0.1; Float.nan; Float.infinity ];
+        Alcotest.check_raises "whole-circuit runs too" rejected (fun () ->
+            ignore (Pipeline.run_gridsynth ~epsilon:(-0.1) (Circuit.make 1 []) : Pipeline.synthesized)));
   ]
 
 let suite =

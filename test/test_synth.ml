@@ -1,8 +1,9 @@
-(* Tests for the synthesis-backend registry and the deduplicating
-   multicore rotation planner: adapter round-trips for all four
-   engines, chain parsing, fault injection through registry-built
-   chains, planner dedup/execution semantics, the canonical-angle
-   memo keying, and --jobs determinism end to end. *)
+(* Tests for the synthesis backends, the chain runner and the
+   deduplicating multicore rotation planner: adapter round-trips for all
+   four engines, the chain runner against its reference, ledger record
+   rules, chain parsing, fault injection through parsed chains, planner
+   dedup/execution semantics, the canonical-angle memo keying, and
+   --jobs determinism end to end. *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -22,6 +23,108 @@ let counter_delta name f =
 
 let fault ?(prob = 1.0) backend mode = { Robust.Fault.backend; mode; prob }
 let u3_target = Mat2.u3 0.4 1.1 (-0.7)
+
+(* A known-good (word, claimed distance) pair for Rz(0.61) at 1e-2. *)
+let good_rz () =
+  let r = Gridsynth.rz ~theta:0.61 ~epsilon:1e-2 () in
+  (r.Gridsynth.seq, r.Gridsynth.distance)
+
+(* Stub backends for the runner oracle: an honest word for Rz(0.61) at
+   1e-2, the same word with a claim 0.3 off, and a structured error. *)
+let stub name synthesize : Synth.backend =
+  (module struct
+    let name = name
+    let supports_gate_set _ = true
+    let synthesize = synthesize
+  end)
+
+let stubs =
+  lazy
+    (let word, d = good_rz () in
+     [
+       ("good", stub "good" (fun _ _ -> Ok (word, d)));
+       ("liar", stub "liar" (fun _ _ -> Ok (word, d +. 0.3)));
+       ("broken", stub "broken" (fun _ _ -> Error (Robust.Backend_error "broken: down")));
+     ])
+
+(* One oracle case: a chain (stub rungs at ε 1e-2 on Rz(0.61), or a
+   standard ladder on a few Rz/U3 targets at ε 0.1), a fault spec list
+   and its seed, and whether the deadline has already expired. *)
+type chain_case = {
+  ladder : [ `Stubs of string list | `Rz of float | `U3 of float * float * float ];
+  faults : (string * string * float) list;  (* rung, action, probability *)
+  fault_seed : int;
+  expired : bool;
+}
+
+let faults_string c =
+  String.concat "," (List.map (fun (b, a, p) -> Printf.sprintf "%s=%s@%g" b a p) c.faults)
+
+let print_chain_case c =
+  Printf.sprintf "%s faults=[%s] seed=%d expired=%b"
+    (match c.ladder with
+    | `Stubs names -> "stubs " ^ String.concat "," names
+    | `Rz t -> Printf.sprintf "rz_chain rz(%g)" t
+    | `U3 (t, p, l) -> Printf.sprintf "u3_chain u3(%g,%g,%g)" t p l)
+    (faults_string c) c.fault_seed c.expired
+
+let gen_chain_case =
+  let open QCheck2.Gen in
+  let ladder =
+    frequency
+      [
+        (3, map (fun l -> `Stubs l) (list_size (int_range 0 4) (oneofl [ "good"; "liar"; "broken" ])));
+        (1, map (fun t -> `Rz t) (oneofl [ 0.61; -1.3; 2.9 ]));
+        (1, map (fun u -> `U3 u) (oneofl [ (0.4, 1.1, -0.7); (1.9, -0.3, 0.8) ]));
+      ]
+  in
+  let spec =
+    triple
+      (oneofl [ "*"; "good"; "liar"; "broken"; "gridsynth"; "gridsynth.retry"; "trasyn"; "sk" ])
+      (oneofl [ "fail"; "corrupt"; "stall:0" ])
+      (oneofl [ 0.25; 0.5; 1.0 ])
+  in
+  map
+    (fun (ladder, faults, fault_seed, expired) -> { ladder; faults; fault_seed; expired })
+    (quad ladder (list_size (int_range 0 2) spec) (int_bound 1000) bool)
+
+(* Both runners see the same chain, config, deadline and fault draws
+   (each under a fresh [with_faults]); they must return the same
+   attempt or failure and move the same counters. *)
+let check_chain_case c =
+  let config, chain, target =
+    match c.ladder with
+    | `Stubs names ->
+        ( Synth.config ~epsilon:1e-2 (),
+          List.map (fun n -> Synth.rung (List.assoc n (Lazy.force stubs))) names,
+          Synth.Rz 0.61 )
+    | `Rz t -> (Synth.config ~epsilon:0.1 (), Synth.rz_chain (), Synth.Rz t)
+    | `U3 (t, p, l) ->
+        ( Synth.config
+            ~trasyn:{ Trasyn.default_config with samples = 64; table_t = 6 }
+            ~budgets:[ 6; 6 ] ~epsilon:0.1 (),
+          Synth.u3_chain,
+          Synth.Unitary (Mat2.u3 t p l) )
+  in
+  let specs =
+    match Robust.Fault.parse (faults_string c) with
+    | Ok (_, specs) -> specs
+    | Error e -> failwith e
+  in
+  let counters =
+    [ "robust.retries"; "robust.faults.injected"; "robust.deadline.expired"; "robust.chain.failed";
+      "robust.guard.checked"; "robust.guard.rejected"; "synth.rotations" ]
+    @ List.map (fun s -> "robust.fallback." ^ s.Synth.rung_name) chain
+  in
+  let run runner =
+    let deadline = if c.expired then Obs.Deadline.at 0.0 else Obs.Deadline.none in
+    let before = List.map (fun n -> Obs.counter_value (Obs.counter n)) counters in
+    let r = Robust.Fault.with_faults ~seed:c.fault_seed specs (fun () -> runner ~deadline) in
+    (r, List.map2 (fun n v0 -> (n, Obs.counter_value (Obs.counter n) - v0)) counters before)
+  in
+  with_obs @@ fun () ->
+  run (fun ~deadline -> Synth.run_chain ~deadline ~config chain target)
+  = run (fun ~deadline -> Chain_reference.run_chain ~deadline ~config chain target)
 
 (* The adapter's claimed distance must match the word it returned — the
    registry's contract is (word, honest distance), independently of the
@@ -48,16 +151,53 @@ let registry_tests =
         match Synth.find_exn "bogus" with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "find_exn must raise on an unknown name");
-    Alcotest.test_case "capabilities match the engines" `Quick (fun () ->
-        let cap n = Synth.backend_capability (Synth.find_exn n) in
-        Alcotest.(check bool) "gridsynth is Rz-native" true (cap "gridsynth" = Synth.Rz_only);
-        List.iter
-          (fun n -> Alcotest.(check bool) n true (cap n = Synth.Full_u3))
-          [ "trasyn"; "synthetiq"; "sk" ]);
-    Alcotest.test_case "duplicate registration is rejected" `Quick (fun () ->
-        match Synth.register (Synth.find_exn "sk") with
-        | exception Invalid_argument _ -> ()
-        | () -> Alcotest.fail "registering sk twice must raise");
+    (* At indices 2 and 3, so the tests after them keep their indices. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"the chain runner matches the reference runner"
+         ~print:print_chain_case gen_chain_case check_chain_case);
+    Alcotest.test_case "ledger records follow one set of field rules" `Quick (fun () ->
+        let config = Synth.config ~epsilon:0.1 () in
+        let chain = Synth.rz_chain () in
+        let target = Synth.Rz 0.61 in
+        let word = fst (good_rz ()) in
+        let attempt fallbacks distance =
+          Ok { Robust.word; distance; backend = "gridsynth"; fallbacks; rung_epsilon = 0.1 }
+        in
+        let r = Synth.ledger_record ~config chain target ~source:`Fresh ~wall_s:0.5 (attempt 0 0.05) in
+        Alcotest.(check string) "target" "rz(0.6100000000)" r.Ledger.target;
+        Alcotest.(check string) "chain" (Synth.chain_id chain) r.Ledger.chain;
+        Alcotest.(check string) "gate set" "cliffordt" r.Ledger.gate_set;
+        Alcotest.(check int) "attempts" 1 r.Ledger.attempts;
+        Alcotest.(check int) "t count" (Ctgate.t_count word) r.Ledger.t_count;
+        Alcotest.(check bool) "fresh, within epsilon" true
+          (r.Ledger.ok && (not r.Ledger.cached) && (not r.Ledger.degraded) && r.Ledger.source = "fresh");
+        let r = Synth.ledger_record ~config chain target ~source:`Store ~wall_s:0.0 (attempt 0 0.05) in
+        Alcotest.(check bool) "a store hit ran no rung" true
+          (r.Ledger.cached && r.Ledger.source = "store" && r.Ledger.attempts = 0);
+        let r =
+          Synth.ledger_record ~request_id:"r1.2" ~config chain target ~source:`Replay ~wall_s:0.0
+            (attempt 2 0.2)
+        in
+        Alcotest.(check bool) "a replay after fallbacks is degraded" true
+          (r.Ledger.cached && r.Ledger.source = "replay" && r.Ledger.degraded
+         && r.Ledger.attempts = 3 && r.Ledger.request_id = "r1.2");
+        let best_effort =
+          Synth.ledger_record ~config:(Synth.config ~epsilon:0.0 ()) chain target ~source:`Fresh
+            ~wall_s:0.0 (attempt 0 0.2)
+        in
+        Alcotest.(check bool) "best effort is never above its epsilon" false
+          best_effort.Ledger.degraded;
+        let r =
+          Synth.ledger_record ~config chain target ~source:`Fresh ~wall_s:0.0
+            (Error Robust.Timeout)
+        in
+        Alcotest.(check bool) "a failure has no rung epsilon or distance" true
+          (Float.is_nan r.Ledger.rung_eps && Float.is_nan r.Ledger.distance);
+        Alcotest.(check bool) "a failure tried every usable rung" true
+          ((not r.Ledger.ok) && r.Ledger.degraded && r.Ledger.backend = "failed"
+          && r.Ledger.attempts = List.length chain
+          && r.Ledger.fallbacks = List.length chain - 1
+          && r.Ledger.failure = Some "timeout"));
   ]
 
 let adapter_tests =
