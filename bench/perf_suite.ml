@@ -282,7 +282,7 @@ let store_replay_phase ~deadline ~smoke =
         in
         match r with
         | Ok (a, _) -> words := a.Robust.word :: !words
-        | Error f -> raise (Robust.Failure_exn f))
+        | Error (f, _) -> raise (Robust.Failure_exn f))
       thetas;
     (List.rev !words, Obs.Clock.elapsed_s () -. t0)
   in

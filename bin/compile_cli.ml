@@ -91,140 +91,86 @@ let run_stream ~input ~output ~workflow ~epsilon ~gate_set ~window ~queue ~deadl
       Printf.printf "peak heap: %d words\n" st.Stream_compile.peak_heap_words;
       (match output with Some path -> Printf.printf "wrote    : %s\n" path | None -> ())
 
-let run input output workflow epsilon gate_set gateset_files tables optimize estimate trace
-    metrics_out metrics_interval prom_out ledger_out deadline rotation_deadline faults jobs
-    backend_chain store_dir stream window queue =
-  match
-    Robust.guarded @@ fun () ->
-    List.iter
-      (fun path ->
-        match Gateset.load_file path with
-        | Ok gs -> Printf.printf "gate set : %s loaded from %s\n" gs.Gateset.name path
-        | Error e -> invalid_arg (Printf.sprintf "--gate-set-file %s: %s" path e))
-      gateset_files;
-    List.iter
-      (fun path ->
-        match Tablegen.load_and_provide path with
-        | Ok (gs, table) ->
-            Printf.printf "table    : %s provided for gate set %s (max_t %d, %d entries)\n" path gs
-              table.Ma_table.max_t
-              (Array.length table.Ma_table.entries)
-        | Error e -> invalid_arg (Printf.sprintf "--load-table %s: %s" path e))
-      tables;
-    let gate_set =
-      match Gateset.find gate_set with
-      | Some gs -> gs
-      | None ->
-          invalid_arg
-            (Printf.sprintf "--gate-set: unknown gate set %S (known: %s)" gate_set
-               (String.concat ", " (Gateset.names ())))
-    in
-    (match faults with
-    | None -> ()
-    | Some s -> (
-        match Robust.Fault.parse s with
-        | Error e -> invalid_arg ("--faults: " ^ e)
-        | Ok (seed, specs) -> Robust.Fault.configure ?seed specs));
-    let chain =
-      match backend_chain with
-      | None -> None
-      | Some s -> (
-          match Synth.parse_chain s with
-          | Ok c -> Some c
-          | Error e -> invalid_arg ("--backend-chain: " ^ e))
-    in
-    (* Arm the provenance ledger and the live sampler before any
-       synthesis runs; both flush themselves at_exit. *)
-    (match ledger_out with Some p -> Ledger.to_file p | None -> ());
-    (* Arm the persistent store: hits skip synthesis entirely, fresh
-       words are written back, and close writes the index snapshot. *)
-    (match store_dir with
-    | None -> ()
-    | Some d -> (
-        match Store.open_store d with
-        | Ok st ->
-            let r = Store.recovery st in
-            if r.Store.records_recovered + r.Store.records_quarantined + r.Store.torn_tails > 0 then
-              Printf.printf "store    : %s — %d records recovered, %d quarantined, %d torn tails\n"
-                d r.Store.records_recovered r.Store.records_quarantined r.Store.torn_tails;
-            Synth.set_store (Some st);
-            at_exit (fun () -> Store.close st)
-        | Error e -> invalid_arg ("--store: " ^ e)));
-    (match (metrics_out, prom_out) with
-    | None, None -> ()
-    | stream, prom -> Metrics.start ?interval:metrics_interval ?stream ?prom ());
-    Obs.with_trace ?file:trace @@ fun () ->
-    (* One root span over the whole compilation, so trace analysis (and
-       the hotspots self-time accounting) sees a single-rooted tree. *)
-    Obs.span "cli.compile" @@ fun () ->
-    let deadline =
-      match deadline with None -> Obs.Deadline.none | Some s -> Obs.Deadline.after s
-    in
-    let rotation_budget = rotation_deadline in
-    if stream then begin
-      if optimize then
-        invalid_arg "--stream: --optimize is whole-circuit; windowed optimization is built in";
-      if estimate then
-        invalid_arg "--stream: --estimate needs the whole circuit; run it on the written output";
-      run_stream ~input ~output ~workflow ~epsilon ~gate_set ~window ~queue ~deadline
-        ~rotation_budget ~jobs ~chain
-    end
-    else begin
-    let circuit = Qasm_reader.of_file input in
-    Printf.printf "input    : %d qubits, %d gates, %d nontrivial rotations\n"
-      circuit.Circuit.n_qubits (Circuit.length circuit)
-      (Circuit.nontrivial_rotation_count circuit);
-    let synthesized =
-      match workflow with
-      | "trasyn" ->
-          Pipeline.run_trasyn ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain circuit
-      | "gridsynth" ->
-          Pipeline.run_gridsynth ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain circuit
-      | "compare" ->
-          (* Run both workflows (the paper's RQ2-RQ4 comparison), report
-             the ratios, and continue with the TRASYN output. *)
-          let cmp =
-            Pipeline.compare_workflows ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain
-              ~name:(Filename.basename input) circuit
-          in
-          Printf.printf "compare  : T ratio=%.2f  Tdepth ratio=%.2f  Clifford ratio=%.2f (gridsynth/trasyn)\n"
-            cmp.Pipeline.t_ratio cmp.Pipeline.t_depth_ratio cmp.Pipeline.clifford_ratio;
-          cmp.Pipeline.trasyn
-      | w -> invalid_arg ("unknown workflow " ^ w ^ " (use trasyn | gridsynth | compare)")
-    in
-    let compiled =
-      if optimize then Cnot_resynth.run (Phase_folding.run synthesized.Pipeline.circuit)
-      else synthesized.Pipeline.circuit
-    in
-    Printf.printf "setting  : %s\n" (Settings.setting_to_string synthesized.Pipeline.setting);
-    Printf.printf "output   : %d gates, T=%d, Tdepth=%d, Cliffords=%d\n" (Circuit.length compiled)
-      (Circuit.t_count compiled) (Circuit.t_depth compiled) (Circuit.clifford_count compiled);
-    Printf.printf "synth err: %.4f summed over %d rotations\n"
-      synthesized.Pipeline.total_synth_error synthesized.Pipeline.rotations_synthesized;
-    report_degraded synthesized.Pipeline.degraded;
-    (match Ledger.path () with
-    | Some p ->
-        Printf.printf "ledger   : %d records -> %s\n"
-          (Obs.counter_value (Obs.counter "obs.ledger.records"))
-          p
-    | None -> ());
-    if estimate then begin
-      let e = Surface_code.estimate compiled in
-      Format.printf "resources: %a@." Surface_code.pp e
-    end;
-    match output with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Qasm.to_string compiled);
-        close_out oc;
-        Printf.printf "wrote    : %s\n" path
-    end
-  with
-  | Ok () -> 0
-  | Error msg ->
-      prerr_endline msg;
-      1
+let run input output workflow epsilon optimize estimate deadline rotation_deadline stream window
+    queue (stack : Cli.stack) =
+  Cli.exit_code @@ fun () ->
+  let gate_set, chain, store = Cli.start ~say:print_endline stack in
+  Option.iter
+    (fun st ->
+      let r = Store.recovery st in
+      if r.Store.records_recovered + r.Store.records_quarantined + r.Store.torn_tails > 0 then
+        Printf.printf "store    : %s — %d records recovered, %d quarantined, %d torn tails\n"
+          (Store.dir st) r.Store.records_recovered r.Store.records_quarantined r.Store.torn_tails)
+    store;
+  let jobs = stack.Cli.jobs in
+  Obs.with_trace ?file:stack.Cli.trace @@ fun () ->
+  (* One root span over the whole compilation, so trace analysis (and
+     the hotspots self-time accounting) sees a single-rooted tree. *)
+  Obs.span "cli.compile" @@ fun () ->
+  let deadline =
+    match deadline with None -> Obs.Deadline.none | Some s -> Obs.Deadline.after s
+  in
+  let rotation_budget = rotation_deadline in
+  if stream then begin
+    if optimize then
+      invalid_arg "--stream: --optimize is whole-circuit; windowed optimization is built in";
+    if estimate then
+      invalid_arg "--stream: --estimate needs the whole circuit; run it on the written output";
+    run_stream ~input ~output ~workflow ~epsilon ~gate_set ~window ~queue ~deadline
+      ~rotation_budget ~jobs ~chain
+  end
+  else begin
+  let circuit = Qasm_reader.of_file input in
+  Printf.printf "input    : %d qubits, %d gates, %d nontrivial rotations\n"
+    circuit.Circuit.n_qubits (Circuit.length circuit)
+    (Circuit.nontrivial_rotation_count circuit);
+  let synthesized =
+    match workflow with
+    | "trasyn" ->
+        Pipeline.run_trasyn ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain circuit
+    | "gridsynth" ->
+        Pipeline.run_gridsynth ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain circuit
+    | "compare" ->
+        (* Run both workflows (the paper's RQ2-RQ4 comparison), report
+           the ratios, and continue with the TRASYN output. *)
+        let cmp =
+          Pipeline.compare_workflows ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain
+            ~name:(Filename.basename input) circuit
+        in
+        Printf.printf "compare  : T ratio=%.2f  Tdepth ratio=%.2f  Clifford ratio=%.2f (gridsynth/trasyn)\n"
+          cmp.Pipeline.t_ratio cmp.Pipeline.t_depth_ratio cmp.Pipeline.clifford_ratio;
+        cmp.Pipeline.trasyn
+    | w -> invalid_arg ("unknown workflow " ^ w ^ " (use trasyn | gridsynth | compare)")
+  in
+  let compiled =
+    if optimize then Cnot_resynth.run (Phase_folding.run synthesized.Pipeline.circuit)
+    else synthesized.Pipeline.circuit
+  in
+  Printf.printf "setting  : %s\n" (Settings.setting_to_string synthesized.Pipeline.setting);
+  Printf.printf "output   : %d gates, T=%d, Tdepth=%d, Cliffords=%d\n" (Circuit.length compiled)
+    (Circuit.t_count compiled) (Circuit.t_depth compiled) (Circuit.clifford_count compiled);
+  Printf.printf "synth err: %.4f summed over %d rotations\n"
+    synthesized.Pipeline.total_synth_error synthesized.Pipeline.rotations_synthesized;
+  report_degraded synthesized.Pipeline.degraded;
+  (match Ledger.path () with
+  | Some p ->
+      Printf.printf "ledger   : %d records -> %s\n"
+        (Obs.counter_value (Obs.counter "obs.ledger.records"))
+        p
+  | None -> ());
+  if estimate then begin
+    let e = Surface_code.estimate compiled in
+    Format.printf "resources: %a@." Surface_code.pp e
+  end;
+  (match output with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (Qasm.to_string compiled);
+      close_out oc;
+      Printf.printf "wrote    : %s\n" path)
+  end;
+  0
 
 let input =
   Arg.(required & opt (some file) None & info [ "input"; "i" ] ~doc:"input OpenQASM 2.0 file")
@@ -236,68 +182,8 @@ let workflow =
 
 let epsilon = Arg.(value & opt float 0.07 & info [ "epsilon" ] ~doc:"per-rotation error threshold")
 
-let gate_set =
-  Arg.(
-    value & opt string "cliffordt"
-    & info [ "gate-set" ] ~docv:"NAME"
-        ~doc:"target gate set: a built-in name or one loaded with --gate-set-file; non-built-in \
-              sets need a table loaded with --load-table")
-
-let gateset_files =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "gate-set-file" ] ~docv:"FILE"
-        ~doc:"register a gate-set descriptor from a JSON config file (repeatable)")
-
-let tables =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "load-table" ] ~docv:"FILE"
-        ~doc:"load a tgates-table/v1 file generated by tgates-tablegen and provide it to the \
-              synthesis stack under its gate-set name (repeatable)")
 let optimize = Arg.(value & flag & info [ "optimize" ] ~doc:"run phase folding afterwards")
 let estimate = Arg.(value & flag & info [ "estimate" ] ~doc:"print a surface-code resource estimate")
-
-let trace =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"write an observability trace (spans + metrics, JSONL) to $(docv); the TGATES_TRACE \
-              environment variable does the same")
-
-let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"stream live tgates-metrics/v1 snapshots (JSONL) to $(docv) from a background \
-              sampler; the TGATES_METRICS environment variable does the same")
-
-let metrics_interval =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "metrics-interval" ] ~docv:"SECONDS"
-        ~doc:"sampler interval for --metrics-out / --prom-out (default 0.25)")
-
-let prom_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prom-out" ] ~docv:"FILE"
-        ~doc:"write a Prometheus text exposition of every metric to $(docv), atomically \
-              replaced on each sampler tick")
-
-let ledger_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ledger" ] ~docv:"FILE"
-        ~doc:"append one tgates-ledger/v1 provenance record (JSONL) per synthesized rotation \
-              to $(docv); the TGATES_LEDGER environment variable does the same")
 
 let deadline =
   Arg.(
@@ -312,39 +198,6 @@ let rotation_deadline =
     & opt (some float) None
     & info [ "rotation-deadline" ] ~docv:"SECONDS"
         ~doc:"per-rotation wall-clock budget, additionally capped by --deadline")
-
-let faults =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:"inject deterministic faults, e.g. 'trasyn=fail' or '*=corrupt\\@0.25,seed=7'; \
-              same grammar as the TGATES_FAULTS environment variable")
-
-let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"planner worker domains for rotation synthesis (default: the runtime's recommended \
-              domain count); output is bit-identical whatever the value")
-
-let backend_chain =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend-chain" ] ~docv:"NAMES"
-        ~doc:"comma-separated synthesis fallback chain built from the backend registry, e.g. \
-              'trasyn,gridsynth,sk'; default: the workflow's standard ladder")
-
-let store_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:"persistent synthesis store directory (created if needed): stored words with \
-              verified distance <= epsilon are served without synthesis, and fresh words are \
-              written back for the next run")
 
 let stream =
   Arg.(
@@ -372,9 +225,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ftcompile" ~doc:"Compile a circuit to Clifford+T via the TRASYN or GRIDSYNTH workflow")
     Term.(
-      const run $ input $ output $ workflow $ epsilon $ gate_set $ gateset_files $ tables
-      $ optimize $ estimate $ trace $ metrics_out $ metrics_interval $ prom_out $ ledger_out
-      $ deadline $ rotation_deadline $ faults $ jobs $ backend_chain $ store_dir $ stream
-      $ window $ queue)
+      const run $ input $ output $ workflow $ epsilon $ optimize $ estimate $ deadline
+      $ rotation_deadline $ stream $ window $ queue $ Cli.stack)
 
 let () = exit (Cmd.eval' cmd)

@@ -120,150 +120,90 @@ let serve_socket path make_server =
     accept_loop;
   server
 
-let run store_dir rescan socket epsilon gate_set gateset_files tables backend_chain workers
-    queue_limit max_retries backoff_base backoff_cap request_deadline planner_jobs seed faults
-    ledger_out metrics_out metrics_interval prom_out trace_out =
-  match
-    Robust.guarded @@ fun () ->
-    (match trace_out with Some p -> Obs.trace_to_file p | None -> ());
-    List.iter
-      (fun path ->
-        match Gateset.load_file path with
-        | Ok gs -> Printf.eprintf "serve: gate set %s loaded from %s\n%!" gs.Gateset.name path
-        | Error e -> invalid_arg (Printf.sprintf "--gate-set-file %s: %s" path e))
-      gateset_files;
-    List.iter
-      (fun path ->
-        match Tablegen.load_and_provide path with
-        | Ok (gs, table) ->
-            Printf.eprintf "serve: table %s provided for gate set %s (max_t %d)\n%!" path gs
-              table.Ma_table.max_t
-        | Error e -> invalid_arg (Printf.sprintf "--load-table %s: %s" path e))
-      tables;
-    let gate_set =
-      match Gateset.find gate_set with
-      | Some gs -> gs
-      | None ->
-          invalid_arg
-            (Printf.sprintf "--gate-set: unknown gate set %S (known: %s)" gate_set
-               (String.concat ", " (Gateset.names ())))
-    in
-    (match faults with
-    | None -> ()
-    | Some s -> (
-        match Robust.Fault.parse s with
-        | Error e -> invalid_arg ("--faults: " ^ e)
-        | Ok (fseed, specs) -> Robust.Fault.configure ?seed:fseed specs));
-    (match ledger_out with Some p -> Ledger.to_file p | None -> ());
-    (match (metrics_out, prom_out) with
-    | None, None -> ()
-    | stream, prom -> Metrics.start ?interval:metrics_interval ?stream ?prom ());
-    let chain =
-      match backend_chain with
-      | None -> Server.default_config.Server.chain
-      | Some s -> (
-          match Synth.parse_chain s with
-          | Ok c -> c
-          | Error e -> invalid_arg ("--backend-chain: " ^ e))
-    in
-    let store =
-      match store_dir with
-      | None -> None
-      | Some d -> (
-          match Store.open_store ~rescan d with
-          | Error e -> invalid_arg ("--store: " ^ e)
-          | Ok st ->
-              let r = Store.recovery st in
-              Printf.eprintf
-                "serve: store %s — %d entries (%d segments trusted, %d scanned; %d records \
-                 recovered, %d quarantined, %d torn tails)\n\
-                 %!"
-                d (Store.size st) r.Store.segments_trusted r.Store.segments_scanned
-                r.Store.records_recovered r.Store.records_quarantined r.Store.torn_tails;
-              Synth.set_store (Some st);
-              Some st)
-    in
-    let cfg =
-      {
-        Server.epsilon;
-        gate_set;
-        chain;
-        workers;
-        queue_limit;
-        max_retries;
-        backoff_base_s = backoff_base;
-        backoff_cap_s = backoff_cap;
-        request_deadline_s = request_deadline;
-        planner_jobs;
-        seed;
-      }
-    in
-    (* Drain on SIGTERM/SIGINT rather than dying mid-request. *)
-    let arm signal =
-      try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
-      with Invalid_argument _ | Sys_error _ -> ()
-    in
-    arm Sys.sigterm;
-    arm Sys.sigint;
-    let make_server emit =
-      let server = Server.create ?store ~emit cfg in
-      (* Structured one-line startup banner: everything an operator (or
-         a log scraper) needs to find and correlate this boot. *)
-      let open Obs.Json in
-      let opt_str = function Some s -> Str s | None -> Null in
-      Printf.eprintf "serve: %s\n%!"
-        (to_string
-           (Obj
-              [
-                ("ev", Str "serve.start");
-                ("pid", Num (float_of_int (Unix.getpid ())));
-                ("trace_id", Str (Server.trace_id server));
-                ("store", opt_str store_dir);
-                ("socket", (match socket with Some p -> Str p | None -> Str "stdio"));
-                ("workers", Num (float_of_int (max 1 workers)));
-                ( "jobs",
-                  match planner_jobs with Some j -> Num (float_of_int j) | None -> Str "auto" );
-                ("queue_limit", Num (float_of_int (max 1 queue_limit)));
-                ("epsilon", Num epsilon);
-                ("gate_set", Str gate_set.Gateset.name);
-              ]));
-      server
-    in
-    let server =
-      match socket with
-      | None -> serve_stdio make_server
-      | Some path -> serve_socket path make_server
-    in
-    Server.drain server;
-    Synth.set_store None;
-    (match store with
-    | Some st ->
-        Store.close st;
-        Printf.eprintf "serve: store closed with %d entries\n%!" (Store.size st)
-    | None -> ());
-    (* Drain report: uptime plus request totals, from the same snapshot
-       the stats op serves. *)
-    let stats = Server.stats_json server in
-    let n k = match Obs.Json.member k stats with Some (Obs.Json.Num f) -> f | _ -> 0.0 in
-    Printf.eprintf
-      "serve: drained after uptime_s=%.3f — %.0f requests (%.0f served, %.0f failed, %.0f shed, \
-       %.0f retries), exiting\n\
-       %!"
-      (Server.uptime_s server) (n "requests") (n "served") (n "failed") (n "shed") (n "retries")
-  with
-  | Ok () -> 0
-  | Error msg ->
-      prerr_endline msg;
-      1
-
-let store_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:"persistent synthesis store directory (created if needed); hits are served without \
-              synthesis, fresh words are written back, and shutdown snapshots the index for a \
-              warm restart")
+let run rescan socket epsilon workers queue_limit max_retries backoff_base backoff_cap
+    request_deadline seed (stack : Cli.stack) =
+  Cli.exit_code @@ fun () ->
+  let gate_set, chain, store = Cli.start ~say:(Printf.eprintf "serve: %s\n%!") ~rescan stack in
+  Option.iter
+    (fun st ->
+      let r = Store.recovery st in
+      Printf.eprintf
+        "serve: store %s — %d entries (%d segments trusted, %d scanned; %d records recovered, %d \
+         quarantined, %d torn tails)\n\
+         %!"
+        (Store.dir st) (Store.size st) r.Store.segments_trusted r.Store.segments_scanned
+        r.Store.records_recovered r.Store.records_quarantined r.Store.torn_tails)
+    store;
+  let planner_jobs = stack.Cli.jobs in
+  Obs.with_trace ?file:stack.Cli.trace @@ fun () ->
+  let cfg =
+    {
+      Server.epsilon;
+      gate_set;
+      chain = Option.value chain ~default:Server.default_config.Server.chain;
+      workers;
+      queue_limit;
+      max_retries;
+      backoff_base_s = backoff_base;
+      backoff_cap_s = backoff_cap;
+      request_deadline_s = request_deadline;
+      planner_jobs;
+      seed;
+    }
+  in
+  (* Drain on SIGTERM/SIGINT rather than dying mid-request. *)
+  let arm signal =
+    try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
+    with Invalid_argument _ | Sys_error _ -> ()
+  in
+  arm Sys.sigterm;
+  arm Sys.sigint;
+  let make_server emit =
+    let server = Server.create ?store ~emit cfg in
+    (* Structured one-line startup banner: everything an operator (or
+       a log scraper) needs to find and correlate this boot. *)
+    let open Obs.Json in
+    let opt_str = function Some s -> Str s | None -> Null in
+    Printf.eprintf "serve: %s\n%!"
+      (to_string
+         (Obj
+            [
+              ("ev", Str "serve.start");
+              ("pid", Num (float_of_int (Unix.getpid ())));
+              ("trace_id", Str (Server.trace_id server));
+              ("store", opt_str stack.Cli.store);
+              ("socket", (match socket with Some p -> Str p | None -> Str "stdio"));
+              ("workers", Num (float_of_int (max 1 workers)));
+              ( "jobs",
+                match planner_jobs with Some j -> Num (float_of_int j) | None -> Str "auto" );
+              ("queue_limit", Num (float_of_int (max 1 queue_limit)));
+              ("epsilon", Num epsilon);
+              ("gate_set", Str gate_set.Gateset.name);
+            ]));
+    server
+  in
+  let server =
+    match socket with
+    | None -> serve_stdio make_server
+    | Some path -> serve_socket path make_server
+  in
+  Server.drain server;
+  Synth.set_store None;
+  (match store with
+  | Some st ->
+      Store.close st;
+      Printf.eprintf "serve: store closed with %d entries\n%!" (Store.size st)
+  | None -> ());
+  (* Drain report: uptime plus request totals, from the same snapshot
+     the stats op serves. *)
+  let stats = Server.stats_json server in
+  let n k = match Obs.Json.member k stats with Some (Obs.Json.Num f) -> f | _ -> 0.0 in
+  Printf.eprintf
+    "serve: drained after uptime_s=%.3f — %.0f requests (%.0f served, %.0f failed, %.0f shed, \
+     %.0f retries), exiting\n\
+     %!"
+    (Server.uptime_s server) (n "requests") (n "served") (n "failed") (n "shed") (n "retries");
+  0
 
 let rescan =
   Arg.(
@@ -282,36 +222,6 @@ let socket =
 let epsilon =
   Arg.(value & opt float 0.07 & info [ "epsilon" ] ~doc:"default per-rotation error threshold")
 
-let gate_set =
-  Arg.(
-    value & opt string "cliffordt"
-    & info [ "gate-set" ] ~docv:"NAME"
-        ~doc:"default gate set for requests that omit gate_set (a built-in name or one loaded \
-              with --gate-set-file)")
-
-let gateset_files =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "gate-set-file" ] ~docv:"FILE"
-        ~doc:"register a gate-set descriptor from a JSON config file (repeatable)")
-
-let tables =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "load-table" ] ~docv:"FILE"
-        ~doc:"load a tgates-table/v1 file generated by tgates-tablegen and provide it to the \
-              synthesis stack under its gate-set name (repeatable)")
-
-let backend_chain =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend-chain" ] ~docv:"NAMES"
-        ~doc:"fallback chain for misses, e.g. 'trasyn,gridsynth,sk' (default: the standard Rz \
-              ladder)")
-
 let workers =
   Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"worker threads consuming the queue")
 
@@ -326,7 +236,7 @@ let max_retries =
   Arg.(
     value & opt int 3
     & info [ "max-retries" ] ~docv:"N"
-        ~doc:"retry budget for transient failures (backend errors, rung timeouts)")
+        ~doc:"retry budget for transient failures (backend errors)")
 
 let backoff_base =
   Arg.(
@@ -343,67 +253,15 @@ let request_deadline =
     & info [ "request-deadline" ] ~docv:"SECONDS"
         ~doc:"default per-request wall-clock budget (requests may override with deadline_s)")
 
-let planner_jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"planner worker domains per request (a single rotation runs on one)")
-
 let seed =
   Arg.(value & opt int 0 & info [ "seed" ] ~doc:"jitter RNG seed (deterministic backoff)")
-
-let faults =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:"inject deterministic faults (TGATES_FAULTS grammar), e.g. \
-              'store.append=torn,seed=7'")
-
-let ledger_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ledger" ] ~docv:"FILE"
-        ~doc:"append one tgates-ledger/v1 provenance record per served rotation to $(docv)")
-
-let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"stream live tgates-metrics/v1 snapshots (JSONL) to $(docv)")
-
-let metrics_interval =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "metrics-interval" ] ~docv:"SECONDS" ~doc:"sampler interval (default 0.25)")
-
-let prom_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prom-out" ] ~docv:"FILE"
-        ~doc:"write a Prometheus text exposition, atomically replaced per tick")
-
-let trace_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"write a JSONL span trace to $(docv); spans carry req.trace/req.id attributes, so \
-              'tgates-trace requests' reassembles per-request waterfalls")
 
 let cmd =
   Cmd.v
     (Cmd.info "tgates-serve"
        ~doc:"Durable batch synthesis server over the persistent store (line-delimited JSON)")
     Term.(
-      const run $ store_dir $ rescan $ socket $ epsilon $ gate_set $ gateset_files $ tables
-      $ backend_chain $ workers $ queue_limit $ max_retries $ backoff_base $ backoff_cap
-      $ request_deadline $ planner_jobs $ seed $ faults $ ledger_out $ metrics_out
-      $ metrics_interval $ prom_out $ trace_out)
+      const run $ rescan $ socket $ epsilon $ workers $ queue_limit $ max_retries $ backoff_base
+      $ backoff_cap $ request_deadline $ seed $ Cli.stack)
 
 let () = exit (Cmd.eval' cmd)

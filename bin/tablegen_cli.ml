@@ -24,68 +24,37 @@ let entries_equal (a : Ma_table.t) (b : Ma_table.t) =
          && x.Ma_table.ccount = y.Ma_table.ccount)
        a.Ma_table.entries b.Ma_table.entries
 
-let run gate_set gateset_files max_t out verify =
-  match
-    Robust.guarded @@ fun () ->
-    List.iter
-      (fun path ->
-        match Gateset.load_file path with
-        | Ok gs -> Printf.printf "gate set : %s loaded from %s\n" gs.Gateset.name path
-        | Error e -> invalid_arg (Printf.sprintf "--gate-set-file %s: %s" path e))
-      gateset_files;
-    let gs =
-      match Gateset.find gate_set with
-      | Some gs -> gs
-      | None ->
+let run gate_set max_t out verify =
+  Cli.exit_code @@ fun () ->
+  let gs = Cli.resolve_gate_set ~say:print_endline gate_set in
+  if max_t < 0 then invalid_arg "--max-t must be >= 0";
+  let t0 = Obs.Clock.elapsed_s () in
+  let table =
+    match Tablegen.generate gs ~max_t with
+    | Ok t -> t
+    | Error e -> invalid_arg ("generation failed: " ^ e)
+  in
+  Printf.printf "generated: %s max_t=%d — %d entries in %.3f s%s\n" gs.Gateset.name max_t
+    (Array.length table.Ma_table.entries)
+    (Obs.Clock.elapsed_s () -. t0)
+    (match gs.Gateset.closed_count with
+    | Some f -> Printf.sprintf " (closed form: %d, verified)" (f max_t)
+    | None -> "");
+  (match Tablegen.save ~path:out ~gate_set:gs.Gateset.name table with
+  | Ok () -> Printf.printf "wrote    : %s (%s)\n" out Tablegen.schema
+  | Error e -> invalid_arg ("save failed: " ^ e));
+  if verify then begin
+    match Tablegen.load out with
+    | Error e -> invalid_arg ("verify: reload failed: " ^ e)
+    | Ok (name, reloaded) ->
+        if name <> gs.Gateset.name then
           invalid_arg
-            (Printf.sprintf "--gate-set: unknown gate set %S (known: %s)" gate_set
-               (String.concat ", " (Gateset.names ())))
-    in
-    if max_t < 0 then invalid_arg "--max-t must be >= 0";
-    let t0 = Obs.Clock.elapsed_s () in
-    let table =
-      match Tablegen.generate gs ~max_t with
-      | Ok t -> t
-      | Error e -> invalid_arg ("generation failed: " ^ e)
-    in
-    Printf.printf "generated: %s max_t=%d — %d entries in %.3f s%s\n" gs.Gateset.name max_t
-      (Array.length table.Ma_table.entries)
-      (Obs.Clock.elapsed_s () -. t0)
-      (match gs.Gateset.closed_count with
-      | Some f -> Printf.sprintf " (closed form: %d, verified)" (f max_t)
-      | None -> "");
-    (match Tablegen.save ~path:out ~gate_set:gs.Gateset.name table with
-    | Ok () -> Printf.printf "wrote    : %s (%s)\n" out Tablegen.schema
-    | Error e -> invalid_arg ("save failed: " ^ e));
-    if verify then begin
-      match Tablegen.load out with
-      | Error e -> invalid_arg ("verify: reload failed: " ^ e)
-      | Ok (name, reloaded) ->
-          if name <> gs.Gateset.name then
-            invalid_arg
-              (Printf.sprintf "verify: file names gate set %S, expected %S" name gs.Gateset.name);
-          if not (entries_equal table reloaded) then
-            invalid_arg "verify: reloaded table differs from the generated one";
-          Printf.printf "verified : round trip is entry-for-entry identical\n"
-    end
-  with
-  | Ok () -> 0
-  | Error msg ->
-      prerr_endline msg;
-      1
-
-let gate_set =
-  Arg.(
-    value & opt string "cliffordt"
-    & info [ "gate-set" ] ~docv:"NAME"
-        ~doc:"gate set to enumerate: a built-in name or one loaded with --gate-set-file")
-
-let gateset_files =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "gate-set-file" ] ~docv:"FILE"
-        ~doc:"register a gate-set descriptor from a JSON config file (repeatable)")
+            (Printf.sprintf "verify: file names gate set %S, expected %S" name gs.Gateset.name);
+        if not (entries_equal table reloaded) then
+          invalid_arg "verify: reloaded table differs from the generated one";
+        Printf.printf "verified : round trip is entry-for-entry identical\n"
+  end;
+  0
 
 let max_t =
   Arg.(
@@ -108,6 +77,6 @@ let cmd =
   Cmd.v
     (Cmd.info "tgates-tablegen"
        ~doc:"Generate a gate-set operator table (tgates-table/v1) for the synthesis stack")
-    Term.(const run $ gate_set $ gateset_files $ max_t $ out $ verify)
+    Term.(const run $ Cli.gate_set ~tables:false $ max_t $ out $ verify)
 
 let () = exit (Cmd.eval' cmd)

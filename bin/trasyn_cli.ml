@@ -5,53 +5,32 @@
 
 open Cmdliner
 
-let run theta phi lam epsilon budget sites samples trace ledger_out =
-  match
-    Robust.guarded @@ fun () ->
-    (match epsilon with
-    | Some e when not (e > 0.0 && Float.is_finite e) ->
-        invalid_arg "--epsilon must be positive and finite"
-    | _ -> ());
-    (match ledger_out with Some p -> Ledger.to_file p | None -> ());
-    Obs.with_trace ?file:trace @@ fun () ->
-    Obs.span "cli.trasyn" @@ fun () ->
-    let target = Synth.Unitary (Mat2.u3 theta phi lam) in
-    let budgets = List.init sites (fun _ -> budget) in
-    let trasyn = { Trasyn.default_config with table_t = budget; samples } in
-    (* No --epsilon means best effort: ε = 0 is never met, so the
-       backend burns the full budget and reports the best word seen. *)
-    let eps = Option.value epsilon ~default:0.0 in
-    let config = Synth.config ~trasyn ~budgets ~epsilon:eps () in
-    let b = Synth.find_exn "trasyn" in
-    let module B = (val b) in
-    let t0 = Obs.Clock.elapsed_s () in
-    let result = B.synthesize target config in
-    (* The direct backend call is recorded as a one-rung chain. *)
-    if Ledger.enabled () then
-      Ledger.record
-        (Synth.ledger_record ~config [ Synth.rung b ] target ~source:`Fresh
-           ~wall_s:(Obs.Clock.elapsed_s () -. t0)
-           (Result.map
-              (fun (word, distance) ->
-                { Robust.word; distance; backend = B.name; fallbacks = 0; rung_epsilon = eps })
-              result));
-    match result with
-    | Error f -> Robust.fail f
-    | Ok (seq, distance) -> (
-        Printf.printf "sequence : %s\n" (Ctgate.seq_to_string seq);
-        Printf.printf "T count  : %d\n" (Ctgate.t_count seq);
-        Printf.printf "Cliffords: %d\n" (Ctgate.clifford_count seq);
-        Printf.printf "distance : %.4e\n" distance;
-        match epsilon with
-        | Some e when distance > e ->
-            prerr_endline "warning: threshold not met; raise --sites or --budget";
-            1
-        | _ -> 0)
-  with
-  | Ok code -> code
-  | Error msg ->
-      prerr_endline msg;
-      1
+let run theta phi lam epsilon budget sites samples trace ledger =
+  Cli.exit_code @@ fun () ->
+  (match epsilon with
+  | Some e when not (e > 0.0 && Float.is_finite e) ->
+      invalid_arg "--epsilon must be positive and finite"
+  | _ -> ());
+  Cli.arm_ledger ledger;
+  Obs.with_trace ?file:trace @@ fun () ->
+  Obs.span "cli.trasyn" @@ fun () ->
+  let budgets = List.init sites (fun _ -> budget) in
+  let trasyn = { Trasyn.default_config with table_t = budget; samples } in
+  (* No --epsilon means best effort: ε = 0 is never met, so the backend
+     burns the full budget and reports the best word seen. *)
+  let config = Synth.config ~trasyn ~budgets ~epsilon:(Option.value epsilon ~default:0.0) () in
+  match Cli.direct "trasyn" (Synth.Unitary (Mat2.u3 theta phi lam)) config with
+  | Error f -> Robust.fail f
+  | Ok (seq, distance) -> (
+      Printf.printf "sequence : %s\n" (Ctgate.seq_to_string seq);
+      Printf.printf "T count  : %d\n" (Ctgate.t_count seq);
+      Printf.printf "Cliffords: %d\n" (Ctgate.clifford_count seq);
+      Printf.printf "distance : %.4e\n" distance;
+      match epsilon with
+      | Some e when distance > e ->
+          prerr_endline "warning: threshold not met; raise --sites or --budget";
+          1
+      | _ -> 0)
 
 let theta = Arg.(required & opt (some float) None & info [ "theta" ] ~doc:"U3 theta angle")
 let phi = Arg.(value & opt float 0.0 & info [ "phi" ] ~doc:"U3 phi angle")
@@ -61,25 +40,9 @@ let budget = Arg.(value & opt int 8 & info [ "budget" ] ~doc:"T budget per MPS s
 let sites = Arg.(value & opt int 3 & info [ "sites" ] ~doc:"maximum number of MPS sites")
 let samples = Arg.(value & opt int 1024 & info [ "samples" ] ~doc:"number of sampled sequences (k)")
 
-let trace =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"write an observability trace (spans + metrics, JSONL) to $(docv); the TGATES_TRACE \
-              environment variable does the same")
-
-let ledger_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ledger" ] ~docv:"FILE"
-        ~doc:"append a tgates-ledger/v1 provenance record (JSONL) to $(docv); the TGATES_LEDGER \
-              environment variable does the same")
-
 let cmd =
   Cmd.v
     (Cmd.info "trasyn" ~doc:"Tensor-network synthesis of single-qubit unitaries over Clifford+T")
-    Term.(const run $ theta $ phi $ lam $ epsilon $ budget $ sites $ samples $ trace $ ledger_out)
+    Term.(const run $ theta $ phi $ lam $ epsilon $ budget $ sites $ samples $ Cli.trace $ Cli.ledger)
 
 let () = exit (Cmd.eval' cmd)

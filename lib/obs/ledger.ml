@@ -1,6 +1,6 @@
 (* See ledger.mli.  One process-global ledger, same philosophy as the
    Obs registry: producers anywhere in the stack and exporters in the
-   CLIs agree on a single instance. *)
+   CLIs agree on a single sink. *)
 
 let schema = "tgates-ledger/v1"
 
@@ -29,16 +29,15 @@ type record = {
 (* Producer side                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* On exactly while a sink is open: {!to_file} arms it, {!close}
+   disarms it, and a disarmed {!record} costs one atomic load. *)
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
 
-(* Ring, sink, and capacity share one lock: records are appended from
-   planner worker domains concurrently, and each JSONL line must hit
-   the channel exactly once and in one piece. *)
+(* The sink is written from planner worker domains concurrently, and
+   each JSONL line must hit the channel exactly once and in one piece:
+   one lock guards the sink and its state. *)
 let lock = Mutex.create ()
-let ring : record Queue.t = Queue.create ()
-let capacity = ref 65536
 let sink : out_channel option ref = ref None
 let sink_path : string option ref = ref None
 
@@ -47,24 +46,18 @@ let sink_path : string option ref = ref None
    stream. *)
 let sink_ok = ref true
 let c_records = Obs.counter "obs.ledger.records"
-let c_dropped = Obs.counter "obs.ledger.dropped"
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let set_capacity n = locked (fun () -> capacity := max 1 n)
 let path () = locked (fun () -> !sink_path)
-let size () = locked (fun () -> Queue.length ring)
-let records () = locked (fun () -> List.of_seq (Queue.to_seq ring))
-
-let reset () =
-  locked (fun () -> Queue.clear ring)
 
 let close () =
   let oc_opt =
     locked (fun () ->
         let o = !sink in
+        Atomic.set enabled_flag false;
         sink := None;
         sink_path := None;
         o)
@@ -118,11 +111,6 @@ let record r =
     in
     let line = Obs.Json.to_string (record_to_json r) in
     locked (fun () ->
-        if Queue.length ring >= !capacity then begin
-          ignore (Queue.pop ring);
-          Obs.incr c_dropped
-        end;
-        Queue.push r ring;
         match !sink with
         | Some oc when !sink_ok -> (
             (* One [output_string] per line, newline included, so a
@@ -138,12 +126,13 @@ let to_file p =
       sink := Some oc;
       sink_path := Some p;
       sink_ok := true;
-      try
-        output_string oc
-          (Printf.sprintf {|{"ev":"meta","schema":"%s","t0":%.9f}|} schema (Obs.Clock.elapsed_s ())
-          ^ "\n")
-      with Sys_error _ -> sink_ok := false);
-  set_enabled true
+      (try
+         output_string oc
+           (Printf.sprintf {|{"ev":"meta","schema":"%s","t0":%.9f}|} schema
+              (Obs.Clock.elapsed_s ())
+           ^ "\n")
+       with Sys_error _ -> sink_ok := false);
+      Atomic.set enabled_flag true)
 
 (* Flush on every exit path, including Cmdliner argument-error exits
    that never unwind through the CLI body.  No-op when no sink is open. *)

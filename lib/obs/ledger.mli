@@ -3,11 +3,11 @@
     Every rotation that exits the synthesis stack appends one structured
     {!record} — canonical target, requested and achieved ε, the backend
     that won, fallback depth, T-count, word length, verification
-    distance, wall time, degraded flag — to a bounded in-memory ring
-    that is flushed to a JSONL file ([tgates-ledger/v1]).  The ledger is
-    the accounting substrate for the T-count/accuracy trade-off claims:
-    post-mortem traces say where time went; the ledger says what quality
-    each rotation actually achieved.
+    distance, wall time, degraded flag — as one line of a JSONL file
+    ([tgates-ledger/v1]).  There is no in-memory copy: readers
+    {!load} the file.  The ledger is the accounting substrate for the
+    T-count/accuracy trade-off claims: post-mortem traces say where time
+    went; the ledger says what quality each rotation actually achieved.
 
     Writers: every record is built by [Synth.ledger_record], so its
     field rules live in one place.  [Synth.run_chain] appends one
@@ -17,15 +17,18 @@
     dedup or the memo, and the server one for every batch element folded
     into another element's job (under the element's own request id),
     success or failure; the TRASYN and GRIDSYNTH CLIs record their
-    direct backend call as a one-rung chain.  So a compile's or a
-    server's ledger has exactly one record per rotation served,
-    including degraded and failed ones (a server rotation retried after
-    a transient failure adds one record per retry).
+    direct backend call as a one-rung chain.  A server rotation retried
+    after a transient failure gets one record, for the execution whose
+    outcome it was answered with.  So every entry point writes exactly
+    one record per nontrivial rotation served, including degraded and
+    failed ones; a trivial rotation (a ≤1-T operator answered with its
+    exact word) runs no chain and gets none.
 
     Armed by {!to_file} (the CLIs' [--ledger FILE] flag) or the
-    [TGATES_LEDGER] env var.  When disarmed, {!record} costs one atomic
-    load.  Thread/domain-safe: the ring and the sink share one mutex;
-    each JSONL line is written with a single [output_string]. *)
+    [TGATES_LEDGER] env var: the ledger is on exactly while a sink is
+    open.  When off, {!record} costs one atomic load.  Thread/domain
+    -safe: one mutex guards the sink; each JSONL line is written with a
+    single [output_string]. *)
 
 val schema : string
 (** ["tgates-ledger/v1"] *)
@@ -40,8 +43,14 @@ type record = {
   rung_eps : float;  (** ε of the winning rung ([nan] on failure) *)
   distance : float;  (** guard-verified operator distance ([nan] on failure) *)
   backend : string;  (** winning backend, or ["failed"] *)
-  fallbacks : int;  (** rungs exhausted before the winner *)
-  attempts : int;  (** rungs tried, winner included *)
+  fallbacks : int;
+      (** rungs exhausted before the winner; on failure, the rungs run
+          before the last one *)
+  attempts : int;
+      (** rungs run, winner included: 0 for a store hit, and for a
+          failure the rungs its execution actually ran (0 when the
+          deadline expired before the first).  A replay carries the
+          counts of the execution it replays. *)
   t_count : int;
   word_len : int;
   wall_s : float;  (** synthesis wall time; [0.] for cached replays *)
@@ -67,34 +76,22 @@ type record = {
 (** {1 Producer side} *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
-
-val set_capacity : int -> unit
-(** Ring capacity (default 65536).  When full, the oldest in-memory
-    record is dropped (and ["obs.ledger.dropped"] incremented) — records
-    already flushed to the JSONL sink are unaffected. *)
+(** A sink is open. *)
 
 val to_file : string -> unit
-(** Open [path] as the JSONL sink, write the meta line, enable the
-    ledger, and register flush-and-close [at_exit].  Replaces any
-    previously open sink. *)
+(** Open [path] as the JSONL sink, write the meta line, and turn the
+    ledger on.  Replaces any previously open sink; the sink is flushed
+    and closed [at_exit]. *)
 
 val path : unit -> string option
 
 val record : record -> unit
-(** Append to the ring and, when a sink is open, write one JSONL line.
-    No-op when {!enabled} is false.  Increments ["obs.ledger.records"]. *)
-
-val records : unit -> record list
-(** In-memory ring contents, oldest first. *)
-
-val size : unit -> int
+(** Write one JSONL line to the sink.  No-op when no sink is open.
+    Increments ["obs.ledger.records"]. *)
 
 val close : unit -> unit
-(** Flush and close the sink.  Idempotent; no-op when no sink is open. *)
-
-val reset : unit -> unit
-(** Clear the ring (for tests; the sink, if any, is left open). *)
+(** Flush and close the sink, turning the ledger off.  Idempotent;
+    no-op when no sink is open. *)
 
 (** {1 Consumer side} *)
 

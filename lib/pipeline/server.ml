@@ -1,8 +1,10 @@
 (* See server.mli.  One bounded queue, N worker threads, responses
    serialized through the emit callback.  Every work item — a batch, or
-   a single rotation as a one-element batch — runs through
-   Planner.execute, and each job is Synth.run_chain_sourced, so the
-   persistent store, the guard, the fault layer, and the provenance
+   a single rotation as a one-element batch — resolves its rotations by
+   the engine's rules (trivial ones answered with their exact word,
+   the rest keyed and targeted as [Stream_compile] would) and runs the
+   rest through Planner.execute, each job Synth.run_chain_sourced, so
+   the persistent store, the guard, the fault layer, and the provenance
    ledger all apply unchanged.
 
    Request-scoped tracing: every parsed wire line gets a server-unique
@@ -66,14 +68,17 @@ let default_config =
     seed = 0;
   }
 
-(* One rotation to synthesize.  [rid] is the tracing request id;
-   batch elements carry derived ids "r<seq>.<i>" with their element
-   index. *)
+(* One rotation to answer.  [rid] is the tracing request id; batch
+   elements carry derived ids "r<seq>.<i>" with their element index.
+   [key] and [target] are the engine's for the rotation, and [exact] is
+   the word of a trivial one, which runs no job. *)
 type rotation = {
   id : Obs.Json.t;
   rid : string;
   batch_index : int;  (* -1 for singles *)
   target : Synth.target;
+  key : string;
+  exact : Ctgate.t list option;
   epsilon : float;
   gate_set : Gateset.t;
   deadline_s : float option;
@@ -89,6 +94,7 @@ type item = { work : work; admitted_at : float }
 
 type t = {
   cfg : config;
+  chain_tag : string;  (* [Synth.chain_id cfg.chain], the keys' tag *)
   store : Store.t option;
   emit : string -> unit;
   emit_mutex : Mutex.t;
@@ -181,7 +187,8 @@ let success_response (r : rotation) (a : Robust.attempt) source retries =
       ("fallbacks", Num (float_of_int a.Robust.fallbacks));
       ("retries", Num (float_of_int retries));
       ("gate_set", Str r.gate_set.Gateset.name);
-      ("source", Str (match source with `Store -> "store" | `Fresh -> "fresh"));
+      ( "source",
+        Str (match source with `Store -> "store" | `Fresh -> "fresh" | `Exact -> "exact") );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -193,93 +200,111 @@ let deadline_of t (r : rotation) =
   | Some s, _ | None, Some s -> Obs.Deadline.after s
   | None, None -> Obs.Deadline.none
 
-(* Transient failures are worth retrying: a Backend_error may be a
-   fault-injected or load-induced blip, a Timeout may have been a
-   rung-level stall while the request deadline still has room.
-   Budget_exhausted and Verification_failed are deterministic — the
-   same chain gives the same answer — so they fail fast. *)
+(* Backend errors are transient: a fault-injected or load-induced blip
+   may clear on a retry.  Budget_exhausted and Verification_failed are
+   deterministic — the same chain gives the same answer — and a Timeout
+   means the request's deadline, the chain's only one, has expired; so
+   none of those is retried. *)
 let transient = function
-  | Robust.Backend_error _ | Robust.Timeout -> true
-  | Robust.Budget_exhausted | Robust.Verification_failed -> false
+  | Robust.Backend_error _ -> true
+  | Robust.Timeout | Robust.Budget_exhausted | Robust.Verification_failed -> false
 
-(* One job: the chain, retried while the failure is transient and the
-   deadline allows; [tries] counts the retries.  A success tags the
-   job's span with the backend that produced the word (the stored
-   word's, on a store hit). *)
 let synth_config (r : rotation) = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon ()
 
-let synthesize_with_retries t (r : rotation) tries =
+(* One job: the chain, run again after a transient failure (with
+   backoff) while the retry budget and the deadline allow; [tries]
+   counts the retries.  Only the execution answered with writes a
+   ledger record.  A success tags the job's span with the backend that
+   produced the word (the stored word's, on a store hit). *)
+let synthesize t (r : rotation) tries =
   let deadline = deadline_of t r in
-  let cfg = synth_config r in
-  let rec attempt () =
-    match Synth.run_chain_sourced ~deadline ~config:cfg t.cfg.chain r.target with
-    | Ok (a, _) as ok ->
-        Obs.set_span_attr "backend" a.Robust.backend;
-        ok
-    | Error f
-      when transient f && !tries < t.cfg.max_retries && not (Obs.Deadline.expired deadline) ->
-        let back =
-          Float.min t.cfg.backoff_cap_s
-            (t.cfg.backoff_base_s *. Float.pow 2.0 (float_of_int !tries))
-        in
-        (* Deterministic jitter in [0.5, 1.0] × backoff. *)
-        let jitter = locked t (fun () -> Random.State.float t.rng 1.0) in
-        Unix.sleepf (back *. (0.5 +. (0.5 *. jitter)));
-        Obs.incr c_retries;
-        locked t (fun () -> t.n_retries <- t.n_retries + 1);
-        incr tries;
-        attempt ()
-    | Error _ as e -> e
+  let retry f =
+    let again =
+      transient f && !tries < t.cfg.max_retries && not (Obs.Deadline.expired deadline)
+    in
+    if again then begin
+      let back =
+        Float.min t.cfg.backoff_cap_s
+          (t.cfg.backoff_base_s *. Float.pow 2.0 (float_of_int !tries))
+      in
+      (* Deterministic jitter in [0.5, 1.0] × backoff. *)
+      let jitter = locked t (fun () -> Random.State.float t.rng 1.0) in
+      Unix.sleepf (back *. (0.5 +. (0.5 *. jitter)));
+      Obs.incr c_retries;
+      locked t (fun () -> t.n_retries <- t.n_retries + 1);
+      incr tries
+    end;
+    again
   in
-  attempt ()
+  let result =
+    Synth.run_chain_sourced ~deadline ~retry ~config:(synth_config r) t.cfg.chain r.target
+  in
+  Result.iter (fun (a, _) -> Obs.set_span_attr "backend" a.Robust.backend) result;
+  result
 
-(* A work item runs on the deduplicating planner: repeated angles
-   synthesize once, distinct angles run across domains.  Each job runs
-   under the context of the first element with its key (dedup folds the
-   rest away — their responses replay the job's result and retries, and
-   each gets a replay ledger record under its own request id, so the
-   ledger holds one record per rotation served).  The key carries the
-   gate set: the same angle at the same ε under two alphabets is two
-   jobs.  A single has nothing to dedupe. *)
+(* A work item runs its nontrivial rotations on the deduplicating
+   planner: repeated keys synthesize once, distinct keys run across
+   domains.  Each job runs under the context of the first element with
+   its key (dedup folds the rest away — their responses replay the
+   job's result and retries, and each gets a replay ledger record under
+   its own request id, so the ledger holds one record per nontrivial
+   rotation served).  The key carries the gate set: the same angle at
+   the same ε under two alphabets is two jobs.  A trivial rotation is
+   answered with its exact word: no job, no ledger record. *)
 let work_response t w =
   let open Obs.Json in
-  let key (r : rotation) =
-    if w.op <> "batch" then r.rid
-    else Printf.sprintf "%s@%.17g|%s" (Synth.target_id r.target) r.epsilon r.gate_set.Gateset.name
+  let elements = List.map (fun (r : rotation) -> (r, ref 0)) w.rotations in
+  let plan =
+    Planner.plan
+      (List.filter_map
+         (fun (((r : rotation), _) as e) -> if r.exact = None then Some (r.key, e) else None)
+         elements)
   in
-  let keyed = List.map (fun r -> (key r, (r, ref 0))) w.rotations in
-  let plan = Planner.plan keyed in
   let results =
-    Planner.execute ?jobs:t.cfg.planner_jobs
-      ~ctx:(fun ((r : rotation), _) ->
-        Some { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index })
-      ~run:(fun ~deadline:_ (r, tries) -> synthesize_with_retries t r tries)
-      plan
+    if plan.jobs = [||] then Hashtbl.create 0
+    else
+      Planner.execute ?jobs:t.cfg.planner_jobs
+        ~ctx:(fun ((r : rotation), _) ->
+          Some { Obs.trace_id = t.trace_id; request_id = r.rid; batch_index = r.batch_index })
+        ~run:(fun ~deadline:_ (r, tries) -> Ok (synthesize t r tries))
+        plan
   in
   let job_tries = Hashtbl.create 8 in
   Array.iter (fun (j : _ Planner.job) -> Hashtbl.replace job_tries j.key (snd j.target)) plan.jobs;
-  let element (key, ((r : rotation), own)) =
-    let tries = Hashtbl.find job_tries key in
-    let retries = !tries in
-    let result = Hashtbl.find results key in
-    if own != tries && Ledger.enabled () then
-      Ledger.record
-        (Synth.ledger_record ~request_id:r.rid ~config:(synth_config r) t.cfg.chain r.target
-           ~source:`Replay ~wall_s:0.0 (Result.map fst result));
-    match result with
-    | Ok (a, source) ->
-        Obs.incr c_served;
-        locked t (fun () -> t.n_served <- t.n_served + 1);
-        success_response r a source retries
-    | Error f ->
-        Obs.incr c_failed;
-        count_error t (op_of_target r.target);
-        locked t (fun () -> t.n_failed <- t.n_failed + 1);
-        error_response
-          ~extra:[ ("retries", Num (float_of_int retries)) ]
-          ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f)
+  let served r a source retries =
+    Obs.incr c_served;
+    locked t (fun () -> t.n_served <- t.n_served + 1);
+    success_response r a source retries
   in
-  let subs = List.map element keyed in
+  let element ((r : rotation), own) =
+    match r.exact with
+    | Some word ->
+        let distance = Mat2.distance (Synth.target_mat2 r.target) (Ctgate.seq_to_mat2 word) in
+        served r
+          { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = r.epsilon }
+          `Exact 0
+    | None -> (
+        let tries = Hashtbl.find job_tries r.key in
+        let retries = !tries in
+        (* A job that raised ran no chain to its end. *)
+        let result =
+          match Hashtbl.find results r.key with Ok result -> result | Error f -> Error (f, 0)
+        in
+        if own != tries && Ledger.enabled () then
+          Ledger.record
+            (Synth.ledger_record ~request_id:r.rid ~config:(synth_config r) t.cfg.chain r.target
+               ~source:`Replay ~wall_s:0.0 (Result.map fst result));
+        match result with
+        | Ok (a, source) -> served r a source retries
+        | Error (f, _) ->
+            Obs.incr c_failed;
+            count_error t (op_of_target r.target);
+            locked t (fun () -> t.n_failed <- t.n_failed + 1);
+            error_response
+              ~extra:[ ("retries", Num (float_of_int retries)) ]
+              ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f))
+  in
+  let subs = List.map element elements in
   if w.op = "batch" then
     Obj
       [ ("id", w.id); ("request_id", Str w.rid); ("ok", Bool true); ("op", Str "batch");
@@ -373,6 +398,7 @@ let create ?store ~emit cfg =
   let t =
     {
       cfg = { cfg with workers = max 1 cfg.workers; queue_limit = max 1 cfg.queue_limit };
+      chain_tag = Synth.chain_id cfg.chain;
       store;
       emit;
       emit_mutex = Mutex.create ();
@@ -443,15 +469,35 @@ let parse_rotation t ~rid ~batch_index j =
   | Ok gate_set -> (
       if not (epsilon > 0.0 && Float.is_finite epsilon) then Error "epsilon must be positive and finite"
       else
-        let rotation target = Ok { id = jid j; rid; batch_index; target; epsilon; gate_set; deadline_s } in
+        let rotation g =
+          let gate_set_name = gate_set.Gateset.name in
+          let key, target =
+            Stream_compile.synthesis_target ~epsilon ~tag:t.chain_tag ~gate_set:gate_set_name g
+          in
+          (* The engine's triviality test, behind an O(1) filter: an Rz
+             can only match a ≤1-T operator (tolerance 1e-6) within a
+             few 1e-6 of a multiple of π/4.  A gate set without a table
+             has no trivial rotations; its chain reports the failure. *)
+          let exact =
+            match g with
+            | Qgate.Rz theta
+              when let q = Stream_compile.canonical_angle theta /. (Float.pi /. 4.0) in
+                   Float.abs (q -. Float.round q) > 1e-5 ->
+                None
+            | _ -> (
+                try Stream_compile.exact_word_of_trivial ~gate_set:gate_set_name g
+                with Failure _ -> None)
+          in
+          Ok { id = jid j; rid; batch_index; target; key; exact; epsilon; gate_set; deadline_s }
+        in
         match member "op" j with
         | Some (Str "rz") -> (
             match num "theta" with
-            | Some theta -> rotation (Synth.Rz theta)
+            | Some theta -> rotation (Qgate.Rz theta)
             | None -> Error "rz needs a numeric theta")
         | Some (Str "u3") -> (
             match (num "theta", num "phi", num "lam") with
-            | Some th, Some ph, Some lm -> rotation (Synth.Unitary (Mat2.u3 th ph lm))
+            | Some th, Some ph, Some lm -> rotation (Qgate.U3 (th, ph, lm))
             | _ -> Error "u3 needs numeric theta, phi, lam")
         | _ -> Error "expected op rz or u3")
 

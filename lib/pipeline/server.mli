@@ -26,7 +26,7 @@
     {b Responses}: [{"id":…,"request_id":"r7","ok":true,"op":"rz",
     "target":"rz(…)","word":"THTS…","t_count":…,"length":…,
     "distance":…,"backend":…,"fallbacks":…,"retries":…,
-    "gate_set":…,"source":"store"|"fresh"}] on success;
+    "gate_set":…,"source":"store"|"fresh"|"exact"}] on success;
     [{"id":…,"ok":false,"error":TAG,"message":…}] on failure, where
     [TAG] is ["overloaded"] (admission queue full — backpressure),
     ["bad_request"], or a synthesis failure tag ([timeout],
@@ -34,11 +34,21 @@
     ["retries"].  A [batch] response carries its sub-responses in-order
     under ["results"].
 
+    {b Rotations resolve as in the compilation engine}: a ≤1-T rotation
+    ([Stream_compile.exact_word_of_trivial], e.g. [rz(π/4)] or
+    [u3(0,0,π/4)]) is answered with its exact word, ["backend":"exact"]
+    and ["source":"exact"], retries 0: it runs no planner job and writes
+    no ledger record.  Every other rotation is keyed and targeted as the
+    engine would ([Stream_compile.synthesis_target]: canonical angles,
+    exact ε, the chain's id, the gate set), singles and batch elements
+    alike, so [rz(0.3)] and [rz(0.3+2π)] share one job, one word and
+    one ["target"] id, and a word the engine stored serves the server.
+
     {b One synthesis path}: every work item is a batch — a single
-    [rz]/[u3] is a one-element one — run by [Planner.execute] on the
-    worker thread that dequeued it, on up to [planner_jobs] domains
-    (repeats of a target, ε and gate set synthesize once; one element
-    starts no domain).  So a single's trace holds ["planner.execute"]
+    [rz]/[u3] is a one-element one — whose nontrivial rotations run by
+    [Planner.execute] on the worker thread that dequeued it, on up to
+    [planner_jobs] domains (repeats of a key synthesize once; one
+    element starts no domain).  So a single's trace holds ["planner.execute"]
     and ["planner.job"] spans and counts in [obs.planner.jobs] /
     [.domains], and an exception inside its synthesis is answered
     [backend_error], not [internal].  Each ["planner.job"] span carries
@@ -55,16 +65,19 @@
     during processing names the wire request ([tgates-trace requests]
     reassembles the per-request waterfall).  A batch element folded
     into another element's job gets a [replay] ledger record under its
-    own request id, so every served rotation has one.  Caveat: the
+    own request id, so every served nontrivial rotation has one.  Caveat: the
     context is domain-local, so with [workers > 1] two worker
     {e threads} sharing the initial domain can bleed contexts between
     interleaved requests outside the planner's jobs.
 
     {b Durability & degradation}: misses run through [Synth.run_chain]
     (store consultation included when [Synth.set_store] armed one);
-    transient failures ([Backend_error], [Timeout]) are retried with
-    exponential backoff + deterministic jitter while the per-request
-    deadline allows; the admission queue is bounded and sheds with a
+    transient failures ([Backend_error] only: a [Timeout] means the
+    request's deadline, the chain's only one, has expired) are retried
+    with exponential backoff + deterministic jitter while the
+    per-request deadline allows, and a retried rotation's one ledger
+    record is the execution it was answered with; the admission queue
+    is bounded and sheds with a
     structured [overloaded] response instead of queueing unboundedly;
     {!drain} finishes in-flight work and writes a final store index
     snapshot.

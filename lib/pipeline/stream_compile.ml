@@ -63,6 +63,17 @@ let u3_key ~epsilon ~tag ~gate_set (theta, phi, lam) =
   Printf.sprintf "%s/%s/%s@%h|%s|%s" (angle_key theta) (angle_key phi) (angle_key lam) epsilon
     tag gate_set
 
+(* An Rz is keyed and targeted at its canonical angle; any other
+   rotation at the canonical angles of its U3 form. *)
+let synthesis_target ~epsilon ~tag ~gate_set = function
+  | Qgate.Rz theta ->
+      let theta = canonical_angle theta in
+      (rz_key ~epsilon ~tag ~gate_set theta, Synth.Rz theta)
+  | g ->
+      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+      let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
+      (u3_key ~epsilon ~tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+
 (* Clifford+T words are written in matrix order (leftmost factor applied
    last); circuit instruction lists run in time order, so splicing a
    word into a circuit reverses it. *)
@@ -96,7 +107,6 @@ type config = {
   ir : Settings.ir;
   window : int;  (** W: max gates held by the sliding optimizer *)
   queue : int;  (** job-queue capacity — the backpressure bound *)
-  depth : int;  (** max out-of-order results awaiting emission *)
   jobs : int;  (** max domains (1 = synthesize on the producer) *)
   deadline : Obs.Deadline.t;
   rotation_budget : float option;
@@ -107,18 +117,21 @@ type config = {
 
 let default_trasyn = { Trasyn.default_config with table_t = 10; samples = 48; beam = 4 }
 
+(* The reorder FIFO's bound: past this many output slots awaiting
+   emission, the producer stalls until the head result lands. *)
+let depth = 4096
+
 let config ?(epsilon = 0.07) ?(gate_set = Gateset.default) ?(ir = Settings.Rz_ir)
-    ?(window = 64) ?(queue = 32) ?(depth = 4096) ?(jobs = 1)
+    ?(window = 64) ?(queue = 32) ?(jobs = 1)
     ?(deadline = Obs.Deadline.none) ?rotation_budget ?chain ?(trasyn = default_trasyn)
     ?(budgets = Synth.default_budgets) () =
   if not (epsilon > 0.0 && Float.is_finite epsilon) then
     invalid_arg "Stream_compile.config: epsilon must be positive and finite";
   if window < 1 then invalid_arg "Stream_compile.config: window must be >= 1";
   if queue < 1 then invalid_arg "Stream_compile.config: queue must be >= 1";
-  if depth < 1 then invalid_arg "Stream_compile.config: depth must be >= 1";
   if jobs < 1 then invalid_arg "Stream_compile.config: jobs must be >= 1";
-  { epsilon; gate_set; ir; window; queue; depth; jobs; deadline; rotation_budget;
-    chain; trasyn; budgets }
+  { epsilon; gate_set; ir; window; queue; jobs; deadline; rotation_budget; chain; trasyn;
+    budgets }
 
 type stats = {
   gates_in : int;
@@ -203,11 +216,12 @@ type pending = { key : string; target : Synth.target; gate : Qgate.t }
 type resolution = Exact of Qgate.t list | Synthesize of pending | Reject of Robust.failure
 
 let classify cfg ~tag g =
-  let epsilon = cfg.epsilon and gate_set = cfg.gate_set.Gateset.name in
   match (g, cfg.ir) with
-  | Qgate.Rz theta, _ ->
-      let theta = canonical_angle theta in
-      Ok { key = rz_key ~epsilon ~tag ~gate_set theta; target = Synth.Rz theta; gate = g }
+  | Qgate.Rz _, _ | _, Settings.U3_ir ->
+      let key, target =
+        synthesis_target ~epsilon:cfg.epsilon ~tag ~gate_set:cfg.gate_set.Gateset.name g
+      in
+      Ok { key; target; gate = g }
   | _, Settings.Rz_ir ->
       (* The Rz window rewrites every rotation to Rz; anything else is
          a transpiler bug (or a hand-fed IR), surfaced structurally
@@ -215,15 +229,6 @@ let classify cfg ~tag g =
       Error
         (Robust.Backend_error
            (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
-  | _, Settings.U3_ir ->
-      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-      let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
-      Ok
-        {
-          key = u3_key ~epsilon ~tag ~gate_set (t, p, l);
-          target = Synth.Unitary (Mat2.u3 t p l);
-          gate = g;
-        }
 
 let synthesize cfg g =
   let chain = chain_of cfg in
@@ -466,9 +471,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     while source handle do
       incr gates_in;
       drain_ready ();
-      (* Reorder-FIFO bound: past [depth] pending slots, stall the
-         producer until the head result lands. *)
-      while Queue.length out > cfg.depth && Option.is_none !failure do
+      while Queue.length out > depth && Option.is_none !failure do
         wait_for_head ();
         drain_ready ()
       done;

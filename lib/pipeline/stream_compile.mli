@@ -55,6 +55,13 @@ val u3_key :
     word exceeds its reported distance by at most half the summed angle
     differences, < 1.5·10⁻¹⁰. *)
 
+val synthesis_target :
+  epsilon:float -> tag:string -> gate_set:string -> Qgate.t -> string * Synth.target
+(** The key and synthesis target of a rotation gate, as the engine
+    classifies it and the server keys its work items: an Rz by
+    {!rz_key} and [Rz] at its canonical angle, any other rotation by
+    {!u3_key} and [Unitary] at the canonical angles of its U3 form. *)
+
 val exact_word_of_trivial : ?gate_set:string -> Qgate.t -> Ctgate.t list option
 (** The exact Clifford+T word of a trivial rotation (≤1-T operator),
     from the step-0 table; [None] when the gate genuinely needs
@@ -68,7 +75,6 @@ type config = {
   ir : Settings.ir;  (** Rz (phase-folding window) or U3 (fusion window) *)
   window : int;  (** W — max gates held by the sliding optimizer *)
   queue : int;  (** job-queue capacity, the backpressure bound *)
-  depth : int;  (** max out-of-order results awaiting emission *)
   jobs : int;  (** max domains; 1 = synthesize on the producer *)
   deadline : Obs.Deadline.t;
   rotation_budget : float option;  (** per-job seconds *)
@@ -88,7 +94,6 @@ val config :
   ?ir:Settings.ir ->
   ?window:int ->
   ?queue:int ->
-  ?depth:int ->
   ?jobs:int ->
   ?deadline:Obs.Deadline.t ->
   ?rotation_budget:float ->
@@ -98,11 +103,11 @@ val config :
   unit ->
   config
 (** Defaults: ε 0.07, default gate set, Rz IR, window 64, queue 32,
-    depth 4096, 1 job, no deadline, chain picked by IR
-    ([Synth.rz_chain] / [Synth.u3_chain]), {!default_trasyn} and
-    [Synth.default_budgets].
+    1 job, no deadline, chain picked by IR ([Synth.rz_chain] /
+    [Synth.u3_chain]), {!default_trasyn} and [Synth.default_budgets].
+    The reorder FIFO holds at most 4096 results awaiting emission.
     @raise Invalid_argument on a non-positive or non-finite ε, or a
-    non-positive window/queue/depth/jobs. *)
+    non-positive window/queue/jobs. *)
 
 type stats = {
   gates_in : int;  (** instructions consumed from the source *)

@@ -228,7 +228,6 @@ let zero_recovery =
 type t = {
   dir : string;
   readonly : bool;
-  verify_on_read : bool;
   segment_max_bytes : int;
   lock_fd : Unix.file_descr option;
   (* (gate_set NUL target_id) → slots sorted by ascending distance. *)
@@ -529,7 +528,7 @@ let acquire_lock dir =
       (try Unix.close fd with _ -> ());
       Error (Printf.sprintf "store %s: cannot lock: %s" dir (Unix.error_message e))
 
-let open_store ?(readonly = false) ?(verify_on_read = true) ?(rescan = false)
+let open_store ?(readonly = false) ?(rescan = false)
     ?(segment_max_bytes = 4 * 1024 * 1024) dir =
   let fail_sys f = try f () with Sys_error m -> Error m | Unix.Unix_error (e, op, _) -> Error (op ^ ": " ^ Unix.error_message e) in
   fail_sys @@ fun () ->
@@ -547,7 +546,6 @@ let open_store ?(readonly = false) ?(verify_on_read = true) ?(rescan = false)
           {
             dir;
             readonly;
-            verify_on_read;
             segment_max_bytes;
             lock_fd;
             index = Hashtbl.create 64;
@@ -825,37 +823,31 @@ let lookup t ?(gate_set = default_gate_set) ~epsilon target =
         in
         match cands with
         | [] -> miss ()
-        | s :: _ ->
-            if not t.verify_on_read then begin
-              count_hit s.entry;
-              Some s.entry
-            end
-            else begin
-              match
-                Robust.verify ~target:(target_mat2 target) ~epsilon ~claimed:s.entry.distance
-                  s.entry.word
-              with
-              | Ok d ->
-                  (* Classify on the stored distance: [d] may round
-                     across the bucket edge and misreport relaxation. *)
-                  count_hit s.entry;
-                  Some { s.entry with distance = d }
-              | Error Robust.Budget_exhausted ->
-                  (* The word is honest, just not accurate enough at
-                     this ε (a boundary rounding case) — a plain miss,
-                     no quarantine. *)
-                  miss ()
-              | Error _ ->
-                  (* The stored word does not reproduce its claimed
-                     distance: drop it, record it, try the next. *)
-                  cell := List.filter (fun s' -> s' != s) !cell;
-                  t.live <- t.live - 1;
-                  Obs.incr c_reject;
-                  t.n_rejected <- t.n_rejected + 1;
-                  log_rejection t s.entry "read-path re-verification failed";
-                  update_gauges t;
-                  pick ()
-            end
+        | s :: _ -> (
+            match
+              Robust.verify ~target:(target_mat2 target) ~epsilon ~claimed:s.entry.distance
+                s.entry.word
+            with
+            | Ok d ->
+                (* Classify on the stored distance: [d] may round
+                   across the bucket edge and misreport relaxation. *)
+                count_hit s.entry;
+                Some { s.entry with distance = d }
+            | Error Robust.Budget_exhausted ->
+                (* The word is honest, just not accurate enough at
+                   this ε (a boundary rounding case) — a plain miss,
+                   no quarantine. *)
+                miss ()
+            | Error _ ->
+                (* The stored word does not reproduce its claimed
+                   distance: drop it, record it, try the next. *)
+                cell := List.filter (fun s' -> s' != s) !cell;
+                t.live <- t.live - 1;
+                Obs.incr c_reject;
+                t.n_rejected <- t.n_rejected + 1;
+                log_rejection t s.entry "read-path re-verification failed";
+                update_gauges t;
+                pick ())
       in
       pick ()
 

@@ -117,7 +117,6 @@ type recovery = {
 
 val open_store :
   ?readonly:bool ->
-  ?verify_on_read:bool ->
   ?rescan:bool ->
   ?segment_max_bytes:int ->
   string ->
@@ -125,9 +124,8 @@ val open_store :
 (** Open (creating if needed) the store at that directory and run the
     recovery scan.  [readonly] (default false) skips the writer lock
     and never modifies the directory (torn tails are tolerated in
-    memory instead of truncated).  [verify_on_read] (default true)
-    re-verifies every served word against the requested target.
-    [rescan] (default false) ignores the index snapshot and re-scans
+    memory instead of truncated).  Every served word is re-verified
+    against the requested target ({!lookup}).  [rescan] (default false) ignores the index snapshot and re-scans
     every segment — what a consistency check or a corruption drill
     wants.  [segment_max_bytes] (default 4 MiB) bounds a segment before
     appends roll over to a fresh one.  [Error] when the directory is
@@ -169,11 +167,10 @@ val put : t -> entry -> unit
 
 val lookup : t -> ?gate_set:string -> epsilon:float -> target -> entry option
 (** The cheapest stored word for [target] whose verified distance is
-    ≤ [epsilon], re-verified on the way out when the store was opened
-    with [verify_on_read]: the candidate's unitary is recomputed and
-    checked against the requested target through [Robust.verify]; on
-    mismatch the entry is dropped from the index, recorded in
-    [quarantine/rejected.jsonl], counted as
+    ≤ [epsilon], re-verified on the way out: the candidate's unitary is
+    recomputed and checked against the requested target through
+    [Robust.verify]; on mismatch the entry is dropped from the index,
+    recorded in [quarantine/rejected.jsonl], counted as
     [store.read_verify.rejected], and the next candidate is tried.
     [None] is a miss.  The returned [distance] is the freshly verified
     one.  Hits are classified by the winning entry's {e stored}

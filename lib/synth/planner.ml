@@ -226,23 +226,17 @@ let plan occs =
   let occurrences = List.length occs in
   { jobs; occurrences; dedup_hits = occurrences - Array.length jobs }
 
-let execute ?jobs ?(deadline = Obs.Deadline.none) ?job_budget ?ctx ~run plan =
+let execute ?jobs ?(deadline = Obs.Deadline.none) ?ctx ~run plan =
   let requested = Option.value jobs ~default:(Domain.recommended_domain_count ()) in
   let n_jobs = Array.length plan.jobs in
   Obs.incr ~by:plan.dedup_hits c_dedup;
   Obs.span "planner.execute" (fun () ->
       let p = create ~jobs:(Int.max 1 (Int.min requested n_jobs)) ~queue:(Int.max 1 n_jobs) () in
       Fun.protect ~finally:(fun () -> finish p) @@ fun () ->
-      (* Each job's deadline is taken when it starts. *)
-      let job_deadline () =
-        match job_budget with
-        | None -> deadline
-        | Some b -> Obs.Deadline.earliest deadline (Obs.Deadline.after b)
-      in
       Array.iter
         (fun (j : _ job) ->
           let ctx = Option.bind ctx (fun f -> f j.target) in
-          ignore (submit p ?ctx j.key (fun () -> run ~deadline:(job_deadline ()) j.target) : bool))
+          ignore (submit p ?ctx j.key (fun () -> run ~deadline j.target) : bool))
         plan.jobs;
       Array.iter
         (fun (j : _ job) -> while Option.is_none (find p j.key) do help p j.key done)

@@ -77,7 +77,6 @@ val plan : (string * 'a) list -> 'a plan
 val execute :
   ?jobs:int ->
   ?deadline:Obs.Deadline.t ->
-  ?job_budget:float ->
   ?ctx:('a -> Obs.request_ctx option) ->
   run:(deadline:Obs.Deadline.t -> 'a -> ('b, Robust.failure) result) ->
   'a plan ->
@@ -91,7 +90,6 @@ val execute :
     [jobs:1] and a one-job plan start no domain.  [ctx] maps a job's
     target to the request context it runs under (the server gives
     each element its own, so spans and ledger records on any domain
-    name the wire request).  Each job's deadline is the tighter of
-    [deadline] and [job_budget] seconds from the job's start.  The
+    name the wire request).  Every job runs under [deadline].  The
     table is independent of domain count and scheduling, so [--jobs N]
     output is bit-identical to [--jobs 1]. *)

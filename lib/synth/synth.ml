@@ -229,10 +229,10 @@ let u3_chain =
     sk_rung;
   ]
 
-let rz_chain ?(gs_scale = 2.0) () =
+let rz_chain () =
   [
     rung gridsynth_backend;
-    rung ~name:"gridsynth.retry" ~eps_scale:gs_scale
+    rung ~name:"gridsynth.retry" ~eps_scale:2.0
       ~tweak:(fun c -> { c with gs_max_extra_n = Some 60; gs_candidates_per_n = Some 128 })
       gridsynth_backend;
     rung ~eps_floor:trasyn_floor
@@ -362,25 +362,25 @@ let ledger_record ?(request_id = "") ~config:cfg chain target ~source ~wall_s re
         degraded = a.fallbacks > 0 || (cfg.epsilon > 0.0 && a.distance > cfg.epsilon);
         ok = true;
       }
-  | Error f ->
-      let rungs = List.length (usable cfg chain) in
-      { base with fallbacks = max 0 (rungs - 1); attempts = rungs; failure = Some (failure_tag f) }
+  | Error (f, ran) ->
+      { base with fallbacks = max 0 (ran - 1); attempts = ran; failure = Some (failure_tag f) }
 
 (* Try each usable rung in order until one's word passes the guard.
    This is the one place where deadlines, fault injection, the adapters
    and the guard meet.  The deadline is checked before each rung and
    after each failure; on expiry the chain stops with [Timeout] rather
    than burning further rungs.  When every rung fails, the last one's
-   failure is the chain's. *)
+   failure is the chain's.  A failure carries the number of rungs run:
+   a rung counts once it has passed its deadline check. *)
 let run_rungs ~deadline ~config:base chain target =
   let m = target_mat2 target in
-  let timeout () =
+  let timeout ran =
     Obs.incr c_deadline;
     Obs.incr c_chain_failed;
-    Error Robust.Timeout
+    Error (Robust.Timeout, ran)
   in
   let rec go idx spec rest =
-    if Obs.Deadline.expired deadline then timeout ()
+    if Obs.Deadline.expired deadline then timeout idx
     else begin
       if idx > 0 then Obs.incr c_retries;
       let injected = Robust.Fault.draw spec.rung_name in
@@ -389,7 +389,7 @@ let run_rungs ~deadline ~config:base chain target =
           Obs.incr c_faults;
           Unix.sleepf s
       | _ -> ());
-      if Obs.Deadline.expired deadline then timeout ()
+      if Obs.Deadline.expired deadline then timeout (idx + 1)
       else
         let eps = Float.max (base.epsilon *. spec.eps_scale) spec.eps_floor in
         let outcome =
@@ -431,22 +431,23 @@ let run_rungs ~deadline ~config:base chain target =
         | Error _, _ when Obs.Deadline.expired deadline ->
             (* Whatever the rung reported, the budget is gone: stop
                burning rungs and report the deadline. *)
-            timeout ()
+            timeout (idx + 1)
         | Error f, [] ->
             Obs.incr c_chain_failed;
-            Error f
+            Error (f, idx + 1)
         | Error _, next :: rest -> go (idx + 1) next rest
     end
   in
   match usable base chain with
   | [] ->
       Error
-        (Robust.Backend_error
-           (Printf.sprintf "no backend in chain %S supports gate set %S" (chain_id chain)
-              (gate_set_name base)))
+        ( Robust.Backend_error
+            (Printf.sprintf "no backend in chain %S supports gate set %S" (chain_id chain)
+               (gate_set_name base)),
+          0 )
   | spec :: rest -> go 0 spec rest
 
-let run_chain_sourced ?deadline ~config:cfg chain target =
+let rec run_chain_sourced ?deadline ?(retry = fun _ -> false) ~config:cfg chain target =
   let deadline =
     match deadline with
     | Some d -> Obs.Deadline.earliest d cfg.deadline
@@ -455,9 +456,9 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
   Obs.incr c_rotations;
   let t0 = Obs.Clock.elapsed_s () in
   let gs_name = gate_set_name cfg in
-  (* One provenance record per chain execution, success or failure; the
-     engine and the server add replay records for occurrences served by
-     dedup or the memo. *)
+  (* One provenance record per rotation, success or failure: the final
+     execution's.  The engine and the server add replay records for
+     occurrences served by dedup or the memo. *)
   let record source result =
     if Ledger.enabled () then
       Ledger.record
@@ -496,27 +497,31 @@ let run_chain_sourced ?deadline ~config:cfg chain target =
       in
       record `Store (Ok a);
       Ok (a, `Store)
-  | None ->
-      let result = run_rungs ~deadline ~config:cfg chain target in
-      record `Fresh result;
-      (* A freshly synthesized, guard-verified word is worth keeping —
-         under the alphabet that produced it, so cross-alphabet hits are
-         impossible. *)
-      (match (result, store ()) with
-      | Ok a, Some st when not (Store.readonly st) ->
-          Store.put st
-            {
-              Store.gate_set = gs_name;
-              target = store_target target;
-              eps_req = cfg.epsilon;
-              distance = a.Robust.distance;
-              word = a.Robust.word;
-              t_count = Ctgate.t_count a.Robust.word;
-              backend = a.Robust.backend;
-              chain = chain_id chain;
-            }
-      | _ -> ());
-      Result.map (fun a -> (a, `Fresh)) result
+  | None -> (
+      match run_rungs ~deadline ~config:cfg chain target with
+      | Error (f, _) when retry f -> run_chain_sourced ~deadline ~retry ~config:cfg chain target
+      | result ->
+          record `Fresh result;
+          (* A freshly synthesized, guard-verified word is worth keeping —
+             under the alphabet that produced it, so cross-alphabet hits
+             are impossible. *)
+          (match (result, store ()) with
+          | Ok a, Some st when not (Store.readonly st) ->
+              Store.put st
+                {
+                  Store.gate_set = gs_name;
+                  target = store_target target;
+                  eps_req = cfg.epsilon;
+                  distance = a.Robust.distance;
+                  word = a.Robust.word;
+                  t_count = Ctgate.t_count a.Robust.word;
+                  backend = a.Robust.backend;
+                  chain = chain_id chain;
+                }
+          | _ -> ());
+          Result.map (fun a -> (a, `Fresh)) result)
 
 let run_chain ?deadline ~config chain target =
-  Result.map fst (run_chain_sourced ?deadline ~config chain target)
+  match run_chain_sourced ?deadline ~config chain target with
+  | Ok (a, _) -> Ok a
+  | Error (f, _) -> Error f

@@ -121,11 +121,10 @@ val u3_chain : rung_spec list
     (Eq. (1) decomposition at ε) → Solovay–Kitaev last resort at a
     relaxed threshold (max ε 0.45 — always lands, may be degraded). *)
 
-val rz_chain : ?gs_scale:float -> unit -> rung_spec list
-(** GRIDSYNTH → GRIDSYNTH retry at scaled ε ([gs_scale]·ε, default 2×,
-    with a deeper candidate search) → TRASYN (threshold floored at
-    0.01, the sampled search's reliable range) → Solovay–Kitaev last
-    resort. *)
+val rz_chain : unit -> rung_spec list
+(** GRIDSYNTH → GRIDSYNTH retry at 2ε with a deeper candidate search →
+    TRASYN (threshold floored at 0.01, the sampled search's reliable
+    range) → Solovay–Kitaev last resort. *)
 
 val parse_chain : string -> (rung_spec list, string) result
 (** Parse a [--backend-chain] value: comma-separated backend names,
@@ -189,13 +188,20 @@ val run_chain :
 
 val run_chain_sourced :
   ?deadline:Obs.Deadline.t ->
+  ?retry:(Robust.failure -> bool) ->
   config:config ->
   rung_spec list ->
   target ->
-  (Robust.attempt * [ `Store | `Fresh ], Robust.failure) result
+  (Robust.attempt * [ `Store | `Fresh ], Robust.failure * int) result
 (** {!run_chain}, additionally reporting whether the word was served
     from the persistent store or freshly synthesized — what the batch
-    server stamps into its responses. *)
+    server stamps into its responses — and with a failure the number of
+    rungs its execution ran (0 when the deadline expired before the
+    first).  [retry f] (default: never) is asked after each failed
+    execution; while it answers [true] the chain runs again, store
+    consult included.  Every execution bumps ["synth.rotations"], but
+    only the final one writes a ledger record, so a retried rotation
+    has one. *)
 
 val ledger_record :
   ?request_id:string ->
@@ -204,7 +210,7 @@ val ledger_record :
   target ->
   source:[ `Fresh | `Replay | `Store ] ->
   wall_s:float ->
-  (Robust.attempt, Robust.failure) result ->
+  (Robust.attempt, Robust.failure * int) result ->
   Ledger.record
 (** The ledger record of one rotation served under [config] by the
     chain, from a chain execution ([`Fresh]), another occurrence's
@@ -213,8 +219,10 @@ val ledger_record :
     carries the attempt's rung ε, verified distance, backend, fallback
     depth, T-count and word length; [degraded] when a fallback was
     taken or the distance is above a positive requested ε (ε = 0 asks
-    for the best word within budget).  On failure [rung_eps] and
-    [distance] are [nan], the backend is ["failed"], and the chain's
-    usable rungs count as tried.  [request_id] defaults to [""], which
+    for the best word within budget).  On failure — which carries the
+    number of rungs its execution ran — [rung_eps] and [distance] are
+    [nan], the backend is ["failed"], [attempts] is that number and
+    [fallbacks] one less (0 when none ran); a replay of a failure passes
+    its execution's number.  [request_id] defaults to [""], which
     [Ledger.record] stamps from the ambient request context.  A direct
     backend call records itself as a one-rung chain. *)

@@ -1,0 +1,114 @@
+(* The shared command-line contract of the synthesis binaries, wired
+   into @runtest:
+
+   1. Each binary's option set, as [--help=plain] lists it (names,
+      value names, defaults), equals the checked-in list
+      (cli_options.expected), so no binary silently gains or loses a
+      flag.  After a deliberate change, regenerate the list with each
+      binary's [--help=plain] lines that start with seven spaces and a
+      dash, prefixed by the binary's name.
+   2. A bad value for a shared flag exits 1 with one line of output
+      naming the flag: an unknown --gate-set (compile_cli, serve_cli,
+      tablegen_cli), a malformed --faults, an unknown --backend-chain
+      and an unusable --store (compile_cli, serve_cli).
+
+   usage: cli_smoke EXPECTED COMPILE_CLI SERVE_CLI TABLEGEN_CLI TRASYN_CLI GRIDSYNTH_CLI *)
+
+let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("cli_smoke: FAIL: " ^ s); exit 1) fmt
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> acc in
+  let lines = List.rev (go []) in
+  close_in ic;
+  lines
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+(* Run argv with stdin from /dev/null: (exit code, stdout+stderr lines). *)
+let run argv =
+  let out = Filename.temp_file "cli_smoke" ".out" in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote argv)
+      ^ " < /dev/null > " ^ Filename.quote out ^ " 2>&1")
+  in
+  let lines = read_lines out in
+  Sys.remove out;
+  (code, lines)
+
+let () =
+  let expected, bins =
+    match Array.to_list Sys.argv with
+    | _ :: expected :: (_ :: _ as bins) -> (expected, bins)
+    | _ -> failf "usage: cli_smoke EXPECTED BIN..."
+  in
+  let name bin = Filename.remove_extension (Filename.basename bin) in
+  let bin n =
+    match List.find_opt (fun b -> name b = n) bins with Some b -> b | None -> failf "no %s" n
+  in
+  (* 1. Option sets. *)
+  let want = read_lines expected in
+  List.iter
+    (fun b ->
+      let prefix = name b ^ " " in
+      let want =
+        List.filter_map
+          (fun l ->
+            if String.starts_with ~prefix l then
+              Some (String.sub l (String.length prefix) (String.length l - String.length prefix))
+            else None)
+          want
+      in
+      let code, help = run [ b; "--help=plain" ] in
+      if code <> 0 then failf "%s --help=plain exited %d" (name b) code;
+      let got =
+        List.filter_map
+          (fun l ->
+            if String.starts_with ~prefix:"       -" l then Some (String.trim l) else None)
+          help
+      in
+      if want = [] then failf "%s has no options in %s" (name b) expected;
+      if List.sort compare got <> List.sort compare want then
+        failf "%s options differ from %s:\n  got:\n    %s\n  expected:\n    %s" (name b) expected
+          (String.concat "\n    " got) (String.concat "\n    " want))
+    bins;
+  (* 2. Bad values of shared flags. *)
+  let dir = Filename.temp_file "cli_smoke" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let ( / ) = Filename.concat in
+  let qasm = dir / "c.qasm" in
+  let oc = open_out qasm in
+  output_string oc "OPENQASM 2.0;\nqreg q[1];\nrz(0.37) q[0];\n";
+  close_out oc;
+  (* A directory under a regular file cannot be created. *)
+  let not_a_dir = dir / "file" in
+  close_out (open_out not_a_dir);
+  let cases =
+    [
+      ("compile_cli", [ "--input"; qasm ], "--gate-set", "no-such-set");
+      ("serve_cli", [], "--gate-set", "no-such-set");
+      ("tablegen_cli", [ "--out"; dir / "t.table" ], "--gate-set", "no-such-set");
+      ("compile_cli", [ "--input"; qasm ], "--faults", "trasyn=frobnicate");
+      ("serve_cli", [], "--faults", "trasyn=frobnicate");
+      ("compile_cli", [ "--input"; qasm ], "--backend-chain", "trasyn,no-such-backend");
+      ("serve_cli", [], "--backend-chain", "trasyn,no-such-backend");
+      ("compile_cli", [ "--input"; qasm ], "--store", not_a_dir / "store");
+      ("serve_cli", [], "--store", not_a_dir / "store");
+    ]
+  in
+  List.iter
+    (fun (b, args, flag, value) ->
+      match run ((bin b :: args) @ [ flag; value ]) with
+      | 1, [ line ] when contains line flag -> ()
+      | code, lines ->
+          failf "%s %s %s: exit %d, wanted 1 with one line naming the flag:\n%s" b flag value code
+            (String.concat "\n" lines))
+    cases;
+  List.iter Sys.remove [ qasm; not_a_dir ];
+  Unix.rmdir dir;
+  print_endline "cli_smoke: OK"

@@ -1,7 +1,19 @@
-(* The telemetry layer: provenance ledger (ring bound, JSONL round
-   trip, order-independent aggregation) and the live metrics sampler
-   (stream integrity under a multi-domain planner run, exposition
-   syntax). *)
+(* The telemetry layer: provenance ledger (JSONL round trip,
+   order-independent aggregation) and the live metrics sampler (stream
+   integrity under a multi-domain planner run, exposition syntax). *)
+
+(* Run [f] with the ledger on a fresh sink: its result, and the records
+   it wrote, read back through [Ledger.load]. *)
+let recorded f =
+  let path = Filename.temp_file "test_ledger" ".jsonl" in
+  Ledger.to_file path;
+  Fun.protect ~finally:(fun () ->
+      Ledger.close ();
+      Sys.remove path)
+  @@ fun () ->
+  let v = f () in
+  Ledger.close ();
+  match Ledger.load path with Ok rs -> (v, rs) | Error e -> Alcotest.failf "ledger: %s" e
 
 let mkrec ?(backend = "trasyn") ?(cached = false) ?(ok = true) ?(distance = 1e-3)
     ?(wall_s = 0.01) ?(t_count = 12) i =
@@ -28,55 +40,18 @@ let mkrec ?(backend = "trasyn") ?(cached = false) ?(ok = true) ?(distance = 1e-3
 
 let ledger_tests =
   [
-    Alcotest.test_case "ring drops oldest at capacity" `Quick (fun () ->
-        Ledger.reset ();
-        Ledger.set_capacity 4;
-        Ledger.set_enabled true;
-        let dropped0 = Obs.counter_value (Obs.counter "obs.ledger.dropped") in
-        Fun.protect
-          ~finally:(fun () ->
-            Ledger.set_enabled false;
-            Ledger.set_capacity 65536;
-            Ledger.reset ())
-          (fun () ->
-            for i = 1 to 10 do
-              Ledger.record (mkrec i)
-            done;
-            Alcotest.(check int) "ring size" 4 (Ledger.size ());
-            Alcotest.(check int)
-              "dropped counter" 6
-              (Obs.counter_value (Obs.counter "obs.ledger.dropped") - dropped0);
-            (* Oldest first, and the survivors are the newest four. *)
-            match Ledger.records () with
-            | [ a; _; _; d ] ->
-                Alcotest.(check string) "oldest survivor" (mkrec 7).Ledger.target a.Ledger.target;
-                Alcotest.(check string) "newest survivor" (mkrec 10).Ledger.target d.Ledger.target
-            | rs -> Alcotest.failf "expected 4 records, got %d" (List.length rs)));
     Alcotest.test_case "JSONL sink round-trips" `Quick (fun () ->
-        let path = Filename.temp_file "test_ledger" ".jsonl" in
-        Ledger.reset ();
-        Ledger.to_file path;
-        Fun.protect
-          ~finally:(fun () ->
-            Ledger.set_enabled false;
-            Ledger.reset ();
-            Sys.remove path)
-          (fun () ->
-            let written =
-              [
-                mkrec 1;
-                mkrec ~backend:"gridsynth" ~cached:true ~wall_s:0.0 2;
-                (* Failed record: nan distance must survive the trip. *)
-                mkrec ~backend:"failed" ~ok:false ~distance:nan ~t_count:0 3;
-              ]
-            in
-            List.iter Ledger.record written;
-            Ledger.close ();
-            match Ledger.load path with
-            | Error e -> Alcotest.failf "load: %s" e
-            | Ok read ->
-                (* [compare] treats nan = nan, unlike [=]. *)
-                Alcotest.(check bool) "records round-trip" true (compare written read = 0)));
+        let written =
+          [
+            mkrec 1;
+            mkrec ~backend:"gridsynth" ~cached:true ~wall_s:0.0 2;
+            (* Failed record: nan distance must survive the trip. *)
+            mkrec ~backend:"failed" ~ok:false ~distance:nan ~t_count:0 3;
+          ]
+        in
+        let (), read = recorded (fun () -> List.iter Ledger.record written) in
+        (* [compare] treats nan = nan, unlike [=]. *)
+        Alcotest.(check bool) "records round-trip" true (compare written read = 0));
     Alcotest.test_case "load rejects a file without the meta line" `Quick (fun () ->
         let path = Filename.temp_file "test_ledger_nometa" ".jsonl" in
         let oc = open_out path in

@@ -192,42 +192,120 @@ let suite =
           [ ("planner.job[gridsynth]", 3) ] rows);
     Alcotest.test_case "every rotation of a batch gets a ledger record, repeats included" `Quick
       (fun () ->
-        let was = Ledger.enabled () in
-        Ledger.set_enabled true;
-        Fun.protect ~finally:(fun () ->
-            Ledger.set_enabled was;
-            Ledger.reset ())
-        @@ fun () ->
-        let records () =
+        let summary rs =
           List.sort compare
-            (List.map
-               (fun r -> (r.Ledger.request_id, r.Ledger.source, r.Ledger.ok))
-               (Ledger.records ()))
+            (List.map (fun r -> (r.Ledger.request_id, r.Ledger.source, r.Ledger.ok)) rs)
         in
-        Ledger.reset ();
-        let t, out = make_server () in
-        ignore
-          (Server.submit_line t
-             {|{"op":"batch","id":1,"requests":[{"op":"rz","theta":0.3},{"op":"rz","theta":0.3},{"op":"rz","theta":0.7},{"op":"rz","theta":0.3}]}|});
-        ignore (Server.submit_line t {|{"op":"rz","id":2,"theta":0.3}|});
-        Server.drain t;
-        Alcotest.(check int) "two responses" 2 (List.length (out ()));
+        let responses, records =
+          Test_metrics.recorded (fun () ->
+              let t, out = make_server () in
+              ignore
+                (Server.submit_line t
+                   {|{"op":"batch","id":1,"requests":[{"op":"rz","theta":0.3},{"op":"rz","theta":0.3},{"op":"rz","theta":0.7},{"op":"rz","theta":0.3}]}|});
+              ignore (Server.submit_line t {|{"op":"rz","id":2,"theta":0.3}|});
+              Server.drain t;
+              out ())
+        in
+        Alcotest.(check int) "two responses" 2 (List.length responses);
         Alcotest.(check (list (triple string string bool)))
           "one record per rotation served"
           [ ("r1.0", "fresh", true); ("r1.1", "replay", true); ("r1.2", "fresh", true);
             ("r1.3", "replay", true); ("r2", "fresh", true) ]
-          (records ());
+          (summary records);
         (* A failed job's repeats are recorded as failures too. *)
-        Ledger.reset ();
         let dead = { Robust.Fault.backend = "*"; mode = Robust.Fault.Fail; prob = 1.0 } in
-        Robust.Fault.with_faults [ dead ] (fun () ->
-            let t, _ = make_server ~cfg:{ Server.default_config with Server.max_retries = 0 } () in
-            ignore
-              (Server.submit_line t
-                 {|{"op":"batch","id":3,"requests":[{"op":"rz","theta":0.41},{"op":"rz","theta":0.41}]}|});
-            Server.drain t);
+        let (), records =
+          Test_metrics.recorded (fun () ->
+              Robust.Fault.with_faults [ dead ] (fun () ->
+                  let t, _ =
+                    make_server ~cfg:{ Server.default_config with Server.max_retries = 0 } ()
+                  in
+                  ignore
+                    (Server.submit_line t
+                       {|{"op":"batch","id":3,"requests":[{"op":"rz","theta":0.41},{"op":"rz","theta":0.41}]}|});
+                  Server.drain t))
+        in
         Alcotest.(check (list (triple string string bool)))
           "failures replayed"
           [ ("r1.0", "fresh", false); ("r1.1", "replay", false) ]
-          (records ()));
+          (summary records));
+    Alcotest.test_case "rotations resolve as in the engine: exact words, canonical keys" `Quick
+      (fun () ->
+        let jobs0 = cval "obs.planner.jobs" in
+        let responses, records =
+          Test_metrics.recorded (fun () ->
+              let t, out = make_server () in
+              ignore
+                (Server.submit_line t
+                   (Printf.sprintf
+                      {|{"op":"batch","id":1,"requests":[{"op":"rz","theta":%.17g},{"op":"rz","theta":0.3},{"op":"rz","theta":%.17g},{"op":"rz","theta":-0.0}]}|}
+                      (Float.pi /. 4.0)
+                      (0.3 +. (2.0 *. Float.pi))));
+              ignore
+                (Server.submit_line t
+                   (Printf.sprintf {|{"op":"u3","id":2,"theta":0,"phi":0,"lam":%.17g}|}
+                      (Float.pi /. 4.0)));
+              Server.drain t;
+              List.map
+                (fun l ->
+                  match Obs.Json.parse l with Ok j -> j | Error e -> Alcotest.failf "%s: %s" l e)
+                (out ()))
+        in
+        let field k j =
+          match Obs.Json.member k j with
+          | Some (Obs.Json.Str s) -> s
+          | Some (Obs.Json.Num f) -> Printf.sprintf "%g" f
+          | _ -> Alcotest.failf "no %s in %s" k (Obs.Json.to_string j)
+        in
+        let word_of j = (field "word" j, field "t_count" j, field "target" j, field "source" j) in
+        let id j = field "id" j in
+        (match List.sort (fun a b -> compare (id a) (id b)) responses with
+        | [ batch; single ] -> (
+            Alcotest.(check (list string)) "T, exact"
+              [ "T"; "1"; "exact"; "exact" ]
+              [ field "word" single; field "t_count" single; field "backend" single;
+                field "source" single ];
+            match Obs.Json.member "results" batch with
+            | Some (Obs.Json.Arr [ quarter; a; b; zero ]) ->
+                Alcotest.(check string) "pi/4 is T" "T" (field "word" quarter);
+                Alcotest.(check string) "pi/4 answered exactly" "exact" (field "source" quarter);
+                Alcotest.(check bool) "0.3 and 0.3+2pi: one word, one target" true
+                  (word_of a = word_of b && field "target" a = "rz(0.3000000000)");
+                Alcotest.(check (pair string string)) "-0.0 is the identity" ("", "rz(0.0000000000)")
+                  (field "word" zero, field "target" zero)
+            | _ -> Alcotest.fail "expected four batch results")
+        | _ -> Alcotest.failf "expected 2 responses, got %d" (List.length responses));
+        Alcotest.(check int) "one planner job" 1 (cval "obs.planner.jobs" - jobs0);
+        Alcotest.(check (list string)) "ledger: the pair only" [ "fresh"; "replay" ]
+          (List.sort compare (List.map (fun r -> r.Ledger.source) records)));
+    Alcotest.test_case "a retried rotation gets one ledger record" `Quick (fun () ->
+        (* TGATES_FAULTS='*=fail' serve_cli --ledger L --max-retries 3 *)
+        let dead = { Robust.Fault.backend = "*"; mode = Robust.Fault.Fail; prob = 1.0 } in
+        let responses, records =
+          Test_metrics.recorded (fun () ->
+              Robust.Fault.with_faults [ dead ] (fun () ->
+                  let t, out =
+                    make_server
+                      ~cfg:
+                        {
+                          Server.default_config with
+                          Server.max_retries = 3;
+                          backoff_base_s = 0.001;
+                          backoff_cap_s = 0.002;
+                        }
+                      ()
+                  in
+                  ignore (Server.submit_line t {|{"op":"rz","id":1,"theta":0.37}|});
+                  Server.drain t;
+                  out ()))
+        in
+        (match responses with
+        | [ r ] -> Alcotest.(check bool) "retried 3 times" true (contains r {|"retries":3|})
+        | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+        match records with
+        | [ r ] ->
+            Alcotest.(check bool) "the final execution's failure, every rung run" true
+              ((not r.Ledger.ok) && r.Ledger.source = "fresh" && r.Ledger.request_id = "r1"
+              && r.Ledger.attempts = List.length Server.default_config.Server.chain)
+        | rs -> Alcotest.failf "expected 1 ledger record, got %d" (List.length rs));
   ]

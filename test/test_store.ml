@@ -23,8 +23,8 @@ let with_dir f =
   let dir = mkdtemp () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let open_exn ?readonly ?verify_on_read ?rescan ?segment_max_bytes dir =
-  match Store.open_store ?readonly ?verify_on_read ?rescan ?segment_max_bytes dir with
+let open_exn ?readonly ?rescan ?segment_max_bytes dir =
+  match Store.open_store ?readonly ?rescan ?segment_max_bytes dir with
   | Ok t -> t
   | Error e -> Alcotest.failf "open_store: %s" e
 

@@ -303,7 +303,7 @@ let engine_tests =
             let label = Printf.sprintf "window=%d jobs=%d queue=%d" window jobs queue in
             Stream_compile.clear_cache ();
             let cfg =
-              Stream_compile.config ~epsilon:0.15 ~ir ~window ~queue ~depth:8 ~jobs ()
+              Stream_compile.config ~epsilon:0.15 ~ir ~window ~queue ~jobs ()
             in
             let want, wstats =
               match Stream_compile.run_circuit cfg c with
@@ -361,24 +361,20 @@ let engine_tests =
                (List.init 5 (fun _ ->
                     [ Circuit.instr (Qgate.Rz 0.3) [| 0 |]; Circuit.instr Qgate.H [| 0 |] ])))
         in
-        let was = Ledger.enabled () in
-        Ledger.set_enabled true;
-        Fun.protect ~finally:(fun () ->
-            Ledger.set_enabled was;
-            Ledger.reset ())
-        @@ fun () ->
         List.iter
           (fun (jobs, cold) ->
             let label = Printf.sprintf "jobs=%d %s memo" jobs (if cold then "cold" else "warm") in
             if cold then Stream_compile.clear_cache ();
-            Ledger.reset ();
-            match Stream_compile.run_circuit (Stream_compile.config ~epsilon:0.1 ~jobs ()) c with
-            | Error f -> Alcotest.failf "%s: %s" label (Robust.failure_to_string f)
-            | Ok (_, st) ->
+            match
+              Test_metrics.recorded (fun () ->
+                  Stream_compile.run_circuit (Stream_compile.config ~epsilon:0.1 ~jobs ()) c)
+            with
+            | Error f, _ -> Alcotest.failf "%s: %s" label (Robust.failure_to_string f)
+            | Ok (_, st), records ->
                 Alcotest.(check int) (label ^ " rotations") 5 st.Stream_compile.rotations_synthesized;
                 Alcotest.(check int) (label ^ " records") st.Stream_compile.rotations_synthesized
-                  (Ledger.size ());
-                let fresh = List.filter (fun r -> not r.Ledger.cached) (Ledger.records ()) in
+                  (List.length records);
+                let fresh = List.filter (fun r -> not r.Ledger.cached) records in
                 Alcotest.(check int) (label ^ " fresh records") (if cold then 1 else 0)
                   (List.length fresh))
           [ (1, true); (1, false); (2, true); (2, false) ]);
@@ -524,11 +520,6 @@ let workflow_tests =
   in
   (* Returns whether any run reported a degradation. *)
   let agree label circuits =
-    let was = Ledger.enabled () in
-    Fun.protect ~finally:(fun () ->
-        Ledger.set_enabled was;
-        Ledger.reset ())
-    @@ fun () ->
     let degraded = ref false in
     List.iter
       (fun (name, c) ->
@@ -539,23 +530,21 @@ let workflow_tests =
                 (match ir with Settings.Rz_ir -> "gridsynth" | Settings.U3_ir -> "trasyn")
                 jobs
             in
-            Ledger.set_enabled false;
             let want = ok (label ^ " reference") (Workflow_reference.run ~ir ~jobs c) in
             Pipeline.clear_caches ();
-            Ledger.set_enabled true;
-            Ledger.reset ();
-            let got =
-              ok label
-                (match ir with
-                | Settings.Rz_ir -> Pipeline.run_gridsynth_result ~jobs c
-                | Settings.U3_ir -> Pipeline.run_trasyn_result ~jobs c)
+            let got, records =
+              Test_metrics.recorded (fun () ->
+                  ok label
+                    (match ir with
+                    | Settings.Rz_ir -> Pipeline.run_gridsynth_result ~jobs c
+                    | Settings.U3_ir -> Pipeline.run_trasyn_result ~jobs c))
             in
             let wq, we, wd = show want and gq, ge, gd = show got in
             Alcotest.(check string) (label ^ " qasm") wq gq;
             Alcotest.(check string) (label ^ " error/rotations") we ge;
             Alcotest.(check (list string)) (label ^ " degraded") wd gd;
             Alcotest.(check int) (label ^ " ledger records") got.Pipeline.rotations_synthesized
-              (Ledger.size ());
+              (List.length records);
             if gd <> [] then degraded := true)
           [ (Settings.Rz_ir, 1); (Settings.Rz_ir, 2); (Settings.U3_ir, 1); (Settings.U3_ir, 2) ])
       circuits;
@@ -641,6 +630,33 @@ let memo_flush_tests =
           [ 0.0; -0.1; Float.nan; Float.infinity ];
         Alcotest.check_raises "whole-circuit runs too" rejected (fun () ->
             ignore (Pipeline.run_gridsynth ~epsilon:(-0.1) (Circuit.make 1 []) : Pipeline.synthesized)));
+    Alcotest.test_case "output flows once the reorder FIFO passes its bound" `Quick (fun () ->
+        (* At jobs 2 a run's only job starts no worker: it waits in the
+           queue while the tail fills the reorder FIFO behind it, until
+           the FIFO's 4096-slot bound makes the producer run it. *)
+        let input =
+          ref
+            (Circuit.instr (Qgate.Rz 0.3) [| 0 |]
+            :: List.concat
+                 (List.init 2500 (fun _ ->
+                      [ Circuit.instr Qgate.H [| 0 |]; Circuit.instr Qgate.T [| 0 |] ])))
+        in
+        let read = ref 0 and read_at_first_emit = ref 0 in
+        let next () =
+          match !input with
+          | [] -> None
+          | i :: rest ->
+              input := rest;
+              incr read;
+              Some i
+        in
+        let emit _ = if !read_at_first_emit = 0 then read_at_first_emit := !read in
+        Stream_compile.clear_cache ();
+        match Stream_compile.run (Stream_compile.config ~epsilon:0.1 ~jobs:2 ()) ~next ~emit with
+        | Error f -> Alcotest.fail (Robust.failure_to_string f)
+        | Ok _ ->
+            Alcotest.(check bool) "first output before the input ends" true
+              (!read_at_first_emit > 4096 && !read_at_first_emit < 5001));
   ]
 
 let suite =

@@ -187,17 +187,20 @@ let registry_tests =
         in
         Alcotest.(check bool) "best effort is never above its epsilon" false
           best_effort.Ledger.degraded;
-        let r =
+        let failure ran =
           Synth.ledger_record ~config chain target ~source:`Fresh ~wall_s:0.0
-            (Error Robust.Timeout)
+            (Error (Robust.Timeout, ran))
         in
+        let r = failure 2 in
         Alcotest.(check bool) "a failure has no rung epsilon or distance" true
           (Float.is_nan r.Ledger.rung_eps && Float.is_nan r.Ledger.distance);
-        Alcotest.(check bool) "a failure tried every usable rung" true
+        Alcotest.(check bool) "a failure counts the rungs it ran" true
           ((not r.Ledger.ok) && r.Ledger.degraded && r.Ledger.backend = "failed"
-          && r.Ledger.attempts = List.length chain
-          && r.Ledger.fallbacks = List.length chain - 1
-          && r.Ledger.failure = Some "timeout"));
+          && r.Ledger.attempts = 2 && r.Ledger.fallbacks = 1
+          && r.Ledger.failure = Some "timeout");
+        let r = failure 0 in
+        Alcotest.(check (pair int int)) "a failure that ran no rung" (0, 0)
+          (r.Ledger.attempts, r.Ledger.fallbacks));
   ]
 
 let adapter_tests =
@@ -570,6 +573,25 @@ let epsilon_key_tests =
           [ Float.succ 0.07; Float.pred 0.07 ]);
   ]
 
+(* Last, so the tests before them keep their indices. *)
+let run_count_tests =
+  [
+    Alcotest.test_case "a chain past its deadline records no rung run" `Quick (fun () ->
+        (* What compile_cli --workflow gridsynth --deadline 0 runs. *)
+        let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.37) [| 0 |] ] in
+        Pipeline.clear_caches ();
+        match
+          Test_metrics.recorded (fun () ->
+              Pipeline.run_gridsynth_result ~deadline:(Obs.Deadline.after 0.0) ~jobs:1 c)
+        with
+        | Ok _, _ -> Alcotest.fail "an expired deadline must fail the run"
+        | Error f, records ->
+            Alcotest.(check string) "failure" "timeout" (Synth.failure_tag f);
+            Alcotest.(check (list (pair int int)))
+              "one record, no rung run" [ (0, 0) ]
+              (List.map (fun r -> (r.Ledger.attempts, r.Ledger.fallbacks)) records));
+  ]
+
 let suite =
   registry_tests @ adapter_tests @ chain_tests @ planner_tests @ canonical_tests
-  @ determinism_tests @ epsilon_key_tests @ pool_tests
+  @ determinism_tests @ epsilon_key_tests @ pool_tests @ run_count_tests
