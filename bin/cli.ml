@@ -141,12 +141,13 @@ let stack =
                   recommended domain count); output is bit-identical whatever the value")
     $ trace)
 
-(* Start the stack in this order: gate set, faults, chain, ledger,
-   store (armed for every chain run and closed at exit), sampler.
-   Returns the gate set, the chain ([None]: the caller's default) and
-   the store. *)
+(* Start the stack in this order: gate set and its step-0 table,
+   faults, chain, ledger, store (armed for every chain run and closed at
+   exit), sampler.  Returns the gate set, the chain ([None]: the
+   caller's default) and the store. *)
 let start ~say ?rescan s =
   let gate_set = resolve_gate_set ~say s.gate_set in
+  Result.iter_error (reject "--gate-set") (Ma_table.find_for ~gate_set:gate_set.Gateset.name 1);
   Option.iter
     (fun spec ->
       match Robust.Fault.parse spec with

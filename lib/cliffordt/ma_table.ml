@@ -169,7 +169,7 @@ let provided_sets () =
       Hashtbl.fold (fun gs t acc -> (gs, t.max_t) :: acc) provided []
       |> List.sort compare)
 
-let get_for ~gate_set max_t =
+let find_for ~gate_set max_t =
   let from_provided () =
     Mutex.lock cache_lock;
     Fun.protect
@@ -177,25 +177,26 @@ let get_for ~gate_set max_t =
       (fun () ->
         match Hashtbl.find_opt provided gate_set with
         | None -> None
-        | Some t when t.max_t = max_t -> Some t
+        | Some t when t.max_t = max_t -> Some (Ok t)
         | Some t when t.max_t > max_t -> (
             match Hashtbl.find_opt truncations (gate_set, max_t) with
-            | Some tr -> Some tr
+            | Some tr -> Some (Ok tr)
             | None ->
                 let tr = truncate t max_t in
                 Hashtbl.add truncations (gate_set, max_t) tr;
-                Some tr)
+                Some (Ok tr))
         | Some t ->
-            failwith
-              (Printf.sprintf
-                 "Ma_table.get_for: table for gate set %S only reaches depth %d (need %d); \
-                  regenerate it with tablegen at --max-t >= %d"
-                 gate_set t.max_t max_t max_t))
+            Some
+              (Error
+                 (Printf.sprintf
+                    "table for gate set %S only reaches depth %d (need %d); regenerate it with \
+                     tablegen at --max-t >= %d"
+                    gate_set t.max_t max_t max_t)))
   in
   match from_provided () with
-  | Some t -> t
+  | Some r -> r
   | None ->
-      if String.equal gate_set builtin_gate_set then get max_t
+      if String.equal gate_set builtin_gate_set then Ok (get max_t)
       else
         let known =
           match provided_sets () with
@@ -204,11 +205,14 @@ let get_for ~gate_set max_t =
               String.concat ", "
                 (List.map (fun (gs, m) -> Printf.sprintf "%s (max_t=%d)" gs m) sets)
         in
-        failwith
+        Error
           (Printf.sprintf
-             "Ma_table.get_for: no table provided for gate set %S (provided: %s); generate \
-              one with tablegen and load it with --load-table"
+             "no table provided for gate set %S (provided: %s); generate one with tablegen and \
+              load it with --load-table"
              gate_set known)
+
+let get_for ~gate_set max_t =
+  match find_for ~gate_set max_t with Ok t -> t | Error e -> failwith ("Ma_table.get_for: " ^ e)
 
 let lookup_best table u =
   match Exact_u.Table.find_opt table.lookup (Exact_u.canonical_key u) with

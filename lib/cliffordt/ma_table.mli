@@ -34,10 +34,6 @@ val of_entries : max_t:int -> entry array -> t
     to the in-process enumeration.  @raise Invalid_argument on unsorted
     or too-deep entries. *)
 
-val truncate : t -> int -> t
-(** [truncate t m] is the table restricted to entries with tcount ≤ [m]
-    ([t] itself when [m ≥ t.max_t]). *)
-
 (** {1 Gate-set-keyed registry}
 
     Tables for gate sets other than the built-in Clifford+T enumeration
@@ -50,15 +46,16 @@ val provide : gate_set:string -> t -> unit
     providing a shallower table than one already registered is a no-op.
     Thread-safe. *)
 
-val get_for : gate_set:string -> int -> t
+val find_for : gate_set:string -> int -> (t, string) result
 (** The table for [gate_set] at depth [max_t].  A provided deeper table
     is truncated (memoized); ["cliffordt"] falls back to the in-process
-    [get] when nothing was provided.  @raise Failure with a structured
-    message when no table for that gate set is available or the provided
-    one is too shallow. *)
+    [get] when nothing was provided.  [Error] says why there is none: no
+    table was provided for that gate set (listing the provided ones), or
+    the provided one is too shallow ("only reaches depth m (need n)"). *)
 
-val provided_sets : unit -> (string * int) list
-(** Registered (gate set, max_t) pairs, sorted — for diagnostics. *)
+val get_for : gate_set:string -> int -> t
+(** {!find_for}, raising (TRASYN's lookup).  @raise Failure with its
+    message prefixed by ["Ma_table.get_for: "]. *)
 
 val lookup_best : t -> Exact_u.t -> entry option
 (** Cheapest known realization of an operator, up to global phase. *)

@@ -41,7 +41,6 @@ type synthesized = {
 }
 
 let canonical_angle = Stream_compile.canonical_angle
-let angle_key = Stream_compile.angle_key
 let rz_key = Stream_compile.rz_key
 let u3_key = Stream_compile.u3_key
 
@@ -55,10 +54,6 @@ let gridsynth_rz_attempt ?deadline ?rotation_budget ~epsilon theta =
   Stream_compile.synthesize
     (Stream_compile.config ~epsilon ?deadline ?rotation_budget ())
     (Qgate.Rz theta)
-
-let gridsynth_rz_word ~epsilon theta =
-  let a = get (gridsynth_rz_attempt ~epsilon theta) in
-  (a.Robust.word, a.Robust.distance)
 
 (* Transpile with the IR's best setting (or take the input as IR), then
    run the engine over the IR with no window: its own passes are a

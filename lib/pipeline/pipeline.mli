@@ -45,13 +45,12 @@ type synthesized = {
 }
 
 val canonical_angle : float -> float
-val angle_key : float -> string
 val rz_key : epsilon:float -> tag:string -> gate_set:string -> float -> string
 
 val u3_key :
   epsilon:float -> tag:string -> gate_set:string -> float * float * float -> string
 (** The engine's key definition: [Stream_compile.canonical_angle],
-    [angle_key], [rz_key] and [u3_key]. *)
+    [rz_key] and [u3_key]. *)
 
 val run_gridsynth :
   ?epsilon:float ->
@@ -92,24 +91,19 @@ val run_gridsynth_result :
   (synthesized, Robust.failure) result
 (** As {!run_gridsynth}, returning the structured failure. *)
 
-val gridsynth_rz_word : epsilon:float -> float -> Ctgate.t list * float
-(** The memoized word-level entry point of the Rz workflow: the
-    guard-verified Clifford+T word and achieved distance for Rz(θ) at
-    [epsilon], served from the engine's memo when the canonical angle
-    repeats.
-    @raise Robust.Failure_exn when the fallback chain fails. *)
-
 val gridsynth_rz_attempt :
   ?deadline:Obs.Deadline.t ->
   ?rotation_budget:float ->
   epsilon:float ->
   float ->
   (Robust.attempt, Robust.failure) result
-(** Structured variant of {!gridsynth_rz_word}: the full
-    {!Robust.attempt} (word, verified distance, winning backend,
-    fallback count), through [Stream_compile.synthesize].  Successes
-    are memoized; failures never are.  Shares memo cells with
-    default-chain {!run_gridsynth} runs at the same [epsilon]. *)
+(** The word-level entry point of the Rz workflow: Rz(θ) at [epsilon]
+    through [Stream_compile.synthesize].  A ≤1-T rotation (e.g. π/4,
+    3π/4) gets its exact word (backend ["exact"]) with no chain run,
+    memo cell or ledger record, as in the engine and the server; any
+    other the guard-verified {!Robust.attempt}, memoized on success
+    (never on failure) in cells shared with default-chain
+    {!run_gridsynth} runs at the same [epsilon]. *)
 
 val clear_caches : unit -> unit
 (** Empty the engine's memo ([Stream_compile.clear_cache]) and TRASYN's

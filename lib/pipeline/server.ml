@@ -70,15 +70,13 @@ let default_config =
 
 (* One rotation to answer.  [rid] is the tracing request id; batch
    elements carry derived ids "r<seq>.<i>" with their element index.
-   [key] and [target] are the engine's for the rotation, and [exact] is
-   the word of a trivial one, which runs no job. *)
+   [res] is its [Stream_compile.resolve]: the key and target of its job,
+   or the exact answer of a trivial one, which runs no job. *)
 type rotation = {
   id : Obs.Json.t;
   rid : string;
   batch_index : int;  (* -1 for singles *)
-  target : Synth.target;
-  key : string;
-  exact : Ctgate.t list option;
+  res : Stream_compile.resolved;
   epsilon : float;
   gate_set : Gateset.t;
   deadline_s : float option;
@@ -177,8 +175,8 @@ let success_response (r : rotation) (a : Robust.attempt) source retries =
       ("id", r.id);
       ("request_id", Str r.rid);
       ("ok", Bool true);
-      ("op", Str (op_of_target r.target));
-      ("target", Str (Synth.target_id r.target));
+      ("op", Str (op_of_target r.res.target));
+      ("target", Str (Synth.target_id r.res.target));
       ("word", Str (Ctgate.seq_to_string a.Robust.word));
       ("t_count", Num (float_of_int (Ctgate.t_count a.Robust.word)));
       ("length", Num (float_of_int (List.length a.Robust.word)));
@@ -237,7 +235,7 @@ let synthesize t (r : rotation) tries =
     again
   in
   let result =
-    Synth.run_chain_sourced ~deadline ~retry ~config:(synth_config r) t.cfg.chain r.target
+    Synth.run_chain_sourced ~deadline ~retry ~config:(synth_config r) t.cfg.chain r.res.target
   in
   Result.iter (fun (a, _) -> Obs.set_span_attr "backend" a.Robust.backend) result;
   result
@@ -257,7 +255,8 @@ let work_response t w =
   let plan =
     Planner.plan
       (List.filter_map
-         (fun (((r : rotation), _) as e) -> if r.exact = None then Some (r.key, e) else None)
+         (fun (((r : rotation), _) as e) ->
+           if r.res.exact = None then Some (r.res.key, e) else None)
          elements)
   in
   let results =
@@ -277,28 +276,24 @@ let work_response t w =
     success_response r a source retries
   in
   let element ((r : rotation), own) =
-    match r.exact with
-    | Some word ->
-        let distance = Mat2.distance (Synth.target_mat2 r.target) (Ctgate.seq_to_mat2 word) in
-        served r
-          { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = r.epsilon }
-          `Exact 0
+    match r.res.exact with
+    | Some a -> served r a `Exact 0
     | None -> (
-        let tries = Hashtbl.find job_tries r.key in
+        let tries = Hashtbl.find job_tries r.res.key in
         let retries = !tries in
         (* A job that raised ran no chain to its end. *)
         let result =
-          match Hashtbl.find results r.key with Ok result -> result | Error f -> Error (f, 0)
+          match Hashtbl.find results r.res.key with Ok result -> result | Error f -> Error (f, 0)
         in
         if own != tries && Ledger.enabled () then
           Ledger.record
-            (Synth.ledger_record ~request_id:r.rid ~config:(synth_config r) t.cfg.chain r.target
+            (Synth.ledger_record ~request_id:r.rid ~config:(synth_config r) t.cfg.chain r.res.target
                ~source:`Replay ~wall_s:0.0 (Result.map fst result));
         match result with
         | Ok (a, source) -> served r a source retries
         | Error (f, _) ->
             Obs.incr c_failed;
-            count_error t (op_of_target r.target);
+            count_error t (op_of_target r.res.target);
             locked t (fun () -> t.n_failed <- t.n_failed + 1);
             error_response
               ~extra:[ ("retries", Num (float_of_int retries)) ]
@@ -469,26 +464,13 @@ let parse_rotation t ~rid ~batch_index j =
   | Ok gate_set -> (
       if not (epsilon > 0.0 && Float.is_finite epsilon) then Error "epsilon must be positive and finite"
       else
+        (* A gate set without a step-0 table is a request error, not a
+           synthesis failure to retry. *)
         let rotation g =
           let gate_set_name = gate_set.Gateset.name in
-          let key, target =
-            Stream_compile.synthesis_target ~epsilon ~tag:t.chain_tag ~gate_set:gate_set_name g
-          in
-          (* The engine's triviality test, behind an O(1) filter: an Rz
-             can only match a ≤1-T operator (tolerance 1e-6) within a
-             few 1e-6 of a multiple of π/4.  A gate set without a table
-             has no trivial rotations; its chain reports the failure. *)
-          let exact =
-            match g with
-            | Qgate.Rz theta
-              when let q = Stream_compile.canonical_angle theta /. (Float.pi /. 4.0) in
-                   Float.abs (q -. Float.round q) > 1e-5 ->
-                None
-            | _ -> (
-                try Stream_compile.exact_word_of_trivial ~gate_set:gate_set_name g
-                with Failure _ -> None)
-          in
-          Ok { id = jid j; rid; batch_index; target; key; exact; epsilon; gate_set; deadline_s }
+          match Stream_compile.resolve ~epsilon ~tag:t.chain_tag ~gate_set:gate_set_name g with
+          | Ok res -> Ok { id = jid j; rid; batch_index; res; epsilon; gate_set; deadline_s }
+          | Error f -> Error (Robust.failure_to_string f)
         in
         match member "op" j with
         | Some (Str "rz") -> (

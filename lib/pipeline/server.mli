@@ -21,7 +21,9 @@
     ["gate_set"] — the name of a gate set registered in this process
     (built-ins, plus any loaded from config files by the CLI).  An
     unknown name is rejected with [bad_request] listing the known
-    names; omitted, the server's configured default applies.
+    names, and so is a gate set without a step-0 table (no retries, no
+    job, no ledger record); omitted, the server's configured default
+    applies.
 
     {b Responses}: [{"id":…,"request_id":"r7","ok":true,"op":"rz",
     "target":"rz(…)","word":"THTS…","t_count":…,"length":…,
@@ -34,15 +36,15 @@
     ["retries"].  A [batch] response carries its sub-responses in-order
     under ["results"].
 
-    {b Rotations resolve as in the compilation engine}: a ≤1-T rotation
-    ([Stream_compile.exact_word_of_trivial], e.g. [rz(π/4)] or
+    {b Rotations resolve through [Stream_compile.resolve]}, as in the
+    compilation engine: a ≤1-T rotation (e.g. [rz(π/4)] or
     [u3(0,0,π/4)]) is answered with its exact word, ["backend":"exact"]
     and ["source":"exact"], retries 0: it runs no planner job and writes
     no ledger record.  Every other rotation is keyed and targeted as the
-    engine would ([Stream_compile.synthesis_target]: canonical angles,
-    exact ε, the chain's id, the gate set), singles and batch elements
-    alike, so [rz(0.3)] and [rz(0.3+2π)] share one job, one word and
-    one ["target"] id, and a word the engine stored serves the server.
+    engine would (canonical angles, exact ε, the chain's id, the gate
+    set), singles and batch elements alike, so [rz(0.3)] and
+    [rz(0.3+2π)] share one job, one word and one ["target"] id, and a
+    word the engine stored serves the server.
 
     {b One synthesis path}: every work item is a batch — a single
     [rz]/[u3] is a one-element one — whose nontrivial rotations run by

@@ -38,11 +38,11 @@ let trasyn_memo = (Obs.counter "pipeline.trasyn_cache.hit", Obs.counter "pipelin
 let memo_counters = function Settings.Rz_ir -> gridsynth_memo | Settings.U3_ir -> trasyn_memo
 
 (* ------------------------------------------------------------------ *)
-(* Keys and words                                                     *)
+(* Keys and resolution                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* [Basis.norm_angle] already wraps into (−π, π] and snaps π/4
-   multiples, but leaves −0.0 alone — whose "%.10f" key ("-0.0000…")
+   multiples, but leaves −0.0 alone — whose key ("rz(-0.0000…)")
    differs from 0.0's, a spurious cache/dedup miss.  Synthesis uses the
    same canonical angle as the key, so one job's word serves every
    occurrence that shares the key. *)
@@ -50,42 +50,33 @@ let canonical_angle a =
   let a = Basis.norm_angle a in
   if a = 0.0 then 0.0 else a
 
-let angle_key a = Printf.sprintf "%.10f" (canonical_angle a)
-
-(* ε is printed exactly ("%h"): two thresholds that differ in the last
-   bit must not share a word, or a hit could exceed the requested ε.
-   The gate set is in the key as well as the chain tag: two alphabets
-   can synthesize the same angle at the same ε to different words. *)
+(* The angles print as [Store.target_id] prints them.  ε is printed
+   exactly ("%h"): two thresholds that differ in the last bit must not
+   share a word, or a hit could exceed the requested ε.  The gate set is
+   in the key as well as the chain tag: two alphabets can synthesize the
+   same angle at the same ε to different words. *)
 let rz_key ~epsilon ~tag ~gate_set theta =
-  Printf.sprintf "%s@%h|%s|%s" (angle_key theta) epsilon tag gate_set
+  Printf.sprintf "%s@%h|%s|%s" (Store.target_id (Store.Rz (canonical_angle theta))) epsilon tag
+    gate_set
 
 let u3_key ~epsilon ~tag ~gate_set (theta, phi, lam) =
-  Printf.sprintf "%s/%s/%s@%h|%s|%s" (angle_key theta) (angle_key phi) (angle_key lam) epsilon
-    tag gate_set
-
-(* An Rz is keyed and targeted at its canonical angle; any other
-   rotation at the canonical angles of its U3 form. *)
-let synthesis_target ~epsilon ~tag ~gate_set = function
-  | Qgate.Rz theta ->
-      let theta = canonical_angle theta in
-      (rz_key ~epsilon ~tag ~gate_set theta, Synth.Rz theta)
-  | g ->
-      let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-      let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
-      (u3_key ~epsilon ~tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+  let c = canonical_angle in
+  Printf.sprintf "%s@%h|%s|%s" (Store.target_id (Store.U3 (c theta, c phi, c lam))) epsilon tag
+    gate_set
 
 (* Clifford+T words are written in matrix order (leftmost factor applied
    last); circuit instruction lists run in time order, so splicing a
    word into a circuit reverses it. *)
 let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
 
-(* Exact Clifford+T word for a trivial rotation gate, via the step-0
-   table (every ≤1-T operator is in there).  Tolerant matching: a gate
-   can pass the angle-space triviality test while its matrix sits a few
-   ulps away from the exact operator (wrapped angles), which is a
-   harmless substitution at circuit thresholds. *)
-let exact_word_of_trivial ?(gate_set = "cliffordt") g =
-  let table = Ma_table.get_for ~gate_set 1 in
+type resolved = { key : string; target : Synth.target; exact : Robust.attempt option }
+
+(* The cheapest entry of the step-0 table (every ≤1-T operator is in
+   there) within 1e-6 of the gate.  Tolerant matching: a gate can pass
+   the angle-space triviality test while its matrix sits a few ulps away
+   from the exact operator (wrapped angles), which is a harmless
+   substitution at circuit thresholds. *)
+let table_match (table : Ma_table.t) g =
   let m = Qgate.to_mat2 g in
   let best = ref None in
   Array.iter
@@ -96,6 +87,37 @@ let exact_word_of_trivial ?(gate_set = "cliffordt") g =
         | _ -> best := Some e)
     table.Ma_table.entries;
   Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
+
+(* An Rz whose canonical angle is more than 1e-5 of a π/4 step from a
+   multiple of π/4 skips the scan: between Rz matrices [Mat2.distance]
+   is |sin(Δθ/2)| > 3.9e-6, and the non-diagonal ≤1-T operators sit far
+   from every Rz, so no entry lies within 1e-6 of it. *)
+let off_grid = function
+  | Qgate.Rz theta ->
+      let q = canonical_angle theta /. (Float.pi /. 4.0) in
+      Float.abs (q -. Float.round q) > 1e-5
+  | _ -> false
+
+let resolve ~epsilon ~tag ~gate_set g =
+  match Ma_table.find_for ~gate_set 1 with
+  | Error e -> Error (Robust.Backend_error e)
+  | Ok table ->
+      let key, target =
+        match g with
+        | Qgate.Rz theta ->
+            let theta = canonical_angle theta in
+            (rz_key ~epsilon ~tag ~gate_set theta, Synth.Rz theta)
+        | g ->
+            let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+            let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
+            (u3_key ~epsilon ~tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+      in
+      let exact_answer word =
+        let distance = Mat2.distance (Synth.target_mat2 target) (Ctgate.seq_to_mat2 word) in
+        { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = epsilon }
+      in
+      let exact = if off_grid g then None else Option.map exact_answer (table_match table g) in
+      Ok { key; target; exact }
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                      *)
@@ -208,32 +230,29 @@ let memo_add key (a : Robust.attempt) =
 (* Classification and the per-run resolution table                    *)
 (* ------------------------------------------------------------------ *)
 
-(* What a rotation resolves to: the exact word of a trivial rotation, a
-   synthesis key and target (with the gate, for the degradation
-   report), or a structured failure for a rotation its IR cannot
-   carry. *)
+(* What a rotation resolves to in a run: the exact word of a trivial
+   rotation, a synthesis key and target (with the gate, for the
+   degradation report), or a structured failure. *)
 type pending = { key : string; target : Synth.target; gate : Qgate.t }
 type resolution = Exact of Qgate.t list | Synthesize of pending | Reject of Robust.failure
 
+(* {!resolve} under the run's ε and gate set.  The Rz window rewrites
+   every rotation to Rz, so any other rotation that needs synthesis in
+   the Rz IR is a transpiler bug (or a hand-fed IR), surfaced
+   structurally rather than as Invalid_argument. *)
 let classify cfg ~tag g =
-  match (g, cfg.ir) with
-  | Qgate.Rz _, _ | _, Settings.U3_ir ->
-      let key, target =
-        synthesis_target ~epsilon:cfg.epsilon ~tag ~gate_set:cfg.gate_set.Gateset.name g
-      in
-      Ok { key; target; gate = g }
-  | _, Settings.Rz_ir ->
-      (* The Rz window rewrites every rotation to Rz; anything else is
-         a transpiler bug (or a hand-fed IR), surfaced structurally
-         rather than as Invalid_argument. *)
+  match (resolve ~epsilon:cfg.epsilon ~tag ~gate_set:cfg.gate_set.Gateset.name g, g, cfg.ir) with
+  | Ok { exact = None; _ }, (Qgate.Rx _ | Qgate.Ry _ | Qgate.U3 _), Settings.Rz_ir ->
       Error
         (Robust.Backend_error
            (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
+  | r, _, _ -> r
 
 let synthesize cfg g =
   let chain = chain_of cfg in
   match classify cfg ~tag:(Synth.chain_id chain) g with
   | Error _ as e -> e
+  | Ok { exact = Some a; _ } -> Ok a
   | Ok p -> (
       let c_hit, c_miss = memo_counters cfg.ir in
       match Hashtbl.find_opt memo p.key with
@@ -299,7 +318,6 @@ let heap_sample () =
 let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let chain = chain_of cfg in
   let tag = Synth.chain_id chain in
-  let gs = cfg.gate_set.Gateset.name in
   let config = synth_config cfg in
   let c_memo_hit, c_memo_miss = memo_counters cfg.ir in
   let pool = Planner.create ~jobs:cfg.jobs ~queue:cfg.queue () in
@@ -412,15 +430,15 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     drain_ready ();
     match Queue.peek_opt out with Some (Rotation (p, _, _)) -> Planner.help pool p.key | _ -> ()
   in
-  let resolve g =
+  let resolution g =
     match Gate_table.find resolved g with
     | r -> r
     | exception Not_found ->
         let r =
-          match exact_word_of_trivial ~gate_set:gs g with
-          | Some word -> Exact (word_to_gates word)
-          | None -> (
-              match classify cfg ~tag g with Ok p -> Synthesize p | Error f -> Reject f)
+          match classify cfg ~tag g with
+          | Ok { exact = Some a; _ } -> Exact (word_to_gates a.Robust.word)
+          | Ok { key; target; _ } -> Synthesize { key; target; gate = g }
+          | Error f -> Reject f
         in
         if Gate_table.length resolved >= !memo_capacity then begin
           Obs.incr c_evictions;
@@ -433,7 +451,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let handle (g : Circuit.instr) =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else
-      match resolve g.Circuit.gate with
+      match resolution g.Circuit.gate with
       | Exact gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
       | Reject f ->
           failure := Some f;

@@ -25,7 +25,7 @@
     record per rotation occurrence: a fresh one per chain execution, a
     [cached] replay for every other occurrence. *)
 
-(** {1 Keys and words} *)
+(** {1 Keys and resolution} *)
 
 val canonical_angle : float -> float
 (** The angle identity under which rotations are memoized and deduped:
@@ -34,12 +34,10 @@ val canonical_angle : float -> float
     angle too, so rz(θ) and rz(θ+2π) share one synthesis and one memo
     cell. *)
 
-val angle_key : float -> string
-(** ["%.10f"] of {!canonical_angle} — the key's angle component. *)
-
 val rz_key : epsilon:float -> tag:string -> gate_set:string -> float -> string
-(** The memo/dedup key of an Rz target: canonical angle, ε (printed
-    exactly, ["%h"]), chain tag, gate set.
+(** The memo/dedup key of an Rz target: canonical angle (printed by
+    [Store.target_id]), ε (printed exactly, ["%h"]), chain tag, gate
+    set.
 
     How far a served word may sit from its target: angles share a cell
     when they print equal under ["%.10f"], so they differ by less than
@@ -55,17 +53,26 @@ val u3_key :
     word exceeds its reported distance by at most half the summed angle
     differences, < 1.5·10⁻¹⁰. *)
 
-val synthesis_target :
-  epsilon:float -> tag:string -> gate_set:string -> Qgate.t -> string * Synth.target
-(** The key and synthesis target of a rotation gate, as the engine
-    classifies it and the server keys its work items: an Rz by
-    {!rz_key} and [Rz] at its canonical angle, any other rotation by
-    {!u3_key} and [Unitary] at the canonical angles of its U3 form. *)
+type resolved = {
+  key : string;  (** {!rz_key} / {!u3_key} *)
+  target : Synth.target;  (** at the canonical angle(s) *)
+  exact : Robust.attempt option;
+      (** a ≤1-T rotation's exact word: backend ["exact"], no fallback,
+          its distance to [target], [rung_epsilon] = ε *)
+}
 
-val exact_word_of_trivial : ?gate_set:string -> Qgate.t -> Ctgate.t list option
-(** The exact Clifford+T word of a trivial rotation (≤1-T operator),
-    from the step-0 table; [None] when the gate genuinely needs
-    synthesis. *)
+val resolve :
+  epsilon:float -> tag:string -> gate_set:string -> Qgate.t -> (resolved, Robust.failure) result
+(** The one place a rotation gate becomes its exact word or a synthesis
+    job, for the engine (per distinct gate of a run), {!synthesize}
+    (hence [Pipeline.gridsynth_rz_attempt]) and the server.  An Rz is
+    keyed by {!rz_key} and targeted as [Rz] at its canonical angle, any
+    other rotation by {!u3_key} and [Unitary] at the canonical angles of
+    its U3 form.  A gate within 1e-6 of a ≤1-T operator (in [gate_set]'s
+    depth-1 step-0 table) is answered with its cheapest word; an Rz more
+    than 1e-5 of a π/4 step from a multiple of π/4 skips the scan, as no
+    such Rz lies that close.  A gate set with no step-0 table is a
+    [Backend_error] with [Ma_table.find_for]'s message. *)
 
 (** {1 Runs} *)
 
@@ -160,10 +167,12 @@ val run_ir :
     "non-Rz". *)
 
 val synthesize : config -> Qgate.t -> (Robust.attempt, Robust.failure) result
-(** One rotation through the memo outside any run: keyed and targeted
-    as a run would classify it (triviality aside), served from the memo
-    or synthesized on this domain and memoized.  Failures are never
-    memoized, since a timeout is relative to the caller's deadline. *)
+(** One rotation outside any run, resolved as a run would resolve it
+    ({!resolve}): a ≤1-T rotation gets its exact word (backend
+    ["exact"]) with no chain run, memo cell or ledger record; any other
+    is served from the memo or synthesized on this domain and memoized.
+    Failures are never memoized, since a timeout is relative to the
+    caller's deadline. *)
 
 (** {1 The memo} *)
 

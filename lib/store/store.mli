@@ -70,15 +70,13 @@ type t
 
 type target = Rz of float | U3 of float * float * float
 (** Canonical rotation targets.  [U3] carries the Euler angles of
-    [Mat2.to_u3_angles]; angle identity follows [Synth.target_id]'s
+    [Mat2.to_u3_angles]; angle identity follows {!target_id}'s
     10-decimal rendering, while the exact float bits are persisted (hex
     floats) so re-verification reconstructs the matrix bit-exactly. *)
 
 val target_id : target -> string
-(** ["rz(%.10f)"] / ["u3(%.10f,%.10f,%.10f)"] — identical to
-    [Synth.target_id] on the corresponding [Synth.target]. *)
-
-val target_mat2 : target -> Mat2.t
+(** ["rz(%.10f)"] / ["u3(%.10f,%.10f,%.10f)"], the one formatter of a
+    target's angles: [Synth.target_id] and the engine's keys use it. *)
 
 val default_gate_set : string
 (** ["cliffordt"] — the only alphabet the compiler emits today; the key

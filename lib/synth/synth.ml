@@ -270,13 +270,13 @@ let parse_chain s =
 (* Running a chain                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical target id for provenance: enough digits that two angles
-   the pipeline considers distinct never collide in a ledger. *)
-let target_id = function
-  | Rz theta -> Printf.sprintf "rz(%.10f)" theta
+let store_target = function
+  | Rz theta -> Store.Rz theta
   | Unitary m ->
       let theta, phi, lam = Mat2.to_u3_angles m in
-      Printf.sprintf "u3(%.10f,%.10f,%.10f)" theta phi lam
+      Store.U3 (theta, phi, lam)
+
+let target_id t = Store.target_id (store_target t)
 
 let failure_tag : Robust.failure -> string = function
   | Robust.Timeout -> "timeout"
@@ -309,12 +309,6 @@ let store () =
   let s = !store_ref in
   Mutex.unlock store_lock;
   s
-
-let store_target = function
-  | Rz theta -> Store.Rz theta
-  | Unitary m ->
-      let theta, phi, lam = Mat2.to_u3_angles m in
-      Store.U3 (theta, phi, lam)
 
 (* Rungs whose backend cannot emit the requested alphabet are skipped,
    so a non-Clifford+T request falls through gridsynth/sk straight to

@@ -149,9 +149,9 @@ val store : unit -> Store.t option
 (** {1 Running a chain} *)
 
 val target_id : target -> string
-(** Canonical provenance id: ["rz(%.10f)"] or ["u3(θ,φ,λ)"] via the
-    Euler decomposition — what {!run_chain} writes into [Ledger]
-    records. *)
+(** Canonical provenance id: [Store.target_id] of the target (a
+    [Unitary] via its Euler decomposition) — what {!run_chain} writes
+    into [Ledger] records and the server into its ["target"] field. *)
 
 val failure_tag : Robust.failure -> string
 (** Short stable tag ("timeout", "budget_exhausted", ...) used in

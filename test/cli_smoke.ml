@@ -9,8 +9,12 @@
       dash, prefixed by the binary's name.
    2. A bad value for a shared flag exits 1 with one line of output
       naming the flag: an unknown --gate-set (compile_cli, serve_cli,
-      tablegen_cli), a malformed --faults, an unknown --backend-chain
-      and an unusable --store (compile_cli, serve_cli).
+      tablegen_cli), a gate set with no step-0 table (compile_cli whole
+      and --stream, serve_cli), a malformed --faults, an unknown
+      --backend-chain and an unusable --store (compile_cli, serve_cli).
+   3. tablegen_cli generates a table for such a gate set without one,
+      and compile_cli starts with a table too shallow for TRASYN: its
+      first rotation then fails (exit 1) naming the depth it needs.
 
    usage: cli_smoke EXPECTED COMPILE_CLI SERVE_CLI TABLEGEN_CLI TRASYN_CLI GRIDSYNTH_CLI *)
 
@@ -93,6 +97,9 @@ let () =
       ("compile_cli", [ "--input"; qasm ], "--gate-set", "no-such-set");
       ("serve_cli", [], "--gate-set", "no-such-set");
       ("tablegen_cli", [ "--out"; dir / "t.table" ], "--gate-set", "no-such-set");
+      ("compile_cli", [ "--input"; qasm ], "--gate-set", "cliffordt-weighted");
+      ("compile_cli", [ "--input"; qasm; "--stream" ], "--gate-set", "cliffordt-weighted");
+      ("serve_cli", [], "--gate-set", "cliffordt-weighted");
       ("compile_cli", [ "--input"; qasm ], "--faults", "trasyn=frobnicate");
       ("serve_cli", [], "--faults", "trasyn=frobnicate");
       ("compile_cli", [ "--input"; qasm ], "--backend-chain", "trasyn,no-such-backend");
@@ -109,6 +116,25 @@ let () =
           failf "%s %s %s: exit %d, wanted 1 with one line naming the flag:\n%s" b flag value code
             (String.concat "\n" lines))
     cases;
-  List.iter Sys.remove [ qasm; not_a_dir ];
+  (* 3. Tables: generated without one, too shallow once loaded. *)
+  let table = dir / "w3.table" in
+  (match
+     run
+       [ bin "tablegen_cli"; "--gate-set"; "cliffordt-weighted"; "--max-t"; "3"; "--out"; table ]
+   with
+  | 0, _ -> ()
+  | code, lines ->
+      failf "tablegen_cli --gate-set cliffordt-weighted: exit %d:\n%s" code
+        (String.concat "\n" lines));
+  (match
+     run
+       [ bin "compile_cli"; "--input"; qasm; "--gate-set"; "cliffordt-weighted"; "--load-table";
+         table ]
+   with
+  | 1, lines when List.exists (fun l -> contains l "only reaches depth 3 (need 10)") lines -> ()
+  | code, lines ->
+      failf "compile_cli with a depth-3 table: exit %d, wanted 1 naming the depth:\n%s" code
+        (String.concat "\n" lines));
+  List.iter Sys.remove [ qasm; not_a_dir; table ];
   Unix.rmdir dir;
   print_endline "cli_smoke: OK"

@@ -105,7 +105,9 @@ let pipeline_tests =
         (* Distinct angles at a loose epsilon: each is a fresh entry, so
            a capacity of 2 must flush at least once. *)
         List.iter
-          (fun theta -> ignore (Pipeline.gridsynth_rz_word ~epsilon:0.2 theta))
+          (fun theta ->
+            let a = Result.get_ok (Pipeline.gridsynth_rz_attempt ~epsilon:0.2 theta) in
+            ignore (a : Robust.attempt))
           [ 0.31; 0.62; 0.93; 1.24 ];
         Alcotest.(check bool) "evicted" true (Obs.counter_value evictions > e0));
     Alcotest.test_case "phase folding keeps synthesized semantics" `Quick (fun () ->
@@ -202,4 +204,32 @@ let robustness_tests =
         Alcotest.(check bool) "clean rerun" true (s.Pipeline.degraded = []));
   ]
 
-let suite = suite @ robustness_tests
+(* The single-rotation API resolves as the engine and the server do: a
+   ≤1-T rotation gets its exact word, not a GRIDSYNTH approximation. *)
+let exact_tests =
+  [
+    Alcotest.test_case "gridsynth_rz_attempt answers <=1-T rotations exactly" `Quick (fun () ->
+        let pi = Float.pi in
+        let rotations = Obs.counter "synth.rotations" in
+        List.iter
+          (fun (name, theta) ->
+            let r0 = Obs.counter_value rotations in
+            let a, records =
+              Test_metrics.recorded (fun () -> Pipeline.gridsynth_rz_attempt ~epsilon:0.07 theta)
+            in
+            match a with
+            | Error f -> Alcotest.failf "%s: %s" name (Robust.failure_to_string f)
+            | Ok a ->
+                Alcotest.(check bool) (name ^ ": at most one T") true
+                  (Ctgate.t_count a.Robust.word <= 1);
+                Alcotest.(check string) (name ^ ": backend") "exact" a.Robust.backend;
+                Alcotest.(check int) (name ^ ": no chain run") r0 (Obs.counter_value rotations);
+                Alcotest.(check int) (name ^ ": no ledger record") 0 (List.length records))
+          [
+            ("pi/4", pi /. 4.0); ("3pi/4", 3.0 *. pi /. 4.0);
+            ("-pi/4+2pi", (-.pi /. 4.0) +. (2.0 *. pi)); ("pi/2", pi /. 2.0); ("0.0", 0.0);
+            ("-0.0", -0.0);
+          ]);
+  ]
+
+let suite = suite @ robustness_tests @ exact_tests

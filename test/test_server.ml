@@ -308,4 +308,29 @@ let suite =
               ((not r.Ledger.ok) && r.Ledger.source = "fresh" && r.Ledger.request_id = "r1"
               && r.Ledger.attempts = List.length Server.default_config.Server.chain)
         | rs -> Alcotest.failf "expected 1 ledger record, got %d" (List.length rs));
+    Alcotest.test_case "a gate set without a step-0 table is a bad request" `Quick (fun () ->
+        let jobs0 = cval "obs.planner.jobs" in
+        let responses, records =
+          Test_metrics.recorded (fun () ->
+              let t, out = make_server () in
+              ignore
+                (Server.submit_line t
+                   {|{"op":"rz","id":1,"theta":0.3,"gate_set":"cliffordt-weighted"}|});
+              ignore
+                (Server.submit_line t
+                   ({|{"op":"batch","id":2,"requests":[{"op":"rz","theta":0.3},|}
+                   ^ {|{"op":"u3","theta":0,"phi":0,"lam":0.7853981633974483,|}
+                   ^ {|"gate_set":"cliffordt-weighted"}]}|}));
+              Server.drain t;
+              out ())
+        in
+        Alcotest.(check int) "two responses" 2 (List.length responses);
+        List.iter
+          (fun r ->
+            Alcotest.(check bool) ("bad_request naming the gate set: " ^ r) true
+              (contains r {|"error":"bad_request"|} && contains r "cliffordt-weighted");
+            Alcotest.(check bool) ("no retries: " ^ r) false (contains r "retries"))
+          responses;
+        Alcotest.(check int) "no planner job" 0 (cval "obs.planner.jobs" - jobs0);
+        Alcotest.(check int) "no ledger record" 0 (List.length records));
   ]

@@ -659,6 +659,144 @@ let memo_flush_tests =
               (!read_at_first_emit > 4096 && !read_at_first_emit < 5001));
   ]
 
+(* One resolution.  [Stream_compile.resolve] must answer exactly when
+   and as the unfiltered table scan (Resolve_reference) does, and every
+   entry point must answer as [resolve] does: a one-gate run in each IR,
+   the single-rotation API and a server batch.  The sweep sits around
+   every multiple of π/4, at offsets on both sides of the 1e-6 matching
+   tolerance and of the filter's 1e-5 π/4 steps, and shifted by ±2π. *)
+let resolve_tests =
+  let pi = Float.pi in
+  let offsets =
+    0.0
+    :: List.concat_map
+         (fun j -> [ 10.0 ** float_of_int j; -.(10.0 ** float_of_int j) ])
+         (List.init 9 (fun i -> i - 12))
+  in
+  let angles =
+    -0.0
+    :: List.concat_map
+         (fun k ->
+           List.concat_map
+             (fun d ->
+               List.map (fun shift -> (float_of_int k *. pi /. 4.0) +. d +. shift)
+                 [ 0.0; 2.0 *. pi; -2.0 *. pi ])
+             offsets)
+         (List.init 17 (fun i -> i - 8))
+  in
+  let exact_word g =
+    match Stream_compile.resolve ~epsilon:0.07 ~tag:"tag" ~gate_set:"cliffordt" g with
+    | Ok r -> Option.map (fun (a : Robust.attempt) -> Ctgate.seq_to_string a.Robust.word) r.exact
+    | Error f -> Alcotest.fail (Robust.failure_to_string f)
+  in
+  let label th = Printf.sprintf "rz(%h)" th in
+  [
+    Alcotest.test_case "resolve's Rz filter never hides a table match" `Quick (fun () ->
+        let u3_forms =
+          Array.map
+            (fun (e : Ma_table.entry) ->
+              let t, p, l = Mat2.to_u3_angles e.Ma_table.mat in
+              Qgate.U3 (t, p, l))
+            (Ma_table.get 1).Ma_table.entries
+        in
+        Alcotest.(check int) "the 96 depth-1 operators" 96 (Array.length u3_forms);
+        let gates = List.map (fun th -> Qgate.Rz th) angles @ Array.to_list u3_forms in
+        let exact = ref 0 in
+        List.iter
+          (fun g ->
+            let want = Option.map Ctgate.seq_to_string (Resolve_reference.exact_word g) in
+            if want <> None then incr exact;
+            Alcotest.(check (option string)) (Qgate.to_string g) want (exact_word g))
+          gates;
+        Alcotest.(check bool) "the sweep holds both kinds" true
+          (!exact > 96 && !exact < List.length gates));
+    Alcotest.test_case "every entry point answers a rotation as resolve does" `Quick (fun () ->
+        let epsilon = 0.07 in
+        let want = List.map (fun th -> exact_word (Qgate.Rz th)) angles in
+        let one_gate th = Circuit.make 1 [ Circuit.instr (Qgate.Rz th) [| 0 |] ] in
+        List.iter
+          (fun ir ->
+            let cfg = Stream_compile.config ~epsilon ~ir () in
+            List.iter2
+              (fun th want ->
+                let label = label th ^ " run" in
+                match Stream_compile.run_circuit cfg (one_gate th) with
+                | Error f -> Alcotest.failf "%s: %s" label (Robust.failure_to_string f)
+                | Ok (out, st) -> (
+                    Alcotest.(check int) (label ^ " synthesized") (Bool.to_int (want = None))
+                      st.Stream_compile.rotations_synthesized;
+                    match want with
+                    | None -> ()
+                    | Some w ->
+                        let spliced =
+                          List.rev_map
+                            (fun c -> Circuit.instr (Qgate.of_ctgate c) [| 0 |])
+                            (Ctgate.seq_of_string w)
+                        in
+                        Alcotest.(check string) (label ^ " word")
+                          (Qasm.to_string (Circuit.make 1 spliced))
+                          (Qasm.to_string out)))
+              angles want)
+          [ Settings.Rz_ir; Settings.U3_ir ];
+        List.iter2
+          (fun th want ->
+            match Pipeline.gridsynth_rz_attempt ~epsilon th with
+            | Error f -> Alcotest.failf "%s: %s" (label th) (Robust.failure_to_string f)
+            | Ok a ->
+                Alcotest.(check (option string)) (label th ^ " gridsynth_rz_attempt") want
+                  (if a.Robust.backend = "exact" then Some (Ctgate.seq_to_string a.Robust.word)
+                   else None))
+          angles want;
+        let responses, records =
+          Test_metrics.recorded (fun () ->
+              let t, out =
+                Test_server.make_server
+                  ~cfg:{ Server.default_config with Server.queue_limit = 4096 } ()
+              in
+              ignore
+                (Server.submit_line t
+                   (Printf.sprintf {|{"op":"batch","id":1,"requests":[%s]}|}
+                      (String.concat ","
+                         (List.map (Printf.sprintf {|{"op":"rz","theta":%.17g}|}) angles))));
+              Server.drain t;
+              out ())
+        in
+        let str k j =
+          match Obs.Json.member k j with
+          | Some (Obs.Json.Str s) -> s
+          | _ -> Alcotest.failf "no %s in %s" k (Obs.Json.to_string j)
+        in
+        match List.map Obs.Json.parse responses with
+        | [ Ok batch ] -> (
+            match Obs.Json.member "results" batch with
+            | Some (Obs.Json.Arr results) ->
+                List.iteri
+                  (fun i (th, (want, r)) ->
+                    let label = label th ^ " server" in
+                    let exact = str "source" r = "exact" in
+                    Alcotest.(check (option string)) label want
+                      (if exact then Some (str "word" r) else None);
+                    if not exact then
+                      let rid = Printf.sprintf "r1.%d" i in
+                      match List.filter (fun l -> l.Ledger.request_id = rid) records with
+                      | [ record ] ->
+                          Alcotest.(check string) (label ^ " target = ledger target")
+                            record.Ledger.target (str "target" r)
+                      | rs -> Alcotest.failf "%s: %d ledger records" label (List.length rs))
+                  (List.combine angles (List.combine want results))
+            | _ -> Alcotest.fail "no batch results")
+        | _ -> Alcotest.failf "expected one batch response, got %d" (List.length responses));
+    Alcotest.test_case "suite: the Rz workflow synthesizes its nontrivial rotations" `Slow
+      (fun () ->
+        List.iter
+          (fun (b : Suite.benchmark) ->
+            let s = Pipeline.run_gridsynth ~jobs:1 b.Suite.circuit in
+            Alcotest.(check int) b.Suite.name
+              (Circuit.nontrivial_rotation_count s.Pipeline.transpiled)
+              s.Pipeline.rotations_synthesized)
+          (Suite.all ()));
+  ]
+
 let suite =
   reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests @ workflow_tests
-  @ memo_flush_tests
+  @ memo_flush_tests @ resolve_tests

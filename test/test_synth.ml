@@ -506,21 +506,20 @@ let canonical_tests =
   [
     Alcotest.test_case "angle keys identify equivalent rotations" `Quick (fun () ->
         let two_pi = 8.0 *. atan 1.0 in
-        Alcotest.(check string) "negative zero" (Pipeline.angle_key 0.0) (Pipeline.angle_key (-0.0));
-        Alcotest.(check string) "wraparound"
-          (Pipeline.angle_key 0.61)
-          (Pipeline.angle_key (0.61 +. two_pi));
-        Alcotest.(check string) "double wraparound"
-          (Pipeline.angle_key (-0.61))
-          (Pipeline.angle_key ((-0.61) -. two_pi)));
+        let key = Pipeline.rz_key ~epsilon:0.07 ~tag:"gridsynth" ~gate_set:"cliffordt" in
+        Alcotest.(check string) "negative zero" (key 0.0) (key (-0.0));
+        Alcotest.(check string) "wraparound" (key 0.61) (key (0.61 +. two_pi));
+        Alcotest.(check string) "double wraparound" (key (-0.61)) (key ((-0.61) -. two_pi)));
     Alcotest.test_case "rz(theta+2pi) is a memo hit, same word" `Quick (fun () ->
         with_obs @@ fun () ->
         Pipeline.clear_caches ();
         let two_pi = 8.0 *. atan 1.0 in
-        let w1, _ = Pipeline.gridsynth_rz_word ~epsilon:1e-2 0.61 in
-        let (w2, _), hits =
-          counter_delta "pipeline.gridsynth_cache.hit" (fun () ->
-              Pipeline.gridsynth_rz_word ~epsilon:1e-2 (0.61 +. two_pi))
+        let word theta =
+          (Result.get_ok (Pipeline.gridsynth_rz_attempt ~epsilon:1e-2 theta)).Robust.word
+        in
+        let w1 = word 0.61 in
+        let w2, hits =
+          counter_delta "pipeline.gridsynth_cache.hit" (fun () -> word (0.61 +. two_pi))
         in
         Alcotest.(check int) "served from cache" 1 hits;
         Alcotest.(check string) "identical word" (Ctgate.seq_to_string w1) (Ctgate.seq_to_string w2));
@@ -559,12 +558,12 @@ let epsilon_key_tests =
            served at the next double below or above it. *)
         with_obs @@ fun () ->
         Pipeline.clear_caches ();
-        ignore (Pipeline.gridsynth_rz_word ~epsilon:0.07 0.61 : Ctgate.t list * float);
+        let attempt epsilon = Result.get_ok (Pipeline.gridsynth_rz_attempt ~epsilon 0.61) in
+        ignore (attempt 0.07 : Robust.attempt);
         List.iter
           (fun epsilon ->
-            let (word, d), misses =
-              counter_delta "pipeline.gridsynth_cache.miss" (fun () ->
-                  Pipeline.gridsynth_rz_word ~epsilon 0.61)
+            let { Robust.word; distance = d; _ }, misses =
+              counter_delta "pipeline.gridsynth_cache.miss" (fun () -> attempt epsilon)
             in
             Alcotest.(check int) (Printf.sprintf "%h misses" epsilon) 1 misses;
             Alcotest.(check bool) (Printf.sprintf "%h met" epsilon) true (d <= epsilon);

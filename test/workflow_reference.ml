@@ -31,7 +31,12 @@ let run ~ir ?(epsilon = 0.07) ?(config = Stream_compile.default_trasyn)
         and l = Stream_compile.canonical_angle l in
         Ok (String.concat "/" [ key t; key p; key l ], Synth.Unitary (Mat2.u3 t p l))
   in
-  let trivial g = Option.is_some (Stream_compile.exact_word_of_trivial g) in
+  let exact g =
+    match Stream_compile.resolve ~epsilon ~tag:"" ~gate_set:"cliffordt" g with
+    | Ok { Stream_compile.exact = Some a; _ } -> Some a.Robust.word
+    | _ -> None
+  in
+  let trivial g = Option.is_some (exact g) in
   let occs = ref [] in
   ignore
     (Circuit.map_rotations
@@ -51,7 +56,7 @@ let run ~ir ?(epsilon = 0.07) ?(config = Stream_compile.default_trasyn)
       in
       let total = ref 0.0 and n = ref 0 and degraded = ref [] in
       let emit g =
-        match Stream_compile.exact_word_of_trivial g with
+        match exact g with
         | Some word -> List.rev_map Qgate.of_ctgate word
         | None -> (
             incr n;
