@@ -140,7 +140,7 @@ let run rescan socket epsilon workers queue_limit max_retries backoff_base backo
     {
       Server.epsilon;
       gate_set;
-      chain = Option.value chain ~default:Server.default_config.Server.chain;
+      chain;
       workers;
       queue_limit;
       max_retries;

@@ -53,28 +53,45 @@ let clifford_count c = count Qgate.is_counted_clifford c
 let rotation_count c = count Qgate.is_rotation c
 let two_qubit_count c = List.length (List.filter (fun i -> Array.length i.qubits >= 2) c.instrs)
 
-(* Is a rotation "nontrivial" (needs more than one T to synthesize)?
-   For axis rotations: the angle is not a multiple of π/4.  For U3: the
-   matrix is not within float tolerance of a ≤1-T Clifford+T operator
-   (checked against the exact step-0 table). *)
-let trivial_table = lazy (Ma_table.get 1)
+(* Rz, Rx and Ry at kπ/4 (k = 0…7), exactly and up to phase: T^k,
+   H·T^k·H and SH·T^k·HS†. *)
+let grid_keys =
+  let conj = Ctgate.[| ([], []); ([ H ], [ H ]); ([ S; H ], [ H; Sdg ]) |] in
+  Array.init 24 (fun i ->
+      let pre, post = conj.(i / 8) in
+      Exact_u.canonical_key (Exact_u.of_seq (pre @ List.init (i mod 8) (fun _ -> Ctgate.T) @ post)))
 
-let nontrivial_rotation = function
-  | Qgate.Rx a | Qgate.Ry a | Qgate.Rz a ->
+(* The one triviality rule: the entry of a depth-1 step-0 table (every
+   ≤1-T operator once, pairwise far apart) within 1e-6 of the gate, a
+   tolerance that absorbs the ulps of wrapped angles.  An axis rotation
+   more than 1e-5 π/4 steps from kπ/4 is over 3.9e-6 from the rotation
+   at kπ/4 and far from every other ≤1-T operator (Rx and Ry are
+   Clifford conjugates of Rz), so it needs no scan.  Closer, that
+   rotation is looked up exactly, then checked, except within 1e-7 steps
+   (q exact to 1e-9), where it is < 4e-8 away: the on-grid rotations
+   [Settings.best_for] meets on every candidate then cost no matrix. *)
+let exact_word (table : Ma_table.t) g =
+  let entries = table.Ma_table.entries in
+  let within m (e : Ma_table.entry) = Mat2.distance m e.Ma_table.mat < 1e-6 in
+  match g with
+  | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a -> (
       let q = a /. (Float.pi /. 4.0) in
-      Float.abs (q -. Float.round q) > 1e-9
-  | Qgate.U3 _ as g ->
+      let k = Float.round q in
+      let off = Float.abs (q -. k) in
+      let axis = match g with Qgate.Rz _ -> 0 | Qgate.Rx _ -> 8 | _ -> 16 in
+      if off > 1e-5 then None
+      else
+        let key = grid_keys.(axis + (((int_of_float k mod 8) + 8) mod 8)) in
+        match Exact_u.Table.find_opt table.Ma_table.lookup key with
+        | Some i when (off <= 1e-7 && Float.abs q < 1e6) || within (Qgate.to_mat2 g) entries.(i) ->
+            Some entries.(i).seq
+        | _ -> None)
+  | _ ->
       let m = Qgate.to_mat2 g in
-      let table = Lazy.force trivial_table in
-      (* 1e-7 sits above the ~sqrt(ulp) floor of the trace distance but
-         far below any genuine rotation. *)
-      not
-        (Array.exists
-           (fun (e : Ma_table.entry) -> Mat2.distance m e.Ma_table.mat < 1e-7)
-           table.Ma_table.entries)
-  | Qgate.H | Qgate.X | Qgate.Y | Qgate.Z | Qgate.S | Qgate.Sdg | Qgate.T | Qgate.Tdg
-  | Qgate.CX | Qgate.CZ | Qgate.Swap | Qgate.Ccx ->
-      false
+      Option.map (fun (e : Ma_table.entry) -> e.seq) (Array.find_opt (within m) entries)
+
+let clifford_t = lazy (Ma_table.get 1)
+let nontrivial_rotation g = Qgate.is_rotation g && Option.is_none (exact_word (Lazy.force clifford_t) g)
 
 let nontrivial_rotation_count c = count nontrivial_rotation c
 

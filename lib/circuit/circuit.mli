@@ -30,10 +30,15 @@ val clifford_count : t -> int
 val rotation_count : t -> int
 val two_qubit_count : t -> int
 
+val exact_word : Ma_table.t -> Qgate.t -> Ctgate.t list option
+(** The one triviality rule: the word of the depth-1 step-0 [table]'s
+    entry within 1e-6 of the rotation, if any (at most one is).  An
+    axis rotation is answered in O(1), by exact lookup near kπ/4. *)
+
 val nontrivial_rotation : Qgate.t -> bool
-(** Does this rotation need more than one T gate?  π/4-multiples of
-    axis rotations and U3s matching a ≤1-T Clifford+T operator are
-    trivial (footnote 3 of the paper). *)
+(** Does this rotation need more than one T gate?  A rotation is trivial
+    (footnote 3 of the paper) when {!exact_word} finds it in the
+    Clifford+T table; a non-rotation gate is never nontrivial. *)
 
 val nontrivial_rotation_count : t -> int
 

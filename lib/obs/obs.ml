@@ -645,53 +645,6 @@ let span name f =
 let num f = Json.Num f
 let opt_num f = if Float.is_finite f then Json.Num f else Json.Null
 
-let metrics_jsonl () =
-  let counters, gauges, hists =
-    locked reg_lock (fun () ->
-        ( Hashtbl.fold (fun _ c acc -> c :: acc) counters_tbl [],
-          Hashtbl.fold (fun _ g acc -> g :: acc) gauges_tbl [],
-          Hashtbl.fold (fun _ h acc -> h :: acc) hists_tbl [] ))
-  in
-  let lines = ref [] in
-  List.iter
-    (fun (c : counter) ->
-      lines :=
-        ( c.cname,
-          Json.Obj
-            [ ("ev", Str "counter"); ("name", Str c.cname); ("value", num (float_of_int (counter_value c))) ] )
-        :: !lines)
-    counters;
-  List.iter
-    (fun (g : gauge) ->
-      lines :=
-        ( g.gname,
-          Json.Obj [ ("ev", Str "gauge"); ("name", Str g.gname); ("value", opt_num (gauge_value g)) ] )
-        :: !lines)
-    gauges;
-  List.iter
-    (fun (h : histogram) ->
-      let s = summarize h in
-      lines :=
-        ( h.hname,
-          Json.Obj
-            [
-              ("ev", Str "hist");
-              ("kind", Str (match h.hkind with Span -> "span" | Value -> "value"));
-              ("name", Str h.hname);
-              ("count", num (float_of_int s.count));
-              ("sum", opt_num s.sum);
-              ("min", opt_num s.vmin);
-              ("max", opt_num s.vmax);
-              ("p50", opt_num s.p50);
-              ("p90", opt_num s.p90);
-              ("p95", opt_num s.p95);
-              ("p99", opt_num s.p99);
-              ("p999", opt_num s.p999);
-            ] )
-        :: !lines)
-    hists;
-  List.sort (fun (a, _) (b, _) -> compare a b) !lines |> List.map (fun (_, j) -> Json.to_string j)
-
 type metric_value =
   | Counter_value of int
   | Gauge_value of float
@@ -720,6 +673,34 @@ let dump () =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) items
 
+let jsonl_of items =
+  List.map
+    (fun (name, v) ->
+      let fields =
+        match v with
+        | Counter_value n -> [ ("ev", Json.Str "counter"); ("name", Str name); ("value", num (float_of_int n)) ]
+        | Gauge_value g -> [ ("ev", Str "gauge"); ("name", Str name); ("value", opt_num g) ]
+        | Hist_value (kind, s) ->
+            [
+              ("ev", Str "hist");
+              ("kind", Str kind);
+              ("name", Str name);
+              ("count", num (float_of_int s.count));
+              ("sum", opt_num s.sum);
+              ("min", opt_num s.vmin);
+              ("max", opt_num s.vmax);
+              ("p50", opt_num s.p50);
+              ("p90", opt_num s.p90);
+              ("p95", opt_num s.p95);
+              ("p99", opt_num s.p99);
+              ("p999", opt_num s.p999);
+            ]
+      in
+      Json.to_string (Json.Obj fields))
+    items
+
+let metrics_jsonl () = jsonl_of (dump ())
+
 let fmt_seconds s =
   if not (Float.is_finite s) then "-"
   else if s < 1e-6 then Printf.sprintf "%.0fns" (s *. 1e9)
@@ -727,14 +708,13 @@ let fmt_seconds s =
   else if s < 1.0 then Printf.sprintf "%.1fms" (s *. 1e3)
   else Printf.sprintf "%.2fs" s
 
-let report oc =
-  let by_name proj tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, proj v) :: acc) tbl []) in
-  let counters = locked reg_lock (fun () -> by_name counter_value counters_tbl) in
-  let gauges = locked reg_lock (fun () -> by_name gauge_value gauges_tbl) in
-  let hists = locked reg_lock (fun () -> Hashtbl.fold (fun _ h acc -> h :: acc) hists_tbl []) in
-  let hists = List.sort (fun a b -> compare a.hname b.hname) hists in
-  let spans = List.filter (fun h -> h.hkind = Span) hists in
-  let values = List.filter (fun h -> h.hkind = Value) hists in
+let report_of oc items =
+  let counters = List.filter_map (function n, Counter_value v -> Some (n, v) | _ -> None) items in
+  let gauges = List.filter_map (function n, Gauge_value v -> Some (n, v) | _ -> None) items in
+  let hists kind =
+    List.filter_map (function n, Hist_value (k, s) when k = kind -> Some (n, s) | _ -> None) items
+  in
+  let spans = hists "span" and values = hists "value" in
   (* Derived cache hit rates: every counter pair <p>.hit / <p>.miss
      yields one hits/(hits+misses) line. *)
   let hit_rates =
@@ -760,8 +740,8 @@ let report oc =
         | None -> None
         | Some i -> (
             let prefix = String.sub n 0 i in
-            match List.find_opt (fun h -> h.hname = prefix) spans with
-            | Some h when h.hcount > 0 -> Some (n ^ "/call", v, h.hcount)
+            match List.assoc_opt prefix spans with
+            | Some s when s.count > 0 -> Some (n ^ "/call", v, s.count)
             | Some _ | None -> None))
       counters
   in
@@ -796,9 +776,8 @@ let report oc =
     Printf.fprintf oc "spans:%40s %8s %8s %8s %8s %8s %8s %8s\n" "" "calls" "total" "p50" "p90"
       "p95" "p99" "p99.9";
     List.iter
-      (fun h ->
-        let s = summarize h in
-        Printf.fprintf oc "  %-44s %8d %8s %8s %8s %8s %8s %8s\n" h.hname s.count (fmt_seconds s.sum)
+      (fun (n, s) ->
+        Printf.fprintf oc "  %-44s %8d %8s %8s %8s %8s %8s %8s\n" n s.count (fmt_seconds s.sum)
           (fmt_seconds s.p50) (fmt_seconds s.p90) (fmt_seconds s.p95) (fmt_seconds s.p99)
           (fmt_seconds s.p999))
       spans
@@ -807,14 +786,15 @@ let report oc =
     Printf.fprintf oc "histograms:%35s %8s %10s %8s %8s %8s %8s %8s\n" "" "count" "mean" "p50"
       "p90" "p95" "p99" "p99.9";
     List.iter
-      (fun h ->
-        let s = summarize h in
+      (fun (n, s) ->
         let mean = if s.count = 0 then nan else s.sum /. float_of_int s.count in
-        Printf.fprintf oc "  %-44s %8d %10.3g %8.3g %8.3g %8.3g %8.3g %8.3g\n" h.hname s.count mean
+        Printf.fprintf oc "  %-44s %8d %10.3g %8.3g %8.3g %8.3g %8.3g %8.3g\n" n s.count mean
           s.p50 s.p90 s.p95 s.p99 s.p999)
       values
   end;
   Printf.fprintf oc "==================================================================\n%!"
+
+let report oc = report_of oc (dump ())
 
 let finish () =
   let oc_opt =
@@ -826,13 +806,12 @@ let finish () =
   match oc_opt with
   | None -> ()
   | Some oc ->
+      let items = dump () in
       if !trace_ok then
-        List.iter
-          (fun l -> try output_string oc (l ^ "\n") with Sys_error _ -> ())
-          (metrics_jsonl ());
+        List.iter (fun l -> try output_string oc (l ^ "\n") with Sys_error _ -> ()) (jsonl_of items);
       (try flush oc with Sys_error _ -> ());
       close_out_noerr oc;
-      report stderr
+      report_of stderr items
 
 (* [finish] runs on every [Stdlib.exit] — including Cmdliner's argument
    -error exits, which never unwind through [with_trace]'s Fun.protect —

@@ -93,11 +93,9 @@ let run_on_engine ~span ~ir ?(transpile = true) ?jobs ?epsilon ?gate_set ?deadli
            degraded = List.rev !degraded;
          })
 
-(* A TRASYN rung in a custom Rz chain runs with TRASYN's own defaults:
-   the Rz workflow takes no TRASYN configuration. *)
 let run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c =
-  run_on_engine ~span:"pipeline.run_gridsynth" ~ir:Settings.Rz_ir ~trasyn:Trasyn.default_config
-    ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c
+  run_on_engine ~span:"pipeline.run_gridsynth" ~ir:Settings.Rz_ir ?epsilon ?gate_set ?deadline
+    ?rotation_budget ?transpile ?jobs ?chain c
 
 let run_gridsynth ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c =
   get (run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c)

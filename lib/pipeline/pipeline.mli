@@ -70,9 +70,11 @@ val run_gridsynth :
     the input as Rz IR directly — a non-Rz rotation then surfaces as a
     [Backend_error].  [jobs] is the domain count (default
     [Domain.recommended_domain_count ()]); [chain] overrides the
-    default [Synth.rz_chain] (e.g. from [Synth.parse_chain]) — memo
-    keys carry the chain id {e and} the gate-set name, so words
-    synthesized under different chains or alphabets never mix.
+    default [Synth.rz_chain] (e.g. from [Synth.parse_chain]) and its
+    TRASYN rungs run [Stream_compile.default_trasyn], as under
+    [--stream]; memo keys carry the policy's tag and the gate set, so
+    words of different chains, TRASYN settings, budgets or alphabets
+    never mix.
     [gate_set] (default [Gateset.default]) selects the alphabet: it
     keys the store and ledger, filters chain rungs to supporting
     backends, and picks the step-0 table (non-built-in sets need one

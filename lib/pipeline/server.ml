@@ -1,9 +1,9 @@
 (* See server.mli.  One bounded queue, N worker threads, responses
    serialized through the emit callback.  Every work item — a batch, or
-   a single rotation as a one-element batch — resolves its rotations by
-   the engine's rules (trivial ones answered with their exact word,
-   the rest keyed and targeted as [Stream_compile] would) and runs the
-   rest through Planner.execute, each job Synth.run_chain_sourced, so
+   a single rotation as a one-element batch — resolves its rotations
+   under the engine's policy for their op (trivial ones answered with
+   their exact word) and runs the rest through Planner.execute, each
+   job Synth.run_chain_sourced with the policy's chain and config, so
    the persistent store, the guard, the fault layer, and the provenance
    ledger all apply unchanged.
 
@@ -42,7 +42,7 @@ let slowest_cap = 16
 type config = {
   epsilon : float;
   gate_set : Gateset.t;
-  chain : Synth.rung_spec list;
+  chain : Synth.rung_spec list option;
   workers : int;
   queue_limit : int;
   max_retries : int;
@@ -57,7 +57,7 @@ let default_config =
   {
     epsilon = 0.07;
     gate_set = Gateset.default;
-    chain = Synth.rz_chain ();
+    chain = None;
     workers = 1;
     queue_limit = 64;
     max_retries = 3;
@@ -70,15 +70,14 @@ let default_config =
 
 (* One rotation to answer.  [rid] is the tracing request id; batch
    elements carry derived ids "r<seq>.<i>" with their element index.
-   [res] is its [Stream_compile.resolve]: the key and target of its job,
-   or the exact answer of a trivial one, which runs no job. *)
+   [res] is its [Stream_compile.resolve] under [policy]: its job's key
+   and target, or a trivial one's exact answer, which runs no job. *)
 type rotation = {
   id : Obs.Json.t;
   rid : string;
   batch_index : int;  (* -1 for singles *)
   res : Stream_compile.resolved;
-  epsilon : float;
-  gate_set : Gateset.t;
+  policy : Stream_compile.policy;
   deadline_s : float option;
 }
 
@@ -92,7 +91,7 @@ type item = { work : work; admitted_at : float }
 
 type t = {
   cfg : config;
-  chain_tag : string;  (* [Synth.chain_id cfg.chain], the keys' tag *)
+  policies : Stream_compile.policy * Stream_compile.policy;  (* Rz, U3 at [cfg]'s ε and gate set *)
   store : Store.t option;
   emit : string -> unit;
   emit_mutex : Mutex.t;
@@ -150,11 +149,6 @@ let count_error t op =
   Obs.incr (c_op_err op);
   locked t (fun () -> bump t.cmd_errors op)
 
-(* Per-gate-set rotation counts for the [stats] op; counted once per
-   admitted rotation (batch elements individually). *)
-let count_gate_set t (r : rotation) =
-  locked t (fun () -> bump t.gs_counts r.gate_set.Gateset.name)
-
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -166,8 +160,6 @@ let error_response ?(extra = []) ?rid id tag message =
     @ (match rid with Some r -> [ ("request_id", Obs.Json.Str r) ] | None -> [])
     @ extra)
 
-let op_of_target = function Synth.Rz _ -> "rz" | Synth.Unitary _ -> "u3"
-
 let success_response (r : rotation) (a : Robust.attempt) source retries =
   let open Obs.Json in
   Obj
@@ -175,7 +167,7 @@ let success_response (r : rotation) (a : Robust.attempt) source retries =
       ("id", r.id);
       ("request_id", Str r.rid);
       ("ok", Bool true);
-      ("op", Str (op_of_target r.res.target));
+      ("op", Str (Settings.ir_to_string r.policy.ir));
       ("target", Str (Synth.target_id r.res.target));
       ("word", Str (Ctgate.seq_to_string a.Robust.word));
       ("t_count", Num (float_of_int (Ctgate.t_count a.Robust.word)));
@@ -184,7 +176,7 @@ let success_response (r : rotation) (a : Robust.attempt) source retries =
       ("backend", Str a.Robust.backend);
       ("fallbacks", Num (float_of_int a.Robust.fallbacks));
       ("retries", Num (float_of_int retries));
-      ("gate_set", Str r.gate_set.Gateset.name);
+      ("gate_set", Str (Synth.gate_set_name r.policy.synth));
       ( "source",
         Str (match source with `Store -> "store" | `Fresh -> "fresh" | `Exact -> "exact") );
     ]
@@ -206,8 +198,6 @@ let deadline_of t (r : rotation) =
 let transient = function
   | Robust.Backend_error _ -> true
   | Robust.Timeout | Robust.Budget_exhausted | Robust.Verification_failed -> false
-
-let synth_config (r : rotation) = Synth.config ~gate_set:r.gate_set ~epsilon:r.epsilon ()
 
 (* One job: the chain, run again after a transient failure (with
    backoff) while the retry budget and the deadline allow; [tries]
@@ -235,7 +225,7 @@ let synthesize t (r : rotation) tries =
     again
   in
   let result =
-    Synth.run_chain_sourced ~deadline ~retry ~config:(synth_config r) t.cfg.chain r.res.target
+    Synth.run_chain_sourced ~deadline ~retry ~config:r.policy.synth r.policy.chain r.res.target
   in
   Result.iter (fun (a, _) -> Obs.set_span_attr "backend" a.Robust.backend) result;
   result
@@ -287,13 +277,13 @@ let work_response t w =
         in
         if own != tries && Ledger.enabled () then
           Ledger.record
-            (Synth.ledger_record ~request_id:r.rid ~config:(synth_config r) t.cfg.chain r.res.target
+            (Synth.ledger_record ~request_id:r.rid ~config:r.policy.synth r.policy.chain r.res.target
                ~source:`Replay ~wall_s:0.0 (Result.map fst result));
         match result with
         | Ok (a, source) -> served r a source retries
         | Error (f, _) ->
             Obs.incr c_failed;
-            count_error t (op_of_target r.res.target);
+            count_error t (Settings.ir_to_string r.policy.ir);
             locked t (fun () -> t.n_failed <- t.n_failed + 1);
             error_response
               ~extra:[ ("retries", Num (float_of_int retries)) ]
@@ -393,7 +383,9 @@ let create ?store ~emit cfg =
   let t =
     {
       cfg = { cfg with workers = max 1 cfg.workers; queue_limit = max 1 cfg.queue_limit };
-      chain_tag = Synth.chain_id cfg.chain;
+      policies =
+        (let c = Stream_compile.config ~epsilon:cfg.epsilon ~gate_set:cfg.gate_set ?chain:cfg.chain () in
+         (Stream_compile.policy c, Stream_compile.policy { c with ir = Settings.U3_ir }));
       store;
       emit;
       emit_mutex = Mutex.create ();
@@ -464,22 +456,25 @@ let parse_rotation t ~rid ~batch_index j =
   | Ok gate_set -> (
       if not (epsilon > 0.0 && Float.is_finite epsilon) then Error "epsilon must be positive and finite"
       else
-        (* A gate set without a step-0 table is a request error, not a
-           synthesis failure to retry. *)
-        let rotation g =
-          let gate_set_name = gate_set.Gateset.name in
-          match Stream_compile.resolve ~epsilon ~tag:t.chain_tag ~gate_set:gate_set_name g with
-          | Ok res -> Ok { id = jid j; rid; batch_index; res; epsilon; gate_set; deadline_s }
+        (* A gate set without a step-0 table is a request error, not a failure to retry. *)
+        let rotation ir g =
+          let policy =
+            if epsilon = t.cfg.epsilon && gate_set == t.cfg.gate_set then
+              (if ir = Settings.Rz_ir then fst else snd) t.policies
+            else Stream_compile.(policy (config ~epsilon ~gate_set ~ir ?chain:t.cfg.chain ()))
+          in
+          match Stream_compile.resolve policy g with
+          | Ok res -> Ok { id = jid j; rid; batch_index; res; policy; deadline_s }
           | Error f -> Error (Robust.failure_to_string f)
         in
         match member "op" j with
         | Some (Str "rz") -> (
             match num "theta" with
-            | Some theta -> rotation (Qgate.Rz theta)
+            | Some theta -> rotation Settings.Rz_ir (Qgate.Rz theta)
             | None -> Error "rz needs a numeric theta")
         | Some (Str "u3") -> (
             match (num "theta", num "phi", num "lam") with
-            | Some th, Some ph, Some lm -> rotation (Qgate.U3 (th, ph, lm))
+            | Some th, Some ph, Some lm -> rotation Settings.U3_ir (Qgate.U3 (th, ph, lm))
             | _ -> Error "u3 needs numeric theta, phi, lam")
         | _ -> Error "expected op rz or u3")
 
@@ -502,13 +497,14 @@ let admit t work =
         else begin
           Queue.push { work; admitted_at = Obs.Clock.elapsed_s () } t.queue;
           t.queued_slots <- t.queued_slots + slots;
+          (* Rotations per gate set, for the [stats] op. *)
+          List.iter (fun r -> bump t.gs_counts (Synth.gate_set_name r.policy.synth)) work.rotations;
           Obs.set_gauge g_queue (float_of_int t.queued_slots);
           Condition.signal t.nonempty;
           true
         end)
   in
   if not admitted then shed t ~rid:work.rid ~op:work.op work.id slots
-  else List.iter (count_gate_set t) work.rotations
 
 let quantiles_json h =
   let open Obs.Json in

@@ -36,15 +36,18 @@
     ["retries"].  A [batch] response carries its sub-responses in-order
     under ["results"].
 
-    {b Rotations resolve through [Stream_compile.resolve]}, as in the
-    compilation engine: a ≤1-T rotation (e.g. [rz(π/4)] or
-    [u3(0,0,π/4)]) is answered with its exact word, ["backend":"exact"]
-    and ["source":"exact"], retries 0: it runs no planner job and writes
-    no ledger record.  Every other rotation is keyed and targeted as the
-    engine would (canonical angles, exact ε, the chain's id, the gate
-    set), singles and batch elements alike, so [rz(0.3)] and
-    [rz(0.3+2π)] share one job, one word and one ["target"] id, and a
-    word the engine stored serves the server.
+    {b Rotations run the engine's policy} ([Stream_compile.policy] of a
+    config at their ε and gate set; {!create} builds the two at the
+    server's own): an [rz] in the Rz IR, a [u3] in the U3 IR, so a [u3]
+    runs the TRASYN-first U3 ladder, as [compile_cli] does.  They resolve through [Stream_compile.resolve]: a ≤1-T
+    rotation (e.g. [rz(π/4)] or [u3(0,0,π/4)]) is answered with its
+    exact word, ["backend":"exact"] and ["source":"exact"], retries 0:
+    it runs no planner job and writes no ledger record.  Every other
+    rotation is keyed and targeted as the engine would (canonical
+    angles, exact ε, the policy's tag, the gate set), singles and batch
+    elements alike, so [rz(0.3)] and [rz(0.3+2π)] share one job, one
+    word and one ["target"] id, and a word the engine stored serves the
+    server.
 
     {b One synthesis path}: every work item is a batch — a single
     [rz]/[u3] is a one-element one — whose nontrivial rotations run by
@@ -101,7 +104,10 @@ type config = {
   gate_set : Gateset.t;  (** default alphabet for requests that omit
                              [gate_set]; per-request names are resolved
                              against the [Gateset] registry *)
-  chain : Synth.rung_spec list;  (** fallback ladder for misses *)
+  chain : Synth.rung_spec list option;
+      (** fallback ladder for misses, [None]: by op.  An explicit chain
+          ([--backend-chain]) applies to both ops; its TRASYN rungs run
+          [Stream_compile.default_trasyn]. *)
   workers : int;  (** worker threads consuming the queue (≥ 1) *)
   queue_limit : int;  (** max queued work items before shedding *)
   max_retries : int;  (** retry budget for transient failures *)
@@ -113,7 +119,7 @@ type config = {
 }
 
 val default_config : config
-(** ε 0.07, [Gateset.default], the standard Rz ladder, 1 worker,
+(** ε 0.07, [Gateset.default], the ladder by op, 1 worker,
     queue 64, 3 retries, base 0.05 s capped at 1 s, no default
     deadline, planner default domains, seed 0. *)
 
@@ -124,7 +130,8 @@ val create : ?store:Store.t -> emit:(string -> unit) -> config -> t
     line (no trailing newline) per request; calls are serialized by the
     engine but may come from any worker thread.  [store] is only used
     for the [stats] op and the final snapshot in {!drain} — arming
-    synthesis itself is [Synth.set_store]'s job. *)
+    synthesis itself is [Synth.set_store]'s job.
+    @raise Invalid_argument on a non-positive or non-finite [epsilon]. *)
 
 val submit_line : t -> string -> [ `Continue | `Stop ]
 (** Process one request line: control ops ([ping]/[stats]/[shutdown])

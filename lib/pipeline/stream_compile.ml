@@ -1,9 +1,9 @@
-(** The compilation engine: classify → key → dedup → synthesize on
+(** The compilation engine: resolve → key → dedup → synthesize on
     the [Planner] pool → splice back in order, with bounded memory end
     to end.
 
     The producer (calling domain) pulls IR gates from a source,
-    classifies each rotation, and submits unique synthesis targets to a
+    resolves each rotation, and submits unique synthesis targets to a
     pool whose job queue is *bounded*.  Whenever the producer would
     otherwise block — on a full queue, on a head result that has not
     landed, during the final drain — the pool has it run a queued job
@@ -38,7 +38,7 @@ let trasyn_memo = (Obs.counter "pipeline.trasyn_cache.hit", Obs.counter "pipelin
 let memo_counters = function Settings.Rz_ir -> gridsynth_memo | Settings.U3_ir -> trasyn_memo
 
 (* ------------------------------------------------------------------ *)
-(* Keys and resolution                                                *)
+(* Keys                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* [Basis.norm_angle] already wraps into (−π, π] and snaps π/4
@@ -53,7 +53,7 @@ let canonical_angle a =
 (* The angles print as [Store.target_id] prints them.  ε is printed
    exactly ("%h"): two thresholds that differ in the last bit must not
    share a word, or a hit could exceed the requested ε.  The gate set is
-   in the key as well as the chain tag: two alphabets can synthesize the
+   in the key as well as the policy's tag: two alphabets can synthesize the
    same angle at the same ε to different words. *)
 let rz_key ~epsilon ~tag ~gate_set theta =
   Printf.sprintf "%s@%h|%s|%s" (Store.target_id (Store.Rz (canonical_angle theta))) epsilon tag
@@ -69,58 +69,8 @@ let u3_key ~epsilon ~tag ~gate_set (theta, phi, lam) =
    word into a circuit reverses it. *)
 let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
 
-type resolved = { key : string; target : Synth.target; exact : Robust.attempt option }
-
-(* The cheapest entry of the step-0 table (every ≤1-T operator is in
-   there) within 1e-6 of the gate.  Tolerant matching: a gate can pass
-   the angle-space triviality test while its matrix sits a few ulps away
-   from the exact operator (wrapped angles), which is a harmless
-   substitution at circuit thresholds. *)
-let table_match (table : Ma_table.t) g =
-  let m = Qgate.to_mat2 g in
-  let best = ref None in
-  Array.iter
-    (fun (e : Ma_table.entry) ->
-      if Mat2.distance m e.Ma_table.mat < 1e-6 then
-        match !best with
-        | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
-        | _ -> best := Some e)
-    table.Ma_table.entries;
-  Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
-
-(* An Rz whose canonical angle is more than 1e-5 of a π/4 step from a
-   multiple of π/4 skips the scan: between Rz matrices [Mat2.distance]
-   is |sin(Δθ/2)| > 3.9e-6, and the non-diagonal ≤1-T operators sit far
-   from every Rz, so no entry lies within 1e-6 of it. *)
-let off_grid = function
-  | Qgate.Rz theta ->
-      let q = canonical_angle theta /. (Float.pi /. 4.0) in
-      Float.abs (q -. Float.round q) > 1e-5
-  | _ -> false
-
-let resolve ~epsilon ~tag ~gate_set g =
-  match Ma_table.find_for ~gate_set 1 with
-  | Error e -> Error (Robust.Backend_error e)
-  | Ok table ->
-      let key, target =
-        match g with
-        | Qgate.Rz theta ->
-            let theta = canonical_angle theta in
-            (rz_key ~epsilon ~tag ~gate_set theta, Synth.Rz theta)
-        | g ->
-            let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-            let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
-            (u3_key ~epsilon ~tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
-      in
-      let exact_answer word =
-        let distance = Mat2.distance (Synth.target_mat2 target) (Ctgate.seq_to_mat2 word) in
-        { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = epsilon }
-      in
-      let exact = if off_grid g then None else Option.map exact_answer (table_match table g) in
-      Ok { key; target; exact }
-
 (* ------------------------------------------------------------------ *)
-(* Configuration                                                      *)
+(* Configuration, the policy and resolution                           *)
 (* ------------------------------------------------------------------ *)
 
 type config = {
@@ -169,30 +119,72 @@ type stats = {
   peak_heap_words : int;
 }
 
-(* The default chains are built once: [Synth.rz_chain] makes a fresh
-   rung list per call. *)
-let rz_default_chain = Synth.rz_chain ()
+type policy = { ir : Settings.ir; chain : Synth.rung_spec list; synth : Synth.config; tag : string }
 
-let chain_of cfg =
-  match (cfg.chain, cfg.ir) with
-  | Some c, _ -> c
-  | None, Settings.Rz_ir -> rz_default_chain
-  | None, Settings.U3_ir -> Synth.u3_chain
+(* The tag names the chain, the TRASYN settings and the budgets, not the
+   deadline or the per-rotation budget: a word that a timeout degraded
+   is memoized like any other. *)
+let policy (cfg : config) =
+  let chain =
+    match (cfg.chain, cfg.ir) with
+    | Some c, _ -> c
+    | None, Settings.Rz_ir -> Synth.rz_chain ()
+    | None, Settings.U3_ir -> Synth.u3_chain
+  in
+  let t = cfg.trasyn in
+  {
+    ir = cfg.ir;
+    chain;
+    synth =
+      Synth.config ~gate_set:cfg.gate_set ~trasyn:t ~budgets:cfg.budgets ~epsilon:cfg.epsilon ();
+    tag =
+      Printf.sprintf "%s;t%d,k%d,b%d,%B,s%d;%s" (Synth.chain_id chain) t.Trasyn.table_t
+        t.Trasyn.samples t.Trasyn.beam t.Trasyn.post_process t.Trasyn.seed
+        (String.concat "," (List.map string_of_int cfg.budgets));
+  }
 
-let synth_config cfg =
-  Synth.config ~gate_set:cfg.gate_set ~trasyn:cfg.trasyn ~budgets:cfg.budgets
-    ~epsilon:cfg.epsilon ()
+type resolved = { key : string; target : Synth.target; exact : Robust.attempt option }
+
+(* The Rz window rewrites every rotation to Rz, so any other rotation
+   that needs synthesis in the Rz IR is a transpiler bug (or a hand-fed
+   IR), surfaced structurally rather than as Invalid_argument. *)
+let resolve policy g =
+  let epsilon = policy.synth.Synth.epsilon and gate_set = Synth.gate_set_name policy.synth in
+  match Ma_table.find_for ~gate_set 1 with
+  | Error e -> Error (Robust.Backend_error e)
+  | Ok table -> (
+      let key, target =
+        match g with
+        | Qgate.Rz theta ->
+            let theta = canonical_angle theta in
+            (rz_key ~epsilon ~tag:policy.tag ~gate_set theta, Synth.Rz theta)
+        | g ->
+            let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+            let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
+            (u3_key ~epsilon ~tag:policy.tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+      in
+      match (Circuit.exact_word table g, g, policy.ir) with
+      | Some word, _, _ ->
+          let distance = Mat2.distance (Synth.target_mat2 target) (Ctgate.seq_to_mat2 word) in
+          let a = { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = epsilon } in
+          Ok { key; target; exact = Some a }
+      | None, (Qgate.Rx _ | Qgate.Ry _ | Qgate.U3 _), Settings.Rz_ir ->
+          Error
+            (Robust.Backend_error
+               (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
+      | None, _, _ -> Ok { key; target; exact = None })
 
 (* One chain execution on this domain.  Its deadline is the run's,
    capped by the per-rotation budget from now, both on the monotonic
    clock. *)
-let run_chain cfg ~config chain target =
+let run_chain (cfg : config) p target =
   let deadline =
     match cfg.rotation_budget with
     | None -> cfg.deadline
     | Some b -> Obs.Deadline.earliest cfg.deadline (Obs.Deadline.after b)
   in
-  Obs.span "pipeline.synthesize_rotation" (fun () -> Synth.run_chain ~deadline ~config chain target)
+  Obs.span "pipeline.synthesize_rotation" (fun () ->
+      Synth.run_chain ~deadline ~config:p.synth p.chain target)
 
 (* ------------------------------------------------------------------ *)
 (* The memo (bounded, flush-all)                                      *)
@@ -227,7 +219,7 @@ let memo_add key (a : Robust.attempt) =
   e
 
 (* ------------------------------------------------------------------ *)
-(* Classification and the per-run resolution table                    *)
+(* The per-run resolution table                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* What a rotation resolves to in a run: the exact word of a trivial
@@ -236,34 +228,22 @@ let memo_add key (a : Robust.attempt) =
 type pending = { key : string; target : Synth.target; gate : Qgate.t }
 type resolution = Exact of Qgate.t list | Synthesize of pending | Reject of Robust.failure
 
-(* {!resolve} under the run's ε and gate set.  The Rz window rewrites
-   every rotation to Rz, so any other rotation that needs synthesis in
-   the Rz IR is a transpiler bug (or a hand-fed IR), surfaced
-   structurally rather than as Invalid_argument. *)
-let classify cfg ~tag g =
-  match (resolve ~epsilon:cfg.epsilon ~tag ~gate_set:cfg.gate_set.Gateset.name g, g, cfg.ir) with
-  | Ok { exact = None; _ }, (Qgate.Rx _ | Qgate.Ry _ | Qgate.U3 _), Settings.Rz_ir ->
-      Error
-        (Robust.Backend_error
-           (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
-  | r, _, _ -> r
-
 let synthesize cfg g =
-  let chain = chain_of cfg in
-  match classify cfg ~tag:(Synth.chain_id chain) g with
+  let p = policy cfg in
+  match resolve p g with
   | Error _ as e -> e
   | Ok { exact = Some a; _ } -> Ok a
-  | Ok p -> (
+  | Ok r -> (
       let c_hit, c_miss = memo_counters cfg.ir in
-      match Hashtbl.find_opt memo p.key with
+      match Hashtbl.find_opt memo r.key with
       | Some e ->
           Obs.incr c_hit;
           Ok e.attempt
       | None ->
           Obs.incr c_miss;
-          let r = run_chain cfg ~config:(synth_config cfg) chain p.target in
-          Result.iter (fun a -> ignore (memo_add p.key a : memo_entry)) r;
-          r)
+          let res = run_chain cfg p r.target in
+          Result.iter (fun a -> ignore (memo_add r.key a : memo_entry)) res;
+          res)
 
 (* Rotations repeat massively in QAOA-like streams, so each run caches
    its resolutions per distinct gate value.  Floats compare by their
@@ -298,7 +278,7 @@ end)
 type waiting = { mutable slots : int; mutable fresh : bool }
 
 (* In-order output slots: a Direct gate, an exact word, a word the memo
-   already held when the rotation was classified, or a rotation awaiting
+   already held when the rotation was resolved, or a rotation awaiting
    its (possibly still running) synthesis. *)
 type out_item =
   | Direct of Circuit.instr
@@ -316,13 +296,11 @@ let heap_sample () =
    every IR gate it releases, and returns [false] at the end of the
    input (after releasing whatever it still held). *)
 let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
-  let chain = chain_of cfg in
-  let tag = Synth.chain_id chain in
-  let config = synth_config cfg in
+  let policy = policy cfg in
   let c_memo_hit, c_memo_miss = memo_counters cfg.ir in
   let pool = Planner.create ~jobs:cfg.jobs ~queue:cfg.queue () in
   let job target () =
-    let r = run_chain cfg ~config chain target in
+    let r = run_chain cfg policy target in
     Result.iter (fun a -> Obs.set_span_attr "backend" a.Robust.backend) r;
     r
   in
@@ -371,7 +349,8 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     end;
     if replay && Ledger.enabled () then
       Ledger.record
-        (Synth.ledger_record ~config chain p.target ~source:`Replay ~wall_s:0.0 (Ok a));
+        (Synth.ledger_record ~config:policy.synth policy.chain p.target ~source:`Replay ~wall_s:0.0
+           (Ok a));
     emit_word gates qubits;
     true
   in
@@ -435,7 +414,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     | r -> r
     | exception Not_found ->
         let r =
-          match classify cfg ~tag g with
+          match resolve policy g with
           | Ok { exact = Some a; _ } -> Exact (word_to_gates a.Robust.word)
           | Ok { key; target; _ } -> Synthesize { key; target; gate = g }
           | Error f -> Reject f
@@ -447,7 +426,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
         Gate_table.add resolved g r;
         r
   in
-  (* Classify one IR gate and append its output slot. *)
+  (* Resolve one IR gate and append its output slot. *)
   let handle (g : Circuit.instr) =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else

@@ -1,5 +1,5 @@
 (** The compilation engine, the one place circuits are synthesized:
-    classify → key → dedup → synthesize on domains → splice back in
+    resolve → key → dedup → synthesize on domains → splice back in
     order, interleaved with reading the input, with bounded memory end
     to end.  {!run}, {!run_qasm} and {!run_circuit} fold the input
     through a {!Stream_opt} window (never more than W gates) first — the
@@ -25,7 +25,7 @@
     record per rotation occurrence: a fresh one per chain execution, a
     [cached] replay for every other occurrence. *)
 
-(** {1 Keys and resolution} *)
+(** {1 Keys} *)
 
 val canonical_angle : float -> float
 (** The angle identity under which rotations are memoized and deduped:
@@ -36,8 +36,8 @@ val canonical_angle : float -> float
 
 val rz_key : epsilon:float -> tag:string -> gate_set:string -> float -> string
 (** The memo/dedup key of an Rz target: canonical angle (printed by
-    [Store.target_id]), ε (printed exactly, ["%h"]), chain tag, gate
-    set.
+    [Store.target_id]), ε (printed exactly, ["%h"]), the
+    {!policy}'s tag, gate set.
 
     How far a served word may sit from its target: angles share a cell
     when they print equal under ["%.10f"], so they differ by less than
@@ -52,27 +52,6 @@ val u3_key :
 (** As {!rz_key} for a U3 target (canonical angle triple).  A served
     word exceeds its reported distance by at most half the summed angle
     differences, < 1.5·10⁻¹⁰. *)
-
-type resolved = {
-  key : string;  (** {!rz_key} / {!u3_key} *)
-  target : Synth.target;  (** at the canonical angle(s) *)
-  exact : Robust.attempt option;
-      (** a ≤1-T rotation's exact word: backend ["exact"], no fallback,
-          its distance to [target], [rung_epsilon] = ε *)
-}
-
-val resolve :
-  epsilon:float -> tag:string -> gate_set:string -> Qgate.t -> (resolved, Robust.failure) result
-(** The one place a rotation gate becomes its exact word or a synthesis
-    job, for the engine (per distinct gate of a run), {!synthesize}
-    (hence [Pipeline.gridsynth_rz_attempt]) and the server.  An Rz is
-    keyed by {!rz_key} and targeted as [Rz] at its canonical angle, any
-    other rotation by {!u3_key} and [Unitary] at the canonical angles of
-    its U3 form.  A gate within 1e-6 of a ≤1-T operator (in [gate_set]'s
-    depth-1 step-0 table) is answered with its cheapest word; an Rz more
-    than 1e-5 of a π/4 step from a multiple of π/4 skips the scan, as no
-    such Rz lies that close.  A gate set with no step-0 table is a
-    [Backend_error] with [Ma_table.find_for]'s message. *)
 
 (** {1 Runs} *)
 
@@ -91,9 +70,9 @@ type config = {
 }
 
 val default_trasyn : Trasyn.config
-(** The circuit workflows' TRASYN settings: depth-10 step-0 table,
-    k = 48 samples, beam 4 (one-site lookups dominate at circuit
-    thresholds). *)
+(** The one TRASYN configuration of every entry point (the circuit
+    workflows, [--stream], the server): depth-10 step-0 table, k = 48
+    samples, beam 4 (one-site lookups dominate at circuit thresholds). *)
 
 val config :
   ?epsilon:float ->
@@ -110,11 +89,48 @@ val config :
   unit ->
   config
 (** Defaults: ε 0.07, default gate set, Rz IR, window 64, queue 32,
-    1 job, no deadline, chain picked by IR ([Synth.rz_chain] /
-    [Synth.u3_chain]), {!default_trasyn} and [Synth.default_budgets].
+    1 job, no deadline, chain by IR ({!policy}), {!default_trasyn} and
+    [Synth.default_budgets].
     The reorder FIFO holds at most 4096 results awaiting emission.
     @raise Invalid_argument on a non-positive or non-finite ε, or a
     non-positive window/queue/jobs. *)
+
+(** {1 The synthesis policy} *)
+
+type policy = private {
+  ir : Settings.ir;
+  chain : Synth.rung_spec list;
+      (** [config.chain], else [Synth.rz_chain] (Rz IR) / [Synth.u3_chain] (U3 IR) *)
+  synth : Synth.config;  (** what the rungs see: ε, gate set, TRASYN settings, budgets *)
+  tag : string;
+      (** the keys' tag: the chain id, the TRASYN [table_t], [samples],
+          [beam], [post_process] and [seed], and the budgets.  Not the
+          deadline or the per-rotation budget: a word that a timeout
+          degraded is memoized like any other. *)
+}
+
+val policy : config -> policy
+(** How a config's rotations are synthesized: the one decision, for the
+    engine, {!synthesize} and the server alike.  Build it once per run. *)
+
+type resolved = {
+  key : string;  (** {!rz_key} / {!u3_key} under the policy's tag *)
+  target : Synth.target;  (** at the canonical angle(s) *)
+  exact : Robust.attempt option;
+      (** a ≤1-T rotation's exact word: backend ["exact"], no fallback,
+          its distance to [target], [rung_epsilon] = ε *)
+}
+
+val resolve : policy -> Qgate.t -> (resolved, Robust.failure) result
+(** The one place a rotation gate becomes its exact word or a synthesis
+    job, for the engine (per distinct gate of a run), {!synthesize}
+    (hence [Pipeline.gridsynth_rz_attempt]) and the server.  An Rz is
+    keyed by {!rz_key} and targeted as [Rz] at its canonical angle, any
+    other rotation by {!u3_key} and [Unitary] at the canonical angles of
+    its U3 form.  A gate [Circuit.exact_word] finds in the gate set's
+    step-0 table is answered with that word.  [Backend_error]: a gate set
+    with no step-0 table ([Ma_table.find_for]'s message), or a non-Rz
+    rotation to synthesize under an Rz-IR policy ("non-Rz"). *)
 
 type stats = {
   gates_in : int;  (** instructions consumed from the source *)

@@ -12,6 +12,8 @@
       tablegen_cli), a gate set with no step-0 table (compile_cli whole
       and --stream, serve_cli), a malformed --faults, an unknown
       --backend-chain and an unusable --store (compile_cli, serve_cli).
+      serve_cli refuses a --epsilon that is not positive and finite at
+      start, as compile_cli does, with one line saying so.
    3. tablegen_cli generates a table for such a gate set without one,
       and compile_cli starts with a table too shallow for TRASYN: its
       first rotation then fails (exit 1) naming the depth it needs.
@@ -116,6 +118,14 @@ let () =
           failf "%s %s %s: exit %d, wanted 1 with one line naming the flag:\n%s" b flag value code
             (String.concat "\n" lines))
     cases;
+  List.iter
+    (fun eps ->
+      match run [ bin "serve_cli"; "--epsilon=" ^ eps ] with
+      | 1, [ line ] when contains line "epsilon must be positive and finite" -> ()
+      | code, lines ->
+          failf "serve_cli --epsilon=%s: exit %d, wanted 1 with one line naming epsilon:\n%s" eps code
+            (String.concat "\n" lines))
+    [ "0"; "-0.1"; "nan" ];
   (* 3. Tables: generated without one, too shallow once loaded. *)
   let table = dir / "w3.table" in
   (match

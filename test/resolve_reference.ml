@@ -1,12 +1,12 @@
-(* The triviality test that [Stream_compile.resolve] runs behind its O(1)
-   Rz filter, kept without the filter as a test oracle: scan the whole
-   depth-1 step-0 table for the cheapest ≤1-T operator within 1e-6 of
-   the gate's matrix.  This is the engine's exact-word lookup as it was
-   before the filter, so [resolve] must answer every gate exactly when
-   and as this does. *)
+(* The triviality test that [Circuit.exact_word] runs behind its O(1)
+   axis-rotation filter, kept without the filter as a test oracle: scan
+   the whole depth-1 step-0 table (the built-in one unless [table] is
+   given) for the cheapest ≤1-T operator within 1e-6 of the gate's
+   matrix.  This is the engine's exact-word lookup as it was before the
+   filter, so [resolve] must answer every gate exactly when and as this
+   does. *)
 
-let exact_word ?(gate_set = "cliffordt") g =
-  let table = Ma_table.get_for ~gate_set 1 in
+let exact_word ?(table = Ma_table.get 1) g =
   let m = Qgate.to_mat2 g in
   let best = ref None in
   Array.iter
@@ -17,3 +17,20 @@ let exact_word ?(gate_set = "cliffordt") g =
         | _ -> best := Some e)
     table.Ma_table.entries;
   Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
+
+(* The triviality test [Circuit.nontrivial_rotation] ran before it
+   became [Circuit.exact_word] over the Clifford+T table: an axis
+   rotation within 1e-9 of a π/4 step, a U3 within 1e-7 of a ≤1-T
+   operator.  The two rules part only for rotations between 1e-9 and
+   about 2.5e-6 steps from the grid, which no suite circuit holds. *)
+let nontrivial = function
+  | Qgate.Rx a | Qgate.Ry a | Qgate.Rz a ->
+      let q = a /. (Float.pi /. 4.0) in
+      Float.abs (q -. Float.round q) > 1e-9
+  | Qgate.U3 _ as g ->
+      let m = Qgate.to_mat2 g in
+      not
+        (Array.exists
+           (fun (e : Ma_table.entry) -> Mat2.distance m e.Ma_table.mat < 1e-7)
+           (Ma_table.get 1).Ma_table.entries)
+  | _ -> false

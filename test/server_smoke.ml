@@ -2,9 +2,9 @@
    wired into @runtest (and @telemetry):
 
    1. start serve_cli on a Unix-domain socket with --store, --ledger
-      and --trace, and drive it with live traffic (ping, two singles, a
-      batch repeating an angle of a single and one of its own, stats,
-      shutdown);
+      and --trace, and drive it with live traffic (ping, two rz singles,
+      a batch repeating an angle of a single and one of its own, a u3
+      single, which TRASYN must answer, stats, shutdown);
    2. the stats response must be a tgates-server-stats/v1 snapshot with
       a trace_id, positive uptime_s, reconciling per-command counters,
       populated latency/queue-wait quantiles (p50 through p999) and a
@@ -140,10 +140,11 @@ let () =
   send "{\"op\":\"rz\",\"id\":2,\"theta\":1.1}";
   send
     "{\"op\":\"batch\",\"id\":3,\"requests\":[{\"op\":\"rz\",\"theta\":0.5},{\"op\":\"rz\",\"theta\":0.37},{\"op\":\"rz\",\"theta\":0.5}]}";
-  (* Collect the four responses by echoed id (ping answers out of band,
+  send "{\"op\":\"u3\",\"id\":6,\"theta\":0.9,\"phi\":0.4,\"lam\":-1.3}";
+  (* Collect the five responses by echoed id (ping answers out of band,
      ahead of the queued synthesis work). *)
   let responses = Hashtbl.create 8 in
-  for _ = 1 to 4 do
+  for _ = 1 to 5 do
     let j = recv () in
     match num j "id" with
     | Some id -> Hashtbl.replace responses (int_of_float id) j
@@ -155,10 +156,13 @@ let () =
       match J.member "ok" (resp id) with
       | Some (J.Bool true) -> ()
       | _ -> die "request %d failed: %s" id (J.to_string (resp id)))
-    [ 0; 1; 2; 3 ];
-  (* The request_ids of every synthesized rotation: the two singles plus
-     the batch's per-element ids. *)
-  let rotation_rids = ref [ req_id (resp 1); req_id (resp 2) ] in
+    [ 0; 1; 2; 3; 6 ];
+  (* A u3 runs the engine's U3 ladder, TRASYN first. *)
+  if str (resp 6) "backend" <> Some "trasyn" then
+    die "u3 not answered by trasyn: %s" (J.to_string (resp 6));
+  (* The request_ids of every synthesized rotation: the three singles
+     plus the batch's per-element ids. *)
+  let rotation_rids = ref [ req_id (resp 1); req_id (resp 2); req_id (resp 6) ] in
   (match J.member "results" (resp 3) with
   | Some (J.Arr rs) ->
       if List.length rs <> 3 then die "batch returned %d results" (List.length rs);
@@ -173,7 +177,7 @@ let () =
 
   (* 2: the live health snapshot.  The worker records a request's
      latency just after emitting its response, so poll briefly until
-     all 3 synthesis requests have landed in the histograms. *)
+     all 4 synthesis requests have landed in the histograms. *)
   let rec fetch_stats tries =
     send "{\"op\":\"stats\",\"id\":4}";
     let stats =
@@ -186,7 +190,7 @@ let () =
       | Some q -> ( match num q "count" with Some f -> int_of_float f | None -> 0)
       | None -> 0
     in
-    if count >= 3 || tries <= 0 then stats
+    if count >= 4 || tries <= 0 then stats
     else begin
       Unix.sleepf 0.02;
       fetch_stats (tries - 1)
@@ -206,16 +210,19 @@ let () =
     | Some cmds -> ( match num cmds op with Some f -> int_of_float f | None -> 0)
     | None -> die "stats without commands object"
   in
-  if command_count "ping" <> 1 || command_count "rz" <> 2 || command_count "batch" <> 1 then
+  if
+    command_count "ping" <> 1 || command_count "rz" <> 2 || command_count "u3" <> 1
+    || command_count "batch" <> 1
+  then
     die "per-command counters do not reconcile: %s" (J.to_string stats);
   let quant section k =
     match J.member section stats with
     | Some q -> ( match num q k with Some f -> f | None -> die "stats.%s.%s missing" section k)
     | None -> die "stats without %s quantiles" section
   in
-  (* 3 completed synthesis requests (2 singles + 1 batch): every
+  (* 4 completed synthesis requests (3 singles + 1 batch): every
      quantile up through p999 must be populated and ordered. *)
-  if int_of_float (quant "latency" "count") < 3 then die "latency.count < 3";
+  if int_of_float (quant "latency" "count") < 4 then die "latency.count < 4";
   let p50 = quant "latency" "p50_s" and p999 = quant "latency" "p999_s" in
   if not (p50 > 0.0 && p999 >= p50) then die "latency quantiles not ordered: p50=%g p999=%g" p50 p999;
   ignore (quant "queue_wait" "p999_s");
@@ -250,13 +257,13 @@ let () =
       (String.concat "," (sort ledger_rids))
       (String.concat "," (sort !rotation_rids));
 
-  (* 4: the trace reassembles into per-request waterfalls.  3 top-level
+  (* 4: the trace reassembles into per-request waterfalls.  4 top-level
      synthesis requests (batch elements fold under their batch); 60 s is
      a loose ceiling that still proves the latency gate plumbing. *)
   let out = Filename.concat dir "requests.txt" in
   let code =
     Sys.command
-      (Printf.sprintf "%s requests --slowest 1 --expect-requests 3 --fail-above 60 %s > %s"
+      (Printf.sprintf "%s requests --slowest 1 --expect-requests 4 --fail-above 60 %s > %s"
          (Filename.quote trace_cli) (Filename.quote trace_path) (Filename.quote out))
   in
   if code <> 0 then die "tgates-trace requests exited %d:\n%s" code (try read_file out with _ -> "");

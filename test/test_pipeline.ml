@@ -232,4 +232,45 @@ let exact_tests =
           ]);
   ]
 
-let suite = suite @ robustness_tests @ exact_tests
+(* One synthesis policy: every entry point takes its chain, TRASYN
+   settings and memo-key tag from [Stream_compile.policy]. *)
+let policy_tests =
+  [
+    Alcotest.test_case "a custom chain runs alike whole-circuit and on the engine" `Quick (fun () ->
+        let c =
+          Circuit.make 5
+            (List.mapi (fun q th -> Circuit.instr (Qgate.Rz th) [| q |]) [ 0.3; 0.7; 1.1; 2.3; -0.9 ])
+        in
+        let chain = match Synth.parse_chain "trasyn,sk" with Ok c -> c | Error e -> failwith e in
+        Pipeline.clear_caches ();
+        let whole = Pipeline.run_gridsynth ~jobs:1 ~chain c in
+        Pipeline.clear_caches ();
+        match Stream_compile.run_ir (Stream_compile.config ~chain ()) whole.Pipeline.transpiled with
+        | Error f -> Alcotest.fail (Robust.failure_to_string f)
+        | Ok (engine, _) ->
+            Alcotest.(check string) "same QASM" (Qasm.to_string engine)
+              (Qasm.to_string whole.Pipeline.circuit));
+    Alcotest.test_case "memo keys carry the TRASYN settings: a k sweep in one process" `Quick
+      (fun () ->
+        let st = Random.State.make [| 7 |] in
+        let c =
+          Circuit.make 12
+            (List.init 12 (fun q ->
+                 let th = Random.State.float st 3.0 in
+                 let ph = Random.State.float st 6.0 -. 3.0 in
+                 let la = Random.State.float st 6.0 -. 3.0 in
+                 Circuit.instr (Qgate.U3 (th, ph, la)) [| q |]))
+        in
+        let small = { Stream_compile.default_trasyn with Trasyn.table_t = 6; samples = 8 } in
+        let big = { small with Trasyn.samples = 2048 } in
+        let qasm config = Qasm.to_string (Pipeline.run_trasyn ~jobs:1 ~config c).Pipeline.circuit in
+        Pipeline.clear_caches ();
+        let small_words = qasm small in
+        let after_small = qasm big in
+        Pipeline.clear_caches ();
+        let fresh = qasm big in
+        Alcotest.(check bool) "k changes the words" true (small_words <> fresh);
+        Alcotest.(check string) "k 2048 after k 8 = fresh k 2048" fresh after_small);
+  ]
+
+let suite = suite @ robustness_tests @ exact_tests @ policy_tests

@@ -306,8 +306,68 @@ let suite =
         | [ r ] ->
             Alcotest.(check bool) "the final execution's failure, every rung run" true
               ((not r.Ledger.ok) && r.Ledger.source = "fresh" && r.Ledger.request_id = "r1"
-              && r.Ledger.attempts = List.length Server.default_config.Server.chain)
+              && r.Ledger.attempts = List.length (Synth.rz_chain ()))
         | rs -> Alcotest.failf "expected 1 ledger record, got %d" (List.length rs));
+    Alcotest.test_case "u3 requests get the engine's U3 words, from TRASYN" `Quick (fun () ->
+        (* Haar-random targets: θ = acos(1 − 2u), φ and λ uniform in (−π, π). *)
+        let st = Random.State.make [| 5 |] in
+        let uniform () = Random.State.float st (2.0 *. Float.pi) -. Float.pi in
+        let targets =
+          List.init 5 (fun _ ->
+              let th = Float.acos (1.0 -. (2.0 *. Random.State.float st 1.0)) in
+              let ph = uniform () in
+              (th, ph, uniform ()))
+        in
+        let cfg = Stream_compile.config ~ir:Settings.U3_ir ~epsilon:Server.default_config.epsilon () in
+        let want =
+          List.map
+            (fun (th, ph, la) ->
+              match Stream_compile.synthesize cfg (Qgate.U3 (th, ph, la)) with
+              | Ok a -> Ctgate.seq_to_string a.Robust.word
+              | Error f -> Alcotest.fail (Robust.failure_to_string f))
+            targets
+        in
+        let u3 (th, ph, la) = Printf.sprintf {|"op":"u3","theta":%.17g,"phi":%.17g,"lam":%.17g|} th ph la in
+        let t, out = make_server () in
+        List.iteri (fun i g -> ignore (Server.submit_line t (Printf.sprintf {|{%s,"id":%d}|} (u3 g) i))) targets;
+        ignore
+          (Server.submit_line t
+             (Printf.sprintf {|{"op":"batch","id":9,"requests":[%s]}|}
+                (String.concat "," (List.map (fun g -> "{" ^ u3 g ^ "}") targets))));
+        Server.drain t;
+        let str k j =
+          match Obs.Json.member k j with
+          | Some (Obs.Json.Str s) -> s
+          | _ -> Alcotest.failf "no %s in %s" k (Obs.Json.to_string j)
+        in
+        let id j = match Obs.Json.member "id" j with Some (Obs.Json.Num f) -> int_of_float f | _ -> -1 in
+        let responses = List.map (fun l -> Result.get_ok (Obs.Json.parse l)) (out ()) in
+        let check label want r =
+          Alcotest.(check (pair string string)) label ("trasyn", want) (str "backend" r, str "word" r)
+        in
+        List.iteri
+          (fun i want ->
+            match List.find_opt (fun j -> id j = i) responses with
+            | Some r -> check (Printf.sprintf "single %d" i) want r
+            | None -> Alcotest.failf "no response %d" i)
+          want;
+        match List.find_opt (fun j -> id j = 9) responses with
+        | Some b -> (
+            match Obs.Json.member "results" b with
+            | Some (Obs.Json.Arr rs) ->
+                List.iteri (fun i (want, r) -> check (Printf.sprintf "batch %d" i) want r) (List.combine want rs)
+            | _ -> Alcotest.fail "no batch results")
+        | None -> Alcotest.fail "no batch response");
+    Alcotest.test_case "a server with an invalid default epsilon is refused at create" `Quick
+      (fun () ->
+        List.iter
+          (fun epsilon ->
+            match Server.create ~emit:ignore { Server.default_config with epsilon } with
+            | exception Invalid_argument _ -> ()
+            | t ->
+                Server.drain t;
+                Alcotest.failf "created with epsilon %g" epsilon)
+          [ 0.0; -0.1; Float.nan; Float.infinity ]);
     Alcotest.test_case "a gate set without a step-0 table is a bad request" `Quick (fun () ->
         let jobs0 = cval "obs.planner.jobs" in
         let responses, records =

@@ -664,7 +664,10 @@ let memo_flush_tests =
    entry point must answer as [resolve] does: a one-gate run in each IR,
    the single-rotation API and a server batch.  The sweep sits around
    every multiple of π/4, at offsets on both sides of the 1e-6 matching
-   tolerance and of the filter's 1e-5 π/4 steps, and shifted by ±2π. *)
+   tolerance and of the filter's 1e-5 π/4 steps, at ±4e-6 (past the
+   tolerance, inside the filter: the lookup's distance check must refuse
+   it), and shifted by ±2π; plus kπ/4 for huge k, whose float angle
+   drifts off the grid by up to k ulps of π/4. *)
 let resolve_tests =
   let pi = Float.pi in
   let offsets =
@@ -672,6 +675,7 @@ let resolve_tests =
     :: List.concat_map
          (fun j -> [ 10.0 ** float_of_int j; -.(10.0 ** float_of_int j) ])
          (List.init 9 (fun i -> i - 12))
+    @ [ 4e-6; -4e-6 ]
   in
   let angles =
     -0.0
@@ -683,9 +687,11 @@ let resolve_tests =
                  [ 0.0; 2.0 *. pi; -2.0 *. pi ])
              offsets)
          (List.init 17 (fun i -> i - 8))
+    @ List.map (fun k -> k *. pi /. 4.0) [ 1e9; 1e12; 1e15; -1e15 ]
   in
+  let policy = Stream_compile.(policy (config ~epsilon:0.07 ~ir:Settings.U3_ir ())) in
   let exact_word g =
-    match Stream_compile.resolve ~epsilon:0.07 ~tag:"tag" ~gate_set:"cliffordt" g with
+    match Stream_compile.resolve policy g with
     | Ok r -> Option.map (fun (a : Robust.attempt) -> Ctgate.seq_to_string a.Robust.word) r.exact
     | Error f -> Alcotest.fail (Robust.failure_to_string f)
   in
@@ -710,6 +716,64 @@ let resolve_tests =
           gates;
         Alcotest.(check bool) "the sweep holds both kinds" true
           (!exact > 96 && !exact < List.length gates));
+    Alcotest.test_case "one triviality rule: nontrivial_rotation agrees with resolve" `Quick
+      (fun () ->
+        (* The same sweep runs through [Circuit.exact_word] on a provided
+           table as well: a cliffordt-weighted depth-1 one, against the
+           scan of that table. *)
+        let weighted =
+          match Tablegen.generate Gateset.cliffordt_weighted ~max_t:1 with
+          | Ok t -> t
+          | Error e -> Alcotest.fail e
+        in
+        let u3_form g =
+          let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+          Qgate.U3 (t, p, l)
+        in
+        let gates =
+          List.concat_map
+            (fun th ->
+              let axis = [ Qgate.Rz th; Qgate.Rx th; Qgate.Ry th ] in
+              axis @ List.map u3_form axis)
+            angles
+        in
+        let words w = Option.map Ctgate.seq_to_string w in
+        let trivial = ref 0 and weighted_trivial = ref 0 in
+        List.iter
+          (fun g ->
+            let want = words (Resolve_reference.exact_word g) in
+            if want <> None then incr trivial;
+            Alcotest.(check (option string)) (Qgate.to_string g) want (exact_word g);
+            Alcotest.(check bool) (Qgate.to_string g ^ " nontrivial") (want = None)
+              (Circuit.nontrivial_rotation g);
+            let want = words (Resolve_reference.exact_word ~table:weighted g) in
+            if want <> None then incr weighted_trivial;
+            Alcotest.(check (option string)) (Qgate.to_string g ^ " (provided table)") want
+              (words (Circuit.exact_word weighted g)))
+          gates;
+        Alcotest.(check bool) "the sweep holds both kinds" true
+          (!trivial > 0 && !trivial < List.length gates
+          && !weighted_trivial > 0 && !weighted_trivial < List.length gates));
+    Alcotest.test_case "a rotation 1e-8 from pi/4 is counted trivial and emits T" `Quick (fun () ->
+        let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.7853981733974483) [| 0 |] ] in
+        Alcotest.(check int) "nontrivial rotations" 0 (Circuit.nontrivial_rotation_count c);
+        let s = Pipeline.run_gridsynth ~jobs:1 c in
+        Alcotest.(check int) "rotations synthesized" 0 s.Pipeline.rotations_synthesized;
+        Alcotest.(check string) "output" (Qasm.to_string (Circuit.make 1 [ Circuit.instr Qgate.T [| 0 |] ]))
+          (Qasm.to_string s.Pipeline.circuit));
+    Alcotest.test_case "suite: nontrivial counts match the angle-test rule in both IRs" `Quick
+      (fun () ->
+        let reference (c : Circuit.t) =
+          List.length (List.filter (fun i -> Resolve_reference.nontrivial i.Circuit.gate) c.Circuit.instrs)
+        in
+        List.iter
+          (fun (b : Suite.benchmark) ->
+            let c = b.Suite.circuit in
+            let _, rz = Settings.best_for Settings.Rz_ir c and _, u3 = Settings.best_for Settings.U3_ir c in
+            Alcotest.(check (list int)) b.Suite.name
+              (List.map reference [ c; rz; u3 ])
+              (List.map Circuit.nontrivial_rotation_count [ c; rz; u3 ]))
+          (Suite.all ()));
     Alcotest.test_case "every entry point answers a rotation as resolve does" `Quick (fun () ->
         let epsilon = 0.07 in
         let want = List.map (fun th -> exact_word (Qgate.Rz th)) angles in

@@ -32,7 +32,7 @@ let run ~ir ?(epsilon = 0.07) ?(config = Stream_compile.default_trasyn)
         Ok (String.concat "/" [ key t; key p; key l ], Synth.Unitary (Mat2.u3 t p l))
   in
   let exact g =
-    match Stream_compile.resolve ~epsilon ~tag:"" ~gate_set:"cliffordt" g with
+    match Stream_compile.(resolve (policy (config ~epsilon ~ir ()))) g with
     | Ok { Stream_compile.exact = Some a; _ } -> Some a.Robust.word
     | _ -> None
   in
