@@ -239,12 +239,13 @@ let chain_reuse_phase ~deadline ~smoke =
 
 (* The traffic-replay phase: the persistent store under a repeating
    rotation stream.  A cold pass populates a fresh store (every target
-   is a miss and gets written back), then the store is closed — final
-   index snapshot — and reopened as a restarted server would, and the
-   same traffic replays against the warm store, where every rotation
-   should be an index hit served without synthesis.  Reported: walls
-   and rotations/sec for both passes, per-rotation p95 on the warm
-   pass, the store hit rate, and the cold vs warm open time.  All words
+   is a miss and gets written back), then the store is closed and
+   reopened as a restarted server would, and the same traffic replays
+   against the warm store, where every rotation should be an index hit
+   served without synthesis.  Reported: walls and rotations/sec for
+   both passes, per-rotation p95 on the warm pass, the store hit rate,
+   and the cold vs warm open time (the warm open scans the segments
+   the cold pass wrote).  All words
    served warm are checked bit-identical to the cold pass — the
    durability contract, not just a perf number. *)
 let store_replay_phase ~deadline ~smoke =
@@ -295,7 +296,7 @@ let store_replay_phase ~deadline ~smoke =
       Synth.set_store (Some st);
       let cold_words, cold_wall = replay "perf.store_cold" in
       Store.close st;
-      (* Warm restart: reopen from the snapshot, as serve_cli does.
+      (* Warm restart: reopen and scan the segments, as serve_cli does.
          The hit rate is measured on this pass alone — after a restart
          every rotation should be served from the index. *)
       let st, warm_open = open_timed () in

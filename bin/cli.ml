@@ -145,7 +145,7 @@ let stack =
    faults, chain, ledger, store (armed for every chain run and closed at
    exit), sampler.  Returns the gate set, the chain ([None]: the
    caller's default) and the store. *)
-let start ~say ?rescan s =
+let start ~say s =
   let gate_set = resolve_gate_set ~say s.gate_set in
   Result.iter_error (reject "--gate-set") (Ma_table.find_for ~gate_set:gate_set.Gateset.name 1);
   Option.iter
@@ -164,7 +164,7 @@ let start ~say ?rescan s =
   let store =
     Option.map
       (fun dir ->
-        match Store.open_store ?rescan dir with
+        match Store.open_store dir with
         | Error e -> reject "--store" e
         | Ok st ->
             Synth.set_store (Some st);

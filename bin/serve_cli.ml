@@ -120,18 +120,18 @@ let serve_socket path make_server =
     accept_loop;
   server
 
-let run rescan socket epsilon workers queue_limit max_retries backoff_base backoff_cap
+let run socket epsilon workers queue_limit max_retries backoff_base backoff_cap
     request_deadline seed (stack : Cli.stack) =
   Cli.exit_code @@ fun () ->
-  let gate_set, chain, store = Cli.start ~say:(Printf.eprintf "serve: %s\n%!") ~rescan stack in
+  let gate_set, chain, store = Cli.start ~say:(Printf.eprintf "serve: %s\n%!") stack in
   Option.iter
     (fun st ->
       let r = Store.recovery st in
       Printf.eprintf
-        "serve: store %s — %d entries (%d segments trusted, %d scanned; %d records recovered, %d \
+        "serve: store %s — %d entries (%d segments scanned; %d records recovered, %d \
          quarantined, %d torn tails)\n\
          %!"
-        (Store.dir st) (Store.size st) r.Store.segments_trusted r.Store.segments_scanned
+        (Store.dir st) (Store.size st) r.Store.segments_scanned
         r.Store.records_recovered r.Store.records_quarantined r.Store.torn_tails)
     store;
   let planner_jobs = stack.Cli.jobs in
@@ -205,12 +205,6 @@ let run rescan socket epsilon workers queue_limit max_retries backoff_base backo
     (Server.uptime_s server) (n "requests") (n "served") (n "failed") (n "shed") (n "retries");
   0
 
-let rescan =
-  Arg.(
-    value & flag
-    & info [ "rescan" ]
-        ~doc:"ignore the store's index snapshot and CRC-rescan every segment at open")
-
 let socket =
   Arg.(
     value
@@ -261,7 +255,7 @@ let cmd =
     (Cmd.info "tgates-serve"
        ~doc:"Durable batch synthesis server over the persistent store (line-delimited JSON)")
     Term.(
-      const run $ rescan $ socket $ epsilon $ workers $ queue_limit $ max_retries $ backoff_base
+      const run $ socket $ epsilon $ workers $ queue_limit $ max_retries $ backoff_base
       $ backoff_cap $ request_deadline $ seed $ Cli.stack)
 
 let () = exit (Cmd.eval' cmd)

@@ -44,8 +44,22 @@ let det a = Cplx.sub (Cplx.mul a.m00 a.m11) (Cplx.mul a.m01 a.m10)
 (* Product of a list, leftmost applied last (matrix order). *)
 let product ms = List.fold_left mul identity ms
 
-(* |Tr(U†V)| / 2 ∈ [0,1] for unitaries. *)
-let trace_value u v = Cplx.norm (trace (mul (adjoint u) v)) /. 2.0
+(* conj(p)·q, with the float operations of [Cplx.mul (Cplx.conj p) q]. *)
+let[@inline] conj_mul_re (p : Cplx.t) (q : Cplx.t) = (p.re *. q.re) -. (-.p.im *. q.im)
+let[@inline] conj_mul_im (p : Cplx.t) (q : Cplx.t) = (p.re *. q.im) +. (-.p.im *. q.re)
+
+(* |Tr(U†V)| / 2 ∈ [0,1] for unitaries.  Only the two diagonal entries
+   of U†V are formed, with the operations and order of
+   [trace (mul (adjoint u) v)], so the value is bit-identical to it. *)
+let trace_value u v =
+  let re =
+    (conj_mul_re u.m00 v.m00 +. conj_mul_re u.m10 v.m10)
+    +. (conj_mul_re u.m01 v.m01 +. conj_mul_re u.m11 v.m11)
+  and im =
+    (conj_mul_im u.m00 v.m00 +. conj_mul_im u.m10 v.m10)
+    +. (conj_mul_im u.m01 v.m01 +. conj_mul_im u.m11 v.m11)
+  in
+  Cplx.norm { Cplx.re; im } /. 2.0
 
 (* Unitary distance, Eq. (2) of the paper. *)
 let distance u v =

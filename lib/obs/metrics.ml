@@ -150,7 +150,7 @@ let locked f =
 let running () = locked (fun () -> !state <> None)
 let opt_num f = if Float.is_finite f then Obs.Json.Num f else Obs.Json.Null
 
-let snapshot_json ~seq ~t ~dump ~derived =
+let tick_json ~seq ~t ~dump ~derived =
   let open Obs.Json in
   let counters =
     List.filter_map
@@ -204,7 +204,7 @@ let tick st ~seq ~prev_t ~prev =
         (* One [output_string] per line (newline included): the stream
            must never contain a torn line, even if the process dies
            between ticks. *)
-        output_string oc (Obs.Json.to_string (snapshot_json ~seq ~t ~dump ~derived) ^ "\n");
+        output_string oc (Obs.Json.to_string (tick_json ~seq ~t ~dump ~derived) ^ "\n");
         flush oc
       with Sys_error _ -> st.stream_ok <- false)
   | Some _ | None -> ());

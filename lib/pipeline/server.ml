@@ -690,5 +690,4 @@ let drain t =
           th
         end)
   in
-  List.iter Thread.join join;
-  match t.store with Some st -> Store.snapshot st | None -> ()
+  List.iter Thread.join join

@@ -84,8 +84,8 @@
     record is the execution it was answered with; the admission queue
     is bounded and sheds with a
     structured [overloaded] response instead of queueing unboundedly;
-    {!drain} finishes in-flight work and writes a final store index
-    snapshot.
+    {!drain} finishes in-flight work.  Every store write is an append
+    flushed when it is made, so draining writes nothing.
 
     Observability (RED): counters [server.requests], [server.served],
     [server.failed], [server.shed], [server.retries],
@@ -128,9 +128,8 @@ type t
 val create : ?store:Store.t -> emit:(string -> unit) -> config -> t
 (** Start the worker threads.  [emit] receives one complete response
     line (no trailing newline) per request; calls are serialized by the
-    engine but may come from any worker thread.  [store] is only used
-    for the [stats] op and the final snapshot in {!drain} — arming
-    synthesis itself is [Synth.set_store]'s job.
+    engine but may come from any worker thread.  [store] feeds only the
+    [stats] op — arming synthesis itself is [Synth.set_store]'s job.
     @raise Invalid_argument on a non-positive or non-finite [epsilon]. *)
 
 val submit_line : t -> string -> [ `Continue | `Stop ]
@@ -141,8 +140,8 @@ val submit_line : t -> string -> [ `Continue | `Stop ]
     should stop reading and {!drain}. *)
 
 val drain : t -> unit
-(** Stop accepting, finish queued + in-flight work, join the workers,
-    and write a final store index snapshot.  Idempotent; subsequent
+(** Stop accepting, finish queued + in-flight work and join the
+    workers.  It writes nothing.  Idempotent; subsequent
     {!submit_line} calls shed everything. *)
 
 val stats_json : t -> Obs.Json.t

@@ -103,7 +103,7 @@ module Fault : sig
   type spec = {
     backend : string;
         (** rung name to target: ["trasyn"], ["gridsynth"], ["sk"], …,
-            or a store I/O site (["store.append"], ["store.snapshot"]);
+            or the store's I/O site (["store.append"]);
             ["*"] matches every rung; a name matches its sub-rungs too
             (["trasyn"] also hits ["trasyn.retry"]) *)
     mode : mode;
@@ -118,15 +118,17 @@ module Fault : sig
       ["gridsynth=stall:0.2,sk=fail"],
       ["store.append=torn"] (crash mid-append),
       ["store.append=corrupt"] (flip a payload byte on disk),
-      ["store.snapshot=fail"] (index rename fails),
       ["store.append=enospc"] (disk full). *)
 
   val configure : ?seed:int -> spec list -> unit
   (** Install the spec list (replacing any active set, including one
-      armed from the environment).  Draws are deterministic given
-      [seed] (default 0) and the per-rung call sequence: each rung name
-      owns an independent RNG stream, so interleaving of different
-      rungs cannot change an individual rung's fate. *)
+      armed from the environment).  Each rung name owns an RNG stream
+      seeded from [seed] (default 0) and the name, and a rung's draws
+      follow the order of its calls.  At [--jobs] > 1 that order is the
+      order in which the planner's domains reach the rung — for the
+      engine's jobs and a server batch's alike — so a spec with
+      [@PROB] < 1 reproduces only at [--jobs 1]; at probability 1 every
+      draw fires whatever the order. *)
 
   val clear : unit -> unit
   (** Remove all faults (and stop consulting [TGATES_FAULTS]). *)

@@ -2,18 +2,13 @@
 
      dir/LOCK                    single-writer lockf lock
      dir/segments/seg-NNNNNN.log append-only CRC-framed records
-     dir/index.json              tmp+rename snapshot (acceleration only)
      dir/quarantine/             segments moved aside by recovery
      dir/quarantine/rejected.jsonl  read-path re-verification forensics
 
-   The segments are the source of truth; the index snapshot is trusted
-   for a segment only when the file's length matches the snapshot's
-   recorded length exactly — anything else triggers a CRC-checked
-   rescan of that segment. *)
+   The segments are the only on-disk state: every open rebuilds the
+   index from a CRC-checked scan of all of them. *)
 
 (* Observability handles (interned once). *)
-let c_open_cold = Obs.counter "store.open.cold"
-let c_open_warm = Obs.counter "store.open.warm"
 let c_rec_records = Obs.counter "store.recovery.records"
 let c_rec_torn = Obs.counter "store.recovery.torn_tails"
 let c_rec_qrecords = Obs.counter "store.recovery.quarantined_records"
@@ -29,8 +24,6 @@ let c_hit_bucket = Obs.counter "store.lookup.bucket_hits"
 let c_put = Obs.counter "store.put"
 let c_put_dropped = Obs.counter "store.put.dropped"
 let c_reject = Obs.counter "store.read_verify.rejected"
-let c_snap_written = Obs.counter "store.snapshot.written"
-let c_snap_failed = Obs.counter "store.snapshot.failed"
 let c_faults = Obs.counter "store.faults.injected"
 let g_records = Obs.gauge "store.records"
 let g_segments = Obs.gauge "store.segments"
@@ -200,41 +193,26 @@ let bucket_of_eps eps =
    distance, then the word itself and backend as tie-breaks. *)
 let entry_rank e = (e.t_count, e.distance, Ctgate.seq_to_string e.word, e.backend)
 
-(* A live index slot remembers which segment file holds its record so
-   the index snapshot can attribute entries per segment. *)
-type slot = { entry : entry; seg : string }
-
 type recovery = {
   segments_scanned : int;
-  segments_trusted : int;
   records_recovered : int;
   records_quarantined : int;
   segments_quarantined : int;
   torn_tails : int;
-  index_loaded : bool;
 }
 
 let zero_recovery =
-  {
-    segments_scanned = 0;
-    segments_trusted = 0;
-    records_recovered = 0;
-    records_quarantined = 0;
-    segments_quarantined = 0;
-    torn_tails = 0;
-    index_loaded = false;
-  }
+  { segments_scanned = 0; records_recovered = 0; records_quarantined = 0; segments_quarantined = 0; torn_tails = 0 }
 
 type t = {
   dir : string;
   readonly : bool;
   segment_max_bytes : int;
   lock_fd : Unix.file_descr option;
-  (* (gate_set NUL target_id) → slots sorted by ascending distance. *)
-  index : (string, slot list ref) Hashtbl.t;
-  (* segment name → record frames we believe the file holds. *)
-  seg_records : (string, int) Hashtbl.t;
-  mutable live : int;  (* slots in [index]: kept in step with it, so a put costs O(1) *)
+  (* (gate_set NUL target_id) → entries sorted by ascending distance. *)
+  index : (string, entry list ref) Hashtbl.t;
+  mutable live : int;  (* entries in [index]: kept in step with it, so a put costs O(1) *)
+  mutable segments : int;  (* segment files on disk *)
   mutable recovery : recovery;
   mutable degraded : bool;
   mutable closed : bool;
@@ -258,12 +236,12 @@ let cell_key gate_set target = gate_set ^ "\x00" ^ target_id target
 
 let update_gauges t =
   Obs.set_gauge g_records (float_of_int t.live);
-  Obs.set_gauge g_segments (float_of_int (Hashtbl.length t.seg_records));
+  Obs.set_gauge g_segments (float_of_int t.segments);
   Obs.set_gauge g_degraded (if t.degraded then 1.0 else 0.0)
 
 (* Insert under the one-entry-per-(target, distance-bucket) rule: the
    incumbent survives unless the newcomer ranks strictly better. *)
-let index_insert t ~seg entry =
+let index_insert t entry =
   let key = cell_key entry.gate_set entry.target in
   let cell =
     match Hashtbl.find_opt t.index key with
@@ -277,18 +255,17 @@ let index_insert t ~seg entry =
   let replaced = ref false in
   let kept =
     List.filter_map
-      (fun s ->
-        if bucket_of_eps s.entry.distance <> bucket then Some s
+      (fun e ->
+        if bucket_of_eps e.distance <> bucket then Some e
         else begin
           replaced := true;
-          if entry_rank entry < entry_rank s.entry then Some { entry; seg } else Some s
+          if entry_rank entry < entry_rank e then Some entry else Some e
         end)
       !cell
   in
   if not !replaced then t.live <- t.live + 1;
-  let slots = if !replaced then kept else { entry; seg } :: kept in
-  cell :=
-    List.sort (fun a b -> compare (a.entry.distance, entry_rank a.entry) (b.entry.distance, entry_rank b.entry)) slots
+  let entries = if !replaced then kept else entry :: kept in
+  cell := List.sort (fun a b -> compare (a.distance, entry_rank a) (b.distance, entry_rank b)) entries
 
 (* ------------------------------------------------------------------ *)
 (* Filesystem helpers                                                  *)
@@ -297,7 +274,6 @@ let index_insert t ~seg entry =
 let seg_dir t = Filename.concat t.dir "segments"
 let seg_path t name = Filename.concat (seg_dir t) name
 let quarantine_dir t = Filename.concat t.dir "quarantine"
-let index_path t = Filename.concat t.dir "index.json"
 
 let rec ensure_dir d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -431,82 +407,6 @@ let truncate_file path upto =
   Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) (fun () -> Unix.ftruncate fd upto)
 
 (* ------------------------------------------------------------------ *)
-(* Index snapshot                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let index_schema = "tgates-store-index/v1"
-
-let snapshot_json t =
-  let open Obs.Json in
-  let seg_names = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.seg_records []) in
-  let entries_of name =
-    Hashtbl.fold
-      (fun _ cell acc -> List.filter (fun s -> s.seg = name) !cell @ acc)
-      t.index []
-    |> List.map (fun s -> s.entry)
-    |> List.sort (fun a b -> compare (target_id a.target, entry_rank a) (target_id b.target, entry_rank b))
-  in
-  let segments =
-    List.map
-      (fun name ->
-        (* Flush first so the recorded length matches the bytes a
-           subsequent open will see. *)
-        let bytes = if name = t.seg_name then t.seg_bytes else file_bytes (seg_path t name) in
-        Obj
-          [
-            ("name", Str name);
-            ("bytes", Num (float_of_int bytes));
-            ("records", Num (float_of_int (try Hashtbl.find t.seg_records name with Not_found -> 0)));
-            ("entries", Arr (List.map entry_json (entries_of name)));
-          ])
-      seg_names
-  in
-  let body = to_string (Arr segments) in
-  Obj
-    [
-      ("schema", Str index_schema);
-      ("crc", Str (Printf.sprintf "%08x" (crc32 body)));
-      ("segments", Arr segments);
-    ]
-
-(* name → (bytes, records, entries); None when the snapshot is absent,
-   unparseable, fails its CRC, or contains an entry that does not parse
-   — in every case the segments get a full rescan. *)
-let load_index path =
-  if not (Sys.file_exists path) then None
-  else
-    match Obs.Json.parse (read_file path) with
-    | exception Sys_error _ -> None
-    | Error _ -> None
-    | Ok j -> (
-        let open Obs.Json in
-        match (member "schema" j, member "crc" j, member "segments" j) with
-        | Some (Str schema), Some (Str crc), Some (Arr segs as segments)
-          when schema = index_schema && crc = Printf.sprintf "%08x" (crc32 (to_string segments)) -> (
-            let seg_info sj =
-              match (member "name" sj, member "bytes" sj, member "records" sj, member "entries" sj) with
-              | Some (Str name), Some (Num bytes), Some (Num records), Some (Arr ejs) ->
-                  let entries =
-                    List.fold_left
-                      (fun acc ej ->
-                        match (acc, entry_of_json ej) with
-                        | Some acc, Ok e -> Some (e :: acc)
-                        | _ -> None)
-                      (Some []) ejs
-                    |> Option.map List.rev
-                  in
-                  Option.map (fun es -> (name, (int_of_float bytes, int_of_float records, es))) entries
-              | _ -> None
-            in
-            let infos = List.map seg_info segs in
-            if List.exists Option.is_none infos then None
-            else
-              let table = Hashtbl.create 8 in
-              List.iter (function Some (n, i) -> Hashtbl.replace table n i | None -> ()) infos;
-              Some table)
-        | _ -> None)
-
-(* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -528,8 +428,7 @@ let acquire_lock dir =
       (try Unix.close fd with _ -> ());
       Error (Printf.sprintf "store %s: cannot lock: %s" dir (Unix.error_message e))
 
-let open_store ?(readonly = false) ?(rescan = false)
-    ?(segment_max_bytes = 4 * 1024 * 1024) dir =
+let open_store ?(readonly = false) ?(segment_max_bytes = 4 * 1024 * 1024) dir =
   let fail_sys f = try f () with Sys_error m -> Error m | Unix.Unix_error (e, op, _) -> Error (op ^ ": " ^ Unix.error_message e) in
   fail_sys @@ fun () ->
   if readonly && not (Sys.file_exists dir) then Error (Printf.sprintf "store %s: no such directory" dir)
@@ -549,8 +448,8 @@ let open_store ?(readonly = false) ?(rescan = false)
             segment_max_bytes;
             lock_fd;
             index = Hashtbl.create 64;
-            seg_records = Hashtbl.create 8;
             live = 0;
+            segments = 0;
             recovery = zero_recovery;
             degraded = false;
             closed = false;
@@ -565,56 +464,37 @@ let open_store ?(readonly = false) ?(rescan = false)
             mutex = Mutex.create ();
           }
         in
-        let snapshot = if rescan then None else load_index (index_path t) in
-        let index_loaded = snapshot <> None in
-        let rec_ = ref { zero_recovery with index_loaded } in
-        let scan_segment name =
+        let scan_segment r name =
           let sc = scan_string (read_file (seg_path t name)) in
-          rec_ :=
-            { !rec_ with
-              segments_scanned = !rec_.segments_scanned + 1;
-              records_recovered = !rec_.records_recovered + List.length sc.valid;
-            };
+          List.iter (index_insert t) sc.valid;
+          let r =
+            { r with
+              segments_scanned = r.segments_scanned + 1;
+              records_recovered = r.records_recovered + List.length sc.valid;
+            }
+          in
           if sc.corrupt > 0 then begin
-            rec_ :=
-              { !rec_ with
-                records_quarantined = !rec_.records_quarantined + sc.corrupt;
-                segments_quarantined = !rec_.segments_quarantined + 1;
-              };
-            if not readonly then quarantine_segment t name sc.valid
+            if not readonly then quarantine_segment t name sc.valid;
+            { r with
+              records_quarantined = r.records_quarantined + sc.corrupt;
+              segments_quarantined = r.segments_quarantined + 1;
+            }
           end
           else if sc.torn then begin
-            rec_ := { !rec_ with torn_tails = !rec_.torn_tails + 1 };
-            if not readonly then truncate_file (seg_path t name) sc.valid_upto
-          end;
-          List.iter (fun e -> index_insert t ~seg:name e) sc.valid;
-          if sc.valid <> [] || Sys.file_exists (seg_path t name) then
-            Hashtbl.replace t.seg_records name (List.length sc.valid)
+            if not readonly then truncate_file (seg_path t name) sc.valid_upto;
+            { r with torn_tails = r.torn_tails + 1 }
+          end
+          else r
         in
-        List.iter
-          (fun name ->
-            let trusted =
-              match snapshot with
-              | Some table -> (
-                  match Hashtbl.find_opt table name with
-                  | Some (bytes, records, entries) when file_bytes (seg_path t name) = bytes ->
-                      List.iter (fun e -> index_insert t ~seg:name e) entries;
-                      Hashtbl.replace t.seg_records name records;
-                      true
-                  | _ -> false)
-              | None -> false
-            in
-            if trusted then rec_ := { !rec_ with segments_trusted = !rec_.segments_trusted + 1 }
-            else scan_segment name)
-          (list_segments t);
-        t.recovery <- !rec_;
-        Obs.incr (if !rec_.segments_trusted > 0 then c_open_warm else c_open_cold);
-        Obs.incr ~by:!rec_.records_recovered c_rec_records;
-        Obs.incr ~by:!rec_.torn_tails c_rec_torn;
-        Obs.incr ~by:!rec_.records_quarantined c_rec_qrecords;
-        Obs.incr ~by:!rec_.segments_quarantined c_rec_qsegments;
+        let r = List.fold_left scan_segment zero_recovery (list_segments t) in
+        t.recovery <- r;
+        Obs.incr ~by:r.records_recovered c_rec_records;
+        Obs.incr ~by:r.torn_tails c_rec_torn;
+        Obs.incr ~by:r.records_quarantined c_rec_qrecords;
+        Obs.incr ~by:r.segments_quarantined c_rec_qsegments;
         (* Appends continue in the last segment while it has room. *)
         let names = list_segments t in
+        t.segments <- List.length names;
         let last = match List.rev names with n :: _ -> Some n | [] -> None in
         let next_number =
           List.fold_left (fun acc n -> match seg_number n with Some i -> max acc (i + 1) | None -> acc) 1 names
@@ -639,44 +519,13 @@ let dir t = t.dir
 let readonly t = t.readonly
 let degraded t = t.degraded
 let size t = locked t (fun () -> t.live)
-let segment_count t = locked t (fun () -> Hashtbl.length t.seg_records)
-let entries t = locked t (fun () -> Hashtbl.fold (fun _ cell acc -> List.map (fun s -> s.entry) !cell @ acc) t.index [])
+let segment_count t = locked t (fun () -> t.segments)
+let entries t = locked t (fun () -> Hashtbl.fold (fun _ cell acc -> !cell @ acc) t.index [])
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot / close                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let flush_seg t = match t.seg_oc with Some oc -> flush oc | None -> ()
-
-let snapshot_locked t =
-  if not (t.readonly || t.degraded || t.closed) then begin
-    flush_seg t;
-    let json = Obs.Json.pretty (snapshot_json t) ^ "\n" in
-    let tmp = index_path t ^ ".tmp" in
-    match write_file tmp json with
-    | exception Sys_error _ -> Obs.incr c_snap_failed
-    | () -> (
-        match Robust.Fault.draw "store.snapshot" with
-        | Some _ ->
-            (* Injected failed rename: the previous snapshot survives,
-               the segments stay authoritative. *)
-            Obs.incr c_faults;
-            Obs.incr c_snap_failed;
-            (try Sys.remove tmp with Sys_error _ -> ())
-        | None -> (
-            match Sys.rename tmp (index_path t) with
-            | () -> Obs.incr c_snap_written
-            | exception Sys_error _ ->
-                Obs.incr c_snap_failed;
-                (try Sys.remove tmp with Sys_error _ -> ())))
-  end
-
-let snapshot t = locked t (fun () -> snapshot_locked t)
-
-let close ?(snapshot = true) t =
+(* Appends are flushed as they are made, so closing writes nothing. *)
+let close t =
   locked t (fun () ->
       if not t.closed then begin
-        if snapshot then snapshot_locked t;
         (match t.seg_oc with Some oc -> close_out_noerr oc | None -> ());
         t.seg_oc <- None;
         (match t.lock_fd with Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
@@ -691,8 +540,10 @@ let current_oc t =
   match t.seg_oc with
   | Some oc -> oc
   | None ->
-      let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (seg_path t t.seg_name) in
-      if not (Hashtbl.mem t.seg_records t.seg_name) then Hashtbl.replace t.seg_records t.seg_name 0;
+      let path = seg_path t t.seg_name in
+      let fresh = not (Sys.file_exists path) in
+      let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+      if fresh then t.segments <- t.segments + 1;
       t.seg_oc <- Some oc;
       oc
 
@@ -700,11 +551,8 @@ let roll_if_needed t incoming =
   if t.seg_bytes > 0 && t.seg_bytes + incoming > t.segment_max_bytes then begin
     (match t.seg_oc with Some oc -> close_out_noerr oc | None -> ());
     t.seg_oc <- None;
-    let next =
-      1
-      + Hashtbl.fold (fun n _ acc -> match seg_number n with Some i -> max acc i | None -> acc) t.seg_records 0
-    in
-    t.seg_name <- seg_name_of next;
+    (* The segment receiving appends is always the highest-numbered. *)
+    t.seg_name <- seg_name_of (1 + Option.value ~default:0 (seg_number t.seg_name));
     t.seg_bytes <- 0
   end
 
@@ -714,16 +562,17 @@ let degrade t =
   t.seg_oc <- None;
   Obs.set_gauge g_degraded 1.0
 
+let drop_put t =
+  Obs.incr c_put_dropped;
+  t.n_puts_dropped <- t.n_puts_dropped + 1
+
 let put t e =
   locked t @@ fun () ->
-  if t.readonly || t.degraded || t.closed then begin
-    Obs.incr c_put_dropped;
-    t.n_puts_dropped <- t.n_puts_dropped + 1
-  end
+  if t.readonly || t.degraded || t.closed then drop_put t
   else begin
     let payload = entry_payload e in
     let fr = frame payload in
-    let write_normal ?(bytes = fr) ~index () =
+    let write ?(bytes = fr) () =
       match
         roll_if_needed t (String.length bytes);
         let oc = current_oc t in
@@ -732,16 +581,13 @@ let put t e =
       with
       | () ->
           t.seg_bytes <- t.seg_bytes + String.length bytes;
-          Hashtbl.replace t.seg_records t.seg_name
-            (1 + try Hashtbl.find t.seg_records t.seg_name with Not_found -> 0);
-          if index then index_insert t ~seg:t.seg_name e;
+          index_insert t e;
           Obs.incr c_put;
           t.n_puts <- t.n_puts + 1;
           update_gauges t
       | exception Sys_error _ ->
           degrade t;
-          Obs.incr c_put_dropped;
-          t.n_puts_dropped <- t.n_puts_dropped + 1
+          drop_put t
     in
     match Robust.Fault.draw "store.append" with
     | Some Robust.Fault.Torn ->
@@ -756,13 +602,11 @@ let put t e =
            t.seg_bytes <- t.seg_bytes + half
          with Sys_error _ -> ());
         degrade t;
-        Obs.incr c_put_dropped;
-        t.n_puts_dropped <- t.n_puts_dropped + 1
+        drop_put t
     | Some (Robust.Fault.Enospc | Robust.Fault.Fail) ->
         Obs.incr c_faults;
         degrade t;
-        Obs.incr c_put_dropped;
-        t.n_puts_dropped <- t.n_puts_dropped + 1
+        drop_put t
     | Some Robust.Fault.Corrupt ->
         (* Flip a payload byte on the way to disk while indexing the
            good copy — a latent flip for the next recovery scan (or the
@@ -772,12 +616,12 @@ let put t e =
         let header_len = String.index fr '\n' + 1 in
         let pos = header_len + (String.length payload / 2) in
         Bytes.set bad pos (Char.chr (Char.code (Bytes.get bad pos) lxor 0x20));
-        write_normal ~bytes:(Bytes.to_string bad) ~index:true ()
+        write ~bytes:(Bytes.to_string bad) ()
     | Some (Robust.Fault.Stall s) ->
         Obs.incr c_faults;
         Unix.sleepf s;
-        write_normal ~index:true ()
-    | None -> write_normal ~index:true ()
+        write ()
+    | None -> write ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -818,21 +662,18 @@ let lookup t ?(gate_set = default_gate_set) ~epsilon target =
   | Some cell ->
       let rec pick () =
         let cands =
-          List.filter (fun s -> s.entry.distance <= epsilon +. 1e-12) !cell
-          |> List.sort (fun a b -> compare (entry_rank a.entry) (entry_rank b.entry))
+          List.filter (fun e -> e.distance <= epsilon +. 1e-12) !cell
+          |> List.sort (fun a b -> compare (entry_rank a) (entry_rank b))
         in
         match cands with
         | [] -> miss ()
-        | s :: _ -> (
-            match
-              Robust.verify ~target:(target_mat2 target) ~epsilon ~claimed:s.entry.distance
-                s.entry.word
-            with
+        | e :: _ -> (
+            match Robust.verify ~target:(target_mat2 target) ~epsilon ~claimed:e.distance e.word with
             | Ok d ->
                 (* Classify on the stored distance: [d] may round
                    across the bucket edge and misreport relaxation. *)
-                count_hit s.entry;
-                Some { s.entry with distance = d }
+                count_hit e;
+                Some { e with distance = d }
             | Error Robust.Budget_exhausted ->
                 (* The word is honest, just not accurate enough at
                    this ε (a boundary rounding case) — a plain miss,
@@ -841,11 +682,11 @@ let lookup t ?(gate_set = default_gate_set) ~epsilon target =
             | Error _ ->
                 (* The stored word does not reproduce its claimed
                    distance: drop it, record it, try the next. *)
-                cell := List.filter (fun s' -> s' != s) !cell;
+                cell := List.filter (fun e' -> e' != e) !cell;
                 t.live <- t.live - 1;
                 Obs.incr c_reject;
                 t.n_rejected <- t.n_rejected + 1;
-                log_rejection t s.entry "read-path re-verification failed";
+                log_rejection t e "read-path re-verification failed";
                 update_gauges t;
                 pick ())
       in
@@ -864,7 +705,7 @@ let stats_json t =
       ("schema", Str "tgates-store-stats/v1");
       ("dir", Str t.dir);
       ("records", Num (float_of_int t.live));
-      ("segments", Num (float_of_int (Hashtbl.length t.seg_records)));
+      ("segments", Num (float_of_int t.segments));
       ("readonly", Bool t.readonly);
       ("degraded", Bool t.degraded);
       ("hits", Num (float_of_int t.n_hits));
@@ -876,11 +717,9 @@ let stats_json t =
         Obj
           [
             ("segments_scanned", Num (float_of_int r.segments_scanned));
-            ("segments_trusted", Num (float_of_int r.segments_trusted));
             ("records_recovered", Num (float_of_int r.records_recovered));
             ("records_quarantined", Num (float_of_int r.records_quarantined));
             ("segments_quarantined", Num (float_of_int r.segments_quarantined));
             ("torn_tails", Num (float_of_int r.torn_tails));
-            ("index_loaded", Bool r.index_loaded);
           ] );
     ]

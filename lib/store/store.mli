@@ -15,22 +15,21 @@
       LOCK                  single-writer lock (Unix.lockf, auto-released
                             on process death — kill -9 leaves no stale lock)
       segments/seg-NNNNNN.log   append-only record frames
-      index.json            atomic (tmp+rename) snapshot of the index
       quarantine/           segments moved aside by corruption recovery
       quarantine/rejected.jsonl  read-path re-verification forensics
     v}
 
     Each record is framed ["TGSR <len> <crc32>\n<payload>\n"], where
     [crc32] (IEEE, hex) covers the payload bytes, so a flipped bit on
-    disk is detected before the payload is ever parsed.
+    disk is detected before the payload is ever parsed.  The segments
+    are the store's only on-disk state: every open rebuilds the
+    in-memory index by scanning all of them.  A leftover [index.json]
+    (the index snapshot older stores wrote) is ignored.
 
-    {b Crash safety.}  Appends are buffered-then-flushed; a [kill -9]
-    mid-append leaves a torn final frame that the open-time recovery
-    scan truncates away.  The index snapshot is written to a temp file
-    and renamed into place, so a crash mid-snapshot leaves the previous
-    snapshot intact; the snapshot is an acceleration only — the
-    segments are authoritative, and any inconsistency between the two
-    triggers a rescan of the affected segment(s).
+    {b Crash safety.}  Each append is written and flushed before the
+    put returns, so nothing is pending at close or at a crash; a
+    [kill -9] mid-append leaves a torn final frame that the next open's
+    scan truncates away.
 
     {b Corruption.}  A frame whose CRC fails (or whose framing is
     unparseable before end-of-file) marks the segment corrupt: the
@@ -39,30 +38,29 @@
     records are dropped from the index — never served.  Read-path
     re-verification (through [Robust.verify]) additionally recomputes
     every served word's unitary against the {e requested} target, so
-    even an entry corrupted past the CRC (e.g. a tampered index) turns
-    into a miss plus a quarantine record, never a wrong circuit.
+    even a CRC-valid record whose word does not achieve its claimed
+    distance turns into a miss plus a quarantine record, never a wrong
+    circuit.  Such a record stays in its segment, so every later open
+    recovers it and the next lookup rejects it again.
 
-    {b Fault injection.}  Store I/O consults [Robust.Fault] under the
-    rung names ["store.append"] (modes [torn], [corrupt], [enospc]) and
-    ["store.snapshot"] (mode [fail] = failed rename), making crash
-    recovery deterministically testable via [TGATES_FAULTS].
+    {b Fault injection.}  Appends consult [Robust.Fault] under the rung
+    name ["store.append"] (modes [torn], [corrupt], [enospc]), making
+    crash recovery deterministically testable via [TGATES_FAULTS].
 
     {b Graceful degradation.}  An append failure (real or injected
     ENOSPC) flips the store into degraded read-only mode: lookups keep
     serving, puts become counted no-ops, and the process never sees an
     exception from persistence.
 
-    Observability ([Obs] counters/gauges): [store.open.cold]/[.warm],
-    [store.recovery.records], [store.recovery.torn_tails],
-    [store.recovery.quarantined_records],
+    Observability ([Obs] counters/gauges): [store.recovery.records],
+    [store.recovery.torn_tails], [store.recovery.quarantined_records],
     [store.recovery.quarantined_segments], [store.hit]/[store.miss]
     (with the hits split into [store.lookup.exact_hits] — the winning
     entry sits in the request ε's own bucket — and
     [store.lookup.bucket_hits] — served from a tighter bucket by the
-    ε-monotonic relaxation),
-    [store.put]/[store.put.dropped], [store.read_verify.rejected],
-    [store.snapshot.written]/[.failed], [store.faults.injected], and
-    gauges [store.records], [store.segments], [store.degraded]. *)
+    ε-monotonic relaxation), [store.put]/[store.put.dropped],
+    [store.read_verify.rejected], [store.faults.injected], and gauges
+    [store.records], [store.segments], [store.degraded]. *)
 
 type t
 
@@ -105,27 +103,19 @@ val bucket_of_eps : float -> int
 
 type recovery = {
   segments_scanned : int;  (** segments read end to end with CRC checks *)
-  segments_trusted : int;  (** segments served from the index snapshot *)
   records_recovered : int;  (** valid records recovered by scanning *)
   records_quarantined : int;  (** CRC/framing failures dropped *)
   segments_quarantined : int;  (** segment files moved to [quarantine/] *)
   torn_tails : int;  (** torn final frames truncated away *)
-  index_loaded : bool;  (** the index snapshot parsed and passed its CRC *)
 }
 
-val open_store :
-  ?readonly:bool ->
-  ?rescan:bool ->
-  ?segment_max_bytes:int ->
-  string ->
-  (t, string) result
+val open_store : ?readonly:bool -> ?segment_max_bytes:int -> string -> (t, string) result
 (** Open (creating if needed) the store at that directory and run the
-    recovery scan.  [readonly] (default false) skips the writer lock
-    and never modifies the directory (torn tails are tolerated in
-    memory instead of truncated).  Every served word is re-verified
-    against the requested target ({!lookup}).  [rescan] (default false) ignores the index snapshot and re-scans
-    every segment — what a consistency check or a corruption drill
-    wants.  [segment_max_bytes] (default 4 MiB) bounds a segment before
+    recovery scan over every segment.  [readonly] (default false) skips
+    the writer lock and never modifies the directory (torn tails are
+    tolerated in memory instead of truncated).  Every served word is
+    re-verified against the requested target ({!lookup}).
+    [segment_max_bytes] (default 4 MiB) bounds a segment before
     appends roll over to a fresh one.  [Error] when the directory is
     unusable or another writer holds the lock. *)
 
@@ -144,15 +134,10 @@ val size : t -> int
 
 val segment_count : t -> int
 
-val snapshot : t -> unit
-(** Write the index snapshot (tmp+rename).  No-op when [readonly] or
-    [degraded].  An injected ["store.snapshot=fail"] fault (or a real
-    rename failure) is absorbed and counted — the segments remain
-    authoritative. *)
-
-val close : ?snapshot:bool -> t -> unit
-(** Flush segments, optionally (default true) write a final index
-    snapshot, and release the writer lock.  Idempotent. *)
+val close : t -> unit
+(** Close the segment receiving appends and release the writer lock.
+    It writes nothing: every put was flushed when it was made.
+    Idempotent. *)
 
 (** {1 Reading and writing} *)
 

@@ -38,7 +38,7 @@
       linear scan reads n);
    9. no boundary draws.
 
-   Last, it bounds what a streamed run keeps:
+   It bounds what a streamed run keeps:
 
    10. live words at the end of the input (after a full major GC,
        above the live words before the run) of a Stream_compile.run at
@@ -46,9 +46,15 @@
        8,000 distinct Rz rotations alternating with H on one qubit.
        Its memory must not grow with the number of distinct rotations.
 
+   Last, over a store of 1,200 entries (the 200 GRIDSYNTH words of 4,
+   each stored for six distinct Rz targets), minor words
+
+   11. per record recovered by Store.open_store, which scans every
+       segment: CRC check, payload decode, index insert.
+
    Bounds are for the dev profile that runtest builds: each is its dev
-   count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 for
-   5 / 6 / 7 / 10) plus a quarter. *)
+   count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 / 1,109
+   for 5 / 6 / 7 / 10 / 11) plus a quarter. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
@@ -58,6 +64,7 @@ let whole_bound = 1851.0
 let instantiate_bound = 32.0
 let sample_bound = 59_700.0
 let live_bound = 4_411.0
+let open_bound = 1_387.0
 
 let gates = 10_000
 
@@ -212,4 +219,35 @@ let () =
   Stream_compile.set_cache_capacity 65_536;
   Stream_compile.clear_cache ();
   check "live words after 8k distinct rotations" (!at_end -. before) live_bound;
+  let dir = Filename.temp_file "alloc_gate" ".store" in
+  Sys.remove dir;
+  let open_exn () = match Store.open_store dir with Ok st -> st | Error e -> failwith ("alloc_gate: " ^ e) in
+  let st = open_exn () in
+  List.iter
+    (fun theta ->
+      let g = Gridsynth.rz ~theta ~epsilon:0.07 () in
+      for k = 0 to 5 do
+        Store.put st
+          {
+            Store.gate_set = Store.default_gate_set;
+            target = Store.Rz (theta +. (1e-3 *. float_of_int k));
+            eps_req = 0.07;
+            distance = g.Gridsynth.distance;
+            word = g.Gridsynth.seq;
+            t_count = g.Gridsynth.t_count;
+            backend = "gridsynth";
+            chain = "alloc_gate";
+          }
+      done)
+    angles;
+  Store.close st;
+  let st, words = measure open_exn in
+  let records = (Store.recovery st).Store.records_recovered in
+  Store.close st;
+  List.iter
+    (fun p -> try Sys.remove (Filename.concat dir p) with Sys_error _ -> ())
+    [ "LOCK"; Filename.concat "segments" "seg-000001.log" ];
+  (try Sys.rmdir (Filename.concat dir "segments"); Sys.rmdir dir with Sys_error _ -> ());
+  if records < 1_000 then failwith "alloc_gate: store open recovered fewer than 1,000 records";
+  check "Store.open_store per recovered record" (words /. float_of_int records) open_bound;
   if !failed then exit 1

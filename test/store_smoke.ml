@@ -12,8 +12,10 @@
       serves the populated rotations bit-identically from the store
       ("source":"store"), re-synthesizes the rotation whose append was
       torn, and writes one ledger record per served rotation.
-   4. SIGTERM drains in-flight work and exits 0 after a final index
-      snapshot. *)
+   4. SIGTERM drains in-flight work and exits 0, and the drained store
+      reopens clean: a read-only open recovers every record with no
+      torn tail and nothing quarantined, and serves the word the
+      server answered. *)
 
 let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("store_smoke: FAIL: " ^ s); exit 1) fmt
 
@@ -160,6 +162,12 @@ let () =
     end
   in
   wait_response ();
+  let served_word =
+    match List.find_opt (fun l -> contains l {|"id":9|}) (lines_of (read_file out_f)) with
+    | Some l -> (
+        match word_of l with Some w -> w | None -> failf "request 9 not served: %s" l)
+    | None -> failf "no response to request 9"
+  in
   (* While the server lives it holds the writer lock: a second writer
      must be refused, a readonly open must ride along. *)
   (match Store.open_store dir with
@@ -177,7 +185,19 @@ let () =
   Unix.close in_w;
   if not (contains (read_file err_f) "drained") then
     failf "SIGTERM run did not report draining:\n%s" (read_file err_f);
-  (* The final snapshot landed: the index is present and loadable. *)
-  if not (Sys.file_exists (Filename.concat dir "index.json")) then
-    failf "no index snapshot after SIGTERM drain";
-  print_endline "store_smoke: OK (cold populate, torn append, warm restart, SIGTERM drain)"
+  (* The drained store reopens clean and serves what the server
+     answered: 0.37, 1.1, 2.2 and 0.5, one record each. *)
+  (match Store.open_store ~readonly:true dir with
+  | Error e -> failf "drained store does not reopen: %s" e
+  | Ok ro ->
+      let r = Store.recovery ro in
+      if r.Store.records_recovered <> 4 || r.Store.torn_tails <> 0 || r.Store.records_quarantined <> 0
+      then
+        failf "drained store reopened with %d records, %d torn tails, %d quarantined (wanted 4, 0, 0)"
+          r.Store.records_recovered r.Store.torn_tails r.Store.records_quarantined;
+      (match Store.lookup ro ~epsilon:0.07 (Store.Rz 0.5) with
+      | Some e when Ctgate.seq_to_string e.Store.word = served_word -> ()
+      | Some e -> failf "store serves %s for request 9, the server answered %s" (Ctgate.seq_to_string e.Store.word) served_word
+      | None -> failf "drained store misses request 9's rotation");
+      Store.close ro);
+  print_endline "store_smoke: OK (cold populate, torn append, warm restart, SIGTERM drain, clean reopen)"

@@ -6,8 +6,33 @@ let random_cmatrix m n =
   Cmatrix.init m n (fun _ _ ->
       { Cplx.re = Random.State.float rng 2.0 -. 1.0; im = Random.State.float rng 2.0 -. 1.0 })
 
+(* The product form [Mat2.trace_value] replaced: all of U†V, then its
+   trace. *)
+let trace_value_reference u v = Cplx.norm (Mat2.trace (Mat2.mul (Mat2.adjoint u) v)) /. 2.0
+
+(* Haar unitaries by seed, and arbitrary matrices whose entries are
+   often exactly 0.0 or -0.0. *)
+let gen_mat2 =
+  let open QCheck2.Gen in
+  let entry = frequency [ (2, return 0.0); (2, return (-0.0)); (1, return 1.0); (5, float_range (-2.0) 2.0) ] in
+  let cplx = map2 (fun re im -> { Cplx.re; im }) entry entry in
+  frequency
+    [
+      (1, map (fun seed -> Mat2.random_unitary (Random.State.make [| seed |])) int);
+      (1, map (fun (a, b, c, d) -> Mat2.make a b c d) (quad cplx cplx cplx cplx));
+    ]
+
+let print_mat2 (m : Mat2.t) =
+  String.concat " " (List.map (fun (z : Cplx.t) -> Printf.sprintf "(%h,%h)" z.re z.im) [ m.m00; m.m01; m.m10; m.m11 ])
+
 let mat2_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~name:"trace_value is bit-identical to the product form"
+         ~print:(fun (u, v) -> print_mat2 u ^ " / " ^ print_mat2 v)
+         QCheck2.Gen.(pair gen_mat2 gen_mat2)
+         (fun (u, v) ->
+           Int64.bits_of_float (Mat2.trace_value u v) = Int64.bits_of_float (trace_value_reference u v)));
     Alcotest.test_case "standard gates are unitary" `Quick (fun () ->
         List.iter
           (fun (name, m) -> Alcotest.(check bool) name true (Mat2.is_unitary m))

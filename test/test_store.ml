@@ -1,9 +1,10 @@
 (* Durability tests for the persistent synthesis store: CRC framing,
    ε-monotonic lookup, torn-tail truncation, corrupt-record quarantine,
-   read-path re-verification, warm-restart bit-identity, writer-lock
-   exclusion, and fault-injected degradation.  Everything runs in fresh
-   temp directories; crash states are fabricated by writing segment
-   bytes directly, so recovery counts can be asserted exactly. *)
+   read-path re-verification, warm-restart bit-identity, a leftover
+   index snapshot ignored, writer-lock exclusion, and fault-injected
+   degradation.  Everything runs in fresh temp directories; crash
+   states are fabricated by writing segment bytes directly, so
+   recovery counts can be asserted exactly. *)
 
 let mkdtemp () =
   let base = Filename.temp_file "tgates_store" "" in
@@ -23,8 +24,8 @@ let with_dir f =
   let dir = mkdtemp () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let open_exn ?readonly ?rescan ?segment_max_bytes dir =
-  match Store.open_store ?readonly ?rescan ?segment_max_bytes dir with
+let open_exn ?readonly ?segment_max_bytes dir =
+  match Store.open_store ?readonly ?segment_max_bytes dir with
   | Ok t -> t
   | Error e -> Alcotest.failf "open_store: %s" e
 
@@ -117,9 +118,8 @@ let suite =
         Store.close st;
         let st = open_exn dir in
         let r = Store.recovery st in
-        Alcotest.(check bool) "index loaded" true r.Store.index_loaded;
-        Alcotest.(check int) "trusted" 1 r.Store.segments_trusted;
-        Alcotest.(check int) "nothing rescanned" 0 r.Store.segments_scanned;
+        Alcotest.(check int) "segment scanned" 1 r.Store.segments_scanned;
+        Alcotest.(check int) "recovered" 3 r.Store.records_recovered;
         Alcotest.(check int) "size" 3 (Store.size st);
         List.iter2
           (fun th e ->
@@ -134,21 +134,20 @@ let suite =
         Store.put st (real_entry 0.37);
         Store.put st (real_entry 1.1);
         Store.close st;
-        (* kill -9 mid-append: half a frame lands after the snapshot,
-           so the on-disk length disagrees with the index and the
-           segment is rescanned. *)
+        (* kill -9 mid-append: half a frame lands after the last
+           complete record. *)
         let fr = Store.frame (Store.entry_payload (real_entry 2.9)) in
         append_bytes (seg1 dir) (String.sub fr 0 (String.length fr / 2));
         let st = open_exn dir in
         let r = Store.recovery st in
-        Alcotest.(check int) "rescanned" 1 r.Store.segments_scanned;
+        Alcotest.(check int) "scanned" 1 r.Store.segments_scanned;
         Alcotest.(check int) "recovered" 2 r.Store.records_recovered;
         Alcotest.(check int) "torn tails" 1 r.Store.torn_tails;
         Alcotest.(check int) "nothing quarantined" 0 r.Store.records_quarantined;
         Alcotest.(check int) "size" 2 (Store.size st);
         (* The truncation is physical: a third reopen is clean. *)
         Store.close st;
-        let st = open_exn dir ~rescan:true in
+        let st = open_exn dir in
         let r = Store.recovery st in
         Alcotest.(check int) "clean recovered" 2 r.Store.records_recovered;
         Alcotest.(check int) "clean torn" 0 r.Store.torn_tails;
@@ -168,7 +167,7 @@ let suite =
         let oc = open_out_bin seg in
         output_bytes oc bytes;
         close_out oc;
-        let st = open_exn dir ~rescan:true in
+        let st = open_exn dir in
         let r = Store.recovery st in
         Alcotest.(check int) "recovered" 2 r.Store.records_recovered;
         Alcotest.(check int) "quarantined records" 1 r.Store.records_quarantined;
@@ -190,9 +189,9 @@ let suite =
     Alcotest.test_case "read-path re-verification rejects a lying payload" `Quick (fun () ->
         with_dir @@ fun dir ->
         (* A record that passes CRC and codec checks but claims a
-           distance its word does not achieve — e.g. a tampered index
-           or a bug in a past writer.  The read path must turn it into
-           a miss plus a forensics record, never a wrong circuit. *)
+           distance its word does not achieve — e.g. a bug in a past
+           writer.  The read path must turn it into a miss plus a
+           forensics record, never a wrong circuit. *)
         let lying =
           {
             Store.gate_set = Store.default_gate_set;
@@ -215,9 +214,69 @@ let suite =
         | None -> ());
         Alcotest.(check int) "rejection counted" (rejected0 + 1) (cval "store.read_verify.rejected");
         Alcotest.(check int) "slot dropped" 0 (Store.size st);
-        Alcotest.(check bool) "forensics written" true
-          (Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") "rejected.jsonl"));
+        let rejected_log = Filename.concat (Filename.concat dir "quarantine") "rejected.jsonl" in
+        Alcotest.(check bool) "forensics written" true (Sys.file_exists rejected_log);
+        Store.close st;
+        (* The record stays in its segment, the only on-disk state, so
+           the next open recovers it and the next lookup rejects it
+           again. *)
+        let log_lines () = List.length (String.split_on_char '\n' (String.trim (read_file rejected_log))) in
+        let lines0 = log_lines () and rejected1 = cval "store.read_verify.rejected" in
+        let st = open_exn dir in
+        Alcotest.(check int) "recovered again" 1 (Store.recovery st).Store.records_recovered;
+        (match Store.lookup st ~epsilon:0.05 (Store.Rz 0.37) with
+        | Some _ -> Alcotest.fail "lying entry served after reopen"
+        | None -> ());
+        Alcotest.(check int) "rejected again" (rejected1 + 1) (cval "store.read_verify.rejected");
+        Alcotest.(check int) "forensics line added" (lines0 + 1) (log_lines ());
+        Alcotest.(check int) "size is the fold over entries" (List.length (Store.entries st)) (Store.size st);
         Store.close st);
+    Alcotest.test_case "a leftover index.json is ignored" `Quick (fun () ->
+        (* Older stores also wrote an index snapshot beside the
+           segments.  Neither a garbage one nor one in that format
+           listing an entry the segments lack changes what an open
+           recovers or serves. *)
+        with_dir @@ fun dir ->
+        let st = open_exn dir in
+        List.iter (Store.put st) [ real_entry 0.37; real_entry 1.1 ];
+        Store.close st;
+        let opened () =
+          let st = open_exn dir in
+          let payloads = List.sort compare (List.map Store.entry_payload (Store.entries st)) in
+          (st, payloads, Store.recovery st)
+        in
+        let st, want_payloads, want_recovery = opened () in
+        let live = Store.entries st in
+        Store.close st;
+        (* The old format: per-segment byte and record counts that
+           match the segment, the entries, and a CRC over the array. *)
+        let segments =
+          Printf.sprintf {|[{"name":"seg-000001.log","bytes":%d,"records":3,"entries":[%s]}]|}
+            (String.length (read_file (seg1 dir)))
+            (String.concat "," (List.map Store.entry_payload (real_entry 2.9 :: live)))
+        in
+        let segments =
+          match Obs.Json.parse segments with
+          | Ok j -> Obs.Json.to_string j
+          | Error e -> Alcotest.failf "snapshot json: %s" e
+        in
+        let old_format =
+          Printf.sprintf {|{"schema":"tgates-store-index/v1","crc":"%08x","segments":%s}|}
+            (Store.crc32 segments) segments
+        in
+        List.iter
+          (fun contents ->
+            let oc = open_out_bin (Filename.concat dir "index.json") in
+            output_string oc contents;
+            close_out oc;
+            let st, payloads, recovery = opened () in
+            Alcotest.(check (list string)) "same entries" want_payloads payloads;
+            Alcotest.(check bool) "same recovery counts" true (recovery = want_recovery);
+            (match Store.lookup st ~epsilon:0.3 (Store.Rz 2.9) with
+            | Some _ -> Alcotest.fail "snapshot-only entry served"
+            | None -> ());
+            Store.close st)
+          [ "{\"schema\": garbage"; old_format ]);
     Alcotest.test_case "writer lock is held; readonly opens ride along" `Quick (fun () ->
         with_dir @@ fun dir ->
         let st = open_exn dir in
@@ -254,26 +313,6 @@ let suite =
         (* Further puts are counted no-ops. *)
         Store.put st (real_entry 2.9);
         Alcotest.(check int) "still one entry" 1 (Store.size st);
-        Store.close st);
-    Alcotest.test_case "snapshot fault is absorbed; segments stay authoritative" `Quick (fun () ->
-        with_dir @@ fun dir ->
-        let st = open_exn dir in
-        Store.put st (real_entry 0.37);
-        (match Robust.Fault.parse "store.snapshot=fail" with
-        | Ok (seed, specs) -> Robust.Fault.configure ?seed specs
-        | Error e -> Alcotest.failf "fault parse: %s" e);
-        let failed0 = cval "store.snapshot.failed" in
-        Store.close st;
-        Robust.Fault.configure [];
-        Alcotest.(check int) "snapshot failure counted" (failed0 + 1) (cval "store.snapshot.failed");
-        Alcotest.(check bool) "no index written" false
-          (Sys.file_exists (Filename.concat dir "index.json"));
-        (* Reopen falls back to scanning the (authoritative) segment. *)
-        let st = open_exn dir in
-        let r = Store.recovery st in
-        Alcotest.(check bool) "index not loaded" false r.Store.index_loaded;
-        Alcotest.(check int) "recovered by scan" 1 r.Store.records_recovered;
-        Alcotest.(check int) "size" 1 (Store.size st);
         Store.close st);
   ]
 
