@@ -1,10 +1,11 @@
 (* Long-running batch synthesis server: line-delimited JSON requests on
    stdin (or a Unix-domain socket), one JSON response line per request
-   on stdout (or the socket).  Misses run through the Synth registry
-   with retry/backoff; the persistent store serves hits and absorbs
-   fresh words; SIGTERM/SIGINT (and EOF, and the shutdown op) drain
-   in-flight work and write a final index snapshot, so the next start
-   is warm.
+   on stdout (or the socket).  Each rotation is resolved under the
+   engine's synthesis policy for its op; misses run its chain as
+   planner jobs with retry/backoff.  The persistent store serves hits
+   and absorbs fresh words, each flushed as it is put, so the next
+   start is warm; SIGTERM/SIGINT (and EOF, and the shutdown op) drain
+   in-flight work.
 
    dune exec bin/serve_cli.exe -- --store /tmp/tgates-store <requests.jsonl
 

@@ -18,10 +18,13 @@ let with_trace path k =
   match Trace_analysis.load path with Error e -> fail "%s" e | Ok tr -> k tr
 
 let report_cmd =
-  let run path = with_trace path (fun tr -> Trace_analysis.render_report Format.std_formatter tr; 0) in
+  let run path = with_trace path (fun tr -> Trace_analysis.render_report stdout tr; 0) in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE") in
   Cmd.v
-    (Cmd.info "report" ~doc:"per-metric table (counters, gauges, histogram summaries) of a trace")
+    (Cmd.info "report"
+       ~doc:
+         "the span count and wall time of a trace, then the end-of-run report the traced run \
+          printed (counters, hit rates, per-call rates, gauges, spans, histograms)")
     Term.(const run $ path)
 
 let hotspots_cmd =
@@ -197,13 +200,11 @@ let requests_cmd =
 
 let ledger_cmd =
   let run expect paths =
-    let loaded = List.map (fun p -> (p, Ledger.load p)) paths in
-    match List.find_map (function p, Error e -> Some (p, e) | _, Ok _ -> None) loaded with
-    | Some (p, e) -> fail "%s: %s" p e
+    let loaded = List.map Ledger.load paths in
+    match List.find_map (function Error e -> Some e | Ok _ -> None) loaded with
+    | Some e -> fail "%s" e
     | None -> (
-        let records =
-          List.concat_map (function _, Ok rs -> rs | _, Error _ -> []) loaded
-        in
+        let records = List.concat_map (function Ok rs -> rs | Error _ -> []) loaded in
         Ledger.render_stats Format.std_formatter records;
         match expect with
         | Some n when List.length records <> n ->

@@ -39,7 +39,6 @@ let make n_qubits instrs =
   { n_qubits; instrs }
 
 let empty n = { n_qubits = n; instrs = [] }
-let append c i = { c with instrs = c.instrs @ [ i ] }
 let of_list n gates = make n (List.map (fun (g, qs) -> instr g (Array.of_list qs)) gates)
 let length c = List.length c.instrs
 
@@ -115,31 +114,6 @@ let depth c =
       Array.iter (fun q -> depth.(q) <- d) i.qubits)
     c.instrs;
   Array.fold_left max 0 depth
-
-type summary = {
-  n_qubits : int;
-  gates : int;
-  t : int;
-  t_depth : int;
-  cliffords : int;
-  rotations : int;
-  nontrivial_rotations : int;
-}
-
-let summarize (c : t) =
-  {
-    n_qubits = c.n_qubits;
-    gates = length c;
-    t = t_count c;
-    t_depth = t_depth c;
-    cliffords = clifford_count c;
-    rotations = rotation_count c;
-    nontrivial_rotations = nontrivial_rotation_count c;
-  }
-
-let pp_summary fmt s =
-  Format.fprintf fmt "q=%d gates=%d T=%d Tdepth=%d Cliff=%d rot=%d (nontrivial %d)" s.n_qubits
-    s.gates s.t s.t_depth s.cliffords s.rotations s.nontrivial_rotations
 
 (* Map every 1-qubit subsequence through a function (used to splice in
    synthesized Clifford+T words for rotations). *)

@@ -14,7 +14,6 @@ val make : int -> instr list -> t
     the register. *)
 
 val empty : int -> t
-val append : t -> instr -> t
 
 val of_list : int -> (Qgate.t * int list) list -> t
 (** Convenience constructor for tests and examples. *)
@@ -46,19 +45,6 @@ val t_depth : t -> int
 (** T gates on the critical path. *)
 
 val depth : t -> int
-
-type summary = {
-  n_qubits : int;
-  gates : int;
-  t : int;
-  t_depth : int;
-  cliffords : int;
-  rotations : int;
-  nontrivial_rotations : int;
-}
-
-val summarize : t -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 val map_rotations : (Qgate.t -> Qgate.t list) -> t -> t
 (** Replace every rotation instruction by a gate list on the same qubit

@@ -458,7 +458,6 @@ let stream_of_string ?(file = "<string>") ?(chunk = 65536) text =
       n)
 
 let stream_n_qubits sr = sr.st.n_qubits
-let stream_line sr = sr.lineno
 
 let append_carry sr from upto =
   let need = sr.carry_len + upto - from in

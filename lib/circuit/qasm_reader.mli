@@ -70,5 +70,3 @@ val of_stream : stream -> Circuit.t
 val stream_n_qubits : stream -> int
 (** Qubits declared so far (0 before the first [qreg]). *)
 
-val stream_line : stream -> int
-(** Source line number of the most recently parsed line. *)

@@ -177,10 +177,6 @@ let equal u v = key u = key v
 let equal_up_to_phase u v = canonical_key u = canonical_key v
 let hash u = Hashtbl.hash (key u)
 
-(* T-count parity invariant: the smallest denominator exponent grows with
-   T gates; used only for sanity checks. *)
-let sde u = u.k
-
 let to_string u =
   Printf.sprintf "1/sqrt2^%d [[%s, %s], [%s, %s]]" u.k (O.to_string u.a) (O.to_string u.b)
     (O.to_string u.c) (O.to_string u.d)

@@ -70,9 +70,6 @@ val equal : t -> t -> bool
 val equal_up_to_phase : t -> t -> bool
 val hash : t -> int
 
-val sde : t -> int
-(** The denominator exponent of the reduced form. *)
-
 val to_string : t -> string
 
 (** Hash tables keyed by {!key} arrays. *)

@@ -204,11 +204,10 @@ let trace_of_indices t indices =
 (* ------------------------------------------------------------------ *)
 
 (* In-place LQ of a site viewed as a (dl × n·dr) matrix: row-wise
-   modified Gram–Schmidt with one reorthogonalization pass (mirroring
-   [Svd.lq]'s numerics).  Leaves the orthonormal-row Q in the site and
-   writes L (dl×dl, row-major, lower triangular) into the caller's
-   scratch.  Zero rows (rank deficiency) keep a zero Q row, matching
-   the previous behaviour. *)
+   modified Gram–Schmidt with one reorthogonalization pass.  Leaves
+   the orthonormal-row Q in the site and writes L (dl×dl, row-major,
+   lower triangular) into the caller's scratch.  Zero rows (rank
+   deficiency) keep a zero Q row, matching the previous behaviour. *)
 let lq_site s l_re l_im =
   let dl = s.dl and dr = s.dr and n = s.n in
   let re = s.re and im = s.im in

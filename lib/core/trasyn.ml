@@ -367,9 +367,6 @@ let synthesize_timed ?(config = default_config) ?(deadline = Obs.Deadline.none) 
   in
   go 0 None
 
-(* Convenience entry points used by the pipelines. *)
-let synthesize_u3 ?config ~theta ~phi ~lam ~budgets () =
-  synthesize ?config ~target:(Mat2.u3 theta phi lam) ~budgets ()
-
+(* Convenience entry point used by the pipelines. *)
 let synthesize_rz ?config ~theta ~budgets () =
   synthesize ?config ~target:(Mat2.rz theta) ~budgets ()

@@ -106,10 +106,6 @@ val synthesize_timed :
     [seconds] budget ≤ 0 still runs exactly one attempt (never a busy
     loop).  Both are measured on the monotonic clock. *)
 
-val synthesize_u3 :
-  ?config:config -> theta:float -> phi:float -> lam:float -> budgets:int list -> unit -> result
-(** [synthesize] on U3(θ,φ,λ). *)
-
 val synthesize_rz : ?config:config -> theta:float -> budgets:int list -> unit -> result
 (** [synthesize] on Rz(θ) — TRASYN is general, so z-rotations need no
     special-casing. *)

@@ -81,10 +81,6 @@ let names () =
   with_lock (fun () -> Hashtbl.fold (fun n _ acc -> n :: acc) registry [])
   |> List.sort compare
 
-let all () =
-  with_lock (fun () -> Hashtbl.fold (fun _ gs acc -> gs :: acc) registry [])
-  |> List.sort (fun a b -> compare a.name b.name)
-
 let find_exn name =
   match find name with
   | Some gs -> gs

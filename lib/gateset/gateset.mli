@@ -56,8 +56,6 @@ val find_exn : string -> t
 val names : unit -> string list
 (** Registered names, sorted. *)
 
-val all : unit -> t list
-
 (** {1 Config files} *)
 
 val of_json : Obs.Json.t -> (t, string) result

@@ -24,8 +24,6 @@ let init rows cols f =
   done;
   m
 
-let copy m = { m with re = Array.copy m.re; im = Array.copy m.im }
-
 let identity n =
   let m = create n n in
   for i = 0 to n - 1 do
@@ -71,9 +69,6 @@ let sub a b =
     re = Array.mapi (fun i v -> v -. b.re.(i)) a.re;
     im = Array.mapi (fun i v -> v -. b.im.(i)) a.im;
   }
-
-let scale (s : Cplx.t) a =
-  init a.rows a.cols (fun i j -> Cplx.mul s (get a i j))
 
 let trace a =
   let n = min a.rows a.cols in

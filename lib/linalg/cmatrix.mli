@@ -9,14 +9,12 @@ val dims : t -> int * int
 val get : t -> int -> int -> Cplx.t
 val set : t -> int -> int -> Cplx.t -> unit
 val init : int -> int -> (int -> int -> Cplx.t) -> t
-val copy : t -> t
 val identity : int -> t
 val of_mat2 : Mat2.t -> t
 val to_mat2 : t -> Mat2.t
 val mul : t -> t -> t
 val adjoint : t -> t
 val sub : t -> t -> t
-val scale : Cplx.t -> t -> t
 val trace : t -> Cplx.t
 
 val hs_inner : t -> t -> Cplx.t

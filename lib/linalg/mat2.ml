@@ -39,7 +39,6 @@ let add a b =
 
 let sub a b = add a (scale (Cplx.of_float (-1.0)) b)
 let trace a = Cplx.add a.m00 a.m11
-let det a = Cplx.sub (Cplx.mul a.m00 a.m11) (Cplx.mul a.m01 a.m10)
 
 (* Product of a list, leftmost applied last (matrix order). *)
 let product ms = List.fold_left mul identity ms
@@ -132,10 +131,6 @@ let to_u3_angles u =
     let lam = Cplx.arg (Cplx.neg u.m01) -. phase00 in
     (theta, phi, lam)
   end
-
-(* Global-phase-invariant equality. *)
-let equal_up_to_phase ?(tol = 1e-8) a b =
-  distance a b < tol
 
 (* Haar-random SU(2) via a normalized Gaussian quaternion. *)
 let random_unitary rng =

@@ -18,7 +18,6 @@ val scale : Cplx.t -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val trace : t -> Cplx.t
-val det : t -> Cplx.t
 
 val product : t list -> t
 (** Product of a list, leftmost factor first (matrix order). *)
@@ -51,8 +50,6 @@ val u3 : float -> float -> float -> t
 
 val to_u3_angles : t -> float * float * float
 (** (θ, φ, λ) with [u3 θ φ λ] equal to the input up to global phase. *)
-
-val equal_up_to_phase : ?tol:float -> t -> t -> bool
 
 val random_unitary : Random.State.t -> t
 (** Haar-random SU(2) (normalized Gaussian quaternion). *)

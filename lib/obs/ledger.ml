@@ -29,44 +29,14 @@ type record = {
 (* Producer side                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* On exactly while a sink is open: {!to_file} arms it, {!close}
-   disarms it, and a disarmed {!record} costs one atomic load. *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-
-(* The sink is written from planner worker domains concurrently, and
-   each JSONL line must hit the channel exactly once and in one piece:
-   one lock guards the sink and its state. *)
-let lock = Mutex.create ()
-let sink : out_channel option ref = ref None
-let sink_path : string option ref = ref None
-
-(* Same stop-on-first-failure discipline as the Obs trace channel: once
-   a write may have landed partially, appending more would corrupt the
-   stream. *)
-let sink_ok = ref true
+(* On exactly while the sink is armed: a disarmed {!record} costs one
+   atomic load.  Planner worker domains write it concurrently; the slot
+   writes each line whole. *)
+let sink = Obs.Jsonl.slot ()
+let enabled () = Obs.Jsonl.armed sink
+let path () = Obs.Jsonl.path sink
+let close () = ignore (Obs.Jsonl.disarm sink)
 let c_records = Obs.counter "obs.ledger.records"
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let path () = locked (fun () -> !sink_path)
-
-let close () =
-  let oc_opt =
-    locked (fun () ->
-        let o = !sink in
-        Atomic.set enabled_flag false;
-        sink := None;
-        sink_path := None;
-        o)
-  in
-  match oc_opt with
-  | None -> ()
-  | Some oc ->
-      (try flush oc with Sys_error _ -> ());
-      close_out_noerr oc
 
 let opt_num f = if Float.is_finite f then Obs.Json.Num f else Obs.Json.Null
 
@@ -98,7 +68,7 @@ let record_to_json r =
     @ match r.failure with Some f -> [ ("failure", Str f) ] | None -> [])
 
 let record r =
-  if Atomic.get enabled_flag then begin
+  if Obs.Jsonl.armed sink then begin
     Obs.incr c_records;
     (* Stamp the ambient request context unless the producer already
        attributed the record explicitly. *)
@@ -109,30 +79,12 @@ let record r =
         | Some c -> { r with request_id = c.Obs.request_id }
         | None -> r
     in
-    let line = Obs.Json.to_string (record_to_json r) in
-    locked (fun () ->
-        match !sink with
-        | Some oc when !sink_ok -> (
-            (* One [output_string] per line, newline included, so a
-               concurrent exit never sees a torn line. *)
-            try output_string oc (line ^ "\n") with Sys_error _ -> sink_ok := false)
-        | Some _ | None -> ())
+    Obs.Jsonl.write sink (Obs.Json.to_string (record_to_json r))
   end
 
 let to_file p =
-  let oc = open_out p in
-  locked (fun () ->
-      (match !sink with Some old -> close_out_noerr old | None -> ());
-      sink := Some oc;
-      sink_path := Some p;
-      sink_ok := true;
-      (try
-         output_string oc
-           (Printf.sprintf {|{"ev":"meta","schema":"%s","t0":%.9f}|} schema
-              (Obs.Clock.elapsed_s ())
-           ^ "\n")
-       with Sys_error _ -> sink_ok := false);
-      Atomic.set enabled_flag true)
+  Obs.Jsonl.arm sink p
+    ~meta:(Printf.sprintf {|{"ev":"meta","schema":"%s","t0":%.9f}|} schema (Obs.Clock.elapsed_s ()))
 
 (* Flush on every exit path, including Cmdliner argument-error exits
    that never unwind through the CLI body.  No-op when no sink is open. *)
@@ -155,7 +107,7 @@ let load path =
   in
   let str k j = match J.member k j with Some (J.Str s) -> Some s | _ -> None in
   let boolean k j = match J.member k j with Some (J.Bool b) -> b | _ -> false in
-  let parse_record lineno j =
+  let parse_record j =
     match (str "target" j, str "chain" j, str "backend" j) with
     | Some target, Some chain, Some backend ->
         Ok
@@ -184,47 +136,13 @@ let load path =
             failure = str "failure" j;
             request_id = (match str "request_id" j with Some s -> s | None -> "");
           }
-    | _ -> Error (Printf.sprintf "line %d: rotation event missing target/chain/backend" lineno)
+    | _ -> Error "rotation event missing target/chain/backend"
   in
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let acc = ref [] in
-          let err = ref None in
-          let saw_meta = ref false in
-          let lineno = ref 0 in
-          (try
-             while !err = None do
-               let line = input_line ic in
-               Stdlib.incr lineno;
-               if String.trim line <> "" then
-                 match J.parse line with
-                 | Error e -> err := Some (Printf.sprintf "line %d: %s" !lineno e)
-                 | Ok j -> (
-                     match J.member "ev" j with
-                     | Some (J.Str "meta") ->
-                         (match str "schema" j with
-                         | Some s when s = schema -> saw_meta := true
-                         | Some s ->
-                             err :=
-                               Some
-                                 (Printf.sprintf "line %d: schema %S, expected %S" !lineno s schema)
-                         | None -> err := Some (Printf.sprintf "line %d: meta without schema" !lineno))
-                     | Some (J.Str "rotation") -> (
-                         match parse_record !lineno j with
-                         | Ok r -> acc := r :: !acc
-                         | Error e -> err := Some e)
-                     | _ -> err := Some (Printf.sprintf "line %d: unknown event" !lineno))
-             done
-           with End_of_file -> ());
-          match !err with
-          | Some e -> Error e
-          | None ->
-              if not !saw_meta then Error (Printf.sprintf "%s: no %s meta line" path schema)
-              else Ok (List.rev !acc))
+  Obs.Jsonl.fold ~schema path ~init:[] (fun acc ev j ->
+      match ev with
+      | "rotation" -> Result.map (fun r -> r :: acc) (parse_record j)
+      | _ -> Error "unknown event")
+  |> Result.map List.rev
 
 type backend_stats = {
   bs_backend : string;

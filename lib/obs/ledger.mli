@@ -26,9 +26,9 @@
 
     Armed by {!to_file} (the CLIs' [--ledger FILE] flag) or the
     [TGATES_LEDGER] env var: the ledger is on exactly while a sink is
-    open.  When off, {!record} costs one atomic load.  Thread/domain
-    -safe: one mutex guards the sink; each JSONL line is written with a
-    single [output_string]. *)
+    open.  When off, {!record} costs one atomic load.  The sink is an
+    [Obs.Jsonl] slot, so records from any domain land as whole lines,
+    and {!load} reads the file back through [Obs.Jsonl.fold]. *)
 
 val schema : string
 (** ["tgates-ledger/v1"] *)
@@ -99,7 +99,8 @@ val record_to_json : record -> Obs.Json.t
 
 val load : string -> (record list, string) result
 (** Parse a ledger JSONL file: meta line checked against {!schema}, one
-    record per ["rotation"] event.  Errors carry the line number. *)
+    record per ["rotation"] event.  Errors read ["PATH: line N: ..."]
+    or ["PATH: no tgates-ledger/v1 meta line"]. *)
 
 type backend_stats = {
   bs_backend : string;

@@ -1,7 +1,6 @@
 (* See metrics.mli.  The sampler is a single dedicated domain; it is
-   the only writer of both the JSONL stream and the exposition file, so
-   no output lock is needed — stop() joins the domain before closing
-   anything. *)
+   the only writer of both the JSONL stream and the exposition file, and
+   stop() joins the domain before closing anything. *)
 
 let schema = "tgates-metrics/v1"
 
@@ -76,26 +75,16 @@ let write_prom path =
 (* Derived series                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let ends_with ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.sub s (ls - lx) lx = suffix
-
-let chop_suffix ~suffix s = String.sub s 0 (String.length s - String.length suffix)
-
 (* [prev] maps counter/gauge names to their value at the previous tick;
    [dt] is the wall time since then. *)
 let derive ~dt ~dump ~(prev : (string, float) Hashtbl.t) =
-  let counters : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (n, v) ->
-      match v with
-      | Obs.Counter_value c -> Hashtbl.replace counters n (float_of_int c)
-      | _ -> ())
-    dump;
-  let out = ref [] in
+  (* Cache hit rates: the report's rule. *)
+  let out =
+    ref
+      (List.map
+         (fun (n, hits, misses) -> (n, float_of_int hits /. float_of_int (hits + misses)))
+         (Obs.hit_rates dump))
+  in
   let rate name now =
     match Hashtbl.find_opt prev name with
     | Some before when dt > 0.0 -> out := (name ^ ".per_s", (now -. before) /. dt) :: !out
@@ -105,24 +94,19 @@ let derive ~dt ~dump ~(prev : (string, float) Hashtbl.t) =
     (fun (n, v) ->
       match v with
       | Obs.Counter_value c ->
-          let c = float_of_int c in
           (* Rolling throughput for the rotation pipeline. *)
-          if n = "synth.rotations" || n = "obs.ledger.records" then rate n c;
-          (* Cache hit rates from <p>.hit / <p>.miss counter pairs. *)
-          if ends_with ~suffix:".hit" n then begin
-            let prefix = chop_suffix ~suffix:".hit" n in
-            match Hashtbl.find_opt counters (prefix ^ ".miss") with
-            | Some m when c +. m > 0.0 -> out := (prefix ^ ".hit_rate", c /. (c +. m)) :: !out
-            | Some _ | None -> ()
-          end
+          if n = "synth.rotations" || n = "obs.ledger.records" then rate n (float_of_int c)
       | Obs.Gauge_value g ->
           (* Planner per-domain utilization: busy-seconds accumulated per
              worker domain, differentiated against wall time. *)
-          if starts_with ~prefix:"obs.planner.domain." n && ends_with ~suffix:".busy_s" n then begin
+          if
+            String.starts_with ~prefix:"obs.planner.domain." n
+            && String.ends_with ~suffix:".busy_s" n
+          then begin
             match Hashtbl.find_opt prev n with
             | Some before when dt > 0.0 ->
                 let u = Float.max 0.0 (Float.min 1.0 ((g -. before) /. dt)) in
-                out := (chop_suffix ~suffix:".busy_s" n ^ ".utilization", u) :: !out
+                out := (String.sub n 0 (String.length n - 7) ^ ".utilization", u) :: !out
             | _ -> ()
           end
       | Obs.Hist_value _ -> ())
@@ -133,15 +117,9 @@ let derive ~dt ~dump ~(prev : (string, float) Hashtbl.t) =
 (* Sampler                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type sampler = {
-  interval : float;
-  stream_oc : out_channel option;
-  prom : string option;
-  mutable stream_ok : bool;  (* sampler domain only; stop-on-first-failure *)
-}
-
+let stream = Obs.Jsonl.slot ()
 let lock = Mutex.create ()
-let state : (sampler * bool Atomic.t * unit Domain.t) option ref = ref None
+let state : (bool Atomic.t * unit Domain.t) option ref = ref None
 
 let locked f =
   Mutex.lock lock;
@@ -190,7 +168,7 @@ let tick_json ~seq ~t ~dump ~derived =
       ("derived", Obj (List.map (fun (n, v) -> (n, opt_num v)) derived));
     ]
 
-let tick st ~seq ~prev_t ~prev =
+let tick ~prom ~seq ~prev_t ~prev =
   let t = Obs.Clock.elapsed_s () in
   let q = Gc.quick_stat () in
   Obs.set_gauge g_heap_words (float_of_int q.Gc.heap_words);
@@ -198,17 +176,11 @@ let tick st ~seq ~prev_t ~prev =
   Obs.incr c_snapshots;
   let dump = Obs.dump () in
   let derived = derive ~dt:(t -. prev_t) ~dump ~prev in
-  (match st.stream_oc with
-  | Some oc when st.stream_ok -> (
-      try
-        (* One [output_string] per line (newline included): the stream
-           must never contain a torn line, even if the process dies
-           between ticks. *)
-        output_string oc (Obs.Json.to_string (tick_json ~seq ~t ~dump ~derived) ^ "\n");
-        flush oc
-      with Sys_error _ -> st.stream_ok <- false)
-  | Some _ | None -> ());
-  (match st.prom with Some p -> write_prom p | None -> ());
+  if Obs.Jsonl.armed stream then begin
+    Obs.Jsonl.write stream (Obs.Json.to_string (tick_json ~seq ~t ~dump ~derived));
+    Obs.Jsonl.flush stream
+  end;
+  Option.iter write_prom prom;
   let next = Hashtbl.create 64 in
   List.iter
     (fun (n, v) ->
@@ -229,7 +201,7 @@ let rec nap remaining stop_flag =
     nap (remaining -. slice) stop_flag
   end
 
-let loop st stop_flag =
+let loop ~interval ~prom stop_flag =
   (* Each tick allocates (registry dump, JSON line); at the default
      minor-heap size the sampler's own minor collections become
      stop-all-domains barriers that both stall busy workers and land in
@@ -243,19 +215,19 @@ let loop st stop_flag =
   let seq = ref 0 in
   let tick_once () =
     Stdlib.incr seq;
-    let t, next = tick st ~seq:!seq ~prev_t:!prev_t ~prev:!prev in
+    let t, next = tick ~prom ~seq:!seq ~prev_t:!prev_t ~prev:!prev in
     prev_t := t;
     prev := next
   in
   tick_once ();
   while not (Atomic.get stop_flag) do
-    nap st.interval stop_flag;
+    nap interval stop_flag;
     if not (Atomic.get stop_flag) then tick_once ()
   done;
   (* Final snapshot so the stream always reflects end-of-run values. *)
   tick_once ()
 
-let start ?(interval = 0.25) ?stream ?prom () =
+let start ?(interval = 0.25) ?stream:path ?prom () =
   locked (fun () ->
       match !state with
       | Some _ -> ()
@@ -263,19 +235,17 @@ let start ?(interval = 0.25) ?stream ?prom () =
           let interval =
             if Float.is_finite interval then Float.max 0.005 interval else 0.25
           in
-          let stream_oc = Option.map open_out stream in
-          (match stream_oc with
-          | Some oc ->
-              output_string oc
-                (Printf.sprintf {|{"ev":"meta","schema":"%s","interval":%.6f,"t0":%.9f}|} schema
-                   interval (Obs.Clock.elapsed_s ())
-                ^ "\n");
-              flush oc
-          | None -> ());
-          let st = { interval; stream_oc; prom; stream_ok = true } in
+          Option.iter
+            (fun p ->
+              Obs.Jsonl.arm stream p
+                ~meta:
+                  (Printf.sprintf {|{"ev":"meta","schema":"%s","interval":%.6f,"t0":%.9f}|} schema
+                     interval (Obs.Clock.elapsed_s ()));
+              Obs.Jsonl.flush stream)
+            path;
           let stop_flag = Atomic.make false in
-          let d = Domain.spawn (fun () -> loop st stop_flag) in
-          state := Some (st, stop_flag, d))
+          let d = Domain.spawn (fun () -> loop ~interval ~prom stop_flag) in
+          state := Some (stop_flag, d))
 
 let stop () =
   let s =
@@ -286,14 +256,10 @@ let stop () =
   in
   match s with
   | None -> ()
-  | Some (st, stop_flag, d) ->
+  | Some (stop_flag, d) ->
       Atomic.set stop_flag true;
       Domain.join d;
-      (match st.stream_oc with
-      | Some oc ->
-          (try flush oc with Sys_error _ -> ());
-          close_out_noerr oc
-      | None -> ())
+      ignore (Obs.Jsonl.disarm stream)
 
 (* Stop (and take the final snapshot) on every exit path; no-op when
    the sampler never ran. *)
@@ -346,7 +312,7 @@ let load_stream path =
     | _ -> []
   in
   let hnum k j = match J.member k j with Some (J.Num f) -> f | _ -> nan in
-  let parse_snapshot lineno j =
+  let parse_snapshot j =
     match (J.member "seq" j, J.member "t" j) with
     | Some (J.Num seq), Some (J.Num t) ->
         let hists =
@@ -380,59 +346,19 @@ let load_stream path =
             hists;
             derived = nums (J.member "derived" j);
           }
-    | _ -> Error (Printf.sprintf "line %d: snapshot without seq/t" lineno)
+    | _ -> Error "snapshot without seq/t"
   in
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let acc = ref [] in
-          let err = ref None in
-          let saw_meta = ref false in
-          let last_seq = ref 0 in
-          let lineno = ref 0 in
-          (try
-             while !err = None do
-               let line = input_line ic in
-               Stdlib.incr lineno;
-               if String.trim line <> "" then
-                 match J.parse line with
-                 | Error e -> err := Some (Printf.sprintf "line %d: %s" !lineno e)
-                 | Ok j -> (
-                     match J.member "ev" j with
-                     | Some (J.Str "meta") -> (
-                         match J.member "schema" j with
-                         | Some (J.Str s) when s = schema -> saw_meta := true
-                         | Some (J.Str s) ->
-                             err :=
-                               Some
-                                 (Printf.sprintf "line %d: schema %S, expected %S" !lineno s schema)
-                         | _ -> err := Some (Printf.sprintf "line %d: meta without schema" !lineno))
-                     | Some (J.Str "snapshot") -> (
-                         match parse_snapshot !lineno j with
-                         | Error e -> err := Some e
-                         | Ok s ->
-                             if s.seq <= !last_seq then
-                               err :=
-                                 Some
-                                   (Printf.sprintf
-                                      "line %d: seq %d after %d (duplicate or out-of-order \
-                                       snapshot)"
-                                      !lineno s.seq !last_seq)
-                             else begin
-                               last_seq := s.seq;
-                               acc := s :: !acc
-                             end)
-                     | _ -> err := Some (Printf.sprintf "line %d: unknown event" !lineno))
-             done
-           with End_of_file -> ());
-          match !err with
-          | Some e -> Error e
-          | None ->
-              if not !saw_meta then Error (Printf.sprintf "%s: no %s meta line" path schema)
-              else Ok (List.rev !acc))
+  Obs.Jsonl.fold ~schema path ~init:(0, []) (fun (last, acc) ev j ->
+      match ev with
+      | "snapshot" -> (
+          match parse_snapshot j with
+          | Error e -> Error e
+          | Ok s when s.seq <= last ->
+              Error
+                (Printf.sprintf "seq %d after %d (duplicate or out-of-order snapshot)" s.seq last)
+          | Ok s -> Ok (s.seq, s :: acc))
+      | _ -> Error "unknown event")
+  |> Result.map (fun (_, acc) -> List.rev acc)
 
 let series_names snaps =
   let names = Hashtbl.create 64 in
@@ -466,7 +392,7 @@ let render_stream ppf snaps =
       let fopt = function Some v -> Printf.sprintf "%10.1f" v | None -> Printf.sprintf "%10s" "-" in
       let utils =
         List.filter_map
-          (fun (k, v) -> if ends_with ~suffix:".utilization" k then Some v else None)
+          (fun (k, v) -> if String.ends_with ~suffix:".utilization" k then Some v else None)
           s.derived
       in
       let util =
@@ -500,7 +426,8 @@ let parse_exposition text =
         let fail fmt = Printf.ksprintf (fun m -> err := Some (Printf.sprintf "line %d: %s" lineno m)) fmt in
         if line = "" then ()
         else if line.[0] = '#' then begin
-          if not (starts_with ~prefix:"# TYPE " line || starts_with ~prefix:"# HELP " line) then
+          let comment prefix = String.starts_with ~prefix line in
+          if not (comment "# TYPE " || comment "# HELP ") then
             fail "comment is neither # TYPE nor # HELP"
         end
         else begin

@@ -7,7 +7,8 @@
     - a JSONL metrics stream ([tgates-metrics/v1]): one meta line, then
       one ["snapshot"] object per tick carrying every counter, gauge and
       histogram summary plus derived series — rolling rotations/sec,
-      planner per-domain utilization, cache hit rates, heap gauges;
+      planner per-domain utilization, cache hit rates (the end-of-run
+      report's rule, [Obs.hit_rates]), heap gauges;
     - a Prometheus-style text exposition file, atomically replaced each
       tick (write-temp-then-rename), for scraping.
 
@@ -18,10 +19,12 @@
 
     Armed by {!start} (the CLIs' [--metrics-out] / [--prom-out] flags)
     or by the [TGATES_METRICS] env var (stream path; optional
-    [TGATES_METRICS_PROM] and [TGATES_METRICS_INTERVAL]).  {!stop} joins
-    the sampler domain after a final snapshot, so the stream always ends
-    on a complete line and no two lines are ever interleaved: the
-    sampler domain is the stream's only writer. *)
+    [TGATES_METRICS_PROM] and [TGATES_METRICS_INTERVAL]).  The stream is
+    written through an [Obs.Jsonl] slot, flushed every tick, and read
+    back through [Obs.Jsonl.fold] ({!load_stream}).  {!stop} joins the
+    sampler domain after a final snapshot, so the stream always ends on
+    a complete line and no two lines are ever interleaved: the sampler
+    domain is the stream's only writer. *)
 
 val schema : string
 (** ["tgates-metrics/v1"] *)
@@ -70,7 +73,8 @@ type snapshot = {
 val load_stream : string -> (snapshot list, string) result
 (** Parse a metrics JSONL stream.  Fails on a missing/mismatched meta
     line, malformed JSON, or duplicate / out-of-order [seq] values (the
-    torn-line and double-emission gate). *)
+    torn-line and double-emission gate), with the errors of
+    [Obs.Jsonl.fold] (["PATH: line N: ..."]). *)
 
 val series_names : snapshot list -> string list
 (** Union of every series name across snapshots, sorted. *)

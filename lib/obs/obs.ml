@@ -471,31 +471,113 @@ module Json = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Trace output                                                        *)
+(* JSONL files                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let out_lock = Mutex.create ()
-let trace_oc : out_channel option ref = ref None
-let trace_file : string option ref = ref None
+module Jsonl = struct
+  (* [lock] guards the channel, its path and [ok].  [ok] turns false at
+     the first failed write: once a line may have landed partially (disk
+     full, closed fd), appending more would corrupt the file. *)
+  type slot = {
+    lock : Mutex.t;
+    armed : bool Atomic.t;
+    mutable oc : out_channel option;
+    mutable path : string option;
+    mutable ok : bool;
+  }
 
-(* Set to false (under [out_lock]) after the first failed write.  Once a
-   line may have landed partially (disk full, closed fd), appending
-   anything more would corrupt the JSONL stream, so we stop writing. *)
-let trace_ok = ref true
+  let slot () =
+    { lock = Mutex.create (); armed = Atomic.make false; oc = None; path = None; ok = true }
 
-let tracing () = !trace_oc <> None
-let trace_path () = !trace_file
+  let armed s = Atomic.get s.armed
+  let path s = locked s.lock (fun () -> s.path)
 
-let emit_line line =
-  Mutex.lock out_lock;
-  (match !trace_oc with
-  | Some oc when !trace_ok -> (
-      (* One [output_string] call per line (newline included) so a
-         concurrent exit path never observes a line without its
-         terminator in the channel buffer. *)
-      try output_string oc (line ^ "\n") with Sys_error _ -> trace_ok := false)
-  | Some _ | None -> ());
-  Mutex.unlock out_lock
+  (* One [output_string] per line, newline included, so a concurrent
+     exit path never sees a line without its terminator.  [lock] held. *)
+  let put s line =
+    match s.oc with
+    | Some oc when s.ok -> ( try output_string oc (line ^ "\n") with Sys_error _ -> s.ok <- false)
+    | Some _ | None -> ()
+
+  let write s line =
+    Mutex.lock s.lock;
+    put s line;
+    Mutex.unlock s.lock
+
+  let flush s =
+    locked s.lock (fun () ->
+        match s.oc with
+        | Some oc when s.ok -> ( try Stdlib.flush oc with Sys_error _ -> s.ok <- false)
+        | Some _ | None -> ())
+
+  let close oc =
+    (try Stdlib.flush oc with Sys_error _ -> ());
+    close_out_noerr oc
+
+  let arm s path ~meta =
+    let oc = open_out path in
+    locked s.lock (fun () ->
+        Option.iter close s.oc;
+        s.oc <- Some oc;
+        s.path <- Some path;
+        s.ok <- true;
+        put s meta;
+        Atomic.set s.armed true)
+
+  let disarm ?(last = []) s =
+    match
+      locked s.lock (fun () ->
+          let oc = s.oc in
+          if Option.is_some oc then List.iter (put s) last;
+          s.oc <- None;
+          s.path <- None;
+          Atomic.set s.armed false;
+          oc)
+    with
+    | None -> false
+    | Some oc ->
+        close oc;
+        true
+
+  let fold ?schema path ~init f =
+    match open_in path with
+    | exception Sys_error e -> Error e
+    | ic ->
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+        let fail n fmt =
+          Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: line %d: %s" path n m)) fmt
+        in
+        (* [n] counts physical lines, blank ones included. *)
+        let rec go n saw_meta acc =
+          match input_line ic with
+          | exception End_of_file -> (
+              match schema with
+              | Some sc when not saw_meta -> Error (Printf.sprintf "%s: no %s meta line" path sc)
+              | Some _ | None -> Ok acc)
+          | line when String.trim line = "" -> go (n + 1) saw_meta acc
+          | line -> (
+              match Json.parse line with
+              | Error e -> fail n "%s" e
+              | Ok j -> (
+                  match (Json.member "ev" j, schema) with
+                  | Some (Json.Str "meta"), None -> go (n + 1) saw_meta acc
+                  | Some (Json.Str "meta"), Some sc -> (
+                      match Json.member "schema" j with
+                      | Some (Json.Str s) when s = sc -> go (n + 1) true acc
+                      | Some (Json.Str s) -> fail n "schema %S, expected %S" s sc
+                      | _ -> fail n "meta without schema")
+                  | ev, _ -> (
+                      let ev = match ev with Some (Json.Str e) -> e | _ -> "" in
+                      match f acc ev j with
+                      | Ok acc -> go (n + 1) saw_meta acc
+                      | Error m -> fail n "%s" m)))
+        in
+        go 1 false init
+end
+
+(* The trace file: armed by {!trace_to_file}, detached by {!finish}. *)
+let trace = Jsonl.slot ()
+let tracing () = Jsonl.armed trace
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -598,7 +680,7 @@ let emit_span ~name ~id ~parent ~t0 ~dur ~depth ~attrs ~minor_w ~(g0 : Gc.stat) 
          (g1.Gc.promoted_words -. g0.Gc.promoted_words)
          (g1.Gc.minor_collections - g0.Gc.minor_collections)
          (g1.Gc.major_collections - g0.Gc.major_collections));
-    emit_line (Buffer.contents b)
+    Jsonl.write trace (Buffer.contents b)
   end
 
 let span name f =
@@ -708,28 +790,31 @@ let fmt_seconds s =
   else if s < 1.0 then Printf.sprintf "%.1fms" (s *. 1e3)
   else Printf.sprintf "%.2fs" s
 
-let report_of oc items =
-  let counters = List.filter_map (function n, Counter_value v -> Some (n, v) | _ -> None) items in
+let counters_of items =
+  List.filter_map (function n, Counter_value v -> Some (n, v) | _ -> None) items
+
+(* Every counter pair <p>.hit / <p>.miss with at least one event. *)
+let hit_rates items =
+  let counters = counters_of items in
+  List.filter_map
+    (fun (n, hits) ->
+      if not (String.ends_with ~suffix:".hit" n) then None
+      else
+        let prefix = String.sub n 0 (String.length n - 4) in
+        match List.assoc_opt (prefix ^ ".miss") counters with
+        | Some misses when hits + misses > 0 -> Some (prefix ^ ".hit_rate", hits, misses)
+        | Some _ | None -> None)
+    counters
+
+let report ?items oc =
+  let items = match items with Some items -> items | None -> dump () in
+  let counters = counters_of items in
   let gauges = List.filter_map (function n, Gauge_value v -> Some (n, v) | _ -> None) items in
   let hists kind =
     List.filter_map (function n, Hist_value (k, s) when k = kind -> Some (n, s) | _ -> None) items
   in
   let spans = hists "span" and values = hists "value" in
-  (* Derived cache hit rates: every counter pair <p>.hit / <p>.miss
-     yields one hits/(hits+misses) line. *)
-  let hit_rates =
-    List.filter_map
-      (fun (n, hits) ->
-        match String.length n >= 4 && String.sub n (String.length n - 4) 4 = ".hit" with
-        | false -> None
-        | true -> (
-            let prefix = String.sub n 0 (String.length n - 4) in
-            match List.assoc_opt (prefix ^ ".miss") counters with
-            | Some misses when hits + misses > 0 ->
-                Some (prefix ^ ".hit_rate", hits, misses)
-            | Some _ | None -> None))
-      counters
-  in
+  let hit_rates = hit_rates items in
   (* Derived per-call rates: a counter <span>.<what> named under a span
      is divided by that span's call count (e.g. step-3 windows per
      post-processing run). *)
@@ -794,24 +879,12 @@ let report_of oc items =
   end;
   Printf.fprintf oc "==================================================================\n%!"
 
-let report oc = report_of oc (dump ())
-
+(* Only the call that detaches the file prints the report. *)
 let finish () =
-  let oc_opt =
-    locked out_lock (fun () ->
-        let o = !trace_oc in
-        trace_oc := None;
-        o)
-  in
-  match oc_opt with
-  | None -> ()
-  | Some oc ->
-      let items = dump () in
-      if !trace_ok then
-        List.iter (fun l -> try output_string oc (l ^ "\n") with Sys_error _ -> ()) (jsonl_of items);
-      (try flush oc with Sys_error _ -> ());
-      close_out_noerr oc;
-      report_of stderr items
+  if tracing () then begin
+    let items = dump () in
+    if Jsonl.disarm ~last:(jsonl_of items) trace then report ~items stderr
+  end
 
 (* [finish] runs on every [Stdlib.exit] — including Cmdliner's argument
    -error exits, which never unwind through [with_trace]'s Fun.protect —
@@ -822,15 +895,11 @@ let finish () =
 let () = at_exit finish
 
 let trace_to_file path =
-  let oc = open_out path in
-  locked out_lock (fun () ->
-      (match !trace_oc with Some old -> close_out_noerr old | None -> ());
-      trace_oc := Some oc;
-      trace_ok := true;
-      trace_file := Some path);
-  set_enabled true;
-  emit_line
-    (Printf.sprintf {|{"ev":"meta","version":1,"clock":"monotonic","t0":%.9f}|} (Clock.elapsed_s ()))
+  Jsonl.arm trace path
+    ~meta:
+      (Printf.sprintf {|{"ev":"meta","version":1,"clock":"monotonic","t0":%.9f}|}
+         (Clock.elapsed_s ()));
+  set_enabled true
 
 let with_trace ?file f =
   (match file with Some p -> trace_to_file p | None -> ());

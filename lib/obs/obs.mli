@@ -218,17 +218,16 @@ val current_request : unit -> request_ctx option
 (** {1 Trace export} *)
 
 val trace_to_file : string -> unit
-(** Open [path] for writing, emit a meta line, enable spans, and
-    register {!finish} [at_exit].  Replaces any previously open trace. *)
+(** Open [path] for writing, emit a meta line, and enable spans.
+    Replaces any previously open trace. *)
 
 val tracing : unit -> bool
 
-val trace_path : unit -> string option
-
 val finish : unit -> unit
 (** Append one JSONL line per registered metric to the trace, close it,
-    and print the report to stderr.  Idempotent; no-op when not
-    tracing. *)
+    and print the {!report} of those same values to stderr.  Only the
+    call that detaches the trace prints, so the report appears once;
+    a no-op when not tracing.  Registered [at_exit]. *)
 
 val with_trace : ?file:string -> (unit -> 'a) -> 'a
 (** CLI helper: [with_trace ?file f] enables tracing to [file] when
@@ -255,13 +254,23 @@ type metric_value =
 
 val dump : unit -> (string * metric_value) list
 
-val report : out_channel -> unit
-(** Human-readable end-of-run report of every registered metric.  Every
-    counter pair [<p>.hit] / [<p>.miss] with at least one event also
-    gets a derived [<p>.hit_rate] line (hits/(hits+misses)) — the
-    pipeline memo caches read directly as percentages.  Every counter
-    [<s>.<what>] named under a span [<s>] with at least one call gets a
-    derived [<s>.<what>/call] line (count/calls). *)
+val report : ?items:(string * metric_value) list -> out_channel -> unit
+(** Human-readable end-of-run report of [items] (default: {!dump}).
+    Every pair in {!hit_rates} gets a derived [<p>.hit_rate] line
+    (hits/(hits+misses)) — the pipeline memo caches read directly as
+    percentages.  Every counter [<s>.<what>] named under a span [<s>]
+    with at least one call gets a derived [<s>.<what>/call] line
+    (count/calls).  [tgates-trace report] renders a trace's metric
+    lines through this same function. *)
+
+val hit_rates : (string * metric_value) list -> (string * int * int) list
+(** [(<p>.hit_rate, hits, misses)] for every counter pair [<p>.hit] /
+    [<p>.miss] with at least one event, in counter order — the one
+    hit-rate rule, shared by {!report} and the live [Metrics] stream. *)
+
+val fmt_seconds : float -> string
+(** A duration with its unit (["ns"], ["us"], ["ms"], ["s"]); ["-"] when
+    not finite. *)
 
 val reset : unit -> unit
 (** Zero every registered metric (handles stay valid) — for tests and
@@ -288,4 +297,58 @@ module Json : sig
 
   val member : string -> t -> t option
   (** Field lookup on [Obj]; [None] otherwise. *)
+end
+
+(** {1 JSONL files}
+
+    The one writer and reader of the repo's JSONL artifacts: the trace
+    above, the [Ledger] and the [Metrics] stream.  Each artifact keeps
+    its own meta line, environment variable, exit hook and flush policy;
+    the slot gives them one way to write a line and one way to read a
+    file back. *)
+
+module Jsonl : sig
+  type slot
+  (** A replaceable output file: one lock, one atomic armed flag. *)
+
+  val slot : unit -> slot
+  (** A disarmed slot. *)
+
+  val arm : slot -> string -> meta:string -> unit
+  (** Open the path for writing, write [meta] as the first line, and
+      arm the slot.  An already open file is flushed and closed first,
+      complete.  @raise Sys_error when the path cannot be opened. *)
+
+  val armed : slot -> bool
+  (** One atomic load. *)
+
+  val path : slot -> string option
+
+  val write : slot -> string -> unit
+  (** Append one line (the newline is added) with a single
+      [output_string] under the lock, so lines from concurrent domains
+      never interleave.  Dropped when disarmed; after a failed write the
+      slot writes nothing more until it is re-armed. *)
+
+  val flush : slot -> unit
+
+  val disarm : ?last:string list -> slot -> bool
+  (** Append [last] after every earlier line, then flush, close and
+      disarm.  True for the call that detached a file; false (and
+      nothing written) when the slot was not armed, so it is idempotent. *)
+
+  val fold :
+    ?schema:string ->
+    string ->
+    init:'a ->
+    ('a -> string -> Json.t -> ('a, string) result) ->
+    ('a, string) result
+  (** [fold ?schema path ~init f] reads the file line by line.  Blank
+      lines are skipped.  A ["meta"] line must carry [schema] when one
+      is given (and is skipped otherwise); every other line is handed to
+      [f] with its ["ev"] field ([""] when absent).  Errors read
+      ["PATH: line N: message"], with the physical line number, for a
+      line that does not parse, a wrong or missing schema, or an [Error]
+      from [f]; ["PATH: no SCHEMA meta line"] when [schema] is given and
+      no meta line was seen.  The read stops at the first error. *)
 end

@@ -22,18 +22,7 @@ type span = {
   gc : gc option;
 }
 
-type hist = {
-  kind : string;
-  count : float;
-  sum : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;  (* nan in traces written before the p95 column existed *)
-  p99 : float;
-  p999 : float;  (* nan in traces written before the p999 column existed *)
-}
-type metric = Counter of float | Gauge of float | Hist of hist
-type t = { spans : span list; metrics : (string * metric) list }
+type t = { spans : span list; metrics : (string * Obs.metric_value) list }
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -41,18 +30,6 @@ type t = { spans : span list; metrics : (string * metric) list }
 
 let num ?(default = nan) key j = match J.member key j with Some (J.Num f) -> f | _ -> default
 let str key j = match J.member key j with Some (J.Str s) -> Some s | _ -> None
-
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let lines = ref [] in
-  (try
-     while true do
-       let l = input_line ic in
-       if String.trim l <> "" then lines := l :: !lines
-     done
-   with End_of_file -> ());
-  List.rev !lines
 
 let parse_span j =
   let gc =
@@ -85,63 +62,49 @@ let parse_span j =
     gc;
   }
 
-let parse_metric j =
-  match str "name" j, str "ev" j with
-  | Some name, Some "counter" -> Some (name, Counter (num "value" j))
-  | Some name, Some "gauge" -> Some (name, Gauge (num "value" j))
-  | Some name, Some "hist" ->
-      Some
-        ( name,
-          Hist
-            {
-              kind = Option.value ~default:"value" (str "kind" j);
-              count = num "count" ~default:0.0 j;
-              sum = num "sum" j;
-              p50 = num "p50" j;
-              p90 = num "p90" j;
-              p95 = num "p95" j;
-              p99 = num "p99" j;
-              p999 = num "p999" j;
-            } )
-  | _ -> None
+(* A metric line as the value {!Obs.dump} held when the run finished. *)
+let parse_metric ev j =
+  match ev with
+  | "counter" -> Obs.Counter_value (int_of_float (num "value" ~default:0.0 j))
+  | "gauge" -> Obs.Gauge_value (num "value" j)
+  | _ ->
+      Obs.Hist_value
+        ( Option.value ~default:"value" (str "kind" j),
+          {
+            Obs.count = int_of_float (num "count" ~default:0.0 j);
+            sum = num "sum" j;
+            vmin = num "min" j;
+            vmax = num "max" j;
+            p50 = num "p50" j;
+            p90 = num "p90" j;
+            p95 = num "p95" j;
+            p99 = num "p99" j;
+            p999 = num "p999" j;
+          } )
 
 let load path =
-  match read_lines path with
-  | exception Sys_error e -> Error e
-  | lines -> (
-      let spans = ref [] and metrics = ref [] in
-      let bad = ref None in
-      List.iteri
-        (fun i l ->
-          if !bad = None then
-            match J.parse l with
-            | Error e -> bad := Some (Printf.sprintf "%s:%d: %s" path (i + 1) e)
-            | Ok j -> (
-                match str "ev" j with
-                | Some "span" -> spans := parse_span j :: !spans
-                | Some ("counter" | "gauge" | "hist") -> (
-                    match parse_metric j with Some m -> metrics := m :: !metrics | None -> ())
-                | _ -> ()))
-        lines;
-      match !bad with
-      | Some e -> Error e
-      | None ->
-          (* Pre-tree traces carry no ids: give those spans fresh ids
-             above every real one, parentless, so they become roots. *)
-          let max_id = List.fold_left (fun m (s : span) -> max m s.id) 0 !spans in
-          let next = ref max_id in
-          let fix (s : span) =
-            if s.id > 0 then s
-            else begin
-              incr next;
-              { s with id = !next; parent = 0 }
-            end
-          in
-          Ok
-            {
-              spans = List.rev_map fix !spans |> List.rev;
-              metrics = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !metrics);
-            })
+  Obs.Jsonl.fold path ~init:([], []) (fun (spans, metrics) ev j ->
+      Ok
+        (match (ev, str "name" j) with
+        | "span", _ -> (parse_span j :: spans, metrics)
+        | ("counter" | "gauge" | "hist"), Some name -> (spans, (name, parse_metric ev j) :: metrics)
+        | _ -> (spans, metrics)))
+  |> Result.map (fun (spans, metrics) ->
+         (* Pre-tree traces carry no ids: give those spans fresh ids
+            above every real one, parentless, so they become roots. *)
+         let max_id = List.fold_left (fun m (s : span) -> max m s.id) 0 spans in
+         let next = ref max_id in
+         let fix (s : span) =
+           if s.id > 0 then s
+           else begin
+             incr next;
+             { s with id = !next; parent = 0 }
+           end
+         in
+         {
+           spans = List.rev_map fix spans |> List.rev;
+           metrics = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev metrics);
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Span tree                                                           *)
@@ -315,45 +278,16 @@ let requests tr =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fmt_s s =
-  if not (Float.is_finite s) then "-"
-  else if s < 1e-6 then Printf.sprintf "%.0fns" (s *. 1e9)
-  else if s < 1e-3 then Printf.sprintf "%.1fus" (s *. 1e6)
-  else if s < 1.0 then Printf.sprintf "%.1fms" (s *. 1e3)
-  else Printf.sprintf "%.2fs" s
-
 let fmt_words w =
   if w >= 1e9 then Printf.sprintf "%.2fGw" (w /. 1e9)
   else if w >= 1e6 then Printf.sprintf "%.2fMw" (w /. 1e6)
   else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
   else Printf.sprintf "%.0fw" w
 
-let render_report fmt tr =
-  let roots = tree tr in
-  Format.fprintf fmt "trace: %d spans, %d roots, wall %s@." (List.length tr.spans)
-    (List.length roots) (fmt_s (total_wall tr));
-  let pick f = List.filter_map f tr.metrics in
-  let counters = pick (function n, Counter v -> Some (n, v) | _ -> None) in
-  let gauges = pick (function n, Gauge v -> Some (n, v) | _ -> None) in
-  let hists = pick (function n, Hist h -> Some (n, h) | _ -> None) in
-  if counters <> [] then begin
-    Format.fprintf fmt "counters:@.";
-    List.iter (fun (n, v) -> Format.fprintf fmt "  %-44s %14.0f@." n v) counters
-  end;
-  if gauges <> [] then begin
-    Format.fprintf fmt "gauges:@.";
-    List.iter (fun (n, v) -> Format.fprintf fmt "  %-44s %14g@." n v) gauges
-  end;
-  if hists <> [] then begin
-    Format.fprintf fmt "histograms:%36s %8s %8s %8s %8s@." "" "count" "sum" "p50" "p99";
-    List.iter
-      (fun (n, h) ->
-        if h.kind = "span" then
-          Format.fprintf fmt "  %-44s %8.0f %8s %8s %8s@." n h.count (fmt_s h.sum) (fmt_s h.p50)
-            (fmt_s h.p99)
-        else Format.fprintf fmt "  %-44s %8.0f %8.3g %8.3g %8.3g@." n h.count h.sum h.p50 h.p99)
-      hists
-  end
+let render_report oc tr =
+  Printf.fprintf oc "trace: %d spans, %d roots, wall %s\n" (List.length tr.spans)
+    (List.length (tree tr)) (Obs.fmt_seconds (total_wall tr));
+  Obs.report ~items:tr.metrics oc
 
 let render_hotspots ?top fmt tr =
   let hs = hotspots tr in
@@ -362,13 +296,14 @@ let render_hotspots ?top fmt tr =
   Format.fprintf fmt "%-44s %6s %9s %9s %6s %10s@." "span" "calls" "self" "total" "self%" "alloc";
   List.iter
     (fun h ->
-      Format.fprintf fmt "%-44s %6d %9s %9s %5.1f%% %10s@." h.hot_name h.calls (fmt_s h.self_s)
-        (fmt_s h.total_s)
+      Format.fprintf fmt "%-44s %6d %9s %9s %5.1f%% %10s@." h.hot_name h.calls
+        (Obs.fmt_seconds h.self_s) (Obs.fmt_seconds h.total_s)
         (if wall > 0.0 then 100.0 *. h.self_s /. wall else 0.0)
         (fmt_words h.minor_words))
     shown;
   let self_sum = List.fold_left (fun a h -> a +. h.self_s) 0.0 hs in
-  Format.fprintf fmt "%-44s %6s %9s %9s@." "(total)" "" (fmt_s self_sum) (fmt_s wall)
+  Format.fprintf fmt "%-44s %6s %9s %9s@." "(total)" "" (Obs.fmt_seconds self_sum)
+    (Obs.fmt_seconds wall)
 
 let render_flame fmt tr =
   List.iter
@@ -387,7 +322,7 @@ let render_request_waterfall fmt tr (rq : request) =
     (if rq.rq_trace = "" then "" else Printf.sprintf " (trace %s)" rq.rq_trace)
     rq.rq_spans
     (if rq.rq_elements > 0 then Printf.sprintf ", %d batch elements" rq.rq_elements else "")
-    (fmt_s rq.rq_latency_s);
+    (Obs.fmt_seconds rq.rq_latency_s);
   let rec walk indent n =
     let s = n.span in
     let extras =
@@ -399,8 +334,8 @@ let render_request_waterfall fmt tr (rq : request) =
       match req_attr s with Some rid when rid <> rq.rq_id -> Printf.sprintf " <%s>" rid | _ -> ""
     in
     Format.fprintf fmt "  [+%8s %8s] %s%s%s%s@."
-      (fmt_s (s.t0 -. rq.rq_t0))
-      (fmt_s s.dur)
+      (Obs.fmt_seconds (s.t0 -. rq.rq_t0))
+      (Obs.fmt_seconds s.dur)
       (String.make (2 * indent) ' ')
       s.name
       (match extras with
@@ -422,8 +357,8 @@ let render_requests ?(slowest = 0) fmt tr =
       (if List.length traces > 1 then "  trace" else "");
     List.iter
       (fun r ->
-        Format.fprintf fmt "%-12s %10s %10s %6d %9d%s@." r.rq_id (fmt_s r.rq_t0)
-          (fmt_s r.rq_latency_s) r.rq_spans r.rq_elements
+        Format.fprintf fmt "%-12s %10s %10s %6d %9d%s@." r.rq_id (Obs.fmt_seconds r.rq_t0)
+          (Obs.fmt_seconds r.rq_latency_s) r.rq_spans r.rq_elements
           (if List.length traces > 1 then "  " ^ r.rq_trace else ""))
       rs;
     if slowest > 0 then begin
@@ -462,11 +397,11 @@ let flatten = function
       List.concat_map
         (fun (name, m) ->
           match m with
-          | Counter v -> [ (name, v) ]
-          | Gauge v -> [ (name, v) ]
-          | Hist h ->
+          | Obs.Counter_value v -> [ (name, float_of_int v) ]
+          | Obs.Gauge_value v -> [ (name, v) ]
+          | Obs.Hist_value (_, h) ->
               [
-                (name ^ ".count", h.count);
+                (name ^ ".count", float_of_int h.Obs.count);
                 (name ^ ".sum", h.sum);
                 (name ^ ".p50", h.p50);
                 (name ^ ".p90", h.p90);

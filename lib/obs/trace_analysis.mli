@@ -29,28 +29,18 @@ type span = {
   gc : gc option;  (** [None] for traces from before GC attribution *)
 }
 
-type hist = {
-  kind : string;  (** "span" or "value" *)
-  count : float;
-  sum : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;  (** [nan] in traces written before the p95 column existed *)
-  p99 : float;
-  p999 : float;  (** [nan] in traces written before the p999 column existed *)
-}
-
-type metric = Counter of float | Gauge of float | Hist of hist
-
 type t = {
   spans : span list;  (** in emission order (children close first) *)
-  metrics : (string * metric) list;  (** sorted by name *)
+  metrics : (string * Obs.metric_value) list;
+      (** the trace's final metric lines, as the run's {!Obs.dump} held
+          them; sorted by name *)
 }
 
 val load : string -> (t, string) result
-(** Read a JSONL trace file.  Unknown event kinds are skipped; a
-    malformed line or an unreadable file is an [Error].  Span events
-    missing [id] (pre-tree traces) are assigned fresh ids with no
+(** Read a JSONL trace file through {!Obs.Jsonl.fold}.  Unknown event
+    kinds and meta lines are skipped; a malformed line
+    (["PATH: line N: ..."]) or an unreadable file is an [Error].  Span
+    events missing [id] (pre-tree traces) are assigned fresh ids with no
     parent, so every downstream analysis still works, treating each
     span as its own root. *)
 
@@ -136,7 +126,12 @@ val render_request_waterfall : Format.formatter -> t -> request -> unit
 
 (** {1 Rendering (what the CLI prints)} *)
 
-val render_report : Format.formatter -> t -> unit
+val render_report : out_channel -> t -> unit
+(** [tgates-trace report]: one line with the span count, root count and
+    root wall time, then {!Obs.report} over the trace's metric lines —
+    the report the traced run printed to stderr when it finished, byte
+    for byte. *)
+
 val render_hotspots : ?top:int -> Format.formatter -> t -> unit
 
 val render_flame : Format.formatter -> t -> unit

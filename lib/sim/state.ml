@@ -11,7 +11,6 @@ let zero_state n =
   re.(0) <- 1.0;
   { n; re; im }
 
-let copy s = { s with re = Array.copy s.re; im = Array.copy s.im }
 let amplitude s i = { Cplx.re = s.re.(i); im = s.im.(i) }
 
 let norm2 s =

@@ -5,7 +5,6 @@ type t = { n : int; re : float array; im : float array }
 
 val zero_state : int -> t
 val dim : t -> int
-val copy : t -> t
 val amplitude : t -> int -> Cplx.t
 val norm2 : t -> float
 

@@ -274,6 +274,7 @@ let index_insert t entry =
 let seg_dir t = Filename.concat t.dir "segments"
 let seg_path t name = Filename.concat (seg_dir t) name
 let quarantine_dir t = Filename.concat t.dir "quarantine"
+let rejected_log t = Filename.concat (quarantine_dir t) "rejected.jsonl"
 
 let rec ensure_dir d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -464,13 +465,28 @@ let open_store ?(readonly = false) ?(segment_max_bytes = 4 * 1024 * 1024) dir =
             mutex = Mutex.create ();
           }
         in
+        (* Records the read path rejected in earlier runs stay in their
+           segments; the forensics log names them, and they stay out of
+           the index.  A line that does not parse ends the read. *)
+        let rejected = Hashtbl.create 1 in
+        ignore
+          (Obs.Jsonl.fold (rejected_log t) ~init:() (fun () _ j ->
+               Option.iter
+                 (fun e -> Hashtbl.replace rejected (Obs.Json.to_string e) ())
+                 (Obs.Json.member "entry" j);
+               Ok ()));
         let scan_segment r name =
           let sc = scan_string (read_file (seg_path t name)) in
-          List.iter (index_insert t) sc.valid;
+          let valid, named =
+            if Hashtbl.length rejected = 0 then (sc.valid, [])
+            else List.partition (fun e -> not (Hashtbl.mem rejected (entry_payload e))) sc.valid
+          in
+          List.iter (index_insert t) valid;
           let r =
             { r with
               segments_scanned = r.segments_scanned + 1;
-              records_recovered = r.records_recovered + List.length sc.valid;
+              records_recovered = r.records_recovered + List.length valid;
+              records_quarantined = r.records_quarantined + List.length named;
             }
           in
           if sc.corrupt > 0 then begin
@@ -519,7 +535,6 @@ let dir t = t.dir
 let readonly t = t.readonly
 let degraded t = t.degraded
 let size t = locked t (fun () -> t.live)
-let segment_count t = locked t (fun () -> t.segments)
 let entries t = locked t (fun () -> Hashtbl.fold (fun _ cell acc -> !cell @ acc) t.index [])
 
 (* Appends are flushed as they are made, so closing writes nothing. *)
@@ -632,10 +647,7 @@ let log_rejection t entry reason =
   if not t.readonly then
     try
       ensure_dir (quarantine_dir t);
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644
-          (Filename.concat (quarantine_dir t) "rejected.jsonl")
-      in
+      let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (rejected_log t) in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->

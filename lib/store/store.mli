@@ -40,8 +40,9 @@
     every served word's unitary against the {e requested} target, so
     even a CRC-valid record whose word does not achieve its claimed
     distance turns into a miss plus a quarantine record, never a wrong
-    circuit.  Such a record stays in its segment, so every later open
-    recovers it and the next lookup rejects it again.
+    circuit.  Such a record stays in its segment; every later open reads
+    [quarantine/rejected.jsonl] and leaves each record it names out of
+    the index, counted in [records_quarantined].
 
     {b Fault injection.}  Appends consult [Robust.Fault] under the rung
     name ["store.append"] (modes [torn], [corrupt], [enospc]), making
@@ -104,7 +105,9 @@ val bucket_of_eps : float -> int
 type recovery = {
   segments_scanned : int;  (** segments read end to end with CRC checks *)
   records_recovered : int;  (** valid records recovered by scanning *)
-  records_quarantined : int;  (** CRC/framing failures dropped *)
+  records_quarantined : int;
+      (** CRC/framing failures dropped, and intact records that
+          [quarantine/rejected.jsonl] names *)
   segments_quarantined : int;  (** segment files moved to [quarantine/] *)
   torn_tails : int;  (** torn final frames truncated away *)
 }
@@ -131,8 +134,6 @@ val degraded : t -> bool
 
 val size : t -> int
 (** Live entries in the index. *)
-
-val segment_count : t -> int
 
 val close : t -> unit
 (** Close the segment receiving appends and release the writer lock.

@@ -8,7 +8,9 @@
    3. a doctored copy with every wall time doubled must make the same
       diff exit nonzero — the regression gate actually fires;
    4. a compile_cli --trace run must yield a trace whose hotspot
-      self-times sum to within 5% of the root span's wall time;
+      self-times sum to within 5% of the root span's wall time, and
+      whose `tgates-trace report`, minus its first line, is the report
+      the run printed on stderr;
    5. a second, independent quick-suite run diffed against the first
       must pass a lenient regression threshold — the exact plumbing a
       real perf gate uses (two separate processes, two JSON files),
@@ -153,10 +155,29 @@ let () =
     "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\nrz(0.37) q[0];\ncx q[0],q[1];\nrz(1.1) q[1];\n";
   close_out oc;
   let trace = Filename.temp_file "perf_smoke" ".jsonl" in
+  let stderr_txt = Filename.temp_file "perf_smoke_stderr" ".txt" in
+  let report_txt = Filename.temp_file "perf_smoke_report" ".txt" in
   run_ok "compile"
-    (Printf.sprintf "%s --input %s --jobs 1 --trace %s >/dev/null 2>/dev/null" (q compile_cli)
-       (q qasm) (q trace));
+    (Printf.sprintf "%s --input %s --jobs 1 --trace %s >/dev/null 2>%s" (q compile_cli) (q qasm)
+       (q trace) (q stderr_txt));
   run_ok "hotspots renders" (Printf.sprintf "%s hotspots --top 5 %s >/dev/null" (q trace_cli) (q trace));
+  run_ok "report renders"
+    (Printf.sprintf "%s report %s >%s" (q trace_cli) (q trace) (q report_txt));
+  (* The trace explains the run as the run did: its metric lines hold
+     the values the run's own end-of-run report was printed from. *)
+  let rec from_header = function
+    | l :: _ as ls when String.starts_with ~prefix:"== observability report" l -> ls
+    | _ :: ls -> from_header ls
+    | [] -> []
+  in
+  let printed = from_header (String.split_on_char '\n' (read_file stderr_txt)) in
+  (match String.split_on_char '\n' (read_file report_txt) with
+  | _ :: rendered when printed <> [] && rendered = printed -> ()
+  | _ ->
+      failf
+        "tgates-trace report differs from the report compile_cli printed:\n\
+         --- stderr ---\n%s\n--- report ---\n%s"
+        (read_file stderr_txt) (read_file report_txt));
   (match Trace_analysis.load trace with
   | Error e -> failf "compile trace does not load: %s" e
   | Ok tr ->
@@ -244,5 +265,8 @@ let () =
       stats1 stats2;
   if stats1 = "" then failf "ledger aggregate output is empty";
 
-  List.iter Sys.remove [ bench_json; bench_json2; doctored; qasm; qasm7; trace; metrics_jsonl ];
+  List.iter Sys.remove
+    [
+      bench_json; bench_json2; doctored; qasm; qasm7; trace; stderr_txt; report_txt; metrics_jsonl;
+    ];
   print_endline "perf_smoke: OK"

@@ -97,46 +97,4 @@ let cmatrix_tests =
            Cmatrix.is_close a (Cmatrix.adjoint (Cmatrix.adjoint a))));
   ]
 
-let factorization_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:100 ~name:"QR reconstructs and Q orthonormal"
-         QCheck2.Gen.(pair (int_range 2 8) (int_range 1 4))
-         (fun (m, n) ->
-           let n = min m n in
-           let a = random_cmatrix m n in
-           let q, r = Svd.qr a in
-           let recon = Cmatrix.mul q r in
-           let qtq = Cmatrix.mul (Cmatrix.adjoint q) q in
-           Cmatrix.is_close ~tol:1e-8 recon a && Cmatrix.is_close ~tol:1e-8 qtq (Cmatrix.identity n)));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:100 ~name:"LQ reconstructs with orthonormal rows"
-         QCheck2.Gen.(pair (int_range 1 4) (int_range 2 12))
-         (fun (m, n) ->
-           let m = min m n in
-           let a = random_cmatrix m n in
-           let l, q = Svd.lq a in
-           let qqt = Cmatrix.mul q (Cmatrix.adjoint q) in
-           Cmatrix.is_close ~tol:1e-8 (Cmatrix.mul l q) a
-           && Cmatrix.is_close ~tol:1e-8 qqt (Cmatrix.identity m)));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:100 ~name:"SVD reconstructs with descending singular values"
-         QCheck2.Gen.(pair (int_range 1 6) (int_range 1 6))
-         (fun (m, n) ->
-           let a = random_cmatrix m n in
-           let u, s, vh = Svd.svd a in
-           let k = min m n in
-           let smat = Cmatrix.init k k (fun i j -> if i = j then Cplx.of_float s.(i) else Cplx.zero) in
-           let recon = Cmatrix.mul u (Cmatrix.mul smat vh) in
-           let descending =
-             Array.for_all (fun x -> x >= -.1e-12) s
-             && Array.for_all2 ( <= ) (Array.sub s 1 (k - 1)) (Array.sub s 0 (k - 1))
-           in
-           Cmatrix.is_close ~tol:1e-7 recon a && descending));
-    Alcotest.test_case "SVD of unitary has unit singular values" `Quick (fun () ->
-        let m = Cmatrix.of_mat2 (Mat2.random_unitary rng) in
-        let _, s, _ = Svd.svd m in
-        Array.iter (fun x -> Alcotest.(check (float 1e-9)) "sigma" 1.0 x) s);
-  ]
-
-let suite = mat2_tests @ cmatrix_tests @ factorization_tests
+let suite = mat2_tests @ cmatrix_tests

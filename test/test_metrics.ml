@@ -63,6 +63,46 @@ let ledger_tests =
             match Ledger.load path with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "meta-less ledger loaded"));
+    Alcotest.test_case "load errors name the file once" `Quick (fun () ->
+        (* Ledger.load and Metrics.load_stream: a missing meta line and a
+           bad line each name the file exactly once. *)
+        let occurrences sub s =
+          let n = String.length s and m = String.length sub in
+          let rec go i acc =
+            if i + m > n then acc else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+          in
+          go 0 0
+        in
+        let rotation = Obs.Json.to_string (Ledger.record_to_json (mkrec 1)) in
+        let snapshot seq = Printf.sprintf {|{"ev":"snapshot","seq":%d,"t":0.5}|} seq in
+        List.iter
+          (fun (what, lines, load, line) ->
+            let path = Filename.temp_file "test_load_error" ".jsonl" in
+            Out_channel.with_open_bin path (fun oc ->
+                List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+            let r = load path in
+            Sys.remove path;
+            match r with
+            | Ok () -> Alcotest.failf "%s: loaded" what
+            | Error e ->
+                Alcotest.(check int) (what ^ ": the path once in " ^ e) 1 (occurrences path e);
+                Alcotest.(check bool) (what ^ ": the line in " ^ e) true
+                  (line = "" || occurrences (path ^ ": line " ^ line ^ ": ") e = 1))
+          [
+            ("ledger without meta", [ rotation ], (fun p -> Result.map ignore (Ledger.load p)), "");
+            ( "ledger unknown event",
+              [ {|{"ev":"meta","schema":"tgates-ledger/v1"}|}; rotation; {|{"ev":"other"}|} ],
+              (fun p -> Result.map ignore (Ledger.load p)),
+              "3" );
+            ( "stream without meta",
+              [ snapshot 1 ],
+              (fun p -> Result.map ignore (Metrics.load_stream p)),
+              "" );
+            ( "stream out of order",
+              [ {|{"ev":"meta","schema":"tgates-metrics/v1"}|}; snapshot 2; snapshot 1 ],
+              (fun p -> Result.map ignore (Metrics.load_stream p)),
+              "3" );
+          ]);
     Alcotest.test_case "stats are arrival-order independent" `Quick (fun () ->
         (* The same multiset in two orders — what --jobs 1 and --jobs N
            produce — must aggregate bit-identically, wall times and all

@@ -384,6 +384,103 @@ let report_tests =
         Alcotest.(check bool) "ratio shown" true (contains "(20/4)"));
   ]
 
+(* Obs.Jsonl, the writer the trace, the ledger and the metrics stream
+   share.  [file_lines] reads a written file back, blank lines dropped. *)
+let file_lines path =
+  let lines = In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n' in
+  List.filter (( <> ) "") lines
+
+let with_temps n f =
+  let paths = List.init n (fun _ -> Filename.temp_file "tgates_jsonl" ".jsonl") in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove paths) (fun () -> f paths)
+
+(* What [f] writes to the stderr file descriptor. *)
+let captured_stderr f =
+  let path = Filename.temp_file "tgates_stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    f;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let jsonl_tests =
+  [
+    Alcotest.test_case "a slot armed twice leaves the first file complete" `Quick (fun () ->
+        with_temps 2 @@ function
+        | [ a; b ] ->
+            let s = Obs.Jsonl.slot () in
+            Obs.Jsonl.arm s a ~meta:"{\"ev\":\"meta\",\"n\":1}";
+            Obs.Jsonl.write s "{\"x\":1}";
+            Obs.Jsonl.write s "{\"x\":2}";
+            Obs.Jsonl.arm s b ~meta:"{\"ev\":\"meta\",\"n\":2}";
+            Obs.Jsonl.write s "{\"x\":3}";
+            Alcotest.(check (option string)) "path follows" (Some b) (Obs.Jsonl.path s);
+            Alcotest.(check bool) "detached" true (Obs.Jsonl.disarm s);
+            Alcotest.(check (list string)) "first file"
+              [ "{\"ev\":\"meta\",\"n\":1}"; "{\"x\":1}"; "{\"x\":2}" ]
+              (file_lines a);
+            Alcotest.(check (list string))
+              "second file"
+              [ "{\"ev\":\"meta\",\"n\":2}"; "{\"x\":3}" ]
+              (file_lines b)
+        | _ -> assert false);
+    Alcotest.test_case "a write after disarm is dropped" `Quick (fun () ->
+        with_temps 1 @@ fun paths ->
+        let path = List.hd paths in
+        let s = Obs.Jsonl.slot () in
+        Obs.Jsonl.arm s path ~meta:"{}";
+        Alcotest.(check bool) "armed" true (Obs.Jsonl.armed s);
+        Obs.Jsonl.write s "[1]";
+        Alcotest.(check bool) "first disarm detaches" true (Obs.Jsonl.disarm s);
+        Alcotest.(check bool) "disarmed" false (Obs.Jsonl.armed s);
+        Obs.Jsonl.write s "[2]";
+        Alcotest.(check bool) "second disarm is a no-op" false (Obs.Jsonl.disarm ~last:[ "[3]" ] s);
+        Alcotest.(check (list string)) "lines" [ "{}"; "[1]" ] (file_lines path));
+    Alcotest.test_case "disarm ~last appends after every earlier line" `Quick (fun () ->
+        with_temps 1 @@ fun paths ->
+        let path = List.hd paths in
+        let s = Obs.Jsonl.slot () in
+        Obs.Jsonl.arm s path ~meta:"{}";
+        let writers =
+          List.init 2 (fun d ->
+              Domain.spawn (fun () ->
+                  for i = 1 to 200 do
+                    Obs.Jsonl.write s (Printf.sprintf "[%d,%d]" d i)
+                  done))
+        in
+        List.iter Domain.join writers;
+        ignore (Obs.Jsonl.disarm ~last:[ "\"end1\""; "\"end2\"" ] s);
+        let lines = file_lines path in
+        Alcotest.(check int) "every line" 403 (List.length lines);
+        Alcotest.(check (list string)) "last lines last" [ "\"end1\""; "\"end2\"" ]
+          (List.filteri (fun i _ -> i >= 401) lines));
+    Alcotest.test_case "Obs.finish called twice prints one report" `Quick (fun () ->
+        with_temps 1 @@ fun paths ->
+        let text =
+          captured_stderr (fun () ->
+              Obs.trace_to_file (List.hd paths);
+              Obs.span "test.finish.twice" ignore;
+              Obs.finish ();
+              Obs.finish ();
+              Obs.set_enabled false)
+        in
+        let header = "== observability report" in
+        let count =
+          List.length
+            (List.filter (String.starts_with ~prefix:header) (String.split_on_char '\n' text))
+        in
+        Alcotest.(check int) "one report" 1 count);
+  ]
+
 let suite =
   counter_tests @ histogram_tests @ span_tests @ deadline_tests @ json_tests @ trace_tests
-  @ report_tests
+  @ report_tests @ jsonl_tests

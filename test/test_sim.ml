@@ -128,71 +128,3 @@ let noise_tests =
   ]
 
 let suite = state_tests @ unitary_tests @ ptm_tests @ noise_tests
-
-(* Stabilizer simulator: cross-validate against the statevector engine
-   on random Clifford circuits via ⟨Z_q⟩ expectations. *)
-
-let random_clifford_circuit n gates =
-  let instrs = ref [] in
-  for _ = 1 to gates do
-    let q = Random.State.int rng n in
-    let q2 = (q + 1 + Random.State.int rng (n - 1)) mod n in
-    let i =
-      match Random.State.int rng 8 with
-      | 0 -> Circuit.instr Qgate.H [| q |]
-      | 1 -> Circuit.instr Qgate.S [| q |]
-      | 2 -> Circuit.instr Qgate.Sdg [| q |]
-      | 3 -> Circuit.instr Qgate.X [| q |]
-      | 4 -> Circuit.instr Qgate.Z [| q |]
-      | 5 -> Circuit.instr Qgate.CX [| q; q2 |]
-      | 6 -> Circuit.instr Qgate.CZ [| q; q2 |]
-      | _ -> Circuit.instr Qgate.Y [| q |]
-    in
-    instrs := i :: !instrs
-  done;
-  Circuit.make n (List.rev !instrs)
-
-let statevector_expectation_z s q =
-  (* ⟨Z_q⟩ from amplitudes. *)
-  let acc = ref 0.0 in
-  for i = 0 to State.dim s - 1 do
-    let p = Cplx.abs2 (State.amplitude s i) in
-    acc := !acc +. (if i land (1 lsl q) = 0 then p else -.p)
-  done;
-  !acc
-
-let stabilizer_tests =
-  [
-    Alcotest.test_case "bell state stabilizer expectations" `Quick (fun () ->
-        let c = Circuit.of_list 2 [ (Qgate.H, [ 0 ]); (Qgate.CX, [ 0; 1 ]) ] in
-        let t = Stabilizer.run c in
-        Alcotest.(check int) "Z0 random" 0 (Stabilizer.expectation_z t 0);
-        Alcotest.(check int) "Z1 random" 0 (Stabilizer.expectation_z t 1));
-    Alcotest.test_case "computational states are deterministic" `Quick (fun () ->
-        let c = Circuit.of_list 3 [ (Qgate.X, [ 1 ]) ] in
-        let t = Stabilizer.run c in
-        Alcotest.(check int) "Z0 = +1" 1 (Stabilizer.expectation_z t 0);
-        Alcotest.(check int) "Z1 = -1" (-1) (Stabilizer.expectation_z t 1);
-        Alcotest.(check int) "Z2 = +1" 1 (Stabilizer.expectation_z t 2));
-    Alcotest.test_case "rejects non-Clifford gates" `Quick (fun () ->
-        let c = Circuit.of_list 1 [ (Qgate.T, [ 0 ]) ] in
-        match Stabilizer.run c with
-        | exception Stabilizer.Not_clifford Qgate.T -> ()
-        | _ -> Alcotest.fail "T accepted");
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:100 ~name:"tableau matches statevector on random Cliffords"
-         QCheck2.Gen.(pair (int_range 2 5) (int_range 1 40))
-         (fun (n, gates) ->
-           let c = random_clifford_circuit n gates in
-           let tab = Stabilizer.run c in
-           let sv = State.run c in
-           List.for_all
-             (fun q ->
-               let exact = statevector_expectation_z sv q in
-               match Stabilizer.expectation_z tab q with
-               | 0 -> Float.abs exact < 1e-9
-               | v -> Float.abs (exact -. float_of_int v) < 1e-9)
-             (List.init n (fun q -> q))));
-  ]
-
-let suite = suite @ stabilizer_tests

@@ -100,6 +100,19 @@ let tree_tests =
         match r with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted malformed trace");
+    Alcotest.test_case "a malformed line is reported at its physical line" `Quick (fun () ->
+        let path =
+          write_temp ~suffix:".jsonl"
+            [ {|{"ev":"meta","version":1}|}; ""; {|{"ev":"span","name":"x" BROKEN|} ]
+        in
+        let r = TA.load path in
+        Sys.remove path;
+        match r with
+        | Error e ->
+            let prefix = path ^ ": line 3: " in
+            Alcotest.(check string) "path and physical line" prefix
+              (String.sub e 0 (min (String.length e) (String.length prefix)))
+        | Ok _ -> Alcotest.fail "accepted malformed trace");
   ]
 
 (* In-process end-to-end: emit a real trace through Obs, then check the
