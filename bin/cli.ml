@@ -129,10 +129,11 @@ let stack =
         value
         & opt (some float) None
         & info [ "metrics-interval" ] ~docv:"SECONDS"
-            ~doc:"sampler interval for --metrics-out / --prom-out (default 0.25)")
+            ~doc:"sampler interval for --metrics-out / --prom-out (default 0.25); the \
+                  TGATES_METRICS_INTERVAL environment variable does the same")
     $ string_opt [ "prom-out" ] ~docv:"FILE"
         "write a Prometheus text exposition of every metric to $(docv), atomically replaced on \
-         each sampler tick"
+         each sampler tick; the TGATES_METRICS_PROM environment variable does the same"
     $ Arg.(
         value
         & opt (some int) None
@@ -172,9 +173,20 @@ let start ~say s =
             st)
       s.store
   in
-  (match (s.metrics_out, s.prom_out) with
+  (* Each metrics flag wins over its environment variable. *)
+  let env name =
+    match Sys.getenv_opt name with Some v when String.trim v <> "" -> Some v | _ -> None
+  in
+  let or_env flag name = match flag with Some _ -> flag | None -> env name in
+  (match (or_env s.metrics_out "TGATES_METRICS", or_env s.prom_out "TGATES_METRICS_PROM") with
   | None, None -> ()
-  | stream, prom -> Metrics.start ?interval:s.metrics_interval ?stream ?prom ());
+  | stream, prom ->
+      let interval =
+        match s.metrics_interval with
+        | Some _ as i -> i
+        | None -> Option.bind (env "TGATES_METRICS_INTERVAL") float_of_string_opt
+      in
+      Metrics.start ?interval ?stream ?prom ());
   (gate_set, chain, store)
 
 (* ------------------------------------------------------------------ *)

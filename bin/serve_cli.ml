@@ -56,17 +56,12 @@ let pump_lines fd server =
   in
   loop ()
 
-(* stdin/stdout transport: the process's whole life is one client. *)
+(* stdin/stdout transport: the process's whole life is one client.
+   The server calls [emit] under its own lock, one response at a time. *)
 let serve_stdio make_server =
-  let emit_mutex = Mutex.create () in
   let emit s =
-    Mutex.lock emit_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock emit_mutex)
-      (fun () ->
-        print_string s;
-        print_newline ();
-        flush stdout)
+    print_string s;
+    print_newline ()
   in
   let server = make_server emit in
   pump_lines Unix.stdin server;
@@ -122,7 +117,7 @@ let serve_socket path make_server =
   server
 
 let run socket epsilon workers queue_limit max_retries backoff_base backoff_cap
-    request_deadline seed (stack : Cli.stack) =
+    request_deadline (stack : Cli.stack) =
   Cli.exit_code @@ fun () ->
   let gate_set, chain, store = Cli.start ~say:(Printf.eprintf "serve: %s\n%!") stack in
   Option.iter
@@ -149,7 +144,6 @@ let run socket epsilon workers queue_limit max_retries backoff_base backoff_cap
       backoff_cap_s = backoff_cap;
       request_deadline_s = request_deadline;
       planner_jobs;
-      seed;
     }
   in
   (* Drain on SIGTERM/SIGINT rather than dying mid-request. *)
@@ -248,15 +242,12 @@ let request_deadline =
     & info [ "request-deadline" ] ~docv:"SECONDS"
         ~doc:"default per-request wall-clock budget (requests may override with deadline_s)")
 
-let seed =
-  Arg.(value & opt int 0 & info [ "seed" ] ~doc:"jitter RNG seed (deterministic backoff)")
-
 let cmd =
   Cmd.v
     (Cmd.info "tgates-serve"
        ~doc:"Durable batch synthesis server over the persistent store (line-delimited JSON)")
     Term.(
       const run $ socket $ epsilon $ workers $ queue_limit $ max_retries $ backoff_base
-      $ backoff_cap $ request_deadline $ seed $ Cli.stack)
+      $ backoff_cap $ request_deadline $ Cli.stack)
 
 let () = exit (Cmd.eval' cmd)

@@ -265,22 +265,6 @@ let stop () =
    the sampler never ran. *)
 let () = at_exit stop
 
-(* Environment gate, mirroring TGATES_TRACE: TGATES_METRICS=<stream>,
-   optional TGATES_METRICS_PROM and TGATES_METRICS_INTERVAL. *)
-let () =
-  match Sys.getenv_opt "TGATES_METRICS" with
-  | Some p when String.trim p <> "" ->
-      let interval =
-        Option.bind (Sys.getenv_opt "TGATES_METRICS_INTERVAL") float_of_string_opt
-      in
-      let prom =
-        match Sys.getenv_opt "TGATES_METRICS_PROM" with
-        | Some s when String.trim s <> "" -> Some s
-        | _ -> None
-      in
-      start ?interval ~stream:p ?prom ()
-  | _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Consumer side                                                       *)
 (* ------------------------------------------------------------------ *)

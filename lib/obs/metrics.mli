@@ -17,9 +17,13 @@
     ["obs.metrics.sampler_wall_s"] (wall time spent inside ticks) — the
     latter is how the perf gate bounds sampler overhead.
 
-    Armed by {!start} (the CLIs' [--metrics-out] / [--prom-out] flags)
-    or by the [TGATES_METRICS] env var (stream path; optional
-    [TGATES_METRICS_PROM] and [TGATES_METRICS_INTERVAL]).  The stream is
+    Armed by {!start}, which a binary calls from its start-up code:
+    compile_cli and serve_cli from their [--metrics-out] / [--prom-out]
+    / [--metrics-interval] flags or, for an absent flag, from its
+    environment variable ([TGATES_METRICS], [TGATES_METRICS_PROM],
+    [TGATES_METRICS_INTERVAL]).  Nothing starts at module
+    initialization: a domain spawned then would stop the threads
+    library from initializing.  The stream is
     written through an [Obs.Jsonl] slot, flushed every tick, and read
     back through [Obs.Jsonl.fold] ({!load_stream}).  {!stop} joins the
     sampler domain after a final snapshot, so the stream always ends on

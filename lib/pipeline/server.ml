@@ -50,7 +50,6 @@ type config = {
   backoff_cap_s : float;
   request_deadline_s : float option;
   planner_jobs : int option;
-  seed : int;
 }
 
 let default_config =
@@ -65,7 +64,6 @@ let default_config =
     backoff_cap_s = 1.0;
     request_deadline_s = None;
     planner_jobs = None;
-    seed = 0;
   }
 
 (* One rotation to answer.  [rid] is the tracing request id; batch
@@ -103,7 +101,6 @@ type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   idle : Condition.t;
-  rng : Random.State.t;  (* backoff jitter; guarded by [mutex] *)
   mutable threads : Thread.t list;
   trace_id : string;  (* one per server instance ("boot") *)
   created_at : float;  (* Obs.Clock.elapsed_s at create *)
@@ -215,8 +212,9 @@ let synthesize t (r : rotation) tries =
         Float.min t.cfg.backoff_cap_s
           (t.cfg.backoff_base_s *. Float.pow 2.0 (float_of_int !tries))
       in
-      (* Deterministic jitter in [0.5, 1.0] × backoff. *)
-      let jitter = locked t (fun () -> Random.State.float t.rng 1.0) in
+      (* Jitter in [0.5, 1.0] × backoff, from the element's request id
+         and the retry index alone. *)
+      let jitter = Robust.Fault.uniform (Printf.sprintf "backoff\x00%s\x00%d" r.rid !tries) in
       Unix.sleepf (back *. (0.5 +. (0.5 *. jitter)));
       Obs.incr c_retries;
       locked t (fun () -> t.n_retries <- t.n_retries + 1);
@@ -397,7 +395,6 @@ let create ?store ~emit cfg =
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       idle = Condition.create ();
-      rng = Random.State.make [| cfg.seed; 0x5e4e |];
       threads = [];
       (* Unique per boot: pid + monotonic nanoseconds.  Lets traces
          from a warm-restarted server distinguish the two lives. *)

@@ -79,7 +79,8 @@
     (store consultation included when [Synth.set_store] armed one);
     transient failures ([Backend_error] only: a [Timeout] means the
     request's deadline, the chain's only one, has expired) are retried
-    with exponential backoff + deterministic jitter while the
+    with exponential backoff, its jitter derived from the element's
+    request id and retry index ([Robust.Fault.uniform]), while the
     per-request deadline allows, and a retried rotation's one ledger
     record is the execution it was answered with; the admission queue
     is bounded and sheds with a
@@ -115,13 +116,12 @@ type config = {
   backoff_cap_s : float;  (** backoff ceiling *)
   request_deadline_s : float option;  (** default per-request deadline *)
   planner_jobs : int option;  (** planner domains per work item *)
-  seed : int;  (** jitter RNG seed (deterministic backoff) *)
 }
 
 val default_config : config
 (** ε 0.07, [Gateset.default], the ladder by op, 1 worker,
     queue 64, 3 retries, base 0.05 s capped at 1 s, no default
-    deadline, planner default domains, seed 0. *)
+    deadline, planner default domains. *)
 
 type t
 

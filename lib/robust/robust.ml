@@ -124,70 +124,56 @@ module Fault = struct
     in
     go None [] clauses
 
-  type state = { seed : int; specs : spec list; streams : (string, Random.State.t) Hashtbl.t }
+  type plan = { seed : int; specs : spec list }
 
-  (* None = never configured (consult TGATES_FAULTS on first draw);
-     Some with empty specs = explicitly cleared.  The state (and the
-     per-rung RNG streams inside it — [Random.State] is not thread
-     -safe) is shared by every planner worker domain, so all access
-     goes through [lock].  Per-rung streams keep one rung's draw
-     sequence independent of scheduling across domains as long as that
-     rung's own calls stay ordered (always true at prob 1.0, where
-     every draw fires regardless of order). *)
-  let lock = Mutex.create ()
-  let state : state option ref = ref None
+  (* [None] until [configure] installs a plan or the first draw reads
+     TGATES_FAULTS.  A plan is never mutated, so a draw reads it with
+     one atomic load and takes no lock. *)
+  let installed : plan option Atomic.t = Atomic.make None
 
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+  let configure ?(seed = 0) specs = Atomic.set installed (Some { seed; specs })
 
-  let make_state seed specs = { seed; specs; streams = Hashtbl.create 8 }
+  let of_env () =
+    match Sys.getenv_opt "TGATES_FAULTS" with
+    | Some v when String.trim v <> "" -> (
+        match parse v with
+        | Ok (seed, specs) -> { seed = Option.value seed ~default:0; specs }
+        | Error e -> invalid_arg ("TGATES_FAULTS: " ^ e))
+    | _ -> { seed = 0; specs = [] }
 
-  let configure ?(seed = 0) specs = locked (fun () -> state := Some (make_state seed specs))
-
-  let clear () = locked (fun () -> state := Some (make_state 0 []))
-
-  let ensure_unlocked () =
-    match !state with
-    | Some s -> s
+  (* Domains that race to the first draw may each read the variable;
+     the first install wins. *)
+  let rec plan () =
+    match Atomic.get installed with
+    | Some p -> p
     | None ->
-        let s =
-          match Sys.getenv_opt "TGATES_FAULTS" with
-          | None -> make_state 0 []
-          | Some v when String.trim v = "" -> make_state 0 []
-          | Some v -> (
-              match parse v with
-              | Ok (seed, specs) -> make_state (Option.value seed ~default:0) specs
-              | Error e -> invalid_arg ("TGATES_FAULTS: " ^ e))
-        in
-        state := Some s;
-        s
+        ignore (Atomic.compare_and_set installed None (Some (of_env ())));
+        plan ()
 
-  let active () = locked (fun () -> (ensure_unlocked ()).specs <> [])
+  let uniform s =
+    let bits = Int64.shift_right_logical (String.get_int64_le (Digest.string s) 0) 11 in
+    Int64.to_float bits *. 0x1p-53
 
-  (* Each rung name owns its own stream, seeded from the global seed and
-     the name, so one rung's draw sequence is independent of how calls
-     to other rungs interleave with it. *)
-  let stream st name =
-    match Hashtbl.find_opt st.streams name with
-    | Some r -> r
-    | None ->
-        let r = Random.State.make [| st.seed; Hashtbl.hash name |] in
-        Hashtbl.add st.streams name r;
-        r
+  (* A top-level loop, not [List.find_opt] with a closure, so that a
+     draw under an empty plan allocates nothing. *)
+  let rec find_spec site = function
+    | [] -> None
+    | sp :: rest -> if matches sp site then Some sp else find_spec site rest
 
-  let draw name =
-    locked (fun () ->
-        let st = ensure_unlocked () in
-        match List.find_opt (fun sp -> matches sp name) st.specs with
-        | None -> None
-        | Some sp ->
-            if Random.State.float (stream st name) 1.0 < sp.prob then Some sp.mode else None)
+  let draw site ~key =
+    let p = plan () in
+    match find_spec site p.specs with
+    | None -> None
+    | Some sp when sp.prob >= 1.0 -> Some sp.mode
+    | Some sp ->
+        if uniform (Printf.sprintf "%d\x00%s\x00%s" p.seed site (key ())) < sp.prob then
+          Some sp.mode
+        else None
 
   let with_faults ?seed specs f =
-    let saved = locked (fun () -> !state) in
+    let saved = Atomic.get installed in
     configure ?seed specs;
-    Fun.protect ~finally:(fun () -> locked (fun () -> state := saved)) f
+    Fun.protect ~finally:(fun () -> Atomic.set installed saved) f
 end
 
 (* ------------------------------------------------------------------ *)

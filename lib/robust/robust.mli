@@ -22,9 +22,9 @@
       always terminates (Dawson–Nielsen), so a chain only fails outright
       when every rung misbehaves or the deadline expires.
     - {b Testable end to end.}  The fault layer ({!Fault}) can force
-      any rung to fail, stall, or emit a corrupted word — seeded and
-      deterministic — via the [TGATES_FAULTS] environment variable or
-      the programmatic API.
+      any rung to fail, stall, or emit a corrupted word — each draw a
+      pure function of the plan and the call ({!Fault.draw}) — via the
+      [TGATES_FAULTS] environment variable or the programmatic API.
 
     The chain runner that applies all of this lives in [Synth]
     ([Synth.run_chain]); it counts [robust.retries],
@@ -121,29 +121,36 @@ module Fault : sig
       ["store.append=enospc"] (disk full). *)
 
   val configure : ?seed:int -> spec list -> unit
-  (** Install the spec list (replacing any active set, including one
-      armed from the environment).  Each rung name owns an RNG stream
-      seeded from [seed] (default 0) and the name, and a rung's draws
-      follow the order of its calls.  At [--jobs] > 1 that order is the
-      order in which the planner's domains reach the rung — for the
-      engine's jobs and a server batch's alike — so a spec with
-      [@PROB] < 1 reproduces only at [--jobs 1]; at probability 1 every
-      draw fires whatever the order. *)
+  (** Install a plan: the spec list and [seed] (default 0), replacing
+      any earlier plan, including one read from the environment. *)
 
-  val clear : unit -> unit
-  (** Remove all faults (and stop consulting [TGATES_FAULTS]). *)
+  val uniform : string -> float
+  (** The uniform in \[0, 1) of a string: the top 53 bits of its MD5.
+      Draws and the server's backoff jitter are derived from it. *)
 
-  val active : unit -> bool
+  val draw : string -> key:(unit -> string) -> mode option
+  (** Consult the plan for one call at [site] (a rung name, or
+      ["store.append"]).  The first spec that matches [site] fires when
+      {!uniform} of (plan seed, [site], [key ()]) is below its
+      probability, so at probability 1 it always fires.  [key] names
+      the call: [Synth]'s rungs pass the target's [Synth.target_id] and
+      the index of the chain execution (0, then one more for each
+      retry), [Store.put] the entry's gate set and target.
 
-  val draw : string -> mode option
-  (** Consult the fault table for one call of the named rung.  On first
-      use, if {!configure} was never called, [TGATES_FAULTS] is parsed
-      and armed ([Invalid_argument] on a malformed value).  Exposed for
-      tests; [Synth.run_chain] calls it once per rung attempt. *)
+      A draw is a pure function of the plan, [site] and the key: not of
+      earlier draws, their order or the domain that makes them.  So a
+      faulted run gives the same output at any [--jobs], for the
+      engine's jobs and a server batch's alike.  [key] is called only
+      when a spec below probability 1 matches: with no plan armed a
+      draw formats no key and allocates nothing.
+
+      On first use, if {!configure} was never called, [TGATES_FAULTS]
+      is parsed and installed ([Invalid_argument] on a malformed
+      value). *)
 
   val with_faults : ?seed:int -> spec list -> (unit -> 'a) -> 'a
-  (** Scoped {!configure}/{!clear} pair restoring the previous state —
-      what tests should use. *)
+  (** Run [f] under the plan, then restore the previous one — what
+      tests should use. *)
 end
 
 (** {1 CLI boundary} *)

@@ -604,7 +604,7 @@ let put t e =
           degrade t;
           drop_put t
     in
-    match Robust.Fault.draw "store.append" with
+    match Robust.Fault.draw "store.append" ~key:(fun () -> cell_key e.gate_set e.target) with
     | Some Robust.Fault.Torn ->
         (* A deterministic kill -9 mid-append: half a frame reaches the
            disk, then the writer is gone. *)

@@ -45,8 +45,9 @@
     the index, counted in [records_quarantined].
 
     {b Fault injection.}  Appends consult [Robust.Fault] under the rung
-    name ["store.append"] (modes [torn], [corrupt], [enospc]), making
-    crash recovery deterministically testable via [TGATES_FAULTS].
+    name ["store.append"], keyed by the entry's gate set and target
+    (modes [torn], [corrupt], [enospc]), making crash recovery
+    deterministically testable via [TGATES_FAULTS].
 
     {b Graceful degradation.}  An append failure (real or injected
     ENOSPC) flips the store into degraded read-only mode: lookups keep

@@ -292,23 +292,13 @@ let c_faults = Obs.counter "robust.faults.injected"
 let c_deadline = Obs.counter "robust.deadline.expired"
 let c_chain_failed = Obs.counter "robust.chain.failed"
 
-(* The process-wide persistent store, when a CLI armed one.  Guarded by
-   a mutex: [run_chain] runs on planner worker domains.  (The store's
-   own operations are internally locked; this mutex only protects the
-   option cell.) *)
-let store_lock = Mutex.create ()
-let store_ref : Store.t option ref = ref None
+(* The process-wide persistent store, when a CLI armed one.  Atomic
+   because [run_chain] reads it on planner worker domains; the store's
+   own operations take the store's own lock. *)
+let store_ref : Store.t option Atomic.t = Atomic.make None
 
-let set_store s =
-  Mutex.lock store_lock;
-  store_ref := s;
-  Mutex.unlock store_lock
-
-let store () =
-  Mutex.lock store_lock;
-  let s = !store_ref in
-  Mutex.unlock store_lock;
-  s
+let set_store s = Atomic.set store_ref s
+let store () = Atomic.get store_ref
 
 (* Rungs whose backend cannot emit the requested alphabet are skipped,
    so a non-Clifford+T request falls through gridsynth/sk straight to
@@ -365,9 +355,12 @@ let ledger_record ?(request_id = "") ~config:cfg chain target ~source ~wall_s re
    after each failure; on expiry the chain stops with [Timeout] rather
    than burning further rungs.  When every rung fails, the last one's
    failure is the chain's.  A failure carries the number of rungs run:
-   a rung counts once it has passed its deadline check. *)
-let run_rungs ~deadline ~config:base chain target =
+   a rung counts once it has passed its deadline check.  [exec] is the
+   index of this chain execution among a rotation's retries: each rung's
+   fault draw is keyed by the target and it. *)
+let run_rungs ~exec ~deadline ~config:base chain target =
   let m = target_mat2 target in
+  let key () = Printf.sprintf "%s#%d" (target_id target) exec in
   let timeout ran =
     Obs.incr c_deadline;
     Obs.incr c_chain_failed;
@@ -377,7 +370,7 @@ let run_rungs ~deadline ~config:base chain target =
     if Obs.Deadline.expired deadline then timeout idx
     else begin
       if idx > 0 then Obs.incr c_retries;
-      let injected = Robust.Fault.draw spec.rung_name in
+      let injected = Robust.Fault.draw spec.rung_name ~key in
       (match injected with
       | Some (Robust.Fault.Stall s) ->
           Obs.incr c_faults;
@@ -441,79 +434,82 @@ let run_rungs ~deadline ~config:base chain target =
           0 )
   | spec :: rest -> go 0 spec rest
 
-let rec run_chain_sourced ?deadline ?(retry = fun _ -> false) ~config:cfg chain target =
+let run_chain_sourced ?deadline ?(retry = fun _ -> false) ~config:cfg chain target =
   let deadline =
     match deadline with
     | Some d -> Obs.Deadline.earliest d cfg.deadline
     | None -> cfg.deadline
   in
-  Obs.incr c_rotations;
-  let t0 = Obs.Clock.elapsed_s () in
   let gs_name = gate_set_name cfg in
-  (* One provenance record per rotation, success or failure: the final
-     execution's.  The engine and the server add replay records for
-     occurrences served by dedup or the memo. *)
-  let record source result =
-    if Ledger.enabled () then
-      Ledger.record
-        (ledger_record ~config:cfg chain target ~source ~wall_s:(Obs.Clock.elapsed_s () -. t0)
-           result)
+  let rec execute exec =
+    Obs.incr c_rotations;
+    let t0 = Obs.Clock.elapsed_s () in
+    (* One provenance record per rotation, success or failure: the final
+       execution's.  The engine and the server add replay records for
+       occurrences served by dedup or the memo. *)
+    let record source result =
+      if Ledger.enabled () then
+        Ledger.record
+          (ledger_record ~config:cfg chain target ~source ~wall_s:(Obs.Clock.elapsed_s () -. t0)
+             result)
+    in
+    (* Consult the persistent store first: a stored word whose verified
+       distance is ≤ ε is a valid answer for this request (ε-monotonic
+       reuse), already re-verified by the store's read path.  The lookup
+       is keyed by the active gate set, so an alphabet never serves
+       another alphabet's words. *)
+    let store_hit =
+      match store () with
+      | None -> None
+      | Some st ->
+          (* Under its own span so a request's waterfall shows the store
+             consult (and its outcome) as a step distinct from synthesis. *)
+          Obs.span "synth.store.lookup" (fun () ->
+              let hit =
+                Store.lookup st ~gate_set:gs_name ~epsilon:cfg.epsilon (store_target target)
+              in
+              Obs.incr (match hit with Some _ -> c_store_hit | None -> c_store_miss);
+              Obs.set_span_attr "outcome" (match hit with Some _ -> "hit" | None -> "miss");
+              hit)
+    in
+    match store_hit with
+    | Some (e : Store.entry) ->
+        let a =
+          {
+            Robust.word = e.Store.word;
+            distance = e.Store.distance;
+            backend = e.Store.backend;
+            fallbacks = 0;
+            rung_epsilon = cfg.epsilon;
+          }
+        in
+        record `Store (Ok a);
+        Ok (a, `Store)
+    | None -> (
+        match run_rungs ~exec ~deadline ~config:cfg chain target with
+        | Error (f, _) when retry f -> execute (exec + 1)
+        | result ->
+            record `Fresh result;
+            (* A freshly synthesized, guard-verified word is worth keeping —
+               under the alphabet that produced it, so cross-alphabet hits
+               are impossible. *)
+            (match (result, store ()) with
+            | Ok a, Some st when not (Store.readonly st) ->
+                Store.put st
+                  {
+                    Store.gate_set = gs_name;
+                    target = store_target target;
+                    eps_req = cfg.epsilon;
+                    distance = a.Robust.distance;
+                    word = a.Robust.word;
+                    t_count = Ctgate.t_count a.Robust.word;
+                    backend = a.Robust.backend;
+                    chain = chain_id chain;
+                  }
+            | _ -> ());
+            Result.map (fun a -> (a, `Fresh)) result)
   in
-  (* Consult the persistent store first: a stored word whose verified
-     distance is ≤ ε is a valid answer for this request (ε-monotonic
-     reuse), already re-verified by the store's read path.  The lookup
-     is keyed by the active gate set, so an alphabet never serves
-     another alphabet's words. *)
-  let store_hit =
-    match store () with
-    | None -> None
-    | Some st ->
-        (* Under its own span so a request's waterfall shows the store
-           consult (and its outcome) as a step distinct from synthesis. *)
-        Obs.span "synth.store.lookup" (fun () ->
-            let hit =
-              Store.lookup st ~gate_set:gs_name ~epsilon:cfg.epsilon (store_target target)
-            in
-            Obs.incr (match hit with Some _ -> c_store_hit | None -> c_store_miss);
-            Obs.set_span_attr "outcome" (match hit with Some _ -> "hit" | None -> "miss");
-            hit)
-  in
-  match store_hit with
-  | Some (e : Store.entry) ->
-      let a =
-        {
-          Robust.word = e.Store.word;
-          distance = e.Store.distance;
-          backend = e.Store.backend;
-          fallbacks = 0;
-          rung_epsilon = cfg.epsilon;
-        }
-      in
-      record `Store (Ok a);
-      Ok (a, `Store)
-  | None -> (
-      match run_rungs ~deadline ~config:cfg chain target with
-      | Error (f, _) when retry f -> run_chain_sourced ~deadline ~retry ~config:cfg chain target
-      | result ->
-          record `Fresh result;
-          (* A freshly synthesized, guard-verified word is worth keeping —
-             under the alphabet that produced it, so cross-alphabet hits
-             are impossible. *)
-          (match (result, store ()) with
-          | Ok a, Some st when not (Store.readonly st) ->
-              Store.put st
-                {
-                  Store.gate_set = gs_name;
-                  target = store_target target;
-                  eps_req = cfg.epsilon;
-                  distance = a.Robust.distance;
-                  word = a.Robust.word;
-                  t_count = Ctgate.t_count a.Robust.word;
-                  backend = a.Robust.backend;
-                  chain = chain_id chain;
-                }
-          | _ -> ());
-          Result.map (fun a -> (a, `Fresh)) result)
+  execute 0
 
 let run_chain ?deadline ~config chain target =
   match run_chain_sourced ?deadline ~config chain target with

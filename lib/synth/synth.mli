@@ -175,8 +175,9 @@ val run_chain :
     The deadline is checked before each rung, after a stall and after
     each failure: on expiry the chain stops with [Timeout]
     ([robust.deadline.expired]).  Each rung draws [Robust.Fault] under
-    its name, which may stall it, fail it or corrupt its word
-    ([robust.faults.injected]).  Rungs after the first count as
+    its name, keyed ["<target_id>#<execution>"] (the execution index is
+    0, then one more per retry of {!run_chain_sourced}), which may stall
+    it, fail it or corrupt its word ([robust.faults.injected]).  Rungs after the first count as
     [robust.retries], a winner after the first as
     [robust.fallback.<rung>]; when every rung fails the chain reports
     the last rung's failure ([robust.chain.failed]).

@@ -50,7 +50,12 @@
    each stored for six distinct Rz targets), minor words
 
    11. per record recovered by Store.open_store, which scans every
-       segment: CRC check, payload decode, index insert.
+       segment: CRC check, payload decode, index insert;
+
+   and, with no fault plan armed,
+
+   12. per Robust.Fault.draw: none, since an unarmed draw is one atomic
+       load and formats no key.
 
    Bounds are for the dev profile that runtest builds: each is its dev
    count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 / 1,109
@@ -65,6 +70,7 @@ let instantiate_bound = 32.0
 let sample_bound = 59_700.0
 let live_bound = 4_411.0
 let open_bound = 1_387.0
+let draw_bound = 0.0
 
 let gates = 10_000
 
@@ -250,4 +256,14 @@ let () =
   (try Sys.rmdir (Filename.concat dir "segments"); Sys.rmdir dir with Sys_error _ -> ());
   if records < 1_000 then failwith "alloc_gate: store open recovered fewer than 1,000 records";
   check "Store.open_store per recovered record" (words /. float_of_int records) open_bound;
+  let target = Store.Rz 0.37 in
+  let key () = Store.target_id target in
+  let (), words =
+    Robust.Fault.with_faults [] (fun () ->
+        measure (fun () ->
+            for _ = 1 to 1_000 do
+              ignore (Robust.Fault.draw "gridsynth" ~key)
+            done))
+  in
+  check "Robust.Fault.draw with no plan armed" (words /. 1_000.0) draw_bound;
   if !failed then exit 1

@@ -5,7 +5,9 @@
    result by the runner.  [run_chain] is the old [Synth.run_chain]
    without the store and the ledger: it bumps [synth.rotations], skips
    rungs whose backend cannot emit the gate set, and fails an unusable
-   chain with the same "no backend in chain" error. *)
+   chain with the same "no backend in chain" error.  Each rung draws its
+   fault under its name with [Synth.run_chain]'s key for a first
+   execution, "<target_id>#0". *)
 
 type rung = {
   name : string;
@@ -21,7 +23,7 @@ let c_rotations = Obs.counter "synth.rotations"
 
 let corrupt_word word = Ctgate.X :: word
 
-let run_rungs ?(deadline = Obs.Deadline.none) ~target rungs =
+let run_rungs ?(deadline = Obs.Deadline.none) ~key ~target rungs =
   let timeout () =
     Obs.incr c_deadline;
     Obs.incr c_chain_failed;
@@ -38,7 +40,7 @@ let run_rungs ?(deadline = Obs.Deadline.none) ~target rungs =
         if Obs.Deadline.expired deadline then timeout ()
         else begin
           if idx > 0 then Obs.incr c_retries;
-          let injected = Robust.Fault.draw rung.name in
+          let injected = Robust.Fault.draw rung.name ~key in
           (match injected with
           | Some (Robust.Fault.Stall s) ->
               Obs.incr c_faults;
@@ -115,5 +117,7 @@ let run_chain ?deadline ~config:(cfg : Synth.config) chain target =
       (Robust.Backend_error
          (Printf.sprintf "no backend in chain %S supports gate set %S" (Synth.chain_id chain) gs))
   else
-    run_rungs ~deadline ~target:(Synth.target_mat2 target)
+    run_rungs ~deadline
+      ~key:(fun () -> Synth.target_id target ^ "#0")
+      ~target:(Synth.target_mat2 target)
       (List.map (rung_of_spec ~config:cfg ~target) usable)

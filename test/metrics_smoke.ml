@@ -10,9 +10,12 @@
       figure compile_cli reports — one provenance record per rotation
       occurrence, cached replays and degraded fallbacks included.  A
       second run under --faults (every trasyn call fails, forcing the
-      fallback ladder) must balance the same books.
+      fallback ladder) must balance the same books;
+   4. TGATES_METRICS without the flags arms the sampler in compile_cli
+      and in serve_cli (reading an empty stdin): each exits 0, and
+      `tgates-trace metrics` loads the stream it wrote.
 
-   The executable arrives as argv: COMPILE_CLI. *)
+   The executables arrive as argv: COMPILE_CLI SERVE_CLI TRACE_CLI. *)
 
 let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("metrics_smoke: FAIL: " ^ s); exit 1) fmt
 
@@ -82,9 +85,26 @@ let check_run ~what ~compile_cli ~qasm ~extra_flags =
       then failf "%s: fault injection produced no degraded fresh record" what);
   List.iter Sys.remove [ stream; prom; ledger; out ]
 
+(* 4. The environment variable alone, on a binary that starts the
+   sampler from its start-up code. *)
+let check_env ~what ~trace_cli cmd =
+  let q = Filename.quote in
+  let stream = Filename.temp_file "metrics_smoke" ".env.jsonl" in
+  Sys.remove stream;
+  let code =
+    Sys.command
+      (Printf.sprintf "TGATES_METRICS=%s TGATES_METRICS_INTERVAL=0.02 %s > /dev/null 2>&1"
+         (q stream) cmd)
+  in
+  if code <> 0 then failf "%s under TGATES_METRICS exited %d: %s" what code cmd;
+  if not (Sys.file_exists stream) then failf "%s under TGATES_METRICS wrote no stream" what;
+  let code = Sys.command (Printf.sprintf "%s metrics %s > /dev/null" (q trace_cli) (q stream)) in
+  if code <> 0 then failf "%s: tgates-trace metrics exited %d on its stream" what code;
+  Sys.remove stream
+
 let () =
-  if Array.length Sys.argv < 2 then failf "usage: metrics_smoke COMPILE_CLI";
-  let compile_cli = Sys.argv.(1) in
+  if Array.length Sys.argv < 4 then failf "usage: metrics_smoke COMPILE_CLI SERVE_CLI TRACE_CLI";
+  let compile_cli = Sys.argv.(1) and serve_cli = Sys.argv.(2) and trace_cli = Sys.argv.(3) in
   (* Repeated angles so the planner dedups and the ledger must balance
      cached replays against fresh executions.  Each rotation sits on a
      cx target in its own 1q run: the u3 transpiler can't merge the
@@ -102,5 +122,10 @@ let () =
      falls through to gridsynth, every rotation is degraded — and still
      ledger records == rotations synthesized. *)
   check_run ~what:"faulted" ~compile_cli ~qasm ~extra_flags:"--faults 'trasyn=fail'";
-  Sys.remove qasm;
+  let out = Filename.temp_file "metrics_smoke" ".out.qasm" in
+  check_env ~what:"compile_cli" ~trace_cli
+    (Printf.sprintf "%s --input %s -o %s" (Filename.quote compile_cli) (Filename.quote qasm)
+       (Filename.quote out));
+  check_env ~what:"serve_cli" ~trace_cli (Filename.quote serve_cli ^ " < /dev/null");
+  List.iter Sys.remove [ qasm; out ];
   print_endline "metrics_smoke: OK"

@@ -1,5 +1,5 @@
 (* Tests for the robustness layer: the verification guard, the
-   TGATES_FAULTS grammar and deterministic fault draws, fallback chains
+   TGATES_FAULTS grammar and pure fault draws, fallback chains
    (run by [Synth.run_chain]) with deadline propagation, and the CLI
    error boundary. *)
 
@@ -124,44 +124,56 @@ let parse_tests =
   ]
 
 let draw_tests =
+  (* The spec every draw case uses, parsed as TGATES_FAULTS would be. *)
+  let seed, specs =
+    match Robust.Fault.parse "gridsynth=fail@0.5,seed=3" with
+    | Ok (Some seed, specs) -> (seed, specs)
+    | _ -> Alcotest.fail "spec did not parse"
+  in
+  let draw ?(site = "gridsynth") i =
+    Robust.Fault.draw site ~key:(fun () -> Printf.sprintf "k%d" i)
+  in
   [
-    Alcotest.test_case "draws are deterministic under a seed" `Quick (fun () ->
-        let draws () =
-          Robust.Fault.with_faults ~seed:42 [ fault ~prob:0.5 "trasyn" Robust.Fault.Fail ]
-            (fun () -> List.init 32 (fun _ -> Robust.Fault.draw "trasyn"))
+    Alcotest.test_case "a draw depends only on (seed, site, key)" `Quick (fun () ->
+        let forward, reverse, split, retry_site =
+          Robust.Fault.with_faults ~seed specs (fun () ->
+              let forward = List.init 64 (fun i -> draw i) in
+              let reverse = List.rev (List.init 64 (fun i -> draw (63 - i))) in
+              let half lo = Domain.spawn (fun () -> List.init 32 (fun i -> draw (lo + i))) in
+              let a = half 0 and b = half 32 in
+              let split = Domain.join a @ Domain.join b in
+              (forward, reverse, split, List.init 64 (fun i -> draw ~site:"gridsynth.retry" i)))
         in
-        let a = draws () and b = draws () in
-        Alcotest.(check bool) "same sequence" true (a = b);
+        let reseeded =
+          Robust.Fault.with_faults ~seed:(seed + 1) specs (fun () -> List.init 64 (fun i -> draw i))
+        in
+        Alcotest.(check bool) "reverse order" true (forward = reverse);
+        Alcotest.(check bool) "split across two domains" true (forward = split);
         Alcotest.(check bool) "mixed outcomes at p=0.5" true
-          (List.exists Option.is_some a && List.exists Option.is_none a));
-    Alcotest.test_case "a rung's draws ignore other rungs' interleaving" `Quick (fun () ->
-        let spec = [ fault ~prob:0.5 "trasyn" Robust.Fault.Fail; fault ~prob:0.5 "gridsynth" Robust.Fault.Fail ] in
-        let solo =
-          Robust.Fault.with_faults ~seed:7 spec (fun () ->
-              List.init 16 (fun _ -> Robust.Fault.draw "trasyn"))
+          (List.exists Option.is_some forward && List.exists Option.is_none forward);
+        Alcotest.(check bool) "another site draws afresh" true (forward <> retry_site);
+        Alcotest.(check bool) "another seed draws afresh" true (forward <> reseeded);
+        let fired =
+          Robust.Fault.with_faults ~seed [ fault ~prob:0.25 "gridsynth" Robust.Fault.Fail ]
+            (fun () -> List.length (List.filter Option.is_some (List.init 1000 (fun i -> draw i))))
         in
-        let interleaved =
-          Robust.Fault.with_faults ~seed:7 spec (fun () ->
-              List.init 16 (fun _ ->
-                  ignore (Robust.Fault.draw "gridsynth");
-                  ignore (Robust.Fault.draw "gridsynth");
-                  Robust.Fault.draw "trasyn"))
-        in
-        Alcotest.(check bool) "same trasyn fate" true (solo = interleaved));
+        Alcotest.(check bool) (Printf.sprintf "fired share %d/1000 in [0.2, 0.3]" fired) true
+          (fired >= 200 && fired <= 300));
     Alcotest.test_case "specs match sub-rungs by dotted prefix" `Quick (fun () ->
         Robust.Fault.with_faults [ fault "trasyn" Robust.Fault.Fail ] (fun () ->
-            Alcotest.(check bool) "exact" true (Robust.Fault.draw "trasyn" = Some Robust.Fault.Fail);
-            Alcotest.(check bool) "sub-rung" true
-              (Robust.Fault.draw "trasyn.retry" = Some Robust.Fault.Fail);
-            Alcotest.(check bool) "other backend" true (Robust.Fault.draw "gridsynth" = None);
-            Alcotest.(check bool) "no partial-word match" true
-              (Robust.Fault.draw "trasynx" = None)));
-    Alcotest.test_case "clear disarms and with_faults restores" `Quick (fun () ->
-        Robust.Fault.with_faults [ fault "trasyn" Robust.Fault.Fail ] (fun () ->
-            Alcotest.(check bool) "armed" true (Robust.Fault.active ());
-            Robust.Fault.clear ();
-            Alcotest.(check bool) "disarmed" false (Robust.Fault.active ());
-            Alcotest.(check bool) "no draw" true (Robust.Fault.draw "trasyn" = None)));
+            let draw site = Robust.Fault.draw site ~key:(fun () -> "k") in
+            Alcotest.(check bool) "exact" true (draw "trasyn" = Some Robust.Fault.Fail);
+            Alcotest.(check bool) "sub-rung" true (draw "trasyn.retry" = Some Robust.Fault.Fail);
+            Alcotest.(check bool) "other backend" true (draw "gridsynth" = None);
+            Alcotest.(check bool) "no partial-word match" true (draw "trasynx" = None)));
+    Alcotest.test_case "with_faults restores the previous plan" `Quick (fun () ->
+        Robust.Fault.with_faults ~seed specs (fun () ->
+            Robust.Fault.with_faults [] (fun () ->
+                Alcotest.(check bool) "no plan, no key formatted" true
+                  (Robust.Fault.draw "gridsynth" ~key:(fun () -> Alcotest.fail "key formatted")
+                  = None));
+            Alcotest.(check bool) "restored" true
+              (List.exists Option.is_some (List.init 16 (fun i -> draw i)))));
   ]
 
 let chain_tests =

@@ -111,6 +111,47 @@ let suite =
         | Some (Obs.Json.Arr exemplars) ->
             Alcotest.(check int) "slowest ring holds both requests" 2 (List.length exemplars)
         | _ -> Alcotest.fail "stats without slowest array");
+    Alcotest.test_case "a faulted batch answers each angle alike in any order" `Quick (fun () ->
+        (* Under gridsynth=fail@0.5 some elements fall back, and which
+           ones depends on each rotation alone, not on its place in the
+           batch or the planner domain that runs it. *)
+        let angles = List.init 16 (fun i -> -2.9 +. (0.37 *. float_of_int i)) in
+        let answers angles =
+          let t, out = make_server () in
+          ignore
+            (Server.submit_line t
+               (Printf.sprintf {|{"op":"batch","id":1,"requests":[%s]}|}
+                  (String.concat ","
+                     (List.map (Printf.sprintf {|{"op":"rz","theta":%.17g,"epsilon":0.1}|}) angles))));
+          Server.drain t;
+          match out () with
+          | [ r ] -> (
+              match Result.map (Obs.Json.member "results") (Obs.Json.parse r) with
+              | Ok (Some (Obs.Json.Arr results)) ->
+                  (* Everything but the element's request id. *)
+                  let answer = function
+                    | Obs.Json.Obj fields ->
+                        Obs.Json.to_string
+                          (Obs.Json.Obj (List.filter (fun (k, _) -> k <> "request_id") fields))
+                    | _ -> Alcotest.fail "a result is not an object"
+                  in
+                  List.sort compare (List.combine angles (List.map answer results))
+              | _ -> Alcotest.failf "no results array: %s" r)
+          | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+        in
+        let forward, reverse =
+          match Robust.Fault.parse "gridsynth=fail@0.5,seed=3" with
+          | Ok (seed, specs) ->
+              Robust.Fault.with_faults ?seed specs (fun () ->
+                  let forward = answers angles in
+                  (forward, answers (List.rev angles)))
+          | Error e -> Alcotest.failf "fault parse: %s" e
+        in
+        Alcotest.(check bool) "some elements fell back" true
+          (List.exists (fun (_, a) -> not (contains a {|"backend":"gridsynth"|})) forward);
+        List.iter2
+          (fun (a, f) (_, r) -> Alcotest.(check string) (Printf.sprintf "rz(%g)" a) f r)
+          forward reverse);
     Alcotest.test_case "transient failures are retried with backoff, then reported" `Quick
       (fun () ->
         (* Every backend rung dead: each attempt fails as a transient

@@ -496,6 +496,52 @@ let engine_tests =
             | Ok _ -> ());
             Alcotest.(check int) (label ^ ": the producer only") 1 (Obs.counter_value domains - d0))
           [ "cold"; "warm" ]);
+    Alcotest.test_case "a faulted rotation's answer does not depend on the run's order" `Quick
+      (fun () ->
+        (* Under gridsynth=fail@0.5 some rotations fall back, and which
+           ones depends on each rotation alone: compiled in reverse order,
+           every angle gets the word and backend it got before. *)
+        let angles = List.init 32 (fun i -> -3.0 +. (0.19 *. float_of_int i)) in
+        let cfg = Stream_compile.config ~epsilon:0.1 ~jobs:1 () in
+        let answers angles =
+          let backends = Hashtbl.create 32 in
+          let c =
+            Circuit.make (List.length angles)
+              (List.mapi (fun q a -> Circuit.instr (Qgate.Rz a) [| q |]) angles)
+          in
+          Stream_compile.clear_cache ();
+          match
+            Stream_compile.run_ir
+              ~on_degraded:(fun g a -> Hashtbl.replace backends g a.Robust.backend)
+              cfg c
+          with
+          | Error f -> Alcotest.fail (Robust.failure_to_string f)
+          | Ok (out, _) ->
+              List.sort compare
+                (List.mapi
+                   (fun q a ->
+                     let word =
+                       List.filter_map
+                         (fun (i : Circuit.instr) -> if i.qubits = [| q |] then Some i.gate else None)
+                         out.Circuit.instrs
+                     in
+                     (a, word, Hashtbl.find_opt backends (Qgate.Rz a)))
+                   angles)
+        in
+        let specs =
+          match Robust.Fault.parse "gridsynth=fail@0.5,seed=3" with
+          | Ok (Some seed, s) -> (seed, s)
+          | _ -> Alcotest.fail "spec did not parse"
+        in
+        let forward, reverse =
+          Robust.Fault.with_faults ~seed:(fst specs) (snd specs) (fun () ->
+              let forward = answers angles in
+              (forward, answers (List.rev angles)))
+        in
+        Stream_compile.clear_cache ();
+        Alcotest.(check bool) "some rotations fell back" true
+          (List.exists (fun (_, _, b) -> b <> None) forward);
+        Alcotest.(check bool) "same word and backend per angle" true (forward = reverse));
   ]
 
 (* The whole-circuit workflows run on the engine with no window; the
