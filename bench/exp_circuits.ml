@@ -56,7 +56,7 @@ type study_entry = {
 let run_study ~benches ~epsilon ~samples ?bench_deadline () =
   (* The pipelines' own TRASYN settings; --samples only caps k. *)
   let d = Stream_compile.default_trasyn in
-  let config = { d with samples = min samples d.samples } in
+  let trasyn = { d with samples = min samples d.samples } in
   let n = List.length benches in
   List.mapi
     (fun i (b : Suite.benchmark) ->
@@ -69,7 +69,10 @@ let run_study ~benches ~epsilon ~samples ?bench_deadline () =
         | None -> Obs.Deadline.none
         | Some s -> Obs.Deadline.after s
       in
-      match Pipeline.compare_workflows ~epsilon ~config ~deadline ~name:b.Suite.name b.Suite.circuit with
+      let cfg =
+        Stream_compile.config ~epsilon ~trasyn ~deadline ~jobs:(Domain.recommended_domain_count ()) ()
+      in
+      match Pipeline.compare_workflows cfg ~name:b.Suite.name b.Suite.circuit with
       | cmp ->
           let degr =
             List.length cmp.Pipeline.trasyn.Pipeline.degraded

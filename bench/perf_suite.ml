@@ -756,13 +756,18 @@ let run ?out ?jobs ?metrics_out ?serve_cli ?compile_cli ~budget ~smoke () =
           "  [perf] stream_compile skipped (compile_cli.exe not found; pass --compile-cli)\n%!";
         None
   in
+  let pipeline ir =
+    Stream_compile.config ~epsilon:pipeline_eps ~ir ~trasyn:config ~deadline
+      ~jobs:(Option.value jobs ~default:(Domain.recommended_domain_count ()))
+      ()
+  in
   let pt =
     run_phase ~deadline "pipeline_trasyn" circuits
-      (run_pipeline (Pipeline.run_trasyn_result ~epsilon:pipeline_eps ~config ~deadline ?jobs))
+      (run_pipeline (Pipeline.run (pipeline Settings.U3_ir)))
   in
   let pg =
     run_phase ~deadline "pipeline_gridsynth" circuits
-      (run_pipeline (Pipeline.run_gridsynth_result ~epsilon:pipeline_eps ~deadline ?jobs))
+      (run_pipeline (Pipeline.run (pipeline Settings.Rz_ir)))
   in
   let wall = Obs.Clock.elapsed_s () -. t_start in
   let g1 = Gc.quick_stat () in

@@ -142,6 +142,9 @@ let stack =
                   recommended domain count); output is bit-identical whatever the value")
     $ trace)
 
+(* An environment variable that is set and not blank. *)
+let env name = match Sys.getenv_opt name with Some v when String.trim v <> "" -> Some v | _ -> None
+
 (* Start the stack in this order: gate set and its step-0 table,
    faults, chain, ledger, store (armed for every chain run and closed at
    exit), sampler.  Returns the gate set, the chain ([None]: the
@@ -149,12 +152,18 @@ let stack =
 let start ~say s =
   let gate_set = resolve_gate_set ~say s.gate_set in
   Result.iter_error (reject "--gate-set") (Ma_table.find_for ~gate_set:gate_set.Gateset.name 1);
-  Option.iter
-    (fun spec ->
-      match Robust.Fault.parse spec with
-      | Error e -> reject "--faults" e
-      | Ok (seed, specs) -> Robust.Fault.configure ?seed specs)
-    s.faults;
+  (* A --faults flag wins over TGATES_FAULTS.  The variable is parsed
+     here, not at the first draw, so a malformed value is refused
+     before the run starts. *)
+  let arm_faults source spec =
+    match Robust.Fault.parse spec with
+    | Error e -> reject source e
+    | Ok (seed, specs) -> Robust.Fault.configure ?seed specs
+  in
+  (match (s.faults, env "TGATES_FAULTS") with
+  | Some spec, _ -> arm_faults "--faults" spec
+  | None, Some spec -> arm_faults "TGATES_FAULTS" spec
+  | None, None -> ());
   let chain =
     Option.map
       (fun names ->
@@ -174,9 +183,6 @@ let start ~say s =
       s.store
   in
   (* Each metrics flag wins over its environment variable. *)
-  let env name =
-    match Sys.getenv_opt name with Some v when String.trim v <> "" -> Some v | _ -> None
-  in
   let or_env flag name = match flag with Some _ -> flag | None -> env name in
   (match (or_env s.metrics_out "TGATES_METRICS", or_env s.prom_out "TGATES_METRICS_PROM") with
   | None, None -> ()

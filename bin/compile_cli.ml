@@ -47,20 +47,7 @@ let report_degraded (ds : Pipeline.degradation list) =
    synthesis with backpressure → in-order QASM emission, never holding
    the circuit in memory.  Prints machine-parseable [gates/sec :] and
    [peak heap:] lines that the perf suite and the heap smoke test parse. *)
-let run_stream ~input ~output ~workflow ~epsilon ~gate_set ~window ~queue ~deadline
-    ~rotation_budget ~jobs ~chain =
-  let ir =
-    match workflow with
-    | "gridsynth" -> Settings.Rz_ir
-    | "trasyn" -> Settings.U3_ir
-    | "compare" -> invalid_arg "--stream: workflow compare needs the whole circuit in memory"
-    | w -> invalid_arg ("unknown workflow " ^ w ^ " (with --stream use trasyn | gridsynth)")
-  in
-  let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
-  let cfg =
-    Stream_compile.config ~epsilon ~gate_set ~ir ~window ~queue ~jobs ~deadline ?rotation_budget
-      ?chain ()
-  in
+let run_stream ~input ~output (cfg : Stream_compile.config) =
   let ic = open_in input in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let reader = Qasm_reader.stream_of_channel ~file:input ic in
@@ -69,8 +56,8 @@ let run_stream ~input ~output ~workflow ~epsilon ~gate_set ~window ~queue ~deadl
   @@ fun () ->
   let emit i = match oc with Some oc -> Qasm.write_instr oc i | None -> () in
   let on_qreg n =
-    Printf.printf "input    : %d qubits (streaming, window %d, queue %d, %d jobs)\n%!" n window
-      queue jobs;
+    Printf.printf "input    : %d qubits (streaming, window %d, queue %d, %d jobs)\n%!" n
+      cfg.window cfg.queue cfg.jobs;
     match oc with Some oc -> Qasm.write_header oc n | None -> ()
   in
   let t0 = Obs.Clock.elapsed_s () in
@@ -102,45 +89,45 @@ let run input output workflow epsilon optimize estimate deadline rotation_deadli
         Printf.printf "store    : %s — %d records recovered, %d quarantined, %d torn tails\n"
           (Store.dir st) r.Store.records_recovered r.Store.records_quarantined r.Store.torn_tails)
     store;
-  let jobs = stack.Cli.jobs in
   Obs.with_trace ?file:stack.Cli.trace @@ fun () ->
   (* One root span over the whole compilation, so trace analysis (and
      the hotspots self-time accounting) sees a single-rooted tree. *)
   Obs.span "cli.compile" @@ fun () ->
-  let deadline =
-    match deadline with None -> Obs.Deadline.none | Some s -> Obs.Deadline.after s
+  if stream && optimize then
+    invalid_arg "--stream: --optimize is whole-circuit; windowed optimization is built in";
+  if stream && estimate then
+    invalid_arg "--stream: --estimate needs the whole circuit; run it on the written output";
+  (* One config for every mode; compare runs it in both IRs. *)
+  let ir =
+    match (workflow, stream) with
+    | "gridsynth", _ -> Settings.Rz_ir
+    | "trasyn", _ | "compare", false -> Settings.U3_ir
+    | "compare", true -> invalid_arg "--stream: workflow compare needs the whole circuit in memory"
+    | w, true -> invalid_arg ("unknown workflow " ^ w ^ " (with --stream use trasyn | gridsynth)")
+    | w, false -> invalid_arg ("unknown workflow " ^ w ^ " (use trasyn | gridsynth | compare)")
   in
-  let rotation_budget = rotation_deadline in
-  if stream then begin
-    if optimize then
-      invalid_arg "--stream: --optimize is whole-circuit; windowed optimization is built in";
-    if estimate then
-      invalid_arg "--stream: --estimate needs the whole circuit; run it on the written output";
-    run_stream ~input ~output ~workflow ~epsilon ~gate_set ~window ~queue ~deadline
-      ~rotation_budget ~jobs ~chain
-  end
+  let cfg =
+    Stream_compile.config ~epsilon ~gate_set ~ir ~window ~queue
+      ~jobs:(Option.value stack.Cli.jobs ~default:(Domain.recommended_domain_count ()))
+      ~deadline:(match deadline with None -> Obs.Deadline.none | Some s -> Obs.Deadline.after s)
+      ?rotation_budget:rotation_deadline ?chain ()
+  in
+  if stream then run_stream ~input ~output cfg
   else begin
   let circuit = Qasm_reader.of_file input in
   Printf.printf "input    : %d qubits, %d gates, %d nontrivial rotations\n"
     circuit.Circuit.n_qubits (Circuit.length circuit)
     (Circuit.nontrivial_rotation_count circuit);
   let synthesized =
-    match workflow with
-    | "trasyn" ->
-        Pipeline.run_trasyn ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain circuit
-    | "gridsynth" ->
-        Pipeline.run_gridsynth ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain circuit
-    | "compare" ->
-        (* Run both workflows (the paper's RQ2-RQ4 comparison), report
-           the ratios, and continue with the TRASYN output. *)
-        let cmp =
-          Pipeline.compare_workflows ~epsilon ~gate_set ~deadline ?rotation_budget ?jobs ?chain
-            ~name:(Filename.basename input) circuit
-        in
-        Printf.printf "compare  : T ratio=%.2f  Tdepth ratio=%.2f  Clifford ratio=%.2f (gridsynth/trasyn)\n"
-          cmp.Pipeline.t_ratio cmp.Pipeline.t_depth_ratio cmp.Pipeline.clifford_ratio;
-        cmp.Pipeline.trasyn
-    | w -> invalid_arg ("unknown workflow " ^ w ^ " (use trasyn | gridsynth | compare)")
+    if workflow = "compare" then begin
+      (* Run both workflows (the paper's RQ2-RQ4 comparison), report
+         the ratios, and continue with the TRASYN output. *)
+      let cmp = Pipeline.compare_workflows cfg ~name:(Filename.basename input) circuit in
+      Printf.printf "compare  : T ratio=%.2f  Tdepth ratio=%.2f  Clifford ratio=%.2f (gridsynth/trasyn)\n"
+        cmp.Pipeline.t_ratio cmp.Pipeline.t_depth_ratio cmp.Pipeline.clifford_ratio;
+      cmp.Pipeline.trasyn
+    end
+    else match Pipeline.run cfg circuit with Ok s -> s | Error f -> Robust.fail f
   in
   let compiled =
     if optimize then Cnot_resynth.run (Phase_folding.run synthesized.Pipeline.circuit)
@@ -218,8 +205,8 @@ let queue =
   Arg.(
     value & opt int 32
     & info [ "queue" ] ~docv:"N"
-        ~doc:"job-queue capacity in streaming mode — on a full queue the parser runs a queued \
-              job instead of reading on (backpressure; default 32)")
+        ~doc:"job-queue capacity of the synthesis engine — in streaming mode, on a full queue \
+              the parser runs a queued job instead of reading on (backpressure; default 32)")
 
 let cmd =
   Cmd.v

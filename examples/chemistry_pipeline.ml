@@ -13,7 +13,8 @@ let () =
   Printf.printf "Hamiltonian simulation: %d qubits, %d gates, %d rotations\n\n" n
     (Circuit.length circuit) (Circuit.rotation_count circuit);
 
-  let cmp = Pipeline.compare_workflows ~epsilon:0.05 ~name:"molecule" circuit in
+  let cfg = Stream_compile.config ~epsilon:0.05 ~jobs:(Domain.recommended_domain_count ()) () in
+  let cmp = Pipeline.compare_workflows cfg ~name:"molecule" circuit in
   let tr = cmp.Pipeline.trasyn.Pipeline.circuit in
   let gs = cmp.Pipeline.gridsynth.Pipeline.circuit in
   Printf.printf "After synthesis:     GRIDSYNTH T=%4d C=%4d | TRASYN T=%4d C=%4d\n"

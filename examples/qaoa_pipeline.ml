@@ -12,7 +12,8 @@ let () =
     (Circuit.length circuit)
     (Circuit.nontrivial_rotation_count circuit);
 
-  let cmp = Pipeline.compare_workflows ~epsilon:0.07 ~name:"qaoa" circuit in
+  let cfg = Stream_compile.config ~epsilon:0.07 ~jobs:(Domain.recommended_domain_count ()) () in
+  let cmp = Pipeline.compare_workflows cfg ~name:"qaoa" circuit in
   let show label (s : Pipeline.synthesized) =
     Printf.printf "%-22s setting=%-8s rotations=%3d  T=%4d  Tdepth=%4d  Cliffords=%4d\n" label
       (Settings.setting_to_string s.Pipeline.setting)

@@ -9,7 +9,8 @@ let () =
   let c = Generators.heisenberg_evolution ~seed:5 ~n:8 ~steps:1 in
   Printf.printf "Heisenberg chain evolution: %d qubits, %d rotations\n\n" c.Circuit.n_qubits
     (Circuit.nontrivial_rotation_count c);
-  let cmp = Pipeline.compare_workflows ~epsilon:0.05 ~name:"heis" c in
+  let cfg = Stream_compile.config ~epsilon:0.05 ~jobs:(Domain.recommended_domain_count ()) () in
+  let cmp = Pipeline.compare_workflows cfg ~name:"heis" c in
   let price label circuit =
     let e = Surface_code.estimate circuit in
     Format.printf "%-22s T=%5d  %a@." label (Circuit.t_count circuit) Surface_code.pp e;

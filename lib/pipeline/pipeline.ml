@@ -48,28 +48,19 @@ let clear_caches () =
   Stream_compile.clear_cache ();
   Trasyn.clear_chain_cache ()
 
-let get = function Ok s -> s | Error f -> Robust.fail f
+let gridsynth_rz_attempt ~epsilon theta =
+  Stream_compile.synthesize (Stream_compile.config ~epsilon ()) (Qgate.Rz theta)
 
-let gridsynth_rz_attempt ?deadline ?rotation_budget ~epsilon theta =
-  Stream_compile.synthesize
-    (Stream_compile.config ~epsilon ?deadline ?rotation_budget ())
-    (Qgate.Rz theta)
+(* Each workflow's span, named after its synthesizer. *)
+let span (cfg : Stream_compile.config) =
+  Obs.span
+    (match cfg.ir with
+    | Settings.Rz_ir -> "pipeline.run_gridsynth"
+    | Settings.U3_ir -> "pipeline.run_trasyn")
 
-(* Transpile with the IR's best setting (or take the input as IR), then
-   run the engine over the IR with no window: its own passes are a
+(* The engine over a transpiled IR with no window: its own passes are a
    transpiler's job here, done by [Settings.best_for]. *)
-let run_on_engine ~span ~ir ?(transpile = true) ?jobs ?epsilon ?gate_set ?deadline
-    ?rotation_budget ?chain ?trasyn ?budgets (c : Circuit.t) =
-  Obs.span span @@ fun () ->
-  let setting, transpiled =
-    if transpile then Settings.best_for ir c
-    else ({ Settings.ir; level = 0; commutation = false }, c)
-  in
-  let jobs = Int.max 1 (Option.value jobs ~default:(Domain.recommended_domain_count ())) in
-  let cfg =
-    Stream_compile.config ~ir ~jobs ?epsilon ?gate_set ?deadline ?rotation_budget ?chain ?trasyn
-      ?budgets ()
-  in
+let synthesize (cfg : Stream_compile.config) (setting, transpiled) =
   let degraded = ref [] in
   let on_degraded g (a : Robust.attempt) =
     degraded :=
@@ -78,7 +69,7 @@ let run_on_engine ~span ~ir ?(transpile = true) ?jobs ?epsilon ?gate_set ?deadli
         backend = a.Robust.backend;
         fallbacks = a.Robust.fallbacks;
         achieved = a.Robust.distance;
-        requested = cfg.Stream_compile.epsilon;
+        requested = cfg.epsilon;
       }
       :: !degraded
   in
@@ -93,23 +84,13 @@ let run_on_engine ~span ~ir ?(transpile = true) ?jobs ?epsilon ?gate_set ?deadli
            degraded = List.rev !degraded;
          })
 
-let run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c =
-  run_on_engine ~span:"pipeline.run_gridsynth" ~ir:Settings.Rz_ir ?epsilon ?gate_set ?deadline
-    ?rotation_budget ?transpile ?jobs ?chain c
+let run ?(transpile = true) (cfg : Stream_compile.config) c =
+  span cfg @@ fun () ->
+  synthesize cfg
+    (if transpile then Settings.best_for cfg.ir c
+     else ({ Settings.ir = cfg.ir; level = 0; commutation = false }, c))
 
-let run_gridsynth ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c =
-  get (run_gridsynth_result ?epsilon ?gate_set ?deadline ?rotation_budget ?transpile ?jobs ?chain c)
-
-let run_trasyn_result ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile
-    ?jobs ?chain c =
-  run_on_engine ~span:"pipeline.run_trasyn" ~ir:Settings.U3_ir ?epsilon ?gate_set ?trasyn:config
-    ?budgets ?deadline ?rotation_budget ?transpile ?jobs ?chain c
-
-let run_trasyn ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile ?jobs
-    ?chain c =
-  get
-    (run_trasyn_result ?epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?transpile
-       ?jobs ?chain c)
+let run_gridsynth_result ?jobs c = run (Stream_compile.config ?jobs ()) c
 
 (* GRIDSYNTH threshold scaled by the rotation ratio (§4.2): with more
    rotations it must synthesize each one tighter. *)
@@ -132,19 +113,25 @@ type comparison = {
 let ratio a b =
   if b = 0 then if a = 0 then 1.0 else infinity else float_of_int a /. float_of_int b
 
-(* Run both workflows on one benchmark circuit.  [deadline] is absolute
-   and shared: whatever remains after the TRASYN pass bounds the
-   GRIDSYNTH pass. *)
-let compare_workflows ?(epsilon = 0.07) ?gate_set ?config ?budgets ?deadline ?rotation_budget
-    ?jobs ?chain ~name (c : Circuit.t) : comparison =
-  let tr =
-    run_trasyn ~epsilon ?gate_set ?config ?budgets ?deadline ?rotation_budget ?jobs ?chain c
+(* Run both workflows on one benchmark circuit.  The deadline is
+   absolute: whatever the TRASYN pass leaves of it bounds the GRIDSYNTH
+   pass, whose Rz IR is transpiled once, both to count its rotations
+   and to synthesize it. *)
+let compare_workflows (cfg : Stream_compile.config) ~name (c : Circuit.t) : comparison =
+  let get = function Ok s -> s | Error f -> Robust.fail f in
+  let tr = get (run { cfg with ir = Settings.U3_ir } c) in
+  let rz = { cfg with ir = Settings.Rz_ir } in
+  let gs =
+    get
+      ( span rz @@ fun () ->
+        let ((_, ir) as transpiled) = Settings.best_for Settings.Rz_ir c in
+        let epsilon =
+          scaled_gridsynth_epsilon ~epsilon:cfg.epsilon
+            ~u3_rotations:(Circuit.nontrivial_rotation_count tr.transpiled)
+            ~rz_rotations:(Circuit.nontrivial_rotation_count ir)
+        in
+        synthesize { rz with epsilon } transpiled )
   in
-  let u3_rot = Circuit.nontrivial_rotation_count tr.transpiled in
-  let _, rz_pre = Settings.best_for Settings.Rz_ir c in
-  let rz_rot = Circuit.nontrivial_rotation_count rz_pre in
-  let gs_eps = scaled_gridsynth_epsilon ~epsilon ~u3_rotations:u3_rot ~rz_rotations:rz_rot in
-  let gs = run_gridsynth ~epsilon:gs_eps ?gate_set ?deadline ?rotation_budget ?jobs ?chain c in
   {
     name;
     trasyn = tr;

@@ -4,7 +4,10 @@
 
     The U3 workflow pairs the U3 IR (which merges adjacent rotations)
     with TRASYN; the Rz workflow pairs the Rz IR with GRIDSYNTH — the
-    comparison at the heart of RQ2/RQ3/RQ4.
+    comparison at the heart of RQ2/RQ3/RQ4.  One
+    [Stream_compile.config] names a whole run: its [ir] picks the
+    workflow, and the rest (ε, gate set, jobs, deadlines, chain, TRASYN
+    settings and budgets) means what it means to the engine.
 
     A workflow is [Settings.best_for] followed by a run of
     [Stream_compile]'s engine over the transpiled IR, with no window:
@@ -17,10 +20,7 @@
     Per-rotation synthesis runs a [Synth] chain through [Robust]: each
     word is re-verified against its target before entering the circuit,
     a failing backend falls back down the chain ending in
-    Solovay–Kitaev, and deadlines propagate to every rung.  The
-    direct-style entry points raise {!Robust.Failure_exn} when a
-    rotation cannot be synthesized at all; the [_result] variants
-    return the structured failure instead. *)
+    Solovay–Kitaev, and deadlines propagate to every rung. *)
 
 type degradation = {
   gate : string;  (** the IR rotation, e.g. ["rz(0.7853981634)"] *)
@@ -52,99 +52,47 @@ val u3_key :
 (** The engine's key definition: [Stream_compile.canonical_angle],
     [rz_key] and [u3_key]. *)
 
-val run_gridsynth :
-  ?epsilon:float ->
-  ?gate_set:Gateset.t ->
-  ?deadline:Obs.Deadline.t ->
-  ?rotation_budget:float ->
-  ?transpile:bool ->
-  ?jobs:int ->
-  ?chain:Synth.rung_spec list ->
-  Circuit.t ->
-  synthesized
-(** Rz IR + GRIDSYNTH-first chain at [epsilon] (default 0.07) per
-    rotation; trivial (π/4-multiple) rotations are replaced by exact
-    words.  [deadline] (absolute, monotonic clock) bounds the whole
-    run; [rotation_budget] (seconds) additionally bounds each
-    synthesis job.  [transpile:false] skips transpilation and treats
-    the input as Rz IR directly — a non-Rz rotation then surfaces as a
-    [Backend_error].  [jobs] is the domain count (default
-    [Domain.recommended_domain_count ()]); [chain] overrides the
-    default [Synth.rz_chain] (e.g. from [Synth.parse_chain]) and its
-    TRASYN rungs run [Stream_compile.default_trasyn], as under
-    [--stream]; memo keys carry the policy's tag and the gate set, so
-    words of different chains, TRASYN settings, budgets or alphabets
-    never mix.
-    [gate_set] (default [Gateset.default]) selects the alphabet: it
-    keys the store and ledger, filters chain rungs to supporting
-    backends, and picks the step-0 table (non-built-in sets need one
-    provided via [Tablegen.load_and_provide]).
-    @raise Robust.Failure_exn when a rotation cannot be synthesized. *)
+val run :
+  ?transpile:bool -> Stream_compile.config -> Circuit.t -> (synthesized, Robust.failure) result
+(** The workflow of [cfg.ir], under the span [pipeline.run_gridsynth]
+    or [pipeline.run_trasyn]: the Rz IR with the GRIDSYNTH-first chain
+    ([Synth.rz_chain]), or the U3 IR with the TRASYN-first chain in
+    Eq. (4) mode ([Synth.u3_chain]), at [cfg.epsilon] per rotation.
+    Trivial (≤1-T) rotations get exact words.  The fields apply as in
+    the engine, except [window]:
+    - [chain] overrides the IR's chain (e.g. from [Synth.parse_chain]);
+      TRASYN rungs run [trasyn] with [budgets].  Memo keys carry the
+      policy's tag and the gate set, so words of different chains,
+      TRASYN settings, budgets or alphabets never mix;
+    - [deadline] (absolute, monotonic clock) bounds the whole run and
+      [rotation_budget] (seconds) each synthesis job; [jobs] is the
+      domain count, and the output is the same at any count;
+    - [gate_set] keys the store and ledger, filters chain rungs to
+      supporting backends and picks the step-0 table (non-built-in sets
+      need one provided via [Tablegen.load_and_provide]).
 
-val run_gridsynth_result :
-  ?epsilon:float ->
-  ?gate_set:Gateset.t ->
-  ?deadline:Obs.Deadline.t ->
-  ?rotation_budget:float ->
-  ?transpile:bool ->
-  ?jobs:int ->
-  ?chain:Synth.rung_spec list ->
-  Circuit.t ->
-  (synthesized, Robust.failure) result
-(** As {!run_gridsynth}, returning the structured failure. *)
+    [transpile:false] skips [Settings.best_for] and takes the input as
+    IR: a non-Rz rotation in the Rz IR is then a [Backend_error]. *)
 
-val gridsynth_rz_attempt :
-  ?deadline:Obs.Deadline.t ->
-  ?rotation_budget:float ->
-  epsilon:float ->
-  float ->
-  (Robust.attempt, Robust.failure) result
+val run_gridsynth_result : ?jobs:int -> Circuit.t -> (synthesized, Robust.failure) result
+(** [run (Stream_compile.config ?jobs ())]: the Rz workflow at ε 0.07,
+    on 1 domain unless [jobs] says otherwise.  It exists because
+    [perfbench/bench.ml] calls it (with [~jobs:1]). *)
+
+val gridsynth_rz_attempt : epsilon:float -> float -> (Robust.attempt, Robust.failure) result
 (** The word-level entry point of the Rz workflow: Rz(θ) at [epsilon]
     through [Stream_compile.synthesize].  A ≤1-T rotation (e.g. π/4,
     3π/4) gets its exact word (backend ["exact"]) with no chain run,
     memo cell or ledger record, as in the engine and the server; any
     other the guard-verified {!Robust.attempt}, memoized on success
-    (never on failure) in cells shared with default-chain
-    {!run_gridsynth} runs at the same [epsilon]. *)
+    (never on failure) in cells shared with default-chain Rz-IR {!run}s
+    at the same [epsilon]. *)
 
 val clear_caches : unit -> unit
 (** Empty the engine's memo ([Stream_compile.clear_cache]) and TRASYN's
     canonicalized-chain cache ({!Trasyn.clear_chain_cache}).  Use
     between unrelated runs, or to make timing measurements cache-cold.
     The memo's capacity is set by [Stream_compile.set_cache_capacity]. *)
-
-val run_trasyn :
-  ?epsilon:float ->
-  ?gate_set:Gateset.t ->
-  ?config:Trasyn.config ->
-  ?budgets:int list ->
-  ?deadline:Obs.Deadline.t ->
-  ?rotation_budget:float ->
-  ?transpile:bool ->
-  ?jobs:int ->
-  ?chain:Synth.rung_spec list ->
-  Circuit.t ->
-  synthesized
-(** U3 IR + TRASYN-first chain in Eq. (4) mode at [epsilon] (default
-    0.07), with the same deadline and domain semantics as
-    {!run_gridsynth}.  [config] defaults to
-    [Stream_compile.default_trasyn], [budgets] to
-    [Synth.default_budgets].
-    @raise Robust.Failure_exn when a rotation cannot be synthesized. *)
-
-val run_trasyn_result :
-  ?epsilon:float ->
-  ?gate_set:Gateset.t ->
-  ?config:Trasyn.config ->
-  ?budgets:int list ->
-  ?deadline:Obs.Deadline.t ->
-  ?rotation_budget:float ->
-  ?transpile:bool ->
-  ?jobs:int ->
-  ?chain:Synth.rung_spec list ->
-  Circuit.t ->
-  (synthesized, Robust.failure) result
-(** As {!run_trasyn}, returning the structured failure. *)
 
 type comparison = {
   name : string;
@@ -155,24 +103,12 @@ type comparison = {
   clifford_ratio : float;
 }
 
-val compare_workflows :
-  ?epsilon:float ->
-  ?gate_set:Gateset.t ->
-  ?config:Trasyn.config ->
-  ?budgets:int list ->
-  ?deadline:Obs.Deadline.t ->
-  ?rotation_budget:float ->
-  ?jobs:int ->
-  ?chain:Synth.rung_spec list ->
-  name:string ->
-  Circuit.t ->
-  comparison
-(** Run both workflows on one circuit.  Following §4.2, GRIDSYNTH's
-    per-rotation threshold is [epsilon] scaled by the U3:Rz rotation
-    ratio so both workflows land at comparable circuit-level error.
-    [deadline] is absolute and shared across both passes;
-    [rotation_budget] bounds each rotation in either pass; [jobs] and
-    [chain] apply to both.
+val compare_workflows : Stream_compile.config -> name:string -> Circuit.t -> comparison
+(** Run [cfg] in both IRs on one circuit ([cfg.ir] is ignored).
+    Following §4.2, GRIDSYNTH's per-rotation threshold is [cfg.epsilon]
+    scaled by the U3:Rz rotation ratio, so both workflows land at
+    comparable circuit-level error.  The deadline is absolute and shared:
+    what the TRASYN pass leaves of it bounds the GRIDSYNTH pass.
     @raise Robust.Failure_exn when either workflow fails outright. *)
 
 val scaled_gridsynth_epsilon : epsilon:float -> u3_rotations:int -> rz_rotations:int -> float

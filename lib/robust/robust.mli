@@ -44,7 +44,7 @@ type failure =
   | Backend_error of string  (** a rung raised instead of returning *)
 
 exception Failure_exn of failure
-(** Carrier for direct-style wrappers ({!Pipeline.run_trasyn} etc.);
+(** Carrier for direct-style entry points ({!Pipeline.compare_workflows});
     caught by {!guarded} at the CLI boundary. *)
 
 val fail : failure -> 'a

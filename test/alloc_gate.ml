@@ -19,7 +19,7 @@
 
    and, over every 8th circuit of the 187-circuit suite, minor words
 
-   5. per IR gate of a warm-memo Pipeline.run_gridsynth ~jobs:1, minus
+   5. per IR gate of a warm-memo Rz-IR Pipeline.run at jobs 1, minus
       its own Settings.best_for: the whole-circuit path (the engine
       run over the IR, output circuit and result record);
 
@@ -145,12 +145,13 @@ let () =
     |> List.map (fun (b : Suite.benchmark) -> b.Suite.circuit)
   in
   let whole_words = ref 0.0 and ir_gates = ref 0 in
+  let cfg = Stream_compile.config () in
   List.iter
     (fun c ->
       (* The first run warms the memo. *)
-      ignore (Pipeline.run_gridsynth ~jobs:1 c : Pipeline.synthesized);
+      ignore (Result.get_ok (Pipeline.run cfg c) : Pipeline.synthesized);
       let (_, ir), best_for = measure (fun () -> Settings.best_for Settings.Rz_ir c) in
-      let _, whole = measure (fun () -> Pipeline.run_gridsynth ~jobs:1 c) in
+      let _, whole = measure (fun () -> Pipeline.run cfg c) in
       whole_words := !whole_words +. whole -. best_for;
       ir_gates := !ir_gates + Circuit.length ir)
     circuits;

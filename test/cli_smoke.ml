@@ -13,7 +13,10 @@
       and --stream, serve_cli), a malformed --faults, an unknown
       --backend-chain and an unusable --store (compile_cli, serve_cli).
       serve_cli refuses a --epsilon that is not positive and finite at
-      start, as compile_cli does, with one line saying so.
+      start, as compile_cli does, with one line saying so.  A malformed
+      TGATES_FAULTS is refused the way --faults is, before anything is
+      written to stdout (compile_cli, serve_cli), and a --faults flag
+      wins over it.
    3. tablegen_cli generates a table for such a gate set without one,
       and compile_cli starts with a table too shallow for TRASYN: its
       first rotation then fails (exit 1) naming the depth it needs.
@@ -34,17 +37,25 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Run argv with stdin from /dev/null: (exit code, stdout+stderr lines). *)
-let run argv =
-  let out = Filename.temp_file "cli_smoke" ".out" in
+(* Run argv with stdin from /dev/null and [env]'s NAME=VALUE pairs
+   added to its environment: (exit code, stdout lines, stderr lines). *)
+let run_split ?(env = []) argv =
+  let out = Filename.temp_file "cli_smoke" ".out" and err = Filename.temp_file "cli_smoke" ".err" in
   let code =
     Sys.command
-      (String.concat " " (List.map Filename.quote argv)
-      ^ " < /dev/null > " ^ Filename.quote out ^ " 2>&1")
+      (String.concat " "
+         (List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v) env @ List.map Filename.quote argv)
+      ^ " < /dev/null > " ^ Filename.quote out ^ " 2> " ^ Filename.quote err)
   in
-  let lines = read_lines out in
+  let out_lines = read_lines out and err_lines = read_lines err in
   Sys.remove out;
-  (code, lines)
+  Sys.remove err;
+  (code, out_lines, err_lines)
+
+(* (exit code, stdout then stderr lines). *)
+let run argv =
+  let code, out, err = run_split argv in
+  (code, out @ err)
 
 let () =
   let expected, bins =
@@ -126,6 +137,20 @@ let () =
           failf "serve_cli --epsilon=%s: exit %d, wanted 1 with one line naming epsilon:\n%s" eps code
             (String.concat "\n" lines))
     [ "0"; "-0.1"; "nan" ];
+  List.iter
+    (fun (b, args) ->
+      let env = [ ("TGATES_FAULTS", "bogus") ] in
+      (match run_split ~env (bin b :: args) with
+      | 1, [], [ line ] when contains line "error: invalid argument: TGATES_FAULTS: " -> ()
+      | code, out, err ->
+          failf "%s under TGATES_FAULTS=bogus: exit %d, wanted 1 with one stderr line naming \
+                 TGATES_FAULTS and no stdout:\n%s" b code (String.concat "\n" (out @ err)));
+      match run_split ~env ((bin b :: args) @ [ "--faults"; "trasyn=fail" ]) with
+      | 0, _, _ -> ()
+      | code, out, err ->
+          failf "%s --faults under TGATES_FAULTS=bogus: exit %d, wanted 0:\n%s" b code
+            (String.concat "\n" (out @ err)))
+    [ ("compile_cli", [ "--input"; qasm; "-w"; "gridsynth" ]); ("serve_cli", []) ];
   (* 3. Tables: generated without one, too shallow once loaded. *)
   let table = dir / "w3.table" in
   (match

@@ -94,7 +94,7 @@ let edge_pipeline =
               (Qgate.Rx (Float.pi /. 2.0), [ 1 ]);
             ]
         in
-        let s = Pipeline.run_gridsynth ~epsilon:0.01 c in
+        let s = Test_pipeline.run (Stream_compile.config ~epsilon:0.01 ~jobs:Test_pipeline.jobs ()) c in
         Alcotest.(check int) "nothing sent to gridsynth" 0 s.Pipeline.rotations_synthesized;
         Alcotest.(check (float 1e-9)) "zero synth error" 0.0 s.Pipeline.total_synth_error);
   ]

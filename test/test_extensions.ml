@@ -45,7 +45,7 @@ let resource_tests =
         Alcotest.(check bool) "monotone" true (p3 > p7 && p7 > p11));
     Alcotest.test_case "estimate meets the failure budget" `Quick (fun () ->
         let c = Generators.qaoa ~seed:3 ~n:8 ~depth:2 in
-        let s = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s = Test_pipeline.run (Stream_compile.config ~epsilon:0.05 ~jobs:Test_pipeline.jobs ()) c in
         let e = Surface_code.estimate s.Pipeline.circuit in
         Alcotest.(check bool) "budget" true
           (e.Surface_code.logical_error_total
@@ -80,7 +80,7 @@ let resource_tests =
         Alcotest.(check bool) "flagged" true slow.Surface_code.factory_limited);
     Alcotest.test_case "worse physical error raises the distance" `Quick (fun () ->
         let c = Generators.qft 4 in
-        let s = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s = Test_pipeline.run (Stream_compile.config ~epsilon:0.05 ~jobs:Test_pipeline.jobs ()) c in
         let good =
           Surface_code.estimate
             ~params:{ Surface_code.default_params with Surface_code.p_phys = 1e-4 }

@@ -1,6 +1,14 @@
 (* Tests for the benchmark suite and the end-to-end compilation
    pipelines (these are the slowest tests; they use small circuits). *)
 
+(* Whole-circuit runs here use every recommended domain unless a test
+   asks for a count. *)
+let jobs = Domain.recommended_domain_count ()
+
+(* A whole-circuit run that must succeed. *)
+let run cfg c =
+  match Pipeline.run cfg c with Ok s -> s | Error f -> Alcotest.fail (Robust.failure_to_string f)
+
 let suite_tests =
   [
     Alcotest.test_case "exactly 187 benchmarks" `Quick (fun () ->
@@ -45,11 +53,11 @@ let pipeline_tests =
   [
     Alcotest.test_case "gridsynth workflow output is pure Clifford+T" `Quick (fun () ->
         let c = Generators.qaoa ~seed:1 ~n:4 ~depth:1 in
-        let s = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s = run (Stream_compile.config ~epsilon:0.05 ~jobs ()) c in
         Alcotest.(check int) "no rotations left" 0 (Circuit.rotation_count s.Pipeline.circuit));
     Alcotest.test_case "trasyn workflow output is pure Clifford+T" `Quick (fun () ->
         let c = Generators.qaoa ~seed:1 ~n:4 ~depth:1 in
-        let s = Pipeline.run_trasyn ~epsilon:0.07 c in
+        let s = run (Stream_compile.config ~epsilon:0.07 ~ir:Settings.U3_ir ~jobs ()) c in
         Alcotest.(check int) "no rotations left" 0 (Circuit.rotation_count s.Pipeline.circuit));
     Alcotest.test_case "synthesized circuits approximate the original state" `Quick (fun () ->
         let c = Generators.tfim_evolution ~seed:3 ~n:4 ~steps:1 in
@@ -58,16 +66,17 @@ let pipeline_tests =
           let f = State.fidelity ideal (State.run circ) in
           Alcotest.(check bool) (Printf.sprintf "%s fidelity %.4f > 0.8" name f) true (f > 0.8)
         in
-        check_workflow "gridsynth" (Pipeline.run_gridsynth ~epsilon:0.02 c).Pipeline.circuit;
-        check_workflow "trasyn" (Pipeline.run_trasyn ~epsilon:0.03 c).Pipeline.circuit);
+        check_workflow "gridsynth" (run (Stream_compile.config ~epsilon:0.02 ~jobs ()) c).Pipeline.circuit;
+        check_workflow "trasyn"
+          (run (Stream_compile.config ~epsilon:0.03 ~ir:Settings.U3_ir ~jobs ()) c).Pipeline.circuit);
     Alcotest.test_case "comparison ratios are positive" `Quick (fun () ->
         let c = Generators.vqe_hea ~seed:2 ~n:4 ~layers:1 in
-        let cmp = Pipeline.compare_workflows ~name:"vqe" c in
+        let cmp = Pipeline.compare_workflows (Stream_compile.config ~jobs ()) ~name:"vqe" c in
         Alcotest.(check bool) "t ratio > 0" true (cmp.Pipeline.t_ratio > 0.0);
         Alcotest.(check bool) "clifford ratio > 0" true (cmp.Pipeline.clifford_ratio > 0.0));
     Alcotest.test_case "U3 workflow beats Rz workflow on VQE" `Quick (fun () ->
         let c = Generators.vqe_hea ~seed:7 ~n:5 ~layers:2 in
-        let cmp = Pipeline.compare_workflows ~name:"vqe" c in
+        let cmp = Pipeline.compare_workflows (Stream_compile.config ~jobs ()) ~name:"vqe" c in
         Alcotest.(check bool)
           (Printf.sprintf "t ratio %.2f > 1.5" cmp.Pipeline.t_ratio)
           true
@@ -78,10 +87,11 @@ let pipeline_tests =
         let misses = Obs.counter "pipeline.gridsynth_cache.miss" in
         let h0 = Obs.counter_value hits and m0 = Obs.counter_value misses in
         let c = Generators.qaoa ~seed:1 ~n:4 ~depth:1 in
-        let s1 = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let cfg = Stream_compile.config ~epsilon:0.05 ~jobs () in
+        let s1 = run cfg c in
         let m_after_cold = Obs.counter_value misses in
         Alcotest.(check bool) "cold run misses" true (m_after_cold > m0);
-        let s2 = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s2 = run cfg c in
         Alcotest.(check bool) "warm run hits" true (Obs.counter_value hits > h0);
         Alcotest.(check int) "warm run adds no misses" m_after_cold (Obs.counter_value misses);
         Alcotest.(check int)
@@ -90,7 +100,7 @@ let pipeline_tests =
           (Circuit.t_count s2.Pipeline.circuit);
         (* After a reset the same circuit misses again. *)
         Pipeline.clear_caches ();
-        ignore (Pipeline.run_gridsynth ~epsilon:0.05 c);
+        ignore (run cfg c : Pipeline.synthesized);
         Alcotest.(check bool) "cleared caches miss again" true
           (Obs.counter_value misses > m_after_cold));
     Alcotest.test_case "cache capacity bound triggers eviction" `Quick (fun () ->
@@ -112,7 +122,7 @@ let pipeline_tests =
         Alcotest.(check bool) "evicted" true (Obs.counter_value evictions > e0));
     Alcotest.test_case "phase folding keeps synthesized semantics" `Quick (fun () ->
         let c = Generators.maxcut_evolution ~seed:4 ~n:4 ~steps:1 in
-        let s = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s = run (Stream_compile.config ~epsilon:0.05 ~jobs ()) c in
         let folded = Phase_folding.run s.Pipeline.circuit in
         let d = Cmatrix.distance (Unitary.of_circuit s.Pipeline.circuit) (Unitary.of_circuit folded) in
         (* hundreds of float gates accumulate ~1e-7 of distance noise *)
@@ -148,7 +158,7 @@ let robustness_tests =
     Alcotest.test_case "non-Rz rotation in a hand-fed Rz IR is a structured error" `Quick
       (fun () ->
         let c = Circuit.make 1 [ Circuit.instr (Qgate.U3 (0.3, 0.2, 0.1)) [| 0 |] ] in
-        match Pipeline.run_gridsynth_result ~transpile:false c with
+        match Pipeline.run ~transpile:false (Stream_compile.config ~jobs ()) c with
         | Error (Robust.Backend_error msg) ->
             let n = String.length msg in
             let rec go i = i + 6 <= n && (String.sub msg i 6 = "non-Rz" || go (i + 1)) in
@@ -161,7 +171,7 @@ let robustness_tests =
           [ { Robust.Fault.backend = "trasyn"; mode = Robust.Fault.Fail; prob = 1.0 } ]
           (fun () ->
             let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.37) [| 0 |] ] in
-            let s = Pipeline.run_trasyn ~epsilon:0.05 c in
+            let s = run (Stream_compile.config ~epsilon:0.05 ~ir:Settings.U3_ir ~jobs ()) c in
             Alcotest.(check bool) "degraded nonempty" true (s.Pipeline.degraded <> []);
             List.iter
               (fun (d : Pipeline.degradation) ->
@@ -174,33 +184,36 @@ let robustness_tests =
     Alcotest.test_case "clean runs report no degradation" `Quick (fun () ->
         Pipeline.clear_caches ();
         let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.37) [| 0 |] ] in
-        let s = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s = run (Stream_compile.config ~epsilon:0.05 ~jobs ()) c in
         Alcotest.(check bool) "no degradation" true (s.Pipeline.degraded = []));
     Alcotest.test_case "an expired circuit deadline aborts structurally" `Quick (fun () ->
         Pipeline.clear_caches ();
         let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.37) [| 0 |] ] in
-        (match Pipeline.run_trasyn_result ~deadline:(Obs.Deadline.at 0.0) c with
+        let expired ir = Stream_compile.config ~ir ~deadline:(Obs.Deadline.at 0.0) ~jobs () in
+        (match Pipeline.run (expired Settings.U3_ir) c with
         | Error Robust.Timeout -> ()
         | Ok _ -> Alcotest.fail "should have timed out"
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
-        match Pipeline.run_gridsynth_result ~deadline:(Obs.Deadline.at 0.0) c with
+        match Pipeline.run (expired Settings.Rz_ir) c with
         | Error Robust.Timeout -> ()
         | Ok _ -> Alcotest.fail "should have timed out"
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "direct style raises Failure_exn on failure" `Quick (fun () ->
+        (* compare_workflows is the direct-style entry point. *)
         Pipeline.clear_caches ();
         let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.37) [| 0 |] ] in
-        match Pipeline.run_trasyn ~deadline:(Obs.Deadline.at 0.0) c with
+        let cfg = Stream_compile.config ~deadline:(Obs.Deadline.at 0.0) ~jobs () in
+        match Pipeline.compare_workflows cfg ~name:"rz" c with
         | exception Robust.Failure_exn Robust.Timeout -> ()
         | _ -> Alcotest.fail "expected Failure_exn Timeout");
     Alcotest.test_case "successes are cached, failures are not" `Quick (fun () ->
         Pipeline.clear_caches ();
         let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.37) [| 0 |] ] in
         (* A timed-out run must not poison the cache for the next one. *)
-        (match Pipeline.run_gridsynth_result ~deadline:(Obs.Deadline.at 0.0) c with
+        (match Pipeline.run (Stream_compile.config ~deadline:(Obs.Deadline.at 0.0) ~jobs ()) c with
         | Error Robust.Timeout -> ()
         | _ -> Alcotest.fail "expected a timeout");
-        let s = Pipeline.run_gridsynth ~epsilon:0.05 c in
+        let s = run (Stream_compile.config ~epsilon:0.05 ~jobs ()) c in
         Alcotest.(check bool) "clean rerun" true (s.Pipeline.degraded = []));
   ]
 
@@ -243,7 +256,7 @@ let policy_tests =
         in
         let chain = match Synth.parse_chain "trasyn,sk" with Ok c -> c | Error e -> failwith e in
         Pipeline.clear_caches ();
-        let whole = Pipeline.run_gridsynth ~jobs:1 ~chain c in
+        let whole = run (Stream_compile.config ~chain ()) c in
         Pipeline.clear_caches ();
         match Stream_compile.run_ir (Stream_compile.config ~chain ()) whole.Pipeline.transpiled with
         | Error f -> Alcotest.fail (Robust.failure_to_string f)
@@ -263,7 +276,9 @@ let policy_tests =
         in
         let small = { Stream_compile.default_trasyn with Trasyn.table_t = 6; samples = 8 } in
         let big = { small with Trasyn.samples = 2048 } in
-        let qasm config = Qasm.to_string (Pipeline.run_trasyn ~jobs:1 ~config c).Pipeline.circuit in
+        let qasm trasyn =
+          Qasm.to_string (run (Stream_compile.config ~ir:Settings.U3_ir ~trasyn ()) c).Pipeline.circuit
+        in
         Pipeline.clear_caches ();
         let small_words = qasm small in
         let after_small = qasm big in

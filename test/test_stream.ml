@@ -581,9 +581,7 @@ let workflow_tests =
             let got, records =
               Test_metrics.recorded (fun () ->
                   ok label
-                    (match ir with
-                    | Settings.Rz_ir -> Pipeline.run_gridsynth_result ~jobs c
-                    | Settings.U3_ir -> Pipeline.run_trasyn_result ~jobs c))
+                    (Pipeline.run (Stream_compile.config ~ir ~jobs ()) c))
             in
             let wq, we, wd = show want and gq, ge, gd = show got in
             Alcotest.(check string) (label ^ " qasm") wq gq;
@@ -615,13 +613,13 @@ let workflow_tests =
         let pair a b = Circuit.make 1 [ Circuit.instr a [| 0 |]; Circuit.instr b [| 0 |] ] in
         let gs =
           ok "gridsynth"
-            (Pipeline.run_gridsynth_result ~transpile:false ~jobs:1
+            (Pipeline.run ~transpile:false (Stream_compile.config ())
                (pair (Qgate.Rz 0.3) (Qgate.Rz 0.4)))
         in
         Alcotest.(check int) "Rz rotations" 2 gs.Pipeline.rotations_synthesized;
         let tr =
           ok "trasyn"
-            (Pipeline.run_trasyn_result ~transpile:false ~jobs:1
+            (Pipeline.run ~transpile:false (Stream_compile.config ~ir:Settings.U3_ir ())
                (pair (Qgate.U3 (0.3, 0.2, 0.1)) (Qgate.U3 (0.5, -0.4, 0.7))))
         in
         Alcotest.(check int) "U3 rotations" 2 tr.Pipeline.rotations_synthesized);
@@ -675,7 +673,9 @@ let memo_flush_tests =
                 ignore (Stream_compile.config ~epsilon () : Stream_compile.config)))
           [ 0.0; -0.1; Float.nan; Float.infinity ];
         Alcotest.check_raises "whole-circuit runs too" rejected (fun () ->
-            ignore (Pipeline.run_gridsynth ~epsilon:(-0.1) (Circuit.make 1 []) : Pipeline.synthesized)));
+            ignore
+              (Pipeline.run (Stream_compile.config ~epsilon:(-0.1) ()) (Circuit.make 1 [])
+                : (Pipeline.synthesized, Robust.failure) result)));
     Alcotest.test_case "output flows once the reorder FIFO passes its bound" `Quick (fun () ->
         (* At jobs 2 a run's only job starts no worker: it waits in the
            queue while the tail fills the reorder FIFO behind it, until
@@ -803,7 +803,7 @@ let resolve_tests =
     Alcotest.test_case "a rotation 1e-8 from pi/4 is counted trivial and emits T" `Quick (fun () ->
         let c = Circuit.make 1 [ Circuit.instr (Qgate.Rz 0.7853981733974483) [| 0 |] ] in
         Alcotest.(check int) "nontrivial rotations" 0 (Circuit.nontrivial_rotation_count c);
-        let s = Pipeline.run_gridsynth ~jobs:1 c in
+        let s = Test_pipeline.run (Stream_compile.config ()) c in
         Alcotest.(check int) "rotations synthesized" 0 s.Pipeline.rotations_synthesized;
         Alcotest.(check string) "output" (Qasm.to_string (Circuit.make 1 [ Circuit.instr Qgate.T [| 0 |] ]))
           (Qasm.to_string s.Pipeline.circuit));
@@ -898,9 +898,10 @@ let resolve_tests =
         | _ -> Alcotest.failf "expected one batch response, got %d" (List.length responses));
     Alcotest.test_case "suite: the Rz workflow synthesizes its nontrivial rotations" `Slow
       (fun () ->
+        let cfg = Stream_compile.config () in
         List.iter
           (fun (b : Suite.benchmark) ->
-            let s = Pipeline.run_gridsynth ~jobs:1 b.Suite.circuit in
+            let s = Test_pipeline.run cfg b.Suite.circuit in
             Alcotest.(check int) b.Suite.name
               (Circuit.nontrivial_rotation_count s.Pipeline.transpiled)
               s.Pipeline.rotations_synthesized)

@@ -530,20 +530,23 @@ let determinism_tests =
     Alcotest.test_case "gridsynth workflow: --jobs 4 output == --jobs 1" `Slow (fun () ->
         let c = Generators.qft 3 in
         Pipeline.clear_caches ();
-        let s1 = Pipeline.run_gridsynth ~epsilon:0.07 ~jobs:1 c in
+        let s1 = Test_pipeline.run (Stream_compile.config ~jobs:1 ()) c in
         Pipeline.clear_caches ();
-        let s4 = Pipeline.run_gridsynth ~epsilon:0.07 ~jobs:4 c in
+        let s4 = Test_pipeline.run (Stream_compile.config ~jobs:4 ()) c in
         Alcotest.(check string) "bit-identical QASM"
           (Qasm.to_string s1.Pipeline.circuit)
           (Qasm.to_string s4.Pipeline.circuit));
     Alcotest.test_case "trasyn workflow: --jobs 4 output == --jobs 1" `Slow (fun () ->
         let c = Generators.qft 3 in
-        let config = { Trasyn.default_config with samples = 64; table_t = 6; beam = 4 } in
+        let trasyn = { Trasyn.default_config with samples = 64; table_t = 6; beam = 4 } in
         let budgets = [ 6 ] in
+        let cfg jobs =
+          Stream_compile.config ~epsilon:0.2 ~ir:Settings.U3_ir ~trasyn ~budgets ~jobs ()
+        in
         Pipeline.clear_caches ();
-        let s1 = Pipeline.run_trasyn ~epsilon:0.2 ~config ~budgets ~jobs:1 c in
+        let s1 = Test_pipeline.run (cfg 1) c in
         Pipeline.clear_caches ();
-        let s4 = Pipeline.run_trasyn ~epsilon:0.2 ~config ~budgets ~jobs:4 c in
+        let s4 = Test_pipeline.run (cfg 4) c in
         Pipeline.clear_caches ();
         Alcotest.(check string) "bit-identical QASM"
           (Qasm.to_string s1.Pipeline.circuit)
@@ -581,7 +584,7 @@ let run_count_tests =
         Pipeline.clear_caches ();
         match
           Test_metrics.recorded (fun () ->
-              Pipeline.run_gridsynth_result ~deadline:(Obs.Deadline.after 0.0) ~jobs:1 c)
+              Pipeline.run (Stream_compile.config ~deadline:(Obs.Deadline.after 0.0) ()) c)
         with
         | Ok _, _ -> Alcotest.fail "an expired deadline must fail the run"
         | Error f, records ->
