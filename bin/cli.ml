@@ -145,11 +145,12 @@ let stack =
 (* An environment variable that is set and not blank. *)
 let env name = match Sys.getenv_opt name with Some v when String.trim v <> "" -> Some v | _ -> None
 
-(* Start the stack in this order: gate set and its step-0 table,
+(* Start the stack in this order: jobs, gate set and its step-0 table,
    faults, chain, ledger, store (armed for every chain run and closed at
    exit), sampler.  Returns the gate set, the chain ([None]: the
    caller's default) and the store. *)
 let start ~say s =
+  Option.iter (fun j -> if j < 1 then reject "--jobs" (Printf.sprintf "must be >= 1 (got %d)" j)) s.jobs;
   let gate_set = resolve_gate_set ~say s.gate_set in
   Result.iter_error (reject "--gate-set") (Ma_table.find_for ~gate_set:gate_set.Gateset.name 1);
   (* A --faults flag wins over TGATES_FAULTS.  The variable is parsed

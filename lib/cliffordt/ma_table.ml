@@ -8,8 +8,12 @@
         [ε | T] (HT | SHT)* C,   C one of the 24 Cliffords,
     which are in bijection with Clifford+T operators mod phase, so the
     enumeration is linear in the output count 24·(3·2^#T − 2), and the
-    sequences produced are T-optimal by construction.  The table doubles
-    as step 3's lookup of shorter equivalents. *)
+    sequences produced are T-optimal by construction.  Words share
+    suffixes: a word with k T gates is its first block (T, HT or SHT)
+    consed onto the word of the (k−1)-T entry with the same Clifford, so
+    each entry allocates at most three list cells; the words are the
+    ones whole-prefix appends spell, and only memory differs.  The table
+    doubles as step 3's lookup of shorter equivalents. *)
 
 type entry = {
   seq : Ctgate.t list;  (** T-optimal word whose product is [u] up to phase *)
@@ -27,23 +31,6 @@ type t = {
 }
 
 let theoretical_count m = 24 * ((3 * (1 lsl m)) - 2)
-
-(* All MA prefixes with exactly [k] T gates, as (word, unitary) pairs.
-   Level 0 is the empty prefix; level 1 is {T, HT, SHT}; level k+1
-   appends a syllable HT or SHT to every level-k prefix. *)
-let prefixes_by_level max_t =
-  let syllables = Ctgate.[ [ H; T ]; [ S; H; T ] ] in
-  let apply (word, u) syl = (word @ syl, List.fold_left Exact_u.mul_gate u syl) in
-  let levels = Array.make (max_t + 1) [] in
-  levels.(0) <- [ ([], Exact_u.identity) ];
-  if max_t >= 1 then
-    levels.(1) <-
-      ([ Ctgate.T ], Exact_u.gate_t) :: List.map (apply ([], Exact_u.identity)) syllables;
-  for k = 2 to max_t do
-    levels.(k) <-
-      List.concat_map (fun prefix -> List.map (apply prefix) syllables) levels.(k - 1)
-  done;
-  levels
 
 (* Lookup/offset construction shared by the in-process enumeration and
    the on-disk table loader ([Tablegen.load]): feeding the same entry
@@ -80,33 +67,64 @@ let of_entries ~max_t entries =
   done;
   { max_t; entries; lookup; offsets }
 
+(* The first block of a normal form by root index: T, HT, SHT.  Blocks
+   1 and 2 are also the syllables HT and SHT that follow it. *)
+let blocks = Ctgate.[| [ T ]; [ H; T ]; [ S; H; T ] |]
+
+(* Entry (k, p, c), the level-k prefix p times Clifford c, sits at
+   offsets.(k) + 24·p + c.  Level-k prefix p is its root block
+   p lsr (k − 1) followed by one syllable per lower bit, most
+   significant first, so the rest of its word with the same Clifford is
+   an entry of level k − 1: the Clifford's own word at k = 1, else the
+   prefix whose root is the syllable of bit k − 2 and whose lower bits
+   are p's.  Each word is its block consed onto that entry's word, its
+   Clifford count the block's plus that entry's, and its exact unitary
+   the prefix's product times the Clifford's word, gate by gate. *)
 let build max_t =
-  let levels = prefixes_by_level max_t in
-  let buf = ref [] in
-  let n = ref 0 in
-  for k = 0 to max_t do
-    List.iter
-      (fun (word, u) ->
-        Array.iter
-          (fun (c : Clifford.element) ->
-            let seq = word @ c.Clifford.word in
-            let full = Exact_u.mul u c.Clifford.u in
-            let entry =
-              {
-                seq;
-                u = full;
-                mat = Exact_u.to_mat2 full;
-                tcount = k;
-                ccount = Ctgate.clifford_count seq;
-              }
-            in
-            buf := entry :: !buf;
-            incr n)
+  if max_t < 0 then invalid_arg "Ma_table.build: negative depth";
+  Obs.span "cliffordt.table.build" @@ fun () ->
+  Obs.set_span_attr "max_t" (string_of_int max_t);
+  let entry ~seq ~u ~tcount ~ccount = { seq; u; mat = Exact_u.to_mat2 u; tcount; ccount } in
+  let level0 =
+    Array.map
+      (fun (c : Clifford.element) ->
+        let seq = c.Clifford.word in
+        entry ~seq ~u:(Exact_u.of_seq seq) ~tcount:0 ~ccount:(Ctgate.clifford_count seq))
+      Clifford.elements
+  in
+  let entries = Array.make (theoretical_count max_t) level0.(0) in
+  Array.blit level0 0 entries 0 Clifford.count;
+  (* The prefix products of the level below. *)
+  let below = ref [| Exact_u.identity |] in
+  for k = 1 to max_t do
+    let base = theoretical_count (k - 1) in
+    let tail_base = if k = 1 then 0 else theoretical_count (k - 2) in
+    let products =
+      Array.init (3 lsl (k - 1)) (fun p ->
+          if k = 1 then Exact_u.of_seq blocks.(p)
+          else List.fold_left Exact_u.mul_gate !below.(p lsr 1) blocks.(1 + (p land 1)))
+    in
+    Array.iteri
+      (fun p prefix ->
+        let block = blocks.(p lsr (k - 1)) in
+        let block_ccount = Ctgate.clifford_count block in
+        let tail =
+          if k = 1 then 0
+          else ((1 + ((p lsr (k - 2)) land 1)) lsl (k - 2)) lor (p land ((1 lsl (k - 2)) - 1))
+        in
+        Array.iteri
+          (fun c (cl : Clifford.element) ->
+            let rest = entries.(tail_base + (Clifford.count * tail) + c) in
+            entries.(base + (Clifford.count * p) + c) <-
+              entry
+                ~seq:(block @ rest.seq)
+                ~u:(List.fold_left Exact_u.mul_gate prefix cl.Clifford.word)
+                ~tcount:k
+                ~ccount:(block_ccount + rest.ccount))
           Clifford.elements)
-      levels.(k)
+      products;
+    below := products
   done;
-  let entries = Array.of_list (List.rev !buf) in
-  assert (Array.length entries = theoretical_count max_t);
   of_entries ~max_t entries
 
 let truncate table max_t =

@@ -2,8 +2,11 @@
     phase with at most a given T count, enumerated as Matsumoto–Amano
     normal forms [ε|T](HT|SHT)*·C — provably unique, so the enumeration
     is linear in the output count 24·(3·2^#T − 2) and every sequence is
-    T-optimal by construction.  Doubles as step 3's lookup table of
-    cheaper equivalents. *)
+    T-optimal by construction.  Words share suffixes: an entry's word is
+    its first block consed onto the word of an entry with one T fewer,
+    so a deep table holds one to three list cells per word, with the
+    words and their order unchanged.  Doubles as step 3's lookup table
+    of cheaper equivalents. *)
 
 type entry = {
   seq : Ctgate.t list;  (** T-optimal word equal to [u] up to phase *)
@@ -24,6 +27,10 @@ val theoretical_count : int -> int
 (** 24·(3·2^m − 2), verified against the enumeration in the tests. *)
 
 val build : int -> t
+(** The table of depth [max_t], entries ordered by T count, prefix and
+    Clifford, under an [Obs] span ["cliffordt.table.build"] with a
+    ["max_t"] attribute. *)
+
 val get : int -> t
 (** Memoized [build]. *)
 

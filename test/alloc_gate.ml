@@ -55,11 +55,19 @@
    and, with no fault plan armed,
 
    12. per Robust.Fault.draw: none, since an unarmed draw is one atomic
-       load and formats no key.
+       load and formats no key;
+
+   and, over the 73,680 entries of Ma_table.build 10 (TRASYN's step-0
+   table at the paper's depth),
+
+   13. minor words per entry of the build, and live words per entry
+       after it (after a full major GC, above the live words before):
+       each word shares its tail with an entry of the level below.
 
    Bounds are for the dev profile that runtest builds: each is its dev
    count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 / 1,109
-   for 5 / 6 / 7 / 10 / 11) plus a quarter. *)
+   for 5 / 6 / 7 / 10 / 11; 126.8 minor and 78.6 live for 13, where the
+   list-append build read 346.8 and 141.6) plus a quarter. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
@@ -71,6 +79,8 @@ let sample_bound = 59_700.0
 let live_bound = 4_411.0
 let open_bound = 1_387.0
 let draw_bound = 0.0
+let table_bound = 158.0
+let table_live_bound = 98.0
 
 let gates = 10_000
 
@@ -267,4 +277,10 @@ let () =
             done))
   in
   check "Robust.Fault.draw with no plan armed" (words /. 1_000.0) draw_bound;
+  let before = live_words () in
+  let table, words = measure (fun () -> Ma_table.build 10) in
+  let live = live_words () -. before in
+  let entries = float_of_int (Ma_table.size (Sys.opaque_identity table)) in
+  check "Ma_table.build 10 per entry" (words /. entries) table_bound;
+  check "Ma_table.build 10 live words per entry" (live /. entries) table_live_bound;
   if !failed then exit 1

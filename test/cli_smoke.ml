@@ -13,7 +13,8 @@
       and --stream, serve_cli), a malformed --faults, an unknown
       --backend-chain and an unusable --store (compile_cli, serve_cli).
       serve_cli refuses a --epsilon that is not positive and finite at
-      start, as compile_cli does, with one line saying so.  A malformed
+      start, as compile_cli does, with one line saying so.  Both refuse
+      --jobs 0 with one stderr line and nothing on stdout.  A malformed
       TGATES_FAULTS is refused the way --faults is, before anything is
       written to stdout (compile_cli, serve_cli), and a --faults flag
       wins over it.
@@ -137,6 +138,14 @@ let () =
           failf "serve_cli --epsilon=%s: exit %d, wanted 1 with one line naming epsilon:\n%s" eps code
             (String.concat "\n" lines))
     [ "0"; "-0.1"; "nan" ];
+  List.iter
+    (fun (b, args) ->
+      match run_split ((bin b :: args) @ [ "--jobs"; "0" ]) with
+      | 1, [], [ line ] when contains line "--jobs" -> ()
+      | code, out, err ->
+          failf "%s --jobs 0: exit %d, wanted 1 with one stderr line naming --jobs and no \
+                 stdout:\n%s" b code (String.concat "\n" (out @ err)))
+    [ ("compile_cli", [ "--input"; qasm ]); ("serve_cli", []) ];
   List.iter
     (fun (b, args) ->
       let env = [ ("TGATES_FAULTS", "bogus") ] in

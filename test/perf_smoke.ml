@@ -8,9 +8,11 @@
    3. a doctored copy with every wall time doubled must make the same
       diff exit nonzero — the regression gate actually fires;
    4. a compile_cli --trace run must yield a trace whose hotspot
-      self-times sum to within 5% of the root span's wall time, and
-      whose `tgates-trace report`, minus its first line, is the report
-      the run printed on stderr;
+      self-times sum to within 5% of the root span's wall time, whose
+      `tgates-trace report`, minus its first line, is the report the
+      run printed on stderr, and which names TRASYN's step-0 table
+      build (a cliffordt.table.build span with max_t 10) instead of
+      folding it into trasyn.synthesize's self time;
    5. a second, independent quick-suite run diffed against the first
       must pass a lenient regression threshold — the exact plumbing a
       real perf gate uses (two separate processes, two JSON files),
@@ -186,6 +188,14 @@ let () =
           if root.Trace_analysis.span.Trace_analysis.name <> "cli.compile" then
             failf "root span is %S, expected cli.compile" root.Trace_analysis.span.Trace_analysis.name
       | roots -> failf "expected a single root span, got %d" (List.length roots));
+      if
+        not
+          (List.exists
+             (fun (sp : Trace_analysis.span) ->
+               sp.Trace_analysis.name = "cliffordt.table.build"
+               && List.assoc_opt "max_t" sp.Trace_analysis.attrs = Some "10")
+             tr.Trace_analysis.spans)
+      then failf "compile trace has no cliffordt.table.build span with max_t 10";
       let wall = Trace_analysis.total_wall tr in
       let self_sum =
         List.fold_left

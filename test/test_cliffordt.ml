@@ -108,6 +108,12 @@ let ma_tests =
           let expected = if k = 0 then 24 else 24 * 3 * (1 lsl (k - 1)) in
           Alcotest.(check int) (Printf.sprintf "level %d size" k) expected (Array.length sub)
         done);
+    Alcotest.test_case "build equals the list-append enumeration at depths 0-10" `Quick
+      (fun () ->
+        for d = 0 to 10 do
+          Test_gateset.check_tables_identical (Printf.sprintf "depth %d" d) (Ma_reference.build d)
+            (Ma_table.build d)
+        done);
     Alcotest.test_case "table entries within distance to nearby targets" `Quick (fun () ->
         (* The m=6 table must contain something within ~0.25 of any target. *)
         let table = Ma_table.get 6 in

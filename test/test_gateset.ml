@@ -33,9 +33,15 @@ let load_exn path =
   | Ok r -> r
   | Error e -> Alcotest.failf "load: %s" e
 
-(* Field-for-field equality of the full table structure.  [entries]
-   and [offsets] carry everything [of_entries] derives the lookup from,
-   so equal entries + offsets means the tables behave identically. *)
+let mat_bits (m : Mat2.t) =
+  List.concat_map
+    (fun (z : Cplx.t) -> [ Int64.bits_of_float z.Cplx.re; Int64.bits_of_float z.Cplx.im ])
+    [ m.Mat2.m00; m.Mat2.m01; m.Mat2.m10; m.Mat2.m11 ]
+
+(* Field-for-field equality of the full table structure: entries in
+   order (words, exact keys, [mat] bit for bit, since sampling reads
+   those floats, T and Clifford counts), offsets and every lookup
+   binding. *)
 let check_tables_identical what (a : Ma_table.t) (b : Ma_table.t) =
   Alcotest.(check int) (what ^ ": max_t") a.Ma_table.max_t b.Ma_table.max_t;
   Alcotest.(check int)
@@ -49,11 +55,21 @@ let check_tables_identical what (a : Ma_table.t) (b : Ma_table.t) =
         not
           (x.Ma_table.seq = y.Ma_table.seq
           && Exact_u.equal x.Ma_table.u y.Ma_table.u
+          && mat_bits x.Ma_table.mat = mat_bits y.Ma_table.mat
           && x.Ma_table.tcount = y.Ma_table.tcount
           && x.Ma_table.ccount = y.Ma_table.ccount)
       then Alcotest.failf "%s: entry %d differs" what i)
     a.Ma_table.entries;
-  Alcotest.(check (array int)) (what ^ ": offsets") a.Ma_table.offsets b.Ma_table.offsets
+  Alcotest.(check (array int)) (what ^ ": offsets") a.Ma_table.offsets b.Ma_table.offsets;
+  Alcotest.(check int)
+    (what ^ ": lookup bindings")
+    (Exact_u.Table.length a.Ma_table.lookup)
+    (Exact_u.Table.length b.Ma_table.lookup);
+  Exact_u.Table.iter
+    (fun key i ->
+      if Exact_u.Table.find_opt b.Ma_table.lookup key <> Some i then
+        Alcotest.failf "%s: lookup binding of entry %d differs" what i)
+    a.Ma_table.lookup
 
 (* ---- Descriptors and registry ---- *)
 
