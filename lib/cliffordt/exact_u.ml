@@ -115,23 +115,17 @@ let h_tinv u j =
   let c = rot (-j) u.c and d = rot (-j) u.d in
   reduce { a = zadd u.a c; b = zadd u.b d; c = zsub u.a c; d = zsub u.b d; k = u.k + 1 }
 
-(* The scale 1/√2^k of [to_mat2] for k < 64, each from the same
-   [Float.pow] call as a larger k takes, and the 1/√2 of
-   [Zomega.to_complex]: the floats are the ones computed per call. *)
-let scales = Array.init 64 (fun k -> Float.pow (Float.sqrt 2.0) (float_of_int (-k)))
 let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
 
-(* s·x as a complex number, with [Zomega.to_complex]'s expressions. *)
+(* s·x as a complex number, with [Zomega.to_complex]'s expressions but
+   without its tuple. *)
 let[@inline] scaled s (x : O.t) =
   let x0 = float_of_int x.x0 and x1 = float_of_int x.x1 in
   let x2 = float_of_int x.x2 and x3 = float_of_int x.x3 in
   { Cplx.re = s *. (x0 +. ((x1 -. x3) *. inv_sqrt2)); im = s *. (x2 +. ((x1 +. x3) *. inv_sqrt2)) }
 
 let to_mat2 u =
-  let s =
-    if u.k >= 0 && u.k < 64 then Array.unsafe_get scales u.k
-    else Float.pow (Float.sqrt 2.0) (float_of_int (-u.k))
-  in
+  let s = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k)) in
   Mat2.make (scaled s u.a) (scaled s u.b) (scaled s u.c) (scaled s u.d)
 
 (* A flat integer key; coefficient magnitudes stay tiny for the T

@@ -77,9 +77,12 @@ let blocks = Ctgate.[| [ T ]; [ H; T ]; [ S; H; T ] |]
    significant first, so the rest of its word with the same Clifford is
    an entry of level k − 1: the Clifford's own word at k = 1, else the
    prefix whose root is the syllable of bit k − 2 and whose lower bits
-   are p's.  Each word is its block consed onto that entry's word, its
-   Clifford count the block's plus that entry's, and its exact unitary
-   the prefix's product times the Clifford's word, gate by gate. *)
+   are p's.  The level-(k − 1) prefixes not rooted at T are the
+   contiguous range from 2^(k − 2), so that prefix is 2^(k − 2) plus
+   p's low k − 1 bits.  Each word is its block consed onto that
+   entry's word, its Clifford count the block's plus that entry's, and
+   its exact unitary the prefix's product times the Clifford's word,
+   gate by gate. *)
 let build max_t =
   if max_t < 0 then invalid_arg "Ma_table.build: negative depth";
   Obs.span "cliffordt.table.build" @@ fun () ->
@@ -89,7 +92,7 @@ let build max_t =
     Array.map
       (fun (c : Clifford.element) ->
         let seq = c.Clifford.word in
-        entry ~seq ~u:(Exact_u.of_seq seq) ~tcount:0 ~ccount:(Ctgate.clifford_count seq))
+        entry ~seq ~u:c.Clifford.u ~tcount:0 ~ccount:(Ctgate.clifford_count seq))
       Clifford.elements
   in
   let entries = Array.make (theoretical_count max_t) level0.(0) in
@@ -108,10 +111,7 @@ let build max_t =
       (fun p prefix ->
         let block = blocks.(p lsr (k - 1)) in
         let block_ccount = Ctgate.clifford_count block in
-        let tail =
-          if k = 1 then 0
-          else ((1 + ((p lsr (k - 2)) land 1)) lsl (k - 2)) lor (p land ((1 lsl (k - 2)) - 1))
-        in
+        let tail = if k = 1 then 0 else (1 lsl (k - 2)) + (p land ((1 lsl (k - 1)) - 1)) in
         Array.iteri
           (fun c (cl : Clifford.element) ->
             let rest = entries.(tail_base + (Clifford.count * tail) + c) in
