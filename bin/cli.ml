@@ -40,28 +40,22 @@ let arm_ledger = Option.iter Ledger.to_file
 (* Gate sets                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type gate_set = { name : string; files : string list; tables : string list }
+type gate_set = { name : string; files : string list }
 
-let gate_set ~tables =
-  let files names ~docv doc = Arg.(value & opt_all string [] & info names ~docv ~doc) in
+let gate_set =
   Term.(
-    const (fun name files tables -> { name; files; tables })
+    const (fun name files -> { name; files })
     $ Arg.(
         value & opt string "cliffordt"
         & info [ "gate-set" ] ~docv:"NAME"
             ~doc:"gate set: a built-in name or one registered with --gate-set-file")
-    $ files [ "gate-set-file" ] ~docv:"FILE"
-        "register a gate-set descriptor from a JSON config file (repeatable)"
-    $
-    if tables then
-      files [ "load-table" ] ~docv:"FILE"
-        "load a tgates-table/v1 file generated by tgates-tablegen and provide it to the \
-         synthesis stack under its gate-set name (repeatable); gate sets other than the \
-         built-in Clifford+T need one"
-    else Term.const [])
+    $ Arg.(
+        value & opt_all string []
+        & info [ "gate-set-file" ] ~docv:"FILE"
+            ~doc:"register a gate-set descriptor from a JSON config file (repeatable)"))
 
-(* Register the descriptor files and provide the tables, acknowledging
-   each through [say], then resolve the name. *)
+(* Register the descriptor files, acknowledging each through [say],
+   then resolve the name. *)
 let resolve_gate_set ~say g =
   List.iter
     (fun path ->
@@ -69,16 +63,6 @@ let resolve_gate_set ~say g =
       | Ok gs -> say (Printf.sprintf "gate set : %s loaded from %s" gs.Gateset.name path)
       | Error e -> reject ("--gate-set-file " ^ path) e)
     g.files;
-  List.iter
-    (fun path ->
-      match Tablegen.load_and_provide path with
-      | Ok (gs, table) ->
-          say
-            (Printf.sprintf "table    : %s provided for gate set %s (max_t %d, %d entries)" path
-               gs table.Ma_table.max_t
-               (Array.length table.Ma_table.entries))
-      | Error e -> reject ("--load-table " ^ path) e)
-    g.tables;
   match Gateset.find g.name with
   | Some gs -> gs
   | None ->
@@ -110,7 +94,7 @@ let stack =
       jobs; trace }
   in
   Term.(
-    const make $ gate_set ~tables:true
+    const make $ gate_set
     $ string_opt [ "faults" ] ~docv:"SPEC"
         "inject deterministic faults, e.g. 'trasyn=fail' or '*=corrupt@0.25,seed=7'; same \
          grammar as the TGATES_FAULTS environment variable"
@@ -145,14 +129,13 @@ let stack =
 (* An environment variable that is set and not blank. *)
 let env name = match Sys.getenv_opt name with Some v when String.trim v <> "" -> Some v | _ -> None
 
-(* Start the stack in this order: jobs, gate set and its step-0 table,
-   faults, chain, ledger, store (armed for every chain run and closed at
-   exit), sampler.  Returns the gate set, the chain ([None]: the
+(* Start the stack in this order: jobs, gate set, faults, chain,
+   ledger, store (armed for every chain run and closed at exit),
+   sampler.  Returns the gate set, the chain ([None]: the
    caller's default) and the store. *)
 let start ~say s =
   Option.iter (fun j -> if j < 1 then reject "--jobs" (Printf.sprintf "must be >= 1 (got %d)" j)) s.jobs;
   let gate_set = resolve_gate_set ~say s.gate_set in
-  Result.iter_error (reject "--gate-set") (Ma_table.find_for ~gate_set:gate_set.Gateset.name 1);
   (* A --faults flag wins over TGATES_FAULTS.  The variable is parsed
      here, not at the first draw, so a malformed value is refused
      before the run starts. *)

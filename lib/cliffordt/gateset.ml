@@ -1,8 +1,9 @@
 (** Gate sets as data: a named descriptor of the synthesis alphabet —
     generators, non-Clifford cost weights, how its operator table is
     enumerated — plus a registry so the rest of the stack selects an
-    alphabet by name.  Adding an alphabet is a descriptor plus a
-    generated table ([Tablegen]), not a fork of the synthesis code. *)
+    alphabet by name.  Adding an alphabet is a descriptor; its table is
+    enumerated on first use ([Ma_table.get_for]), not a fork of the
+    synthesis code. *)
 
 type enumeration =
   | Ma_normal_form
@@ -24,9 +25,6 @@ type t = {
           Plain Clifford+T weighs T and T† at 1 — [word_cost] then
           equals the T count. *)
   enumeration : enumeration;
-  closed_count : (int -> int) option;
-      (** closed-form operator count at T-depth m, when known — table
-          generation verifies the enumeration against it. *)
 }
 
 let gate_weight gs g =
@@ -35,6 +33,7 @@ let gate_weight gs g =
 let word_cost gs seq = List.fold_left (fun acc g -> acc +. gate_weight gs g) 0. seq
 
 let full_alphabet = Ctgate.[ H; S; Sdg; T; Tdg; X; Y; Z ]
+let full gs = List.for_all (fun g -> List.mem g gs.generators) full_alphabet
 
 let cliffordt =
   {
@@ -43,7 +42,6 @@ let cliffordt =
     generators = full_alphabet;
     weights = Ctgate.[ (T, 1.); (Tdg, 1.) ];
     enumeration = Ma_normal_form;
-    closed_count = Some Ma_table.theoretical_count;
   }
 
 (* Same generators, asymmetric magic-state pricing: architectures that
@@ -57,7 +55,6 @@ let cliffordt_weighted =
     generators = full_alphabet;
     weights = Ctgate.[ (T, 1.); (Tdg, 1.25) ];
     enumeration = Bfs;
-    closed_count = Some Ma_table.theoretical_count;
   }
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 8
@@ -67,9 +64,19 @@ let with_lock f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
+(* One descriptor per name: [Ma_table] caches tables by name, so a
+   second descriptor under a taken name would be served the first one's
+   table. *)
 let register gs =
   if gs.name = "" then invalid_arg "Gateset.register: empty name";
-  with_lock (fun () -> Hashtbl.replace registry gs.name gs)
+  with_lock (fun () ->
+      match Hashtbl.find_opt registry gs.name with
+      | Some old when old = gs -> ()
+      | Some _ ->
+          invalid_arg
+            (Printf.sprintf "gate set %S is already registered with a different descriptor"
+               gs.name)
+      | None -> Hashtbl.add registry gs.name gs)
 
 let () =
   register cliffordt;
@@ -129,14 +136,10 @@ let of_json j =
           | Some "bfs" | None -> Bfs
           | Some other -> invalid_arg (Printf.sprintf "unknown enumeration %S" other)
         in
-        let closed_count =
-          (* The closed form counts full Clifford+T; a sub-alphabet has
-             no known closed form, so count verification is skipped. *)
-          if List.length generators = List.length full_alphabet then
-            Some Ma_table.theoretical_count
-          else None
-        in
-        Ok { name; description; generators; weights; enumeration; closed_count }
+        let gs = { name; description; generators; weights; enumeration } in
+        if enumeration = Ma_normal_form && not (full gs) then
+          invalid_arg "enumeration \"ma\" needs the full Clifford+T alphabet";
+        Ok gs
       with Invalid_argument msg -> Error (Printf.sprintf "gate-set config: %s" msg))
 
 let load_file path =
@@ -148,6 +151,7 @@ let load_file path =
       | Ok j -> (
           match of_json j with
           | Error e -> Error (Printf.sprintf "%s: %s" path e)
-          | Ok gs ->
-              register gs;
-              Ok gs))
+          | Ok gs -> (
+              match register gs with
+              | () -> Ok gs
+              | exception Invalid_argument e -> Error (Printf.sprintf "%s: %s" path e))))

@@ -3,10 +3,11 @@
     A gate set is a named descriptor — generator alphabet, non-Clifford
     cost weights, table-enumeration strategy — registered by name so
     every layer of the synthesis stack (store keys, ledger provenance,
-    backend capabilities, server protocol) can select an alphabet
-    without hardcoding Clifford+T.  Adding an alphabet is a descriptor
-    (built-in, or a JSON config via {!load_file}) plus an offline table
-    generated by {!Tablegen} — not a fork of the synthesis code. *)
+    backend capabilities, server protocol, the step-0 table of
+    [Ma_table.get_for]) can select an alphabet without hardcoding
+    Clifford+T.  Adding an alphabet is a descriptor (built-in, or a JSON
+    config via {!load_file}); its table is enumerated on first use — not
+    a fork of the synthesis code. *)
 
 type enumeration =
   | Ma_normal_form
@@ -25,12 +26,15 @@ type t = {
       (** per-gate cost; unlisted gates cost 0.  Clifford+T weighs T
           and T† at 1, making {!word_cost} the T count. *)
   enumeration : enumeration;
-  closed_count : (int -> int) option;
-      (** closed-form operator count at T-depth m, for verification *)
 }
+(** Plain data: two descriptors are the same when [=] says so. *)
 
 val gate_weight : t -> Ctgate.t -> float
 val word_cost : t -> Ctgate.t list -> float
+
+val full : t -> bool
+(** Whether the generators include all of Clifford+T, so that the
+    table's operator count is [Ma_table.theoretical_count]. *)
 
 val cliffordt : t
 (** The paper's alphabet; table enumeration stays the exact in-process
@@ -47,7 +51,10 @@ val default : t
 (** {1 Registry} *)
 
 val register : t -> unit
-(** Add (or replace) a descriptor under its name.  Thread-safe. *)
+(** Add a descriptor under its name; registering the same descriptor
+    again is a no-op.  Thread-safe.
+    @raise Invalid_argument on an empty name, or on a name already
+    registered to a different descriptor (tables are cached by name). *)
 
 val find : string -> t option
 val find_exn : string -> t
@@ -63,7 +70,9 @@ val of_json : Obs.Json.t -> (t, string) result
     [{"name":..,"generators":"HSsTtXYZ","weights":{"T":1.0,"t":1.25},
       "enumeration":"bfs"}].  Generators/weights use the one-character
     gate encoding of [Ctgate.of_char]; omitted fields default to the
-    full alphabet with unit T/T† weights. *)
+    full alphabet with unit T/T† weights.  ["ma"] enumeration on a
+    sub-alphabet is an [Error]: its normal forms use every gate. *)
 
 val load_file : string -> (t, string) result
-(** Parse the JSON file and {!register} the descriptor. *)
+(** Parse the JSON file and {!register} the descriptor; [Error] (with
+    the path) when it does not parse or its name is taken. *)

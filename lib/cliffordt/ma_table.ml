@@ -12,8 +12,11 @@
     suffixes: a word with k T gates is its first block (T, HT or SHT)
     consed onto the word of the (k−1)-T entry with the same Clifford, so
     each entry allocates at most three list cells; the words are the
-    ones whole-prefix appends spell, and only memory differs.  The table
-    doubles as step 3's lookup of shorter equivalents. *)
+    ones whole-prefix appends spell, and only memory differs.  A gate
+    set whose descriptor asks for [Bfs] gets its table from a generic
+    closure instead ([closure]); [get_for] enumerates either on first
+    use.  The table doubles as step 3's lookup of shorter
+    equivalents. *)
 
 type entry = {
   seq : Ctgate.t list;  (** T-optimal word whose product is [u] up to phase *)
@@ -32,11 +35,10 @@ type t = {
 
 let theoretical_count m = 24 * ((3 * (1 lsl m)) - 2)
 
-(* Lookup/offset construction shared by the in-process enumeration and
-   the on-disk table loader ([Tablegen.load]): feeding the same entry
-   array through here yields a bit-identical [t], which is what makes
-   "generated table round-trips to [build]" a checkable property rather
-   than a hope.  Entries must already be sorted by [tcount]. *)
+(* Lookup/offset construction around the normal forms of [build]
+   (the closure below builds its own as it goes).  The normal forms are
+   unique, so each key is added once.  Entries must already be sorted
+   by [tcount]. *)
 let of_entries ~max_t entries =
   Array.iteri
     (fun i e ->
@@ -45,18 +47,7 @@ let of_entries ~max_t entries =
       if e.tcount > max_t then invalid_arg "Ma_table.of_entries: tcount exceeds max_t")
     entries;
   let lookup = Exact_u.Table.create (Array.length entries * 2) in
-  Array.iteri
-    (fun i e ->
-      let key = Exact_u.canonical_key e.u in
-      match Exact_u.Table.find_opt lookup key with
-      | Some j ->
-          let better =
-            let a = entries.(j) in
-            (e.tcount, e.ccount, List.length e.seq) < (a.tcount, a.ccount, List.length a.seq)
-          in
-          if better then Exact_u.Table.replace lookup key i
-      | None -> Exact_u.Table.add lookup key i)
-    entries;
+  Array.iteri (fun i e -> Exact_u.Table.add lookup (Exact_u.canonical_key e.u) i) entries;
   let offsets = Array.make (max_t + 2) 0 in
   let idx = ref 0 in
   for k = 0 to max_t + 1 do
@@ -127,110 +118,100 @@ let build max_t =
   done;
   of_entries ~max_t entries
 
-let truncate table max_t =
-  if max_t >= table.max_t then table
-  else if max_t < 0 then invalid_arg "Ma_table.truncate: negative depth"
-  else of_entries ~max_t (Array.sub table.entries 0 table.offsets.(max_t + 1))
+(* The generic closure, for any sub-alphabet of Clifford+T: Dijkstra
+   with the non-Clifford count as the distance.  Level 0 is the Clifford
+   closure of the identity; level k + 1 seeds every level-k operator,
+   in order, with each non-Clifford generator and re-closes under the
+   Cliffords, first in first out.  The state space at depth m is finite,
+   so this terminates, and level order makes every word
+   non-Clifford-minimal.  Operators are admitted in table order, so the
+   lookup doubles as the visited set: an operator's index is the number
+   admitted before it.  A candidate costs one gate product, one
+   canonical key and one probe; only an admitted operator gets a word,
+   its parent's reversed word with the new gate consed on, and the
+   entries reverse each word once. *)
+let closure (gs : Gateset.t) max_t =
+  if max_t < 0 then invalid_arg "Ma_table.get_for: negative depth";
+  Obs.span "cliffordt.table.build" @@ fun () ->
+  Obs.set_span_attr "max_t" (string_of_int max_t);
+  let cliffords, non_cliffords = List.partition Ctgate.is_clifford gs.Gateset.generators in
+  let lookup = Exact_u.Table.create (theoretical_count max_t) in
+  let levels = Array.make (max_t + 1) [] in
+  let q = Queue.create () in
+  let out = ref [] in
+  let admit key node =
+    Exact_u.Table.add lookup key (Exact_u.Table.length lookup);
+    out := node :: !out;
+    Queue.add node q
+  in
+  let step (rev, u) g =
+    let u = Exact_u.mul_gate u g in
+    let key = Exact_u.canonical_key u in
+    if not (Exact_u.Table.mem lookup key) then admit key (g :: rev, u)
+  in
+  (* Close the level's seeds under the Cliffords and file what was
+     admitted, in order, as level k. *)
+  let close_level k =
+    while not (Queue.is_empty q) do
+      List.iter (step (Queue.pop q)) cliffords
+    done;
+    levels.(k) <- List.rev !out;
+    out := []
+  in
+  admit (Exact_u.canonical_key Exact_u.identity) ([], Exact_u.identity);
+  close_level 0;
+  for k = 1 to max_t do
+    List.iter (fun node -> List.iter (step node) non_cliffords) levels.(k - 1);
+    close_level k
+  done;
+  let entry k (rev, u) =
+    let seq = List.rev rev in
+    { seq; u; mat = Exact_u.to_mat2 u; tcount = k; ccount = Ctgate.clifford_count seq }
+  in
+  let entries =
+    Array.of_list (List.concat (List.mapi (fun k l -> List.map (entry k) l) (Array.to_list levels)))
+  in
+  let offsets = Array.make (max_t + 2) 0 in
+  Array.iteri (fun k l -> offsets.(k + 1) <- offsets.(k) + List.length l) levels;
+  if Gateset.full gs && Array.length entries <> theoretical_count max_t then
+    failwith
+      (Printf.sprintf
+         "Ma_table.get_for: gate set %S at max_t=%d enumerated %d operators, closed form says %d"
+         gs.Gateset.name max_t (Array.length entries) (theoretical_count max_t));
+  { max_t; entries; lookup; offsets }
 
-(* Tables are expensive to build once max_t grows; share them.  The
-   cache is consulted from planner worker domains, so it is mutex
-   -guarded; holding the lock across [build] also means concurrent
-   requests for the same depth build the table once, not N times. *)
-let cache : (int, t) Hashtbl.t = Hashtbl.create 4
+(* One table per gate set and depth, enumerated on first use as the
+   gate set's descriptor says.  The cache is consulted from planner
+   worker domains, so it is mutex-guarded; holding the lock across the
+   enumeration also means concurrent requests for the same table build
+   it once, not N times. *)
+let cache : (string * int, t) Hashtbl.t = Hashtbl.create 4
 let cache_lock = Mutex.create ()
 
-let get max_t =
-  Mutex.lock cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_lock)
-    (fun () ->
-      match Hashtbl.find_opt cache max_t with
-      | Some t -> t
-      | None ->
-          let t = build max_t in
-          Hashtbl.add cache max_t t;
-          t)
-
-(* Provided-table registry: tables for non-built-in gate sets arrive
-   from outside (generated offline, loaded from disk) and are keyed by
-   gate-set name here so the synthesis stack can ask for "the table for
-   gate set G at depth m" without knowing where G's table came from.
-   Keeping the registry string-keyed in this module (rather than in
-   [Gateset]) avoids a dependency cycle: [Gateset]/[Tablegen] sit above
-   us and call [provide].  Per gate set we keep the deepest table seen
-   plus memoized truncations, all under one lock shared with the
-   in-process cache. *)
-let builtin_gate_set = "cliffordt"
-let provided : (string, t) Hashtbl.t = Hashtbl.create 4
-let truncations : (string * int, t) Hashtbl.t = Hashtbl.create 8
-
-let provide ~gate_set table =
-  Mutex.lock cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_lock)
-    (fun () ->
-      (match Hashtbl.find_opt provided gate_set with
-      | Some old when old.max_t > table.max_t -> ()
-      | _ -> Hashtbl.replace provided gate_set table);
-      let stale =
-        Hashtbl.fold
-          (fun ((gs, _) as k) _ acc -> if String.equal gs gate_set then k :: acc else acc)
-          truncations []
-      in
-      List.iter (Hashtbl.remove truncations) stale)
-
-let provided_sets () =
-  Mutex.lock cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_lock)
-    (fun () ->
-      Hashtbl.fold (fun gs t acc -> (gs, t.max_t) :: acc) provided []
-      |> List.sort compare)
-
-let find_for ~gate_set max_t =
-  let from_provided () =
-    Mutex.lock cache_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock cache_lock)
-      (fun () ->
-        match Hashtbl.find_opt provided gate_set with
-        | None -> None
-        | Some t when t.max_t = max_t -> Some (Ok t)
-        | Some t when t.max_t > max_t -> (
-            match Hashtbl.find_opt truncations (gate_set, max_t) with
-            | Some tr -> Some (Ok tr)
-            | None ->
-                let tr = truncate t max_t in
-                Hashtbl.add truncations (gate_set, max_t) tr;
-                Some (Ok tr))
-        | Some t ->
-            Some
-              (Error
-                 (Printf.sprintf
-                    "table for gate set %S only reaches depth %d (need %d); regenerate it with \
-                     tablegen at --max-t >= %d"
-                    gate_set t.max_t max_t max_t)))
-  in
-  match from_provided () with
-  | Some r -> r
+let enumerate ~gate_set max_t =
+  match Gateset.find gate_set with
   | None ->
-      if String.equal gate_set builtin_gate_set then Ok (get max_t)
-      else
-        let known =
-          match provided_sets () with
-          | [] -> "none"
-          | sets ->
-              String.concat ", "
-                (List.map (fun (gs, m) -> Printf.sprintf "%s (max_t=%d)" gs m) sets)
-        in
-        Error
-          (Printf.sprintf
-             "no table provided for gate set %S (provided: %s); generate one with tablegen and \
-              load it with --load-table"
-             gate_set known)
+      failwith
+        (Printf.sprintf "Ma_table.get_for: unknown gate set %S (known: %s)" gate_set
+           (String.concat ", " (Gateset.names ())))
+  | Some gs -> (
+      match gs.Gateset.enumeration with
+      | Gateset.Ma_normal_form -> build max_t
+      | Gateset.Bfs -> closure gs max_t)
 
 let get_for ~gate_set max_t =
-  match find_for ~gate_set max_t with Ok t -> t | Error e -> failwith ("Ma_table.get_for: " ^ e)
+  Mutex.lock cache_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock cache_lock)
+    (fun () ->
+      match Hashtbl.find_opt cache (gate_set, max_t) with
+      | Some t -> t
+      | None ->
+          let t = enumerate ~gate_set max_t in
+          Hashtbl.add cache (gate_set, max_t) t;
+          t)
+
+let get max_t = get_for ~gate_set:Gateset.default.Gateset.name max_t
 
 let lookup_best table u =
   match Exact_u.Table.find_opt table.lookup (Exact_u.canonical_key u) with

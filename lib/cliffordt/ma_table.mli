@@ -5,8 +5,9 @@
     T-optimal by construction.  Words share suffixes: an entry's word is
     its first block consed onto the word of an entry with one T fewer,
     so a deep table holds one to three list cells per word, with the
-    words and their order unchanged.  Doubles as step 3's lookup table
-    of cheaper equivalents. *)
+    words and their order unchanged.  Other gate sets' tables come from
+    a generic closure ({!get_for}).  Doubles as step 3's lookup table of
+    cheaper equivalents. *)
 
 type entry = {
   seq : Ctgate.t list;  (** T-optimal word equal to [u] up to phase *)
@@ -31,38 +32,23 @@ val build : int -> t
     Clifford, under an [Obs] span ["cliffordt.table.build"] with a
     ["max_t"] attribute. *)
 
-val get : int -> t
-(** Memoized [build]. *)
-
 val of_entries : max_t:int -> entry array -> t
-(** Rebuild the lookup/offset structure around an entry array already
-    sorted by [tcount] (all ≤ [max_t]).  [build] and the on-disk table
-    loader both funnel through here, so a loaded table is bit-identical
-    to the in-process enumeration.  @raise Invalid_argument on unsorted
-    or too-deep entries. *)
-
-(** {1 Gate-set-keyed registry}
-
-    Tables for gate sets other than the built-in Clifford+T enumeration
-    are generated offline ([Tablegen]) and registered here by name; the
-    synthesis stack then asks for the table of the active gate set
-    without knowing its origin. *)
-
-val provide : gate_set:string -> t -> unit
-(** Register the table as the one for [gate_set].  A deeper table wins:
-    providing a shallower table than one already registered is a no-op.
-    Thread-safe. *)
-
-val find_for : gate_set:string -> int -> (t, string) result
-(** The table for [gate_set] at depth [max_t].  A provided deeper table
-    is truncated (memoized); ["cliffordt"] falls back to the in-process
-    [get] when nothing was provided.  [Error] says why there is none: no
-    table was provided for that gate set (listing the provided ones), or
-    the provided one is too shallow ("only reaches depth m (need n)"). *)
+(** The lookup/offset structure around an entry array already sorted by
+    [tcount] (all ≤ [max_t]) whose operators are distinct up to phase,
+    as {!build} yields them.  @raise Invalid_argument on unsorted or
+    too-deep entries. *)
 
 val get_for : gate_set:string -> int -> t
-(** {!find_for}, raising (TRASYN's lookup).  @raise Failure with its
-    message prefixed by ["Ma_table.get_for: "]. *)
+(** The table of the registered gate set [gate_set] ([Gateset.find]) at
+    depth [max_t], enumerated on first use and cached per gate set and
+    depth: {!build} for [Ma_normal_form]; for [Bfs], the generic
+    closure, Dijkstra by non-Clifford count with canonical-unitary
+    dedup, under the same span, its count checked against
+    {!theoretical_count} when the alphabet is full.  Thread-safe; one
+    enumeration per table.  @raise Failure on an unknown gate set. *)
+
+val get : int -> t
+(** [get_for ~gate_set:"cliffordt"]. *)
 
 val lookup_best : t -> Exact_u.t -> entry option
 (** Cheapest known realization of an operator, up to global phase. *)

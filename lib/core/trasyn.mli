@@ -14,10 +14,9 @@ type config = {
   seed : int;  (** RNG seed — synthesis is deterministic given a config *)
   gate_set : string;
       (** Which step-0 table the MPS sites range over, resolved through
-          [Ma_table.get_for] — ["cliffordt"] builds in-process, any
-          other name must have a generated table provided.  Also keys
-          the chain cache, so two alphabets never share interiors.
-          Default: ["cliffordt"]. *)
+          [Ma_table.get_for]: a registered gate set's name, its table
+          enumerated on first use.  Also keys the chain cache, so two
+          alphabets never share interiors.  Default: ["cliffordt"]. *)
 }
 
 val default_config : config

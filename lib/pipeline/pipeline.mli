@@ -68,8 +68,8 @@ val run :
       [rotation_budget] (seconds) each synthesis job; [jobs] is the
       domain count, and the output is the same at any count;
     - [gate_set] keys the store and ledger, filters chain rungs to
-      supporting backends and picks the step-0 table (non-built-in sets
-      need one provided via [Tablegen.load_and_provide]).
+      supporting backends and picks the step-0 table
+      ([Ma_table.get_for], enumerated on first use).
 
     [transpile:false] skips [Settings.best_for] and takes the input as
     IR: a non-Rz rotation in the Rz IR is then a [Backend_error]. *)

@@ -453,7 +453,6 @@ let parse_rotation t ~rid ~batch_index j =
   | Ok gate_set -> (
       if not (epsilon > 0.0 && Float.is_finite epsilon) then Error "epsilon must be positive and finite"
       else
-        (* A gate set without a step-0 table is a request error, not a failure to retry. *)
         let rotation ir g =
           let policy =
             if epsilon = t.cfg.epsilon && gate_set == t.cfg.gate_set then

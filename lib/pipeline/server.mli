@@ -21,9 +21,9 @@
     ["gate_set"] — the name of a gate set registered in this process
     (built-ins, plus any loaded from config files by the CLI).  An
     unknown name is rejected with [bad_request] listing the known
-    names, and so is a gate set without a step-0 table (no retries, no
-    job, no ledger record); omitted, the server's configured default
-    applies.
+    names (no retries, no job, no ledger record); a known one's step-0
+    table is enumerated on first use.  Omitted, the server's configured
+    default applies.
 
     {b Responses}: [{"id":…,"request_id":"r7","ok":true,"op":"rz",
     "target":"rz(…)","word":"THTS…","t_count":…,"length":…,

@@ -150,29 +150,27 @@ type resolved = { key : string; target : Synth.target; exact : Robust.attempt op
    IR), surfaced structurally rather than as Invalid_argument. *)
 let resolve policy g =
   let epsilon = policy.synth.Synth.epsilon and gate_set = Synth.gate_set_name policy.synth in
-  match Ma_table.find_for ~gate_set 1 with
-  | Error e -> Error (Robust.Backend_error e)
-  | Ok table -> (
-      let key, target =
-        match g with
-        | Qgate.Rz theta ->
-            let theta = canonical_angle theta in
-            (rz_key ~epsilon ~tag:policy.tag ~gate_set theta, Synth.Rz theta)
-        | g ->
-            let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
-            let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
-            (u3_key ~epsilon ~tag:policy.tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
-      in
-      match (Circuit.exact_word table g, g, policy.ir) with
-      | Some word, _, _ ->
-          let distance = Mat2.distance (Synth.target_mat2 target) (Ctgate.seq_to_mat2 word) in
-          let a = { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = epsilon } in
-          Ok { key; target; exact = Some a }
-      | None, (Qgate.Rx _ | Qgate.Ry _ | Qgate.U3 _), Settings.Rz_ir ->
-          Error
-            (Robust.Backend_error
-               (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
-      | None, _, _ -> Ok { key; target; exact = None })
+  let table = Ma_table.get_for ~gate_set 1 in
+  let key, target =
+    match g with
+    | Qgate.Rz theta ->
+        let theta = canonical_angle theta in
+        (rz_key ~epsilon ~tag:policy.tag ~gate_set theta, Synth.Rz theta)
+    | g ->
+        let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+        let t = canonical_angle t and p = canonical_angle p and l = canonical_angle l in
+        (u3_key ~epsilon ~tag:policy.tag ~gate_set (t, p, l), Synth.Unitary (Mat2.u3 t p l))
+  in
+  match (Circuit.exact_word table g, g, policy.ir) with
+  | Some word, _, _ ->
+      let distance = Mat2.distance (Synth.target_mat2 target) (Ctgate.seq_to_mat2 word) in
+      let a = { Robust.word; distance; backend = "exact"; fallbacks = 0; rung_epsilon = epsilon } in
+      Ok { key; target; exact = Some a }
+  | None, (Qgate.Rx _ | Qgate.Ry _ | Qgate.U3 _), Settings.Rz_ir ->
+      Error
+        (Robust.Backend_error
+           (Printf.sprintf "Stream_compile: non-Rz rotation %s in Rz IR" (Qgate.to_string g)))
+  | None, _, _ -> Ok { key; target; exact = None }
 
 (* One chain execution on this domain.  Its deadline is the run's,
    capped by the per-rotation budget from now, both on the monotonic

@@ -128,9 +128,9 @@ val resolve : policy -> Qgate.t -> (resolved, Robust.failure) result
     keyed by {!rz_key} and targeted as [Rz] at its canonical angle, any
     other rotation by {!u3_key} and [Unitary] at the canonical angles of
     its U3 form.  A gate [Circuit.exact_word] finds in the gate set's
-    step-0 table is answered with that word.  [Backend_error]: a gate set
-    with no step-0 table ([Ma_table.find_for]'s message), or a non-Rz
-    rotation to synthesize under an Rz-IR policy ("non-Rz"). *)
+    step-0 table ([Ma_table.get_for] at depth 1) is answered with that
+    word.  [Backend_error]: a non-Rz rotation to synthesize under an
+    Rz-IR policy ("non-Rz"). *)
 
 type stats = {
   gates_in : int;  (** instructions consumed from the source *)

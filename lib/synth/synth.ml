@@ -84,8 +84,8 @@ let wrap name f =
 module Trasyn_backend : BACKEND = struct
   let name = "trasyn"
 
-  (* Any alphabet with a step-0 table: [Ma_table.get_for] raises its
-     structured error (converted by [wrap]) when none was provided. *)
+  (* Any registered alphabet: [Ma_table.get_for] enumerates its step-0
+     table on first use. *)
   let supports_gate_set _ = true
 
   let synthesize target cfg =

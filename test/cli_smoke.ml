@@ -8,21 +8,21 @@
       binary's [--help=plain] lines that start with seven spaces and a
       dash, prefixed by the binary's name.
    2. A bad value for a shared flag exits 1 with one line of output
-      naming the flag: an unknown --gate-set (compile_cli, serve_cli,
-      tablegen_cli), a gate set with no step-0 table (compile_cli whole
-      and --stream, serve_cli), a malformed --faults, an unknown
-      --backend-chain and an unusable --store (compile_cli, serve_cli).
-      serve_cli refuses a --epsilon that is not positive and finite at
-      start, as compile_cli does, with one line saying so.  Both refuse
-      --jobs 0 with one stderr line and nothing on stdout.  A malformed
+      naming the flag: an unknown --gate-set, a --gate-set-file that
+      names a registered gate set with another descriptor, a malformed
+      --faults, an unknown --backend-chain and an unusable --store
+      (compile_cli, serve_cli), and a --gate-set-file that asks for
+      normal forms of a sub-alphabet (compile_cli).  A gate set other
+      than the default starts cleanly, its table enumerated on first
+      use (compile_cli whole and --stream, serve_cli).  serve_cli
+      refuses a --epsilon that is not positive and finite at start, as
+      compile_cli does, with one line saying so.  Both refuse --jobs 0
+      with one stderr line and nothing on stdout.  A malformed
       TGATES_FAULTS is refused the way --faults is, before anything is
       written to stdout (compile_cli, serve_cli), and a --faults flag
       wins over it.
-   3. tablegen_cli generates a table for such a gate set without one,
-      and compile_cli starts with a table too shallow for TRASYN: its
-      first rotation then fails (exit 1) naming the depth it needs.
 
-   usage: cli_smoke EXPECTED COMPILE_CLI SERVE_CLI TABLEGEN_CLI TRASYN_CLI GRIDSYNTH_CLI *)
+   usage: cli_smoke EXPECTED COMPILE_CLI SERVE_CLI TRASYN_CLI GRIDSYNTH_CLI *)
 
 let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("cli_smoke: FAIL: " ^ s); exit 1) fmt
 
@@ -99,21 +99,28 @@ let () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let ( / ) = Filename.concat in
+  let write path s =
+    let oc = open_out path in
+    output_string oc s;
+    close_out oc
+  in
   let qasm = dir / "c.qasm" in
-  let oc = open_out qasm in
-  output_string oc "OPENQASM 2.0;\nqreg q[1];\nrz(0.37) q[0];\n";
-  close_out oc;
+  write qasm "OPENQASM 2.0;\nqreg q[1];\nrz(0.37) q[0];\n";
   (* A directory under a regular file cannot be created. *)
   let not_a_dir = dir / "file" in
   close_out (open_out not_a_dir);
+  (* A second descriptor under a built-in name, and normal forms of a
+     sub-alphabet. *)
+  let taken = dir / "taken.json" and ma_sub = dir / "ma_sub.json" in
+  write taken {|{"name":"cliffordt","enumeration":"bfs"}|};
+  write ma_sub {|{"name":"hst","generators":"HST","enumeration":"ma"}|};
   let cases =
     [
       ("compile_cli", [ "--input"; qasm ], "--gate-set", "no-such-set");
       ("serve_cli", [], "--gate-set", "no-such-set");
-      ("tablegen_cli", [ "--out"; dir / "t.table" ], "--gate-set", "no-such-set");
-      ("compile_cli", [ "--input"; qasm ], "--gate-set", "cliffordt-weighted");
-      ("compile_cli", [ "--input"; qasm; "--stream" ], "--gate-set", "cliffordt-weighted");
-      ("serve_cli", [], "--gate-set", "cliffordt-weighted");
+      ("compile_cli", [ "--input"; qasm ], "--gate-set-file", taken);
+      ("serve_cli", [], "--gate-set-file", taken);
+      ("compile_cli", [ "--input"; qasm ], "--gate-set-file", ma_sub);
       ("compile_cli", [ "--input"; qasm ], "--faults", "trasyn=frobnicate");
       ("serve_cli", [], "--faults", "trasyn=frobnicate");
       ("compile_cli", [ "--input"; qasm ], "--backend-chain", "trasyn,no-such-backend");
@@ -130,6 +137,22 @@ let () =
           failf "%s %s %s: exit %d, wanted 1 with one line naming the flag:\n%s" b flag value code
             (String.concat "\n" lines))
     cases;
+  (* Another gate set starts cleanly: a pi/4 rotation is answered from
+     its depth-1 table, so the depth-10 one is not built here. *)
+  let exact = dir / "exact.qasm" in
+  write exact "OPENQASM 2.0;\nqreg q[1];\nrz(0.7853981633974483) q[0];\n";
+  List.iter
+    (fun (b, args) ->
+      match run ((bin b :: args) @ [ "--gate-set"; "cliffordt-weighted" ]) with
+      | 0, lines when not (List.exists (fun l -> contains l "error") lines) -> ()
+      | code, lines ->
+          failf "%s --gate-set cliffordt-weighted: exit %d, wanted a clean start:\n%s" b code
+            (String.concat "\n" lines))
+    [
+      ("compile_cli", [ "--input"; exact ]);
+      ("compile_cli", [ "--input"; exact; "--stream" ]);
+      ("serve_cli", []);
+    ];
   List.iter
     (fun eps ->
       match run [ bin "serve_cli"; "--epsilon=" ^ eps ] with
@@ -160,25 +183,6 @@ let () =
           failf "%s --faults under TGATES_FAULTS=bogus: exit %d, wanted 0:\n%s" b code
             (String.concat "\n" (out @ err)))
     [ ("compile_cli", [ "--input"; qasm; "-w"; "gridsynth" ]); ("serve_cli", []) ];
-  (* 3. Tables: generated without one, too shallow once loaded. *)
-  let table = dir / "w3.table" in
-  (match
-     run
-       [ bin "tablegen_cli"; "--gate-set"; "cliffordt-weighted"; "--max-t"; "3"; "--out"; table ]
-   with
-  | 0, _ -> ()
-  | code, lines ->
-      failf "tablegen_cli --gate-set cliffordt-weighted: exit %d:\n%s" code
-        (String.concat "\n" lines));
-  (match
-     run
-       [ bin "compile_cli"; "--input"; qasm; "--gate-set"; "cliffordt-weighted"; "--load-table";
-         table ]
-   with
-  | 1, lines when List.exists (fun l -> contains l "only reaches depth 3 (need 10)") lines -> ()
-  | code, lines ->
-      failf "compile_cli with a depth-3 table: exit %d, wanted 1 naming the depth:\n%s" code
-        (String.concat "\n" lines));
-  List.iter Sys.remove [ qasm; not_a_dir; table ];
+  List.iter Sys.remove [ qasm; exact; not_a_dir; taken; ma_sub ];
   Unix.rmdir dir;
   print_endline "cli_smoke: OK"

@@ -1,22 +1,19 @@
 (* End-to-end smoke for the gate-set pipeline, wired into @runtest:
-   drive tablegen_cli and compile_cli from the outside and check the
-   contracts at the process boundary:
+   drive compile_cli from the outside and check the contracts at the
+   process boundary:
 
-   1. tablegen_cli generates a tiny table for each built-in alphabet,
-      verifies the closed-form count, and its --verify roundtrip
-      reports entry-for-entry identity.
-   2. A corrupted table file is rejected with the structured
-      tgates-table/v1 error, exit code 1 — never a partial load.
-   3. compile_cli compiles a small circuit end-to-end through the
-      generated non-default gate set (--gate-set + --load-table),
-      emitting Clifford+T output and per-rotation ledger records that
-      carry the gate set's name.
+   1. compile_cli compiles a small circuit end-to-end through the
+      non-default gate set (--gate-set cliffordt-weighted, no table
+      file: its step-0 table is enumerated on first use), emitting
+      Clifford+T output.
+   2. An unknown gate-set name is a structured CLI error.
 
-   In "full" mode (the @gateset alias) the compile step uses a
-   depth-10 table and a nontrivial rotation, exercising real TRASYN
-   sampling through the provided table; in "quick" mode (@runtest) the
-   circuit's rotations are pi/4 multiples, so the whole run works from
-   a depth-2 table and stays fast. *)
+   In "full" mode (the @gateset alias) the circuit adds a nontrivial
+   rotation, exercising real TRASYN sampling through the gate set's
+   depth-10 table, and the per-rotation ledger records must carry the
+   gate set's name; in "quick" mode (@runtest) the circuit's rotations
+   are pi/4 multiples, answered from the depth-1 table, so the run
+   stays fast. *)
 
 let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("gateset_smoke: FAIL: " ^ s); exit 1) fmt
 
@@ -52,54 +49,29 @@ let expect_ok what (code, out) =
   out
 
 let () =
-  let tablegen, compile, mode =
+  let compile, mode =
     match Array.to_list Sys.argv with
-    | [ _; tg; cc ] -> (tg, cc, "quick")
-    | [ _; tg; cc; m ] -> (tg, cc, m)
-    | _ -> failf "usage: gateset_smoke TABLEGEN_CLI COMPILE_CLI [quick|full]"
+    | [ _; cc ] -> (cc, "quick")
+    | [ _; cc; m ] -> (cc, m)
+    | _ -> failf "usage: gateset_smoke COMPILE_CLI [quick|full]"
   in
   let dir = Filename.temp_file "tgates_gateset" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let ( / ) = Filename.concat in
 
-  (* 1. Tiny tables for both built-ins, closed-form verified, roundtrip
-     checked by the CLI itself. *)
-  let ct = dir / "cliffordt.table" in
-  let out =
-    expect_ok "tablegen cliffordt"
-      (run [ tablegen; "--gate-set"; "cliffordt"; "--max-t"; "2"; "--out"; ct; "--verify" ])
-  in
-  if not (contains out "verified") then failf "tablegen cliffordt: no verification:\n%s" out;
-
-  let depth = if mode = "full" then "10" else "2" in
-  let ctw = dir / "weighted.table" in
-  let out =
-    expect_ok "tablegen weighted"
-      (run
-         [ tablegen; "--gate-set"; "cliffordt-weighted"; "--max-t"; depth; "--out"; ctw; "--verify" ])
-  in
-  if not (contains out "verified") then failf "tablegen weighted: no verification:\n%s" out;
-
   let qasm = dir / "smoke.qasm" in
   let rotation =
-    (* pi/4 multiples stay within the tiny table; full mode adds a
-       rotation that forces real synthesis through the deep table. *)
+    (* pi/4 multiples are exact words of the depth-1 table; full mode
+       adds a rotation that forces real synthesis through the depth-10
+       one. *)
     if mode = "full" then "rz(0.3) q[0];\n" else "rz(0.7853981633974483) q[0];\n"
   in
   write_file qasm
     ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n" ^ rotation
    ^ "h q[1];\ncx q[0],q[1];\nrz(1.5707963267948966) q[1];\n");
 
-  (* 2. Corruption is rejected, structured, exit 1. *)
-  let bad = dir / "bad.table" in
-  let bytes = read_file ct in
-  write_file bad (String.sub bytes 0 (String.length bytes - 5));
-  let code, out = run [ compile; "--input"; qasm; "--load-table"; bad ] in
-  if code = 0 then failf "corrupt table accepted:\n%s" out;
-  if not (contains out "tgates-table/v1") then failf "corrupt table: unstructured error:\n%s" out;
-
-  (* 3. End-to-end compile through the non-default alphabet. *)
+  (* 1. End-to-end compile through the non-default alphabet. *)
   let ledger = dir / "ledger.jsonl" in
   let out_qasm = dir / "out.qasm" in
   let out =
@@ -107,7 +79,7 @@ let () =
       (run
          [
            compile; "--input"; qasm; "-w"; "trasyn"; "--gate-set"; "cliffordt-weighted";
-           "--load-table"; ctw; "--epsilon"; "0.05"; "--ledger"; ledger; "--output"; out_qasm;
+           "--epsilon"; "0.05"; "--ledger"; ledger; "--output"; out_qasm;
          ])
   in
   if not (contains out "output") then failf "compile: no output line:\n%s" out;
@@ -118,7 +90,7 @@ let () =
       failf "ledger records lack gate_set provenance:\n%s" (read_file ledger)
   end;
 
-  (* 4. An unknown gate-set name is a structured CLI error. *)
+  (* 2. An unknown gate-set name is a structured CLI error. *)
   let code, out = run [ compile; "--input"; qasm; "--gate-set"; "no-such-alphabet" ] in
   if code = 0 then failf "unknown gate set accepted";
   if not (contains out "unknown gate set") then failf "unknown gate set: bad error:\n%s" out;

@@ -1,37 +1,8 @@
-(* Gate sets as data: descriptor registry and JSON configs, the offline
-   table generator's closed-form verification, and the tgates-table/v1
-   on-disk format — roundtrip bit-identity with Ma_table.build, and
-   structured (never partial) failure on truncation or corruption. *)
-
-let with_tmp f =
-  let path = Filename.temp_file "tgates_table" ".table" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let generate_exn gs ~max_t =
-  match Tablegen.generate gs ~max_t with
-  | Ok t -> t
-  | Error e -> Alcotest.failf "generate: %s" e
-
-let save_exn ~path ~gate_set table =
-  match Tablegen.save ~path ~gate_set table with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save: %s" e
-
-let load_exn path =
-  match Tablegen.load path with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "load: %s" e
+(* Gate sets as data: the descriptor registry and JSON configs, and the
+   step-0 tables [Ma_table.get_for] enumerates for them — the closed-form
+   counts, the closure's operator set against the Matsumoto–Amano
+   enumeration, and the closure against its reference
+   ([Bfs_reference]). *)
 
 let mat_bits (m : Mat2.t) =
   List.concat_map
@@ -86,7 +57,15 @@ let test_builtin_registry () =
   Alcotest.(check bool) "unknown name" true (Gateset.find "no-such-alphabet" = None);
   Alcotest.(check bool)
     "names sorted and complete" true
-    (List.mem "cliffordt" (Gateset.names ()) && List.mem "cliffordt-weighted" (Gateset.names ()))
+    (List.mem "cliffordt" (Gateset.names ()) && List.mem "cliffordt-weighted" (Gateset.names ()));
+  (* One descriptor per name: the same one again is a no-op, another is
+     refused, and the name keeps its first descriptor. *)
+  Gateset.register Gateset.cliffordt;
+  (match Gateset.register { Gateset.cliffordt with Gateset.enumeration = Gateset.Bfs } with
+  | () -> Alcotest.fail "a second descriptor under cliffordt was registered"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "cliffordt keeps its descriptor" true
+    (Gateset.find "cliffordt" = Some Gateset.cliffordt)
 
 let test_word_cost () =
   let gs = Gateset.cliffordt in
@@ -108,23 +87,26 @@ let test_of_json () =
       Alcotest.(check int) "generators" 5 (List.length gs.Gateset.generators);
       Alcotest.(check (float 1e-9)) "Tdg weight" 2.0 (Gateset.gate_weight gs Ctgate.Tdg);
       Alcotest.(check bool) "bfs enumeration" true (gs.Gateset.enumeration = Gateset.Bfs);
-      Alcotest.(check bool)
-        "no closed form for sub-alphabet" true
-        (gs.Gateset.closed_count = None)
+      Alcotest.(check bool) "a sub-alphabet" false (Gateset.full gs)
   | Error e -> Alcotest.failf "of_json: %s" e);
   (match parse {|{"generators":"HT"}|} with
   | Ok _ -> Alcotest.fail "descriptor without a name should be rejected"
+  | Error _ -> ());
+  (* Normal forms use every gate, so they cannot enumerate a
+     sub-alphabet. *)
+  (match parse {|{"name":"hst","generators":"HST","enumeration":"ma"}|} with
+  | Ok _ -> Alcotest.fail "ma enumeration of a sub-alphabet should be rejected"
   | Error _ -> ());
   match parse {|{"name":"bad","generators":"HQ"}|} with
   | Ok _ -> Alcotest.fail "unknown gate char should be rejected"
   | Error _ -> ()
 
-(* ---- Generation ---- *)
+(* ---- Tables ---- *)
 
 let test_closed_form_counts () =
   List.iter
     (fun m ->
-      let t = generate_exn Gateset.cliffordt ~max_t:m in
+      let t = Ma_table.get_for ~gate_set:"cliffordt" m in
       Alcotest.(check int)
         (Printf.sprintf "cliffordt count at m=%d" m)
         (Ma_table.theoretical_count m) (Ma_table.size t))
@@ -135,7 +117,7 @@ let test_closed_form_counts () =
 let test_bfs_matches_closed_form () =
   List.iter
     (fun m ->
-      let t = generate_exn Gateset.cliffordt_weighted ~max_t:m in
+      let t = Ma_table.get_for ~gate_set:"cliffordt-weighted" m in
       Alcotest.(check int)
         (Printf.sprintf "bfs count at m=%d" m)
         (Ma_table.theoretical_count m) (Ma_table.size t);
@@ -150,88 +132,30 @@ let test_bfs_matches_closed_form () =
         ma.Ma_table.entries)
     [ 0; 1; 2 ]
 
-(* ---- Roundtrip ---- *)
-
-let test_roundtrip_bit_identical () =
-  with_tmp (fun path ->
-      let built = Ma_table.build 3 in
-      let generated = generate_exn Gateset.cliffordt ~max_t:3 in
-      check_tables_identical "generate vs build" built generated;
-      save_exn ~path ~gate_set:"cliffordt" generated;
-      let name, loaded = load_exn path in
-      Alcotest.(check string) "gate set name" "cliffordt" name;
-      check_tables_identical "load vs build" built loaded)
-
-let test_roundtrip_bfs () =
-  with_tmp (fun path ->
-      let generated = generate_exn Gateset.cliffordt_weighted ~max_t:2 in
-      save_exn ~path ~gate_set:"cliffordt-weighted" generated;
-      let name, loaded = load_exn path in
-      Alcotest.(check string) "gate set name" "cliffordt-weighted" name;
-      check_tables_identical "bfs load" generated loaded)
-
-(* ---- Corruption ---- *)
-
-let expect_error what = function
-  | Ok _ -> Alcotest.failf "%s: corrupted table loaded successfully" what
-  | Error e ->
-      if not (String.length e > 0 && String.sub e 0 (String.length Tablegen.schema) = Tablegen.schema)
-      then Alcotest.failf "%s: error not schema-tagged: %s" what e
-
-let test_truncated_table () =
-  with_tmp (fun path ->
-      save_exn ~path ~gate_set:"cliffordt" (generate_exn Gateset.cliffordt ~max_t:1);
-      let bytes = read_file path in
-      (* Cut mid-payload: the frame reader must report truncation, not
-         hand back a partial table. *)
-      write_file path (String.sub bytes 0 (String.length bytes - 7));
-      expect_error "truncated" (Tablegen.load path))
-
-let test_crc_corrupted_table () =
-  with_tmp (fun path ->
-      save_exn ~path ~gate_set:"cliffordt" (generate_exn Gateset.cliffordt ~max_t:1);
-      let bytes = Bytes.of_string (read_file path) in
-      (* Flip a byte inside the last entry's payload (never the final
-         newline, never a frame header): CRC must catch it. *)
-      let i = Bytes.length bytes - 3 in
-      Bytes.set bytes i (if Bytes.get bytes i = 'x' then 'y' else 'x');
-      write_file path (Bytes.to_string bytes);
-      expect_error "crc" (Tablegen.load path))
-
-let test_trailing_garbage () =
-  with_tmp (fun path ->
-      save_exn ~path ~gate_set:"cliffordt" (generate_exn Gateset.cliffordt ~max_t:0);
-      write_file path (read_file path ^ "extra");
-      expect_error "trailing" (Tablegen.load path))
-
-let test_wrong_schema () =
-  with_tmp (fun path ->
-      write_file path (Tablegen.frame {|{"schema":"tgates-table/v999"}|});
-      expect_error "schema" (Tablegen.load path))
-
-(* ---- Provided-table registry ---- *)
-
-let test_provide_and_get_for () =
-  let table = generate_exn Gateset.cliffordt_weighted ~max_t:2 in
-  Ma_table.provide ~gate_set:"test-provided" table;
-  let got = Ma_table.get_for ~gate_set:"test-provided" 2 in
-  check_tables_identical "exact depth" table got;
-  (* Shallower requests are served by memoized truncation... *)
-  let t1 = Ma_table.get_for ~gate_set:"test-provided" 1 in
-  Alcotest.(check int) "truncated size" (Ma_table.theoretical_count 1) (Ma_table.size t1);
-  (* ...deeper ones fail with the regeneration hint... *)
-  (match Ma_table.get_for ~gate_set:"test-provided" 5 with
-  | exception Failure m ->
-      Alcotest.(check bool) "asks for regeneration" true
-        (String.length m > 0)
-  | _ -> Alcotest.fail "deeper than provided should fail");
-  (* ...and a never-provided alphabet fails with the known list. *)
-  (match Ma_table.get_for ~gate_set:"never-provided" 1 with
+(* One table per gate set and depth, enumerated once; an unregistered
+   name has none. *)
+let test_get_for_cache () =
+  let w = Ma_table.get_for ~gate_set:"cliffordt-weighted" 2 in
+  Alcotest.(check bool) "the same table again" true
+    (w == Ma_table.get_for ~gate_set:"cliffordt-weighted" 2);
+  Alcotest.(check bool) "get is the default gate set's" true
+    (Ma_table.get 2 == Ma_table.get_for ~gate_set:"cliffordt" 2);
+  Alcotest.(check bool) "gate sets do not share tables" true (w != Ma_table.get 2);
+  match Ma_table.get_for ~gate_set:"never-registered" 1 with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "unknown gate set should fail");
-  (* The built-in alphabet never needs providing. *)
-  let ct = Ma_table.get_for ~gate_set:"cliffordt" 2 in
-  Alcotest.(check int) "builtin fallthrough" (Ma_table.theoretical_count 2) (Ma_table.size ct)
+  | _ -> Alcotest.fail "an unregistered gate set got a table"
+
+(* The closure keeps the reference's words and their order.  Depths
+   0–6 always; depth 10 too when this suite runs alone
+   ([test_main.exe test gateset], the @gateset alias). *)
+let test_bfs_oracle () =
+  let depths = if Array.mem "gateset" Sys.argv then [ 0; 1; 2; 3; 4; 5; 6; 10 ] else List.init 7 Fun.id in
+  List.iter
+    (fun d ->
+      check_tables_identical (Printf.sprintf "depth %d" d)
+        (Bfs_reference.bfs_generate Gateset.cliffordt_weighted ~max_t:d)
+        (Ma_table.get_for ~gate_set:"cliffordt-weighted" d))
+    depths
 
 let suite =
   [
@@ -240,11 +164,6 @@ let suite =
     Alcotest.test_case "descriptor from JSON" `Quick test_of_json;
     Alcotest.test_case "closed-form counts" `Quick test_closed_form_counts;
     Alcotest.test_case "bfs matches closed form" `Quick test_bfs_matches_closed_form;
-    Alcotest.test_case "roundtrip bit-identical to build" `Quick test_roundtrip_bit_identical;
-    Alcotest.test_case "roundtrip bfs table" `Quick test_roundtrip_bfs;
-    Alcotest.test_case "truncated table rejected" `Quick test_truncated_table;
-    Alcotest.test_case "CRC corruption rejected" `Quick test_crc_corrupted_table;
-    Alcotest.test_case "trailing garbage rejected" `Quick test_trailing_garbage;
-    Alcotest.test_case "wrong schema rejected" `Quick test_wrong_schema;
-    Alcotest.test_case "provide/get_for registry" `Quick test_provide_and_get_for;
+    Alcotest.test_case "get_for caches per gate set and depth" `Quick test_get_for_cache;
+    Alcotest.test_case "bfs closure = reference" `Quick test_bfs_oracle;
   ]

@@ -764,14 +764,10 @@ let resolve_tests =
           (!exact > 96 && !exact < List.length gates));
     Alcotest.test_case "one triviality rule: nontrivial_rotation agrees with resolve" `Quick
       (fun () ->
-        (* The same sweep runs through [Circuit.exact_word] on a provided
-           table as well: a cliffordt-weighted depth-1 one, against the
-           scan of that table. *)
-        let weighted =
-          match Tablegen.generate Gateset.cliffordt_weighted ~max_t:1 with
-          | Ok t -> t
-          | Error e -> Alcotest.fail e
-        in
+        (* The same sweep runs through [Circuit.exact_word] on another
+           gate set's table as well: cliffordt-weighted's depth-1 one,
+           against the scan of that table. *)
+        let weighted = Ma_table.get_for ~gate_set:"cliffordt-weighted" 1 in
         let u3_form g =
           let t, p, l = Mat2.to_u3_angles (Qgate.to_mat2 g) in
           Qgate.U3 (t, p, l)
@@ -794,7 +790,7 @@ let resolve_tests =
               (Circuit.nontrivial_rotation g);
             let want = words (Resolve_reference.exact_word ~table:weighted g) in
             if want <> None then incr weighted_trivial;
-            Alcotest.(check (option string)) (Qgate.to_string g ^ " (provided table)") want
+            Alcotest.(check (option string)) (Qgate.to_string g ^ " (weighted table)") want
               (words (Circuit.exact_word weighted g)))
           gates;
         Alcotest.(check bool) "the sweep holds both kinds" true
