@@ -60,6 +60,11 @@ let grid_keys =
       let pre, post = conj.(i / 8) in
       Exact_u.canonical_key (Exact_u.of_seq (pre @ List.init (i mod 8) (fun _ -> Ctgate.T) @ post)))
 
+(* Whether table entry i is within 1e-6 of m. *)
+let near table m i =
+  let { Ma_table.re; im } = Ma_table.planes table in
+  Mat2.distance_at m re im (4 * i) < 1e-6
+
 (* The one triviality rule: the entry of a depth-1 step-0 table (every
    ≤1-T operator once, pairwise far apart) within 1e-6 of the gate, a
    tolerance that absorbs the ulps of wrapped angles.  An axis rotation
@@ -68,26 +73,32 @@ let grid_keys =
    Clifford conjugates of Rz), so it needs no scan.  Closer, that
    rotation is looked up exactly, then checked, except within 1e-7 steps
    (q exact to 1e-9), where it is < 4e-8 away: the on-grid rotations
-   [Settings.best_for] meets on every candidate then cost no matrix. *)
-let exact_word (table : Ma_table.t) g =
-  let entries = table.Ma_table.entries in
-  let within m (e : Ma_table.entry) = Mat2.distance m e.Ma_table.mat < 1e-6 in
+   [Settings.best_for] meets on every candidate then cost no matrix.
+   Any other gate scans the table's planes, fetched once, for the first
+   entry within reach. *)
+let exact_word table g =
   match g with
-  | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a -> (
+  | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a ->
       let q = a /. (Float.pi /. 4.0) in
       let k = Float.round q in
       let off = Float.abs (q -. k) in
       let axis = match g with Qgate.Rz _ -> 0 | Qgate.Rx _ -> 8 | _ -> 16 in
-      if off > 1e-5 then None
-      else
-        let key = grid_keys.(axis + (((int_of_float k mod 8) + 8) mod 8)) in
-        match Exact_u.Table.find_opt table.Ma_table.lookup key with
-        | Some i when (off <= 1e-7 && Float.abs q < 1e6) || within (Qgate.to_mat2 g) entries.(i) ->
-            Some entries.(i).seq
-        | _ -> None)
+      let i =
+        if off > 1e-5 then -1
+        else Ma_table.find_key table grid_keys.(axis + (((int_of_float k mod 8) + 8) mod 8))
+      in
+      if i >= 0 && ((off <= 1e-7 && Float.abs q < 1e6) || near table (Qgate.to_mat2 g) i) then
+        Some (Ma_table.word table i)
+      else None
   | _ ->
       let m = Qgate.to_mat2 g in
-      Option.map (fun (e : Ma_table.entry) -> e.seq) (Array.find_opt (within m) entries)
+      let { Ma_table.re; im } = Ma_table.planes table in
+      let n = Ma_table.size table in
+      let i = ref 0 in
+      while !i < n && not (Mat2.distance_at m re im (4 * !i) < 1e-6) do
+        incr i
+      done;
+      if !i < n then Some (Ma_table.word table !i) else None
 
 let clifford_t = lazy (Ma_table.get 1)
 let nontrivial_rotation g = Qgate.is_rotation g && Option.is_none (exact_word (Lazy.force clifford_t) g)

@@ -177,7 +177,35 @@ let canonical_phase u =
   !best
 
 let canonicalize u = mul_phase u (canonical_phase u)
-let canonical_key u = key (canonicalize u)
+
+(* Coefficient p of ω^j·x for j in 0..7: x_i lands at place i + j and is
+   negated when that passes ω^4 = −1 but not ω^8 = 1. *)
+let[@inline] rot_coeff j (x : O.t) p =
+  let i = (p - j) land 3 in
+  let v = match i with 0 -> x.x0 | 1 -> x.x1 | 2 -> x.x2 | _ -> x.x3 in
+  if (i + j) land 4 = 0 then v else -v
+
+(* [key (mul_phase u j)], written into [buf] without building ω^j·u. *)
+let key_into buf u j =
+  buf.(0) <- u.k;
+  for p = 0 to 3 do
+    buf.(1 + p) <- rot_coeff j u.a p;
+    buf.(5 + p) <- rot_coeff j u.b p;
+    buf.(9 + p) <- rot_coeff j u.c p;
+    buf.(13 + p) <- rot_coeff j u.d p
+  done
+
+let key_size = 17
+
+let canonical_key_into buf u =
+  let j = canonical_phase u in
+  key_into buf u j;
+  j
+
+let canonical_key u =
+  let buf = Array.make key_size 0 in
+  ignore (canonical_key_into buf u : int);
+  buf
 let equal u v = key u = key v
 let equal_up_to_phase u v = canonical_key u = canonical_key v
 let hash u = Hashtbl.hash (key u)

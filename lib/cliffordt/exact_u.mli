@@ -57,14 +57,27 @@ val to_mat2 : t -> Mat2.t
 val key : t -> int array
 (** Flat integer encoding (coefficients stay small at table depths). *)
 
+val key_size : int
+(** 17: the length of a {!key}, [k] then the coefficients of [a], [b],
+    [c], [d]. *)
+
+val canonical_phase : t -> int
+(** The j in 0..7 for which ω^j·u has the lexicographically smallest
+    {!key}: the one that minimizes the first nonzero entry of [a], [b],
+    [c], [d], whose eight rotations are distinct. *)
+
 val canonicalize : t -> t
-(** The phase multiple with the lexicographically smallest {!key}. *)
+(** [mul_phase u (canonical_phase u)]. *)
 
 val canonical_key : t -> int array
-(** [key (canonicalize u)], building one key: the phase is the one that
-    minimizes the first nonzero entry of [a], [b], [c], [d], whose eight
-    rotations are distinct.  Equal exactly when the operators are equal
-    up to global phase; the key of every table and step-3 lookup. *)
+(** [key (canonicalize u)], building one key.  Equal exactly when the
+    operators are equal up to global phase; the key of every table and
+    step-3 lookup. *)
+
+val canonical_key_into : int array -> t -> int
+(** [canonical_key_into buf u] writes [canonical_key u] into the first
+    {!key_size} ints of [buf] without allocating, and returns
+    [canonical_phase u]. *)
 
 val equal : t -> t -> bool
 val equal_up_to_phase : t -> t -> bool

@@ -88,14 +88,6 @@ let names () =
   with_lock (fun () -> Hashtbl.fold (fun n _ acc -> n :: acc) registry [])
   |> List.sort compare
 
-let find_exn name =
-  match find name with
-  | Some gs -> gs
-  | None ->
-      failwith
-        (Printf.sprintf "Gateset.find_exn: unknown gate set %S (known: %s)" name
-           (String.concat ", " (names ())))
-
 let default = cliffordt
 
 (* A descriptor parsed from a config file: name plus optional weight

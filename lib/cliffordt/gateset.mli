@@ -24,7 +24,11 @@ type t = {
   generators : Ctgate.t list;
   weights : (Ctgate.t * float) list;
       (** per-gate cost; unlisted gates cost 0.  Clifford+T weighs T
-          and T† at 1, making {!word_cost} the T count. *)
+          and T† at 1, making {!word_cost} the T count.  No scorer reads
+          it: every backend and TRASYN's selection score words by T
+          count, so a gate set's weights show only in {!word_cost}, and
+          [cliffordt-weighted] differs from [cliffordt] in its name and
+          its table's enumeration. *)
   enumeration : enumeration;
 }
 (** Plain data: two descriptors are the same when [=] says so. *)
@@ -57,8 +61,6 @@ val register : t -> unit
     registered to a different descriptor (tables are cached by name). *)
 
 val find : string -> t option
-val find_exn : string -> t
-(** @raise Failure with the known names on an unknown gate set. *)
 
 val names : unit -> string list
 (** Registered names, sorted. *)

@@ -16,47 +16,193 @@
     set whose descriptor asks for [Bfs] gets its table from a generic
     closure instead ([closure]); [get_for] enumerates either on first
     use.  The table doubles as step 3's lookup of shorter
-    equivalents. *)
+    equivalents.
 
-type entry = {
-  seq : Ctgate.t list;  (** T-optimal word whose product is [u] up to phase *)
-  u : Exact_u.t;
-  mat : Mat2.t;
-  tcount : int;
-  ccount : int;  (** non-Pauli Clifford gates in [seq] *)
-}
+    Layout.  The table is a handful of flat arrays indexed by entry:
+    - [words]: the suffix-shared word;
+    - [info]: the Clifford count shifted left by 3, or'd with the phase
+      j (0..7) for which ω^j·u is the operator's canonical form
+      ({!Exact_u.canonical_phase});
+    - [keys]: that canonical key ({!Exact_u.canonical_key}, 17 ints),
+      packed at 7 bits per component, components biased by 64, so the
+      packed range is [−64, 63]: components 0–8 in [keys.(2i)], 9–16 in
+      [keys.(2i + 1)].  The widest component grows about √2 every two
+      levels (2 at depth 4, 7 at 10, 15 at 14, 22 at 16), so the range
+      holds every depth a table fits in memory; [add] refuses a key
+      outside it rather than wrap it;
+    - [slots]: one open-addressing index over both packed ints, linear
+      probing, holding entry index + 1 (0 is empty), at most 3/4 full.
+    An entry's T count is its level, read from [offsets].  At depth 10
+    an entry keeps 11.8 live words: 7 of word (the array slot and two
+    list cells on average), 2 of key, 1 of info and 1.8 of index (131,072
+    slots, 56 % full).  No [Exact_u.t], [Mat2.t], key array or bucket is
+    kept per entry.
+
+    The matrices that TRASYN's sites read are two row-major planes,
+    [re] and [im], 4 floats per entry.  The build leaves them empty: the
+    first reader ({!planes}) fills them from the keys and phases and
+    publishes them with one [Atomic.compare_and_set].  Domains that race
+    compute identical floats, so either may win.  Eager planes would put
+    a depth-1 table's arrays past the minor heap's 256-word limit on
+    every build. *)
+
+type planes = { re : float array; im : float array }
 
 type t = {
   max_t : int;
-  entries : entry array;  (** sorted by (tcount, index) *)
-  lookup : int Exact_u.Table.t;  (** canonical key -> entry index *)
-  offsets : int array;  (** offsets.(k) = first index with tcount >= k *)
+  offsets : int array;  (** offsets.(k) = first index with T count >= k *)
+  words : Ctgate.t list array;
+  info : int array;  (** (Clifford count lsl 3) lor phase *)
+  keys : int array;  (** 2 per entry, packed canonical key *)
+  slots : int array;  (** entry index + 1, or 0; length a power of two *)
+  planes : planes option Atomic.t;
 }
 
 let theoretical_count m = 24 * ((3 * (1 lsl m)) - 2)
+let size t = Array.length t.words
+let max_t t = t.max_t
+let offset t k = t.offsets.(k)
+let word t i = t.words.(i)
+let ccount t i = t.info.(i) lsr 3
+let phase t i = t.info.(i) land 7
 
-(* Lookup/offset construction around the normal forms of [build]
-   (the closure below builds its own as it goes).  The normal forms are
-   unique, so each key is added once.  Entries must already be sorted
-   by [tcount]. *)
-let of_entries ~max_t entries =
-  Array.iteri
-    (fun i e ->
-      if i > 0 && entries.(i - 1).tcount > e.tcount then
-        invalid_arg "Ma_table.of_entries: entries not sorted by tcount";
-      if e.tcount > max_t then invalid_arg "Ma_table.of_entries: tcount exceeds max_t")
-    entries;
-  let lookup = Exact_u.Table.create (Array.length entries * 2) in
-  Array.iteri (fun i e -> Exact_u.Table.add lookup (Exact_u.canonical_key e.u) i) entries;
-  let offsets = Array.make (max_t + 2) 0 in
-  let idx = ref 0 in
-  for k = 0 to max_t + 1 do
-    while !idx < Array.length entries && entries.(!idx).tcount < k do
-      incr idx
-    done;
-    offsets.(k) <- !idx
+let tcount t i =
+  if i < 0 || i >= size t then invalid_arg "Ma_table.tcount: index out of range";
+  let k = ref 0 in
+  while t.offsets.(!k + 1) <= i do
+    incr k
   done;
-  { max_t; entries; lookup; offsets }
+  !k
+
+(* ---- Packed keys and the index ---- *)
+
+let fits (key : int array) =
+  let ok = ref true in
+  for c = 0 to Exact_u.key_size - 1 do
+    let v = key.(c) in
+    if v < -64 || v > 63 then ok := false
+  done;
+  !ok
+
+(* Components first .. first + count − 1 of a key, 7 bits each, the
+   first lowest. *)
+let pack (key : int array) first count =
+  let w = ref 0 in
+  for c = first + count - 1 downto first do
+    w := (!w lsl 7) lor (key.(c) + 64)
+  done;
+  !w
+
+let[@inline] field w f = ((w lsr (7 * f)) land 127) - 64
+
+(* Component c of entry i's canonical key. *)
+let[@inline] component keys i c =
+  if c < 9 then field keys.(2 * i) c else field keys.((2 * i) + 1) (c - 9)
+
+(* Both packed ints, mixed; the index masks the low bits. *)
+let[@inline] hash k0 k1 =
+  let h = (k0 * 0x2545F4914F6CDD1D) + k1 in
+  let h = (h lxor (h lsr 31)) * 0x1CE4E5B97F4A7C15 in
+  h lxor (h lsr 29)
+
+(* The slot that holds key (k0, k1), or the empty slot where it would
+   go. *)
+let slot slots keys k0 k1 =
+  let mask = Array.length slots - 1 in
+  let s = ref (hash k0 k1 land mask) in
+  let e = ref (Array.unsafe_get slots !s) in
+  while !e <> 0 && not (keys.((2 * !e) - 2) = k0 && keys.((2 * !e) - 1) = k1) do
+    s := (!s + 1) land mask;
+    e := Array.unsafe_get slots !s
+  done;
+  !s
+
+(* Slots for [capacity] entries: a power of two at least 4/3 of it. *)
+let make_slots capacity =
+  let n = ref 1 in
+  while 3 * !n < 4 * capacity do
+    n := 2 * !n
+  done;
+  Array.make !n 0
+
+let find_key t key =
+  if Array.length key <> Exact_u.key_size || not (fits key) then -1
+  else
+    let k0 = pack key 0 9 and k1 = pack key 9 8 in
+    t.slots.(slot t.slots t.keys k0 k1) - 1
+
+type probe = int array
+
+let probe () = Array.make Exact_u.key_size 0
+
+let find t probe u =
+  ignore (Exact_u.canonical_key_into probe u : int);
+  find_key t probe
+
+(* ω^(−j) times the canonical form: the entry's operator exactly as the
+   enumeration multiplied it out. *)
+let unitary t i =
+  let c = component t.keys i in
+  let coeff e : Zomega.Native.t =
+    { x0 = c (1 + (4 * e)); x1 = c (2 + (4 * e)); x2 = c (3 + (4 * e)); x3 = c (4 + (4 * e)) }
+  in
+  let canonical = { Exact_u.k = c 0; a = coeff 0; b = coeff 1; c = coeff 2; d = coeff 3 } in
+  Exact_u.mul_phase canonical ((8 - phase t i) land 7)
+
+(* ---- Building ---- *)
+
+(* A table under construction, filled in entry order.  [add] files an
+   operator under its canonical key unless the key is there already and
+   returns its index, or −1 when it was there. *)
+type builder = {
+  b_words : Ctgate.t list array;
+  b_info : int array;
+  b_keys : int array;
+  b_slots : int array;
+  scratch : int array;
+  mutable n : int;
+}
+
+let builder capacity =
+  {
+    b_words = Array.make capacity [];
+    b_info = Array.make capacity 0;
+    b_keys = Array.make (2 * capacity) 0;
+    b_slots = make_slots capacity;
+    scratch = probe ();
+    n = 0;
+  }
+
+let add b u ~word ~ccount =
+  let j = Exact_u.canonical_key_into b.scratch u in
+  if not (fits b.scratch) then
+    invalid_arg "Ma_table: a canonical key component leaves [-64, 63], the packed 7-bit range";
+  let k0 = pack b.scratch 0 9 and k1 = pack b.scratch 9 8 in
+  let s = slot b.b_slots b.b_keys k0 k1 in
+  if b.b_slots.(s) <> 0 then -1
+  else begin
+    let i = b.n in
+    b.b_words.(i) <- word;
+    b.b_info.(i) <- (ccount lsl 3) lor j;
+    b.b_keys.(2 * i) <- k0;
+    b.b_keys.((2 * i) + 1) <- k1;
+    b.b_slots.(s) <- i + 1;
+    b.n <- i + 1;
+    i
+  end
+
+let finish b ~max_t ~offsets =
+  let n = b.n in
+  let trim a len = if Array.length a = len then a else Array.sub a 0 len in
+  {
+    max_t;
+    offsets;
+    words = trim b.b_words n;
+    info = trim b.b_info n;
+    keys = trim b.b_keys (2 * n);
+    slots = b.b_slots;
+    planes = Atomic.make None;
+  }
 
 (* The first block of a normal form by root index: T, HT, SHT.  Blocks
    1 and 2 are also the syllables HT and SHT that follow it. *)
@@ -72,26 +218,22 @@ let blocks = Ctgate.[| [ T ]; [ H; T ]; [ S; H; T ] |]
    contiguous range from 2^(k − 2), so that prefix is 2^(k − 2) plus
    p's low k − 1 bits.  Each word is its block consed onto that
    entry's word, its Clifford count the block's plus that entry's, and
-   its exact unitary the prefix's product times the Clifford's word,
-   gate by gate. *)
+   its exact unitary, which only its key keeps, the prefix's product
+   times the Clifford's word, gate by gate.  Normal forms are unique,
+   so every [add] files a new entry. *)
 let build max_t =
   if max_t < 0 then invalid_arg "Ma_table.build: negative depth";
   Obs.span "cliffordt.table.build" @@ fun () ->
   Obs.set_span_attr "max_t" (string_of_int max_t);
-  let entry ~seq ~u ~tcount ~ccount = { seq; u; mat = Exact_u.to_mat2 u; tcount; ccount } in
-  let level0 =
-    Array.map
-      (fun (c : Clifford.element) ->
-        let seq = c.Clifford.word in
-        entry ~seq ~u:c.Clifford.u ~tcount:0 ~ccount:(Ctgate.clifford_count seq))
-      Clifford.elements
-  in
-  let entries = Array.make (theoretical_count max_t) level0.(0) in
-  Array.blit level0 0 entries 0 Clifford.count;
+  let b = builder (theoretical_count max_t) in
+  Array.iter
+    (fun (c : Clifford.element) ->
+      let word = c.Clifford.word in
+      ignore (add b c.Clifford.u ~word ~ccount:(Ctgate.clifford_count word) : int))
+    Clifford.elements;
   (* The prefix products of the level below. *)
   let below = ref [| Exact_u.identity |] in
   for k = 1 to max_t do
-    let base = theoretical_count (k - 1) in
     let tail_base = if k = 1 then 0 else theoretical_count (k - 2) in
     let products =
       Array.init (3 lsl (k - 1)) (fun p ->
@@ -105,18 +247,19 @@ let build max_t =
         let tail = if k = 1 then 0 else (1 lsl (k - 2)) + (p land ((1 lsl (k - 1)) - 1)) in
         Array.iteri
           (fun c (cl : Clifford.element) ->
-            let rest = entries.(tail_base + (Clifford.count * tail) + c) in
-            entries.(base + (Clifford.count * p) + c) <-
-              entry
-                ~seq:(block @ rest.seq)
-                ~u:(List.fold_left Exact_u.mul_gate prefix cl.Clifford.word)
-                ~tcount:k
-                ~ccount:(block_ccount + rest.ccount))
+            let rest = tail_base + (Clifford.count * tail) + c in
+            ignore
+              (add b
+                 (List.fold_left Exact_u.mul_gate prefix cl.Clifford.word)
+                 ~word:(block @ b.b_words.(rest))
+                 ~ccount:(block_ccount + (b.b_info.(rest) lsr 3))
+                : int))
           Clifford.elements)
       products;
     below := products
   done;
-  of_entries ~max_t entries
+  assert (b.n = theoretical_count max_t);
+  finish b ~max_t ~offsets:(Array.init (max_t + 2) (fun k -> if k = 0 then 0 else theoretical_count (k - 1)))
 
 (* The generic closure, for any sub-alphabet of Clifford+T: Dijkstra
    with the non-Clifford count as the distance.  Level 0 is the Clifford
@@ -125,66 +268,116 @@ let build max_t =
    Cliffords, first in first out.  The state space at depth m is finite,
    so this terminates, and level order makes every word
    non-Clifford-minimal.  Operators are admitted in table order, so the
-   lookup doubles as the visited set: an operator's index is the number
-   admitted before it.  A candidate costs one gate product, one
-   canonical key and one probe; only an admitted operator gets a word,
-   its parent's reversed word with the new gate consed on, and the
-   entries reverse each word once. *)
+   index doubles as the visited set.  A candidate costs one gate
+   product, one canonical key and one probe; only an admitted operator
+   gets a word, its parent's reversed word with the new gate consed on,
+   and the words are reversed once at the end.  Every operator it
+   admits has T count at most [max_t], so {!theoretical_count} bounds
+   the table. *)
 let closure (gs : Gateset.t) max_t =
   if max_t < 0 then invalid_arg "Ma_table.get_for: negative depth";
   Obs.span "cliffordt.table.build" @@ fun () ->
   Obs.set_span_attr "max_t" (string_of_int max_t);
   let cliffords, non_cliffords = List.partition Ctgate.is_clifford gs.Gateset.generators in
-  let lookup = Exact_u.Table.create (theoretical_count max_t) in
-  let levels = Array.make (max_t + 1) [] in
+  let b = builder (theoretical_count max_t) in
   let q = Queue.create () in
-  let out = ref [] in
-  let admit key node =
-    Exact_u.Table.add lookup key (Exact_u.Table.length lookup);
-    out := node :: !out;
-    Queue.add node q
-  in
-  let step (rev, u) g =
+  let level = ref [] in
+  let step (i, u) g =
     let u = Exact_u.mul_gate u g in
-    let key = Exact_u.canonical_key u in
-    if not (Exact_u.Table.mem lookup key) then admit key (g :: rev, u)
+    let word = g :: b.b_words.(i) in
+    let ccount = (b.b_info.(i) lsr 3) + Ctgate.clifford_count [ g ] in
+    let admitted = add b u ~word ~ccount in
+    if admitted >= 0 then begin
+      level := (admitted, u) :: !level;
+      Queue.add (admitted, u) q
+    end
   in
-  (* Close the level's seeds under the Cliffords and file what was
-     admitted, in order, as level k. *)
+  (* Close the level's seeds under the Cliffords; what was admitted, in
+     order, is level k. *)
+  let offsets = Array.make (max_t + 2) 0 in
   let close_level k =
     while not (Queue.is_empty q) do
       List.iter (step (Queue.pop q)) cliffords
     done;
-    levels.(k) <- List.rev !out;
-    out := []
+    offsets.(k + 1) <- b.n;
+    let admitted = List.rev !level in
+    level := [];
+    admitted
   in
-  admit (Exact_u.canonical_key Exact_u.identity) ([], Exact_u.identity);
-  close_level 0;
+  ignore (add b Exact_u.identity ~word:[] ~ccount:0 : int);
+  level := [ (0, Exact_u.identity) ];
+  Queue.add (0, Exact_u.identity) q;
+  let seeds = ref (close_level 0) in
   for k = 1 to max_t do
-    List.iter (fun node -> List.iter (step node) non_cliffords) levels.(k - 1);
-    close_level k
+    List.iter (fun node -> List.iter (step node) non_cliffords) !seeds;
+    seeds := close_level k
   done;
-  let entry k (rev, u) =
-    let seq = List.rev rev in
-    { seq; u; mat = Exact_u.to_mat2 u; tcount = k; ccount = Ctgate.clifford_count seq }
-  in
-  let entries =
-    Array.of_list (List.concat (List.mapi (fun k l -> List.map (entry k) l) (Array.to_list levels)))
-  in
-  let offsets = Array.make (max_t + 2) 0 in
-  Array.iteri (fun k l -> offsets.(k + 1) <- offsets.(k) + List.length l) levels;
-  if Gateset.full gs && Array.length entries <> theoretical_count max_t then
+  for i = 0 to b.n - 1 do
+    b.b_words.(i) <- List.rev b.b_words.(i)
+  done;
+  if Gateset.full gs && b.n <> theoretical_count max_t then
     failwith
       (Printf.sprintf
          "Ma_table.get_for: gate set %S at max_t=%d enumerated %d operators, closed form says %d"
-         gs.Gateset.name max_t (Array.length entries) (theoretical_count max_t));
-  { max_t; entries; lookup; offsets }
+         gs.Gateset.name max_t b.n (theoretical_count max_t));
+  finish b ~max_t ~offsets
 
-(* One table per gate set and depth, enumerated on first use as the
-   gate set's descriptor says.  The cache is consulted from planner
-   worker domains, so it is mutex-guarded; holding the lock across the
-   enumeration also means concurrent requests for the same table build
-   it once, not N times. *)
+(* ---- Planes, filled on first read ---- *)
+
+let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
+
+(* 1/√2^k for every k a packed key can hold. *)
+let scales = Array.init 64 (fun k -> Float.pow (Float.sqrt 2.0) (float_of_int (-k)))
+
+(* Coefficient p of ω^r·x, where x is components c .. c + 3 of [key]:
+   [Exact_u.rot]'s places and signs. *)
+let[@inline] rotated (key : int array) c r p =
+  let src = (p - r) land 3 in
+  let v = key.(c + src) in
+  if (src + r) land 4 = 0 then v else -v
+
+(* Entry i's matrix at 4i of the planes: ω^r times its canonical form
+   (r = −j mod 8), each complex entry with [Exact_u.to_mat2]'s float
+   expressions. *)
+let fill_planes t =
+  let n = size t in
+  let re = Array.create_float (4 * n) and im = Array.create_float (4 * n) in
+  let key = Array.make Exact_u.key_size 0 in
+  for i = 0 to n - 1 do
+    for c = 0 to Exact_u.key_size - 1 do
+      key.(c) <- component t.keys i c
+    done;
+    let r = (8 - phase t i) land 7 in
+    let s = scales.(key.(0)) in
+    for e = 0 to 3 do
+      let c = 1 + (4 * e) in
+      let x0 = float_of_int (rotated key c r 0) and x1 = float_of_int (rotated key c r 1) in
+      let x2 = float_of_int (rotated key c r 2) and x3 = float_of_int (rotated key c r 3) in
+      re.((4 * i) + e) <- s *. (x0 +. ((x1 -. x3) *. inv_sqrt2));
+      im.((4 * i) + e) <- s *. (x2 +. ((x1 +. x3) *. inv_sqrt2))
+    done
+  done;
+  { re; im }
+
+let planes t =
+  match Atomic.get t.planes with
+  | Some p -> p
+  | None ->
+      let p = fill_planes t in
+      if Atomic.compare_and_set t.planes None (Some p) then p
+      else Option.get (Atomic.get t.planes)
+
+let mat t i =
+  let { re; im } = planes t in
+  let z j = { Cplx.re = re.((4 * i) + j); im = im.((4 * i) + j) } in
+  Mat2.make (z 0) (z 1) (z 2) (z 3)
+
+(* ---- One table per gate set and depth ---- *)
+
+(* Enumerated on first use as the gate set's descriptor says.  The cache
+   is consulted from planner worker domains, so it is mutex-guarded;
+   holding the lock across the enumeration also means concurrent
+   requests for the same table build it once, not N times. *)
 let cache : (string * int, t) Hashtbl.t = Hashtbl.create 4
 let cache_lock = Mutex.create ()
 
@@ -212,15 +405,3 @@ let get_for ~gate_set max_t =
           t)
 
 let get max_t = get_for ~gate_set:Gateset.default.Gateset.name max_t
-
-let lookup_best table u =
-  match Exact_u.Table.find_opt table.lookup (Exact_u.canonical_key u) with
-  | Some i -> Some table.entries.(i)
-  | None -> None
-
-(* Entries with tcount in [lo, hi] as a sub-array view (copy). *)
-let entries_in_range table ~lo ~hi =
-  let hi = min hi table.max_t in
-  Array.sub table.entries table.offsets.(lo) (table.offsets.(hi + 1) - table.offsets.(lo))
-
-let size table = Array.length table.entries

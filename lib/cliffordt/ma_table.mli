@@ -7,22 +7,18 @@
     so a deep table holds one to three list cells per word, with the
     words and their order unchanged.  Other gate sets' tables come from
     a generic closure ({!get_for}).  Doubles as step 3's lookup table of
-    cheaper equivalents. *)
+    cheaper equivalents.
 
-type entry = {
-  seq : Ctgate.t list;  (** T-optimal word equal to [u] up to phase *)
-  u : Exact_u.t;
-  mat : Mat2.t;
-  tcount : int;
-  ccount : int;  (** non-Pauli Cliffords in [seq] *)
-}
+    The table is flat.  Entries are indices [0 .. size − 1], sorted by T
+    count; per entry it keeps its word, its Clifford count, the phase j
+    for which ω^j·u is its canonical form, and that canonical key packed
+    into two ints at 7 bits per component (the packed range is
+    [−64, 63]; the widest component is 7 at depth 10 and 22 at depth
+    16), all under one open-addressing index that hashes both ints.  An
+    entry keeps 11.8 live words at depth 10.  Its matrix lives in the
+    {!planes}, filled on first read. *)
 
-type t = {
-  max_t : int;
-  entries : entry array;  (** sorted by T count *)
-  lookup : int Exact_u.Table.t;
-  offsets : int array;  (** [offsets.(k)] = first index with tcount ≥ k *)
-}
+type t
 
 val theoretical_count : int -> int
 (** 24·(3·2^m − 2), verified against the enumeration in the tests. *)
@@ -30,13 +26,9 @@ val theoretical_count : int -> int
 val build : int -> t
 (** The table of depth [max_t], entries ordered by T count, prefix and
     Clifford, under an [Obs] span ["cliffordt.table.build"] with a
-    ["max_t"] attribute. *)
-
-val of_entries : max_t:int -> entry array -> t
-(** The lookup/offset structure around an entry array already sorted by
-    [tcount] (all ≤ [max_t]) whose operators are distinct up to phase,
-    as {!build} yields them.  @raise Invalid_argument on unsorted or
-    too-deep entries. *)
+    ["max_t"] attribute.  The planes are left unfilled.
+    @raise Invalid_argument on a negative depth, or on a depth with a
+    canonical key component outside the packed range [−64, 63]. *)
 
 val get_for : gate_set:string -> int -> t
 (** The table of the registered gate set [gate_set] ([Gateset.find]) at
@@ -50,10 +42,57 @@ val get_for : gate_set:string -> int -> t
 val get : int -> t
 (** [get_for ~gate_set:"cliffordt"]. *)
 
-val lookup_best : t -> Exact_u.t -> entry option
-(** Cheapest known realization of an operator, up to global phase. *)
-
-val entries_in_range : t -> lo:int -> hi:int -> entry array
-(** Entries with T count in [lo, hi] (fresh array). *)
+(** {1 Entries} *)
 
 val size : t -> int
+val max_t : t -> int
+
+val offset : t -> int -> int
+(** [offset t k], k in [0, max_t + 1]: the first index with T count
+    ≥ k, so level k is [offset t k .. offset t (k + 1) − 1]. *)
+
+val word : t -> int -> Ctgate.t list
+(** The entry's T-optimal word; its product is the entry's operator up
+    to phase. *)
+
+val tcount : t -> int -> int
+(** T gates in {!word}: the entry's level. *)
+
+val ccount : t -> int -> int
+(** Non-Pauli Clifford gates in {!word}. *)
+
+val unitary : t -> int -> Exact_u.t
+(** The entry's operator, rebuilt from its key and phase: exactly the
+    product the enumeration formed. *)
+
+(** {1 Lookup} *)
+
+val find_key : t -> int array -> int
+(** The index of the entry whose canonical key ({!Exact_u.canonical_key})
+    is [key], or −1.  A key with a component outside the packed range
+    misses. *)
+
+type probe
+(** Scratch space for {!find}; one per caller, not shared between
+    domains. *)
+
+val probe : unit -> probe
+
+val find : t -> probe -> Exact_u.t -> int
+(** The index of the entry equal to [u] up to global phase, or −1,
+    without allocating: [u]'s canonical key goes through the probe. *)
+
+(** {1 Matrices} *)
+
+type planes = { re : float array; im : float array }
+(** Entry i's matrix row-major at [4i .. 4i + 3] (m00, m01, m10, m11):
+    real parts in [re], imaginary in [im], with the float operations of
+    [Exact_u.to_mat2] on {!unitary}.  Read-only. *)
+
+val planes : t -> planes
+(** Filled on the first call and published with one
+    [Atomic.compare_and_set]; every later call, from any domain,
+    returns the same arrays. *)
+
+val mat : t -> int -> Mat2.t
+(** Entry i's matrix from the {!planes}. *)

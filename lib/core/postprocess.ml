@@ -19,16 +19,21 @@
 let c_windows = Obs.counter "trasyn.postprocess.windows"
 let c_rewrites = Obs.counter "trasyn.postprocess.rewrites"
 
-(* Does the table entry beat a window of [t] T gates, [c] Cliffords and
-   [len] gates?  An entry's [tcount] and [ccount] are its word's counts
-   (every table constructor sets them so, and the loader checks them);
-   the word itself is measured only on a tie. *)
-let beats (e : Ma_table.entry) ~t ~c ~len =
-  e.tcount < t
-  || (e.tcount = t && (e.ccount < c || (e.ccount = c && List.length e.Ma_table.seq < len)))
+(* Does table entry [i] beat a window of [t] T gates, [c] Cliffords and
+   [len] gates?  An entry's T and Clifford counts are its word's counts
+   (both table constructors set them so); the word itself is measured
+   only on a tie. *)
+let beats table i ~t ~c ~len =
+  let et = Ma_table.tcount table i in
+  et < t
+  || et = t
+     &&
+     let ec = Ma_table.ccount table i in
+     ec < c || (ec = c && List.length (Ma_table.word table i) < len)
 
 let run ?(max_window = 24) ?(max_iters = 200) table gates =
-  let max_t = table.Ma_table.max_t in
+  let max_t = Ma_table.max_t table in
+  let probe = Ma_table.probe () in
   let windows = ref 0 and rewrites = ref 0 in
   (* The longest window at [start] with a strictly cheaper table
      equivalent, as (stop, replacement).  The window grows while its
@@ -46,10 +51,10 @@ let run ?(max_window = 24) ?(max_iters = 200) table gates =
         else begin
           let u = Exact_u.mul_gate u g in
           incr windows;
+          let i = Ma_table.find table probe u in
           let best =
-            match Ma_table.lookup_best table u with
-            | Some e when beats e ~t ~c ~len:(stop - start) -> Some (stop, e.Ma_table.seq)
-            | _ -> best
+            if i >= 0 && beats table i ~t ~c ~len:(stop - start) then Some (stop, Ma_table.word table i)
+            else best
           in
           grow (stop + 1) u t c best
         end

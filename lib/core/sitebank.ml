@@ -3,36 +3,27 @@
     A site's physical index ranges over all canonical Clifford+T
     operators within a T-count range (step 0's table), and each index
     carries its 2×2 matrix.  For the sampler's hot loop the matrices are
-    stored as flat float arrays (row-major, 4 complex entries per
-    index). *)
+    flat float arrays (row-major, 4 complex entries per index): the
+    table's own planes when the range starts at T count 0, since the
+    table is sorted by T count, else a copy of their slice. *)
 
 type t = {
   count : int;
-  re : float array;  (** count × 4 *)
+  re : float array;  (** at least count × 4 *)
   im : float array;
-  entries : Ma_table.entry array;  (** entry per physical index *)
-  max_t : int;
+  table : Ma_table.t;
+  first : int;  (** table index of physical index 0 *)
 }
 
-let of_entries entries max_t =
-  let count = Array.length entries in
-  let re = Array.make (count * 4) 0.0 and im = Array.make (count * 4) 0.0 in
-  Array.iteri
-    (fun s (e : Ma_table.entry) ->
-      let m = e.Ma_table.mat in
-      let put j (z : Cplx.t) =
-        re.((s * 4) + j) <- z.Cplx.re;
-        im.((s * 4) + j) <- z.Cplx.im
-      in
-      put 0 m.Mat2.m00;
-      put 1 m.Mat2.m01;
-      put 2 m.Mat2.m10;
-      put 3 m.Mat2.m11)
-    entries;
-  { count; re; im; entries; max_t }
-
 (* A site covering T counts lo..hi of the given table. *)
-let of_table table ~lo ~hi = of_entries (Ma_table.entries_in_range table ~lo ~hi) hi
+let of_table table ~lo ~hi =
+  let first = Ma_table.offset table lo in
+  let count = Ma_table.offset table (hi + 1) - first in
+  let { Ma_table.re; im } = Ma_table.planes table in
+  let re, im =
+    if first = 0 then (re, im) else (Array.sub re (4 * first) (4 * count), Array.sub im (4 * first) (4 * count))
+  in
+  { count; re; im; table; first }
 
 (* One shared counter for all three accessors: they are the bank's only
    read path, so this is "how often did synthesis consult a sitebank".
@@ -41,12 +32,13 @@ let c_lookups = Obs.counter "sitebank.lookups"
 
 let matrix bank s =
   Obs.incr c_lookups;
-  bank.entries.(s).Ma_table.mat
+  let z j = { Cplx.re = bank.re.((4 * s) + j); im = bank.im.((4 * s) + j) } in
+  Mat2.make (z 0) (z 1) (z 2) (z 3)
 
 let sequence bank s =
   Obs.incr c_lookups;
-  bank.entries.(s).Ma_table.seq
+  Ma_table.word bank.table (bank.first + s)
 
 let tcount bank s =
   Obs.incr c_lookups;
-  bank.entries.(s).Ma_table.tcount
+  Ma_table.tcount bank.table (bank.first + s)

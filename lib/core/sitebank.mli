@@ -1,16 +1,18 @@
 (** Per-site tensor data for TRASYN's MPS: the physical index ranges
     over the step-0 table entries within a T-count range, with the 2×2
-    matrices stored as flat float arrays for the sampler's hot loop. *)
+    matrices as flat float arrays for the sampler's hot loop.  A bank
+    whose range starts at T count 0 shares the table's
+    {!Ma_table.planes} instead of copying them; others copy their
+    slice. *)
 
 type t = {
   count : int;
-  re : float array;  (** count × 4, row-major 2×2 blocks *)
+  re : float array;  (** row-major 2×2 blocks, at least count × 4; read-only *)
   im : float array;
-  entries : Ma_table.entry array;
-  max_t : int;
+  table : Ma_table.t;
+  first : int;  (** table index of physical index 0 *)
 }
 
-val of_entries : Ma_table.entry array -> int -> t
 val of_table : Ma_table.t -> lo:int -> hi:int -> t
 val matrix : t -> int -> Mat2.t
 val sequence : t -> int -> Ctgate.t list

@@ -43,9 +43,12 @@ let trace a = Cplx.add a.m00 a.m11
 (* Product of a list, leftmost applied last (matrix order). *)
 let product ms = List.fold_left mul identity ms
 
-(* conj(p)·q, with the float operations of [Cplx.mul (Cplx.conj p) q]. *)
-let[@inline] conj_mul_re (p : Cplx.t) (q : Cplx.t) = (p.re *. q.re) -. (-.p.im *. q.im)
-let[@inline] conj_mul_im (p : Cplx.t) (q : Cplx.t) = (p.re *. q.im) +. (-.p.im *. q.re)
+(* conj(p)·q, with the float operations of [Cplx.mul (Cplx.conj p) q],
+   for q given as its two parts or as a [Cplx.t]. *)
+let[@inline] conj_re (p : Cplx.t) qre qim = (p.re *. qre) -. (-.p.im *. qim)
+let[@inline] conj_im (p : Cplx.t) qre qim = (p.re *. qim) +. (-.p.im *. qre)
+let[@inline] conj_mul_re p (q : Cplx.t) = conj_re p q.re q.im
+let[@inline] conj_mul_im p (q : Cplx.t) = conj_im p q.re q.im
 
 (* |Tr(U†V)| / 2 ∈ [0,1] for unitaries.  Only the two diagonal entries
    of U†V are formed, with the operations and order of
@@ -63,6 +66,20 @@ let trace_value u v =
 (* Unitary distance, Eq. (2) of the paper. *)
 let distance u v =
   let tv = trace_value u v in
+  Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv)))
+
+(* [distance u v] for the v stored row-major at re/im.(b .. b + 3), with
+   [trace_value]'s operations written out on the planes' floats
+   ([Cplx.norm] is [Float.hypot]). *)
+let[@inline] distance_at u (re : float array) (im : float array) b =
+  let r0 = re.(b) and r1 = re.(b + 1) and r2 = re.(b + 2) and r3 = re.(b + 3) in
+  let i0 = im.(b) and i1 = im.(b + 1) and i2 = im.(b + 2) and i3 = im.(b + 3) in
+  let tr =
+    (conj_re u.m00 r0 i0 +. conj_re u.m10 r2 i2) +. (conj_re u.m01 r1 i1 +. conj_re u.m11 r3 i3)
+  and ti =
+    (conj_im u.m00 r0 i0 +. conj_im u.m10 r2 i2) +. (conj_im u.m01 r1 i1 +. conj_im u.m11 r3 i3)
+  in
+  let tv = Float.hypot tr ti /. 2.0 in
   Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv)))
 
 let is_close ?(tol = 1e-9) a b =

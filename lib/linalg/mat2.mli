@@ -28,6 +28,11 @@ val trace_value : t -> t -> float
 val distance : t -> t -> float
 (** Eq. (2); numerically close to the operator norm for small values. *)
 
+val distance_at : t -> float array -> float array -> int -> float
+(** [distance_at u re im b] is [distance u v], bit for bit, for the v
+    stored row-major in two planes: v's entries at [b .. b + 3] of
+    [re] (real parts) and [im] (imaginary parts).  Builds no v. *)
+
 val is_close : ?tol:float -> t -> t -> bool
 val is_unitary : ?tol:float -> t -> bool
 

@@ -117,19 +117,20 @@ let adjoint_word seq =
 
 type result = { seq : Ctgate.t list; mat : Mat2.t; distance : float }
 
-(* Nearest element of the base ε-net (the step-0 table). *)
+(* Nearest element of the base ε-net (the step-0 table): the first
+   entry at the least distance, scanned over the planes fetched once. *)
 let base_approx table target =
-  let best = ref None in
-  Array.iter
-    (fun (e : Ma_table.entry) ->
-      let d = Mat2.distance target e.Ma_table.mat in
-      match !best with
-      | Some (bd, _) when bd <= d -> ()
-      | _ -> best := Some (d, e))
-    table.Ma_table.entries;
-  match !best with
-  | Some (d, e) -> { seq = e.Ma_table.seq; mat = e.Ma_table.mat; distance = d }
-  | None -> invalid_arg "Solovay_kitaev: empty base table"
+  let { Ma_table.re; im } = Ma_table.planes table in
+  let best = ref (-1) and best_d = ref infinity in
+  for i = 0 to Ma_table.size table - 1 do
+    let d = Mat2.distance_at target re im (4 * i) in
+    if !best < 0 || not (!best_d <= d) then begin
+      best := i;
+      best_d := d
+    end
+  done;
+  if !best < 0 then invalid_arg "Solovay_kitaev: empty base table";
+  { seq = Ma_table.word table !best; mat = Ma_table.mat table !best; distance = !best_d }
 
 let rec synthesize_depth table target depth =
   if depth = 0 then base_approx table target

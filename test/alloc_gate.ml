@@ -62,12 +62,30 @@
 
    13. minor words per entry of the build, and live words per entry
        after it (after a full major GC, above the live words before):
-       each word shares its tail with an entry of the level below.
+       each word shares its tail with an entry of the level below, and
+       an entry keeps its word, counts, phase and packed key in flat
+       arrays under one index, with no per-entry record;
+
+   and, over the step-3 input of k = 48 draws from each of those
+   two-site chains (each draw's per-site words concatenated),
+
+   14. minor words per window of Postprocess.run: its exact product,
+       with the lookup through one probe buffer per call;
+
+   and, after a minor collection,
+
+   15. words that Ma_table.build 1 allocates in the major heap: none,
+       since the build fills no matrix planes, so every one of its
+       arrays fits the minor heap's 256-word limit.
 
    Bounds are for the dev profile that runtest builds: each is its dev
    count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 / 1,109
-   for 5 / 6 / 7 / 10 / 11; 126.8 minor and 78.6 live for 13, where the
-   list-append build read 346.8 and 141.6) plus a quarter. *)
+   for 5 / 6 / 7 / 10 / 11; for 13, 58.9 minor and 11.8 live, where
+   the record-per-entry build read 126.8 and 78.6 and the list-append
+   build 346.8 and 141.6; for 14, 25.6, where a lookup that allocated
+   the canonical key and probed an [Exact_u.Table] read 73.1) plus a
+   quarter.  Bound 15 is 0: planes filled by the build read 770
+   major-heap words there, their two arrays. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
@@ -79,8 +97,10 @@ let sample_bound = 59_700.0
 let live_bound = 4_411.0
 let open_bound = 1_387.0
 let draw_bound = 0.0
-let table_bound = 158.0
-let table_live_bound = 98.0
+let table_bound = 74.0
+let table_live_bound = 15.0
+let window_bound = 32.0
+let build1_major_bound = 0.0
 
 let gates = 10_000
 
@@ -208,6 +228,20 @@ let () =
   let boundary = cval "mps.sample.boundary_draws" - b0 in
   Printf.printf "alloc_gate: %-40s %7d (bound 0)%s\n" "boundary draws" boundary (if boundary = 0 then "" else "  FAIL");
   if boundary <> 0 then failed := true;
+  let words =
+    List.concat_map
+      (fun (mps : Mps.t) ->
+        List.map
+          (fun (s : Mps.sample) ->
+            List.concat
+              (List.mapi (fun i idx -> Sitebank.sequence mps.Mps.sites.(i).Mps.bank idx) (Array.to_list s.Mps.indices)))
+          (Mps.sample ~rng:(Random.State.make [| 7 |]) mps ~k:48))
+      mpss
+  in
+  let w0 = cval "trasyn.postprocess.windows" in
+  let (), minor = measure (fun () -> List.iter (fun w -> ignore (Postprocess.run table w)) words) in
+  let windows = cval "trasyn.postprocess.windows" - w0 in
+  check "Postprocess.run per window (depth 8)" (minor /. float_of_int windows) window_bound;
   let live_words () =
     Gc.full_major ();
     float_of_int (Gc.stat ()).Gc.live_words
@@ -283,4 +317,9 @@ let () =
   let entries = float_of_int (Ma_table.size (Sys.opaque_identity table)) in
   check "Ma_table.build 10 per entry" (words /. entries) table_bound;
   check "Ma_table.build 10 live words per entry" (live /. entries) table_live_bound;
+  Gc.minor ();
+  let _, _, m0 = Gc.counters () in
+  ignore (Sys.opaque_identity (Ma_table.build 1));
+  let _, _, m1 = Gc.counters () in
+  check "Ma_table.build 1 major-heap words" (m1 -. m0) build1_major_bound;
   if !failed then exit 1

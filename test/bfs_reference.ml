@@ -2,7 +2,7 @@
    set, as it stood when tables were generated offline, kept as a test
    oracle: each candidate's word appended in full ([seq @ [g]]) before
    its operator is checked against [visited], level lists concatenated,
-   the lookup and offsets from [Ma_table.of_entries]. *)
+   the lookup and offsets from [Ma_reference.of_entries]. *)
 
 (* Generic closure for arbitrary sub-alphabets: Dijkstra with the
    non-Clifford count as the distance.  Level 0 is the Clifford closure
@@ -52,7 +52,7 @@ let bfs_generate (gs : Gateset.t) ~max_t =
   done;
   let entry k (seq, u) =
     {
-      Ma_table.seq;
+      Ma_reference.seq;
       u;
       mat = Exact_u.to_mat2 u;
       tcount = k;
@@ -62,4 +62,4 @@ let bfs_generate (gs : Gateset.t) ~max_t =
   let entries =
     Array.of_list (List.concat (List.mapi (fun k l -> List.map (entry k) l) (Array.to_list levels)))
   in
-  Ma_table.of_entries ~max_t entries
+  Ma_reference.of_entries ~max_t entries

@@ -3,8 +3,44 @@
    by level, each entry its prefix's word appended to its Clifford's
    word, its unitary the general product [Exact_u.mul] of the two, and
    its [mat] the float conversion through [Zomega.Native.to_complex] and
-   a per-call [Float.pow].  The lookup and offsets come from
-   [Ma_table.of_entries], as they did. *)
+   a per-call [Float.pow].  Entries are records, as the table's were,
+   with the lookup and offsets that [of_entries] built around them. *)
+
+type entry = {
+  seq : Ctgate.t list;  (** T-optimal word whose product is [u] up to phase *)
+  u : Exact_u.t;
+  mat : Mat2.t;
+  tcount : int;
+  ccount : int;  (** non-Pauli Clifford gates in [seq] *)
+}
+
+type table = {
+  max_t : int;
+  entries : entry array;  (** sorted by (tcount, index) *)
+  lookup : int Exact_u.Table.t;  (** canonical key -> entry index *)
+  offsets : int array;  (** offsets.(k) = first index with tcount >= k *)
+}
+
+(* Lookup/offset construction around entries sorted by [tcount] whose
+   operators are distinct up to phase: each key is added once. *)
+let of_entries ~max_t entries =
+  Array.iteri
+    (fun i e ->
+      if i > 0 && entries.(i - 1).tcount > e.tcount then
+        invalid_arg "Ma_reference.of_entries: entries not sorted by tcount";
+      if e.tcount > max_t then invalid_arg "Ma_reference.of_entries: tcount exceeds max_t")
+    entries;
+  let lookup = Exact_u.Table.create (Array.length entries * 2) in
+  Array.iteri (fun i e -> Exact_u.Table.add lookup (Exact_u.canonical_key e.u) i) entries;
+  let offsets = Array.make (max_t + 2) 0 in
+  let idx = ref 0 in
+  for k = 0 to max_t + 1 do
+    while !idx < Array.length entries && entries.(!idx).tcount < k do
+      incr idx
+    done;
+    offsets.(k) <- !idx
+  done;
+  { max_t; entries; lookup; offsets }
 
 (* All MA prefixes with exactly [k] T gates, as (word, unitary) pairs.
    Level 0 is the empty prefix; level 1 is {T, HT, SHT}; level k+1
@@ -44,7 +80,7 @@ let build max_t =
             let full = Exact_u.mul u c.Clifford.u in
             let entry =
               {
-                Ma_table.seq;
+                seq;
                 u = full;
                 mat = to_mat2 full;
                 tcount = k;
@@ -58,4 +94,4 @@ let build max_t =
   done;
   let entries = Array.of_list (List.rev !buf) in
   assert (Array.length entries = Ma_table.theoretical_count max_t);
-  Ma_table.of_entries ~max_t entries
+  of_entries ~max_t entries

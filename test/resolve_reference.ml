@@ -8,15 +8,13 @@
 
 let exact_word ?(table = Ma_table.get 1) g =
   let m = Qgate.to_mat2 g in
+  let cost i = (Ma_table.tcount table i, Ma_table.ccount table i) in
   let best = ref None in
-  Array.iter
-    (fun (e : Ma_table.entry) ->
-      if Mat2.distance m e.Ma_table.mat < 1e-6 then
-        match !best with
-        | Some (b : Ma_table.entry) when (b.tcount, b.ccount) <= (e.tcount, e.ccount) -> ()
-        | _ -> best := Some e)
-    table.Ma_table.entries;
-  Option.map (fun (e : Ma_table.entry) -> e.Ma_table.seq) !best
+  for i = 0 to Ma_table.size table - 1 do
+    if Mat2.distance m (Ma_table.mat table i) < 1e-6 then
+      match !best with Some b when cost b <= cost i -> () | _ -> best := Some i
+  done;
+  Option.map (Ma_table.word table) !best
 
 (* The triviality test [Circuit.nontrivial_rotation] ran before it
    became [Circuit.exact_word] over the Clifford+T table: an axis
@@ -29,8 +27,6 @@ let nontrivial = function
       Float.abs (q -. Float.round q) > 1e-9
   | Qgate.U3 _ as g ->
       let m = Qgate.to_mat2 g in
-      not
-        (Array.exists
-           (fun (e : Ma_table.entry) -> Mat2.distance m e.Ma_table.mat < 1e-7)
-           (Ma_table.get 1).Ma_table.entries)
+      let table = Ma_table.get 1 in
+      not (List.exists (fun i -> Mat2.distance m (Ma_table.mat table i) < 1e-7) (List.init (Ma_table.size table) Fun.id))
   | _ -> false

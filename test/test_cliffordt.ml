@@ -74,39 +74,41 @@ let ma_tests =
     Alcotest.test_case "MA normal forms are pairwise distinct" `Quick (fun () ->
         let table = Ma_table.get 4 in
         let seen = Exact_u.Table.create 1024 in
-        Array.iter
-          (fun (e : Ma_table.entry) ->
-            let key = Exact_u.key (Exact_u.canonicalize e.Ma_table.u) in
-            Alcotest.(check bool) "fresh" false (Exact_u.Table.mem seen key);
-            Exact_u.Table.add seen key ())
-          (Ma_table.entries_in_range table ~lo:0 ~hi:4));
+        for i = 0 to Ma_table.offset table 5 - 1 do
+          let key = Exact_u.key (Exact_u.canonicalize (Ma_table.unitary table i)) in
+          Alcotest.(check bool) "fresh" false (Exact_u.Table.mem seen key);
+          Exact_u.Table.add seen key ()
+        done);
     Alcotest.test_case "entry sequences have the declared T count" `Quick (fun () ->
         let table = Ma_table.get 4 in
-        Array.iter
-          (fun (e : Ma_table.entry) ->
-            Alcotest.(check int) "tcount" e.Ma_table.tcount (Ctgate.t_count e.Ma_table.seq);
-            Alcotest.(check bool) "matrix matches" true
-              (Exact_u.equal_up_to_phase (Exact_u.of_seq e.Ma_table.seq) e.Ma_table.u))
-          table.Ma_table.entries);
+        for i = 0 to Ma_table.size table - 1 do
+          let seq = Ma_table.word table i in
+          Alcotest.(check int) "tcount" (Ma_table.tcount table i) (Ctgate.t_count seq);
+          Alcotest.(check bool) "matrix matches" true
+            (Exact_u.equal_up_to_phase (Exact_u.of_seq seq) (Ma_table.unitary table i))
+        done);
     Alcotest.test_case "lookup finds T-optimal equivalents" `Quick (fun () ->
         let table = Ma_table.get 3 in
         (* T·T = S: a 2-T word whose operator is Clifford. *)
+        let probe = Ma_table.probe () in
         let tt = Exact_u.of_seq Ctgate.[ T; T ] in
-        (match Ma_table.lookup_best table tt with
-        | Some e -> Alcotest.(check int) "T·T needs 0 T" 0 e.Ma_table.tcount
-        | None -> Alcotest.fail "T·T not found");
+        (match Ma_table.find table probe tt with
+        | -1 -> Alcotest.fail "T·T not found"
+        | i -> Alcotest.(check int) "T·T needs 0 T" 0 (Ma_table.tcount table i));
         (* H T H T H T H has some T-count at most 3. *)
         let w = Exact_u.of_seq Ctgate.[ H; T; H; T; H; T; H ] in
-        match Ma_table.lookup_best table w with
-        | Some e -> Alcotest.(check bool) "<= 3 T" true (e.Ma_table.tcount <= 3)
-        | None -> Alcotest.fail "not found");
+        match Ma_table.find table probe w with
+        | -1 -> Alcotest.fail "not found"
+        | i -> Alcotest.(check bool) "<= 3 T" true (Ma_table.tcount table i <= 3));
     Alcotest.test_case "offsets partition by tcount" `Quick (fun () ->
         let table = Ma_table.get 5 in
         for k = 0 to 5 do
-          let sub = Ma_table.entries_in_range table ~lo:k ~hi:k in
-          Array.iter (fun (e : Ma_table.entry) -> Alcotest.(check int) "k" k e.Ma_table.tcount) sub;
+          let lo = Ma_table.offset table k and hi = Ma_table.offset table (k + 1) in
+          for i = lo to hi - 1 do
+            Alcotest.(check int) "k" k (Ma_table.tcount table i)
+          done;
           let expected = if k = 0 then 24 else 24 * 3 * (1 lsl (k - 1)) in
-          Alcotest.(check int) (Printf.sprintf "level %d size" k) expected (Array.length sub)
+          Alcotest.(check int) (Printf.sprintf "level %d size" k) expected (hi - lo)
         done);
     Alcotest.test_case "build equals the list-append enumeration at depths 0-10" `Quick
       (fun () ->
@@ -122,8 +124,9 @@ let ma_tests =
           let target = Mat2.random_unitary rng in
           let best =
             Array.fold_left
-              (fun acc (e : Ma_table.entry) -> Float.min acc (Mat2.distance target e.Ma_table.mat))
-              infinity table.Ma_table.entries
+              (fun acc i -> Float.min acc (Mat2.distance target (Ma_table.mat table i)))
+              infinity
+              (Array.init (Ma_table.size table) Fun.id)
           in
           Alcotest.(check bool) "coverage" true (best < 0.25)
         done);

@@ -9,38 +9,50 @@ let mat_bits (m : Mat2.t) =
     (fun (z : Cplx.t) -> [ Int64.bits_of_float z.Cplx.re; Int64.bits_of_float z.Cplx.im ])
     [ m.Mat2.m00; m.Mat2.m01; m.Mat2.m10; m.Mat2.m11 ]
 
-(* Field-for-field equality of the full table structure: entries in
-   order (words, exact keys, [mat] bit for bit, since sampling reads
-   those floats, T and Clifford counts), offsets and every lookup
-   binding. *)
-let check_tables_identical what (a : Ma_table.t) (b : Ma_table.t) =
-  Alcotest.(check int) (what ^ ": max_t") a.Ma_table.max_t b.Ma_table.max_t;
-  Alcotest.(check int)
-    (what ^ ": entry count")
-    (Array.length a.Ma_table.entries)
-    (Array.length b.Ma_table.entries);
+(* Entry i's plane floats in [mat_bits]' order. *)
+let plane_bits (p : Ma_table.planes) i =
+  List.concat_map
+    (fun j -> [ Int64.bits_of_float p.Ma_table.re.((4 * i) + j); Int64.bits_of_float p.Ma_table.im.((4 * i) + j) ])
+    [ 0; 1; 2; 3 ]
+
+(* A flat table against a reference's records: entries in order (words,
+   T and Clifford counts, the exact unitary rebuilt from key and phase,
+   the plane floats bit for bit against [mat], since sampling reads
+   those floats), offsets, every reference lookup binding through the
+   packed index, and a probe through [find] for every operator.  Two
+   probes must miss: an operator with max_t + 1 T gates, and a key
+   with a component outside the packed range — one that would alias a
+   real entry's key if the range were not checked, since an excess of
+   128 in component 8 falls off the top of its packed int. *)
+let check_tables_identical what (a : Ma_reference.table) (b : Ma_table.t) =
+  let max_t = a.Ma_reference.max_t in
+  Alcotest.(check int) (what ^ ": max_t") max_t (Ma_table.max_t b);
+  Alcotest.(check int) (what ^ ": entry count") (Array.length a.Ma_reference.entries) (Ma_table.size b);
+  let planes = Ma_table.planes b and probe = Ma_table.probe () in
   Array.iteri
-    (fun i (x : Ma_table.entry) ->
-      let y = b.Ma_table.entries.(i) in
+    (fun i (x : Ma_reference.entry) ->
       if
         not
-          (x.Ma_table.seq = y.Ma_table.seq
-          && Exact_u.equal x.Ma_table.u y.Ma_table.u
-          && mat_bits x.Ma_table.mat = mat_bits y.Ma_table.mat
-          && x.Ma_table.tcount = y.Ma_table.tcount
-          && x.Ma_table.ccount = y.Ma_table.ccount)
+          (x.Ma_reference.seq = Ma_table.word b i
+          && x.Ma_reference.tcount = Ma_table.tcount b i
+          && x.Ma_reference.ccount = Ma_table.ccount b i
+          && Exact_u.key x.Ma_reference.u = Exact_u.key (Ma_table.unitary b i)
+          && mat_bits x.Ma_reference.mat = plane_bits planes i
+          && Ma_table.find b probe x.Ma_reference.u = i)
       then Alcotest.failf "%s: entry %d differs" what i)
-    a.Ma_table.entries;
-  Alcotest.(check (array int)) (what ^ ": offsets") a.Ma_table.offsets b.Ma_table.offsets;
-  Alcotest.(check int)
-    (what ^ ": lookup bindings")
-    (Exact_u.Table.length a.Ma_table.lookup)
-    (Exact_u.Table.length b.Ma_table.lookup);
+    a.Ma_reference.entries;
+  Alcotest.(check (array int))
+    (what ^ ": offsets") a.Ma_reference.offsets
+    (Array.init (max_t + 2) (Ma_table.offset b));
   Exact_u.Table.iter
     (fun key i ->
-      if Exact_u.Table.find_opt b.Ma_table.lookup key <> Some i then
-        Alcotest.failf "%s: lookup binding of entry %d differs" what i)
-    a.Ma_table.lookup
+      if Ma_table.find_key b key <> i then Alcotest.failf "%s: lookup binding of entry %d differs" what i)
+    a.Ma_reference.lookup;
+  let deeper = Exact_u.of_seq (List.concat (List.init (max_t + 1) (fun _ -> Ctgate.[ H; T ]))) in
+  Alcotest.(check int) (what ^ ": a T-count-(m+1) operator misses") (-1) (Ma_table.find b probe deeper);
+  let outside = Exact_u.canonical_key a.Ma_reference.entries.(0).Ma_reference.u in
+  outside.(8) <- outside.(8) + 128;
+  Alcotest.(check int) (what ^ ": a key outside the packed range misses") (-1) (Ma_table.find_key b outside)
 
 (* ---- Descriptors and registry ---- *)
 
@@ -124,12 +136,10 @@ let test_bfs_matches_closed_form () =
       (* Same operator set as the MA enumeration: every MA entry's
          canonical unitary is present. *)
       let ma = Ma_table.build m in
-      Array.iter
-        (fun (e : Ma_table.entry) ->
-          let key = Exact_u.key (Exact_u.canonicalize e.Ma_table.u) in
-          if not (Exact_u.Table.mem t.Ma_table.lookup key) then
-            Alcotest.failf "bfs table at m=%d misses an MA operator" m)
-        ma.Ma_table.entries)
+      for i = 0 to Ma_table.size ma - 1 do
+        let key = Exact_u.key (Exact_u.canonicalize (Ma_table.unitary ma i)) in
+        if Ma_table.find_key t key < 0 then Alcotest.failf "bfs table at m=%d misses an MA operator" m
+      done)
     [ 0; 1; 2 ]
 
 (* One table per gate set and depth, enumerated once; an unregistered

@@ -745,11 +745,10 @@ let resolve_tests =
   [
     Alcotest.test_case "resolve's Rz filter never hides a table match" `Quick (fun () ->
         let u3_forms =
-          Array.map
-            (fun (e : Ma_table.entry) ->
-              let t, p, l = Mat2.to_u3_angles e.Ma_table.mat in
+          let table = Ma_table.get 1 in
+          Array.init (Ma_table.size table) (fun i ->
+              let t, p, l = Mat2.to_u3_angles (Ma_table.mat table i) in
               Qgate.U3 (t, p, l))
-            (Ma_table.get 1).Ma_table.entries
         in
         Alcotest.(check int) "the 96 depth-1 operators" 96 (Array.length u3_forms);
         let gates = List.map (fun th -> Qgate.Rz th) angles @ Array.to_list u3_forms in

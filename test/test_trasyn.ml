@@ -152,8 +152,9 @@ let synthesis_tests =
         let table = Ma_table.get 5 in
         let best =
           Array.fold_left
-            (fun acc (e : Ma_table.entry) -> Float.min acc (Mat2.distance target e.Ma_table.mat))
-            infinity table.Ma_table.entries
+            (fun acc i -> Float.min acc (Mat2.distance target (Ma_table.mat table i)))
+            infinity
+            (Array.init (Ma_table.size table) Fun.id)
         in
         Alcotest.(check bool)
           (Printf.sprintf "optimal %.4f vs %.4f" r.Trasyn.distance best)
@@ -452,9 +453,8 @@ let reference_postprocess ?(max_window = 24) ?(max_iters = 200) (table : Ma_tabl
   in
   let cost_of seq = (Ctgate.t_count seq, Ctgate.clifford_count seq, List.length seq) in
   let lookup u =
-    Option.map
-      (fun i -> table.Ma_table.entries.(i))
-      (Exact_u.Table.find_opt table.Ma_table.lookup (Test_cliffordt.phase_min_key u))
+    let i = Ma_table.find_key table (Test_cliffordt.phase_min_key u) in
+    if i < 0 then None else Some (Ma_table.word table i)
   in
   let improve_pass gates =
     let arr = Array.of_list gates in
@@ -467,12 +467,11 @@ let reference_postprocess ?(max_window = 24) ?(max_iters = 200) (table : Ma_tabl
           else begin
             let u = Exact_u.mul u (Exact_u.of_gate arr.(stop - 1)) in
             let window = Array.to_list (Array.sub arr start (stop - start)) in
-            if Ctgate.t_count window > table.Ma_table.max_t || stop - start > max_window then best
+            if Ctgate.t_count window > Ma_table.max_t table || stop - start > max_window then best
             else
               let best =
                 match lookup u with
-                | Some e when better_cost (cost_of e.Ma_table.seq) (cost_of window) ->
-                    Some (stop, e.Ma_table.seq)
+                | Some seq when better_cost (cost_of seq) (cost_of window) -> Some (stop, seq)
                 | _ -> best
               in
               try_windows (stop + 1) u best
