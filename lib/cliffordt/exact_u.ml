@@ -115,19 +115,6 @@ let h_tinv u j =
   let c = rot (-j) u.c and d = rot (-j) u.d in
   reduce { a = zadd u.a c; b = zadd u.b d; c = zsub u.a c; d = zsub u.b d; k = u.k + 1 }
 
-let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
-
-(* s·x as a complex number, with [Zomega.to_complex]'s expressions but
-   without its tuple. *)
-let[@inline] scaled s (x : O.t) =
-  let x0 = float_of_int x.x0 and x1 = float_of_int x.x1 in
-  let x2 = float_of_int x.x2 and x3 = float_of_int x.x3 in
-  { Cplx.re = s *. (x0 +. ((x1 -. x3) *. inv_sqrt2)); im = s *. (x2 +. ((x1 +. x3) *. inv_sqrt2)) }
-
-let to_mat2 u =
-  let s = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k)) in
-  Mat2.make (scaled s u.a) (scaled s u.b) (scaled s u.c) (scaled s u.d)
-
 (* A flat integer key; coefficient magnitudes stay tiny for the T
    budgets the tables use, so native ints are safe. *)
 let key u =
@@ -184,6 +171,27 @@ let[@inline] rot_coeff j (x : O.t) p =
   let i = (p - j) land 3 in
   let v = match i with 0 -> x.x0 | 1 -> x.x1 | 2 -> x.x2 | _ -> x.x3 in
   if (i + j) land 4 = 0 then v else -v
+
+let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
+
+(* The entries of ω^j·u as floats, row-major into re/im.(b .. b + 3),
+   without building ω^j·u: each coefficient with [Zomega.to_complex]'s
+   expressions, times 1/√2^k. *)
+let mat_into (re : float array) (im : float array) b u j =
+  let s = Float.pow (Float.sqrt 2.0) (float_of_int (-u.k)) in
+  for e = 0 to 3 do
+    let x = match e with 0 -> u.a | 1 -> u.b | 2 -> u.c | _ -> u.d in
+    let x0 = float_of_int (rot_coeff j x 0) and x1 = float_of_int (rot_coeff j x 1) in
+    let x2 = float_of_int (rot_coeff j x 2) and x3 = float_of_int (rot_coeff j x 3) in
+    re.(b + e) <- s *. (x0 +. ((x1 -. x3) *. inv_sqrt2));
+    im.(b + e) <- s *. (x2 +. ((x1 +. x3) *. inv_sqrt2))
+  done
+
+let to_mat2 u =
+  let re = Array.create_float 4 and im = Array.create_float 4 in
+  mat_into re im 0 u 0;
+  let z e = { Cplx.re = re.(e); im = im.(e) } in
+  Mat2.make (z 0) (z 1) (z 2) (z 3)
 
 (* [key (mul_phase u j)], written into [buf] without building ω^j·u. *)
 let key_into buf u j =

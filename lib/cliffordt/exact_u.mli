@@ -54,6 +54,12 @@ val sqrt2_divides : O.t -> bool
 
 val to_mat2 : t -> Mat2.t
 
+val mat_into : float array -> float array -> int -> t -> int -> unit
+(** [mat_into re im b u j] writes the entries of [to_mat2 (mul_phase u j)]
+    row-major into [re] (real parts) and [im] (imaginary parts) at
+    [b .. b + 3], bit for bit, without building ω^j·u or a [Mat2.t];
+    [j] in 0..7. *)
+
 val key : t -> int array
 (** Flat integer encoding (coefficients stay small at table depths). *)
 

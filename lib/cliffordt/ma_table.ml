@@ -28,7 +28,7 @@
       packed range is [−64, 63]: components 0–8 in [keys.(2i)], 9–16 in
       [keys.(2i + 1)].  The widest component grows about √2 every two
       levels (2 at depth 4, 7 at 10, 15 at 14, 22 at 16), so the range
-      holds every depth a table fits in memory; [add] refuses a key
+      holds every depth a table fits in memory; [seek] refuses a key
       outside it rather than wrap it;
     - [slots]: one open-addressing index over both packed ints, linear
       probing, holding entry index + 1 (0 is empty), at most 3/4 full.
@@ -95,10 +95,6 @@ let pack (key : int array) first count =
 
 let[@inline] field w f = ((w lsr (7 * f)) land 127) - 64
 
-(* Component c of entry i's canonical key. *)
-let[@inline] component keys i c =
-  if c < 9 then field keys.(2 * i) c else field keys.((2 * i) + 1) (c - 9)
-
 (* Both packed ints, mixed; the index masks the low bits. *)
 let[@inline] hash k0 k1 =
   let h = (k0 * 0x2545F4914F6CDD1D) + k1 in
@@ -139,21 +135,27 @@ let find t probe u =
   ignore (Exact_u.canonical_key_into probe u : int);
   find_key t probe
 
-(* ω^(−j) times the canonical form: the entry's operator exactly as the
-   enumeration multiplied it out. *)
-let unitary t i =
-  let c = component t.keys i in
-  let coeff e : Zomega.Native.t =
-    { x0 = c (1 + (4 * e)); x1 = c (2 + (4 * e)); x2 = c (3 + (4 * e)); x3 = c (4 + (4 * e)) }
-  in
-  let canonical = { Exact_u.k = c 0; a = coeff 0; b = coeff 1; c = coeff 2; d = coeff 3 } in
-  Exact_u.mul_phase canonical ((8 - phase t i) land 7)
+(* Fields f .. f + 3 of a packed int as a coefficient. *)
+let coeff w f : Zomega.Native.t =
+  { x0 = field w f; x1 = field w (f + 1); x2 = field w (f + 2); x3 = field w (f + 3) }
+
+(* Entry i's canonical form, unpacked: k and a, b from its first int, c
+   and d from its second. *)
+let canonical t i =
+  let k0 = t.keys.(2 * i) and k1 = t.keys.((2 * i) + 1) in
+  { Exact_u.k = field k0 0; a = coeff k0 1; b = coeff k0 5; c = coeff k1 0; d = coeff k1 4 }
+
+(* −j mod 8: ω to this power times the canonical form is the entry's
+   operator exactly as the enumeration multiplied it out. *)
+let unphase t i = (8 - phase t i) land 7
+let unitary t i = Exact_u.mul_phase (canonical t i) (unphase t i)
 
 (* ---- Building ---- *)
 
-(* A table under construction, filled in entry order.  [add] files an
-   operator under its canonical key unless the key is there already and
-   returns its index, or −1 when it was there. *)
+(* A table under construction, filled in entry order.  [seek] packs an
+   operator's canonical key and finds its slot, and says whether the key
+   is new; [insert] then files that key as the next entry.  The fields
+   after [n] hold what [seek] found. *)
 type builder = {
   b_words : Ctgate.t list array;
   b_info : int array;
@@ -161,6 +163,10 @@ type builder = {
   b_slots : int array;
   scratch : int array;
   mutable n : int;
+  mutable slot : int;
+  mutable k0 : int;
+  mutable k1 : int;
+  mutable j : int;
 }
 
 let builder capacity =
@@ -171,25 +177,34 @@ let builder capacity =
     b_slots = make_slots capacity;
     scratch = probe ();
     n = 0;
+    slot = 0;
+    k0 = 0;
+    k1 = 0;
+    j = 0;
   }
 
-let add b u ~word ~ccount =
+let seek b u =
   let j = Exact_u.canonical_key_into b.scratch u in
   if not (fits b.scratch) then
     invalid_arg "Ma_table: a canonical key component leaves [-64, 63], the packed 7-bit range";
   let k0 = pack b.scratch 0 9 and k1 = pack b.scratch 9 8 in
   let s = slot b.b_slots b.b_keys k0 k1 in
-  if b.b_slots.(s) <> 0 then -1
-  else begin
-    let i = b.n in
-    b.b_words.(i) <- word;
-    b.b_info.(i) <- (ccount lsl 3) lor j;
-    b.b_keys.(2 * i) <- k0;
-    b.b_keys.((2 * i) + 1) <- k1;
-    b.b_slots.(s) <- i + 1;
-    b.n <- i + 1;
-    i
-  end
+  b.slot <- s;
+  b.k0 <- k0;
+  b.k1 <- k1;
+  b.j <- j;
+  b.b_slots.(s) = 0
+
+(* Call only after a [seek] that returned true; returns the new index. *)
+let insert b ~word ~ccount =
+  let i = b.n in
+  b.b_words.(i) <- word;
+  b.b_info.(i) <- (ccount lsl 3) lor b.j;
+  b.b_keys.(2 * i) <- b.k0;
+  b.b_keys.((2 * i) + 1) <- b.k1;
+  b.b_slots.(b.slot) <- i + 1;
+  b.n <- i + 1;
+  i
 
 let finish b ~max_t ~offsets =
   let n = b.n in
@@ -220,7 +235,7 @@ let blocks = Ctgate.[| [ T ]; [ H; T ]; [ S; H; T ] |]
    entry's word, its Clifford count the block's plus that entry's, and
    its exact unitary, which only its key keeps, the prefix's product
    times the Clifford's word, gate by gate.  Normal forms are unique,
-   so every [add] files a new entry. *)
+   so every [seek] finds a new key. *)
 let build max_t =
   if max_t < 0 then invalid_arg "Ma_table.build: negative depth";
   Obs.span "cliffordt.table.build" @@ fun () ->
@@ -229,7 +244,7 @@ let build max_t =
   Array.iter
     (fun (c : Clifford.element) ->
       let word = c.Clifford.word in
-      ignore (add b c.Clifford.u ~word ~ccount:(Ctgate.clifford_count word) : int))
+      if seek b c.Clifford.u then ignore (insert b ~word ~ccount:(Ctgate.clifford_count word) : int))
     Clifford.elements;
   (* The prefix products of the level below. *)
   let below = ref [| Exact_u.identity |] in
@@ -248,12 +263,10 @@ let build max_t =
         Array.iteri
           (fun c (cl : Clifford.element) ->
             let rest = tail_base + (Clifford.count * tail) + c in
-            ignore
-              (add b
-                 (List.fold_left Exact_u.mul_gate prefix cl.Clifford.word)
-                 ~word:(block @ b.b_words.(rest))
-                 ~ccount:(block_ccount + (b.b_info.(rest) lsr 3))
-                : int))
+            if seek b (List.fold_left Exact_u.mul_gate prefix cl.Clifford.word) then
+              ignore
+                (insert b ~word:(block @ b.b_words.(rest)) ~ccount:(block_ccount + (b.b_info.(rest) lsr 3))
+                  : int))
           Clifford.elements)
       products;
     below := products
@@ -284,10 +297,9 @@ let closure (gs : Gateset.t) max_t =
   let level = ref [] in
   let step (i, u) g =
     let u = Exact_u.mul_gate u g in
-    let word = g :: b.b_words.(i) in
-    let ccount = (b.b_info.(i) lsr 3) + Ctgate.clifford_count [ g ] in
-    let admitted = add b u ~word ~ccount in
-    if admitted >= 0 then begin
+    if seek b u then begin
+      let ccount = (b.b_info.(i) lsr 3) + Ctgate.clifford_count [ g ] in
+      let admitted = insert b ~word:(g :: b.b_words.(i)) ~ccount in
       level := (admitted, u) :: !level;
       Queue.add (admitted, u) q
     end
@@ -304,7 +316,8 @@ let closure (gs : Gateset.t) max_t =
     level := [];
     admitted
   in
-  ignore (add b Exact_u.identity ~word:[] ~ccount:0 : int);
+  ignore (seek b Exact_u.identity : bool);
+  ignore (insert b ~word:[] ~ccount:0 : int);
   level := [ (0, Exact_u.identity) ];
   Queue.add (0, Exact_u.identity) q;
   let seeds = ref (close_level 0) in
@@ -324,38 +337,13 @@ let closure (gs : Gateset.t) max_t =
 
 (* ---- Planes, filled on first read ---- *)
 
-let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
-
-(* 1/√2^k for every k a packed key can hold. *)
-let scales = Array.init 64 (fun k -> Float.pow (Float.sqrt 2.0) (float_of_int (-k)))
-
-(* Coefficient p of ω^r·x, where x is components c .. c + 3 of [key]:
-   [Exact_u.rot]'s places and signs. *)
-let[@inline] rotated (key : int array) c r p =
-  let src = (p - r) land 3 in
-  let v = key.(c + src) in
-  if (src + r) land 4 = 0 then v else -v
-
-(* Entry i's matrix at 4i of the planes: ω^r times its canonical form
-   (r = −j mod 8), each complex entry with [Exact_u.to_mat2]'s float
-   expressions. *)
+(* Entry i's matrix at 4i: [Exact_u.to_mat2 (unitary t i)]'s floats,
+   without the phased unitary or a [Mat2.t]. *)
 let fill_planes t =
   let n = size t in
   let re = Array.create_float (4 * n) and im = Array.create_float (4 * n) in
-  let key = Array.make Exact_u.key_size 0 in
   for i = 0 to n - 1 do
-    for c = 0 to Exact_u.key_size - 1 do
-      key.(c) <- component t.keys i c
-    done;
-    let r = (8 - phase t i) land 7 in
-    let s = scales.(key.(0)) in
-    for e = 0 to 3 do
-      let c = 1 + (4 * e) in
-      let x0 = float_of_int (rotated key c r 0) and x1 = float_of_int (rotated key c r 1) in
-      let x2 = float_of_int (rotated key c r 2) and x3 = float_of_int (rotated key c r 3) in
-      re.((4 * i) + e) <- s *. (x0 +. ((x1 -. x3) *. inv_sqrt2));
-      im.((4 * i) + e) <- s *. (x2 +. ((x1 +. x3) *. inv_sqrt2))
-    done
+    Exact_u.mat_into re im (4 * i) (canonical t i) (unphase t i)
   done;
   { re; im }
 

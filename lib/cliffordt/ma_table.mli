@@ -86,8 +86,9 @@ val find : t -> probe -> Exact_u.t -> int
 
 type planes = { re : float array; im : float array }
 (** Entry i's matrix row-major at [4i .. 4i + 3] (m00, m01, m10, m11):
-    real parts in [re], imaginary in [im], with the float operations of
-    [Exact_u.to_mat2] on {!unitary}.  Read-only. *)
+    real parts in [re], imaginary in [im]: the floats of
+    [Exact_u.to_mat2 (unitary t i)], written by {!Exact_u.mat_into}.
+    Read-only. *)
 
 val planes : t -> planes
 (** Filled on the first call and published with one

@@ -93,7 +93,8 @@ let c_tree_nodes = Obs.counter "mps.sample.tree_nodes"
 let c_tree_leaves = Obs.counter "mps.sample.tree_leaves"
 let c_boundary = Obs.counter "mps.sample.boundary_draws"
 
-(* Bank entry (phys, row, col) lives at bank.re/im.(phys·4 + row·2 + col). *)
+(* Bank entry (phys, row, col) lives at bank.re/im.((first + phys)·4 +
+   row·2 + col). *)
 
 (* Single site (l = 1): the tensor is directly the trace values
    Σ_ab conj(U_ab)·M[s]_ab, accumulated entry by entry as
@@ -103,7 +104,7 @@ let fill_single_site (u : Mat2.t) bank =
   let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
   let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
   for phys = 0 to s.n - 1 do
-    let b = phys * 4 in
+    let b = (bank.Sitebank.first + phys) * 4 in
     let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
     let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
     let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
@@ -123,7 +124,7 @@ let fill_first_site (u : Mat2.t) bank =
   let s = make_site bank 1 4 in
   let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
   for phys = 0 to s.n - 1 do
-    let base = phys * 4 in
+    let base = (bank.Sitebank.first + phys) * 4 in
     for c = 0 to 1 do
       let m0re = bre.(base + c) and m0im = bim.(base + c) in
       let m1re = bre.(base + 2 + c) and m1im = bim.(base + 2 + c) in
@@ -149,11 +150,12 @@ let fill_first_site (u : Mat2.t) bank =
   s
 
 (* Last site: close the composite bond.  T[s]_((c·2+b),0) = M[s]_(c,b),
-   which in flat layout is exactly the bank's own storage. *)
+   which in flat layout is exactly the bank's own run of storage. *)
 let fill_last_site bank =
   let s = make_site bank 4 1 in
-  Array.blit bank.Sitebank.re 0 s.re 0 (s.n * 4);
-  Array.blit bank.Sitebank.im 0 s.im 0 (s.n * 4);
+  let b = bank.Sitebank.first * 4 in
+  Array.blit bank.Sitebank.re b s.re 0 (s.n * 4);
+  Array.blit bank.Sitebank.im b s.im 0 (s.n * 4);
   s
 
 (* Middle site: M ⊗ identity line. *)
@@ -161,7 +163,7 @@ let fill_middle_site bank =
   let s = make_site bank 4 4 in
   let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
   for phys = 0 to s.n - 1 do
-    let bankbase = phys * 4 and sitebase = phys * 16 in
+    let bankbase = (bank.Sitebank.first + phys) * 4 and sitebase = phys * 16 in
     for c = 0 to 1 do
       for c' = 0 to 1 do
         let mre = bre.(bankbase + (c * 2) + c') and mim = bim.(bankbase + (c * 2) + c') in

@@ -3,27 +3,23 @@
     A site's physical index ranges over all canonical Clifford+T
     operators within a T-count range (step 0's table), and each index
     carries its 2×2 matrix.  For the sampler's hot loop the matrices are
-    flat float arrays (row-major, 4 complex entries per index): the
-    table's own planes when the range starts at T count 0, since the
-    table is sorted by T count, else a copy of their slice. *)
+    the table's own planes (row-major, 4 complex entries per entry),
+    shared, not copied: the table is sorted by T count, so the range is
+    the contiguous run of entries from [first]. *)
 
 type t = {
   count : int;
-  re : float array;  (** at least count × 4 *)
+  first : int;  (** table index of physical index 0 *)
+  re : float array;  (** the table's planes; physical index s at 4·(first + s) *)
   im : float array;
   table : Ma_table.t;
-  first : int;  (** table index of physical index 0 *)
 }
 
 (* A site covering T counts lo..hi of the given table. *)
 let of_table table ~lo ~hi =
   let first = Ma_table.offset table lo in
-  let count = Ma_table.offset table (hi + 1) - first in
   let { Ma_table.re; im } = Ma_table.planes table in
-  let re, im =
-    if first = 0 then (re, im) else (Array.sub re (4 * first) (4 * count), Array.sub im (4 * first) (4 * count))
-  in
-  { count; re; im; table; first }
+  { count = Ma_table.offset table (hi + 1) - first; first; re; im; table }
 
 (* One shared counter for all three accessors: they are the bank's only
    read path, so this is "how often did synthesis consult a sitebank".
@@ -32,8 +28,7 @@ let c_lookups = Obs.counter "sitebank.lookups"
 
 let matrix bank s =
   Obs.incr c_lookups;
-  let z j = { Cplx.re = bank.re.((4 * s) + j); im = bank.im.((4 * s) + j) } in
-  Mat2.make (z 0) (z 1) (z 2) (z 3)
+  Ma_table.mat bank.table (bank.first + s)
 
 let sequence bank s =
   Obs.incr c_lookups;

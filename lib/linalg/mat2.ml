@@ -44,43 +44,33 @@ let trace a = Cplx.add a.m00 a.m11
 let product ms = List.fold_left mul identity ms
 
 (* conj(p)·q, with the float operations of [Cplx.mul (Cplx.conj p) q],
-   for q given as its two parts or as a [Cplx.t]. *)
+   for q given as its two parts. *)
 let[@inline] conj_re (p : Cplx.t) qre qim = (p.re *. qre) -. (-.p.im *. qim)
 let[@inline] conj_im (p : Cplx.t) qre qim = (p.re *. qim) +. (-.p.im *. qre)
-let[@inline] conj_mul_re p (q : Cplx.t) = conj_re p q.re q.im
-let[@inline] conj_mul_im p (q : Cplx.t) = conj_im p q.re q.im
 
-(* |Tr(U†V)| / 2 ∈ [0,1] for unitaries.  Only the two diagonal entries
-   of U†V are formed, with the operations and order of
-   [trace (mul (adjoint u) v)], so the value is bit-identical to it. *)
+(* |Tr(U†V)| / 2 for V given as the parts of its entries, row-major.
+   Only the two diagonal entries of U†V are formed, with the operations
+   and order of [trace (mul (adjoint u) v)], so the value is
+   bit-identical to it ([Cplx.norm] is [Float.hypot]). *)
+let[@inline] trace_value_parts u r0 i0 r1 i1 r2 i2 r3 i3 =
+  let re = (conj_re u.m00 r0 i0 +. conj_re u.m10 r2 i2) +. (conj_re u.m01 r1 i1 +. conj_re u.m11 r3 i3)
+  and im = (conj_im u.m00 r0 i0 +. conj_im u.m10 r2 i2) +. (conj_im u.m01 r1 i1 +. conj_im u.m11 r3 i3) in
+  Float.hypot re im /. 2.0
+
+(* |Tr(U†V)| / 2 ∈ [0,1] for unitaries. *)
 let trace_value u v =
-  let re =
-    (conj_mul_re u.m00 v.m00 +. conj_mul_re u.m10 v.m10)
-    +. (conj_mul_re u.m01 v.m01 +. conj_mul_re u.m11 v.m11)
-  and im =
-    (conj_mul_im u.m00 v.m00 +. conj_mul_im u.m10 v.m10)
-    +. (conj_mul_im u.m01 v.m01 +. conj_mul_im u.m11 v.m11)
-  in
-  Cplx.norm { Cplx.re; im } /. 2.0
+  trace_value_parts u v.m00.re v.m00.im v.m01.re v.m01.im v.m10.re v.m10.im v.m11.re v.m11.im
+
+(* Eq. (2) of the paper from the trace value. *)
+let[@inline] of_trace_value tv = Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv)))
 
 (* Unitary distance, Eq. (2) of the paper. *)
-let distance u v =
-  let tv = trace_value u v in
-  Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv)))
+let distance u v = of_trace_value (trace_value u v)
 
-(* [distance u v] for the v stored row-major at re/im.(b .. b + 3), with
-   [trace_value]'s operations written out on the planes' floats
-   ([Cplx.norm] is [Float.hypot]). *)
+(* [distance u v] for the v stored row-major at re/im.(b .. b + 3). *)
 let[@inline] distance_at u (re : float array) (im : float array) b =
-  let r0 = re.(b) and r1 = re.(b + 1) and r2 = re.(b + 2) and r3 = re.(b + 3) in
-  let i0 = im.(b) and i1 = im.(b + 1) and i2 = im.(b + 2) and i3 = im.(b + 3) in
-  let tr =
-    (conj_re u.m00 r0 i0 +. conj_re u.m10 r2 i2) +. (conj_re u.m01 r1 i1 +. conj_re u.m11 r3 i3)
-  and ti =
-    (conj_im u.m00 r0 i0 +. conj_im u.m10 r2 i2) +. (conj_im u.m01 r1 i1 +. conj_im u.m11 r3 i3)
-  in
-  let tv = Float.hypot tr ti /. 2.0 in
-  Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv)))
+  of_trace_value
+    (trace_value_parts u re.(b) im.(b) re.(b + 1) im.(b + 1) re.(b + 2) im.(b + 2) re.(b + 3) im.(b + 3))
 
 let is_close ?(tol = 1e-9) a b =
   Cplx.is_close ~tol a.m00 b.m00 && Cplx.is_close ~tol a.m01 b.m01

@@ -7,41 +7,47 @@ let small_banks l =
   let table = Ma_table.get 3 in
   Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:3)
 
+(* For l = 1, 2, 3 sites of [banks l], the MPS contracted through its
+   site tensors equals the direct matrix product at 20 random index
+   tuples each. *)
+let check_contractions rng banks =
+  List.iter
+    (fun l ->
+      let target = Mat2.random_unitary rng in
+      let banks = banks l in
+      let mps = Mps.build ~target banks in
+      for _ = 1 to 20 do
+        let indices = Array.map (fun b -> Random.State.int rng b.Sitebank.count) banks in
+        let direct = Mps.trace_of_indices mps indices in
+        (* Contract manually through the sites. *)
+        let l_sites = Array.length mps.Mps.sites in
+        let w = ref [| Cplx.one |] in
+        for i = 0 to l_sites - 1 do
+          let site = mps.Mps.sites.(i) in
+          let next = Array.make site.Mps.dr Cplx.zero in
+          for b = 0 to site.Mps.dr - 1 do
+            let acc = ref Cplx.zero in
+            for a = 0 to site.Mps.dl - 1 do
+              acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps.site_get site indices.(i) a b))
+            done;
+            next.(b) <- !acc
+          done;
+          w := next
+        done;
+        Alcotest.(check bool) (Printf.sprintf "l=%d trace" l) true (Cplx.is_close ~tol:1e-9 direct !w.(0))
+      done)
+    [ 1; 2; 3 ]
+
 let mps_tests =
   [
     Alcotest.test_case "full contraction equals the exact trace (l=1,2,3)" `Quick (fun () ->
-        List.iter
-          (fun l ->
-            let target = Mat2.random_unitary rng in
-            let banks = small_banks l in
-            let mps = Mps.build ~target banks in
-            (* Pick a few random index tuples; compare MPS-contracted
-               amplitude (via sampling machinery on a projected chain)
-               against direct matrix evaluation. *)
-            for _ = 1 to 20 do
-              let indices = Array.map (fun b -> Random.State.int rng b.Sitebank.count) banks in
-              let direct = Mps.trace_of_indices mps indices in
-              (* Contract manually through the sites. *)
-              let l_sites = Array.length mps.Mps.sites in
-              let w = ref [| Cplx.one |] in
-              for i = 0 to l_sites - 1 do
-                let site = mps.Mps.sites.(i) in
-                let next = Array.make site.Mps.dr Cplx.zero in
-                for b = 0 to site.Mps.dr - 1 do
-                  let acc = ref Cplx.zero in
-                  for a = 0 to site.Mps.dl - 1 do
-                    acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps.site_get site indices.(i) a b))
-                  done;
-                  next.(b) <- !acc
-                done;
-                w := next
-              done;
-              Alcotest.(check bool)
-                (Printf.sprintf "l=%d trace" l)
-                true
-                (Cplx.is_close ~tol:1e-9 direct !w.(0))
-            done)
-          [ 1; 2; 3 ]);
+        check_contractions rng small_banks;
+        (* Banks from T count 2: physical index 0 is table entry
+           24·(3·2 − 2) = 96 of the shared planes, read there by every
+           site kind (single, first, middle, last). *)
+        let table = Ma_table.get 3 in
+        check_contractions (Random.State.make [| 52 |]) (fun l ->
+            Array.init l (fun _ -> Sitebank.of_table table ~lo:2 ~hi:3)));
     Alcotest.test_case "canonicalization preserves contractions" `Quick (fun () ->
         let target = Mat2.random_unitary rng in
         let banks = small_banks 3 in
