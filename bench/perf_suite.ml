@@ -171,12 +171,13 @@ let planner_phase ~deadline ~smoke ~par_jobs =
       ] )
 
 (* The chain-reuse phase: what acquiring a ready-to-sample MPS costs
-   with and without the canonicalized-chain machinery, isolated from
-   sampling.  Per target, "cold" is the old regime — build every site
-   and run the full right-to-left sweep — while "warm" grafts a fresh
-   first site onto one shared canonicalized interior (the warm wall
-   includes building that interior once).  Both paths must yield
-   bit-identical MPS, proven here by comparing fixed-seed draws.
+   with and without reusing a canonicalized chain, isolated from
+   sampling.  Per target, "cold" builds a fresh chain (every site's
+   fill, the full right-to-left sweep and the interior trees) and
+   instantiates it, while "warm" grafts a fresh first site onto one
+   shared canonicalized interior (the warm wall includes building that
+   interior once).  Both paths must yield bit-identical MPS, proven
+   here by comparing fixed-seed draws.
    End-to-end impact on synthesis shows up in the trasyn_u3 phase,
    whose escalation loop hits the chain cache; this phase pins down the
    kernel-level ratio behind that win.  The configuration mirrors the
@@ -186,7 +187,7 @@ let chain_reuse_phase ~deadline ~smoke =
   let rng = Random.State.make [| 23 |] in
   let targets = List.init n (fun _ -> Mat2.random_unitary rng) in
   let table = Ma_table.get 10 in
-  let banks = Array.init 3 (fun _ -> Sitebank.of_table table ~lo:0 ~hi:6) in
+  let caps = [| 6; 6; 6 |] in
   let cold_wall = ref 0.0 and warm_wall = ref 0.0 in
   let timed acc f =
     let t0 = Obs.Clock.elapsed_s () in
@@ -194,16 +195,14 @@ let chain_reuse_phase ~deadline ~smoke =
     acc := !acc +. (Obs.Clock.elapsed_s () -. t0);
     r
   in
-  let chain = timed warm_wall (fun () -> Mps.canonical_chain banks) in
+  let chain = timed warm_wall (fun () -> Mps.canonical_chain table caps) in
   let identical = ref true in
   List.iter
     (fun target ->
       let cold =
         timed cold_wall (fun () ->
             Obs.span "perf.chain_reuse" (fun () ->
-                let m = Mps.build ~target banks in
-                Mps.canonicalize m;
-                m))
+                Mps.instantiate ~target (Mps.canonical_chain table caps)))
       in
       let warm = timed warm_wall (fun () -> Mps.instantiate ~target chain) in
       (* Fixed-seed draws from both instances must agree bit-for-bit

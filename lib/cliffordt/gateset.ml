@@ -1,9 +1,8 @@
 (** Gate sets as data: a named descriptor of the synthesis alphabet —
-    generators, non-Clifford cost weights, how its operator table is
-    enumerated — plus a registry so the rest of the stack selects an
-    alphabet by name.  Adding an alphabet is a descriptor; its table is
-    enumerated on first use ([Ma_table.get_for]), not a fork of the
-    synthesis code. *)
+    generators and how its operator table is enumerated — plus a
+    registry so the rest of the stack selects an alphabet by name.
+    Adding an alphabet is a descriptor; its table is enumerated on first
+    use ([Ma_table.get_for]), not a fork of the synthesis code. *)
 
 type enumeration =
   | Ma_normal_form
@@ -20,17 +19,8 @@ type t = {
   name : string;  (** registry key; also the store/ledger gate-set id *)
   description : string;
   generators : Ctgate.t list;  (** the alphabet, as exact Clifford+T gates *)
-  weights : (Ctgate.t * float) list;
-      (** per-gate synthesis cost; gates absent from the list cost 0.
-          Plain Clifford+T weighs T and T† at 1 — [word_cost] then
-          equals the T count. *)
   enumeration : enumeration;
 }
-
-let gate_weight gs g =
-  match List.assoc_opt g gs.weights with Some w -> w | None -> 0.
-
-let word_cost gs seq = List.fold_left (fun acc g -> acc +. gate_weight gs g) 0. seq
 
 let full_alphabet = Ctgate.[ H; S; Sdg; T; Tdg; X; Y; Z ]
 let full gs = List.for_all (fun g -> List.mem g gs.generators) full_alphabet
@@ -38,22 +28,20 @@ let full gs = List.for_all (fun g -> List.mem g gs.generators) full_alphabet
 let cliffordt =
   {
     name = "cliffordt";
-    description = "Clifford+T, unit T/T\xe2\x80\xa0 cost (the paper's alphabet)";
+    description = "Clifford+T (the paper's alphabet)";
     generators = full_alphabet;
-    weights = Ctgate.[ (T, 1.); (Tdg, 1.) ];
     enumeration = Ma_normal_form;
   }
 
-(* Same generators, asymmetric magic-state pricing: architectures that
-   distill |T> but synthesize T† as S†·T·(phase) pay a Clifford tax on
-   the adjoint, so T† weighs 5/4.  Exercises every weight-aware code
-   path while the exact arithmetic stays in Z[ω]. *)
+(* The same alphabet through the generic closure: a second built-in
+   gate set whose table comes from the path every sub-alphabet takes.
+   Its name stays, because stores, ledgers and --gate-set users refer
+   to it. *)
 let cliffordt_weighted =
   {
     name = "cliffordt-weighted";
-    description = "Clifford+T with T\xe2\x80\xa0 at 1.25\xc3\x97 the T cost";
+    description = "Clifford+T, enumerated by the generic closure";
     generators = full_alphabet;
-    weights = Ctgate.[ (T, 1.); (Tdg, 1.25) ];
     enumeration = Bfs;
   }
 
@@ -90,10 +78,12 @@ let names () =
 
 let default = cliffordt
 
-(* A descriptor parsed from a config file: name plus optional weight
-   overrides and generator subset, JSON so gate sets really are data.
+(* A descriptor parsed from a config file: name plus optional generator
+   subset, JSON so gate sets really are data.
    {"name":"...","description":"...","generators":"HSsTtXYZ",
-    "weights":{"T":1.0,"t":1.25},"enumeration":"bfs"} *)
+    "enumeration":"bfs"}
+   Members it does not read, such as the "weights" of older files, are
+   ignored. *)
 let of_json j =
   let module J = Obs.Json in
   let str m = match J.member m j with Some (J.Str s) -> Some s | _ -> None in
@@ -107,28 +97,13 @@ let of_json j =
           | None -> full_alphabet
           | Some s -> List.map Ctgate.of_char (List.of_seq (String.to_seq s))
         in
-        let weights =
-          match J.member "weights" j with
-          | Some (J.Obj kvs) ->
-              List.map
-                (fun (k, v) ->
-                  let g =
-                    if String.length k = 1 then Ctgate.of_char k.[0]
-                    else invalid_arg (Printf.sprintf "bad gate %S" k)
-                  in
-                  match v with
-                  | J.Num w -> (g, w)
-                  | _ -> invalid_arg (Printf.sprintf "weight for %S not a number" k))
-                kvs
-          | _ -> Ctgate.[ (T, 1.); (Tdg, 1.) ]
-        in
         let enumeration =
           match str "enumeration" with
           | Some "ma" -> Ma_normal_form
           | Some "bfs" | None -> Bfs
           | Some other -> invalid_arg (Printf.sprintf "unknown enumeration %S" other)
         in
-        let gs = { name; description; generators; weights; enumeration } in
+        let gs = { name; description; generators; enumeration } in
         if enumeration = Ma_normal_form && not (full gs) then
           invalid_arg "enumeration \"ma\" needs the full Clifford+T alphabet";
         Ok gs

@@ -1,7 +1,7 @@
 (** Gate sets as data.
 
-    A gate set is a named descriptor — generator alphabet, non-Clifford
-    cost weights, table-enumeration strategy — registered by name so
+    A gate set is a named descriptor — generator alphabet and
+    table-enumeration strategy — registered by name so
     every layer of the synthesis stack (store keys, ledger provenance,
     backend capabilities, server protocol, the step-0 table of
     [Ma_table.get_for]) can select an alphabet without hardcoding
@@ -22,19 +22,10 @@ type t = {
   name : string;  (** registry key; also the store/ledger gate-set id *)
   description : string;
   generators : Ctgate.t list;
-  weights : (Ctgate.t * float) list;
-      (** per-gate cost; unlisted gates cost 0.  Clifford+T weighs T
-          and T† at 1, making {!word_cost} the T count.  No scorer reads
-          it: every backend and TRASYN's selection score words by T
-          count, so a gate set's weights show only in {!word_cost}, and
-          [cliffordt-weighted] differs from [cliffordt] in its name and
-          its table's enumeration. *)
   enumeration : enumeration;
 }
-(** Plain data: two descriptors are the same when [=] says so. *)
-
-val gate_weight : t -> Ctgate.t -> float
-val word_cost : t -> Ctgate.t list -> float
+(** Plain data: two descriptors are the same when [=] says so.  Every
+    backend and TRASYN's selection score words by T count. *)
 
 val full : t -> bool
 (** Whether the generators include all of Clifford+T, so that the
@@ -46,8 +37,11 @@ val cliffordt : t
     stack. *)
 
 val cliffordt_weighted : t
-(** Clifford+T with T† at 1.25× the T cost (asymmetric magic-state
-    pricing) — the built-in second alphabet, enumerated by {!Bfs}. *)
+(** The full Clifford+T alphabet enumerated by the generic closure
+    ({!Bfs}): the built-in second gate set, whose table holds the same
+    operators as [cliffordt]'s in the closure's words and order.  The
+    name is kept because stores, ledgers and [--gate-set] users refer to
+    it. *)
 
 val default : t
 (** [cliffordt]. *)
@@ -69,11 +63,12 @@ val names : unit -> string list
 
 val of_json : Obs.Json.t -> (t, string) result
 (** Parse a descriptor from
-    [{"name":..,"generators":"HSsTtXYZ","weights":{"T":1.0,"t":1.25},
-      "enumeration":"bfs"}].  Generators/weights use the one-character
-    gate encoding of [Ctgate.of_char]; omitted fields default to the
-    full alphabet with unit T/T† weights.  ["ma"] enumeration on a
-    sub-alphabet is an [Error]: its normal forms use every gate. *)
+    [{"name":..,"generators":"HSsTtXYZ","enumeration":"bfs"}].
+    Generators use the one-character gate encoding of [Ctgate.of_char];
+    omitted fields default to the full alphabet.  Members it does not
+    read are ignored, so a file that still carries the ["weights"] of
+    older descriptors loads.  ["ma"] enumeration on a sub-alphabet is an
+    [Error]: its normal forms use every gate. *)
 
 val load_file : string -> (t, string) result
 (** Parse the JSON file and {!register} the descriptor; [Error] (with

@@ -21,14 +21,16 @@
     boxed per element access, so a synthesis attempt allocates O(k)
     words instead of O(k·l·n).
 
+    Site i ranges over a prefix of the step-0 table: the operators with
+    at most that site's T cap, so a physical index is a table index.
     The interior of the chain (every site but the first) never sees the
-    target: {!canonical_chain} canonicalizes it once per operator-bank
-    configuration, indexes each interior site with two trees (a sum
-    tree for draws, a cone tree for maxima on the last site), and
-    {!instantiate} grafts a fresh target-folded first site onto the
-    shared interior.  Sampling only reads site tensors and trees, so one
-    canonicalized interior can serve any number of targets — and any
-    number of domains — concurrently. *)
+    target: {!canonical_chain} canonicalizes it once per table and caps,
+    indexes each interior site with two trees (a sum tree for draws, a
+    cone tree for maxima on the last site), and {!instantiate} grafts a
+    fresh target-folded first site onto the shared interior.  Sampling
+    only reads site tensors and trees, so one canonicalized interior can
+    serve any number of targets — and any number of domains —
+    concurrently. *)
 
 type site = {
   dl : int;  (** left bond dimension *)
@@ -36,7 +38,6 @@ type site = {
   n : int;  (** physical dimension = number of Clifford+T operators *)
   re : float array;  (** (s·dl + a)·dr + b, row-major per physical index *)
   im : float array;
-  bank : Sitebank.t;
 }
 
 (* Sum tree over contiguous blocks of [sum_leaf] physical indices, nodes
@@ -67,7 +68,12 @@ type cone_tree = {
 
 type trees = { sum : sum_tree; cone : cone_tree option }
 
-type t = { sites : site array; target : Mat2.t; trees : trees option array }
+type t = {
+  sites : site array;
+  target : Mat2.t;
+  trees : trees array;  (** site i's at [i − 1]; empty when l = 1 *)
+  table : Ma_table.t;
+}
 
 type sample = {
   indices : int array;  (** one physical index per site *)
@@ -79,9 +85,8 @@ let site_get s phys a b =
   let idx = (((phys * s.dl) + a) * s.dr) + b in
   { Cplx.re = s.re.(idx); im = s.im.(idx) }
 
-let make_site bank dl dr =
-  let n = bank.Sitebank.count in
-  { dl; dr; n; re = Array.make (n * dl * dr) 0.0; im = Array.make (n * dl * dr) 0.0; bank }
+let make_site n dl dr =
+  { dl; dr; n; re = Array.make (n * dl * dr) 0.0; im = Array.make (n * dl * dr) 0.0 }
 
 (* ------------------------------------------------------------------ *)
 (* Construction (unboxed per-site fills)                               *)
@@ -93,18 +98,17 @@ let c_tree_nodes = Obs.counter "mps.sample.tree_nodes"
 let c_tree_leaves = Obs.counter "mps.sample.tree_leaves"
 let c_boundary = Obs.counter "mps.sample.boundary_draws"
 
-(* Bank entry (phys, row, col) lives at bank.re/im.((first + phys)·4 +
-   row·2 + col). *)
+(* Table entry (phys, row, col) lives at planes re/im.(phys·4 + row·2 +
+   col); a site over n entries reads the first n. *)
 
 (* Single site (l = 1): the tensor is directly the trace values
    Σ_ab conj(U_ab)·M[s]_ab, accumulated entry by entry as
    acc + z.re·m.re + z.im·m.im (re) and acc + z.re·m.im − z.im·m.re (im). *)
-let fill_single_site (u : Mat2.t) bank =
-  let s = make_site bank 1 1 in
-  let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
+let fill_single_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
+  let s = make_site n 1 1 in
   let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
   for phys = 0 to s.n - 1 do
-    let b = (bank.Sitebank.first + phys) * 4 in
+    let b = phys * 4 in
     let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
     let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
     let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
@@ -120,11 +124,10 @@ let fill_single_site (u : Mat2.t) bank =
 
 (* First site of a longer chain: fold in U† and open the composite
    bond (c,b): T[s]_(0,(c·2+b)) = Σ_a conj(U_(a,b))·M[s]_(a,c). *)
-let fill_first_site (u : Mat2.t) bank =
-  let s = make_site bank 1 4 in
-  let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
+let fill_first_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
+  let s = make_site n 1 4 in
   for phys = 0 to s.n - 1 do
-    let base = (bank.Sitebank.first + phys) * 4 in
+    let base = phys * 4 in
     for c = 0 to 1 do
       let m0re = bre.(base + c) and m0im = bim.(base + c) in
       let m1re = bre.(base + 2 + c) and m1im = bim.(base + 2 + c) in
@@ -150,23 +153,21 @@ let fill_first_site (u : Mat2.t) bank =
   s
 
 (* Last site: close the composite bond.  T[s]_((c·2+b),0) = M[s]_(c,b),
-   which in flat layout is exactly the bank's own run of storage. *)
-let fill_last_site bank =
-  let s = make_site bank 4 1 in
-  let b = bank.Sitebank.first * 4 in
-  Array.blit bank.Sitebank.re b s.re 0 (s.n * 4);
-  Array.blit bank.Sitebank.im b s.im 0 (s.n * 4);
+   which in flat layout is exactly the planes' first n entries. *)
+let fill_last_site { Ma_table.re; im } n =
+  let s = make_site n 4 1 in
+  Array.blit re 0 s.re 0 (s.n * 4);
+  Array.blit im 0 s.im 0 (s.n * 4);
   s
 
 (* Middle site: M ⊗ identity line. *)
-let fill_middle_site bank =
-  let s = make_site bank 4 4 in
-  let bre = bank.Sitebank.re and bim = bank.Sitebank.im in
+let fill_middle_site { Ma_table.re = bre; im = bim } n =
+  let s = make_site n 4 4 in
   for phys = 0 to s.n - 1 do
-    let bankbase = (bank.Sitebank.first + phys) * 4 and sitebase = phys * 16 in
+    let base = phys * 4 and sitebase = phys * 16 in
     for c = 0 to 1 do
       for c' = 0 to 1 do
-        let mre = bre.(bankbase + (c * 2) + c') and mim = bim.(bankbase + (c * 2) + c') in
+        let mre = bre.(base + (c * 2) + c') and mim = bim.(base + (c * 2) + c') in
         for b = 0 to 1 do
           let j = sitebase + (((c * 2) + b) * 4) + (c' * 2) + b in
           s.re.(j) <- mre;
@@ -177,28 +178,11 @@ let fill_middle_site bank =
   done;
   s
 
-let build ~(target : Mat2.t) (banks : Sitebank.t array) =
-  let l = Array.length banks in
-  if l = 0 then invalid_arg "Mps.build: need at least one site";
-  Obs.span "mps.build" @@ fun () ->
-  let sites =
-    Array.mapi
-      (fun i bank ->
-        if l = 1 then fill_single_site target bank
-        else if i = 0 then fill_first_site target bank
-        else if i = l - 1 then fill_last_site bank
-        else fill_middle_site bank)
-      banks
-  in
-  { sites; target; trees = Array.make l None }
-
 (* Exact trace value for a full index assignment (direct evaluation,
    used by tests and to double-check samples). *)
 let trace_of_indices t indices =
   let prod = ref Mat2.identity in
-  Array.iteri
-    (fun i s -> prod := Mat2.mul !prod (Sitebank.matrix t.sites.(i).bank s))
-    indices;
+  Array.iter (fun s -> prod := Mat2.mul !prod (Ma_table.mat t.table s)) indices;
   Mat2.trace (Mat2.mul (Mat2.adjoint t.target) !prod)
 
 (* ------------------------------------------------------------------ *)
@@ -733,59 +717,42 @@ let build_cone_tree site =
 let build_trees ~last site =
   { sum = build_sum_tree site; cone = (if last then Some (build_cone_tree site) else None) }
 
-(* Trees for sites 1..l−1 of a freshly canonicalized chain. *)
-let interior_trees (sites : site array) ~first =
-  let l = Array.length sites in
-  Array.init l (fun i -> if i < first then None else Some (build_trees ~last:(i = l - 1) sites.(i)))
-
-(* The trees of an interior site; an MPS that never went through
-   {!canonicalize} gets them built for this call only. *)
-let site_trees t level =
-  match t.trees.(level) with
-  | Some tr -> tr
-  | None -> build_trees ~last:(level = Array.length t.sites - 1) t.sites.(level)
-
-(* Bring sites 1..l−1 to right-canonical form; site 0 absorbs the norm. *)
-let canonicalize t =
-  Obs.span "mps.canonicalize" @@ fun () ->
-  let l = Array.length t.sites in
-  Obs.incr ~by:(max 0 (l - 1)) c_sweeps;
-  let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
-  for i = l - 1 downto 1 do
-    let s = t.sites.(i) in
-    lq_site s l_re l_im;
-    absorb_right t.sites.(i - 1) ~ld:s.dl l_re l_im
-  done;
-  Obs.span "mps.chain_build" @@ fun () ->
-  Array.blit (interior_trees t.sites ~first:1) 0 t.trees 0 l
+(* The trees of interior site [level] (≥ 1). *)
+let site_trees t level = t.trees.(level - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Reusable canonicalized chains                                       *)
 (* ------------------------------------------------------------------ *)
 
 type chain = {
-  banks : Sitebank.t array;
+  table : Ma_table.t;
+  n0 : int;  (** site 0's physical dimension *)
   interior : site array;  (** canonicalized sites 1..l−1; [[||]] when l = 1 *)
   bl_re : float array;  (** boundary L from site 1's LQ, row-major bl_d×bl_d *)
   bl_im : float array;
   bl_d : int;  (** 0 when l = 1 (nothing to absorb) *)
-  chain_trees : trees option array;  (** per site; [None] at site 0 *)
+  chain_trees : trees array;  (** site i's at [i − 1] *)
 }
 
-let canonical_chain (banks : Sitebank.t array) =
-  let l = Array.length banks in
+let canonical_chain table caps =
+  let l = Array.length caps in
   if l = 0 then invalid_arg "Mps.canonical_chain: need at least one site";
+  if Array.exists (fun cap -> cap < 0 || cap > Ma_table.max_t table) caps then
+    invalid_arg "Mps.canonical_chain: T cap out of range";
   Obs.span "mps.chain_build" @@ fun () ->
-  if l = 1 then { banks; interior = [||]; bl_re = [||]; bl_im = [||]; bl_d = 0; chain_trees = [| None |] }
+  let n i = Ma_table.offset table (caps.(i) + 1) in
+  if l = 1 then
+    { table; n0 = n 0; interior = [||]; bl_re = [||]; bl_im = [||]; bl_d = 0; chain_trees = [||] }
   else begin
+    let planes = Ma_table.planes table in
     let interior =
       Array.init (l - 1) (fun j ->
           let i = j + 1 in
-          if i = l - 1 then fill_last_site banks.(i) else fill_middle_site banks.(i))
+          if i = l - 1 then fill_last_site planes (n i) else fill_middle_site planes (n i))
     in
-    (* Same sweep as [canonicalize], stopping short of site 0: the
-       boundary L that would be absorbed into the (target-dependent)
-       first site is kept for {!instantiate}. *)
+    (* The right-to-left sweep, stopping short of site 0: the boundary
+       L that would be absorbed into the (target-dependent) first site
+       is kept for {!instantiate}. *)
     Obs.incr ~by:(l - 1) c_sweeps;
     let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
     for i = l - 1 downto 2 do
@@ -797,24 +764,25 @@ let canonical_chain (banks : Sitebank.t array) =
     lq_site s1 l_re l_im;
     let d = s1.dl in
     {
-      banks;
+      table;
+      n0 = n 0;
       interior;
       bl_re = Array.sub l_re 0 (d * d);
       bl_im = Array.sub l_im 0 (d * d);
       bl_d = d;
-      chain_trees = Array.append [| None |] (interior_trees interior ~first:0);
+      chain_trees = Array.mapi (fun j s -> build_trees ~last:(j = l - 2) s) interior;
     }
   end
 
 let instantiate ~(target : Mat2.t) chain =
   Obs.span "mps.instantiate" @@ fun () ->
-  let l = Array.length chain.banks in
+  let planes = Ma_table.planes chain.table in
   let s0 =
-    if l = 1 then fill_single_site target chain.banks.(0)
-    else fill_first_site target chain.banks.(0)
+    if chain.bl_d = 0 then fill_single_site target planes chain.n0
+    else fill_first_site target planes chain.n0
   in
   if chain.bl_d > 0 then absorb_right s0 ~ld:chain.bl_d chain.bl_re chain.bl_im;
-  { sites = Array.append [| s0 |] chain.interior; target; trees = chain.chain_trees }
+  { sites = Array.append [| s0 |] chain.interior; target; trees = chain.chain_trees; table = chain.table }
 
 (* ------------------------------------------------------------------ *)
 (* Sampling (step 2, batched)                                          *)

@@ -2,28 +2,31 @@
 
     The exponentially large tensor of trace values
     Tr(U†·M₁[s₁]⋯M_l[s_l]) is represented as an MPS with bond dimension
-    ≤ 4; a right-to-left orthogonalization sweep brings it to canonical
+    ≤ 4.  Site i ranges over a prefix of the step-0 table, the operators
+    with at most its T cap, so a physical index is a table index.  A
+    right-to-left orthogonalization sweep brings the MPS to canonical
     form, after which index tuples (gate sequences) are sampled from
     p ∝ |trace|² via the chain rule, each conditional computed locally.
     Every sample's trace value falls out of the final contraction for
     free — the "error-aware" property the paper leans on.
 
-    All hot-path kernels (construction fills, the LQ sweep, the batched
-    sampler) operate directly on the flat float planes with small
-    preallocated scratch: no per-element boxing, per-sample allocation
-    is O(k) words total.  Every interior site (2..l) carries two
-    target-independent trees, built once when it is canonicalized:
-    a sum tree of block Grams that routes draws to their operators in
-    O(m·log n), and, on the last site, a cone tree that finds maxima by
-    exact branch-and-bound (see {!sample}). *)
+    One path makes an MPS: {!canonical_chain} builds and canonicalizes
+    the target-independent sites once, and {!instantiate} grafts a
+    target onto them.  All hot-path kernels (fills from the table's
+    planes, the LQ sweep, the batched sampler) operate directly on the
+    flat float planes with small preallocated scratch: no per-element
+    boxing, per-sample allocation is O(k) words total.  Every interior
+    site (2..l) carries two target-independent trees, built with its
+    chain: a sum tree of block Grams that routes draws to their
+    operators in O(m·log n), and, on the last site, a cone tree that
+    finds maxima by exact branch-and-bound (see {!sample}). *)
 
 type site = {
   dl : int;  (** left bond dimension *)
   dr : int;  (** right bond dimension *)
-  n : int;  (** physical dimension (number of Clifford+T operators) *)
+  n : int;  (** physical dimension: the table's first [n] entries *)
   re : float array;
   im : float array;
-  bank : Sitebank.t;
 }
 
 type trees
@@ -34,8 +37,8 @@ type trees
 type t = {
   sites : site array;
   target : Mat2.t;
-  trees : trees option array;
-      (** per site; [None] at site 0 and until {!canonicalize} *)
+  trees : trees array;  (** site i's at [i − 1]; empty when l = 1 *)
+  table : Ma_table.t;  (** the step-0 table every site indexes *)
 }
 
 type sample = {
@@ -48,34 +51,24 @@ val site_get : site -> int -> int -> int -> Cplx.t
 (** [site_get s phys a b] — tensor entry at physical index [phys], left
     bond [a], right bond [b]. *)
 
-val build : target:Mat2.t -> Sitebank.t array -> t
-(** Construct the MPS for a target and per-site operator banks;
-    the target's second matrix dimension rides along a δ-line (the
-    paper's "loop cut").  @raise Invalid_argument on zero sites. *)
-
 val trace_of_indices : t -> int array -> Cplx.t
-(** Direct exact evaluation of one index tuple (tests, verification). *)
-
-val canonicalize : t -> unit
-(** Right-to-left LQ sweep; sites 1..l−1 become right-isometric and get
-    their trees (under the [mps.chain_build] span).  Mutates the site
-    tensors in place — never call this on an MPS obtained from
-    {!instantiate}, whose interior sites and trees are shared. *)
+(** Tr(U†·∏ M[sᵢ]) of one index tuple, from the table's matrices
+    (tests, verification). *)
 
 val right_canonical_error : site -> float
-(** ‖Σ_s A[s]A[s]† − I‖_F — zero (to float precision) after
-    {!canonicalize}. *)
+(** ‖Σ_s A[s]A[s]† − I‖_F — zero (to float precision) on sites
+    1..l−1 of an instantiated MPS. *)
 
 (** {1 Reusable canonicalized chains}
 
     Only the first site of the MPS depends on the target (it folds in
-    U†); sites 2..l are [M⊗δ] tensors of the operator banks alone, and
-    the right-to-left sweep reaches the first site last.  A {!chain}
-    captures everything target-independent — banks, the canonicalized
-    interior, and the boundary L factor from the sweep's final LQ — so
-    synthesizing against a new target only fills one fresh first site
-    and absorbs the saved boundary, instead of rebuilding and
-    re-canonicalizing the whole chain.
+    U†; the target's second matrix dimension rides along a δ-line, the
+    paper's "loop cut"); sites 2..l are [M⊗δ] tensors of the table
+    alone, and the right-to-left sweep reaches the first site last.  A
+    {!chain} captures everything target-independent — the table, the
+    canonicalized interior, and the boundary L factor from the sweep's
+    final LQ — so synthesizing against a new target only fills one
+    fresh first site and absorbs the saved boundary.
 
     The interior sites and their trees are {e shared} between the chain
     and every MPS it instantiates: they are read-only after
@@ -84,25 +77,28 @@ val right_canonical_error : site -> float
     chain safe to reuse concurrently from many domains. *)
 
 type chain = {
-  banks : Sitebank.t array;
+  table : Ma_table.t;
+  n0 : int;  (** site 0's physical dimension *)
   interior : site array;  (** canonicalized sites 1..l−1; empty when l = 1 *)
   bl_re : float array;  (** boundary L from site 1's LQ (row-major, bl_d×bl_d) *)
   bl_im : float array;
   bl_d : int;  (** boundary dimension; 0 when l = 1 *)
-  chain_trees : trees option array;  (** per site; [None] at site 0 *)
+  chain_trees : trees array;  (** site i's at [i − 1] *)
 }
 
-val canonical_chain : Sitebank.t array -> chain
-(** Build and canonicalize the target-independent part of the MPS once,
-    and build the interior sites' trees (all under [mps.chain_build]).
-    @raise Invalid_argument on zero sites. *)
+val canonical_chain : Ma_table.t -> int array -> chain
+(** [canonical_chain table caps]: one site per cap, site i over the
+    table's first [Ma_table.offset table (caps.(i) + 1)] entries (T
+    count ≤ [caps.(i)]).  Builds and canonicalizes the
+    target-independent part of the MPS once, and builds the interior
+    sites' trees, all under [mps.chain_build].
+    @raise Invalid_argument on zero sites, or on a cap below 0 or above
+    [Ma_table.max_t table]. *)
 
 val instantiate : target:Mat2.t -> chain -> t
-(** Graft a target-folded first site onto the shared interior.  The
-    result is fully canonicalized (do {e not} call {!canonicalize} on
-    it) and bit-identical to [build] + [canonicalize] on the same banks
-    and target: both paths run the same fill, LQ, and absorb kernels on
-    the same values in the same order. *)
+(** Graft a target-folded first site onto the shared interior, under
+    [mps.instantiate].  The result is fully canonicalized: sites 1..l−1
+    are right-isometric, and site 0 holds the norm. *)
 
 (** {1 Sampling} *)
 

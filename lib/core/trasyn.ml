@@ -27,7 +27,6 @@ let default_config =
 
 (* Observability handles (interned once; see lib/obs). *)
 let c_attempts = Obs.counter "trasyn.attempts"
-let c_restarts = Obs.counter "trasyn.restarts"
 let c_escalations = Obs.counter "trasyn.budget_escalations"
 let h_tcount = Obs.histogram ~buckets:(Array.init 33 (fun i -> float_of_int (4 * i))) "trasyn.t_count"
 let c_memo_hits = Obs.counter "trasyn.postprocess.memo_hits"
@@ -36,13 +35,12 @@ let c_memo_hits = Obs.counter "trasyn.postprocess.memo_hits"
 (* Chain cache                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Only the first MPS site depends on the target; everything else —
-   banks and the canonicalized interior — is a pure function of
-   (table_t, per-site T ranges).  Both of TRASYN's outer loops hammer
-   the same few keys: [to_error] escalates through growing prefixes of
-   one budget list, and [synthesize_timed] reseeds the very same
-   budgets over and over.  Caching the canonicalized chain turns every
-   repeat into "fill one site + absorb one 4×4 boundary factor".
+(* Only the first MPS site depends on the target; the canonicalized
+   interior is a pure function of (gate set, table_t, per-site T caps).
+   [to_error] hammers the same few keys: it escalates through growing
+   prefixes of one budget list and reseeds each prefix.  Caching the
+   canonicalized chain turns every repeat into "fill one site + absorb
+   one 4×4 boundary factor".
 
    The cache is shared across domains (the Planner calls [synthesize]
    concurrently), hence the mutex; cached interiors are read-only after
@@ -56,15 +54,15 @@ let c_chain_hit = Obs.counter "mps.chain_cache.hit"
 let c_chain_miss = Obs.counter "mps.chain_cache.miss"
 let c_chain_evict = Obs.counter "mps.chain_cache.evictions"
 
-type chain_key = string * int * (int * int) list
+type chain_key = string * int * int list
 
 type chain_entry = {
   chain : Mps.chain;
-  (* Reseed memo: [synthesize_timed] re-instantiates the same target
-     dozens of times; one slot catches that without keying the cache by
-     target.  Comparison is bitwise — [=] on floats would equate 0.0
-     with -0.0 and diverge on NaN payloads, breaking the bit-identity
-     guarantee. *)
+  (* Reseed memo: [to_error]'s reseeded attempts, and a chain's retry
+     rung, re-instantiate the same target; one slot catches that without
+     keying the cache by target.  Comparison is bitwise — [=] on floats
+     would equate 0.0 with -0.0 and diverge on NaN payloads, breaking
+     the bit-identity guarantee. *)
   mutable last_target : Mat2.t option;
   mutable last_mps : Mps.t option;
 }
@@ -90,17 +88,12 @@ let mat2_bits_equal (a : Mat2.t) (b : Mat2.t) =
   && cplx_bits_equal a.Mat2.m10 b.Mat2.m10
   && cplx_bits_equal a.Mat2.m11 b.Mat2.m11
 
-(* [clamped] has been validated and clamped to the table depth. *)
-let banks_of config clamped =
-  let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
-  Array.of_list (List.map (fun (lo, hi) -> Sitebank.of_table table ~lo ~hi) clamped)
-
-(* A ready-to-sample MPS for the target, from the cached chain.
-   [Mps.canonical_chain] + [Mps.instantiate] run the same fill/LQ/absorb
-   kernels as [Mps.build] + [Mps.canonicalize] on the same values in the
-   same order, so their outputs are bit-identical (gated in runtest). *)
-let mps_for config ~target clamped =
-  let key = (config.gate_set, config.table_t, clamped) in
+(* A ready-to-sample MPS for the target, from the cached chain of the
+   caps, which have been validated and clamped to the table depth.  A
+   cached chain samples bit-identically to a fresh one (gated in
+   runtest). *)
+let mps_for config table ~target caps =
+  let key = (config.gate_set, config.table_t, caps) in
   let with_lock f =
     Mutex.lock chain_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock chain_lock) f
@@ -119,7 +112,11 @@ let mps_for config ~target clamped =
            reseed memo stays unique per key. *)
         Obs.incr c_chain_miss;
         let fresh =
-          { chain = Mps.canonical_chain (banks_of config clamped); last_target = None; last_mps = None }
+          {
+            chain = Mps.canonical_chain table (Array.of_list caps);
+            last_target = None;
+            last_mps = None;
+          }
         in
         with_lock (fun () ->
             match Hashtbl.find_opt chain_cache key with
@@ -169,14 +166,11 @@ let result_of_seq ~target ~sites ~samples seq =
     samples_used = samples;
   }
 
-(* Concatenate the per-site sequences of one sampled index tuple —
-   a right-to-left fold over the index array, no intermediate lists. *)
-let seq_of_sample (mps : Mps.t) (s : Mps.sample) =
+(* Concatenate the per-site words of one sampled index tuple — a
+   right-to-left fold over the index array, no intermediate lists. *)
+let seq_of_sample table (s : Mps.sample) =
   let indices = s.Mps.indices in
-  let rec go i acc =
-    if i < 0 then acc
-    else go (i - 1) (Sitebank.sequence mps.Mps.sites.(i).Mps.bank indices.(i) @ acc)
-  in
+  let rec go i acc = if i < 0 then acc else go (i - 1) (Ma_table.word table indices.(i) @ acc) in
   go (Array.length indices - 1) []
 
 (* [epsilon] switches the selection rule from Eq. (3) (minimize error)
@@ -184,32 +178,25 @@ let seq_of_sample (mps : Mps.t) (s : Mps.sample) =
    [t_slack] relaxes Eq. (4): once the minimal T count is known, any
    solution within [t_slack] extra T gates may be picked for its lower
    error — a cheap hedge against error accumulation at circuit level. *)
-let synthesize_ranges ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~ranges () =
-  if ranges = [] then invalid_arg "Trasyn.synthesize: empty budget list";
+let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budgets () =
+  if budgets = [] then invalid_arg "Trasyn.synthesize: empty budget list";
+  if List.exists (fun b -> b < 0) budgets then invalid_arg "Trasyn.synthesize: negative budget";
   Obs.span "trasyn.synthesize" @@ fun () ->
   Obs.incr c_attempts;
-  let clamped =
-    List.map
-      (fun (lo, hi) ->
-        if lo > hi || lo < 0 then invalid_arg "Trasyn.synthesize_ranges: bad range";
-        (lo, min hi config.table_t))
-      ranges
-  in
-  let mps = mps_for config ~target clamped in
+  let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
+  let mps = mps_for config table ~target (List.map (fun b -> min b config.table_t) budgets) in
   let rng = Random.State.make [| config.seed |] in
   let sampled = Mps.sample ~rng mps ~k:config.samples in
   let beamed = if config.beam > 0 then Mps.beam_search mps ~beam:config.beam else [] in
   (* Rank all samples by the mode's objective using quantities that are
      free from the contraction: the amplitude gives the distance, the
-     bank gives a T-count bound.  Only the best few get the (exact)
+     table gives a T-count bound.  Only the best few get the (exact)
      post-processing treatment. *)
   let free_stats (s : Mps.sample) =
     let tv = Cplx.norm s.Mps.amplitude /. 2.0 in
     let dist = Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv))) in
     let t_est = ref 0 in
-    Array.iteri
-      (fun i phys -> t_est := !t_est + Sitebank.tcount mps.Mps.sites.(i).Mps.bank phys)
-      s.Mps.indices;
+    Array.iter (fun phys -> t_est := !t_est + Ma_table.tcount table phys) s.Mps.indices;
     (dist, !t_est)
   in
   let free_key =
@@ -235,7 +222,6 @@ let synthesize_ranges ?(config = default_config) ?epsilon ?(t_slack = 0) ~target
     |> List.stable_sort by_key |> List.map snd
   in
   let top = List.filteri (fun i _ -> i < 16) scored in
-  let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
   let l = Array.length mps.Mps.sites in
   (* The beam re-finds sampled tuples, so candidate words repeat: each
      distinct word is post-processed and scored once. *)
@@ -243,7 +229,7 @@ let synthesize_ranges ?(config = default_config) ?epsilon ?(t_slack = 0) ~target
   let candidates =
     List.map
       (fun s ->
-        let seq = seq_of_sample mps s in
+        let seq = seq_of_sample table s in
         match Hashtbl.find_opt seen seq with
         | Some r ->
             incr memo_hits;
@@ -288,10 +274,6 @@ let synthesize_ranges ?(config = default_config) ?epsilon ?(t_slack = 0) ~target
   in
   Obs.observe h_tcount (float_of_int chosen.t_count);
   chosen
-
-(* The common case: per-site caps, each site ranging over 0..cap. *)
-let synthesize ?config ?epsilon ?t_slack ~target ~budgets () =
-  synthesize_ranges ?config ?epsilon ?t_slack ~target ~ranges:(List.map (fun b -> (0, b)) budgets) ()
 
 (* Algorithm 1: try growing prefixes of the budget list (and [attempts]
    seeds per prefix) until the error threshold is met; always return the
@@ -338,35 +320,3 @@ let to_error ?(config = default_config) ?(attempts = 2) ?(selection = `Best_erro
   match go 1 0 None with
   | Some r -> r
   | None -> failwith "Trasyn.to_error: no budgets"
-
-(* The paper's RQ1 protocol allots each tool a wall-clock budget per
-   unitary; this wrapper keeps reseeding [synthesize] until the deadline
-   and returns the best result seen (Eq. (3) objective).  The deadline
-   is measured on the monotonic clock so it survives wall-clock jumps
-   (NTP slews, DST) mid-run. *)
-let synthesize_timed ?(config = default_config) ?(deadline = Obs.Deadline.none) ~seconds ~target
-    ~budgets () =
-  (* A zero (or negative, or NaN) budget means "one attempt, no
-     reseeding": the deadline is already expired when the loop first
-     tests it, so exactly one synthesize runs and its result is
-     returned — never a busy loop, never zero attempts. *)
-  let deadline = Obs.Deadline.earliest deadline (Obs.Deadline.after (Float.max 0.0 seconds)) in
-  let rec go attempt best =
-    if Obs.Deadline.expired deadline && best <> None then Option.get best
-    else begin
-      if attempt > 0 then Obs.incr c_restarts;
-      let cfg = { config with seed = config.seed + (attempt * 65537) } in
-      let r = synthesize ~config:cfg ~target ~budgets () in
-      let best =
-        match best with
-        | Some b when (b.distance, b.t_count) <= (r.distance, r.t_count) -> Some b
-        | _ -> Some r
-      in
-      if Obs.Deadline.expired deadline then Option.get best else go (attempt + 1) best
-    end
-  in
-  go 0 None
-
-(* Convenience entry point used by the pipelines. *)
-let synthesize_rz ?config ~theta ~budgets () =
-  synthesize ?config ~target:(Mat2.rz theta) ~budgets ()

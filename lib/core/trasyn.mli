@@ -2,9 +2,11 @@
     unitaries over Clifford+T — the paper's core contribution.
 
     The search space of gate sequences is represented as a bond-4 MPS of
-    trace values ({!Mps}); sequences are sampled in proportion to
-    |Tr(U†V)|² and post-processed against the exact step-0 table
-    ({!Ma_table}, {!Postprocess}). *)
+    trace values ({!Mps}) whose sites range over prefixes of the exact
+    step-0 table ({!Ma_table}), one T cap per site; sequences are
+    sampled in proportion to |Tr(U†V)|² and post-processed against the
+    same table ({!Postprocess}).  {!synthesize} is the one sampling
+    entry point; {!to_error} is Algorithm 1's loop around it. *)
 
 type config = {
   table_t : int;  (** step-0 table depth = max T per MPS site (paper: 10) *)
@@ -26,8 +28,8 @@ val default_config : config
 val clear_chain_cache : unit -> unit
 (** Drop every cached canonicalized chain.  Every call samples from a
     process-wide cache of canonicalized target-independent chain
-    interiors keyed by [(gate_set, table_t, ranges)], reused across
-    calls (budget escalation, timed reseeds, repeated targets) and
+    interiors keyed by [(gate_set, table_t, caps)], reused across
+    calls (budget escalation, reseeds, repeated targets) and
     observable as [mps.chain_cache.hit] / [.miss] / [.evictions];
     results are bit-identical to a build from scratch.  Safe to call
     concurrently with synthesis; in-flight calls keep their
@@ -43,19 +45,6 @@ type result = {
   samples_used : int;
 }
 
-val synthesize_ranges :
-  ?config:config ->
-  ?epsilon:float ->
-  ?t_slack:int ->
-  target:Mat2.t ->
-  ranges:(int * int) list ->
-  unit ->
-  result
-(** General form: each MPS site ranges over the operators whose T count
-    lies in the given (lo, hi) interval — "each tensor can have a
-    different T count range" (§3.3).
-    @raise Invalid_argument on empty or malformed ranges. *)
-
 val synthesize :
   ?config:config ->
   ?epsilon:float ->
@@ -66,12 +55,14 @@ val synthesize :
   result
 (** Solve Eq. (3): minimize the distance to [target] subject to the T
     budget, one entry of [budgets] per MPS site (each site ranges over
-    all operators with that many T gates or fewer).  When [epsilon] is
-    given the selection flips to Eq. (4): among sampled solutions
-    meeting the threshold, minimize the T count; [t_slack] then allows
-    up to that many extra T gates in exchange for lower error.
+    all operators with that many T gates or fewer, capped at
+    [config.table_t]).  When [epsilon] is given the selection flips to
+    Eq. (4): among sampled solutions meeting the threshold, minimize the
+    T count; [t_slack] then allows up to that many extra T gates in
+    exchange for lower error.
 
-    @raise Invalid_argument on an empty budget list. *)
+    @raise Invalid_argument on an empty budget list or a negative
+    budget. *)
 
 val to_error :
   ?config:config ->
@@ -89,22 +80,3 @@ val to_error :
     paper-faithful) keeps lowering the error within the first
     sufficient budget; [`Min_t] reads Eq. (4) strictly and spends as
     few T gates as possible once the threshold is met. *)
-
-val synthesize_timed :
-  ?config:config ->
-  ?deadline:Obs.Deadline.t ->
-  seconds:float ->
-  target:Mat2.t ->
-  budgets:int list ->
-  unit ->
-  result
-(** Keep reseeding {!synthesize} until the wall-clock budget expires and
-    return the best result — the paper's RQ1 protocol (10 minutes per
-    unitary there; pick your own here).  The effective deadline is the
-    tighter of [seconds] from now and the caller's [deadline]; a
-    [seconds] budget ≤ 0 still runs exactly one attempt (never a busy
-    loop).  Both are measured on the monotonic clock. *)
-
-val synthesize_rz : ?config:config -> theta:float -> budgets:int list -> unit -> result
-(** [synthesize] on Rz(θ) — TRASYN is general, so z-rotations need no
-    special-casing. *)

@@ -39,10 +39,10 @@ end
 
 (** Wall-budget deadlines on the monotonic clock ({!Clock.elapsed_s}),
     the one currency for time limits across the synthesis stack:
-    per-rotation and whole-circuit budgets in [Pipeline], the candidate
-    search cutoff in [Gridsynth], the reseeding loop in
-    [Trasyn.synthesize_timed].  A deadline is cheap to test (one clock
-    read, no allocation) and composes with {!earliest}. *)
+    per-rotation and whole-circuit budgets in [Pipeline], the check
+    before each rung in [Synth.run_chain], the candidate search cutoff
+    in [Gridsynth].  A deadline is cheap to test (one clock read, no
+    allocation) and composes with {!earliest}. *)
 module Deadline : sig
   type t
 

@@ -340,7 +340,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     ignore (Queue.pop out);
     incr nsynth;
     total_err := !total_err +. a.Robust.distance;
-    if a.Robust.fallbacks > 0 || a.Robust.distance > cfg.epsilon then begin
+    if Robust.degraded ~epsilon:cfg.epsilon a then begin
       incr degraded;
       Obs.incr c_degraded;
       Option.iter (fun f -> f p.gate a) on_degraded

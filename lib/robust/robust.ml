@@ -26,6 +26,8 @@ type attempt = {
   rung_epsilon : float;
 }
 
+let degraded ~epsilon a = a.fallbacks > 0 || (epsilon > 0.0 && a.distance > epsilon)
+
 (* Observability handles (interned once). *)
 let c_guard_checked = Obs.counter "robust.guard.checked"
 let c_guard_rejected = Obs.counter "robust.guard.rejected"

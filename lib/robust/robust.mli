@@ -66,6 +66,13 @@ type attempt = {
 (** What [Synth.run_chain] returns for a rotation it synthesized or
     served from the store. *)
 
+val degraded : epsilon:float -> attempt -> bool
+(** The one rule for a degraded answer: a rung before this one failed,
+    or the distance overshoots [epsilon] where [epsilon] > 0 (ε = 0 asks
+    for the best word the budget finds, which no distance overshoots).
+    The engine's stats, [Pipeline]'s degradation report and the
+    ledger's [degraded] field all read it. *)
+
 (** {1 The guard} *)
 
 val verify :

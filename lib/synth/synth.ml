@@ -341,9 +341,7 @@ let ledger_record ?(request_id = "") ~config:cfg chain target ~source ~wall_s re
         attempts = (if source = `Store then 0 else a.fallbacks + 1);
         t_count = Ctgate.t_count a.word;
         word_len = List.length a.word;
-        (* ε = 0 asks for the best word the budget finds, which no
-           distance overshoots. *)
-        degraded = a.fallbacks > 0 || (cfg.epsilon > 0.0 && a.distance > cfg.epsilon);
+        degraded = Robust.degraded ~epsilon:cfg.epsilon a;
         ok = true;
       }
   | Error (f, ran) ->

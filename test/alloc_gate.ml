@@ -187,7 +187,7 @@ let () =
     circuits;
   check "warm whole-circuit path per IR gate" (!whole_words /. float_of_int !ir_gates) whole_bound;
   let table = Ma_table.get 8 in
-  let chain l = Mps.canonical_chain (Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:8)) in
+  let chain l = Mps.canonical_chain table (Array.make l 8) in
   let one = chain 1 and two = chain 2 in
   let haar = Random.State.make [| 2026 |] in
   let targets = List.init 16 (fun _ -> Mat2.random_unitary haar) in
@@ -232,9 +232,7 @@ let () =
     List.concat_map
       (fun (mps : Mps.t) ->
         List.map
-          (fun (s : Mps.sample) ->
-            List.concat
-              (List.mapi (fun i idx -> Sitebank.sequence mps.Mps.sites.(i).Mps.bank idx) (Array.to_list s.Mps.indices)))
+          (fun (s : Mps.sample) -> List.concat_map (Ma_table.word table) (Array.to_list s.Mps.indices))
           (Mps.sample ~rng:(Random.State.make [| 7 |]) mps ~k:48))
       mpss
   in

@@ -3,6 +3,9 @@
    1. run the perf suite in smoke mode (tiny budgets, --jobs 2 so the
       planner's multi-domain path is exercised in CI) and check the
       emitted JSON validates against tgates-bench/v1 via tgates-trace;
+      1b. its streaming phase keeps a bounded peak heap, and no phase
+      reports "identical": false (a copy with one flag flipped must
+      fail that check);
    2. `tgates-trace diff --fail-above 10` of the result against itself
       must exit 0 (zero regressions);
    3. a doctored copy with every wall time doubled must make the same
@@ -81,6 +84,38 @@ let rec slow_down = function
   | Obs.Json.Arr xs -> Obs.Json.Arr (List.map slow_down xs)
   | j -> j
 
+(* The phases whose "identical" flag reads false: a phase that checks
+   its answer against another path and found them different. *)
+let mismatched_phases j =
+  match Obs.Json.member "phases" j with
+  | Some (Obs.Json.Obj phases) ->
+      List.filter_map
+        (fun (name, p) ->
+          match Obs.Json.member "identical" p with Some (Obs.Json.Bool false) -> Some name | _ -> None)
+        phases
+  | _ -> failf "bench JSON lacks phases"
+
+(* Flip the first "identical" flag to false — the doctored copy that
+   shows the identity gate fires. *)
+let flip_first_identical j =
+  let flipped = ref false in
+  let rec go = function
+    | Obs.Json.Obj kvs ->
+        Obs.Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match v with
+               | Obs.Json.Bool true when k = "identical" && not !flipped ->
+                   flipped := true;
+                   (k, Obs.Json.Bool false)
+               | _ -> (k, go v))
+             kvs)
+    | j -> j
+  in
+  let doctored = go j in
+  if not !flipped then failf "no phase of the bench JSON reports \"identical\"";
+  doctored
+
 let () =
   if Array.length Sys.argv < 5 then
     failf "usage: perf_smoke BENCH_MAIN TRACE_CLI COMPILE_CLI SERVE_CLI";
@@ -124,7 +159,16 @@ let () =
       let ratio = sc "peak_ratio" in
       if ratio > 2.0 then
         failf "stream_compile peak heap scales with input (ratio %.2f > 2 across a 5x size step)"
-          ratio);
+          ratio;
+      (* Every phase that compares two paths (chain_reuse's cold and
+         warm MPS, store_replay's cold and warm words) must report them
+         identical; a doctored copy with one flag flipped must trip the
+         same check. *)
+      (match mismatched_phases j with
+      | [] -> ()
+      | names -> failf "phases report \"identical\": false: %s" (String.concat ", " names));
+      if mismatched_phases (flip_first_identical j) = [] then
+        failf "a copy with one \"identical\" flag flipped passed; the identity gate is inert");
 
   (* Gate 2: self-diff with the CI threshold is clean. *)
   run_ok "self diff"

@@ -57,7 +57,6 @@ let () =
            (mps.instantiate). *)
         "mps.chain_build";
         "mps.instantiate";
-        "sitebank.lookups";
         "trasyn.t_count";
       ];
   Sys.remove t1;

@@ -1,88 +1,50 @@
-(* Tests for the TRASYN core: MPS construction/canonicalization/sampling
+(* Tests for the TRASYN core: MPS chain/instantiation/sampling
    invariants, post-processing soundness, and end-to-end synthesis. *)
 
 let rng = Random.State.make [| 77 |]
 
-let small_banks l =
-  let table = Ma_table.get 3 in
-  Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:3)
-
-(* For l = 1, 2, 3 sites of [banks l], the MPS contracted through its
-   site tensors equals the direct matrix product at 20 random index
-   tuples each. *)
-let check_contractions rng banks =
-  List.iter
-    (fun l ->
-      let target = Mat2.random_unitary rng in
-      let banks = banks l in
-      let mps = Mps.build ~target banks in
-      for _ = 1 to 20 do
-        let indices = Array.map (fun b -> Random.State.int rng b.Sitebank.count) banks in
-        let direct = Mps.trace_of_indices mps indices in
-        (* Contract manually through the sites. *)
-        let l_sites = Array.length mps.Mps.sites in
-        let w = ref [| Cplx.one |] in
-        for i = 0 to l_sites - 1 do
-          let site = mps.Mps.sites.(i) in
-          let next = Array.make site.Mps.dr Cplx.zero in
-          for b = 0 to site.Mps.dr - 1 do
-            let acc = ref Cplx.zero in
-            for a = 0 to site.Mps.dl - 1 do
-              acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps.site_get site indices.(i) a b))
-            done;
-            next.(b) <- !acc
-          done;
-          w := next
-        done;
-        Alcotest.(check bool) (Printf.sprintf "l=%d trace" l) true (Cplx.is_close ~tol:1e-9 direct !w.(0))
-      done)
-    [ 1; 2; 3 ]
+(* A canonicalized MPS for [target] over [l] sites of the depth-3
+   table, each site capped at 3 T. *)
+let small_mps ~target l = Mps.instantiate ~target (Mps.canonical_chain (Ma_table.get 3) (Array.make l 3))
 
 let mps_tests =
   [
     Alcotest.test_case "full contraction equals the exact trace (l=1,2,3)" `Quick (fun () ->
-        check_contractions rng small_banks;
-        (* Banks from T count 2: physical index 0 is table entry
-           24·(3·2 − 2) = 96 of the shared planes, read there by every
-           site kind (single, first, middle, last). *)
-        let table = Ma_table.get 3 in
-        check_contractions (Random.State.make [| 52 |]) (fun l ->
-            Array.init l (fun _ -> Sitebank.of_table table ~lo:2 ~hi:3)));
-    Alcotest.test_case "canonicalization preserves contractions" `Quick (fun () ->
-        let target = Mat2.random_unitary rng in
-        let banks = small_banks 3 in
-        let mps = Mps.build ~target banks in
-        let indices = Array.map (fun b -> Random.State.int rng b.Sitebank.count) banks in
-        let before = Mps.trace_of_indices mps indices in
-        Mps.canonicalize mps;
-        (* trace_of_indices uses the banks (exact), so instead contract
-           the canonicalized tensors. *)
-        let w = ref [| Cplx.one |] in
-        Array.iteri
-          (fun i site ->
-            let next = Array.make site.Mps.dr Cplx.zero in
-            for b = 0 to site.Mps.dr - 1 do
-              let acc = ref Cplx.zero in
-              for a = 0 to site.Mps.dl - 1 do
-                acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps.site_get site indices.(i) a b))
-              done;
-              next.(b) <- !acc
-            done;
-            w := next)
-          mps.Mps.sites;
-        Alcotest.(check bool) "unchanged" true (Cplx.is_close ~tol:1e-8 before !w.(0)));
+        (* The instantiated MPS, contracted through its canonicalized
+           site tensors, equals the direct matrix product at 20 random
+           index tuples for each chain length.  This reads every fill
+           kernel (single, first, middle, last) and the sweep. *)
+        List.iter
+          (fun l ->
+            let target = Mat2.random_unitary rng in
+            let mps = small_mps ~target l in
+            for _ = 1 to 20 do
+              let indices = Array.map (fun site -> Random.State.int rng site.Mps.n) mps.Mps.sites in
+              let direct = Mps.trace_of_indices mps indices in
+              let w = ref [| Cplx.one |] in
+              Array.iteri
+                (fun i site ->
+                  let next = Array.make site.Mps.dr Cplx.zero in
+                  for b = 0 to site.Mps.dr - 1 do
+                    let acc = ref Cplx.zero in
+                    for a = 0 to site.Mps.dl - 1 do
+                      acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps.site_get site indices.(i) a b))
+                    done;
+                    next.(b) <- !acc
+                  done;
+                  w := next)
+                mps.Mps.sites;
+              Alcotest.(check bool) (Printf.sprintf "l=%d trace" l) true (Cplx.is_close ~tol:1e-9 direct !w.(0))
+            done)
+          [ 1; 2; 3 ]);
     Alcotest.test_case "right-canonical form after sweep" `Quick (fun () ->
-        let target = Mat2.random_unitary rng in
-        let mps = Mps.build ~target (small_banks 3) in
-        Mps.canonicalize mps;
+        let mps = small_mps ~target:(Mat2.random_unitary rng) 3 in
         for i = 1 to 2 do
           let err = Mps.right_canonical_error mps.Mps.sites.(i) in
           Alcotest.(check bool) (Printf.sprintf "site %d isometric" i) true (err < 1e-8)
         done);
     Alcotest.test_case "sample amplitudes are true trace values" `Quick (fun () ->
-        let target = Mat2.random_unitary rng in
-        let mps = Mps.build ~target (small_banks 2) in
-        Mps.canonicalize mps;
+        let mps = small_mps ~target:(Mat2.random_unitary rng) 2 in
         let samples = Mps.sample ~rng ~k:50 mps in
         Alcotest.(check bool) "nonempty" true (samples <> []);
         List.iter
@@ -92,18 +54,14 @@ let mps_tests =
               (Cplx.is_close ~tol:1e-7 direct s.Mps.amplitude))
           samples);
     Alcotest.test_case "sample multiplicities sum to k" `Quick (fun () ->
-        let target = Mat2.random_unitary rng in
-        let mps = Mps.build ~target (small_banks 2) in
-        Mps.canonicalize mps;
+        let mps = small_mps ~target:(Mat2.random_unitary rng) 2 in
         let k = 64 in
         let samples = Mps.sample ~rng ~argmax_last:false ~k mps in
         let total = List.fold_left (fun acc (s : Mps.sample) -> acc + s.Mps.multiplicity) 0 samples in
         Alcotest.(check int) "k draws" k total);
     Alcotest.test_case "sampling is biased toward high trace values" `Quick (fun () ->
         (* The mean sampled |trace| should beat the mean over uniform tuples. *)
-        let target = Mat2.random_unitary rng in
-        let mps = Mps.build ~target (small_banks 2) in
-        Mps.canonicalize mps;
+        let mps = small_mps ~target:(Mat2.random_unitary rng) 2 in
         let samples = Mps.sample ~rng ~argmax_last:false ~k:200 mps in
         let weighted_mean =
           List.fold_left
@@ -194,37 +152,29 @@ let synthesis_tests =
            let r = Trasyn.to_error ~config ~target ~budgets:[ 8; 8 ] ~epsilon:0.07 () in
            r.Trasyn.distance <= 0.07));
     Alcotest.test_case "rz targets synthesize too" `Quick (fun () ->
-        let r = Trasyn.synthesize_rz ~theta:0.61 ~budgets:[ 8; 8 ] () in
+        let r = Trasyn.synthesize ~target:(Mat2.rz 0.61) ~budgets:[ 8; 8 ] () in
         Alcotest.(check bool) "small" true (r.Trasyn.distance < 0.05));
   ]
 
 let suite = mps_tests @ postprocess_tests @ synthesis_tests
 
-(* Per-site T-count range tests (the §3.3 generalization). *)
-
-let range_tests =
+let budget_tests =
   [
-    Alcotest.test_case "ranges validate" `Quick (fun () ->
-        Alcotest.check_raises "bad range" (Invalid_argument "Trasyn.synthesize_ranges: bad range")
-          (fun () ->
-            ignore (Trasyn.synthesize_ranges ~target:Mat2.h ~ranges:[ (5, 2) ] ())));
-    Alcotest.test_case "a (k,k) range forces exactly k T per site" `Quick (fun () ->
-        (* Both sites restricted to exactly 3 T gates: before
-           post-processing every sample costs 6 T; the final count can
-           only be lower via step-3 rewrites. *)
-        let target = Mat2.random_unitary (Random.State.make [| 50 |]) in
-        let config = { Trasyn.default_config with post_process = false; samples = 128 } in
-        let r = Trasyn.synthesize_ranges ~config ~target ~ranges:[ (3, 3); (3, 3) ] () in
-        Alcotest.(check int) "exactly 6 T" 6 r.Trasyn.t_count);
-    Alcotest.test_case "budgets wrapper equals (0,b) ranges" `Quick (fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 51 |]) in
-        let r1 = Trasyn.synthesize ~target ~budgets:[ 6; 6 ] () in
-        let r2 = Trasyn.synthesize_ranges ~target ~ranges:[ (0, 6); (0, 6) ] () in
-        Alcotest.(check string) "same result" (Ctgate.seq_to_string r1.Trasyn.seq)
-          (Ctgate.seq_to_string r2.Trasyn.seq));
+    Alcotest.test_case "budgets validate" `Quick (fun () ->
+        let synth budgets () = ignore (Trasyn.synthesize ~target:Mat2.h ~budgets ()) in
+        Alcotest.check_raises "empty budget list" (Invalid_argument "Trasyn.synthesize: empty budget list")
+          (synth []);
+        Alcotest.check_raises "negative budget" (Invalid_argument "Trasyn.synthesize: negative budget")
+          (synth [ 3; -1 ]);
+        let chain caps () = ignore (Mps.canonical_chain (Ma_table.get 3) caps) in
+        let out_of_range = Invalid_argument "Mps.canonical_chain: T cap out of range" in
+        Alcotest.check_raises "zero sites" (Invalid_argument "Mps.canonical_chain: need at least one site")
+          (chain [||]);
+        Alcotest.check_raises "cap below 0" out_of_range (chain [| 2; -1 |]);
+        Alcotest.check_raises "cap above the table depth" out_of_range (chain [| 4 |]));
   ]
 
-let suite = suite @ range_tests
+let suite = suite @ budget_tests
 
 (* Statistical validation of step 2: on a bank small enough to
    enumerate, the empirical sampling frequencies must match the exact
@@ -233,12 +183,9 @@ let suite = suite @ range_tests
 let sampling_stats_tests =
   [
     Alcotest.test_case "empirical frequencies match the Born distribution" `Slow (fun () ->
-        let table = Ma_table.get 1 in
-        let bank = Sitebank.of_table table ~lo:0 ~hi:1 in
         let target = Mat2.random_unitary (Random.State.make [| 2718 |]) in
-        let mps = Mps.build ~target [| bank; bank |] in
-        Mps.canonicalize mps;
-        let n = bank.Sitebank.count in
+        let mps = Mps.instantiate ~target (Mps.canonical_chain (Ma_table.get 1) [| 1; 1 |]) in
+        let n = mps.Mps.sites.(0).Mps.n in
         (* Exact distribution over all n² index pairs. *)
         let exact = Array.make (n * n) 0.0 in
         let total = ref 0.0 in
@@ -272,11 +219,8 @@ let sampling_stats_tests =
             end)
           exact);
     Alcotest.test_case "four-site chain still contracts exactly" `Quick (fun () ->
-        let table = Ma_table.get 2 in
-        let bank = Sitebank.of_table table ~lo:0 ~hi:2 in
         let target = Mat2.random_unitary (Random.State.make [| 31415 |]) in
-        let mps = Mps.build ~target [| bank; bank; bank; bank |] in
-        Mps.canonicalize mps;
+        let mps = Mps.instantiate ~target (Mps.canonical_chain (Ma_table.get 2) [| 2; 2; 2; 2 |]) in
         let samples = Mps.sample ~rng:(Random.State.make [| 1 |]) mps ~k:20 in
         List.iter
           (fun (s : Mps.sample) ->
@@ -287,65 +231,6 @@ let sampling_stats_tests =
   ]
 
 let suite = suite @ sampling_stats_tests
-
-let timed_tests =
-  [
-    Alcotest.test_case "timed synthesis respects its budget and returns" `Quick (fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 60 |]) in
-        let config = { Trasyn.default_config with samples = 64; beam = 4 } in
-        let t0 = Unix.gettimeofday () in
-        let r = Trasyn.synthesize_timed ~config ~seconds:0.5 ~target ~budgets:[ 6 ] () in
-        let dt = Unix.gettimeofday () -. t0 in
-        Alcotest.(check bool) "bounded" true (dt < 5.0);
-        Alcotest.(check bool) "valid" true (r.Trasyn.distance < 0.5));
-    Alcotest.test_case "more time never hurts" `Quick (fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 61 |]) in
-        let config = { Trasyn.default_config with samples = 32; beam = 0 } in
-        let quick = Trasyn.synthesize_timed ~config ~seconds:0.05 ~target ~budgets:[ 6; 6 ] () in
-        let longer = Trasyn.synthesize_timed ~config ~seconds:1.0 ~target ~budgets:[ 6; 6 ] () in
-        Alcotest.(check bool) "monotone" true (longer.Trasyn.distance <= quick.Trasyn.distance +. 1e-12));
-  ]
-
-let suite = suite @ timed_tests
-
-(* Deadline semantics of the timed wrapper: a zero/negative budget (or
-   an already-expired caller deadline) still runs exactly one attempt —
-   never zero, never a busy loop. *)
-let deadline_tests =
-  [
-    Alcotest.test_case "zero-second budget runs exactly one attempt" `Quick (fun () ->
-        let was = Obs.enabled () in
-        Obs.set_enabled true;
-        Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-        let c = Obs.counter "trasyn.restarts" in
-        let v0 = Obs.counter_value c in
-        let target = Mat2.random_unitary (Random.State.make [| 62 |]) in
-        let config = { Trasyn.default_config with samples = 32; beam = 0 } in
-        let t0 = Unix.gettimeofday () in
-        let r = Trasyn.synthesize_timed ~config ~seconds:0.0 ~target ~budgets:[ 6 ] () in
-        Alcotest.(check bool) "prompt" true (Unix.gettimeofday () -. t0 < 5.0);
-        Alcotest.(check bool) "produced a result" true (r.Trasyn.distance < 2.0);
-        Alcotest.(check int) "no reseeds" v0 (Obs.counter_value c));
-    Alcotest.test_case "negative budget behaves like zero" `Quick (fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 63 |]) in
-        let config = { Trasyn.default_config with samples = 32; beam = 0 } in
-        let t0 = Unix.gettimeofday () in
-        let r = Trasyn.synthesize_timed ~config ~seconds:(-3.0) ~target ~budgets:[ 6 ] () in
-        Alcotest.(check bool) "prompt" true (Unix.gettimeofday () -. t0 < 5.0);
-        Alcotest.(check bool) "produced a result" true (r.Trasyn.distance < 2.0));
-    Alcotest.test_case "an expired caller deadline caps a generous budget" `Quick (fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 64 |]) in
-        let config = { Trasyn.default_config with samples = 32; beam = 0 } in
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Trasyn.synthesize_timed ~config ~deadline:(Obs.Deadline.at 0.0) ~seconds:60.0 ~target
-            ~budgets:[ 6 ] ()
-        in
-        Alcotest.(check bool) "prompt despite 60s budget" true (Unix.gettimeofday () -. t0 < 5.0);
-        Alcotest.(check bool) "produced a result" true (r.Trasyn.distance < 2.0));
-  ]
-
-let suite = suite @ deadline_tests
 
 (* Chain reuse: the cached-chain path must be bit-identical to a cold
    rebuild (same fill/LQ/absorb kernels, same values, same order), and
@@ -436,10 +321,7 @@ let chain_reuse_tests =
         ignore (Trasyn.synthesize ~config ~target ~budgets:[ 0; 0; 0 ] ());
         Alcotest.(check int) "evicted key misses again" 18 (Obs.counter_value c_miss - m0));
     Alcotest.test_case "Mps.sample without ~rng is reproducible" `Quick (fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 404 |]) in
-        let banks = small_banks 2 in
-        let mps = Mps.build ~target banks in
-        Mps.canonicalize mps;
+        let mps = small_mps ~target:(Mat2.random_unitary (Random.State.make [| 404 |])) 2 in
         let s1 = Mps.sample mps ~k:32 in
         let s2 = Mps.sample mps ~k:32 in
         Alcotest.(check bool) "two default-rng runs agree" true (compare s1 s2 = 0);
@@ -509,17 +391,11 @@ let sampled_words () =
   let table = Ma_table.get 8 in
   List.concat_map
     (fun (l, seed) ->
-      let banks = Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:8) in
       let target = Mat2.random_unitary (Random.State.make [| seed |]) in
-      let mps = Mps.build ~target banks in
-      Mps.canonicalize mps;
+      let mps = Mps.instantiate ~target (Mps.canonical_chain table (Array.make l 8)) in
       let draws =
         Mps.sample ~rng:(Random.State.make [| seed + 1 |]) ~k:48 mps
-        |> List.map (fun (s : Mps.sample) ->
-               List.concat
-                 (List.mapi
-                    (fun i idx -> Sitebank.sequence mps.Mps.sites.(i).Mps.bank idx)
-                    (Array.to_list s.Mps.indices)))
+        |> List.map (fun (s : Mps.sample) -> List.concat_map (Ma_table.word table) (Array.to_list s.Mps.indices))
       in
       let rec joined = function a :: (b :: _ as rest) -> (a @ b) :: joined rest | _ -> [] in
       draws @ joined draws)
@@ -584,9 +460,7 @@ let tree_targets =
     ("Rz(pi/8)", Mat2.rz (Float.pi /. 8.0));
   ]
 
-let chain_banks ~depth ~l =
-  let table = Ma_table.get depth in
-  Array.init l (fun _ -> Sitebank.of_table table ~lo:0 ~hi:depth)
+let chain_of ~depth ~l = Mps.canonical_chain (Ma_table.get depth) (Array.make l depth)
 
 (* Indices, multiplicities and amplitude bits, in order. *)
 let samples_identical (a : Mps.sample list) (b : Mps.sample list) =
@@ -636,7 +510,7 @@ let print_query (q, seed) =
     seed
 
 let bound_mps =
-  lazy (Mps.instantiate ~target:(Mat2.random_unitary (Random.State.make [| 5 |])) (Mps.canonical_chain (chain_banks ~depth:5 ~l:2)))
+  lazy (Mps.instantiate ~target:(Mat2.random_unitary (Random.State.make [| 5 |])) (chain_of ~depth:5 ~l:2))
 
 let tree_tests =
   [
@@ -646,33 +520,28 @@ let tree_tests =
           (fun (name, target) ->
             List.iter
               (fun (depth, l) ->
-                let chain = Mps.canonical_chain (chain_banks ~depth ~l) in
+                let chain = chain_of ~depth ~l in
                 check_against_oracle
                   ~what:(Printf.sprintf "%s depth %d l=%d" name depth l)
                   ~ks:[ 1; 48; 1024 ] ~beams:[ 1; 4; 32 ]
                   (Mps.instantiate ~target chain))
               [ (5, 2); (4, 3) ])
           tree_targets;
-        (* The cold path builds its trees in [canonicalize]. *)
-        let target = snd (List.hd tree_targets) in
-        let cold = Mps.build ~target (chain_banks ~depth:4 ~l:3) in
-        Mps.canonicalize cold;
-        check_against_oracle ~what:"cold depth 4 l=3" ~ks:[ 48 ] ~beams:[ 4 ] cold;
         Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
     Alcotest.test_case "tree sampling equals the linear oracle (depth 8)" `Quick (fun () ->
         let boundary0 = cval "mps.sample.boundary_draws" in
         let haar = Random.State.make [| 88 |] in
-        let two = Mps.canonical_chain (chain_banks ~depth:8 ~l:2) in
+        let two = chain_of ~depth:8 ~l:2 in
         check_against_oracle ~what:"haar depth 8 l=2" ~ks:[ 1024 ] ~beams:[ 32 ]
           (Mps.instantiate ~target:(Mat2.random_unitary haar) two);
         check_against_oracle ~argmax:[ true ] ~what:"T depth 8 l=2" ~ks:[ 1024 ] ~beams:[ 4 ]
           (Mps.instantiate ~target:Mat2.t two);
-        let three = Mps.canonical_chain (chain_banks ~depth:8 ~l:3) in
+        let three = chain_of ~depth:8 ~l:3 in
         check_against_oracle ~what:"haar depth 8 l=3" ~ks:[ 48 ] ~beams:[ 4 ]
           (Mps.instantiate ~target:(Mat2.random_unitary haar) three);
         Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
     Alcotest.test_case "a one-site chain has no tree and samples as before" `Quick (fun () ->
-        let mps = Mps.instantiate ~target:Mat2.h (Mps.canonical_chain (chain_banks ~depth:5 ~l:1)) in
+        let mps = Mps.instantiate ~target:Mat2.h (chain_of ~depth:5 ~l:1) in
         check_against_oracle ~what:"l=1" ~ks:[ 1; 48 ] ~beams:[ 4 ] mps);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:300 ~name:"cone bounds cover every operator below each node" ~print:print_query
