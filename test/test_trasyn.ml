@@ -83,6 +83,30 @@ let mps_tests =
         Alcotest.(check bool)
           (Printf.sprintf "biased (%.3f > %.3f)" weighted_mean uniform_mean)
           true (weighted_mean > uniform_mean));
+    Alcotest.test_case "sites cover the table prefix up to their caps" `Quick (fun () ->
+        (* Unequal caps give the first, middle and last sites unequal
+           physical dimensions; every draw stays within its site's cap
+           and carries its exact trace. *)
+        let rng = Random.State.make [| 41 |] in
+        let table = Ma_table.get 4 and caps = [| 1; 4; 2 |] in
+        let mps = Mps.instantiate ~target:(Mat2.random_unitary rng) (Mps.canonical_chain table caps) in
+        Array.iteri
+          (fun i cap ->
+            Alcotest.(check int)
+              (Printf.sprintf "site %d size" i)
+              (Ma_table.offset table (cap + 1))
+              mps.Mps.sites.(i).Mps.n)
+          caps;
+        List.iter
+          (fun (s : Mps.sample) ->
+            Array.iteri
+              (fun i idx ->
+                Alcotest.(check bool) (Printf.sprintf "site %d within its cap" i) true
+                  (Ma_table.tcount table idx <= caps.(i)))
+              s.Mps.indices;
+            Alcotest.(check bool) "amplitude matches direct trace" true
+              (Cplx.is_close ~tol:1e-7 (Mps.trace_of_indices mps s.Mps.indices) s.Mps.amplitude))
+          (Mps.sample ~rng ~k:256 mps));
   ]
 
 let postprocess_tests =
@@ -327,6 +351,44 @@ let chain_reuse_tests =
         Alcotest.(check bool) "two default-rng runs agree" true (compare s1 s2 = 0);
         let s3 = Mps.sample ~rng:(Random.State.make [| Mps.default_rng_seed |]) mps ~k:32 in
         Alcotest.(check bool) "equals the documented fixed seed" true (compare s1 s3 = 0));
+    Alcotest.test_case "budgets above the table depth share its chain" `Quick (fun () ->
+        let c_hit = Obs.counter "mps.chain_cache.hit" in
+        let target = Mat2.random_unitary (Random.State.make [| 606 |]) in
+        let config = { Trasyn.default_config with table_t = 4; samples = 64; beam = 4 } in
+        Trasyn.clear_chain_cache ();
+        let capped = Trasyn.synthesize ~config ~target ~budgets:[ 4; 4 ] () in
+        let h0 = Obs.counter_value c_hit in
+        let above = Trasyn.synthesize ~config ~target ~budgets:[ 9; 12 ] () in
+        check_bits_identical "budgets 9,12 at depth 4" capped above;
+        Alcotest.(check int) "clamped caps hit the chain" 1 (Obs.counter_value c_hit - h0));
+    Alcotest.test_case "the chain cache keeps one chain per gate set" `Quick (fun () ->
+        let c_miss = Obs.counter "mps.chain_cache.miss" in
+        let target = Mat2.random_unitary (Random.State.make [| 607 |]) in
+        let config = { Trasyn.default_config with table_t = 3; samples = 64; beam = 0 } in
+        Trasyn.clear_chain_cache ();
+        let m0 = Obs.counter_value c_miss in
+        List.iter
+          (fun gate_set ->
+            let r = Trasyn.synthesize ~config:{ config with gate_set } ~target ~budgets:[ 3; 3 ] () in
+            Alcotest.(check (float 1e-9)) (gate_set ^ ": distance")
+              (Mat2.distance target (Ctgate.seq_to_mat2 r.Trasyn.seq))
+              r.Trasyn.distance)
+          [ "cliffordt"; "cliffordt-weighted" ];
+        Alcotest.(check int) "one miss per gate set" 2 (Obs.counter_value c_miss - m0));
+    Alcotest.test_case "reseeds of one target instantiate it once" `Quick (fun () ->
+        let was = Obs.enabled () in
+        Obs.set_enabled true;
+        Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+        let target = Mat2.random_unitary (Random.State.make [| 608 |]) in
+        let config = { Trasyn.default_config with table_t = 3; samples = 32; beam = 0 } in
+        let synth seed = ignore (Trasyn.synthesize ~config:{ config with seed } ~target ~budgets:[ 3; 3 ] ()) in
+        Trasyn.clear_chain_cache ();
+        synth 1;
+        let instantiations () = (Obs.summarize (Obs.histogram "mps.instantiate")).Obs.count in
+        let n0 = instantiations () in
+        synth 2;
+        synth 3;
+        Alcotest.(check int) "no further instantiation" 0 (instantiations () - n0));
   ]
 
 let suite = suite @ chain_reuse_tests
@@ -442,7 +504,6 @@ let oracle_tests =
            Postprocess.run ~max_window ~max_iters table once = once));
   ]
 
-let suite = suite @ oracle_tests
 
 (* ------------------------------------------------------------------ *)
 (* Tree-indexed sampling against the linear oracle                     *)
@@ -582,4 +643,4 @@ let tree_tests =
            && (kind <> Zero || Mps.cone_argmax_of mps ~w_re ~w_im = 0)));
   ]
 
-let suite = suite @ tree_tests
+let suite = suite @ tree_tests @ oracle_tests
