@@ -2,11 +2,13 @@
     (see DESIGN.md's experiment index) plus design-choice ablations.
 
     Usage:  dune exec bench/main.exe -- [--exp id1,id2] [--quick] [options]
+            bench/main.exe --suite perf [--quick] [--bench-out FILE]
 
     Experiment ids: table2 fig3b fig6 fig7 (== table1, fig8) fig2 fig9
     fig10 fig11 fig12 abl kernels all.  Scale knobs default to values
     that finish on a laptop CPU; paper-scale settings are documented in
-    EXPERIMENTS.md. *)
+    EXPERIMENTS.md.  [--suite perf] writes a [tgates-bench/v2] document
+    from the benchmark's own runs ([Perf_suite]). *)
 
 let exps = ref "all"
 let unitaries = ref 25
@@ -20,12 +22,7 @@ let bench_limit = ref max_int
 let quick = ref false
 let bench_deadline = ref 0.0
 let suite = ref "exps"
-let suite_budget = ref 120.0
 let bench_out = ref ""
-let metrics_out = ref ""
-let jobs = ref 0
-let serve_cli = ref ""
-let compile_cli = ref ""
 
 let args =
   [
@@ -44,32 +41,14 @@ let args =
       Arg.Set_float bench_deadline,
       "wall-clock seconds per benchmark in the circuit study (0 = unbounded); benchmarks that \
        time out are skipped, not fatal" );
-    ("--quick", Arg.Set quick, "small smoke-test scale for everything");
+    ("--quick", Arg.Set quick, "small smoke-test scale for everything (--suite perf: 1 s smoke runs)");
     ( "--suite",
       Arg.Set_string suite,
-      "exps (default: the paper experiments) | perf (the fixed-seed perf harness that writes \
-       BENCH_<n>.json)" );
-    ( "--suite-budget",
-      Arg.Set_float suite_budget,
-      "wall-clock budget in seconds for --suite perf (default 120)" );
+      "exps (default: the paper experiments) | perf (every BENCHMARK.json workload through \
+       perfbench, untraced then traced, written as one BENCH_<n>.json)" );
     ( "--bench-out",
       Arg.Set_string bench_out,
       "output path for --suite perf (default: the next free BENCH_<n>.json here)" );
-    ( "--metrics-out",
-      Arg.Set_string metrics_out,
-      "stream live tgates-metrics/v1 snapshots (JSONL) here during --suite perf; the bench doc \
-       then carries the sampler's snapshot count and overhead" );
-    ( "--jobs",
-      Arg.Set_int jobs,
-      "planner worker domains for the perf suite's pipeline phases (0 = runtime default)" );
-    ( "--serve-cli",
-      Arg.Set_string serve_cli,
-      "serve_cli binary for the perf suite's server_load phase (default: bin/serve_cli.exe next \
-       to this binary; the phase is skipped when absent)" );
-    ( "--compile-cli",
-      Arg.Set_string compile_cli,
-      "compile_cli binary for the perf suite's stream_compile phase (default: \
-       bin/compile_cli.exe next to this binary; the phase is skipped when absent)" );
   ]
 
 let want id =
@@ -112,13 +91,7 @@ let () =
   (match !suite with
   | "exps" -> ()
   | "perf" ->
-      Perf_suite.run
-        ?out:(if !bench_out = "" then None else Some !bench_out)
-        ?jobs:(if !jobs > 0 then Some !jobs else None)
-        ?metrics_out:(if !metrics_out = "" then None else Some !metrics_out)
-        ?serve_cli:(if !serve_cli = "" then None else Some !serve_cli)
-        ?compile_cli:(if !compile_cli = "" then None else Some !compile_cli)
-        ~budget:!suite_budget ~smoke:!quick ();
+      Perf_suite.run ?out:(if !bench_out = "" then None else Some !bench_out) ~smoke:!quick ();
       exit 0
   | s -> raise (Arg.Bad ("unknown --suite " ^ s ^ " (use exps | perf)")));
   let t_start = Obs.Clock.elapsed_s () in

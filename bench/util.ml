@@ -49,9 +49,7 @@ let time_it f =
 
 (* Run one experiment phase under an [Obs] span ("bench.<name>") and
    print its wall time.  With TGATES_TRACE set, the trace then carries a
-   per-phase breakdown (and the per-subsystem spans nested inside it),
-   so future BENCH_*.json entries can record more than end-to-end
-   totals. *)
+   per-phase breakdown (and the per-subsystem spans nested inside it). *)
 let phase name f =
   let r, dt = time_it (fun () -> Obs.span ("bench." ^ name) f) in
   Printf.printf "[phase] %-12s %.2fs\n%!" name dt;

@@ -1,5 +1,5 @@
-(* tgates-trace: turn Obs JSONL traces (and tgates-bench/v1 BENCH_*.json
-   baselines) into decisions.
+(* tgates-trace: turn Obs JSONL traces (and tgates-bench BENCH_*.json
+   documents) into decisions.
 
      dune exec bin/trace_cli.exe -- report trace.jsonl
      dune exec bin/trace_cli.exe -- hotspots --top 15 trace.jsonl
@@ -73,15 +73,16 @@ let diff_cmd =
       & opt (some float) None
       & info [ "fail-above" ] ~docv:"PCT"
           ~doc:
-            "exit nonzero when any time/T-count/GC series regressed by more than $(docv) percent \
-             — the CI gate")
+            "exit nonzero when any directed series got worse by more than $(docv) percent (a bench \
+             metric by its lower/higher group; a trace's time, T-count and GC series by name) — the \
+             CI gate")
   in
   let before = Arg.(required & pos 0 (some file) None & info [] ~docv:"BEFORE") in
   let after = Arg.(required & pos 1 (some file) None & info [] ~docv:"AFTER") in
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "compare two runs — JSONL traces or tgates-bench/v1 BENCH_*.json files — series by series")
+         "compare two runs — JSONL traces or BENCH_*.json documents — series by series")
     Term.(const run $ fail_above $ before $ after)
 
 let validate_cmd =
@@ -100,7 +101,7 @@ let validate_cmd =
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH_JSON") in
   Cmd.v
-    (Cmd.info "validate" ~doc:"check a BENCH_*.json file against the tgates-bench/v1 schema")
+    (Cmd.info "validate" ~doc:"check a BENCH_*.json file against the tgates-bench/v2 schema")
     Term.(const run $ path)
 
 let metrics_cmd =

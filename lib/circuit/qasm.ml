@@ -11,9 +11,9 @@
    [q[i]] operands from the same text.  The lines live in one string
    because thousands of small strings in the major heap of every
    program linking this module measurably slow unrelated TRASYN
-   kernels (15 % on the perf suite's chain_reuse phase).  They are
-   built at module initialization and never mutated, so any number of
-   domains may render at once. *)
+   kernels (a cold MPS chain build ran 15 % slower).  They are built at
+   module initialization and never mutated, so any number of domains
+   may render at once. *)
 
 let prebuilt = 1024
 

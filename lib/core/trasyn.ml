@@ -288,6 +288,8 @@ let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budge
      threshold, spend as few T gates as possible. *)
 let to_error ?(config = default_config) ?(attempts = 2) ?(selection = `Best_error) ?(t_slack = 0)
     ~target ~budgets ~epsilon () =
+  if budgets = [] then invalid_arg "Trasyn.to_error: empty budget list";
+  if List.exists (fun b -> b < 0) budgets then invalid_arg "Trasyn.to_error: negative budget";
   let n = List.length budgets in
   let better (a : result) (b : result) =
     let key x =
@@ -317,6 +319,4 @@ let to_error ?(config = default_config) ?(attempts = 2) ?(selection = `Best_erro
           end
     end
   in
-  match go 1 0 None with
-  | Some r -> r
-  | None -> failwith "Trasyn.to_error: no budgets"
+  Option.get (go 1 0 None)

@@ -79,4 +79,7 @@ val to_error :
     always returning the best solution seen.  [`Best_error] (default,
     paper-faithful) keeps lowering the error within the first
     sufficient budget; [`Min_t] reads Eq. (4) strictly and spends as
-    few T gates as possible once the threshold is met. *)
+    few T gates as possible once the threshold is met.
+
+    @raise Invalid_argument on an empty budget list or a negative
+    budget. *)

@@ -375,7 +375,8 @@ let render_requests ?(slowest = 0) fmt tr =
 
 type source = Trace of t | Bench of J.t
 
-let bench_schema = "tgates-bench/v1"
+let bench_schema = "tgates-bench/v2"
+let bench_v1_schema = "tgates-bench/v1"
 
 let load_source path =
   let whole =
@@ -389,8 +390,31 @@ let load_source path =
   | Error e -> Error e
   | Ok contents -> (
       match J.parse (String.trim contents) with
-      | Ok (J.Obj _ as j) when J.member "schema" j = Some (J.Str bench_schema) -> Ok (Bench j)
+      | Ok (J.Obj _ as j)
+        when List.mem (J.member "schema" j) [ Some (J.Str bench_schema); Some (J.Str bench_v1_schema) ]
+        ->
+          Ok (Bench j)
       | _ -> Result.map (fun tr -> Trace tr) (load path))
+
+type direction = Lower | Higher
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+let ends_with s suf =
+  let n = String.length s and m = String.length suf in
+  n >= m && String.sub s (n - m) m = suf
+
+let regression_key key =
+  contains key "wall_s" || contains key "dur" || contains key "t_count"
+  || contains key "degraded" || contains key "gc" || contains key "heap"
+  || ends_with key ".sum" || ends_with key ".p50" || ends_with key ".p90"
+  || ends_with key ".p95" || ends_with key ".p99" || ends_with key ".p999"
+  || ends_with key "_s"
+
+let by_name (key, v) = (key, v, if regression_key key then Some Lower else None)
 
 let flatten = function
   | Trace tr ->
@@ -411,10 +435,35 @@ let flatten = function
               ])
         tr.metrics
       |> List.filter (fun (_, v) -> Float.is_finite v)
+      |> List.map by_name
+  | Bench j when J.member "schema" j = Some (J.Str bench_schema) ->
+      let phases = match J.member "phases" j with Some (J.Obj ps) -> ps | _ -> [] in
+      List.concat_map
+        (fun (w, p) ->
+          let num k =
+            match J.member k p with
+            | Some (J.Num v) when Float.is_finite v -> [ (Printf.sprintf "phases.%s.%s" w k, v, None) ]
+            | _ -> []
+          in
+          let group g better =
+            match J.member g p with
+            | Some (J.Obj ms) ->
+                List.filter_map
+                  (fun (m, e) ->
+                    match J.member "value" e with
+                    | Some (J.Num v) when Float.is_finite v ->
+                        Some (Printf.sprintf "phases.%s.%s.%s" w g m, v, Some better)
+                    | _ -> None)
+                  ms
+            | _ -> []
+          in
+          num "attempted" @ num "failed" @ group "lower" Lower @ group "higher" Higher)
+        phases
+      |> List.sort compare
   | Bench j ->
       let acc = ref [] in
       let rec walk prefix = function
-        | J.Num v -> if Float.is_finite v then acc := (prefix, v) :: !acc
+        | J.Num v -> if Float.is_finite v then acc := by_name (prefix, v) :: !acc
         | J.Obj kvs ->
             List.iter
               (fun (k, v) ->
@@ -429,45 +478,39 @@ let flatten = function
       walk "" j;
       List.sort compare !acc
 
-type delta = { key : string; before : float option; after : float option; pct : float }
+type delta = {
+  key : string;
+  before : float option;
+  after : float option;
+  pct : float;
+  better : direction option;
+}
 
 let diff ~before ~after =
   let b = flatten before and a = flatten after in
-  let keys = List.sort_uniq compare (List.map fst b @ List.map fst a) in
+  let find key l = List.find_opt (fun (k, _, _) -> k = key) l in
+  let keys = List.sort_uniq compare (List.map (fun (k, _, _) -> k) (b @ a)) in
   List.map
     (fun key ->
-      let before = List.assoc_opt key b and after = List.assoc_opt key a in
+      let fb = find key b and fa = find key a in
+      let before = Option.map (fun (_, v, _) -> v) fb and after = Option.map (fun (_, v, _) -> v) fa in
       let pct =
         match before, after with
-        | Some x, Some y when x <> 0.0 -> (y -. x) /. x *. 100.0
+        | Some x, Some y when x <> 0.0 -> (y -. x) /. Float.abs x *. 100.0
         | Some 0.0, Some y -> if y = 0.0 then 0.0 else infinity
         | _ -> nan
       in
-      { key; before; after; pct })
+      let better = match fa, fb with Some (_, _, d), _ | None, Some (_, _, d) -> d | None, None -> None in
+      { key; before; after; pct; better })
     keys
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let ends_with s suf =
-  let n = String.length s and m = String.length suf in
-  n >= m && String.sub s (n - m) m = suf
-
-let regression_key key =
-  contains key "wall_s" || contains key "dur" || contains key "t_count"
-  || contains key "degraded" || contains key "gc" || contains key "heap"
-  || ends_with key ".sum" || ends_with key ".p50" || ends_with key ".p90"
-  || ends_with key ".p95" || ends_with key ".p99" || ends_with key ".p999"
-  || ends_with key "_s"
 
 let regressions ~fail_above deltas =
   List.filter
     (fun d ->
-      regression_key d.key
-      && (match d.before, d.after with Some _, Some _ -> true | _ -> false)
-      && d.pct > fail_above)
+      match d.before, d.after, d.better with
+      | Some _, Some _, Some Lower -> d.pct > fail_above
+      | Some b, Some a, Some Higher -> (b /. a -. 1.0) *. 100.0 > fail_above
+      | _ -> false)
     deltas
 
 let render_diff ?fail_above fmt deltas =
@@ -494,53 +537,69 @@ let render_diff ?fail_above fmt deltas =
           List.iter (fun d -> Format.fprintf fmt "  %+8.1f%%  %s@." d.pct d.key) rs)
 
 (* ------------------------------------------------------------------ *)
-(* Bench JSON validation                                               *)
+(* Bench documents                                                     *)
 (* ------------------------------------------------------------------ *)
+
+let bench_phase ~correct ~attempted ~failed metrics =
+  let group better =
+    J.Obj
+      (List.filter_map
+         (fun (name, value, unit_, b) ->
+           if b = better then Some (name, J.Obj [ ("value", J.Num value); ("unit", J.Str unit_) ])
+           else None)
+         metrics)
+  in
+  J.Obj
+    [
+      ("correct", J.Bool correct);
+      ("attempted", J.Num (float_of_int attempted));
+      ("failed", J.Num (float_of_int failed));
+      ("lower", group Lower);
+      ("higher", group Higher);
+    ]
+
+let bench_document ~meta phases =
+  J.Obj [ ("schema", J.Str bench_schema); ("meta", J.Obj meta); ("phases", J.Obj phases) ]
 
 let validate_bench j =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let mem k = J.member k j in
-  (match mem "schema" with
+  (match J.member "schema" j with
   | Some (J.Str s) when s = bench_schema -> ()
   | Some (J.Str s) -> err "schema is %S, expected %S" s bench_schema
   | _ -> err "missing \"schema\" field");
-  (match mem "meta" with Some (J.Obj _) -> () | _ -> err "missing \"meta\" object");
-  (match mem "wall_s" with
-  | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> ()
-  | _ -> err "missing or non-numeric \"wall_s\"");
-  (match mem "degraded_rotations" with
-  | Some (J.Num _) -> ()
-  | _ -> err "missing or non-numeric \"degraded_rotations\"");
-  (match mem "cache" with
-  | Some (J.Obj kvs) ->
-      List.iter
-        (fun (k, v) -> match v with J.Num _ -> () | _ -> err "cache.%s is not a number" k)
-        kvs
-  | _ -> err "missing \"cache\" object");
-  (match mem "gc" with
-  | Some (J.Obj _ as g) ->
-      List.iter
-        (fun k ->
-          match J.member k g with
-          | Some (J.Num _) -> ()
-          | _ -> err "missing or non-numeric \"gc.%s\"" k)
-        [ "minor_words"; "major_words"; "promoted_words"; "minor_collections"; "major_collections" ]
-  | _ -> err "missing \"gc\" object");
-  (match mem "phases" with
+  (match J.member "meta" j with Some (J.Obj _) -> () | _ -> err "missing \"meta\" object");
+  let phase name p =
+    (match J.member "correct" p with
+    | Some (J.Bool _) -> ()
+    | _ -> err "missing or non-boolean \"phases.%s.correct\"" name);
+    List.iter
+      (fun k ->
+        match J.member k p with
+        | Some (J.Num _) -> ()
+        | _ -> err "missing or non-numeric \"phases.%s.%s\"" name k)
+      [ "attempted"; "failed" ];
+    List.iter
+      (fun g ->
+        match J.member g p with
+        | Some (J.Obj ms) ->
+            List.iter
+              (fun (m, e) ->
+                (match J.member "value" e with
+                | Some (J.Num v) when Float.is_finite v -> ()
+                | _ -> err "missing or non-numeric \"phases.%s.%s.%s.value\"" name g m);
+                match J.member "unit" e with
+                | Some (J.Str _) -> ()
+                | _ -> err "missing \"phases.%s.%s.%s.unit\"" name g m)
+              ms
+        | _ -> err "missing \"phases.%s.%s\" object" name g)
+      [ "lower"; "higher" ]
+  in
+  (match J.member "phases" j with
   | Some (J.Obj []) -> err "\"phases\" is empty"
   | Some (J.Obj phases) ->
       List.iter
-        (fun (pname, p) ->
-          match p with
-          | J.Obj _ ->
-              List.iter
-                (fun k ->
-                  match J.member k p with
-                  | Some (J.Num _) -> ()
-                  | _ -> err "missing or non-numeric \"phases.%s.%s\"" pname k)
-                [ "items"; "wall_s"; "p50_s"; "p90_s"; "p99_s"; "t_count" ]
-          | _ -> err "phases.%s is not an object" pname)
+        (fun (name, p) -> match p with J.Obj _ -> phase name p | _ -> err "phases.%s is not an object" name)
         phases
   | _ -> err "missing \"phases\" object");
   match !errs with [] -> Ok () | es -> Error (List.rev es)

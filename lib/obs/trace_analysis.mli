@@ -1,7 +1,8 @@
 (** Consumer side of the [Obs] JSONL traces: reassemble span events into
     a call tree, attribute self-time and GC work, fold stacks for flame
-    graphs, diff two runs, and validate/flatten the [tgates-bench/v1]
-    perf-baseline JSON emitted by [bench/main.exe --suite perf].
+    graphs, diff two runs, and build and validate the [tgates-bench/v2]
+    document that [bench/main.exe --suite perf] writes from the
+    benchmark's runs.
 
     The analyses are pure functions over a loaded {!t}; the rendering
     functions produce exactly what the [tgates-trace] CLI prints, so
@@ -141,56 +142,81 @@ val render_flame : Format.formatter -> t -> unit
 (** {1 Diffing two runs} *)
 
 type source = Trace of t | Bench of Obs.Json.t
-(** A diffable artifact: a JSONL trace or a [tgates-bench/v1] JSON. *)
+(** A diffable artifact: a JSONL trace or a bench document
+    ({!bench_schema}, or a committed [tgates-bench/v1] file). *)
 
 val load_source : string -> (source, string) result
-(** Sniff the file: a single-object JSON file with
-    [schema = "tgates-bench/v1"] loads as [Bench]; anything else is
-    treated as a JSONL trace. *)
+(** Sniff the file: a single-object JSON file whose [schema] is
+    {!bench_schema} or ["tgates-bench/v1"] loads as [Bench]; anything
+    else is treated as a JSONL trace. *)
 
-val flatten : source -> (string * float) list
-(** Comparable numeric series.  For a trace: every counter and gauge
-    under its own name, every histogram as [name.sum] / [name.p50] /
-    [name.p90] / [name.p95] / [name.p99] / [name.p999] / [name.count].
-    For a bench
-    JSON: every
-    numeric leaf as its dotted path (arrays indexed), minus the
-    [schema] / [meta] header. *)
+type direction = Lower | Higher  (** which way a series gets better *)
+
+val flatten : source -> (string * float * direction option) list
+(** Comparable numeric series, sorted by name, each with its direction.
+    For a trace: every counter and gauge under its own name, every
+    histogram as [name.sum] / [name.p50] / [name.p90] / [name.p95] /
+    [name.p99] / [name.p999] / [name.count], directed by
+    {!regression_key}.  For a [tgates-bench/v2] document: each phase's
+    [phases.W.attempted] and [phases.W.failed] (no direction) and each
+    metric's value as [phases.W.lower.M] or [phases.W.higher.M],
+    directed by its group.  For a v1 file: every numeric leaf as its
+    dotted path (arrays indexed), minus the [schema] / [meta] header,
+    directed by {!regression_key}. *)
 
 type delta = {
   key : string;
   before : float option;  (** [None] = key only in the after run *)
   after : float option;  (** [None] = key only in the before run *)
-  pct : float;  (** (after-before)/before × 100; [nan] unless both sides
-                    are present and before ≠ 0 *)
+  pct : float;  (** (after-before)/|before| × 100, so a rise reads
+                    positive from a negative base too; [nan] unless both
+                    sides are present and before ≠ 0 *)
+  better : direction option;  (** the series' direction, from {!flatten} *)
 }
 
 val diff : before:source -> after:source -> delta list
 (** Union of both key sets, sorted by key. *)
 
 val regression_key : string -> bool
-(** Whether an increase in this series is a slowdown for CI purposes:
-    time series (keys containing ["wall_s"] or ["dur"], or ending in
-    [".sum"]/[".p50"]/[".p90"]/[".p95"]/[".p99"]/["_s"]), T-counts, degraded
-    -rotation counts, and GC totals.  Counters where more is better or
-    neutral (cache hits, attempt counts) are excluded. *)
+(** The name rule for series that carry no direction of their own
+    (traces and v1 bench files): an increase is a slowdown for time
+    series (keys containing ["wall_s"] or ["dur"], or ending in
+    [".sum"]/[".p50"]/[".p90"]/[".p95"]/[".p99"]/["_s"]), T-counts,
+    degraded-rotation counts, and GC totals.  Counters where more is
+    better or neutral (cache hits, attempt counts) are excluded. *)
 
 val regressions : fail_above:float -> delta list -> delta list
-(** The deltas that fail a CI gate: {!regression_key}s whose [pct]
-    exceeds [fail_above] (a key newly appearing does not fail). *)
+(** The deltas that fail a CI gate, present on both sides: a [Lower]
+    series that rose by more than [fail_above] percent, or a [Higher]
+    one whose inverse did (before/after − 1, so a rate that halves has
+    regressed by 100 %).  A key newly appearing does not fail. *)
 
 val render_diff : ?fail_above:float -> Format.formatter -> delta list -> unit
 (** The diff table (changed keys, then added/removed); with
     [fail_above], a trailing verdict section listing the
     {!regressions}. *)
 
-(** {1 Bench JSON (tgates-bench/v1)} *)
+(** {1 Bench documents (tgates-bench/v2)}
+
+    One phase per benchmark workload:
+    [{"correct": b, "attempted": n, "failed": n, "lower": {M: {"value": v,
+    "unit": u}, ...}, "higher": {...}}], each metric in the group of
+    the direction in which it gets better. *)
 
 val bench_schema : string
-(** ["tgates-bench/v1"] — the [schema] field of BENCH_*.json. *)
+(** ["tgates-bench/v2"] — the [schema] field of BENCH_*.json. *)
+
+val bench_phase :
+  correct:bool -> attempted:int -> failed:int -> (string * float * string * direction) list -> Obs.Json.t
+(** A phase from its checks and its metrics, each as (name, value,
+    unit, direction). *)
+
+val bench_document : meta:(string * Obs.Json.t) list -> (string * Obs.Json.t) list -> Obs.Json.t
+(** The document of the named phases, with [meta] describing the run. *)
 
 val validate_bench : Obs.Json.t -> (unit, string list) result
-(** Structural check of a BENCH_*.json document: schema tag, required
-    top-level fields ([meta], [wall_s], [phases], [cache], [gc],
-    [degraded_rotations]), per-phase required numeric fields, and
-    numeric-type sanity.  [Error] carries one message per problem. *)
+(** Structural check of a bench document: the schema tag, a [meta]
+    object, and a non-empty [phases] object whose every phase holds a
+    boolean [correct], numeric [attempted] and [failed], and [lower] and
+    [higher] objects of [{"value": finite number, "unit": string}]
+    entries.  [Error] carries one message per problem. *)

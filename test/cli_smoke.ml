@@ -17,7 +17,8 @@
       use (compile_cli whole and --stream, serve_cli).  serve_cli
       refuses a --epsilon that is not positive and finite at start, as
       compile_cli does, with one line saying so.  Both refuse --jobs 0
-      with one stderr line and nothing on stdout.  A malformed
+      with one stderr line and nothing on stdout, and trasyn_cli
+      refuses --sites 0 and --budget -1 the same way.  A malformed
       TGATES_FAULTS is refused the way --faults is, before anything is
       written to stdout (compile_cli, serve_cli), and a --faults flag
       wins over it.
@@ -169,6 +170,14 @@ let () =
           failf "%s --jobs 0: exit %d, wanted 1 with one stderr line naming --jobs and no \
                  stdout:\n%s" b code (String.concat "\n" (out @ err)))
     [ ("compile_cli", [ "--input"; qasm ]); ("serve_cli", []) ];
+  List.iter
+    (fun (flag, args) ->
+      match run_split ([ bin "trasyn_cli"; "--theta"; "0.4" ] @ args) with
+      | 1, [], [ line ] when contains line ("error: invalid argument: " ^ flag ^ ": ") -> ()
+      | code, out, err ->
+          failf "trasyn_cli %s: exit %d, wanted 1 with one stderr line naming %s and no stdout:\n%s"
+            (String.concat " " args) code flag (String.concat "\n" (out @ err)))
+    [ ("--sites", [ "--sites"; "0" ]); ("--budget", [ "--budget=-1" ]) ];
   List.iter
     (fun (b, args) ->
       let env = [ ("TGATES_FAULTS", "bogus") ] in

@@ -1,40 +1,41 @@
 (* CI gate for the perf-trajectory layer, wired into @runtest:
 
-   1. run the perf suite in smoke mode (tiny budgets, --jobs 2 so the
-      planner's multi-domain path is exercised in CI) and check the
-      emitted JSON validates against tgates-bench/v1 via tgates-trace;
-      1b. its streaming phase keeps a bounded peak heap, and no phase
-      reports "identical": false (a copy with one flag flipped must
-      fail that check);
-   2. `tgates-trace diff --fail-above 10` of the result against itself
-      must exit 0 (zero regressions);
-   3. a doctored copy with every wall time doubled must make the same
-      diff exit nonzero — the regression gate actually fires;
+   1. `bench/main.exe --suite perf --quick` (every BENCHMARK.json
+      workload at smoke size, untraced then traced, through the
+      perfbench executable built beside it) writes a document that
+      `tgates-trace validate` accepts, with one phase per workload;
+      1b. two `compile_cli --stream` children over QAOA streams 5x
+      apart keep a bounded peak heap: the big run's peak is at most
+      twice the small run's, where an O(input) pipeline would sit
+      near 5;
+   2. `tgates-trace diff --fail-above 10` of the document against
+      itself must exit 0 (zero regressions);
+   3. a doctored copy with every lower metric doubled and every higher
+      one halved must make the same diff exit nonzero, and a copy with
+      only rate_per_s raised 50 % must pass it: the gate fires, and
+      reads each metric in its own direction;
    4. a compile_cli --trace run must yield a trace whose hotspot
       self-times sum to within 5% of the root span's wall time, whose
       `tgates-trace report`, minus its first line, is the report the
       run printed on stderr, and which names TRASYN's step-0 table
       build (a cliffordt.table.build span with max_t 10) instead of
       folding it into trasyn.synthesize's self time;
-   5. a second, independent quick-suite run diffed against the first
-      must pass a lenient regression threshold — the exact plumbing a
-      real perf gate uses (two separate processes, two JSON files),
-      exercised end-to-end in CI;
-   6. a quick-suite run with the live metrics sampler attached must
-      stream a loadable tgates-metrics/v1 file whose sampler overhead
-      passes `tgates-trace metrics --max-overhead-pct 2` — the
-      acceptance bound on sampler cost;
+   5. a second, independent quick run diffed against the first must
+      pass a lenient threshold on the end-to-end metrics — the exact
+      plumbing a real perf gate uses (two separate processes, two JSON
+      files), exercised end-to-end in CI;
+   6. a `compile_cli --stream --metrics-out` child must stream a
+      loadable tgates-metrics/v1 file whose sampler overhead passes
+      `tgates-trace metrics --max-overhead-pct 2` — the acceptance
+      bound on sampler cost;
    7. compiling the same circuit with --ledger at --jobs 1 and --jobs 2
       must give `tgates-trace ledger` outputs that are byte-identical
       once wall-time lines are dropped — provenance aggregation is
       deterministic across domain counts.
 
-   The suite runs get --serve-cli, so every gate's bench JSON carries
-   the server_load phase (live serve_cli child over a socket) and the
-   sampler-overhead bound of gate 6 covers request tracing too.
+   The arguments: BENCH_MAIN TRACE_CLI COMPILE_CLI BENCHMARK_JSON. *)
 
-   The executables arrive as argv:
-   BENCH_MAIN TRACE_CLI COMPILE_CLI SERVE_CLI. *)
+module J = Obs.Json
 
 let failf fmt = Printf.ksprintf (fun s -> prerr_endline ("perf_smoke: FAIL: " ^ s); exit 1) fmt
 let command cmd = Sys.command cmd
@@ -43,11 +44,11 @@ let run_ok what cmd =
   let code = command cmd in
   if code <> 0 then failf "%s: exit %d: %s" what code cmd
 
-(* Gates 5 and 6 measure wall-clock behaviour of whole child suites on
-   whatever machine CI lands on; on a loaded or two-core box an honest
-   run can trip their bounds.  Each attempt re-runs the workload from
-   scratch, so a deterministic regression still fails every attempt —
-   retries only absorb machine noise. *)
+(* Gates 5 and 6 measure wall-clock behaviour of child runs on whatever
+   machine CI lands on; on a loaded or two-core box an honest run can
+   trip their bounds.  Each attempt re-runs the workload from scratch,
+   so a deterministic regression still fails every attempt — retries
+   only absorb machine noise. *)
 let retry_ok ?(attempts = 3) what run_attempt =
   let rec go n =
     let code = run_attempt () in
@@ -67,129 +68,124 @@ let read_file path =
   close_in ic;
   s
 
-(* Double every "wall_s" (and per-phase quantile) leaf — the doctored
-   2x-slower run of the acceptance criterion. *)
-let rec slow_down = function
-  | Obs.Json.Obj kvs ->
-      Obs.Json.Obj
-        (List.map
-           (fun (k, v) ->
-             match v with
-             | Obs.Json.Num f
-               when k = "wall_s" || k = "p50_s" || k = "p90_s" || k = "p95_s" || k = "p99_s"
-                    || k = "p999_s" ->
-                 (k, Obs.Json.Num (2.0 *. f))
-             | _ -> (k, slow_down v))
-           kvs)
-  | Obs.Json.Arr xs -> Obs.Json.Arr (List.map slow_down xs)
+let read_json path =
+  match J.parse (String.trim (read_file path)) with
+  | Ok j -> j
+  | Error e -> failf "%s does not parse: %s" path e
+
+let write_json path j =
+  let oc = open_out path in
+  output_string oc (J.pretty j);
+  output_char oc '\n';
+  close_out oc
+
+let names k j =
+  let name x = match J.member "name" x with Some (J.Str n) -> Some n | _ -> None in
+  match J.member k j with
+  | Some (J.Arr xs) -> List.filter_map name xs
+  | _ -> failf "BENCHMARK.json lacks %s" k
+
+(* A copy of a bench document whose every metric value goes through
+   [f group name value]; [None] drops the metric. *)
+let map_metrics f doc =
+  let metric g (name, e) =
+    match (J.member "value" e, e) with
+    | Some (J.Num v), J.Obj kvs ->
+        Option.map (fun v -> (name, J.Obj (("value", J.Num v) :: List.remove_assoc "value" kvs))) (f g name v)
+    | _ -> Some (name, e)
+  in
+  let group (k, v) =
+    match v with
+    | J.Obj ms when k = "lower" || k = "higher" -> (k, J.Obj (List.filter_map (metric k) ms))
+    | _ -> (k, v)
+  in
+  let phase (w, p) = (w, match p with J.Obj kvs -> J.Obj (List.map group kvs) | _ -> p) in
+  match doc with
+  | J.Obj kvs ->
+      J.Obj (List.map (function "phases", J.Obj ps -> ("phases", J.Obj (List.map phase ps)) | kv -> kv) kvs)
   | j -> j
 
-(* The phases whose "identical" flag reads false: a phase that checks
-   its answer against another path and found them different. *)
-let mismatched_phases j =
-  match Obs.Json.member "phases" j with
-  | Some (Obs.Json.Obj phases) ->
-      List.filter_map
-        (fun (name, p) ->
-          match Obs.Json.member "identical" p with Some (Obs.Json.Bool false) -> Some name | _ -> None)
-        phases
-  | _ -> failf "bench JSON lacks phases"
-
-(* Flip the first "identical" flag to false — the doctored copy that
-   shows the identity gate fires. *)
-let flip_first_identical j =
-  let flipped = ref false in
-  let rec go = function
-    | Obs.Json.Obj kvs ->
-        Obs.Json.Obj
-          (List.map
-             (fun (k, v) ->
-               match v with
-               | Obs.Json.Bool true when k = "identical" && not !flipped ->
-                   flipped := true;
-                   (k, Obs.Json.Bool false)
-               | _ -> (k, go v))
-             kvs)
-    | j -> j
-  in
-  let doctored = go j in
-  if not !flipped then failf "no phase of the bench JSON reports \"identical\"";
-  doctored
+let gen_qaoa gates =
+  let path = Filename.temp_file "perf_smoke_qaoa" ".qasm" in
+  let oc = open_out path in
+  ignore (Generators.write_qaoa_stream ~seed:11 ~n:12 ~gates oc);
+  close_out oc;
+  path
 
 let () =
   if Array.length Sys.argv < 5 then
-    failf "usage: perf_smoke BENCH_MAIN TRACE_CLI COMPILE_CLI SERVE_CLI";
+    failf "usage: perf_smoke BENCH_MAIN TRACE_CLI COMPILE_CLI BENCHMARK_JSON";
   let bench_main = Sys.argv.(1)
   and trace_cli = Sys.argv.(2)
   and compile_cli = Sys.argv.(3)
-  and serve_cli = Sys.argv.(4) in
+  and spec = read_json Sys.argv.(4) in
   let q = Filename.quote in
-  let suite_cmd out extra =
-    Printf.sprintf
-      "%s --suite perf --quick --suite-budget 20 --jobs 2 --serve-cli %s --compile-cli %s \
-       --bench-out %s%s >/dev/null 2>/dev/null"
-      (q bench_main) (q serve_cli) (q compile_cli) (q out) extra
+  let suite_cmd out =
+    Printf.sprintf "%s --suite perf --quick --bench-out %s >/dev/null 2>/dev/null" (q bench_main)
+      (q out)
+  in
+  let diff_code ~fail_above before after =
+    command
+      (Printf.sprintf "%s diff --fail-above %g %s %s >/dev/null" (q trace_cli) fail_above (q before)
+         (q after))
   in
 
-  (* Gate 1: smoke perf run emits schema-valid JSON. *)
+  (* Gate 1: the quick suite writes a valid document, one phase per
+     workload. *)
   let bench_json = Filename.temp_file "perf_smoke" ".json" in
-  run_ok "perf suite" (suite_cmd bench_json "");
+  run_ok "perf suite" (suite_cmd bench_json);
   run_ok "validate" (Printf.sprintf "%s validate %s >/dev/null" (q trace_cli) (q bench_json));
+  let doc = read_json bench_json in
+  (match J.member "phases" doc with
+  | Some (J.Obj ps) when List.map fst ps = names "workloads" spec -> ()
+  | _ -> failf "the document's phases are not BENCHMARK.json's workloads");
 
-  (* Gate 1b: the streaming phase holds its bounded-memory contract.
-     peak_ratio compares process peak heap ([obs.heap.peak_words]) at
-     5x-apart input sizes: an O(input) pipeline would sit near 5, the
-     windowed one must stay under 2. *)
-  (match Obs.Json.parse (String.trim (read_file bench_json)) with
-  | Error e -> failf "bench JSON does not parse: %s" e
-  | Ok j ->
-      let num path =
-        let rec go j = function
-          | [] -> ( match j with Obs.Json.Num f -> Some f | _ -> None)
-          | k :: rest -> ( match Obs.Json.member k j with Some j' -> go j' rest | None -> None)
-        in
-        match go j path with
-        | Some f -> f
-        | None -> failf "bench JSON lacks %s" (String.concat "." path)
-      in
-      let sc k = num [ "phases"; "stream_compile"; k ] in
-      if sc "gates_per_s" <= 0.0 then failf "stream_compile reports no throughput";
-      if sc "peak_heap_words" <= 0.0 then failf "stream_compile big-run peak heap not sampled";
-      if sc "small_peak_heap_words" <= 0.0 then failf "stream_compile small-run peak heap not sampled";
-      let ratio = sc "peak_ratio" in
-      if ratio > 2.0 then
-        failf "stream_compile peak heap scales with input (ratio %.2f > 2 across a 5x size step)"
-          ratio;
-      (* Every phase that compares two paths (chain_reuse's cold and
-         warm MPS, store_replay's cold and warm words) must report them
-         identical; a doctored copy with one flag flipped must trip the
-         same check. *)
-      (match mismatched_phases j with
-      | [] -> ()
-      | names -> failf "phases report \"identical\": false: %s" (String.concat ", " names));
-      if mismatched_phases (flip_first_identical j) = [] then
-        failf "a copy with one \"identical\" flag flipped passed; the identity gate is inert");
+  (* Gate 1b: the streaming engine holds its bounded-memory contract.
+     Each child reports its process peak heap ([obs.heap.peak_words]);
+     with O(window + queue + depth) state the 5,000-gate run's peak must
+     sit close to the 1,000-gate run's. *)
+  let stream_report gates =
+    let qasm = gen_qaoa gates in
+    let report = Filename.temp_file "perf_smoke_stream" ".report" in
+    run_ok "stream compile"
+      (Printf.sprintf
+         "%s --input %s --stream --workflow gridsynth --epsilon 0.1 --window 64 --jobs 1 > %s \
+          2>/dev/null"
+         (q compile_cli) (q qasm) (q report));
+    let rep = read_file report in
+    Sys.remove qasm;
+    Sys.remove report;
+    let scan fmt =
+      List.find_map
+        (fun line ->
+          try Some (Scanf.sscanf line fmt Fun.id)
+          with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+        (String.split_on_char '\n' rep)
+    in
+    match (scan "gates/sec: %f", scan "peak heap: %f words") with
+    | Some rate, Some peak when rate > 0.0 && peak > 0.0 -> peak
+    | _ -> failf "the %d-gate stream report has no throughput or peak heap:\n%s" gates rep
+  in
+  let small_peak = stream_report 1_000 and big_peak = stream_report 5_000 in
+  if big_peak > 2.0 *. small_peak then
+    failf "stream peak heap scales with input (%.0f words at 5,000 gates, %.0f at 1,000: %.2f > 2)"
+      big_peak small_peak (big_peak /. small_peak);
 
   (* Gate 2: self-diff with the CI threshold is clean. *)
-  run_ok "self diff"
-    (Printf.sprintf "%s diff --fail-above 10 %s %s >/dev/null" (q trace_cli) (q bench_json)
-       (q bench_json));
+  if diff_code ~fail_above:10.0 bench_json bench_json <> 0 then
+    failf "the self diff found a regression";
 
-  (* Gate 3: the doctored 2x-slower copy trips the gate. *)
-  let doctored = Filename.temp_file "perf_smoke_slow" ".json" in
-  (match Obs.Json.parse (String.trim (read_file bench_json)) with
-  | Error e -> failf "emitted JSON does not re-parse: %s" e
-  | Ok j ->
-      let oc = open_out doctored in
-      output_string oc (Obs.Json.pretty (slow_down j));
-      output_char oc '\n';
-      close_out oc);
-  let code =
-    command
-      (Printf.sprintf "%s diff --fail-above 10 %s %s >/dev/null" (q trace_cli) (q bench_json)
-         (q doctored))
-  in
-  if code = 0 then failf "diff against the 2x-slower copy exited 0; the regression gate is inert";
+  (* Gate 3: the doctored copies — every metric worse by 2x trips the
+     gate; a faster rate alone does not. *)
+  let doctored = Filename.temp_file "perf_smoke_doctored" ".json" in
+  let worse g _ v = Some (if g = "lower" then 2.0 *. v else v /. 2.0) in
+  write_json doctored (map_metrics worse doc);
+  if diff_code ~fail_above:10.0 bench_json doctored = 0 then
+    failf "diff against the 2x-worse copy exited 0; the regression gate is inert";
+  let faster _ name v = Some (if name = "rate_per_s" then 1.5 *. v else v) in
+  write_json doctored (map_metrics faster doc);
+  if diff_code ~fail_above:10.0 bench_json doctored <> 0 then
+    failf "diff against a copy with a 50%% higher rate_per_s failed; the gate reads rates backwards";
 
   (* Gate 4: hotspot self-times on a real compile trace account for the
      root span's wall time.  --jobs 1 keeps synthesis on the calling
@@ -249,37 +245,48 @@ let () =
       if Float.abs (self_sum -. wall) > 0.05 *. wall then
         failf "hotspot self-times sum to %.6fs but the root spans %.6fs (off by more than 5%%)"
           self_sum wall);
-  (* Gate 5: fresh run vs its own re-run through the regression gate.
-     The threshold is deliberately loose (300%): smoke phases last
-     milliseconds and their bucketed quantiles can jump a bucket or two
-     between runs on a loaded machine; what this gate proves is that
-     two honest runs of the same workload pass while the plumbing
-     (flatten, key filter, exit code) runs end-to-end on real files. *)
+  (* Gate 5: fresh run vs its own re-run through the regression gate,
+     on the end-to-end metrics that BENCHMARK.json bounds.  The
+     threshold is deliberately loose (300%): what this gate proves is
+     that two honest runs of the same workloads pass while the plumbing
+     (flatten, directions, exit code) runs end-to-end on real files.
+     The per-layer metrics of one-second smoke runs are diagnostic and
+     swing by more than that between honest runs (the trace overhead
+     and the remainders that are differences of timers cross zero), so
+     they stay out of this gate. *)
+  let end_to_end = names "end_to_end" spec in
+  let e2e path =
+    let copy = Filename.temp_file "perf_smoke_e2e" ".json" in
+    let keep _ name v = if List.mem name end_to_end then Some v else None in
+    write_json copy (map_metrics keep (read_json path));
+    copy
+  in
   let bench_json2 = Filename.temp_file "perf_smoke_rerun" ".json" in
   retry_ok "re-run diff" (fun () ->
-      run_ok "perf suite re-run" (suite_cmd bench_json2 "");
-      let code =
-        command
-          (Printf.sprintf "%s diff --fail-above 300 %s %s >/dev/null" (q trace_cli) (q bench_json)
-             (q bench_json2))
-      in
+      run_ok "perf suite re-run" (suite_cmd bench_json2);
+      let before = e2e bench_json and after = e2e bench_json2 in
+      let code = diff_code ~fail_above:300.0 before after in
+      List.iter Sys.remove [ before; after ];
       (* On a miss the skew can live in either file — the baseline dates
          from gate 1, possibly under very different machine load — so
          refresh it too and let the next attempt compare two runs taken
          under current conditions. *)
-      if code <> 0 then run_ok "perf suite baseline refresh" (suite_cmd bench_json "");
+      if code <> 0 then run_ok "perf suite baseline refresh" (suite_cmd bench_json);
       code);
 
-  (* Gate 6: the sampler rides a quick suite and stays under the 2%
-     overhead bound.  The suite itself runs for seconds while each tick
-     walks a few dozen metrics, so the margin is wide; what the gate
-     pins down is that sampler self-time is measured and exported at
-     all, and that the stream survives the torn/duplicate-line checks
-     in Metrics.load_stream. *)
+  (* Gate 6: the live sampler rides a streamed compile and stays under
+     the 2% overhead bound.  Each tick walks a few dozen metrics; what
+     the gate pins down is that sampler self-time is measured and
+     exported at all, and that the stream survives the torn/duplicate
+     -line checks in Metrics.load_stream. *)
   let metrics_jsonl = Filename.temp_file "perf_smoke_metrics" ".jsonl" in
+  let qasm6 = gen_qaoa 100_000 in
   retry_ok "metrics overhead gate" (fun () ->
-      run_ok "perf suite with sampler"
-        (suite_cmd bench_json2 (Printf.sprintf " --metrics-out %s" (q metrics_jsonl)));
+      run_ok "stream compile with sampler"
+        (Printf.sprintf
+           "%s --input %s --stream --workflow gridsynth --epsilon 0.1 --jobs 1 --metrics-out %s \
+            >/dev/null 2>/dev/null"
+           (q compile_cli) (q qasm6) (q metrics_jsonl));
       command
         (Printf.sprintf
            "%s metrics --max-overhead-pct 2 --require-series synth.rotations \
@@ -321,6 +328,6 @@ let () =
 
   List.iter Sys.remove
     [
-      bench_json; bench_json2; doctored; qasm; qasm7; trace; stderr_txt; report_txt; metrics_jsonl;
+      bench_json; bench_json2; doctored; qasm; qasm6; qasm7; trace; stderr_txt; report_txt; metrics_jsonl;
     ];
   print_endline "perf_smoke: OK"

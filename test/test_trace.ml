@@ -1,6 +1,7 @@
 (* Tests for lib/obs/trace_analysis.ml: span-tree reconstruction and
    self-time attribution, folded stacks, run diffing with the CI
-   regression gate, and tgates-bench/v1 validation. *)
+   regression gate (directed by a bench metric's group, or by a trace
+   series' name), and tgates-bench/v2 validation. *)
 
 module TA = Trace_analysis
 
@@ -145,39 +146,22 @@ let end_to_end_tests =
           (Float.abs (self_sum -. wall) <= 0.05 *. wall));
   ]
 
-let mk_bench ~wall ~t_count =
-  Obs.Json.Obj
+(* A one-phase tgates-bench/v2 document: [wall] sets the two timed
+   lower series, [rate] the higher one. *)
+let mk_bench ?(rate = 40.0) ?(extra = []) ~wall ~t_count () =
+  TA.bench_document
+    ~meta:[ ("suite", Obs.Json.Str "perf") ]
     [
-      ("schema", Obs.Json.Str TA.bench_schema);
-      ("meta", Obs.Json.Obj [ ("suite", Obs.Json.Str "perf") ]);
-      ("wall_s", Obs.Json.Num wall);
-      ( "phases",
-        Obs.Json.Obj
-          [
-            ( "gridsynth_rz",
-              Obs.Json.Obj
-                [
-                  ("items", Obs.Json.Num 6.0);
-                  ("wall_s", Obs.Json.Num (wall /. 2.0));
-                  ("p50_s", Obs.Json.Num 0.001);
-                  ("p90_s", Obs.Json.Num 0.002);
-                  ("p99_s", Obs.Json.Num 0.003);
-                  ("t_count", Obs.Json.Num t_count);
-                ] );
-          ] );
-      ( "cache",
-        Obs.Json.Obj [ ("gridsynth_hit_rate", Obs.Json.Num 0.5); ("evictions", Obs.Json.Num 0.0) ]
-      );
-      ( "gc",
-        Obs.Json.Obj
-          [
-            ("minor_words", Obs.Json.Num 1e6);
-            ("major_words", Obs.Json.Num 1e5);
-            ("promoted_words", Obs.Json.Num 1e4);
-            ("minor_collections", Obs.Json.Num 10.0);
-            ("major_collections", Obs.Json.Num 1.0);
-          ] );
-      ("degraded_rotations", Obs.Json.Num 0.0);
+      ( "u3_unique",
+        TA.bench_phase ~correct:true ~attempted:600 ~failed:0
+          ([
+             ("setup_s", wall, "s", TA.Lower);
+             ("p50_ms", wall /. 2.0, "ref_ms", TA.Lower);
+             ("t_per_rot", t_count, "T/rotation", TA.Lower);
+             ("rate_per_s", rate, "items/ref_s", TA.Higher);
+             ("mps.chain_cache.hit_ratio", 0.5, "ratio", TA.Higher);
+           ]
+          @ extra) );
     ]
 
 let write_bench b =
@@ -187,10 +171,21 @@ let write_bench b =
   close_out oc;
   path
 
+let bench_diff b1 b2 =
+  let p1 = write_bench b1 and p2 = write_bench b2 in
+  let before = Result.get_ok (TA.load_source p1) in
+  let after = Result.get_ok (TA.load_source p2) in
+  Sys.remove p1;
+  Sys.remove p2;
+  TA.diff ~before ~after
+
+let regressed_keys ~fail_above deltas =
+  List.map (fun d -> d.TA.key) (TA.regressions ~fail_above deltas)
+
 let diff_tests =
   [
     Alcotest.test_case "bench JSON self-diff has no regressions" `Quick (fun () ->
-        let p = write_bench (mk_bench ~wall:2.0 ~t_count:100.0) in
+        let p = write_bench (mk_bench ~wall:2.0 ~t_count:100.0 ()) in
         let s = Result.get_ok (TA.load_source p) in
         Sys.remove p;
         let deltas = TA.diff ~before:s ~after:s in
@@ -199,18 +194,35 @@ let diff_tests =
         Alcotest.(check int) "no regressions" 0
           (List.length (TA.regressions ~fail_above:0.0 deltas)));
     Alcotest.test_case "a 2x-slower run fails the 10% gate" `Quick (fun () ->
-        let p1 = write_bench (mk_bench ~wall:2.0 ~t_count:100.0) in
-        let p2 = write_bench (mk_bench ~wall:4.0 ~t_count:100.0) in
-        let before = Result.get_ok (TA.load_source p1) in
-        let after = Result.get_ok (TA.load_source p2) in
-        Sys.remove p1;
-        Sys.remove p2;
-        let deltas = TA.diff ~before ~after in
+        let deltas =
+          bench_diff (mk_bench ~wall:2.0 ~t_count:100.0 ()) (mk_bench ~wall:4.0 ~t_count:100.0 ())
+        in
         let regs = TA.regressions ~fail_above:10.0 deltas in
-        Alcotest.(check bool) "regressions found" true (regs <> []);
-        let keys = List.map (fun d -> d.TA.key) regs in
-        Alcotest.(check bool) "wall_s regressed" true (List.mem "wall_s" keys);
+        Alcotest.(check (list string)) "the timed series regressed"
+          [ "phases.u3_unique.lower.p50_ms"; "phases.u3_unique.lower.setup_s" ]
+          (List.map (fun d -> d.TA.key) regs);
         List.iter (fun d -> feq ("pct " ^ d.TA.key) 100.0 d.TA.pct) regs);
+    Alcotest.test_case "a series' direction comes from its group" `Quick (fun () ->
+        let regressed after =
+          regressed_keys ~fail_above:10.0 (bench_diff (mk_bench ~wall:2.0 ~t_count:100.0 ()) after)
+        in
+        Alcotest.(check (list string)) "a higher series at +50% is no regression" []
+          (regressed (mk_bench ~rate:60.0 ~wall:2.0 ~t_count:100.0 ()));
+        Alcotest.(check (list string)) "a higher series at -50% is one"
+          [ "phases.u3_unique.higher.rate_per_s" ]
+          (regressed (mk_bench ~rate:20.0 ~wall:2.0 ~t_count:100.0 ()));
+        Alcotest.(check (list string)) "a lower series at x2 is one"
+          [ "phases.u3_unique.lower.t_per_rot" ]
+          (regressed (mk_bench ~wall:2.0 ~t_count:200.0 ()));
+        (* A signed metric (a trace overhead, a remainder of timers)
+           that rises from below zero got worse too. *)
+        let signed v = mk_bench ~extra:[ ("overhead_pct", v, "%", TA.Lower) ] ~wall:2.0 ~t_count:100.0 () in
+        Alcotest.(check (list string)) "a lower series rising through zero is one"
+          [ "phases.u3_unique.lower.overhead_pct" ]
+          (regressed_keys ~fail_above:10.0 (bench_diff (signed (-1.0)) (signed 3.0)));
+        (* The name rule alone would read these the other way round. *)
+        Alcotest.(check bool) "rate_per_s ends in _s" true (TA.regression_key "rate_per_s");
+        Alcotest.(check bool) "p50_ms has no time suffix" false (TA.regression_key "p50_ms"));
     Alcotest.test_case "T-count regressions are gated; cache-rate gains are not" `Quick (fun () ->
         Alcotest.(check bool) "t_count key" true (TA.regression_key "phases.gridsynth_rz.t_count");
         Alcotest.(check bool) "wall key" true (TA.regression_key "phases.gridsynth_rz.wall_s");
@@ -221,39 +233,55 @@ let diff_tests =
           (TA.regression_key "cache.gridsynth_hit_rate");
         Alcotest.(check bool) "items not gated" false (TA.regression_key "phases.gridsynth_rz.items"));
     Alcotest.test_case "added and removed series are reported, not failed" `Quick (fun () ->
-        let p1 = write_bench (mk_bench ~wall:2.0 ~t_count:100.0) in
-        let j2 =
-          match mk_bench ~wall:2.0 ~t_count:100.0 with
-          | Obs.Json.Obj kvs ->
-              Obs.Json.Obj (kvs @ [ ("extra_wall_s", Obs.Json.Num 1.0) ])
-          | _ -> assert false
+        let deltas =
+          bench_diff (mk_bench ~wall:2.0 ~t_count:100.0 ())
+            (mk_bench ~extra:[ ("extra_s", 1.0, "s", TA.Lower) ] ~wall:2.0 ~t_count:100.0 ())
         in
-        let p2 = write_bench j2 in
-        let before = Result.get_ok (TA.load_source p1) in
-        let after = Result.get_ok (TA.load_source p2) in
-        Sys.remove p1;
-        Sys.remove p2;
-        let deltas = TA.diff ~before ~after in
-        let added = List.find (fun d -> d.TA.key = "extra_wall_s") deltas in
+        let added = List.find (fun d -> d.TA.key = "phases.u3_unique.lower.extra_s") deltas in
         Alcotest.(check bool) "before absent" true (added.TA.before = None);
         Alcotest.(check int) "new keys never fail the gate" 0
           (List.length (TA.regressions ~fail_above:0.0 deltas)));
     Alcotest.test_case "trace flattening exposes counters and hist quantiles" `Quick (fun () ->
         let tr = load_lines tree_lines in
         let flat = TA.flatten (TA.Trace tr) in
-        feq "counter" 7.0 (Option.get (List.assoc_opt "some.counter" flat));
-        feq "hist sum" 1.0 (Option.get (List.assoc_opt "root.sum" flat));
-        feq "hist p99" 1.0 (Option.get (List.assoc_opt "root.p99" flat)));
+        let value k =
+          match List.find_opt (fun (k', _, _) -> k' = k) flat with Some (_, v, _) -> v | None -> nan
+        in
+        feq "counter" 7.0 (value "some.counter");
+        feq "hist sum" 1.0 (value "root.sum");
+        feq "hist p99" 1.0 (value "root.p99"));
   ]
+
+let contains e sub =
+  let n = String.length e and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub e i m = sub || go (i + 1)) in
+  go 0
+
+(* [mk_bench] with its one phase replaced by [phase]. *)
+let with_phase phase =
+  match mk_bench ~wall:2.0 ~t_count:100.0 () with
+  | Obs.Json.Obj kvs ->
+      Obs.Json.Obj
+        (List.map
+           (function "phases", _ -> ("phases", Obs.Json.Obj [ ("broken", phase) ]) | kv -> kv)
+           kvs)
+  | _ -> assert false
 
 let validate_tests =
   [
     Alcotest.test_case "a well-formed bench document validates" `Quick (fun () ->
-        match TA.validate_bench (mk_bench ~wall:2.0 ~t_count:100.0) with
+        match TA.validate_bench (mk_bench ~wall:2.0 ~t_count:100.0 ()) with
         | Ok () -> ()
         | Error es -> Alcotest.failf "unexpected errors: %s" (String.concat "; " es));
     Alcotest.test_case "missing fields are each reported" `Quick (fun () ->
-        match TA.validate_bench (Obs.Json.Obj [ ("schema", Obs.Json.Str "wrong/v0") ]) with
+        match
+          TA.validate_bench
+            (Obs.Json.Obj
+               [
+                 ("schema", Obs.Json.Str "wrong/v0");
+                 ("phases", Obs.Json.Obj [ ("empty", Obs.Json.Obj []) ]);
+               ])
+        with
         | Ok () -> Alcotest.fail "validated an empty document"
         | Error es ->
             Alcotest.(check bool) "several problems" true (List.length es >= 5);
@@ -262,32 +290,37 @@ let validate_tests =
                  (fun e ->
                    String.length e >= 6 && String.sub e 0 6 = "schema")
                  es));
-    Alcotest.test_case "a phase missing a quantile fails validation" `Quick (fun () ->
-        let doc =
-          match mk_bench ~wall:2.0 ~t_count:100.0 with
-          | Obs.Json.Obj kvs ->
-              Obs.Json.Obj
-                (List.map
-                   (function
-                     | "phases", _ ->
-                         ( "phases",
-                           Obs.Json.Obj
-                             [ ("broken", Obs.Json.Obj [ ("items", Obs.Json.Num 1.0) ]) ] )
-                     | kv -> kv)
-                   kvs)
-          | _ -> assert false
+    Alcotest.test_case "a phase lacking its groups or holding a non-number fails validation" `Quick
+      (fun () ->
+        let expect_error doc field =
+          match TA.validate_bench doc with
+          | Ok () -> Alcotest.failf "validated a phase with a broken %s" field
+          | Error es ->
+              Alcotest.(check bool) ("names " ^ field) true (List.exists (fun e -> contains e field) es)
         in
-        match TA.validate_bench doc with
-        | Ok () -> Alcotest.fail "validated a broken phase"
-        | Error es ->
-            Alcotest.(check bool) "names the field" true
-              (List.exists
-                 (fun e ->
-                   let sub = "phases.broken.wall_s" in
-                   let n = String.length e and m = String.length sub in
-                   let rec go i = i + m <= n && (String.sub e i m = sub || go (i + 1)) in
-                   go 0)
-                 es));
+        let no_higher =
+          match TA.bench_phase ~correct:true ~attempted:1 ~failed:0 [] with
+          | Obs.Json.Obj kvs -> Obs.Json.Obj (List.remove_assoc "higher" kvs)
+          | j -> j
+        in
+        expect_error (with_phase no_higher) "phases.broken.higher";
+        expect_error
+          (with_phase
+             (Obs.Json.Obj
+                [
+                  ("correct", Obs.Json.Bool true);
+                  ("attempted", Obs.Json.Num 1.0);
+                  ("failed", Obs.Json.Num 0.0);
+                  ( "lower",
+                    Obs.Json.Obj
+                      [
+                        ( "p50_ms",
+                          Obs.Json.Obj [ ("value", Obs.Json.Str "fast"); ("unit", Obs.Json.Str "ref_ms") ] );
+                      ]
+                  );
+                  ("higher", Obs.Json.Obj []);
+                ]))
+          "phases.broken.lower.p50_ms.value");
   ]
 
 let suite = tree_tests @ end_to_end_tests @ diff_tests @ validate_tests

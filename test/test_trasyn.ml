@@ -190,6 +190,13 @@ let budget_tests =
           (synth []);
         Alcotest.check_raises "negative budget" (Invalid_argument "Trasyn.synthesize: negative budget")
           (synth [ 3; -1 ]);
+        (* Algorithm 1's loop refuses them before its first attempt: a
+           Clifford target meets ε on the first prefix. *)
+        let to_error budgets () = ignore (Trasyn.to_error ~target:Mat2.h ~budgets ~epsilon:0.1 ()) in
+        Alcotest.check_raises "to_error: empty budget list"
+          (Invalid_argument "Trasyn.to_error: empty budget list") (to_error []);
+        Alcotest.check_raises "to_error: negative budget"
+          (Invalid_argument "Trasyn.to_error: negative budget") (to_error [ 3; -1 ]);
         let chain caps () = ignore (Mps.canonical_chain (Ma_table.get 3) caps) in
         let out_of_range = Invalid_argument "Mps.canonical_chain: T cap out of range" in
         Alcotest.check_raises "zero sites" (Invalid_argument "Mps.canonical_chain: need at least one site")
