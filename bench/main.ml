@@ -80,6 +80,11 @@ let kernels () =
 
 let () =
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "bench/main.exe options";
+  if !table_t < 0 || !table_t > Ma_table.max_depth then begin
+    Printf.eprintf "error: invalid argument: --table-t: must be between 0 and %d (got %d)\n" Ma_table.max_depth
+      !table_t;
+    exit 1
+  end;
   if !quick then begin
     unitaries := 6;
     samples := 256;

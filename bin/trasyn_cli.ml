@@ -9,6 +9,9 @@ let run theta phi lam epsilon budget sites samples trace ledger =
   Cli.exit_code @@ fun () ->
   if sites < 1 then Cli.reject "--sites" (Printf.sprintf "must be >= 1 (got %d)" sites);
   if budget < 0 then Cli.reject "--budget" (Printf.sprintf "must be >= 0 (got %d)" budget);
+  if budget > Ma_table.max_depth then
+    Cli.reject "--budget" (Printf.sprintf "must be <= %d (got %d)" Ma_table.max_depth budget);
+  if samples < 1 then Cli.reject "--samples" (Printf.sprintf "must be >= 1 (got %d)" samples);
   (match epsilon with
   | Some e when not (e > 0.0 && Float.is_finite e) ->
       invalid_arg "--epsilon must be positive and finite"

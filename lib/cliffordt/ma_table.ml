@@ -59,6 +59,17 @@ type t = {
 }
 
 let theoretical_count m = 24 * ((3 * (1 lsl m)) - 2)
+
+(* The deepest table whose key width is stated (22 at depth 16, inside
+   the packed range), at 4.7 M entries; a depth beyond it is refused
+   before the builder sizes its arrays (75.5 M entries at depth 20). *)
+let max_depth = 16
+
+let check_depth what max_t =
+  if max_t < 0 then invalid_arg (what ^ ": negative depth");
+  if max_t > max_depth then
+    invalid_arg (Printf.sprintf "%s: depth %d above the maximum %d" what max_t max_depth)
+
 let size t = Array.length t.words
 let max_t t = t.max_t
 let offset t k = t.offsets.(k)
@@ -237,7 +248,7 @@ let blocks = Ctgate.[| [ T ]; [ H; T ]; [ S; H; T ] |]
    times the Clifford's word, gate by gate.  Normal forms are unique,
    so every [seek] finds a new key. *)
 let build max_t =
-  if max_t < 0 then invalid_arg "Ma_table.build: negative depth";
+  check_depth "Ma_table.build" max_t;
   Obs.span "cliffordt.table.build" @@ fun () ->
   Obs.set_span_attr "max_t" (string_of_int max_t);
   let b = builder (theoretical_count max_t) in
@@ -288,7 +299,6 @@ let build max_t =
    admits has T count at most [max_t], so {!theoretical_count} bounds
    the table. *)
 let closure (gs : Gateset.t) max_t =
-  if max_t < 0 then invalid_arg "Ma_table.get_for: negative depth";
   Obs.span "cliffordt.table.build" @@ fun () ->
   Obs.set_span_attr "max_t" (string_of_int max_t);
   let cliffords, non_cliffords = List.partition Ctgate.is_clifford gs.Gateset.generators in
@@ -381,6 +391,7 @@ let enumerate ~gate_set max_t =
       | Gateset.Bfs -> closure gs max_t)
 
 let get_for ~gate_set max_t =
+  check_depth "Ma_table.get_for" max_t;
   Mutex.lock cache_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock cache_lock)

@@ -23,12 +23,18 @@ type t
 val theoretical_count : int -> int
 (** 24·(3·2^m − 2), verified against the enumeration in the tests. *)
 
+val max_depth : int
+(** 16: the deepest table whose key width is stated above, at
+    4,718,544 entries.  {!build} and {!get_for} refuse a deeper one
+    before allocating anything. *)
+
 val build : int -> t
 (** The table of depth [max_t], entries ordered by T count, prefix and
     Clifford, under an [Obs] span ["cliffordt.table.build"] with a
     ["max_t"] attribute.  The planes are left unfilled.
-    @raise Invalid_argument on a negative depth, or on a depth with a
-    canonical key component outside the packed range [−64, 63]. *)
+    @raise Invalid_argument on a depth below 0 or above {!max_depth},
+    or on a depth with a canonical key component outside the packed
+    range [−64, 63]. *)
 
 val get_for : gate_set:string -> int -> t
 (** The table of the registered gate set [gate_set] ([Gateset.find]) at
@@ -37,7 +43,8 @@ val get_for : gate_set:string -> int -> t
     closure, Dijkstra by non-Clifford count with canonical-unitary
     dedup, under the same span, its count checked against
     {!theoretical_count} when the alphabet is full.  Thread-safe; one
-    enumeration per table.  @raise Failure on an unknown gate set. *)
+    enumeration per table.  @raise Failure on an unknown gate set.
+    @raise Invalid_argument on a depth below 0 or above {!max_depth}. *)
 
 val get : int -> t
 (** [get_for ~gate_set:"cliffordt"]. *)

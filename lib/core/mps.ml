@@ -30,7 +30,9 @@
     fresh target-folded first site onto the shared interior.  Sampling
     only reads site tensors and trees, so one canonicalized interior can
     serve any number of targets — and any number of domains —
-    concurrently. *)
+    concurrently.  A chain has two or more sites: a one-site MPS is the
+    vector of trace values itself, which {!one_site} samples straight
+    from the table's planes. *)
 
 type site = {
   dl : int;  (** left bond dimension *)
@@ -71,7 +73,7 @@ type trees = { sum : sum_tree; cone : cone_tree option }
 type t = {
   sites : site array;
   target : Mat2.t;
-  trees : trees array;  (** site i's at [i − 1]; empty when l = 1 *)
+  trees : trees array;  (** site i's at [i − 1] *)
   table : Ma_table.t;
 }
 
@@ -100,27 +102,6 @@ let c_boundary = Obs.counter "mps.sample.boundary_draws"
 
 (* Table entry (phys, row, col) lives at planes re/im.(phys·4 + row·2 +
    col); a site over n entries reads the first n. *)
-
-(* Single site (l = 1): the tensor is directly the trace values
-   Σ_ab conj(U_ab)·M[s]_ab, accumulated entry by entry as
-   acc + z.re·m.re + z.im·m.im (re) and acc + z.re·m.im − z.im·m.re (im). *)
-let fill_single_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
-  let s = make_site n 1 1 in
-  let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
-  for phys = 0 to s.n - 1 do
-    let b = phys * 4 in
-    let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
-    let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
-    let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
-    let im = im +. (u01.Cplx.re *. bim.(b + 1)) -. (u01.Cplx.im *. bre.(b + 1)) in
-    let re = re +. (u10.Cplx.re *. bre.(b + 2)) +. (u10.Cplx.im *. bim.(b + 2)) in
-    let im = im +. (u10.Cplx.re *. bim.(b + 2)) -. (u10.Cplx.im *. bre.(b + 2)) in
-    let re = re +. (u11.Cplx.re *. bre.(b + 3)) +. (u11.Cplx.im *. bim.(b + 3)) in
-    let im = im +. (u11.Cplx.re *. bim.(b + 3)) -. (u11.Cplx.im *. bre.(b + 3)) in
-    s.re.(phys) <- re;
-    s.im.(phys) <- im
-  done;
-  s
 
 (* First site of a longer chain: fold in U† and open the composite
    bond (c,b): T[s]_(0,(c·2+b)) = Σ_a conj(U_(a,b))·M[s]_(a,c). *)
@@ -727,61 +708,53 @@ let site_trees t level = t.trees.(level - 1)
 type chain = {
   table : Ma_table.t;
   n0 : int;  (** site 0's physical dimension *)
-  interior : site array;  (** canonicalized sites 1..l−1; [[||]] when l = 1 *)
+  interior : site array;  (** canonicalized sites 1..l−1 *)
   bl_re : float array;  (** boundary L from site 1's LQ, row-major bl_d×bl_d *)
   bl_im : float array;
-  bl_d : int;  (** 0 when l = 1 (nothing to absorb) *)
+  bl_d : int;
   chain_trees : trees array;  (** site i's at [i − 1] *)
 }
 
 let canonical_chain table caps =
   let l = Array.length caps in
-  if l = 0 then invalid_arg "Mps.canonical_chain: need at least one site";
+  if l < 2 then invalid_arg "Mps.canonical_chain: need at least two sites";
   if Array.exists (fun cap -> cap < 0 || cap > Ma_table.max_t table) caps then
     invalid_arg "Mps.canonical_chain: T cap out of range";
   Obs.span "mps.chain_build" @@ fun () ->
   let n i = Ma_table.offset table (caps.(i) + 1) in
-  if l = 1 then
-    { table; n0 = n 0; interior = [||]; bl_re = [||]; bl_im = [||]; bl_d = 0; chain_trees = [||] }
-  else begin
-    let planes = Ma_table.planes table in
-    let interior =
-      Array.init (l - 1) (fun j ->
-          let i = j + 1 in
-          if i = l - 1 then fill_last_site planes (n i) else fill_middle_site planes (n i))
-    in
-    (* The right-to-left sweep, stopping short of site 0: the boundary
-       L that would be absorbed into the (target-dependent) first site
-       is kept for {!instantiate}. *)
-    Obs.incr ~by:(l - 1) c_sweeps;
-    let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
-    for i = l - 1 downto 2 do
-      let s = interior.(i - 1) in
-      lq_site s l_re l_im;
-      absorb_right interior.(i - 2) ~ld:s.dl l_re l_im
-    done;
-    let s1 = interior.(0) in
-    lq_site s1 l_re l_im;
-    let d = s1.dl in
-    {
-      table;
-      n0 = n 0;
-      interior;
-      bl_re = Array.sub l_re 0 (d * d);
-      bl_im = Array.sub l_im 0 (d * d);
-      bl_d = d;
-      chain_trees = Array.mapi (fun j s -> build_trees ~last:(j = l - 2) s) interior;
-    }
-  end
+  let planes = Ma_table.planes table in
+  let interior =
+    Array.init (l - 1) (fun j ->
+        let i = j + 1 in
+        if i = l - 1 then fill_last_site planes (n i) else fill_middle_site planes (n i))
+  in
+  (* The right-to-left sweep, stopping short of site 0: the boundary L
+     that would be absorbed into the (target-dependent) first site is
+     kept for {!instantiate}. *)
+  Obs.incr ~by:(l - 1) c_sweeps;
+  let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
+  for i = l - 1 downto 2 do
+    let s = interior.(i - 1) in
+    lq_site s l_re l_im;
+    absorb_right interior.(i - 2) ~ld:s.dl l_re l_im
+  done;
+  let s1 = interior.(0) in
+  lq_site s1 l_re l_im;
+  let d = s1.dl in
+  {
+    table;
+    n0 = n 0;
+    interior;
+    bl_re = Array.sub l_re 0 (d * d);
+    bl_im = Array.sub l_im 0 (d * d);
+    bl_d = d;
+    chain_trees = Array.mapi (fun j s -> build_trees ~last:(j = l - 2) s) interior;
+  }
 
 let instantiate ~(target : Mat2.t) chain =
   Obs.span "mps.instantiate" @@ fun () ->
-  let planes = Ma_table.planes chain.table in
-  let s0 =
-    if chain.bl_d = 0 then fill_single_site target planes chain.n0
-    else fill_first_site target planes chain.n0
-  in
-  if chain.bl_d > 0 then absorb_right s0 ~ld:chain.bl_d chain.bl_re chain.bl_im;
+  let s0 = fill_first_site target (Ma_table.planes chain.table) chain.n0 in
+  absorb_right s0 ~ld:chain.bl_d chain.bl_re chain.bl_im;
   { sites = Array.append [| s0 |] chain.interior; target; trees = chain.chain_trees; table = chain.table }
 
 (* ------------------------------------------------------------------ *)
@@ -1269,17 +1242,6 @@ let sample ?rng ?(argmax_last = true) t ~k =
         (* Numerical tail: assign any stragglers to the last nonzero
            weight (merging with its child when one was just drawn). *)
         if !j < mult then emit_or_merge fr site level 0 !last_nz (mult - !j)
-      end;
-      if last && argmax_last then begin
-        let best = ref 0 in
-        for phys = 1 to site.n - 1 do
-          if weights.(phys) > weights.(!best) then best := phys
-        done;
-        let found = ref false in
-        for ci = 0 to fr.next - 1 do
-          if nidx.((ci * l) + level) = !best then found := true
-        done;
-        if not !found then emit fr site level 0 !best 1
       end
     end
     else begin
@@ -1339,7 +1301,7 @@ let beam_search t ~beam =
       let c = fr.cur in
       let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) in
       sel.sel_count <- 0;
-      if level > 0 && level = l - 1 then begin
+      if level = l - 1 then begin
         let cone = cone_of t level in
         for e = 0 to fr.count - 1 do
           cone_beam cone site cw_re cw_im (e * max_bond) st sel beam e
@@ -1366,12 +1328,116 @@ let beam_search t ~beam =
   end
 
 (* ------------------------------------------------------------------ *)
+(* One site: the trace vector, scanned twice                           *)
+(* ------------------------------------------------------------------ *)
+
+(* With one site the MPS is the vector of trace values Tr(U†M[s]) over
+   the table's first n entries, and nothing needs it stored: [one_site]
+   recomputes each entry from the planes in each of its two passes,
+   which is cheaper than writing and rereading O(n) arrays per call. *)
+
+(* Entry s's amplitude into f.(0) (re) and f.(1) (im), and its Born
+   weight into f.(2), bit for bit the one-site MPS's values: the trace
+   value Σ_ab conj(U_ab)·M[s]_ab accumulated entry by entry as
+   acc + z.re·m.re + z.im·m.im (re) and acc + z.re·m.im − z.im·m.re
+   (im), as the site fill formed it, then w·A[s] and |w·A[s]|² for the
+   prefix vector w = (1, 0), with [advance_into]'s and
+   [frontier_weights]' operations.  [u] holds U's entries row-major,
+   re and im interleaved. *)
+let[@inline] entry_into (u : float array) (bre : float array) (bim : float array) s (f : float array) =
+  let b = s * 4 in
+  let re = 0.0 +. (u.(0) *. bre.(b)) +. (u.(1) *. bim.(b)) in
+  let im = 0.0 +. (u.(0) *. bim.(b)) -. (u.(1) *. bre.(b)) in
+  let re = re +. (u.(2) *. bre.(b + 1)) +. (u.(3) *. bim.(b + 1)) in
+  let im = im +. (u.(2) *. bim.(b + 1)) -. (u.(3) *. bre.(b + 1)) in
+  let re = re +. (u.(4) *. bre.(b + 2)) +. (u.(5) *. bim.(b + 2)) in
+  let im = im +. (u.(4) *. bim.(b + 2)) -. (u.(5) *. bre.(b + 2)) in
+  let re = re +. (u.(6) *. bre.(b + 3)) +. (u.(7) *. bim.(b + 3)) in
+  let im = im +. (u.(6) *. bim.(b + 3)) -. (u.(7) *. bre.(b + 3)) in
+  let vre = 0.0 +. (1.0 *. re) -. (0.0 *. im) in
+  let vim = 0.0 +. (1.0 *. im) +. (0.0 *. re) in
+  f.(0) <- vre;
+  f.(1) <- vim;
+  f.(2) <- 0.0 +. (vre *. vre) +. (vim *. vim)
+
+let one_site ?rng table ~(target : Mat2.t) ~cap ~k ~beam =
+  if cap < 0 || cap > Ma_table.max_t table then invalid_arg "Mps.one_site: T cap out of range";
+  let rng = match rng with Some r -> r | None -> Random.State.make [| default_rng_seed |] in
+  Obs.span "mps.one_site" @@ fun () ->
+  Obs.incr ~by:k c_samples;
+  let { Ma_table.re = bre; im = bim } = Ma_table.planes table in
+  let n = Ma_table.offset table (cap + 1) in
+  let { Mat2.m00; m01; m10; m11 } = target in
+  let u = Cplx.[| m00.re; m00.im; m01.re; m01.im; m10.re; m10.im; m11.re; m11.im |] in
+  let f = Array.make 3 0.0 in
+  let beam = Int.max 0 beam in
+  let sel =
+    { sel_w = Array.make beam 0.0; sel_parent = Array.make beam 0; sel_phys = Array.make beam 0; sel_count = 0 }
+  in
+  (* Pass 1: the total, which is the running sum the draws reach at the
+     end; the argmax, lowest index on ties; the last nonzero weight; and
+     the beam, offered in ascending index, so only a strictly heavier
+     entry displaces a full one. *)
+  let total = ref 0.0 and best = ref 0 and best_w = ref 0.0 and last_nz = ref 0 in
+  for s = 0 to n - 1 do
+    entry_into u bre bim s f;
+    let w = f.(2) in
+    total := !total +. w;
+    if s = 0 || w > !best_w then begin
+      best := s;
+      best_w := w
+    end;
+    if w > 0.0 then last_nz := s;
+    if beam > 0 && (sel.sel_count < beam || w > sel.sel_w.(beam - 1)) then beam_insert sel beam f 2 0 s
+  done;
+  let best = !best and drawn_best = ref false in
+  let sample_of_f s m =
+    if s = best then drawn_best := true;
+    { indices = [| s |]; amplitude = { Cplx.re = f.(0); im = f.(1) }; multiplicity = m }
+  in
+  let sample_at s m =
+    entry_into u bre bim s f;
+    sample_of_f s m
+  in
+  (* Pass 2: the k sorted uniforms, routed by the running sum in index
+     order until every one is placed; newest child first. *)
+  let draws = ref [] in
+  if !total > 0.0 && k > 0 then begin
+    let points = Array.create_float k in
+    for m = 0 to k - 1 do
+      points.(m) <- Random.State.float rng !total
+    done;
+    sort_range points k;
+    let j = ref 0 and cum = ref 0.0 and s = ref 0 in
+    while !j < k && !s < n do
+      entry_into u bre bim !s f;
+      cum := !cum +. f.(2);
+      let j0 = !j in
+      while !j < k && points.(!j) <= !cum do
+        incr j
+      done;
+      if !j > j0 then draws := sample_of_f !s (!j - j0) :: !draws;
+      incr s
+    done;
+    (* Numerical tail: stragglers go to the last nonzero weight, merged
+       with its child when one was just drawn there. *)
+    let left = k - !j in
+    if left > 0 then
+      draws :=
+        match !draws with
+        | d :: rest when d.indices.(0) = !last_nz -> { d with multiplicity = d.multiplicity + left } :: rest
+        | ds -> sample_at !last_nz left :: ds
+  end;
+  if not !drawn_best then draws := sample_at best 1 :: !draws;
+  let beamed = List.init sel.sel_count (fun i -> sample_at sel.sel_phys.(i) 1) in
+  (List.rev !draws, beamed)
+
+(* ------------------------------------------------------------------ *)
 (* Tree internals, for tests                                           *)
 (* ------------------------------------------------------------------ *)
 
 let last_cone t =
   let l = Array.length t.sites in
-  if l < 2 then invalid_arg "Mps: a one-site chain has no cone tree";
   (cone_of t (l - 1), t.sites.(l - 1))
 
 let cone_node_bounds t ~w_re ~w_im =

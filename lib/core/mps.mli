@@ -10,9 +10,11 @@
     Every sample's trace value falls out of the final contraction for
     free — the "error-aware" property the paper leans on.
 
-    One path makes an MPS: {!canonical_chain} builds and canonicalizes
-    the target-independent sites once, and {!instantiate} grafts a
-    target onto them.  All hot-path kernels (fills from the table's
+    One path makes an MPS of two or more sites: {!canonical_chain}
+    builds and canonicalizes the target-independent sites once, and
+    {!instantiate} grafts a target onto them.  A one-site MPS is just the
+    vector of trace values over a prefix of the table, and {!one_site}
+    samples it from the table's planes without building one.  All hot-path kernels (fills from the table's
     planes, the LQ sweep, the batched sampler) operate directly on the
     flat float planes with small preallocated scratch: no per-element
     boxing, per-sample allocation is O(k) words total.  Every interior
@@ -37,7 +39,7 @@ type trees
 type t = {
   sites : site array;
   target : Mat2.t;
-  trees : trees array;  (** site i's at [i − 1]; empty when l = 1 *)
+  trees : trees array;  (** site i's at [i − 1] *)
   table : Ma_table.t;  (** the step-0 table every site indexes *)
 }
 
@@ -79,10 +81,10 @@ val right_canonical_error : site -> float
 type chain = {
   table : Ma_table.t;
   n0 : int;  (** site 0's physical dimension *)
-  interior : site array;  (** canonicalized sites 1..l−1; empty when l = 1 *)
+  interior : site array;  (** canonicalized sites 1..l−1 *)
   bl_re : float array;  (** boundary L from site 1's LQ (row-major, bl_d×bl_d) *)
   bl_im : float array;
-  bl_d : int;  (** boundary dimension; 0 when l = 1 *)
+  bl_d : int;  (** boundary dimension *)
   chain_trees : trees array;  (** site i's at [i − 1] *)
 }
 
@@ -92,8 +94,8 @@ val canonical_chain : Ma_table.t -> int array -> chain
     count ≤ [caps.(i)]).  Builds and canonicalizes the
     target-independent part of the MPS once, and builds the interior
     sites' trees, all under [mps.chain_build].
-    @raise Invalid_argument on zero sites, or on a cap below 0 or above
-    [Ma_table.max_t table]. *)
+    @raise Invalid_argument on fewer than two sites (one site is
+    {!one_site}'s), or on a cap below 0 or above [Ma_table.max_t table]. *)
 
 val instantiate : target:Mat2.t -> chain -> t
 (** Graft a target-folded first site onto the shared interior, under
@@ -142,12 +144,41 @@ val beam_search : t -> beam:int -> sample list
     cone tree against the beam's current last weight.  The result is
     the scan's. *)
 
+(** {1 One site} *)
+
+val one_site :
+  ?rng:Random.State.t ->
+  Ma_table.t ->
+  target:Mat2.t ->
+  cap:int ->
+  k:int ->
+  beam:int ->
+  sample list * sample list
+(** [one_site table ~target ~cap ~k ~beam]: the draws and the beam of
+    the one-site MPS over the table's first
+    [Ma_table.offset table (cap + 1)] entries, whose tensor is the trace
+    value Tr(U†M[s]) of each.  The result is bit for bit what {!sample}
+    (with [argmax_last]) and {!beam_search} returned for that MPS:
+    indices, multiplicities, amplitudes and order.  Draws come from
+    [rng] ({!default_rng_seed} without it) and are counted in
+    [mps.samples_drawn]; the call runs under [mps.one_site].
+
+    {b Cost.}  Two passes over the entries, with no O(n) array: the
+    first sums the Born weights and keeps the argmax (lowest index on
+    ties) and the [beam] heaviest entries (weight descending, then
+    index); the second routes the k sorted uniforms by the running sum
+    and stops once every one is placed.  Uniforms left over at the end
+    go to the last nonzero weight, and the argmax is appended with
+    multiplicity 1 unless a draw landed on it.  Only the uniforms take
+    O(k) words.
+    @raise Invalid_argument on a cap below 0 or above
+    [Ma_table.max_t table]. *)
+
 (** {1 Tree internals (tests)} *)
 
 val cone_node_bounds : t -> w_re:float array -> w_im:float array -> (float * int array) array
-(** For the last site of a chain with l ≥ 2 and prefix vector w (4
-    entries), every cone-tree node's bound on |w·a_s|² with the
-    physical indices below it. *)
+(** For the last site and prefix vector w (4 entries), every cone-tree
+    node's bound on |w·a_s|² with the physical indices below it. *)
 
 val cone_argmax_of : t -> w_re:float array -> w_im:float array -> int
 (** The last site's [argmax_last] completion for prefix vector w, by

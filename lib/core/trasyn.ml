@@ -37,6 +37,8 @@ let c_memo_hits = Obs.counter "trasyn.postprocess.memo_hits"
 
 (* Only the first MPS site depends on the target; the canonicalized
    interior is a pure function of (gate set, table_t, per-site T caps).
+   One-site calls build no chain, so every cached chain has two or more
+   sites.
    [to_error] hammers the same few keys: it escalates through growing
    prefixes of one budget list and reseeds each prefix.  Caching the
    canonicalized chain turns every repeat into "fill one site + absorb
@@ -173,6 +175,44 @@ let seq_of_sample table (s : Mps.sample) =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Ma_table.word table indices.(i) @ acc) in
   go (Array.length indices - 1) []
 
+(* The first [n] items of the stable order by the three floats [key]
+   writes for each (compared lexicographically with [Float.compare]),
+   by bounded insertion: an item enters when the kept list has room or
+   it precedes the kept last, right after every kept item it does not
+   precede, so ties keep their input order.  Keys live in one float
+   array, so an item that does not enter allocates nothing. *)
+let stable_top n ~key items =
+  match items with
+  | [] -> []
+  | _ when n <= 0 -> []
+  | first :: _ ->
+      let kept = Array.make n first and keys = Array.make (3 * n) 0.0 and k = Array.make 3 0.0 in
+      let precedes p =
+        let c = Float.compare k.(0) keys.(3 * p) in
+        c < 0
+        || c = 0
+           &&
+           let c = Float.compare k.(1) keys.((3 * p) + 1) in
+           c < 0 || (c = 0 && Float.compare k.(2) keys.((3 * p) + 2) < 0)
+      in
+      let len = ref 0 in
+      List.iter
+        (fun x ->
+          key x k;
+          if !len < n || precedes (n - 1) then begin
+            let p = ref (Int.min !len (n - 1)) in
+            while !p > 0 && precedes (!p - 1) do
+              kept.(!p) <- kept.(!p - 1);
+              Array.blit keys (3 * (!p - 1)) keys (3 * !p) 3;
+              decr p
+            done;
+            kept.(!p) <- x;
+            Array.blit k 0 keys (3 * !p) 3;
+            if !len < n then incr len
+          end)
+        items;
+      Array.to_list (Array.sub kept 0 !len)
+
 (* [epsilon] switches the selection rule from Eq. (3) (minimize error)
    to Eq. (4) (among solutions meeting the threshold, minimize T).
    [t_slack] relaxes Eq. (4): once the minimal T count is known, any
@@ -181,48 +221,58 @@ let seq_of_sample table (s : Mps.sample) =
 let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budgets () =
   if budgets = [] then invalid_arg "Trasyn.synthesize: empty budget list";
   if List.exists (fun b -> b < 0) budgets then invalid_arg "Trasyn.synthesize: negative budget";
+  if config.samples < 1 then invalid_arg "Trasyn.synthesize: samples below 1";
+  if config.beam < 0 then invalid_arg "Trasyn.synthesize: negative beam";
   Obs.span "trasyn.synthesize" @@ fun () ->
   Obs.incr c_attempts;
   let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
-  let mps = mps_for config table ~target (List.map (fun b -> min b config.table_t) budgets) in
   let rng = Random.State.make [| config.seed |] in
-  let sampled = Mps.sample ~rng mps ~k:config.samples in
-  let beamed = if config.beam > 0 then Mps.beam_search mps ~beam:config.beam else [] in
+  (* One budget is one site: the trace vector over a table prefix, which
+     [Mps.one_site] samples without a chain. *)
+  let l, sampled, beamed =
+    match List.map (fun b -> min b config.table_t) budgets with
+    | [ cap ] ->
+        let sampled, beamed = Mps.one_site ~rng table ~target ~cap ~k:config.samples ~beam:config.beam in
+        (1, sampled, beamed)
+    | caps ->
+        let mps = mps_for config table ~target caps in
+        ( List.length caps,
+          Mps.sample ~rng mps ~k:config.samples,
+          if config.beam > 0 then Mps.beam_search mps ~beam:config.beam else [] )
+  in
   (* Rank all samples by the mode's objective using quantities that are
      free from the contraction: the amplitude gives the distance, the
-     table gives a T-count bound.  Only the best few get the (exact)
-     post-processing treatment. *)
-  let free_stats (s : Mps.sample) =
+     table gives a T-count bound.  Only the best few are scored exactly
+     (and, on several sites, post-processed).  The key is (0, dist, T)
+     for Eq. (3); for Eq. (4), (0, T, dist) within ε and (1, dist, T)
+     outside it. *)
+  let free_key (s : Mps.sample) k =
     let tv = Cplx.norm s.Mps.amplitude /. 2.0 in
     let dist = Float.sqrt (Float.max 0.0 (1.0 -. (tv *. tv))) in
     let t_est = ref 0 in
-    Array.iter (fun phys -> t_est := !t_est + Ma_table.tcount table phys) s.Mps.indices;
-    (dist, !t_est)
-  in
-  let free_key =
+    for i = 0 to Array.length s.Mps.indices - 1 do
+      t_est := !t_est + Ma_table.tcount table s.Mps.indices.(i)
+    done;
+    let t_est = float_of_int !t_est in
     match epsilon with
-    | None -> fun (dist, t_est) -> (0, dist, float_of_int t_est)
-    | Some eps ->
-        fun (dist, t_est) ->
-          if dist <= eps then (0, float_of_int t_est, dist) else (1, dist, float_of_int t_est)
+    | None ->
+        k.(0) <- 0.0;
+        k.(1) <- dist;
+        k.(2) <- t_est
+    | Some eps when dist <= eps ->
+        k.(0) <- 0.0;
+        k.(1) <- t_est;
+        k.(2) <- dist
+    | Some _ ->
+        k.(0) <- 1.0;
+        k.(1) <- dist;
+        k.(2) <- t_est
   in
-  (* Decorate-sort-undecorate: each sample's stats are a fold over every
-     site, so compute them once per sample, not once per comparison.
-     The comparison is typed because it runs ≈ 10^4 times per call, and
-     polymorphic [compare] on the tuples cost over twice as much. *)
-  let by_key ((ta, xa, ya), _) ((tb, xb, yb), _) =
-    let c = Int.compare ta tb in
-    if c <> 0 then c
-    else
-      let c = Float.compare xa xb in
-      if c <> 0 then c else Float.compare ya yb
-  in
-  let scored =
-    List.map (fun s -> (free_key (free_stats s), s)) (sampled @ beamed)
-    |> List.stable_sort by_key |> List.map snd
-  in
-  let top = List.filteri (fun i _ -> i < 16) scored in
-  let l = Array.length mps.Mps.sites in
+  let top = stable_top 16 ~key:free_key (sampled @ beamed) in
+  (* A one-site candidate is one table entry's word, and step 3 rewrites
+     no table word (test_gateset checks every entry of the built-in
+     tables), so only multi-site candidates are post-processed. *)
+  let post_process = config.post_process && l > 1 in
   (* The beam re-finds sampled tuples, so candidate words repeat: each
      distinct word is post-processed and scored once. *)
   let seen = Hashtbl.create 16 and memo_hits = ref 0 in
@@ -236,7 +286,7 @@ let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budge
             r
         | None ->
             let out =
-              if config.post_process then
+              if post_process then
                 Obs.span "trasyn.postprocess" (fun () -> Postprocess.run table seq)
               else seq
             in

@@ -61,8 +61,18 @@ val synthesize :
     T count; [t_slack] then allows up to that many extra T gates in
     exchange for lower error.
 
-    @raise Invalid_argument on an empty budget list or a negative
-    budget. *)
+    With one budget, the MPS is the vector of trace values over a table
+    prefix, and {!Mps.one_site} draws from it without building a chain.
+    Its candidates are table entries' words, which step 3 never rewrites
+    (checked for every entry of the built-in tables, and of a
+    sub-alphabet's, in test_gateset), so step 3 runs on multi-site
+    candidates only; [config.post_process] still governs those.  The
+    samples and the beam are ranked by the distance their amplitudes
+    give and the T counts of their entries, and the first 16 in that
+    stable order are scored exactly.
+
+    @raise Invalid_argument on an empty budget list, a negative budget,
+    [config.samples] below 1 or a negative [config.beam]. *)
 
 val to_error :
   ?config:config ->
@@ -82,4 +92,15 @@ val to_error :
     few T gates as possible once the threshold is met.
 
     @raise Invalid_argument on an empty budget list or a negative
-    budget. *)
+    budget, and from its first attempt on settings {!synthesize}
+    refuses. *)
+
+(** {1 Internals (tests)} *)
+
+val stable_top : int -> key:('a -> float array -> unit) -> 'a list -> 'a list
+(** [stable_top n ~key items]: the first [n] items of [items] stably
+    sorted by their keys, where [key x k] writes x's key into
+    [k.(0..2)] and keys compare lexicographically with [Float.compare].
+    Kept by bounded insertion in O(n) space, without sorting the rest
+    or allocating for an item that does not enter.  {!synthesize} ranks
+    its samples with it. *)

@@ -26,8 +26,8 @@
    and, on depth-8 chains (18,384 operators per site) and 16 fixed
    Haar targets,
 
-   6. minor words per Mps.instantiate call, one- and two-site chains
-      (the first-site fills);
+   6. minor words per Mps.instantiate call on the two-site chain (the
+      first-site fill and the boundary absorption);
    7. minor words per Mps.sample call at k = 1024 on the two-site
       chain.
 
@@ -76,15 +76,26 @@
 
    15. words that Ma_table.build 1 allocates in the major heap: none,
        since the build fills no matrix planes, so every one of its
-       arrays fits the minor heap's 256-word limit.
+       arrays fits the minor heap's 256-word limit;
+
+   and, over the same 16 targets, one one-site Trasyn.synthesize call
+   each at depth 8 with k = 1,024 and beam 32 (Mps.one_site's two
+   passes over the planes, then ranking and scoring),
+
+   16. minor words per call;
+   17. major-heap words per call, after a minor collection before each
+       call: the k sorted uniforms (1,025 words), and no O(n) array,
+       which would take at least n = 18,384.
 
    Bounds are for the dev profile that runtest builds: each is its dev
-   count at the time it was set (1,480 / 25.7 / 47,735 / 3,529 / 1,109
-   for 5 / 6 / 7 / 10 / 11; for 13, 58.9 minor and 11.8 live, where
-   the record-per-entry build read 126.8 and 78.6 and the list-append
-   build 346.8 and 141.6; for 14, 25.6, where a lookup that allocated
-   the canonical key and probed an [Exact_u.Table] read 73.1) plus a
-   quarter.  Bound 15 is 0: planes filled by the build read 770
+   count at the time it was set (1,480 / 31.25 / 47,735 / 3,529 /
+   1,109 for 5 / 6 / 7 / 10 / 11; for 13, 58.9 minor and 11.8 live,
+   where the record-per-entry build read 126.8 and 78.6 and the
+   list-append build 346.8 and 141.6; for 14, 25.6, where a lookup that
+   allocated the canonical key and probed an [Exact_u.Table] read 73.1;
+   for 16 and 17, 36,510 and 1,025, where a one-site chain with step 3
+   on its candidates read 161,995 and 116,715, the site, weight and
+   frontier arrays) plus a quarter.  Bound 15 is 0: planes filled by the build read 770
    major-heap words there, their two arrays. *)
 
 let parse_bound = 40.0
@@ -92,7 +103,7 @@ let write_bound = 8.0
 let engine_bound = 351.0
 let gridsynth_bound = 15321.0
 let whole_bound = 1851.0
-let instantiate_bound = 32.0
+let instantiate_bound = 39.0
 let sample_bound = 59_700.0
 let live_bound = 4_411.0
 let open_bound = 1_387.0
@@ -101,6 +112,8 @@ let table_bound = 74.0
 let table_live_bound = 15.0
 let window_bound = 32.0
 let build1_major_bound = 0.0
+let one_site_bound = 45_637.0
+let one_site_major_bound = 1_281.0
 
 let gates = 10_000
 
@@ -187,19 +200,11 @@ let () =
     circuits;
   check "warm whole-circuit path per IR gate" (!whole_words /. float_of_int !ir_gates) whole_bound;
   let table = Ma_table.get 8 in
-  let chain l = Mps.canonical_chain table (Array.make l 8) in
-  let one = chain 1 and two = chain 2 in
+  let two = Mps.canonical_chain table [| 8; 8 |] in
   let haar = Random.State.make [| 2026 |] in
   let targets = List.init 16 (fun _ -> Mat2.random_unitary haar) in
-  let (), words =
-    measure (fun () ->
-        List.iter
-          (fun target ->
-            ignore (Mps.instantiate ~target one);
-            ignore (Mps.instantiate ~target two))
-          targets)
-  in
-  check "Mps.instantiate per call (depth 8)" (words /. 32.0) instantiate_bound;
+  let (), words = measure (fun () -> List.iter (fun target -> ignore (Mps.instantiate ~target two)) targets) in
+  check "Mps.instantiate per call (depth 8, 2 sites)" (words /. 16.0) instantiate_bound;
   let mpss = List.map (fun target -> Mps.instantiate ~target two) targets in
   let cval name = Obs.counter_value (Obs.counter name) in
   let visits () = cval "mps.sample.tree_nodes" + cval "mps.sample.tree_leaves" in
@@ -320,4 +325,19 @@ let () =
   ignore (Sys.opaque_identity (Ma_table.build 1));
   let _, _, m1 = Gc.counters () in
   check "Ma_table.build 1 major-heap words" (m1 -. m0) build1_major_bound;
+  let config = { Trasyn.default_config with table_t = 8; samples = 1024; beam = 32 } in
+  let synth target = ignore (Trasyn.synthesize ~config ~target ~budgets:[ 8 ] ()) in
+  synth (List.hd targets);
+  let minor = ref 0.0 and major = ref 0.0 in
+  List.iter
+    (fun target ->
+      Gc.minor ();
+      let _, _, m0 = Gc.counters () in
+      let (), words = measure (fun () -> synth target) in
+      let _, _, m1 = Gc.counters () in
+      minor := !minor +. words;
+      major := !major +. (m1 -. m0))
+    targets;
+  check "one-site Trasyn.synthesize per call" (!minor /. 16.0) one_site_bound;
+  check "one-site Trasyn.synthesize major words" (!major /. 16.0) one_site_major_bound;
   if !failed then exit 1

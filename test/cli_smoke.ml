@@ -18,7 +18,8 @@
       refuses a --epsilon that is not positive and finite at start, as
       compile_cli does, with one line saying so.  Both refuse --jobs 0
       with one stderr line and nothing on stdout, and trasyn_cli
-      refuses --sites 0 and --budget -1 the same way.  A malformed
+      refuses --sites 0, --budget -1, --budget 20 (a table above
+      [Ma_table.max_depth]) and --samples -5 the same way.  A malformed
       TGATES_FAULTS is refused the way --faults is, before anything is
       written to stdout (compile_cli, serve_cli), and a --faults flag
       wins over it.
@@ -177,7 +178,12 @@ let () =
       | code, out, err ->
           failf "trasyn_cli %s: exit %d, wanted 1 with one stderr line naming %s and no stdout:\n%s"
             (String.concat " " args) code flag (String.concat "\n" (out @ err)))
-    [ ("--sites", [ "--sites"; "0" ]); ("--budget", [ "--budget=-1" ]) ];
+    [
+      ("--sites", [ "--sites"; "0" ]);
+      ("--budget", [ "--budget=-1" ]);
+      ("--budget", [ "--budget"; "20"; "--sites"; "1"; "--epsilon"; "0.07" ]);
+      ("--samples", [ "--phi"; "1.1"; "--lam=-0.7"; "--epsilon"; "0.01"; "--samples=-5" ]);
+    ];
   List.iter
     (fun (b, args) ->
       let env = [ ("TGATES_FAULTS", "bogus") ] in

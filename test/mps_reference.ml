@@ -4,7 +4,8 @@
    [Mps.beam_search] must return exactly these samples (indices,
    multiplicities and amplitude bits) for the same rng, and the scan's
    conditional weights are the reference the cone-tree bounds are
-   checked against. *)
+   checked against.  [one_site] is the one-site MPS as it was built and
+   scanned before [Mps.one_site] read the planes directly. *)
 
 open Mps
 
@@ -257,3 +258,34 @@ let beam_search t ~beam =
     done;
     !out
   end
+
+(* The one-site MPS as [Mps] built it before [Mps.one_site]: its one
+   tensor holds each table entry's trace value Σ_ab conj(U_ab)·M[s]_ab,
+   accumulated entry by entry as acc + z.re·m.re + z.im·m.im (re) and
+   acc + z.re·m.im − z.im·m.re (im), and the scan sampler and the scan
+   beam read it like any other first site. *)
+let fill_single_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
+  let s = { dl = 1; dr = 1; n; re = Array.make n 0.0; im = Array.make n 0.0 } in
+  let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
+  for phys = 0 to n - 1 do
+    let b = phys * 4 in
+    let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
+    let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
+    let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
+    let im = im +. (u01.Cplx.re *. bim.(b + 1)) -. (u01.Cplx.im *. bre.(b + 1)) in
+    let re = re +. (u10.Cplx.re *. bre.(b + 2)) +. (u10.Cplx.im *. bim.(b + 2)) in
+    let im = im +. (u10.Cplx.re *. bim.(b + 2)) -. (u10.Cplx.im *. bre.(b + 2)) in
+    let re = re +. (u11.Cplx.re *. bre.(b + 3)) +. (u11.Cplx.im *. bim.(b + 3)) in
+    let im = im +. (u11.Cplx.re *. bim.(b + 3)) -. (u11.Cplx.im *. bre.(b + 3)) in
+    s.re.(phys) <- re;
+    s.im.(phys) <- im
+  done;
+  s
+
+(* [Mps.one_site]'s answer the long way: fill the site over the first
+   [Ma_table.offset table (cap + 1)] entries, then scan it for the draws
+   (with the argmax completion) and for the beam. *)
+let one_site ?rng table ~target ~cap ~k ~beam =
+  let site = fill_single_site target (Ma_table.planes table) (Ma_table.offset table (cap + 1)) in
+  let t = { sites = [| site |]; target; trees = [||]; table } in
+  (sample ?rng t ~k, beam_search t ~beam)

@@ -50,9 +50,12 @@ let () =
     ~expect:
       [
         "trasyn.synthesize";
+        (* Without --epsilon both budget prefixes run: one site through
+           the one-site kernel, then two sites through a chain. *)
+        "mps.one_site";
         "mps.sample";
         (* The chain cache is empty in a fresh process: the first
-           synthesis builds and canonicalizes the interior
+           two-site synthesis builds and canonicalizes the interior
            (mps.chain_build) and grafts the target onto it
            (mps.instantiate). *)
         "mps.chain_build";

@@ -160,6 +160,60 @@ let test_bfs_oracle () =
         (Ma_table.get_for ~gate_set:"cliffordt-weighted" d))
     depths
 
+(* Step 3 rewrites no table word: a one-site TRASYN candidate is one
+   entry's word, and [Trasyn.synthesize] skips step 3 on it on this
+   ground.  Every entry of the two built-in tables at depths 0–8, and at
+   depth 10 too when this suite runs alone, and of a sub-alphabet's
+   closure (the descriptor [test_of_json] parses, registered here) at
+   depths 0–6, comes back unchanged from [Postprocess.run] against its
+   own table. *)
+let sub_alphabet =
+  {|{"name":"custom","generators":"HSsTt","weights":{"T":1.0,"t":2.0},"enumeration":"bfs"}|}
+
+let test_step3_fixes_table_words () =
+  (match Obs.Json.parse sub_alphabet with
+  | Ok j -> (
+      match Gateset.of_json j with Ok gs -> Gateset.register gs | Error e -> Alcotest.failf "of_json: %s" e)
+  | Error e -> Alcotest.failf "parse: %s" e);
+  let deep = if Array.mem "gateset" Sys.argv then [ 10 ] else [] in
+  List.iter
+    (fun (gate_set, depths) ->
+      List.iter
+        (fun d ->
+          let table = Ma_table.get_for ~gate_set d in
+          for i = 0 to Ma_table.size table - 1 do
+            let w = Ma_table.word table i in
+            if Postprocess.run table w <> w then
+              Alcotest.failf "%s depth %d: step 3 rewrites entry %d (%s)" gate_set d i (Ctgate.seq_to_string w)
+          done)
+        depths)
+    [
+      ("cliffordt", List.init 9 Fun.id @ deep);
+      ("cliffordt-weighted", List.init 9 Fun.id @ deep);
+      ("custom", List.init 7 Fun.id);
+    ]
+
+(* A table deeper than [Ma_table.max_depth] is refused before anything
+   is allocated: depth 20 would size its builder for 75.5 M entries. *)
+let test_depth_limit () =
+  List.iter
+    (fun (what, f) ->
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      (match f () with
+      | _ -> Alcotest.failf "%s: a depth-%d table was built" what (Ma_table.max_depth + 4)
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (what ^ ": message")
+            (Printf.sprintf "%s: depth %d above the maximum %d" what (Ma_table.max_depth + 4) Ma_table.max_depth)
+            msg);
+      let _, _, major1 = Gc.counters () in
+      Alcotest.(check (float 0.0)) (what ^ ": major-heap words") 0.0 (major1 -. major0))
+    [
+      ("Ma_table.build", fun () -> Ma_table.build (Ma_table.max_depth + 4));
+      ("Ma_table.get_for", fun () -> Ma_table.get_for ~gate_set:"cliffordt" (Ma_table.max_depth + 4));
+      ("Ma_table.get_for", fun () -> Ma_table.get_for ~gate_set:"cliffordt-weighted" (Ma_table.max_depth + 4));
+    ]
+
 let suite =
   [
     Alcotest.test_case "builtin registry" `Quick test_builtin_registry;
@@ -168,4 +222,6 @@ let suite =
     Alcotest.test_case "bfs matches closed form" `Quick test_bfs_matches_closed_form;
     Alcotest.test_case "get_for caches per gate set and depth" `Quick test_get_for_cache;
     Alcotest.test_case "bfs closure = reference" `Quick test_bfs_oracle;
+    Alcotest.test_case "step 3 rewrites no table word" `Quick test_step3_fixes_table_words;
+    Alcotest.test_case "tables deeper than the maximum are refused" `Quick test_depth_limit;
   ]

@@ -12,8 +12,18 @@ let mps_tests =
     Alcotest.test_case "full contraction equals the exact trace (l=1,2,3)" `Quick (fun () ->
         (* The instantiated MPS, contracted through its canonicalized
            site tensors, equals the direct matrix product at 20 random
-           index tuples for each chain length.  This reads every fill
-           kernel (single, first, middle, last) and the sweep. *)
+           index tuples for each chain length.  This reads every chain
+           fill kernel (first, middle, last) and the sweep.  With one
+           site there is no chain: the one-site kernel's amplitudes,
+           drawn and beamed, are the exact trace values. *)
+        let target = Mat2.random_unitary rng in
+        let table = Ma_table.get 3 in
+        let draws, beamed = Mps.one_site ~rng table ~target ~cap:3 ~k:20 ~beam:4 in
+        List.iter
+          (fun (s : Mps.sample) ->
+            let direct = Mat2.trace (Mat2.mul (Mat2.adjoint target) (Ma_table.mat table s.Mps.indices.(0))) in
+            Alcotest.(check bool) "l=1 trace" true (Cplx.is_close ~tol:1e-9 direct s.Mps.amplitude))
+          (draws @ beamed);
         List.iter
           (fun l ->
             let target = Mat2.random_unitary rng in
@@ -36,7 +46,7 @@ let mps_tests =
                 mps.Mps.sites;
               Alcotest.(check bool) (Printf.sprintf "l=%d trace" l) true (Cplx.is_close ~tol:1e-9 direct !w.(0))
             done)
-          [ 1; 2; 3 ]);
+          [ 2; 3 ]);
     Alcotest.test_case "right-canonical form after sweep" `Quick (fun () ->
         let mps = small_mps ~target:(Mat2.random_unitary rng) 3 in
         for i = 1 to 2 do
@@ -199,10 +209,30 @@ let budget_tests =
           (Invalid_argument "Trasyn.to_error: negative budget") (to_error [ 3; -1 ]);
         let chain caps () = ignore (Mps.canonical_chain (Ma_table.get 3) caps) in
         let out_of_range = Invalid_argument "Mps.canonical_chain: T cap out of range" in
-        Alcotest.check_raises "zero sites" (Invalid_argument "Mps.canonical_chain: need at least one site")
-          (chain [||]);
+        let too_short = Invalid_argument "Mps.canonical_chain: need at least two sites" in
+        Alcotest.check_raises "zero sites" too_short (chain [||]);
+        Alcotest.check_raises "one site" too_short (chain [| 3 |]);
         Alcotest.check_raises "cap below 0" out_of_range (chain [| 2; -1 |]);
-        Alcotest.check_raises "cap above the table depth" out_of_range (chain [| 4 |]));
+        Alcotest.check_raises "cap above the table depth" out_of_range (chain [| 3; 4 |]);
+        let one_site cap () = ignore (Mps.one_site (Ma_table.get 3) ~target:Mat2.h ~cap ~k:4 ~beam:0) in
+        let kernel_range = Invalid_argument "Mps.one_site: T cap out of range" in
+        Alcotest.check_raises "one site: cap below 0" kernel_range (one_site (-1));
+        Alcotest.check_raises "one site: cap above the table depth" kernel_range (one_site 4);
+        (* Settings: k below 1 would answer from the argmax and the beam
+           alone, and k = 0 without a beam from nothing on two sites. *)
+        let with_config config budgets () = ignore (Trasyn.synthesize ~config ~target:Mat2.h ~budgets ()) in
+        let config = { Trasyn.default_config with table_t = 3 } in
+        List.iter
+          (fun (samples, beam, budgets, msg) ->
+            Alcotest.check_raises
+              (Printf.sprintf "samples %d beam %d" samples beam)
+              (Invalid_argument msg)
+              (with_config { config with samples; beam } budgets))
+          [
+            (0, 0, [ 3; 3 ], "Trasyn.synthesize: samples below 1");
+            (-5, 4, [ 3 ], "Trasyn.synthesize: samples below 1");
+            (16, -1, [ 3 ], "Trasyn.synthesize: negative beam");
+          ]);
   ]
 
 let suite = suite @ budget_tests
@@ -305,10 +335,12 @@ let chain_reuse_tests =
                      seed)
                   cold warm)
               [ 11; 12; 13 ])
-          [ [ 5 ]; [ 5; 5 ]; [ 4; 4; 4 ] ];
-        (* 9 pairs: each call after a clear misses, each warm call hits. *)
-        Alcotest.(check int) "misses" 9 (Obs.counter_value c_miss - m0);
-        Alcotest.(check int) "hits" 9 (Obs.counter_value c_hit - h0));
+          [ [ 5; 5 ]; [ 4; 4; 4 ] ];
+        (* 6 pairs: each call after a clear misses, each warm call hits.
+           A one-budget call builds no chain, so every list has two or
+           more budgets. *)
+        Alcotest.(check int) "misses" 6 (Obs.counter_value c_miss - m0);
+        Alcotest.(check int) "hits" 6 (Obs.counter_value c_hit - h0));
     Alcotest.test_case "to_error escalation is bit-identical with chain reuse" `Quick (fun () ->
         let c_hit = Obs.counter "mps.chain_cache.hit" in
         let c_miss = Obs.counter "mps.chain_cache.miss" in
@@ -325,11 +357,12 @@ let chain_reuse_tests =
         let cold, cold_hits, cold_misses = run () in
         let warm, warm_hits, warm_misses = run () in
         check_bits_identical "to_error" cold warm;
-        (* At ε 1e-9 both attempts at each of the 3 prefixes run: after
-           a clear, each prefix's first attempt misses and its second
-           hits; a warm rerun hits all 6. *)
-        Alcotest.(check (pair int int)) "cold hits, misses" (3, 3) (cold_hits, cold_misses);
-        Alcotest.(check (pair int int)) "warm hits, misses" (6, 0) (warm_hits, warm_misses));
+        (* At ε 1e-9 both attempts at each of the 3 prefixes run.  The
+           one-site prefix builds no chain; after a clear, each longer
+           prefix's first attempt misses and its second hits, and a warm
+           rerun hits all 4. *)
+        Alcotest.(check (pair int int)) "cold hits, misses" (2, 2) (cold_hits, cold_misses);
+        Alcotest.(check (pair int int)) "warm hits, misses" (4, 0) (warm_hits, warm_misses));
     Alcotest.test_case "chain cache evicts FIFO beyond capacity" `Quick (fun () ->
         Trasyn.clear_chain_cache ();
         let c_miss = Obs.counter "mps.chain_cache.miss" in
@@ -453,18 +486,22 @@ let reference_postprocess ?(max_window = 24) ?(max_iters = 200) (table : Ma_tabl
   in
   loop gates max_iters 0
 
-(* Words as the sampler produces them: fixed-seed draws from 1- and
-   2-site depth-8 chains, each draw's per-site words concatenated, and
-   consecutive draws joined so rewrites also straddle draw boundaries. *)
+(* Words as the sampler produces them: fixed-seed draws from one site
+   and from 2-site depth-8 chains, each draw's per-site words
+   concatenated, and consecutive draws joined so rewrites also straddle
+   draw boundaries. *)
 let sampled_words () =
   let table = Ma_table.get 8 in
   List.concat_map
     (fun (l, seed) ->
       let target = Mat2.random_unitary (Random.State.make [| seed |]) in
-      let mps = Mps.instantiate ~target (Mps.canonical_chain table (Array.make l 8)) in
+      let rng = Random.State.make [| seed + 1 |] in
+      let samples =
+        if l = 1 then fst (Mps.one_site ~rng table ~target ~cap:8 ~k:48 ~beam:0)
+        else Mps.sample ~rng ~k:48 (Mps.instantiate ~target (Mps.canonical_chain table (Array.make l 8)))
+      in
       let draws =
-        Mps.sample ~rng:(Random.State.make [| seed + 1 |]) ~k:48 mps
-        |> List.map (fun (s : Mps.sample) -> List.concat_map (Ma_table.word table) (Array.to_list s.Mps.indices))
+        List.map (fun (s : Mps.sample) -> List.concat_map (Ma_table.word table) (Array.to_list s.Mps.indices)) samples
       in
       let rec joined = function a :: (b :: _ as rest) -> (a @ b) :: joined rest | _ -> [] in
       draws @ joined draws)
@@ -608,9 +645,35 @@ let tree_tests =
         check_against_oracle ~what:"haar depth 8 l=3" ~ks:[ 48 ] ~beams:[ 4 ]
           (Mps.instantiate ~target:(Mat2.random_unitary haar) three);
         Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
-    Alcotest.test_case "a one-site chain has no tree and samples as before" `Quick (fun () ->
-        let mps = Mps.instantiate ~target:Mat2.h (chain_of ~depth:5 ~l:1) in
-        check_against_oracle ~what:"l=1" ~ks:[ 1; 48 ] ~beams:[ 4 ] mps);
+    Alcotest.test_case "the one-site kernel equals the one-site reference" `Quick (fun () ->
+        (* 200 seeded Haar targets, target i at depth i mod 9 and every
+           cap of that depth in turn, plus the tree targets (ties) at
+           depths 5 and 8: indices, multiplicities, amplitude bits and
+           the beam list, bit for bit. *)
+        let haar = Random.State.make [| 3131 |] in
+        let cases =
+          List.init 200 (fun i ->
+              let depth = i mod 9 in
+              (Printf.sprintf "haar %d" i, Mat2.random_unitary haar, depth, i / 9 mod (depth + 1)))
+          @ List.concat_map
+              (fun (name, target) -> [ (name, target, 5, 5); (name, target, 8, 8); (name, target, 8, 3) ])
+              tree_targets
+        in
+        List.iteri
+          (fun i (name, target, depth, cap) ->
+            let table = Ma_table.get depth in
+            List.iter
+              (fun (k, beam) ->
+                let seed = (1000 * i) + k in
+                let draws, beamed = Mps.one_site ~rng:(Random.State.make [| seed |]) table ~target ~cap ~k ~beam in
+                let want_draws, want_beam =
+                  Mps_reference.one_site ~rng:(Random.State.make [| seed |]) table ~target ~cap ~k ~beam
+                in
+                let what = Printf.sprintf "%s depth %d cap %d k %d beam %d" name depth cap k beam in
+                Alcotest.(check bool) (what ^ ": draws identical") true (samples_identical draws want_draws);
+                Alcotest.(check bool) (what ^ ": beam identical") true (samples_identical beamed want_beam))
+              [ (1, 0); (7, 1); (48, 4); (1024, 32) ])
+          cases);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:300 ~name:"cone bounds cover every operator below each node" ~print:print_query
          QCheck2.Gen.(pair (oneofl [ Gaussian; Prefix; Conj; Tiny; Zero ]) (int_bound 1_000_000))
@@ -650,4 +713,27 @@ let tree_tests =
            && (kind <> Zero || Mps.cone_argmax_of mps ~w_re ~w_im = 0)));
   ]
 
-let suite = suite @ tree_tests @ oracle_tests
+(* Candidate ranking keeps the stable order's first 16 by bounded
+   insertion; on keys with many ties it must keep exactly the items, in
+   the order, that sorting every sample kept. *)
+let selection_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"bounded top n equals the stable sort's first n"
+         ~print:QCheck2.Print.(pair int (list (pair (triple int int int) int)))
+         QCheck2.Gen.(
+           pair (oneofl [ 0; 1; 2; 5; 16 ])
+             (map
+                (List.mapi (fun i key -> (key, i)))
+                (list_size (int_bound 120) (triple (int_bound 1) (int_bound 3) (int_bound 2)))))
+         (fun (n, items) ->
+           let key ((a, b, c), _) k =
+             k.(0) <- float_of_int a;
+             k.(1) <- float_of_int b;
+             k.(2) <- float_of_int c
+           in
+           let cmp (a, _) (b, _) = compare a b in
+           Trasyn.stable_top n ~key items = List.filteri (fun i _ -> i < n) (List.stable_sort cmp items)));
+  ]
+
+let suite = suite @ tree_tests @ oracle_tests @ selection_tests
