@@ -95,8 +95,8 @@
    allocated the canonical key and probed an [Exact_u.Table] read 73.1;
    for 16 and 17, 36,510 and 1,025, where a one-site chain with step 3
    on its candidates read 161,995 and 116,715, the site, weight and
-   frontier arrays) plus a quarter.  Bound 15 is 0: planes filled by the build read 770
-   major-heap words there, their two arrays. *)
+   frontier arrays) plus a quarter.  Bound 15 is 0: planes filled by
+   the build read 770 major-heap words there, their two arrays. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0

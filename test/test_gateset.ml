@@ -79,15 +79,17 @@ let test_builtin_registry () =
   Alcotest.(check bool) "cliffordt keeps its descriptor" true
     (Gateset.find "cliffordt" = Some Gateset.cliffordt)
 
+(* A sub-alphabet closure's descriptor, with the "weights" member that
+   older descriptors carry. *)
+let sub_alphabet =
+  {|{"name":"custom","generators":"HSsTt","weights":{"T":1.0,"t":2.0},"enumeration":"bfs"}|}
+
 let test_of_json () =
   let parse s =
     match Obs.Json.parse s with Ok j -> Gateset.of_json j | Error e -> Error e
   in
-  (* A "weights" member, which older descriptors carry, is ignored. *)
-  (match
-     parse
-       {|{"name":"custom","generators":"HSsTt","weights":{"T":1.0,"t":2.0},"enumeration":"bfs"}|}
-   with
+  (* A "weights" member is ignored. *)
+  (match parse sub_alphabet with
   | Ok gs ->
       Alcotest.(check string) "name" "custom" gs.Gateset.name;
       Alcotest.(check int) "generators" 5 (List.length gs.Gateset.generators);
@@ -163,13 +165,9 @@ let test_bfs_oracle () =
 (* Step 3 rewrites no table word: a one-site TRASYN candidate is one
    entry's word, and [Trasyn.synthesize] skips step 3 on it on this
    ground.  Every entry of the two built-in tables at depths 0–8, and at
-   depth 10 too when this suite runs alone, and of a sub-alphabet's
-   closure (the descriptor [test_of_json] parses, registered here) at
-   depths 0–6, comes back unchanged from [Postprocess.run] against its
-   own table. *)
-let sub_alphabet =
-  {|{"name":"custom","generators":"HSsTt","weights":{"T":1.0,"t":2.0},"enumeration":"bfs"}|}
-
+   depth 10 too when this suite runs alone, and of the closure of
+   [sub_alphabet] (registered here) at depths 0–6, comes back unchanged
+   from [Postprocess.run] against its own table. *)
 let test_step3_fixes_table_words () =
   (match Obs.Json.parse sub_alphabet with
   | Ok j -> (
