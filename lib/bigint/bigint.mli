@@ -4,11 +4,16 @@
     environment), sized for the number theory needed by the Ross–Selinger
     synthesizer: a few hundred bits at most.  Values are immutable.
 
-    Representation: sign and little-endian magnitude in base 2^31, for
-    every value: there is no native-[int] fast path, and even [of_int]
-    builds and normalizes a limb array.  Loops whose values are provably
-    small run on native ints instead ([Zomega.Native], as exact
-    synthesis does). *)
+    Representation: a value below 2^61 in magnitude is a native [int]
+    with no limb array; a larger one is a sign and a little-endian
+    magnitude in base 2^31.  Every result that fits is normalized to
+    the small case, so each value has exactly one representation.
+    Arithmetic, comparison, division and shifts on small operands run
+    natively ([mul] only when a float estimate of the product proves it
+    fits); everything else goes through the limbs.  Results are those
+    of the limb-only implementation: the same values, [to_float] bit
+    for bit, the same [hash], and the same [Random.full_int] draws in
+    [random_below]. *)
 
 type t
 
@@ -62,6 +67,8 @@ val erem : t -> t -> t
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
+(** Shifts the magnitude: a negative value rounds toward zero, unlike
+    [asr]. *)
 
 val num_bits : t -> int
 (** Bits in the magnitude; [num_bits zero = 0]. *)

@@ -213,16 +213,23 @@ let stable_top n ~key items =
         items;
       Array.to_list (Array.sub kept 0 !len)
 
+(* [refuse] is not a local closure over [fn]: the check runs on every
+   call and allocates nothing. *)
+let refuse fn msg = invalid_arg (fn ^ ": " ^ msg)
+
+let check_settings ~fn config budgets =
+  if budgets = [] then refuse fn "empty budget list";
+  if List.exists (fun b -> b < 0) budgets then refuse fn "negative budget";
+  if config.samples < 1 then refuse fn "samples below 1";
+  if config.beam < 0 then refuse fn "negative beam"
+
 (* [epsilon] switches the selection rule from Eq. (3) (minimize error)
    to Eq. (4) (among solutions meeting the threshold, minimize T).
    [t_slack] relaxes Eq. (4): once the minimal T count is known, any
    solution within [t_slack] extra T gates may be picked for its lower
    error — a cheap hedge against error accumulation at circuit level. *)
 let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budgets () =
-  if budgets = [] then invalid_arg "Trasyn.synthesize: empty budget list";
-  if List.exists (fun b -> b < 0) budgets then invalid_arg "Trasyn.synthesize: negative budget";
-  if config.samples < 1 then invalid_arg "Trasyn.synthesize: samples below 1";
-  if config.beam < 0 then invalid_arg "Trasyn.synthesize: negative beam";
+  check_settings ~fn:"Trasyn.synthesize" config budgets;
   Obs.span "trasyn.synthesize" @@ fun () ->
   Obs.incr c_attempts;
   let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in

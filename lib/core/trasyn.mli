@@ -71,8 +71,14 @@ val synthesize :
     give and the T counts of their entries, and the first 16 in that
     stable order are scored exactly.
 
-    @raise Invalid_argument on an empty budget list, a negative budget,
-    [config.samples] below 1 or a negative [config.beam]. *)
+    @raise Invalid_argument as {!check_settings}. *)
+
+val check_settings : fn:string -> config -> int list -> unit
+(** [check_settings ~fn config budgets] raises [Invalid_argument "fn: …"]
+    on the settings {!synthesize} refuses: an empty budget list, a
+    negative budget, [config.samples] below 1 or a negative
+    [config.beam].  [Synth.config] and [Stream_compile.config] call it
+    too, so such settings fail where they enter. *)
 
 val to_error :
   ?config:config ->

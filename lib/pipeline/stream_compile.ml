@@ -102,6 +102,7 @@ let config ?(epsilon = 0.07) ?(gate_set = Gateset.default) ?(ir = Settings.Rz_ir
   if window < 1 then invalid_arg "Stream_compile.config: window must be >= 1";
   if queue < 1 then invalid_arg "Stream_compile.config: queue must be >= 1";
   if jobs < 1 then invalid_arg "Stream_compile.config: jobs must be >= 1";
+  Trasyn.check_settings ~fn:"Stream_compile.config" trasyn budgets;
   { epsilon; gate_set; ir; window; queue; jobs; deadline; rotation_budget; chain; trasyn;
     budgets }
 

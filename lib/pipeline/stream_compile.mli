@@ -92,8 +92,9 @@ val config :
     1 job, no deadline, chain by IR ({!policy}), {!default_trasyn} and
     [Synth.default_budgets].
     The reorder FIFO holds at most 4096 results awaiting emission.
-    @raise Invalid_argument on a non-positive or non-finite ε, or a
-    non-positive window/queue/jobs. *)
+    @raise Invalid_argument on a non-positive or non-finite ε, a
+    non-positive window/queue/jobs, or TRASYN settings that
+    [Trasyn.check_settings] refuses. *)
 
 (** {1 The synthesis policy} *)
 

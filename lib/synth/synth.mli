@@ -53,7 +53,10 @@ val config :
 (** Smart constructor with the standard defaults (no deadline,
     [Gateset.default], [Trasyn.default_config], {!default_budgets},
     1 attempt, backend-default gridsynth search, 10 s / seed 0
-    synthetiq, default SK escalation). *)
+    synthetiq, default SK escalation).  [epsilon] is not checked: 0
+    asks for the best word within the budgets.
+    @raise Invalid_argument on the TRASYN settings that
+    [Trasyn.check_settings] refuses. *)
 
 val gate_set_name : config -> string
 (** [config.gate_set.Gateset.name]. *)

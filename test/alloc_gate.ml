@@ -15,7 +15,8 @@
    and, over the 200 angles θ_i = −3 + 6i/200 at ε 0.07, minor words
 
    4. per Gridsynth.rz call (grid problems, Diophantine, exact
-      synthesis on native Exact_u, verification);
+      synthesis on native Exact_u, verification), with every Bigint
+      below 2^61 held as a native int;
 
    and, over every 8th circuit of the 187-circuit suite, minor words
 
@@ -88,7 +89,8 @@
        which would take at least n = 18,384.
 
    Bounds are for the dev profile that runtest builds: each is its dev
-   count at the time it was set (1,480 / 31.25 / 47,735 / 3,529 /
+   count at the time it was set (8,430 for 4, where a limb array for
+   every Bigint read 12,194; 1,480 / 31.25 / 47,735 / 3,529 /
    1,109 for 5 / 6 / 7 / 10 / 11; for 13, 58.9 minor and 11.8 live,
    where the record-per-entry build read 126.8 and 78.6 and the
    list-append build 346.8 and 141.6; for 14, 25.6, where a lookup that
@@ -101,7 +103,7 @@
 let parse_bound = 40.0
 let write_bound = 8.0
 let engine_bound = 351.0
-let gridsynth_bound = 15321.0
+let gridsynth_bound = 10537.0
 let whole_bound = 1851.0
 let instantiate_bound = 39.0
 let sample_bound = 59_700.0

@@ -219,3 +219,155 @@ let boundary_division_tests =
   ]
 
 let suite = suite @ boundary_division_tests
+
+(* ------------------------------------------------------------------ *)
+(* Every operation against the limb-only oracle                        *)
+(* ------------------------------------------------------------------ *)
+
+module R = Bigint_reference
+
+let pow2 k = R.shift_left R.one k
+
+(* Operands drawn around each edge of the native range and the small
+   case's 2^61 bound (0, ±1, ±2^30, ±2^31, ±(2^61 − 1), ±2^61, ±2^62,
+   max_int, min_int, each ± 2), mixed with multi-limb and plain native
+   values.  They travel as decimal strings, so each side parses its own. *)
+let operand =
+  QCheck2.Gen.(
+    let edge =
+      oneofl
+        [ R.zero; R.one; pow2 30; pow2 31; R.sub (pow2 61) R.one; pow2 61; pow2 62;
+          R.of_int max_int; R.of_int min_int ]
+    in
+    let near =
+      let* e = edge and* d = int_range (-2) 2 and* negate = bool in
+      let v = R.add e (R.of_int d) in
+      return (if negate then R.neg v else v)
+    in
+    let multi_limb =
+      let* n_digits = int_range 19 60 and* negate = bool in
+      let* digits = list_repeat n_digits (int_range 0 9) in
+      let v = R.of_string (String.concat "" (List.map string_of_int digits)) in
+      return (if negate then R.neg v else v)
+    in
+    let native = map R.of_int (oneof [ int_range (-1_000_000) 1_000_000; int ]) in
+    map R.to_string (frequency [ (4, near); (2, multi_limb); (2, native) ]))
+
+let native_operand =
+  QCheck2.Gen.(
+    oneof
+      [ oneofl
+          [ 0; 1; -1; 1 lsl 30; 1 lsl 31; (1 lsl 61) - 1; 1 lsl 61; -(1 lsl 61); max_int; min_int ];
+        int_range (-1_000_000) 1_000_000; int ])
+
+(* The same value as the oracle's, in the one representation a parse
+   builds, with the oracle's hash. *)
+let agrees b r =
+  B.to_string b = R.to_string r && B.equal b (B.of_string (R.to_string r)) && B.hash b = R.hash r
+
+let agrees2 (b1, b2) (r1, r2) = agrees b1 r1 && agrees b2 r2
+
+(* [Some] result, or [None] when the operation raises one of the
+   exceptions the interface documents. *)
+let guarded f =
+  match f () with
+  | v -> Some v
+  | exception (Division_by_zero | Failure _ | Invalid_argument _) -> None
+
+let oracle_prop ?(count = 1000) name gen print f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen f)
+
+let show2 (x, y) = x ^ ", " ^ y
+
+let oracle_tests =
+  let open QCheck2.Gen in
+  [
+    oracle_prop "oracle: of_string, to_string and of_int" (pair operand native_operand)
+      (fun (s, n) -> s ^ ", " ^ string_of_int n)
+      (fun (s, n) -> agrees (B.of_string s) (R.of_string s) && agrees (B.of_int n) (R.of_int n));
+    oracle_prop "oracle: conversions and predicates" operand Fun.id (fun s ->
+        let x = B.of_string s and r = R.of_string s in
+        B.to_int_opt x = R.to_int_opt r
+        && guarded (fun () -> B.to_int_exn x) = guarded (fun () -> R.to_int_exn r)
+        && Int64.equal (Int64.bits_of_float (B.to_float x)) (Int64.bits_of_float (R.to_float r))
+        && B.sign x = R.sign r
+        && B.is_zero x = R.is_zero r
+        && B.is_even x = R.is_even r
+        && B.num_bits x = R.num_bits r);
+    oracle_prop "oracle: neg, abs, sqrt and is_square" operand Fun.id (fun s ->
+        let x = B.of_string s and r = R.of_string s in
+        let sq = B.mul x x and rsq = R.mul r r in
+        agrees (B.neg x) (R.neg r)
+        && agrees (B.abs x) (R.abs r)
+        && guarded (fun () -> B.to_string (B.sqrt x)) = guarded (fun () -> R.to_string (R.sqrt r))
+        && agrees (B.sqrt sq) (R.sqrt rsq)
+        && B.is_square x = R.is_square r
+        && B.is_square sq = R.is_square rsq);
+    oracle_prop "oracle: add, sub, mul, compare, equal and gcd" (pair operand operand) show2
+      (fun (s, t) ->
+        let x = B.of_string s and y = B.of_string t and r = R.of_string s and q = R.of_string t in
+        agrees (B.add x y) (R.add r q)
+        && agrees (B.sub x y) (R.sub r q)
+        && agrees (B.mul x y) (R.mul r q)
+        && B.compare x y = R.compare r q
+        && B.equal x y = R.equal r q
+        && agrees (B.gcd x y) (R.gcd r q));
+    oracle_prop "oracle: divmod, div, rem, ediv_rem and erem" (pair operand operand) show2
+      (fun (s, t) ->
+        let x = B.of_string s and y = B.of_string t and r = R.of_string s and q = R.of_string t in
+        let same f g =
+          match (guarded f, guarded g) with
+          | Some b, Some r -> agrees2 b r
+          | None, None -> true
+          | _ -> false
+        in
+        let same1 f g = same (fun () -> (f (), B.zero)) (fun () -> (g (), R.zero)) in
+        same (fun () -> B.divmod x y) (fun () -> R.divmod r q)
+        && same (fun () -> B.ediv_rem x y) (fun () -> R.ediv_rem r q)
+        && same1 (fun () -> B.div x y) (fun () -> R.div r q)
+        && same1 (fun () -> B.rem x y) (fun () -> R.rem r q)
+        && same1 (fun () -> B.erem x y) (fun () -> R.erem r q)
+        && same (fun () -> B.divmod x B.zero) (fun () -> R.divmod r R.zero));
+    oracle_prop "oracle: shift_left and shift_right" (pair operand (int_range 0 130))
+      (fun (s, k) -> s ^ ", " ^ string_of_int k)
+      (fun (s, k) ->
+        let x = B.of_string s and r = R.of_string s in
+        agrees (B.shift_left x k) (R.shift_left r k)
+        && agrees (B.shift_right x k) (R.shift_right r k));
+    oracle_prop "oracle: mul_int and add_int" (pair operand native_operand)
+      (fun (s, n) -> s ^ ", " ^ string_of_int n)
+      (fun (s, n) ->
+        let x = B.of_string s and r = R.of_string s in
+        agrees (B.mul_int x n) (R.mul_int r n) && agrees (B.add_int x n) (R.add_int r n));
+    oracle_prop ~count:300 "oracle: pow and powmod" (quad operand (int_range 0 4) operand operand)
+      (fun (s, e, t, u) -> String.concat ", " [ s; string_of_int e; t; u ])
+      (fun (s, e, t, u) ->
+        let x = B.of_string s and r = R.of_string s in
+        let ex = B.abs (B.of_string t) and er = R.abs (R.of_string t) in
+        let m = B.add_int (B.abs (B.of_string u)) 1 and mr = R.add_int (R.abs (R.of_string u)) 1 in
+        agrees (B.pow x e) (R.pow r e) && agrees (B.powmod x ex m) (R.powmod r er mr));
+    oracle_prop "oracle: random_below draws the same values under one seed" (pair operand small_int)
+      (fun (s, seed) -> s ^ ", seed " ^ string_of_int seed)
+      (fun (s, seed) ->
+        let bound = B.add_int (B.abs (B.of_string s)) 1
+        and rbound = R.add_int (R.abs (R.of_string s)) 1 in
+        (* A draw is kept with probability ≈ top limb / 2^31: skip bounds
+           whose top limb is below 2^20 (over 2^11 tries per draw). *)
+        QCheck2.assume ((R.num_bits rbound - 1) mod 31 >= 20);
+        let saved = Random.get_state () in
+        let draw f =
+          Random.init seed;
+          let xs = List.init 4 (fun _ -> f ()) in
+          (xs, Random.bits ())
+        in
+        let bs, b_next = draw (fun () -> B.random_below bound) in
+        let rs, r_next = draw (fun () -> R.random_below rbound) in
+        Random.set_state saved;
+        List.for_all2 agrees bs rs && b_next = r_next);
+    oracle_prop "equal values hash equal" (pair operand operand) show2 (fun (s, t) ->
+        let x = B.of_string s and z = B.of_string t in
+        let y = B.sub (B.add x z) z in
+        B.equal x y && B.hash x = B.hash y);
+  ]
+
+let suite = suite @ oracle_tests

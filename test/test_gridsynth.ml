@@ -300,6 +300,43 @@ let end_to_end_tests =
            r.Gridsynth.distance <= 1e-2));
   ]
 
+(* gridsynth_words.expected holds words written while every Bigint had
+   limbs, at ε 1e-3 and 1e-4, where operands run larger than at the
+   suite digest's ε 0.07. *)
+let golden_words_tests =
+  [
+    Alcotest.test_case "rz returns the golden words at eps 1e-3 and 1e-4" `Quick (fun () ->
+        (* Beside the executable under runtest; from the source tree when
+           the executable is run by hand from the repository root. *)
+        let path =
+          List.find Sys.file_exists
+            [ Filename.concat (Filename.dirname Sys.executable_name) "gridsynth_words.expected";
+              "test/gridsynth_words.expected" ]
+        in
+        let lines =
+          In_channel.with_open_text path In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        in
+        let saved = Random.get_state () in
+        let mismatches =
+          List.filter
+            (fun expected ->
+              Scanf.sscanf expected "%h %h " (fun epsilon theta ->
+                  Random.init 0;
+                  let r = Gridsynth.rz ~theta ~epsilon () in
+                  let got =
+                    Printf.sprintf "%h %h %d %h %s" epsilon theta r.Gridsynth.candidates_tried
+                      r.Gridsynth.distance (Ctgate.seq_to_string r.Gridsynth.seq)
+                  in
+                  got <> expected))
+            lines
+        in
+        Random.set_state saved;
+        Alcotest.(check int) "lines" 478 (List.length lines);
+        Alcotest.(check (list string)) "mismatched lines" [] mismatches);
+  ]
+
 let suite = ring_tests @ grid_tests @ diophantine_tests @ exact_synth_tests @ end_to_end_tests
 
 (* Rounding-division convention backing the Euclidean ring division. *)
@@ -394,4 +431,4 @@ let frontier_tests =
           (List.length (Grid1d.solve ~x0:1e4 ~x1:1e4 ~y0:(-1e4) ~y1:1e4)));
   ]
 
-let suite = suite @ frontier_tests
+let suite = suite @ frontier_tests @ golden_words_tests

@@ -903,6 +903,33 @@ let resolve_tests =
           (Suite.all ()));
   ]
 
+let config_tests =
+  [
+    Alcotest.test_case "config refuses the TRASYN settings synthesize refuses" `Quick (fun () ->
+        let d = Stream_compile.default_trasyn in
+        List.iter
+          (fun (trasyn, budgets, msg) ->
+            Alcotest.check_raises msg
+              (Invalid_argument ("Stream_compile.config: " ^ msg))
+              (fun () -> ignore (Stream_compile.config ~trasyn ~budgets ())))
+          [
+            ({ d with samples = 0; beam = 0 }, Synth.default_budgets, "samples below 1");
+            ({ d with beam = -1 }, Synth.default_budgets, "negative beam");
+            (d, [], "empty budget list");
+            (d, [ 10; -1 ], "negative budget");
+          ];
+        (* Refused before a rotation is read: the repro u3(0.4, 1.1, -0.7)
+           at ε 0.07 used to come back from the gridsynth rung with 2
+           fallbacks. *)
+        Alcotest.check_raises "u3 run" (Invalid_argument "Stream_compile.config: samples below 1")
+          (fun () ->
+            let cfg =
+              Stream_compile.config ~ir:Settings.U3_ir ~epsilon:0.07
+                ~trasyn:{ d with samples = 0; beam = 0 } ()
+            in
+            ignore (Stream_compile.synthesize cfg (Qgate.U3 (0.4, 1.1, -0.7)))));
+  ]
+
 let suite =
   reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests @ workflow_tests
-  @ memo_flush_tests @ resolve_tests
+  @ memo_flush_tests @ resolve_tests @ config_tests

@@ -594,6 +594,45 @@ let run_count_tests =
               (List.map (fun r -> (r.Ledger.attempts, r.Ledger.fallbacks)) records));
   ]
 
+(* TRASYN settings that [Trasyn.synthesize] refuses fail where they
+   enter: run through the chain, each refusal was a backend error that
+   the gridsynth rung answered as a degraded run. *)
+let config_tests =
+  let target = Synth.Unitary (Mat2.u3 0.4 1.1 (-0.7)) in
+  [
+    Alcotest.test_case "config refuses the TRASYN settings synthesize refuses" `Quick (fun () ->
+        let config trasyn budgets () = ignore (Synth.config ~trasyn ~budgets ~epsilon:0.07 ()) in
+        let d = Trasyn.default_config in
+        List.iter
+          (fun (trasyn, budgets, msg) ->
+            Alcotest.check_raises msg
+              (Invalid_argument ("Synth.config: " ^ msg))
+              (config trasyn budgets))
+          [
+            ({ d with samples = 0; beam = 0 }, Synth.default_budgets, "samples below 1");
+            ({ d with samples = -3 }, Synth.default_budgets, "samples below 1");
+            ({ d with beam = -1 }, Synth.default_budgets, "negative beam");
+            (d, [], "empty budget list");
+            (d, [ 10; -1 ], "negative budget");
+          ];
+        (* ε is not checked: trasyn_cli asks for the best word with ε 0. *)
+        ignore (Synth.config ~epsilon:0.0 ()));
+    Alcotest.test_case "refused settings no longer degrade u3(0.4, 1.1, -0.7) to gridsynth" `Quick
+      (fun () ->
+        Alcotest.check_raises "samples 0, beam 0" (Invalid_argument "Synth.config: samples below 1")
+          (fun () ->
+            let trasyn = { Trasyn.default_config with samples = 0; beam = 0 } in
+            let config = Synth.config ~trasyn ~epsilon:0.07 () in
+            ignore (Synth.run_chain ~config Synth.u3_chain target));
+        let trasyn = { Trasyn.default_config with samples = 1; beam = 0 } in
+        let config = Synth.config ~trasyn ~epsilon:0.07 () in
+        match Synth.run_chain ~config Synth.u3_chain target with
+        | Ok a ->
+            Alcotest.(check (pair string int))
+              "first rung" ("trasyn", 0) (a.Robust.backend, a.Robust.fallbacks)
+        | Error f -> Alcotest.fail (Robust.failure_to_string f));
+  ]
+
 let suite =
   registry_tests @ adapter_tests @ chain_tests @ planner_tests @ canonical_tests
-  @ determinism_tests @ epsilon_key_tests @ pool_tests @ run_count_tests
+  @ determinism_tests @ epsilon_key_tests @ pool_tests @ run_count_tests @ config_tests
