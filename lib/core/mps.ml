@@ -25,14 +25,12 @@
     at most that site's T cap, so a physical index is a table index.
     The interior of the chain (every site but the first) never sees the
     target: {!canonical_chain} canonicalizes it once per table and caps,
-    indexes each interior site with two trees (a sum tree for draws, a
-    cone tree for maxima on the last site), and {!instantiate} grafts a
-    fresh target-folded first site onto the shared interior.  Sampling
-    only reads site tensors and trees, so one canonicalized interior can
-    serve any number of targets — and any number of domains —
-    concurrently.  A chain has two or more sites: a one-site MPS is the
-    vector of trace values itself, which {!one_site} samples straight
-    from the table's planes. *)
+    and indexes each interior site with two trees (a sum tree for draws,
+    a cone tree for maxima on the last site).  Site 0 is never stored:
+    {!sample} recomputes each of its entries from the table's planes in
+    registers, whatever the number of sites.  Sampling only reads the
+    chain, so one canonicalized interior can serve any number of
+    targets — and any number of domains — concurrently. *)
 
 type site = {
   dl : int;  (** left bond dimension *)
@@ -70,22 +68,11 @@ type cone_tree = {
 
 type trees = { sum : sum_tree; cone : cone_tree option }
 
-type t = {
-  sites : site array;
-  target : Mat2.t;
-  trees : trees array;  (** site i's at [i − 1] *)
-  table : Ma_table.t;
-}
-
 type sample = {
   indices : int array;  (** one physical index per site *)
   amplitude : Cplx.t;  (** Tr(U†·∏ M[sᵢ]) — the trace value *)
   multiplicity : int;  (** how many of the k draws landed here *)
 }
-
-let site_get s phys a b =
-  let idx = (((phys * s.dl) + a) * s.dr) + b in
-  { Cplx.re = s.re.(idx); im = s.im.(idx) }
 
 let make_site n dl dr =
   { dl; dr; n; re = Array.make (n * dl * dr) 0.0; im = Array.make (n * dl * dr) 0.0 }
@@ -102,36 +89,6 @@ let c_boundary = Obs.counter "mps.sample.boundary_draws"
 
 (* Table entry (phys, row, col) lives at planes re/im.(phys·4 + row·2 +
    col); a site over n entries reads the first n. *)
-
-(* First site of a longer chain: fold in U† and open the composite
-   bond (c,b): T[s]_(0,(c·2+b)) = Σ_a conj(U_(a,b))·M[s]_(a,c). *)
-let fill_first_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
-  let s = make_site n 1 4 in
-  for phys = 0 to s.n - 1 do
-    let base = phys * 4 in
-    for c = 0 to 1 do
-      let m0re = bre.(base + c) and m0im = bim.(base + c) in
-      let m1re = bre.(base + 2 + c) and m1im = bim.(base + 2 + c) in
-      for b = 0 to 1 do
-        (* column b of U: (U_0b, U_1b) *)
-        let u0 = if b = 0 then u.Mat2.m00 else u.Mat2.m01 in
-        let u1 = if b = 0 then u.Mat2.m10 else u.Mat2.m11 in
-        (* conj(u0)·m0 + conj(u1)·m1 *)
-        let re =
-          (u0.Cplx.re *. m0re) +. (u0.Cplx.im *. m0im)
-          +. (u1.Cplx.re *. m1re) +. (u1.Cplx.im *. m1im)
-        in
-        let im =
-          (u0.Cplx.re *. m0im) -. (u0.Cplx.im *. m0re)
-          +. (u1.Cplx.re *. m1im) -. (u1.Cplx.im *. m1re)
-        in
-        let j = (phys * 4) + (c * 2) + b in
-        s.re.(j) <- re;
-        s.im.(j) <- im
-      done
-    done
-  done;
-  s
 
 (* Last site: close the composite bond.  T[s]_((c·2+b),0) = M[s]_(c,b),
    which in flat layout is exactly the planes' first n entries. *)
@@ -158,13 +115,6 @@ let fill_middle_site { Ma_table.re = bre; im = bim } n =
     done
   done;
   s
-
-(* Exact trace value for a full index assignment (direct evaluation,
-   used by tests and to double-check samples). *)
-let trace_of_indices t indices =
-  let prod = ref Mat2.identity in
-  Array.iter (fun s -> prod := Mat2.mul !prod (Ma_table.mat t.table s)) indices;
-  Mat2.trace (Mat2.mul (Mat2.adjoint t.target) !prod)
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization (right-to-left LQ sweep, unboxed)                  *)
@@ -255,22 +205,6 @@ let absorb_right s ~ld l_re l_im =
     done
   done
 
-(* Canonical-form check: Σ_s A[s]·A[s]† = identity on the left bond. *)
-let right_canonical_error s =
-  let acc = Cmatrix.create s.dl s.dl in
-  for phys = 0 to s.n - 1 do
-    for a = 0 to s.dl - 1 do
-      for a' = 0 to s.dl - 1 do
-        let sum = ref (Cmatrix.get acc a a') in
-        for b = 0 to s.dr - 1 do
-          sum := Cplx.add !sum (Cplx.mul (site_get s phys a b) (Cplx.conj (site_get s phys a' b)))
-        done;
-        Cmatrix.set acc a a' !sum
-      done
-    done
-  done;
-  Cmatrix.frobenius_norm (Cmatrix.sub acc (Cmatrix.identity s.dl))
-
 (* ------------------------------------------------------------------ *)
 (* Tree indices of interior sites                                      *)
 (* ------------------------------------------------------------------ *)
@@ -290,9 +224,10 @@ let right_canonical_error s =
 let sum_leaf = 16
 let cone_leaf = 8
 
-(* Conditional weight of one physical index, written to [out.(oi)]:
-   the same operations in the same order as [frontier_weights]' scan,
-   so tree leaves reproduce its values bit for bit. *)
+(* Conditional weight of one physical index after prefix vector w,
+   written to [out.(oi)]: Σ_b |Σ_a w[a]·A[s]_(a,b)|², the operations
+   and order of the linear scan, so tree leaves, cone leaves and the
+   beam's middle-site scans all reproduce its values bit for bit. *)
 let weight_into site w_re w_im woff phys out oi =
   let dl = site.dl and dr = site.dr in
   let sre = site.re and sim = site.im in
@@ -698,9 +633,6 @@ let build_cone_tree site =
 let build_trees ~last site =
   { sum = build_sum_tree site; cone = (if last then Some (build_cone_tree site) else None) }
 
-(* The trees of interior site [level] (≥ 1). *)
-let site_trees t level = t.trees.(level - 1)
-
 (* ------------------------------------------------------------------ *)
 (* Reusable canonicalized chains                                       *)
 (* ------------------------------------------------------------------ *)
@@ -709,15 +641,14 @@ type chain = {
   table : Ma_table.t;
   n0 : int;  (** site 0's physical dimension *)
   interior : site array;  (** canonicalized sites 1..l−1 *)
-  bl_re : float array;  (** boundary L from site 1's LQ, row-major bl_d×bl_d *)
+  bl_re : float array;  (** boundary L from site 1's LQ, row-major 4×4 *)
   bl_im : float array;
-  bl_d : int;
   chain_trees : trees array;  (** site i's at [i − 1] *)
 }
 
 let canonical_chain table caps =
   let l = Array.length caps in
-  if l < 2 then invalid_arg "Mps.canonical_chain: need at least two sites";
+  if l < 1 then invalid_arg "Mps.canonical_chain: need at least one site";
   if Array.exists (fun cap -> cap < 0 || cap > Ma_table.max_t table) caps then
     invalid_arg "Mps.canonical_chain: T cap out of range";
   Obs.span "mps.chain_build" @@ fun () ->
@@ -729,8 +660,8 @@ let canonical_chain table caps =
         if i = l - 1 then fill_last_site planes (n i) else fill_middle_site planes (n i))
   in
   (* The right-to-left sweep, stopping short of site 0: the boundary L
-     that would be absorbed into the (target-dependent) first site is
-     kept for {!instantiate}. *)
+     that the target-dependent first site absorbs is kept for
+     {!sample}. *)
   Obs.incr ~by:(l - 1) c_sweeps;
   let l_re = Array.make 16 0.0 and l_im = Array.make 16 0.0 in
   for i = l - 1 downto 2 do
@@ -738,24 +669,15 @@ let canonical_chain table caps =
     lq_site s l_re l_im;
     absorb_right interior.(i - 2) ~ld:s.dl l_re l_im
   done;
-  let s1 = interior.(0) in
-  lq_site s1 l_re l_im;
-  let d = s1.dl in
+  if l > 1 then lq_site interior.(0) l_re l_im;
   {
     table;
     n0 = n 0;
     interior;
-    bl_re = Array.sub l_re 0 (d * d);
-    bl_im = Array.sub l_im 0 (d * d);
-    bl_d = d;
+    bl_re = l_re;
+    bl_im = l_im;
     chain_trees = Array.mapi (fun j s -> build_trees ~last:(j = l - 2) s) interior;
   }
-
-let instantiate ~(target : Mat2.t) chain =
-  Obs.span "mps.instantiate" @@ fun () ->
-  let s0 = fill_first_site target (Ma_table.planes chain.table) chain.n0 in
-  absorb_right s0 ~ld:chain.bl_d chain.bl_re chain.bl_im;
-  { sites = Array.append [| s0 |] chain.interior; target; trees = chain.chain_trees; table = chain.table }
 
 (* ------------------------------------------------------------------ *)
 (* Sampling (step 2, batched)                                          *)
@@ -765,33 +687,6 @@ let instantiate ~(target : Mat2.t) chain =
    reproducible draws without opting in (pass an explicit [rng] to
    vary them). *)
 let default_rng_seed = 0x5eed
-
-(* Conditional weights of one frontier entry over the physical index:
-   weights.(s) = Σ_b |Σ_a w[a]·A[s]_(a,b)|², returning the total.
-   [woff] locates the entry's bond vector inside the frontier planes.
-   Only sites without a tree index scan: the first site (one prefix)
-   and the middle sites of [beam_search]. *)
-let frontier_weights site w_re w_im woff weights =
-  let dl = site.dl and dr = site.dr and n = site.n in
-  let sre = site.re and sim = site.im in
-  let total = ref 0.0 in
-  for phys = 0 to n - 1 do
-    let base = phys * dl * dr in
-    let acc = ref 0.0 in
-    for b = 0 to dr - 1 do
-      let vre = ref 0.0 and vim = ref 0.0 in
-      for a = 0 to dl - 1 do
-        let are = sre.(base + (a * dr) + b) and aim = sim.(base + (a * dr) + b) in
-        let wre = w_re.(woff + a) and wim = w_im.(woff + a) in
-        vre := !vre +. (wre *. are) -. (wim *. aim);
-        vim := !vim +. (wre *. aim) +. (wim *. are)
-      done;
-      acc := !acc +. (!vre *. !vre) +. (!vim *. !vim)
-    done;
-    weights.(phys) <- !acc;
-    total := !total +. !acc
-  done;
-  !total
 
 (* w' = w·A[phys], written into the destination frontier at [doff]. *)
 let advance_into site w_re w_im woff phys dst_re dst_im doff =
@@ -866,7 +761,7 @@ let make_frontier l cap =
     idx = [| Array.make (cap * l) 0; Array.make (cap * l) 0 |];
     mlt = [| Array.make cap 0; Array.make cap 0 |];
     cur = 0;
-    count = 1;
+    count = 0;
     next = 0;
     first_child = 0;
   }
@@ -909,9 +804,9 @@ type scratch = {
 
 let stack_cap = 256
 
-let make_scratch k =
+let make_scratch points =
   {
-    points = Array.make (Int.max 1 k) 0.0;
+    points;
     stk_node = Array.make stack_cap 0;
     stk_lo = Array.make stack_cap 0;
     stk_hi = Array.make stack_cap 0;
@@ -1177,8 +1072,6 @@ let cone_beam cone site w_re w_im woff st sel beam e =
 let cone_of_trees tr =
   match tr.cone with Some c -> c | None -> invalid_arg "Mps: only the last site has a cone tree"
 
-let cone_of t level = cone_of_trees (site_trees t level)
-
 let samples_of fr l ~multiplicity =
   let c = fr.cur in
   let fw_re = fr.w_re.(c) and fw_im = fr.w_im.(c) and fidx = fr.idx.(c) and fmlt = fr.mlt.(c) in
@@ -1194,157 +1087,57 @@ let samples_of fr l ~multiplicity =
   done;
   !out
 
-let sample ?rng ?(argmax_last = true) t ~k =
-  let rng = match rng with Some r -> r | None -> Random.State.make [| default_rng_seed |] in
-  Obs.span "mps.sample" @@ fun () ->
-  Obs.incr ~by:k c_samples;
-  let l = Array.length t.sites in
-  (* Every level emits at most one child per draw (≤ k in total) plus,
-     at the last level, one argmax completion per surviving prefix. *)
-  let cap = (2 * Int.max 1 k) + 2 in
-  let fr = make_frontier l cap in
-  let st = make_scratch k in
-  let points = st.points in
-  fr.w_re.(0).(0) <- 1.0;
-  fr.mlt.(0).(0) <- k;
-  for level = 0 to l - 1 do
-    let site = t.sites.(level) in
-    let c = fr.cur in
-    let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) and cmlt = fr.mlt.(c) in
-    let nidx = fr.idx.(1 - c) in
-    let last = level = l - 1 in
-    fr.next <- 0;
-    if level = 0 then begin
-      (* The target-dependent first site has a single prefix: scan it. *)
-      let weights = Array.make site.n 0.0 in
-      let total = frontier_weights site cw_re cw_im 0 weights in
-      fr.first_child <- 0;
-      let mult = cmlt.(0) in
-      if total > 0.0 then begin
-        (* Draw [mult] categorical samples in one pass over sorted
-           uniforms; counts come out grouped by physical index. *)
-        for m = 0 to mult - 1 do
-          points.(m) <- Random.State.float rng total
-        done;
-        sort_range points mult;
-        let j = ref 0 and cum = ref 0.0 and last_nz = ref 0 in
-        for phys = 0 to site.n - 1 do
-          let w = weights.(phys) in
-          cum := !cum +. w;
-          if w > 0.0 then last_nz := phys;
-          let drawn = ref 0 in
-          while !j < mult && points.(!j) <= !cum do
-            incr drawn;
-            incr j
-          done;
-          if !drawn > 0 then emit fr site level 0 phys !drawn
-        done;
-        (* Numerical tail: assign any stragglers to the last nonzero
-           weight (merging with its child when one was just drawn). *)
-        if !j < mult then emit_or_merge fr site level 0 !last_nz (mult - !j)
-      end
-    end
-    else begin
-      let tr = site_trees t level in
-      for e = 0 to fr.count - 1 do
-        fr.first_child <- fr.next;
-        let mult = cmlt.(e) in
-        gram_form tr.sum.gram 0 cw_re cw_im (e * max_bond) st.f;
-        let total = st.f.(0) in
-        if total > 0.0 then begin
-          for m = 0 to mult - 1 do
-            points.(m) <- Random.State.float rng total
-          done;
-          sort_range points mult;
-          tree_draws fr st tr.sum site level e mult
-        end;
-        (* With [argmax_last], each distinct prefix also contributes the
-           best completion of the final site — the conditional weights
-           there are exactly the per-sequence trace values, and
-           best-of-k reaches deep error targets through them. *)
-        if last && argmax_last then begin
-          let best = cone_argmax (cone_of_trees tr) site cw_re cw_im (e * max_bond) st in
-          let found = ref false in
-          for ci = fr.first_child to fr.next - 1 do
-            if nidx.((ci * l) + level) = best then found := true
-          done;
-          if not !found then emit fr site level e best 1
-        end
-      done
-    end;
-    fr.cur <- 1 - c;
-    fr.count <- fr.next
-  done;
-  flush_counts st;
-  samples_of fr l ~multiplicity:true
-
-(* Deterministic beam search over the same distribution: keep the [beam]
-   highest-weight partials at each level.  Used by the greedy ablation.
-   Selection happens in a fixed-size sorted scratch, never
-   materializing the partials × physical-index score list; the last
-   site offers each partial's children through its cone tree. *)
-let beam_search t ~beam =
-  Obs.span "mps.beam_search" @@ fun () ->
-  if beam <= 0 then []
-  else begin
-    let l = Array.length t.sites in
-    let maxn = Array.fold_left (fun m s -> Int.max m s.n) 1 t.sites in
-    let fr = make_frontier l beam in
-    let st = make_scratch 1 in
-    let weights = Array.make maxn 0.0 in
-    let sel =
-      { sel_w = Array.make beam 0.0; sel_parent = Array.make beam 0; sel_phys = Array.make beam 0; sel_count = 0 }
-    in
-    fr.w_re.(0).(0) <- 1.0;
-    for level = 0 to l - 1 do
-      let site = t.sites.(level) in
-      let c = fr.cur in
-      let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) in
-      sel.sel_count <- 0;
-      if level = l - 1 then begin
-        let cone = cone_of t level in
-        for e = 0 to fr.count - 1 do
-          cone_beam cone site cw_re cw_im (e * max_bond) st sel beam e
-        done
-      end
-      else
-        for e = 0 to fr.count - 1 do
-          ignore (frontier_weights site cw_re cw_im (e * max_bond) weights);
-          for phys = 0 to site.n - 1 do
-            (* The scan offers (e, phys) in ascending order, so only a
-               strictly heavier candidate can displace a full beam. *)
-            if sel.sel_count < beam || weights.(phys) > sel.sel_w.(beam - 1) then
-              beam_insert sel beam weights phys e phys
-          done
-        done;
-      fr.next <- 0;
-      for s = 0 to sel.sel_count - 1 do
-        emit fr site level sel.sel_parent.(s) sel.sel_phys.(s) 1
-      done;
-      fr.cur <- 1 - c;
-      fr.count <- fr.next
-    done;
-    samples_of fr l ~multiplicity:false
-  end
 
 (* ------------------------------------------------------------------ *)
-(* One site: the trace vector, scanned twice                           *)
+(* Site 0, read from the table's planes                                *)
 (* ------------------------------------------------------------------ *)
 
-(* With one site the MPS is the vector of trace values Tr(U†M[s]) over
-   the table's first n entries, and nothing needs it stored: [one_site]
-   recomputes each entry from the planes in each of its two passes,
-   which is cheaper than writing and rereading O(n) arrays per call. *)
+(* Only site 0 depends on the target, and nothing stores it: each pass
+   recomputes the entries it reads from the table's planes, which costs
+   less than writing and rereading O(n) arrays per call.  With one site
+   the entry is the trace value Σ_ab conj(U_ab)·M[s]_ab; with more it is
+   the target-folded row x_(c·2+b) = Σ_a conj(U_ab)·M[s]_(a,c) (the
+   δ-line carries b) with the chain's boundary L absorbed,
+   y_b = Σ_c x_c·L_(c,b).  Either is then advanced from the prefix
+   w = (1, 0) and weighed.  Each step makes the operations, in their
+   order, of filling a stored site 0, absorbing L with [absorb_right],
+   then [advance_into] and [weight_into] on it (the path
+   test/mps_reference.ml keeps as the oracle), so every value is theirs
+   bit for bit.
 
-(* Entry s's amplitude into f.(0) (re) and f.(1) (im), and its Born
-   weight into f.(2), bit for bit the one-site MPS's values: the trace
-   value Σ_ab conj(U_ab)·M[s]_ab accumulated entry by entry as
+   A call's site 0: U's entries row-major, re and im interleaved; the
+   table's planes; the boundary L (unread with one site); and [f],
+   where an entry lands: its advanced row's re in f.(0..3) and im in
+   f.(4..7) (one site: f.(0) and f.(4)), its weight in f.(8). *)
+type first = {
+  single : bool;  (** one site: no interior and no L *)
+  n : int;
+  u : float array;
+  bre : float array;
+  bim : float array;
+  l_re : float array;
+  l_im : float array;
+  f : float array;
+}
+
+let first_of chain (target : Mat2.t) =
+  let { Ma_table.re = bre; im = bim } = Ma_table.planes chain.table in
+  let { Mat2.m00; m01; m10; m11 } = target in
+  {
+    single = Array.length chain.interior = 0;
+    n = chain.n0;
+    u = Cplx.[| m00.re; m00.im; m01.re; m01.im; m10.re; m10.im; m11.re; m11.im |];
+    bre;
+    bim;
+    l_re = chain.bl_re;
+    l_im = chain.bl_im;
+    f = Array.make 9 0.0;
+  }
+
+(* One site: the trace value accumulated entry by entry as
    acc + z.re·m.re + z.im·m.im (re) and acc + z.re·m.im − z.im·m.re
-   (im), as the site fill formed it, then w·A[s] and |w·A[s]|² for the
-   prefix vector w = (1, 0), with [advance_into]'s and
-   [frontier_weights]' operations.  [u] holds U's entries row-major,
-   re and im interleaved. *)
-let[@inline] entry_into (u : float array) (bre : float array) (bim : float array) s (f : float array) =
+   (im), as the oracle's one-site fill forms it. *)
+let[@inline] single_entry (u : float array) (bre : float array) (bim : float array) s (f : float array) =
   let b = s * 4 in
   let re = 0.0 +. (u.(0) *. bre.(b)) +. (u.(1) *. bim.(b)) in
   let im = 0.0 +. (u.(0) *. bim.(b)) -. (u.(1) *. bre.(b)) in
@@ -1357,97 +1150,282 @@ let[@inline] entry_into (u : float array) (bre : float array) (bim : float array
   let vre = 0.0 +. (1.0 *. re) -. (0.0 *. im) in
   let vim = 0.0 +. (1.0 *. im) +. (0.0 *. re) in
   f.(0) <- vre;
-  f.(1) <- vim;
-  f.(2) <- 0.0 +. (vre *. vre) +. (vim *. vim)
+  f.(4) <- vim;
+  f.(8) <- 0.0 +. (vre *. vre) +. (vim *. vim)
 
-let one_site ?rng table ~(target : Mat2.t) ~cap ~k ~beam =
-  if cap < 0 || cap > Ma_table.max_t table then invalid_arg "Mps.one_site: T cap out of range";
+(* A longer chain: x_(c·2+b) = conj(U_0b)·M_0c + conj(U_1b)·M_1c, then
+   each column of L absorbed term by term from c = 0. *)
+let[@inline] chain_entry (u : float array) (l_re : float array) (l_im : float array) (bre : float array)
+    (bim : float array) s (f : float array) =
+  let o = s * 4 in
+  let m00r = bre.(o) and m00i = bim.(o) and m01r = bre.(o + 1) and m01i = bim.(o + 1) in
+  let m10r = bre.(o + 2) and m10i = bim.(o + 2) and m11r = bre.(o + 3) and m11i = bim.(o + 3) in
+  let x0r = (u.(0) *. m00r) +. (u.(1) *. m00i) +. (u.(4) *. m10r) +. (u.(5) *. m10i) in
+  let x0i = (u.(0) *. m00i) -. (u.(1) *. m00r) +. (u.(4) *. m10i) -. (u.(5) *. m10r) in
+  let x1r = (u.(2) *. m00r) +. (u.(3) *. m00i) +. (u.(6) *. m10r) +. (u.(7) *. m10i) in
+  let x1i = (u.(2) *. m00i) -. (u.(3) *. m00r) +. (u.(6) *. m10i) -. (u.(7) *. m10r) in
+  let x2r = (u.(0) *. m01r) +. (u.(1) *. m01i) +. (u.(4) *. m11r) +. (u.(5) *. m11i) in
+  let x2i = (u.(0) *. m01i) -. (u.(1) *. m01r) +. (u.(4) *. m11i) -. (u.(5) *. m11r) in
+  let x3r = (u.(2) *. m01r) +. (u.(3) *. m01i) +. (u.(6) *. m11r) +. (u.(7) *. m11i) in
+  let x3i = (u.(2) *. m01i) -. (u.(3) *. m01r) +. (u.(6) *. m11i) -. (u.(7) *. m11r) in
+  for b = 0 to 3 do
+    let lr = l_re.(b) and li = l_im.(b) in
+    let yr = 0.0 +. (x0r *. lr) -. (x0i *. li) and yi = 0.0 +. (x0r *. li) +. (x0i *. lr) in
+    let lr = l_re.(4 + b) and li = l_im.(4 + b) in
+    let yr = yr +. (x1r *. lr) -. (x1i *. li) and yi = yi +. (x1r *. li) +. (x1i *. lr) in
+    let lr = l_re.(8 + b) and li = l_im.(8 + b) in
+    let yr = yr +. (x2r *. lr) -. (x2i *. li) and yi = yi +. (x2r *. li) +. (x2i *. lr) in
+    let lr = l_re.(12 + b) and li = l_im.(12 + b) in
+    let yr = yr +. (x3r *. lr) -. (x3i *. li) and yi = yi +. (x3r *. li) +. (x3i *. lr) in
+    f.(b) <- 0.0 +. (1.0 *. yr) -. (0.0 *. yi);
+    f.(4 + b) <- 0.0 +. (1.0 *. yi) +. (0.0 *. yr)
+  done;
+  f.(8) <-
+    0.0 +. (f.(0) *. f.(0)) +. (f.(4) *. f.(4)) +. (f.(1) *. f.(1)) +. (f.(5) *. f.(5))
+    +. (f.(2) *. f.(2)) +. (f.(6) *. f.(6)) +. (f.(3) *. f.(3)) +. (f.(7) *. f.(7))
+
+let entry z s =
+  if z.single then single_entry z.u z.bre z.bim s z.f else chain_entry z.u z.l_re z.l_im z.bre z.bim s z.f
+
+(* The two passes run one loop per arithmetic, chosen once per call, so
+   the one-site loop does not carry the longer chain's registers.
+
+   Pass 1: the total, which is the running sum the draws reach at the
+   end; the last nonzero weight; the level-0 beam, offered in ascending
+   index, so only a strictly heavier entry displaces a full one; and,
+   when site 0 is the last site, the argmax, lowest index on ties. *)
+let first_pass z sel beam =
+  let { single; n; u; bre; bim; l_re; l_im; f } = z in
+  let total = ref 0.0 and best = ref 0 and best_w = ref 0.0 and last_nz = ref 0 in
+  if single then
+    for s = 0 to n - 1 do
+      single_entry u bre bim s f;
+      let w = f.(8) in
+      total := !total +. w;
+      if s = 0 || w > !best_w then begin
+        best := s;
+        best_w := w
+      end;
+      if w > 0.0 then last_nz := s;
+      if beam > 0 && (sel.sel_count < beam || w > sel.sel_w.(beam - 1)) then beam_insert sel beam f 8 0 s
+    done
+  else
+    for s = 0 to n - 1 do
+      chain_entry u l_re l_im bre bim s f;
+      let w = f.(8) in
+      total := !total +. w;
+      if w > 0.0 then last_nz := s;
+      if beam > 0 && (sel.sel_count < beam || w > sel.sel_w.(beam - 1)) then beam_insert sel beam f 8 0 s
+    done;
+  (!total, !best, !last_nz)
+
+(* Site-0 sample s of multiplicity m, from the entry in f. *)
+let sample_of_f z s m = { indices = [| s |]; amplitude = { Cplx.re = z.f.(0); im = z.f.(4) }; multiplicity = m }
+
+let sample_at z s m =
+  entry z s;
+  sample_of_f z s m
+
+(* Pass 2: the k sorted uniforms, routed by the running sum in index
+   order until every one is placed.  One site collects its draws newest
+   first; a longer chain appends them to the frontier's current plane.
+   Each returns the number left over at the end, which the caller gives
+   to the last nonzero weight. *)
+let single_draws z points k =
+  let { n; u; bre; bim; f; _ } = z in
+  let draws = ref [] and j = ref 0 and cum = ref 0.0 and s = ref 0 in
+  while !j < k && !s < n do
+    single_entry u bre bim !s f;
+    cum := !cum +. f.(8);
+    let j0 = !j in
+    while !j < k && points.(!j) <= !cum do
+      incr j
+    done;
+    if !j > j0 then draws := sample_of_f z !s (!j - j0) :: !draws;
+    incr s
+  done;
+  (!draws, k - !j)
+
+(* Append site-0 child s, whose entry is in f, with multiplicity m to
+   the current plane. *)
+let put_first fr z s m =
+  let c = fr.cur and ci = fr.count in
+  Array.blit z.f 0 fr.w_re.(c) (ci * max_bond) 4;
+  Array.blit z.f 4 fr.w_im.(c) (ci * max_bond) 4;
+  fr.idx.(c).(ci * fr.len) <- s;
+  fr.mlt.(c).(ci) <- m;
+  fr.count <- ci + 1
+
+let chain_draws z points k fr =
+  let { n; u; bre; bim; l_re; l_im; f; _ } = z in
+  let j = ref 0 and cum = ref 0.0 and s = ref 0 in
+  while !j < k && !s < n do
+    chain_entry u l_re l_im bre bim !s f;
+    cum := !cum +. f.(8);
+    let j0 = !j in
+    while !j < k && points.(!j) <= !cum do
+      incr j
+    done;
+    if !j > j0 then put_first fr z !s (!j - j0);
+    incr s
+  done;
+  k - !j
+
+(* Draws at sites 1..l−1 from the level-0 draws in [fr]: each distinct
+   prefix descends the site's sum tree with its sorted uniforms and, on
+   the last site, adds its cone-tree argmax completion (with
+   [argmax_last]).  The uniforms reuse [points]. *)
+let interior_draws chain fr rng points ~argmax_last =
+  let l = fr.len in
+  let st = make_scratch points in
+  for level = 1 to l - 1 do
+    let site = chain.interior.(level - 1) and tr = chain.chain_trees.(level - 1) in
+    let c = fr.cur in
+    let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) and cmlt = fr.mlt.(c) in
+    let nidx = fr.idx.(1 - c) in
+    fr.next <- 0;
+    for e = 0 to fr.count - 1 do
+      fr.first_child <- fr.next;
+      let mult = cmlt.(e) in
+      gram_form tr.sum.gram 0 cw_re cw_im (e * max_bond) st.f;
+      let total = st.f.(0) in
+      if total > 0.0 then begin
+        for m = 0 to mult - 1 do
+          points.(m) <- Random.State.float rng total
+        done;
+        sort_range points mult;
+        tree_draws fr st tr.sum site level e mult
+      end;
+      (* Each distinct prefix also contributes the best completion of
+         the final site: the conditional weights there are exactly the
+         per-sequence trace values, and best-of-k reaches deep error
+         targets through them. *)
+      if level = l - 1 && argmax_last then begin
+        let best = cone_argmax (cone_of_trees tr) site cw_re cw_im (e * max_bond) st in
+        let found = ref false in
+        for ci = fr.first_child to fr.next - 1 do
+          if nidx.((ci * l) + level) = best then found := true
+        done;
+        if not !found then emit fr site level e best 1
+      end
+    done;
+    fr.cur <- 1 - c;
+    fr.count <- fr.next
+  done;
+  flush_counts st;
+  samples_of fr l ~multiplicity:true
+
+(* The beam at sites 1..l−1, from the level-0 selection in [sel]: a
+   middle site scans each partial's children, offered in ascending
+   (partial, index), so only a strictly heavier candidate displaces a
+   full beam; the last site offers them by branch-and-bound over its
+   cone tree against the beam's current last weight. *)
+let interior_beam chain z sel beam =
+  let l = 1 + Array.length chain.interior in
+  let fr = make_frontier l beam in
+  for i = 0 to sel.sel_count - 1 do
+    entry z sel.sel_phys.(i);
+    put_first fr z sel.sel_phys.(i) 1
+  done;
+  let st = make_scratch [||] in
+  let f = st.f in
+  for level = 1 to l - 1 do
+    let site = chain.interior.(level - 1) in
+    let c = fr.cur in
+    let cw_re = fr.w_re.(c) and cw_im = fr.w_im.(c) in
+    sel.sel_count <- 0;
+    if level = l - 1 then begin
+      let cone = cone_of_trees chain.chain_trees.(level - 1) in
+      for e = 0 to fr.count - 1 do
+        cone_beam cone site cw_re cw_im (e * max_bond) st sel beam e
+      done
+    end
+    else
+      for e = 0 to fr.count - 1 do
+        for phys = 0 to site.n - 1 do
+          weight_into site cw_re cw_im (e * max_bond) phys f 0;
+          if sel.sel_count < beam || f.(0) > sel.sel_w.(beam - 1) then beam_insert sel beam f 0 e phys
+        done
+      done;
+    fr.next <- 0;
+    for s = 0 to sel.sel_count - 1 do
+      emit fr site level sel.sel_parent.(s) sel.sel_phys.(s) 1
+    done;
+    fr.cur <- 1 - c;
+    fr.count <- fr.next
+  done;
+  samples_of fr l ~multiplicity:false
+
+let sample ?rng ?(argmax_last = true) chain ~target ~k ~beam =
   let rng = match rng with Some r -> r | None -> Random.State.make [| default_rng_seed |] in
-  Obs.span "mps.one_site" @@ fun () ->
+  Obs.span "mps.sample" @@ fun () ->
   Obs.incr ~by:k c_samples;
-  let { Ma_table.re = bre; im = bim } = Ma_table.planes table in
-  let n = Ma_table.offset table (cap + 1) in
-  let { Mat2.m00; m01; m10; m11 } = target in
-  let u = Cplx.[| m00.re; m00.im; m01.re; m01.im; m10.re; m10.im; m11.re; m11.im |] in
-  let f = Array.make 3 0.0 in
+  let z = first_of chain target in
   let beam = Int.max 0 beam in
   let sel =
     { sel_w = Array.make beam 0.0; sel_parent = Array.make beam 0; sel_phys = Array.make beam 0; sel_count = 0 }
   in
-  (* Pass 1: the total, which is the running sum the draws reach at the
-     end; the argmax, lowest index on ties; the last nonzero weight; and
-     the beam, offered in ascending index, so only a strictly heavier
-     entry displaces a full one. *)
-  let total = ref 0.0 and best = ref 0 and best_w = ref 0.0 and last_nz = ref 0 in
-  for s = 0 to n - 1 do
-    entry_into u bre bim s f;
-    let w = f.(2) in
-    total := !total +. w;
-    if s = 0 || w > !best_w then begin
-      best := s;
-      best_w := w
-    end;
-    if w > 0.0 then last_nz := s;
-    if beam > 0 && (sel.sel_count < beam || w > sel.sel_w.(beam - 1)) then beam_insert sel beam f 2 0 s
-  done;
-  let best = !best and drawn_best = ref false in
-  let sample_of_f s m =
-    if s = best then drawn_best := true;
-    { indices = [| s |]; amplitude = { Cplx.re = f.(0); im = f.(1) }; multiplicity = m }
-  in
-  let sample_at s m =
-    entry_into u bre bim s f;
-    sample_of_f s m
-  in
-  (* Pass 2: the k sorted uniforms, routed by the running sum in index
-     order until every one is placed; newest child first. *)
-  let draws = ref [] in
-  if !total > 0.0 && k > 0 then begin
-    let points = Array.create_float k in
+  let total, best, last_nz = first_pass z sel beam in
+  let points = Array.create_float (Int.max 1 k) in
+  let routed = total > 0.0 && k > 0 in
+  if routed then begin
     for m = 0 to k - 1 do
-      points.(m) <- Random.State.float rng !total
+      points.(m) <- Random.State.float rng total
     done;
-    sort_range points k;
-    let j = ref 0 and cum = ref 0.0 and s = ref 0 in
-    while !j < k && !s < n do
-      entry_into u bre bim !s f;
-      cum := !cum +. f.(2);
-      let j0 = !j in
-      while !j < k && points.(!j) <= !cum do
-        incr j
-      done;
-      if !j > j0 then draws := sample_of_f !s (!j - j0) :: !draws;
-      incr s
-    done;
-    (* Numerical tail: stragglers go to the last nonzero weight, merged
-       with its child when one was just drawn there. *)
-    let left = k - !j in
-    if left > 0 then
-      draws :=
-        match !draws with
-        | d :: rest when d.indices.(0) = !last_nz -> { d with multiplicity = d.multiplicity + left } :: rest
-        | ds -> sample_at !last_nz left :: ds
+    sort_range points k
   end;
-  if not !drawn_best then draws := sample_at best 1 :: !draws;
-  let beamed = List.init sel.sel_count (fun i -> sample_at sel.sel_phys.(i) 1) in
-  (List.rev !draws, beamed)
+  (* Uniforms left over at site 0's end go to its last nonzero weight,
+     merged with the child drawn there last when there is one. *)
+  if z.single then begin
+    (* Site 0 is the last site: its argmax completes the draws. *)
+    let draws, left = if routed then single_draws z points k else ([], 0) in
+    let draws =
+      match draws with
+      | _ when left = 0 -> draws
+      | d :: rest when d.indices.(0) = last_nz -> { d with multiplicity = d.multiplicity + left } :: rest
+      | ds -> sample_at z last_nz left :: ds
+    in
+    let draws =
+      if argmax_last && not (List.exists (fun (d : sample) -> d.indices.(0) = best) draws) then
+        sample_at z best 1 :: draws
+      else draws
+    in
+    (List.rev draws, List.init sel.sel_count (fun i -> sample_at z sel.sel_phys.(i) 1))
+  end
+  else begin
+    let l = 1 + Array.length chain.interior in
+    (* Every level emits at most one child per draw (≤ k in total) plus,
+       at the last level, one argmax completion per surviving prefix. *)
+    let fr = make_frontier l ((2 * Int.max 1 k) + 2) in
+    let left = if routed then chain_draws z points k fr else 0 in
+    if left > 0 then begin
+      let c = fr.cur and latest = fr.count - 1 in
+      if latest >= 0 && fr.idx.(c).(latest * l) = last_nz then fr.mlt.(c).(latest) <- fr.mlt.(c).(latest) + left
+      else begin
+        entry z last_nz;
+        put_first fr z last_nz left
+      end
+    end;
+    let draws = interior_draws chain fr rng points ~argmax_last in
+    (draws, if beam = 0 then [] else Obs.span "mps.beam_search" (fun () -> interior_beam chain z sel beam))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Tree internals, for tests                                           *)
 (* ------------------------------------------------------------------ *)
 
-let last_cone t =
-  let l = Array.length t.sites in
-  (cone_of t (l - 1), t.sites.(l - 1))
+let last_cone chain =
+  let l = Array.length chain.interior in
+  (cone_of_trees chain.chain_trees.(l - 1), chain.interior.(l - 1))
 
-let cone_node_bounds t ~w_re ~w_im =
-  let cone, _ = last_cone t in
-  let st = make_scratch 1 in
+let cone_node_bounds chain ~w_re ~w_im =
+  let cone, _ = last_cone chain in
+  let st = make_scratch [||] in
   cone_query st w_re w_im 0;
   Array.init (Array.length cone.clo) (fun node ->
       cone_bound cone node st;
       (st.f.(0), Array.sub cone.perm cone.clo.(node) (cone.chi.(node) - cone.clo.(node))))
 
-let cone_argmax_of t ~w_re ~w_im =
-  let cone, site = last_cone t in
-  cone_argmax cone site w_re w_im 0 (make_scratch 1)
+let cone_argmax_of chain ~w_re ~w_im =
+  let cone, site = last_cone chain in
+  cone_argmax cone site w_re w_im 0 (make_scratch [||])

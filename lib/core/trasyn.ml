@@ -35,22 +35,23 @@ let c_memo_hits = Obs.counter "trasyn.postprocess.memo_hits"
 (* Chain cache                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Only the first MPS site depends on the target; the canonicalized
-   interior is a pure function of (gate set, table_t, per-site T caps).
-   One-site calls build no chain, so every cached chain has two or more
-   sites.
-   [to_error] hammers the same few keys: it escalates through growing
-   prefixes of one budget list and reseeds each prefix.  Caching the
-   canonicalized chain turns every repeat into "fill one site + absorb
-   one 4×4 boundary factor".
+(* Only the first MPS site depends on the target, and [Mps.sample]
+   reads it from the table's planes: a chain is a pure function of
+   (gate set, table_t, per-site T caps).  [to_error] hammers the same
+   few keys: it escalates through growing prefixes of one budget list
+   and reseeds each prefix, so caching the canonicalized chain leaves
+   every repeat with site 0's two passes and the sampling.
 
    The cache is shared across domains (the Planner calls [synthesize]
-   concurrently), hence the mutex; cached interiors are read-only after
-   publication, so handing the same chain to several domains is safe.
-   The chain is computed while holding the lock — concurrent requests
-   for the same key then dedup instead of racing.  FIFO eviction keeps
-   at most [chain_capacity] chains alive (a chain at table_t = 10 is a
-   few MB of bank + site floats). *)
+   concurrently), hence the mutex, held only to look up, insert and
+   evict: nothing that depends on the target runs under it.  A miss
+   builds its chain outside the lock, so concurrent misses do not
+   serialize; when two domains build the same key, the first insert
+   wins and the other's chain is dropped.  Chains are read-only once
+   built, so handing one to several domains is safe.  FIFO eviction
+   keeps at most [chain_capacity] chains alive.  A one-site chain holds
+   no site; a last site holds 64·n bytes of floats and a middle site
+   256·n, so at depth 10 (n = 73,680) 4.7 MB and 18.9 MB. *)
 
 let c_chain_hit = Obs.counter "mps.chain_cache.hit"
 let c_chain_miss = Obs.counter "mps.chain_cache.miss"
@@ -58,92 +59,44 @@ let c_chain_evict = Obs.counter "mps.chain_cache.evictions"
 
 type chain_key = string * int * int list
 
-type chain_entry = {
-  chain : Mps.chain;
-  (* Reseed memo: [to_error]'s reseeded attempts, and a chain's retry
-     rung, re-instantiate the same target; one slot catches that without
-     keying the cache by target.  Comparison is bitwise — [=] on floats
-     would equate 0.0 with -0.0 and diverge on NaN payloads, breaking
-     the bit-identity guarantee. *)
-  mutable last_target : Mat2.t option;
-  mutable last_mps : Mps.t option;
-}
-
 let chain_capacity = 16
-let chain_cache : (chain_key, chain_entry) Hashtbl.t = Hashtbl.create chain_capacity
+let chain_cache : (chain_key, Mps.chain) Hashtbl.t = Hashtbl.create chain_capacity
 let chain_order : chain_key Queue.t = Queue.create ()
 let chain_lock = Mutex.create ()
 
-let clear_chain_cache () =
+let with_lock f =
   Mutex.lock chain_lock;
-  Hashtbl.reset chain_cache;
-  Queue.clear chain_order;
-  Mutex.unlock chain_lock
+  Fun.protect ~finally:(fun () -> Mutex.unlock chain_lock) f
 
-let cplx_bits_equal (a : Cplx.t) (b : Cplx.t) =
-  Int64.bits_of_float a.Cplx.re = Int64.bits_of_float b.Cplx.re
-  && Int64.bits_of_float a.Cplx.im = Int64.bits_of_float b.Cplx.im
-
-let mat2_bits_equal (a : Mat2.t) (b : Mat2.t) =
-  cplx_bits_equal a.Mat2.m00 b.Mat2.m00
-  && cplx_bits_equal a.Mat2.m01 b.Mat2.m01
-  && cplx_bits_equal a.Mat2.m10 b.Mat2.m10
-  && cplx_bits_equal a.Mat2.m11 b.Mat2.m11
-
-(* A ready-to-sample MPS for the target, from the cached chain of the
-   caps, which have been validated and clamped to the table depth.  A
-   cached chain samples bit-identically to a fresh one (gated in
-   runtest). *)
-let mps_for config table ~target caps =
-  let key = (config.gate_set, config.table_t, caps) in
-  let with_lock f =
-    Mutex.lock chain_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock chain_lock) f
-  in
-  let entry =
-    match with_lock (fun () -> Hashtbl.find_opt chain_cache key) with
-    | Some e ->
-        Obs.incr c_chain_hit;
-        e
-    | None ->
-        (* Build the chain outside the lock: the LQ sweep in
-           [canonical_chain] is the expensive part, and holding the
-           mutex across it would serialize every concurrent miss.
-           Double-check before inserting — another domain may have
-           built the same chain meanwhile; its entry wins so the
-           reseed memo stays unique per key. *)
-        Obs.incr c_chain_miss;
-        let fresh =
-          {
-            chain = Mps.canonical_chain table (Array.of_list caps);
-            last_target = None;
-            last_mps = None;
-          }
-        in
-        with_lock (fun () ->
-            match Hashtbl.find_opt chain_cache key with
-            | Some winner -> winner
-            | None ->
-                if Hashtbl.length chain_cache >= chain_capacity then begin
-                  let oldest = Queue.pop chain_order in
-                  Hashtbl.remove chain_cache oldest;
-                  Obs.incr c_chain_evict
-                end;
-                Hashtbl.replace chain_cache key fresh;
-                Queue.push key chain_order;
-                fresh)
-  in
-  (* The reseed memo mutates the shared entry; keep it under the
-     lock so concurrent instantiations of different targets on the
-     same chain never tear the (target, mps) pair. *)
+let clear_chain_cache () =
   with_lock (fun () ->
-      match (entry.last_mps, entry.last_target) with
-      | Some m, Some t when mat2_bits_equal t target -> m
-      | _ ->
-          let m = Mps.instantiate ~target entry.chain in
-          entry.last_target <- Some target;
-          entry.last_mps <- Some m;
-          m)
+      Hashtbl.reset chain_cache;
+      Queue.clear chain_order)
+
+(* The chain of the caps, which have been validated and clamped to the
+   table depth.  A cached chain samples bit-identically to a fresh one
+   (gated in runtest). *)
+let chain_for config table caps =
+  let key = (config.gate_set, config.table_t, caps) in
+  match with_lock (fun () -> Hashtbl.find_opt chain_cache key) with
+  | Some chain ->
+      Obs.incr c_chain_hit;
+      chain
+  | None ->
+      Obs.incr c_chain_miss;
+      let fresh = Mps.canonical_chain table (Array.of_list caps) in
+      with_lock (fun () ->
+          match Hashtbl.find_opt chain_cache key with
+          | Some winner -> winner
+          | None ->
+              if Hashtbl.length chain_cache >= chain_capacity then begin
+                let oldest = Queue.pop chain_order in
+                Hashtbl.remove chain_cache oldest;
+                Obs.incr c_chain_evict
+              end;
+              Hashtbl.replace chain_cache key fresh;
+              Queue.push key chain_order;
+              fresh)
 
 type result = {
   seq : Ctgate.t list;
@@ -234,18 +187,10 @@ let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budge
   Obs.incr c_attempts;
   let table = Ma_table.get_for ~gate_set:config.gate_set config.table_t in
   let rng = Random.State.make [| config.seed |] in
-  (* One budget is one site: the trace vector over a table prefix, which
-     [Mps.one_site] samples without a chain. *)
-  let l, sampled, beamed =
-    match List.map (fun b -> min b config.table_t) budgets with
-    | [ cap ] ->
-        let sampled, beamed = Mps.one_site ~rng table ~target ~cap ~k:config.samples ~beam:config.beam in
-        (1, sampled, beamed)
-    | caps ->
-        let mps = mps_for config table ~target caps in
-        ( List.length caps,
-          Mps.sample ~rng mps ~k:config.samples,
-          if config.beam > 0 then Mps.beam_search mps ~beam:config.beam else [] )
+  let caps = List.map (fun b -> min b config.table_t) budgets in
+  let l = List.length caps in
+  let sampled, beamed =
+    Mps.sample ~rng (chain_for config table caps) ~target ~k:config.samples ~beam:config.beam
   in
   (* Rank all samples by the mode's objective using quantities that are
      free from the contraction: the amplitude gives the distance, the
@@ -345,8 +290,7 @@ let synthesize ?(config = default_config) ?epsilon ?(t_slack = 0) ~target ~budge
      threshold, spend as few T gates as possible. *)
 let to_error ?(config = default_config) ?(attempts = 2) ?(selection = `Best_error) ?(t_slack = 0)
     ~target ~budgets ~epsilon () =
-  if budgets = [] then invalid_arg "Trasyn.to_error: empty budget list";
-  if List.exists (fun b -> b < 0) budgets then invalid_arg "Trasyn.to_error: negative budget";
+  check_settings ~fn:"Trasyn.to_error" config budgets;
   let n = List.length budgets in
   let better (a : result) (b : result) =
     let key x =

@@ -27,13 +27,14 @@ val default_config : config
 
 val clear_chain_cache : unit -> unit
 (** Drop every cached canonicalized chain.  Every call samples from a
-    process-wide cache of canonicalized target-independent chain
-    interiors keyed by [(gate_set, table_t, caps)], reused across
-    calls (budget escalation, reseeds, repeated targets) and
-    observable as [mps.chain_cache.hit] / [.miss] / [.evictions];
-    results are bit-identical to a build from scratch.  Safe to call
-    concurrently with synthesis; in-flight calls keep their
-    already-acquired chains. *)
+    process-wide cache of canonicalized target-independent chains keyed
+    by [(gate_set, table_t, caps)], one site or more, reused across
+    calls (budget escalation, reseeds, repeated targets and domains)
+    and observable as [mps.chain_cache.hit] / [.miss] / [.evictions];
+    results are bit-identical to a build from scratch.  The cache's
+    lock guards only its table: no work that depends on the target runs
+    under it.  Safe to call concurrently with synthesis; in-flight
+    calls keep their already-acquired chains. *)
 
 type result = {
   seq : Ctgate.t list;  (** the Clifford+T word, in matrix order *)
@@ -61,10 +62,11 @@ val synthesize :
     T count; [t_slack] then allows up to that many extra T gates in
     exchange for lower error.
 
-    With one budget, the MPS is the vector of trace values over a table
-    prefix, and {!Mps.one_site} draws from it without building a chain.
-    Its candidates are table entries' words, which step 3 never rewrites
-    (checked for every entry of the built-in tables, and of a
+    Every call draws through {!Mps.sample} from the cached chain of its
+    caps, whatever their number; with one budget the chain holds no
+    site, and the MPS is the vector of trace values over a table prefix.
+    A one-site candidate is a table entry's word, which step 3 never
+    rewrites (checked for every entry of the built-in tables, and of a
     sub-alphabet's, in test_gateset), so step 3 runs on multi-site
     candidates only; [config.post_process] still governs those.  The
     samples and the beam are ranked by the distance their amplitudes
@@ -77,8 +79,9 @@ val check_settings : fn:string -> config -> int list -> unit
 (** [check_settings ~fn config budgets] raises [Invalid_argument "fn: …"]
     on the settings {!synthesize} refuses: an empty budget list, a
     negative budget, [config.samples] below 1 or a negative
-    [config.beam].  [Synth.config] and [Stream_compile.config] call it
-    too, so such settings fail where they enter. *)
+    [config.beam].  {!to_error}, [Synth.config] and
+    [Stream_compile.config] call it too, so such settings fail where
+    they enter. *)
 
 val to_error :
   ?config:config ->
@@ -97,9 +100,8 @@ val to_error :
     sufficient budget; [`Min_t] reads Eq. (4) strictly and spends as
     few T gates as possible once the threshold is met.
 
-    @raise Invalid_argument on an empty budget list or a negative
-    budget, and from its first attempt on settings {!synthesize}
-    refuses. *)
+    @raise Invalid_argument as {!check_settings}, with [fn]
+    ["Trasyn.to_error"], before its first attempt. *)
 
 (** {1 Internals (tests)} *)
 

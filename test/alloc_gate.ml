@@ -27,10 +27,12 @@
    and, on depth-8 chains (18,384 operators per site) and 16 fixed
    Haar targets,
 
-   6. minor words per Mps.instantiate call on the two-site chain (the
-      first-site fill and the boundary absorption);
+   6. major-heap words per two-site Trasyn.synthesize call at k = 48
+      and beam 4 on a warm chain, after a minor collection before each
+      call: fewer than n₀ = 18,384, so no O(n) array fits, since site
+      0's entries are recomputed from the table's planes, never stored;
    7. minor words per Mps.sample call at k = 1024 on the two-site
-      chain.
+      chain, without a beam.
 
    The same sample calls gate the tree-indexed sampler's work, which
    is counted, not timed, so it repeats exactly too:
@@ -80,8 +82,8 @@
        arrays fits the minor heap's 256-word limit;
 
    and, over the same 16 targets, one one-site Trasyn.synthesize call
-   each at depth 8 with k = 1,024 and beam 32 (Mps.one_site's two
-   passes over the planes, then ranking and scoring),
+   each at depth 8 with k = 1,024 and beam 32 (Mps.sample's two passes
+   over the planes, then ranking and scoring),
 
    16. minor words per call;
    17. major-heap words per call, after a minor collection before each
@@ -90,8 +92,9 @@
 
    Bounds are for the dev profile that runtest builds: each is its dev
    count at the time it was set (8,430 for 4, where a limb array for
-   every Bigint read 12,194; 1,480 / 31.25 / 47,735 / 3,529 /
-   1,109 for 5 / 6 / 7 / 10 / 11; for 13, 58.9 minor and 11.8 live,
+   every Bigint read 12,194; 1,480 / 47,735 / 3,529 / 1,109 for
+   5 / 7 / 10 / 11; for 6, 4,078, where a stored site 0 and its two
+   weight arrays read 188,330; for 13, 58.9 minor and 11.8 live,
    where the record-per-entry build read 126.8 and 78.6 and the
    list-append build 346.8 and 141.6; for 14, 25.6, where a lookup that
    allocated the canonical key and probed an [Exact_u.Table] read 73.1;
@@ -105,7 +108,7 @@ let write_bound = 8.0
 let engine_bound = 351.0
 let gridsynth_bound = 10537.0
 let whole_bound = 1851.0
-let instantiate_bound = 39.0
+let two_site_major_bound = 5_102.0
 let sample_bound = 59_700.0
 let live_bound = 4_411.0
 let open_bound = 1_387.0
@@ -205,9 +208,26 @@ let () =
   let two = Mps.canonical_chain table [| 8; 8 |] in
   let haar = Random.State.make [| 2026 |] in
   let targets = List.init 16 (fun _ -> Mat2.random_unitary haar) in
-  let (), words = measure (fun () -> List.iter (fun target -> ignore (Mps.instantiate ~target two)) targets) in
-  check "Mps.instantiate per call (depth 8, 2 sites)" (words /. 16.0) instantiate_bound;
-  let mpss = List.map (fun target -> Mps.instantiate ~target two) targets in
+  (* Major-heap words of each call of [synth] over [targets], after a
+     minor collection before each, and its minor words, per call. *)
+  let per_call synth =
+    synth (List.hd targets);
+    let minor = ref 0.0 and major = ref 0.0 in
+    List.iter
+      (fun target ->
+        Gc.minor ();
+        let _, _, m0 = Gc.counters () in
+        let (), words = measure (fun () -> synth target) in
+        let _, _, m1 = Gc.counters () in
+        minor := !minor +. words;
+        major := !major +. (m1 -. m0))
+      targets;
+    (!minor /. 16.0, !major /. 16.0)
+  in
+  let config = { Trasyn.default_config with table_t = 8; samples = 48; beam = 4 } in
+  let _, major = per_call (fun target -> ignore (Trasyn.synthesize ~config ~target ~budgets:[ 8; 8 ] ())) in
+  check "two-site Trasyn.synthesize major words" major two_site_major_bound;
+  let sample target ~k = fst (Mps.sample ~rng:(Random.State.make [| 7 |]) two ~target ~k ~beam:0) in
   let cval name = Obs.counter_value (Obs.counter name) in
   let visits () = cval "mps.sample.tree_nodes" + cval "mps.sample.tree_leaves" in
   let v0 = visits () and b0 = cval "mps.sample.boundary_draws" in
@@ -215,18 +235,16 @@ let () =
   let (), words =
     measure (fun () ->
         List.iter
-          (fun mps ->
+          (fun target ->
             (* Every interior prefix yields at least its argmax
                completion, so distinct first indices count them. *)
             let firsts = Hashtbl.create 1024 in
-            List.iter
-              (fun (s : Mps.sample) -> Hashtbl.replace firsts s.Mps.indices.(0) ())
-              (Mps.sample ~rng:(Random.State.make [| 7 |]) mps ~k:1024);
+            List.iter (fun (s : Mps.sample) -> Hashtbl.replace firsts s.Mps.indices.(0) ()) (sample target ~k:1024);
             prefixes := !prefixes + Hashtbl.length firsts)
-          mpss)
+          targets)
   in
   check "Mps.sample per call (k 1024, 2 sites)" (words /. 16.0) sample_bound;
-  let n = (List.hd mpss).Mps.sites.(1).Mps.n in
+  let n = two.Mps.interior.(0).Mps.n in
   let per_prefix = float_of_int (visits () - v0) /. float_of_int !prefixes in
   let ok = per_prefix <= float_of_int n /. 50.0 in
   Printf.printf "alloc_gate: %-40s %7.2f visits (bound n/50 = %d)%s\n" "tree nodes+leaves per interior prefix"
@@ -237,11 +255,11 @@ let () =
   if boundary <> 0 then failed := true;
   let words =
     List.concat_map
-      (fun (mps : Mps.t) ->
+      (fun target ->
         List.map
           (fun (s : Mps.sample) -> List.concat_map (Ma_table.word table) (Array.to_list s.Mps.indices))
-          (Mps.sample ~rng:(Random.State.make [| 7 |]) mps ~k:48))
-      mpss
+          (sample target ~k:48))
+      targets
   in
   let w0 = cval "trasyn.postprocess.windows" in
   let (), minor = measure (fun () -> List.iter (fun w -> ignore (Postprocess.run table w)) words) in
@@ -328,18 +346,7 @@ let () =
   let _, _, m1 = Gc.counters () in
   check "Ma_table.build 1 major-heap words" (m1 -. m0) build1_major_bound;
   let config = { Trasyn.default_config with table_t = 8; samples = 1024; beam = 32 } in
-  let synth target = ignore (Trasyn.synthesize ~config ~target ~budgets:[ 8 ] ()) in
-  synth (List.hd targets);
-  let minor = ref 0.0 and major = ref 0.0 in
-  List.iter
-    (fun target ->
-      Gc.minor ();
-      let _, _, m0 = Gc.counters () in
-      let (), words = measure (fun () -> synth target) in
-      let _, _, m1 = Gc.counters () in
-      minor := !minor +. words;
-      major := !major +. (m1 -. m0))
-    targets;
-  check "one-site Trasyn.synthesize per call" (!minor /. 16.0) one_site_bound;
-  check "one-site Trasyn.synthesize major words" (!major /. 16.0) one_site_major_bound;
+  let minor, major = per_call (fun target -> ignore (Trasyn.synthesize ~config ~target ~budgets:[ 8 ] ())) in
+  check "one-site Trasyn.synthesize per call" minor one_site_bound;
+  check "one-site Trasyn.synthesize major words" major one_site_major_bound;
   if !failed then exit 1

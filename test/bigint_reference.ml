@@ -343,11 +343,15 @@ let powmod b e m =
   done;
   !acc
 
+(* Limbs low to high, each uniform in [0, 2^31) except the top one,
+   uniform in [0, top limb of the bound]; a draw at or above the bound
+   is rejected. *)
 let random_below bound =
   if bound.sign <= 0 then invalid_arg "Bigint.random_below: bound must be positive";
   let l = Array.length bound.mag in
+  let top = bound.mag.(l - 1) in
   let rec attempt () =
-    let mag = Array.init l (fun _ -> Random.full_int base) in
+    let mag = Array.init l (fun i -> Random.full_int (if i = l - 1 then top + 1 else base)) in
     let x = make 1 mag in
     if compare x bound < 0 then x else attempt ()
   in

@@ -1,13 +1,136 @@
-(* Test oracle: TRASYN's linear step-2 sampler and beam search, as they
-   were before the interior sites got tree indices — every prefix scans
-   every physical index of every site.  [Mps.sample] and
-   [Mps.beam_search] must return exactly these samples (indices,
-   multiplicities and amplitude bits) for the same rng, and the scan's
-   conditional weights are the reference the cone-tree bounds are
-   checked against.  [one_site] is the one-site MPS as it was built and
-   scanned before [Mps.one_site] read the planes directly. *)
+(* Test oracle: TRASYN's step 2 as it was before site 0 was read from
+   the table's planes and the interior sites got tree indices.
+   [instantiate] stores a target's site 0 — the one-site trace vector,
+   or the target-folded first site with the chain's boundary L
+   absorbed — next to the chain's interior, and the scan sampler and
+   the scan beam read every physical index of every site.
+   [Mps.sample] must return exactly these draws (indices,
+   multiplicities and amplitude bits) for the same rng, and this beam
+   in its order; the scan's conditional weights are also the reference
+   the cone-tree bounds are checked against. *)
 
 open Mps
+
+(* A canonicalized MPS for one target: site 0, then the chain's
+   interior. *)
+type t = { sites : site array; target : Mat2.t; table : Ma_table.t }
+
+let site_get s phys a b =
+  let idx = (((phys * s.dl) + a) * s.dr) + b in
+  { Cplx.re = s.re.(idx); im = s.im.(idx) }
+
+(* Exact trace value for a full index assignment, by matrix products. *)
+let trace_of_indices t indices =
+  let prod = ref Mat2.identity in
+  Array.iter (fun s -> prod := Mat2.mul !prod (Ma_table.mat t.table s)) indices;
+  Mat2.trace (Mat2.mul (Mat2.adjoint t.target) !prod)
+
+(* Canonical-form check: ‖Σ_s A[s]·A[s]† − I‖_F on the left bond. *)
+let right_canonical_error s =
+  let acc = Cmatrix.create s.dl s.dl in
+  for phys = 0 to s.n - 1 do
+    for a = 0 to s.dl - 1 do
+      for a' = 0 to s.dl - 1 do
+        let sum = ref (Cmatrix.get acc a a') in
+        for b = 0 to s.dr - 1 do
+          sum := Cplx.add !sum (Cplx.mul (site_get s phys a b) (Cplx.conj (site_get s phys a' b)))
+        done;
+        Cmatrix.set acc a a' !sum
+      done
+    done
+  done;
+  Cmatrix.frobenius_norm (Cmatrix.sub acc (Cmatrix.identity s.dl))
+
+(* One site: each table entry's trace value Σ_ab conj(U_ab)·M[s]_ab,
+   accumulated entry by entry as acc + z.re·m.re + z.im·m.im (re) and
+   acc + z.re·m.im − z.im·m.re (im). *)
+let fill_single_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
+  let s = { dl = 1; dr = 1; n; re = Array.make n 0.0; im = Array.make n 0.0 } in
+  let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
+  for phys = 0 to n - 1 do
+    let b = phys * 4 in
+    let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
+    let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
+    let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
+    let im = im +. (u01.Cplx.re *. bim.(b + 1)) -. (u01.Cplx.im *. bre.(b + 1)) in
+    let re = re +. (u10.Cplx.re *. bre.(b + 2)) +. (u10.Cplx.im *. bim.(b + 2)) in
+    let im = im +. (u10.Cplx.re *. bim.(b + 2)) -. (u10.Cplx.im *. bre.(b + 2)) in
+    let re = re +. (u11.Cplx.re *. bre.(b + 3)) +. (u11.Cplx.im *. bim.(b + 3)) in
+    let im = im +. (u11.Cplx.re *. bim.(b + 3)) -. (u11.Cplx.im *. bre.(b + 3)) in
+    s.re.(phys) <- re;
+    s.im.(phys) <- im
+  done;
+  s
+
+(* First site of a longer chain: fold in U† and open the composite
+   bond (c,b): T[s]_(0,(c·2+b)) = Σ_a conj(U_(a,b))·M[s]_(a,c). *)
+let fill_first_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
+  let s = { dl = 1; dr = 4; n; re = Array.make (n * 4) 0.0; im = Array.make (n * 4) 0.0 } in
+  for phys = 0 to s.n - 1 do
+    let base = phys * 4 in
+    for c = 0 to 1 do
+      let m0re = bre.(base + c) and m0im = bim.(base + c) in
+      let m1re = bre.(base + 2 + c) and m1im = bim.(base + 2 + c) in
+      for b = 0 to 1 do
+        (* column b of U: (U_0b, U_1b) *)
+        let u0 = if b = 0 then u.Mat2.m00 else u.Mat2.m01 in
+        let u1 = if b = 0 then u.Mat2.m10 else u.Mat2.m11 in
+        (* conj(u0)·m0 + conj(u1)·m1 *)
+        let re =
+          (u0.Cplx.re *. m0re) +. (u0.Cplx.im *. m0im)
+          +. (u1.Cplx.re *. m1re) +. (u1.Cplx.im *. m1im)
+        in
+        let im =
+          (u0.Cplx.re *. m0im) -. (u0.Cplx.im *. m0re)
+          +. (u1.Cplx.re *. m1im) -. (u1.Cplx.im *. m1re)
+        in
+        let j = (phys * 4) + (c * 2) + b in
+        s.re.(j) <- re;
+        s.im.(j) <- im
+      done
+    done
+  done;
+  s
+
+(* Contract a (dr × dr) matrix into the right bond of a site:
+   A[s]_(a,b) ← Σ_c A[s]_(a,c) · L_(c,b).  [ld] is L's row stride. *)
+let absorb_right s ~ld l_re l_im =
+  let dl = s.dl and dr = s.dr in
+  let re = s.re and im = s.im in
+  let row_re = Array.make dr 0.0 and row_im = Array.make dr 0.0 in
+  for phys = 0 to s.n - 1 do
+    for a = 0 to dl - 1 do
+      let base = ((phys * dl) + a) * dr in
+      Array.blit re base row_re 0 dr;
+      Array.blit im base row_im 0 dr;
+      for b = 0 to dr - 1 do
+        let acc_re = ref 0.0 and acc_im = ref 0.0 in
+        for c = 0 to dr - 1 do
+          let lre = l_re.((c * ld) + b) and lim = l_im.((c * ld) + b) in
+          acc_re := !acc_re +. (row_re.(c) *. lre) -. (row_im.(c) *. lim);
+          acc_im := !acc_im +. (row_re.(c) *. lim) +. (row_im.(c) *. lre)
+        done;
+        re.(base + b) <- !acc_re;
+        im.(base + b) <- !acc_im
+      done
+    done
+  done
+
+(* Graft a target-folded site 0 onto the chain's shared interior: the
+   one-site trace vector, or the first site with the boundary L
+   absorbed, so sites 1..l−1 are right-isometric and site 0 holds the
+   norm. *)
+let instantiate ~(target : Mat2.t) (chain : chain) =
+  let planes = Ma_table.planes chain.table in
+  let s0 =
+    if Array.length chain.interior = 0 then fill_single_site target planes chain.n0
+    else begin
+      let s0 = fill_first_site target planes chain.n0 in
+      absorb_right s0 ~ld:4 chain.bl_re chain.bl_im;
+      s0
+    end
+  in
+  { sites = Array.append [| s0 |] chain.interior; target; table = chain.table }
 
 (* Conditional weights of one frontier entry over the physical index:
    weights.(s) = Σ_b |Σ_a w[a]·A[s]_(a,b)|², returning the total.
@@ -258,34 +381,3 @@ let beam_search t ~beam =
     done;
     !out
   end
-
-(* The one-site MPS as [Mps] built it before [Mps.one_site]: its one
-   tensor holds each table entry's trace value Σ_ab conj(U_ab)·M[s]_ab,
-   accumulated entry by entry as acc + z.re·m.re + z.im·m.im (re) and
-   acc + z.re·m.im − z.im·m.re (im), and the scan sampler and the scan
-   beam read it like any other first site. *)
-let fill_single_site (u : Mat2.t) { Ma_table.re = bre; im = bim } n =
-  let s = { dl = 1; dr = 1; n; re = Array.make n 0.0; im = Array.make n 0.0 } in
-  let u00 = u.Mat2.m00 and u01 = u.Mat2.m01 and u10 = u.Mat2.m10 and u11 = u.Mat2.m11 in
-  for phys = 0 to n - 1 do
-    let b = phys * 4 in
-    let re = 0.0 +. (u00.Cplx.re *. bre.(b)) +. (u00.Cplx.im *. bim.(b)) in
-    let im = 0.0 +. (u00.Cplx.re *. bim.(b)) -. (u00.Cplx.im *. bre.(b)) in
-    let re = re +. (u01.Cplx.re *. bre.(b + 1)) +. (u01.Cplx.im *. bim.(b + 1)) in
-    let im = im +. (u01.Cplx.re *. bim.(b + 1)) -. (u01.Cplx.im *. bre.(b + 1)) in
-    let re = re +. (u10.Cplx.re *. bre.(b + 2)) +. (u10.Cplx.im *. bim.(b + 2)) in
-    let im = im +. (u10.Cplx.re *. bim.(b + 2)) -. (u10.Cplx.im *. bre.(b + 2)) in
-    let re = re +. (u11.Cplx.re *. bre.(b + 3)) +. (u11.Cplx.im *. bim.(b + 3)) in
-    let im = im +. (u11.Cplx.re *. bim.(b + 3)) -. (u11.Cplx.im *. bre.(b + 3)) in
-    s.re.(phys) <- re;
-    s.im.(phys) <- im
-  done;
-  s
-
-(* [Mps.one_site]'s answer the long way: fill the site over the first
-   [Ma_table.offset table (cap + 1)] entries, then scan it for the draws
-   (with the argmax completion) and for the beam. *)
-let one_site ?rng table ~target ~cap ~k ~beam =
-  let site = fill_single_site target (Ma_table.planes table) (Ma_table.offset table (cap + 1)) in
-  let t = { sites = [| site |]; target; trees = [||]; table } in
-  (sample ?rng t ~k, beam_search t ~beam)

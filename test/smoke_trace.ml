@@ -50,16 +50,14 @@ let () =
     ~expect:
       [
         "trasyn.synthesize";
-        (* Without --epsilon both budget prefixes run: one site through
-           the one-site kernel, then two sites through a chain. *)
-        "mps.one_site";
+        (* Without --epsilon both budget prefixes run, one site and then
+           two, each through Mps.sample. *)
         "mps.sample";
-        (* The chain cache is empty in a fresh process: the first
-           two-site synthesis builds and canonicalizes the interior
-           (mps.chain_build) and grafts the target onto it
-           (mps.instantiate). *)
+        (* The chain cache is empty in a fresh process: each prefix
+           builds its chain once (mps.chain_build), and the two-site
+           call runs its beam past site 0 under mps.beam_search. *)
         "mps.chain_build";
-        "mps.instantiate";
+        "mps.beam_search";
         "trasyn.t_count";
       ];
   Sys.remove t1;

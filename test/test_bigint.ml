@@ -351,9 +351,6 @@ let oracle_tests =
       (fun (s, seed) ->
         let bound = B.add_int (B.abs (B.of_string s)) 1
         and rbound = R.add_int (R.abs (R.of_string s)) 1 in
-        (* A draw is kept with probability ≈ top limb / 2^31: skip bounds
-           whose top limb is below 2^20 (over 2^11 tries per draw). *)
-        QCheck2.assume ((R.num_bits rbound - 1) mod 31 >= 20);
         let saved = Random.get_state () in
         let draw f =
           Random.init seed;
@@ -371,3 +368,29 @@ let oracle_tests =
   ]
 
 let suite = suite @ oracle_tests
+
+(* A bound whose top limb is 1 keeps about half of random_below's
+   draws: when every limb was drawn below 2^31, these two took ≈ 2^30
+   tries per value. *)
+let random_below_tests =
+  [
+    Alcotest.test_case "random_below returns below 2^31 + 1 and 2^62 + 1" `Quick (fun () ->
+        let saved = Random.get_state () in
+        Fun.protect ~finally:(fun () -> Random.set_state saved) @@ fun () ->
+        List.iter
+          (fun bits ->
+            let bound = B.add_int (B.shift_left B.one bits) 1 and rbound = R.add_int (R.shift_left R.one bits) 1 in
+            let name = Printf.sprintf "2^%d + 1" bits in
+            Random.init bits;
+            let xs = List.init 200 (fun _ -> B.random_below bound) in
+            Random.init bits;
+            let rs = List.init 200 (fun _ -> R.random_below rbound) in
+            List.iter
+              (fun x ->
+                Alcotest.(check bool) (name ^ ": in [0, bound)") true (B.sign x >= 0 && B.compare x bound < 0))
+              xs;
+            Alcotest.(check bool) (name ^ ": the oracle's draws") true (List.for_all2 agrees xs rs))
+          [ 31; 62 ]);
+  ]
+
+let suite = suite @ random_below_tests

@@ -1,11 +1,17 @@
-(* Tests for the TRASYN core: MPS chain/instantiation/sampling
-   invariants, post-processing soundness, and end-to-end synthesis. *)
+(* Tests for the TRASYN core: MPS chain and sampling invariants,
+   post-processing soundness, and end-to-end synthesis. *)
 
 let rng = Random.State.make [| 77 |]
 
-(* A canonicalized MPS for [target] over [l] sites of the depth-3
-   table, each site capped at 3 T. *)
-let small_mps ~target l = Mps.instantiate ~target (Mps.canonical_chain (Ma_table.get 3) (Array.make l 3))
+(* A canonicalized chain over [l] sites of the depth-3 table, each site
+   capped at 3 T. *)
+let small_chain l = Mps.canonical_chain (Ma_table.get 3) (Array.make l 3)
+
+(* The draws of [chain] for [target], without a beam. *)
+let draws ?rng ?argmax_last chain ~target ~k = fst (Mps.sample ?rng ?argmax_last chain ~target ~k ~beam:0)
+
+(* The physical dimension of every site. *)
+let site_sizes (chain : Mps.chain) = Array.append [| chain.Mps.n0 |] (Array.map (fun s -> s.Mps.n) chain.Mps.interior)
 
 let mps_tests =
   [
@@ -13,24 +19,29 @@ let mps_tests =
         (* The instantiated MPS, contracted through its canonicalized
            site tensors, equals the direct matrix product at 20 random
            index tuples for each chain length.  This reads every chain
-           fill kernel (first, middle, last) and the sweep.  With one
-           site there is no chain: the one-site kernel's amplitudes,
-           drawn and beamed, are the exact trace values. *)
-        let target = Mat2.random_unitary rng in
-        let table = Ma_table.get 3 in
-        let draws, beamed = Mps.one_site ~rng table ~target ~cap:3 ~k:20 ~beam:4 in
-        List.iter
-          (fun (s : Mps.sample) ->
-            let direct = Mat2.trace (Mat2.mul (Mat2.adjoint target) (Ma_table.mat table s.Mps.indices.(0))) in
-            Alcotest.(check bool) "l=1 trace" true (Cplx.is_close ~tol:1e-9 direct s.Mps.amplitude))
-          (draws @ beamed);
+           fill kernel (middle, last, and the oracle's first) and the
+           sweep.  At every length the amplitudes [Mps.sample] draws
+           and beams, site 0 read from the table's planes, are the
+           exact trace values. *)
         List.iter
           (fun l ->
             let target = Mat2.random_unitary rng in
-            let mps = small_mps ~target l in
+            let chain = small_chain l in
+            let drawn, beamed = Mps.sample ~rng chain ~target ~k:20 ~beam:4 in
+            let mps = Mps_reference.instantiate ~target chain in
+            List.iter
+              (fun (s : Mps.sample) ->
+                Alcotest.(check bool) (Printf.sprintf "l=%d sampled trace" l) true
+                  (Cplx.is_close ~tol:1e-9 (Mps_reference.trace_of_indices mps s.Mps.indices) s.Mps.amplitude))
+              (drawn @ beamed))
+          [ 1; 2; 3 ];
+        List.iter
+          (fun l ->
+            let target = Mat2.random_unitary rng in
+            let mps = Mps_reference.instantiate ~target (small_chain l) in
             for _ = 1 to 20 do
-              let indices = Array.map (fun site -> Random.State.int rng site.Mps.n) mps.Mps.sites in
-              let direct = Mps.trace_of_indices mps indices in
+              let indices = Array.map (fun site -> Random.State.int rng site.Mps.n) mps.Mps_reference.sites in
+              let direct = Mps_reference.trace_of_indices mps indices in
               let w = ref [| Cplx.one |] in
               Array.iteri
                 (fun i site ->
@@ -38,41 +49,42 @@ let mps_tests =
                   for b = 0 to site.Mps.dr - 1 do
                     let acc = ref Cplx.zero in
                     for a = 0 to site.Mps.dl - 1 do
-                      acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps.site_get site indices.(i) a b))
+                      acc := Cplx.add !acc (Cplx.mul !w.(a) (Mps_reference.site_get site indices.(i) a b))
                     done;
                     next.(b) <- !acc
                   done;
                   w := next)
-                mps.Mps.sites;
+                mps.Mps_reference.sites;
               Alcotest.(check bool) (Printf.sprintf "l=%d trace" l) true (Cplx.is_close ~tol:1e-9 direct !w.(0))
             done)
           [ 2; 3 ]);
     Alcotest.test_case "right-canonical form after sweep" `Quick (fun () ->
-        let mps = small_mps ~target:(Mat2.random_unitary rng) 3 in
+        let chain = small_chain 3 in
         for i = 1 to 2 do
-          let err = Mps.right_canonical_error mps.Mps.sites.(i) in
+          let err = Mps_reference.right_canonical_error chain.Mps.interior.(i - 1) in
           Alcotest.(check bool) (Printf.sprintf "site %d isometric" i) true (err < 1e-8)
         done);
     Alcotest.test_case "sample amplitudes are true trace values" `Quick (fun () ->
-        let mps = small_mps ~target:(Mat2.random_unitary rng) 2 in
-        let samples = Mps.sample ~rng ~k:50 mps in
+        let target = Mat2.random_unitary rng and chain = small_chain 2 in
+        let mps = Mps_reference.instantiate ~target chain in
+        let samples = draws ~rng chain ~target ~k:50 in
         Alcotest.(check bool) "nonempty" true (samples <> []);
         List.iter
           (fun (s : Mps.sample) ->
-            let direct = Mps.trace_of_indices mps s.Mps.indices in
+            let direct = Mps_reference.trace_of_indices mps s.Mps.indices in
             Alcotest.(check bool) "amplitude matches direct trace" true
               (Cplx.is_close ~tol:1e-7 direct s.Mps.amplitude))
           samples);
     Alcotest.test_case "sample multiplicities sum to k" `Quick (fun () ->
-        let mps = small_mps ~target:(Mat2.random_unitary rng) 2 in
         let k = 64 in
-        let samples = Mps.sample ~rng ~argmax_last:false ~k mps in
+        let samples = draws ~rng ~argmax_last:false (small_chain 2) ~target:(Mat2.random_unitary rng) ~k in
         let total = List.fold_left (fun acc (s : Mps.sample) -> acc + s.Mps.multiplicity) 0 samples in
         Alcotest.(check int) "k draws" k total);
     Alcotest.test_case "sampling is biased toward high trace values" `Quick (fun () ->
         (* The mean sampled |trace| should beat the mean over uniform tuples. *)
-        let mps = small_mps ~target:(Mat2.random_unitary rng) 2 in
-        let samples = Mps.sample ~rng ~argmax_last:false ~k:200 mps in
+        let target = Mat2.random_unitary rng and chain = small_chain 2 in
+        let mps = Mps_reference.instantiate ~target chain in
+        let samples = draws ~rng ~argmax_last:false chain ~target ~k:200 in
         let weighted_mean =
           List.fold_left
             (fun acc (s : Mps.sample) ->
@@ -83,10 +95,8 @@ let mps_tests =
         let uniform_mean =
           let acc = ref 0.0 in
           for _ = 1 to 200 do
-            let indices =
-              Array.map (fun s -> Random.State.int rng s.Mps.n) mps.Mps.sites
-            in
-            acc := !acc +. Cplx.norm (Mps.trace_of_indices mps indices)
+            let indices = Array.map (fun n -> Random.State.int rng n) (site_sizes chain) in
+            acc := !acc +. Cplx.norm (Mps_reference.trace_of_indices mps indices)
           done;
           !acc /. 200.0
         in
@@ -99,13 +109,14 @@ let mps_tests =
            and carries its exact trace. *)
         let rng = Random.State.make [| 41 |] in
         let table = Ma_table.get 4 and caps = [| 1; 4; 2 |] in
-        let mps = Mps.instantiate ~target:(Mat2.random_unitary rng) (Mps.canonical_chain table caps) in
+        let target = Mat2.random_unitary rng and chain = Mps.canonical_chain table caps in
+        let mps = Mps_reference.instantiate ~target chain in
         Array.iteri
           (fun i cap ->
             Alcotest.(check int)
               (Printf.sprintf "site %d size" i)
               (Ma_table.offset table (cap + 1))
-              mps.Mps.sites.(i).Mps.n)
+              (site_sizes chain).(i))
           caps;
         List.iter
           (fun (s : Mps.sample) ->
@@ -115,8 +126,8 @@ let mps_tests =
                   (Ma_table.tcount table idx <= caps.(i)))
               s.Mps.indices;
             Alcotest.(check bool) "amplitude matches direct trace" true
-              (Cplx.is_close ~tol:1e-7 (Mps.trace_of_indices mps s.Mps.indices) s.Mps.amplitude))
-          (Mps.sample ~rng ~k:256 mps));
+              (Cplx.is_close ~tol:1e-7 (Mps_reference.trace_of_indices mps s.Mps.indices) s.Mps.amplitude))
+          (draws ~rng chain ~target ~k:256));
   ]
 
 let postprocess_tests =
@@ -202,22 +213,27 @@ let budget_tests =
           (synth [ 3; -1 ]);
         (* Algorithm 1's loop refuses them before its first attempt: a
            Clifford target meets ε on the first prefix. *)
-        let to_error budgets () = ignore (Trasyn.to_error ~target:Mat2.h ~budgets ~epsilon:0.1 ()) in
+        let to_error ?(config = Trasyn.default_config) budgets () =
+          ignore (Trasyn.to_error ~config ~target:Mat2.h ~budgets ~epsilon:0.1 ())
+        in
         Alcotest.check_raises "to_error: empty budget list"
           (Invalid_argument "Trasyn.to_error: empty budget list") (to_error []);
         Alcotest.check_raises "to_error: negative budget"
           (Invalid_argument "Trasyn.to_error: negative budget") (to_error [ 3; -1 ]);
+        (* Its settings too, before the first attempt rather than inside
+           it under [Trasyn.synthesize]'s name. *)
+        Alcotest.check_raises "to_error: samples 0" (Invalid_argument "Trasyn.to_error: samples below 1")
+          (to_error ~config:{ Trasyn.default_config with samples = 0 } [ 3 ]);
+        Alcotest.check_raises "to_error: beam -1" (Invalid_argument "Trasyn.to_error: negative beam")
+          (to_error ~config:{ Trasyn.default_config with beam = -1 } [ 3 ]);
         let chain caps () = ignore (Mps.canonical_chain (Ma_table.get 3) caps) in
         let out_of_range = Invalid_argument "Mps.canonical_chain: T cap out of range" in
-        let too_short = Invalid_argument "Mps.canonical_chain: need at least two sites" in
-        Alcotest.check_raises "zero sites" too_short (chain [||]);
-        Alcotest.check_raises "one site" too_short (chain [| 3 |]);
+        Alcotest.check_raises "zero sites" (Invalid_argument "Mps.canonical_chain: need at least one site")
+          (chain [||]);
         Alcotest.check_raises "cap below 0" out_of_range (chain [| 2; -1 |]);
         Alcotest.check_raises "cap above the table depth" out_of_range (chain [| 3; 4 |]);
-        let one_site cap () = ignore (Mps.one_site (Ma_table.get 3) ~target:Mat2.h ~cap ~k:4 ~beam:0) in
-        let kernel_range = Invalid_argument "Mps.one_site: T cap out of range" in
-        Alcotest.check_raises "one site: cap below 0" kernel_range (one_site (-1));
-        Alcotest.check_raises "one site: cap above the table depth" kernel_range (one_site 4);
+        Alcotest.check_raises "one site: cap below 0" out_of_range (chain [| -1 |]);
+        Alcotest.check_raises "one site: cap above the table depth" out_of_range (chain [| 4 |]);
         (* Settings: k below 1 would answer from the argmax and the beam
            alone, and k = 0 without a beam from nothing on two sites. *)
         let with_config config budgets () = ignore (Trasyn.synthesize ~config ~target:Mat2.h ~budgets ()) in
@@ -245,14 +261,15 @@ let sampling_stats_tests =
   [
     Alcotest.test_case "empirical frequencies match the Born distribution" `Slow (fun () ->
         let target = Mat2.random_unitary (Random.State.make [| 2718 |]) in
-        let mps = Mps.instantiate ~target (Mps.canonical_chain (Ma_table.get 1) [| 1; 1 |]) in
-        let n = mps.Mps.sites.(0).Mps.n in
+        let chain = Mps.canonical_chain (Ma_table.get 1) [| 1; 1 |] in
+        let mps = Mps_reference.instantiate ~target chain in
+        let n = chain.Mps.n0 in
         (* Exact distribution over all n² index pairs. *)
         let exact = Array.make (n * n) 0.0 in
         let total = ref 0.0 in
         for s1 = 0 to n - 1 do
           for s2 = 0 to n - 1 do
-            let w = Cplx.abs2 (Mps.trace_of_indices mps [| s1; s2 |]) in
+            let w = Cplx.abs2 (Mps_reference.trace_of_indices mps [| s1; s2 |]) in
             exact.((s1 * n) + s2) <- w;
             total := !total +. w
           done
@@ -261,7 +278,7 @@ let sampling_stats_tests =
         (* Empirical counts. *)
         let k = 200_000 in
         let counts = Array.make (n * n) 0 in
-        let samples = Mps.sample ~rng:(Random.State.make [| 99 |]) ~argmax_last:false mps ~k in
+        let samples = draws ~rng:(Random.State.make [| 99 |]) ~argmax_last:false chain ~target ~k in
         List.iter
           (fun (s : Mps.sample) ->
             let idx = (s.Mps.indices.(0) * n) + s.Mps.indices.(1) in
@@ -281,11 +298,12 @@ let sampling_stats_tests =
           exact);
     Alcotest.test_case "four-site chain still contracts exactly" `Quick (fun () ->
         let target = Mat2.random_unitary (Random.State.make [| 31415 |]) in
-        let mps = Mps.instantiate ~target (Mps.canonical_chain (Ma_table.get 2) [| 2; 2; 2; 2 |]) in
-        let samples = Mps.sample ~rng:(Random.State.make [| 1 |]) mps ~k:20 in
+        let chain = Mps.canonical_chain (Ma_table.get 2) [| 2; 2; 2; 2 |] in
+        let mps = Mps_reference.instantiate ~target chain in
+        let samples = draws ~rng:(Random.State.make [| 1 |]) chain ~target ~k:20 in
         List.iter
           (fun (s : Mps.sample) ->
-            let direct = Mps.trace_of_indices mps s.Mps.indices in
+            let direct = Mps_reference.trace_of_indices mps s.Mps.indices in
             Alcotest.(check bool) "amplitude" true
               (Cplx.is_close ~tol:1e-7 direct s.Mps.amplitude))
           samples);
@@ -318,8 +336,8 @@ let chain_reuse_tests =
         List.iter
           (fun budgets ->
             (* One target per budget list, several seeds: reseeding the
-               same target must reuse both the chain and the memoized
-               instantiated MPS without changing any bit. *)
+               same target must reuse the chain without changing any
+               bit. *)
             let target = Mat2.random_unitary trng in
             List.iter
               (fun seed ->
@@ -336,9 +354,7 @@ let chain_reuse_tests =
                   cold warm)
               [ 11; 12; 13 ])
           [ [ 5; 5 ]; [ 4; 4; 4 ] ];
-        (* 6 pairs: each call after a clear misses, each warm call hits.
-           A one-budget call builds no chain, so every list has two or
-           more budgets. *)
+        (* 6 pairs: each call after a clear misses, each warm call hits. *)
         Alcotest.(check int) "misses" 6 (Obs.counter_value c_miss - m0);
         Alcotest.(check int) "hits" 6 (Obs.counter_value c_hit - h0));
     Alcotest.test_case "to_error escalation is bit-identical with chain reuse" `Quick (fun () ->
@@ -357,12 +373,12 @@ let chain_reuse_tests =
         let cold, cold_hits, cold_misses = run () in
         let warm, warm_hits, warm_misses = run () in
         check_bits_identical "to_error" cold warm;
-        (* At ε 1e-9 both attempts at each of the 3 prefixes run.  The
-           one-site prefix builds no chain; after a clear, each longer
-           prefix's first attempt misses and its second hits, and a warm
-           rerun hits all 4. *)
-        Alcotest.(check (pair int int)) "cold hits, misses" (2, 2) (cold_hits, cold_misses);
-        Alcotest.(check (pair int int)) "warm hits, misses" (4, 0) (warm_hits, warm_misses));
+        (* At ε 1e-9 both attempts at each of the 3 prefixes run.  After
+           a clear, each prefix's first attempt misses (the one-site
+           chain holds no site, but is cached like the others) and its
+           second hits, and a warm rerun hits all 6. *)
+        Alcotest.(check (pair int int)) "cold hits, misses" (3, 3) (cold_hits, cold_misses);
+        Alcotest.(check (pair int int)) "warm hits, misses" (6, 0) (warm_hits, warm_misses));
     Alcotest.test_case "chain cache evicts FIFO beyond capacity" `Quick (fun () ->
         Trasyn.clear_chain_cache ();
         let c_miss = Obs.counter "mps.chain_cache.miss" in
@@ -385,11 +401,11 @@ let chain_reuse_tests =
         ignore (Trasyn.synthesize ~config ~target ~budgets:[ 0; 0; 0 ] ());
         Alcotest.(check int) "evicted key misses again" 18 (Obs.counter_value c_miss - m0));
     Alcotest.test_case "Mps.sample without ~rng is reproducible" `Quick (fun () ->
-        let mps = small_mps ~target:(Mat2.random_unitary (Random.State.make [| 404 |])) 2 in
-        let s1 = Mps.sample mps ~k:32 in
-        let s2 = Mps.sample mps ~k:32 in
+        let target = Mat2.random_unitary (Random.State.make [| 404 |]) and chain = small_chain 2 in
+        let s1 = draws chain ~target ~k:32 in
+        let s2 = draws chain ~target ~k:32 in
         Alcotest.(check bool) "two default-rng runs agree" true (compare s1 s2 = 0);
-        let s3 = Mps.sample ~rng:(Random.State.make [| Mps.default_rng_seed |]) mps ~k:32 in
+        let s3 = draws ~rng:(Random.State.make [| Mps.default_rng_seed |]) chain ~target ~k:32 in
         Alcotest.(check bool) "equals the documented fixed seed" true (compare s1 s3 = 0));
     Alcotest.test_case "budgets above the table depth share its chain" `Quick (fun () ->
         let c_hit = Obs.counter "mps.chain_cache.hit" in
@@ -415,20 +431,38 @@ let chain_reuse_tests =
               r.Trasyn.distance)
           [ "cliffordt"; "cliffordt-weighted" ];
         Alcotest.(check int) "one miss per gate set" 2 (Obs.counter_value c_miss - m0));
-    Alcotest.test_case "reseeds of one target instantiate it once" `Quick (fun () ->
-        let was = Obs.enabled () in
-        Obs.set_enabled true;
-        Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-        let target = Mat2.random_unitary (Random.State.make [| 608 |]) in
-        let config = { Trasyn.default_config with table_t = 3; samples = 32; beam = 0 } in
-        let synth seed = ignore (Trasyn.synthesize ~config:{ config with seed } ~target ~budgets:[ 3; 3 ] ()) in
+    Alcotest.test_case "two domains on shared chains give one domain's results" `Quick (fun () ->
+        (* 16 Haar targets at depth 6 on two and three sites, and each
+           target's to_error at ε 1e-9, which reseeds every prefix of
+           [6; 6; 6].  One domain runs them all and warms the cache;
+           then two domains run them all again on the same cached
+           chains, in opposite orders, at once.  Every result is bit for
+           bit the first run's. *)
+        let c_miss = Obs.counter "mps.chain_cache.miss" in
+        let haar = Random.State.make [| 609 |] in
+        let config = { Trasyn.default_config with table_t = 6; samples = 64; beam = 4 } in
+        let jobs =
+          List.concat_map
+            (fun target ->
+              [
+                (fun () -> Trasyn.synthesize ~config ~target ~budgets:[ 6; 6 ] ());
+                (fun () -> Trasyn.synthesize ~config ~target ~budgets:[ 6; 6; 6 ] ());
+                (fun () -> Trasyn.to_error ~config ~target ~budgets:[ 6; 6; 6 ] ~epsilon:1e-9 ());
+              ])
+            (List.init 16 (fun _ -> Mat2.random_unitary haar))
+        in
         Trasyn.clear_chain_cache ();
-        synth 1;
-        let instantiations () = (Obs.summarize (Obs.histogram "mps.instantiate")).Obs.count in
-        let n0 = instantiations () in
-        synth 2;
-        synth 3;
-        Alcotest.(check int) "no further instantiation" 0 (instantiations () - n0));
+        let one = List.map (fun job -> job ()) jobs in
+        let m0 = Obs.counter_value c_miss in
+        let forward = Domain.spawn (fun () -> List.map (fun job -> job ()) jobs) in
+        let backward = List.rev_map (fun job -> job ()) (List.rev jobs) in
+        let forward = Domain.join forward in
+        Alcotest.(check int) "no chain built twice" 0 (Obs.counter_value c_miss - m0);
+        List.iteri
+          (fun i (a, (b, c)) ->
+            check_bits_identical (Printf.sprintf "job %d, forward domain" i) a b;
+            check_bits_identical (Printf.sprintf "job %d, backward domain" i) a c)
+          (List.combine one (List.combine forward backward)));
   ]
 
 let suite = suite @ chain_reuse_tests
@@ -496,10 +530,7 @@ let sampled_words () =
     (fun (l, seed) ->
       let target = Mat2.random_unitary (Random.State.make [| seed |]) in
       let rng = Random.State.make [| seed + 1 |] in
-      let samples =
-        if l = 1 then fst (Mps.one_site ~rng table ~target ~cap:8 ~k:48 ~beam:0)
-        else Mps.sample ~rng ~k:48 (Mps.instantiate ~target (Mps.canonical_chain table (Array.make l 8)))
-      in
+      let samples = draws ~rng (Mps.canonical_chain table (Array.make l 8)) ~target ~k:48 in
       let draws =
         List.map (fun (s : Mps.sample) -> List.concat_map (Ma_table.word table) (Array.to_list s.Mps.indices)) samples
       in
@@ -578,26 +609,26 @@ let samples_identical (a : Mps.sample list) (b : Mps.sample list) =
          && bits x.Mps.amplitude = bits y.Mps.amplitude)
        a b
 
-let check_against_oracle ?(argmax = [ true; false ]) ~what ~ks ~beams mps =
+(* [Mps.sample] against the oracle's stored site 0 and scans, at each
+   (k, beam): the draws, with and without the argmax completion, and
+   the beam. *)
+let check_against_oracle ?(argmax = [ true; false ]) ~what ~settings chain ~target =
+  let mps = Mps_reference.instantiate ~target chain in
   List.iter
-    (fun k ->
+    (fun (k, beam) ->
+      let want_beam = Mps_reference.beam_search mps ~beam in
       List.iter
         (fun argmax_last ->
           let seed = 1000 + k in
-          let got = Mps.sample ~rng:(Random.State.make [| seed |]) ~argmax_last mps ~k in
-          let want = Mps_reference.sample ~rng:(Random.State.make [| seed |]) ~argmax_last mps ~k in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s k=%d argmax_last=%b: samples identical" what k argmax_last)
-            true (samples_identical got want))
+          let got_draws, got_beam =
+            Mps.sample ~rng:(Random.State.make [| seed |]) ~argmax_last chain ~target ~k ~beam
+          in
+          let want_draws = Mps_reference.sample ~rng:(Random.State.make [| seed |]) ~argmax_last mps ~k in
+          let what = Printf.sprintf "%s k=%d beam=%d argmax_last=%b" what k beam argmax_last in
+          Alcotest.(check bool) (what ^ ": draws identical") true (samples_identical got_draws want_draws);
+          Alcotest.(check bool) (what ^ ": beam identical") true (samples_identical got_beam want_beam))
         argmax)
-    ks;
-  List.iter
-    (fun beam ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s beam=%d: beam identical" what beam)
-        true
-        (samples_identical (Mps.beam_search mps ~beam) (Mps_reference.beam_search mps ~beam)))
-    beams
+    settings
 
 (* The scan's argmax: the lowest index of the largest weight. *)
 let scan_argmax weights =
@@ -614,8 +645,10 @@ let print_query (q, seed) =
     (match q with Gaussian -> "gaussian" | Prefix -> "prefix" | Conj -> "conj(a_s)" | Tiny -> "tiny" | Zero -> "zero")
     seed
 
+let bound_chain = lazy (chain_of ~depth:5 ~l:2)
+
 let bound_mps =
-  lazy (Mps.instantiate ~target:(Mat2.random_unitary (Random.State.make [| 5 |])) (chain_of ~depth:5 ~l:2))
+  lazy (Mps_reference.instantiate ~target:(Mat2.random_unitary (Random.State.make [| 5 |])) (Lazy.force bound_chain))
 
 let tree_tests =
   [
@@ -625,11 +658,10 @@ let tree_tests =
           (fun (name, target) ->
             List.iter
               (fun (depth, l) ->
-                let chain = chain_of ~depth ~l in
                 check_against_oracle
                   ~what:(Printf.sprintf "%s depth %d l=%d" name depth l)
-                  ~ks:[ 1; 48; 1024 ] ~beams:[ 1; 4; 32 ]
-                  (Mps.instantiate ~target chain))
+                  ~settings:[ (1, 1); (48, 4); (1024, 32) ]
+                  (chain_of ~depth ~l) ~target)
               [ (5, 2); (4, 3) ])
           tree_targets;
         Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
@@ -637,13 +669,11 @@ let tree_tests =
         let boundary0 = cval "mps.sample.boundary_draws" in
         let haar = Random.State.make [| 88 |] in
         let two = chain_of ~depth:8 ~l:2 in
-        check_against_oracle ~what:"haar depth 8 l=2" ~ks:[ 1024 ] ~beams:[ 32 ]
-          (Mps.instantiate ~target:(Mat2.random_unitary haar) two);
-        check_against_oracle ~argmax:[ true ] ~what:"T depth 8 l=2" ~ks:[ 1024 ] ~beams:[ 4 ]
-          (Mps.instantiate ~target:Mat2.t two);
-        let three = chain_of ~depth:8 ~l:3 in
-        check_against_oracle ~what:"haar depth 8 l=3" ~ks:[ 48 ] ~beams:[ 4 ]
-          (Mps.instantiate ~target:(Mat2.random_unitary haar) three);
+        check_against_oracle ~what:"haar depth 8 l=2" ~settings:[ (1024, 32) ] two
+          ~target:(Mat2.random_unitary haar);
+        check_against_oracle ~argmax:[ true ] ~what:"T depth 8 l=2" ~settings:[ (1024, 4) ] two ~target:Mat2.t;
+        check_against_oracle ~what:"haar depth 8 l=3" ~settings:[ (48, 4) ] (chain_of ~depth:8 ~l:3)
+          ~target:(Mat2.random_unitary haar);
         Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
     Alcotest.test_case "the one-site kernel equals the one-site reference" `Quick (fun () ->
         (* 200 seeded Haar targets, target i at depth i mod 9 and every
@@ -659,27 +689,20 @@ let tree_tests =
               (fun (name, target) -> [ (name, target, 5, 5); (name, target, 8, 8); (name, target, 8, 3) ])
               tree_targets
         in
-        List.iteri
-          (fun i (name, target, depth, cap) ->
-            let table = Ma_table.get depth in
-            List.iter
-              (fun (k, beam) ->
-                let seed = (1000 * i) + k in
-                let draws, beamed = Mps.one_site ~rng:(Random.State.make [| seed |]) table ~target ~cap ~k ~beam in
-                let want_draws, want_beam =
-                  Mps_reference.one_site ~rng:(Random.State.make [| seed |]) table ~target ~cap ~k ~beam
-                in
-                let what = Printf.sprintf "%s depth %d cap %d k %d beam %d" name depth cap k beam in
-                Alcotest.(check bool) (what ^ ": draws identical") true (samples_identical draws want_draws);
-                Alcotest.(check bool) (what ^ ": beam identical") true (samples_identical beamed want_beam))
-              [ (1, 0); (7, 1); (48, 4); (1024, 32) ])
+        List.iter
+          (fun (name, target, depth, cap) ->
+            check_against_oracle ~argmax:[ true ]
+              ~what:(Printf.sprintf "%s depth %d cap %d" name depth cap)
+              ~settings:[ (1, 0); (7, 1); (48, 4); (1024, 32) ]
+              (Mps.canonical_chain (Ma_table.get depth) [| cap |])
+              ~target)
           cases);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:300 ~name:"cone bounds cover every operator below each node" ~print:print_query
          QCheck2.Gen.(pair (oneofl [ Gaussian; Prefix; Conj; Tiny; Zero ]) (int_bound 1_000_000))
          (fun (kind, seed) ->
-           let mps = Lazy.force bound_mps in
-           let first = mps.Mps.sites.(0) and last = mps.Mps.sites.(1) in
+           let chain = Lazy.force bound_chain and mps = Lazy.force bound_mps in
+           let first = mps.Mps_reference.sites.(0) and last = chain.Mps.interior.(0) in
            let rng = Random.State.make [| seed |] in
            let gauss () = Random.State.float rng 2.0 -. 1.0 in
            let w_re = Array.make 4 0.0 and w_im = Array.make 4 0.0 in
@@ -708,9 +731,9 @@ let tree_tests =
            ignore (Mps_reference.frontier_weights last w_re w_im 0 weights);
            Array.for_all
              (fun (bound, below) -> Array.for_all (fun s -> weights.(s) <= bound) below)
-             (Mps.cone_node_bounds mps ~w_re ~w_im)
-           && Mps.cone_argmax_of mps ~w_re ~w_im = scan_argmax weights
-           && (kind <> Zero || Mps.cone_argmax_of mps ~w_re ~w_im = 0)));
+             (Mps.cone_node_bounds chain ~w_re ~w_im)
+           && Mps.cone_argmax_of chain ~w_re ~w_im = scan_argmax weights
+           && (kind <> Zero || Mps.cone_argmax_of chain ~w_re ~w_im = 0)));
   ]
 
 (* Candidate ranking keeps the stable order's first 16 by bounded
@@ -737,3 +760,46 @@ let selection_tests =
   ]
 
 let suite = suite @ tree_tests @ oracle_tests @ selection_tests
+
+(* Site 0 read from the table's planes, at every number of sites,
+   against the oracle that fills it, absorbs the boundary and scans. *)
+let site0_tests =
+  [
+    Alcotest.test_case "site 0 from the planes equals the filled site 0 on 1-4 sites" `Slow (fun () ->
+        (* 200 seeded Haar targets, target i at depth i mod 9 on
+           1 + (i / 9) mod 4 sites, plus the tree targets (exact zeros
+           and ties) at depths 5 and 8 on every site count.  A chain of
+           three sites caps site 0 one T below the others, so n₀ differs
+           from the interior's.  Every case runs (1, 0), (7, 1) and
+           (48, 4); (1024, 32) runs where the oracle's scans stay cheap:
+           on one site, on two up to depth 5, and on more up to depth
+           3. *)
+        let chains = Hashtbl.create 64 in
+        let chain depth l =
+          let caps = Array.init l (fun j -> if j = 0 && l = 3 then Int.max 0 (depth - 1) else depth) in
+          match Hashtbl.find_opt chains caps with
+          | Some c -> c
+          | None ->
+              let c = Mps.canonical_chain (Ma_table.get depth) caps in
+              Hashtbl.add chains caps c;
+              c
+        in
+        let haar = Random.State.make [| 3232 |] in
+        let cases =
+          List.init 200 (fun i -> (Printf.sprintf "haar %d" i, Mat2.random_unitary haar, i mod 9, 1 + (i / 9 mod 4)))
+          @ List.concat_map
+              (fun (name, target) ->
+                List.concat_map (fun l -> [ (name, target, 5, l); (name, target, 8, l) ]) [ 1; 2; 3; 4 ])
+              tree_targets
+        in
+        List.iter
+          (fun (name, target, depth, l) ->
+            let cheap = l = 1 || depth <= (if l = 2 then 5 else 3) in
+            let settings = [ (1, 0); (7, 1); (48, 4) ] @ if cheap then [ (1024, 32) ] else [] in
+            check_against_oracle ~argmax:[ true ]
+              ~what:(Printf.sprintf "%s depth %d l=%d" name depth l)
+              ~settings (chain depth l) ~target)
+          cases);
+  ]
+
+let suite = suite @ site0_tests
