@@ -315,7 +315,8 @@ let to_error ?(config = default_config) ?(attempts = 2) ?(selection = `Best_erro
       | _ ->
           if attempt + 1 < attempts then go sites (attempt + 1) best
           else begin
-            Obs.incr c_escalations;
+            (* Past the last prefix there is nothing to escalate to. *)
+            if sites < n then Obs.incr c_escalations;
             go (sites + 1) 0 best
           end
     end

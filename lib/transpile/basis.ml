@@ -97,36 +97,44 @@ let norm_angle a =
 (* Expand one U3 into the Rz IR via Eq. (1):
    U3(θ,φ,λ) = Rz(φ + 5π/2) · H · Rz(θ) · H · Rz(λ − π/2)  as a matrix
    product — so in circuit order the λ-rotation comes first.  The
-   degenerate θ ≈ 0 case stays a single Rz. *)
-let u3_to_rz_ir q (theta, phi, lam) =
-  let rz a =
+   degenerate θ ≈ 0 case stays a single Rz.  The gates are consed onto
+   [rest], so a whole circuit's expansion builds each list cell once. *)
+let u3_onto q theta phi lam rest =
+  let rz a rest =
     let a = norm_angle a in
-    if Float.abs a < 1e-12 then [] else [ Circuit.instr (Qgate.Rz a) [| q |] ]
+    if Float.abs a < 1e-12 then rest else Circuit.instr (Qgate.Rz a) [| q |] :: rest
   in
-  let h = Circuit.instr Qgate.H [| q |] in
-  if Float.abs (norm_angle theta) < 1e-12 then rz (phi +. lam)
-  else List.concat [ rz (lam -. (pi /. 2.0)); [ h ]; rz theta; [ h ]; rz (phi +. (5.0 *. pi /. 2.0)) ]
+  if Float.abs (norm_angle theta) < 1e-12 then rz (phi +. lam) rest
+  else begin
+    let h = Circuit.instr Qgate.H [| q |] in
+    rz (lam -. (pi /. 2.0)) (h :: rz theta (h :: rz (phi +. (5.0 *. pi /. 2.0)) rest))
+  end
 
-(* Rewrite one rotation (or stray 1q gate) into the Rz IR; shared by
-   the whole-circuit pass and the streaming optimizer. *)
-let rz_ir_instr (i : Circuit.instr) : Circuit.instr list =
+(* One rotation (or stray 1q gate) in the Rz IR, consed onto [rest]. *)
+let rz_ir_onto (i : Circuit.instr) rest =
   match i.Circuit.gate with
-  | Qgate.U3 (t, p, l) -> u3_to_rz_ir i.Circuit.qubits.(0) (t, p, l)
-  | Qgate.Rz a -> if Float.abs (norm_angle a) < 1e-12 then [] else [ Circuit.instr (Qgate.Rz (snap a)) i.Circuit.qubits ]
+  | Qgate.U3 (t, p, l) -> u3_onto i.Circuit.qubits.(0) t p l rest
+  | Qgate.Rz a ->
+      if Float.abs (norm_angle a) < 1e-12 then rest
+      else Circuit.instr (Qgate.Rz (snap a)) i.Circuit.qubits :: rest
   | Qgate.Rx a ->
       let q = i.Circuit.qubits.(0) in
       let h = Circuit.instr Qgate.H [| q |] in
-      if Float.abs (norm_angle a) < 1e-12 then []
-      else [ h; Circuit.instr (Qgate.Rz (snap a)) [| q |]; h ]
+      if Float.abs (norm_angle a) < 1e-12 then rest
+      else h :: Circuit.instr (Qgate.Rz (snap a)) [| q |] :: h :: rest
   | Qgate.Ry a ->
-      let q = i.Circuit.qubits.(0) in
       let t, p, l = Mat2.to_u3_angles (Mat2.ry a) in
-      u3_to_rz_ir q (t, p, l)
-  | _ -> [ i ]
+      u3_onto i.Circuit.qubits.(0) t p l rest
+  | _ -> i :: rest
 
-(* Rewrite every rotation (and stray 1q gate) into the Rz IR. *)
+(* Rewrite one rotation (or stray 1q gate) into the Rz IR; shared by
+   the whole-circuit pass and the streaming optimizer. *)
+let rz_ir_instr i = rz_ir_onto i []
+
+(* Rewrite every rotation (and stray 1q gate) into the Rz IR, consing
+   from the last instruction back. *)
 let to_rz_ir (c : Circuit.t) : Circuit.t =
-  { c with Circuit.instrs = List.concat_map rz_ir_instr c.Circuit.instrs }
+  { c with Circuit.instrs = List.fold_left (fun rest i -> rz_ir_onto i rest) [] (List.rev c.Circuit.instrs) }
 
 (* Rewrite every 1q gate into a U3 (the trivial "level 0" U3 IR). *)
 let to_u3_ir_simple (c : Circuit.t) : Circuit.t =

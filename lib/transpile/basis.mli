@@ -24,12 +24,10 @@ val snap : float -> float
 val norm_angle : float -> float
 (** Normalize to (−π, π], then {!snap}. *)
 
-val u3_to_rz_ir : int -> float * float * float -> Circuit.instr list
-(** Eq. (1): U3(θ,φ,λ) = Rz(φ+5π/2)·H·Rz(θ)·H·Rz(λ−π/2) as a circuit
-    (λ-rotation first); θ ≈ 0 degenerates to one Rz. *)
-
 val to_rz_ir : Circuit.t -> Circuit.t
-(** Rewrite all rotations into the CX + H + Rz basis. *)
+(** Rewrite all rotations into the CX + H + Rz basis.  A U3 expands by
+    Eq. (1): U3(θ,φ,λ) = Rz(φ+5π/2)·H·Rz(θ)·H·Rz(λ−π/2) as a circuit
+    (λ-rotation first); θ ≈ 0 degenerates to one Rz. *)
 
 val rz_ir_instr : Circuit.instr -> Circuit.instr list
 (** {!to_rz_ir} for one instruction (exact-identity rotations vanish);

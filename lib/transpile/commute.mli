@@ -11,10 +11,17 @@ val commutes_past : Circuit.instr -> Circuit.instr -> bool
     rotation backward through its window. *)
 
 val pull_rotations_left : Circuit.t -> Circuit.t
+(** Move every 1q gate, in input order, right after the last earlier
+    gate it does not commute past ({!commutes_past}), or to the front
+    when there is none; other gates keep their order.  Each 1q gate
+    walks back over its own qubit's gates only, so the pass costs the
+    gates walked over, not the gates moved across. *)
 
 val cancel_pairs : Circuit.t -> Circuit.t
-(** Remove adjacent self-inverse pairs (CX·CX, H·H, …) to a fixpoint. *)
+(** Remove adjacent self-inverse pairs (CX·CX, H·H, …) to a fixpoint;
+    a circuit with no such pair comes back as it is. *)
 
 val merge_axis_rotations : Circuit.t -> Circuit.t
 (** Fuse adjacent same-axis rotations (Rz·Rz, Rx·Rx) without leaving
-    the Rz IR; exact-zero results vanish. *)
+    the Rz IR; exact-zero results vanish, and a circuit with no such
+    pair comes back as it is. *)

@@ -88,7 +88,14 @@
    16. minor words per call;
    17. major-heap words per call, after a minor collection before each
        call: the k sorted uniforms (1,025 words), and no O(n) array,
-       which would take at least n = 18,384.
+       which would take at least n = 18,384;
+
+   and, over the suite circuits of 5,
+
+   18. minor words per input gate of the Settings.best_for that 5
+       subtracts: one lowering and one commutation pass shared by the
+       eight Rz-IR settings, no closure per commutation check, and no
+       copy of a circuit that a fixpoint pass leaves unchanged.
 
    Bounds are for the dev profile that runtest builds: each is its dev
    count at the time it was set (8,430 for 4, where a limb array for
@@ -100,12 +107,17 @@
    allocated the canonical key and probed an [Exact_u.Table] read 73.1;
    for 16 and 17, 36,510 and 1,025, where a one-site chain with step 3
    on its candidates read 161,995 and 116,715, the site, weight and
-   frontier arrays) plus a quarter.  Bound 15 is 0: planes filled by
-   the build read 770 major-heap words there, their two arrays. *)
+   frontier arrays; for 18, 502.7, where every setting applied from
+   scratch read 641.2 over the same passes and 1,613.7 with the
+   quadratic commutation pass and a closure per check, and the shared
+   prefixes with that pass 799.8; for 3, 268.4 since the commutation
+   check allocates no closure) plus a quarter.  Bound 15 is 0: planes
+   filled by the build read 770 major-heap words there, their two
+   arrays. *)
 
 let parse_bound = 40.0
 let write_bound = 8.0
-let engine_bound = 351.0
+let engine_bound = 336.0
 let gridsynth_bound = 10537.0
 let whole_bound = 1851.0
 let two_site_major_bound = 5_102.0
@@ -119,6 +131,7 @@ let window_bound = 32.0
 let build1_major_bound = 0.0
 let one_site_bound = 45_637.0
 let one_site_major_bound = 1_281.0
+let best_for_bound = 628.0
 
 let gates = 10_000
 
@@ -193,6 +206,7 @@ let () =
     |> List.map (fun (b : Suite.benchmark) -> b.Suite.circuit)
   in
   let whole_words = ref 0.0 and ir_gates = ref 0 in
+  let best_for_words = ref 0.0 and input_gates = ref 0 in
   let cfg = Stream_compile.config () in
   List.iter
     (fun c ->
@@ -201,7 +215,9 @@ let () =
       let (_, ir), best_for = measure (fun () -> Settings.best_for Settings.Rz_ir c) in
       let _, whole = measure (fun () -> Pipeline.run cfg c) in
       whole_words := !whole_words +. whole -. best_for;
-      ir_gates := !ir_gates + Circuit.length ir)
+      ir_gates := !ir_gates + Circuit.length ir;
+      best_for_words := !best_for_words +. best_for;
+      input_gates := !input_gates + Circuit.length c)
     circuits;
   check "warm whole-circuit path per IR gate" (!whole_words /. float_of_int !ir_gates) whole_bound;
   let table = Ma_table.get 8 in
@@ -349,4 +365,5 @@ let () =
   let minor, major = per_call (fun target -> ignore (Trasyn.synthesize ~config ~target ~budgets:[ 8 ] ())) in
   check "one-site Trasyn.synthesize per call" minor one_site_bound;
   check "one-site Trasyn.synthesize major words" major one_site_major_bound;
+  check "Settings.best_for Rz_ir per input gate" (!best_for_words /. float_of_int !input_gates) best_for_bound;
   if !failed then exit 1

@@ -72,6 +72,86 @@ let random_circuit ?(gates = 25) n =
   done;
   Circuit.make n (List.rev !instrs)
 
+(* Random circuits for the transpiler oracles: 1–5 qubits, up to 60
+   gates over CX, CZ, H, X, Z, S, T, Rz, Rx, Ry and U3.  Few qubits and
+   two-qubit gates at 2 in 5 make diagonal gates meet CX controls (and
+   CZ) and Rx meet CX targets; angles at multiples of π/4 make merged
+   runs that vanish or turn trivial. *)
+let gen_transpile_circuit =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let angle =
+    oneof [ float_range (-3.2) 3.2; map (fun k -> float_of_int k *. Float.pi /. 4.0) (int_range (-8) 8) ]
+  in
+  let one_qubit =
+    let* q = int_bound (n - 1) in
+    let+ g =
+      oneof
+        [
+          oneofl Qgate.[ H; X; Z; S; T ];
+          map (fun a -> Qgate.Rz a) angle;
+          map (fun a -> Qgate.Rx a) angle;
+          map (fun a -> Qgate.Ry a) angle;
+          map3 (fun t p l -> Qgate.U3 (t, p, l)) angle angle angle;
+        ]
+    in
+    Circuit.instr g [| q |]
+  in
+  let two_qubit =
+    let* q = int_bound (n - 1) and* d = int_bound (max 0 (n - 2)) and* g = oneofl Qgate.[ CX; CX; CZ ] in
+    pure (Circuit.instr g [| q; (q + 1 + d) mod n |])
+  in
+  let instr = if n = 1 then one_qubit else frequency [ (3, one_qubit); (2, two_qubit) ] in
+  let+ gates = list_size (int_bound 60) instr in
+  Circuit.make n gates
+
+(* The angles of a gate, as bits: instruction lists are equal when
+   their gates and qubits are and every angle has the same bits. *)
+let angle_bits (i : Circuit.instr) =
+  List.map Int64.bits_of_float
+    (match i.Circuit.gate with
+    | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a -> [ a ]
+    | Qgate.U3 (t, p, l) -> [ t; p; l ]
+    | _ -> [])
+
+let same_instrs (a : Circuit.t) (b : Circuit.t) =
+  List.length a.Circuit.instrs = List.length b.Circuit.instrs
+  && List.for_all2 (fun x y -> x = y && angle_bits x = angle_bits y) a.Circuit.instrs b.Circuit.instrs
+
+(* Every check of the transpiler against [Transpile_reference] on one
+   circuit: the first that fails, if any. *)
+let reference_mismatch (c : Circuit.t) =
+  let lowered = Basis.lower c and rz = Transpile_reference.to_rz_ir c in
+  let name = Settings.setting_to_string in
+  let expect what ok () = if ok () then None else Some what in
+  let pulled c () =
+    List.for_all2 ( == ) (Commute.pull_rotations_left c).Circuit.instrs
+      (Transpile_reference.pull_rotations_left c).Circuit.instrs
+  in
+  let apply s () = same_instrs (Settings.apply s c) (Transpile_reference.apply s c) in
+  let best ir () =
+    let s, out = Settings.best_for ir c and s', out' = Transpile_reference.best_for ir c in
+    if s <> s' then Some (Printf.sprintf "best_for %s: %s, reference %s" (Settings.ir_to_string ir) (name s) (name s'))
+    else if not (same_instrs out out') then Some ("best_for instructions at " ^ name s)
+    else None
+  in
+  let winner () =
+    let w = Settings.winner c and w' = Transpile_reference.winner c in
+    if w <> w' then Some (Printf.sprintf "winner %s, reference %s" (name w) (name w')) else None
+  in
+  List.find_map
+    (fun check -> check ())
+    ([
+       expect "pull_rotations_left" (pulled c);
+       expect "pull_rotations_left after lower" (pulled lowered);
+       expect "to_rz_ir" (fun () -> same_instrs (Basis.to_rz_ir c) rz);
+       expect "cancel_pairs" (fun () -> same_instrs (Commute.cancel_pairs c) (Transpile_reference.cancel_pairs c));
+       expect "merge_axis_rotations" (fun () ->
+           same_instrs (Commute.merge_axis_rotations rz) (Transpile_reference.merge_axis_rotations rz));
+     ]
+    @ List.map (fun s -> expect ("apply " ^ name s) (apply s)) Settings.all_settings
+    @ [ best Settings.Rz_ir; best Settings.U3_ir; winner ])
+
 let transpile_tests =
   [
     Alcotest.test_case "lower preserves semantics (CZ, Swap, Ccx)" `Quick (fun () ->
@@ -176,4 +256,23 @@ let pauli_tests =
         Alcotest.(check bool) "reorder not larger" true (Circuit.length c2 <= Circuit.length c1));
   ]
 
-let suite = circuit_tests @ transpile_tests @ pauli_tests
+(* The transpiler against [Transpile_reference], the passes as they
+   were before the candidates shared their pass prefixes. *)
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"transpiler equals its reference on random circuits"
+         ~print:Qasm.to_string gen_transpile_circuit (fun c ->
+           match reference_mismatch c with
+           | None -> true
+           | Some what -> QCheck2.Test.fail_report what));
+    Alcotest.test_case "transpiler equals its reference on every suite circuit" `Quick (fun () ->
+        List.iter
+          (fun (b : Suite.benchmark) ->
+            match reference_mismatch b.Suite.circuit with
+            | None -> ()
+            | Some what -> Alcotest.failf "%s: %s" b.Suite.name what)
+          (Suite.all ()));
+  ]
+
+let suite = circuit_tests @ transpile_tests @ pauli_tests @ reference_tests

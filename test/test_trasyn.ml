@@ -803,3 +803,36 @@ let site0_tests =
   ]
 
 let suite = suite @ site0_tests
+
+(* [trasyn.budget_escalations] counts moves to a larger budget prefix. *)
+let escalation_tests =
+  [
+    Alcotest.test_case "to_error escalates only to a larger prefix" `Quick (fun () ->
+        let c_esc = Obs.counter "trasyn.budget_escalations" in
+        let c_att = Obs.counter "trasyn.attempts" in
+        let target = Mat2.random_unitary (Random.State.make [| 72 |]) in
+        let config = { Trasyn.default_config with table_t = 4; samples = 64; beam = 4 } in
+        (* The result of one attempt per prefix, with its attempts and
+           escalations. *)
+        let run budgets epsilon =
+          let e0 = Obs.counter_value c_esc and a0 = Obs.counter_value c_att in
+          let r = Trasyn.to_error ~config ~attempts:1 ~target ~budgets ~epsilon () in
+          (r, Obs.counter_value c_att - a0, Obs.counter_value c_esc - e0)
+        in
+        (* No word meets ε 1e-9: every prefix runs, and the last has no
+           larger one to escalate to. *)
+        let one, attempts, escalations = run [ 4 ] 1e-9 in
+        Alcotest.(check (pair int int)) "one budget: attempts, escalations" (1, 0) (attempts, escalations);
+        let both, attempts, escalations = run [ 4; 4 ] 1e-9 in
+        Alcotest.(check (pair int int)) "two budgets: attempts, escalations" (2, 1) (attempts, escalations);
+        Alcotest.(check bool) "the second site does better" true (both.Trasyn.distance < one.Trasyn.distance);
+        (* Between the two distances the first prefix misses and the
+           second meets the threshold. *)
+        let epsilon = (one.Trasyn.distance +. both.Trasyn.distance) /. 2.0 in
+        let r, attempts, escalations = run [ 4; 4 ] epsilon in
+        Alcotest.(check bool) "met at the second site" true (r.Trasyn.distance <= epsilon);
+        Alcotest.(check (pair int int)) "needs its second site: attempts, escalations" (2, 1)
+          (attempts, escalations));
+  ]
+
+let suite = suite @ escalation_tests
