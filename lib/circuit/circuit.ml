@@ -65,6 +65,91 @@ let near table m i =
   let { Ma_table.re; im } = Ma_table.planes table in
   Mat2.distance_at m re im (4 * i) < 1e-6
 
+(* What a table's entries look like up to global phase: every value of
+   |m00|, and every phase in [0, 2π) of m11 against m00, m10 against
+   m01 and m10 against m00 where both are nonzero; [least] is the least
+   nonzero modulus of any entry.  On the depth-1 Clifford+T tables that
+   is five moduli (0, sin π/8, 1/√2, cos π/8, 1) and the multiples of
+   π/4.
+
+   A gate within 1e-6 of an entry V is e^{iα}V plus an error of
+   Frobenius norm at most √2·1e-6, so its |m00| is within 1.5e-6 of
+   V's, and an entry of modulus above [least] / 2 is a nonzero entry of
+   V, at least [least], so its phase is within asin(1.5e-6 / [least])
+   of α plus V's.  [plausible] checks the modulus to 1e-5 and each
+   relative phase to 3e-5 / [least] (sin π/8 gives 7.8e-5, ten times
+   the bound), so a gate it refuses is far from every entry. *)
+type shape = { moduli : float array; phases : float array; least : float }
+
+let two_pi = 2.0 *. Float.pi
+
+let wrap p =
+  let p = Float.rem p two_pi in
+  if p < 0.0 then p +. two_pi else p
+
+(* Distance between two phases on the circle. *)
+let phase_gap p x =
+  let d = Float.abs (wrap (p -. x)) in
+  Float.min d (two_pi -. d)
+
+let shape_of_planes { Ma_table.re; im } n =
+  let norm k = Float.hypot re.(k) im.(k) and arg k = Float.atan2 im.(k) re.(k) in
+  let add set gap x = if not (List.exists (fun y -> gap x y < 1e-9) !set) then set := x :: !set in
+  let moduli = ref [] and phases = ref [] and least = ref 1.0 in
+  let relative x y =
+    if norm x > 1e-6 && norm y > 1e-6 then add phases phase_gap (wrap (arg x -. arg y))
+  in
+  for i = 0 to n - 1 do
+    let b = 4 * i in
+    add moduli (fun x y -> Float.abs (x -. y)) (norm b);
+    relative (b + 3) b;
+    relative (b + 2) (b + 1);
+    relative (b + 2) b;
+    for k = b to b + 3 do
+      if norm k > 1e-6 then least := Float.min !least (norm k)
+    done
+  done;
+  let sorted l = Array.of_list (List.sort Float.compare l) in
+  { moduli = sorted !moduli; phases = sorted !phases; least = !least }
+
+(* One shape per table, derived on first use and keyed by its planes. *)
+let shapes : (float array * shape) list Atomic.t = Atomic.make []
+
+let shape table =
+  let planes = Ma_table.planes table in
+  match List.assq_opt planes.Ma_table.re (Atomic.get shapes) with
+  | Some s -> s
+  | None ->
+      let s = shape_of_planes planes (Ma_table.size table) in
+      let rec publish () =
+        let l = Atomic.get shapes in
+        if not (Atomic.compare_and_set shapes l ((planes.Ma_table.re, s) :: l)) then publish ()
+      in
+      publish ();
+      s
+
+let table_shape table =
+  let s = shape table in
+  (s.moduli, s.phases)
+
+let rec has_modulus moduli x k =
+  k < Array.length moduli && (Float.abs (x -. moduli.(k)) <= 1e-5 || has_modulus moduli x (k + 1))
+
+let rec has_phase phases tol p k =
+  k < Array.length phases && (phase_gap p phases.(k) <= tol || has_phase phases tol p (k + 1))
+
+let plausible s (m : Mat2.t) =
+  let n00 = Cplx.norm m.Mat2.m00 in
+  has_modulus s.moduli n00 0
+  &&
+  let n10 = Cplx.norm m.Mat2.m10 and floor = s.least /. 2.0 and tol = 3e-5 /. s.least in
+  let big00 = n00 > floor and big10 = n10 > floor in
+  let a00 = if big00 then Cplx.arg m.Mat2.m00 else 0.0
+  and a10 = if big10 then Cplx.arg m.Mat2.m10 else 0.0 in
+  (not big00 || has_phase s.phases tol (Cplx.arg m.Mat2.m11 -. a00) 0)
+  && (not big10 || has_phase s.phases tol (a10 -. Cplx.arg m.Mat2.m01) 0)
+  && ((not big00) || (not big10) || has_phase s.phases tol (a10 -. a00) 0)
+
 (* The one triviality rule: the entry of a depth-1 step-0 table (every
    ≤1-T operator once, pairwise far apart) within 1e-6 of the gate, a
    tolerance that absorbs the ulps of wrapped angles.  An axis rotation
@@ -74,8 +159,8 @@ let near table m i =
    rotation is looked up exactly, then checked, except within 1e-7 steps
    (q exact to 1e-9), where it is < 4e-8 away: the on-grid rotations
    [Settings.best_for] meets on every candidate then cost no matrix.
-   Any other gate scans the table's planes, fetched once, for the first
-   entry within reach. *)
+   Any other gate that the table's shape does not refuse scans the
+   table's planes, fetched once, for the first entry within reach. *)
 let exact_word table g =
   match g with
   | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a ->
@@ -93,7 +178,7 @@ let exact_word table g =
   | _ ->
       let m = Qgate.to_mat2 g in
       let { Ma_table.re; im } = Ma_table.planes table in
-      let n = Ma_table.size table in
+      let n = if plausible (shape table) m then Ma_table.size table else 0 in
       let i = ref 0 in
       while !i < n && not (Mat2.distance_at m re im (4 * !i) < 1e-6) do
         incr i

@@ -13,7 +13,8 @@
     refill buffer: keywords and gate names are compared where they
     stand, arguments and operands are scanned between their commas, and
     a plain numeral is converted by one [float_of_string] over its own
-    span — the value the expression parser gives it.  Only
+    span — the value the expression parser gives it — unless it repeats
+    the last plain numeral's bytes, whose value is kept.  Only
     [pi]-arithmetic goes through the tokenizer and expression parser.
     Every helper takes its bytes and bounds as arguments (no closures),
     so a typical gate line allocates little beyond the instruction. *)
@@ -60,10 +61,13 @@ let rec numeral_end b i stop =
 
 let starts_numeral c = (c >= '0' && c <= '9') || c = '.'
 
-(* The value of the numeral b.[i, j); [col] is the column of b.[i]. *)
-let numeral file line col b i j =
-  let s = Bytes.sub_string b i (j - i) in
+(* The value of numeral text [s]; [col] is the column of its first
+   character. *)
+let numeral_value file line col s =
   try float_of_string s with Failure _ -> fail file line col ("malformed number " ^ s)
+
+(* The value of the numeral b.[i, j); [col] is the column of b.[i]. *)
+let numeral file line col b i j = numeral_value file line col (Bytes.sub_string b i (j - i))
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                        *)
@@ -175,19 +179,6 @@ let parse_expr file line col endcol tokens =
   if !toks <> [] then fail file line (pos ()) "trailing tokens in expression";
   v
 
-(* One argument, b.[start, stop) trimmed and non-empty.  A plain
-   numeral, optionally negated, is converted directly: the expression
-   parser would read the same span with the same [float_of_string] and
-   negate it, so the value and any error are the same. *)
-let eval_arg file line col b start stop =
-  let neg = Bytes.get b start = '-' in
-  let ns = if neg then start + 1 else start in
-  if ns < stop && starts_numeral (Bytes.get b ns) && numeral_end b (ns + 1) stop = stop then begin
-    let x = numeral file line (col + ns - start) b ns stop in
-    if neg then -.x else x
-  end
-  else parse_expr file line col (col + stop - start) (tokenize_expr file line col b start stop)
-
 (* The value of b.[i, stop) when it is at most nine decimal digits,
    else -1 (left to [int_of_string], which also takes signs, prefixes
    and underscores). *)
@@ -264,7 +255,10 @@ type event = Qreg of int | Instr of Circuit.instr
 (* Mutable reader state shared by the whole-file and streaming paths:
    validation (arity, range, declaration-before-use) happens statement
    by statement in both.  The rest is per-statement scratch: the first
-   three argument values and the operands with their columns. *)
+   three argument values and the operands with their columns; and the
+   last plain numeral converted, its text and value: a stream repeats
+   few numerals, so a repeat is answered without a substring or a
+   [float_of_string]. *)
 type state = {
   mutable n_qubits : int;
   mutable saw_qreg : bool;
@@ -273,6 +267,8 @@ type state = {
   mutable ops : int array;
   mutable op_cols : int array;
   mutable nops : int;
+  mutable num : string;
+  mutable num_value : float;
 }
 
 let new_state () =
@@ -284,7 +280,38 @@ let new_state () =
     ops = Array.make 4 0;
     op_cols = Array.make 4 0;
     nops = 0;
+    num = "";
+    num_value = 0.0;
   }
+
+let rec same_text b i s k n = k >= n || (Bytes.get b (i + k) = s.[k] && same_text b i s (k + 1) n)
+
+(* [numeral] through the state's last numeral: the same text gives the
+   same value.  Only a converted numeral is kept, so a malformed one
+   fails every time. *)
+let plain_numeral st file line col b i j =
+  let n = j - i in
+  if n = String.length st.num && same_text b i st.num 0 n then st.num_value
+  else begin
+    let s = Bytes.sub_string b i n in
+    let x = numeral_value file line col s in
+    st.num <- s;
+    st.num_value <- x;
+    x
+  end
+
+(* One argument, b.[start, stop) trimmed and non-empty.  A plain
+   numeral, optionally negated, is converted directly: the expression
+   parser would read the same span with the same [float_of_string] and
+   negate it, so the value and any error are the same. *)
+let eval_arg st file line col b start stop =
+  let neg = Bytes.get b start = '-' in
+  let ns = if neg then start + 1 else start in
+  if ns < stop && starts_numeral (Bytes.get b ns) && numeral_end b (ns + 1) stop = stop then begin
+    let x = plain_numeral st file line (col + ns - start) b ns stop in
+    if neg then -.x else x
+  end
+  else parse_expr file line col (col + stop - start) (tokenize_expr file line col b start stop)
 
 (* The arguments in b.[from, upto), split on ',' (each piece trimmed,
    empty pieces dropped), evaluated in order; [start] is the line's
@@ -294,7 +321,7 @@ let rec eval_args st file line start b from upto =
   let ps = skip_ws b from sep in
   let pe = trim_end b ps sep in
   if pe > ps then begin
-    let v = eval_arg file line (ps - start + 1) b ps pe in
+    let v = eval_arg st file line (ps - start + 1) b ps pe in
     if st.nargs < Array.length st.args then st.args.(st.nargs) <- v;
     st.nargs <- st.nargs + 1
   end;

@@ -64,10 +64,32 @@ let u3_key ~epsilon ~tag ~gate_set (theta, phi, lam) =
   Printf.sprintf "%s@%h|%s|%s" (Store.target_id (Store.U3 (c theta, c phi, c lam))) epsilon tag
     gate_set
 
-(* Clifford+T words are written in matrix order (leftmost factor applied
-   last); circuit instruction lists run in time order, so splicing a
-   word into a circuit reverses it. *)
-let word_to_gates seq = List.rev_map Qgate.of_ctgate seq
+(* A verified attempt as the engine splices it: its word's gates in time
+   order with their count, T count and counted-Clifford count, taken
+   once when the word enters the memo or the resolution table, so an
+   occurrence adds three totals instead of classifying every gate it
+   emits.  Clifford+T words are written in matrix order (leftmost factor
+   applied last); circuit instruction lists run in time order, so
+   splicing a word into a circuit reverses it. *)
+type word = {
+  attempt : Robust.attempt;
+  gates : Qgate.t list;
+  length : int;
+  t : int;
+  cliffords : int;
+}
+
+let word_of (attempt : Robust.attempt) =
+  let rec go gates length t cliffords = function
+    | [] -> { attempt; gates; length; t; cliffords }
+    | c :: rest ->
+        let g = Qgate.of_ctgate c in
+        go (g :: gates) (length + 1)
+          (if Qgate.is_t g then t + 1 else t)
+          (if Qgate.is_counted_clifford g then cliffords + 1 else cliffords)
+          rest
+  in
+  go [] 0 0 0 attempt.Robust.word
 
 (* ------------------------------------------------------------------ *)
 (* Configuration, the policy and resolution                           *)
@@ -194,11 +216,9 @@ let run_chain (cfg : config) p target =
    rather than grown without limit: hits are dominated by repeats
    within one circuit.  Only verified successes enter it; failures are
    deadline-relative.  It is touched only on the producer, in emission
-   order, and keeps each word already spliced into gates (time order),
-   so a hit costs no conversion. *)
-type memo_entry = { attempt : Robust.attempt; gates : Qgate.t list }
-
-let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 256
+   order, and keeps each word already counted and spliced into gates
+   (time order), so a hit costs no conversion. *)
+let memo : (string, word) Hashtbl.t = Hashtbl.create 256
 let memo_capacity = ref 65_536
 
 let set_cache_capacity n =
@@ -208,12 +228,12 @@ let set_cache_capacity n =
 let clear_cache () = Hashtbl.reset memo
 
 let memo_add key (a : Robust.attempt) =
-  Obs.observe h_rot_tcount (float_of_int (Ctgate.t_count a.Robust.word));
+  let e = word_of a in
+  Obs.observe h_rot_tcount (float_of_int e.t);
   if Hashtbl.length memo >= !memo_capacity then begin
     Obs.incr c_evictions;
     Hashtbl.reset memo
   end;
-  let e = { attempt = a; gates = word_to_gates a.Robust.word } in
   Hashtbl.add memo key e;
   e
 
@@ -225,7 +245,7 @@ let memo_add key (a : Robust.attempt) =
    rotation, a synthesis key and target (with the gate, for the
    degradation report), or a structured failure. *)
 type pending = { key : string; target : Synth.target; gate : Qgate.t }
-type resolution = Exact of Qgate.t list | Synthesize of pending | Reject of Robust.failure
+type resolution = Exact of word | Synthesize of pending | Reject of Robust.failure
 
 let synthesize cfg g =
   let p = policy cfg in
@@ -241,7 +261,7 @@ let synthesize cfg g =
       | None ->
           Obs.incr c_miss;
           let res = run_chain cfg p r.target in
-          Result.iter (fun a -> ignore (memo_add r.key a : memo_entry)) res;
+          Result.iter (fun a -> ignore (memo_add r.key a : word)) res;
           res)
 
 (* Rotations repeat massively in QAOA-like streams, so each run caches
@@ -281,14 +301,24 @@ type waiting = { mutable slots : int; mutable fresh : bool }
    its (possibly still running) synthesis. *)
 type out_item =
   | Direct of Circuit.instr
-  | Word of Qgate.t list * int array
-  | Cached of memo_entry * pending * int array
+  | Word of word * int array
+  | Cached of word * pending * int array
   | Rotation of pending * int array * waiting
 
 exception Abort_run
 
+(* [Gc.quick_stat]'s heap size is updated by collections only: a run
+   that has not collected yet reads 0 there, so one minor collection
+   makes the sample. *)
 let heap_sample () =
   let s = Gc.quick_stat () in
+  let s =
+    if s.Gc.heap_words > 0 then s
+    else begin
+      Gc.minor ();
+      Gc.quick_stat ()
+    end
+  in
   Obs.max_gauge g_heap_peak (float_of_int s.Gc.heap_words)
 
 (* [source handle] consumes one input instruction, handing [handle]
@@ -328,16 +358,24 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     else if Qgate.is_counted_clifford i.Circuit.gate then incr cliffords;
     emit i
   in
-  let rec emit_word gates qubits =
+  (* A word's gates act on the rotation's qubit, which the input
+     checked, so each is a plain record. *)
+  let rec splice gates qubits =
     match gates with
     | [] -> ()
     | g :: rest ->
-        emit_instr (Circuit.instr g qubits);
-        emit_word rest qubits
+        emit { Circuit.gate = g; qubits };
+        splice rest qubits
+  in
+  let emit_word w qubits =
+    splice w.gates qubits;
+    gates_out := !gates_out + w.length;
+    t_count := !t_count + w.t;
+    cliffords := !cliffords + w.cliffords
   in
   (* Serve the head occurrence: its accounting, its replay record when
      no fresh record covers it, and its word. *)
-  let serve ~replay (p : pending) { attempt = a; gates } qubits =
+  let serve ~replay (p : pending) ({ attempt = a; _ } as word) qubits =
     ignore (Queue.pop out);
     incr nsynth;
     total_err := !total_err +. a.Robust.distance;
@@ -350,7 +388,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
       Ledger.record
         (Synth.ledger_record ~config:policy.synth policy.chain p.target ~source:`Replay ~wall_s:0.0
            (Ok a));
-    emit_word gates qubits;
+    emit_word word qubits;
     true
   in
   (* One occurrence of [key] is being served; after its last, the job's
@@ -373,9 +411,9 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
         ignore (Queue.pop out);
         emit_instr i;
         true
-    | Some (Word (gates, qubits)) ->
+    | Some (Word (w, qubits)) ->
         ignore (Queue.pop out);
-        emit_word gates qubits;
+        emit_word w qubits;
         true
     | Some (Cached (e, p, qubits)) -> serve ~replay:true p e qubits
     | Some (Rotation (p, qubits, w)) -> (
@@ -414,7 +452,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     | exception Not_found ->
         let r =
           match resolve policy g with
-          | Ok { exact = Some a; _ } -> Exact (word_to_gates a.Robust.word)
+          | Ok { exact = Some a; _ } -> Exact (word_of a)
           | Ok { key; target; _ } -> Synthesize { key; target; gate = g }
           | Error f -> Reject f
         in
@@ -430,7 +468,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
     if not (Qgate.is_rotation g.Circuit.gate) then Queue.push (Direct g) out
     else
       match resolution g.Circuit.gate with
-      | Exact gates -> Queue.push (Word (gates, g.Circuit.qubits)) out
+      | Exact w -> Queue.push (Word (w, g.Circuit.qubits)) out
       | Reject f ->
           failure := Some f;
           raise Abort_run

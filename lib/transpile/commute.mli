@@ -3,6 +3,12 @@
     every rotation to its earliest commuting slot brings mergeable
     rotations next to each other. *)
 
+val is_diagonal_1q : Qgate.t -> bool
+(** Z, S, S†, T, T† and Rz: the gates that pass a CX control. *)
+
+val is_xaxis_1q : Qgate.t -> bool
+(** X and Rx: the gates that pass a CX target. *)
+
 val commutes_past : Circuit.instr -> Circuit.instr -> bool
 (** Does single-qubit instruction [a] commute with (an earlier or later)
     instruction [b]?  True on disjoint qubits, for diagonal gates

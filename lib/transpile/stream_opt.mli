@@ -10,7 +10,17 @@
     ({!Commute.commutes_past}), so the emitted stream is always a valid
     reordering/fusion of the input; gates leave the window strictly in
     input order.  Peak state is the W-slot ring — the optimizer never
-    holds more than W gates. *)
+    holds more than W gates.
+
+    The ring is parallel arrays over W physical slots, stepped with a
+    wrap test instead of [mod]: each slot's instruction, a kind byte (a
+    tombstone, a 1q gate, a CX, or another gate, which lowering never
+    leaves) and its first and second qubit.  A backward scan decides
+    every step on those ints, reading an instruction only to fuse it
+    or to classify a 1q gate on the same qubit, and allocates nothing;
+    a fused 1q run keeps [Mat2]'s product and Euler angles, so every
+    angle is the double the whole-circuit merge computes.  A gate that
+    lowering leaves alone goes in without a list. *)
 
 type t
 (** One in-progress windowed optimization (single-threaded). *)

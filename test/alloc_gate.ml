@@ -7,10 +7,13 @@
    Over a 10^4-gate QAOA stream (Generators.write_qaoa_stream, seed 11,
    12 qubits) it bounds minor words:
 
-   1. per input gate in Qasm_reader.next_event (the in-place lexer);
+   1. per input gate in Qasm_reader.next_event (the in-place lexer,
+      which converts a numeral only when it differs from the last);
    2. per output gate in Qasm.write_instr to /dev/null (prebuilt lines);
    3. per input gate in a warm-memo Stream_compile.run fed from memory
       (window, resolution table, memo hits, instruction records);
+   19. per input gate of Stream_opt.push and flush in the U3 IR at
+       W = 64 (the window alone: int-keyed slots, fused 1q runs);
 
    and, over the 200 angles θ_i = −3 + 6i/200 at ε 0.07, minor words
 
@@ -110,14 +113,17 @@
    frontier arrays; for 18, 502.7, where every setting applied from
    scratch read 641.2 over the same passes and 1,613.7 with the
    quadratic commutation pass and a closure per check, and the shared
-   prefixes with that pass 799.8; for 3, 268.4 since the commutation
-   check allocates no closure) plus a quarter.  Bound 15 is 0: planes
+   prefixes with that pass 799.8; for 3, 52.9 since words splice
+   pre-counted and the window scans ints, where the boxed window and
+   per-gate checks read 268.4; for 1, 11.5, where converting every
+   numeral read 14.1; for 19, 17.1, where the boxed ring read 115.5)
+   plus a quarter.  Bound 15 is 0: planes
    filled by the build read 770 major-heap words there, their two
    arrays. *)
 
-let parse_bound = 40.0
+let parse_bound = 14.0
 let write_bound = 8.0
-let engine_bound = 336.0
+let engine_bound = 66.0
 let gridsynth_bound = 10537.0
 let whole_bound = 1851.0
 let two_site_major_bound = 5_102.0
@@ -132,6 +138,7 @@ let build1_major_bound = 0.0
 let one_site_bound = 45_637.0
 let one_site_major_bound = 1_281.0
 let best_for_bound = 628.0
+let stream_opt_bound = 21.0
 
 let gates = 10_000
 
@@ -184,6 +191,14 @@ let () =
   in
   let parsed, words = measure parse in
   check "Qasm_reader.next_event per input gate" (words /. float_of_int parsed) parse_bound;
+  let sw = Stream_opt.create ~window:64 Settings.U3_ir in
+  let (), words =
+    measure (fun () ->
+        Array.iter (fun i -> Stream_opt.push sw i ~emit:ignore) input;
+        Stream_opt.flush sw ~emit:ignore)
+  in
+  check "Stream_opt.push/flush (U3 IR) per input gate" (words /. float_of_int (Array.length input))
+    stream_opt_bound;
   (* A cold run warms the memo and yields the output gates. *)
   Stream_compile.clear_cache ();
   let output = ref [] in

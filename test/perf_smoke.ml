@@ -8,6 +8,8 @@
       apart keep a bounded peak heap: the big run's peak is at most
       twice the small run's, where an O(input) pipeline would sit
       near 5;
+      1c. a `compile_cli --stream` child over three gates, which ends
+      before its first collection, still reports a positive peak heap;
    2. `tgates-trace diff --fail-above 10` of the document against
       itself must exit 0 (zero regressions);
    3. a doctored copy with every lower metric doubled and every higher
@@ -144,8 +146,7 @@ let () =
      Each child reports its process peak heap ([obs.heap.peak_words]);
      with O(window + queue + depth) state the 5,000-gate run's peak must
      sit close to the 1,000-gate run's. *)
-  let stream_report gates =
-    let qasm = gen_qaoa gates in
+  let stream_report what qasm =
     let report = Filename.temp_file "perf_smoke_stream" ".report" in
     run_ok "stream compile"
       (Printf.sprintf
@@ -164,12 +165,20 @@ let () =
     in
     match (scan "gates/sec: %f", scan "peak heap: %f words") with
     | Some rate, Some peak when rate > 0.0 && peak > 0.0 -> peak
-    | _ -> failf "the %d-gate stream report has no throughput or peak heap:\n%s" gates rep
+    | _ -> failf "the %s stream report has no throughput or peak heap:\n%s" what rep
   in
-  let small_peak = stream_report 1_000 and big_peak = stream_report 5_000 in
+  let qaoa_report gates = stream_report (Printf.sprintf "%d-gate" gates) (gen_qaoa gates) in
+  let small_peak = qaoa_report 1_000 and big_peak = qaoa_report 5_000 in
   if big_peak > 2.0 *. small_peak then
     failf "stream peak heap scales with input (%.0f words at 5,000 gates, %.0f at 1,000: %.2f > 2)"
       big_peak small_peak (big_peak /. small_peak);
+
+  (* Gate 1c: a run over three gates ends before its first collection;
+     its peak heap must still be sampled. *)
+  let three = Filename.temp_file "perf_smoke_three" ".qasm" in
+  Out_channel.with_open_text three (fun oc ->
+      output_string oc "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(0.3) q[1];\n");
+  ignore (stream_report "three-gate" three : float);
 
   (* Gate 2: self-diff with the CI threshold is clean. *)
   if diff_code ~fail_above:10.0 bench_json bench_json <> 0 then

@@ -277,6 +277,105 @@ let window_tests =
         Alcotest.(check bool) "equivalent" true (circuits_equal c out));
   ]
 
+(* The window against [Stream_opt_reference], the boxed ring it
+   replaced: both are fed the same instructions, and after every push
+   they must have emitted as many gates, and at the end the same gates,
+   angles compared by bits, with the same [gates_in] and [gates_out]. *)
+let window_mismatch ir window (c : Circuit.t) =
+  let t = Stream_opt.create ~window ir and r = Stream_opt_reference.create ~window ir in
+  let out = ref [] and want = ref [] and n = ref 0 and n' = ref 0 in
+  let emit g = incr n; out := g :: !out and emit' g = incr n'; want := g :: !want in
+  let in_step =
+    List.for_all
+      (fun i ->
+        Stream_opt.push t i ~emit;
+        Stream_opt_reference.push r i ~emit:emit';
+        !n = !n')
+      c.Circuit.instrs
+  in
+  Stream_opt.flush t ~emit;
+  Stream_opt_reference.flush r ~emit:emit';
+  let same (x : Circuit.instr) (y : Circuit.instr) =
+    x = y && Test_circuit.angle_bits x = Test_circuit.angle_bits y
+  in
+  let label what = Some (Printf.sprintf "%s, window %d: %s" (Settings.ir_to_string ir) window what) in
+  if not in_step then label "emitted counts differ after a push"
+  else if List.length !out <> List.length !want || not (List.for_all2 same !out !want) then
+    label "emitted gates differ"
+  else if Stream_opt.gates_in t <> Stream_opt_reference.gates_in r then label "gates_in differs"
+  else if Stream_opt.gates_out t <> Stream_opt_reference.gates_out r then label "gates_out differs"
+  else None
+
+let oracle_windows = [ 1; 2; 3; 8; 64 ]
+
+let window_oracle_mismatch c =
+  List.find_map
+    (fun ir -> List.find_map (fun w -> window_mismatch ir w c) oracle_windows)
+    [ Settings.Rz_ir; Settings.U3_ir ]
+
+(* Random circuits for the window oracle: 1–5 qubits, up to 80 gates
+   over every gate the window lowers or folds, angles drawn from a
+   palette of one to four values and their negations, and one gate in
+   four repeated at once, so that runs fuse (to identity too), Rz
+   phases cancel and self-inverse pairs meet. *)
+let gen_window_circuit =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let* palette =
+    list_size (int_range 1 4)
+      (oneof [ float_range (-3.2) 3.2; map (fun k -> float_of_int k *. Float.pi /. 4.0) (int_range (-8) 8) ])
+  in
+  let angle = map2 (fun a neg -> if neg then -.a else a) (oneofl palette) bool in
+  let one_qubit =
+    let* q = int_bound (n - 1) in
+    let+ g =
+      oneof
+        [
+          oneofl Qgate.[ H; X; Y; Z; S; Sdg; T; Tdg ];
+          map (fun a -> Qgate.Rx a) angle;
+          map (fun a -> Qgate.Ry a) angle;
+          map (fun a -> Qgate.Rz a) angle;
+          map3 (fun t p l -> Qgate.U3 (t, p, l)) angle angle angle;
+        ]
+    in
+    Circuit.instr g [| q |]
+  in
+  let two_qubit =
+    let* q = int_bound (n - 1) and* d = int_bound (max 0 (n - 2)) and* g = oneofl Qgate.[ CX; CX; CZ; Swap ] in
+    let r = (q + 1 + d) mod n in
+    oneofl [ Circuit.instr g [| q; r |]; Circuit.instr g [| r; q |] ]
+  in
+  let ccx =
+    let* q = int_bound (n - 1) and* d = int_bound (max 0 (n - 3)) in
+    pure (Circuit.instr Qgate.Ccx [| q; (q + 1 + d) mod n; (q + 2 + d) mod n |])
+  in
+  let instr =
+    match n with
+    | 1 -> one_qubit
+    | 2 -> frequency [ (3, one_qubit); (2, two_qubit) ]
+    | _ -> frequency [ (6, one_qubit); (4, two_qubit); (1, ccx) ]
+  in
+  let twice = frequencyl [ (3, false); (1, true) ] in
+  let+ gates = list_size (int_bound 80) (map2 (fun i twice -> if twice then [ i; i ] else [ i ]) instr twice) in
+  Circuit.make n (List.filteri (fun k _ -> k < 80) (List.concat gates))
+
+let window_oracle_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"window equals its boxed reference on random circuits"
+         ~print:Qasm.to_string gen_window_circuit (fun c ->
+           match window_oracle_mismatch c with
+           | None -> true
+           | Some what -> QCheck2.Test.fail_report what));
+    Alcotest.test_case "window equals its boxed reference on every suite circuit" `Quick (fun () ->
+        List.iter
+          (fun (b : Suite.benchmark) ->
+            match window_oracle_mismatch b.Suite.circuit with
+            | None -> ()
+            | Some what -> Alcotest.failf "%s: %s" b.Suite.name what)
+          (Suite.all ()));
+  ]
+
 (* The engine is deterministic per key and emits in input order, so the
    streamed path must match the in-memory reference byte for byte at
    every window / jobs / queue combination — cache-cold each time. *)
@@ -930,6 +1029,111 @@ let config_tests =
             ignore (Stream_compile.synthesize cfg (Qgate.U3 (0.4, 1.1, -0.7)))));
   ]
 
+(* The reader keeps the last plain numeral's text and value.  A line
+   must parse to what it parses to alone, whatever numeral came before
+   it: repeats, alternations, negations, and spellings of one value
+   that differ in their bytes or only in their length. *)
+let numeral_memo_tests =
+  let spellings =
+    [ "0.1"; "0.10"; "0.100"; "1e-3"; "1e-03"; "1E-3"; "0.001"; "0.5"; "0.55"; "0.555"; "5"; "5.";
+      "5.0"; "55"; ".5"; "2e-3"; "3.14159"; "3.1415"; "1e10"; "1e1"; "0.1e1"; "1.0e+1" ]
+  in
+  let alone text = Qasm_reader.of_string ("qreg q[1];\n" ^ text ^ "\n") in
+  let gate_bits (c : Circuit.t) = List.map Test_circuit.angle_bits c.Circuit.instrs in
+  let check_lines lines =
+    let text = String.concat "\n" ("qreg q[1];" :: lines) ^ "\n" in
+    let want = List.concat_map (fun l -> gate_bits (alone l)) lines in
+    List.for_all
+      (fun chunk -> gate_bits (Qasm_reader.of_stream (Qasm_reader.stream_of_string ~chunk text)) = want)
+      [ 1; 7; 65536 ]
+  in
+  let line (sign, num, form) =
+    let v = sign ^ num in
+    match form with
+    | 0 -> Printf.sprintf "rz(%s) q[0];" v
+    | 1 -> Printf.sprintf "rx( %s ) q[0];" v
+    | _ -> Printf.sprintf "u3(%s,%s,-%s) q[0];" v num num
+  in
+  [
+    Alcotest.test_case "a repeated numeral parses as it does alone" `Quick (fun () ->
+        let lines =
+          List.map (fun n -> Printf.sprintf "rz(%s) q[0];" n)
+            [ "0.1"; "0.1"; "0.10"; "-0.1"; "0.1"; "-0.10"; "1e-3"; "1e-03"; "1e-3"; "0.001";
+              "0.55"; "0.5"; "0.55"; "0.555"; "0.5"; "5"; "-5"; "5.0"; "5"; "55"; "5" ]
+          @ [ "u3(0.5,0.55,0.5) q[0];"; "u3(0.5,0.5,-0.5) q[0];"; "rz(pi/2) q[0];"; "rz(0.5) q[0];" ]
+        in
+        Alcotest.(check bool) "every line as alone" true (check_lines lines));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"random numeral sequences parse line by line"
+         ~print:(String.concat "\n")
+         QCheck2.Gen.(
+           list_size (int_range 1 30)
+             (map line (triple (oneofl [ ""; "-" ]) (oneofl spellings) (int_bound 2))))
+         check_lines);
+  ]
+
+(* [Circuit.exact_word] refuses a gate by the table's shape before it
+   scans.  The shape is what the table holds (five moduli, phases on
+   multiples of π/4, for both built-in depth-1 tables), and a gate near
+   an entry is never refused: every entry, in U3 form, and perturbed at
+   distances 0.5e-6 and 0.99e-6 (inside the tolerance) and 2e-6
+   (outside) along four axes, gets the unfiltered scan's word. *)
+let shape_tests =
+  [
+    Alcotest.test_case "exact_word's shape filter keeps every table match" `Quick (fun () ->
+        let pi = Float.pi in
+        let s = Float.sin (pi /. 8.0) and c = Float.cos (pi /. 8.0) in
+        List.iter
+          (fun gate_set ->
+            let table = Ma_table.get_for ~gate_set 1 in
+            let moduli, phases = Circuit.table_shape table in
+            let close a b =
+              Array.length a = Array.length b && Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) a b
+            in
+            Alcotest.(check bool) (gate_set ^ " moduli") true
+              (close moduli [| 0.0; s; Float.sqrt 0.5; c; 1.0 |]);
+            Alcotest.(check bool) (gate_set ^ " phases") true
+              (close phases (Array.init 8 (fun k -> float_of_int k *. pi /. 4.0)));
+            let axes =
+              [ Mat2.x; Mat2.y; Mat2.z;
+                Mat2.add (Mat2.scale (Cplx.of_float 0.6) Mat2.x) (Mat2.scale (Cplx.of_float 0.8) Mat2.z) ]
+            in
+            (* exp(−iδ n·σ), at distance sin δ from the identity. *)
+            let nudge d axis =
+              let delta = Float.asin d in
+              Mat2.add (Mat2.scale (Cplx.of_float (Float.cos delta)) Mat2.identity)
+                (Mat2.scale { Cplx.re = 0.0; im = -.Float.sin delta } axis)
+            in
+            let u3 m =
+              let t, p, l = Mat2.to_u3_angles m in
+              Qgate.U3 (t, p, l)
+            in
+            let words w = Option.map Ctgate.seq_to_string w in
+            let found = ref 0 and far = ref 0 in
+            for i = 0 to Ma_table.size table - 1 do
+              let v = Ma_table.mat table i in
+              let gates =
+                u3 v
+                :: List.concat_map
+                     (fun d -> List.map (fun a -> u3 (Mat2.mul v (nudge d a))) axes)
+                     [ 0.5e-6; 0.99e-6; 2e-6 ]
+              in
+              List.iter
+                (fun g ->
+                  let want = words (Resolve_reference.exact_word ~table g) in
+                  if want = None then incr far else incr found;
+                  Alcotest.(check (option string)) (gate_set ^ " " ^ Qgate.to_string g) want
+                    (words (Circuit.exact_word table g)))
+                gates
+            done;
+            (* The entries and their 0.5e-6 and 0.99e-6 neighbours match;
+               the 2e-6 ones do not. *)
+            Alcotest.(check int) (gate_set ^ " matches") (9 * Ma_table.size table) !found;
+            Alcotest.(check int) (gate_set ^ " misses") (4 * Ma_table.size table) !far)
+          [ "cliffordt"; "cliffordt-weighted" ]);
+  ]
+
 let suite =
   reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests @ workflow_tests
-  @ memo_flush_tests @ resolve_tests @ config_tests
+  @ memo_flush_tests @ resolve_tests @ config_tests @ window_oracle_tests @ numeral_memo_tests
+  @ shape_tests
