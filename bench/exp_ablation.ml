@@ -8,8 +8,8 @@ let targets n = Array.init n (fun i -> Mat2.random_unitary (Random.State.make [|
    so the full per-site budget is spent); a structured failure here
    would mean the adapter itself broke, so surface it loudly. *)
 let run_one ~config ~budgets target =
-  let module B = (val Synth.find_exn "trasyn") in
-  match B.synthesize (Synth.Unitary target) (Synth.config ~trasyn:config ~budgets ~epsilon:0.0 ()) with
+  let cfg = Synth.config ~trasyn:config ~budgets ~epsilon:0.0 () in
+  match (Synth.find_exn "trasyn").synthesize (Synth.Unitary target) cfg with
   | Ok (seq, distance) -> (seq, distance)
   | Error f -> Robust.fail f
 
@@ -72,11 +72,11 @@ let baselines ~unitaries () =
       (Util.median (List.map (fun (_, _, l) -> float_of_int l) results))
   in
   let via tool cfg =
-    let module B = (val Synth.find_exn tool) in
+    let b = Synth.find_exn tool in
     Array.to_list
       (Array.map
          (fun t ->
-           match B.synthesize (Synth.Unitary t) cfg with
+           match b.synthesize (Synth.Unitary t) cfg with
            | Ok (seq, d) -> (Ctgate.t_count seq, d, List.length seq)
            | Error _ -> (0, infinity, 0))
          ts)

@@ -23,8 +23,7 @@ let scales m = [ ("0.1", 0.1, [ m ]); ("0.01", 0.01, [ m; m ]); ("0.001", 0.001,
    structured failure (e.g. Synthetiq missing its threshold inside the
    wall budget) becomes an unsolved row; medians filter on [solved]. *)
 let synth_row ~tool ~scale cfg target =
-  let module B = (val Synth.find_exn tool) in
-  let r, dt = Util.time_it (fun () -> B.synthesize target cfg) in
+  let r, dt = Util.time_it (fun () -> (Synth.find_exn tool).synthesize target cfg) in
   match r with
   | Ok (seq, distance) ->
       {

@@ -17,8 +17,8 @@ let run ~rotations () =
   let angles = List.init rotations (fun _ -> Random.State.float rng (2.0 *. Float.pi) -. Float.pi) in
   (* Synthesize each angle at each threshold once. *)
   let rz_word theta eps =
-    let module B = (val Synth.find_exn "gridsynth") in
-    match B.synthesize (Synth.Rz theta) (Synth.config ~epsilon:eps ()) with
+    let cfg = Synth.config ~epsilon:eps () in
+    match (Synth.find_exn "gridsynth").synthesize (Synth.Rz theta) cfg with
     | Ok (seq, _) -> seq
     | Error f -> Robust.fail f
   in

@@ -59,8 +59,7 @@ let kernels () =
   Util.header "KERNEL MICROBENCHMARKS (Bechamel)";
   let target = Mat2.random_unitary (Random.State.make [| 3 |]) in
   let table = Ma_table.get 8 in
-  let module Tr = (val Synth.find_exn "trasyn") in
-  let module Gs = (val Synth.find_exn "gridsynth") in
+  let tr = Synth.find_exn "trasyn" and gs = Synth.find_exn "gridsynth" in
   let trasyn_cfg =
     Synth.config
       ~trasyn:{ Trasyn.default_config with samples = 256 }
@@ -68,11 +67,11 @@ let kernels () =
   in
   Util.bechamel_kernels ~name:"synthesis"
     [
-      ("trasyn-1site-k256", fun () -> ignore (Tr.synthesize (Synth.Unitary target) trasyn_cfg));
+      ("trasyn-1site-k256", fun () -> ignore (tr.synthesize (Synth.Unitary target) trasyn_cfg));
       ( "gridsynth-rz-1e-2",
-        fun () -> ignore (Gs.synthesize (Synth.Rz 0.61) (Synth.config ~epsilon:1e-2 ())) );
+        fun () -> ignore (gs.synthesize (Synth.Rz 0.61) (Synth.config ~epsilon:1e-2 ())) );
       ( "gridsynth-rz-1e-4",
-        fun () -> ignore (Gs.synthesize (Synth.Rz 0.61) (Synth.config ~epsilon:1e-4 ())) );
+        fun () -> ignore (gs.synthesize (Synth.Rz 0.61) (Synth.config ~epsilon:1e-4 ())) );
       ( "postprocess-window",
         fun () -> ignore (Postprocess.run table Ctgate.[ T; T; H; T; S; T; H; T; T; H; S; T ]) );
       ("exact-mul", fun () -> ignore (Exact_u.mul Exact_u.gate_h Exact_u.gate_t));

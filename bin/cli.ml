@@ -186,9 +186,8 @@ let start ~say s =
 (* The call is recorded in the ledger as a one-rung chain. *)
 let direct name target (config : Synth.config) =
   let b = Synth.find_exn name in
-  let module B = (val b) in
   let t0 = Obs.Clock.elapsed_s () in
-  let result = B.synthesize target config in
+  let result = b.Synth.synthesize target config in
   if Ledger.enabled () then
     Ledger.record
       (Synth.ledger_record ~config [ Synth.rung b ] target ~source:`Fresh
@@ -199,7 +198,7 @@ let direct name target (config : Synth.config) =
                {
                  Robust.word;
                  distance;
-                 backend = B.name;
+                 backend = b.Synth.name;
                  fallbacks = 0;
                  rung_epsilon = config.Synth.epsilon;
                }

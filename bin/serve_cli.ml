@@ -154,7 +154,7 @@ let run socket epsilon workers queue_limit max_retries backoff_base backoff_cap
   arm Sys.sigterm;
   arm Sys.sigint;
   let make_server emit =
-    let server = Server.create ?store ~emit cfg in
+    let server = Server.create ~emit cfg in
     (* Structured one-line startup banner: everything an operator (or
        a log scraper) needs to find and correlate this boot. *)
     let open Obs.Json in

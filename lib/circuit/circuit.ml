@@ -159,8 +159,8 @@ let plausible s (m : Mat2.t) =
    rotation is looked up exactly, then checked, except within 1e-7 steps
    (q exact to 1e-9), where it is < 4e-8 away: the on-grid rotations
    [Settings.best_for] meets on every candidate then cost no matrix.
-   Any other gate that the table's shape does not refuse scans the
-   table's planes, fetched once, for the first entry within reach. *)
+   Any other gate that the table's shape does not refuse is answered by
+   the table's nearest entry, if that is within reach. *)
 let exact_word table g =
   match g with
   | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a ->
@@ -177,13 +177,10 @@ let exact_word table g =
       else None
   | _ ->
       let m = Qgate.to_mat2 g in
-      let { Ma_table.re; im } = Ma_table.planes table in
-      let n = if plausible (shape table) m then Ma_table.size table else 0 in
-      let i = ref 0 in
-      while !i < n && not (Mat2.distance_at m re im (4 * !i) < 1e-6) do
-        incr i
-      done;
-      if !i < n then Some (Ma_table.word table !i) else None
+      if not (plausible (shape table) m) then None
+      else
+        let i, d = Ma_table.nearest table m in
+        if d < 1e-6 then Some (Ma_table.word table i) else None
 
 let clifford_t = lazy (Ma_table.get 1)
 let nontrivial_rotation g = Qgate.is_rotation g && Option.is_none (exact_word (Lazy.force clifford_t) g)

@@ -370,6 +370,20 @@ let mat t i =
   let z j = { Cplx.re = re.((4 * i) + j); im = im.((4 * i) + j) } in
   Mat2.make (z 0) (z 1) (z 2) (z 3)
 
+(* An entry replaces the best unless the best is [<=] it, so the first
+   of the least distances wins and a NaN distance replaces the best. *)
+let nearest t m =
+  let { re; im } = planes t in
+  let best = ref (-1) and best_d = ref infinity in
+  for i = 0 to size t - 1 do
+    let d = Mat2.distance_at m re im (4 * i) in
+    if !best < 0 || not (!best_d <= d) then begin
+      best := i;
+      best_d := d
+    end
+  done;
+  (!best, !best_d)
+
 (* ---- One table per gate set and depth ---- *)
 
 (* Enumerated on first use as the gate set's descriptor says.  The cache

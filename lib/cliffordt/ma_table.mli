@@ -104,3 +104,10 @@ val planes : t -> planes
 
 val mat : t -> int -> Mat2.t
 (** Entry i's matrix from the {!planes}. *)
+
+val nearest : t -> Mat2.t -> int * float
+(** The index and [Mat2.distance_at] of the first entry at the least
+    distance from [m], in one scan of the {!planes}: an entry replaces
+    the best so far unless the best's distance is [<=] its own, so a
+    NaN distance replaces it too.  [(-1, infinity)] on an empty
+    table. *)

@@ -126,12 +126,6 @@ let histogram_k kind ?(buckets = default_time_buckets) name =
 
 let histogram ?buckets name = histogram_k Value ?buckets name
 
-(* An unregistered histogram: same cells and locking, but invisible to
-   [dump]/[metrics_jsonl]/[report].  The server keeps one per instance
-   for its live [stats] quantiles, so two servers in one process don't
-   blend their request-latency distributions. *)
-let private_histogram ?(buckets = default_time_buckets) name = make_histogram Value buckets name
-
 let observe h v =
   Mutex.lock h.hlock;
   let nb = Array.length h.bounds in

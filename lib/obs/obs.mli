@@ -117,14 +117,6 @@ val histogram : ?buckets:float array -> string -> histogram
     is ignored.
     @raise Invalid_argument on empty or non-increasing [buckets]. *)
 
-val private_histogram : ?buckets:float array -> string -> histogram
-(** A histogram that is {e not} interned in the registry: invisible to
-    {!dump}, {!metrics_jsonl}, {!report}, and {!reset}, with a fresh
-    instance per call even under an existing name.  For per-instance
-    distributions (the server's live request-latency quantiles) that
-    must not blend across instances in one process.
-    @raise Invalid_argument on empty or non-increasing [buckets]. *)
-
 val observe : histogram -> float -> unit
 
 type summary = {

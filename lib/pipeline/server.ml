@@ -30,11 +30,13 @@ let g_in_flight = Obs.gauge "server.in_flight"
 let h_duration = Obs.histogram "server.request.duration_s"
 let h_queue_wait = Obs.histogram "server.request.queue_wait_s"
 
-(* Per-command request/error counters ("server.requests.rz", …).
+(* Per-command request/error counters ("server.requests.rz", …) and
+   admitted rotations per gate set ("server.rotations.cliffordt").
    [Obs.counter] interns, so repeated calls return the same cell; the
    registry lock is negligible next to a synthesis request. *)
 let c_op op = Obs.counter ("server.requests." ^ op)
 let c_op_err op = Obs.counter ("server.errors." ^ op)
+let c_rotations gate_set = Obs.counter ("server.rotations." ^ gate_set)
 
 (* Bound of the slowest-requests exemplar ring in [stats_json]. *)
 let slowest_cap = 16
@@ -90,7 +92,6 @@ type item = { work : work; admitted_at : float }
 type t = {
   cfg : config;
   policies : Stream_compile.policy * Stream_compile.policy;  (* Rz, U3 at [cfg]'s ε and gate set *)
-  store : Store.t option;
   emit : string -> unit;
   emit_mutex : Mutex.t;
   queue : item Queue.t;
@@ -105,22 +106,9 @@ type t = {
   trace_id : string;  (* one per server instance ("boot") *)
   created_at : float;  (* Obs.Clock.elapsed_s at create *)
   mutable req_seq : int;  (* request-id allocator; under [mutex] *)
-  (* Per-instance latency distributions for the live [stats] op —
-     private so two servers in one process don't blend. *)
-  h_dur_local : Obs.histogram;
-  h_wait_local : Obs.histogram;
   (* Slowest work items seen: (rid, op, latency_s), at most
      [slowest_cap], unordered; under [mutex]. *)
   mutable slowest : (string * string * float) list;
-  (* per-server mirrors for stats_json *)
-  mutable n_requests : int;
-  mutable n_served : int;
-  mutable n_failed : int;
-  mutable n_shed : int;
-  mutable n_retries : int;
-  cmd_counts : (string, int) Hashtbl.t;  (* under [mutex] *)
-  cmd_errors : (string, int) Hashtbl.t;  (* under [mutex] *)
-  gs_counts : (string, int) Hashtbl.t;  (* rotations per gate set; under [mutex] *)
 }
 
 let locked t f =
@@ -132,19 +120,6 @@ let emit_line t s =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.emit_mutex) (fun () -> t.emit s)
 
 let respond t json = emit_line t (Obs.Json.to_string json)
-
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-(* Count one wire command (and optionally its error) on both the
-   process-global counters and the per-server mirrors. *)
-let count_command t op =
-  Obs.incr (c_op op);
-  locked t (fun () -> bump t.cmd_counts op)
-
-let count_error t op =
-  Obs.incr (c_op_err op);
-  locked t (fun () -> bump t.cmd_errors op)
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -217,7 +192,6 @@ let synthesize t (r : rotation) tries =
       let jitter = Robust.Fault.uniform (Printf.sprintf "backoff\x00%s\x00%d" r.rid !tries) in
       Unix.sleepf (back *. (0.5 +. (0.5 *. jitter)));
       Obs.incr c_retries;
-      locked t (fun () -> t.n_retries <- t.n_retries + 1);
       incr tries
     end;
     again
@@ -260,7 +234,6 @@ let work_response t w =
   Array.iter (fun (j : _ Planner.job) -> Hashtbl.replace job_tries j.key (snd j.target)) plan.jobs;
   let served r a source retries =
     Obs.incr c_served;
-    locked t (fun () -> t.n_served <- t.n_served + 1);
     success_response r a source retries
   in
   let element ((r : rotation), own) =
@@ -281,8 +254,7 @@ let work_response t w =
         | Ok (a, source) -> served r a source retries
         | Error (f, _) ->
             Obs.incr c_failed;
-            count_error t (Settings.ir_to_string r.policy.ir);
-            locked t (fun () -> t.n_failed <- t.n_failed + 1);
+            Obs.incr (c_op_err (Settings.ir_to_string r.policy.ir));
             error_response
               ~extra:[ ("retries", Num (float_of_int retries)) ]
               ~rid:r.rid r.id (Synth.failure_tag f) (Robust.failure_to_string f))
@@ -300,13 +272,11 @@ let work_response t w =
 
 let slots_of w = max 1 (List.length w.rotations)
 
-(* Record a finished work item: latency histograms (global + this
-   server's private stats copy) and the slowest-requests ring. *)
+(* Record a finished work item: latency histograms and the
+   slowest-requests ring. *)
 let note_done t ~rid ~op ~wait_s ~latency_s =
   Obs.observe h_duration latency_s;
   Obs.observe h_queue_wait wait_s;
-  Obs.observe t.h_dur_local latency_s;
-  Obs.observe t.h_wait_local wait_s;
   locked t (fun () ->
       if List.length t.slowest < slowest_cap then t.slowest <- (rid, op, latency_s) :: t.slowest
       else begin
@@ -364,7 +334,7 @@ let worker_loop t =
                   try work_response t w
                   with e ->
                     Obs.incr c_failed;
-                    count_error t w.op;
+                    Obs.incr (c_op_err w.op);
                     error_response ~rid:w.rid w.id "internal" (Printexc.to_string e)))
         in
         respond t response;
@@ -384,7 +354,6 @@ let create ?store ~emit cfg =
       policies =
         (let c = Stream_compile.config ~epsilon:cfg.epsilon ~gate_set:cfg.gate_set ?chain:cfg.chain () in
          (Stream_compile.policy c, Stream_compile.policy { c with ir = Settings.U3_ir }));
-      store;
       emit;
       emit_mutex = Mutex.create ();
       queue = Queue.create ();
@@ -403,19 +372,10 @@ let create ?store ~emit cfg =
           (Int64.logand (Obs.Clock.now_ns ()) 0xffffffffL);
       created_at = Obs.Clock.elapsed_s ();
       req_seq = 0;
-      h_dur_local = Obs.private_histogram "server.request.duration_s";
-      h_wait_local = Obs.private_histogram "server.request.queue_wait_s";
       slowest = [];
-      n_requests = 0;
-      n_served = 0;
-      n_failed = 0;
-      n_shed = 0;
-      n_retries = 0;
-      cmd_counts = Hashtbl.create 8;
-      cmd_errors = Hashtbl.create 8;
-      gs_counts = Hashtbl.create 8;
     }
   in
+  Option.iter (fun st -> Synth.set_store (Some st)) store;
   t.threads <- List.init t.cfg.workers (fun _ -> Thread.create worker_loop t);
   t
 
@@ -476,12 +436,22 @@ let parse_rotation t ~rid ~batch_index j =
 
 let shed t ~rid ~op id slots =
   Obs.incr c_shed ~by:slots;
-  count_error t op;
-  locked t (fun () -> t.n_shed <- t.n_shed + slots);
+  Obs.incr (c_op_err op);
   respond t
     (error_response
        ~extra:[ ("queue_limit", Obs.Json.Num (float_of_int t.cfg.queue_limit)) ]
        ~rid id "overloaded" "admission queue full; retry later")
+
+(* Admitted rotations per gate set: one add per gate set of an item. *)
+let rec count_rotations = function
+  | [] -> ()
+  | (r : rotation) :: _ as rs ->
+      let name = Synth.gate_set_name r.policy.synth in
+      let same, rest =
+        List.partition (fun (r : rotation) -> Synth.gate_set_name r.policy.synth = name) rs
+      in
+      Obs.incr ~by:(List.length same) (c_rotations name);
+      count_rotations rest
 
 (* Admission: shed when the queue (in slots) is full or the server is
    draining; otherwise enqueue and wake a worker. *)
@@ -493,14 +463,13 @@ let admit t work =
         else begin
           Queue.push { work; admitted_at = Obs.Clock.elapsed_s () } t.queue;
           t.queued_slots <- t.queued_slots + slots;
-          (* Rotations per gate set, for the [stats] op. *)
-          List.iter (fun r -> bump t.gs_counts (Synth.gate_set_name r.policy.synth)) work.rotations;
           Obs.set_gauge g_queue (float_of_int t.queued_slots);
           Condition.signal t.nonempty;
           true
         end)
   in
-  if not admitted then shed t ~rid:work.rid ~op:work.op work.id slots
+  if admitted then count_rotations work.rotations
+  else shed t ~rid:work.rid ~op:work.op work.id slots
 
 let quantiles_json h =
   let open Obs.Json in
@@ -518,24 +487,25 @@ let quantiles_json h =
 
 let stats_json t =
   let open Obs.Json in
-  let queued, in_flight, counts, cmds, errs, gsets, slowest =
-    locked t (fun () ->
-        ( t.queued_slots,
-          t.in_flight,
-          (t.n_requests, t.n_served, t.n_failed, t.n_shed, t.n_retries),
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cmd_counts [],
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cmd_errors [],
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.gs_counts [],
-          t.slowest ))
+  let queued, in_flight, slowest = locked t (fun () -> (t.queued_slots, t.in_flight, t.slowest)) in
+  let count c = Num (float_of_int (Obs.counter_value c)) in
+  (* The registry's nonzero counters under [prefix], by the rest of
+     their name. *)
+  let dump = Obs.dump () in
+  let count_obj prefix =
+    let k = String.length prefix in
+    Obj
+      (List.filter_map
+         (function
+           | name, Obs.Counter_value n when n > 0 && String.starts_with ~prefix name ->
+               Some (String.sub name k (String.length name - k), Num (float_of_int n))
+           | _ -> None)
+         dump)
   in
-  let n_requests, n_served, n_failed, n_shed, n_retries = counts in
-  let count_obj kvs =
-    Obj (List.sort compare kvs |> List.map (fun (k, v) -> (k, Num (float_of_int v))))
-  in
-  (* Store hit rate over this process's lookups, from the attached
-     store's own counters. *)
+  (* Store hit rate over this process's lookups, from the armed store's
+     stats. *)
   let store_fields =
-    match t.store with
+    match Synth.store () with
     | None -> []
     | Some st ->
         let sj = Store.stats_json st in
@@ -552,20 +522,20 @@ let stats_json t =
        ("schema", Str "tgates-server-stats/v1");
        ("trace_id", Str t.trace_id);
        ("uptime_s", Num (uptime_s t));
-       ("requests", Num (float_of_int n_requests));
-       ("served", Num (float_of_int n_served));
-       ("failed", Num (float_of_int n_failed));
-       ("shed", Num (float_of_int n_shed));
-       ("retries", Num (float_of_int n_retries));
+       ("requests", count c_requests);
+       ("served", count c_served);
+       ("failed", count c_failed);
+       ("shed", count c_shed);
+       ("retries", count c_retries);
        ("queued", Num (float_of_int queued));
        ("in_flight", Num (float_of_int in_flight));
        ("workers", Num (float_of_int t.cfg.workers));
        ("queue_limit", Num (float_of_int t.cfg.queue_limit));
-       ("commands", count_obj cmds);
-       ("errors", count_obj errs);
-       ("gate_sets", count_obj gsets);
-       ("latency", quantiles_json t.h_dur_local);
-       ("queue_wait", quantiles_json t.h_wait_local);
+       ("commands", count_obj "server.requests.");
+       ("errors", count_obj "server.errors.");
+       ("gate_sets", count_obj "server.rotations.");
+       ("latency", quantiles_json h_duration);
+       ("queue_wait", quantiles_json h_queue_wait);
        ( "slowest",
          Arr
            (List.sort (fun (_, _, a) (_, _, b) -> compare b a) slowest
@@ -582,25 +552,24 @@ let submit_line t line =
     Obs.incr c_requests;
     let rid =
       locked t (fun () ->
-          t.n_requests <- t.n_requests + 1;
           t.req_seq <- t.req_seq + 1;
           Printf.sprintf "r%d" t.req_seq)
     in
     match parse line with
     | Error e ->
-        count_command t "invalid";
-        count_error t "invalid";
+        Obs.incr (c_op "invalid");
+        Obs.incr (c_op_err "invalid");
         respond t (error_response ~rid Null "bad_request" ("unparseable request: " ^ e));
         `Continue
     | Ok j -> (
         match member "op" j with
         | Some (Str "ping") ->
-            count_command t "ping";
+            Obs.incr (c_op "ping");
             respond t
               (Obj [ ("id", jid j); ("request_id", Str rid); ("ok", Bool true); ("op", Str "ping") ]);
             `Continue
         | Some (Str "stats") ->
-            count_command t "stats";
+            Obs.incr (c_op "stats");
             respond t
               (Obj
                  [
@@ -612,7 +581,7 @@ let submit_line t line =
                  ]);
             `Continue
         | Some (Str "shutdown") ->
-            count_command t "shutdown";
+            Obs.incr (c_op "shutdown");
             respond t
               (Obj
                  [
@@ -621,7 +590,7 @@ let submit_line t line =
             `Stop
         | Some (Str "batch") -> (
             Obs.incr c_batch;
-            count_command t "batch";
+            Obs.incr (c_op "batch");
             match member "requests" j with
             | Some (Arr reqs) -> (
                 let parsed =
@@ -632,7 +601,7 @@ let submit_line t line =
                 in
                 match List.find_opt Result.is_error parsed with
                 | Some (Error e) ->
-                    count_error t "batch";
+                    Obs.incr (c_op_err "batch");
                     respond t (error_response ~rid (jid j) "bad_request" e);
                     `Continue
                 | _ ->
@@ -645,27 +614,27 @@ let submit_line t line =
                       };
                     `Continue)
             | _ ->
-                count_error t "batch";
+                Obs.incr (c_op_err "batch");
                 respond t (error_response ~rid (jid j) "bad_request" "batch needs a requests array");
                 `Continue)
         | Some (Str (("rz" | "u3") as op)) -> (
-            count_command t op;
+            Obs.incr (c_op op);
             match parse_rotation t ~rid ~batch_index:(-1) j with
             | Ok r ->
                 admit t { id = r.id; rid; op; rotations = [ r ] };
                 `Continue
             | Error e ->
-                count_error t op;
+                Obs.incr (c_op_err op);
                 respond t (error_response ~rid (jid j) "bad_request" e);
                 `Continue)
         | Some (Str op) ->
-            count_command t "invalid";
-            count_error t "invalid";
+            Obs.incr (c_op "invalid");
+            Obs.incr (c_op_err "invalid");
             respond t (error_response ~rid (jid j) "bad_request" ("unknown op " ^ op));
             `Continue
         | _ ->
-            count_command t "invalid";
-            count_error t "invalid";
+            Obs.incr (c_op "invalid");
+            Obs.incr (c_op_err "invalid");
             respond t (error_response ~rid (jid j) "bad_request" "missing op");
             `Continue)
   end

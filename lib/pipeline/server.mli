@@ -92,13 +92,14 @@
     [server.failed], [server.shed], [server.retries],
     [server.batch.requests], plus per-command [server.requests.<op>] /
     [server.errors.<op>] ([rz], [u3], [batch], [ping], [stats],
-    [shutdown], [invalid]); gauges [server.queue.depth] and
+    [shutdown], [invalid]) and admitted rotations per gate set
+    [server.rotations.<gate set>]; gauges [server.queue.depth] and
     [server.in_flight]; histograms [server.request.duration_s]
     (admission → response emitted, queue wait included) and
     [server.request.queue_wait_s] (admission → dequeue) — all visible
-    to the [Metrics] sampler and Prometheus exposition.  Each server
-    also keeps private copies of the two histograms and a bounded
-    slowest-requests ring for the live [stats] snapshot. *)
+    to the [Metrics] sampler and Prometheus exposition, and read back
+    by the live [stats] snapshot.  Each server also keeps a bounded
+    slowest-requests ring for that snapshot. *)
 
 type config = {
   epsilon : float;  (** default ε for requests that omit it *)
@@ -128,8 +129,9 @@ type t
 val create : ?store:Store.t -> emit:(string -> unit) -> config -> t
 (** Start the worker threads.  [emit] receives one complete response
     line (no trailing newline) per request; calls are serialized by the
-    engine but may come from any worker thread.  [store] feeds only the
-    [stats] op — arming synthesis itself is [Synth.set_store]'s job.
+    engine but may come from any worker thread.  A [store] is armed
+    for synthesis with [Synth.set_store]; perfbench is the only program
+    that passes one ([serve_cli]'s store is armed by [Cli.start]).
     @raise Invalid_argument on a non-positive or non-finite [epsilon]. *)
 
 val submit_line : t -> string -> [ `Continue | `Stop ]
@@ -151,11 +153,12 @@ val stats_json : t -> Obs.Json.t
     [commands] / [errors] objects, a [gate_sets] object counting
     admitted rotations per gate-set name (batch elements
     individually), [latency] and [queue_wait] quantile
-    objects ([count]/[p50_s]/[p95_s]/[p99_s]/[p999_s]/[max_s], from
-    this server's private histograms), the [slowest] exemplar ring
-    (up to 16 [{request_id, op, latency_s}], slowest first), and —
-    when a store is attached — [store_hit_rate] plus the store's
-    [Store.stats_json]. *)
+    objects ([count]/[p50_s]/[p95_s]/[p99_s]/[p999_s]/[max_s]), the
+    [slowest] exemplar ring (up to 16 [{request_id, op, latency_s}],
+    slowest first), and — when [Synth.store] holds a store —
+    [store_hit_rate] plus its [Store.stats_json].  The counts and
+    quantiles are the process's: the registry values above, which the
+    trace, the end-of-run report and the exposition read too. *)
 
 val trace_id : t -> string
 (** This server instance's boot trace id (the [req.trace] span attr). *)

@@ -287,14 +287,18 @@ end)
 (* The engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Rotation slots of one key waiting in the reorder FIFO, and whether
-   the first of them — the occurrence that the fresh ledger record
-   [Synth.run_chain] writes covers — is still to be emitted; every
-   other occurrence gets a cached replay.  The job's result stays in
-   the pool until the key's last slot is served: an occurrence queued
-   while the job ran falls back to it when the memo was flushed in
-   between. *)
-type waiting = { mutable slots : int; mutable fresh : bool }
+(* Rotation slots of one key waiting in the reorder FIFO, whether the
+   first of them — the occurrence that the fresh ledger record
+   [Synth.run_chain] writes covers — is still to be emitted (every
+   other occurrence gets a cached replay), and the key's job.  The
+   job's result stays in its task until the key's last slot is served:
+   an occurrence queued while the job ran falls back to it when the
+   memo was flushed in between. *)
+type waiting = {
+  mutable slots : int;
+  mutable fresh : bool;
+  task : Robust.attempt Planner.task;
+}
 
 (* In-order output slots: a Direct gate, an exact word, a word the memo
    already held when the rotation was resolved, or a rotation awaiting
@@ -395,10 +399,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
      result is dropped. *)
   let release key w =
     w.slots <- w.slots - 1;
-    if w.slots = 0 then begin
-      Hashtbl.remove waiting key;
-      Planner.forget pool key
-    end
+    if w.slots = 0 then Hashtbl.remove waiting key
   in
   (* Emit the FIFO head if its result is available.  The memo is only
      ever touched on this domain, in input and emission order, so cache
@@ -423,7 +424,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
             release p.key w;
             serve ~replay:true p e qubits
         | None -> (
-            match Planner.find pool p.key with
+            match Planner.result pool w.task with
             | Some (Ok a) ->
                 let replay = not w.fresh in
                 w.fresh <- false;
@@ -444,7 +445,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
      none queued, block until it lands. *)
   let wait_for_head () =
     drain_ready ();
-    match Queue.peek_opt out with Some (Rotation (p, _, _)) -> Planner.help pool p.key | _ -> ()
+    match Queue.peek_opt out with Some (Rotation (_, _, w)) -> Planner.help pool w.task | _ -> ()
   in
   let resolution g =
     match Gate_table.find resolved g with
@@ -487,12 +488,13 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
                 | None ->
                     Obs.incr c_memo_miss;
                     incr unique;
-                    let w = { slots = 1; fresh = true } in
-                    Hashtbl.add waiting p.key w;
-                    if Planner.submit pool p.key (job p.target) then begin
+                    let task, full = Planner.submit pool (job p.target) in
+                    if full then begin
                       incr waits;
                       Obs.incr c_bp_waits
                     end;
+                    let w = { slots = 1; fresh = true; task } in
+                    Hashtbl.add waiting p.key w;
                     w
               in
               Queue.push (Rotation (p, g.Circuit.qubits, w)) out)

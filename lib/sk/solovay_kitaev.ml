@@ -118,19 +118,11 @@ let adjoint_word seq =
 type result = { seq : Ctgate.t list; mat : Mat2.t; distance : float }
 
 (* Nearest element of the base ε-net (the step-0 table): the first
-   entry at the least distance, scanned over the planes fetched once. *)
+   entry at the least distance. *)
 let base_approx table target =
-  let { Ma_table.re; im } = Ma_table.planes table in
-  let best = ref (-1) and best_d = ref infinity in
-  for i = 0 to Ma_table.size table - 1 do
-    let d = Mat2.distance_at target re im (4 * i) in
-    if !best < 0 || not (!best_d <= d) then begin
-      best := i;
-      best_d := d
-    end
-  done;
-  if !best < 0 then invalid_arg "Solovay_kitaev: empty base table";
-  { seq = Ma_table.word table !best; mat = Ma_table.mat table !best; distance = !best_d }
+  let best, distance = Ma_table.nearest table target in
+  if best < 0 then invalid_arg "Solovay_kitaev: empty base table";
+  { seq = Ma_table.word table best; mat = Ma_table.mat table best; distance }
 
 let rec synthesize_depth table target depth =
   if depth = 0 then base_approx table target

@@ -219,12 +219,6 @@ type t = {
   mutable seg_name : string;  (* segment receiving appends *)
   mutable seg_bytes : int;
   mutable seg_oc : out_channel option;
-  (* per-store mirrors of the process-global counters, for stats_json *)
-  mutable n_hits : int;
-  mutable n_misses : int;
-  mutable n_puts : int;
-  mutable n_puts_dropped : int;
-  mutable n_rejected : int;
   mutex : Mutex.t;
 }
 
@@ -457,11 +451,6 @@ let open_store ?(readonly = false) ?(segment_max_bytes = 4 * 1024 * 1024) dir =
             seg_name = seg_name_of 0;
             seg_bytes = 0;
             seg_oc = None;
-            n_hits = 0;
-            n_misses = 0;
-            n_puts = 0;
-            n_puts_dropped = 0;
-            n_rejected = 0;
             mutex = Mutex.create ();
           }
         in
@@ -577,13 +566,9 @@ let degrade t =
   t.seg_oc <- None;
   Obs.set_gauge g_degraded 1.0
 
-let drop_put t =
-  Obs.incr c_put_dropped;
-  t.n_puts_dropped <- t.n_puts_dropped + 1
-
 let put t e =
   locked t @@ fun () ->
-  if t.readonly || t.degraded || t.closed then drop_put t
+  if t.readonly || t.degraded || t.closed then Obs.incr c_put_dropped
   else begin
     let payload = entry_payload e in
     let fr = frame payload in
@@ -598,11 +583,10 @@ let put t e =
           t.seg_bytes <- t.seg_bytes + String.length bytes;
           index_insert t e;
           Obs.incr c_put;
-          t.n_puts <- t.n_puts + 1;
           update_gauges t
       | exception Sys_error _ ->
           degrade t;
-          drop_put t
+          Obs.incr c_put_dropped
     in
     match Robust.Fault.draw "store.append" ~key:(fun () -> cell_key e.gate_set e.target) with
     | Some Robust.Fault.Torn ->
@@ -617,11 +601,11 @@ let put t e =
            t.seg_bytes <- t.seg_bytes + half
          with Sys_error _ -> ());
         degrade t;
-        drop_put t
+        Obs.incr c_put_dropped
     | Some (Robust.Fault.Enospc | Robust.Fault.Fail) ->
         Obs.incr c_faults;
         degrade t;
-        drop_put t
+        Obs.incr c_put_dropped
     | Some Robust.Fault.Corrupt ->
         (* Flip a payload byte on the way to disk while indexing the
            good copy — a latent flip for the next recovery scan (or the
@@ -660,14 +644,12 @@ let lookup t ?(gate_set = default_gate_set) ~epsilon target =
   locked t @@ fun () ->
   let miss () =
     Obs.incr c_miss;
-    t.n_misses <- t.n_misses + 1;
     None
   in
   let count_hit (e : entry) =
     Obs.incr c_hit;
     Obs.incr
-      (if bucket_of_eps e.distance = bucket_of_eps epsilon then c_hit_exact else c_hit_bucket);
-    t.n_hits <- t.n_hits + 1
+      (if bucket_of_eps e.distance = bucket_of_eps epsilon then c_hit_exact else c_hit_bucket)
   in
   match Hashtbl.find_opt t.index (cell_key gate_set target) with
   | None -> miss ()
@@ -697,7 +679,6 @@ let lookup t ?(gate_set = default_gate_set) ~epsilon target =
                 cell := List.filter (fun e' -> e' != e) !cell;
                 t.live <- t.live - 1;
                 Obs.incr c_reject;
-                t.n_rejected <- t.n_rejected + 1;
                 log_rejection t e "read-path re-verification failed";
                 update_gauges t;
                 pick ())
@@ -712,6 +693,7 @@ let stats_json t =
   locked t @@ fun () ->
   let open Obs.Json in
   let r = t.recovery in
+  let count c = Num (float_of_int (Obs.counter_value c)) in
   Obj
     [
       ("schema", Str "tgates-store-stats/v1");
@@ -720,11 +702,11 @@ let stats_json t =
       ("segments", Num (float_of_int t.segments));
       ("readonly", Bool t.readonly);
       ("degraded", Bool t.degraded);
-      ("hits", Num (float_of_int t.n_hits));
-      ("misses", Num (float_of_int t.n_misses));
-      ("puts", Num (float_of_int t.n_puts));
-      ("puts_dropped", Num (float_of_int t.n_puts_dropped));
-      ("read_verify_rejected", Num (float_of_int t.n_rejected));
+      ("hits", count c_hit);
+      ("misses", count c_miss);
+      ("puts", count c_put);
+      ("puts_dropped", count c_put_dropped);
+      ("read_verify_rejected", count c_reject);
       ( "recovery",
         Obj
           [

@@ -168,7 +168,11 @@ val entries : t -> entry list
 
 val stats_json : t -> Obs.Json.t
 (** One-object summary (records, segments, hits/misses/puts, degraded
-    flag, recovery counts) — what the server's [stats] op returns. *)
+    flag, recovery counts) — what the server's [stats] op returns.
+    The records, segments, flags and recovery counts are this store's;
+    the hits, misses, puts, dropped puts and read-path rejections are
+    the process's [store.hit], [store.miss], [store.put],
+    [store.put.dropped] and [store.read_verify.rejected] counters. *)
 
 (** {1 Framing internals (exposed for tests)} *)
 

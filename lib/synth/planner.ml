@@ -9,17 +9,16 @@ let c_domains = Obs.counter "obs.planner.domains"
 let g_queue_depth = Obs.gauge "obs.planner.queue_depth"
 
 type 'r task = {
-  key : string;
   ctx : Obs.request_ctx option;
   work : unit -> ('r, Robust.failure) result;
+  mutable result : ('r, Robust.failure) result option;  (* under the pool's lock *)
 }
 
 type 'r pool = {
   max_domains : int;
   capacity : int;
   queue : 'r task Queue.t;
-  results : (string, ('r, Robust.failure) result) Hashtbl.t;
-  lock : Mutex.t;  (* guards [queue], [results] and [closed] *)
+  lock : Mutex.t;  (* guards [queue], the tasks' results and [closed] *)
   queued : Condition.t;  (* a task was queued, or the pool closed *)
   landed : Condition.t;  (* a result was posted *)
   mutable closed : bool;
@@ -59,7 +58,6 @@ let create ~jobs ~queue () =
     max_domains = jobs;
     capacity = Int.max 1 queue;
     queue = Queue.create ();
-    results = Hashtbl.create (Int.max 16 queue);
     lock = Mutex.create ();
     queued = Condition.create ();
     landed = Condition.create ();
@@ -97,7 +95,7 @@ let run_job (g_busy, c_done) ctx work =
 let run_task p meters t =
   let r = run_job meters t.ctx t.work in
   Mutex.lock p.lock;
-  Hashtbl.replace p.results t.key r;
+  t.result <- Some r;
   Condition.broadcast p.landed;
   Mutex.unlock p.lock
 
@@ -126,15 +124,15 @@ let worker p i () =
       in
       loop ())
 
-let submit p ?ctx key work =
+let submit p ?ctx work =
   Obs.incr c_jobs;
+  let t = { ctx; work; result = None } in
   if p.max_domains <= 1 then begin
     (* No other domain ever touches this pool. *)
-    Hashtbl.replace p.results key (run_job caller_meters ctx work);
-    false
+    t.result <- Some (run_job caller_meters ctx work);
+    (t, false)
   end
   else begin
-    let t = { key; ctx; work } in
     p.submitted <- p.submitted + 1;
     (* Workers start as jobs arrive, one per job beyond the first, up
        to [jobs − 1]: a pool that gets at most one job spawns none and
@@ -163,35 +161,30 @@ let submit p ?ctx key work =
         offer true
       end
     in
-    offer false
+    (t, offer false)
   end
 
 (* At one domain nothing else touches the pool, so no lock is taken. *)
-let find p key =
+let result p t =
   if p.max_domains > 1 then Mutex.lock p.lock;
-  let r = Hashtbl.find_opt p.results key in
+  let r = t.result in
   if p.max_domains > 1 then Mutex.unlock p.lock;
   r
 
-let forget p key =
+let help p t =
   Mutex.lock p.lock;
-  Hashtbl.remove p.results key;
-  Mutex.unlock p.lock
-
-let help p key =
-  Mutex.lock p.lock;
-  if Hashtbl.mem p.results key then Mutex.unlock p.lock
+  if Option.is_some t.result then Mutex.unlock p.lock
   else
     match take p with
-    | Some t ->
+    | Some q ->
         Mutex.unlock p.lock;
-        run_task p caller_meters t
+        run_task p caller_meters q
     | None when p.workers = [] ->
-        (* Nothing queued and nothing running: [key] can never land. *)
+        (* Nothing queued and nothing running: [t] can never land. *)
         Mutex.unlock p.lock;
-        invalid_arg ("Planner.help: no job pending under " ^ key)
+        invalid_arg "Planner.help: the task was not submitted to this pool"
     | None ->
-        while not (Hashtbl.mem p.results key) do
+        while Option.is_none t.result do
           Condition.wait p.landed p.lock
         done;
         Mutex.unlock p.lock
@@ -233,12 +226,17 @@ let execute ?jobs ?(deadline = Obs.Deadline.none) ?ctx ~run plan =
   Obs.span "planner.execute" (fun () ->
       let p = create ~jobs:(Int.max 1 (Int.min requested n_jobs)) ~queue:(Int.max 1 n_jobs) () in
       Fun.protect ~finally:(fun () -> finish p) @@ fun () ->
-      Array.iter
-        (fun (j : _ job) ->
-          let ctx = Option.bind ctx (fun f -> f j.target) in
-          ignore (submit p ?ctx j.key (fun () -> run ~deadline j.target) : bool))
-        plan.jobs;
-      Array.iter
-        (fun (j : _ job) -> while Option.is_none (find p j.key) do help p j.key done)
-        plan.jobs;
-      p.results)
+      let tasks =
+        Array.map
+          (fun (j : _ job) ->
+            let ctx = Option.bind ctx (fun f -> f j.target) in
+            fst (submit p ?ctx (fun () -> run ~deadline j.target)))
+          plan.jobs
+      in
+      let results = Hashtbl.create n_jobs in
+      Array.iter2
+        (fun (j : _ job) t ->
+          let rec await () = match result p t with Some r -> r | None -> help p t; await () in
+          Hashtbl.replace results j.key (await ()))
+        plan.jobs tasks;
+      results)

@@ -7,8 +7,8 @@
     bounded job queue, worker domains started on demand (one per job
     beyond the first, up to [jobs − 1]; none at [jobs] 1, where a job
     runs inline as it is submitted), and a caller that runs queued jobs
-    instead of blocking.  Results are keyed by job, so they do not
-    depend on domain count or scheduling.  A raising job fails alone:
+    instead of blocking.  Each job's result lands in its {!task}, so it
+    does not depend on domain count or scheduling.  A raising job fails alone:
     [Robust.Failure_exn f] lands as [Error f], any other exception as a
     [Backend_error] carrying its text.  Once a worker exists every
     domain of the pool gets a 4M-word minor heap (each minor collection
@@ -32,29 +32,29 @@
 type 'r pool
 (** A pool whose jobs return [('r, Robust.failure) result]. *)
 
+type 'r task
+(** One submitted job: the handle its result is read through. *)
+
 val create : jobs:int -> queue:int -> unit -> 'r pool
 (** A pool of at most [jobs] domains (the caller included) whose queue
     holds at most [queue] jobs (both at least 1).  Counts the caller in
     [obs.planner.domains]. *)
 
 val submit :
-  'r pool -> ?ctx:Obs.request_ctx -> string -> (unit -> ('r, Robust.failure) result) -> bool
-(** [submit p ?ctx key job] queues [job] under [key] — or at [jobs] 1
-    runs it here — and returns [true] when the queue was full, so the
-    caller ran queued jobs itself before this one fit.  Keys of jobs
-    whose results have not been {!forget}ed must be distinct. *)
+  'r pool -> ?ctx:Obs.request_ctx -> (unit -> ('r, Robust.failure) result) -> 'r task * bool
+(** [submit p ?ctx job] queues [job] — or at [jobs] 1 runs it here —
+    and returns its task, with [true] when the queue was full, so the
+    caller ran queued jobs itself before this one fit.  The pool writes
+    the task's result under its lock. *)
 
-val find : 'r pool -> string -> ('r, Robust.failure) result option
-(** The result of the job submitted under [key], once it has landed. *)
+val result : 'r pool -> 'r task -> ('r, Robust.failure) result option
+(** The task's result, once it has landed. *)
 
-val forget : 'r pool -> string -> unit
-(** Drop [key]'s result. *)
-
-val help : 'r pool -> string -> unit
+val help : 'r pool -> 'r task -> unit
 (** Run one queued job on the caller; with none queued, block until
-    [key]'s result lands.
+    the task's result lands.
     @raise Invalid_argument when nothing is queued, no worker exists and
-    [key] has no result — it was never submitted, or was forgotten. *)
+    the task has no result — it was submitted to another pool. *)
 
 val finish : 'r pool -> unit
 (** Close the pool, let the workers drain the queue, join them, and
@@ -83,7 +83,7 @@ val execute :
   (string, ('b, Robust.failure) result) Hashtbl.t
 (** Run every job of the plan on a pool inside a ["planner.execute"]
     span and return the results keyed by job key: submit every job,
-    help until every key has landed, finish.
+    help until every task has landed, finish.
 
     [jobs] is the requested domain count (default
     [Domain.recommended_domain_count ()]), clamped to \[1, #jobs\], so

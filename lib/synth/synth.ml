@@ -50,29 +50,14 @@ let config ?(deadline = Obs.Deadline.none) ?(gate_set = Gateset.default)
 let gate_set_name cfg = cfg.gate_set.Gateset.name
 
 (* ------------------------------------------------------------------ *)
-(* The backend signature and the four adapters                         *)
+(* The backend record and the four adapters                            *)
 (* ------------------------------------------------------------------ *)
 
-module type BACKEND = sig
-  val name : string
-
-  val supports_gate_set : string -> bool
-  (* Which alphabets the backend can emit words over.  Exact-arithmetic
-     backends (gridsynth, synthetiq, sk) are Clifford+T-native; trasyn
-     samples whatever step-0 table the gate set resolves to. *)
-
-  val synthesize : target -> config -> (Ctgate.t list * float, Robust.failure) result
-end
-
-type backend = (module BACKEND)
-
-let backend_name (b : backend) =
-  let module B = (val b) in
-  B.name
-
-let backend_supports (b : backend) gate_set =
-  let module B = (val b) in
-  B.supports_gate_set gate_set
+type backend = {
+  name : string;
+  supports_gate_set : string -> bool;
+  synthesize : target -> config -> (Ctgate.t list * float, Robust.failure) result;
+}
 
 (* Convert the backends' native exception vocabulary to the structured
    taxonomy right at the adapter boundary: the one place a backend
@@ -85,96 +70,75 @@ let wrap name f =
   | exception Invalid_argument msg -> Error (Robust.Backend_error (name ^ ": " ^ msg))
   | exception Failure msg -> Error (Robust.Backend_error (name ^ ": " ^ msg))
 
-module Trasyn_backend : BACKEND = struct
-  let name = "trasyn"
+(* [supports_gate_set] says which alphabets the backend can emit words
+   over.  Exact-arithmetic backends (gridsynth, synthetiq, sk) are
+   Clifford+T-native; trasyn samples whatever step-0 table the gate set
+   resolves to. *)
+let adapter name supports_gate_set run =
+  { name; supports_gate_set; synthesize = (fun target cfg -> wrap name (fun () -> run target cfg)) }
 
-  (* Any registered alphabet: [Ma_table.get_for] enumerates its step-0
-     table on first use. *)
-  let supports_gate_set _ = true
+(* Any registered alphabet: [Ma_table.get_for] enumerates its step-0
+   table on first use. *)
+let trasyn_backend =
+  adapter "trasyn"
+    (fun _ -> true)
+    (fun target cfg ->
+      let tconf = { cfg.trasyn with Trasyn.gate_set = gate_set_name cfg } in
+      let r =
+        Trasyn.to_error ~config:tconf ~attempts:cfg.trasyn_attempts ~selection:`Min_t ~t_slack:2
+          ~target:(target_mat2 target) ~budgets:cfg.trasyn_budgets ~epsilon:cfg.epsilon ()
+      in
+      (r.Trasyn.seq, r.Trasyn.distance))
 
-  let synthesize target cfg =
-    let m = target_mat2 target in
-    wrap name (fun () ->
-        let tconf = { cfg.trasyn with Trasyn.gate_set = gate_set_name cfg } in
-        let r =
-          Trasyn.to_error ~config:tconf ~attempts:cfg.trasyn_attempts ~selection:`Min_t
-            ~t_slack:2 ~target:m ~budgets:cfg.trasyn_budgets ~epsilon:cfg.epsilon ()
-        in
-        (r.Trasyn.seq, r.Trasyn.distance))
-end
+let clifford_t = String.equal "cliffordt"
 
-module Gridsynth_backend : BACKEND = struct
-  let name = "gridsynth"
+(* Native domain is a single Rz word; [Unitary] targets still work,
+   routed through the Eq. (1) Euler-angle decomposition (three Rz
+   syntheses at ε/3) inside [Gridsynth.u3]. *)
+let gridsynth_backend =
+  adapter "gridsynth" clifford_t (fun target cfg ->
+      match target with
+      | Rz theta ->
+          let r =
+            Gridsynth.rz ?max_extra_n:cfg.gs_max_extra_n ?candidates_per_n:cfg.gs_candidates_per_n
+              ~deadline:cfg.deadline ~theta ~epsilon:cfg.epsilon ()
+          in
+          (r.Gridsynth.seq, r.Gridsynth.distance)
+      | Unitary m ->
+          let theta, phi, lam = Mat2.to_u3_angles m in
+          let r =
+            Gridsynth.u3 ?max_extra_n:cfg.gs_max_extra_n ~deadline:cfg.deadline ~theta ~phi ~lam
+              ~epsilon:cfg.epsilon ()
+          in
+          (r.Gridsynth.seq, r.Gridsynth.distance))
 
-  (* Native domain is a single Rz word; [Unitary] targets still work,
-     routed through the Eq. (1) Euler-angle decomposition (three Rz
-     syntheses at ε/3) inside [Gridsynth.u3]. *)
-  let supports_gate_set = String.equal "cliffordt"
+let synthetiq_backend =
+  adapter "synthetiq" clifford_t (fun target cfg ->
+      let time_limit = Float.min cfg.synthetiq_seconds (Obs.Deadline.remaining_s cfg.deadline) in
+      let r =
+        Synthetiq.synthesize ~seed:cfg.synthetiq_seed ~time_limit ~target:(target_mat2 target)
+          ~epsilon:cfg.epsilon ()
+      in
+      match r.Synthetiq.seq with
+      | Some seq -> (seq, r.Synthetiq.distance)
+      | None -> Robust.fail Robust.Budget_exhausted)
 
-  let synthesize target cfg =
-    wrap name (fun () ->
-        match target with
-        | Rz theta ->
-            let r =
-              Gridsynth.rz ?max_extra_n:cfg.gs_max_extra_n
-                ?candidates_per_n:cfg.gs_candidates_per_n ~deadline:cfg.deadline ~theta
-                ~epsilon:cfg.epsilon ()
-            in
-            (r.Gridsynth.seq, r.Gridsynth.distance)
-        | Unitary m ->
-            let theta, phi, lam = Mat2.to_u3_angles m in
-            let r =
-              Gridsynth.u3 ?max_extra_n:cfg.gs_max_extra_n ~deadline:cfg.deadline ~theta ~phi
-                ~lam ~epsilon:cfg.epsilon ()
-            in
-            (r.Gridsynth.seq, r.Gridsynth.distance))
-end
-
-module Synthetiq_backend : BACKEND = struct
-  let name = "synthetiq"
-
-  let supports_gate_set = String.equal "cliffordt"
-
-  let synthesize target cfg =
-    let m = target_mat2 target in
-    wrap name (fun () ->
-        let time_limit =
-          Float.min cfg.synthetiq_seconds (Obs.Deadline.remaining_s cfg.deadline)
-        in
-        let r =
-          Synthetiq.synthesize ~seed:cfg.synthetiq_seed ~time_limit ~target:m
-            ~epsilon:cfg.epsilon ()
-        in
-        match r.Synthetiq.seq with
-        | Some seq -> (seq, r.Synthetiq.distance)
-        | None -> Robust.fail Robust.Budget_exhausted)
-end
-
-module Sk_backend : BACKEND = struct
-  let name = "sk"
-
-  let supports_gate_set = String.equal "cliffordt"
-
-  let synthesize target cfg =
-    let m = target_mat2 target in
-    wrap name (fun () ->
-        let r =
-          Solovay_kitaev.synthesize_to ?max_depth:cfg.sk_max_depth ~epsilon:cfg.epsilon m
-        in
-        (r.Solovay_kitaev.seq, r.Solovay_kitaev.distance))
-end
+let sk_backend =
+  adapter "sk" clifford_t (fun target cfg ->
+      let r =
+        Solovay_kitaev.synthesize_to ?max_depth:cfg.sk_max_depth ~epsilon:cfg.epsilon
+          (target_mat2 target)
+      in
+      (r.Solovay_kitaev.seq, r.Solovay_kitaev.distance))
 
 (* ------------------------------------------------------------------ *)
 (* The backends                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let trasyn_backend : backend = (module Trasyn_backend)
-let gridsynth_backend : backend = (module Gridsynth_backend)
-let sk_backend : backend = (module Sk_backend)
-let backends = [ trasyn_backend; gridsynth_backend; (module Synthetiq_backend); sk_backend ]
+let backends = [ trasyn_backend; gridsynth_backend; synthetiq_backend; sk_backend ]
 let all () = backends
-let find name = List.find_opt (fun b -> backend_name b = name) backends
-let known () = String.concat ", " (List.map backend_name backends)
+let find name = List.find_opt (fun b -> b.name = name) backends
+let known () = String.concat ", " (List.map (fun b -> b.name) backends)
 
 let find_exn name =
   match find name with
@@ -195,7 +159,7 @@ type rung_spec = {
 }
 
 let rung ?name ?(eps_scale = 1.0) ?(eps_floor = 0.0) ?(tweak = Fun.id) backend =
-  let rung_name = match name with Some n -> n | None -> backend_name backend in
+  let rung_name = match name with Some n -> n | None -> backend.name in
   { rung_name; backend; eps_scale; eps_floor; tweak }
 
 let chain_id chain = String.concat "," (List.map (fun s -> s.rung_name) chain)
@@ -308,7 +272,7 @@ let store () = Atomic.get store_ref
    so a non-Clifford+T request falls through gridsynth/sk straight to
    the table-driven backends instead of getting a wrong-alphabet word. *)
 let usable cfg chain =
-  List.filter (fun spec -> backend_supports spec.backend (gate_set_name cfg)) chain
+  List.filter (fun spec -> spec.backend.supports_gate_set (gate_set_name cfg)) chain
 
 let ledger_record ?(request_id = "") ~config:cfg chain target ~source ~wall_s result =
   let base =
@@ -389,8 +353,8 @@ let run_rungs ~exec ~deadline ~config:base chain target =
               Obs.incr c_faults;
               Error (Robust.Backend_error (spec.rung_name ^ ": injected failure"))
           | _ -> (
-              let module B = (val spec.backend) in
-              match B.synthesize target (spec.tweak { base with epsilon = eps; deadline }) with
+              let cfg = spec.tweak { base with epsilon = eps; deadline } in
+              match spec.backend.synthesize target cfg with
               | Error _ as e -> e
               | Ok (word, claimed) ->
                   (* Prepending an X changes the word's unitary by a full

@@ -2,10 +2,9 @@
     per-rotation synthesis in the compiler goes through here.
 
     The four concrete engines (TRASYN, GRIDSYNTH, SYNTHETIQ,
-    Solovay–Kitaev) are wrapped as first-class modules of one
-    {!BACKEND} signature in a constant list ({!find} / {!all}), so the
-    pipeline, the CLIs, and the benches never name a backend module —
-    they name backends, and a [--backend-chain trasyn,gridsynth,sk]
+    Solovay–Kitaev) are {!backend} values in a constant list ({!find} /
+    {!all}), so the pipeline, the CLIs, and the benches never name a
+    backend module — they name backends, and a [--backend-chain trasyn,gridsynth,sk]
     flag can rebuild any ladder at run time ({!parse_chain}).
 
     Fallback ladders are plain data: a chain is a [rung_spec list]
@@ -61,34 +60,24 @@ val config :
 val gate_set_name : config -> string
 (** [config.gate_set.Gateset.name]. *)
 
-(** {1 The backend signature} *)
+(** {1 Backends} *)
 
-module type BACKEND = sig
-  val name : string
-  (** lookup key, counter suffix, fault-injection key *)
-
-  val supports_gate_set : string -> bool
-  (** Which alphabets the engine can emit words over.  The exact
-      -arithmetic engines (gridsynth, synthetiq, sk) are Clifford+T
-      -native; trasyn samples whatever step-0 table the gate set
-      resolves to ([Ma_table.get_for]). *)
-
-  val synthesize : target -> config -> (Ctgate.t list * float, Robust.failure) result
-  (** Produce (word, claimed distance) or a structured failure, never
-      an exception: the built-in adapters turn their engine's
-      exceptions into [Backend_error].  The claim is {e not} trusted:
-      {!run_chain} re-verifies every word through [Robust.verify]
-      before accepting it.  GRIDSYNTH serves a [Unitary] target through
-      the Eq. (1) Euler-angle decomposition (three Rz syntheses at
-      ε/3). *)
-end
-
-type backend = (module BACKEND)
-
-val backend_name : backend -> string
-
-val backend_supports : backend -> string -> bool
-(** [backend_supports b gs] = [B.supports_gate_set gs]. *)
+type backend = {
+  name : string;  (** lookup key, counter suffix, fault-injection key *)
+  supports_gate_set : string -> bool;
+      (** Which alphabets the engine can emit words over.  The exact
+          -arithmetic engines (gridsynth, synthetiq, sk) are Clifford+T
+          -native; trasyn samples whatever step-0 table the gate set
+          resolves to ([Ma_table.get_for]). *)
+  synthesize : target -> config -> (Ctgate.t list * float, Robust.failure) result;
+      (** Produce (word, claimed distance) or a structured failure, never
+          an exception: the built-in adapters turn their engine's
+          exceptions into [Backend_error].  The claim is {e not} trusted:
+          {!run_chain} re-verifies every word through [Robust.verify]
+          before accepting it.  GRIDSYNTH serves a [Unitary] target
+          through the Eq. (1) Euler-angle decomposition (three Rz
+          syntheses at ε/3). *)
+}
 
 (** {1 The backends} *)
 

@@ -97,8 +97,7 @@ let rung_of_spec ~config:(base : Synth.config) ~target (spec : Synth.rung_spec) 
     run =
       (fun deadline ->
         let cfg = spec.Synth.tweak { base with Synth.epsilon = eps; deadline } in
-        let module B = (val spec.Synth.backend) in
-        match B.synthesize target cfg with
+        match spec.Synth.backend.synthesize target cfg with
         | Ok (word, distance) -> (word, distance)
         | Error f -> Robust.fail f);
   }
@@ -111,7 +110,7 @@ let run_chain ?deadline ~config:(cfg : Synth.config) chain target =
   in
   Obs.incr c_rotations;
   let gs = Synth.gate_set_name cfg in
-  let usable = List.filter (fun spec -> Synth.backend_supports spec.Synth.backend gs) chain in
+  let usable = List.filter (fun spec -> spec.Synth.backend.supports_gate_set gs) chain in
   if usable = [] then
     Error
       (Robust.Backend_error

@@ -1,10 +1,10 @@
 (* server_smoke: end-to-end gate on the server's health telemetry,
    wired into @runtest (and @telemetry):
 
-   1. start serve_cli on a Unix-domain socket with --store, --ledger
-      and --trace, and drive it with live traffic (ping, two rz singles,
-      a batch repeating an angle of a single and one of its own, a u3
-      single, which TRASYN must answer, stats, shutdown);
+   1. start serve_cli on a Unix-domain socket with --store, --ledger,
+      --trace and --prom-out, and drive it with live traffic (ping, two
+      rz singles, a batch repeating an angle of a single and one of its
+      own, a u3 single, which TRASYN must answer, stats, shutdown);
    2. the stats response must be a tgates-server-stats/v1 snapshot with
       a trace_id, positive uptime_s, reconciling per-command counters,
       populated latency/queue-wait quantiles (p50 through p999) and a
@@ -14,7 +14,10 @@
       reconcile;
    4. `tgates-trace requests` on the server's trace must reassemble
       exactly the synthesis requests (batch elements folded under their
-      batch) and pass a loose --fail-above latency gate.
+      batch) and pass a loose --fail-above latency gate;
+   5. the exposition the server leaves at exit must count the traffic
+      as the stats op does: every request line sent, every rotation
+      answered ok (singles and batch elements alike), the rz singles.
 
    The executables arrive as argv: SERVE_CLI TRACE_CLI. *)
 
@@ -50,6 +53,7 @@ let () =
   let ledger_path = Filename.concat dir "ledger.jsonl" in
   let trace_path = Filename.concat dir "trace.jsonl" in
   let log_path = Filename.concat dir "serve.log" in
+  let prom_path = Filename.concat dir "metrics.prom" in
 
   (* 1: the server child on a socket, with every telemetry sink armed. *)
   let log_fd = Unix.openfile log_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
@@ -58,7 +62,7 @@ let () =
     Unix.create_process serve_cli
       [|
         serve_cli; "--socket"; sock_path; "--store"; store_dir; "--ledger"; ledger_path;
-        "--trace"; trace_path; "--epsilon"; "0.3"; "-j"; "2";
+        "--trace"; trace_path; "--prom-out"; prom_path; "--epsilon"; "0.3"; "-j"; "2";
       |]
       null_fd Unix.stdout log_fd
   in
@@ -99,7 +103,9 @@ let () =
     | exception Unix.Unix_error (e, _, _) -> die "connect: %s" (Unix.error_message e)
   in
   connect 100;
+  let lines_sent = ref 0 in
   let send line =
+    incr lines_sent;
     let line = line ^ "\n" in
     let rec go off =
       if off < String.length line then
@@ -160,8 +166,8 @@ let () =
   (* A u3 runs the engine's U3 ladder, TRASYN first. *)
   if str (resp 6) "backend" <> Some "trasyn" then
     die "u3 not answered by trasyn: %s" (J.to_string (resp 6));
-  (* The request_ids of every synthesized rotation: the three singles
-     plus the batch's per-element ids. *)
+  (* The request_ids of every synthesized rotation, all answered ok: the
+     three singles plus the batch's per-element ids. *)
   let rotation_rids = ref [ req_id (resp 1); req_id (resp 2); req_id (resp 6) ] in
   (match J.member "results" (resp 3) with
   | Some (J.Arr rs) ->
@@ -275,6 +281,28 @@ let () =
   in
   if not (contains rendered "server.request") then
     die "requests output carries no server.request span:\n%s" rendered;
+
+  (* 5: the final exposition counts what was sent and answered. *)
+  let exposed name =
+    let prefix = name ^ " " in
+    match
+      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' (read_file prom_path))
+    with
+    | Some l ->
+        let k = String.length prefix in
+        int_of_string (String.sub l k (String.length l - k))
+    | None -> die "the exposition has no %s" name
+    | exception Sys_error e -> die "no exposition: %s" e
+  in
+  List.iter
+    (fun (name, want) ->
+      let got = exposed name in
+      if got <> want then die "exposition %s = %d, traffic says %d" name got want)
+    [
+      ("tgates_server_requests", !lines_sent);
+      ("tgates_server_served", List.length !rotation_rids);
+      ("tgates_server_requests_rz", 2);
+    ];
 
   rm_rf dir;
   print_endline "server_smoke: OK"

@@ -8,7 +8,7 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let make_server ?(cfg = Server.default_config) () =
+let make_server ?store ?(cfg = Server.default_config) () =
   let out = ref [] in
   let m = Mutex.create () in
   let emit s =
@@ -16,10 +16,20 @@ let make_server ?(cfg = Server.default_config) () =
     out := s :: !out;
     Mutex.unlock m
   in
-  let t = Server.create ~emit cfg in
+  let t = Server.create ?store ~emit cfg in
   (t, fun () -> List.rev !out)
 
 let cval name = Obs.counter_value (Obs.counter name)
+
+(* The [stats] object of a stats op sent to [t] now. *)
+let stats_op t out =
+  ignore (Server.submit_line t {|{"op":"stats","id":"s"}|});
+  match List.rev (out ()) with
+  | last :: _ -> (
+      match Result.map (Obs.Json.member "stats") (Obs.Json.parse last) with
+      | Ok (Some s) -> s
+      | _ -> Alcotest.failf "not a stats response: %s" last)
+  | [] -> Alcotest.fail "no stats response"
 
 let suite =
   [
@@ -73,6 +83,7 @@ let suite =
         | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
     Alcotest.test_case "request ids thread through responses, stats and the slowest ring" `Quick
       (fun () ->
+        Obs.reset ();
         let t, out = make_server () in
         ignore (Server.submit_line t {|{"op":"rz","id":1,"theta":0.37,"epsilon":0.3}|});
         ignore
@@ -90,7 +101,7 @@ let suite =
         Alcotest.(check bool) "uptime positive" true (Server.uptime_s t > 0.0);
         (* After drain every worker has recorded its telemetry, so the
            snapshot must reconcile with the traffic just sent. *)
-        let stats = Server.stats_json t in
+        let stats = stats_op t out in
         let num path =
           let rec go j = function
             | [] -> ( match j with Obs.Json.Num f -> f | _ -> Alcotest.fail "not a number")
@@ -105,12 +116,72 @@ let suite =
         Alcotest.(check int) "queue_wait count" 2 (int_of_float (num [ "queue_wait"; "count" ]));
         Alcotest.(check int) "commands.rz" 1 (int_of_float (num [ "commands"; "rz" ]));
         Alcotest.(check int) "commands.batch" 1 (int_of_float (num [ "commands"; "batch" ]));
+        Alcotest.(check int) "commands.stats" 1 (int_of_float (num [ "commands"; "stats" ]));
+        Alcotest.(check int) "rotations under cliffordt" 3
+          (int_of_float (num [ "gate_sets"; "cliffordt" ]));
+        (* Every count is the registry's: the totals, each entry of the
+           per-name objects and every nonzero counter under their
+           prefixes, and the latency count. *)
+        List.iter
+          (fun k -> Alcotest.(check int) k (cval ("server." ^ k)) (int_of_float (num [ k ])))
+          [ "requests"; "served"; "failed"; "shed"; "retries" ];
+        Alcotest.(check (list int)) "totals" [ 3; 3; 0; 0; 0 ]
+          (List.map (fun k -> int_of_float (num [ k ])) [ "requests"; "served"; "failed"; "shed"; "retries" ]);
+        List.iter
+          (fun (field, prefix) ->
+            let fields =
+              match Obs.Json.member field stats with
+              | Some (Obs.Json.Obj kvs) -> List.map fst kvs
+              | _ -> Alcotest.failf "stats without %s object" field
+            in
+            let registry =
+              List.filter_map
+                (function
+                  | name, Obs.Counter_value n when n > 0 && String.starts_with ~prefix name ->
+                      Some (String.sub name (String.length prefix) (String.length name - String.length prefix))
+                  | _ -> None)
+                (Obs.dump ())
+            in
+            Alcotest.(check (list string)) (field ^ " names") registry fields;
+            List.iter
+              (fun k ->
+                Alcotest.(check int) (field ^ "." ^ k) (cval (prefix ^ k))
+                  (int_of_float (num [ field; k ])))
+              fields)
+          [ ("commands", "server.requests."); ("errors", "server.errors.");
+            ("gate_sets", "server.rotations.") ];
+        Alcotest.(check int) "latency count = the registry's"
+          (Obs.summarize (Obs.histogram "server.request.duration_s")).Obs.count
+          (int_of_float (num [ "latency"; "count" ]));
         Alcotest.(check bool) "quantiles ordered" true
           (num [ "latency"; "p999_s" ] >= num [ "latency"; "p50_s" ]);
         match Obs.Json.member "slowest" stats with
         | Some (Obs.Json.Arr exemplars) ->
             Alcotest.(check int) "slowest ring holds both requests" 2 (List.length exemplars)
         | _ -> Alcotest.fail "stats without slowest array");
+    Alcotest.test_case "create ~store arms the store the stats op reports" `Quick (fun () ->
+        Test_store.with_dir @@ fun dir ->
+        let st = Test_store.open_exn dir in
+        Fun.protect ~finally:(fun () ->
+            Synth.set_store None;
+            Store.close st)
+        @@ fun () ->
+        let t, out = make_server ~store:st () in
+        Alcotest.(check bool) "armed" true
+          (match Synth.store () with Some s -> s == st | None -> false);
+        ignore (Server.submit_line t {|{"op":"rz","id":1,"theta":0.37,"epsilon":0.3}|});
+        Server.drain t;
+        let records stats =
+          match Option.bind (Obs.Json.member "store" stats) (Obs.Json.member "records") with
+          | Some (Obs.Json.Num f) -> int_of_float f
+          | _ -> Alcotest.fail "stats without store.records"
+        in
+        Alcotest.(check int) "the armed store's records" (Store.size st) (records (stats_op t out));
+        Alcotest.(check int) "the word was stored" 1 (Store.size st);
+        Synth.set_store None;
+        let stats = stats_op t out in
+        Alcotest.(check bool) "no store object, no hit rate" true
+          (Obs.Json.member "store" stats = None && Obs.Json.member "store_hit_rate" stats = None));
     Alcotest.test_case "a faulted batch answers each angle alike in any order" `Quick (fun () ->
         (* Under gridsynth=fail@0.5 some elements fall back, and which
            ones depends on each rotation alone, not on its place in the

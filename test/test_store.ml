@@ -46,8 +46,7 @@ let seg1 dir = Filename.concat (Filename.concat dir "segments") "seg-000001.log"
    gridsynth is deterministic and fast at loose ε. *)
 let real_entry ?(eps = 0.05) theta =
   let cfg = Synth.config ~epsilon:eps () in
-  let module B = (val Synth.find_exn "gridsynth") in
-  match B.synthesize (Synth.Rz theta) cfg with
+  match (Synth.find_exn "gridsynth").synthesize (Synth.Rz theta) cfg with
   | Error f -> Alcotest.failf "gridsynth failed: %s" (Robust.failure_to_string f)
   | Ok (word, d) ->
       {

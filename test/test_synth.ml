@@ -31,12 +31,7 @@ let good_rz () =
 
 (* Stub backends for the runner oracle: an honest word for Rz(0.61) at
    1e-2, the same word with a claim 0.3 off, and a structured error. *)
-let stub name synthesize : Synth.backend =
-  (module struct
-    let name = name
-    let supports_gate_set _ = true
-    let synthesize = synthesize
-  end)
+let stub name synthesize = { Synth.name; supports_gate_set = (fun _ -> true); synthesize }
 
 let stubs =
   lazy
@@ -139,13 +134,13 @@ let check_roundtrip ~target ~slack (seq, claimed) =
 let registry_tests =
   [
     Alcotest.test_case "the four built-ins are registered in order" `Quick (fun () ->
-        let names = List.map Synth.backend_name (Synth.all ()) in
+        let names = List.map (fun b -> b.Synth.name) (Synth.all ()) in
         List.iter
           (fun n -> Alcotest.(check bool) n true (List.mem n names))
           [ "trasyn"; "gridsynth"; "synthetiq"; "sk" ]);
     Alcotest.test_case "find and find_exn agree" `Quick (fun () ->
         (match Synth.find "gridsynth" with
-        | Some b -> Alcotest.(check string) "name" "gridsynth" (Synth.backend_name b)
+        | Some b -> Alcotest.(check string) "name" "gridsynth" b.Synth.name
         | None -> Alcotest.fail "gridsynth must be registered");
         Alcotest.(check bool) "unknown" true (Synth.find "bogus" = None);
         match Synth.find_exn "bogus" with
@@ -211,33 +206,37 @@ let adapter_tests =
             ~trasyn:{ Trasyn.default_config with samples = 128; table_t = 6 }
             ~budgets:[ 6 ] ~epsilon:0.0 ()
         in
-        let module B = (val Synth.find_exn "trasyn") in
-        match B.synthesize (Synth.Unitary u3_target) cfg with
+        match (Synth.find_exn "trasyn").synthesize (Synth.Unitary u3_target) cfg with
         | Ok r -> check_roundtrip ~target:u3_target ~slack:1e-6 r
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "gridsynth round-trips an Rz target" `Quick (fun () ->
-        let module B = (val Synth.find_exn "gridsynth") in
-        match B.synthesize (Synth.Rz 0.61) (Synth.config ~epsilon:1e-2 ()) with
+        match
+          (Synth.find_exn "gridsynth").synthesize (Synth.Rz 0.61)
+            (Synth.config ~epsilon:1e-2 ())
+        with
         | Ok ((_, d) as r) ->
             Alcotest.(check bool) "meets epsilon" true (d <= 1e-2);
             check_roundtrip ~target:(Mat2.rz 0.61) ~slack:1e-6 r
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "gridsynth serves a Unitary target via Eq. (1)" `Quick (fun () ->
-        let module B = (val Synth.find_exn "gridsynth") in
-        match B.synthesize (Synth.Unitary u3_target) (Synth.config ~epsilon:0.1 ()) with
+        match
+          (Synth.find_exn "gridsynth").synthesize (Synth.Unitary u3_target)
+            (Synth.config ~epsilon:0.1 ())
+        with
         | Ok ((_, d) as r) ->
             Alcotest.(check bool) "meets epsilon" true (d <= 0.1);
             check_roundtrip ~target:u3_target ~slack:1e-6 r
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "synthetiq round-trips at a loose threshold" `Quick (fun () ->
         let cfg = { (Synth.config ~epsilon:0.3 ()) with Synth.synthetiq_seconds = 5.0 } in
-        let module B = (val Synth.find_exn "synthetiq") in
-        match B.synthesize (Synth.Unitary u3_target) cfg with
+        match (Synth.find_exn "synthetiq").synthesize (Synth.Unitary u3_target) cfg with
         | Ok r -> check_roundtrip ~target:u3_target ~slack:1e-6 r
         | Error f -> Alcotest.fail (Robust.failure_to_string f));
     Alcotest.test_case "sk round-trips a U3 target" `Quick (fun () ->
-        let module B = (val Synth.find_exn "sk") in
-        match B.synthesize (Synth.Unitary u3_target) (Synth.config ~epsilon:0.45 ()) with
+        match
+          (Synth.find_exn "sk").synthesize (Synth.Unitary u3_target)
+            (Synth.config ~epsilon:0.45 ())
+        with
         | Ok ((_, d) as r) ->
             Alcotest.(check bool) "under the SK floor" true (d <= 0.45);
             check_roundtrip ~target:u3_target ~slack:1e-6 r
@@ -329,8 +328,9 @@ let planner_tests =
 (* A pool at jobs 2 whose one worker is stuck in a job: every other job
    stays queued until the caller runs it or [release] lets the worker
    go (the worker also gives up after 2 s, so a caller that never runs
-   queued jobs fails the test instead of hanging it).  [run_here k] is
-   true when job [k] ran on the calling domain. *)
+   queued jobs fails the test instead of hanging it).  [b] is the task
+   queued behind the stuck one; [run_here k] is true when job [k] ran
+   on the calling domain. *)
 let with_stuck_worker f =
   let caller = Domain.self () in
   let ran_on = Hashtbl.create 8 and ran_lock = Mutex.create () in
@@ -363,17 +363,17 @@ let with_stuck_worker f =
       Atomic.set gate true;
       Planner.finish pool)
   @@ fun () ->
-  ignore (Planner.submit pool "stuck" stuck : bool);
+  ignore (Planner.submit pool stuck);
   (* The second job starts the worker, which takes the stuck job first. *)
-  ignore (Planner.submit pool "b" (job "b") : bool);
+  let b, _ = Planner.submit pool (job "b") in
   while not (Atomic.get started) do
     Unix.sleepf 0.001
   done;
-  f pool ~job ~run_here
+  f pool ~b ~job ~run_here
 
-let await pool key =
-  while Option.is_none (Planner.find pool key) do
-    Planner.help pool key
+let await pool task =
+  while Option.is_none (Planner.result pool task) do
+    Planner.help pool task
   done
 
 let pool_tests =
@@ -383,17 +383,20 @@ let pool_tests =
         let (), domains =
           counter_delta "obs.planner.domains" (fun () ->
               let pool = Planner.create ~jobs:1 ~queue:1 () in
+              let tasks =
+                List.map
+                  (fun k ->
+                    let task, full = Planner.submit pool (fun () -> Ok (Domain.self ())) in
+                    Alcotest.(check bool) "never full" false full;
+                    (k, task))
+                  [ "a"; "b"; "c" ]
+              in
               List.iter
-                (fun k ->
-                  Alcotest.(check bool) "never full" false
-                    (Planner.submit pool k (fun () -> Ok (Domain.self ()))))
-                [ "a"; "b"; "c" ];
-              List.iter
-                (fun k ->
-                  match Planner.find pool k with
+                (fun (k, task) ->
+                  match Planner.result pool task with
                   | Some (Ok d) -> Alcotest.(check bool) (k ^ " ran on the caller") true (d = caller)
                   | _ -> Alcotest.failf "%s has no result" k)
-                [ "a"; "b"; "c" ];
+                tasks;
               Planner.finish pool)
         in
         Alcotest.(check int) "the caller only" 1 domains);
@@ -401,42 +404,43 @@ let pool_tests =
         let (), domains =
           counter_delta "obs.planner.domains" (fun () ->
               let pool = Planner.create ~jobs:3 ~queue:8 () in
-              let keys = List.init 5 string_of_int in
-              List.iter (fun k -> ignore (Planner.submit pool k (fun () -> Ok k) : bool)) keys;
-              List.iter (await pool) keys;
+              let tasks = List.init 5 (fun k -> fst (Planner.submit pool (fun () -> Ok k))) in
+              List.iter (await pool) tasks;
               Planner.finish pool)
         in
         Alcotest.(check int) "the caller and 2 workers" 3 domains);
     Alcotest.test_case "submitting into a full queue runs a job on the caller" `Quick (fun () ->
-        with_stuck_worker (fun pool ~job ~run_here ->
+        with_stuck_worker (fun pool ~b ~job ~run_here ->
             (* Queue [b; c] is full, so d's submission runs b here. *)
-            Alcotest.(check bool) "c fits" false (Planner.submit pool "c" (job "c"));
-            Alcotest.(check bool) "d found the queue full" true (Planner.submit pool "d" (job "d"));
+            Alcotest.(check bool) "c fits" false (snd (Planner.submit pool (job "c")));
+            Alcotest.(check bool) "d found the queue full" true (snd (Planner.submit pool (job "d")));
             Alcotest.(check bool) "b ran on the caller" true (run_here "b");
-            Alcotest.(check bool) "b landed" true (Planner.find pool "b" = Some (Ok "b"))));
+            Alcotest.(check bool) "b landed" true (Planner.result pool b = Some (Ok "b"))));
     Alcotest.test_case "help runs a queued job on the caller" `Quick (fun () ->
-        with_stuck_worker (fun pool ~job:_ ~run_here ->
-            Planner.help pool "b";
+        with_stuck_worker (fun pool ~b ~job:_ ~run_here ->
+            Planner.help pool b;
             Alcotest.(check bool) "b ran on the caller" true (run_here "b");
-            Alcotest.(check bool) "b landed" true (Planner.find pool "b" = Some (Ok "b"))));
+            Alcotest.(check bool) "b landed" true (Planner.result pool b = Some (Ok "b"))));
     Alcotest.test_case "a job runs under its request context on a worker" `Quick (fun () ->
         let ctx i = { Obs.trace_id = "t"; request_id = "r" ^ string_of_int i; batch_index = i } in
         let caller = Domain.self () in
         let pool = Planner.create ~jobs:2 ~queue:4 () in
         Fun.protect ~finally:(fun () -> Planner.finish pool) @@ fun () ->
         Obs.with_request None (fun () ->
-            List.iter
-              (fun i ->
-                ignore
-                  (Planner.submit pool ~ctx:(ctx i) (string_of_int i) (fun () ->
-                       Ok (Obs.current_request (), Domain.self ()))
-                    : bool))
-              [ 0; 1 ];
+            let tasks =
+              List.map
+                (fun i ->
+                  ( i,
+                    fst
+                      (Planner.submit pool ~ctx:(ctx i) (fun () ->
+                           Ok (Obs.current_request (), Domain.self ()))) ))
+                [ 0; 1 ]
+            in
             (* Wait without helping, so the worker runs both jobs. *)
             List.iter
-              (fun i ->
+              (fun (i, task) ->
                 let rec wait () =
-                  match Planner.find pool (string_of_int i) with
+                  match Planner.result pool task with
                   | Some (Ok (c, d)) ->
                       Alcotest.(check bool) "on the worker" true (d <> caller);
                       Alcotest.(check bool) "its own context" true (c = Some (ctx i))
@@ -446,34 +450,39 @@ let pool_tests =
                       wait ()
                 in
                 wait ())
-              [ 0; 1 ];
+              tasks;
             Alcotest.(check bool) "caller's context untouched" true (Obs.current_request () = None)));
     Alcotest.test_case "a job without a context keeps the caller's, inline" `Quick (fun () ->
         let ambient = { Obs.trace_id = "t"; request_id = "r9"; batch_index = -1 } in
         let pool = Planner.create ~jobs:1 ~queue:1 () in
-        Obs.with_request (Some ambient) (fun () ->
-            ignore (Planner.submit pool "k" (fun () -> Ok (Obs.current_request ())) : bool));
+        let task, _ =
+          Obs.with_request (Some ambient) (fun () ->
+              Planner.submit pool (fun () -> Ok (Obs.current_request ())))
+        in
         Planner.finish pool;
         Alcotest.(check bool) "saw the ambient context" true
-          (Planner.find pool "k" = Some (Ok (Some ambient))));
-    Alcotest.test_case "forget drops a result" `Quick (fun () ->
-        let pool = Planner.create ~jobs:1 ~queue:1 () in
-        ignore (Planner.submit pool "k" (fun () -> Ok 1) : bool);
-        Alcotest.(check bool) "landed" true (Planner.find pool "k" = Some (Ok 1));
-        Planner.forget pool "k";
-        Alcotest.(check bool) "gone" true (Planner.find pool "k" = None);
-        Alcotest.check_raises "help on a forgotten key"
-          (Invalid_argument "Planner.help: no job pending under k") (fun () -> Planner.help pool "k");
-        Planner.finish pool);
+          (Planner.result pool task = Some (Ok (Some ambient))));
+    Alcotest.test_case "help refuses a task of another pool" `Quick (fun () ->
+        (* One job at jobs 2 starts no worker, so it waits in its own
+           pool's queue; the other pool has nothing to run or wait on. *)
+        let mine = Planner.create ~jobs:2 ~queue:1 () and other = Planner.create ~jobs:2 ~queue:1 () in
+        let task, _ = Planner.submit mine (fun () -> Ok 1) in
+        Alcotest.check_raises "help on another pool's task"
+          (Invalid_argument "Planner.help: the task was not submitted to this pool") (fun () ->
+            Planner.help other task);
+        await mine task;
+        Alcotest.(check bool) "its own pool runs it" true (Planner.result mine task = Some (Ok 1));
+        Planner.finish mine;
+        Planner.finish other);
     Alcotest.test_case "finish restores the caller's minor heap" `Quick (fun () ->
         let g0 = Gc.get () in
         Gc.set { g0 with Gc.minor_heap_size = 262_144 };
         Fun.protect ~finally:(fun () -> Gc.set g0) @@ fun () ->
         let pool = Planner.create ~jobs:2 ~queue:4 () in
-        List.iter (fun k -> ignore (Planner.submit pool k (fun () -> Ok k) : bool)) [ "a"; "b" ];
+        let tasks = List.map (fun k -> fst (Planner.submit pool (fun () -> Ok k))) [ "a"; "b" ] in
         Alcotest.(check bool) "enlarged while a worker exists" true
           ((Gc.get ()).Gc.minor_heap_size > 262_144);
-        List.iter (await pool) [ "a"; "b" ];
+        List.iter (await pool) tasks;
         Planner.finish pool;
         Alcotest.(check int) "restored" 262_144 (Gc.get ()).Gc.minor_heap_size);
     Alcotest.test_case "pool results are identical at jobs 1, 2 and 4" `Quick (fun () ->
@@ -487,9 +496,9 @@ let pool_tests =
         in
         let table jobs =
           let pool = Planner.create ~jobs ~queue:2 () in
-          List.iter (fun k -> ignore (Planner.submit pool k (job k) : bool)) keys;
-          List.iter (await pool) keys;
-          let r = List.map (fun k -> Planner.find pool k) keys in
+          let tasks = List.map (fun k -> fst (Planner.submit pool (job k))) keys in
+          List.iter (await pool) tasks;
+          let r = List.map (Planner.result pool) tasks in
           Planner.finish pool;
           r
         in
