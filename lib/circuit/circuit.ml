@@ -52,135 +52,71 @@ let clifford_count c = count Qgate.is_counted_clifford c
 let rotation_count c = count Qgate.is_rotation c
 let two_qubit_count c = List.length (List.filter (fun i -> Array.length i.qubits >= 2) c.instrs)
 
-(* Rz, Rx and Ry at kπ/4 (k = 0…7), exactly and up to phase: T^k,
-   H·T^k·H and SH·T^k·HS†. *)
+let step = Float.pi /. 4.0
+
+(* x rounded to the π/4 grid, in steps mod 8. *)
+let[@inline] octant x = ((int_of_float (Float.round (x /. step)) mod 8) + 8) mod 8
+
+(* U3(tπ/4, pπ/4, lπ/4), that is Rz(pπ/4)·Ry(tπ/4)·Rz(lπ/4) up to
+   phase, at 64p + 8t + l: the canonical key of T^p·SH·T^t·HS†·T^l. *)
 let grid_keys =
-  let conj = Ctgate.[| ([], []); ([ H ], [ H ]); ([ S; H ], [ H; Sdg ]) |] in
-  Array.init 24 (fun i ->
-      let pre, post = conj.(i / 8) in
-      Exact_u.canonical_key (Exact_u.of_seq (pre @ List.init (i mod 8) (fun _ -> Ctgate.T) @ post)))
+  let ts n = List.init n (fun _ -> Ctgate.T) in
+  Array.init 512 (fun i ->
+      Exact_u.canonical_key
+        (Exact_u.of_seq (ts (i / 64) @ Ctgate.[ S; H ] @ ts (i / 8 mod 8) @ Ctgate.[ H; Sdg ] @ ts (i mod 8))))
 
-(* Whether table entry i is within 1e-6 of m. *)
-let near table m i =
-  let { Ma_table.re; im } = Ma_table.planes table in
-  Mat2.distance_at m re im (4 * i) < 1e-6
+(* The index in [grid_keys] of U3(θ, φ, λ) with its angles rounded to
+   the grid.  At θ ≡ 0 (mod 2π) only φ + λ is determined, at θ ≡ π only
+   φ − λ, so those are rounded instead. *)
+let[@inline] grid_index th ph la =
+  match octant th with
+  | 0 -> octant (ph +. la)
+  | 4 -> (64 * octant (ph -. la)) + 32
+  | t -> (64 * octant ph) + (8 * t) + octant la
 
-(* What a table's entries look like up to global phase: every value of
-   |m00|, and every phase in [0, 2π) of m11 against m00, m10 against
-   m01 and m10 against m00 where both are nonzero; [least] is the least
-   nonzero modulus of any entry.  On the depth-1 Clifford+T tables that
-   is five moduli (0, sin π/8, 1/√2, cos π/8, 1) and the multiples of
-   π/4.
+let half_pi = Float.pi /. 2.0
 
-   A gate within 1e-6 of an entry V is e^{iα}V plus an error of
-   Frobenius norm at most √2·1e-6, so its |m00| is within 1.5e-6 of
-   V's, and an entry of modulus above [least] / 2 is a nonzero entry of
-   V, at least [least], so its phase is within asin(1.5e-6 / [least])
-   of α plus V's.  [plausible] checks the modulus to 1e-5 and each
-   relative phase to 3e-5 / [least] (sin π/8 gives 7.8e-5, ten times
-   the bound), so a gate it refuses is far from every entry. *)
-type shape = { moduli : float array; phases : float array; least : float }
-
-let two_pi = 2.0 *. Float.pi
-
-let wrap p =
-  let p = Float.rem p two_pi in
-  if p < 0.0 then p +. two_pi else p
-
-(* Distance between two phases on the circle. *)
-let phase_gap p x =
-  let d = Float.abs (wrap (p -. x)) in
-  Float.min d (two_pi -. d)
-
-let shape_of_planes { Ma_table.re; im } n =
-  let norm k = Float.hypot re.(k) im.(k) and arg k = Float.atan2 im.(k) re.(k) in
-  let add set gap x = if not (List.exists (fun y -> gap x y < 1e-9) !set) then set := x :: !set in
-  let moduli = ref [] and phases = ref [] and least = ref 1.0 in
-  let relative x y =
-    if norm x > 1e-6 && norm y > 1e-6 then add phases phase_gap (wrap (arg x -. arg y))
-  in
-  for i = 0 to n - 1 do
-    let b = 4 * i in
-    add moduli (fun x y -> Float.abs (x -. y)) (norm b);
-    relative (b + 3) b;
-    relative (b + 2) (b + 1);
-    relative (b + 2) b;
-    for k = b to b + 3 do
-      if norm k > 1e-6 then least := Float.min !least (norm k)
-    done
-  done;
-  let sorted l = Array.of_list (List.sort Float.compare l) in
-  { moduli = sorted !moduli; phases = sorted !phases; least = !least }
-
-(* One shape per table, derived on first use and keyed by its planes. *)
-let shapes : (float array * shape) list Atomic.t = Atomic.make []
-
-let shape table =
-  let planes = Ma_table.planes table in
-  match List.assq_opt planes.Ma_table.re (Atomic.get shapes) with
-  | Some s -> s
-  | None ->
-      let s = shape_of_planes planes (Ma_table.size table) in
-      let rec publish () =
-        let l = Atomic.get shapes in
-        if not (Atomic.compare_and_set shapes l ((planes.Ma_table.re, s) :: l)) then publish ()
-      in
-      publish ();
-      s
-
-let table_shape table =
-  let s = shape table in
-  (s.moduli, s.phases)
-
-let rec has_modulus moduli x k =
-  k < Array.length moduli && (Float.abs (x -. moduli.(k)) <= 1e-5 || has_modulus moduli x (k + 1))
-
-let rec has_phase phases tol p k =
-  k < Array.length phases && (phase_gap p phases.(k) <= tol || has_phase phases tol p (k + 1))
-
-let plausible s (m : Mat2.t) =
-  let n00 = Cplx.norm m.Mat2.m00 in
-  has_modulus s.moduli n00 0
-  &&
-  let n10 = Cplx.norm m.Mat2.m10 and floor = s.least /. 2.0 and tol = 3e-5 /. s.least in
-  let big00 = n00 > floor and big10 = n10 > floor in
-  let a00 = if big00 then Cplx.arg m.Mat2.m00 else 0.0
-  and a10 = if big10 then Cplx.arg m.Mat2.m10 else 0.0 in
-  (not big00 || has_phase s.phases tol (Cplx.arg m.Mat2.m11 -. a00) 0)
-  && (not big10 || has_phase s.phases tol (a10 -. Cplx.arg m.Mat2.m01) 0)
-  && ((not big00) || (not big10) || has_phase s.phases tol (a10 -. a00) 0)
+(* Entry i's word if it is within 1e-6 of g; [None] for i = −1. *)
+let within table g i =
+  if i < 0 then None
+  else
+    let { Ma_table.re; im } = Ma_table.planes table in
+    if Mat2.distance_at (Qgate.to_mat2 g) re im (4 * i) < 1e-6 then Some (Ma_table.word table i)
+    else None
 
 (* The one triviality rule: the entry of a depth-1 step-0 table (every
    ≤1-T operator once, pairwise far apart) within 1e-6 of the gate, a
-   tolerance that absorbs the ulps of wrapped angles.  An axis rotation
-   more than 1e-5 π/4 steps from kπ/4 is over 3.9e-6 from the rotation
-   at kπ/4 and far from every other ≤1-T operator (Rx and Ry are
-   Clifford conjugates of Rz), so it needs no scan.  Closer, that
-   rotation is looked up exactly, then checked, except within 1e-7 steps
-   (q exact to 1e-9), where it is < 4e-8 away: the on-grid rotations
-   [Settings.best_for] meets on every candidate then cost no matrix.
-   Any other gate that the table's shape does not refuse is answered by
-   the table's nearest entry, if that is within reach. *)
+   tolerance that absorbs the ulps of wrapped angles.  Every ≤1-T
+   operator is U3 at multiples of π/4, and a gate within 1e-6 of one has
+   θ within 2e-6 of its θ and φ, λ (or, at θ ≡ 0 or π, φ ± λ) within
+   2e-6 / sin θ of its, at most 3.6e-6 π/4 steps, so the gate's angles
+   rounded to the grid name the only candidate, looked up exactly, then
+   checked.  An axis rotation more than 1e-5 steps from kπ/4 is over
+   3.9e-6 from the rotation at kπ/4 and far from every other ≤1-T
+   operator (Rx and Ry are Clifford conjugates of Rz), so it is refused
+   without a matrix; within 1e-7 steps (q exact to 1e-9) it is < 4e-8
+   away, so the on-grid rotations [Settings.best_for] meets on every
+   candidate cost no matrix either. *)
 let exact_word table g =
   match g with
   | Qgate.Rz a | Qgate.Rx a | Qgate.Ry a ->
-      let q = a /. (Float.pi /. 4.0) in
-      let k = Float.round q in
-      let off = Float.abs (q -. k) in
-      let axis = match g with Qgate.Rz _ -> 0 | Qgate.Rx _ -> 8 | _ -> 16 in
-      let i =
-        if off > 1e-5 then -1
-        else Ma_table.find_key table grid_keys.(axis + (((int_of_float k mod 8) + 8) mod 8))
-      in
-      if i >= 0 && ((off <= 1e-7 && Float.abs q < 1e6) || near table (Qgate.to_mat2 g) i) then
-        Some (Ma_table.word table i)
-      else None
-  | _ ->
-      let m = Qgate.to_mat2 g in
-      if not (plausible (shape table) m) then None
+      let q = a /. step in
+      let off = Float.abs (q -. Float.round q) in
+      if off > 1e-5 then None
       else
-        let i, d = Ma_table.nearest table m in
-        if d < 1e-6 then Some (Ma_table.word table i) else None
+        let i =
+          Ma_table.find_key table
+            grid_keys.(match g with
+                       | Qgate.Rz _ -> grid_index 0.0 0.0 a
+                       | Qgate.Rx _ -> grid_index a (-.half_pi) half_pi
+                       | _ -> grid_index a 0.0 0.0)
+        in
+        if i >= 0 && off <= 1e-7 && Float.abs q < 1e6 then Some (Ma_table.word table i)
+        else within table g i
+  | Qgate.U3 (th, ph, la) -> within table g (Ma_table.find_key table grid_keys.(grid_index th ph la))
+  | g ->
+      let th, ph, la = Mat2.to_u3_angles (Qgate.to_mat2 g) in
+      within table g (Ma_table.find_key table grid_keys.(grid_index th ph la))
 
 let clifford_t = lazy (Ma_table.get 1)
 let nontrivial_rotation g = Qgate.is_rotation g && Option.is_none (exact_word (Lazy.force clifford_t) g)

@@ -31,19 +31,12 @@ val two_qubit_count : t -> int
 
 val exact_word : Ma_table.t -> Qgate.t -> Ctgate.t list option
 (** The one triviality rule: the word of the depth-1 step-0 [table]'s
-    entry within 1e-6 of the rotation, if any (at most one is).  An
-    axis rotation is answered in O(1), by exact lookup near kπ/4; any
-    other gate scans the table unless {!table_shape} already rules
-    every entry out. *)
-
-val table_shape : Ma_table.t -> float array * float array
-(** What [exact_word] checks a gate against before it scans: the values
-    of |m00| over the table's entries, and the phases in [0, 2π) of m11
-    against m00, m10 against m01 and m10 against m00 over their nonzero
-    pairs, each sorted and derived from the table on first use.  A gate
-    within 1e-6 of an entry has its |m00| within 1.5e-6 of one modulus
-    and its relative phases near those phases, so a gate that misses
-    them is far from every entry. *)
+    entry within 1e-6 of the 1q gate, if any (at most one is).  Every
+    ≤1-T operator is U3(θ, φ, λ) up to phase with all three angles
+    multiples of π/4, so the gate's angles rounded to that grid name the
+    only candidate, found by its exact key and then checked: O(1) for
+    any gate, and an axis rotation more than 1e-5 π/4 steps off the
+    grid needs no matrix. *)
 
 val nontrivial_rotation : Qgate.t -> bool
 (** Does this rotation need more than one T gate?  A rotation is trivial

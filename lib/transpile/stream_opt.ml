@@ -23,19 +23,17 @@
     never holds more than W gates.
 
     The ring is a set of parallel arrays indexed by physical slot: the
-    instruction, a kind byte (a tombstone, a 1q gate, a CX or any other
-    gate) and the first and second qubit (−1 for a 1q gate).  A scan
-    step compares those ints and reads a slot's instruction only to
-    fuse it, to test a same-qubit 1q gate's class, or for an "other"
-    gate, which lowering never leaves.  The rules are
-    {!Commute.commutes_past}'s and the cancellation's, spelled on the
-    kinds. *)
+    instruction, a kind byte (a tombstone, a 1q gate or a CX: lowering
+    leaves no other gate) and the first and second qubit (−1 for a 1q
+    gate).  A scan step compares those ints and reads a slot's
+    instruction only to fuse it or to test a same-qubit 1q gate's
+    class.  The rules are {!Commute.commutes_past}'s and the
+    cancellation's, spelled on the kinds. *)
 
 (* Slot kinds. *)
 let dead = '\000'
 let one_q = '\001'
 let cx = '\002'
-let other = '\003'
 
 let placeholder = { Circuit.gate = Qgate.H; qubits = [| 0 |] }
 
@@ -85,10 +83,14 @@ let pop_front t emit =
     emit t.instrs.(j)
   end
 
+(* [push] lowers CZ, Swap and Ccx before a gate enters the ring. *)
 let kind_of (g : Circuit.instr) =
   match g.Circuit.gate with
   | Qgate.CX -> cx
-  | gate -> if Qgate.is_single_qubit gate then one_q else other
+  | Qgate.H | Qgate.X | Qgate.Y | Qgate.Z | Qgate.S | Qgate.Sdg | Qgate.T | Qgate.Tdg | Qgate.Rx _
+  | Qgate.Ry _ | Qgate.Rz _ | Qgate.U3 _ ->
+      one_q
+  | Qgate.CZ | Qgate.Swap | Qgate.Ccx -> assert false
 
 let insert t (g : Circuit.instr) emit =
   while t.count >= t.window do
@@ -104,44 +106,39 @@ let insert t (g : Circuit.instr) emit =
   t.count <- t.count + 1
 
 (* Each scan walks back from physical slot [j] over [left] slots and
-   returns the slot that [g] fuses into or cancels against, or −1 when
-   [g] stops (or passes the oldest slot) and is inserted instead.  It
-   skips what [g] commutes past ({!Commute.commutes_past}) and stops at
-   anything else sharing a qubit. *)
+   returns the slot that the new gate fuses into or cancels against, or
+   −1 when it stops (or passes the oldest slot) and is inserted
+   instead.  It skips what the gate commutes past
+   ({!Commute.commutes_past}) and stops at anything else sharing a
+   qubit. *)
 
-(* U3 IR: a 1q [g] on qubit [q] fuses into the nearest 1q gate on [q];
-   it passes a CX as a diagonal gate through its control or an X-axis
-   gate through its target. *)
-let rec u3_scan t (g : Circuit.instr) q diag xaxis j left =
+(* U3 IR: a 1q gate on qubit [q] fuses into the nearest 1q gate on [q];
+   it passes a CX as a diagonal gate ([diag]) through its control or an
+   X-axis gate ([xaxis]) through its target. *)
+let rec u3_scan t q diag xaxis j left =
   if left = 0 then -1
   else
     let k = Bytes.get t.kind j in
-    if k = dead then u3_scan t g q diag xaxis (prev t j) (left - 1)
-    else if k = one_q then
-      if t.q0.(j) = q then j else u3_scan t g q diag xaxis (prev t j) (left - 1)
-    else if k = cx then
-      if (t.q0.(j) = q && not diag) || (t.q1.(j) = q && not xaxis) then -1
-      else u3_scan t g q diag xaxis (prev t j) (left - 1)
-    else if Commute.commutes_past g t.instrs.(j) then u3_scan t g q diag xaxis (prev t j) (left - 1)
-    else -1
+    if k = dead then u3_scan t q diag xaxis (prev t j) (left - 1)
+    else if k = one_q then if t.q0.(j) = q then j else u3_scan t q diag xaxis (prev t j) (left - 1)
+    else if (t.q0.(j) = q && not diag) || (t.q1.(j) = q && not xaxis) then -1
+    else u3_scan t q diag xaxis (prev t j) (left - 1)
 
-(* Rz IR: an Rz [g] on qubit [q] merges into the nearest Rz on [q]; it
+(* Rz IR: an Rz on qubit [q] merges into the nearest Rz on [q]; it
    passes diagonal 1q gates on [q] and CX controls. *)
-let rec rz_scan t (g : Circuit.instr) q j left =
+let rec rz_scan t q j left =
   if left = 0 then -1
   else
     let k = Bytes.get t.kind j in
-    if k = dead then rz_scan t g q (prev t j) (left - 1)
+    if k = dead then rz_scan t q (prev t j) (left - 1)
     else if k = one_q then
-      if t.q0.(j) <> q then rz_scan t g q (prev t j) (left - 1)
+      if t.q0.(j) <> q then rz_scan t q (prev t j) (left - 1)
       else
         match t.instrs.(j).Circuit.gate with
         | Qgate.Rz _ -> j
-        | b -> if Commute.is_diagonal_1q b then rz_scan t g q (prev t j) (left - 1) else -1
-    else if k = cx then
-      if t.q1.(j) = q then -1 else rz_scan t g q (prev t j) (left - 1)
-    else if Commute.commutes_past g t.instrs.(j) then rz_scan t g q (prev t j) (left - 1)
-    else -1
+        | b -> if Commute.is_diagonal_1q b then rz_scan t q (prev t j) (left - 1) else -1
+    else if t.q1.(j) = q then -1
+    else rz_scan t q (prev t j) (left - 1)
 
 (* A self-inverse [g] on [a] (1q) or [a], [c] (a CX) cancels against
    the nearest gate sharing a qubit with it when that gate is the same
@@ -157,16 +154,10 @@ let rec cancel_scan t (g : Circuit.instr) a c j left =
       if p <> a && p <> c then cancel_scan t g a c (prev t j) (left - 1)
       else if c < 0 && t.instrs.(j).Circuit.gate == g.Circuit.gate then j
       else -1
-    else if k = cx then
+    else
       let p = t.q0.(j) and r = t.q1.(j) in
       if p <> a && p <> c && r <> a && r <> c then cancel_scan t g a c (prev t j) (left - 1)
       else if c >= 0 && p = a && r = c then j
-      else -1
-    else
-      let b = t.instrs.(j) in
-      if not (Array.exists (fun q -> Array.mem q b.Circuit.qubits) g.Circuit.qubits) then
-        cancel_scan t g a c (prev t j) (left - 1)
-      else if b.Circuit.gate = g.Circuit.gate && b.Circuit.qubits = g.Circuit.qubits then j
       else -1
 
 (* Scan from the newest slot. *)
@@ -196,7 +187,7 @@ let push_primitive t (g : Circuit.instr) emit =
       if Qgate.is_single_qubit gate then begin
         let q = g.Circuit.qubits.(0) in
         let diag = Commute.is_diagonal_1q gate and xaxis = Commute.is_xaxis_1q gate in
-        let j = u3_scan t g q diag xaxis (newest t) t.count in
+        let j = u3_scan t q diag xaxis (newest t) t.count in
         if j < 0 then insert t g emit
         else
           let m = Mat2.mul (Qgate.to_mat2 gate) (Qgate.to_mat2 t.instrs.(j).Circuit.gate) in
@@ -211,7 +202,7 @@ let push_primitive t (g : Circuit.instr) emit =
   | Settings.Rz_ir -> (
       match gate with
       | Qgate.Rz theta -> (
-          let j = rz_scan t g g.Circuit.qubits.(0) (newest t) t.count in
+          let j = rz_scan t g.Circuit.qubits.(0) (newest t) t.count in
           if j < 0 then insert t g emit
           else
             match t.instrs.(j).Circuit.gate with

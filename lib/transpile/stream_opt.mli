@@ -14,8 +14,8 @@
 
     The ring is parallel arrays over W physical slots, stepped with a
     wrap test instead of [mod]: each slot's instruction, a kind byte (a
-    tombstone, a 1q gate, a CX, or another gate, which lowering never
-    leaves) and its first and second qubit.  A backward scan decides
+    tombstone, a 1q gate or a CX, since lowering leaves no other gate)
+    and its first and second qubit.  A backward scan decides
     every step on those ints, reading an instruction only to fuse it
     or to classify a 1q gate on the same qubit, and allocates nothing;
     a fused 1q run keeps [Mat2]'s product and Euler angles, so every

@@ -98,7 +98,19 @@
    18. minor words per input gate of the Settings.best_for that 5
        subtracts: one lowering and one commutation pass shared by the
        eight Rz-IR settings, no closure per commutation check, and no
-       copy of a circuit that a fixpoint pass leaves unchanged.
+       copy of a circuit that a fixpoint pass leaves unchanged;
+
+   and, on the Clifford+T depth-1 table, minor words per
+   Circuit.exact_word call
+
+   20. on 1,000 Rz more than 1e-5 π/4 steps off the grid: none, since
+       such a rotation is refused before any matrix is formed;
+   21. on 1,000 Rz at multiples of π/4: the [Some] alone, since an
+       on-grid rotation's word is looked up by a key built at start-up;
+   22. on 10^4 Haar U3s: the gate's matrix when the rounded angles
+       name a ≤1-T operator, and nothing per entry, since they name one
+       candidate;
+   23. on the U3 forms of the 96 entries: the matrix and the [Some].
 
    Bounds are for the dev profile that runtest builds: each is its dev
    count at the time it was set (8,430 for 4, where a limb array for
@@ -116,8 +128,10 @@
    prefixes with that pass 799.8; for 3, 52.9 since words splice
    pre-counted and the window scans ints, where the boxed window and
    per-gate checks read 268.4; for 1, 11.5, where converting every
-   numeral read 14.1; for 19, 17.1, where the boxed ring read 115.5)
-   plus a quarter.  Bound 15 is 0: planes
+   numeral read 14.1; for 19, 17.1, where the boxed ring read 115.5;
+   for 22 and 23, 18.7 and 40.0, where a filter of moduli and phases in
+   front of a scan of the table read 40 and 494) plus a quarter.
+   Bounds 20 and 21 are the counts themselves.  Bound 15 is 0: planes
    filled by the build read 770 major-heap words there, their two
    arrays. *)
 
@@ -139,6 +153,10 @@ let one_site_bound = 45_637.0
 let one_site_major_bound = 1_281.0
 let best_for_bound = 628.0
 let stream_opt_bound = 21.0
+let off_grid_bound = 0.0
+let on_grid_bound = 2.0
+let haar_u3_bound = 23.0
+let grid_u3_bound = 50.0
 
 let gates = 10_000
 
@@ -381,4 +399,29 @@ let () =
   check "one-site Trasyn.synthesize per call" minor one_site_bound;
   check "one-site Trasyn.synthesize major words" major one_site_major_bound;
   check "Settings.best_for Rz_ir per input gate" (!best_for_words /. float_of_int !input_gates) best_for_bound;
+  let table = Ma_table.get 1 in
+  let per_gate what gates bound =
+    ignore (Circuit.exact_word table gates.(0));
+    let (), words =
+      measure (fun () ->
+          for i = 0 to Array.length gates - 1 do
+            ignore (Sys.opaque_identity (Circuit.exact_word table gates.(i)))
+          done)
+    in
+    check what (words /. float_of_int (Array.length gates)) bound
+  in
+  let off_grid = Array.init 1_000 (fun i -> Qgate.Rz (0.1 +. (0.01 *. float_of_int i))) in
+  if Array.exists (fun g -> Circuit.exact_word table g <> None) off_grid then
+    failwith "alloc_gate: an off-grid Rz is trivial";
+  per_gate "exact_word per off-grid Rz" off_grid off_grid_bound;
+  per_gate "exact_word per on-grid Rz"
+    (Array.init 1_000 (fun i -> Qgate.Rz (float_of_int ((i mod 17) - 8) *. Float.pi /. 4.0)))
+    on_grid_bound;
+  let u3 m =
+    let t, p, l = Mat2.to_u3_angles m in
+    Qgate.U3 (t, p, l)
+  in
+  per_gate "exact_word per Haar U3" (Array.init 10_000 (fun _ -> u3 (Mat2.random_unitary haar))) haar_u3_bound;
+  per_gate "exact_word per on-grid U3" (Array.init (Ma_table.size table) (fun i -> u3 (Ma_table.mat table i)))
+    grid_u3_bound;
   if !failed then exit 1

@@ -1,9 +1,10 @@
-(* The triviality test that [Circuit.exact_word] runs behind its O(1)
-   axis-rotation filter, kept without the filter as a test oracle: scan
-   the whole depth-1 step-0 table (the built-in one unless [table] is
-   given) for the cheapest ≤1-T operator within 1e-6 of the gate's
-   matrix.  This is the engine's exact-word lookup as it was before the
-   filter, so [resolve] must answer every gate exactly when and as this
+(* The triviality test that [Circuit.exact_word] answers by rounding a
+   gate's angles to the π/4 grid and looking the one candidate up, kept
+   as a test oracle that assumes no grid: scan the whole depth-1 step-0
+   table (the built-in one unless [table] is given) for the cheapest
+   ≤1-T operator within 1e-6 of the gate's matrix.  This is the
+   engine's exact-word lookup as it was before any filter, so [resolve]
+   and [exact_word] must answer every gate exactly when and as this
    does. *)
 
 let exact_word ?(table = Ma_table.get 1) g =

@@ -168,11 +168,14 @@ let test_bfs_oracle () =
    depth 10 too when this suite runs alone, and of the closure of
    [sub_alphabet] (registered here) at depths 0–6, comes back unchanged
    from [Postprocess.run] against its own table. *)
-let test_step3_fixes_table_words () =
-  (match Obs.Json.parse sub_alphabet with
+let register_sub_alphabet () =
+  match Obs.Json.parse sub_alphabet with
   | Ok j -> (
       match Gateset.of_json j with Ok gs -> Gateset.register gs | Error e -> Alcotest.failf "of_json: %s" e)
-  | Error e -> Alcotest.failf "parse: %s" e);
+  | Error e -> Alcotest.failf "parse: %s" e
+
+let test_step3_fixes_table_words () =
+  register_sub_alphabet ();
   let deep = if Array.mem "gateset" Sys.argv then [ 10 ] else [] in
   List.iter
     (fun (gate_set, depths) ->
@@ -190,6 +193,29 @@ let test_step3_fixes_table_words () =
       ("cliffordt-weighted", List.init 9 Fun.id @ deep);
       ("custom", List.init 7 Fun.id);
     ]
+
+(* What [Circuit.exact_word] rests on: every ≤1-T operator is
+   U3(θ, φ, λ) with all three angles multiples of π/4.  Every depth-1
+   entry of the two built-in tables and of the closure of
+   [sub_alphabet] has [Mat2.to_u3_angles] on that grid to 1e-9 steps,
+   with θ in [0, π], and [exact_word] answers that U3 with the entry's
+   word. *)
+let test_depth1_on_grid () =
+  register_sub_alphabet ();
+  let steps x = x /. (Float.pi /. 4.0) in
+  let on_grid x = Float.abs (steps x -. Float.round (steps x)) < 1e-9 in
+  List.iter
+    (fun gate_set ->
+      let table = Ma_table.get_for ~gate_set 1 in
+      for i = 0 to Ma_table.size table - 1 do
+        let t, p, l = Mat2.to_u3_angles (Ma_table.mat table i) in
+        let w = Ctgate.seq_to_string (Ma_table.word table i) in
+        if not (on_grid t && on_grid p && on_grid l && steps t > -1e-9 && steps t < 4.0 +. 1e-9) then
+          Alcotest.failf "%s: entry %d (%s) is U3(%h, %h, %h), off the grid" gate_set i w t p l;
+        Alcotest.(check (option string)) (Printf.sprintf "%s: entry %d" gate_set i) (Some w)
+          (Option.map Ctgate.seq_to_string (Circuit.exact_word table (Qgate.U3 (t, p, l))))
+      done)
+    [ "cliffordt"; "cliffordt-weighted"; "custom" ]
 
 (* A table deeper than [Ma_table.max_depth] is refused before anything
    is allocated: depth 20 would size its builder for 75.5 M entries. *)
@@ -222,4 +248,5 @@ let suite =
     Alcotest.test_case "bfs closure = reference" `Quick test_bfs_oracle;
     Alcotest.test_case "step 3 rewrites no table word" `Quick test_step3_fixes_table_words;
     Alcotest.test_case "tables deeper than the maximum are refused" `Quick test_depth_limit;
+    Alcotest.test_case "every depth-1 entry is a U3 on the pi/4 grid" `Quick test_depth1_on_grid;
   ]

@@ -5,7 +5,8 @@ let rng = Random.State.make [| 606 |]
 (* The two scans of a table's planes that [Ma_table.nearest] replaced,
    kept as its oracle: Solovay–Kitaev's base approximation (the first
    entry at the least distance, a NaN distance replacing the best) and
-   [Circuit.exact_word]'s U3 scan (the first entry within 1e-6). *)
+   the U3 scan that [Circuit.exact_word] ran before it looked its one
+   candidate up by key (the first entry within 1e-6). *)
 let least_scan table m =
   let { Ma_table.re; im } = Ma_table.planes table in
   let best = ref (-1) and best_d = ref infinity in

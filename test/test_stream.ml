@@ -1072,68 +1072,140 @@ let numeral_memo_tests =
          check_lines);
   ]
 
-(* [Circuit.exact_word] refuses a gate by the table's shape before it
-   scans.  The shape is what the table holds (five moduli, phases on
-   multiples of π/4, for both built-in depth-1 tables), and a gate near
-   an entry is never refused: every entry, in U3 form, and perturbed at
-   distances 0.5e-6 and 0.99e-6 (inside the tolerance) and 2e-6
-   (outside) along four axes, gets the unfiltered scan's word. *)
-let shape_tests =
+(* [Circuit.exact_word] finds the one candidate by rounding a gate's
+   angles to the π/4 grid; these cases hold it to the unfiltered scan of
+   [Resolve_reference.exact_word] on both built-in depth-1 tables. *)
+
+(* exp(−iδ n·σ) for a unit axis matrix n·σ, at distance sin δ = d from
+   the identity. *)
+let nudge d axis =
+  let delta = Float.asin d in
+  Mat2.add (Mat2.scale (Cplx.of_float (Float.cos delta)) Mat2.identity)
+    (Mat2.scale { Cplx.re = 0.0; im = -.Float.sin delta } axis)
+
+let u3_of m =
+  let t, p, l = Mat2.to_u3_angles m in
+  Qgate.U3 (t, p, l)
+
+let words w = Option.map Ctgate.seq_to_string w
+
+let built_in_tables = [ "cliffordt"; "cliffordt-weighted" ]
+
+(* Checks [gates] against the scan on [table]; the matches and misses. *)
+let agree_with_scan gate_set table gates =
+  let found = ref 0 and far = ref 0 in
+  List.iter
+    (fun g ->
+      let want = words (Resolve_reference.exact_word ~table g) in
+      if want = None then incr far else incr found;
+      Alcotest.(check (option string)) (gate_set ^ " " ^ Qgate.to_string g) want
+        (words (Circuit.exact_word table g)))
+    gates;
+  (!found, !far)
+
+let grid_tests =
   [
-    Alcotest.test_case "exact_word's shape filter keeps every table match" `Quick (fun () ->
-        let pi = Float.pi in
-        let s = Float.sin (pi /. 8.0) and c = Float.cos (pi /. 8.0) in
+    (* Every entry, in U3 form, and perturbed at distances 0.5e-6 and
+       0.99e-6 (inside the tolerance) and 2e-6 (outside) along four
+       axes, gets the scan's word. *)
+    Alcotest.test_case "exact_word finds every table entry near the grid" `Quick (fun () ->
+        let axes =
+          [ Mat2.x; Mat2.y; Mat2.z;
+            Mat2.add (Mat2.scale (Cplx.of_float 0.6) Mat2.x) (Mat2.scale (Cplx.of_float 0.8) Mat2.z) ]
+        in
         List.iter
           (fun gate_set ->
             let table = Ma_table.get_for ~gate_set 1 in
-            let moduli, phases = Circuit.table_shape table in
-            let close a b =
-              Array.length a = Array.length b && Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) a b
+            let gates =
+              List.concat_map
+                (fun i ->
+                  let v = Ma_table.mat table i in
+                  u3_of v
+                  :: List.concat_map
+                       (fun d -> List.map (fun a -> u3_of (Mat2.mul v (nudge d a))) axes)
+                       [ 0.5e-6; 0.99e-6; 2e-6 ])
+                (List.init (Ma_table.size table) Fun.id)
             in
-            Alcotest.(check bool) (gate_set ^ " moduli") true
-              (close moduli [| 0.0; s; Float.sqrt 0.5; c; 1.0 |]);
-            Alcotest.(check bool) (gate_set ^ " phases") true
-              (close phases (Array.init 8 (fun k -> float_of_int k *. pi /. 4.0)));
-            let axes =
-              [ Mat2.x; Mat2.y; Mat2.z;
-                Mat2.add (Mat2.scale (Cplx.of_float 0.6) Mat2.x) (Mat2.scale (Cplx.of_float 0.8) Mat2.z) ]
-            in
-            (* exp(−iδ n·σ), at distance sin δ from the identity. *)
-            let nudge d axis =
-              let delta = Float.asin d in
-              Mat2.add (Mat2.scale (Cplx.of_float (Float.cos delta)) Mat2.identity)
-                (Mat2.scale { Cplx.re = 0.0; im = -.Float.sin delta } axis)
-            in
-            let u3 m =
-              let t, p, l = Mat2.to_u3_angles m in
-              Qgate.U3 (t, p, l)
-            in
-            let words w = Option.map Ctgate.seq_to_string w in
-            let found = ref 0 and far = ref 0 in
-            for i = 0 to Ma_table.size table - 1 do
-              let v = Ma_table.mat table i in
-              let gates =
-                u3 v
-                :: List.concat_map
-                     (fun d -> List.map (fun a -> u3 (Mat2.mul v (nudge d a))) axes)
-                     [ 0.5e-6; 0.99e-6; 2e-6 ]
-              in
-              List.iter
-                (fun g ->
-                  let want = words (Resolve_reference.exact_word ~table g) in
-                  if want = None then incr far else incr found;
-                  Alcotest.(check (option string)) (gate_set ^ " " ^ Qgate.to_string g) want
-                    (words (Circuit.exact_word table g)))
-                gates
-            done;
+            let found, far = agree_with_scan gate_set table gates in
             (* The entries and their 0.5e-6 and 0.99e-6 neighbours match;
                the 2e-6 ones do not. *)
-            Alcotest.(check int) (gate_set ^ " matches") (9 * Ma_table.size table) !found;
-            Alcotest.(check int) (gate_set ^ " misses") (4 * Ma_table.size table) !far)
-          [ "cliffordt"; "cliffordt-weighted" ]);
+            Alcotest.(check int) (gate_set ^ " matches") (9 * Ma_table.size table) found;
+            Alcotest.(check int) (gate_set ^ " misses") (4 * Ma_table.size table) far)
+          built_in_tables);
+    (* Seeded gates around and away from the grid: every entry moved
+       along random axes by distances on both sides of 1e-6, each in
+       its U3 form, negated θ with φ and λ turned by π, every angle
+       shifted by a multiple of 2π, and φ and λ traded against each
+       other (for θ near 0 or π the same gate, with φ often half a step
+       off the grid); jittered grid points; Haar U3s; and entries with
+       one angle NaN, infinite or 1e12·π/4. *)
+    Alcotest.test_case "exact_word answers fuzzed gates as the table scan does" `Quick (fun () ->
+        let rng = Random.State.make [| 39 |] in
+        let pi = Float.pi in
+        let axis () =
+          let m = Mat2.random_unitary rng in
+          (* The traceless part of a Haar SU(2) element, normalized. *)
+          let x = m.Mat2.m01.Cplx.im and y = m.Mat2.m01.Cplx.re and z = m.Mat2.m00.Cplx.im in
+          let n = Float.sqrt ((x *. x) +. (y *. y) +. (z *. z)) in
+          Mat2.add (Mat2.scale (Cplx.of_float (x /. n)) Mat2.x)
+            (Mat2.add (Mat2.scale (Cplx.of_float (y /. n)) Mat2.y) (Mat2.scale (Cplx.of_float (z /. n)) Mat2.z))
+        in
+        let turns () = 2.0 *. pi *. float_of_int (Random.State.int rng 7 - 3) in
+        (* A half step or any angle. *)
+        let trade () =
+          if Random.State.bool rng then float_of_int ((2 * Random.State.int rng 16) - 15) *. pi /. 8.0
+          else Random.State.float rng (2.0 *. pi) -. pi
+        in
+        let forms m =
+          let t, p, l = Mat2.to_u3_angles m in
+          let s = trade () in
+          [ Qgate.U3 (t, p, l); Qgate.U3 (-.t, p +. pi, l +. pi);
+            Qgate.U3 (t +. turns (), p +. turns (), l +. turns ());
+            Qgate.U3 (t, p +. s, if t < pi /. 2.0 then l -. s else l +. s) ]
+        in
+        let jitter () =
+          let k () = float_of_int (Random.State.int rng 17 - 8) *. pi /. 4.0 in
+          let e () =
+            if Random.State.bool rng then 0.0
+            else (Random.State.float rng 2.0 -. 1.0) *. (10.0 ** -.Random.State.float rng 9.0)
+          in
+          Qgate.U3 (k () +. e (), k () +. e (), k () +. e ())
+        in
+        let odd = [ Float.nan; Float.infinity; Float.neg_infinity; 1e12 *. pi /. 4.0 ] in
+        List.iter
+          (fun gate_set ->
+            let table = Ma_table.get_for ~gate_set 1 in
+            let entries = List.init (Ma_table.size table) (Ma_table.mat table) in
+            let moved =
+              List.concat_map
+                (fun v ->
+                  List.concat_map
+                    (fun d -> List.concat_map (fun _ -> forms (Mat2.mul v (nudge d (axis ())))) [ 1; 2; 3 ])
+                    [ 0.0; 1e-9; 3e-7; 0.99e-6; 1.01e-6; 2e-6; 1e-5; 1e-3 ])
+                entries
+            in
+            let odd_angles =
+              List.concat_map
+                (fun v ->
+                  let t, p, l = Mat2.to_u3_angles v in
+                  List.concat_map
+                    (fun x -> [ Qgate.U3 (x, p, l); Qgate.U3 (t, x, l); Qgate.U3 (t, p, x) ])
+                    odd)
+                entries
+            in
+            let gates =
+              moved @ odd_angles
+              @ List.init 1_000 (fun _ -> jitter ())
+              @ List.init 500 (fun _ -> u3_of (Mat2.random_unitary rng))
+            in
+            Alcotest.(check bool) (gate_set ^ ": at least 10,000 gates") true (List.length gates >= 10_000);
+            let found, far = agree_with_scan gate_set table gates in
+            Alcotest.(check bool) (gate_set ^ ": the sweep holds both kinds") true
+              (found > 96 * 12 && far > 96 * 12))
+          built_in_tables);
   ]
 
 let suite =
   reader_tests @ reference_tests @ formatting_tests @ window_tests @ engine_tests @ workflow_tests
   @ memo_flush_tests @ resolve_tests @ config_tests @ window_oracle_tests @ numeral_memo_tests
-  @ shape_tests
+  @ grid_tests
