@@ -44,8 +44,8 @@ let report_degraded (ds : Pipeline.degradation list) =
   end
 
 (* Streaming mode: incremental parse → windowed optimization → engine
-   synthesis with backpressure → in-order QASM emission, never holding
-   the circuit in memory.  Prints machine-parseable [gates/sec :] and
+   synthesis → in-order QASM emission, holding only the window and the
+   engine's reorder FIFO.  Prints machine-parseable [gates/sec :] and
    [peak heap:] lines that the perf suite and the heap smoke test parse. *)
 let run_stream ~input ~output (cfg : Stream_compile.config) =
   let ic = open_in input in
@@ -56,8 +56,7 @@ let run_stream ~input ~output (cfg : Stream_compile.config) =
   @@ fun () ->
   let emit i = match oc with Some oc -> Qasm.write_instr oc i | None -> () in
   let on_qreg n =
-    Printf.printf "input    : %d qubits (streaming, window %d, queue %d, %d jobs)\n%!" n
-      cfg.window cfg.queue cfg.jobs;
+    Printf.printf "input    : %d qubits (streaming, window %d, %d jobs)\n%!" n cfg.window cfg.jobs;
     match oc with Some oc -> Qasm.write_header oc n | None -> ()
   in
   let t0 = Obs.Clock.elapsed_s () in
@@ -74,12 +73,11 @@ let run_stream ~input ~output (cfg : Stream_compile.config) =
         st.Stream_compile.dedup_hits st.Stream_compile.total_synth_error
         st.Stream_compile.degraded;
       Printf.printf "gates/sec: %.1f\n" rate;
-      Printf.printf "backpressure: %d producer waits\n" st.Stream_compile.backpressure_waits;
       Printf.printf "peak heap: %d words\n" st.Stream_compile.peak_heap_words;
       (match output with Some path -> Printf.printf "wrote    : %s\n" path | None -> ())
 
 let run input output workflow epsilon optimize estimate deadline rotation_deadline stream window
-    queue (stack : Cli.stack) =
+    (stack : Cli.stack) =
   Cli.exit_code @@ fun () ->
   let gate_set, chain, store = Cli.start ~say:print_endline stack in
   Option.iter
@@ -107,7 +105,7 @@ let run input output workflow epsilon optimize estimate deadline rotation_deadli
     | w, false -> invalid_arg ("unknown workflow " ^ w ^ " (use trasyn | gridsynth | compare)")
   in
   let cfg =
-    Stream_compile.config ~epsilon ~gate_set ~ir ~window ~queue
+    Stream_compile.config ~epsilon ~gate_set ~ir ~window
       ~jobs:(Option.value stack.Cli.jobs ~default:(Domain.recommended_domain_count ()))
       ~deadline:(match deadline with None -> Obs.Deadline.none | Some s -> Obs.Deadline.after s)
       ?rotation_budget:rotation_deadline ?chain ()
@@ -201,18 +199,11 @@ let window =
         ~doc:"sliding-window size for streaming merge/commute/phase-fold optimization (with \
               --stream; default 64)")
 
-let queue =
-  Arg.(
-    value & opt int 32
-    & info [ "queue" ] ~docv:"N"
-        ~doc:"job-queue capacity of the synthesis engine — in streaming mode, on a full queue \
-              the parser runs a queued job instead of reading on (backpressure; default 32)")
-
 let cmd =
   Cmd.v
     (Cmd.info "ftcompile" ~doc:"Compile a circuit to Clifford+T via the TRASYN or GRIDSYNTH workflow")
     Term.(
       const run $ input $ output $ workflow $ epsilon $ optimize $ estimate $ deadline
-      $ rotation_deadline $ stream $ window $ queue $ Cli.stack)
+      $ rotation_deadline $ stream $ window $ Cli.stack)
 
 let () = exit (Cmd.eval' cmd)

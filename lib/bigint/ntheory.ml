@@ -26,7 +26,7 @@ let miller_rabin_witness n d s a =
     end
   end
 
-let is_probable_prime ?(rounds = 25) n =
+let is_probable_prime n =
   if B.compare n B.two < 0 then false
   else if List.exists (fun p -> B.equal n (B.of_int p)) small_primes then true
   else if List.exists (fun p -> B.is_zero (B.erem n (B.of_int p))) small_primes then false
@@ -38,7 +38,7 @@ let is_probable_prime ?(rounds = 25) n =
     let deterministic = B.num_bits n <= 81 in
     let witnesses =
       if deterministic then List.map B.of_int deterministic_witnesses
-      else List.init rounds (fun _ -> B.add B.two (B.random_below (B.sub n (B.of_int 4))))
+      else List.init 25 (fun _ -> B.add B.two (B.random_below (B.sub n (B.of_int 4))))
     in
     not (List.exists (miller_rabin_witness n d s) witnesses)
   end

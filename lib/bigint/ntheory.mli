@@ -1,9 +1,9 @@
 (** Number theory over {!Bigint}: primality, factoring and modular square
     roots, as required by the Ross–Selinger Diophantine step. *)
 
-val is_probable_prime : ?rounds:int -> Bigint.t -> bool
-(** Miller–Rabin.  Deterministic witness set below 3.3e24, random witnesses
-    above; [rounds] (default 25) only affects the random regime. *)
+val is_probable_prime : Bigint.t -> bool
+(** Miller–Rabin.  Deterministic witness set below 3.3e24, 25 random
+    witnesses above. *)
 
 val pollard_rho : ?max_iters:int -> Bigint.t -> Bigint.t option
 (** Brent-cycle Pollard rho; returns a nontrivial factor of a composite,

@@ -3,13 +3,14 @@
     to end.
 
     The producer (calling domain) pulls IR gates from a source,
-    resolves each rotation, and submits unique synthesis targets to a
-    pool whose job queue is *bounded*.  Whenever the producer would
-    otherwise block — on a full queue, on a head result that has not
+    resolves each rotation, and submits unique synthesis targets to the
+    pool.  Results are emitted strictly in input order from a
+    depth-bounded reorder FIFO, interleaved with reading the source;
+    every queued job belongs to an occurrence waiting in that FIFO, so
+    its bound is the bound on work in flight too.  Whenever the
+    producer would otherwise block — on a full FIFO whose head has not
     landed, during the final drain — the pool has it run a queued job
     itself, so a run at [jobs] n synthesizes on up to n domains.
-    Results are emitted strictly in input order from a depth-bounded
-    reorder FIFO, interleaved with reading the source.
 
     Two sources feed it: {!run} passes the input through a
     {!Stream_opt} window first (the streaming CLI), {!run_ir} takes an
@@ -23,7 +24,6 @@
     gate checks the streaming machinery. *)
 
 let c_dedup = Obs.counter "obs.planner.dedup_hits"
-let c_bp_waits = Obs.counter "obs.stream.backpressure_waits"
 let c_in = Obs.counter "obs.stream.gates_in"
 let c_out = Obs.counter "obs.stream.gates_out"
 let c_evictions = Obs.counter "pipeline.cache.evictions"
@@ -100,7 +100,6 @@ type config = {
   gate_set : Gateset.t;
   ir : Settings.ir;
   window : int;  (** W: max gates held by the sliding optimizer *)
-  queue : int;  (** job-queue capacity — the backpressure bound *)
   jobs : int;  (** max domains (1 = synthesize on the producer) *)
   deadline : Obs.Deadline.t;
   rotation_budget : float option;
@@ -116,17 +115,15 @@ let default_trasyn = { Trasyn.default_config with table_t = 10; samples = 48; be
 let depth = 4096
 
 let config ?(epsilon = 0.07) ?(gate_set = Gateset.default) ?(ir = Settings.Rz_ir)
-    ?(window = 64) ?(queue = 32) ?(jobs = 1)
+    ?(window = 64) ?(jobs = 1)
     ?(deadline = Obs.Deadline.none) ?rotation_budget ?chain ?(trasyn = default_trasyn)
     ?(budgets = Synth.default_budgets) () =
   if not (epsilon > 0.0 && Float.is_finite epsilon) then
     invalid_arg "Stream_compile.config: epsilon must be positive and finite";
   if window < 1 then invalid_arg "Stream_compile.config: window must be >= 1";
-  if queue < 1 then invalid_arg "Stream_compile.config: queue must be >= 1";
   if jobs < 1 then invalid_arg "Stream_compile.config: jobs must be >= 1";
   Trasyn.check_settings ~fn:"Stream_compile.config" trasyn budgets;
-  { epsilon; gate_set; ir; window; queue; jobs; deadline; rotation_budget; chain; trasyn;
-    budgets }
+  { epsilon; gate_set; ir; window; jobs; deadline; rotation_budget; chain; trasyn; budgets }
 
 type stats = {
   gates_in : int;
@@ -138,7 +135,6 @@ type stats = {
   dedup_hits : int;
   total_synth_error : float;
   degraded : int;
-  backpressure_waits : int;
   peak_heap_words : int;
 }
 
@@ -331,7 +327,7 @@ let heap_sample () =
 let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let policy = policy cfg in
   let c_memo_hit, c_memo_miss = memo_counters cfg.ir in
-  let pool = Planner.create ~jobs:cfg.jobs ~queue:cfg.queue () in
+  let pool = Planner.create ~jobs:cfg.jobs () in
   let job target () =
     let r = run_chain cfg policy target in
     Result.iter (fun a -> Obs.set_span_attr "backend" a.Robust.backend) r;
@@ -342,7 +338,6 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
   let t_count = ref 0 and cliffords = ref 0 in
   let nsynth = ref 0 and unique = ref 0 in
   let total_err = ref 0.0 and degraded = ref 0 in
-  let waits = ref 0 in
   let failure = ref None in
   let out : out_item Queue.t = Queue.create () in
   let waiting : (string, waiting) Hashtbl.t = Hashtbl.create 64 in
@@ -488,12 +483,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
                 | None ->
                     Obs.incr c_memo_miss;
                     incr unique;
-                    let task, full = Planner.submit pool (job p.target) in
-                    if full then begin
-                      incr waits;
-                      Obs.incr c_bp_waits
-                    end;
-                    let w = { slots = 1; fresh = true; task } in
+                    let w = { slots = 1; fresh = true; task = Planner.submit pool (job p.target) } in
                     Hashtbl.add waiting p.key w;
                     w
               in
@@ -535,7 +525,6 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
           dedup_hits = !nsynth - !unique;
           total_synth_error = !total_err;
           degraded = !degraded;
-          backpressure_waits = !waits;
           peak_heap_words = int_of_float (Obs.gauge_value g_heap_peak);
         }
   | exception Abort_run -> (

@@ -7,16 +7,16 @@
     whole-circuit workflows of [Pipeline], after [Settings.best_for].
 
     The producer (calling domain) submits unique rotation targets to a
-    [Planner] pool of up to [jobs] domains over a bounded job queue, and
-    works instead of blocking: on a full queue (counted in
-    [obs.stream.backpressure_waits]), a head result not yet landed, the
-    final drain.  A warm-memo rerun submits no job and starts no
-    worker.  Words are spliced back strictly in input order from a
-    depth-bounded reorder FIFO, so output flows before the input is
-    fully read.  A job's result is dropped when the last occurrence
-    waiting for it is emitted, so a run holds
-    O(window + queue + depth) results, whatever the number of distinct
-    rotations.
+    [Planner] pool of up to [jobs] domains, and splices the words back
+    strictly in input order from a reorder FIFO of 4,096 slots.  The
+    FIFO is the one bound on work in flight: every queued job has an
+    occurrence waiting in it, so parsing runs at most 4,096 output
+    slots ahead.  When it is full and its head has not landed, and in
+    the final drain, the producer runs queued jobs itself instead of
+    blocking.  A warm-memo rerun submits no job and starts no worker.
+    A job's result is dropped when the last occurrence waiting for it
+    is emitted, so a run holds O(window + depth) results, whatever the
+    number of distinct rotations.
 
     Output is byte-identical whatever [jobs] is, and identical to
     {!run_circuit} on the same input: per-key synthesis is
@@ -60,7 +60,6 @@ type config = {
   gate_set : Gateset.t;
   ir : Settings.ir;  (** Rz (phase-folding window) or U3 (fusion window) *)
   window : int;  (** W — max gates held by the sliding optimizer *)
-  queue : int;  (** job-queue capacity, the backpressure bound *)
   jobs : int;  (** max domains; 1 = synthesize on the producer *)
   deadline : Obs.Deadline.t;
   rotation_budget : float option;  (** per-job seconds *)
@@ -79,7 +78,6 @@ val config :
   ?gate_set:Gateset.t ->
   ?ir:Settings.ir ->
   ?window:int ->
-  ?queue:int ->
   ?jobs:int ->
   ?deadline:Obs.Deadline.t ->
   ?rotation_budget:float ->
@@ -88,12 +86,11 @@ val config :
   ?budgets:int list ->
   unit ->
   config
-(** Defaults: ε 0.07, default gate set, Rz IR, window 64, queue 32,
-    1 job, no deadline, chain by IR ({!policy}), {!default_trasyn} and
+(** Defaults: ε 0.07, default gate set, Rz IR, window 64, 1 job, no
+    deadline, chain by IR ({!policy}), {!default_trasyn} and
     [Synth.default_budgets].
-    The reorder FIFO holds at most 4096 results awaiting emission.
     @raise Invalid_argument on a non-positive or non-finite ε, a
-    non-positive window/queue/jobs, or TRASYN settings that
+    non-positive window/jobs, or TRASYN settings that
     [Trasyn.check_settings] refuses. *)
 
 (** {1 The synthesis policy} *)
@@ -143,7 +140,6 @@ type stats = {
   dedup_hits : int;  (** occurrences served by memo/in-flight dedup *)
   total_synth_error : float;
   degraded : int;  (** occurrences that fell back or overshot ε *)
-  backpressure_waits : int;  (** times the producer found the queue full *)
   peak_heap_words : int;  (** process peak heap (obs.heap.peak_words) *)
 }
 

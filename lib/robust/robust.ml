@@ -36,12 +36,12 @@ let c_guard_rejected = Obs.counter "robust.guard.rejected"
 (* The guard                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let verify ?(tol = 1e-6) ~target ~epsilon ~claimed word =
+let verify ~target ~epsilon ~claimed word =
   Obs.incr c_guard_checked;
   let d = Mat2.distance target (Ctgate.seq_to_mat2 word) in
   (* Both tests are written to fail closed: a NaN claim or threshold
      compares false, so it is rejected rather than waved through. *)
-  if not (Float.abs (d -. claimed) <= tol) then begin
+  if not (Float.abs (d -. claimed) <= 1e-6) then begin
     Obs.incr c_guard_rejected;
     Error Verification_failed
   end

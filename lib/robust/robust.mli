@@ -76,7 +76,6 @@ val degraded : epsilon:float -> attempt -> bool
 (** {1 The guard} *)
 
 val verify :
-  ?tol:float ->
   target:Mat2.t ->
   epsilon:float ->
   claimed:float ->
@@ -84,7 +83,7 @@ val verify :
   (float, failure) result
 (** Recompute the word's unitary and its distance [d] to [target].
     [Error Verification_failed] when [d] disagrees with [claimed] by
-    more than [tol] (default 1e-6) — the backend lied or the word was
+    more than 1e-6 — the backend lied or the word was
     corrupted — or the claim is NaN; [Error Budget_exhausted] when the
     word is honest but [d > epsilon], or [epsilon] is NaN; [Ok d]
     otherwise.  Every call bumps [robust.guard.checked], every

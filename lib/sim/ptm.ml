@@ -49,14 +49,13 @@ let process_fidelity (a : t) (b : t) =
   !acc /. 4.0
 
 (* PTM of a Clifford+T word with depolarizing noise of rate [noise] after
-   every gate selected by [noisy_gate] (e.g. only T gates for the
-   conservative RQ5 model).  Words act leftmost-last, so compose from
-   the right. *)
-let of_ctseq ?(noise = 0.0) ?(noisy_gate = fun g -> Ctgate.is_t g) seq : t =
+   every T gate (the conservative RQ5 model).  Words act leftmost-last,
+   so compose from the right. *)
+let of_ctseq ?(noise = 0.0) seq : t =
   Obs.span "sim.ptm.of_ctseq" @@ fun () ->
   List.fold_left
     (fun acc g ->
       let r = of_mat2 (Ctgate.to_mat2 g) in
-      let r = if noise > 0.0 && noisy_gate g then compose (depolarizing noise) r else r in
+      let r = if noise > 0.0 && Ctgate.is_t g then compose (depolarizing noise) r else r in
       compose r acc)
     (identity ()) (List.rev seq)

@@ -20,7 +20,7 @@ val compose : t -> t -> t
 val process_fidelity : t -> t -> float
 (** Tr(R₁ᵀ·R₂)/4 — equals 1 for identical unitary channels. *)
 
-val of_ctseq : ?noise:float -> ?noisy_gate:(Ctgate.t -> bool) -> Ctgate.t list -> t
+val of_ctseq : ?noise:float -> Ctgate.t list -> t
 (** Channel of a Clifford+T word with depolarizing noise of rate [noise]
-    after every gate matching [noisy_gate] (default: T gates only — the
-    paper's most conservative logical-error model). *)
+    after every T gate — the paper's most conservative logical-error
+    model. *)

@@ -153,8 +153,8 @@ let synthesize ?(base_t = 4) ?(depth = 3) target =
    escalation always terminates and every level contracts the error, so
    this is the guaranteed-landing rung of a fallback ladder: it may
    come back above [epsilon], but it always comes back. *)
-let synthesize_to ?(base_t = 4) ?(max_depth = 4) ~epsilon target =
-  let table = Ma_table.get base_t in
+let synthesize_to ?(max_depth = 4) ~epsilon target =
+  let table = Ma_table.get 4 in
   let rec go depth best =
     let r = synthesize_depth table target depth in
     let r = { r with distance = Mat2.distance target r.mat } in

@@ -27,9 +27,10 @@ val synthesize : ?base_t:int -> ?depth:int -> Mat2.t -> result
     Sequence length grows ~5× per level while the error contracts
     ~3/2-power — the characteristic Solovay–Kitaev tradeoff. *)
 
-val synthesize_to : ?base_t:int -> ?max_depth:int -> epsilon:float -> Mat2.t -> result
-(** Escalate the recursion depth from 0 until the distance drops to
-    [epsilon] or [max_depth] (default 4) is reached; the best result
+val synthesize_to : ?max_depth:int -> epsilon:float -> Mat2.t -> result
+(** Escalate the recursion depth from 0, over the base net of at most
+    4 T gates, until the distance drops to [epsilon] or [max_depth]
+    (default 4) is reached; the best result
     seen is returned either way.  Always terminates — this is the
     guaranteed last-resort rung of the robust fallback ladder, which
     may land above [epsilon] (a reported degradation) but never

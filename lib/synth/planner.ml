@@ -16,7 +16,6 @@ type 'r task = {
 
 type 'r pool = {
   max_domains : int;
-  capacity : int;
   queue : 'r task Queue.t;
   lock : Mutex.t;  (* guards [queue], the tasks' results and [closed] *)
   queued : Condition.t;  (* a task was queued, or the pool closed *)
@@ -52,11 +51,10 @@ let enlarge_minor_heap () =
     Gc.set { g with Gc.minor_heap_size = worker_minor_heap_words };
   g
 
-let create ~jobs ~queue () =
+let create ~jobs () =
   Obs.incr c_domains;
   {
     max_domains = jobs;
-    capacity = Int.max 1 queue;
     queue = Queue.create ();
     lock = Mutex.create ();
     queued = Condition.create ();
@@ -127,11 +125,9 @@ let worker p i () =
 let submit p ?ctx work =
   Obs.incr c_jobs;
   let t = { ctx; work; result = None } in
-  if p.max_domains <= 1 then begin
+  if p.max_domains <= 1 then
     (* No other domain ever touches this pool. *)
-    t.result <- Some (run_job caller_meters ctx work);
-    (t, false)
-  end
+    t.result <- Some (run_job caller_meters ctx work)
   else begin
     p.submitted <- p.submitted + 1;
     (* Workers start as jobs arrive, one per job beyond the first, up
@@ -143,26 +139,13 @@ let submit p ?ctx work =
       Obs.incr c_domains;
       p.workers <- Domain.spawn (worker p (n + 1)) :: p.workers
     end;
-    (* While the queue is full, run its oldest task here instead of
-       waiting for a worker to take one. *)
-    let rec offer ran =
-      Mutex.lock p.lock;
-      if Queue.length p.queue < p.capacity then begin
-        Queue.push t p.queue;
-        Obs.set_gauge g_queue_depth (float_of_int (Queue.length p.queue));
-        Condition.signal p.queued;
-        Mutex.unlock p.lock;
-        ran
-      end
-      else begin
-        let oldest = take p in
-        Mutex.unlock p.lock;
-        Option.iter (run_task p caller_meters) oldest;
-        offer true
-      end
-    in
-    (t, offer false)
-  end
+    Mutex.lock p.lock;
+    Queue.push t p.queue;
+    Obs.set_gauge g_queue_depth (float_of_int (Queue.length p.queue));
+    Condition.signal p.queued;
+    Mutex.unlock p.lock
+  end;
+  t
 
 (* At one domain nothing else touches the pool, so no lock is taken. *)
 let result p t =
@@ -224,13 +207,13 @@ let execute ?jobs ?(deadline = Obs.Deadline.none) ?ctx ~run plan =
   let n_jobs = Array.length plan.jobs in
   Obs.incr ~by:plan.dedup_hits c_dedup;
   Obs.span "planner.execute" (fun () ->
-      let p = create ~jobs:(Int.max 1 (Int.min requested n_jobs)) ~queue:(Int.max 1 n_jobs) () in
+      let p = create ~jobs:(Int.max 1 (Int.min requested n_jobs)) () in
       Fun.protect ~finally:(fun () -> finish p) @@ fun () ->
       let tasks =
         Array.map
           (fun (j : _ job) ->
             let ctx = Option.bind ctx (fun f -> f j.target) in
-            fst (submit p ?ctx (fun () -> run ~deadline j.target)))
+            submit p ?ctx (fun () -> run ~deadline j.target))
           plan.jobs
       in
       let results = Hashtbl.create n_jobs in

@@ -3,11 +3,12 @@
 
     Every synthesis job runs on a {!pool}: the compilation engine
     ([Stream_compile]) submits each distinct rotation of a compile, and
-    {!execute} each distinct job of a server work item.  A pool is a
-    bounded job queue, worker domains started on demand (one per job
-    beyond the first, up to [jobs − 1]; none at [jobs] 1, where a job
-    runs inline as it is submitted), and a caller that runs queued jobs
-    instead of blocking.  Each job's result lands in its {!task}, so it
+    {!execute} each distinct job of a server work item.  A pool is an
+    uncapped job queue (the engine's reorder FIFO and {!execute}'s plan
+    bound what they submit), worker domains started on demand (one per
+    job beyond the first, up to [jobs − 1]; none at [jobs] 1, where a
+    job runs inline as it is submitted), and a caller that runs queued
+    jobs instead of blocking.  Each job's result lands in its {!task}, so it
     does not depend on domain count or scheduling.  A raising job fails alone:
     [Robust.Failure_exn f] lands as [Error f], any other exception as a
     [Backend_error] carrying its text.  Once a worker exists every
@@ -35,17 +36,14 @@ type 'r pool
 type 'r task
 (** One submitted job: the handle its result is read through. *)
 
-val create : jobs:int -> queue:int -> unit -> 'r pool
-(** A pool of at most [jobs] domains (the caller included) whose queue
-    holds at most [queue] jobs (both at least 1).  Counts the caller in
-    [obs.planner.domains]. *)
+val create : jobs:int -> unit -> 'r pool
+(** A pool of at most [jobs] domains (the caller included, at least
+    1).  Counts the caller in [obs.planner.domains]. *)
 
-val submit :
-  'r pool -> ?ctx:Obs.request_ctx -> (unit -> ('r, Robust.failure) result) -> 'r task * bool
+val submit : 'r pool -> ?ctx:Obs.request_ctx -> (unit -> ('r, Robust.failure) result) -> 'r task
 (** [submit p ?ctx job] queues [job] — or at [jobs] 1 runs it here —
-    and returns its task, with [true] when the queue was full, so the
-    caller ran queued jobs itself before this one fit.  The pool writes
-    the task's result under its lock. *)
+    and returns its task at once.  The pool writes the task's result
+    under its lock. *)
 
 val result : 'r pool -> 'r task -> ('r, Robust.failure) result option
 (** The task's result, once it has landed. *)

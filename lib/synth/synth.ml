@@ -30,12 +30,12 @@ type config = {
 (* TRASYN settings are refused where they enter: past this point each
    refusal of [Trasyn.synthesize] would be a backend error on every
    rotation, which a later rung answers as a degraded run. *)
-let config ?(deadline = Obs.Deadline.none) ?(gate_set = Gateset.default)
-    ?(trasyn = Trasyn.default_config) ?(budgets = default_budgets) ~epsilon () =
+let config ?(gate_set = Gateset.default) ?(trasyn = Trasyn.default_config)
+    ?(budgets = default_budgets) ~epsilon () =
   Trasyn.check_settings ~fn:"Synth.config" trasyn budgets;
   {
     epsilon;
-    deadline;
+    deadline = Obs.Deadline.none;
     gate_set;
     trasyn;
     trasyn_budgets = budgets;

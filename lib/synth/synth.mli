@@ -42,15 +42,14 @@ val default_budgets : int list
 (** [\[10; 10; 8\]] — the standard ladder's TRASYN budgets. *)
 
 val config :
-  ?deadline:Obs.Deadline.t ->
   ?gate_set:Gateset.t ->
   ?trasyn:Trasyn.config ->
   ?budgets:int list ->
   epsilon:float ->
   unit ->
   config
-(** Smart constructor with the standard defaults (no deadline,
-    [Gateset.default], [Trasyn.default_config], {!default_budgets},
+(** Smart constructor with the standard defaults (no deadline: the
+    chain runner sets each rung's, [Gateset.default], [Trasyn.default_config], {!default_budgets},
     1 attempt, backend-default gridsynth search, 10 s / seed 0
     synthetiq, default SK escalation).  [epsilon] is not checked: 0
     asks for the best word within the budgets.

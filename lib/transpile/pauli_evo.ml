@@ -90,8 +90,8 @@ let compile ?(reorder = true) ~n terms =
   Commute.cancel_pairs (Circuit.make n instrs)
 
 (* Trotterized evolution: [steps] repetitions with angle/steps each. *)
-let trotter ?(reorder = true) ~n ~steps terms =
+let trotter ~n ~steps terms =
   let scaled = List.map (fun t -> { t with angle = t.angle /. float_of_int steps }) terms in
-  let one = compile ~reorder ~n scaled in
+  let one = compile ~n scaled in
   let instrs = List.concat (List.init steps (fun _ -> one.Circuit.instrs)) in
   { one with Circuit.instrs }

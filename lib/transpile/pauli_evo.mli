@@ -19,5 +19,6 @@ val compile : ?reorder:bool -> n:int -> term list -> Circuit.t
 (** One evolution step; [reorder] (default) applies the greedy
     ladder-sharing order. *)
 
-val trotter : ?reorder:bool -> n:int -> steps:int -> term list -> Circuit.t
-(** First-order Trotterization: [steps] repetitions at angle/steps. *)
+val trotter : n:int -> steps:int -> term list -> Circuit.t
+(** First-order Trotterization: [steps] repetitions at angle/steps of
+    the reordered {!compile} step. *)

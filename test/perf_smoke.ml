@@ -5,9 +5,9 @@
       perfbench executable built beside it) writes a document that
       `tgates-trace validate` accepts, with one phase per workload;
       1b. two `compile_cli --stream` children over QAOA streams 5x
-      apart keep a bounded peak heap: the big run's peak is at most
-      twice the small run's, where an O(input) pipeline would sit
-      near 5;
+      apart keep a bounded peak heap (the window and the reorder FIFO
+      bound what a run holds): the big run's peak is at most twice the
+      small run's, where an O(input) pipeline would sit near 5;
       1c. a `compile_cli --stream` child over three gates, which ends
       before its first collection, still reports a positive peak heap;
    2. `tgates-trace diff --fail-above 10` of the document against
@@ -144,8 +144,9 @@ let () =
 
   (* Gate 1b: the streaming engine holds its bounded-memory contract.
      Each child reports its process peak heap ([obs.heap.peak_words]);
-     with O(window + queue + depth) state the 5,000-gate run's peak must
-     sit close to the 1,000-gate run's. *)
+     the window and the reorder FIFO bound its state to O(window +
+     depth), so the 5,000-gate run's peak must sit close to the
+     1,000-gate run's. *)
   let stream_report what qasm =
     let report = Filename.temp_file "perf_smoke_stream" ".report" in
     run_ok "stream compile"

@@ -378,7 +378,7 @@ let window_oracle_tests =
 
 (* The engine is deterministic per key and emits in input order, so the
    streamed path must match the in-memory reference byte for byte at
-   every window / jobs / queue combination — cache-cold each time. *)
+   every window / jobs combination — cache-cold each time. *)
 let engine_tests =
   let qasm_of n instrs = Qasm.to_string (Circuit.make n instrs) in
   let stream_via_qasm cfg text =
@@ -398,12 +398,10 @@ let engine_tests =
         let c = random_circuit 3 40 in
         let text = Qasm.to_string c in
         List.iter
-          (fun (window, jobs, queue, ir) ->
-            let label = Printf.sprintf "window=%d jobs=%d queue=%d" window jobs queue in
+          (fun (window, jobs, ir) ->
+            let label = Printf.sprintf "window=%d jobs=%d" window jobs in
             Stream_compile.clear_cache ();
-            let cfg =
-              Stream_compile.config ~epsilon:0.15 ~ir ~window ~queue ~jobs ()
-            in
+            let cfg = Stream_compile.config ~epsilon:0.15 ~ir ~window ~jobs () in
             let want, wstats =
               match Stream_compile.run_circuit cfg c with
               | Ok (rc, st) -> (Qasm.to_string rc, st)
@@ -417,10 +415,10 @@ let engine_tests =
             Alcotest.(check int) (label ^ " t_count") wstats.Stream_compile.t_count
               gstats.Stream_compile.t_count)
           [
-            (1, 1, 2, Settings.Rz_ir);
-            (4, 2, 2, Settings.Rz_ir);
-            (64, 4, 32, Settings.Rz_ir);
-            (8, 2, 4, Settings.U3_ir);
+            (1, 1, Settings.Rz_ir);
+            (4, 2, Settings.Rz_ir);
+            (64, 4, Settings.Rz_ir);
+            (8, 2, Settings.U3_ir);
           ]);
     Alcotest.test_case "dedup: repeated angles synthesize once" `Quick (fun () ->
         Stream_compile.clear_cache ();
@@ -439,7 +437,7 @@ let engine_tests =
             Alcotest.(check int) "unique" 1 st.Stream_compile.unique_syntheses;
             Alcotest.(check int) "dedup hits" 19 st.Stream_compile.dedup_hits);
     Alcotest.test_case "queue-depth gauge and peak-heap metrics are live" `Quick (fun () ->
-        let cfg = Stream_compile.config ~epsilon:0.1 ~jobs:2 ~queue:2 () in
+        let cfg = Stream_compile.config ~epsilon:0.1 ~jobs:2 () in
         let c = random_circuit 2 30 in
         match Stream_compile.run_circuit cfg c with
         | Error f -> Alcotest.failf "failed: %s" (Robust.failure_to_string f)
@@ -447,7 +445,7 @@ let engine_tests =
             Alcotest.(check bool) "peak heap sampled" true (st.Stream_compile.peak_heap_words > 0);
             Alcotest.(check bool) "heap gauge registered" true
               (Obs.gauge_value (Obs.gauge "obs.heap.peak_words") > 0.0);
-            (* The backpressure gauge must exist (exporters pick it up);
+            (* The queue-depth gauge must exist (exporters pick it up);
                its instantaneous value is timing-dependent. *)
             Alcotest.(check bool) "queue gauge registered" true
               (Obs.gauge_value (Obs.gauge "obs.planner.queue_depth") >= 0.0));
@@ -541,7 +539,7 @@ let engine_tests =
         in
         Robust.Fault.with_faults specs (fun () ->
             Stream_compile.clear_cache ();
-            let cfg = Stream_compile.config ~epsilon:0.05 ~jobs:3 ~queue:2 ~window:4 () in
+            let cfg = Stream_compile.config ~epsilon:0.05 ~jobs:3 ~window:4 () in
             let c =
               Circuit.make 1 (List.init 8 (fun i -> Circuit.instr (Qgate.Rz (0.1 +. float_of_int i)) [| 0 |]))
             in
@@ -731,6 +729,29 @@ let workflow_tests =
           (Robust.Fault.with_faults specs (fun () -> agree "trasyn=fail" c)));
   ]
 
+(* [Stream_compile.run] over [instrs] from a cold memo: the output text,
+   the stats, and how many input gates were read before the first
+   emit. *)
+let run_counting_reads cfg instrs =
+  let input = ref instrs and read = ref 0 and read_at_first_emit = ref 0 in
+  let next () =
+    match !input with
+    | [] -> None
+    | i :: rest ->
+        input := rest;
+        incr read;
+        Some i
+  in
+  let out = Buffer.create 4096 in
+  let emit i =
+    if !read_at_first_emit = 0 then read_at_first_emit := !read;
+    Buffer.add_string out (Qasm.instr_to_string i)
+  in
+  Stream_compile.clear_cache ();
+  match Stream_compile.run cfg ~next ~emit with
+  | Error f -> Alcotest.fail (Robust.failure_to_string f)
+  | Ok st -> (Buffer.contents out, st, !read_at_first_emit)
+
 let memo_flush_tests =
   [
     Alcotest.test_case "an occurrence served after a memo flush reuses its job's result" `Quick
@@ -780,28 +801,54 @@ let memo_flush_tests =
            queue while the tail fills the reorder FIFO behind it, until
            the FIFO's 4096-slot bound makes the producer run it. *)
         let input =
-          ref
-            (Circuit.instr (Qgate.Rz 0.3) [| 0 |]
-            :: List.concat
-                 (List.init 2500 (fun _ ->
-                      [ Circuit.instr Qgate.H [| 0 |]; Circuit.instr Qgate.T [| 0 |] ])))
+          Circuit.instr (Qgate.Rz 0.3) [| 0 |]
+          :: List.concat
+               (List.init 2500 (fun _ ->
+                    [ Circuit.instr Qgate.H [| 0 |]; Circuit.instr Qgate.T [| 0 |] ]))
         in
-        let read = ref 0 and read_at_first_emit = ref 0 in
-        let next () =
-          match !input with
-          | [] -> None
-          | i :: rest ->
-              input := rest;
-              incr read;
-              Some i
+        let _, _, read = run_counting_reads (Stream_compile.config ~epsilon:0.1 ~jobs:2 ()) input in
+        Alcotest.(check bool) "first output before the input ends" true (read > 4096 && read < 5001));
+    Alcotest.test_case "a backlog of distinct rotations past 4096 is identical at jobs 1, 2, 4"
+      `Slow (fun () ->
+        (* Seeded angles in (−3, 3), at least 2.4e-4 apart and off the
+           π/4 grid, split by H so the window merges none: every
+           rotation is its own job, and at jobs > 1 the queue holds as
+           many as the reorder FIFO does. *)
+        let rng = Random.State.make [| 40 |] in
+        let angles =
+          List.init 5200 (fun k ->
+              -3.0 +. (6.0 *. (float_of_int k +. 0.1 +. Random.State.float rng 0.8) /. 5200.0))
+          |> List.filter (fun a ->
+                 let q = a /. (Float.pi /. 4.0) in
+                 Float.abs (q -. Float.round q) > 1e-3)
         in
-        let emit _ = if !read_at_first_emit = 0 then read_at_first_emit := !read in
-        Stream_compile.clear_cache ();
-        match Stream_compile.run (Stream_compile.config ~epsilon:0.1 ~jobs:2 ()) ~next ~emit with
-        | Error f -> Alcotest.fail (Robust.failure_to_string f)
-        | Ok _ ->
-            Alcotest.(check bool) "first output before the input ends" true
-              (!read_at_first_emit > 4096 && !read_at_first_emit < 5001));
+        let distinct = List.length angles in
+        Alcotest.(check bool) "at least 5000 distinct angles" true (distinct >= 5000);
+        let instrs =
+          List.concat_map
+            (fun a -> [ Circuit.instr (Qgate.Rz a) [| 0 |]; Circuit.instr Qgate.H [| 0 |] ])
+            angles
+        in
+        let window = 64 in
+        let run jobs =
+          let out, st, read =
+            run_counting_reads (Stream_compile.config ~epsilon:0.1 ~window ~jobs ()) instrs
+          in
+          let label = Printf.sprintf "jobs=%d" jobs in
+          Alcotest.(check int) (label ^ " one job per rotation") distinct
+            st.Stream_compile.unique_syntheses;
+          Alcotest.(check bool) (label ^ " first emit within the FIFO bound") true
+            (read <= 4096 + window + 1);
+          (out, { st with Stream_compile.peak_heap_words = 0 })
+        in
+        Fun.protect ~finally:Stream_compile.clear_cache @@ fun () ->
+        let one = run 1 in
+        List.iter
+          (fun jobs ->
+            let out, st = run jobs in
+            Alcotest.(check string) (Printf.sprintf "jobs=%d output" jobs) (fst one) out;
+            Alcotest.(check bool) (Printf.sprintf "jobs=%d stats" jobs) true (st = snd one))
+          [ 2; 4 ]);
   ]
 
 (* One resolution.  [Stream_compile.resolve] must answer exactly when

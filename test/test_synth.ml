@@ -326,7 +326,7 @@ let planner_tests =
   ]
 
 (* A pool at jobs 2 whose one worker is stuck in a job: every other job
-   stays queued until the caller runs it or [release] lets the worker
+   stays queued until the caller runs it or [release ()] lets the worker
    go (the worker also gives up after 2 s, so a caller that never runs
    queued jobs fails the test instead of hanging it).  [b] is the task
    queued behind the stuck one; [run_here k] is true when job [k] ran
@@ -346,7 +346,7 @@ let with_stuck_worker f =
     d = Some caller
   in
   let gate = Atomic.make false and started = Atomic.make false in
-  let pool = Planner.create ~jobs:2 ~queue:2 () in
+  let pool = Planner.create ~jobs:2 () in
   let job k () =
     record k;
     Ok k
@@ -365,11 +365,11 @@ let with_stuck_worker f =
   @@ fun () ->
   ignore (Planner.submit pool stuck);
   (* The second job starts the worker, which takes the stuck job first. *)
-  let b, _ = Planner.submit pool (job "b") in
+  let b = Planner.submit pool (job "b") in
   while not (Atomic.get started) do
     Unix.sleepf 0.001
   done;
-  f pool ~b ~job ~run_here
+  f pool ~b ~job ~run_here ~release:(fun () -> Atomic.set gate true)
 
 let await pool task =
   while Option.is_none (Planner.result pool task) do
@@ -382,13 +382,10 @@ let pool_tests =
         let caller = Domain.self () in
         let (), domains =
           counter_delta "obs.planner.domains" (fun () ->
-              let pool = Planner.create ~jobs:1 ~queue:1 () in
+              let pool = Planner.create ~jobs:1 () in
               let tasks =
                 List.map
-                  (fun k ->
-                    let task, full = Planner.submit pool (fun () -> Ok (Domain.self ())) in
-                    Alcotest.(check bool) "never full" false full;
-                    (k, task))
+                  (fun k -> (k, Planner.submit pool (fun () -> Ok (Domain.self ()))))
                   [ "a"; "b"; "c" ]
               in
               List.iter
@@ -403,37 +400,52 @@ let pool_tests =
     Alcotest.test_case "pool at jobs 3 with 5 jobs runs on 3 domains" `Quick (fun () ->
         let (), domains =
           counter_delta "obs.planner.domains" (fun () ->
-              let pool = Planner.create ~jobs:3 ~queue:8 () in
-              let tasks = List.init 5 (fun k -> fst (Planner.submit pool (fun () -> Ok k))) in
+              let pool = Planner.create ~jobs:3 () in
+              let tasks = List.init 5 (fun k -> Planner.submit pool (fun () -> Ok k)) in
               List.iter (await pool) tasks;
               Planner.finish pool)
         in
         Alcotest.(check int) "the caller and 2 workers" 3 domains);
-    Alcotest.test_case "submitting into a full queue runs a job on the caller" `Quick (fun () ->
-        with_stuck_worker (fun pool ~b ~job ~run_here ->
-            (* Queue [b; c] is full, so d's submission runs b here. *)
-            Alcotest.(check bool) "c fits" false (snd (Planner.submit pool (job "c")));
-            Alcotest.(check bool) "d found the queue full" true (snd (Planner.submit pool (job "d")));
-            Alcotest.(check bool) "b ran on the caller" true (run_here "b");
-            Alcotest.(check bool) "b landed" true (Planner.result pool b = Some (Ok "b"))));
+    Alcotest.test_case "submissions behind a stuck worker queue without running" `Quick (fun () ->
+        let keys = List.init 64 (Printf.sprintf "c%d") in
+        let at_jobs_1 =
+          let pool = Planner.create ~jobs:1 () in
+          let tasks = List.map (fun k -> Planner.submit pool (fun () -> Ok k)) keys in
+          Planner.finish pool;
+          List.map (Planner.result pool) tasks
+        in
+        let depth () = Obs.gauge_value (Obs.gauge "obs.planner.queue_depth") in
+        with_stuck_worker (fun pool ~b ~job ~run_here ~release ->
+            let tasks = List.map (fun k -> Planner.submit pool (job k)) keys in
+            Alcotest.(check bool) "none ran" true
+              (List.for_all (fun t -> Planner.result pool t = None) tasks);
+            Alcotest.(check bool) "none on the caller" false (List.exists run_here keys);
+            Alcotest.(check (float 0.0)) "b and the 64 queued" 65.0 (depth ());
+            Planner.help pool b;
+            Alcotest.(check bool) "help ran the oldest, b, on the caller" true (run_here "b");
+            Alcotest.(check bool) "b landed" true (Planner.result pool b = Some (Ok "b"));
+            Alcotest.(check (float 0.0)) "the 64 still queued" 64.0 (depth ());
+            release ();
+            List.iter (await pool) tasks;
+            Alcotest.(check bool) "the results jobs 1 gives" true
+              (List.map (Planner.result pool) tasks = at_jobs_1)));
     Alcotest.test_case "help runs a queued job on the caller" `Quick (fun () ->
-        with_stuck_worker (fun pool ~b ~job:_ ~run_here ->
+        with_stuck_worker (fun pool ~b ~job:_ ~run_here ~release:_ ->
             Planner.help pool b;
             Alcotest.(check bool) "b ran on the caller" true (run_here "b");
             Alcotest.(check bool) "b landed" true (Planner.result pool b = Some (Ok "b"))));
     Alcotest.test_case "a job runs under its request context on a worker" `Quick (fun () ->
         let ctx i = { Obs.trace_id = "t"; request_id = "r" ^ string_of_int i; batch_index = i } in
         let caller = Domain.self () in
-        let pool = Planner.create ~jobs:2 ~queue:4 () in
+        let pool = Planner.create ~jobs:2 () in
         Fun.protect ~finally:(fun () -> Planner.finish pool) @@ fun () ->
         Obs.with_request None (fun () ->
             let tasks =
               List.map
                 (fun i ->
                   ( i,
-                    fst
-                      (Planner.submit pool ~ctx:(ctx i) (fun () ->
-                           Ok (Obs.current_request (), Domain.self ()))) ))
+                    Planner.submit pool ~ctx:(ctx i) (fun () ->
+                        Ok (Obs.current_request (), Domain.self ())) ))
                 [ 0; 1 ]
             in
             (* Wait without helping, so the worker runs both jobs. *)
@@ -454,8 +466,8 @@ let pool_tests =
             Alcotest.(check bool) "caller's context untouched" true (Obs.current_request () = None)));
     Alcotest.test_case "a job without a context keeps the caller's, inline" `Quick (fun () ->
         let ambient = { Obs.trace_id = "t"; request_id = "r9"; batch_index = -1 } in
-        let pool = Planner.create ~jobs:1 ~queue:1 () in
-        let task, _ =
+        let pool = Planner.create ~jobs:1 () in
+        let task =
           Obs.with_request (Some ambient) (fun () ->
               Planner.submit pool (fun () -> Ok (Obs.current_request ())))
         in
@@ -465,8 +477,8 @@ let pool_tests =
     Alcotest.test_case "help refuses a task of another pool" `Quick (fun () ->
         (* One job at jobs 2 starts no worker, so it waits in its own
            pool's queue; the other pool has nothing to run or wait on. *)
-        let mine = Planner.create ~jobs:2 ~queue:1 () and other = Planner.create ~jobs:2 ~queue:1 () in
-        let task, _ = Planner.submit mine (fun () -> Ok 1) in
+        let mine = Planner.create ~jobs:2 () and other = Planner.create ~jobs:2 () in
+        let task = Planner.submit mine (fun () -> Ok 1) in
         Alcotest.check_raises "help on another pool's task"
           (Invalid_argument "Planner.help: the task was not submitted to this pool") (fun () ->
             Planner.help other task);
@@ -478,8 +490,8 @@ let pool_tests =
         let g0 = Gc.get () in
         Gc.set { g0 with Gc.minor_heap_size = 262_144 };
         Fun.protect ~finally:(fun () -> Gc.set g0) @@ fun () ->
-        let pool = Planner.create ~jobs:2 ~queue:4 () in
-        let tasks = List.map (fun k -> fst (Planner.submit pool (fun () -> Ok k))) [ "a"; "b" ] in
+        let pool = Planner.create ~jobs:2 () in
+        let tasks = List.map (fun k -> Planner.submit pool (fun () -> Ok k)) [ "a"; "b" ] in
         Alcotest.(check bool) "enlarged while a worker exists" true
           ((Gc.get ()).Gc.minor_heap_size > 262_144);
         List.iter (await pool) tasks;
@@ -495,8 +507,8 @@ let pool_tests =
           | _ -> Ok (String.length k * 31)
         in
         let table jobs =
-          let pool = Planner.create ~jobs ~queue:2 () in
-          let tasks = List.map (fun k -> fst (Planner.submit pool (job k))) keys in
+          let pool = Planner.create ~jobs () in
+          let tasks = List.map (fun k -> Planner.submit pool (job k)) keys in
           List.iter (await pool) tasks;
           let r = List.map (Planner.result pool) tasks in
           Planner.finish pool;
