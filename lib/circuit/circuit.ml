@@ -58,12 +58,22 @@ let step = Float.pi /. 4.0
 let[@inline] octant x = ((int_of_float (Float.round (x /. step)) mod 8) + 8) mod 8
 
 (* U3(tπ/4, pπ/4, lπ/4), that is Rz(pπ/4)·Ry(tπ/4)·Rz(lπ/4) up to
-   phase, at 64p + 8t + l: the canonical key of T^p·SH·T^t·HS†·T^l. *)
+   phase, at 64p + 8t + l: the canonical key of T^p·SH·T^t·HS†·T^l.
+   The 512 grid points name 208 operators; equal keys share one
+   array. *)
 let grid_keys =
   let ts n = List.init n (fun _ -> Ctgate.T) in
+  let seen = Hashtbl.create 256 in
   Array.init 512 (fun i ->
-      Exact_u.canonical_key
-        (Exact_u.of_seq (ts (i / 64) @ Ctgate.[ S; H ] @ ts (i / 8 mod 8) @ Ctgate.[ H; Sdg ] @ ts (i mod 8))))
+      let key =
+        Exact_u.canonical_key
+          (Exact_u.of_seq (ts (i / 64) @ Ctgate.[ S; H ] @ ts (i / 8 mod 8) @ Ctgate.[ H; Sdg ] @ ts (i mod 8)))
+      in
+      match Hashtbl.find_opt seen key with
+      | Some k -> k
+      | None ->
+          Hashtbl.add seen key key;
+          key)
 
 (* The index in [grid_keys] of U3(θ, φ, λ) with its angles rounded to
    the grid.  At θ ≡ 0 (mod 2π) only φ + λ is determined, at θ ≡ π only

@@ -26,10 +26,15 @@
     The interior of the chain (every site but the first) never sees the
     target: {!canonical_chain} canonicalizes it once per table and caps,
     and indexes each interior site with two trees (a sum tree for draws,
-    a cone tree for maxima on the last site).  Site 0 is never stored:
-    {!sample} recomputes each of its entries from the table's planes in
-    registers, whatever the number of sites.  Sampling only reads the
-    chain, so one canonicalized interior can serve any number of
+    a cone tree for maxima on the last site).  A prefix's last-site
+    argmax descends the cone tree to a cell, scans that cell's
+    neighbourhood list and certifies the list's best by the cone bound;
+    only an uncertified answer runs the branch-and-bound.  Site 0 is
+    never stored: {!sample} recomputes each of its entries from the
+    table's planes in registers, whatever the number of sites.
+    Sampling only reads the chain, apart from publishing a cell's list
+    the first time a prefix reaches it (the same list whichever domain
+    builds it), so one canonicalized interior can serve any number of
     targets — and any number of domains — concurrently. *)
 
 type site = {
@@ -56,7 +61,16 @@ type sum_tree = {
    preorder.  Per node: a unit axis c (8 reals), and [cons] = cos ρ
    (rounded down), sin ρ (rounded up) and R (rounded up), where ρ is
    the largest Fubini–Study angle from c to an operator below the node
-   and R the largest operator norm. *)
+   and R the largest operator norm.
+
+   Its cells are the maximal nontrivial nodes of at most [cell_cap]
+   operators, and [tops] the first nontrivial level, where the argmax
+   descends from.  A cell's neighbourhood list is built on first use and
+   published through its [Atomic], so domains that share the chain
+   share it: entries 0 and 1 are cos ρ_out and sin ρ_out in units of
+   2⁻⁵², rounded up, where every operator off the list lies more than
+   ρ_out from the cell's axis; the rest are the ids of the leaves that
+   hold an operator within ρ_cell + h of it ([list_margin]). *)
 type cone_tree = {
   perm : int array;  (** physical indices; each node's are contiguous *)
   clo : int array;
@@ -64,6 +78,9 @@ type cone_tree = {
   cright : int array;  (** right child; −1 at a leaf *)
   axis : float array;
   cons : float array;
+  tops : int array;  (** the first nontrivial level, in preorder *)
+  cell_of : int array;  (** a node's cell; −1 when it is not one *)
+  lists : int array Atomic.t array;  (** per cell; [[||]] until built *)
 }
 
 type trees = { sum : sum_tree; cone : cone_tree option }
@@ -86,6 +103,9 @@ let c_samples = Obs.counter "mps.samples_drawn"
 let c_tree_nodes = Obs.counter "mps.sample.tree_nodes"
 let c_tree_leaves = Obs.counter "mps.sample.tree_leaves"
 let c_boundary = Obs.counter "mps.sample.boundary_draws"
+let c_list_entries = Obs.counter "mps.argmax.list_entries"
+let c_certified = Obs.counter "mps.argmax.certified"
+let c_fallback = Obs.counter "mps.argmax.fallback"
 
 (* Table entry (phys, row, col) lives at planes re/im.(phys·4 + row·2 +
    col); a site over n entries reads the first n. *)
@@ -218,8 +238,11 @@ let absorb_right s ~ld l_re l_im =
    metric: for a node with unit axis c, angular radius ρ and largest
    norm R, |w·a_s| ≤ ‖w‖·R·cos(max(0, φ − ρ)) with cos φ = |w·c|/‖w‖,
    which bounds every operator below the node and drives an exact
-   branch-and-bound for maxima.  Both trees depend on the site alone,
-   so they are built once per chain and shared read-only. *)
+   branch-and-bound for maxima.  The same inequality the other way
+   round certifies a cell's list: every operator off it lies more than
+   ρ_out from the cell's axis c, so |w·a_s| ≤ ‖w‖·R·cos(max(0, ρ_out − φ)).
+   Both trees depend on the site alone, so they are built once per
+   chain and shared; the lists are built per cell on first use. *)
 
 let sum_leaf = 16
 let cone_leaf = 8
@@ -531,6 +554,14 @@ let set_constants cone i buf ix lo hi =
   cone.cons.((i * 3) + 1) <- (if sin_rho < 1.0 then sin_rho else 1.0);
   cone.cons.((i * 3) + 2) <- !r *. (1.0 +. 1e-12)
 
+(* Cells hold at most this many operators (two to four leaves). *)
+let cell_cap = 32
+
+(* h: the table's spacing (π²/n)^(1/3) — n operators spread over
+   SU(2)/±1, whose volume is π² in the Fubini–Study angle — times 0.6,
+   0.05 rad on a depth-8 site. *)
+let list_margin n = 0.6 *. Float.cbrt (Float.pi *. Float.pi /. float_of_int (Int.max 1 n))
+
 let build_cone_tree site =
   check_tree_site site;
   if site.dr <> 1 then invalid_arg "Mps: cone tree needs the last site (right bond 1)";
@@ -545,8 +576,12 @@ let build_cone_tree site =
       cright = Array.make nodes (-1);
       axis = Array.make (nodes * 8) 0.0;
       cons = Array.make (nodes * 3) 0.0;
+      tops = [||];
+      cell_of = Array.make nodes (-1);
+      lists = [||];
     }
   in
+  let tops = ref [] in
   let perm = cone.perm in
   let cap = Int.max 1 (Int.min n cone_exact) in
   let fat = Array.make (stride * cap) 0.0 and fix = Array.make cap 0 in
@@ -611,6 +646,7 @@ let build_cone_tree site =
       for p = lo to hi - 1 do
         perm.(p) <- int_of_float fat.((stride * fix.(p - lo)) + 14)
       done;
+      tops := i :: !tops;
       i
     end
     else begin
@@ -628,7 +664,20 @@ let build_cone_tree site =
     end
   in
   ignore (go 0 n 0);
-  cone
+  let tops = Array.of_list (List.rev !tops) in
+  let count = ref 0 in
+  let rec mark i =
+    if cone.chi.(i) - cone.clo.(i) <= cell_cap then begin
+      cone.cell_of.(i) <- !count;
+      incr count
+    end
+    else begin
+      mark (i + 1);
+      mark cone.cright.(i)
+    end
+  in
+  Array.iter mark tops;
+  { cone with tops; lists = Array.init !count (fun _ -> Atomic.make [||]) }
 
 let build_trees ~last site =
   { sum = build_sum_tree site; cone = (if last then Some (build_cone_tree site) else None) }
@@ -705,32 +754,106 @@ let advance_into site w_re w_im woff phys dst_re dst_im doff =
     dst_im.(doff + b) <- !vim
   done
 
-(* Max-heap sift-down of a.(root) within a.(0 .. len−1). *)
-let rec sift (a : float array) root len =
-  let child = (2 * root) + 1 in
-  if child < len then begin
-    let child = if child + 1 < len && a.(child) < a.(child + 1) then child + 1 else child in
-    if a.(root) < a.(child) then begin
-      let tmp = a.(root) in
-      a.(root) <- a.(child);
-      a.(child) <- tmp;
-      sift a child len
+(* The sorted-uniforms draw sorts its uniforms in place: a bucket pass
+   (counts, then an in-place cycle permutation into at most
+   [max_buckets] value ranges, about four values each), repeated on
+   any range still longer than [insertion_run] once the bucket count is
+   capped, then one insertion sort, whose work is the inversions left
+   inside each bucket: O(m) expected for uniform draws, with no
+   allocation.  The two count arrays stay under the minor heap's
+   256-word limit, so [points] remains a call's only major-heap array.
+   Any exact ascending sort gives the same array.  Typed [float array],
+   so element reads stay unboxed and comparisons are float
+   comparisons. *)
+let max_buckets = 256
+let insertion_run = 32
+
+type sorter = { ends : int array; next : int array }
+
+(* Enough buckets for any sort of at most m values. *)
+let make_sorter m =
+  let b = Int.max 1 (Int.min max_buckets (m / 4)) in
+  { ends = Array.make b 0; next = Array.make b 0 }
+
+(* Distribute a.(lo..hi−1) into b buckets of equal value width, in
+   ascending bucket order: the bucket of x is ⌊(x − min)·b/(max − min)⌋,
+   capped at b − 1, which is monotone in x. *)
+let rec bucket_pass so (a : float array) lo hi =
+  let m = hi - lo in
+  if m > insertion_run then begin
+    let mn = ref a.(lo) and mx = ref a.(lo) in
+    for p = lo + 1 to hi - 1 do
+      let x = a.(p) in
+      if x < !mn then mn := x;
+      if x > !mx then mx := x
+    done;
+    let mn = !mn in
+    let b = Int.min (Array.length so.ends) (m / 4) in
+    let scale = float_of_int b /. (!mx -. mn) in
+    if Float.is_finite scale && scale > 0.0 then begin
+      let ends = so.ends and next = so.next in
+      Array.fill ends 0 b 0;
+      for p = lo to hi - 1 do
+        let t = int_of_float ((a.(p) -. mn) *. scale) in
+        let t = if t < b then t else b - 1 in
+        ends.(t) <- ends.(t) + 1
+      done;
+      let start = ref lo in
+      for t = 0 to b - 1 do
+        next.(t) <- !start;
+        start := !start + ends.(t);
+        ends.(t) <- !start
+      done;
+      (* Each swap puts one value in its bucket for good. *)
+      for t = 0 to b - 1 do
+        while next.(t) < ends.(t) do
+          let p = next.(t) in
+          let u = int_of_float ((a.(p) -. mn) *. scale) in
+          let u = if u < b then u else b - 1 in
+          if u = t then next.(t) <- p + 1
+          else begin
+            let q = next.(u) in
+            next.(u) <- q + 1;
+            let y = a.(q) in
+            a.(q) <- a.(p);
+            a.(p) <- y
+          end
+        done
+      done;
+      (* With fewer buckets than m/4, split long buckets again; the
+         counts are reused, so each bucket is found from its values. *)
+      if b < m / 4 then begin
+        let p = ref lo in
+        while !p < hi do
+          let t = int_of_float ((a.(!p) -. mn) *. scale) in
+          let t = if t < b then t else b - 1 in
+          let q = ref (!p + 1) in
+          while
+            !q < hi
+            &&
+            let u = int_of_float ((a.(!q) -. mn) *. scale) in
+            (if u < b then u else b - 1) = t
+          do
+            incr q
+          done;
+          bucket_pass so a !p !q;
+          p := !q
+        done
+      end
     end
   end
 
-(* In-place ascending heapsort of a.(0 .. m−1): allocation-free and
-   deterministic, so the sorted-uniforms draw can reuse one scratch
-   buffer wider than the live prefix.  Typed [float array], so element
-   reads stay unboxed and comparisons are float comparisons. *)
-let sort_range (a : float array) m =
-  for i = (m / 2) - 1 downto 0 do
-    sift a i m
-  done;
-  for i = m - 1 downto 1 do
-    let tmp = a.(0) in
-    a.(0) <- a.(i);
-    a.(i) <- tmp;
-    sift a 0 i
+(* In-place ascending sort of a.(0 .. m−1). *)
+let sort_range so (a : float array) m =
+  bucket_pass so a 0 m;
+  for i = 1 to m - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
   done
 
 (* The frontier: all distinct sampled prefixes at the current level,
@@ -795,11 +918,15 @@ type scratch = {
   stk_lo : int array;
   stk_hi : int array;
   stk_f : float array;
-  f : float array;  (** f.(0) result, f.(1) ‖ŵ‖, f.(2) ‖w‖ *)
+  f : float array;  (** f.(0) result, f.(1) ‖ŵ‖, f.(2) ‖w‖, f.(3..4) registers, f.(5) the incumbent's weight *)
   qw : float array;
+  mutable best : int;  (** the argmax incumbent *)
   mutable nodes : int;
   mutable leaves : int;
   mutable boundary : int;
+  mutable entries : int;
+  mutable certified : int;
+  mutable fallback : int;
 }
 
 let stack_cap = 256
@@ -811,16 +938,23 @@ let make_scratch points =
     stk_lo = Array.make stack_cap 0;
     stk_hi = Array.make stack_cap 0;
     stk_f = Array.make stack_cap 0.0;
-    f = Array.make 4 0.0;
+    f = Array.make 6 0.0;
     qw = Array.make 8 0.0;
+    best = 0;
     nodes = 0;
     leaves = 0;
     boundary = 0;
+    entries = 0;
+    certified = 0;
+    fallback = 0;
   }
 
 let flush_counts st =
   Obs.incr ~by:st.nodes c_tree_nodes;
   Obs.incr ~by:st.leaves c_tree_leaves;
+  Obs.incr ~by:st.entries c_list_entries;
+  Obs.incr ~by:st.certified c_certified;
+  Obs.incr ~by:st.fallback c_fallback;
   if st.boundary > 0 then Obs.incr ~by:st.boundary c_boundary
 
 (* Route the sorted uniforms points.(0..m−1) of prefix [parent] down the
@@ -982,37 +1116,265 @@ let expand cone st node sp =
   end;
   sp + 2
 
+(* Offer the last site's operators perm.(lo..hi−1) to the argmax
+   incumbent (st.best, f.(5)): a heavier one, or an equal one with a
+   lower index, takes its place.  Each weight is [weight_into]'s, its
+   operations in their order (Σ_a w_a·a_s[a] from 0, then
+   0 + re² + im²), with w held in registers. *)
+let offer_range cone site w_re w_im woff st lo hi =
+  let sre = site.re and sim = site.im and perm = cone.perm and f = st.f in
+  let w0r = w_re.(woff) and w0i = w_im.(woff) and w1r = w_re.(woff + 1) and w1i = w_im.(woff + 1) in
+  let w2r = w_re.(woff + 2) and w2i = w_im.(woff + 2) and w3r = w_re.(woff + 3) and w3i = w_im.(woff + 3) in
+  for p = lo to hi - 1 do
+    let s = perm.(p) in
+    let b = 4 * s in
+    let ar = sre.(b) and ai = sim.(b) in
+    let vre = 0.0 +. (w0r *. ar) -. (w0i *. ai) and vim = 0.0 +. (w0r *. ai) +. (w0i *. ar) in
+    let ar = sre.(b + 1) and ai = sim.(b + 1) in
+    let vre = vre +. (w1r *. ar) -. (w1i *. ai) and vim = vim +. (w1r *. ai) +. (w1i *. ar) in
+    let ar = sre.(b + 2) and ai = sim.(b + 2) in
+    let vre = vre +. (w2r *. ar) -. (w2i *. ai) and vim = vim +. (w2r *. ai) +. (w2i *. ar) in
+    let ar = sre.(b + 3) and ai = sim.(b + 3) in
+    let vre = vre +. (w3r *. ar) -. (w3i *. ai) and vim = vim +. (w3r *. ai) +. (w3i *. ar) in
+    let w = 0.0 +. (vre *. vre) +. (vim *. vim) in
+    if w > f.(5) || (w = f.(5) && s < st.best) then begin
+      st.best <- s;
+      f.(5) <- w
+    end
+  done
+
 (* Exact argmax of the last site's weights for prefix w by
-   branch-and-bound: the incumbent starts at index 0, a node is pruned
-   only when its bound is strictly below the incumbent's weight, and
-   equal weights go to the lower index — the scan's answer. *)
-let cone_argmax cone site w_re w_im woff st =
-  let f = st.f in
-  weight_into site w_re w_im woff 0 f 0;
-  let best = ref 0 and best_w = ref f.(0) in
-  cone_query st w_re w_im woff;
+   branch-and-bound from incumbent [seed]: a node is pruned only when
+   its bound is strictly below the incumbent's weight, and equal weights
+   go to the lower index, so any seed gives the scan's answer.  The
+   query must be loaded ([cone_query]). *)
+let branch_and_bound cone site w_re w_im woff st seed =
+  weight_into site w_re w_im woff seed st.f 5;
+  st.best <- seed;
   let sp = ref 1 in
   st.stk_node.(0) <- 0;
   st.stk_f.(0) <- infinity;
   while !sp > 0 do
     decr sp;
     let node = st.stk_node.(!sp) in
-    if not (st.stk_f.(!sp) < !best_w) then
+    if not (st.stk_f.(!sp) < st.f.(5)) then
       if cone.cright.(node) < 0 then begin
         st.leaves <- st.leaves + 1;
-        for p = cone.clo.(node) to cone.chi.(node) - 1 do
-          let s = cone.perm.(p) in
-          weight_into site w_re w_im woff s f 0;
-          let w = f.(0) in
-          if w > !best_w || (w = !best_w && s < !best) then begin
-            best := s;
-            best_w := w
-          end
-        done
+        offer_range cone site w_re w_im woff st cone.clo.(node) cone.chi.(node)
       end
       else sp := expand cone st node !sp
   done;
-  !best
+  st.best
+
+(* f.(3) ← |qw·c|², c the axis of [node]: ‖qw‖² times the squared
+   cosine between the query's direction and the axis. *)
+let axis_dot cone node st =
+  let o = node * 8 and ax = cone.axis and q = st.qw in
+  let pr = ref 0.0 and pi = ref 0.0 in
+  for a = 0 to 3 do
+    let wr = q.(2 * a) and wi = q.((2 * a) + 1) in
+    let cr = ax.(o + (2 * a)) and ci = ax.(o + (2 * a) + 1) in
+    pr := !pr +. (wr *. cr) -. (wi *. ci);
+    pi := !pi +. (wr *. ci) +. (wi *. cr)
+  done;
+  st.f.(3) <- (!pr *. !pr) +. (!pi *. !pi)
+
+(* Greedy descent to a cell: the node of the first nontrivial level
+   whose axis is nearest the query's direction, then the nearer child,
+   down to a node of at most [cell_cap] operators. *)
+let descend cone st =
+  let tops = cone.tops in
+  let node = ref tops.(0) in
+  axis_dot cone tops.(0) st;
+  let near = ref st.f.(3) in
+  for i = 1 to Array.length tops - 1 do
+    axis_dot cone tops.(i) st;
+    if st.f.(3) > !near then begin
+      node := tops.(i);
+      near := st.f.(3)
+    end
+  done;
+  st.nodes <- st.nodes + Array.length tops;
+  while cone.chi.(!node) - cone.clo.(!node) > cell_cap do
+    let left = !node + 1 in
+    axis_dot cone left st;
+    let dl = st.f.(3) in
+    axis_dot cone cone.cright.(!node) st;
+    node := if st.f.(3) > dl then cone.cright.(!node) else left;
+    st.nodes <- st.nodes + 2
+  done;
+  !node
+
+(* f.(3) ← a bound on cos ∠(x, a_s) over every operator below [node],
+   x the axis of node [xn]: [cone_bound]'s factor, with conj(x) as the
+   query (axes are unit to within rounding, which its slack covers). *)
+let node_cos cone xn node st =
+  let o = node * 8 and x = xn * 8 and ax = cone.axis in
+  (* ⟨x, c⟩ = Σ conj(x_a)·c_a *)
+  let pr = ref 0.0 and pi = ref 0.0 in
+  for a = 0 to 3 do
+    let xr = ax.(x + (2 * a)) and xi = ax.(x + (2 * a) + 1) in
+    let cr = ax.(o + (2 * a)) and ci = ax.(o + (2 * a) + 1) in
+    pr := !pr +. (xr *. cr) +. (xi *. ci);
+    pi := !pi +. (xr *. ci) -. (xi *. cr)
+  done;
+  let cos_rho = cone.cons.(node * 3) and sin_rho = cone.cons.((node * 3) + 1) in
+  let c = Float.sqrt ((!pr *. !pr) +. (!pi *. !pi)) in
+  let c = if c > 1.0 then 1.0 else c in
+  st.f.(3) <-
+    (if c >= cos_rho then 1.0
+     else begin
+       let c = (c *. cos_rho) +. (Float.sqrt (1.0 -. (c *. c)) *. sin_rho) +. 1e-7 in
+       if c > 1.0 then 1.0 else c
+     end)
+
+(* f.(3) ← the largest cos ∠(x, a_s) over leaf [node]'s nonzero
+   operators, x the axis of node [xn] (0 with none). *)
+let leaf_cos cone site xn node st =
+  let x = xn * 8 and ax = cone.axis and re = site.re and im = site.im in
+  let best = ref 0.0 in
+  for p = cone.clo.(node) to cone.chi.(node) - 1 do
+    let b = 4 * cone.perm.(p) in
+    let pr = ref 0.0 and pi = ref 0.0 and na = ref 0.0 in
+    for a = 0 to 3 do
+      let xr = ax.(x + (2 * a)) and xi = ax.(x + (2 * a) + 1) in
+      let ar = re.(b + a) and ai = im.(b + a) in
+      pr := !pr +. (xr *. ar) +. (xi *. ai);
+      pi := !pi +. (xr *. ai) -. (xi *. ar);
+      na := !na +. (ar *. ar) +. (ai *. ai)
+    done;
+    if !na > 0.0 then begin
+      let c = Float.sqrt (((!pr *. !pr) +. (!pi *. !pi)) /. !na) in
+      if c > !best then best := c
+    end
+  done;
+  st.f.(3) <- !best
+
+(* Cell node [xn]'s range query from the root: the leaves holding an
+   operator within the angle whose cosine is [cos_in] of its axis,
+   written to out.(off..) as far as [out] reaches.  Returns their count,
+   with a bound on cos ∠ over every operator left out in f.(4). *)
+let cell_range cone site xn cos_in st out off =
+  let f = st.f in
+  f.(4) <- 0.0;
+  let count = ref 0 and sp = ref 1 in
+  st.stk_node.(0) <- 0;
+  while !sp > 0 do
+    decr sp;
+    let node = st.stk_node.(!sp) in
+    node_cos cone xn node st;
+    if f.(3) < cos_in then begin
+      if f.(3) > f.(4) then f.(4) <- f.(3)
+    end
+    else if cone.cright.(node) >= 0 then begin
+      st.stk_node.(!sp) <- cone.cright.(node);
+      st.stk_node.(!sp + 1) <- node + 1;
+      sp := !sp + 2
+    end
+    else begin
+      leaf_cos cone site xn node st;
+      if f.(3) >= cos_in then begin
+        if off + !count < Array.length out then out.(off + !count) <- node;
+        incr count
+      end
+      else if f.(3) > f.(4) then f.(4) <- f.(3)
+    end
+  done;
+  !count
+
+(* Build, publish and return the neighbourhood list of cell node [xn],
+   collected in the scratch's [stk_lo] (or, past its length, by a
+   second pass).  Two domains may build one list at once: both build
+   the same one. *)
+let build_list cone site xn st =
+  let rho = Float.acos cone.cons.(xn * 3) +. list_margin (Array.length cone.perm) in
+  let cos_in = if rho < Float.pi /. 2.0 then Float.cos rho else 0.0 in
+  let count = cell_range cone site xn cos_in st st.stk_lo 0 in
+  let found =
+    if count <= stack_cap then st.stk_lo
+    else begin
+      let a = Array.make count 0 in
+      ignore (cell_range cone site xn cos_in st a 0 : int);
+      a
+    end
+  in
+  (* The list starts at the cell's own leaves, a run of the preorder:
+     they hold the operators nearest the query, so the scan's incumbent
+     is strong before it reaches the rest. *)
+  let own = ref 0 in
+  while !own < count && cone.clo.(found.(!own)) < cone.clo.(xn) do
+    incr own
+  done;
+  let list = Array.make (count + 2) 0 in
+  Array.blit found !own list 2 (count - !own);
+  Array.blit found 0 list (2 + count - !own) !own;
+  (* Rounded up: computed cosines are off by ≈ 1e-16. *)
+  let cos_out = Float.min 1.0 (st.f.(4) +. 1e-12) in
+  let sin_out = Float.min 1.0 (Float.sqrt (1.0 -. (cos_out *. cos_out)) *. (1.0 +. 1e-15)) in
+  list.(0) <- int_of_float (Float.ceil (cos_out *. 0x1p52));
+  list.(1) <- int_of_float (Float.ceil (sin_out *. 0x1p52));
+  Atomic.set cone.lists.(cone.cell_of.(xn)) list;
+  list
+
+(* f.(0) ← bound on |w·a_s|² over every operator off the list of cell
+   node [node]: [cone_bound] with the list's ρ_out for the node's ρ and
+   the root's R.  Off the list ∠(a_s, c) > ρ_out, so the triangle
+   inequality gives ∠(w̄, a_s) ≥ ρ_out − φ, and the bound is
+   ‖w‖·R·cos(max(0, ρ_out − φ)), with the same slack. *)
+let off_list_bound cone node list st =
+  axis_dot cone node st;
+  let nq = st.f.(1) in
+  let cos_out = float_of_int list.(0) *. 0x1p-52 and sin_out = float_of_int list.(1) *. 0x1p-52 in
+  let factor =
+    if nq > 0.0 then begin
+      let cphi = Float.sqrt st.f.(3) /. nq in
+      let cphi = if cphi > 1.0 then 1.0 else cphi in
+      if cphi <= cos_out then 1.0
+      else begin
+        let sphi = Float.sqrt (1.0 -. (cphi *. cphi)) in
+        let c = (cphi *. cos_out) +. (sphi *. sin_out) +. 1e-7 in
+        if c > 1.0 then 1.0 else c
+      end
+    end
+    else 1.0
+  in
+  let amp = st.f.(2) *. cone.cons.(2) *. factor in
+  st.f.(0) <- (amp *. amp) +. 1e-321
+
+(* The last site's argmax for prefix w (largest weight, lowest index on
+   ties), as the scan finds it: descend to a cell, scan its list, and
+   keep the list's best when its weight is strictly above the bound on
+   every operator off the list — then no operator off the list weighs as
+   much, and the list holds the scan's answer.  Otherwise, and for a
+   query with a non-finite norm, branch-and-bound from it. *)
+let cone_argmax cone site w_re w_im woff st =
+  let f = st.f in
+  cone_query st w_re w_im woff;
+  if not (Float.is_finite f.(2)) then branch_and_bound cone site w_re w_im woff st 0
+  else begin
+    let node = descend cone st in
+    let list =
+      let l = Atomic.get cone.lists.(cone.cell_of.(node)) in
+      if Array.length l > 0 then l else build_list cone site node st
+    in
+    st.best <- -1;
+    f.(5) <- neg_infinity;
+    for i = 2 to Array.length list - 1 do
+      let leaf = list.(i) in
+      cone_bound cone leaf st;
+      if not (f.(0) < f.(5)) then offer_range cone site w_re w_im woff st cone.clo.(leaf) cone.chi.(leaf)
+    done;
+    st.entries <- st.entries + Array.length list - 2;
+    off_list_bound cone node list st;
+    if st.best >= 0 && f.(5) > f.(0) then begin
+      st.certified <- st.certified + 1;
+      st.best
+    end
+    else begin
+      st.fallback <- st.fallback + 1;
+      branch_and_bound cone site w_re w_im woff st (Int.max 0 st.best)
+    end
+  end
 
 (* Beam selection buffers: sel_w/sel_parent/sel_phys.(0..count−1) hold
    the best candidates so far in the order (weight descending, then
@@ -1275,7 +1637,7 @@ let chain_draws z points k fr =
    prefix descends the site's sum tree with its sorted uniforms and, on
    the last site, adds its cone-tree argmax completion (with
    [argmax_last]).  The uniforms reuse [points]. *)
-let interior_draws chain fr rng points ~argmax_last =
+let interior_draws chain fr rng so points ~argmax_last =
   let l = fr.len in
   let st = make_scratch points in
   for level = 1 to l - 1 do
@@ -1293,7 +1655,7 @@ let interior_draws chain fr rng points ~argmax_last =
         for m = 0 to mult - 1 do
           points.(m) <- Random.State.float rng total
         done;
-        sort_range points mult;
+        sort_range so points mult;
         tree_draws fr st tr.sum site level e mult
       end;
       (* Each distinct prefix also contributes the best completion of
@@ -1367,12 +1729,13 @@ let sample ?rng ?(argmax_last = true) chain ~target ~k ~beam =
   in
   let total, best, last_nz = first_pass z sel beam in
   let points = Array.create_float (Int.max 1 k) in
+  let so = make_sorter k in
   let routed = total > 0.0 && k > 0 in
   if routed then begin
     for m = 0 to k - 1 do
       points.(m) <- Random.State.float rng total
     done;
-    sort_range points k
+    sort_range so points k
   end;
   (* Uniforms left over at site 0's end go to its last nonzero weight,
      merged with the child drawn there last when there is one. *)
@@ -1406,7 +1769,7 @@ let sample ?rng ?(argmax_last = true) chain ~target ~k ~beam =
         put_first fr z last_nz left
       end
     end;
-    let draws = interior_draws chain fr rng points ~argmax_last in
+    let draws = interior_draws chain fr rng so points ~argmax_last in
     (draws, if beam = 0 then [] else Obs.span "mps.beam_search" (fun () -> interior_beam chain z sel beam))
   end
 
@@ -1428,4 +1791,7 @@ let cone_node_bounds chain ~w_re ~w_im =
 
 let cone_argmax_of chain ~w_re ~w_im =
   let cone, site = last_cone chain in
-  cone_argmax cone site w_re w_im 0 (make_scratch [||])
+  let st = make_scratch [||] in
+  let best = cone_argmax cone site w_re w_im 0 st in
+  flush_counts st;
+  best

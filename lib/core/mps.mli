@@ -20,8 +20,9 @@
     allocation is O(k) words total.  Every interior site (2..l) carries
     two target-independent trees, built with its chain: a sum tree of
     block Grams that routes draws to their operators in O(m·log n), and,
-    on the last site, a cone tree that finds maxima by exact
-    branch-and-bound (see {!sample}). *)
+    on the last site, a cone tree whose cells' neighbourhood lists,
+    built on first use, answer maxima with a certificate, and whose
+    branch-and-bound answers the rest (see {!sample}). *)
 
 type site = {
   dl : int;  (** left bond dimension *)
@@ -34,7 +35,9 @@ type site = {
 type trees
 (** The tree indices of one interior site: a sum tree over contiguous
     blocks of 16 physical indices, plus a cone tree on the last site.
-    Immutable once built. *)
+    The trees are immutable once built; the cone tree's cells get their
+    neighbourhood lists on first use, each published through an
+    [Atomic]. *)
 
 type sample = {
   indices : int array;  (** one physical index per site *)
@@ -53,9 +56,12 @@ type sample = {
     final LQ — so a target costs only site 0's entries, which {!sample}
     computes from the table's planes with the boundary absorbed.
 
-    A chain is read-only after {!canonical_chain} returns (sampling
-    reads site tensors and trees, with per-call scratch), which is what
-    makes one chain safe to reuse concurrently from many domains. *)
+    After {!canonical_chain} returns, sampling reads a chain's site
+    tensors and trees with per-call scratch, and writes only a cell's
+    neighbourhood list the first time a prefix reaches it: a
+    deterministic list, published through an [Atomic], so two domains
+    that build one at once build the same.  That is what makes one chain
+    safe to reuse concurrently from many domains. *)
 
 type chain = {
   table : Ma_table.t;
@@ -115,21 +121,40 @@ val sample :
     the second routes the k sorted uniforms by the running sum and
     stops once every one is placed.  At an interior site a prefix of
     multiplicity m descends the sum tree with its sorted uniforms,
-    O(min(m·log n, n)) node and leaf visits, and its [argmax_last]
-    completion is a branch-and-bound over the cone tree (tens of nodes
-    per query on depth-8 tables, O(n) only in degenerate cases such as
-    w = 0).  The [mps.sample.tree_nodes] and [mps.sample.tree_leaves]
-    counters record the draws' visits, once per call.  The beam scans
-    each partial's children at a middle site, O(n) per partial, and
-    offers them by branch-and-bound over the cone tree on the last.
-    With one site only the k uniforms take O(k) words.
+    O(min(m·log n, n)) node and leaf visits.  Its [argmax_last]
+    completion descends the cone tree greedily to a cell (a maximal
+    node of at most 32 operators below the first level with a
+    nontrivial cone), scans the cell's neighbourhood list — the leaves
+    holding an operator within ρ_cell + h of the cell's axis, h being
+    0.6·(π²/n)^(1/3), skipping a leaf whose cone bound is below the
+    best weight so far — and keeps the list's best when a bound on every
+    operator off the list certifies it; otherwise it runs the
+    branch-and-bound over the whole cone tree from that best (O(n) only
+    in degenerate cases such as w = 0).  A list is built the first time
+    a prefix reaches its cell, once per chain.  The k uniforms are
+    sorted by a bucket pass and an insertion sort, O(k) expected.
+    Counters, flushed once per call: [mps.sample.tree_nodes] and
+    [mps.sample.tree_leaves] count tree work — sum-tree nodes and
+    leaves, the argmax's descent and cone bounds, and the leaves its
+    branch-and-bound scans; [mps.argmax.list_entries] counts the list
+    entries (cone-tree leaves) the argmax examines; and
+    [mps.argmax.certified] and [mps.argmax.fallback] count the prefixes
+    whose argmax the certificate settled and those that fell back to
+    the branch-and-bound.  On depth-8 tables about 90 % are certified.
+    The beam scans each partial's children at a middle site, O(n) per
+    partial, and offers them by branch-and-bound over the cone tree on
+    the last.  With one site only the k uniforms take O(k) words.
 
     {b Exactness.}  The result is bit for bit what filling site 0,
     absorbing the boundary and scanning every site gave: indices,
     multiplicities, amplitudes and order.  Leaves evaluate weights with
     the scan's arithmetic, and the cone bound is rigorous with outward
     rounding, so maxima (lowest index on ties) and children (grouped by
-    ascending physical index) are the scan's.  Draws equal the scan's
+    ascending physical index) are the scan's.  A certified argmax is
+    too: it is the list's largest weight (lowest index on ties), and it
+    is strictly above a bound on every operator off the list, which
+    assumes nothing about w, so an alphabet that is not Clifford-closed
+    only falls back more often.  Draws equal the scan's
     except for a uniform within float rounding of a sum-tree block's
     cumulative weight: one left over at a block's end goes to the
     block's last nonzero-weight index (with none there, to the site's
@@ -145,5 +170,6 @@ val cone_node_bounds : chain -> w_re:float array -> w_im:float array -> (float *
     the physical indices below it. *)
 
 val cone_argmax_of : chain -> w_re:float array -> w_im:float array -> int
-(** The last site's [argmax_last] completion for prefix vector w, by
-    the cone-tree search. *)
+(** The last site's [argmax_last] completion for prefix vector w, as
+    {!sample} finds it (the certified list scan, or the branch-and-bound
+    when the certificate fails), with its counters flushed. *)

@@ -217,18 +217,27 @@ let run_chain (cfg : config) p target =
 let memo : (string, word) Hashtbl.t = Hashtbl.create 256
 let memo_capacity = ref 65_536
 
+(* Bumped whenever the memo is emptied: a key's entry stays the same
+   word from its insertion until then, so a copy of it tagged with the
+   generation it was read in is the memo's entry while the tags
+   match. *)
+let memo_generation = ref 0
+
 let set_cache_capacity n =
   if n < 1 then invalid_arg "Stream_compile.set_cache_capacity: capacity must be positive";
   memo_capacity := n
 
-let clear_cache () = Hashtbl.reset memo
+let clear_cache () =
+  Hashtbl.reset memo;
+  incr memo_generation
 
 let memo_add key (a : Robust.attempt) =
   let e = word_of a in
   Obs.observe h_rot_tcount (float_of_int e.t);
   if Hashtbl.length memo >= !memo_capacity then begin
     Obs.incr c_evictions;
-    Hashtbl.reset memo
+    Hashtbl.reset memo;
+    incr memo_generation
   end;
   Hashtbl.add memo key e;
   e
@@ -239,9 +248,38 @@ let memo_add key (a : Robust.attempt) =
 
 (* What a rotation resolves to in a run: the exact word of a trivial
    rotation, a synthesis key and target (with the gate, for the
-   degradation report), or a structured failure. *)
-type pending = { key : string; target : Synth.target; gate : Qgate.t }
+   degradation report), or a structured failure.  A synthesis keeps the
+   memo entry of its key once read, tagged with the memo generation, so
+   the next occurrence does not hash the key again. *)
+type pending = {
+  key : string;
+  target : Synth.target;
+  gate : Qgate.t;
+  mutable entry : word;  (** [no_word] until read *)
+  mutable generation : int;
+}
+
 type resolution = Exact of word | Synthesize of pending | Reject of Robust.failure
+
+(* What {!memo_find} answers for a key the memo does not hold. *)
+let no_word = word_of { Robust.word = []; distance = nan; backend = ""; fallbacks = 0; rung_epsilon = nan }
+
+(* The memo's entry for p's key, or [no_word]: p's copy while it is
+   current, else a lookup, kept when it hits. *)
+let memo_find p =
+  if p.entry != no_word && p.generation = !memo_generation then p.entry
+  else
+    match Hashtbl.find memo p.key with
+    | e ->
+        p.entry <- e;
+        p.generation <- !memo_generation;
+        e
+    | exception Not_found -> no_word
+
+let memo_keep p e =
+  p.entry <- e;
+  p.generation <- !memo_generation;
+  e
 
 let synthesize cfg g =
   let p = policy cfg in
@@ -413,18 +451,18 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
         true
     | Some (Cached (e, p, qubits)) -> serve ~replay:true p e qubits
     | Some (Rotation (p, qubits, w)) -> (
-        match Hashtbl.find_opt memo p.key with
-        | Some e ->
+        match memo_find p with
+        | e when e != no_word ->
             (* An earlier occurrence of this job was emitted first. *)
             release p.key w;
             serve ~replay:true p e qubits
-        | None -> (
+        | _ -> (
             match Planner.result pool w.task with
             | Some (Ok a) ->
                 let replay = not w.fresh in
                 w.fresh <- false;
                 release p.key w;
-                serve ~replay p (memo_add p.key a) qubits
+                serve ~replay p (memo_keep p (memo_add p.key a)) qubits
             | Some (Error f) ->
                 failure := Some f;
                 false
@@ -449,7 +487,7 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
         let r =
           match resolve policy g with
           | Ok { exact = Some a; _ } -> Exact (word_of a)
-          | Ok { key; target; _ } -> Synthesize { key; target; gate = g }
+          | Ok { key; target; _ } -> Synthesize { key; target; gate = g; entry = no_word; generation = 0 }
           | Error f -> Reject f
         in
         if Gate_table.length resolved >= !memo_capacity then begin
@@ -469,11 +507,11 @@ let engine ?on_degraded cfg ~source ~emit : (stats, Robust.failure) result =
           failure := Some f;
           raise Abort_run
       | Synthesize p -> (
-          match Hashtbl.find_opt memo p.key with
-          | Some e ->
+          match memo_find p with
+          | e when e != no_word ->
               Obs.incr c_memo_hit;
               Queue.push (Cached (e, p, g.Circuit.qubits)) out
-          | None ->
+          | _ ->
               let w =
                 match Hashtbl.find_opt waiting p.key with
                 | Some w ->

@@ -40,9 +40,13 @@
    The same sample calls gate the tree-indexed sampler's work, which
    is counted, not timed, so it repeats exactly too:
 
-   8. tree nodes + leaves visited per interior prefix ≤ n / 50 (a
-      linear scan reads n);
-   9. no boundary draws.
+   8. visits per interior prefix: tree nodes and leaves, plus the
+      neighbourhood-list entries (cone-tree leaves) that the argmax
+      scans;
+   9. no boundary draws;
+   24. the live words the chain gains from the neighbourhood lists its
+       argmax builds on first use (after a full major GC, above the live
+       words before the calls): a list per cell that a prefix reached;
 
    It bounds what a streamed run keeps:
 
@@ -113,7 +117,9 @@
    23. on the U3 forms of the 96 entries: the matrix and the [Some].
 
    Bounds are for the dev profile that runtest builds: each is its dev
-   count at the time it was set (8,430 for 4, where a limb array for
+   count at the time it was set (78.3 visits for 8, where the cone
+   tree's branch-and-bound alone read 197.9, and 36,971 words for 24;
+   8,430 for 4, where a limb array for
    every Bigint read 12,194; 1,480 / 47,735 / 3,529 / 1,109 for
    5 / 7 / 10 / 11; for 6, 4,078, where a stored site 0 and its two
    weight arrays read 188,330; for 13, 58.9 minor and 11.8 live,
@@ -142,6 +148,8 @@ let gridsynth_bound = 10537.0
 let whole_bound = 1851.0
 let two_site_major_bound = 5_102.0
 let sample_bound = 59_700.0
+let visits_bound = 98.0
+let lists_live_bound = 46_214.0
 let live_bound = 4_411.0
 let open_bound = 1_387.0
 let draw_bound = 0.0
@@ -253,6 +261,10 @@ let () =
       input_gates := !input_gates + Circuit.length c)
     circuits;
   check "warm whole-circuit path per IR gate" (!whole_words /. float_of_int !ir_gates) whole_bound;
+  let live_words () =
+    Gc.full_major ();
+    float_of_int (Gc.stat ()).Gc.live_words
+  in
   let table = Ma_table.get 8 in
   let two = Mps.canonical_chain table [| 8; 8 |] in
   let haar = Random.State.make [| 2026 |] in
@@ -278,9 +290,10 @@ let () =
   check "two-site Trasyn.synthesize major words" major two_site_major_bound;
   let sample target ~k = fst (Mps.sample ~rng:(Random.State.make [| 7 |]) two ~target ~k ~beam:0) in
   let cval name = Obs.counter_value (Obs.counter name) in
-  let visits () = cval "mps.sample.tree_nodes" + cval "mps.sample.tree_leaves" in
+  let visits () = cval "mps.sample.tree_nodes" + cval "mps.sample.tree_leaves" + cval "mps.argmax.list_entries" in
   let v0 = visits () and b0 = cval "mps.sample.boundary_draws" in
   let prefixes = ref 0 in
+  let lists_before = live_words () in
   let (), words =
     measure (fun () ->
         List.iter
@@ -293,12 +306,12 @@ let () =
           targets)
   in
   check "Mps.sample per call (k 1024, 2 sites)" (words /. 16.0) sample_bound;
-  let n = two.Mps.interior.(0).Mps.n in
   let per_prefix = float_of_int (visits () - v0) /. float_of_int !prefixes in
-  let ok = per_prefix <= float_of_int n /. 50.0 in
-  Printf.printf "alloc_gate: %-40s %7.2f visits (bound n/50 = %d)%s\n" "tree nodes+leaves per interior prefix"
-    per_prefix (n / 50) (if ok then "" else "  FAIL");
+  let ok = per_prefix <= visits_bound in
+  Printf.printf "alloc_gate: %-40s %7.2f visits (bound %.0f)%s\n" "tree and list visits per interior prefix"
+    per_prefix visits_bound (if ok then "" else "  FAIL");
   if not ok then failed := true;
+  check "live words of the warm chain's lists" (live_words () -. lists_before) lists_live_bound;
   let boundary = cval "mps.sample.boundary_draws" - b0 in
   Printf.printf "alloc_gate: %-40s %7d (bound 0)%s\n" "boundary draws" boundary (if boundary = 0 then "" else "  FAIL");
   if boundary <> 0 then failed := true;
@@ -314,10 +327,6 @@ let () =
   let (), minor = measure (fun () -> List.iter (fun w -> ignore (Postprocess.run table w)) words) in
   let windows = cval "trasyn.postprocess.windows" - w0 in
   check "Postprocess.run per window (depth 8)" (minor /. float_of_int windows) window_bound;
-  let live_words () =
-    Gc.full_major ();
-    float_of_int (Gc.stat ()).Gc.live_words
-  in
   let distinct = 8_000 in
   let k = ref 0 and at_end = ref 0.0 in
   let next () =

@@ -176,7 +176,8 @@ let advance_into site w_re w_im woff phys dst_re dst_im doff =
 
 (* In-place ascending heapsort of a.(0 .. m−1): allocation-free and
    deterministic, so the sorted-uniforms draw can reuse one scratch
-   buffer wider than the live prefix. *)
+   buffer wider than the live prefix.  [Mps] sorts by buckets and
+   insertion instead; any exact ascending sort gives this array. *)
 let sort_range a m =
   let swap i j =
     let tmp = a.(i) in

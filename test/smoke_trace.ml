@@ -58,6 +58,11 @@ let () =
            call runs its beam past site 0 under mps.beam_search. *)
         "mps.chain_build";
         "mps.beam_search";
+        (* The two-site draws' last-site argmax: prefixes certified by
+           a neighbourhood list, prefixes that fell back, list entries. *)
+        "mps.argmax.certified";
+        "mps.argmax.fallback";
+        "mps.argmax.list_entries";
         "trasyn.t_count";
       ];
   Sys.remove t1;

@@ -650,6 +650,103 @@ let bound_chain = lazy (chain_of ~depth:5 ~l:2)
 let bound_mps =
   lazy (Mps_reference.instantiate ~target:(Mat2.random_unitary (Random.State.make [| 5 |])) (Lazy.force bound_chain))
 
+(* [Mps.cone_argmax_of] against the scan over the last site of [chain],
+   one query per prefix vector (4 entries each). *)
+let check_argmax ~what chain queries =
+  let last = chain.Mps.interior.(Array.length chain.Mps.interior - 1) in
+  let weights = Array.make last.Mps.n 0.0 in
+  List.iteri
+    (fun i (w_re, w_im) ->
+      ignore (Mps_reference.frontier_weights last w_re w_im 0 weights);
+      let got = Mps.cone_argmax_of chain ~w_re ~w_im and want = scan_argmax weights in
+      if got <> want then Alcotest.failf "%s query %d: argmax %d, the scan's %d" what i got want)
+    queries
+
+(* Queries for the last site of [chain]: [prefixes] rows of site 0 for
+   each of [targets] seeded Haar targets; conj(a_s) for [conj] random s;
+   [mid] midpoints between a unit â_s and its nearest neighbour (phase
+   aligned), where two weights nearly tie; [tiny] Gaussian vectors at
+   1e-150 and 1e-300, [gauss] at 1; and w = 0. *)
+let argmax_queries ~seed ~targets ~prefixes ~conj ~mid ~tiny ~gauss chain =
+  let rng = Random.State.make [| seed |] in
+  let last = chain.Mps.interior.(Array.length chain.Mps.interior - 1) in
+  let n = last.Mps.n in
+  let op s = (Array.sub last.Mps.re (4 * s) 4, Array.sub last.Mps.im (4 * s) 4) in
+  let gauss_w scale =
+    (Array.init 4 (fun _ -> scale *. (Random.State.float rng 2.0 -. 1.0)),
+     Array.init 4 (fun _ -> scale *. (Random.State.float rng 2.0 -. 1.0)))
+  in
+  let rows =
+    List.concat
+      (List.init targets (fun _ ->
+           let first = (Mps_reference.instantiate ~target:(Mat2.random_unitary rng) chain).Mps_reference.sites.(0) in
+           List.init prefixes (fun _ ->
+               let s = Random.State.int rng first.Mps.n in
+               (Array.sub first.Mps.re (4 * s) 4, Array.sub first.Mps.im (4 * s) 4))))
+  in
+  let conjs =
+    List.init conj (fun _ ->
+        let re, im = op (Random.State.int rng n) in
+        (re, Array.map Float.neg im))
+  in
+  let unit s =
+    let re, im = op s in
+    let sq = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 in
+    let nrm = Float.sqrt (sq re +. sq im) in
+    (Array.map (fun x -> x /. nrm) re, Array.map (fun x -> x /. nrm) im)
+  in
+  (* ⟨x, y⟩ = Σ conj(x_a)·y_a *)
+  let inner (xr, xi) (yr, yi) =
+    let r = ref 0.0 and i = ref 0.0 in
+    for a = 0 to 3 do
+      r := !r +. (xr.(a) *. yr.(a)) +. (xi.(a) *. yi.(a));
+      i := !i +. (xr.(a) *. yi.(a)) -. (xi.(a) *. yr.(a))
+    done;
+    (!r, !i)
+  in
+  let mids =
+    List.init mid (fun _ ->
+        let s = Random.State.int rng n in
+        let x = unit s in
+        let best = ref (-1) and best_c = ref (-1.0) in
+        for t = 0 to n - 1 do
+          if t <> s then begin
+            let r, i = inner x (unit t) in
+            let c = Float.sqrt ((r *. r) +. (i *. i)) in
+            if c > !best_c then begin
+              best := t;
+              best_c := c
+            end
+          end
+        done;
+        let ((yr, yi) as y) = unit !best in
+        (* Rotate â_t by the phase of ⟨â_t, â_s⟩ onto â_s's, then average;
+           conjugate, since the weight is |w·a|² = |⟨w̄, a⟩|². *)
+        let r, i = inner y x in
+        let c = Float.sqrt ((r *. r) +. (i *. i)) in
+        let pr = r /. c and pi = i /. c in
+        let xr, xi = x in
+        ( Array.init 4 (fun a -> 0.5 *. (xr.(a) +. ((pr *. yr.(a)) -. (pi *. yi.(a))))),
+          Array.init 4 (fun a -> -0.5 *. (xi.(a) +. ((pr *. yi.(a)) +. (pi *. yr.(a))))) ))
+  in
+  rows @ conjs @ mids
+  @ List.init tiny (fun i -> gauss_w (if i mod 2 = 0 then 1e-150 else 1e-300))
+  @ List.init gauss (fun _ -> gauss_w 1.0)
+  @ [ (Array.make 4 0.0, Array.make 4 0.0) ]
+
+(* A sub-alphabet that misses most Cliffords, so the chain's boundary L
+   is not ∝ I and the last site's operators have unequal norms. *)
+let ht_gate_set =
+  lazy
+    (match Obs.Json.parse {|{"name":"ht","generators":"HT","enumeration":"bfs"}|} with
+    | Ok j -> (
+        match Gateset.of_json j with
+        | Ok gs ->
+            Gateset.register gs;
+            gs.Gateset.name
+        | Error e -> failwith e)
+    | Error e -> failwith e)
+
 let tree_tests =
   [
     Alcotest.test_case "tree sampling equals the linear oracle (depth 4-5, l = 2, 3)" `Quick (fun () ->
@@ -658,9 +755,11 @@ let tree_tests =
           (fun (name, target) ->
             List.iter
               (fun (depth, l) ->
+                (* k = 5,000 sorts its uniforms with capped buckets,
+                   splitting the long ones again. *)
                 check_against_oracle
                   ~what:(Printf.sprintf "%s depth %d l=%d" name depth l)
-                  ~settings:[ (1, 1); (48, 4); (1024, 32) ]
+                  ~settings:[ (1, 1); (48, 4); (1024, 32); (5000, 4) ]
                   (chain_of ~depth ~l) ~target)
               [ (5, 2); (4, 3) ])
           tree_targets;
@@ -674,6 +773,13 @@ let tree_tests =
         check_against_oracle ~argmax:[ true ] ~what:"T depth 8 l=2" ~settings:[ (1024, 4) ] two ~target:Mat2.t;
         check_against_oracle ~what:"haar depth 8 l=3" ~settings:[ (48, 4) ] (chain_of ~depth:8 ~l:3)
           ~target:(Mat2.random_unitary haar);
+        (* Seeds at the sampler's default (k, beam): the argmax runs on
+           about a thousand prefixes per call. *)
+        List.iter
+          (fun l ->
+            check_against_oracle ~argmax:[ true ] ~what:(Printf.sprintf "haar depth 8 l=%d k=1024" l)
+              ~settings:[ (1024, 32) ] (chain_of ~depth:8 ~l) ~target:(Mat2.random_unitary haar))
+          [ 2; 3 ];
         Alcotest.(check int) "no boundary draws" boundary0 (cval "mps.sample.boundary_draws"));
     Alcotest.test_case "the one-site kernel equals the one-site reference" `Quick (fun () ->
         (* 200 seeded Haar targets, target i at depth i mod 9 and every
@@ -803,6 +909,40 @@ let site0_tests =
   ]
 
 let suite = suite @ site0_tests
+
+(* The last site's argmax answers from a cell's neighbourhood list when
+   its certificate holds and falls back to the branch-and-bound when it
+   does not; both paths must give the scan's answer. *)
+let certified_argmax_tests =
+  [
+    Alcotest.test_case "the certified argmax equals the scan's (depth 8, and an HT closure)" `Quick (fun () ->
+        let certified = cval "mps.argmax.certified" and fallback = cval "mps.argmax.fallback" in
+        let queries =
+          argmax_queries ~seed:8080 ~targets:8 ~prefixes:100 ~conj:500 ~mid:400 ~tiny:200 ~gauss:200
+            (chain_of ~depth:8 ~l:2)
+        in
+        Alcotest.(check bool) "at least 2,000 queries" true (List.length queries >= 2_000);
+        check_argmax ~what:"depth 8" (chain_of ~depth:8 ~l:2) queries;
+        Alcotest.(check bool) "certified answers" true (cval "mps.argmax.certified" > certified);
+        Alcotest.(check bool) "fallbacks" true (cval "mps.argmax.fallback" > fallback);
+        let gate_set = Lazy.force ht_gate_set in
+        let chain = Mps.canonical_chain (Ma_table.get_for ~gate_set 8) [| 8; 8 |] in
+        let off_identity = ref 0.0 in
+        for r = 0 to 3 do
+          for c = 0 to 3 do
+            let d = if r = c then chain.Mps.bl_re.(r * 5) -. chain.Mps.bl_re.(0) else chain.Mps.bl_re.((r * 4) + c) in
+            off_identity := Float.max !off_identity (Float.max (Float.abs d) (Float.abs chain.Mps.bl_im.((r * 4) + c)))
+          done
+        done;
+        Alcotest.(check bool) "the HT closure's L is not a multiple of I" true (!off_identity > 1.0);
+        let certified = cval "mps.argmax.certified" and fallback = cval "mps.argmax.fallback" in
+        check_argmax ~what:"HT closure depth 8" chain
+          (argmax_queries ~seed:8181 ~targets:4 ~prefixes:100 ~conj:200 ~mid:100 ~tiny:50 ~gauss:100 chain);
+        Alcotest.(check bool) "HT: certified answers" true (cval "mps.argmax.certified" > certified);
+        Alcotest.(check bool) "HT: fallbacks" true (cval "mps.argmax.fallback" > fallback));
+  ]
+
+let suite = suite @ certified_argmax_tests
 
 (* [trasyn.budget_escalations] counts moves to a larger budget prefix. *)
 let escalation_tests =
